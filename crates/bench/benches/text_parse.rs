@@ -2,7 +2,7 @@
 //! parsing query texts of growing size, printing the canonical form, and the
 //! full parse → display → parse round trip.
 //!
-//! Parsing sits on the hot path of `QueryService::evaluate_text`, so it must
+//! Parsing sits on the hot path of a textual `QueryService::submit`, so it must
 //! stay negligible next to evaluation (microseconds against the engine's
 //! milliseconds).  Set `GTPQ_BENCH_QUICK=1` for the CI smoke run.
 

@@ -36,8 +36,15 @@ use gtpq_query::Gtpq;
 use gtpq_reach::BackendKind;
 use gtpq_service::{QueryError, QueryRequest, QueryService, ServiceConfig, SlowOutcome};
 
-/// Usage text printed by `--help` and on argument errors.
-pub const USAGE: &str = "\
+/// Usage text printed by `--help`, `:help` and on argument errors.  The
+/// `--backend` choices are spliced in from [`BackendKind::ALL`].
+pub fn usage() -> String {
+    let mut backends = vec!["auto"];
+    backends.extend(BackendKind::ALL.map(BackendKind::as_str));
+    USAGE_TEMPLATE.replace("{backends}", &backends.join(" | "))
+}
+
+const USAGE_TEMPLATE: &str = "\
 gtpq-cli — evaluate textual GTPQ queries against a generated dataset
 
 USAGE:
@@ -51,8 +58,7 @@ OPTIONS:
                       similarity queries)
     --scale FACTOR    dataset size multiplier       [default: 1.0]
     --seed N          generator seed                [default: 42]
-    --backend NAME    auto | closure | 3hop | chain | contour | sspi | interval
-                                                    [default: auto]
+    --backend NAME    {backends}   [default: auto]
     --snapshot PATH   serve a saved `.gtpq` binary snapshot instead of
                       generating a dataset: the file is mapped zero-copy, so
                       start-up costs page faults, not a text parse
@@ -304,22 +310,12 @@ impl CliOptions {
 
 /// Parses a `--backend` argument; `auto` means auto-selection (`None`).
 pub fn parse_backend(s: &str) -> Result<Option<BackendKind>, String> {
-    let kind = match s {
-        "auto" => return Ok(None),
-        "closure" => BackendKind::Closure,
-        "3hop" => BackendKind::ThreeHop,
-        "chain" => BackendKind::Chain,
-        "contour" => BackendKind::Contour,
-        "sspi" => BackendKind::Sspi,
-        "interval" => BackendKind::Interval,
-        other => {
-            return Err(format!(
-                "unknown backend `{other}` (expected auto, closure, 3hop, chain, \
-                 contour, sspi or interval)"
-            ))
-        }
-    };
-    Ok(Some(kind))
+    if s == "auto" {
+        return Ok(None);
+    }
+    s.parse()
+        .map(Some)
+        .map_err(|e: String| format!("{e}; `auto` selects one from graph statistics"))
 }
 
 /// What the REPL should do after handling one input.
@@ -527,7 +523,7 @@ impl Session {
         };
         let out = match word {
             "q" | "quit" | "exit" => return Outcome::Quit,
-            "help" => USAGE.to_owned(),
+            "help" => usage(),
             "backend" => {
                 let why = self
                     .service
@@ -1162,6 +1158,21 @@ mod tests {
         assert!(opts.trace_out.is_none());
         assert!(CliOptions::parse(["--slow-ms".into(), "soon".into()]).is_err());
         assert!(CliOptions::parse(["--trace-out".into()]).is_err());
+    }
+
+    #[test]
+    fn backend_flag_follows_the_backend_table() {
+        assert_eq!(parse_backend("auto"), Ok(None));
+        for kind in BackendKind::ALL {
+            assert_eq!(parse_backend(kind.as_str()), Ok(Some(kind)));
+            assert!(
+                usage().contains(kind.as_str()),
+                "{kind:?} missing in --help"
+            );
+        }
+        let err = parse_backend("interval").unwrap_err();
+        assert!(err.contains("`interval`") && err.contains("auto"), "{err}");
+        assert!(!usage().contains("{backends}"));
     }
 
     #[test]

@@ -639,13 +639,13 @@ mod tests {
         }];
         for q in &queries {
             let expected = naive::evaluate(q, &g);
-            for kind in ["closure", "3hop", "chain", "contour", "sspi"] {
-                let index = gtpq_reach::build_index(kind, &g);
+            for kind in gtpq_reach::BackendKind::ALL {
+                let index = kind.build_shared(&g);
                 let engine = GteaEngine::with_backend(&g, index, GteaOptions::default());
                 let got = engine.evaluate(q);
                 assert!(
                     got.same_answer(&expected),
-                    "backend {kind} disagrees with naive"
+                    "backend {kind:?} disagrees with naive"
                 );
             }
         }

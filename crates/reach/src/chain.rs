@@ -14,9 +14,7 @@
 //! smaller cover only improves constants, not correctness.
 
 use gtpq_graph::condensation::CompId;
-use gtpq_graph::{Condensation, DataGraph, NodeId};
-
-use crate::Reachability;
+use gtpq_graph::{Condensation, DataGraph};
 
 /// Identifier of a chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -144,98 +142,6 @@ impl ChainDecomposition {
             .iter()
             .enumerate()
             .map(|(i, &p)| (CompId(i as u32), p))
-    }
-}
-
-/// Classic chain-cover reachability (Jagadish-style): a *dense* table holding,
-/// for every (component, chain) pair, the smallest sequence number on that
-/// chain reachable from the component.
-///
-/// Probes are two array reads — the fastest point probe in the crate after
-/// the transitive closure — but the table costs O(|comps| · |chains|) memory
-/// and O(|edges| · |chains|) construction, which is exactly the blow-up the
-/// 3-hop hop lists avoid.  Use it for small/medium graphs or few chains;
-/// [`select_backend`](crate::select_backend) never picks it for large inputs.
-pub struct ChainCover {
-    cond: Condensation,
-    chains: ChainDecomposition,
-    chain_count: usize,
-    /// `table[c * chain_count + k]`: smallest sid on chain `k` strictly
-    /// reachable from component `c`, or `u32::MAX` when unreachable.
-    table: Vec<u32>,
-}
-
-impl ChainCover {
-    /// Builds the dense chain-cover table for `g`.
-    pub fn new(g: &DataGraph) -> Self {
-        Self::with_condensation(Condensation::new(g))
-    }
-
-    /// Builds the table on an already-computed condensation of the target
-    /// graph (the epoch-rotation path of the live-graph service).
-    pub fn with_condensation(cond: Condensation) -> Self {
-        let chains = ChainDecomposition::from_condensation(&cond);
-        let n = cond.component_count();
-        let cc = chains.chain_count();
-        let mut table = vec![u32::MAX; n * cc];
-        // Reverse topological order: successors are complete before their
-        // predecessors merge them in.  Borrows the condensation CSR slices
-        // directly — nothing is copied during construction.
-        for &c in cond.topological_order().iter().rev() {
-            let base = c.index() * cc;
-            for &s in cond.successors(c) {
-                let spos = chains.position(s);
-                let cell = base + spos.chain.index();
-                table[cell] = table[cell].min(spos.sid);
-                let sbase = s.index() * cc;
-                for k in 0..cc {
-                    if table[sbase + k] < table[base + k] {
-                        table[base + k] = table[sbase + k];
-                    }
-                }
-            }
-        }
-        Self {
-            cond,
-            chains,
-            chain_count: cc,
-            table,
-        }
-    }
-
-    /// The SCC condensation the cover is built on.
-    pub fn condensation(&self) -> &Condensation {
-        &self.cond
-    }
-
-    /// The underlying chain decomposition.
-    pub fn chains(&self) -> &ChainDecomposition {
-        &self.chains
-    }
-
-    /// Whether component `a` strictly reaches component `b`.
-    pub fn comp_reaches(&self, a: CompId, b: CompId) -> bool {
-        let pb = self.chains.position(b);
-        self.table[a.index() * self.chain_count + pb.chain.index()] <= pb.sid
-    }
-}
-
-impl Reachability for ChainCover {
-    fn reaches(&self, u: NodeId, v: NodeId) -> bool {
-        let cu = self.cond.component_of(u);
-        let cv = self.cond.component_of(v);
-        if cu == cv {
-            return u != v || self.cond.is_cyclic(cu);
-        }
-        self.comp_reaches(cu, cv)
-    }
-
-    fn index_entries(&self) -> usize {
-        self.table.iter().filter(|&&x| x != u32::MAX).count()
-    }
-
-    fn name(&self) -> &'static str {
-        "chain"
     }
 }
 

@@ -118,7 +118,7 @@ impl Reachability for TransitiveClosure {
     }
 
     fn name(&self) -> &'static str {
-        "transitive-closure"
+        crate::BackendKind::Closure.as_str()
     }
 
     /// One bitset of target components, one row intersection per probe.
@@ -206,7 +206,7 @@ mod tests {
         let tc = TransitiveClosure::new(&g);
         assert!(tc.reaches(v[0], v[1]));
         assert!(!tc.reaches(v[0], v[3]));
-        assert_eq!(tc.name(), "transitive-closure");
+        assert_eq!(tc.name(), "closure");
         assert_eq!(tc.index_entries(), 2);
     }
 }

@@ -17,10 +17,8 @@
 use std::collections::{HashMap, HashSet};
 
 use gtpq_graph::condensation::CompId;
-use gtpq_graph::{Condensation, DataGraph, NodeId};
 
-use crate::chain::{ChainDecomposition, ChainId, ChainPos};
-use crate::Reachability;
+use crate::chain::{ChainId, ChainPos};
 
 /// Predecessor contour of a node set `S` (merged `Lin` information).
 ///
@@ -125,102 +123,6 @@ impl SuccContour {
         if *entry > pos.sid {
             *entry = pos.sid;
         }
-    }
-}
-
-/// Reachability through fully materialized *successor contours*: every
-/// component stores its complete successor list (per foreign chain, the
-/// smallest sequence number it reaches) as a sorted sparse row.
-///
-/// This is exactly the information the 3-hop index reconstructs at query time
-/// by walking tracing pointers and merging `Lout` hop lists — materialized
-/// eagerly instead.  Point probes are a binary search over one row (no chain
-/// walk), at the cost of storing every row in full; rows stay small when the
-/// condensation collapses many cycles or the chain cover is coarse.
-pub struct ContourIndex {
-    cond: Condensation,
-    chains: ChainDecomposition,
-    /// Per component: `(chain, min sid reachable)`, sorted by chain,
-    /// excluding the component's own chain (answered by sequence numbers).
-    rows: Vec<Box<[(ChainId, u32)]>>,
-}
-
-impl ContourIndex {
-    /// Builds the materialized successor contours for `g`.
-    pub fn new(g: &DataGraph) -> Self {
-        Self::with_condensation(Condensation::new(g))
-    }
-
-    /// Builds the contours on an already-computed condensation of the target
-    /// graph (the epoch-rotation path of the live-graph service).
-    pub fn with_condensation(cond: Condensation) -> Self {
-        let chains = ChainDecomposition::from_condensation(&cond);
-        let n = cond.component_count();
-        let mut full: Vec<HashMap<ChainId, u32>> = vec![HashMap::new(); n];
-        let topo: &[CompId] = cond.topological_order();
-        for &c in topo.iter().rev() {
-            let my_chain = chains.position(c).chain;
-            let mut map: HashMap<ChainId, u32> = HashMap::new();
-            for &s in cond.successors(c) {
-                let spos = chains.position(s);
-                if spos.chain != my_chain {
-                    let e = map.entry(spos.chain).or_insert(spos.sid);
-                    *e = (*e).min(spos.sid);
-                }
-                for (&chain, &sid) in &full[s.index()] {
-                    if chain != my_chain {
-                        let e = map.entry(chain).or_insert(sid);
-                        *e = (*e).min(sid);
-                    }
-                }
-            }
-            full[c.index()] = map;
-        }
-        let rows = full
-            .into_iter()
-            .map(|map| {
-                let mut row: Vec<(ChainId, u32)> = map.into_iter().collect();
-                row.sort_unstable_by_key(|&(chain, _)| chain);
-                row.into_boxed_slice()
-            })
-            .collect();
-        Self { cond, chains, rows }
-    }
-
-    /// The SCC condensation the index is built on.
-    pub fn condensation(&self) -> &Condensation {
-        &self.cond
-    }
-
-    /// Whether component `a` strictly reaches component `b`.
-    pub fn comp_reaches(&self, a: CompId, b: CompId) -> bool {
-        let pa = self.chains.position(a);
-        let pb = self.chains.position(b);
-        if pa.chain == pb.chain {
-            return pa.sid < pb.sid;
-        }
-        let row = &self.rows[a.index()];
-        row.binary_search_by_key(&pb.chain, |&(chain, _)| chain)
-            .is_ok_and(|i| row[i].1 <= pb.sid)
-    }
-}
-
-impl Reachability for ContourIndex {
-    fn reaches(&self, u: NodeId, v: NodeId) -> bool {
-        let cu = self.cond.component_of(u);
-        let cv = self.cond.component_of(v);
-        if cu == cv {
-            return u != v || self.cond.is_cyclic(cu);
-        }
-        self.comp_reaches(cu, cv)
-    }
-
-    fn index_entries(&self) -> usize {
-        self.rows.iter().map(|r| r.len()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "contour"
     }
 }
 

@@ -3,21 +3,16 @@
 //! The paper's evaluation algorithm (GTEA) answers large numbers of
 //! ancestor-descendant (AD) checks through the *3-hop* reachability index and
 //! accelerates set-to-set checks by merging index lists into *contours*
-//! (Procedure 2, `MergePredLists`).  The baselines need other labelings:
-//! interval (region) encoding for holistic twig joins on trees and an
-//! SSPI-style index for TwigStackD.  This crate provides them all behind the
-//! common [`Reachability`] trait, plus a bitset transitive closure used as a
-//! correctness oracle:
+//! (Procedure 2, `MergePredLists`).  The TwigStackD baseline needs an
+//! SSPI-style index, and the tests need an exact oracle.  This crate provides
+//! exactly those three behind the common [`Reachability`] trait, one per
+//! [`BackendKind`]:
 //!
-//! * [`TransitiveClosure`] — exact oracle, O(V·V/64) memory,
-//! * [`ChainDecomposition`] — chain cover of the SCC condensation, and
-//!   [`ChainCover`] — the dense per-(component, chain) reachability table on
-//!   top of it,
-//! * [`ThreeHop`] — chain cover + `Lin`/`Lout` hop lists, contour merging,
-//! * [`ContourIndex`] — fully materialized per-component successor contours
-//!   (the lists 3-hop compresses), sparse rows,
-//! * [`IntervalIndex`] — pre/post-order region encoding for forests,
-//! * [`Sspi`] — spanning-tree intervals + surplus predecessor lists.
+//! * [`TransitiveClosure`] — exact bitset oracle, O(V·V/64) memory,
+//! * [`ThreeHop`] — chain cover ([`ChainDecomposition`]) + `Lin`/`Lout` hop
+//!   lists, contour merging ([`PredContour`] / [`SuccContour`]),
+//! * [`Sspi`] — spanning-tree intervals + surplus predecessor lists (on a
+//!   forest the surplus lists are empty and it *is* the interval labelling).
 //!
 //! All indexes are built on the SCC condensation so they accept arbitrary
 //! directed graphs; the AD relationship of the paper ("non-empty path") is
@@ -35,29 +30,28 @@
 //! with merged contours, the closure with bitset unions); the default
 //! implementations fall back to pairwise `reaches`.  Use
 //! [`select_backend`] to pick a backend from graph statistics, or
-//! [`build_index`] to name one explicitly.
+//! [`BackendKind::build_shared`] to name one explicitly; [`BackendKind::ALL`]
+//! is the one table of backends everything else is derived from.
 
 #![warn(missing_docs)]
 
 pub mod chain;
 pub mod closure;
 pub mod contour;
-pub mod interval;
 pub mod select;
 pub mod sspi;
 pub mod three_hop;
 
 use std::sync::Arc;
 
-use gtpq_graph::{DataGraph, NodeId};
+use gtpq_graph::NodeId;
 
-pub use chain::{ChainCover, ChainDecomposition, ChainId, ChainPos};
+pub use chain::{ChainDecomposition, ChainId, ChainPos};
 pub use closure::TransitiveClosure;
-pub use contour::{ContourIndex, PredContour, SuccContour};
-pub use interval::IntervalIndex;
+pub use contour::{PredContour, SuccContour};
 pub use select::{
-    build_selected, build_selected_with, select_backend, select_backend_for_query,
-    select_backend_with, BackendCostHints, BackendKind, BackendSelection, GraphProfile,
+    build_selected_with, select_backend, select_backend_for_query, select_backend_with,
+    BackendCostHints, BackendKind, BackendSelection, GraphProfile,
 };
 pub use sspi::Sspi;
 pub use three_hop::ThreeHop;
@@ -86,7 +80,8 @@ pub trait Reachability: Send + Sync {
     /// Number of entries stored by the index (used in space comparisons).
     fn index_entries(&self) -> usize;
 
-    /// Short human-readable name of the index.
+    /// Short name of the index; the three backends return their
+    /// [`BackendKind::as_str`] spelling.
     fn name(&self) -> &'static str;
 
     /// Cumulative number of index elements looked up since construction (or
@@ -174,23 +169,3 @@ impl<T: Reachability + ?Sized> Reachability for Arc<T> {
 /// A reachability backend that can be shared across threads (what
 /// [`select_backend`] and the query service hand out).
 pub type SharedIndex = Arc<dyn Reachability + Send + Sync>;
-
-/// Builds the index named by `kind`: `"closure"`, `"3hop"`, `"chain"`,
-/// `"contour"`, `"sspi"` or `"interval"` (the latter panics when `g` is not
-/// a forest — use [`BackendKind::Interval`] + [`IntervalIndex::new`] to
-/// handle that case gracefully).
-///
-/// Convenience for examples and the experiment harness.
-pub fn build_index(kind: &str, g: &DataGraph) -> Box<dyn Reachability + Send + Sync> {
-    match kind {
-        "closure" => Box::new(TransitiveClosure::new(g)),
-        "3hop" => Box::new(ThreeHop::new(g)),
-        "chain" => Box::new(ChainCover::new(g)),
-        "contour" => Box::new(ContourIndex::new(g)),
-        "sspi" => Box::new(Sspi::new(g)),
-        "interval" => Box::new(
-            IntervalIndex::new(g).expect("`interval` backend requires a forest-shaped graph"),
-        ),
-        other => panic!("unknown reachability index kind `{other}`"),
-    }
-}

@@ -202,7 +202,7 @@ impl Reachability for Sspi {
     }
 
     fn name(&self) -> &'static str {
-        "sspi"
+        crate::BackendKind::Sspi.as_str()
     }
 
     fn lookup_count(&self) -> u64 {

@@ -471,7 +471,7 @@ impl Reachability for ThreeHop {
     }
 
     fn name(&self) -> &'static str {
-        "3-hop"
+        crate::BackendKind::ThreeHop.as_str()
     }
 
     fn lookup_count(&self) -> u64 {
@@ -682,6 +682,6 @@ mod tests {
         let g = build(&[(0, 1), (2, 1), (1, 3), (3, 4), (2, 4)], 5);
         let idx = ThreeHop::new(&g);
         assert_eq!(idx.index_entries(), idx.hop_entries());
-        assert_eq!(idx.name(), "3-hop");
+        assert_eq!(idx.name(), "3hop");
     }
 }

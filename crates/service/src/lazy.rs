@@ -69,21 +69,9 @@ impl Reachability for LazyIndex {
         self.force().index_entries()
     }
 
-    /// Does not force: before the build the name is determined by the kind.
-    /// (The one divergence — `interval` falling back to 3-hop on a
-    /// non-forest graph — corrects itself at the first probe.)
+    /// Does not force: every index is named after its [`BackendKind`].
     fn name(&self) -> &'static str {
-        match self.built.get() {
-            Some(index) => index.name(),
-            None => match self.kind {
-                BackendKind::Closure => "transitive-closure",
-                BackendKind::ThreeHop => "3-hop",
-                BackendKind::Chain => "chain",
-                BackendKind::Contour => "contour",
-                BackendKind::Sspi => "sspi",
-                BackendKind::Interval => "interval",
-            },
-        }
+        self.kind.as_str()
     }
 
     /// Does not force: an unbuilt index has performed zero lookups, so the
@@ -114,6 +102,7 @@ impl Reachability for LazyIndex {
 
 #[cfg(test)]
 mod tests {
+    use gtpq_core::{GteaEngine, GteaOptions};
     use gtpq_graph::GraphBuilder;
 
     use super::*;
@@ -140,6 +129,29 @@ mod tests {
         assert_eq!(lazy.lookup_count(), 0);
         lazy.reset_lookups();
         assert!(!lazy.is_built(), "stats plumbing must not build the index");
+    }
+
+    #[test]
+    fn index_served_lookup_does_not_force_the_build_but_a_descendant_pattern_does() {
+        let snap = snapshot();
+        let lazy = LazyIndex {
+            kind: BackendKind::ThreeHop,
+            snapshot: Arc::clone(&snap),
+            built: OnceLock::new(),
+        };
+        let engine = GteaEngine::with_backend(snap.graph(), &lazy, GteaOptions::default());
+
+        // The cold-start pattern: one selective predicate, no AD edge, so no
+        // reachability question is ever asked.
+        let point = gtpq_query::parse_query("[label = c]*").unwrap();
+        assert_eq!(engine.evaluate(&point).len(), 1);
+        assert!(!lazy.is_built(), "an index-served lookup built the index");
+        assert_eq!(lazy.lookup_count(), 0);
+
+        // A descendant pattern probes reachability, forcing the build.
+        let path = gtpq_query::parse_query("a { //c* }").unwrap();
+        assert_eq!(engine.evaluate(&path).len(), 1);
+        assert!(lazy.is_built());
     }
 
     #[test]

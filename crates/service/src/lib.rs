@@ -59,9 +59,8 @@
 //! assert_eq!(first.rows.len(), 1);
 //! ```
 //!
-//! The pre-request method zoo (`evaluate`, `evaluate_with_stats`,
-//! `evaluate_text`, `evaluate_batch`, `analyze`) survives as deprecated
-//! shims over `submit`; see each method's `# Migration` note.
+//! [`QueryService::submit`] and [`QueryService::submit_batch`] are the only
+//! evaluation entry points.
 
 #![warn(missing_docs)]
 

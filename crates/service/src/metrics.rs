@@ -366,7 +366,7 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Queries that ran the engine.
     pub cache_misses: u64,
-    /// `evaluate_batch` calls served.
+    /// `submit_batch` calls served.
     pub batches: u64,
     /// Total engine evaluation time across cache misses (sum over queries,
     /// not wall clock: concurrent queries overlap).

@@ -1,11 +1,10 @@
 //! The request/outcome query API: [`QueryRequest`] in,
 //! `Result<`[`QueryOutcome`]`, `[`QueryError`]`>` out.
 //!
-//! This is the single public evaluation surface of the service.  The legacy
-//! method zoo (`evaluate`, `evaluate_with_stats`, `evaluate_text`,
-//! `evaluate_batch`, `analyze`) survives as thin deprecated shims over
-//! [`QueryService::submit`](crate::QueryService::submit); new code should
-//! build a request:
+//! This is the single public evaluation surface of the service:
+//! [`QueryService::submit`](crate::QueryService::submit) for one request,
+//! [`QueryService::submit_batch`](crate::QueryService::submit_batch) for
+//! many.  Build a request:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -26,7 +25,6 @@ use std::time::Duration;
 
 use gtpq_core::{CancelToken, EvalStats, QueryPlan, Trace};
 use gtpq_query::{Gtpq, ParseError, ResultSet};
-use gtpq_reach::BackendKind;
 
 /// What to evaluate: an already-built query tree or query-language text.
 #[derive(Clone, Debug)]
@@ -42,8 +40,10 @@ pub enum QuerySource {
 /// execution knobs.
 ///
 /// Build with [`QueryRequest::query`] or [`QueryRequest::text`] and chain the
-/// `with_*` setters; the default is the legacy behaviour (full answer, no
-/// deadline, planner-chosen backend, no stats or plan in the outcome).
+/// `with_*` setters; the default is the full answer with no deadline and no
+/// stats or plan in the outcome.  The reachability backend is a service-level
+/// decision ([`ServiceConfig::backend`](crate::ServiceConfig::backend)), not
+/// a per-request one.
 #[derive(Clone, Debug)]
 pub struct QueryRequest {
     /// The query to evaluate.
@@ -56,10 +56,6 @@ pub struct QueryRequest {
     /// Time budget from the moment `submit` is called; overrunning it yields
     /// [`QueryError::Timeout`].
     pub deadline: Option<Duration>,
-    /// Pin the reachability backend for this request (built into the
-    /// service's shared catalog on first use); `None` lets the planner
-    /// recommend one.
-    pub backend: Option<BackendKind>,
     /// Include per-stage [`EvalStats`] in the outcome.
     pub want_stats: bool,
     /// Include the executed physical plan in the outcome.
@@ -100,7 +96,6 @@ impl QueryRequest {
             limit: None,
             offset: 0,
             deadline: None,
-            backend: None,
             want_stats: false,
             want_plan: false,
             want_trace: false,
@@ -125,12 +120,6 @@ impl QueryRequest {
     /// Give the evaluation a time budget (see [`deadline`](Self::deadline)).
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Pin the reachability backend for this request.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -213,9 +202,7 @@ impl QueryOutcome {
     }
 }
 
-/// Everything that can go wrong with a [`QueryRequest`] — the unified error
-/// surface replacing the old mixed signatures (only `evaluate_text` could
-/// fail, and nothing could time out).
+/// Everything that can go wrong with a [`QueryRequest`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryError {
     /// The request's text does not parse; carries the span-annotated
@@ -270,7 +257,6 @@ mod tests {
             .with_limit(7)
             .with_offset(3)
             .with_deadline(Duration::from_millis(250))
-            .with_backend(BackendKind::Closure)
             .with_stats()
             .with_plan()
             .with_trace()
@@ -282,7 +268,6 @@ mod tests {
         assert_eq!(QueryRequest::text("a1").with_threads(0).threads, Some(1));
         assert_eq!(req.offset, 3);
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(req.backend, Some(BackendKind::Closure));
         assert!(req.want_stats && req.want_plan && req.bypass_cache);
         assert!(req.want_trace);
         assert!(req.cancel.is_some());

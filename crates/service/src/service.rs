@@ -11,7 +11,7 @@ use gtpq_core::{
     QueryPlan, Tracer,
 };
 use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot, SnapshotError};
-use gtpq_query::{Gtpq, ParseError, ResultSet};
+use gtpq_query::{Gtpq, ResultSet};
 use gtpq_reach::{build_selected_with, BackendKind, BackendSelection, GraphProfile, SharedIndex};
 
 use crate::cache::{PlanCache, ResultCache};
@@ -150,8 +150,8 @@ struct EpochState {
     selection: Option<BackendSelection>,
     profile: GraphProfile,
     /// Per-query backend catalog: indexes built on demand by the planner's
-    /// recommendation (or a request's pinned backend), shared across all
-    /// subsequent queries of this generation.
+    /// recommendation, shared across all subsequent queries of this
+    /// generation.
     backends: Mutex<HashMap<BackendKind, SharedIndex>>,
 }
 
@@ -201,22 +201,17 @@ impl EpochState {
     /// The index the plan runs on: the plan's recommended backend (built
     /// lazily into the catalog, then shared) when per-query selection is
     /// enabled and no backend was pinned; the generation default otherwise.
-    fn resolve_backend(&self, plan: &QueryPlan, config: &ServiceConfig) -> SharedIndex {
-        let per_query = config.per_query_backend && config.backend.is_none();
-        let Some(kind) = plan.backend.kind.filter(|_| per_query) else {
-            return Arc::clone(&self.index);
-        };
-        self.backend_from_catalog(kind)
-    }
-
-    /// Fetches (or lazily builds and shares) the index for `kind`.
     ///
     /// The catalog lock is never held across an index build — concurrent
     /// queries whose backend is already cataloged must not stall behind a
     /// potentially expensive construction.  Two threads racing on the same
     /// missing backend may both build it; the first insert wins and the
     /// loser's copy is dropped.
-    fn backend_from_catalog(&self, kind: BackendKind) -> SharedIndex {
+    fn resolve_backend(&self, plan: &QueryPlan, config: &ServiceConfig) -> SharedIndex {
+        let per_query = config.per_query_backend && config.backend.is_none();
+        let Some(kind) = plan.backend.kind.filter(|_| per_query) else {
+            return Arc::clone(&self.index);
+        };
         {
             let backends = self.backends.lock().expect("backend catalog lock poisoned");
             if let Some(index) = backends.get(&kind) {
@@ -545,12 +540,9 @@ impl QueryService {
 
         // Miss: plan, resolve the backend, execute with pushdown.
         let plan_span = tracer.span("plan");
-        let (plan, plan_time) = self.obtain_plan(q, canon_ref(&canon), &state);
+        let (plan, plan_time) = self.obtain_plan(q, canon.as_ref(), &state);
         drop(plan_span);
-        let index = match request.backend {
-            Some(kind) => state.backend_from_catalog(kind),
-            None => state.resolve_backend(&plan, &self.config),
-        };
+        let index = state.resolve_backend(&plan, &self.config);
         let mut ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
         if let Some(deadline) = deadline {
             ctl = ctl.with_deadline(deadline);
@@ -642,8 +634,8 @@ impl QueryService {
     /// Workers steal requests from a shared cursor, so skewed workloads
     /// load-balance; outcomes are identical to submitting the batch
     /// sequentially (the cache is shared, so duplicate queries within one
-    /// batch may be served from it).  Unlike the deprecated
-    /// `evaluate_batch`, every request keeps its own stats, plan and error.
+    /// batch may be served from it).  Every request keeps its own stats, plan
+    /// and error.
     pub fn submit_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryOutcome, QueryError>> {
         self.metrics.record_batch();
         let workers = self.config.threads.min(requests.len()).max(1);
@@ -683,92 +675,6 @@ impl QueryService {
             .collect()
     }
 
-    /// Evaluates one query, consulting the result cache first.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone())`; the rows are in
-    /// [`QueryOutcome::rows`].  Unsatisfiable queries, which `submit`
-    /// rejects with [`QueryError::Unsatisfiable`], keep returning an empty
-    /// answer here.
-    #[deprecated(since = "0.1.0", note = "use `submit` with a `QueryRequest`")]
-    pub fn evaluate(&self, q: &Gtpq) -> Arc<ResultSet> {
-        match self.submit(&QueryRequest::query(q.clone())) {
-            Ok(outcome) => outcome.rows,
-            Err(QueryError::Unsatisfiable) => Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
-    }
-
-    /// Parses `text` as the GTPQ query language and evaluates the query,
-    /// consulting the result cache first.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with `QueryRequest::text(text)`; parse
-    /// failures arrive as [`QueryError::Parse`].
-    #[deprecated(since = "0.1.0", note = "use `submit` with `QueryRequest::text`")]
-    pub fn evaluate_text(&self, text: &str) -> Result<Arc<ResultSet>, ParseError> {
-        #[allow(deprecated)]
-        Ok(self.evaluate_text_with_stats(text)?.0)
-    }
-
-    /// Parses `text` and evaluates it, returning per-query engine
-    /// statistics.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::text(text).with_stats()`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::text(..).with_stats()`"
-    )]
-    pub fn evaluate_text_with_stats(
-        &self,
-        text: &str,
-    ) -> Result<(Arc<ResultSet>, EvalStats), ParseError> {
-        match self.submit(&QueryRequest::text(text).with_stats()) {
-            Ok(outcome) => Ok((outcome.rows, outcome.stats.unwrap_or_default())),
-            Err(QueryError::Parse(e)) => Err(e),
-            Err(QueryError::Unsatisfiable) => {
-                let q = gtpq_query::parse_query(text).expect("parse succeeded above");
-                Ok((
-                    Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                    EvalStats::default(),
-                ))
-            }
-            Err(e) => unreachable!("request without deadline cannot fail: {e}"),
-        }
-    }
-
-    /// Evaluates one query, returning per-query engine statistics.
-    ///
-    /// On a cache hit the engine never runs, so the returned stats are
-    /// `EvalStats::default()`; aggregate hit/miss counts live in
-    /// [`metrics`](Self::metrics).
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone()).with_stats()`; the stats are in
-    /// [`QueryOutcome::stats`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::query(..).with_stats()`"
-    )]
-    pub fn evaluate_with_stats(&self, q: &Gtpq) -> (Arc<ResultSet>, EvalStats) {
-        match self.submit(&QueryRequest::query(q.clone()).with_stats()) {
-            Ok(outcome) => (outcome.rows, outcome.stats.unwrap_or_default()),
-            Err(QueryError::Unsatisfiable) => (
-                Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                EvalStats::default(),
-            ),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
-    }
-
     /// Plans (or recalls the cached plan for) `q` without evaluating it —
     /// the physical plan `:explain` renders.
     ///
@@ -779,39 +685,7 @@ impl QueryService {
     pub fn plan_for(&self, q: &Gtpq) -> Arc<QueryPlan> {
         let canon = (self.config.plan_cache_capacity > 0).then(|| canonicalize(q));
         let state = self.current_state();
-        self.obtain_plan(q, canon_ref(&canon), &state).0
-    }
-
-    /// Evaluates `q` unconditionally through the engine (no result-cache
-    /// lookup), returning the executed plan alongside the answer and
-    /// statistics.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone()).with_stats().with_plan().with_bypass_cache()`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::query(..).with_stats().with_plan().with_bypass_cache()`"
-    )]
-    pub fn analyze(&self, q: &Gtpq) -> (Arc<ResultSet>, EvalStats, Arc<QueryPlan>) {
-        let request = QueryRequest::query(q.clone())
-            .with_stats()
-            .with_plan()
-            .with_bypass_cache();
-        match self.submit(&request) {
-            Ok(outcome) => (
-                outcome.rows,
-                outcome.stats.unwrap_or_default(),
-                outcome.plan.expect("requested with_plan"),
-            ),
-            Err(QueryError::Unsatisfiable) => (
-                Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                EvalStats::default(),
-                self.plan_for(q),
-            ),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
+        self.obtain_plan(q, canon.as_ref(), &state).0
     }
 
     /// Looks the plan up in the plan cache, building and caching it on a
@@ -861,34 +735,6 @@ impl QueryService {
         (plan, plan_time)
     }
 
-    /// Evaluates a batch of queries across the worker pool, preserving input
-    /// order in the returned answers.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit_batch`](Self::submit_batch), which keeps per-request
-    /// stats and reports per-request errors instead of silently flattening
-    /// them.  As with `evaluate`, unsatisfiable queries keep returning an
-    /// empty answer here.
-    #[deprecated(since = "0.1.0", note = "use `submit_batch` with `QueryRequest`s")]
-    pub fn evaluate_batch(&self, queries: &[Gtpq]) -> Vec<Arc<ResultSet>> {
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|q| QueryRequest::query(q.clone()))
-            .collect();
-        self.submit_batch(&requests)
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| match r {
-                Ok(outcome) => outcome.rows,
-                Err(QueryError::Unsatisfiable) => {
-                    Arc::new(ResultSet::new(q.output_nodes().to_vec()))
-                }
-                Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-            })
-            .collect()
-    }
-
     /// Point-in-time aggregate metrics (QPS, hit rate, stage rollups,
     /// latency/TTFR histograms, recent windowed rates).
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -913,8 +759,8 @@ impl QueryService {
 
     /// Names of the reachability backends cataloged so far in the current
     /// epoch (the default — which a pinned configuration defers until its
-    /// first probe — plus any the planner or a request asked for), in no
-    /// particular order.  A commit resets the catalog — the old generation's
+    /// first probe — plus any the planner asked for), in no particular
+    /// order.  A commit resets the catalog — the old generation's
     /// indexes describe the old graph.
     pub fn built_backends(&self) -> Vec<&'static str> {
         self.current_state()
@@ -945,11 +791,6 @@ fn window(full: &Arc<ResultSet>, offset: usize, limit: Option<usize>) -> (Arc<Re
         out.insert(tuple.clone());
     }
     (Arc::new(out), end < total)
-}
-
-/// `Option<CanonicalQuery> → Option<&CanonicalQuery>` (ergonomics helper).
-fn canon_ref(canon: &Option<CanonicalQuery>) -> Option<&CanonicalQuery> {
-    canon.as_ref()
 }
 
 // The whole point of the service: it can be shared across request threads.
@@ -1207,26 +1048,10 @@ mod tests {
         let q = b.build().unwrap();
         let err = service.submit(&QueryRequest::query(q.clone())).unwrap_err();
         assert_eq!(err, QueryError::Unsatisfiable);
-        // The deprecated shim keeps the old empty-answer contract.
-        #[allow(deprecated)]
-        let empty = service.evaluate(&q);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn per_request_backend_is_honoured_and_cataloged() {
-        let service = service_for_example();
-        let q = example_query();
-        let expected = naive::evaluate(&q, &service.graph());
-        let outcome = service
-            .submit(
-                &QueryRequest::query(q)
-                    .with_backend(BackendKind::Closure)
-                    .with_bypass_cache(),
-            )
-            .unwrap();
-        assert!(outcome.rows.same_answer(&expected));
-        assert!(service.built_backends().contains(&"closure"));
+        // In a batch the rejection stays per-request.
+        let batch = service.submit_batch(&[QueryRequest::query(q), QueryRequest::text("a1*")]);
+        assert!(matches!(batch[0], Err(QueryError::Unsatisfiable)));
+        assert!(batch[1].is_ok());
     }
 
     #[test]
@@ -1255,52 +1080,6 @@ mod tests {
         assert!(service.backend_selection().is_none());
         let q = example_query();
         assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));
-    }
-
-    #[test]
-    fn pinned_backend_builds_lazily_on_first_reachability_probe() {
-        // A non-forest graph makes the deferral observable through the
-        // public API: `interval` can only fall back to 3-hop when it is
-        // actually *built*, so the reported name flips at the first
-        // reachability probe — not at service construction.
-        let mut b = GraphBuilder::new();
-        let a = b.add_node_with_label("a");
-        let x = b.add_node_with_label("b");
-        let y = b.add_node_with_label("c");
-        let d = b.add_node_with_label("d");
-        b.add_edge(a, x);
-        b.add_edge(a, y);
-        b.add_edge(x, d);
-        b.add_edge(y, d);
-        let service = QueryService::with_config(
-            Arc::new(b.build()),
-            ServiceConfig {
-                backend: Some(BackendKind::Interval),
-                ..ServiceConfig::default()
-            },
-        );
-        assert_eq!(service.backend_name(), "interval");
-
-        // An index-served point lookup asks no reachability question: the
-        // backend must still be unbuilt afterwards.
-        let first = service
-            .submit(&QueryRequest::text("[label = d]*").with_limit(1))
-            .unwrap();
-        assert_eq!(first.rows.len(), 1);
-        assert_eq!(
-            service.backend_name(),
-            "interval",
-            "an index-served lookup must not force the backend build"
-        );
-
-        // A descendant pattern probes reachability, forcing the build —
-        // which on a non-forest graph is the 3-hop fallback.
-        let rows = service
-            .submit(&QueryRequest::text("a { //d* }"))
-            .unwrap()
-            .rows;
-        assert!(!rows.is_empty());
-        assert_eq!(service.backend_name(), "3-hop");
     }
 
     #[test]
@@ -1497,34 +1276,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let service = service_for_example();
         assert!(service.submit_batch(&[]).is_empty());
-        #[allow(deprecated)]
-        let legacy = service.evaluate_batch(&[]);
-        assert!(legacy.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_stay_faithful_to_submit() {
-        let service = service_for_example();
-        let q = example_query();
-        let expected = naive::evaluate(&q, &service.graph());
-        assert!(service.evaluate(&q).same_answer(&expected));
-        let (rows, stats) = service.evaluate_with_stats(&q);
-        assert!(rows.same_answer(&expected));
-        // Second call hit the cache, so the shim's stats are empty.
-        assert_eq!(stats.initial_candidates, 0);
-        let text = service.evaluate_text("a1 { //d1* }").unwrap();
-        assert!(!text.is_empty());
-        assert!(service.evaluate_text("a1 { //d1* ").is_err());
-        let (rows2, batch_stats, plan) = {
-            let (r, s, p) = service.analyze(&q);
-            (r, s, p)
-        };
-        assert!(rows2.same_answer(&expected));
-        assert!(!batch_stats.operators.is_empty());
-        assert!(plan.candidates.len() == q.size());
-        let batch = service.evaluate_batch(std::slice::from_ref(&q));
-        assert!(batch[0].same_answer(&expected));
     }
 
     #[test]

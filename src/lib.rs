@@ -14,7 +14,7 @@
 //! | [`graph`] | `gtpq-graph` | attributed data graphs, SCC condensation, traversal |
 //! | [`logic`] | `gtpq-logic` | propositional formulas, transforms, DPLL SAT |
 //! | [`query`] | `gtpq-query` | the GTPQ model, structural predicates, naive oracle |
-//! | [`reach`] | `gtpq-reach` | transitive closure, chain cover, 3-hop, interval, SSPI |
+//! | [`reach`] | `gtpq-reach` | transitive closure, 3-hop, SSPI |
 //! | [`sim`] | `gtpq-sim` | pivot-based vector-similarity filtering (block-and-verify) |
 //! | [`analysis`] | `gtpq-analysis` | satisfiability, containment, minimization |
 //! | [`engine`] | `gtpq-core` | the GTEA evaluation engine |

@@ -21,11 +21,17 @@
 //! and the docs — learn about it), the cited test suites must exist, and
 //! the headline claims are re-proven in miniature against a real file.
 
+//!
+//! The reachability-backend selector table of the "Layers" walk-through is
+//! held to the code as well: its backend column must name exactly the
+//! members of `BackendKind::ALL`.
+
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gtpq::graph::snap::{FORMAT_VERSION, MAGIC};
 use gtpq::graph::{GraphBuilder, GraphHandle, GraphSnapshot, LoadMode, MutationStats};
+use gtpq::reach::BackendKind;
 use gtpq::service::{QueryRequest, QueryService};
 
 const ARCHITECTURE_MD: &str = include_str!("../docs/ARCHITECTURE.md");
@@ -196,6 +202,31 @@ fn snapshot_section_tracks_the_format_constants_and_load_modes() {
             name(mode)
         );
     }
+}
+
+#[test]
+fn backend_selector_table_names_exactly_the_backend_table() {
+    let rows = ARCHITECTURE_MD
+        .split("| graph shape | backend | why |")
+        .nth(1)
+        .expect("ARCHITECTURE.md has the backend selector table")
+        .lines()
+        .skip(2) // rest of the header line, then the |---| rule
+        .take_while(|line| line.starts_with('|'));
+    let documented: BTreeSet<String> = rows
+        .map(|row| {
+            let cell = row.split('|').nth(2).expect("backend column");
+            cell.trim().trim_matches('`').to_owned()
+        })
+        .collect();
+    let real: BTreeSet<String> = BackendKind::ALL
+        .iter()
+        .map(|kind| kind.as_str().to_owned())
+        .collect();
+    assert_eq!(
+        documented, real,
+        "the selector table in docs/ARCHITECTURE.md and BackendKind::ALL disagree"
+    );
 }
 
 #[test]

@@ -32,11 +32,9 @@ use gtpq::datagen::{
 use gtpq::graph::{Condensation, GraphHandle, MutationConfig, MutationStats};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::build_index;
+use gtpq::reach::BackendKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const BACKENDS: [&str; 5] = ["closure", "3hop", "chain", "contour", "sspi"];
 
 /// Per-seed mutation config: sweep the rebuild threshold through
 /// always-rebuild (0.0), the default, and never-rebuild (huge), and turn
@@ -91,13 +89,13 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
 /// evaluator run against the oracle graph.
 fn assert_backends_match_naive(ctx: &str, g: &DataGraph, oracle_graph: &DataGraph, q: &Gtpq) {
     let expected = naive::evaluate(q, oracle_graph);
-    for kind in BACKENDS {
-        let index = build_index(kind, g);
+    for kind in BackendKind::ALL {
+        let index = kind.build_shared(g);
         let engine = GteaEngine::with_backend(g, index, GteaOptions::default());
         let got = engine.evaluate(q);
         assert!(
             got.same_answer(&expected),
-            "{ctx}: backend {kind} diverged from the rebuild oracle: got {:?} expected {:?}",
+            "{ctx}: backend {kind:?} diverged from the rebuild oracle: got {:?} expected {:?}",
             got.tuples,
             expected.tuples
         );

@@ -27,14 +27,6 @@ use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 24;
 
-const BACKENDS: [BackendKind; 5] = [
-    BackendKind::Closure,
-    BackendKind::ThreeHop,
-    BackendKind::Chain,
-    BackendKind::Contour,
-    BackendKind::Sspi,
-];
-
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A random directed graph: `n` nodes labelled from a 4-letter alphabet and
@@ -119,7 +111,7 @@ fn parallel_execution_is_bit_identical_to_serial() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 20, seed % 2 == 0);
         let q = random_query(&mut rng);
-        for kind in BACKENDS {
+        for kind in BackendKind::ALL {
             let engine =
                 GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
             let plan = engine.plan(&q);

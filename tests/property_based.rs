@@ -14,14 +14,11 @@ use gtpq::logic::transform::{simplify, to_cnf, to_nnf};
 use gtpq::logic::{brute_force_satisfiable, is_satisfiable, BoolExpr};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::{build_index, ThreeHop};
+use gtpq::reach::{BackendKind, ThreeHop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 48;
-
-/// Named backend constructors cross-validated against the oracle.
-const BACKENDS: [&str; 5] = ["closure", "3hop", "chain", "contour", "sspi"];
 
 /// A random directed graph: `n` nodes labelled from a 4-letter alphabet and
 /// up to `3n` random edges.  `dag_only` restricts edges to point from lower
@@ -103,7 +100,7 @@ fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
         // cycles, so both condensation regimes are covered.
         let dag_only = seed % 2 == 0;
         let g = random_graph(&mut rng, 24, dag_only);
-        let indexes: Vec<_> = BACKENDS.iter().map(|k| (k, build_index(k, &g))).collect();
+        let indexes = BackendKind::ALL.map(|k| (k, k.build_shared(&g)));
         for u in g.nodes() {
             for v in g.nodes() {
                 let expected = gtpq::graph::traversal::is_reachable(&g, u, v);
@@ -111,7 +108,7 @@ fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
                     assert_eq!(
                         index.reaches(u, v),
                         expected,
-                        "seed {seed} ({}): backend {kind} disagrees with oracle on {u} -> {v}",
+                        "seed {seed} ({}): backend {kind:?} disagrees with oracle on {u} -> {v}",
                         if dag_only { "dag" } else { "cyclic" },
                     );
                 }
@@ -129,7 +126,7 @@ fn prepared_probes_agree_with_pairwise_reachability() {
         if targets.is_empty() {
             continue;
         }
-        for (kind, index) in BACKENDS.iter().map(|k| (k, build_index(k, &g))) {
+        for (kind, index) in BackendKind::ALL.map(|k| (k, k.build_shared(&g))) {
             let pred = index.pred_probe(&targets);
             let succ = index.succ_probe(&targets);
             for v in g.nodes() {
@@ -139,7 +136,7 @@ fn prepared_probes_agree_with_pairwise_reachability() {
                 assert_eq!(
                     pred(v),
                     reaches_any,
-                    "seed {seed}: {kind} pred_probe at {v}"
+                    "seed {seed}: {kind:?} pred_probe at {v}"
                 );
                 let reached_by_any = targets
                     .iter()
@@ -147,7 +144,7 @@ fn prepared_probes_agree_with_pairwise_reachability() {
                 assert_eq!(
                     succ(v),
                     reached_by_any,
-                    "seed {seed}: {kind} succ_probe at {v}"
+                    "seed {seed}: {kind:?} succ_probe at {v}"
                 );
             }
         }
@@ -346,8 +343,8 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
         // The seed's fixed pipeline.
         let fixed = QueryPlan::fixed_pipeline(&q);
 
-        for kind in BACKENDS {
-            let index = build_index(kind, &g);
+        for kind in BackendKind::ALL {
+            let index = kind.build_shared(&g);
             let engine = GteaEngine::with_backend(&g, index, GteaOptions::default());
             for (name, perturbed) in [
                 ("default", &plan),
@@ -358,7 +355,7 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
                 let got = engine.evaluate_planned(&q, perturbed);
                 assert!(
                     got.0.same_answer(&expected),
-                    "seed {seed}: plan `{name}` on backend {kind} changed the answer: \
+                    "seed {seed}: plan `{name}` on backend {kind:?} changed the answer: \
                      got {:?} expected {:?}",
                     got.0.tuples,
                     expected.tuples
@@ -375,13 +372,13 @@ fn gtea_agrees_with_naive_under_every_backend() {
         let g = random_graph(&mut rng, 16, seed % 2 == 0);
         let q = random_query(&mut rng);
         let expected = naive::evaluate(&q, &g);
-        for kind in BACKENDS {
-            let index = build_index(kind, &g);
+        for kind in BackendKind::ALL {
+            let index = kind.build_shared(&g);
             let engine = GteaEngine::with_backend(&g, index, GteaOptions::default());
             let got = engine.evaluate(&q);
             assert!(
                 got.same_answer(&expected),
-                "seed {seed}: backend {kind} disagrees with naive: got {:?} expected {:?}",
+                "seed {seed}: backend {kind:?} disagrees with naive: got {:?} expected {:?}",
                 got.tuples,
                 expected.tuples
             );

@@ -6,7 +6,7 @@
 //! * the `parse(display(q)) == q` round-trip property over random
 //!   generated queries,
 //! * parser failure modes assert exact error spans,
-//! * `QueryService::evaluate_text` agrees with builder-constructed
+//! * `QueryService::submit` of query text agrees with builder-constructed
 //!   evaluation.
 
 use std::sync::Arc;
@@ -168,7 +168,7 @@ fn parser_failure_modes_carry_spans() {
 }
 
 #[test]
-fn evaluate_text_agrees_with_the_builder_everywhere() {
+fn submitted_text_agrees_with_the_builder_everywhere() {
     let graph = Arc::new(generate_dblp(160, 7));
     let service = QueryService::new(Arc::clone(&graph));
 

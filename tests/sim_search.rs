@@ -25,14 +25,12 @@ use std::path::PathBuf;
 use gtpq::graph::{GraphHandle, GraphSnapshot, SimTable};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::build_index;
+use gtpq::reach::BackendKind;
 use gtpq::sim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 24;
-
-const BACKENDS: [&str; 5] = ["closure", "3hop", "chain", "contour", "sspi"];
 
 /// A unique temp path per test-and-seed so parallel test binaries never
 /// collide; removed at the end of each case.
@@ -244,23 +242,23 @@ fn sim_queries_agree_with_the_oracle_across_backends_and_snapshots() {
             );
 
             let expected = naive::evaluate(&q, &g);
-            for kind in BACKENDS {
+            for kind in BackendKind::ALL {
                 let got =
-                    GteaEngine::with_backend(&g, build_index(kind, &g), GteaOptions::default())
+                    GteaEngine::with_backend(&g, kind.build_shared(&g), GteaOptions::default())
                         .evaluate(&q);
                 assert!(
                     got.same_answer(&expected),
-                    "seed {seed} {op:?} backend {kind}: engine diverges from the oracle"
+                    "seed {seed} {op:?} backend {kind:?}: engine diverges from the oracle"
                 );
                 let mapped_got = GteaEngine::with_backend(
                     lg.as_ref(),
-                    build_index(kind, lg.as_ref()),
+                    kind.build_shared(lg.as_ref()),
                     GteaOptions::default(),
                 )
                 .evaluate(&q);
                 assert!(
                     mapped_got.same_answer(&expected),
-                    "seed {seed} {op:?} backend {kind}: answer moved after save + open_mmap"
+                    "seed {seed} {op:?} backend {kind:?}: answer moved after save + open_mmap"
                 );
             }
 

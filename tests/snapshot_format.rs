@@ -23,13 +23,11 @@ use gtpq::graph::condensation::CompId;
 use gtpq::graph::{Condensation, GraphHandle, GraphSnapshot, LoadMode, MutationConfig, LABEL_ATTR};
 use gtpq::prelude::*;
 use gtpq::query::{AttrPredicate, EdgeKind, Gtpq, GtpqBuilder};
-use gtpq::reach::build_index;
+use gtpq::reach::BackendKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 24;
-
-const BACKENDS: [&str; 5] = ["closure", "3hop", "chain", "contour", "sspi"];
 
 /// A unique temp path per test-and-seed so parallel test binaries never
 /// collide; removed at the end of each case.
@@ -130,17 +128,17 @@ fn saved_graphs_reload_bit_identically_through_every_mode() {
             assert_eq!(loaded.epoch(), snap.epoch(), "seed {seed}, mode {mode:?}");
 
             for (qi, q) in queries.iter().enumerate() {
-                for kind in BACKENDS {
+                for kind in BackendKind::ALL {
                     let want =
-                        GteaEngine::with_backend(&g, build_index(kind, &g), GteaOptions::default())
+                        GteaEngine::with_backend(&g, kind.build_shared(&g), GteaOptions::default())
                             .evaluate(q);
                     let lg = loaded.graph().as_ref();
                     let got =
-                        GteaEngine::with_backend(lg, build_index(kind, lg), GteaOptions::default())
+                        GteaEngine::with_backend(lg, kind.build_shared(lg), GteaOptions::default())
                             .evaluate(q);
                     assert!(
                         got.same_answer(&want),
-                        "seed {seed}, mode {mode:?}, query {qi}, backend {kind}: \
+                        "seed {seed}, mode {mode:?}, query {qi}, backend {kind:?}: \
                          answers diverge after reload"
                     );
                 }

@@ -23,14 +23,6 @@ use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 24;
 
-const BACKENDS: [BackendKind; 5] = [
-    BackendKind::Closure,
-    BackendKind::ThreeHop,
-    BackendKind::Chain,
-    BackendKind::Contour,
-    BackendKind::Sspi,
-];
-
 /// A random directed graph: `n` nodes labelled from a 4-letter alphabet and
 /// up to `3n` random edges; even seeds are DAG-only.
 fn random_graph(rng: &mut StdRng, max_nodes: usize, dag_only: bool) -> DataGraph {
@@ -151,7 +143,7 @@ fn submit_windows_match_materialized_order_under_every_backend() {
         let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
         let q = random_query(&mut rng);
         let oracle = naive::evaluate(&q, &graph);
-        for kind in BACKENDS {
+        for kind in BackendKind::ALL {
             // Reference: the engine's unlimited evaluation on this backend.
             let engine =
                 GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
