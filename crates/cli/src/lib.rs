@@ -560,10 +560,10 @@ impl Session {
                     m.cancelled,
                     m.rows_truncated,
                     m.eval_time,
-                    m.candidate_time,
-                    m.prune_down_time + m.prune_up_time,
-                    m.matching_time,
-                    m.enumerate_time,
+                    m.stages.candidates.sum_duration(),
+                    m.stages.prune_down.sum_duration() + m.stages.prune_up.sum_duration(),
+                    m.stages.matching.sum_duration(),
+                    m.stages.enumerate.sum_duration(),
                     m.plan_time,
                     m.plan_cache_hits,
                     m.plan_cache_misses,

@@ -26,9 +26,10 @@
 //!    represented as a graph (each data node stored once, one edge per
 //!    matched query edge) rather than as tuples, the paper's key device for
 //!    keeping intermediate results small.
-//! 4. **Result enumeration** — [`collect`] walks the matching graph once and
-//!    assembles the output tuples, adding back the constant columns of
-//!    output nodes that were shrunk away.
+//! 4. **Result enumeration** — [`stream`] walks the matching graph lazily
+//!    ([`MatchStream`] yields distinct output tuples in `ResultSet` order, so
+//!    limits push down), adding back the constant columns of output nodes
+//!    that were shrunk away.
 //!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs
@@ -39,7 +40,6 @@
 //! (Fig. 10): data nodes accessed, index elements looked up, and the size of
 //! the intermediate representation.
 
-pub mod collect;
 pub mod engine;
 pub mod exec;
 pub mod matching;

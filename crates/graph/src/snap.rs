@@ -221,165 +221,147 @@ fn malformed(what: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed { what: what.into() }
 }
 
-/// Identifies one section of a `.gtpq` container.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u32)]
-pub enum SectionKind {
-    /// Count cross-check block (`u64` array, see [`MetaCounts`]).
-    Meta = 1,
-    /// Forward CSR offsets (`u32`, `n + 1`).
-    FwdOffsets = 2,
-    /// Forward CSR targets (node ids, `e`).
-    FwdTargets = 3,
-    /// Reverse CSR offsets (`u32`, `n + 1`).
-    RevOffsets = 4,
-    /// Reverse CSR targets (node ids, `e`).
-    RevTargets = 5,
-    /// Attribute-name symbol table (string table blob).
-    Symbols = 6,
-    /// Attribute string-value dictionary (string table blob).
-    Strings = 7,
-    /// Per-node attribute tuple offsets (`u32`, `n + 1`).
-    AttrOffsets = 8,
-    /// Attribute name symbols, tuple-concatenated (`u32`).
-    AttrNames = 9,
-    /// Attribute value tags: 0 = int, 1 = string (`u8`).
-    AttrTags = 10,
-    /// Attribute payloads: `i64` bits or string-dictionary id (`u64`).
-    AttrPayloads = 11,
-    /// Value-posting slot keys: attribute symbol per slot (`u32`).
-    ValSyms = 12,
-    /// Value-posting slot keys: value tag per slot (`u8`).
-    ValTags = 13,
-    /// Value-posting slot keys: value payload per slot (`u64`).
-    ValPayloads = 14,
-    /// Value posting offsets (`u32`, slots + 1).
-    ValOffsets = 15,
-    /// Value posting node lists, concatenated (node ids).
-    ValNodes = 16,
-    /// Name-posting slot keys: attribute symbol per slot (`u32`).
-    NameSyms = 17,
-    /// Name posting offsets (`u32`, slots + 1).
-    NameOffsets = 18,
-    /// Name posting node lists, concatenated (node ids).
-    NameNodes = 19,
-    /// Integer-run attribute symbols (`u32`).
-    IntSyms = 20,
-    /// Integer-run offsets (`u32`, attrs + 1).
-    IntOffsets = 21,
-    /// Integer-run values, concatenated (`i64`).
-    IntValues = 22,
-    /// Integer-run node halves, concatenated (node ids).
-    IntNodes = 23,
-    /// Component of each node (`u32`, `n`).
-    CompOf = 24,
-    /// Per-component cyclicity bytes (`u8`, `c`).
-    Cyclic = 25,
-    /// Component member offsets (`u32`, `c + 1`).
-    MembersOffsets = 26,
-    /// Component members, concatenated (node ids, `n`).
-    Members = 27,
-    /// Condensation DAG out-edge offsets (`u32`, `c + 1`).
-    CompOutOffsets = 28,
-    /// Condensation DAG out-edges (component ids).
-    CompOut = 29,
-    /// Condensation DAG in-edge offsets (`u32`, `c + 1`).
-    CompInOffsets = 30,
-    /// Condensation DAG in-edges (component ids).
-    CompIn = 31,
-    /// Components in topological order (`u32`, `c`).
-    Topo = 32,
-    /// Reserved for serialized reachability-index state (not written today).
-    ReachState = 33,
-    /// Vector-value dictionary offsets (`u32`, vectors + 1), in `f32`
-    /// element units into [`SectionKind::VecData`].  Since version 2.
-    VecOffsets = 34,
-    /// Vector-value dictionary data, concatenated (`f32`).
-    VecData = 35,
-    /// Sim-table attribute symbols, one per table (`u32`).
-    SimSyms = 36,
-    /// Sim-table vector dimensionalities, one per table (`u32`).
-    SimDims = 37,
-    /// Sim-table indexed-node offsets (`u32`, tables + 1).
-    SimNodeOffsets = 38,
-    /// Sim-table indexed nodes, concatenated (node ids).
-    SimNodes = 39,
-    /// Sim-table stored-vector offsets (`u32`, tables + 1), in `f32` units.
-    SimVecOffsets = 40,
-    /// Sim-table stored vectors, row-major concatenated (`f32`).
-    SimVecData = 41,
-    /// Sim-table pivot offsets (`u32`, tables + 1), in `f32` units.
-    SimPivotOffsets = 42,
-    /// Sim-table pivot vectors, row-major concatenated (`f32`).
-    SimPivotData = 43,
-    /// Sim-table pivot-distance offsets (`u32`, tables + 1), in `f32` units.
-    SimDistOffsets = 44,
-    /// Sim-table pivot-distance rows, concatenated (`f32`).
-    SimDistData = 45,
-    /// Sim-table sorted first-pivot distances, concatenated (`f32`; spans
-    /// follow [`SectionKind::SimNodeOffsets`], one value per indexed node).
-    SimSortedHead = 46,
-    /// Sim-table norm bounds: `[min, max]` per table (`f32`, 2 × tables).
-    SimNormBounds = 47,
+// The one list of section kinds: the enum, its on-disk discriminants, the
+// file order of `ALL` and the variant names in error messages all expand
+// from it.  Discriminants are the on-disk ids — never renumber one.
+macro_rules! section_kinds {
+    (
+        written { $($(#[$doc:meta])* $name:ident = $id:literal,)* }
+        reserved { $($(#[$rdoc:meta])* $rname:ident = $rid:literal,)* }
+    ) => {
+        /// Identifies one section of a `.gtpq` container.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u32)]
+        pub enum SectionKind {
+            $($(#[$doc])* $name = $id,)*
+            $($(#[$rdoc])* $rname = $rid,)*
+        }
+
+        impl SectionKind {
+            /// Every section kind the current writer emits, in file order.
+            pub const ALL: &'static [SectionKind] = &[$(SectionKind::$name,)*];
+
+            /// The kind with on-disk id `v` (reserved ones included: a
+            /// reader recognises them, the writer never emits them).
+            fn from_u32(v: u32) -> Option<Self> {
+                match v {
+                    $($id => Some(SectionKind::$name),)*
+                    $($rid => Some(SectionKind::$rname),)*
+                    _ => None,
+                }
+            }
+
+            /// The variant name, for error messages.
+            fn name(self) -> &'static str {
+                match self {
+                    $(SectionKind::$name => stringify!($name),)*
+                    $(SectionKind::$rname => stringify!($rname),)*
+                }
+            }
+        }
+    };
 }
 
-impl SectionKind {
-    /// Every section kind the current writer emits, in file order.
-    pub const ALL: &'static [SectionKind] = &[
-        SectionKind::FwdOffsets,
-        SectionKind::FwdTargets,
-        SectionKind::RevOffsets,
-        SectionKind::RevTargets,
-        SectionKind::Symbols,
-        SectionKind::Strings,
-        SectionKind::AttrOffsets,
-        SectionKind::AttrNames,
-        SectionKind::AttrTags,
-        SectionKind::AttrPayloads,
-        SectionKind::ValSyms,
-        SectionKind::ValTags,
-        SectionKind::ValPayloads,
-        SectionKind::ValOffsets,
-        SectionKind::ValNodes,
-        SectionKind::NameSyms,
-        SectionKind::NameOffsets,
-        SectionKind::NameNodes,
-        SectionKind::IntSyms,
-        SectionKind::IntOffsets,
-        SectionKind::IntValues,
-        SectionKind::IntNodes,
-        SectionKind::CompOf,
-        SectionKind::Cyclic,
-        SectionKind::MembersOffsets,
-        SectionKind::Members,
-        SectionKind::CompOutOffsets,
-        SectionKind::CompOut,
-        SectionKind::CompInOffsets,
-        SectionKind::CompIn,
-        SectionKind::Topo,
-        SectionKind::VecOffsets,
-        SectionKind::VecData,
-        SectionKind::SimSyms,
-        SectionKind::SimDims,
-        SectionKind::SimNodeOffsets,
-        SectionKind::SimNodes,
-        SectionKind::SimVecOffsets,
-        SectionKind::SimVecData,
-        SectionKind::SimPivotOffsets,
-        SectionKind::SimPivotData,
-        SectionKind::SimDistOffsets,
-        SectionKind::SimDistData,
-        SectionKind::SimSortedHead,
-        SectionKind::SimNormBounds,
-        SectionKind::Meta,
-    ];
-
-    fn from_u32(v: u32) -> Option<Self> {
-        SectionKind::ALL
-            .iter()
-            .chain([SectionKind::ReachState].iter())
-            .copied()
-            .find(|k| *k as u32 == v)
+section_kinds! {
+    written {
+        /// Forward CSR offsets (`u32`, `n + 1`).
+        FwdOffsets = 2,
+        /// Forward CSR targets (node ids, `e`).
+        FwdTargets = 3,
+        /// Reverse CSR offsets (`u32`, `n + 1`).
+        RevOffsets = 4,
+        /// Reverse CSR targets (node ids, `e`).
+        RevTargets = 5,
+        /// Attribute-name symbol table (string table blob).
+        Symbols = 6,
+        /// Attribute string-value dictionary (string table blob).
+        Strings = 7,
+        /// Per-node attribute tuple offsets (`u32`, `n + 1`).
+        AttrOffsets = 8,
+        /// Attribute name symbols, tuple-concatenated (`u32`).
+        AttrNames = 9,
+        /// Attribute value tags: 0 = int, 1 = string (`u8`).
+        AttrTags = 10,
+        /// Attribute payloads: `i64` bits or string-dictionary id (`u64`).
+        AttrPayloads = 11,
+        /// Value-posting slot keys: attribute symbol per slot (`u32`).
+        ValSyms = 12,
+        /// Value-posting slot keys: value tag per slot (`u8`).
+        ValTags = 13,
+        /// Value-posting slot keys: value payload per slot (`u64`).
+        ValPayloads = 14,
+        /// Value posting offsets (`u32`, slots + 1).
+        ValOffsets = 15,
+        /// Value posting node lists, concatenated (node ids).
+        ValNodes = 16,
+        /// Name-posting slot keys: attribute symbol per slot (`u32`).
+        NameSyms = 17,
+        /// Name posting offsets (`u32`, slots + 1).
+        NameOffsets = 18,
+        /// Name posting node lists, concatenated (node ids).
+        NameNodes = 19,
+        /// Integer-run attribute symbols (`u32`).
+        IntSyms = 20,
+        /// Integer-run offsets (`u32`, attrs + 1).
+        IntOffsets = 21,
+        /// Integer-run values, concatenated (`i64`).
+        IntValues = 22,
+        /// Integer-run node halves, concatenated (node ids).
+        IntNodes = 23,
+        /// Component of each node (`u32`, `n`).
+        CompOf = 24,
+        /// Per-component cyclicity bytes (`u8`, `c`).
+        Cyclic = 25,
+        /// Component member offsets (`u32`, `c + 1`).
+        MembersOffsets = 26,
+        /// Component members, concatenated (node ids, `n`).
+        Members = 27,
+        /// Condensation DAG out-edge offsets (`u32`, `c + 1`).
+        CompOutOffsets = 28,
+        /// Condensation DAG out-edges (component ids).
+        CompOut = 29,
+        /// Condensation DAG in-edge offsets (`u32`, `c + 1`).
+        CompInOffsets = 30,
+        /// Condensation DAG in-edges (component ids).
+        CompIn = 31,
+        /// Components in topological order (`u32`, `c`).
+        Topo = 32,
+        /// Vector-value dictionary offsets (`u32`, vectors + 1), in `f32`
+        /// element units into [`SectionKind::VecData`].  Since version 2.
+        VecOffsets = 34,
+        /// Vector-value dictionary data, concatenated (`f32`).
+        VecData = 35,
+        /// Sim-table attribute symbols, one per table (`u32`).
+        SimSyms = 36,
+        /// Sim-table vector dimensionalities, one per table (`u32`).
+        SimDims = 37,
+        /// Sim-table indexed-node offsets (`u32`, tables + 1).
+        SimNodeOffsets = 38,
+        /// Sim-table indexed nodes, concatenated (node ids).
+        SimNodes = 39,
+        /// Sim-table stored-vector offsets (`u32`, tables + 1), in `f32` units.
+        SimVecOffsets = 40,
+        /// Sim-table stored vectors, row-major concatenated (`f32`).
+        SimVecData = 41,
+        /// Sim-table pivot offsets (`u32`, tables + 1), in `f32` units.
+        SimPivotOffsets = 42,
+        /// Sim-table pivot vectors, row-major concatenated (`f32`).
+        SimPivotData = 43,
+        /// Sim-table pivot-distance offsets (`u32`, tables + 1), in `f32` units.
+        SimDistOffsets = 44,
+        /// Sim-table pivot-distance rows, concatenated (`f32`).
+        SimDistData = 45,
+        /// Sim-table sorted first-pivot distances, concatenated (`f32`; spans
+        /// follow [`SectionKind::SimNodeOffsets`], one value per indexed node).
+        SimSortedHead = 46,
+        /// Sim-table norm bounds: `[min, max]` per table (`f32`, 2 × tables).
+        SimNormBounds = 47,
+        /// Count cross-check block (`u64` array, see [`MetaCounts`]).
+        Meta = 1,
+    }
+    reserved {
+        /// Reserved for serialized reachability-index state (not written today).
+        ReachState = 33,
     }
 }
 
@@ -1127,7 +1109,7 @@ impl Loader {
         let data = &self.bytes.as_slice()[s.offset..s.offset + s.byte_len];
         if crc32(data) != s.crc {
             return Err(SnapshotError::ChecksumMismatch {
-                section: kind_name(kind),
+                section: kind.name(),
             });
         }
         Ok(())
@@ -1192,7 +1174,7 @@ impl Loader {
     ) -> Result<Csr<T>, SnapshotError> {
         let offsets: IntRun<u32> = self.run(offsets_kind, sources + 1)?;
         let target_run: IntRun<T> = self.run(targets_kind, targets)?;
-        check_offsets_span(&offsets, targets, kind_name(offsets_kind))?;
+        check_offsets_span(&offsets, targets, offsets_kind.name())?;
         Ok(Csr::from_parts(offsets, target_run))
     }
 }
@@ -1214,58 +1196,6 @@ fn check_offsets_span(
         return Err(malformed(format!("{what} is non-monotone")));
     }
     Ok(())
-}
-
-fn kind_name(kind: SectionKind) -> &'static str {
-    match kind {
-        SectionKind::Meta => "Meta",
-        SectionKind::FwdOffsets => "FwdOffsets",
-        SectionKind::FwdTargets => "FwdTargets",
-        SectionKind::RevOffsets => "RevOffsets",
-        SectionKind::RevTargets => "RevTargets",
-        SectionKind::Symbols => "Symbols",
-        SectionKind::Strings => "Strings",
-        SectionKind::AttrOffsets => "AttrOffsets",
-        SectionKind::AttrNames => "AttrNames",
-        SectionKind::AttrTags => "AttrTags",
-        SectionKind::AttrPayloads => "AttrPayloads",
-        SectionKind::ValSyms => "ValSyms",
-        SectionKind::ValTags => "ValTags",
-        SectionKind::ValPayloads => "ValPayloads",
-        SectionKind::ValOffsets => "ValOffsets",
-        SectionKind::ValNodes => "ValNodes",
-        SectionKind::NameSyms => "NameSyms",
-        SectionKind::NameOffsets => "NameOffsets",
-        SectionKind::NameNodes => "NameNodes",
-        SectionKind::IntSyms => "IntSyms",
-        SectionKind::IntOffsets => "IntOffsets",
-        SectionKind::IntValues => "IntValues",
-        SectionKind::IntNodes => "IntNodes",
-        SectionKind::CompOf => "CompOf",
-        SectionKind::Cyclic => "Cyclic",
-        SectionKind::MembersOffsets => "MembersOffsets",
-        SectionKind::Members => "Members",
-        SectionKind::CompOutOffsets => "CompOutOffsets",
-        SectionKind::CompOut => "CompOut",
-        SectionKind::CompInOffsets => "CompInOffsets",
-        SectionKind::CompIn => "CompIn",
-        SectionKind::Topo => "Topo",
-        SectionKind::ReachState => "ReachState",
-        SectionKind::VecOffsets => "VecOffsets",
-        SectionKind::VecData => "VecData",
-        SectionKind::SimSyms => "SimSyms",
-        SectionKind::SimDims => "SimDims",
-        SectionKind::SimNodeOffsets => "SimNodeOffsets",
-        SectionKind::SimNodes => "SimNodes",
-        SectionKind::SimVecOffsets => "SimVecOffsets",
-        SectionKind::SimVecData => "SimVecData",
-        SectionKind::SimPivotOffsets => "SimPivotOffsets",
-        SectionKind::SimPivotData => "SimPivotData",
-        SectionKind::SimDistOffsets => "SimDistOffsets",
-        SectionKind::SimDistData => "SimDistData",
-        SectionKind::SimSortedHead => "SimSortedHead",
-        SectionKind::SimNormBounds => "SimNormBounds",
-    }
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {

@@ -158,6 +158,12 @@ impl HistogramSnapshot {
         Duration::from_nanos(self.percentile(q))
     }
 
+    /// [`sum`](Self::sum) as a `Duration` (for histograms fed by
+    /// [`LogHistogram::record_duration`]): the exact total time observed.
+    pub fn sum_duration(&self) -> Duration {
+        Duration::from_nanos(self.sum)
+    }
+
     /// Mean sample value (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -1,6 +1,11 @@
-//! Aggregate service metrics: QPS, cache hit rate, per-stage timing rollups,
-//! latency/TTFR histograms, windowed recent rates, and a Prometheus
+//! Aggregate service metrics: QPS, cache hit rate, engine rollups,
+//! latency/TTFR/stage histograms, windowed recent rates, and a Prometheus
 //! text-format encoder.
+//!
+//! Every counter is **one row of the `counters!` table** below: its
+//! atomic, its [`MetricsSnapshot`] field, how an engine run's [`EvalStats`]
+//! folds into it, its Prometheus family and (through the scrape page) its
+//! line in `docs/OBSERVABILITY.md` all expand from that row.
 //!
 //! All counters are relaxed atomics and the histograms are lock-free
 //! ([`gtpq_obs::LogHistogram`]), so the hot path never takes a lock; a
@@ -8,7 +13,7 @@
 //! dashboards and tests (individual counters may be skewed by in-flight
 //! queries, which is the usual contract for service counters).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use gtpq_core::EvalStats;
@@ -77,45 +82,214 @@ impl StageHistograms {
     }
 }
 
+/// Which engine runs feed an [`EvalStats`]-projected counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fed {
+    /// Completed runs only ([`ServiceMetrics::record_miss`]).
+    Miss,
+    /// Aborted runs only ([`ServiceMetrics::record_aborted`]).
+    Aborted,
+    /// Both: the partial work of an aborted run still counts.
+    EveryRun,
+}
+
+/// Expands the counter table.  A stored row reads
+/// `field: unit, kind "family", "help" [<- Fed rule |stats| projection] [=> recorder];`
+/// where `unit` is `count` (a `u64`) or `nanos` (a `Duration`: nanoseconds
+/// stored, seconds scraped), `kind` is `counter` or `gauge` (the [`PromText`]
+/// method of that name) and `help` is both `# HELP` text and field doc.  A
+/// row fed from the engine names the runs that feed it and the `AtomicU64`
+/// method (`fetch_add` / `fetch_max`) folding its projection in; a plain
+/// service event names the `record_*` method to generate, or has a
+/// hand-written one below.  A derived row is a gauge computed per snapshot.
+macro_rules! counters {
+    (@ty count) => { u64 };
+    (@ty nanos) => { Duration };
+    (@load count $raw:expr) => { $raw };
+    (@load nanos $raw:expr) => { Duration::from_nanos($raw) };
+    (@raw count $value:expr) => { $value };
+    (@raw nanos $value:expr) => { $value.as_nanos() as u64 };
+    (@scrape count $value:expr) => { $value as f64 };
+    (@scrape nanos $value:expr) => { $value.as_secs_f64() };
+    (stored { $($id:ident: $unit:ident, $kind:ident $family:literal, $help:literal
+        $(<- $fed:ident $rule:ident |$s:ident| $proj:expr)? $(=> $recorder:ident)?;)* }
+     derived { $($gauge:literal, $ghelp:literal, |$m:ident| $value:expr;)* }) => {
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($id: AtomicU64,)*
+        }
+
+        impl Counters {
+            /// Folds one engine run into every [`EvalStats`]-fed row that
+            /// covers `run` ([`Fed::Miss`] or [`Fed::Aborted`]).
+            #[inline]
+            fn fold(&self, stats: &EvalStats, run: Fed) {
+                $($(if Fed::$fed == Fed::EveryRun || Fed::$fed == run {
+                    let $s = stats;
+                    self.$id.$rule(counters!(@raw $unit $proj), Relaxed);
+                })?)*
+            }
+        }
+
+        /// Point-in-time copy of the service counters, with derived rates,
+        /// latency/TTFR/stage histograms and a Prometheus text encoder.
+        #[derive(Clone, Debug, Default)]
+        pub struct MetricsSnapshot {
+            /// Time since the service was created.
+            pub uptime: Duration,
+            $(#[doc = $help] pub $id: counters!(@ty $unit),)*
+            /// End-to-end `submit` latency histogram (every request: hits,
+            /// misses, timeouts, cancellations).
+            pub latency: HistogramSnapshot,
+            /// Time-to-first-row histogram across engine runs that produced
+            /// at least one row — the streaming-latency headline.
+            pub ttfr: HistogramSnapshot,
+            /// Per-stage latency histograms across engine runs (aborted runs
+            /// included, with whatever stages they completed).
+            pub stages: StageHistograms,
+            /// Window the `recent_*` figures cover.
+            pub recent_window: Duration,
+            /// Requests observed within the trailing window.
+            pub recent_queries: u64,
+            /// Cache hits observed within the trailing window.
+            pub recent_hits: u64,
+            /// Requests per second over the trailing window (young services
+            /// divide by their age instead, so early rates are not
+            /// under-reported).
+            pub recent_qps: f64,
+        }
+
+        impl MetricsSnapshot {
+            /// One scrape-page family per table row, in table order.
+            fn render_counters(&self, page: &mut PromText) {
+                $(page.$kind($family, $help, counters!(@scrape $unit self.$id));)*
+                $(let $m = self;
+                page.gauge($gauge, $ghelp, $value);)*
+            }
+        }
+
+        impl ServiceMetrics {
+            $($(pub(crate) fn $recorder(&self) {
+                self.counters.$id.fetch_add(1, Relaxed);
+            })?)*
+
+            pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    uptime: self.started.elapsed(),
+                    $($id: counters!(@load $unit self.counters.$id.load(Relaxed)),)*
+                    latency: self.latency_hist.snapshot(),
+                    ttfr: self.ttfr_hist.snapshot(),
+                    stages: StageHistograms {
+                        candidates: self.stage_hists.candidates.snapshot(),
+                        prune_down: self.stage_hists.prune_down.snapshot(),
+                        prune_up: self.stage_hists.prune_up.snapshot(),
+                        matching: self.stage_hists.matching.snapshot(),
+                        enumerate: self.stage_hists.enumerate.snapshot(),
+                        eval: self.stage_hists.eval.snapshot(),
+                    },
+                    recent_window: RECENT_WINDOW,
+                    recent_queries: self.recent_queries.sum_window(RECENT_WINDOW),
+                    recent_hits: self.recent_hits.sum_window(RECENT_WINDOW),
+                    recent_qps: self.recent_queries.rate_per_sec(RECENT_WINDOW),
+                }
+            }
+        }
+    };
+}
+
+counters! {
+  stored {
+    queries: count, counter "gtpq_queries_total", "Queries answered (cache hits + engine runs).";
+    cache_hits: count, counter "gtpq_cache_hits_total", "Queries answered from the result cache.";
+    cache_misses: count, counter "gtpq_cache_misses_total", "Queries that ran the engine.";
+    batches: count, counter "gtpq_batches_total", "`submit_batch` calls served." => record_batch;
+    timed_out: count, counter "gtpq_timeouts_total",
+        "Requests aborted because their deadline passed." => record_timeout;
+    cancelled: count, counter "gtpq_cancelled_total",
+        "Requests aborted through their cancellation token." => record_cancelled;
+    aborted: count, counter "gtpq_aborted_runs_total",
+        "Engine runs aborted mid-evaluation (timeout or cancellation); the stages they \
+         completed still fold into the engine rollups and stage histograms.";
+    rows_truncated: count, counter "gtpq_rows_truncated_total",
+        "Outcomes whose row window was cut short by a `limit`." => record_truncated;
+    result_tuples: count, counter "gtpq_result_tuples_total",
+        "Result tuples produced by engine runs." <- Miss fetch_add |s| s.result_tuples;
+    enumerated_rows: count, counter "gtpq_enumerated_rows_total",
+        "Rows pulled from the streaming enumerator, offset-skipped and look-ahead rows included \
+         (against `result_tuples`: what limit pushdown avoided)."
+        <- EveryRun fetch_add |s| s.enumerated_rows;
+    input_nodes: count, counter "gtpq_input_nodes_total",
+        "Data-node accesses across engine runs (`#input`, Fig. 10)."
+        <- EveryRun fetch_add |s| s.input_nodes;
+    index_lookups: count, counter "gtpq_index_lookups_total",
+        "Reachability-index element lookups across engine runs (`#index`, Fig. 10)."
+        <- EveryRun fetch_add |s| s.index_lookups;
+    index_hits: count, counter "gtpq_index_hits_total",
+        "Candidates served straight from the attribute inverted index."
+        <- EveryRun fetch_add |s| s.index_hits;
+    scanned_nodes: count, counter "gtpq_scanned_nodes_total",
+        "Nodes individually verified during candidate selection (what the index could not serve)."
+        <- EveryRun fetch_add |s| s.scanned_nodes;
+    sim_pivot_filtered: count, counter "gtpq_sim_pivot_filtered_total",
+        "Sim-indexed vectors discarded by the pivot filter (exact distance computations avoided)."
+        <- EveryRun fetch_add |s| s.sim_pivot_filtered;
+    sim_verified: count, counter "gtpq_sim_verified_total",
+        "Sim-indexed vectors verified with an exact distance or cosine computation."
+        <- EveryRun fetch_add |s| s.sim_verified;
+    plan_cache_hits: count, counter "gtpq_plan_cache_hits_total",
+        "Evaluations that reused a cached physical plan." => record_plan_hit;
+    plan_cache_misses: count, counter "gtpq_plan_cache_misses_total",
+        "Evaluations that built a fresh physical plan." => record_plan_miss;
+    plan_time: nanos, counter "gtpq_plan_seconds_total",
+        "Planning time across engine runs (zero for plan-cache hits)."
+        <- Miss fetch_add |s| s.plan_time;
+    estimated_rows: count, counter "gtpq_estimated_rows_total",
+        "Sum of the planner's per-operator row estimates across engine runs."
+        <- Miss fetch_add |s| s.estimated_rows();
+    actual_rows: count, counter "gtpq_actual_rows_total",
+        "Sum of the rows those operators actually produced." <- Miss fetch_add |s| s.actual_rows();
+    estimation_error_rows: count, counter "gtpq_estimation_error_rows_total",
+        "Sum of per-operator absolute estimation errors (over- and under-estimates cannot cancel)."
+        <- Miss fetch_add |s| s.absolute_estimation_error();
+    eval_time: nanos, counter "gtpq_eval_seconds_total",
+        "Engine evaluation time across cache misses (summed over queries, not wall clock)."
+        <- Miss fetch_add |s| s.total_time();
+    worker_busy_time: nanos, counter "gtpq_worker_busy_seconds_total",
+        "Busy time across intra-query morsel workers (sums over workers, so it can exceed \
+         `eval_time`; the ratio is the achieved fan-out)."
+        <- EveryRun fetch_add |s| s.worker_busy_time;
+    morsels: count, counter "gtpq_morsels_total",
+        "Morsels dispatched to intra-query workers." <- EveryRun fetch_add |s| s.morsels_dispatched;
+    max_queue_depth: count, gauge "gtpq_morsel_queue_depth_max",
+        "Deepest partition-consumer queue observed during enumeration (a high-water mark)."
+        <- EveryRun fetch_max |s| s.max_queue_depth;
+    aborted_eval_time: nanos, counter "gtpq_aborted_eval_seconds_total",
+        "Engine time spent in runs that were ultimately aborted (invisible in `eval_time`)."
+        <- Aborted fetch_add |s| s.total_time();
+    graph_epoch: count, gauge "gtpq_graph_epoch",
+        "Epoch of the graph generation the service answers for (0 on a frozen graph).";
+    epoch_rotations: count, counter "gtpq_epoch_rotations_total",
+        "Commits the service rotated its generation state over to.";
+    stale_evictions: count, counter "gtpq_stale_evictions_total",
+        "Cached results and plans dropped because the graph mutated.";
+  }
+  derived {
+    "gtpq_sim_filter_selectivity",
+        "Fraction of sim-indexed vectors the pivot filter discarded without verification.",
+        |m| m.sim_filter_selectivity();
+    "gtpq_uptime_seconds", "Time since the service was created.", |m| m.uptime.as_secs_f64();
+    "gtpq_cache_hit_ratio", "Fraction of queries served from the result cache.", |m| m.hit_rate();
+    "gtpq_recent_qps", "Requests per second over the trailing window.", |m| m.recent_qps;
+    "gtpq_recent_cache_hit_ratio", "Fraction of recent requests served from the result cache.",
+        |m| m.recent_hit_rate();
+  }
+}
+
 /// Internal atomic counters of a [`QueryService`](crate::QueryService).
 #[derive(Debug)]
 pub struct ServiceMetrics {
     started: Instant,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    batches: AtomicU64,
-    eval_nanos: AtomicU64,
-    candidate_nanos: AtomicU64,
-    prune_down_nanos: AtomicU64,
-    prune_up_nanos: AtomicU64,
-    matching_nanos: AtomicU64,
-    enumerate_nanos: AtomicU64,
-    input_nodes: AtomicU64,
-    index_lookups: AtomicU64,
-    index_hits: AtomicU64,
-    scanned_nodes: AtomicU64,
-    sim_pivot_filtered: AtomicU64,
-    sim_verified: AtomicU64,
-    result_tuples: AtomicU64,
-    plan_nanos: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    estimated_rows: AtomicU64,
-    actual_rows: AtomicU64,
-    estimation_error_rows: AtomicU64,
-    timed_out: AtomicU64,
-    cancelled: AtomicU64,
-    rows_truncated: AtomicU64,
-    enumerated_rows: AtomicU64,
-    worker_busy_nanos: AtomicU64,
-    morsels: AtomicU64,
-    max_queue_depth: AtomicU64,
-    aborted: AtomicU64,
-    aborted_eval_nanos: AtomicU64,
-    graph_epoch: AtomicU64,
-    epoch_rotations: AtomicU64,
-    stale_evictions: AtomicU64,
+    counters: Counters,
     latency_hist: LogHistogram,
     ttfr_hist: LogHistogram,
     stage_hists: StageHists,
@@ -127,67 +301,13 @@ impl ServiceMetrics {
     pub(crate) fn new() -> Self {
         Self {
             started: Instant::now(),
-            queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            eval_nanos: AtomicU64::new(0),
-            candidate_nanos: AtomicU64::new(0),
-            prune_down_nanos: AtomicU64::new(0),
-            prune_up_nanos: AtomicU64::new(0),
-            matching_nanos: AtomicU64::new(0),
-            enumerate_nanos: AtomicU64::new(0),
-            input_nodes: AtomicU64::new(0),
-            index_lookups: AtomicU64::new(0),
-            index_hits: AtomicU64::new(0),
-            scanned_nodes: AtomicU64::new(0),
-            sim_pivot_filtered: AtomicU64::new(0),
-            sim_verified: AtomicU64::new(0),
-            result_tuples: AtomicU64::new(0),
-            plan_nanos: AtomicU64::new(0),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            estimated_rows: AtomicU64::new(0),
-            actual_rows: AtomicU64::new(0),
-            estimation_error_rows: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            rows_truncated: AtomicU64::new(0),
-            enumerated_rows: AtomicU64::new(0),
-            worker_busy_nanos: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            aborted_eval_nanos: AtomicU64::new(0),
-            graph_epoch: AtomicU64::new(0),
-            epoch_rotations: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
+            counters: Counters::default(),
             latency_hist: LogHistogram::new(),
             ttfr_hist: LogHistogram::new(),
             stage_hists: StageHists::default(),
             recent_queries: WindowedCounter::new(),
             recent_hits: WindowedCounter::new(),
         }
-    }
-
-    pub(crate) fn record_timeout(&self) {
-        self.timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_truncated(&self) {
-        self.rows_truncated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_plan_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_plan_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Observes the end-to-end `submit` latency of one request (every exit
@@ -197,89 +317,42 @@ impl ServiceMetrics {
     }
 
     pub(crate) fn record_hit(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.queries.fetch_add(1, Relaxed);
+        self.counters.cache_hits.fetch_add(1, Relaxed);
         self.recent_queries.record();
         self.recent_hits.record();
     }
 
     pub(crate) fn record_miss(&self, stats: &EvalStats) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.recent_queries.record();
-        self.eval_nanos
-            .fetch_add(stats.total_time().as_nanos() as u64, Ordering::Relaxed);
-        self.fold_stages(stats);
-        self.result_tuples
-            .fetch_add(stats.result_tuples, Ordering::Relaxed);
-        self.plan_nanos
-            .fetch_add(stats.plan_time.as_nanos() as u64, Ordering::Relaxed);
-        self.estimated_rows
-            .fetch_add(stats.estimated_rows(), Ordering::Relaxed);
-        self.actual_rows
-            .fetch_add(stats.actual_rows(), Ordering::Relaxed);
-        self.estimation_error_rows
-            .fetch_add(stats.absolute_estimation_error(), Ordering::Relaxed);
+        self.counters.queries.fetch_add(1, Relaxed);
+        self.counters.cache_misses.fetch_add(1, Relaxed);
         if stats.time_to_first_row > Duration::ZERO {
             self.ttfr_hist.record_duration(stats.time_to_first_row);
         }
+        self.record_run(stats, Fed::Miss);
     }
 
     /// Folds the *partial* statistics of an evaluation that was aborted by
-    /// deadline or cancellation.  The stage rollups, I/O counters and stage
+    /// deadline or cancellation.  The [`Fed::EveryRun`] rows and the stage
     /// histograms keep the work that was done; the run is counted under
     /// `aborted` (with its engine time under `aborted_eval_time`) rather
     /// than as a query/cache miss, since no answer was produced.
     pub(crate) fn record_aborted(&self, stats: &EvalStats) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
-        self.aborted_eval_nanos
-            .fetch_add(stats.total_time().as_nanos() as u64, Ordering::Relaxed);
+        self.counters.aborted.fetch_add(1, Relaxed);
+        self.record_run(stats, Fed::Aborted);
+    }
+
+    /// What complete and aborted runs share: load, table rows, stage histograms.
+    fn record_run(&self, stats: &EvalStats, run: Fed) {
         self.recent_queries.record();
-        self.fold_stages(stats);
-    }
-
-    /// Stage timings, I/O counters and stage histograms shared by complete
-    /// and aborted runs.
-    fn fold_stages(&self, stats: &EvalStats) {
-        let add = |counter: &AtomicU64, d: Duration| {
-            counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        };
-        add(&self.candidate_nanos, stats.candidate_time);
-        add(&self.prune_down_nanos, stats.prune_down_time);
-        add(&self.prune_up_nanos, stats.prune_up_time);
-        add(&self.matching_nanos, stats.matching_graph_time);
-        add(&self.enumerate_nanos, stats.enumerate_time);
-        self.input_nodes
-            .fetch_add(stats.input_nodes, Ordering::Relaxed);
-        self.index_lookups
-            .fetch_add(stats.index_lookups, Ordering::Relaxed);
-        self.index_hits
-            .fetch_add(stats.index_hits, Ordering::Relaxed);
-        self.scanned_nodes
-            .fetch_add(stats.scanned_nodes, Ordering::Relaxed);
-        self.sim_pivot_filtered
-            .fetch_add(stats.sim_pivot_filtered, Ordering::Relaxed);
-        self.sim_verified
-            .fetch_add(stats.sim_verified, Ordering::Relaxed);
-        self.enumerated_rows
-            .fetch_add(stats.enumerated_rows, Ordering::Relaxed);
-        self.worker_busy_nanos
-            .fetch_add(stats.worker_busy_time.as_nanos() as u64, Ordering::Relaxed);
-        self.morsels
-            .fetch_add(stats.morsels_dispatched, Ordering::Relaxed);
-        self.max_queue_depth
-            .fetch_max(stats.max_queue_depth, Ordering::Relaxed);
+        self.counters.fold(stats, run);
         self.stage_hists.observe(stats);
-    }
-
-    pub(crate) fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the graph-epoch gauge without counting a rotation (used at
     /// service construction, where the handle may already carry commits).
     pub(crate) fn set_graph_epoch(&self, epoch: u64) {
-        self.graph_epoch.fetch_max(epoch, Ordering::Relaxed);
+        self.counters.graph_epoch.fetch_max(epoch, Relaxed);
     }
 
     /// Records one epoch rotation: the gauge advances to the new epoch
@@ -287,190 +360,10 @@ impl ServiceMetrics {
     /// the entries dropped from the result/plan caches are counted as stale
     /// evictions.
     pub(crate) fn record_rotation(&self, epoch: u64, evicted: u64) {
-        self.graph_epoch.fetch_max(epoch, Ordering::Relaxed);
-        self.epoch_rotations.fetch_add(1, Ordering::Relaxed);
-        self.stale_evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.set_graph_epoch(epoch);
+        self.counters.epoch_rotations.fetch_add(1, Relaxed);
+        self.counters.stale_evictions.fetch_add(evicted, Relaxed);
     }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let queries = self.queries.load(Ordering::Relaxed);
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let uptime = self.started.elapsed();
-        MetricsSnapshot {
-            uptime,
-            queries,
-            cache_hits: hits,
-            cache_misses: misses,
-            batches: self.batches.load(Ordering::Relaxed),
-            eval_time: Duration::from_nanos(self.eval_nanos.load(Ordering::Relaxed)),
-            candidate_time: Duration::from_nanos(self.candidate_nanos.load(Ordering::Relaxed)),
-            prune_down_time: Duration::from_nanos(self.prune_down_nanos.load(Ordering::Relaxed)),
-            prune_up_time: Duration::from_nanos(self.prune_up_nanos.load(Ordering::Relaxed)),
-            matching_time: Duration::from_nanos(self.matching_nanos.load(Ordering::Relaxed)),
-            enumerate_time: Duration::from_nanos(self.enumerate_nanos.load(Ordering::Relaxed)),
-            input_nodes: self.input_nodes.load(Ordering::Relaxed),
-            index_lookups: self.index_lookups.load(Ordering::Relaxed),
-            index_hits: self.index_hits.load(Ordering::Relaxed),
-            scanned_nodes: self.scanned_nodes.load(Ordering::Relaxed),
-            sim_pivot_filtered: self.sim_pivot_filtered.load(Ordering::Relaxed),
-            sim_verified: self.sim_verified.load(Ordering::Relaxed),
-            result_tuples: self.result_tuples.load(Ordering::Relaxed),
-            plan_time: Duration::from_nanos(self.plan_nanos.load(Ordering::Relaxed)),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            estimated_rows: self.estimated_rows.load(Ordering::Relaxed),
-            actual_rows: self.actual_rows.load(Ordering::Relaxed),
-            estimation_error_rows: self.estimation_error_rows.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            rows_truncated: self.rows_truncated.load(Ordering::Relaxed),
-            enumerated_rows: self.enumerated_rows.load(Ordering::Relaxed),
-            worker_busy_time: Duration::from_nanos(self.worker_busy_nanos.load(Ordering::Relaxed)),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            aborted_eval_time: Duration::from_nanos(
-                self.aborted_eval_nanos.load(Ordering::Relaxed),
-            ),
-            graph_epoch: self.graph_epoch.load(Ordering::Relaxed),
-            epoch_rotations: self.epoch_rotations.load(Ordering::Relaxed),
-            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
-            latency: self.latency_hist.snapshot(),
-            ttfr: self.ttfr_hist.snapshot(),
-            stages: StageHistograms {
-                candidates: self.stage_hists.candidates.snapshot(),
-                prune_down: self.stage_hists.prune_down.snapshot(),
-                prune_up: self.stage_hists.prune_up.snapshot(),
-                matching: self.stage_hists.matching.snapshot(),
-                enumerate: self.stage_hists.enumerate.snapshot(),
-                eval: self.stage_hists.eval.snapshot(),
-            },
-            recent_window: RECENT_WINDOW,
-            recent_queries: self.recent_queries.sum_window(RECENT_WINDOW),
-            recent_hits: self.recent_hits.sum_window(RECENT_WINDOW),
-            recent_qps: self.recent_queries.rate_per_sec(RECENT_WINDOW),
-        }
-    }
-}
-
-/// Point-in-time copy of the service counters, with derived rates,
-/// latency/TTFR/stage histograms and a Prometheus text encoder.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
-    /// Time since the service was created.
-    pub uptime: Duration,
-    /// Queries answered (hits + misses).
-    pub queries: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that ran the engine.
-    pub cache_misses: u64,
-    /// `submit_batch` calls served.
-    pub batches: u64,
-    /// Total engine evaluation time across cache misses (sum over queries,
-    /// not wall clock: concurrent queries overlap).
-    pub eval_time: Duration,
-    /// Candidate-selection time rollup.
-    pub candidate_time: Duration,
-    /// Downward-pruning time rollup.
-    pub prune_down_time: Duration,
-    /// Upward-pruning time rollup.
-    pub prune_up_time: Duration,
-    /// Matching-graph construction time rollup.
-    pub matching_time: Duration,
-    /// Result-enumeration time rollup.
-    pub enumerate_time: Duration,
-    /// Data-node accesses rollup (`#input`, Fig. 10).
-    pub input_nodes: u64,
-    /// Index-element lookups rollup (`#index`, Fig. 10).
-    pub index_lookups: u64,
-    /// Candidates served straight from the attribute inverted index during
-    /// candidate selection.
-    pub index_hits: u64,
-    /// Nodes individually verified during candidate selection (the scan
-    /// remainder the inverted index could not serve exactly).
-    pub scanned_nodes: u64,
-    /// Sim-indexed vectors discarded by the pivot filter's triangle-
-    /// inequality check across engine runs — exact distance computations
-    /// avoided by the block-and-verify access path.
-    pub sim_pivot_filtered: u64,
-    /// Sim-indexed vectors verified with an exact distance / cosine
-    /// computation across engine runs.
-    pub sim_verified: u64,
-    /// Result tuples produced by engine runs.
-    pub result_tuples: u64,
-    /// Planning time rollup (zero for plan-cache hits).
-    pub plan_time: Duration,
-    /// Evaluations that reused a cached physical plan.
-    pub plan_cache_hits: u64,
-    /// Evaluations that built a fresh physical plan.
-    pub plan_cache_misses: u64,
-    /// Sum of the planner's per-operator row estimates across engine runs.
-    pub estimated_rows: u64,
-    /// Sum of the rows those operators actually produced.
-    pub actual_rows: u64,
-    /// Sum of per-operator `|estimated − actual|` across engine runs
-    /// (absolute, so over- and under-estimates cannot cancel).
-    pub estimation_error_rows: u64,
-    /// Requests aborted because their deadline passed.
-    pub timed_out: u64,
-    /// Requests aborted through their cancellation token.
-    pub cancelled: u64,
-    /// Outcomes whose row window was cut short by a `limit` (more rows
-    /// existed past the returned window).
-    pub rows_truncated: u64,
-    /// Rows pulled from the streaming enumerator across engine runs
-    /// (including offset-skipped and look-ahead rows); compare against
-    /// `result_tuples` to see how much enumeration limit pushdown avoided.
-    pub enumerated_rows: u64,
-    /// Total busy time across intra-query morsel workers (candidate scans,
-    /// prune rounds, matching-graph fill, partitioned enumeration).  Sums
-    /// over workers, so it can exceed `eval_time`; the ratio is the average
-    /// fan-out actually achieved (see
-    /// [`worker_utilization`](Self::worker_utilization)).
-    pub worker_busy_time: Duration,
-    /// Morsels dispatched to intra-query workers across engine runs (every
-    /// parallel stage round counts its work-stealing chunks).
-    pub morsels: u64,
-    /// Deepest partition-consumer queue observed during partitioned
-    /// enumeration (buffered row batches awaiting the ordered merge); a
-    /// persistently high value means producers outrun the merge.
-    pub max_queue_depth: u64,
-    /// Engine runs aborted mid-evaluation (timeout or cancellation); their
-    /// partial stage timings are folded into the stage rollups above.
-    pub aborted: u64,
-    /// Engine time spent in runs that were ultimately aborted — work that
-    /// produced no answer, invisible in `eval_time`.
-    pub aborted_eval_time: Duration,
-    /// Epoch of the graph generation the service currently answers for
-    /// (0 for a frozen graph; advances monotonically with every commit the
-    /// service observed).
-    pub graph_epoch: u64,
-    /// Epoch rotations performed: commits the service noticed and swung its
-    /// generation state (backend, caches, catalog) over to.
-    pub epoch_rotations: u64,
-    /// Result-cache and plan-cache entries dropped by epoch rotations —
-    /// answers and plans that described a pre-write graph.
-    pub stale_evictions: u64,
-    /// End-to-end `submit` latency histogram (every request: hits, misses,
-    /// timeouts, cancellations).
-    pub latency: HistogramSnapshot,
-    /// Time-to-first-row histogram across engine runs that produced at least
-    /// one row — the streaming-latency headline.
-    pub ttfr: HistogramSnapshot,
-    /// Per-stage latency histograms across engine runs (aborted runs
-    /// included, with whatever stages they completed).
-    pub stages: StageHistograms,
-    /// Window the `recent_*` figures cover.
-    pub recent_window: Duration,
-    /// Requests observed within the trailing window.
-    pub recent_queries: u64,
-    /// Cache hits observed within the trailing window.
-    pub recent_hits: u64,
-    /// Requests per second over the trailing window (young services divide
-    /// by their age instead, so early rates are not under-reported).
-    pub recent_qps: f64,
 }
 
 impl MetricsSnapshot {
@@ -530,12 +423,7 @@ impl MetricsSnapshot {
     /// Fraction of engine runs that reused a cached physical plan
     /// (0.0 when no plans were requested).
     pub fn plan_hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
+        gtpq_core::stats::serve_rate(self.plan_cache_hits, self.plan_cache_misses)
     }
 
     /// Aggregate cardinality-estimation error of the cost model: the sum of
@@ -571,155 +459,11 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as a Prometheus text-format (0.0.4) scrape page:
-    /// `gtpq_`-prefixed counters and gauges plus the latency, TTFR and
-    /// per-stage histograms in seconds.
+    /// one family per `counters!` row, then the latency, TTFR and per-stage
+    /// histograms in seconds.
     pub fn render_prometheus(&self) -> String {
         let mut page = PromText::new();
-        page.counter(
-            "gtpq_queries_total",
-            "Queries answered (cache hits + engine runs).",
-            self.queries as f64,
-        );
-        page.counter(
-            "gtpq_cache_hits_total",
-            "Queries answered from the result cache.",
-            self.cache_hits as f64,
-        );
-        page.counter(
-            "gtpq_cache_misses_total",
-            "Queries that ran the engine.",
-            self.cache_misses as f64,
-        );
-        page.counter(
-            "gtpq_batches_total",
-            "Batch submissions served.",
-            self.batches as f64,
-        );
-        page.counter(
-            "gtpq_timeouts_total",
-            "Requests aborted because their deadline passed.",
-            self.timed_out as f64,
-        );
-        page.counter(
-            "gtpq_cancelled_total",
-            "Requests aborted through their cancellation token.",
-            self.cancelled as f64,
-        );
-        page.counter(
-            "gtpq_aborted_runs_total",
-            "Engine runs aborted mid-evaluation (timeout or cancellation).",
-            self.aborted as f64,
-        );
-        page.counter(
-            "gtpq_rows_truncated_total",
-            "Outcomes whose row window was cut short by a limit.",
-            self.rows_truncated as f64,
-        );
-        page.counter(
-            "gtpq_result_tuples_total",
-            "Result tuples produced by engine runs.",
-            self.result_tuples as f64,
-        );
-        page.counter(
-            "gtpq_enumerated_rows_total",
-            "Rows pulled from the streaming enumerator.",
-            self.enumerated_rows as f64,
-        );
-        page.counter(
-            "gtpq_input_nodes_total",
-            "Data-node accesses across engine runs.",
-            self.input_nodes as f64,
-        );
-        page.counter(
-            "gtpq_index_lookups_total",
-            "Reachability-index element lookups across engine runs.",
-            self.index_lookups as f64,
-        );
-        page.counter(
-            "gtpq_sim_pivot_filtered_total",
-            "Sim-indexed vectors discarded by the pivot filter (exact distance computations avoided).",
-            self.sim_pivot_filtered as f64,
-        );
-        page.counter(
-            "gtpq_sim_verified_total",
-            "Sim-indexed vectors verified with an exact distance or cosine computation.",
-            self.sim_verified as f64,
-        );
-        page.gauge(
-            "gtpq_sim_filter_selectivity",
-            "Fraction of sim-indexed vectors the pivot filter discarded without verification.",
-            self.sim_filter_selectivity(),
-        );
-        page.counter(
-            "gtpq_plan_cache_hits_total",
-            "Evaluations that reused a cached physical plan.",
-            self.plan_cache_hits as f64,
-        );
-        page.counter(
-            "gtpq_plan_cache_misses_total",
-            "Evaluations that built a fresh physical plan.",
-            self.plan_cache_misses as f64,
-        );
-        page.counter(
-            "gtpq_eval_seconds_total",
-            "Engine evaluation time across cache misses.",
-            self.eval_time.as_secs_f64(),
-        );
-        page.counter(
-            "gtpq_worker_busy_seconds",
-            "Busy time across intra-query morsel workers (sums over workers).",
-            self.worker_busy_time.as_secs_f64(),
-        );
-        page.counter(
-            "gtpq_morsels_total",
-            "Morsels dispatched to intra-query workers.",
-            self.morsels as f64,
-        );
-        page.gauge(
-            "gtpq_morsel_queue_depth_max",
-            "Deepest partition-consumer queue observed during enumeration.",
-            self.max_queue_depth as f64,
-        );
-        page.counter(
-            "gtpq_aborted_eval_seconds_total",
-            "Engine time spent in runs that were ultimately aborted.",
-            self.aborted_eval_time.as_secs_f64(),
-        );
-        page.gauge(
-            "gtpq_graph_epoch",
-            "Epoch of the graph generation the service answers for.",
-            self.graph_epoch as f64,
-        );
-        page.counter(
-            "gtpq_epoch_rotations_total",
-            "Commits the service rotated its generation state over to.",
-            self.epoch_rotations as f64,
-        );
-        page.counter(
-            "gtpq_stale_evictions_total",
-            "Cached results and plans dropped because the graph mutated.",
-            self.stale_evictions as f64,
-        );
-        page.gauge(
-            "gtpq_uptime_seconds",
-            "Time since the service was created.",
-            self.uptime.as_secs_f64(),
-        );
-        page.gauge(
-            "gtpq_cache_hit_ratio",
-            "Fraction of queries served from the result cache.",
-            self.hit_rate(),
-        );
-        page.gauge(
-            "gtpq_recent_qps",
-            "Requests per second over the trailing window.",
-            self.recent_qps,
-        );
-        page.gauge(
-            "gtpq_recent_cache_hit_ratio",
-            "Fraction of recent requests served from the result cache.",
-            self.recent_hit_rate(),
-        );
+        self.render_counters(&mut page);
         page.histogram_seconds(
             "gtpq_request_latency_seconds",
             "End-to-end submit latency.",
@@ -749,7 +493,156 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use gtpq_core::OperatorStats;
+    use gtpq_obs::prom::valid_metric_name;
+
     use super::*;
+
+    /// `(family, kind)` of every `# TYPE` line, in page order.
+    fn families(page: &str) -> Vec<(&str, &str)> {
+        page.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|rest| rest.split_once(' ').expect("TYPE lines carry a kind"))
+            .collect()
+    }
+
+    /// The value of an unlabelled counter or gauge family.
+    fn sample(page: &str, family: &str) -> f64 {
+        let mut lines = page
+            .lines()
+            .filter_map(|l| l.strip_prefix(family)?.strip_prefix(' '));
+        let value = lines
+            .next()
+            .unwrap_or_else(|| panic!("no sample of {family}"));
+        assert_eq!(lines.next(), None, "{family} has more than one sample");
+        value.parse().expect("sample values are numbers")
+    }
+
+    /// A run with every projected `EvalStats` field set, each to its own value.
+    fn busy_run() -> EvalStats {
+        EvalStats {
+            input_nodes: 11,
+            index_lookups: 12,
+            index_hits: 13,
+            scanned_nodes: 14,
+            sim_pivot_filtered: 15,
+            sim_verified: 16,
+            result_tuples: 17,
+            enumerated_rows: 18,
+            morsels_dispatched: 19,
+            max_queue_depth: 20,
+            candidate_time: Duration::from_millis(1),
+            prune_down_time: Duration::from_millis(2),
+            prune_up_time: Duration::from_millis(3),
+            matching_graph_time: Duration::from_millis(4),
+            enumerate_time: Duration::from_millis(5),
+            plan_time: Duration::from_millis(6),
+            worker_busy_time: Duration::from_millis(8),
+            time_to_first_row: Duration::from_micros(7),
+            operators: vec![OperatorStats {
+                label: "IndexScan u0".into(),
+                estimated_rows: 30,
+                actual_rows: 20,
+                time: Duration::from_millis(1),
+            }],
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn every_table_row_is_one_valid_family_on_a_real_page() {
+        let m = ServiceMetrics::new();
+        m.record_miss(&busy_run());
+        m.record_hit();
+        m.record_latency(Duration::from_millis(2));
+        let page = m.snapshot().render_prometheus();
+        let families = families(&page);
+        // 30 stored rows + 5 derived gauges + 3 histogram families.
+        assert_eq!(families.len(), 38, "{families:?}");
+        for (i, (family, kind)) in families.iter().enumerate() {
+            assert!(valid_metric_name(family), "{family}");
+            assert!(
+                !families[..i].iter().any(|(earlier, _)| earlier == family),
+                "{family} is declared twice"
+            );
+            match *kind {
+                "counter" => assert!(family.ends_with("_total"), "counter {family}"),
+                "gauge" => assert!(!family.ends_with("_total"), "gauge {family}"),
+                "histogram" => continue,
+                other => panic!("{family} has unknown kind {other}"),
+            }
+            assert!(sample(&page, family).is_finite());
+        }
+    }
+
+    #[test]
+    fn engine_fed_rows_fold_complete_and_aborted_runs_as_pinned() {
+        // (family, value after one `record_miss`, after one `record_aborted`)
+        // of the same run — every stored row, so a new row has to say here
+        // what feeds it.  An aborted run keeps its partial work but counts
+        // under `aborted` / `aborted_eval_time`, never as a query or a miss.
+        let pinned: [(&str, f64, f64); 30] = [
+            ("gtpq_queries_total", 1.0, 0.0),
+            ("gtpq_cache_hits_total", 0.0, 0.0),
+            ("gtpq_cache_misses_total", 1.0, 0.0),
+            ("gtpq_batches_total", 0.0, 0.0),
+            ("gtpq_timeouts_total", 0.0, 0.0),
+            ("gtpq_cancelled_total", 0.0, 0.0),
+            ("gtpq_aborted_runs_total", 0.0, 1.0),
+            ("gtpq_rows_truncated_total", 0.0, 0.0),
+            ("gtpq_result_tuples_total", 17.0, 0.0),
+            ("gtpq_enumerated_rows_total", 18.0, 18.0),
+            ("gtpq_input_nodes_total", 11.0, 11.0),
+            ("gtpq_index_lookups_total", 12.0, 12.0),
+            ("gtpq_index_hits_total", 13.0, 13.0),
+            ("gtpq_scanned_nodes_total", 14.0, 14.0),
+            ("gtpq_sim_pivot_filtered_total", 15.0, 15.0),
+            ("gtpq_sim_verified_total", 16.0, 16.0),
+            ("gtpq_plan_cache_hits_total", 0.0, 0.0),
+            ("gtpq_plan_cache_misses_total", 0.0, 0.0),
+            ("gtpq_plan_seconds_total", 0.006, 0.0),
+            ("gtpq_estimated_rows_total", 30.0, 0.0),
+            ("gtpq_actual_rows_total", 20.0, 0.0),
+            ("gtpq_estimation_error_rows_total", 10.0, 0.0),
+            ("gtpq_eval_seconds_total", 0.021, 0.0),
+            ("gtpq_worker_busy_seconds_total", 0.008, 0.008),
+            ("gtpq_morsels_total", 19.0, 19.0),
+            ("gtpq_morsel_queue_depth_max", 20.0, 20.0),
+            ("gtpq_aborted_eval_seconds_total", 0.0, 0.021),
+            ("gtpq_graph_epoch", 0.0, 0.0),
+            ("gtpq_epoch_rotations_total", 0.0, 0.0),
+            ("gtpq_stale_evictions_total", 0.0, 0.0),
+        ];
+        let (complete, aborted) = (ServiceMetrics::new(), ServiceMetrics::new());
+        complete.record_miss(&busy_run());
+        aborted.record_aborted(&busy_run());
+        let (complete, aborted) = (complete.snapshot(), aborted.snapshot());
+        let (miss_page, abort_page) = (complete.render_prometheus(), aborted.render_prometheus());
+        for ((family, _), (pin, after_miss, after_abort)) in families(&miss_page).iter().zip(pinned)
+        {
+            assert_eq!(*family, pin, "stored rows render first, in table order");
+            assert!(
+                (sample(&miss_page, pin) - after_miss).abs() < 1e-12,
+                "{pin} after a miss"
+            );
+            assert!(
+                (sample(&abort_page, pin) - after_abort).abs() < 1e-12,
+                "{pin} after an abort"
+            );
+        }
+        // Both kinds of run are load and reach the stage histograms; only a
+        // complete run has a first row.
+        for snap in [&complete, &aborted] {
+            assert_eq!(snap.recent_queries, 1);
+            assert_eq!(snap.stages.eval.count, 1);
+            assert_eq!(snap.stages.eval.sum_duration(), Duration::from_millis(21));
+            assert_eq!(
+                snap.stages.prune_up.sum_duration(),
+                Duration::from_millis(3)
+            );
+        }
+        assert_eq!((complete.ttfr.count, aborted.ttfr.count), (1, 0));
+    }
 
     #[test]
     fn rollups_accumulate_and_rates_derive() {
@@ -777,7 +670,10 @@ mod tests {
         assert_eq!(snap.index_hits, 18);
         assert_eq!(snap.scanned_nodes, 6);
         assert!((snap.index_serve_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(snap.candidate_time, Duration::from_millis(4));
+        assert_eq!(
+            snap.stages.candidates.sum_duration(),
+            Duration::from_millis(4)
+        );
         assert_eq!(snap.eval_time, Duration::from_millis(10));
         assert_eq!(snap.mean_eval_time(), Duration::from_millis(5));
         assert!((snap.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
@@ -823,33 +719,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(uneven.mean_eval_time(), Duration::from_nanos(3));
-    }
-
-    #[test]
-    fn aborted_runs_fold_partial_stats_without_counting_as_misses() {
-        let m = ServiceMetrics::new();
-        let partial = EvalStats {
-            candidate_time: Duration::from_millis(4),
-            prune_down_time: Duration::from_millis(1),
-            input_nodes: 100,
-            index_lookups: 40,
-            ..Default::default()
-        };
-        m.record_aborted(&partial);
-        m.record_timeout();
-        let snap = m.snapshot();
-        assert_eq!(snap.aborted, 1);
-        assert_eq!(snap.aborted_eval_time, Duration::from_millis(5));
-        assert_eq!(snap.queries, 0, "no answer was produced");
-        assert_eq!(snap.cache_misses, 0);
-        assert_eq!(snap.eval_time, Duration::ZERO);
-        // The partial work is visible in the stage rollups and histograms.
-        assert_eq!(snap.candidate_time, Duration::from_millis(4));
-        assert_eq!(snap.prune_down_time, Duration::from_millis(1));
-        assert_eq!(snap.input_nodes, 100);
-        assert_eq!(snap.index_lookups, 40);
-        assert_eq!(snap.stages.candidates.count, 1);
-        assert_eq!(snap.recent_queries, 1, "aborted requests count as load");
     }
 
     #[test]
@@ -994,9 +863,7 @@ mod tests {
             "busy time exceeds engine time"
         );
         let page = snap.render_prometheus();
-        assert!(page.contains("# TYPE gtpq_worker_busy_seconds counter"));
-        assert!(page.contains("gtpq_morsels_total 15"));
-        assert!(page.contains("# TYPE gtpq_morsel_queue_depth_max gauge"));
+        assert!(page.contains("# TYPE gtpq_worker_busy_seconds_total counter"));
         assert!(page.contains("gtpq_morsel_queue_depth_max 5"));
     }
 
@@ -1014,12 +881,9 @@ mod tests {
         m.set_graph_epoch(5);
         assert_eq!(m.snapshot().graph_epoch, 6);
         let page = snap.render_prometheus();
-        assert!(page.contains("# TYPE gtpq_graph_epoch gauge"));
-        assert!(page.contains("gtpq_graph_epoch 6"));
-        assert!(page.contains("# TYPE gtpq_epoch_rotations_total counter"));
-        assert!(page.contains("gtpq_epoch_rotations_total 2"));
-        assert!(page.contains("# TYPE gtpq_stale_evictions_total counter"));
-        assert!(page.contains("gtpq_stale_evictions_total 2"));
+        assert_eq!(sample(&page, "gtpq_graph_epoch"), 6.0);
+        assert_eq!(sample(&page, "gtpq_epoch_rotations_total"), 2.0);
+        assert_eq!(sample(&page, "gtpq_stale_evictions_total"), 2.0);
     }
 
     #[test]
@@ -1045,16 +909,11 @@ mod tests {
             0.0
         );
         let page = snap.render_prometheus();
-        assert!(page.contains("# TYPE gtpq_sim_pivot_filtered_total counter"));
-        assert!(page.contains("gtpq_sim_pivot_filtered_total 100"));
-        assert!(page.contains("# TYPE gtpq_sim_verified_total counter"));
-        assert!(page.contains("gtpq_sim_verified_total 20"));
-        assert!(page.contains("# TYPE gtpq_sim_filter_selectivity gauge"));
+        assert!((sample(&page, "gtpq_sim_filter_selectivity") - 100.0 / 120.0).abs() < 1e-9);
     }
 
     #[test]
     fn plan_metrics_roll_up() {
-        use gtpq_core::OperatorStats;
         let m = ServiceMetrics::new();
         m.record_plan_miss();
         m.record_plan_hit();

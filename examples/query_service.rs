@@ -60,10 +60,10 @@ fn main() {
     println!(
         "engine time {:?} (candidates {:?}, pruning {:?}, matching {:?}, enumeration {:?})",
         m.eval_time,
-        m.candidate_time,
-        m.prune_down_time + m.prune_up_time,
-        m.matching_time,
-        m.enumerate_time
+        m.stages.candidates.sum_duration(),
+        m.stages.prune_down.sum_duration() + m.stages.prune_up.sum_duration(),
+        m.stages.matching.sum_duration(),
+        m.stages.enumerate.sum_duration()
     );
     // At least the whole warm batch hits; equivalent random queries inside
     // the cold batch can add more.

@@ -1,6 +1,9 @@
 //! Anti-rot tests for `docs/OBSERVABILITY.md`:
 //!
-//! * the Prometheus family table is cross-checked against a real
+//! * the Prometheus family table is the block [`family_table`] writes from
+//!   a real scrape page's `# HELP` / `# TYPE` lines (which the service's
+//!   counter table emits), compared verbatim and printed on mismatch,
+//! * the table is also cross-checked against a real
 //!   `render_prometheus()` scrape page in **both** directions — a family on
 //!   the page but not in the doc fails, and a documented family that the
 //!   page no longer emits fails,
@@ -38,6 +41,60 @@ fn doc_families() -> BTreeSet<String> {
         }
     }
     families
+}
+
+/// The distinct `stage` label values a scrape page emits, in page order.
+fn page_stages(page: &str) -> Vec<&str> {
+    let mut stages = Vec::new();
+    for piece in page.split("stage=\"").skip(1) {
+        let stage = piece.split('"').next().expect("label value is closed");
+        if !stages.contains(&stage) {
+            stages.push(stage);
+        }
+    }
+    stages
+}
+
+/// The doc's family table as a scrape page dictates it: one row per
+/// `# HELP` / `# TYPE` pair in page order, the `stage` label values listed on
+/// the one labelled family.
+fn family_table(page: &str) -> String {
+    let stages = page_stages(page);
+    let mut table = String::from("| family | kind | meaning |\n|---|---|---|\n");
+    let mut lines = page.lines();
+    while let Some(line) = lines.next() {
+        let Some(help) = line.strip_prefix("# HELP ") else {
+            continue;
+        };
+        let (family, help) = help.split_once(' ').expect("HELP lines carry text");
+        let kind = lines
+            .next()
+            .and_then(|l| l.strip_prefix("# TYPE "))
+            .and_then(|l| l.strip_prefix(family))
+            .expect("a TYPE line follows every HELP line")
+            .trim();
+        if page.contains(&format!("{family}_bucket{{stage=")) {
+            let stages = stages.join("`, `");
+            table +=
+                &format!("| `{family}{{stage=\"…\"}}` | {kind} | {help} Stages: `{stages}`. |\n");
+        } else {
+            table += &format!("| `{family}` | {kind} | {help} |\n");
+        }
+    }
+    table
+}
+
+/// The block of the doc between the `families:begin` and `families:end`
+/// marker lines.
+fn doc_family_block() -> &'static str {
+    let after = OBSERVABILITY_MD
+        .split_once("<!-- families:begin")
+        .expect("doc has a families:begin marker")
+        .1;
+    let body = after.split_once("-->\n").expect("marker line is closed").1;
+    body.split_once("<!-- families:end -->")
+        .expect("doc has a families:end marker")
+        .0
 }
 
 /// Stage names promised by the tree diagram in the "Span traces" section:
@@ -89,6 +146,13 @@ fn prometheus_family_table_matches_a_real_scrape_page() {
     }
     let page = service.metrics().render_prometheus();
 
+    let generated = family_table(&page);
+    assert!(
+        doc_family_block() == generated,
+        "the family table in docs/OBSERVABILITY.md is stale; replace the block between the \
+         families:begin / families:end markers with:\n\n{generated}"
+    );
+
     let on_page: BTreeSet<String> = page
         .lines()
         .filter_map(|l| l.strip_prefix("# TYPE "))
@@ -120,12 +184,8 @@ fn prometheus_family_table_matches_a_real_scrape_page() {
 
     // Every stage label value the page emits is named (in backticks) in the
     // doc's `gtpq_stage_seconds` row.
-    let stages: BTreeSet<&str> = page
-        .split("stage=\"")
-        .skip(1)
-        .map(|piece| piece.split('"').next().expect("label value is closed"))
-        .collect();
-    assert!(stages.contains("candidates"), "stage labels: {stages:?}");
+    let stages = page_stages(&page);
+    assert!(stages.contains(&"candidates"), "stage labels: {stages:?}");
     for stage in &stages {
         assert!(
             OBSERVABILITY_MD.contains(&format!("`{stage}`")),
