@@ -1,5 +1,5 @@
-//! Ablation of GTEA's design decisions (upward pruning, contour merging,
-//! prime-subtree shrinking) plus HGJoin+ vs HGJoin* — the graph-vs-tuple
+//! Ablation of GTEA's design decisions (upward pruning, set-at-a-time vs
+//! pairwise AD pruning, prime-subtree shrinking) plus HGJoin+ vs HGJoin* — the graph-vs-tuple
 //! intermediate representation comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
     for (name, options) in [
         ("full", GteaOptions::default()),
         ("no-upward-pruning", GteaOptions::without_upward_pruning()),
-        ("no-contours", GteaOptions::without_contours()),
+        ("pairwise-pruning", GteaOptions::without_contours()),
         ("no-shrinking", GteaOptions::without_shrinking()),
     ] {
         let engine = GteaEngine::with_options(&g, options);

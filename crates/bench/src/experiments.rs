@@ -461,7 +461,7 @@ fn fig12bcd(prefix: &str) -> Result<(), String> {
 }
 
 /// Ablation of GTEA's design decisions (DESIGN.md §3): upward pruning,
-/// contour merging, prime-subtree shrinking.
+/// set-at-a-time vs pairwise AD pruning, prime-subtree shrinking.
 fn ablation() -> Result<(), String> {
     println!("== Ablation: GTEA design decisions on XMark scale 1.0, Q3 ==");
     let g = xmark_graph(1.0);
@@ -473,7 +473,7 @@ fn ablation() -> Result<(), String> {
     for (name, options) in [
         ("full", GteaOptions::default()),
         ("no upward pruning", GteaOptions::without_upward_pruning()),
-        ("no contour merging", GteaOptions::without_contours()),
+        ("pairwise AD pruning", GteaOptions::without_contours()),
         ("no subtree shrinking", GteaOptions::without_shrinking()),
     ] {
         let engine = GteaEngine::with_options(&g, options);

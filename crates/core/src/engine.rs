@@ -743,6 +743,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "cancel-on-probe"
             }
+            fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> gtpq_reach::Probe<'s> {
+                self.token.cancel();
+                self.inner.pred_probe(targets)
+            }
+            fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> gtpq_reach::Probe<'s> {
+                self.token.cancel();
+                self.inner.succ_probe(sources)
+            }
         }
         let g = example_graph();
         let q = example_query();

@@ -19,8 +19,10 @@
 //!    that violate *downward* structural constraints (the subtree pattern
 //!    below their query node, including disjunction and negation), then
 //!    [`prune::prune_upward`] removes candidates of the *prime subtree* that
-//!    are not reachable from any candidate of their parent.  Both rounds use
-//!    the 3-hop index and the contour merging of Procedure 2 instead of
+//!    are not reachable from any candidate of their parent.  Both rounds are
+//!    set-at-a-time, as the paper's contour merging (Procedure 2) intends:
+//!    one condensation sweep per (step, AD child) through the backend's
+//!    prepared set probe, then one bit test per candidate, instead of
 //!    pairwise reachability probes.
 //! 3. **Maximal matching graph** — matches of the *shrunk prime subtree* are
 //!    represented as a graph (each data node stored once, one edge per

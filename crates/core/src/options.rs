@@ -10,9 +10,12 @@ pub struct GteaOptions {
     /// Run the upward pruning round (Procedure 7).  Disabling it leaves more
     /// candidates in the matching graph but still produces correct answers.
     pub upward_pruning: bool,
-    /// Use merged contours (Procedure 2) for set reachability during pruning.
-    /// When disabled, the engine probes the 3-hop index pairwise per
-    /// candidate/target, as a traditional structural-join algorithm would.
+    /// Answer set reachability during pruning set-at-a-time — the role the
+    /// paper gives contour merging (Procedure 2) — through the backend's
+    /// prepared set probes, one condensation sweep per (prune step, AD
+    /// child).  When disabled, the engine calls the backend's point probe
+    /// `reaches` pairwise per candidate/target, as a traditional
+    /// structural-join algorithm would.
     pub use_contours: bool,
     /// Shrink the prime subtree by removing query nodes with a single
     /// remaining candidate (§4.3).  Disabling keeps the full prime subtree.
@@ -38,8 +41,8 @@ impl GteaOptions {
         }
     }
 
-    /// The configuration used by the ablation that replaces contour merging
-    /// with pairwise index probes.
+    /// The configuration used by the ablation that replaces set-at-a-time
+    /// pruning with pairwise index probes.
     pub fn without_contours() -> Self {
         Self {
             use_contours: false,

@@ -1,11 +1,12 @@
 //! The two-round pruning process (§4.2, Procedures 6 and 7).
 
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::time::Instant;
 
 use gtpq_graph::{Condensation, DataGraph, NodeBitSet, NodeId};
 use gtpq_logic::valuation::eval_with;
-use gtpq_query::{EdgeKind, Gtpq, QueryNodeId};
+use gtpq_query::{EdgeKind, Gtpq};
 use gtpq_reach::{Probe, Reachability};
 
 use crate::exec::{ExecCtl, Interrupt};
@@ -24,8 +25,8 @@ const SNAP_MIN_CANDIDATES: usize = 4096;
 /// rounds snap boundaries to the graph's SCC structure (candidate lists are
 /// sorted by node id, so one component's candidates are contiguous whenever
 /// node ids follow component layout) — one worker then owns each big
-/// component's run of candidates, keeping its contour probes and adjacency
-/// reads on one thread.  The condensation is built once and reused across
+/// component's run of candidates, keeping its probes and adjacency reads on
+/// one thread.  The condensation is built once and reused across
 /// the round's steps.
 fn prune_ranges(
     g: &DataGraph,
@@ -41,6 +42,22 @@ fn prune_ranges(
     morsel::snap_ranges(&ranges, |a, b| {
         cond.component_of(candidates[a]) == cond.component_of(candidates[b])
     })
+}
+
+/// How one child's variable of `fext(u)` is answered for a candidate `v` of
+/// `u` during a downward step — resolved once per step, indexed by `VarId`.
+enum ChildTest<'a> {
+    /// The variable names no child of the step's node: never true.
+    Absent,
+    /// PC child: some graph child of `v` is in the candidate bitset held in
+    /// this slot of the step's bitset pool.
+    Child(usize),
+    /// AD child, set-at-a-time: the backend's prepared predecessor probe
+    /// over the child's candidates.
+    Probe(Probe<'a>),
+    /// AD child, pairwise `reaches` against each of the child's candidates
+    /// (`use_contours == false`, the ablation baseline).
+    Pairwise(&'a [NodeId]),
 }
 
 /// Selects the initial candidate matching nodes `mat(u)` for every query node
@@ -75,8 +92,10 @@ pub fn initial_candidates(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec
 /// each child's variable from the reachability of `v` into the (already
 /// pruned) candidate set of the child, and `v` is kept only when the
 /// extended structural predicate `fext(u)` evaluates to true.  AD children
-/// are answered through the backend's prepared predecessor probe (merged
-/// contours + Proposition 7 on 3-hop); PC children are answered exactly
+/// are answered set-at-a-time through the backend's prepared predecessor
+/// probe — one condensation sweep per (step, AD child), then one bit test
+/// per candidate, so a step costs O(V + E + |mat(u)|) rather than
+/// O(|mat(u)| · |mat(child)|) probes; PC children are answered exactly
 /// through the adjacency lists.  One [`OperatorStats`] entry is recorded per
 /// step.
 ///
@@ -136,68 +155,71 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
         let span = ctl.tracer().span_with(|| format!("prune_down {u}"));
         let op_start = Instant::now();
         let fext = q.fext(u);
-        let children = q.children(u);
-
-        // Per-child acceleration structures.
-        let mut ad_probes: Vec<Option<Probe<'_>>> = Vec::with_capacity(children.len());
-        let mut pc_slots: Vec<Option<usize>> = Vec::with_capacity(children.len());
-        let mut pc_used = 0usize;
-        for &c in children {
-            match q.incoming_edge(c) {
-                Some(EdgeKind::Child) => {
-                    if pc_used == pc_pool.len() {
-                        pc_pool.push(NodeBitSet::new(g.node_count()));
-                    }
-                    let bits = &mut pc_pool[pc_used];
-                    bits.clear();
-                    bits.extend_from_slice(&mat[c.index()]);
-                    ad_probes.push(None);
-                    pc_slots.push(Some(pc_used));
-                    pc_used += 1;
-                }
-                _ => {
-                    let probe = if options.use_contours {
-                        Some(index.pred_probe(&mat[c.index()]))
-                    } else {
-                        None
-                    };
-                    ad_probes.push(probe);
-                    pc_slots.push(None);
-                }
-            }
-        }
 
         let candidates = std::mem::take(&mut mat[u.index()]);
         stats.input_nodes += candidates.len() as u64;
+
         let ranges = prune_ranges(g, &candidates, ctl, &mut condensation);
+        // The span's `swept` field: per AD child, what preparing its set
+        // probe added to the backend's `lookup_count` — the condensation
+        // edges the sweep visited, which is all a boxed probe lets this
+        // module see.
+        let mut swept = String::new();
         let (candidates, adjacency_lookups) = {
-            let mat_ref: &[Vec<NodeId>] = mat;
-            let pool_ref: &[NodeBitSet] = &pc_pool;
-            let keep = |v: NodeId, lookups: &std::cell::Cell<u64>| {
-                eval_with(&fext, &|var| {
-                    let child = QueryNodeId::from_var(var);
-                    let Some(pos) = children.iter().position(|&c| c == child) else {
-                        return false;
-                    };
-                    match q.incoming_edge(child) {
-                        Some(EdgeKind::Child) => {
-                            let bits =
-                                &pool_ref[pc_slots[pos].expect("PC child has a bitset slot")];
-                            lookups.set(lookups.get() + g.out_degree(v) as u64);
-                            g.children(v).iter().any(|&c| bits.contains(c))
+            // Resolve every variable of `fext(u)` once per step: `tests[var]`
+            // says how the child behind `var` is answered, so the
+            // per-candidate work below is `eval_with` over table lookups.
+            let mut tests: Vec<ChildTest<'_>> = Vec::new();
+            tests.resize_with(q.size(), || ChildTest::Absent);
+            let mut pc_used = 0usize;
+            for &c in q.children(u) {
+                tests[c.index()] = match q.incoming_edge(c) {
+                    Some(EdgeKind::Child) => {
+                        if pc_used == pc_pool.len() {
+                            pc_pool.push(NodeBitSet::new(g.node_count()));
                         }
-                        _ => match &ad_probes[pos] {
-                            Some(probe) => probe(v),
-                            None => mat_ref[child.index()].iter().any(|&t| index.reaches(v, t)),
-                        },
+                        let bits = &mut pc_pool[pc_used];
+                        bits.clear();
+                        bits.extend_from_slice(&mat[c.index()]);
+                        pc_used += 1;
+                        ChildTest::Child(pc_used - 1)
                     }
-                })
+                    _ if options.use_contours => {
+                        let before = index.lookup_count();
+                        let probe = index.pred_probe(&mat[c.index()]);
+                        let edges = index.lookup_count().saturating_sub(before);
+                        let sep = if swept.is_empty() { "" } else { "," };
+                        let _ = write!(swept, "{sep}{c}:{edges}");
+                        ChildTest::Probe(probe)
+                    }
+                    _ => ChildTest::Pairwise(&mat[c.index()]),
+                };
+            }
+            let pool: &[NodeBitSet] = &pc_pool;
+            let keep = |v: NodeId, lookups: &std::cell::Cell<u64>| {
+                eval_with(
+                    &fext,
+                    &|var| match tests.get(var.index()).unwrap_or(&ChildTest::Absent) {
+                        ChildTest::Absent => false,
+                        ChildTest::Child(slot) => {
+                            lookups.set(lookups.get() + g.out_degree(v) as u64);
+                            g.children(v).iter().any(|&c| pool[*slot].contains(c))
+                        }
+                        ChildTest::Probe(probe) => probe(v),
+                        ChildTest::Pairwise(targets) => {
+                            targets.iter().any(|&t| index.reaches(v, t))
+                        }
+                    },
+                )
             };
             morsel::parallel_retain(candidates, &ranges, ctl, stats, keep)?
         };
         stats.index_lookups += adjacency_lookups;
         span.field("est_rows", step.estimated_rows);
         span.field("actual_rows", candidates.len());
+        if !swept.is_empty() {
+            span.field("swept", &swept);
+        }
         drop(span);
         stats.operators.push(OperatorStats {
             label: format!("PruneDown {u}"),
@@ -222,8 +244,9 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
 /// are not reachable from any candidate of their prime parent.
 ///
 /// Processes the prime subtree top-down; AD edges are answered through the
-/// backend's prepared successor probe (merged contours on 3-hop), PC edges
-/// exactly through the adjacency lists.  Recorded as one `PruneUp` operator
+/// backend's prepared successor probe (one forward condensation sweep from
+/// the parent's candidates per edge), PC edges exactly through the adjacency
+/// lists.  Recorded as one `PruneUp` operator
 /// whose actual rows are the surviving prime-subtree candidates;
 /// `estimated_rows` is the plan's survivor estimate (0 for unplanned calls).
 /// As with [`prune_downward`], the round's rollups and `prune_up_time` are
@@ -273,6 +296,7 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
     let mut condensation: Option<Condensation> = None;
     for &u in &prime.nodes {
         for &child in prime.children_of(u) {
+            let span = ctl.tracer().span_with(|| format!("prune_up {child}"));
             let candidates = std::mem::take(&mut mat[child.index()]);
             stats.input_nodes += candidates.len() as u64;
             let ranges = prune_ranges(g, &candidates, ctl, &mut condensation);
@@ -286,18 +310,21 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                         g.parents(v).iter().any(|&p| bits.contains(p))
                     })?
                 }
+                _ if options.use_contours => {
+                    let before = index.lookup_count();
+                    let probe = index.succ_probe(&mat[u.index()]);
+                    span.field("swept", index.lookup_count().saturating_sub(before));
+                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| probe(v))?
+                }
                 _ => {
-                    if options.use_contours {
-                        let probe = index.succ_probe(&mat[u.index()]);
-                        morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| probe(v))?
-                    } else {
-                        let parents = &mat[u.index()];
-                        morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| {
-                            parents.iter().any(|&s| index.reaches(s, v))
-                        })?
-                    }
+                    let parents = &mat[u.index()];
+                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| {
+                        parents.iter().any(|&s| index.reaches(s, v))
+                    })?
                 }
             };
+            span.field("actual_rows", kept.len());
+            drop(span);
             stats.index_lookups += lookups;
             mat[child.index()] = kept;
         }
@@ -309,7 +336,7 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
 mod tests {
     use gtpq_query::fixtures::{example_graph, example_query};
     use gtpq_query::naive;
-    use gtpq_reach::ThreeHop;
+    use gtpq_reach::{BackendKind, ThreeHop};
 
     use super::*;
 
@@ -388,37 +415,138 @@ mod tests {
         }
     }
 
+    /// A graph whose AD edges cross a two-node cycle (`b1 ⇄ c2`), a
+    /// self-loop (`b3`) and acyclic tails, with a query that puts a backbone
+    /// AD chain and a negated AD predicate on it.
+    fn cyclic_fixture() -> (DataGraph, Gtpq) {
+        let mut b = gtpq_graph::GraphBuilder::new();
+        let v: Vec<NodeId> = ["a", "b", "c", "b", "d", "a", "c", "d", "b", "a"]
+            .iter()
+            .map(|label| b.add_node_with_label(label))
+            .collect();
+        for (x, y) in [
+            (0, 1),
+            (1, 2),
+            (2, 1), // cycle b1 <-> c2
+            (2, 4),
+            (0, 3),
+            (3, 3), // self-loop on b3
+            (3, 6),
+            (5, 8), // a5 -> b8 -> d7: a b with no c below it
+            (8, 7),
+            (9, 6), // a9 reaches a c but no b
+        ] {
+            b.add_edge(v[x], v[y]);
+        }
+        let q = gtpq_query::parse_query("a* { //b* { //c* where !(//b) | //d } }").unwrap();
+        (b.build(), q)
+    }
+
+    /// Candidate sets after the downward round (and the upward one when
+    /// `upward`), under `kind` with `options`.
+    fn pruned(
+        g: &DataGraph,
+        q: &Gtpq,
+        kind: BackendKind,
+        options: &GteaOptions,
+        upward: bool,
+    ) -> Vec<Vec<NodeId>> {
+        let index = kind.build_shared(g);
+        let mut stats = EvalStats::default();
+        let mut mat = initial_candidates(q, g, &mut stats);
+        let ctl = ExecCtl::unbounded();
+        let steps = PruneStep::bottom_up(q);
+        prune_downward(q, g, &index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+        if upward {
+            let prime = PrimeSubtree::new(q);
+            prune_upward(q, g, &index, options, &prime, 0, &mut mat, &mut stats, &ctl).unwrap();
+        }
+        mat
+    }
+
     #[test]
     fn downward_pruning_without_contours_gives_the_same_result() {
-        let g = example_graph();
-        let q = example_query();
-        let index = ThreeHop::new(&g);
+        for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
+            let table = naive::downward_matches(&q, &g);
+            for kind in BackendKind::ALL {
+                let swept = pruned(&g, &q, kind, &GteaOptions::default(), false);
+                let pairwise = pruned(&g, &q, kind, &GteaOptions::without_contours(), false);
+                assert_eq!(swept, pairwise, "{}", kind.as_str());
+                for u in q.node_ids() {
+                    let expected: Vec<NodeId> =
+                        g.nodes().filter(|&v| table[u.index()][v.index()]).collect();
+                    assert_eq!(swept[u.index()], expected, "{} at {u}", kind.as_str());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upward_pruning_without_contours_gives_the_same_result() {
+        for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
+            let reference = pruned(&g, &q, BackendKind::Closure, &GteaOptions::default(), true);
+            for kind in BackendKind::ALL {
+                let swept = pruned(&g, &q, kind, &GteaOptions::default(), true);
+                let pairwise = pruned(&g, &q, kind, &GteaOptions::without_contours(), true);
+                assert_eq!(swept, pairwise, "{}", kind.as_str());
+                assert_eq!(swept, reference, "{}", kind.as_str());
+            }
+        }
+        // On the cyclic fixture both rounds have work to do: b3 reaches a b
+        // (itself, through its self-loop) and no d, so it dies downward —
+        // and c6, which only b3 and a9 reach, dies upward.
+        let (g, q) = cyclic_fixture();
+        let mat = pruned(&g, &q, BackendKind::Sspi, &GteaOptions::default(), true);
+        assert_eq!(mat[0], vec![NodeId(0)]);
+        assert_eq!(mat[1], vec![NodeId(1)]);
+        assert_eq!(mat[2], vec![NodeId(2)]);
+    }
+
+    #[test]
+    fn traced_prune_spans_report_the_edges_each_sweep_visited() {
+        // The fixture's query has AD edges only, so the prune rounds'
+        // `index_lookups` is exactly what their sweeps visited.
+        let (g, q) = cyclic_fixture();
+        let index = BackendKind::Sspi.build_shared(&g);
+        let tracer = crate::Tracer::enabled();
+        let ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
+        let mut mat = initial_candidates(&q, &g, &mut EvalStats::default());
         let mut stats = EvalStats::default();
-        let mut with_contours = initial_candidates(&q, &g, &mut stats);
-        prune_downward(
-            &q,
-            &g,
-            &index,
-            &GteaOptions::default(),
-            &PruneStep::bottom_up(&q),
-            &mut with_contours,
-            &mut stats,
-            &ExecCtl::unbounded(),
+        let options = GteaOptions::default();
+        let steps = PruneStep::bottom_up(&q);
+        prune_downward(&q, &g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+        let prime = PrimeSubtree::new(&q);
+        prune_upward(
+            &q, &g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,
         )
         .unwrap();
-        let mut without = initial_candidates(&q, &g, &mut stats);
-        prune_downward(
-            &q,
-            &g,
-            &index,
-            &GteaOptions::without_contours(),
-            &PruneStep::bottom_up(&q),
-            &mut without,
-            &mut stats,
-            &ExecCtl::unbounded(),
-        )
-        .unwrap();
-        assert_eq!(with_contours, without);
+        let trace = tracer.finish().unwrap();
+
+        let swept_of = |name: &str| -> String {
+            let span = trace.span(name).unwrap_or_else(|| panic!("no {name} span"));
+            let field = span.fields.iter().find(|(k, _)| *k == "swept");
+            field
+                .unwrap_or_else(|| panic!("{name}: no swept field"))
+                .1
+                .clone()
+        };
+        // Downward spans name each AD child; u1 (b) has two, c and the
+        // predicate b and d children.
+        let down_u1 = swept_of("prune_down u1");
+        assert_eq!(down_u1.split(',').count(), 3, "{down_u1}");
+        assert!(down_u1.starts_with("u2:"), "{down_u1}");
+        let mut total = 0u64;
+        for name in ["prune_down u0", "prune_down u1"] {
+            for entry in swept_of(name).split(',') {
+                total += entry.split_once(':').unwrap().1.parse::<u64>().unwrap();
+            }
+        }
+        // Upward spans are per prime edge and carry the bare count.
+        for name in ["prune_up u1", "prune_up u2"] {
+            total += swept_of(name).parse::<u64>().unwrap();
+        }
+        assert!(total > 0);
+        assert_eq!(total, stats.index_lookups);
     }
 
     #[test]

@@ -36,8 +36,10 @@ pub struct EvalStats {
     /// Number of data-node accesses (`#input` in Fig. 10): candidates scanned
     /// during candidate selection and the two pruning rounds.
     pub input_nodes: u64,
-    /// Number of index elements looked up (`#index` in Fig. 10): 3-hop hop-list
-    /// entries read plus adjacency entries scanned for PC edges.
+    /// Number of index elements looked up (`#index` in Fig. 10): hop-list or
+    /// surplus entries read by point probes, condensation edges visited by
+    /// the prune rounds' set-probe sweeps (once per prepared probe), plus
+    /// adjacency entries scanned for PC edges.
     pub index_lookups: u64,
     /// Size of the intermediate results (`#intermediate` in Fig. 10): twice the
     /// number of nodes plus edges of the maximal matching graph, following the

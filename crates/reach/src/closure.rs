@@ -4,48 +4,13 @@
 //! small/medium graphs, as a correctness oracle for the other indexes, and by
 //! the naive semantic query evaluator in tests.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use gtpq_graph::condensation::CompId;
 use gtpq_graph::{Condensation, DataGraph, NodeId};
 
+use crate::sweep::{self, ComponentSet, Direction};
 use crate::Reachability;
-
-/// Dense bitset over component ids.
-#[derive(Clone, Debug, Default)]
-struct BitRow {
-    words: Vec<u64>,
-}
-
-impl BitRow {
-    fn new(bits: usize) -> Self {
-        Self {
-            words: vec![0; bits.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn union_with(&mut self, other: &BitRow) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    fn intersects(&self, other: &BitRow) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
 
 /// Exact transitive closure of a data graph, built on its SCC condensation.
 pub struct TransitiveClosure {
@@ -53,7 +18,10 @@ pub struct TransitiveClosure {
     /// `rows[c]` holds the set of components strictly reachable from `c`
     /// (excluding `c` itself unless `c` lies on a cycle through other comps —
     /// cyclicity of `c` itself is tracked by the condensation).
-    rows: Vec<BitRow>,
+    rows: Vec<ComponentSet>,
+    /// Condensation edges visited by set-probe sweeps since the last reset.
+    /// Point probes are single bit tests and are not counted.
+    swept_edges: AtomicU64,
 }
 
 impl TransitiveClosure {
@@ -67,20 +35,28 @@ impl TransitiveClosure {
     /// maintained condensation instead of re-running Tarjan.
     pub fn with_condensation(condensation: Condensation) -> Self {
         let n = condensation.component_count();
-        let mut rows: Vec<BitRow> = (0..n).map(|_| BitRow::new(n)).collect();
+        let mut rows: Vec<ComponentSet> = (0..n).map(|_| ComponentSet::new(n)).collect();
         // Reverse topological order: children before parents.  The borrowed
         // condensation CSR slices are read directly; only `rows` is mutated.
         for &c in condensation.topological_order().iter().rev() {
             for &s in condensation.successors(c) {
                 let (row_c, row_s) = Self::two_rows(&mut rows, c.index(), s.index());
-                row_c.set(s.index());
+                row_c.insert(s.index());
                 row_c.union_with(row_s);
             }
         }
-        Self { condensation, rows }
+        Self {
+            condensation,
+            rows,
+            swept_edges: AtomicU64::new(0),
+        }
     }
 
-    fn two_rows(rows: &mut [BitRow], a: usize, b: usize) -> (&mut BitRow, &BitRow) {
+    fn two_rows(
+        rows: &mut [ComponentSet],
+        a: usize,
+        b: usize,
+    ) -> (&mut ComponentSet, &ComponentSet) {
         assert_ne!(a, b);
         if a < b {
             let (left, right) = rows.split_at_mut(b);
@@ -114,41 +90,37 @@ impl Reachability for TransitiveClosure {
     }
 
     fn index_entries(&self) -> usize {
-        self.rows.iter().map(BitRow::count_ones).sum()
+        self.rows.iter().map(ComponentSet::len).sum()
     }
 
     fn name(&self) -> &'static str {
         crate::BackendKind::Closure.as_str()
     }
 
-    /// One bitset of target components, one row intersection per probe.
-    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
-        let n = self.condensation.component_count();
-        let mut target_bits = BitRow::new(n);
-        for &t in targets {
-            target_bits.set(self.condensation.component_of(t).index());
-        }
-        Box::new(move |v| {
-            let cv = self.condensation.component_of(v);
-            // Cross-component reach, or a target shares v's cyclic component
-            // (the non-empty-path self-reach case).
-            self.rows[cv.index()].intersects(&target_bits)
-                || (target_bits.get(cv.index()) && self.condensation.is_cyclic(cv))
-        })
+    fn lookup_count(&self) -> u64 {
+        self.swept_edges.load(Ordering::Relaxed)
     }
 
-    /// Union of the sources' closure rows, one bit test per probe.
+    fn reset_lookups(&self) {
+        self.swept_edges.store(0, Ordering::Relaxed);
+    }
+
+    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
+        sweep::probe(
+            &self.condensation,
+            &self.swept_edges,
+            targets,
+            Direction::Ancestors,
+        )
+    }
+
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> crate::Probe<'s> {
-        let n = self.condensation.component_count();
-        let mut reachable = BitRow::new(n);
-        for &s in sources {
-            let cs = self.condensation.component_of(s);
-            reachable.union_with(&self.rows[cs.index()]);
-            if self.condensation.is_cyclic(cs) {
-                reachable.set(cs.index());
-            }
-        }
-        Box::new(move |v| reachable.get(self.condensation.component_of(v).index()))
+        sweep::probe(
+            &self.condensation,
+            &self.swept_edges,
+            sources,
+            Direction::Descendants,
+        )
     }
 }
 

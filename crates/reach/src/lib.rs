@@ -2,15 +2,16 @@
 //!
 //! The paper's evaluation algorithm (GTEA) answers large numbers of
 //! ancestor-descendant (AD) checks through the *3-hop* reachability index and
-//! accelerates set-to-set checks by merging index lists into *contours*
-//! (Procedure 2, `MergePredLists`).  The TwigStackD baseline needs an
+//! answers set-to-set checks set-at-a-time by merging index lists into
+//! *contours* (Procedure 2, `MergePredLists`).  The TwigStackD baseline needs an
 //! SSPI-style index, and the tests need an exact oracle.  This crate provides
 //! exactly those three behind the common [`Reachability`] trait, one per
 //! [`BackendKind`]:
 //!
 //! * [`TransitiveClosure`] — exact bitset oracle, O(V·V/64) memory,
 //! * [`ThreeHop`] — chain cover ([`ChainDecomposition`]) + `Lin`/`Lout` hop
-//!   lists, contour merging ([`PredContour`] / [`SuccContour`]),
+//!   lists, with contour merging ([`PredContour`] / [`SuccContour`]) as the
+//!   paper's Procedure 2 library API,
 //! * [`Sspi`] — spanning-tree intervals + surplus predecessor lists (on a
 //!   forest the surplus lists are empty and it *is* the interval labelling).
 //!
@@ -23,12 +24,14 @@
 //! The GTEA engine (`gtpq-core`) is generic over [`Reachability`], so any
 //! index here can drive evaluation.  Beyond the point probe
 //! [`reaches`](Reachability::reaches), the trait exposes three *prepared
-//! probes* — [`pred_probe`](Reachability::pred_probe),
-//! [`succ_probe`](Reachability::succ_probe) and
-//! [`source_probe`](Reachability::source_probe) — that let a backend amortize
-//! work across a batch of checks against one node set (3-hop answers them
-//! with merged contours, the closure with bitset unions); the default
-//! implementations fall back to pairwise `reaches`.  Use
+//! probes*.  The two set probes — [`pred_probe`](Reachability::pred_probe)
+//! and [`succ_probe`](Reachability::succ_probe), what both prune rounds run
+//! on — are answered set-at-a-time on every backend by one [`sweep`] of the
+//! condensation: O(components + edges reached) to prepare, then one bit test
+//! per candidate, whatever the index.  The backends differ in the point
+//! probe and in [`source_probe`](Reachability::source_probe) (one source,
+//! many targets — the matching graph), which defaults to pairwise `reaches`
+//! and which 3-hop answers from one complete-successor-list computation.  Use
 //! [`select_backend`] to pick a backend from graph statistics, or
 //! [`BackendKind::build_shared`] to name one explicitly; [`BackendKind::ALL`]
 //! is the one table of backends everything else is derived from.
@@ -40,6 +43,7 @@ pub mod closure;
 pub mod contour;
 pub mod select;
 pub mod sspi;
+pub mod sweep;
 pub mod three_hop;
 
 use std::sync::Arc;
@@ -86,8 +90,10 @@ pub trait Reachability: Send + Sync {
 
     /// Cumulative number of index elements looked up since construction (or
     /// the last [`reset_lookups`](Self::reset_lookups)) — the `#index`
-    /// I/O-cost metric of Fig. 10.  Backends without instrumentation
-    /// report 0.
+    /// I/O-cost metric of Fig. 10.  Point probes count the hop-list or
+    /// surplus entries they read (none on the closure, whose point probe is
+    /// one bit test); a set-probe sweep counts the condensation edges it
+    /// visited.  Backends without instrumentation report 0.
     ///
     /// The counter is a property of the (possibly shared) index, so callers
     /// wanting a per-stage figure should take start/end deltas rather than
@@ -101,22 +107,22 @@ pub trait Reachability: Send + Sync {
     fn reset_lookups(&self) {}
 
     /// Prepares a probe answering "does `v` reach *some* member of
-    /// `targets`?" for many different `v`.
+    /// `targets`?" for many different `v` — the downward prune round.
     ///
-    /// The default copies `targets` and probes pairwise; 3-hop overrides it
-    /// with a merged predecessor contour (Procedure 2 + Proposition 7), the
-    /// transitive closure with a bitset union.
-    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> Probe<'s> {
-        let targets = targets.to_vec();
-        Box::new(move |v| targets.iter().any(|&t| self.reaches(v, t)))
-    }
+    /// There is no pairwise default: a set probe must cost one pass over
+    /// the set, not one `reaches` per (candidate, member) pair.  Every
+    /// backend here answers with one backward condensation
+    /// [`sweep`] from `targets`, adding the condensation edges it visited
+    /// to [`lookup_count`](Self::lookup_count) once, at preparation; the
+    /// prepared probe is then `component_of(v)` plus one bit test and counts
+    /// nothing.  Wrappers forward to the index they wrap.
+    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does *some* member of `sources` reach
-    /// `v`?" for many different `v`.
-    fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> Probe<'s> {
-        let sources = sources.to_vec();
-        Box::new(move |v| sources.iter().any(|&s| self.reaches(s, v)))
-    }
+    /// `v`?" for many different `v` — the upward prune round.  The forward
+    /// twin of [`pred_probe`](Self::pred_probe), with the same cost and
+    /// accounting.
+    fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does `source` reach `v`?" for many
     /// different `v` (one source, many targets — the matching-graph pattern).

@@ -165,6 +165,12 @@ impl BackendKind {
     /// quadratic bitset; 3-hop builds near-linearithmically and probes
     /// through hop-list merges; SSPI is interval-cheap on tree-like graphs
     /// but pays for surplus edges as density grows.
+    ///
+    /// `probe` describes the point probe `reaches` and the one-source
+    /// `source_probe` only.  The set probes of the prune rounds
+    /// (`pred_probe` / `succ_probe`) are one condensation
+    /// [`sweep`](crate::sweep) on every backend and cost the same
+    /// everywhere, so they do not discriminate between backends.
     pub fn cost_hints(self, profile: &GraphProfile) -> BackendCostHints {
         let n = profile.condensation_size.max(1) as f64;
         let e = profile.edges.max(1) as f64;

@@ -11,12 +11,55 @@
 //! recursive surplus expansion revisits many predecessors — exactly the
 //! behaviour the paper reports in §5.2.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use gtpq_graph::condensation::CompId;
 use gtpq_graph::{Condensation, DataGraph, NodeId};
 
+use crate::sweep::{self, Direction};
 use crate::Reachability;
+
+/// Per-thread scratch of [`Sspi::comp_reaches`]: a visited marker per
+/// component and the expansion stack, reused across calls so a probe that
+/// misses the tree interval allocates nothing.  `visited[c] == stamp` marks
+/// `c` as seen by the current call; bumping `stamp` clears all marks at once.
+/// Thread-local rather than a field of the index, which is shared by
+/// concurrent queries.
+#[derive(Default)]
+struct Scratch {
+    visited: Vec<u32>,
+    stamp: u32,
+    stack: Vec<CompId>,
+}
+
+impl Scratch {
+    /// Starts a fresh visited set over `components` component ids.
+    fn begin(&mut self, components: usize) {
+        if self.visited.len() < components {
+            self.visited.resize(components, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: marks of 2³² calls ago would read as current.
+            self.visited.fill(0);
+            self.stamp = 1;
+        }
+        self.stack.clear();
+    }
+
+    /// Marks `c`; returns whether this call had not seen it yet.
+    fn visit(&mut self, c: CompId) -> bool {
+        let slot = &mut self.visited[c.index()];
+        let fresh = *slot != self.stamp;
+        *slot = self.stamp;
+        fresh
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
 /// SSPI index over the SCC condensation of a data graph.
 pub struct Sspi {
@@ -144,31 +187,32 @@ impl Sspi {
             return true;
         }
         // Backward expansion of surplus predecessors of b and its tree ancestors.
-        let mut visited = vec![false; self.cond.component_count()];
-        let mut stack = vec![b];
-        visited[b.index()] = true;
-        while let Some(c) = stack.pop() {
-            // Walk tree ancestors of c (a could contain one of them... no: if a
-            // tree-contains an ancestor of c it tree-contains c, already
-            // handled; what matters are the surplus predecessors hanging off
-            // the ancestor path).
-            let mut cursor = Some(c);
-            while let Some(x) = cursor {
-                for &p in &self.surplus_in[x.index()] {
-                    self.visits
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if p == a || self.tree_contains(a, p) {
-                        return true;
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.begin(self.cond.component_count());
+            scratch.visit(b);
+            scratch.stack.push(b);
+            while let Some(c) = scratch.stack.pop() {
+                // Walk tree ancestors of c (if a tree-contains an ancestor of
+                // c it tree-contains c, already handled; what matters are
+                // the surplus predecessors hanging off the ancestor path).
+                let mut cursor = Some(c);
+                while let Some(x) = cursor {
+                    for &p in &self.surplus_in[x.index()] {
+                        self.visits
+                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if p == a || self.tree_contains(a, p) {
+                            return true;
+                        }
+                        if scratch.visit(p) {
+                            scratch.stack.push(p);
+                        }
                     }
-                    if !visited[p.index()] {
-                        visited[p.index()] = true;
-                        stack.push(p);
-                    }
+                    cursor = self.tree_parent[x.index()];
                 }
-                cursor = self.tree_parent[x.index()];
             }
-        }
-        false
+            false
+        })
     }
 
     /// Number of surplus-predecessor entries visited since the last reset.
@@ -211,6 +255,14 @@ impl Reachability for Sspi {
 
     fn reset_lookups(&self) {
         self.reset_visits()
+    }
+
+    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
+        sweep::probe(&self.cond, &self.visits, targets, Direction::Ancestors)
+    }
+
+    fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> crate::Probe<'s> {
+        sweep::probe(&self.cond, &self.visits, sources, Direction::Descendants)
     }
 }
 
@@ -291,5 +343,53 @@ mod tests {
         assert!(idx.visit_count() <= 10);
         assert_eq!(idx.name(), "sspi");
         assert!(idx.index_entries() >= 8);
+    }
+
+    #[test]
+    fn concurrent_probes_do_not_share_scratch() {
+        // Dense enough that most probes miss the tree interval and expand
+        // surplus predecessors through the visited scratch.
+        let mut edges = Vec::new();
+        for x in 0..24u32 {
+            for step in [1, 3, 7] {
+                if x + step < 24 {
+                    edges.push((x, x + step));
+                }
+            }
+        }
+        edges.extend([(9, 8), (20, 17)]); // two cycles
+        let g = build(&edges, 24);
+        let idx = Sspi::new(&g);
+        let expected: Vec<Vec<bool>> = g
+            .nodes()
+            .map(|u| g.nodes().map(|v| is_reachable(&g, u, v)).collect())
+            .collect();
+        // Both threads leave the barrier together and walk the pairs in
+        // opposite orders, so their expansions overlap in time.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for reversed in [false, true] {
+                let (g, idx, expected, barrier) = (&g, &idx, &expected, &barrier);
+                scope.spawn(move || {
+                    let mut pairs: Vec<(NodeId, NodeId)> = g
+                        .nodes()
+                        .flat_map(|u| g.nodes().map(move |v| (u, v)))
+                        .collect();
+                    if reversed {
+                        pairs.reverse();
+                    }
+                    barrier.wait();
+                    for _ in 0..4 {
+                        for &(u, v) in &pairs {
+                            assert_eq!(
+                                idx.reaches(u, v),
+                                expected[u.index()][v.index()],
+                                "{u} -> {v}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -13,10 +13,13 @@
 //!
 //! The *complete successor list* `X_v` (resp. *complete predecessor list*
 //! `Y_v`) is recovered at query time by walking up (resp. down) `v`'s chain
-//! through the `next`/`prev` tracing pointers and merging the hop lists, and
-//! set-to-set queries go through the merged contours of Procedure 2
-//! ([`ThreeHop::merge_pred_lists`] / [`ThreeHop::merge_succ_lists`]) and
-//! Proposition 7 ([`ThreeHop::node_reaches_set`] / [`ThreeHop::set_reaches_node`]).
+//! through the `next`/`prev` tracing pointers and merging the hop lists.
+//! The merged contours of Procedure 2 ([`ThreeHop::merge_pred_lists`] /
+//! [`ThreeHop::merge_succ_lists`]) and Proposition 7
+//! ([`ThreeHop::node_reaches_set`] / [`ThreeHop::set_reaches_node`]) are kept
+//! as the paper's set-to-set library API; the prepared probes of
+//! [`Reachability`] answer set questions with one condensation
+//! [`sweep`] instead, like every other backend.
 //!
 //! Construction note: the original 3-hop paper compresses the hop lists
 //! further with a densest-subgraph heuristic over the chain-to-chain
@@ -33,6 +36,7 @@ use gtpq_graph::{Condensation, DataGraph, NodeId};
 
 use crate::chain::{ChainDecomposition, ChainId, ChainPos};
 use crate::contour::{PredContour, SuccContour};
+use crate::sweep::{self, Direction};
 use crate::Reachability;
 
 /// A hop-list entry: a position on some chain.
@@ -482,16 +486,12 @@ impl Reachability for ThreeHop {
         ThreeHop::reset_lookups(self)
     }
 
-    /// Merged predecessor contour + Proposition 7 instead of pairwise probes.
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
-        let contour = self.merge_pred_lists(targets);
-        Box::new(move |v| self.node_reaches_set(v, &contour))
+        sweep::probe(&self.cond, &self.lookups, targets, Direction::Ancestors)
     }
 
-    /// Merged successor contour + Proposition 7 instead of pairwise probes.
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> crate::Probe<'s> {
-        let contour = self.merge_succ_lists(sources);
-        Box::new(move |v| self.set_reaches_node(&contour, v))
+        sweep::probe(&self.cond, &self.lookups, sources, Direction::Descendants)
     }
 
     /// One complete-successor-entry computation shared by all targets.

@@ -222,7 +222,7 @@ counters! {
         "Data-node accesses across engine runs (`#input`, Fig. 10)."
         <- EveryRun fetch_add |s| s.input_nodes;
     index_lookups: count, counter "gtpq_index_lookups_total",
-        "Reachability-index element lookups across engine runs (`#index`, Fig. 10)."
+        "Reachability-index element lookups across engine runs (`#index`, Fig. 10); a set-probe sweep counts the condensation edges it visited, once per prepared probe."
         <- EveryRun fetch_add |s| s.index_lookups;
     index_hits: count, counter "gtpq_index_hits_total",
         "Candidates served straight from the attribute inverted index."
