@@ -28,10 +28,16 @@
 //!    represented as a graph (each data node stored once, one edge per
 //!    matched query edge) rather than as tuples, the paper's key device for
 //!    keeping intermediate results small.
-//! 4. **Result enumeration** — [`stream`] walks the matching graph lazily
-//!    ([`MatchStream`] yields distinct output tuples in `ResultSet` order, so
-//!    limits push down), adding back the constant columns of output nodes
-//!    that were shrunk away.
+//! 4. **Result enumeration** — [`stream`] walks the matching graph on
+//!    demand: [`MatchStream`] yields distinct output tuples in `ResultSet`
+//!    order, so limits push down.  Each shrunk query node has a fixed column
+//!    layout (its subtree's output coordinates, ascending); an output node
+//!    whose own column leads is walked in place — candidates concatenated in
+//!    branch order, children combined by an odometer — while a non-output
+//!    node, a non-leading own column or interleaved child layouts collect
+//!    their rows into a sorted, deduplicated run, built on first touch and
+//!    memoised per (node, parent candidate).  The constant columns of output
+//!    nodes that were shrunk away are written once.
 //!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs

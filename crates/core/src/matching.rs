@@ -9,10 +9,10 @@
 //! number of matches is exponential.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
-use gtpq_graph::{DataGraph, NodeId};
+use gtpq_graph::{intersect_sorted, DataGraph, NodeId};
 use gtpq_query::{EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::Reachability;
 
@@ -22,12 +22,22 @@ use crate::prime::ShrunkPrime;
 use crate::stats::EvalStats;
 
 /// The maximal matching graph of a shrunk prime subtree.
+///
+/// Edges are stored flat: a *branch* is the sorted list of data nodes one
+/// `(query node, candidate)` pair points to for one shrunk child, and all
+/// branches live back to back in one `targets` buffer delimited by
+/// `bounds`, in (query node, candidate position, child) order — so the
+/// enumerator addresses a branch by a plain index range.
 #[derive(Clone, Debug, Default)]
 pub struct MatchingGraph {
-    /// Branch lists: for a `(query node, candidate)` pair, one list of matched
-    /// data nodes per shrunk child (in the order of
-    /// [`ShrunkPrime::children_of`]).
-    branches: HashMap<(QueryNodeId, NodeId), Vec<Vec<NodeId>>>,
+    /// Per query node: the branch id of its first candidate's first child
+    /// (meaningful only for shrunk nodes that have shrunk children).
+    first_branch: Vec<usize>,
+    /// Per query node: its number of shrunk children.
+    arity: Vec<usize>,
+    /// Branch `b` is `targets[bounds[b]..bounds[b + 1]]`.
+    bounds: Vec<usize>,
+    targets: Vec<NodeId>,
     /// Number of data-node occurrences in the graph.
     pub node_count: usize,
     /// Number of edges in the graph.
@@ -53,7 +63,12 @@ impl MatchingGraph {
     ) -> Result<Self, Interrupt> {
         let start = Instant::now();
         let lookups_before = index.lookup_count();
-        let mut graph = MatchingGraph::default();
+        let mut graph = MatchingGraph {
+            first_branch: vec![0; q.size()],
+            arity: vec![0; q.size()],
+            bounds: vec![0],
+            ..MatchingGraph::default()
+        };
         let result = graph.fill(q, g, index, shrunk, mat, stats, ctl);
         stats.index_lookups += index.lookup_count().saturating_sub(lookups_before);
         stats.intermediate_size += 2 * (graph.node_count + graph.edge_count) as u64;
@@ -75,15 +90,12 @@ impl MatchingGraph {
         let graph = self;
         for &u in &shrunk.nodes {
             graph.node_count += mat[u.index()].len();
-            let children = shrunk.children_of(u).to_vec();
+            let children = shrunk.children_of(u);
             if children.is_empty() {
                 continue;
             }
-            // Precompute candidate sets of children for PC adjacency checks.
-            let child_sets: Vec<HashSet<NodeId>> = children
-                .iter()
-                .map(|c| mat[c.index()].iter().copied().collect())
-                .collect();
+            graph.first_branch[u.index()] = graph.bounds.len() - 1;
+            graph.arity[u.index()] = children.len();
             // The per-candidate branch lists are independent of each other,
             // so the candidate domain splits into morsels; outputs come back
             // in input order and fold into the graph exactly as the serial
@@ -92,29 +104,24 @@ impl MatchingGraph {
             // `lookup_count` delta in [`MatchingGraph::build`].
             let candidates = &mat[u.index()];
             let per_candidate = |&v: &NodeId, lookups: &Cell<u64>| -> Vec<Vec<NodeId>> {
-                let mut lists: Vec<Vec<NodeId>> = Vec::with_capacity(children.len());
-                for (ci, &child) in children.iter().enumerate() {
-                    let matched: Vec<NodeId> = match q.incoming_edge(child) {
-                        Some(EdgeKind::Child) => {
-                            lookups.set(lookups.get() + g.out_degree(v) as u64);
-                            g.children(v)
-                                .iter()
-                                .copied()
-                                .filter(|c| child_sets[ci].contains(c))
-                                .collect()
+                children
+                    .iter()
+                    .map(|&child| {
+                        let child_mat = &mat[child.index()];
+                        match q.incoming_edge(child) {
+                            // Adjacency lists and candidate sets are both
+                            // sorted by id.
+                            Some(EdgeKind::Child) => {
+                                lookups.set(lookups.get() + g.out_degree(v) as u64);
+                                intersect_sorted(g.children(v), child_mat)
+                            }
+                            _ => {
+                                let probe = index.source_probe(v);
+                                child_mat.iter().copied().filter(|&t| probe(t)).collect()
+                            }
                         }
-                        _ => {
-                            let probe = index.source_probe(v);
-                            mat[child.index()]
-                                .iter()
-                                .copied()
-                                .filter(|&t| probe(t))
-                                .collect()
-                        }
-                    };
-                    lists.push(matched);
-                }
-                lists
+                    })
+                    .collect()
             };
             let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
             let (all_lists, pc_lookups) = if ctl.threads() > 1 && ranges.len() > 1 {
@@ -132,18 +139,43 @@ impl MatchingGraph {
                 (all_lists, counter.get())
             };
             stats.index_lookups += pc_lookups;
-            for (&v, lists) in candidates.iter().zip(all_lists) {
-                graph.edge_count += lists.iter().map(Vec::len).sum::<usize>();
-                graph.branches.insert((u, v), lists);
+            for branch in all_lists.iter().flatten() {
+                debug_assert!(
+                    branch.windows(2).all(|w| w[0] < w[1]),
+                    "branches must be strictly ascending"
+                );
+                graph.targets.extend_from_slice(branch);
+                graph.bounds.push(graph.targets.len());
             }
+            graph.edge_count = graph.targets.len();
         }
         Ok(())
     }
 
-    /// The branch lists of a `(query node, candidate)` pair; one inner list per
-    /// shrunk child of the query node.
-    pub fn branches_of(&self, u: QueryNodeId, v: NodeId) -> Option<&Vec<Vec<NodeId>>> {
-        self.branches.get(&(u, v))
+    /// The branches of the candidate at position `pos` of `mat(u)`: one
+    /// slice of matched data nodes per shrunk child of `u`, in the order of
+    /// [`ShrunkPrime::children_of`].
+    ///
+    /// Every branch is a subsequence of the child's (sorted) candidate set,
+    /// so it is strictly ascending — the enumerator walks branches as sorted
+    /// runs without re-sorting them.
+    pub fn branches_of(&self, u: QueryNodeId, pos: usize) -> impl Iterator<Item = &[NodeId]> {
+        (0..self.arity[u.index()]).map(move |child| &self.targets[self.branch(u, pos, child)])
+    }
+
+    /// Index range (into [`targets`](Self::targets)) of one branch: the
+    /// matches of the `child`-th shrunk child under the candidate at
+    /// position `pos` of `mat(u)`.
+    pub(crate) fn branch(&self, u: QueryNodeId, pos: usize, child: usize) -> Range<usize> {
+        let arity = self.arity[u.index()];
+        debug_assert!(child < arity);
+        let b = self.first_branch[u.index()] + pos * arity + child;
+        self.bounds[b]..self.bounds[b + 1]
+    }
+
+    /// The flat edge-target buffer every branch range indexes.
+    pub(crate) fn targets(&self) -> &[NodeId] {
+        &self.targets
     }
 }
 
@@ -203,13 +235,16 @@ mod tests {
         )
         .unwrap();
         // Root candidate v1 has two branch lists (u2 and u3 children).
-        let root_branches = graph.branches_of(QueryNodeId(0), NodeId(0)).unwrap();
-        assert_eq!(root_branches.len(), 2);
-        assert_eq!(root_branches[0], vec![NodeId(2), NodeId(7)]);
-        assert_eq!(root_branches[1], vec![NodeId(2)]);
+        assert_eq!(mat[0], vec![NodeId(0)]);
+        let root_branches: Vec<&[NodeId]> = graph.branches_of(QueryNodeId(0), 0).collect();
+        assert_eq!(
+            root_branches,
+            [&[NodeId(2), NodeId(7)][..], &[NodeId(2)][..]]
+        );
         // u3's candidate v3 points to the three d1 nodes for u4.
-        let u3_branches = graph.branches_of(QueryNodeId(2), NodeId(2)).unwrap();
-        assert_eq!(u3_branches[0], vec![NodeId(10), NodeId(11), NodeId(13)]);
+        assert_eq!(mat[2], vec![NodeId(2)]);
+        let u3_branches: Vec<&[NodeId]> = graph.branches_of(QueryNodeId(2), 0).collect();
+        assert_eq!(u3_branches, [&[NodeId(10), NodeId(11), NodeId(13)][..]]);
         assert!(graph.node_count >= 6);
         assert!(graph.edge_count >= 6);
         assert!(stats.intermediate_size > 0);

@@ -5,7 +5,7 @@
 //! component's root candidates into contiguous partitions, runs one
 //! `MatchStream` per partition on a scoped worker thread, and k-way-merges
 //! the partition streams with adjacent-duplicate elimination — the same
-//! dedup rule the stream's internal merges use.  Because every partition
+//! dedup rule the stream's built runs use.  Because every partition
 //! stream is sorted and distinct, and rows duplicated across partitions
 //! land adjacent in the merged order, the merged output is bit-for-bit the
 //! serial stream: limit/offset pushdown, deadlines, cancellation and result

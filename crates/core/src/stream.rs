@@ -1,41 +1,61 @@
-//! Pull-based, ranked result enumeration (`MatchStream`).
+//! Pull-based result enumeration in `ResultSet` order (`MatchStream`).
 //!
-//! The seed's `CollectResults` materialized every partial of every shrunk
-//! component and took their full Cartesian product before the first tuple was
-//! visible.  `MatchStream` replaces that with *ranked enumeration* over the
-//! maximal matching graph: distinct output tuples are produced one at a time,
-//! **in exactly the order a materialized `ResultSet` would iterate them**
-//! (lexicographic over the output coordinates), so `LIMIT`/`OFFSET` push down
-//! into the executor — pulling `offset + limit` rows does only the work those
-//! rows need, instead of the full product.
+//! `MatchStream` walks the maximal matching graph and yields the distinct
+//! output tuples one at a time, **in exactly the order a materialized
+//! `ResultSet` iterates them** (lexicographic over the output coordinates),
+//! so `LIMIT`/`OFFSET` push down into the executor: pulling `offset + limit`
+//! rows does the work those rows need, not the full product.
 //!
-//! The machinery is a tree of lazy sorted lists:
+//! # Layouts and runs
 //!
-//! * a **node list** for a `(query node, candidate)` pair enumerates the
-//!   distinct output projections of the subtree match, sorted; it is the
-//!   ordered product of the node's own column and one **child list** per
-//!   shrunk child (memoized and shared across parents, like the paper's
-//!   merged sub-results),
-//! * a **child list** is the ordered, deduplicating merge of the node lists
-//!   of the data nodes the matching graph points to,
-//! * the **top level** is the ordered product across shrunk components (plus
-//!   the constant columns of shrunk-away output nodes).
+//! Every node of the shrunk prime subtree gets a fixed **column layout**:
+//! the output coordinates of its subtree, ascending.  The *list* of a node
+//! under one candidate of its parent is the set of distinct projections of
+//! its subtree matches onto that layout, ascending — rows of one fixed
+//! width that compare exactly like the result-tuple slices they become.
+//! Rows come out in one global coordinate order, so a list is walked in
+//! attribute order like a trie level of a worst-case-optimal join, and it
+//! exists in one of two forms, decided per node from the layouts alone:
 //!
-//! Ordered products are enumerated A*-style: a frontier heap of index
-//! vectors, popping the smallest assembled projection and pushing its
-//! one-step successors.  Sortedness is preserved because components and
-//! subtrees own *disjoint* output coordinates: growing one factor's
-//! sub-projection grows the assembled projection in output-coordinate
-//! lexicographic order, whatever the interleaving.
+//! * **walked in place** (no storage) when the node is an output node whose
+//!   own column *leads* its layout and whose children's layouts do not
+//!   interleave.  The union over the node's candidates is then a
+//!   *concatenation* in candidate order — the candidates are a sorted branch
+//!   of the matching graph (for an output leaf the list *is* that branch
+//!   slice), rows of different candidates differ in the leading column, so
+//!   there is nothing to merge or deduplicate — and the product of the
+//!   children's lists under one candidate is an *odometer*: children ordered
+//!   by first column, the last one spinning fastest, each rewound when the
+//!   one before it steps;
+//! * **built** as a sorted run of fixed-width rows in the stream's one flat
+//!   arena otherwise: a non-output node, or an own column that does not
+//!   lead, can reach the same projection through several candidates, so the
+//!   rows of all candidates are collected, sorted and deduplicated; and a
+//!   product whose factors' coordinates interleave (only
+//!   `GtpqBuilder::mark_output` orders the text parser never emits) does not
+//!   come out of an odometer in order, so it is collected and sorted too.
+//!   A built run is memoised per (node, parent candidate) by the
+//!   candidate's dense position in `mat`, so shared sub-results and rewound
+//!   odometer factors are built once.
 //!
-//! Every pull polls the stream's [`ExecCtl`], so deadlines and cancellation
-//! interrupt enumeration mid-way with a clean [`Interrupt`].
+//! The top level is the same product over the shrunk components, with the
+//! constant columns of shrunk-away output nodes written once.
+//!
+//! # What laziness guarantees
+//!
+//! Nothing is allocated or built per (node, candidate) up front: the state
+//! of a stream is one cursor per shrunk query node plus the current row,
+//! and a run is built when a cursor first opens it.  A request that stops
+//! after `k` rows therefore touches only the candidates those rows come
+//! from, plus the whole of any *built* list on the way (a built list cannot
+//! know its first row before it has seen every candidate).  Products never
+//! materialise unless they interleave.
+//!
+//! Every candidate entered and every row collected into a run polls the
+//! stream's [`ExecCtl`], so deadlines and cancellation interrupt
+//! enumeration — including a long run build — with a clean [`Interrupt`].
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,33 +72,55 @@ use crate::prime::ShrunkPrime;
 /// pull span costs an allocation, which would dominate small queries).
 const TRACED_PULLS: u64 = 16;
 
-/// A partial output projection: `(output coordinate, data node)` pairs,
-/// sorted by coordinate.  Two partials over the same coordinate set compare
-/// exactly like the corresponding result-tuple slices.
-type Partial = Vec<(usize, NodeId)>;
+/// Where the candidates a plan node ranges over live.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// The product over the shrunk components; has one pseudo-candidate.
+    Top,
+    /// A component root: candidates are (a range of) `mat(u)`.
+    Root,
+    /// Any other shrunk node: candidates are a branch of the matching graph.
+    Inner,
+}
 
-/// A shared, lazily produced sorted list of partials.
-type ListHandle = Rc<RefCell<LazyList>>;
+/// The enumeration plan of one shrunk query node (or of the top level).
+#[derive(Debug)]
+struct PlanNode {
+    kind: Kind,
+    /// The query node (unused for [`Kind::Top`]).
+    u: QueryNodeId,
+    /// Own output coordinate, when the node is an output node.
+    own: Option<usize>,
+    /// Column layout: the output coordinates of the subtree, ascending.
+    cols: Vec<usize>,
+    /// Children as `(plan index, child slot in the matching graph)`, most
+    /// significant first: ascending first column, zero-width children last.
+    factors: Vec<(usize, usize)>,
+    /// Whether the node's lists are walked in place (own column leads, the
+    /// factors' layouts do not interleave) rather than built into runs.
+    lazy: bool,
+    /// Number of parent candidates a built run is memoised by.
+    contexts: usize,
+}
 
-/// The immutable, `Send + Sync` inputs of result enumeration: the shrunk
-/// prime subtree, the maximal matching graph, the pruned candidate sets and
-/// the output-coordinate layout.
+/// The immutable, `Send + Sync` inputs of result enumeration: the maximal
+/// matching graph, the pruned candidate sets and the per-node enumeration
+/// plan (column layouts, odometer orders).
 ///
 /// Extracted from [`MatchStream`] so parallel enumeration can share one
-/// source across worker threads behind an `Arc`, each worker building its
-/// own (thread-local, `Rc`-based) stream over a *partition* of the widest
-/// component's root candidates.
+/// source across worker threads behind an `Arc`, each worker walking its own
+/// stream over a *partition* of the widest component's root candidates.
 pub struct StreamSource {
-    shrunk: ShrunkPrime,
     matching: MatchingGraph,
     mat: Vec<Vec<NodeId>>,
-    /// Output-coordinate of each query node (`None` for non-output nodes).
-    rank: Vec<Option<usize>>,
+    /// One node per shrunk query node, children before parents, then the
+    /// top level last.
+    plan: Vec<PlanNode>,
     /// Constant columns of shrunk-away output nodes.
-    constants: Partial,
+    constants: Vec<(usize, NodeId)>,
     output_len: usize,
-    /// Index (into `shrunk.roots`) of the component with the most root
-    /// candidates — the axis partitioned streams split on.
+    /// Plan index of the component root with the most candidates — the axis
+    /// partitioned streams split on.
     axis: Option<usize>,
 }
 
@@ -97,27 +139,34 @@ impl StreamSource {
         for (i, &u) in outputs.iter().enumerate() {
             rank[u.index()] = Some(i);
         }
-        let constants: Partial = shrunk
+        let constants: Vec<(usize, NodeId)> = shrunk
             .constant_outputs
             .iter()
             .filter_map(|&(u, v)| rank[u.index()].map(|r| (r, v)))
             .collect();
-        // First-widest wins so the axis is deterministic across runs.
+        let mut plan = Vec::with_capacity(shrunk.len() + 1);
         let mut axis: Option<(usize, usize)> = None;
-        for (i, r) in shrunk.roots.iter().enumerate() {
+        let mut components = Vec::with_capacity(shrunk.roots.len());
+        for (slot, &r) in shrunk.roots.iter().enumerate() {
+            let n = plan_subtree(&mut plan, &shrunk, &rank, &mat, r, Kind::Root, 1);
+            // First-widest wins so the axis is deterministic across runs.
             let width = mat[r.index()].len();
             if axis.is_none_or(|(_, best)| width > best) {
-                axis = Some((i, width));
+                axis = Some((n, width));
             }
+            components.push((n, slot));
         }
+        let top = push_node(&mut plan, Kind::Top, q.root(), None, components, 1);
+        // Every component plus the constants covers every output coordinate
+        // exactly once, so a walked row is never short.
+        debug_assert_eq!(plan[top].cols.len() + constants.len(), outputs.len());
         Self {
-            shrunk,
             matching,
             mat,
-            rank,
+            plan,
             constants,
             output_len: outputs.len(),
-            axis: axis.map(|(i, _)| i),
+            axis: axis.map(|(n, _)| n),
         }
     }
 
@@ -131,240 +180,362 @@ impl StreamSource {
     /// partitions.  Zero when every component was shrunk away.
     pub fn partition_width(&self) -> usize {
         self.axis
-            .map(|i| self.mat[self.shrunk.roots[i].index()].len())
-            .unwrap_or(0)
+            .map_or(0, |n| self.mat[self.plan[n].u.index()].len())
+    }
+
+    fn top(&self) -> usize {
+        self.plan.len() - 1
     }
 }
 
-/// Immutable context shared by every lazy list of one stream: the shared
-/// source plus this stream's thread-local memo table.
-struct StreamCtx {
-    source: Arc<StreamSource>,
-    /// Memoized node lists, shared across every parent that points at the
-    /// same `(query node, candidate)` pair.
-    memo: RefCell<HashMap<(QueryNodeId, NodeId), ListHandle>>,
+/// Plans the shrunk subtree rooted at `u`, children first; returns `u`'s
+/// plan index.
+fn plan_subtree(
+    plan: &mut Vec<PlanNode>,
+    shrunk: &ShrunkPrime,
+    rank: &[Option<usize>],
+    mat: &[Vec<NodeId>],
+    u: QueryNodeId,
+    kind: Kind,
+    contexts: usize,
+) -> usize {
+    let factors = shrunk
+        .children_of(u)
+        .iter()
+        .enumerate()
+        .map(|(slot, &c)| {
+            let contexts = mat[u.index()].len();
+            let n = plan_subtree(plan, shrunk, rank, mat, c, Kind::Inner, contexts);
+            (n, slot)
+        })
+        .collect();
+    push_node(plan, kind, u, rank[u.index()], factors, contexts)
 }
 
-impl std::ops::Deref for StreamCtx {
-    type Target = StreamSource;
-
-    fn deref(&self) -> &StreamSource {
-        &self.source
-    }
+fn push_node(
+    plan: &mut Vec<PlanNode>,
+    kind: Kind,
+    u: QueryNodeId,
+    own: Option<usize>,
+    mut factors: Vec<(usize, usize)>,
+    contexts: usize,
+) -> usize {
+    factors.sort_by_key(|&(f, _)| plan[f].cols.first().copied().unwrap_or(usize::MAX));
+    let chained =
+        factors.windows(2).all(
+            |w| match (plan[w[0].0].cols.last(), plan[w[1].0].cols.first()) {
+                (Some(last), Some(first)) => last < first,
+                _ => true,
+            },
+        );
+    let mut cols: Vec<usize> = factors
+        .iter()
+        .flat_map(|&(f, _)| plan[f].cols.iter().copied())
+        .chain(own)
+        .collect();
+    cols.sort_unstable();
+    let leads = kind == Kind::Top || (own.is_some() && own == cols.first().copied());
+    plan.push(PlanNode {
+        kind,
+        u,
+        own,
+        cols,
+        factors,
+        lazy: leads && chained,
+        contexts,
+    });
+    plan.len() - 1
 }
 
-/// A sorted list of distinct partials, extended on demand by its producer.
-struct LazyList {
-    items: Vec<Rc<Partial>>,
-    /// `None` once the list is fully produced.
-    producer: Option<Producer>,
+/// A built list: `rows` fixed-width rows starting at `arena[start]`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    start: usize,
+    rows: usize,
 }
 
-impl LazyList {
-    fn fixed(items: Vec<Rc<Partial>>) -> Self {
+/// The position of one plan node's list walk.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    /// Candidate range under the current parent candidate: into `mat(u)`
+    /// for a component root, into the matching graph's targets otherwise.
+    lo: usize,
+    hi: usize,
+    /// Lazy node: the current candidate, in `lo..hi`.  Built node: the
+    /// current row of `run`.
+    at: usize,
+    run: Run,
+}
+
+/// The mutable state of one stream: a cursor per plan node, the current
+/// row, and the arena of built runs.
+#[derive(Default)]
+struct Walk {
+    /// The axis root's candidate range, for a partition stream.
+    part: Option<Range<usize>>,
+    cursors: Vec<Cursor>,
+    /// The current output row; every cursor writes its own columns.
+    row: Vec<NodeId>,
+    /// Built runs, back to back.
+    arena: Vec<NodeId>,
+    /// Per plan node, per parent-candidate position: the built run.
+    /// Allocated when the node first builds one.
+    memo: Vec<Vec<Option<Run>>>,
+    /// Unsorted rows of the runs being built — a stack, since a build can
+    /// open (and so build) lists further down.
+    scratch: Vec<NodeId>,
+    /// Sort permutation of the run being sealed.
+    order: Vec<usize>,
+}
+
+impl Walk {
+    fn new(src: &StreamSource, part: Option<Range<usize>>) -> Self {
+        let mut row = vec![NodeId(0); src.output_len];
+        for &(c, v) in &src.constants {
+            row[c] = v;
+        }
         Self {
-            items,
-            producer: None,
+            part,
+            cursors: vec![Cursor::default(); src.plan.len()],
+            row,
+            arena: Vec::new(),
+            memo: vec![Vec::new(); src.plan.len()],
+            scratch: Vec::new(),
+            order: Vec::new(),
         }
     }
 
-    fn handle(self) -> ListHandle {
-        Rc::new(RefCell::new(self))
-    }
-}
-
-enum Producer {
-    Merge(MergeState),
-    Product(ProductState),
-}
-
-/// Ordered, deduplicating k-way merge over sorted source lists.
-struct MergeState {
-    /// `(source list, cursor of the next item to read)`.
-    sources: Vec<(ListHandle, usize)>,
-    heap: BinaryHeap<Reverse<(Rc<Partial>, usize)>>,
-    initialized: bool,
-}
-
-/// Ordered product over sorted factor lists, A*-style.
-struct ProductState {
-    /// Coordinates contributed by the product owner itself (the node's own
-    /// output column, or the constant columns at the top level).
-    own: Partial,
-    factors: Vec<ListHandle>,
-    heap: BinaryHeap<Reverse<(Partial, Vec<usize>)>>,
-    visited: HashSet<Vec<usize>>,
-    initialized: bool,
-}
-
-impl ProductState {
-    fn new(own: Partial, factors: Vec<ListHandle>) -> Self {
-        Self {
-            own,
-            factors,
-            heap: BinaryHeap::new(),
-            visited: HashSet::new(),
-            initialized: false,
+    /// Points `n`'s cursor at the first row of its list over the candidates
+    /// in `range`, under the parent candidate at position `ctx`; `false`
+    /// when the list is empty.
+    fn open(
+        &mut self,
+        src: &StreamSource,
+        ctl: &ExecCtl,
+        n: usize,
+        range: Range<usize>,
+        ctx: usize,
+    ) -> Result<bool, Interrupt> {
+        self.cursors[n].lo = range.start;
+        self.cursors[n].hi = range.end;
+        if src.plan[n].lazy {
+            self.cursors[n].at = range.start;
+            return self.seek(src, ctl, n);
         }
-    }
-
-    /// Assembles the partial at index vector `idxs`; every factor item is
-    /// already produced (or is produced now, for the advanced coordinate).
-    fn assemble(&self, idxs: &[usize], ctl: &ExecCtl) -> Result<Option<Partial>, Interrupt> {
-        let mut out = self.own.clone();
-        for (factor, &i) in self.factors.iter().zip(idxs) {
-            match pull(factor, i, ctl)? {
-                Some(part) => out.extend_from_slice(&part),
-                None => return Ok(None),
-            }
-        }
-        out.sort_unstable();
-        Ok(Some(out))
-    }
-
-    fn produce(&mut self, ctl: &ExecCtl) -> Result<Option<Rc<Partial>>, Interrupt> {
-        if !self.initialized {
-            self.initialized = true;
-            let idxs = vec![0; self.factors.len()];
-            if let Some(first) = self.assemble(&idxs, ctl)? {
-                self.visited.insert(idxs.clone());
-                self.heap.push(Reverse((first, idxs)));
-            }
-        }
-        let Some(Reverse((item, idxs))) = self.heap.pop() else {
-            return Ok(None);
+        let run = match self.memo[n].get(ctx).copied().flatten() {
+            Some(run) => run,
+            None => self.build(src, ctl, n, range, ctx)?,
         };
-        for c in 0..self.factors.len() {
-            let mut succ = idxs.clone();
-            succ[c] += 1;
-            if self.visited.contains(&succ) {
+        self.cursors[n].run = run;
+        self.cursors[n].at = 0;
+        if run.rows == 0 {
+            return Ok(false);
+        }
+        self.load(src, n);
+        Ok(true)
+    }
+
+    /// Moves `n`'s cursor to the next row of its list; `false` at the end.
+    fn step(&mut self, src: &StreamSource, ctl: &ExecCtl, n: usize) -> Result<bool, Interrupt> {
+        if src.plan[n].lazy {
+            if self.spin(src, ctl, n)? {
+                return Ok(true);
+            }
+            self.cursors[n].at += 1;
+            return self.seek(src, ctl, n);
+        }
+        self.cursors[n].at += 1;
+        if self.cursors[n].at == self.cursors[n].run.rows {
+            return Ok(false);
+        }
+        self.load(src, n);
+        Ok(true)
+    }
+
+    /// Puts `n`'s cursor back on the first row of the list it has open.
+    fn rewind(&mut self, src: &StreamSource, ctl: &ExecCtl, n: usize) -> Result<(), Interrupt> {
+        if src.plan[n].lazy {
+            self.cursors[n].at = self.cursors[n].lo;
+            let reopened = self.seek(src, ctl, n)?;
+            debug_assert!(reopened, "a list that was walked has a first row");
+        } else {
+            self.cursors[n].at = 0;
+            self.load(src, n);
+        }
+        Ok(())
+    }
+
+    /// Lazy node: enters the first candidate at or after the cursor that has
+    /// a match; `false` when none is left.
+    fn seek(&mut self, src: &StreamSource, ctl: &ExecCtl, n: usize) -> Result<bool, Interrupt> {
+        while self.cursors[n].at < self.cursors[n].hi {
+            if self.enter(src, ctl, n, self.cursors[n].at)? {
+                return Ok(true);
+            }
+            self.cursors[n].at += 1;
+        }
+        Ok(false)
+    }
+
+    /// Binds `n` to its candidate at index `at`: writes the own column and
+    /// opens every factor's list under it.  `false` when some factor has no
+    /// match (the candidate contributes no row).
+    fn enter(
+        &mut self,
+        src: &StreamSource,
+        ctl: &ExecCtl,
+        n: usize,
+        at: usize,
+    ) -> Result<bool, Interrupt> {
+        ctl.check_sampled()?;
+        let node = &src.plan[n];
+        // The candidate, and its position in `mat(u)`: what the matching
+        // graph's branches and the factors' memo tables are indexed by.
+        let (v, pos) = match node.kind {
+            Kind::Top => (None, 0),
+            Kind::Root => (Some(src.mat[node.u.index()][at]), at),
+            Kind::Inner => {
+                let v = src.matching.targets()[at];
+                let pos = if node.factors.is_empty() {
+                    0
+                } else {
+                    src.mat[node.u.index()]
+                        .binary_search(&v)
+                        .expect("branch targets are candidates of the child node")
+                };
+                (Some(v), pos)
+            }
+        };
+        if let (Some(c), Some(v)) = (node.own, v) {
+            self.row[c] = v;
+        }
+        for &(f, slot) in &node.factors {
+            let range = match (node.kind, &self.part) {
+                (Kind::Top, Some(part)) if src.axis == Some(f) => part.clone(),
+                (Kind::Top, _) => 0..src.mat[src.plan[f].u.index()].len(),
+                _ => src.matching.branch(node.u, pos, slot),
+            };
+            if !self.open(src, ctl, f, range, pos)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The odometer of `n`'s entered candidate: steps the last factor,
+    /// carrying into the one before it when a factor runs out and rewinding
+    /// the ones after the factor that stepped.  `false` once every
+    /// combination has been walked.
+    fn spin(&mut self, src: &StreamSource, ctl: &ExecCtl, n: usize) -> Result<bool, Interrupt> {
+        let factors = &src.plan[n].factors;
+        for i in (0..factors.len()).rev() {
+            if self.step(src, ctl, factors[i].0)? {
+                for &(f, _) in &factors[i + 1..] {
+                    self.rewind(src, ctl, f)?;
+                }
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Copies the current row of `n`'s built run into the output row.
+    fn load(&mut self, src: &StreamSource, n: usize) {
+        let cols = &src.plan[n].cols;
+        let Cursor { at, run, .. } = self.cursors[n];
+        let from = run.start + at * cols.len();
+        for (&c, &v) in cols.iter().zip(&self.arena[from..from + cols.len()]) {
+            self.row[c] = v;
+        }
+    }
+
+    /// Builds (and memoises) `n`'s list over the candidates in `range`:
+    /// collects every candidate's product rows, then sorts and deduplicates
+    /// them into the arena.
+    fn build(
+        &mut self,
+        src: &StreamSource,
+        ctl: &ExecCtl,
+        n: usize,
+        range: Range<usize>,
+        ctx: usize,
+    ) -> Result<Run, Interrupt> {
+        let node = &src.plan[n];
+        let base = self.scratch.len();
+        let mut collected = 0usize;
+        for at in range {
+            if !self.enter(src, ctl, n, at)? {
                 continue;
             }
-            if let Some(assembled) = self.assemble(&succ, ctl)? {
-                self.visited.insert(succ.clone());
-                self.heap.push(Reverse((assembled, succ)));
-            }
-        }
-        Ok(Some(Rc::new(item)))
-    }
-}
-
-impl MergeState {
-    fn new(sources: Vec<ListHandle>) -> Self {
-        Self {
-            sources: sources.into_iter().map(|s| (s, 0)).collect(),
-            heap: BinaryHeap::new(),
-            initialized: false,
-        }
-    }
-
-    fn produce(
-        &mut self,
-        last: Option<&Partial>,
-        ctl: &ExecCtl,
-    ) -> Result<Option<Rc<Partial>>, Interrupt> {
-        if !self.initialized {
-            self.initialized = true;
-            for i in 0..self.sources.len() {
-                let head = pull(&self.sources[i].0, 0, ctl)?;
-                if let Some(item) = head {
-                    self.heap.push(Reverse((item, i)));
+            loop {
+                ctl.check_sampled()?;
+                self.scratch.extend(node.cols.iter().map(|&c| self.row[c]));
+                collected += 1;
+                if !self.spin(src, ctl, n)? {
+                    break;
                 }
             }
         }
-        loop {
-            let Some(Reverse((item, i))) = self.heap.pop() else {
-                return Ok(None);
-            };
-            let (source, cursor) = &mut self.sources[i];
-            *cursor += 1;
-            let source = Rc::clone(source);
-            let cursor = *cursor;
-            if let Some(next) = pull(&source, cursor, ctl)? {
-                self.heap.push(Reverse((next, i)));
-            }
-            // Equal projections reached through different candidates
-            // deduplicate here (the lists themselves are distinct).
-            if last != Some(item.as_ref()) {
-                return Ok(Some(item));
-            }
+        let run = self.seal(base, node.cols.len(), collected);
+        if self.memo[n].is_empty() {
+            self.memo[n].resize(node.contexts, None);
         }
+        self.memo[n][ctx] = Some(run);
+        Ok(run)
     }
-}
 
-/// Returns the `idx`-th item of `list`, producing items on demand; `None`
-/// when the list has fewer than `idx + 1` items.
-fn pull(list: &ListHandle, idx: usize, ctl: &ExecCtl) -> Result<Option<Rc<Partial>>, Interrupt> {
-    loop {
-        {
-            let borrowed = list.borrow();
-            if let Some(item) = borrowed.items.get(idx) {
-                return Ok(Some(Rc::clone(item)));
+    /// Moves the `collected` rows of `width` columns above `scratch[base]`
+    /// into the arena, sorted and deduplicated.
+    fn seal(&mut self, base: usize, width: usize, collected: usize) -> Run {
+        let start = self.arena.len();
+        let rows = match width {
+            // A node with no output below it only says whether it matched.
+            0 => collected.min(1),
+            1 => {
+                let column = &mut self.scratch[base..];
+                column.sort_unstable();
+                let mut last = None;
+                for &v in column.iter() {
+                    if last != Some(v) {
+                        self.arena.push(v);
+                        last = Some(v);
+                    }
+                }
+                self.arena.len() - start
             }
-            if borrowed.producer.is_none() {
-                return Ok(None);
+            _ => {
+                let rows = &self.scratch[base..];
+                let row = |i: usize| &rows[i * width..][..width];
+                self.order.clear();
+                self.order.extend(0..collected);
+                self.order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+                self.order.dedup_by(|a, b| row(*a) == row(*b));
+                for &i in &self.order {
+                    self.arena.extend_from_slice(row(i));
+                }
+                self.order.len()
             }
-        }
-        ctl.check_sampled()?;
-        // Produce exactly one more item.  The recursive pulls inside the
-        // producer only ever touch lists of strictly deeper query nodes, so
-        // re-borrowing `list` is impossible.
-        let mut borrowed = list.borrow_mut();
-        let LazyList { items, producer } = &mut *borrowed;
-        let last = items.last().map(Rc::clone);
-        let produced = match producer.as_mut().expect("checked above") {
-            Producer::Merge(m) => m.produce(last.as_deref(), ctl)?,
-            Producer::Product(p) => p.produce(ctl)?,
         };
-        match produced {
-            Some(item) => {
-                debug_assert!(
-                    last.is_none_or(|prev| *prev < *item),
-                    "lazy lists must produce strictly ascending partials"
-                );
-                items.push(item);
-            }
-            None => *producer = None,
-        }
+        self.scratch.truncate(base);
+        debug_assert!(
+            (1..rows).all(|i| {
+                let at = start + i * width;
+                self.arena[at - width..at] < self.arena[at..at + width]
+            }),
+            "a built run is strictly ascending"
+        );
+        Run { start, rows }
     }
 }
 
-/// Builds (or reuses) the memoized node list of `(u, v)`.
-fn node_list(ctx: &Rc<StreamCtx>, u: QueryNodeId, v: NodeId) -> ListHandle {
-    if let Some(existing) = ctx.memo.borrow().get(&(u, v)) {
-        return Rc::clone(existing);
-    }
-    let own: Partial = match ctx.rank[u.index()] {
-        Some(rank) => vec![(rank, v)],
-        None => Vec::new(),
-    };
-    let children = ctx.shrunk.children_of(u);
-    let list = if children.is_empty() {
-        LazyList::fixed(vec![Rc::new(own)])
-    } else {
-        let branches = ctx.matching.branches_of(u, v);
-        let factors: Vec<ListHandle> = (0..children.len())
-            .map(|ci| {
-                let pointed: &[NodeId] = branches.map(|b| b[ci].as_slice()).unwrap_or(&[]);
-                let sources: Vec<ListHandle> = pointed
-                    .iter()
-                    .map(|&v2| node_list(ctx, children[ci], v2))
-                    .collect();
-                LazyList {
-                    items: Vec::new(),
-                    producer: Some(Producer::Merge(MergeState::new(sources))),
-                }
-                .handle()
-            })
-            .collect();
-        LazyList {
-            items: Vec::new(),
-            producer: Some(Producer::Product(ProductState::new(own, factors))),
-        }
-    };
-    let handle = list.handle();
-    ctx.memo.borrow_mut().insert((u, v), Rc::clone(&handle));
-    handle
+#[derive(Clone, Copy, Debug)]
+enum State {
+    /// No row pulled yet: nothing has been opened.
+    Fresh,
+    Walking,
+    Done,
+    /// An interrupt left the cursors mid-step; it is reported again.
+    Failed(Interrupt),
 }
 
 /// A pull-based iterator over the distinct result tuples of one evaluated
@@ -375,13 +546,17 @@ fn node_list(ctx: &Rc<StreamCtx>, u: QueryNodeId, v: NodeId) -> ListHandle {
 /// [`next_row`](Self::next_row) call does only the enumeration work that row
 /// needs, which is what makes `LIMIT` pushdown and time-to-first-row cheap.
 pub struct MatchStream {
-    top: ListHandle,
-    cursor: usize,
-    output_len: usize,
+    /// `None` for the empty stream.
+    source: Option<Arc<StreamSource>>,
+    walk: Walk,
+    state: State,
     ctl: ExecCtl,
     rows_enumerated: u64,
     enumerate_time: Duration,
     time_to_first_row: Duration,
+    /// The previous row, for the ascending-order check of debug builds.
+    #[cfg(debug_assertions)]
+    previous: Vec<NodeId>,
 }
 
 impl MatchStream {
@@ -413,69 +588,38 @@ impl MatchStream {
     }
 
     fn over(source: Arc<StreamSource>, part: Option<Range<usize>>, ctl: ExecCtl) -> Self {
-        let output_len = source.output_len;
-        let constants = source.constants.clone();
-        let ctx = Rc::new(StreamCtx {
-            source,
-            memo: RefCell::new(HashMap::new()),
-        });
-        // One deduplicating merge per shrunk component (over the component
-        // root's candidates), combined by an ordered product with the
-        // constant columns attached.  Zero components (everything shrunk
-        // away) yield exactly the constants tuple, matching the
-        // materializing semantics.
-        let components: Vec<ListHandle> = ctx
-            .shrunk
-            .roots
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                let all = ctx.mat[r.index()].as_slice();
-                let cands: &[NodeId] = match (&part, ctx.axis) {
-                    (Some(range), Some(axis)) if axis == i => &all[range.clone()],
-                    _ => all,
-                };
-                let sources: Vec<ListHandle> =
-                    cands.iter().map(|&v| node_list(&ctx, r, v)).collect();
-                LazyList {
-                    items: Vec::new(),
-                    producer: Some(Producer::Merge(MergeState::new(sources))),
-                }
-                .handle()
-            })
-            .collect();
-        let top = LazyList {
-            items: Vec::new(),
-            producer: Some(Producer::Product(ProductState::new(constants, components))),
-        }
-        .handle();
         Self {
-            top,
-            cursor: 0,
-            output_len,
+            walk: Walk::new(&source, part),
+            source: Some(source),
+            state: State::Fresh,
             ctl,
             rows_enumerated: 0,
             enumerate_time: Duration::ZERO,
             time_to_first_row: Duration::ZERO,
+            #[cfg(debug_assertions)]
+            previous: Vec::new(),
         }
     }
 
     /// A stream that yields no rows (pruning proved the answer empty).
-    pub fn empty(q: &Gtpq, ctl: ExecCtl) -> Self {
+    pub fn empty(_q: &Gtpq, ctl: ExecCtl) -> Self {
         Self {
-            top: LazyList::fixed(Vec::new()).handle(),
-            cursor: 0,
-            output_len: q.output_nodes().len(),
+            walk: Walk::default(),
+            source: None,
+            state: State::Done,
             ctl,
             rows_enumerated: 0,
             enumerate_time: Duration::ZERO,
             time_to_first_row: Duration::ZERO,
+            #[cfg(debug_assertions)]
+            previous: Vec::new(),
         }
     }
 
     /// Produces the next result tuple, in materialized-`ResultSet` order;
     /// `Ok(None)` once the answer is exhausted, `Err` when the deadline
-    /// passes or the request is cancelled mid-enumeration.
+    /// passes or the request is cancelled mid-enumeration (and on every
+    /// call after that).
     ///
     /// When the stream's control carries an enabled tracer, each of the
     /// first `TRACED_PULLS` (16) pulls records a `pull N` span.
@@ -486,34 +630,51 @@ impl MatchStream {
                 self.ctl.tracer().span_with(|| format!("pull {n}"))
             });
         let start = Instant::now();
-        let outcome = loop {
-            match pull(&self.top, self.cursor, &self.ctl) {
-                Err(e) => break Err(e),
-                Ok(None) => break Ok(None),
-                Ok(Some(partial)) => {
-                    self.cursor += 1;
-                    self.rows_enumerated += 1;
-                    // Every component plus the constants covers every output
-                    // coordinate exactly once; anything else would be a
-                    // pruning bug, so the row is dropped rather than padded.
-                    debug_assert_eq!(partial.len(), self.output_len);
-                    if partial.len() != self.output_len {
-                        continue;
-                    }
-                    let mut row = vec![NodeId(0); self.output_len];
-                    for &(rank, v) in partial.iter() {
-                        row[rank] = v;
-                    }
-                    break Ok(Some(row));
-                }
-            }
-        };
-        let elapsed = start.elapsed();
-        self.enumerate_time += elapsed;
+        let outcome = self.advance();
+        self.enumerate_time += start.elapsed();
         if self.rows_enumerated == 1 && self.time_to_first_row == Duration::ZERO {
             self.time_to_first_row = self.enumerate_time;
         }
         outcome
+    }
+
+    fn advance(&mut self) -> Result<Option<Vec<NodeId>>, Interrupt> {
+        let (Some(src), ctl) = (self.source.as_deref(), &self.ctl) else {
+            return Ok(None);
+        };
+        let stepped = match self.state {
+            State::Fresh => ctl
+                .check_sampled()
+                .and_then(|()| self.walk.open(src, ctl, src.top(), 0..1, 0)),
+            State::Walking => ctl
+                .check_sampled()
+                .and_then(|()| self.walk.step(src, ctl, src.top())),
+            State::Done => return Ok(None),
+            State::Failed(interrupt) => return Err(interrupt),
+        };
+        match stepped {
+            Ok(true) => {
+                self.state = State::Walking;
+                self.rows_enumerated += 1;
+                #[cfg(debug_assertions)]
+                {
+                    debug_assert!(
+                        self.rows_enumerated == 1 || self.previous < self.walk.row,
+                        "rows must come out strictly ascending"
+                    );
+                    self.previous.clone_from(&self.walk.row);
+                }
+                Ok(Some(self.walk.row.clone()))
+            }
+            Ok(false) => {
+                self.state = State::Done;
+                Ok(None)
+            }
+            Err(interrupt) => {
+                self.state = State::Failed(interrupt);
+                Err(interrupt)
+            }
+        }
     }
 
     /// Rows pulled from the enumerator so far (emitted plus any the caller
@@ -593,6 +754,47 @@ mod tests {
         assert_eq!(rows, expected, "sorted order and exact multiset");
         assert_eq!(stream.rows_enumerated(), expected.len() as u64);
         assert!(stream.time_to_first_row() <= stream.enumerate_time());
+    }
+
+    #[test]
+    fn a_list_is_walked_in_place_exactly_when_its_own_column_leads_and_its_factors_chain() {
+        use gtpq_query::{AttrPredicate, EdgeKind, GtpqBuilder};
+        // r { a { a1 }, b }; two candidates keep a node in the shrunk tree.
+        let lazy_nodes = |outputs: &[usize], root_candidates: usize| -> Vec<bool> {
+            let mut b = GtpqBuilder::new(AttrPredicate::label("r"));
+            let r = b.root_id();
+            let a = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("a"));
+            let a1 = b.backbone_child(a, EdgeKind::Descendant, AttrPredicate::label("a1"));
+            let bb = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("b"));
+            let nodes = [r, a, a1, bb];
+            for &o in outputs {
+                b.mark_output(nodes[o]);
+            }
+            let q = b.build().unwrap();
+            let mut mat = vec![vec![NodeId(0), NodeId(1)]; q.size()];
+            mat[0].truncate(root_candidates);
+            let shrunk = ShrunkPrime::new(&q, &PrimeSubtree::new(&q), &mat, true);
+            let source = StreamSource::new(&q, shrunk, MatchingGraph::default(), mat);
+            // In query-node order, then the top level.
+            let mut plan: Vec<&PlanNode> = source.plan.iter().collect();
+            plan.sort_by_key(|n| (n.kind == Kind::Top, n.u));
+            plan.iter().map(|n| n.lazy).collect()
+        };
+        // Marked in document order (all the text parser emits): every list
+        // is a concatenation of odometers.
+        assert_eq!(lazy_nodes(&[0, 1, 2, 3], 2), [true; 5]);
+        // The root marked after `a`: its column does not lead its layout.
+        assert_eq!(lazy_nodes(&[1, 0, 3], 2), [false, true, true, true]);
+        // A non-output root (and a non-output `a` over an output `a1`).
+        assert_eq!(lazy_nodes(&[2, 3], 2), [false, false, true, true, true]);
+        // `b` marked between `a` and `a1`: the root's factors interleave.
+        assert_eq!(
+            lazy_nodes(&[0, 1, 3, 2], 2),
+            [false, true, true, true, true]
+        );
+        // The same order with a single-candidate root, which is shrunk away:
+        // `a` and `b` are components, and the top level's factors interleave.
+        assert_eq!(lazy_nodes(&[0, 1, 3, 2], 1), [true, true, true, false]);
     }
 
     #[test]

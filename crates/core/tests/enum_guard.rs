@@ -1,0 +1,145 @@
+//! Deterministic work guard for result enumeration: what `MatchStream`
+//! allocates is counted, not timed.  Walking a list in place costs the row
+//! handed to the caller and nothing else, nothing is set up per (query node,
+//! candidate) before the first pull, and a product is never materialised —
+//! so a fall-back to per-row partials, up-front list trees or built products
+//! fails here without timing anything.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use gtpq_core::matching::MatchingGraph;
+use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
+use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
+use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, StreamSource};
+use gtpq_datagen::{generate_arxiv, ArxivConfig};
+use gtpq_graph::{DataGraph, GraphBuilder};
+use gtpq_query::parse_query;
+use gtpq_reach::Sspi;
+
+thread_local! {
+    /// Allocations and allocated bytes of the current thread (tests of one
+    /// binary run on parallel threads).
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a `const`-initialised thread-local `Cell` of plain integers, so
+// touching it neither allocates nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|a| {
+            let (count, bytes) = a.get();
+            a.set((count + 1, bytes + layout.size() as u64));
+        });
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes)` the current thread made while running `f`.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (count, bytes) = ALLOCATED.get();
+    let out = f();
+    let (count_after, bytes_after) = ALLOCATED.get();
+    (out, count_after - count, bytes_after - bytes)
+}
+
+/// Runs the pipeline up to the matching graph: what enumeration starts from.
+fn source(g: &DataGraph, text: &str) -> Arc<StreamSource> {
+    let q = parse_query(text).expect("guard queries parse");
+    let index = Sspi::new(g);
+    let options = GteaOptions::default();
+    let ctl = ExecCtl::unbounded();
+    let mut stats = EvalStats::default();
+    let mut mat = initial_candidates(&q, g, &mut stats);
+    let steps = PruneStep::bottom_up(&q);
+    prune_downward(&q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+    let prime = PrimeSubtree::new(&q);
+    prune_upward(
+        &q, g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,
+    )
+    .unwrap();
+    let shrunk = ShrunkPrime::new(&q, &prime, &mat, true);
+    let matching = MatchingGraph::build(&q, g, &index, &shrunk, &mat, &mut stats, &ctl).unwrap();
+    Arc::new(StreamSource::new(&q, shrunk, matching, mat))
+}
+
+/// Opens a stream and pulls up to `limit` rows, dropping each.
+fn pull(source: &Arc<StreamSource>, limit: usize) -> u64 {
+    let mut stream = MatchStream::from_source(Arc::clone(source), ExecCtl::unbounded());
+    while stream.rows_enumerated() < limit as u64 && stream.next_row().unwrap().is_some() {}
+    stream.rows_enumerated()
+}
+
+#[test]
+fn a_walked_join_allocates_the_caller_s_row_and_nothing_else() {
+    // One of `arxiv_enum`'s year-window citation joins, on its graph.
+    let g = generate_arxiv(&ArxivConfig::small());
+    let source = source(&g, "[year >= 1995, year <= 1997]* { //[year >= 1990]* }");
+    let (rows, allocations, _) = allocated_by(|| pull(&source, usize::MAX));
+    assert!(
+        rows > 1000,
+        "only {rows} rows: not the enumeration-bound join"
+    );
+    assert!(
+        allocations <= 2 * rows,
+        "{allocations} allocations for {rows} rows"
+    );
+    let (_, again, _) = allocated_by(|| pull(&source, usize::MAX));
+    assert_eq!(allocations, again, "the count repeats exactly");
+}
+
+/// `roots` nodes labelled `r`, each with edges to `width` nodes labelled `x`
+/// and `width` labelled `y` of its own.
+fn forest(roots: usize, width: usize) -> DataGraph {
+    let mut b = GraphBuilder::new();
+    for _ in 0..roots {
+        let r = b.add_node_with_label("r");
+        for label in ["x", "y"] {
+            for _ in 0..width {
+                let v = b.add_node_with_label(label);
+                b.add_edge(r, v);
+            }
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn the_first_row_costs_the_same_whatever_the_number_of_root_candidates() {
+    let first_row = |roots: usize| {
+        let source = source(
+            &forest(roots, 2),
+            "[label = r]* { /[label = x]* //[label = y]* }",
+        );
+        assert_eq!(source.partition_width(), roots);
+        let (rows, allocations, bytes) = allocated_by(|| pull(&source, 1));
+        assert_eq!(rows, 1);
+        (allocations, bytes)
+    };
+    assert_eq!(first_row(50), first_row(200), "lists are created on touch");
+}
+
+#[test]
+fn ten_rows_of_a_million_row_product_fit_a_fixed_byte_budget() {
+    // Two root candidates, each pointing at its own 1000 x 1000 product.
+    let source = source(
+        &forest(2, 1000),
+        "[label = r]* { /[label = x]* //[label = y]* }",
+    );
+    let (rows, _, bytes) = allocated_by(|| pull(&source, 10));
+    assert_eq!(rows, 10);
+    assert!(bytes <= 4096, "{bytes} bytes allocated: products stay lazy");
+}

@@ -9,7 +9,14 @@
 //!   cyclic graphs, and on both the engine-pushdown path (cache disabled)
 //!   and the cache-slicing path (pre-warmed cache),
 //! * limit pushdown provably bounds enumeration work
-//!   (`EvalStats::enumerated_rows ≤ offset + limit + 1`).
+//!   (`EvalStats::enumerated_rows ≤ offset + limit + 1`),
+//! * the enumerator's order does not depend on the query's shape: depth-3
+//!   trees, non-output internal nodes and roots, outputs marked in any order
+//!   (child before parent, interleaved siblings), everything shrunk away and
+//!   several shrunk components all yield the naive evaluator's `ResultSet`
+//!   order, for every window and for 1, 2 and 3 enumeration partitions,
+//! * a cancellation from another thread interrupts a long enumeration —
+//!   walked or built — instead of letting it complete.
 //!
 //! Same harness as `property_based.rs`: a deterministic seed sweep over the
 //! vendored PRNG; every failure message carries the seed.
@@ -192,5 +199,286 @@ fn submit_windows_match_materialized_order_under_every_backend() {
             assert_eq!(*warm.rows, reference);
             check_windows(&cached, &q, &all, seed, kind, "cache-slice");
         }
+    }
+}
+
+/// A dense random graph for multi-level joins: 8-12 nodes over two labels,
+/// every ordered pair an edge with probability 0.3 (forward pairs only when
+/// `dag_only`).
+fn dense_graph(rng: &mut StdRng, dag_only: bool) -> DataGraph {
+    let n = rng.gen_range(8..13usize);
+    let mut b = GraphBuilder::new();
+    let nodes: Vec<NodeId> = (0..n)
+        .map(|_| b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..2))))
+        .collect();
+    for x in 0..n {
+        for y in 0..n {
+            if x != y && (x < y || !dag_only) && rng.gen_bool(0.3) {
+                b.add_edge(nodes[x], nodes[y]);
+            }
+        }
+    }
+    b.build()
+}
+
+/// A random backbone tree of depth up to 3 (at most six nodes) over two
+/// labels or the always-true predicate, optionally with a negated predicate child
+/// at the root.  Any non-empty subset of up to four backbone nodes is
+/// output — so internal nodes and the root may not be — and the outputs are
+/// marked in shuffled order, which is what decides the column layouts:
+/// parents after children, siblings' subtrees interleaved.
+fn random_tree_query(rng: &mut StdRng) -> Gtpq {
+    fn attr(rng: &mut StdRng) -> AttrPredicate {
+        if rng.gen_bool(0.25) {
+            AttrPredicate::any()
+        } else {
+            AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..2)))
+        }
+    }
+    fn edge(rng: &mut StdRng) -> EdgeKind {
+        if rng.gen_bool(0.3) {
+            EdgeKind::Child
+        } else {
+            EdgeKind::Descendant
+        }
+    }
+    let mut b = GtpqBuilder::new(attr(rng));
+    let root = b.root_id();
+    let mut backbone = vec![(root, 0usize)];
+    let mut next = 0;
+    while next < backbone.len() && backbone.len() < 6 {
+        let (u, depth) = backbone[next];
+        next += 1;
+        if depth == 3 {
+            continue;
+        }
+        let fanout = rng.gen_range(usize::from(u == root)..3);
+        for _ in 0..fanout.min(6 - backbone.len()) {
+            let c = b.backbone_child(u, edge(rng), attr(rng));
+            backbone.push((c, depth + 1));
+        }
+    }
+    if rng.gen_bool(0.2) {
+        let p = b.predicate_child(root, edge(rng), attr(rng));
+        b.set_structural(root, BoolExpr::not(BoolExpr::Var(p.var())));
+    }
+    let mut outputs: Vec<QueryNodeId> = backbone.iter().map(|&(u, _)| u).collect();
+    for i in (1..outputs.len()).rev() {
+        outputs.swap(i, rng.gen_range(0..=i));
+    }
+    outputs.truncate(rng.gen_range(1..=outputs.len().min(4)));
+    for u in outputs {
+        b.mark_output(u);
+    }
+    b.build().expect("generated queries are valid")
+}
+
+/// Checks the engine's full answer and every window against the naive
+/// evaluator's `ResultSet` order, serially and over 2 and 3 enumeration
+/// partitions.  Returns the answer size.
+fn check_against_naive(graph: &DataGraph, q: &Gtpq, kind: BackendKind, tag: &str) -> usize {
+    let oracle = naive::evaluate(q, graph);
+    let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
+    let engine = GteaEngine::with_backend(graph, kind.build_shared(graph), GteaOptions::default());
+    let plan = engine.plan(q);
+    for threads in 1..=3usize {
+        let windows = window_cases(all.len())
+            .into_iter()
+            .map(|(offset, limit)| (offset, Some(limit)))
+            .chain([(0, None)]);
+        for (offset, limit) in windows {
+            let exec = engine
+                .execute(
+                    q,
+                    &plan,
+                    ExecOptions {
+                        limit,
+                        offset,
+                        ctl: ExecCtl::unbounded(),
+                        threads,
+                    },
+                )
+                .expect("unbounded execution cannot be interrupted");
+            let got: Vec<Vec<NodeId>> = exec.results.iter().cloned().collect();
+            let take = limit.unwrap_or(usize::MAX);
+            let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(take).cloned().collect();
+            assert_eq!(
+                got, expected,
+                "{tag}, {threads} partitions: window ({offset}, {limit:?}) diverged from naive"
+            );
+            assert_eq!(
+                exec.truncated,
+                offset.saturating_add(take) < all.len(),
+                "{tag}, {threads} partitions: truncation flag wrong for ({offset}, {limit:?})"
+            );
+            if let Some(limit) = limit {
+                assert!(
+                    exec.stats.enumerated_rows <= (offset + limit + 1) as u64,
+                    "{tag}, {threads} partitions: enumerated {} rows for window ({offset}, {limit})",
+                    exec.stats.enumerated_rows
+                );
+            }
+        }
+    }
+    all.len()
+}
+
+#[test]
+fn tree_queries_in_any_output_order_match_naive_order_for_every_window_and_partitioning() {
+    let mut answered = 0;
+    for seed in 0..2 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = dense_graph(&mut rng, seed % 2 == 0);
+        let q = random_tree_query(&mut rng);
+        let kind = BackendKind::ALL[seed as usize % BackendKind::ALL.len()];
+        let rows = check_against_naive(&graph, &q, kind, &format!("seed {seed}"));
+        answered += usize::from(rows > 1);
+    }
+    assert!(
+        answered as u64 >= CASES,
+        "only {answered} generated queries had more than one answer: the sweep lost its teeth"
+    );
+}
+
+/// `fan` root nodes labelled `r`, each with an edge to each of `width`
+/// nodes labelled `x` and `width` nodes labelled `y`, and two `z` children
+/// under every `x`.
+fn fan_graph(fan: usize, width: usize) -> DataGraph {
+    let mut b = GraphBuilder::new();
+    let roots: Vec<NodeId> = (0..fan).map(|_| b.add_node_with_label("r")).collect();
+    for label in ["x", "y"] {
+        for _ in 0..width {
+            let v = b.add_node_with_label(label);
+            for &r in &roots {
+                b.add_edge(r, v);
+            }
+            if label == "x" {
+                for _ in 0..2 {
+                    let z = b.add_node_with_label("z");
+                    b.add_edge(v, z);
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// `r { //x { /z }, //y }` with the given nodes output, in the given order.
+fn fan_query(outputs: &[&str]) -> Gtpq {
+    let mut b = GtpqBuilder::new(AttrPredicate::label("r"));
+    let r = b.root_id();
+    let x = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("x"));
+    let z = b.backbone_child(x, EdgeKind::Child, AttrPredicate::label("z"));
+    let y = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("y"));
+    for &name in outputs {
+        b.mark_output(match name {
+            "r" => r,
+            "x" => x,
+            "y" => y,
+            _ => z,
+        });
+    }
+    b.build().expect("fan queries are valid")
+}
+
+#[test]
+fn shrunk_away_and_multi_component_queries_match_naive_order() {
+    // One candidate per node: every output is a constant column, no
+    // component is left, and the answer is the one constants row.
+    let mut single = GraphBuilder::new();
+    let [r, x, y, z] = ["r", "x", "y", "z"].map(|label| single.add_node_with_label(label));
+    for (from, to) in [(r, x), (r, y), (x, z)] {
+        single.add_edge(from, to);
+    }
+    let rows = check_against_naive(
+        &single.build(),
+        &fan_query(&["z", "r", "y"]),
+        BackendKind::Closure,
+        "everything shrunk away",
+    );
+    assert_eq!(rows, 1);
+
+    // One root candidate: the root is shrunk away and `x` and `y` become
+    // two components.  `y` marked first makes the top-level product walk
+    // the components against their tree order; `x, y, z` interleaves their
+    // coordinates (x and z around y), the one shape that has to be sorted.
+    let split = fan_graph(1, 4);
+    for (outputs, expected) in [
+        (&["x", "y"][..], 16),
+        (&["y", "x"], 16),
+        (&["y", "x", "z"], 32),
+        (&["x", "y", "z"], 32),
+    ] {
+        let rows = check_against_naive(
+            &split,
+            &fan_query(outputs),
+            BackendKind::ThreeHop,
+            &format!("two components, outputs {outputs:?}"),
+        );
+        assert_eq!(rows, expected);
+    }
+
+    // Three root candidates keep the tree whole; a non-output root and a
+    // root marked last both have to merge equal rows of different roots.
+    let whole = fan_graph(3, 3);
+    for (outputs, expected) in [
+        (&["x", "y"][..], 9),
+        (&["z", "y", "r"], 54),
+        (&["r", "z", "y", "x"], 54),
+    ] {
+        let rows = check_against_naive(
+            &whole,
+            &fan_query(outputs),
+            BackendKind::Sspi,
+            &format!("one component, outputs {outputs:?}"),
+        );
+        assert_eq!(rows, expected);
+    }
+}
+
+#[test]
+fn cancelling_from_another_thread_interrupts_a_long_enumeration() {
+    // 10 roots x 150 x 150: 225 000 rows when the root is output (walked in
+    // place, one poll per row), and as many rows collected into one sorted
+    // run before the first row when it is not (polled inside the build).
+    let graph = fan_graph(10, 150);
+    let engine = GteaEngine::with_backend(
+        &graph,
+        BackendKind::Closure.build_shared(&graph),
+        GteaOptions::default(),
+    );
+    for outputs in [&["r", "x", "y"][..], &["x", "y"]] {
+        let q = fan_query(outputs);
+        let plan = engine.plan(&q);
+        let token = CancelToken::new();
+        let (mut stream, _) = engine
+            .match_stream(&q, &plan, ExecCtl::unbounded().with_cancel(token.clone()))
+            .expect("the pipeline runs before the token is cancelled");
+        let (go, started) = std::sync::mpsc::channel::<()>();
+        let canceller = std::thread::spawn(move || {
+            started
+                .recv()
+                .expect("the enumerating thread signals its start");
+            token.cancel();
+        });
+        go.send(()).expect("the canceller is waiting");
+        let outcome = loop {
+            match stream.next_row() {
+                Ok(Some(_)) => {}
+                other => break other,
+            }
+        };
+        canceller.join().expect("cancelling thread panicked");
+        assert_eq!(
+            outcome,
+            Err(Interrupt::Cancelled),
+            "outputs {outputs:?}: the enumeration completed ({} rows) instead of being cancelled",
+            stream.rows_enumerated()
+        );
+        assert_eq!(
+            stream.next_row(),
+            Err(Interrupt::Cancelled),
+            "an interrupted stream stays interrupted"
+        );
     }
 }
