@@ -8,11 +8,11 @@
 //! are represented as a graph rather than as tuples, which is exactly the
 //! representation GTEA uses.  Both flavours live here behind one flag.
 //!
-//! Substitution note (DESIGN.md): unit relations join in the canonical
-//! bottom-up order rather than via selectivity-estimated plans, and
-//! reachability is answered by the 3-hop index; the tuple-vs-graph
-//! intermediate representation — the factor the paper's HGJoin+/HGJoin*
-//! comparison isolates — is faithfully reproduced.
+//! Substitution note (`docs/ARCHITECTURE.md`, "Substitutions"): unit
+//! relations join in the canonical bottom-up order rather than via
+//! selectivity-estimated plans, and reachability is answered by the 3-hop
+//! index; the tuple-vs-graph intermediate representation — the factor the
+//! paper's HGJoin+/HGJoin* comparison isolates — is faithfully reproduced.
 
 use std::collections::HashMap;
 use std::rc::Rc;

@@ -20,7 +20,8 @@
 //!   intermediates (HGJoin*), the paper's own revision.
 //!
 //! Substitutions with respect to the original systems (region-encoded input
-//! streams, selectivity-based plan generation) are listed in DESIGN.md; the
+//! streams, selectivity-based plan generation) are listed under
+//! "Substitutions" in `docs/ARCHITECTURE.md`; the
 //! join strategies and intermediate-result representations — the factors the
 //! paper's experiments isolate — are reproduced by real code doing the
 //! corresponding work.

@@ -4,8 +4,9 @@
 //! processing times per algorithm, result counts, I/O-cost counters).  The
 //! absolute numbers differ from the paper — the datasets are scaled-down
 //! synthetic stand-ins and the machine is different — but the *shapes*
-//! (orderings, ratios, crossovers) are the reproduction target and are
-//! recorded in EXPERIMENTS.md.
+//! (orderings, ratios, crossovers) are the reproduction target.  They are
+//! not recorded anywhere yet: the generated experiments report is ROADMAP
+//! item 2.
 
 use std::time::{Duration, Instant};
 
@@ -460,7 +461,8 @@ fn fig12bcd(prefix: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Ablation of GTEA's design decisions (DESIGN.md §3): upward pruning,
+/// Ablation of GTEA's design decisions ("The evaluation pipeline" in
+/// `docs/ARCHITECTURE.md`): upward pruning,
 /// set-at-a-time vs pairwise AD pruning, prime-subtree shrinking.
 fn ablation() -> Result<(), String> {
     println!("== Ablation: GTEA design decisions on XMark scale 1.0, Q3 ==");

@@ -1,8 +1,9 @@
 //! Workload construction shared by the experiment binary and the benches.
 //!
 //! Scales here are deliberately small (the generators scale the paper's
-//! datasets down ~50×, see DESIGN.md) so the full experiment suite runs in
-//! minutes on a laptop while preserving the relative shapes.
+//! datasets down ~50×, see "Substitutions" in `docs/ARCHITECTURE.md`) so the
+//! full experiment suite runs in minutes on a laptop while preserving the
+//! relative shapes.
 
 use gtpq_datagen::{generate_arxiv, generate_xmark, ArxivConfig, XmarkConfig};
 use gtpq_graph::DataGraph;

@@ -11,7 +11,6 @@ use gtpq_reach::{Reachability, ThreeHop};
 use crate::exec::{ExecCtl, Interrupt};
 use crate::matching::MatchingGraph;
 use crate::options::GteaOptions;
-use crate::parallel::enumerate_parallel;
 use crate::plan::{execute_candidates, Planner, QueryPlan};
 use crate::prime::{PrimeSubtree, ShrunkPrime};
 use crate::prune::{prune_downward, prune_upward};
@@ -32,12 +31,12 @@ pub struct ExecOptions {
     pub offset: usize,
     /// Deadline / cancellation control polled by every pipeline stage.
     pub ctl: ExecCtl,
-    /// Intra-query parallelism degree: pipeline stages split their work into
-    /// morsels across up to this many worker threads, and enumeration runs
-    /// one partitioned stream per worker behind an ordered merge.  `1` (the
-    /// default) is fully serial.  The engine applies it structurally
-    /// whenever the input is splittable — cost-based gating (is this query
-    /// worth fanning out?) belongs to the caller, see
+    /// Intra-query parallelism degree: candidate selection, both prune
+    /// rounds and matching-graph construction split their work into morsels
+    /// across up to this many worker threads; result enumeration is serial
+    /// at every degree.  `1` (the default) is fully serial.  The engine
+    /// applies it structurally whenever the input is splittable — cost-based
+    /// gating (is this query worth fanning out?) belongs to the caller, see
     /// [`QueryPlan::recommended_threads`].
     pub threads: usize,
 }
@@ -269,76 +268,43 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         let collect_estimated = window_cap.map_or(plan.collect_estimated_rows, |cap| {
             plan.collect_estimated_rows.min(cap)
         });
-        let parts = source
-            .as_ref()
-            .map_or(0, |s| ctl.threads().min(s.partition_width()));
-        if parts > 1 {
-            // Partitioned enumeration behind an order-preserving merge: one
-            // `MatchStream` per partition of the widest component's root
-            // candidates, k-way merged with the same adjacent-dedup rule the
-            // serial stream applies internally — bit-for-bit serial order.
-            let source = source.as_ref().expect("parts > 1 implies a source");
-            let (interrupt, collect) = enumerate_parallel(source, parts, limit, offset, &ctl);
-            interrupted = interrupt;
-            span.field("rows", collect.merged_rows);
-            span.field("partitions", collect.workers);
-            for row in collect.rows {
-                results.insert(row);
-            }
-            truncated = collect.truncated;
-            stats.enumerated_rows += collect.merged_rows;
-            stats.enumerate_time += collect.enumerate_time;
-            stats.time_to_first_row = collect.time_to_first_row;
-            stats.worker_rows += collect.worker_rows;
-            stats.worker_busy_time += collect.busy;
-            stats.parallel_workers = stats.parallel_workers.max(collect.workers);
-            stats.morsels_dispatched += collect.workers;
-            stats.max_queue_depth = stats.max_queue_depth.max(collect.max_queue_depth);
-            stats.operators.push(OperatorStats {
-                label: "Collect".to_owned(),
-                estimated_rows: collect_estimated,
-                actual_rows: collect.merged_rows,
-                time: collect.enumerate_time,
-            });
-        } else {
-            let mut stream = match source {
-                Some(source) => MatchStream::from_source(source, ctl.clone()),
-                None => MatchStream::empty(q, ctl.clone()),
-            };
-            let mut skipped = 0usize;
-            loop {
-                match stream.next_row() {
-                    Err(e) => {
-                        interrupted = Some(e);
+        let mut stream = match source {
+            Some(source) => MatchStream::from_source(source, ctl.clone()),
+            None => MatchStream::empty(q, ctl.clone()),
+        };
+        let mut skipped = 0usize;
+        loop {
+            match stream.next_row() {
+                Err(e) => {
+                    interrupted = Some(e);
+                    break;
+                }
+                Ok(None) => break,
+                Ok(Some(row)) => {
+                    if skipped < offset {
+                        skipped += 1;
+                        continue;
+                    }
+                    if limit.is_some_and(|l| results.len() >= l) {
+                        // The look-ahead row proves more rows exist past
+                        // the window.
+                        truncated = true;
                         break;
                     }
-                    Ok(None) => break,
-                    Ok(Some(row)) => {
-                        if skipped < offset {
-                            skipped += 1;
-                            continue;
-                        }
-                        if limit.is_some_and(|l| results.len() >= l) {
-                            // The look-ahead row proves more rows exist past
-                            // the window.
-                            truncated = true;
-                            break;
-                        }
-                        results.insert(row);
-                    }
+                    results.insert(row);
                 }
             }
-            span.field("rows", stream.rows_enumerated());
-            stats.enumerated_rows += stream.rows_enumerated();
-            stats.enumerate_time += stream.enumerate_time();
-            stats.time_to_first_row = stream.time_to_first_row();
-            stats.operators.push(OperatorStats {
-                label: "Collect".to_owned(),
-                estimated_rows: collect_estimated,
-                actual_rows: stream.rows_enumerated(),
-                time: stream.enumerate_time(),
-            });
         }
+        span.field("rows", stream.rows_enumerated());
+        stats.enumerated_rows += stream.rows_enumerated();
+        stats.enumerate_time += stream.enumerate_time();
+        stats.time_to_first_row = stream.time_to_first_row();
+        stats.operators.push(OperatorStats {
+            label: "Collect".to_owned(),
+            estimated_rows: collect_estimated,
+            actual_rows: stream.rows_enumerated(),
+            time: stream.enumerate_time(),
+        });
         drop(span);
         stats.result_tuples = results.len() as u64;
         if let Some(interrupt) = interrupted {

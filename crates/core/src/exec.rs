@@ -83,11 +83,6 @@ impl CancelToken {
 pub struct ExecCtl {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    /// A second cancellation slot, triggered by the *consumer* side of a
-    /// partitioned enumeration to stop its worker streams early (limit
-    /// satisfied).  Kept separate from `cancel` so a consumer-initiated stop
-    /// cannot be mistaken for a request-level cancellation.
-    stop: Option<CancelToken>,
     threads: usize,
     polls: Cell<u32>,
     tracer: Tracer,
@@ -98,7 +93,6 @@ impl Default for ExecCtl {
         Self {
             deadline: None,
             cancel: None,
-            stop: None,
             threads: 1,
             polls: Cell::new(0),
             tracer: Tracer::disabled(),
@@ -107,23 +101,16 @@ impl Default for ExecCtl {
 }
 
 /// The `Send` ingredients of an [`ExecCtl`]: deadline and cancellation
-/// tokens, without the thread-local poll counter and tracer.  Worker threads
+/// token, without the thread-local poll counter and tracer.  Worker threads
 /// of a parallel stage call [`ctl`](Self::ctl) to rebuild a control that
 /// honours the same deadline and cancellation as the parent.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerCtl {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    stop: Option<CancelToken>,
 }
 
 impl WorkerCtl {
-    /// Adds the consumer-side stop token (see [`ExecCtl::with_stop`]).
-    pub fn with_stop(mut self, token: CancelToken) -> Self {
-        self.stop = Some(token);
-        self
-    }
-
     /// Builds a single-threaded control with the same deadline and
     /// cancellation sources as the parent, a fresh poll counter and a
     /// disabled tracer.
@@ -131,7 +118,6 @@ impl WorkerCtl {
         ExecCtl {
             deadline: self.deadline,
             cancel: self.cancel.clone(),
-            stop: self.stop.clone(),
             ..ExecCtl::default()
         }
     }
@@ -176,14 +162,6 @@ impl ExecCtl {
         self
     }
 
-    /// Adds the consumer-side stop token of a partitioned enumeration: when
-    /// triggered, polls report [`Interrupt::Cancelled`] just like a request
-    /// cancellation, but only the worker streams holding the token see it.
-    pub fn with_stop(mut self, token: CancelToken) -> Self {
-        self.stop = Some(token);
-        self
-    }
-
     /// The tracer the pipeline records spans through (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -200,24 +178,18 @@ impl ExecCtl {
         WorkerCtl {
             deadline: self.deadline,
             cancel: self.cancel.clone(),
-            stop: self.stop.clone(),
         }
     }
 
     /// Whether this control can never interrupt.
     pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none() && self.stop.is_none()
+        self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Full poll for operator boundaries: always checks the cancellation
     /// flag and, when a deadline is set, the wall clock.
     pub fn check(&self) -> Result<(), Interrupt> {
         if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(Interrupt::Cancelled);
-            }
-        }
-        if let Some(token) = &self.stop {
             if token.is_cancelled() {
                 return Err(Interrupt::Cancelled);
             }
@@ -242,11 +214,6 @@ impl ExecCtl {
         if self.deadline.is_some() && !polls.is_multiple_of(SAMPLE_EVERY) {
             // Between clock reads, still honour cancellation (atomic load).
             if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    return Err(Interrupt::Cancelled);
-                }
-            }
-            if let Some(token) = &self.stop {
                 if token.is_cancelled() {
                     return Err(Interrupt::Cancelled);
                 }
@@ -335,19 +302,5 @@ mod tests {
         });
         handle.join().unwrap();
         assert_eq!(parent.check(), Err(Interrupt::Cancelled));
-    }
-
-    #[test]
-    fn stop_token_cancels_workers_but_not_the_parent() {
-        let stop = CancelToken::new();
-        let parent = ExecCtl::unbounded().with_timeout(Duration::from_secs(3600));
-        let wctl = parent.worker().with_stop(stop.clone()).ctl();
-        assert_eq!(wctl.check(), Ok(()));
-        assert_eq!(wctl.check_sampled(), Ok(()));
-        stop.cancel();
-        assert_eq!(wctl.check(), Err(Interrupt::Cancelled));
-        assert_eq!(wctl.check_sampled(), Err(Interrupt::Cancelled));
-        // The parent never sees a consumer-side stop.
-        assert_eq!(parent.check(), Ok(()));
     }
 }

@@ -39,6 +39,10 @@
 //!    memoised per (node, parent candidate).  The constant columns of output
 //!    nodes that were shrunk away are written once.
 //!
+//! Intra-query threads ([`ExecOptions::threads`]) fan steps 1–3 out over
+//! morsels of their candidate lists; step 4 is one serial walk at every
+//! degree, so the answer, its order and the row counters never depend on it.
+//!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs
 //! under negation (those are checked exactly), and adjacency is enforced when
@@ -53,7 +57,6 @@ pub mod exec;
 pub mod matching;
 pub(crate) mod morsel;
 pub mod options;
-pub(crate) mod parallel;
 pub mod plan;
 pub mod prime;
 pub mod prune;
@@ -64,7 +67,7 @@ pub use engine::{Aborted, ExecOptions, Execution, GteaEngine};
 pub use exec::{CancelToken, ExecCtl, Interrupt, WorkerCtl};
 // Re-exported so `ExecCtl::with_tracer` callers need no direct `gtpq-obs`
 // dependency.
-pub use gtpq_obs::{SpanCollector, Trace, Tracer};
+pub use gtpq_obs::{Trace, Tracer};
 pub use options::GteaOptions;
 pub use plan::{AccessPath, CandidateStep, Planner, PruneStep, QueryPlan};
 pub use stats::{EvalStats, OperatorStats};

@@ -4,7 +4,7 @@
 ///
 /// Defaults correspond to the algorithm exactly as described in the paper;
 /// the flags exist so the ablation benchmarks can quantify each design
-/// decision (DESIGN.md §3).
+/// decision ("The evaluation pipeline" in `docs/ARCHITECTURE.md`).
 #[derive(Clone, Copy, Debug)]
 pub struct GteaOptions {
     /// Run the upward pruning round (Procedure 7).  Disabling it leaves more

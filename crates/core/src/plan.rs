@@ -194,17 +194,18 @@ impl QueryPlan {
     /// The weight is the same one behind the backend recommendation —
     /// [`estimated_probes`](Self::estimated_probes), the predicted
     /// reachability work of both prune rounds — plus the estimated matching
-    /// graph and result sizes.  A cheap query (point lookups, guaranteed-empty
-    /// postings) stays serial no matter how many threads the caller offers:
-    /// morsel dispatch, worker scratch, and the ordered merge all cost more
-    /// than the work they would split.
+    /// graph size: the stages that fan out.  The estimated result size does
+    /// not vote, because enumeration is serial at every degree.  A cheap
+    /// query (point lookups, guaranteed-empty postings) stays serial no
+    /// matter how many threads the caller offers: spawning workers and
+    /// dispatching morsels cost more than the work they would split.
     pub fn recommended_threads(&self, requested: usize) -> usize {
-        /// Below this many estimated probes + rows, fan-out overhead wins.
+        /// Below this many estimated probes + matching-graph rows, fan-out
+        /// overhead wins.
         const MIN_PARALLEL_WORK: u64 = 10_000;
         let work = self
             .estimated_probes
-            .saturating_add(self.matching_estimated_rows)
-            .saturating_add(self.collect_estimated_rows);
+            .saturating_add(self.matching_estimated_rows);
         if work < MIN_PARALLEL_WORK {
             1
         } else {
@@ -754,6 +755,10 @@ mod tests {
         assert_eq!(QueryPlan::fixed_pipeline(&q).recommended_threads(8), 1);
         // The running example is tiny — far below the fan-out threshold.
         let mut plan = Planner::new(&g).plan(&q);
+        assert_eq!(plan.recommended_threads(8), 1);
+        // A huge answer over cheap filter stages stays serial too: the rows
+        // are enumerated by one thread whatever the degree.
+        plan.collect_estimated_rows = u64::MAX;
         assert_eq!(plan.recommended_threads(8), 1);
         // Inflate the estimated work: the requested degree passes through.
         plan.estimated_probes = 1_000_000;

@@ -105,12 +105,6 @@ pub struct EvalStats {
     /// exceed the wall-clock stage times; `worker_busy_time / stage time`
     /// approximates the effective parallel speedup.
     pub worker_busy_time: Duration,
-    /// Rows produced by partition enumerators before the ordered merge
-    /// (≥ `enumerated_rows` under parallel enumeration; 0 when serial).
-    pub worker_rows: u64,
-    /// High-water mark of rows buffered but not yet merged during parallel
-    /// enumeration — how far ahead of the consumer the workers ran.
-    pub max_queue_depth: u64,
     /// Per-operator estimated-vs-actual cardinalities and wall times, in
     /// execution order.
     pub operators: Vec<OperatorStats>,

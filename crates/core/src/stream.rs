@@ -77,7 +77,7 @@ const TRACED_PULLS: u64 = 16;
 enum Kind {
     /// The product over the shrunk components; has one pseudo-candidate.
     Top,
-    /// A component root: candidates are (a range of) `mat(u)`.
+    /// A component root: candidates are `mat(u)`.
     Root,
     /// Any other shrunk node: candidates are a branch of the matching graph.
     Inner,
@@ -107,9 +107,9 @@ struct PlanNode {
 /// matching graph, the pruned candidate sets and the per-node enumeration
 /// plan (column layouts, odometer orders).
 ///
-/// Extracted from [`MatchStream`] so parallel enumeration can share one
-/// source across worker threads behind an `Arc`, each worker walking its own
-/// stream over a *partition* of the widest component's root candidates.
+/// Kept apart from [`MatchStream`] so the pipeline can hand back what it
+/// prepared without having started to walk it; a stream holds its source
+/// behind an `Arc` and adds only cursors.
 pub struct StreamSource {
     matching: MatchingGraph,
     mat: Vec<Vec<NodeId>>,
@@ -119,9 +119,6 @@ pub struct StreamSource {
     /// Constant columns of shrunk-away output nodes.
     constants: Vec<(usize, NodeId)>,
     output_len: usize,
-    /// Plan index of the component root with the most candidates — the axis
-    /// partitioned streams split on.
-    axis: Option<usize>,
 }
 
 impl StreamSource {
@@ -145,15 +142,9 @@ impl StreamSource {
             .filter_map(|&(u, v)| rank[u.index()].map(|r| (r, v)))
             .collect();
         let mut plan = Vec::with_capacity(shrunk.len() + 1);
-        let mut axis: Option<(usize, usize)> = None;
         let mut components = Vec::with_capacity(shrunk.roots.len());
         for (slot, &r) in shrunk.roots.iter().enumerate() {
             let n = plan_subtree(&mut plan, &shrunk, &rank, &mat, r, Kind::Root, 1);
-            // First-widest wins so the axis is deterministic across runs.
-            let width = mat[r.index()].len();
-            if axis.is_none_or(|(_, best)| width > best) {
-                axis = Some((n, width));
-            }
             components.push((n, slot));
         }
         let top = push_node(&mut plan, Kind::Top, q.root(), None, components, 1);
@@ -166,21 +157,12 @@ impl StreamSource {
             plan,
             constants,
             output_len: outputs.len(),
-            axis: axis.map(|(n, _)| n),
         }
     }
 
     /// Number of output coordinates per row.
     pub fn output_len(&self) -> usize {
         self.output_len
-    }
-
-    /// How many top-level units the partition axis (the component with the
-    /// most root candidates) offers: the upper bound on useful enumeration
-    /// partitions.  Zero when every component was shrunk away.
-    pub fn partition_width(&self) -> usize {
-        self.axis
-            .map_or(0, |n| self.mat[self.plan[n].u.index()].len())
     }
 
     fn top(&self) -> usize {
@@ -271,8 +253,6 @@ struct Cursor {
 /// row, and the arena of built runs.
 #[derive(Default)]
 struct Walk {
-    /// The axis root's candidate range, for a partition stream.
-    part: Option<Range<usize>>,
     cursors: Vec<Cursor>,
     /// The current output row; every cursor writes its own columns.
     row: Vec<NodeId>,
@@ -289,13 +269,12 @@ struct Walk {
 }
 
 impl Walk {
-    fn new(src: &StreamSource, part: Option<Range<usize>>) -> Self {
+    fn new(src: &StreamSource) -> Self {
         let mut row = vec![NodeId(0); src.output_len];
         for &(c, v) in &src.constants {
             row[c] = v;
         }
         Self {
-            part,
             cursors: vec![Cursor::default(); src.plan.len()],
             row,
             arena: Vec::new(),
@@ -410,9 +389,8 @@ impl Walk {
             self.row[c] = v;
         }
         for &(f, slot) in &node.factors {
-            let range = match (node.kind, &self.part) {
-                (Kind::Top, Some(part)) if src.axis == Some(f) => part.clone(),
-                (Kind::Top, _) => 0..src.mat[src.plan[f].u.index()].len(),
+            let range = match node.kind {
+                Kind::Top => 0..src.mat[src.plan[f].u.index()].len(),
                 _ => src.matching.branch(node.u, pos, slot),
             };
             if !self.open(src, ctl, f, range, pos)? {
@@ -560,36 +538,10 @@ pub struct MatchStream {
 }
 
 impl MatchStream {
-    /// Builds the stream over a pruned candidate graph.  `mat` must hold the
-    /// candidate sets *after* both prune rounds, and `matching` the maximal
-    /// matching graph built from them.
-    pub fn build(
-        q: &Gtpq,
-        shrunk: ShrunkPrime,
-        matching: MatchingGraph,
-        mat: Vec<Vec<NodeId>>,
-        ctl: ExecCtl,
-    ) -> Self {
-        Self::from_source(Arc::new(StreamSource::new(q, shrunk, matching, mat)), ctl)
-    }
-
-    /// Builds the stream over a prepared (possibly shared) source.
+    /// Builds the stream over a prepared source.
     pub fn from_source(source: Arc<StreamSource>, ctl: ExecCtl) -> Self {
-        Self::over(source, None, ctl)
-    }
-
-    /// Builds a stream restricted to the root candidates at positions
-    /// `part` of the source's partition axis (the widest component); the
-    /// other components enumerate in full.  The union of the streams over a
-    /// partition of `0..partition_width()`, merged in order with
-    /// adjacent-duplicate elimination, is bit-for-bit the serial stream.
-    pub(crate) fn partitioned(source: Arc<StreamSource>, part: Range<usize>, ctl: ExecCtl) -> Self {
-        Self::over(source, Some(part), ctl)
-    }
-
-    fn over(source: Arc<StreamSource>, part: Option<Range<usize>>, ctl: ExecCtl) -> Self {
         Self {
-            walk: Walk::new(&source, part),
+            walk: Walk::new(&source),
             source: Some(source),
             state: State::Fresh,
             ctl,
@@ -741,7 +693,8 @@ mod tests {
     #[test]
     fn stream_emits_the_example_answer_in_sorted_order() {
         let (q, shrunk, matching, mat) = pruned_example();
-        let mut stream = MatchStream::build(&q, shrunk, matching, mat, ExecCtl::unbounded());
+        let source = Arc::new(StreamSource::new(&q, shrunk, matching, mat));
+        let mut stream = MatchStream::from_source(source, ExecCtl::unbounded());
         let mut rows = Vec::new();
         while let Some(row) = stream.next_row().unwrap() {
             rows.push(row);
@@ -803,7 +756,8 @@ mod tests {
         let token = crate::exec::CancelToken::new();
         token.cancel();
         let ctl = ExecCtl::unbounded().with_cancel(token);
-        let mut stream = MatchStream::build(&q, shrunk, matching, mat, ctl);
+        let source = Arc::new(StreamSource::new(&q, shrunk, matching, mat));
+        let mut stream = MatchStream::from_source(source, ctl);
         assert_eq!(stream.next_row(), Err(Interrupt::Cancelled));
     }
 
@@ -813,40 +767,5 @@ mod tests {
         let mut stream = MatchStream::empty(&q, ExecCtl::unbounded());
         assert_eq!(stream.next_row(), Ok(None));
         assert_eq!(stream.rows_enumerated(), 0);
-    }
-
-    #[test]
-    fn partitioned_streams_union_to_the_serial_stream() {
-        let (q, shrunk, matching, mat) = pruned_example();
-        let source = Arc::new(StreamSource::new(&q, shrunk, matching, mat));
-        let drain = |mut s: MatchStream| {
-            let mut rows = Vec::new();
-            while let Some(row) = s.next_row().unwrap() {
-                rows.push(row);
-            }
-            rows
-        };
-        let serial = drain(MatchStream::from_source(
-            Arc::clone(&source),
-            ExecCtl::unbounded(),
-        ));
-        assert!(!serial.is_empty());
-        let width = source.partition_width();
-        assert!(width >= 1);
-        for parts in 1..=width {
-            let ranges = crate::morsel::morsel_ranges(width, parts);
-            let mut union: Vec<Vec<NodeId>> = Vec::new();
-            for range in ranges {
-                let stream =
-                    MatchStream::partitioned(Arc::clone(&source), range, ExecCtl::unbounded());
-                let rows = drain(stream);
-                // Each partition is itself sorted and distinct.
-                assert!(rows.windows(2).all(|w| w[0] < w[1]));
-                union.extend(rows);
-            }
-            union.sort();
-            union.dedup();
-            assert_eq!(union, serial, "partition count {parts}");
-        }
     }
 }

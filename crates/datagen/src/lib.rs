@@ -5,7 +5,8 @@
 //! edges), the arXiv HEP-Th citation/authorship graph, and a DBLP fragment
 //! for the motivating example.  This crate generates deterministic synthetic
 //! stand-ins with the same schema shape and the structural properties the
-//! algorithms are sensitive to (see DESIGN.md "Substitutions"):
+//! algorithms are sensitive to (see "Substitutions" in
+//! `docs/ARCHITECTURE.md`):
 //!
 //! * [`xmark`] — auction-site graphs: a shallow tree skeleton of typed
 //!   elements (`open_auction`, `bidder`, `person`, `item`, ...) plus IDREF

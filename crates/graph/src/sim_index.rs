@@ -265,8 +265,11 @@ impl SimTable {
     /// materialization.  Always ≥ the filter's candidate count, which itself
     /// is ≥ the exact match count.
     pub fn estimate_within_l2(&self, query: &[f32], radius: f32) -> usize {
-        if !radius.is_finite() || radius < 0.0 {
+        if radius.is_nan() || radius < 0.0 {
             return 0;
+        }
+        if radius == f32::INFINITY {
+            return self.len();
         }
         let d0 = l2(query, &self.pivots[..self.dim()]);
         let start = self.sorted_d0.partition_point(|&d| d < d0 - radius);

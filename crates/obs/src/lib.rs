@@ -11,9 +11,9 @@
 //!   estimates/actuals as span fields; a finished [`Trace`] renders as an
 //!   indented tree or exports as Chrome `trace_event` JSON for
 //!   `about:tracing` / Perfetto.  Disabled tracers cost two branches per
-//!   span site.  [`SpanCollector`] bridges worker threads into a parent
-//!   trace: workers record through thread-local tracers sharing the parent
-//!   epoch and the parent grafts the results with [`Tracer::adopt`].
+//!   span site.  A tracer stays on the request's thread: the workers of a
+//!   morsel-parallel stage run with a disabled tracer, and the stage span
+//!   opened around the fan-out covers their time.
 //! * [`LogHistogram`] / [`HistogramSnapshot`] — lock-free log-bucketed
 //!   (HDR-style) histograms for latency percentiles (p50/p90/p99/p999) over
 //!   the full `u64` nanosecond range with ≤ 12.5% bucket error.
@@ -37,5 +37,5 @@ pub mod window;
 
 pub use hist::{bucket_bound, bucket_index, HistogramSnapshot, LogHistogram, BUCKETS, SUB_BITS};
 pub use prom::{valid_metric_name, PromText, LATENCY_BOUNDS_SECONDS};
-pub use trace::{Span, SpanCollector, SpanGuard, Trace, Tracer};
+pub use trace::{Span, SpanGuard, Trace, Tracer};
 pub use window::WindowedCounter;

@@ -17,7 +17,6 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One recorded span: a named, timed interval in the request's span tree.
@@ -151,61 +150,6 @@ impl Tracer {
         self.span(name())
     }
 
-    /// A recording tracer whose span offsets are relative to an explicit
-    /// epoch — how [`SpanCollector::tracer`] aligns worker-thread spans with
-    /// the parent trace's timeline.
-    fn enabled_at(epoch: Instant) -> Self {
-        Self {
-            inner: Some(Rc::new(TracerInner {
-                epoch,
-                data: RefCell::new(TraceData {
-                    spans: Vec::with_capacity(8),
-                    open: Vec::with_capacity(4),
-                }),
-            })),
-        }
-    }
-
-    /// A `Send + Sync` collector that worker threads record spans into, for
-    /// later grafting into this tracer via [`adopt`](Self::adopt).
-    ///
-    /// The collector shares this tracer's epoch, so worker span offsets line
-    /// up with the parent timeline.  A disabled tracer returns a disabled
-    /// collector (every worker tracer is inert, adoption is a no-op).
-    pub fn collector(&self) -> SpanCollector {
-        SpanCollector {
-            inner: self.inner.as_ref().map(|inner| {
-                Arc::new(CollectorInner {
-                    epoch: inner.epoch,
-                    groups: Mutex::new(Vec::new()),
-                })
-            }),
-        }
-    }
-
-    /// Grafts every span group recorded into `collector` under the currently
-    /// open span (or as roots when none is open), preserving each group's
-    /// internal nesting.  Call after the worker threads that recorded into
-    /// the collector have finished.
-    pub fn adopt(&self, collector: &SpanCollector) {
-        let (Some(inner), Some(collected)) = (&self.inner, &collector.inner) else {
-            return;
-        };
-        let groups = std::mem::take(&mut *collected.groups.lock().expect("collector poisoned"));
-        let mut data = inner.data.borrow_mut();
-        let graft_parent = data.open.last().copied();
-        for group in groups {
-            let base = data.spans.len();
-            for mut span in group {
-                span.parent = match span.parent {
-                    Some(local) => Some(local + base),
-                    None => graft_parent,
-                };
-                data.spans.push(span);
-            }
-        }
-    }
-
     /// Snapshots the recorded spans into an owned [`Trace`] (`None` for a
     /// disabled tracer).  Open spans are closed as of now.
     ///
@@ -264,88 +208,6 @@ impl Drop for SpanGuard {
                 data.open.truncate(pos);
             }
         }
-    }
-}
-
-#[derive(Debug)]
-struct CollectorInner {
-    epoch: Instant,
-    /// One group per worker submission; group-local parent indices are
-    /// re-based when the parent tracer adopts them.
-    groups: Mutex<Vec<Vec<Span>>>,
-}
-
-/// A `Send + Sync` bridge between worker threads and an `Rc`-based parent
-/// [`Tracer`]: each worker records spans through its own thread-local tracer
-/// ([`tracer`](Self::tracer)), submits them ([`absorb`](Self::absorb)), and
-/// the parent grafts everything into its span tree with [`Tracer::adopt`].
-///
-/// ```
-/// use gtpq_obs::Tracer;
-///
-/// let parent = Tracer::enabled();
-/// let root = parent.span("enumerate");
-/// let collector = parent.collector();
-/// std::thread::scope(|scope| {
-///     scope.spawn(|| {
-///         let worker = collector.tracer();
-///         drop(worker.span("worker 0"));
-///         collector.absorb(worker);
-///     });
-/// });
-/// parent.adopt(&collector);
-/// drop(root);
-/// let trace = parent.finish().unwrap();
-/// assert_eq!(trace.span("worker 0").unwrap().parent, Some(0));
-/// ```
-#[derive(Clone, Default)]
-pub struct SpanCollector {
-    inner: Option<Arc<CollectorInner>>,
-}
-
-impl fmt::Debug for SpanCollector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            Some(inner) => write!(
-                f,
-                "SpanCollector(enabled, {} groups)",
-                inner.groups.lock().map(|g| g.len()).unwrap_or(0)
-            ),
-            None => write!(f, "SpanCollector(disabled)"),
-        }
-    }
-}
-
-impl SpanCollector {
-    /// Whether spans recorded through this collector will be kept.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// A fresh worker-local tracer sharing the parent's epoch.  Create it on
-    /// the worker thread (tracers are `Rc`-based and do not cross threads),
-    /// record spans as usual, then hand it back with [`absorb`](Self::absorb).
-    pub fn tracer(&self) -> Tracer {
-        match &self.inner {
-            Some(inner) => Tracer::enabled_at(inner.epoch),
-            None => Tracer::disabled(),
-        }
-    }
-
-    /// Finishes a worker tracer and stores its spans as one group (open spans
-    /// are closed as of now; no-op for disabled tracers/collectors).
-    pub fn absorb(&self, worker: Tracer) {
-        let (Some(inner), Some(trace)) = (&self.inner, worker.finish()) else {
-            return;
-        };
-        if trace.spans.is_empty() {
-            return;
-        }
-        inner
-            .groups
-            .lock()
-            .expect("collector poisoned")
-            .push(trace.spans);
     }
 }
 
@@ -539,73 +401,6 @@ mod tests {
         let lines: Vec<&str> = rendered.lines().collect();
         assert!(lines[0].starts_with("request "));
         assert!(lines[1].starts_with("  child "));
-    }
-
-    #[test]
-    fn collector_grafts_worker_spans_under_the_open_span() {
-        let parent = Tracer::enabled();
-        let root = parent.span("request");
-        let stage = parent.span("enumerate");
-        let collector = parent.collector();
-        assert!(collector.is_enabled());
-        std::thread::scope(|scope| {
-            for i in 0..2 {
-                let collector = &collector;
-                scope.spawn(move || {
-                    let worker = collector.tracer();
-                    let outer = worker.span_with(|| format!("worker {i}"));
-                    drop(worker.span("inner"));
-                    drop(outer);
-                    collector.absorb(worker);
-                });
-            }
-        });
-        parent.adopt(&collector);
-        // A second adopt of the same (now drained) collector adds nothing:
-        // the worker-span count below stays at exactly two.
-        parent.adopt(&collector);
-        drop(stage);
-        drop(root);
-        let trace = parent.finish().unwrap();
-        let enumerate = trace
-            .spans
-            .iter()
-            .position(|s| s.name == "enumerate")
-            .unwrap();
-        // Both worker roots graft under `enumerate`; nesting is preserved.
-        let workers: Vec<usize> = trace
-            .spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.name.starts_with("worker "))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(workers.len(), 2);
-        for w in &workers {
-            assert_eq!(trace.spans[*w].parent, Some(enumerate));
-        }
-        let inners: Vec<&Span> = trace.spans.iter().filter(|s| s.name == "inner").collect();
-        assert_eq!(inners.len(), 2);
-        for inner in inners {
-            assert!(workers.contains(&inner.parent.unwrap()));
-        }
-    }
-
-    #[test]
-    fn disabled_collector_is_inert() {
-        let collector = Tracer::disabled().collector();
-        assert!(!collector.is_enabled());
-        let worker = collector.tracer();
-        assert!(!worker.is_enabled());
-        collector.absorb(worker);
-        let enabled = Tracer::enabled();
-        enabled.adopt(&collector);
-        assert!(enabled.finish().unwrap().spans.is_empty());
-        // An enabled collector absorbed into by no one adopts nothing either.
-        let parent = Tracer::enabled();
-        let empty = parent.collector();
-        parent.adopt(&empty);
-        assert!(parent.finish().unwrap().spans.is_empty());
     }
 
     #[test]

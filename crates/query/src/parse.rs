@@ -471,6 +471,15 @@ fn lex_number(input: &str, start: usize) -> Result<(TokKind, usize), ParseError>
                 format!("invalid floating-point literal `{text}`"),
             )
         })?;
+        // `str::parse::<f32>` rounds an over-long literal to ±∞ instead of
+        // failing; the query would then compare against a value its text
+        // never wrote.
+        if !value.is_finite() {
+            return Err(ParseError::new(
+                TextSpan::new(start, j),
+                format!("floating-point literal `{text}` is out of range for f32"),
+            ));
+        }
         return Ok((TokKind::Float(value), j));
     }
     let text = &input[start..i];
@@ -1549,6 +1558,15 @@ mod tests {
         // message and the span of the literal.
         let e = err("a* { where 1.5 }");
         assert!(e.message.contains("floating-point literal `1.5`"), "{e}");
+        // A literal too long for f32 is an error, not ±∞ — as a threshold
+        // and as a vector component, with the span of the literal.
+        let huge = format!("{}.0", "9".repeat(43));
+        let e = err(&format!("[sim(emb, [1, 2]) < {huge}]*"));
+        assert!(e.message.contains("out of range for f32"), "{e}");
+        assert_eq!(e.span, TextSpan::new(20, 20 + huge.len()));
+        let e = err(&format!("[sim(emb, [-{huge}, 2]) > 0.5]*"));
+        assert!(e.message.contains("out of range for f32"), "{e}");
+        assert_eq!(e.span, TextSpan::new(11, 12 + huge.len()));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! structure.  We use the chain-cover entry/exit formulation directly (the
 //! same information, the same query procedure, the same interface); the
 //! difference only affects the constant factor of the index size, which is
-//! recorded in DESIGN.md as a documented substitution.
+//! recorded under "Substitutions" in `docs/ARCHITECTURE.md`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -94,14 +94,14 @@ enum Fed {
 }
 
 /// Expands the counter table.  A stored row reads
-/// `field: unit, kind "family", "help" [<- Fed rule |stats| projection] [=> recorder];`
+/// `field: unit, kind "family", "help" [<- Fed |stats| projection] [=> recorder];`
 /// where `unit` is `count` (a `u64`) or `nanos` (a `Duration`: nanoseconds
 /// stored, seconds scraped), `kind` is `counter` or `gauge` (the [`PromText`]
 /// method of that name) and `help` is both `# HELP` text and field doc.  A
-/// row fed from the engine names the runs that feed it and the `AtomicU64`
-/// method (`fetch_add` / `fetch_max`) folding its projection in; a plain
-/// service event names the `record_*` method to generate, or has a
-/// hand-written one below.  A derived row is a gauge computed per snapshot.
+/// row fed from the engine names the runs that feed it and the projection
+/// added to it per run; a plain service event names the `record_*` method
+/// to generate, or has a hand-written one below.  A derived row is a gauge
+/// computed per snapshot.
 macro_rules! counters {
     (@ty count) => { u64 };
     (@ty nanos) => { Duration };
@@ -112,7 +112,7 @@ macro_rules! counters {
     (@scrape count $value:expr) => { $value as f64 };
     (@scrape nanos $value:expr) => { $value.as_secs_f64() };
     (stored { $($id:ident: $unit:ident, $kind:ident $family:literal, $help:literal
-        $(<- $fed:ident $rule:ident |$s:ident| $proj:expr)? $(=> $recorder:ident)?;)* }
+        $(<- $fed:ident |$s:ident| $proj:expr)? $(=> $recorder:ident)?;)* }
      derived { $($gauge:literal, $ghelp:literal, |$m:ident| $value:expr;)* }) => {
         #[derive(Debug, Default)]
         struct Counters {
@@ -126,7 +126,7 @@ macro_rules! counters {
             fn fold(&self, stats: &EvalStats, run: Fed) {
                 $($(if Fed::$fed == Fed::EveryRun || Fed::$fed == run {
                     let $s = stats;
-                    self.$id.$rule(counters!(@raw $unit $proj), Relaxed);
+                    self.$id.fetch_add(counters!(@raw $unit $proj), Relaxed);
                 })?)*
             }
         }
@@ -213,59 +213,56 @@ counters! {
     rows_truncated: count, counter "gtpq_rows_truncated_total",
         "Outcomes whose row window was cut short by a `limit`." => record_truncated;
     result_tuples: count, counter "gtpq_result_tuples_total",
-        "Result tuples produced by engine runs." <- Miss fetch_add |s| s.result_tuples;
+        "Result tuples produced by engine runs." <- Miss |s| s.result_tuples;
     enumerated_rows: count, counter "gtpq_enumerated_rows_total",
         "Rows pulled from the streaming enumerator, offset-skipped and look-ahead rows included \
          (against `result_tuples`: what limit pushdown avoided)."
-        <- EveryRun fetch_add |s| s.enumerated_rows;
+        <- EveryRun |s| s.enumerated_rows;
     input_nodes: count, counter "gtpq_input_nodes_total",
         "Data-node accesses across engine runs (`#input`, Fig. 10)."
-        <- EveryRun fetch_add |s| s.input_nodes;
+        <- EveryRun |s| s.input_nodes;
     index_lookups: count, counter "gtpq_index_lookups_total",
         "Reachability-index element lookups across engine runs (`#index`, Fig. 10); a set-probe sweep counts the condensation edges it visited, once per prepared probe."
-        <- EveryRun fetch_add |s| s.index_lookups;
+        <- EveryRun |s| s.index_lookups;
     index_hits: count, counter "gtpq_index_hits_total",
         "Candidates served straight from the attribute inverted index."
-        <- EveryRun fetch_add |s| s.index_hits;
+        <- EveryRun |s| s.index_hits;
     scanned_nodes: count, counter "gtpq_scanned_nodes_total",
         "Nodes individually verified during candidate selection (what the index could not serve)."
-        <- EveryRun fetch_add |s| s.scanned_nodes;
+        <- EveryRun |s| s.scanned_nodes;
     sim_pivot_filtered: count, counter "gtpq_sim_pivot_filtered_total",
         "Sim-indexed vectors discarded by the pivot filter (exact distance computations avoided)."
-        <- EveryRun fetch_add |s| s.sim_pivot_filtered;
+        <- EveryRun |s| s.sim_pivot_filtered;
     sim_verified: count, counter "gtpq_sim_verified_total",
         "Sim-indexed vectors verified with an exact distance or cosine computation."
-        <- EveryRun fetch_add |s| s.sim_verified;
+        <- EveryRun |s| s.sim_verified;
     plan_cache_hits: count, counter "gtpq_plan_cache_hits_total",
         "Evaluations that reused a cached physical plan." => record_plan_hit;
     plan_cache_misses: count, counter "gtpq_plan_cache_misses_total",
         "Evaluations that built a fresh physical plan." => record_plan_miss;
     plan_time: nanos, counter "gtpq_plan_seconds_total",
         "Planning time across engine runs (zero for plan-cache hits)."
-        <- Miss fetch_add |s| s.plan_time;
+        <- Miss |s| s.plan_time;
     estimated_rows: count, counter "gtpq_estimated_rows_total",
         "Sum of the planner's per-operator row estimates across engine runs."
-        <- Miss fetch_add |s| s.estimated_rows();
+        <- Miss |s| s.estimated_rows();
     actual_rows: count, counter "gtpq_actual_rows_total",
-        "Sum of the rows those operators actually produced." <- Miss fetch_add |s| s.actual_rows();
+        "Sum of the rows those operators actually produced." <- Miss |s| s.actual_rows();
     estimation_error_rows: count, counter "gtpq_estimation_error_rows_total",
         "Sum of per-operator absolute estimation errors (over- and under-estimates cannot cancel)."
-        <- Miss fetch_add |s| s.absolute_estimation_error();
+        <- Miss |s| s.absolute_estimation_error();
     eval_time: nanos, counter "gtpq_eval_seconds_total",
         "Engine evaluation time across cache misses (summed over queries, not wall clock)."
-        <- Miss fetch_add |s| s.total_time();
+        <- Miss |s| s.total_time();
     worker_busy_time: nanos, counter "gtpq_worker_busy_seconds_total",
         "Busy time across intra-query morsel workers (sums over workers, so it can exceed \
          `eval_time`; the ratio is the achieved fan-out)."
-        <- EveryRun fetch_add |s| s.worker_busy_time;
+        <- EveryRun |s| s.worker_busy_time;
     morsels: count, counter "gtpq_morsels_total",
-        "Morsels dispatched to intra-query workers." <- EveryRun fetch_add |s| s.morsels_dispatched;
-    max_queue_depth: count, gauge "gtpq_morsel_queue_depth_max",
-        "Deepest partition-consumer queue observed during enumeration (a high-water mark)."
-        <- EveryRun fetch_max |s| s.max_queue_depth;
+        "Morsels dispatched to intra-query workers." <- EveryRun |s| s.morsels_dispatched;
     aborted_eval_time: nanos, counter "gtpq_aborted_eval_seconds_total",
         "Engine time spent in runs that were ultimately aborted (invisible in `eval_time`)."
-        <- Aborted fetch_add |s| s.total_time();
+        <- Aborted |s| s.total_time();
     graph_epoch: count, gauge "gtpq_graph_epoch",
         "Epoch of the graph generation the service answers for (0 on a frozen graph).";
     epoch_rotations: count, counter "gtpq_epoch_rotations_total",
@@ -530,7 +527,6 @@ mod tests {
             result_tuples: 17,
             enumerated_rows: 18,
             morsels_dispatched: 19,
-            max_queue_depth: 20,
             candidate_time: Duration::from_millis(1),
             prune_down_time: Duration::from_millis(2),
             prune_up_time: Duration::from_millis(3),
@@ -557,8 +553,8 @@ mod tests {
         m.record_latency(Duration::from_millis(2));
         let page = m.snapshot().render_prometheus();
         let families = families(&page);
-        // 30 stored rows + 5 derived gauges + 3 histogram families.
-        assert_eq!(families.len(), 38, "{families:?}");
+        // 29 stored rows + 5 derived gauges + 3 histogram families.
+        assert_eq!(families.len(), 37, "{families:?}");
         for (i, (family, kind)) in families.iter().enumerate() {
             assert!(valid_metric_name(family), "{family}");
             assert!(
@@ -581,7 +577,7 @@ mod tests {
         // of the same run — every stored row, so a new row has to say here
         // what feeds it.  An aborted run keeps its partial work but counts
         // under `aborted` / `aborted_eval_time`, never as a query or a miss.
-        let pinned: [(&str, f64, f64); 30] = [
+        let pinned: [(&str, f64, f64); 29] = [
             ("gtpq_queries_total", 1.0, 0.0),
             ("gtpq_cache_hits_total", 0.0, 0.0),
             ("gtpq_cache_misses_total", 1.0, 0.0),
@@ -607,7 +603,6 @@ mod tests {
             ("gtpq_eval_seconds_total", 0.021, 0.0),
             ("gtpq_worker_busy_seconds_total", 0.008, 0.008),
             ("gtpq_morsels_total", 19.0, 19.0),
-            ("gtpq_morsel_queue_depth_max", 20.0, 20.0),
             ("gtpq_aborted_eval_seconds_total", 0.0, 0.021),
             ("gtpq_graph_epoch", 0.0, 0.0),
             ("gtpq_epoch_rotations_total", 0.0, 0.0),
@@ -844,27 +839,23 @@ mod tests {
             parallel_workers: 4,
             worker_busy_time: Duration::from_millis(30),
             morsels_dispatched: 12,
-            max_queue_depth: 5,
             ..Default::default()
         });
         // Aborted runs fold their partial parallel work too.
         m.record_aborted(&EvalStats {
             worker_busy_time: Duration::from_millis(10),
             morsels_dispatched: 3,
-            max_queue_depth: 2,
             ..Default::default()
         });
         let snap = m.snapshot();
         assert_eq!(snap.worker_busy_time, Duration::from_millis(40));
         assert_eq!(snap.morsels, 15);
-        assert_eq!(snap.max_queue_depth, 5, "high-water mark, not a sum");
         assert!(
             snap.worker_utilization() > 1.0,
             "busy time exceeds engine time"
         );
         let page = snap.render_prometheus();
         assert!(page.contains("# TYPE gtpq_worker_busy_seconds_total counter"));
-        assert!(page.contains("gtpq_morsel_queue_depth_max 5"));
     }
 
     #[test]

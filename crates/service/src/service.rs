@@ -32,9 +32,9 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Intra-query parallelism degree offered to every request that does not
     /// set [`QueryRequest::threads`] itself: morsel-driven candidate
-    /// selection, pruning, matching-graph construction and partitioned
-    /// enumeration fan a single query out over up to this many scoped worker
-    /// threads.  `1` keeps all requests serial.  The planner's cost gate
+    /// selection, pruning and matching-graph construction fan a single query
+    /// out over up to this many scoped worker threads; result enumeration is
+    /// serial at every degree.  `1` keeps all requests serial.  The planner's cost gate
     /// ([`QueryPlan::recommended_threads`]) still drops cheap queries to a
     /// serial run, and results are bit-for-bit identical at any degree.
     /// Defaults to the machine's available parallelism.

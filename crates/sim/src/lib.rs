@@ -243,16 +243,24 @@ impl<'a> PivotFilter<'a> {
     /// exact within-radius answer (triangle inequality); callers verify the
     /// survivors with an exact distance computation.
     ///
-    /// A non-finite or negative radius yields no candidates.
+    /// A NaN or negative radius yields no candidates; a `+∞` radius yields
+    /// every entry (no distance is beyond it — whether one is *strictly*
+    /// within it is the caller's verification, as for any radius).
     ///
     /// # Panics
     /// Panics when `query.len() != dim`.
     pub fn candidates_within(&self, query: &[f32], radius: f32) -> FilterResult {
         let n = self.len();
-        if !radius.is_finite() || radius < 0.0 {
+        if radius.is_nan() || radius < 0.0 {
             return FilterResult {
                 candidates: Vec::new(),
                 pruned: n as u64,
+            };
+        }
+        if radius == f32::INFINITY {
+            return FilterResult {
+                candidates: (0..n as u32).collect(),
+                pruned: 0,
             };
         }
         let qd = self.query_pivot_dists(query);
@@ -376,14 +384,21 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_radii_yield_no_candidates() {
+    fn degenerate_radii_yield_no_candidates_and_an_infinite_one_yields_all() {
         let data = lcg_vectors(10, 2, 0);
         let pivots = data[0..2].to_vec();
         let dists = pivot_distances(&data, 2, &pivots);
         let filter = PivotFilter::new(2, &pivots, &dists);
-        for r in [-1.0f32, f32::NAN, f32::INFINITY] {
+        for r in [-1.0f32, f32::NAN, f32::NEG_INFINITY] {
             let result = filter.candidates_within(&[0.0, 0.0], r);
             assert!(result.candidates.is_empty(), "radius {r}");
+            assert_eq!(result.pruned, 10);
+        }
+        // Nothing lies beyond an infinite radius, whatever the query.
+        for query in [[0.0f32, 0.0], [f32::INFINITY, 0.0]] {
+            let result = filter.candidates_within(&query, f32::INFINITY);
+            assert_eq!(result.candidates, (0..10).collect::<Vec<u32>>());
+            assert_eq!(result.pruned, 0);
         }
     }
 

@@ -25,6 +25,9 @@
 //! The reachability-backend selector table of the "Layers" walk-through is
 //! held to the code as well: its backend column must name exactly the
 //! members of `BackendKind::ALL`.
+//!
+//! In the other direction, every Markdown file a `//!` / `///` comment
+//! under `crates/` or `src/` sends the reader to must exist.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -319,4 +322,52 @@ fn lifecycle_claims_hold_in_miniature() {
         fresh.stats.unwrap().graph_epoch > cold.stats.unwrap().graph_epoch,
         "EvalStats::graph_epoch did not advance with the commit"
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directories are readable") {
+        let path = entry.expect("directory entries are readable").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn markdown_files_named_in_doc_comments_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    rust_sources(&root.join("src"), &mut sources);
+    let mut named = 0;
+    for source in sources {
+        let text = std::fs::read_to_string(&source).expect("sources are UTF-8");
+        let doc_lines = text.lines().enumerate().filter(|(_, line)| {
+            let line = line.trim_start();
+            line.starts_with("//!") || line.starts_with("///")
+        });
+        for (n, line) in doc_lines {
+            // A path token: what is left of a word once the punctuation
+            // around it (backticks, quotes, brackets, a sentence's full
+            // stop) is trimmed, when that ends in `.md`.
+            let files = line
+                .split_whitespace()
+                .map(|word| word.trim_matches(|c: char| !c.is_alphanumeric()))
+                .filter(|word| word.ends_with(".md"));
+            for file in files {
+                named += 1;
+                assert!(
+                    root.join(file).exists(),
+                    "{}:{}: the comment names `{file}`, which does not exist \
+                     (paths are relative to the repository root)",
+                    source.display(),
+                    n + 1
+                );
+            }
+        }
+    }
+    assert!(named >= 10, "only {named} references found: the scan broke");
 }

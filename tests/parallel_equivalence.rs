@@ -1,20 +1,23 @@
 //! Property tests for morsel-driven intra-query parallelism: at any thread
 //! count the engine must return **bit-for-bit** the answer of a serial run —
-//! the same rows, in the same order, with the same truncation flag — for
-//! full materialization and for every `(offset, limit)` window, under every
-//! reachability backend, on random DAGs and random cyclic graphs.
+//! the same rows, in the same order, with the same truncation flag and the
+//! same row counters — for full materialization and for every
+//! `(offset, limit)` window, under every reachability backend, on random
+//! DAGs and random cyclic graphs.
 //!
-//! The engine's fan-out gate is structural (any splittable input
+//! Threads fan out the filter stages (candidate selection, both prune
+//! rounds, matching-graph construction); enumeration is serial at every
+//! degree.  The engine's fan-out gate is structural (any splittable input
 //! parallelizes), so these tiny random graphs genuinely exercise the
-//! parallel prune/matching/enumeration paths; the *cost* gate that keeps
-//! cheap production queries serial lives in the planner
-//! (`QueryPlan::recommended_threads`) and is tested in `gtpq-core`.
+//! parallel stages; the *cost* gate that keeps cheap production queries
+//! serial lives in the planner (`QueryPlan::recommended_threads`) and is
+//! tested in `gtpq-core`.
 //!
 //! Interrupt semantics must survive the fan-out too: a cancelled token and
 //! an already-expired deadline abort a parallel run exactly like a serial
-//! one, and a cancellation racing mid-stream against partition workers
-//! either completes with the exact answer or aborts cleanly — never a
-//! deadlock, never a wrong row.
+//! one, and a cancellation racing mid-run against the morsel workers either
+//! completes with the exact answer or aborts cleanly — never a deadlock,
+//! never a wrong row.
 //!
 //! Same harness as `streaming_api.rs`: a deterministic seed sweep over the
 //! vendored PRNG; every failure message carries the seed.
@@ -105,6 +108,16 @@ fn exec_options(limit: Option<usize>, offset: usize, threads: usize) -> ExecOpti
     }
 }
 
+/// The counters that must not depend on the degree: rows pulled from the
+/// enumerator, rows emitted, and the size of the matching graph.
+fn row_counters(stats: &EvalStats) -> (u64, u64, u64) {
+    (
+        stats.enumerated_rows,
+        stats.result_tuples,
+        stats.intermediate_size,
+    )
+}
+
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
     for seed in 0..CASES {
@@ -131,9 +144,17 @@ fn parallel_execution_is_bit_identical_to_serial() {
                     kind.as_str()
                 );
                 assert!(!full.truncated);
+                assert_eq!(
+                    row_counters(&full.stats),
+                    row_counters(&reference.stats),
+                    "seed {seed}, backend {}, {threads} threads: full-run counters moved",
+                    kind.as_str()
+                );
 
                 // Every window: the exact slice, the exact truncation flag,
-                // and the limit-pushdown bound on distinct enumerated rows.
+                // and counters that depend on the window alone — the window
+                // plus its look-ahead row pulled, the slice emitted, the
+                // same matching graph underneath.
                 for (offset, limit) in window_cases(all.len()) {
                     let w = engine
                         .execute(&q, &plan, exec_options(Some(limit), offset, threads))
@@ -153,11 +174,15 @@ fn parallel_execution_is_bit_identical_to_serial() {
                         "seed {seed}, backend {}, {threads} threads: truncation flag wrong for ({offset}, {limit})",
                         kind.as_str()
                     );
-                    assert!(
-                        w.stats.enumerated_rows <= (offset + limit + 1) as u64,
-                        "seed {seed}, backend {}, {threads} threads: enumerated {} rows for window ({offset}, {limit})",
-                        kind.as_str(),
-                        w.stats.enumerated_rows
+                    assert_eq!(
+                        row_counters(&w.stats),
+                        (
+                            (offset + limit + 1).min(all.len()) as u64,
+                            expected.len() as u64,
+                            reference.stats.intermediate_size
+                        ),
+                        "seed {seed}, backend {}, {threads} threads: counters wrong for window ({offset}, {limit})",
+                        kind.as_str()
                     );
                 }
             }
@@ -180,7 +205,7 @@ fn parallel_runs_abort_on_cancellation_and_expired_deadlines() {
                 .expect("unbounded execution cannot be interrupted");
             for threads in [2usize, 8] {
                 // An already-cancelled token aborts at the first poll, with
-                // `Cancelled` — never misreported as a worker stop.
+                // `Cancelled`.
                 let token = CancelToken::new();
                 token.cancel();
                 let aborted = engine
@@ -223,10 +248,9 @@ fn parallel_runs_abort_on_cancellation_and_expired_deadlines() {
                     kind.as_str()
                 );
 
-                // A cancellation racing mid-stream against the partition
-                // workers either completes with the exact serial answer or
-                // aborts cleanly — and always joins (no deadlock on the
-                // partition channels).
+                // A cancellation racing mid-run against the morsel workers
+                // either completes with the exact serial answer or aborts
+                // cleanly — and the worker scope always joins.
                 let token = CancelToken::new();
                 let racer = {
                     let token = token.clone();

@@ -141,11 +141,11 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
 fn oversubscribed_batch_with_intra_query_parallelism_stays_exact() {
     // Contention stress: 8 batch workers, each request asking for 8 morsel
     // workers of its own — far more threads than cores.  Broad queries
-    // (any-label roots with wide descendant fans) push the partitioned
-    // enumerator and the parallel prune rounds hard; the assertion is the
-    // strongest one available: every request returns *exactly* the rows a
-    // fully serial service returns, and the batch always joins (no deadlock
-    // on the partition channels, no panic in a worker).
+    // (any-label roots with wide descendant fans) push the parallel prune
+    // rounds and matching-graph build hard; the assertion is the strongest
+    // one available: every request returns *exactly* the rows a fully
+    // serial service returns, and the batch always joins (no deadlock, no
+    // panic in a worker).
     let graph = Arc::new(generate_xmark(&XmarkConfig::with_scale(0.15)));
     let mut queries = Vec::new();
     for label in ["item", "person", "bidder", "category"] {

@@ -12,6 +12,10 @@
 //! * **engine agreement** — full `sim(...)` queries return the same answer
 //!   as the naive semantic oracle under all five reachability backends,
 //!   with the sim counters accounting for every indexed vector,
+//! * **degenerate radii** — an L2 radius of `+∞` (reachable only through
+//!   the builder; the parser rejects the literal) selects every indexed
+//!   vector on the index side exactly as the oracle's `d < ∞` does, and NaN
+//!   or negative radii select nothing on both sides,
 //! * **snapshot round trips** — after `save` + `open_mmap` the mapped
 //!   (zero-copy) tables produce bit-identical [`SimMatches`] and the engine
 //!   answers do not move.
@@ -22,6 +26,7 @@
 
 use std::path::PathBuf;
 
+use gtpq::datagen::{generate_embed, EmbedConfig};
 use gtpq::graph::{GraphHandle, GraphSnapshot, SimTable};
 use gtpq::prelude::*;
 use gtpq::query::naive;
@@ -289,5 +294,44 @@ fn sim_queries_agree_with_the_oracle_across_backends_and_snapshots() {
             "seed {seed}: mapped cosine posting differs"
         );
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn degenerate_l2_radii_agree_with_the_oracle() {
+    let g = generate_embed(&EmbedConfig {
+        dim: 8,
+        ..Default::default()
+    });
+    let documents = g.sim_table("emb").expect("emb indexes").len();
+    let engine = GteaEngine::new(&g);
+    let center = vec![8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+    for (radius, all) in [
+        (f32::INFINITY, true),
+        (f32::NAN, false),
+        (-1.0, false),
+        (f32::NEG_INFINITY, false),
+    ] {
+        for op in [CmpOp::Lt, CmpOp::Le] {
+            let mut b = GtpqBuilder::new(AttrPredicate::label("doc").and_sim(
+                "emb",
+                op,
+                center.clone(),
+                radius,
+            ));
+            let root = b.root_id();
+            b.mark_output(root);
+            let q = b.build().unwrap();
+            let expected = naive::evaluate(&q, &g);
+            assert_eq!(
+                expected.len(),
+                if all { documents } else { 0 },
+                "radius {radius} {op:?}: the oracle itself"
+            );
+            assert!(
+                engine.evaluate(&q).same_answer(&expected),
+                "radius {radius} {op:?}: engine diverges from the oracle"
+            );
+        }
     }
 }
