@@ -11,7 +11,9 @@
 //! node a built graph costs — which is what makes the 100× tier writable
 //! on the same machine that later maps it in O(page-fault).
 //!
-//! The columns reproduce the canonical layout the in-memory path builds
+//! The columns fill a [`SnapshotColumns`] set — the format itself (section
+//! ids, order, counts, tags) is `gtpq_graph::snap`'s business — and
+//! reproduce the canonical layout the in-memory path builds
 //! (first-use string dictionary, value postings in `(symbol, value)` order,
 //! node-sorted posting lists), the generator itself is shared with
 //! [`generate_arxiv`](crate::arxiv::generate_arxiv) (same emitter, same RNG
@@ -25,14 +27,9 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use gtpq_graph::csr::Csr;
-use gtpq_graph::{
-    Condensation, MetaCounts, NodeId, SectionKind, SnapshotError, SnapshotWriter, Symbol,
-};
+use gtpq_graph::{Condensation, NodeId, SnapshotColumns, SnapshotError, Symbol, ValueColumns};
 
 use crate::arxiv::{emit_arxiv, ArxivConfig, ArxivSink};
-
-const TAG_INT: u8 = 0;
-const TAG_STR: u8 = 1;
 
 /// Shape summary of a written snapshot, for logs and benchmarks.
 #[derive(Clone, Copy, Debug)]
@@ -122,18 +119,6 @@ pub fn write_arxiv_snapshot<P: AsRef<Path>>(
             what: "generated arXiv graph is not a DAG (generator invariant broken)".to_owned(),
         })?;
 
-    let mut w = SnapshotWriter::create(path, 0)?;
-    let mut counts = MetaCounts {
-        nodes: n as u64,
-        edges: edge_count as u64,
-        ..MetaCounts::default()
-    };
-
-    w.section(SectionKind::FwdOffsets, fwd.offsets_raw())?;
-    w.section(SectionKind::FwdTargets, fwd.targets_raw())?;
-    w.section(SectionKind::RevOffsets, rev.offsets_raw())?;
-    w.section(SectionKind::RevTargets, rev.targets_raw())?;
-
     // Symbols in builder interning order: papers intern `label` then
     // `year`; author-only graphs know just `label`.
     let mut symbols: Vec<&str> = Vec::new();
@@ -145,40 +130,24 @@ pub fn write_arxiv_snapshot<P: AsRef<Path>>(
     }
     let label_sym = Symbol(0);
     let year_sym = Symbol(1);
-    counts.symbols = symbols.len() as u64;
-    w.string_section(SectionKind::Symbols, symbols.iter().copied())?;
-    counts.strings = cols.dict.len() as u64;
-    w.string_section(SectionKind::Strings, cols.dict.iter().map(String::as_str))?;
+    let strings: Vec<&str> = cols.dict.iter().map(String::as_str).collect();
 
     // Attribute columns in node order: papers carry (label, year), authors
     // just (label) — the same tuple order `add_node_with_attrs` produces.
     let attr_entries = 2 * papers + (n - papers);
     let mut attr_offsets: Vec<u32> = Vec::with_capacity(n + 1);
     let mut attr_names: Vec<Symbol> = Vec::with_capacity(attr_entries);
-    let mut attr_tags: Vec<u8> = Vec::with_capacity(attr_entries);
-    let mut attr_payloads: Vec<u64> = Vec::with_capacity(attr_entries);
+    let mut attr_values = ValueColumns::with_capacity(attr_entries);
     attr_offsets.push(0);
     for v in 0..n {
         attr_names.push(label_sym);
-        attr_tags.push(TAG_STR);
-        attr_payloads.push(cols.label_of[v] as u64);
+        attr_values.push_str(cols.label_of[v] as usize);
         if v < papers {
             attr_names.push(year_sym);
-            attr_tags.push(TAG_INT);
-            attr_payloads.push(cols.years[v] as u64);
+            attr_values.push_int(cols.years[v]);
         }
         attr_offsets.push(attr_names.len() as u32);
     }
-    counts.attrs = attr_names.len() as u64;
-    w.section(SectionKind::AttrOffsets, &attr_offsets)?;
-    w.section(SectionKind::AttrNames, &attr_names)?;
-    w.section(SectionKind::AttrTags, &attr_tags)?;
-    w.section(SectionKind::AttrPayloads, &attr_payloads)?;
-    // The arXiv schema has no vector attributes; the v2 layout still carries
-    // an (empty) vector dictionary so the file stays byte-identical to the
-    // canonical save path.
-    w.section(SectionKind::VecOffsets, &[0u32])?;
-    w.section::<f32>(SectionKind::VecData, &[])?;
 
     // Value postings in canonical slot order: `(symbol, value)` with ints
     // before strings per symbol — here all `label` values are strings
@@ -209,32 +178,22 @@ pub fn write_arxiv_snapshot<P: AsRef<Path>>(
 
     let slot_count = label_order.len() + year_order.len();
     let mut val_syms: Vec<Symbol> = Vec::with_capacity(slot_count);
-    let mut val_tags: Vec<u8> = Vec::with_capacity(slot_count);
-    let mut val_payloads: Vec<u64> = Vec::with_capacity(slot_count);
+    let mut val_values = ValueColumns::with_capacity(slot_count);
     let mut val_offsets: Vec<u32> = Vec::with_capacity(slot_count + 1);
     let mut val_nodes: Vec<NodeId> = Vec::new();
     val_offsets.push(0);
     for &id in &label_order {
         val_syms.push(label_sym);
-        val_tags.push(TAG_STR);
-        val_payloads.push(id as u64);
+        val_values.push_str(id as usize);
         val_nodes.extend_from_slice(&label_postings[&id]);
         val_offsets.push(val_nodes.len() as u32);
     }
     for &year in &year_order {
         val_syms.push(year_sym);
-        val_tags.push(TAG_INT);
-        val_payloads.push(year as u64);
+        val_values.push_int(year);
         val_nodes.extend_from_slice(&year_postings[&year]);
         val_offsets.push(val_nodes.len() as u32);
     }
-    counts.value_slots = slot_count as u64;
-    counts.value_nodes = val_nodes.len() as u64;
-    w.section(SectionKind::ValSyms, &val_syms)?;
-    w.section(SectionKind::ValTags, &val_tags)?;
-    w.section(SectionKind::ValPayloads, &val_payloads)?;
-    w.section(SectionKind::ValOffsets, &val_offsets)?;
-    w.section(SectionKind::ValNodes, &val_nodes)?;
 
     // Name postings in symbol order: every node carries `label`, every
     // paper carries `year`.
@@ -251,11 +210,6 @@ pub fn write_arxiv_snapshot<P: AsRef<Path>>(
         name_nodes.extend((0..papers as u32).map(NodeId));
         name_offsets.push(name_nodes.len() as u32);
     }
-    counts.name_slots = name_syms.len() as u64;
-    counts.name_nodes = name_nodes.len() as u64;
-    w.section(SectionKind::NameSyms, &name_syms)?;
-    w.section(SectionKind::NameOffsets, &name_offsets)?;
-    w.section(SectionKind::NameNodes, &name_nodes)?;
 
     // Integer runs: `year` only.  Years are non-decreasing in paper id, so
     // the `(year, paper)` pairs are already `(value, node)`-sorted.
@@ -270,31 +224,36 @@ pub fn write_arxiv_snapshot<P: AsRef<Path>>(
         vec![0]
     };
     let int_nodes: Vec<NodeId> = (0..papers as u32).map(NodeId).collect();
-    counts.int_attrs = int_syms.len() as u64;
-    counts.int_pairs = cols.years.len() as u64;
-    w.section(SectionKind::IntSyms, &int_syms)?;
-    w.section(SectionKind::IntOffsets, &int_offsets)?;
-    w.section(SectionKind::IntValues, &cols.years)?;
-    w.section(SectionKind::IntNodes, &int_nodes)?;
 
-    // No `sim(...)` tables either — the empty similarity catalog, in the
-    // same section order the canonical writer always emits.
-    w.section::<Symbol>(SectionKind::SimSyms, &[])?;
-    w.section::<u32>(SectionKind::SimDims, &[])?;
-    w.section(SectionKind::SimNodeOffsets, &[0u32])?;
-    w.section::<NodeId>(SectionKind::SimNodes, &[])?;
-    w.section(SectionKind::SimVecOffsets, &[0u32])?;
-    w.section::<f32>(SectionKind::SimVecData, &[])?;
-    w.section(SectionKind::SimPivotOffsets, &[0u32])?;
-    w.section::<f32>(SectionKind::SimPivotData, &[])?;
-    w.section(SectionKind::SimDistOffsets, &[0u32])?;
-    w.section::<f32>(SectionKind::SimDistData, &[])?;
-    w.section::<f32>(SectionKind::SimSortedHead, &[])?;
-    w.section::<f32>(SectionKind::SimNormBounds, &[])?;
-
-    w.condensation_sections(&condensation, &mut counts)?;
-    w.meta(&counts)?;
-    w.finish()?;
+    // The arXiv schema has no vector attributes and no `sim(...)` tables:
+    // those column groups keep their canonical empty defaults.
+    SnapshotColumns {
+        fwd_offsets: fwd.offsets_raw(),
+        fwd_targets: fwd.targets_raw(),
+        rev_offsets: rev.offsets_raw(),
+        rev_targets: rev.targets_raw(),
+        symbols: &symbols,
+        strings: &strings,
+        attr_offsets: &attr_offsets,
+        attr_names: &attr_names,
+        attr_tags: &attr_values.tags,
+        attr_payloads: &attr_values.payloads,
+        val_syms: &val_syms,
+        val_tags: &val_values.tags,
+        val_payloads: &val_values.payloads,
+        val_offsets: &val_offsets,
+        val_nodes: &val_nodes,
+        name_syms: &name_syms,
+        name_offsets: &name_offsets,
+        name_nodes: &name_nodes,
+        int_syms: &int_syms,
+        int_offsets: &int_offsets,
+        int_values: &cols.years,
+        int_nodes: &int_nodes,
+        ..SnapshotColumns::default()
+    }
+    .with_condensation(&condensation)
+    .write(path, 0)?;
 
     Ok(SnapshotStats {
         nodes: n,
@@ -316,24 +275,34 @@ mod tests {
 
     #[test]
     fn streamed_file_is_byte_identical_to_saving_the_built_graph() {
-        let config = ArxivConfig::small();
-        let streamed = temp("streamed");
-        let saved = temp("saved");
-        let stats = write_arxiv_snapshot(&config, &streamed).expect("streamed write");
+        // The degenerate shapes reach the symbol-table special cases: no
+        // nodes at all, authors only (no `year`), papers only, one of each.
+        let shapes = [(600, 250), (0, 0), (0, 5), (5, 0), (1, 1)];
+        for (papers, authors) in shapes {
+            let config = ArxivConfig {
+                papers,
+                authors,
+                ..ArxivConfig::small()
+            };
+            let streamed = temp(&format!("streamed-{papers}-{authors}"));
+            let saved = temp(&format!("saved-{papers}-{authors}"));
+            let stats = write_arxiv_snapshot(&config, &streamed).expect("streamed write");
 
-        let g = generate_arxiv(&config);
-        assert_eq!(stats.nodes, g.node_count());
-        assert_eq!(stats.edges, g.edge_count());
-        GraphHandle::new(g).snapshot().save(&saved).expect("save");
+            let g = generate_arxiv(&config);
+            assert_eq!(stats.nodes, g.node_count());
+            assert_eq!(stats.edges, g.edge_count());
+            GraphHandle::new(g).snapshot().save(&saved).expect("save");
 
-        let a = std::fs::read(&streamed).unwrap();
-        let b = std::fs::read(&saved).unwrap();
-        assert_eq!(
-            a, b,
-            "streamed writer diverged from the canonical save path"
-        );
-        std::fs::remove_file(&streamed).ok();
-        std::fs::remove_file(&saved).ok();
+            let a = std::fs::read(&streamed).unwrap();
+            let b = std::fs::read(&saved).unwrap();
+            assert!(
+                a == b,
+                "streamed writer diverged from the canonical save path \
+                 at {papers} papers, {authors} authors"
+            );
+            std::fs::remove_file(&streamed).ok();
+            std::fs::remove_file(&saved).ok();
+        }
     }
 
     #[test]

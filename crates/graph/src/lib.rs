@@ -69,7 +69,7 @@ pub use index::AttrIndex;
 pub use mutate::{GraphHandle, GraphSnapshot, MutationConfig, MutationStats, PendingOp};
 pub use run::{IntRun, RunElem};
 pub use sim_index::{SimCatalog, SimMatches, SimTable};
-pub use snap::{LoadMode, MetaCounts, SectionElem, SectionKind, SnapshotError, SnapshotWriter};
+pub use snap::{LoadMode, SnapshotColumns, SnapshotError, ValueColumns};
 pub use stats::GraphStats;
 pub use symbol::{Symbol, SymbolTable};
 pub use tuples::AttrTuples;

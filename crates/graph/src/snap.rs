@@ -18,8 +18,7 @@
 //! [ TOC: 32 bytes per section ]
 //! ```
 //!
-//! The fixed header is written last (the writer seeks back), which lets
-//! producers stream sections without knowing counts up front:
+//! The fixed header is written last (the writer seeks back):
 //!
 //! | offset | field | type |
 //! |--------|-------|------|
@@ -39,18 +38,28 @@
 //! integer run in the file is aligned in the mapping too (mmap bases are
 //! page-aligned; the heap fallback buffer is 8-byte aligned).
 //!
+//! # The section table
+//!
+//! What the sections *are* is data, not code: the `sections!` table below
+//! gives each one its on-disk id, element type, length rule, the run it is
+//! an offsets index into, its verification class and the first format
+//! version that carries it.  The writer emits the rows in table order from
+//! one borrowed [`SnapshotColumns`] set; the loader checks them in one loop
+//! per policy and hands the decoder one typed run per row.  Adding a section
+//! is one row plus its producer and its consumer (`docs/ARCHITECTURE.md`,
+//! "Snapshot format", renders the table and says how to pick a class).
+//!
 //! # Verification policy
 //!
-//! The header and TOC checksums, the section-table bounds, the count
-//! cross-checks against the `Meta` section, and a linear
+//! The header and TOC checksums, the section-table bounds, every length
+//! rule (cross-checked against the `Meta` section) and a linear
 //! monotonicity-and-span scan over **every** offsets run are verified on
 //! **every** load — the offsets scan is what lets the slice accessors
 //! (`Csr::neighbors` and friends) index without bounds branches: no corrupt
-//! offset can survive a successful open.  Sections that are decoded into
-//! owned structures anyway (symbol table, string dictionary, index
-//! dictionaries) are always CRC-checked and validated field by field.  The
-//! big mapped runs (adjacency targets, posting nodes, condensation arrays,
-//! and the attribute tuple columns — decoded lazily, see
+//! offset can survive a successful open.  Sections the open decodes into
+//! owned structures are always CRC-checked and validated field by field.
+//! The big mapped runs (adjacency targets, posting nodes, condensation
+//! arrays, and the attribute tuple columns — decoded lazily, see
 //! [`crate::tuples::AttrTuples`]) are CRC-checked *and* field-validated by
 //! [`LoadMode::Heap`] and [`LoadMode::MmapVerified`]; plain
 //! [`LoadMode::Mmap`] skips those passes to keep the open truly lazy — use
@@ -75,14 +84,19 @@
 //!
 //! # Version policy
 //!
-//! Backwards-compatible additions introduce new section kinds (readers skip
-//! unknown kinds); anything else bumps the format version and old readers
-//! reject the file with [`SnapshotError::UnsupportedVersion`].  Section kind
-//! 33 is reserved for serialized reachability-index state.
+//! Backwards-compatible additions introduce new section kinds and need no
+//! version bump: readers skip kinds they do not know, and a reader that
+//! does know a section added after version 1 accepts a file without it —
+//! the section then reads as its canonical empty run (`[0]` for an offsets
+//! run, nothing otherwise).  The length rules are checked against that
+//! empty run like against any other, so sections that size each other are
+//! absent or present as a group.  Anything else bumps the format version
+//! and old readers reject the file with
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! Version 2 added the embedding layer: a shared vector-value dictionary
 //! (kinds 34–35) and the per-attribute similarity tables (kinds 36–47, see
-//! [`crate::sim_index`]).  Version-1 files remain loadable — their graphs
+//! [`crate::sim_index`]).  Version-1 files remain loadable: their graphs
 //! simply carry no vector values and an empty sim catalog.
 
 use std::borrow::Cow;
@@ -221,239 +235,406 @@ fn malformed(what: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed { what: what.into() }
 }
 
-// The one list of section kinds: the enum, its on-disk discriminants, the
-// file order of `ALL` and the variant names in error messages all expand
-// from it.  Discriminants are the on-disk ids — never renumber one.
-macro_rules! section_kinds {
-    (
-        written { $($(#[$doc:meta])* $name:ident = $id:literal,)* }
-        reserved { $($(#[$rdoc:meta])* $rname:ident = $rid:literal,)* }
-    ) => {
+// ---------------------------------------------------------------------------
+// The section table
+// ---------------------------------------------------------------------------
+
+/// The words of the `Meta` section, in on-disk order: the element counts
+/// the length rules below are written in.
+#[derive(Clone, Copy, Debug)]
+enum Count {
+    /// Nodes in the graph.
+    Nodes,
+    /// Directed edges.
+    Edges,
+    /// Interned attribute-name symbols.
+    Symbols,
+    /// Distinct attribute string values.
+    Strings,
+    /// Total attribute entries across all nodes.
+    Attrs,
+    /// Value-posting slots.
+    ValueSlots,
+    /// Total value-posting entries.
+    ValueNodes,
+    /// Name-posting slots.
+    NameSlots,
+    /// Total name-posting entries.
+    NameNodes,
+    /// Attributes carrying an integer run.
+    IntAttrs,
+    /// Total integer-run pairs.
+    IntPairs,
+    /// Strongly connected components.
+    Components,
+    /// Condensation DAG edges.
+    CompEdges,
+}
+
+impl Count {
+    const WORDS: usize = Count::CompEdges as usize + 1;
+}
+
+/// The decoded `Meta` section, indexed by [`Count`].
+type MetaCounts = [u64; Count::WORDS];
+
+/// What a section is a run of.
+#[derive(Clone, Copy)]
+enum Elem {
+    /// Fixed-width little-endian values: type name and byte width.
+    Ints(&'static str, usize),
+    /// `entries + 1` `u32` offsets followed by the UTF-8 text they cut up.
+    StringTable,
+}
+
+/// A length rule: the section holds `mul × base + add` entries.
+#[derive(Clone, Copy)]
+struct Len(Base, u64, u64);
+
+#[derive(Clone, Copy)]
+enum Base {
+    /// A `Meta` word.
+    Meta(Count),
+    /// However many whole elements the section's own byte length holds.
+    Own,
+    /// As many entries as another run holds.
+    Run(SectionKind),
+}
+
+impl std::fmt::Display for Len {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Len(base, mul, add) = *self;
+        if mul != 1 {
+            write!(f, "{mul} × ")?;
+        }
+        match base {
+            Base::Meta(count) => write!(f, "{count:?}")?,
+            Base::Own => write!(f, "own")?,
+            Base::Run(kind) => write!(f, "len({kind:?})")?,
+        }
+        if add != 0 {
+            write!(f, " + {add}")?;
+        }
+        Ok(())
+    }
+}
+
+/// When a section's checksum is verified.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// At every open: the section is consumed at open — decoded into an
+    /// owned structure — so it is read anyway, and checksumming it first
+    /// makes a bit-flipped file fail as `ChecksumMismatch`, not `Malformed`.
+    EveryOpen,
+    /// Only by [`LoadMode::MmapVerified`] and [`LoadMode::Heap`]: the run
+    /// stays mapped and plain [`LoadMode::Mmap`] must not fault its pages in.
+    Verifying,
+}
+
+/// One row of the section table.
+struct Section {
+    kind: SectionKind,
+    /// The variant name, for error messages and the docs.
+    name: &'static str,
+    elem: Elem,
+    len: Len,
+    /// The run this one is an offsets index into.  Accessors slice that run
+    /// through these offsets without bounds checks, so every open scans them
+    /// (leading 0, monotone, ending at the target's length).
+    spans: Option<SectionKind>,
+    check: Check,
+    /// First format version whose writers emit the section.  What version 1
+    /// wrote is mandatory; a later addition may be absent from a file and
+    /// then reads as its canonical empty run.
+    since: u32,
+}
+
+impl SectionKind {
+    fn row(self) -> &'static Section {
+        let row = TABLE.iter().find(|row| row.kind == self);
+        row.expect("every kind has a row")
+    }
+}
+
+/// The one length-rule evaluator, for the loader and the writer alike: how
+/// many entries the table says the section of `row` holds, given the `Meta`
+/// counts and how many entries each section actually has.
+fn declared_len(
+    row: &Section,
+    counts: &MetaCounts,
+    entries: impl Fn(&Section) -> u64,
+) -> Result<u64, SnapshotError> {
+    let Len(base, mul, add) = row.len;
+    let base = match base {
+        Base::Meta(count) => counts[count as usize],
+        Base::Own => entries(row),
+        Base::Run(run) => entries(run.row()),
+    };
+    base.checked_mul(mul)
+        .and_then(|n| n.checked_add(add))
+        .ok_or_else(|| malformed(format!("section {}: length overflow", row.name)))
+}
+
+macro_rules! len {
+    (own) => {
+        Len(Base::Own, 1, 0)
+    };
+    ($($mul:literal *)? len($run:ident) $(+ $add:literal)?) => {
+        Len(Base::Run(SectionKind::$run), 1 $(* $mul)?, 0 $(+ $add)?)
+    };
+    ($count:ident $(+ $add:literal)?) => {
+        Len(Base::Meta(Count::$count), 1, 0 $(+ $add)?)
+    };
+}
+
+// Per element type: the descriptor, the borrowed column a producer fills
+// and the run a consumer gets.
+macro_rules! elem {
+    (desc str) => { Elem::StringTable };
+    (desc $t:ty) => { Elem::Ints(stringify!($t), <$t as SectionElem>::WIDTH) };
+    (column $lt:lifetime str) => { &$lt [&$lt str] };
+    (column $lt:lifetime $t:ty) => { &$lt [$t] };
+    (run str) => { Vec<String> };
+    (run $t:ty) => { IntRun<$t> };
+}
+
+// What a row's optional `spans Target` clause means for its descriptor and
+// for its canonical empty run: an offsets run is never shorter than its
+// leading 0, anything else is empty.
+macro_rules! spans {
+    (row) => {
+        None
+    };
+    (row $target:ident) => {
+        Some(SectionKind::$target)
+    };
+    (empty) => {
+        &[]
+    };
+    (empty $target:ident) => {
+        &[0]
+    };
+}
+
+// The one place that knows the format.  A row reads
+//
+//     Variant field = id: element [length rule] Class since version(, spans Target)?;
+//
+// and everything per-section expands from it: the enum and its on-disk ids
+// (never renumber one), the `TABLE` the writer and the load-time loops walk
+// (table order *is* file order), the column a producer fills and the run a
+// consumer receives.  `Meta` closes the file and is the one section the
+// writer computes rather than borrows.
+macro_rules! sections {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $field:ident = $id:literal: $elem:tt [$($len:tt)+]
+            $check:ident since $since:literal $(, spans $target:ident)?;
+    )*) => {
         /// Identifies one section of a `.gtpq` container.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         #[repr(u32)]
-        pub enum SectionKind {
+        enum SectionKind {
             $($(#[$doc])* $name = $id,)*
-            $($(#[$rdoc])* $rname = $rid,)*
+            /// Count cross-check block: one `u64` per [`Count`].
+            Meta = 1,
         }
 
-        impl SectionKind {
-            /// Every section kind the current writer emits, in file order.
-            pub const ALL: &'static [SectionKind] = &[$(SectionKind::$name,)*];
+        /// Every section, in file order.
+        const TABLE: &[Section] = &[
+            $(Section {
+                kind: SectionKind::$name,
+                name: stringify!($name),
+                elem: elem!(desc $elem),
+                len: len!($($len)+),
+                spans: spans!(row $($target)?),
+                check: Check::$check,
+                since: $since,
+            },)*
+            Section {
+                kind: SectionKind::Meta,
+                name: "Meta",
+                elem: elem!(desc u64),
+                len: len!(own),
+                spans: None,
+                check: Check::EveryOpen,
+                since: 1,
+            },
+        ];
 
-            /// The kind with on-disk id `v` (reserved ones included: a
-            /// reader recognises them, the writer never emits them).
-            fn from_u32(v: u32) -> Option<Self> {
-                match v {
-                    $($id => Some(SectionKind::$name),)*
-                    $($rid => Some(SectionKind::$rname),)*
-                    _ => None,
+        /// Everything a `.gtpq` file stores, as one borrowed column per
+        /// section: fill what the graph has (nothing is copied) and call
+        /// [`write`](Self::write).  [`Default`] is the canonical empty run
+        /// of every column, so a producer without vectors or `sim(...)`
+        /// tables just leaves those groups out.
+        #[derive(Clone, Copy)]
+        pub struct SnapshotColumns<'a> {
+            $($(#[$doc])* pub $field: elem!(column 'a $elem),)*
+        }
+
+        impl Default for SnapshotColumns<'_> {
+            fn default() -> Self {
+                Self { $($field: spans!(empty $($target)?),)* }
+            }
+        }
+
+        impl SnapshotColumns<'_> {
+            /// The column of `kind`; `None` for the computed `Meta`.
+            fn column(&self, kind: SectionKind) -> Option<&dyn Column> {
+                match kind {
+                    $(SectionKind::$name => Some(&self.$field),)*
+                    SectionKind::Meta => None,
                 }
             }
+        }
 
-            /// The variant name, for error messages.
-            fn name(self) -> &'static str {
-                match self {
-                    $(SectionKind::$name => stringify!($name),)*
-                    $(SectionKind::$rname => stringify!($rname),)*
-                }
+        /// Every section of an open file but `Meta`, as one typed run per
+        /// row — length-, checksum- and span-checked by [`Loader::verify`].
+        struct Runs {
+            $($field: elem!(run $elem),)*
+        }
+
+        impl Runs {
+            fn load(l: &Loader) -> Result<Self, SnapshotError> {
+                Ok(Self { $($field: Load::load(l, SectionKind::$name.row())?,)* })
             }
         }
     };
 }
 
-section_kinds! {
-    written {
-        /// Forward CSR offsets (`u32`, `n + 1`).
-        FwdOffsets = 2,
-        /// Forward CSR targets (node ids, `e`).
-        FwdTargets = 3,
-        /// Reverse CSR offsets (`u32`, `n + 1`).
-        RevOffsets = 4,
-        /// Reverse CSR targets (node ids, `e`).
-        RevTargets = 5,
-        /// Attribute-name symbol table (string table blob).
-        Symbols = 6,
-        /// Attribute string-value dictionary (string table blob).
-        Strings = 7,
-        /// Per-node attribute tuple offsets (`u32`, `n + 1`).
-        AttrOffsets = 8,
-        /// Attribute name symbols, tuple-concatenated (`u32`).
-        AttrNames = 9,
-        /// Attribute value tags: 0 = int, 1 = string (`u8`).
-        AttrTags = 10,
-        /// Attribute payloads: `i64` bits or string-dictionary id (`u64`).
-        AttrPayloads = 11,
-        /// Value-posting slot keys: attribute symbol per slot (`u32`).
-        ValSyms = 12,
-        /// Value-posting slot keys: value tag per slot (`u8`).
-        ValTags = 13,
-        /// Value-posting slot keys: value payload per slot (`u64`).
-        ValPayloads = 14,
-        /// Value posting offsets (`u32`, slots + 1).
-        ValOffsets = 15,
-        /// Value posting node lists, concatenated (node ids).
-        ValNodes = 16,
-        /// Name-posting slot keys: attribute symbol per slot (`u32`).
-        NameSyms = 17,
-        /// Name posting offsets (`u32`, slots + 1).
-        NameOffsets = 18,
-        /// Name posting node lists, concatenated (node ids).
-        NameNodes = 19,
-        /// Integer-run attribute symbols (`u32`).
-        IntSyms = 20,
-        /// Integer-run offsets (`u32`, attrs + 1).
-        IntOffsets = 21,
-        /// Integer-run values, concatenated (`i64`).
-        IntValues = 22,
-        /// Integer-run node halves, concatenated (node ids).
-        IntNodes = 23,
-        /// Component of each node (`u32`, `n`).
-        CompOf = 24,
-        /// Per-component cyclicity bytes (`u8`, `c`).
-        Cyclic = 25,
-        /// Component member offsets (`u32`, `c + 1`).
-        MembersOffsets = 26,
-        /// Component members, concatenated (node ids, `n`).
-        Members = 27,
-        /// Condensation DAG out-edge offsets (`u32`, `c + 1`).
-        CompOutOffsets = 28,
-        /// Condensation DAG out-edges (component ids).
-        CompOut = 29,
-        /// Condensation DAG in-edge offsets (`u32`, `c + 1`).
-        CompInOffsets = 30,
-        /// Condensation DAG in-edges (component ids).
-        CompIn = 31,
-        /// Components in topological order (`u32`, `c`).
-        Topo = 32,
-        /// Vector-value dictionary offsets (`u32`, vectors + 1), in `f32`
-        /// element units into [`SectionKind::VecData`].  Since version 2.
-        VecOffsets = 34,
-        /// Vector-value dictionary data, concatenated (`f32`).
-        VecData = 35,
-        /// Sim-table attribute symbols, one per table (`u32`).
-        SimSyms = 36,
-        /// Sim-table vector dimensionalities, one per table (`u32`).
-        SimDims = 37,
-        /// Sim-table indexed-node offsets (`u32`, tables + 1).
-        SimNodeOffsets = 38,
-        /// Sim-table indexed nodes, concatenated (node ids).
-        SimNodes = 39,
-        /// Sim-table stored-vector offsets (`u32`, tables + 1), in `f32` units.
-        SimVecOffsets = 40,
-        /// Sim-table stored vectors, row-major concatenated (`f32`).
-        SimVecData = 41,
-        /// Sim-table pivot offsets (`u32`, tables + 1), in `f32` units.
-        SimPivotOffsets = 42,
-        /// Sim-table pivot vectors, row-major concatenated (`f32`).
-        SimPivotData = 43,
-        /// Sim-table pivot-distance offsets (`u32`, tables + 1), in `f32` units.
-        SimDistOffsets = 44,
-        /// Sim-table pivot-distance rows, concatenated (`f32`).
-        SimDistData = 45,
-        /// Sim-table sorted first-pivot distances, concatenated (`f32`; spans
-        /// follow [`SectionKind::SimNodeOffsets`], one value per indexed node).
-        SimSortedHead = 46,
-        /// Sim-table norm bounds: `[min, max]` per table (`f32`, 2 × tables).
-        SimNormBounds = 47,
-        /// Count cross-check block (`u64` array, see [`MetaCounts`]).
-        Meta = 1,
-    }
-    reserved {
-        /// Reserved for serialized reachability-index state (not written today).
-        ReachState = 33,
-    }
+sections! {
+    /// Forward CSR offsets.
+    FwdOffsets fwd_offsets = 2: u32 [Nodes + 1] Verifying since 1, spans FwdTargets;
+    /// Forward CSR targets.
+    FwdTargets fwd_targets = 3: NodeId [Edges] Verifying since 1;
+    /// Reverse CSR offsets.
+    RevOffsets rev_offsets = 4: u32 [Nodes + 1] Verifying since 1, spans RevTargets;
+    /// Reverse CSR targets.
+    RevTargets rev_targets = 5: NodeId [Edges] Verifying since 1;
+    /// Attribute names, in symbol order.
+    Symbols symbols = 6: str [Symbols] EveryOpen since 1;
+    /// Distinct attribute string values, in first-use order.
+    Strings strings = 7: str [Strings] EveryOpen since 1;
+    /// Per-node offsets into the three attribute-entry columns.
+    AttrOffsets attr_offsets = 8: u32 [Nodes + 1] Verifying since 1, spans AttrNames;
+    /// Attribute entries: name symbol.
+    AttrNames attr_names = 9: Symbol [Attrs] Verifying since 1;
+    /// Attribute entries: value tag (see [`ValueColumns`]).
+    AttrTags attr_tags = 10: u8 [Attrs] Verifying since 1;
+    /// Attribute entries: value payload (see [`ValueColumns`]).
+    AttrPayloads attr_payloads = 11: u64 [Attrs] Verifying since 1;
+    /// Vector-value dictionary offsets, in `f32` units.
+    VecOffsets vec_offsets = 34: u32 [own] EveryOpen since 2, spans VecData;
+    /// Vector-value dictionary data, concatenated.
+    VecData vec_data = 35: f32 [own] Verifying since 2;
+    /// Value-posting slot keys: attribute symbol.
+    ValSyms val_syms = 12: Symbol [ValueSlots] EveryOpen since 1;
+    /// Value-posting slot keys: value tag.
+    ValTags val_tags = 13: u8 [ValueSlots] EveryOpen since 1;
+    /// Value-posting slot keys: value payload.
+    ValPayloads val_payloads = 14: u64 [ValueSlots] EveryOpen since 1;
+    /// Value-posting offsets, one list per slot.
+    ValOffsets val_offsets = 15: u32 [ValueSlots + 1] Verifying since 1, spans ValNodes;
+    /// Value-posting node lists, concatenated.
+    ValNodes val_nodes = 16: NodeId [ValueNodes] Verifying since 1;
+    /// Name-posting slot keys: attribute symbol.
+    NameSyms name_syms = 17: Symbol [NameSlots] EveryOpen since 1;
+    /// Name-posting offsets, one list per slot.
+    NameOffsets name_offsets = 18: u32 [NameSlots + 1] Verifying since 1, spans NameNodes;
+    /// Name-posting node lists, concatenated.
+    NameNodes name_nodes = 19: NodeId [NameNodes] Verifying since 1;
+    /// Integer-run attribute symbols, ascending.
+    IntSyms int_syms = 20: Symbol [IntAttrs] EveryOpen since 1;
+    /// Integer-run offsets, one `(value, node)` run per attribute.
+    IntOffsets int_offsets = 21: u32 [IntAttrs + 1] EveryOpen since 1, spans IntValues;
+    /// Integer-run values, concatenated.
+    IntValues int_values = 22: i64 [IntPairs] Verifying since 1;
+    /// Integer-run nodes, parallel to the values.
+    IntNodes int_nodes = 23: NodeId [IntPairs] Verifying since 1;
+    /// Sim-table attribute symbols, one per table, ascending.
+    SimSyms sim_syms = 36: Symbol [own] EveryOpen since 2;
+    /// Sim-table vector dimensionalities, one per table.
+    SimDims sim_dims = 37: u32 [len(SimSyms)] EveryOpen since 2;
+    /// Sim-table indexed-node offsets.
+    SimNodeOffsets sim_node_offsets = 38: u32 [len(SimSyms) + 1] EveryOpen since 2, spans SimNodes;
+    /// Sim-table indexed nodes, concatenated.
+    SimNodes sim_nodes = 39: NodeId [own] Verifying since 2;
+    /// Sim-table stored-vector offsets, in `f32` units.
+    SimVecOffsets sim_vec_offsets = 40: u32 [len(SimSyms) + 1] EveryOpen since 2, spans SimVecData;
+    /// Sim-table stored vectors, row-major concatenated.
+    SimVecData sim_vec_data = 41: f32 [own] Verifying since 2;
+    /// Sim-table pivot offsets, in `f32` units.
+    SimPivotOffsets sim_pivot_offsets = 42: u32 [len(SimSyms) + 1] EveryOpen since 2, spans SimPivotData;
+    /// Sim-table pivot vectors, row-major concatenated.
+    SimPivotData sim_pivot_data = 43: f32 [own] Verifying since 2;
+    /// Sim-table pivot-distance offsets, in `f32` units.
+    SimDistOffsets sim_dist_offsets = 44: u32 [len(SimSyms) + 1] EveryOpen since 2, spans SimDistData;
+    /// Sim-table pivot-distance rows, concatenated.
+    SimDistData sim_dist_data = 45: f32 [own] Verifying since 2;
+    /// Sim-table sorted first-pivot distances, one per indexed node (cut up
+    /// by the indexed-node offsets).
+    SimSortedHead sim_sorted_head = 46: f32 [len(SimNodes)] Verifying since 2;
+    /// Sim-table norm bounds: `[min, max]` per table.
+    SimNormBounds sim_norm_bounds = 47: f32 [2 * len(SimSyms)] EveryOpen since 2;
+    /// Component of each node.
+    CompOf comp_of = 24: CompId [Nodes] Verifying since 1;
+    /// Per-component cyclicity flags.
+    Cyclic cyclic = 25: u8 [Components] Verifying since 1;
+    /// Component member offsets.
+    MembersOffsets members_offsets = 26: u32 [Components + 1] Verifying since 1, spans Members;
+    /// Component members, concatenated.
+    Members members = 27: NodeId [Nodes] Verifying since 1;
+    /// Condensation DAG out-edge offsets.
+    CompOutOffsets comp_out_offsets = 28: u32 [Components + 1] Verifying since 1, spans CompOut;
+    /// Condensation DAG out-edges.
+    CompOut comp_out = 29: CompId [CompEdges] Verifying since 1;
+    /// Condensation DAG in-edge offsets.
+    CompInOffsets comp_in_offsets = 30: u32 [Components + 1] Verifying since 1, spans CompIn;
+    /// Condensation DAG in-edges.
+    CompIn comp_in = 31: CompId [CompEdges] Verifying since 1;
+    /// Components in topological order.
+    Topo topo = 32: CompId [Components] Verifying since 1;
 }
 
-/// The element counts a `.gtpq` file declares in its `Meta` section; every
-/// other section's byte length is cross-checked against them at load time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetaCounts {
-    /// Nodes in the graph.
-    pub nodes: u64,
-    /// Directed edges.
-    pub edges: u64,
-    /// Interned attribute-name symbols.
-    pub symbols: u64,
-    /// Distinct attribute string values.
-    pub strings: u64,
-    /// Total attribute entries across all nodes.
-    pub attrs: u64,
-    /// Value-posting slots.
-    pub value_slots: u64,
-    /// Total value-posting entries.
-    pub value_nodes: u64,
-    /// Name-posting slots.
-    pub name_slots: u64,
-    /// Total name-posting entries.
-    pub name_nodes: u64,
-    /// Attributes carrying an integer run.
-    pub int_attrs: u64,
-    /// Total integer-run pairs.
-    pub int_pairs: u64,
-    /// Strongly connected components.
-    pub components: u64,
-    /// Condensation DAG edges.
-    pub comp_edges: u64,
-}
-
-impl MetaCounts {
-    const FIELDS: usize = 13;
-
-    fn to_words(self) -> [u64; Self::FIELDS] {
-        [
-            self.nodes,
-            self.edges,
-            self.symbols,
-            self.strings,
-            self.attrs,
-            self.value_slots,
-            self.value_nodes,
-            self.name_slots,
-            self.name_nodes,
-            self.int_attrs,
-            self.int_pairs,
-            self.components,
-            self.comp_edges,
-        ]
+/// The section table as the Markdown table of `docs/ARCHITECTURE.md`
+/// ("Snapshot format"); `tests/architecture_docs.rs` holds the document to
+/// it, so the docs cannot drift from the rows.
+pub fn section_table_markdown() -> String {
+    use std::fmt::Write;
+    let mut out = String::from(
+        "| id | section | element | entries | spans | CRC checked | since |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for row in TABLE {
+        let elem = match row.elem {
+            Elem::Ints(name, _) => name,
+            Elem::StringTable => "string table",
+        };
+        let spans = row.spans.map_or("—".to_owned(), |t| format!("`{t:?}`"));
+        let check = match row.check {
+            Check::EveryOpen => "every open",
+            Check::Verifying => "verifying modes",
+        };
+        writeln!(
+            out,
+            "| {} | `{}` | `{elem}` | `{}` | {spans} | {check} | v{} |",
+            row.kind as u32, row.name, row.len, row.since
+        )
+        .expect("writing to a String cannot fail");
     }
-
-    fn from_words(w: &[u64]) -> Option<Self> {
-        if w.len() != Self::FIELDS {
-            return None;
-        }
-        Some(Self {
-            nodes: w[0],
-            edges: w[1],
-            symbols: w[2],
-            strings: w[3],
-            attrs: w[4],
-            value_slots: w[5],
-            value_nodes: w[6],
-            name_slots: w[7],
-            name_nodes: w[8],
-            int_attrs: w[9],
-            int_pairs: w[10],
-            components: w[11],
-            comp_edges: w[12],
-        })
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Little-endian element encoding
 // ---------------------------------------------------------------------------
 
-/// Element types that can be written to / read from a snapshot section.
-///
-/// Implemented for the primitive run elements and the `repr(transparent)` id
-/// wrappers; the methods are an implementation detail of the format.
-pub trait SectionElem: RunElem {
+/// Element types that can be written to / read from a snapshot section:
+/// the primitive run elements and the `repr(transparent)` id wrappers.
+trait SectionElem: RunElem {
     /// Serialized width in bytes.
     const WIDTH: usize;
-    #[doc(hidden)]
     fn put_le(self, out: &mut Vec<u8>);
-    #[doc(hidden)]
     fn read_le(bytes: &[u8]) -> Self;
 }
 
@@ -522,32 +703,85 @@ fn decode_elems<T: SectionElem>(bytes: &[u8]) -> Vec<T> {
     bytes.chunks_exact(T::WIDTH).map(T::read_le).collect()
 }
 
+/// A borrowed column and the section bytes it becomes.
+trait Column {
+    fn entries(&self) -> u64;
+    fn image(&self) -> Cow<'_, [u8]>;
+}
+
+impl<T: SectionElem> Column for &[T] {
+    fn entries(&self) -> u64 {
+        self.len() as u64
+    }
+    fn image(&self) -> Cow<'_, [u8]> {
+        le_image(self)
+    }
+}
+
+impl Column for &[&str] {
+    fn entries(&self) -> u64 {
+        self.len() as u64
+    }
+    /// A string table: `len + 1` little-endian `u32` offsets into the UTF-8
+    /// byte region that follows.
+    fn image(&self) -> Cow<'_, [u8]> {
+        let mut offsets: Vec<u32> = Vec::with_capacity(self.len() + 1);
+        let mut text = Vec::new();
+        offsets.push(0);
+        for s in self.iter() {
+            text.extend_from_slice(s.as_bytes());
+            offsets.push(u32::try_from(text.len()).expect("string table under 4 GiB"));
+        }
+        let mut out = le_image(&offsets).into_owned();
+        out.extend_from_slice(&text);
+        Cow::Owned(out)
+    }
+}
+
+/// Parses a string-table section with exactly `count` entries.
+fn parse_string_table(
+    bytes: &[u8],
+    count: usize,
+    what: &'static str,
+) -> Result<Vec<String>, SnapshotError> {
+    let (head, text) = bytes
+        .split_at_checked(count.saturating_add(1).saturating_mul(4))
+        .ok_or_else(|| malformed(format!("{what}: offset table cut off")))?;
+    let offsets: Vec<u32> = decode_elems(head);
+    if offsets[0] != 0 || offsets[count] as usize != text.len() {
+        return Err(malformed(format!("{what}: offsets do not span the text")));
+    }
+    let mut out = Vec::with_capacity(count);
+    for i in 0..count {
+        let lo = offsets[i] as usize;
+        let hi = offsets[i + 1] as usize;
+        if lo > hi || hi > text.len() {
+            return Err(malformed(format!("{what}: non-monotone offsets")));
+        }
+        let s = std::str::from_utf8(&text[lo..hi])
+            .map_err(|_| malformed(format!("{what}: invalid UTF-8")))?;
+        out.push(s.to_owned());
+    }
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
-struct TocEntry {
-    kind: u32,
-    crc: u32,
-    offset: u64,
-    byte_len: u64,
-}
-
-/// Incremental `.gtpq` writer: create, append sections one at a time, then
-/// [`finish`](Self::finish).  Sections may be written in any order and each
-/// one can be dropped as soon as it is on disk, which is what lets the
-/// large-tier datagen stream a snapshot without ever holding the whole graph
-/// (see `gtpq-datagen`).
+/// The file being written: sections are appended one at a time, then
+/// [`finish`](Self::finish) stamps the TOC and the header.
 ///
 /// Saves are **atomic**: the data streams into a hidden temp file next to
 /// the destination and [`finish`](Self::finish) renames it into place, so a
 /// crash or error mid-save never leaves a truncated or half-written file at
 /// the target path — a previously good snapshot there survives untouched.
 /// Dropping an unfinished writer removes the temp file.
-pub struct SnapshotWriter {
+struct SnapshotWriter {
     w: BufWriter<File>,
     pos: u64,
-    toc: Vec<TocEntry>,
+    /// The TOC so far: one serialized 32-byte entry per section written.
+    toc: Vec<u8>,
     epoch: u64,
     /// Final destination; data streams into `tmp_path` until `finish`
     /// renames it over this.
@@ -572,8 +806,8 @@ impl SnapshotWriter {
     /// Opens a writer targeting `path` and reserves the header.  Nothing
     /// appears at `path` until [`finish`](Self::finish) atomically renames
     /// the finished temp file over it.
-    pub fn create<P: AsRef<Path>>(path: P, epoch: u64) -> Result<Self, SnapshotError> {
-        let dest = path.as_ref().to_path_buf();
+    fn create(path: &Path, epoch: u64) -> Result<Self, SnapshotError> {
+        let dest = path.to_path_buf();
         let tmp_path = tmp_sibling(&dest);
         let file = File::create(&tmp_path)?;
         let mut w = BufWriter::new(file);
@@ -603,86 +837,37 @@ impl SnapshotWriter {
         Ok(())
     }
 
-    /// Appends one section of raw bytes (used for the string-table blobs).
-    pub fn section_bytes(&mut self, kind: SectionKind, data: &[u8]) -> Result<(), SnapshotError> {
-        assert!(!self.finished, "snapshot writer already finished");
+    /// Appends one section.
+    fn section(&mut self, kind: SectionKind, data: &[u8]) -> Result<(), SnapshotError> {
         self.pad_to_alignment()?;
-        self.toc.push(TocEntry {
-            kind: kind as u32,
-            crc: crc32(data),
-            offset: self.pos,
-            byte_len: data.len() as u64,
-        });
+        self.toc.extend_from_slice(&(kind as u32).to_le_bytes());
+        self.toc.extend_from_slice(&crc32(data).to_le_bytes());
+        self.toc.extend_from_slice(&self.pos.to_le_bytes());
+        self.toc
+            .extend_from_slice(&(data.len() as u64).to_le_bytes());
+        self.toc.extend_from_slice(&0u64.to_le_bytes()); // reserved
         self.w.write_all(data)?;
         self.pos += data.len() as u64;
         Ok(())
     }
 
-    /// Appends one section of integer elements, little-endian.
-    pub fn section<T: SectionElem>(
-        &mut self,
-        kind: SectionKind,
-        data: &[T],
-    ) -> Result<(), SnapshotError> {
-        let image = le_image(data);
-        self.section_bytes(kind, &image)
-    }
-
-    /// Appends one string-table section (the [`SectionKind::Symbols`] /
-    /// [`SectionKind::Strings`] encoding: `count + 1` little-endian `u32`
-    /// offsets followed by the concatenated UTF-8 text).
-    pub fn string_section<'a, I>(
-        &mut self,
-        kind: SectionKind,
-        items: I,
-    ) -> Result<(), SnapshotError>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        self.section_bytes(kind, &string_table_bytes(items))
-    }
-
-    /// Appends the full condensation block for `c`, filling the component
-    /// counts of `counts` in — the hook external streamed writers (see
-    /// `gtpq-datagen`) use together with [`Condensation::identity_dag`].
-    pub fn condensation_sections(
-        &mut self,
-        c: &Condensation,
-        counts: &mut MetaCounts,
-    ) -> Result<(), SnapshotError> {
-        write_condensation_sections(self, c, counts)
-    }
-
-    /// Appends the `Meta` count block.
-    pub fn meta(&mut self, counts: &MetaCounts) -> Result<(), SnapshotError> {
-        self.section(SectionKind::Meta, &counts.to_words())
-    }
-
     /// Writes the TOC, seeks back to patch the header, flushes and syncs the
     /// temp file, then atomically renames it over the destination path.
-    pub fn finish(mut self) -> Result<(), SnapshotError> {
+    fn finish(mut self) -> Result<(), SnapshotError> {
         self.pad_to_alignment()?;
         let toc_offset = self.pos;
-        let mut toc_bytes = Vec::with_capacity(self.toc.len() * TOC_ENTRY_LEN as usize);
-        for e in &self.toc {
-            toc_bytes.extend_from_slice(&e.kind.to_le_bytes());
-            toc_bytes.extend_from_slice(&e.crc.to_le_bytes());
-            toc_bytes.extend_from_slice(&e.offset.to_le_bytes());
-            toc_bytes.extend_from_slice(&e.byte_len.to_le_bytes());
-            toc_bytes.extend_from_slice(&0u64.to_le_bytes());
-        }
-        self.w.write_all(&toc_bytes)?;
-        let file_len = toc_offset + toc_bytes.len() as u64;
+        self.w.write_all(&self.toc)?;
+        let file_len = toc_offset + self.toc.len() as u64;
 
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(&MAGIC);
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&0u32.to_le_bytes()); // flags
-        header.extend_from_slice(&(self.toc.len() as u64).to_le_bytes());
+        header.extend_from_slice(&(self.toc.len() as u64 / TOC_ENTRY_LEN).to_le_bytes());
         header.extend_from_slice(&toc_offset.to_le_bytes());
         header.extend_from_slice(&file_len.to_le_bytes());
         header.extend_from_slice(&self.epoch.to_le_bytes());
-        header.extend_from_slice(&crc32(&toc_bytes).to_le_bytes());
+        header.extend_from_slice(&crc32(&self.toc).to_le_bytes());
         let hcrc = crc32(&header);
         header.extend_from_slice(&hcrc.to_le_bytes());
         header.extend_from_slice(&0u64.to_le_bytes()); // reserved
@@ -708,217 +893,215 @@ impl Drop for SnapshotWriter {
     }
 }
 
-/// Builds a string-table blob: `(count + 1)` little-endian `u32` offsets into
-/// the UTF-8 byte region that follows.
-fn string_table_bytes<'a, I: IntoIterator<Item = &'a str>>(items: I) -> Vec<u8> {
-    let items: Vec<&str> = items.into_iter().collect();
-    let mut offsets: Vec<u32> = Vec::with_capacity(items.len() + 1);
-    let mut text = Vec::new();
-    offsets.push(0);
-    for s in &items {
-        text.extend_from_slice(s.as_bytes());
-        offsets.push(u32::try_from(text.len()).expect("string table under 4 GiB"));
+impl<'a> SnapshotColumns<'a> {
+    /// Borrows the nine condensation columns from `c`.
+    pub fn with_condensation(self, c: &'a Condensation) -> Self {
+        let (comp_of, members, cyclic, comp_out, comp_in, topo) = c.raw_parts();
+        Self {
+            comp_of,
+            cyclic,
+            members_offsets: members.offsets_raw(),
+            members: members.targets_raw(),
+            comp_out_offsets: comp_out.offsets_raw(),
+            comp_out: comp_out.targets_raw(),
+            comp_in_offsets: comp_in.offsets_raw(),
+            comp_in: comp_in.targets_raw(),
+            topo,
+            ..self
+        }
     }
-    let mut out = Vec::with_capacity(offsets.len() * 4 + text.len());
-    for o in offsets {
-        out.extend_from_slice(&o.to_le_bytes());
+
+    /// The `Meta` counts these columns imply: each word is the length of
+    /// the columns whose rule is that word alone.  Every column is then held
+    /// to its length rule under those counts, so columns that disagree with
+    /// each other are refused here instead of becoming a file no load mode
+    /// opens.
+    fn counts(&self) -> Result<MetaCounts, SnapshotError> {
+        // `Meta` has no column; its rule is `own`, so 0 agrees with itself.
+        let entries = |row: &Section| self.column(row.kind).map_or(0, |c| c.entries());
+        let mut counts = [0; Count::WORDS];
+        for row in TABLE {
+            if let Len(Base::Meta(count), 1, 0) = row.len {
+                counts[count as usize] = entries(row);
+            }
+        }
+        for row in TABLE {
+            let declared = declared_len(row, &counts, entries)?;
+            if declared != entries(row) {
+                return Err(malformed(format!(
+                    "column {} holds {} entries, `{}` implies {declared}",
+                    row.name,
+                    entries(row),
+                    row.len
+                )));
+            }
+        }
+        Ok(counts)
     }
-    out.extend_from_slice(&text);
-    out
+
+    /// Writes the columns to `path` as a `.gtpq` snapshot of epoch `epoch`:
+    /// every section of the table in table order, `Meta` computed from the
+    /// column lengths ([`SnapshotError::Malformed`] when a column's length
+    /// breaks its rule).  The write is atomic — the data streams into a
+    /// hidden temp file next to `path` and is renamed over it only once
+    /// complete and synced, so a failed write never damages a good file at
+    /// `path`.
+    pub fn write<P: AsRef<Path>>(&self, path: P, epoch: u64) -> Result<(), SnapshotError> {
+        let counts = self.counts()?;
+        let mut w = SnapshotWriter::create(path.as_ref(), epoch)?;
+        for row in TABLE {
+            let image = self
+                .column(row.kind)
+                .map_or(le_image(&counts), Column::image);
+            w.section(row.kind, &image)?;
+        }
+        w.finish()
+    }
 }
 
-/// Parses a string-table blob with exactly `count` entries.
-fn parse_string_table(
-    bytes: &[u8],
-    count: usize,
-    what: &'static str,
-) -> Result<Vec<String>, SnapshotError> {
-    let head = (count + 1)
-        .checked_mul(4)
-        .ok_or_else(|| malformed(format!("{what}: count overflow")))?;
-    if bytes.len() < head {
-        return Err(malformed(format!("{what}: offset table cut off")));
-    }
-    let offsets: Vec<u32> = decode_elems(&bytes[..head]);
-    let text = &bytes[head..];
-    if offsets[0] != 0 || offsets[count] as usize != text.len() {
-        return Err(malformed(format!("{what}: offsets do not span the text")));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        if lo > hi || hi > text.len() {
-            return Err(malformed(format!("{what}: non-monotone offsets")));
+/// Attribute values in the format's encoding: a tag column and a parallel
+/// 64-bit payload column (the `i64` itself, or an index into the string or
+/// vector dictionary).
+#[derive(Default)]
+pub struct ValueColumns {
+    /// One tag per value.
+    pub tags: Vec<u8>,
+    /// One payload per value.
+    pub payloads: Vec<u64>,
+}
+
+impl ValueColumns {
+    /// Empty columns with room for `n` values.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            tags: Vec::with_capacity(n),
+            payloads: Vec::with_capacity(n),
         }
-        let s = std::str::from_utf8(&text[lo..hi])
-            .map_err(|_| malformed(format!("{what}: invalid UTF-8")))?;
-        out.push(s.to_owned());
     }
-    Ok(out)
+
+    fn push(&mut self, tag: u8, payload: u64) {
+        self.tags.push(tag);
+        self.payloads.push(payload);
+    }
+
+    /// Appends an integer value.
+    pub fn push_int(&mut self, value: i64) {
+        self.push(TAG_INT, value as u64);
+    }
+
+    /// Appends the string with dictionary id `id`.
+    pub fn push_str(&mut self, id: usize) {
+        self.push(TAG_STR, id as u64);
+    }
+
+    /// Appends the vector with dictionary id `id`.
+    pub fn push_vec(&mut self, id: usize) {
+        self.push(TAG_VEC, id as u64);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Saving a graph
 // ---------------------------------------------------------------------------
 
-/// Writes every graph-derived section of `g` (everything except the
-/// condensation block and the trailing `Meta`), filling `counts` in.
-fn write_graph_sections(
-    w: &mut SnapshotWriter,
-    g: &DataGraph,
-    counts: &mut MetaCounts,
-) -> Result<(), SnapshotError> {
-    let n = g.node_count();
-    counts.nodes = n as u64;
-    counts.edges = g.edge_count() as u64;
-    counts.symbols = g.symbols().len() as u64;
+/// Closes the list that `data` has grown by: pushes its new end offset.
+fn push_end<T>(offsets: &mut Vec<u32>, data: &[T]) {
+    offsets.push(u32::try_from(data.len()).expect("snapshot run overflows u32 offsets"));
+}
 
-    w.section(SectionKind::FwdOffsets, g.fwd.offsets_raw())?;
-    w.section(SectionKind::FwdTargets, g.fwd.targets_raw())?;
-    w.section(SectionKind::RevOffsets, g.rev.offsets_raw())?;
-    w.section(SectionKind::RevTargets, g.rev.targets_raw())?;
-    w.section_bytes(
-        SectionKind::Symbols,
-        &string_table_bytes(g.symbols().iter().map(|(_, s)| s)),
-    )?;
+/// Flattens `g` and `c` into the column set and writes it.
+fn write_graph(
+    path: &Path,
+    epoch: u64,
+    g: &DataGraph,
+    c: &Condensation,
+) -> Result<(), SnapshotError> {
+    let symbols: Vec<&str> = g.symbols().iter().map(|(_, s)| s).collect();
 
     // Attribute tuples: string values are interned into a first-use-order
     // dictionary and vector values into a parallel one (keyed by bit
     // pattern, so NaN payloads dedupe too); each attribute becomes
     // (name symbol, tag, payload).
-    let mut dict: HashMap<&str, u64> = HashMap::new();
-    let mut dict_order: Vec<&str> = Vec::new();
-    let mut vec_dict: HashMap<Vec<u32>, u64> = HashMap::new();
+    let mut dict: HashMap<&str, usize> = HashMap::new();
+    let mut strings: Vec<&str> = Vec::new();
+    let mut vec_dict: HashMap<Vec<u32>, usize> = HashMap::new();
     let mut vec_offsets: Vec<u32> = vec![0];
     let mut vec_data: Vec<f32> = Vec::new();
-    let mut attr_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut attr_offsets: Vec<u32> = Vec::with_capacity(g.node_count() + 1);
     let mut attr_names: Vec<Symbol> = Vec::new();
-    let mut attr_tags: Vec<u8> = Vec::new();
-    let mut attr_payloads: Vec<u64> = Vec::new();
+    let mut attr_values = ValueColumns::default();
     attr_offsets.push(0);
     for tuple in g.attrs.tuples() {
         for a in tuple {
             attr_names.push(a.name);
             match &a.value {
-                AttrValue::Int(i) => {
-                    attr_tags.push(TAG_INT);
-                    attr_payloads.push(*i as u64);
-                }
-                AttrValue::Str(s) => {
-                    attr_tags.push(TAG_STR);
-                    let id = *dict.entry(s.as_str()).or_insert_with(|| {
-                        dict_order.push(s.as_str());
-                        (dict_order.len() - 1) as u64
-                    });
-                    attr_payloads.push(id);
-                }
+                AttrValue::Int(i) => attr_values.push_int(*i),
+                AttrValue::Str(s) => attr_values.push_str(*dict.entry(s).or_insert_with(|| {
+                    strings.push(s);
+                    strings.len() - 1
+                })),
                 AttrValue::Vec(v) => {
-                    attr_tags.push(TAG_VEC);
                     let bits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
-                    let id = *vec_dict.entry(bits).or_insert_with(|| {
+                    attr_values.push_vec(*vec_dict.entry(bits).or_insert_with(|| {
                         vec_data.extend_from_slice(v);
-                        vec_offsets.push(
-                            u32::try_from(vec_data.len())
-                                .expect("vector dictionary under 4 Gi elements"),
-                        );
-                        (vec_offsets.len() - 2) as u64
-                    });
-                    attr_payloads.push(id);
+                        push_end(&mut vec_offsets, &vec_data);
+                        vec_offsets.len() - 2
+                    }));
                 }
             }
         }
-        attr_offsets
-            .push(u32::try_from(attr_names.len()).expect("attribute count overflows u32 offsets"));
+        push_end(&mut attr_offsets, &attr_names);
     }
-    counts.strings = dict_order.len() as u64;
-    counts.attrs = attr_names.len() as u64;
-    w.section_bytes(
-        SectionKind::Strings,
-        &string_table_bytes(dict_order.iter().copied()),
-    )?;
-    w.section(SectionKind::AttrOffsets, &attr_offsets)?;
-    w.section(SectionKind::AttrNames, &attr_names)?;
-    w.section(SectionKind::AttrTags, &attr_tags)?;
-    w.section(SectionKind::AttrPayloads, &attr_payloads)?;
-    w.section(SectionKind::VecOffsets, &vec_offsets)?;
-    w.section(SectionKind::VecData, &vec_data)?;
 
-    // Value postings: invert the two-level dictionary into per-slot key
-    // arrays (slot order is the canonical build order, so round-tripping
+    // Value postings: invert the two-level dictionary into per-slot keys
+    // (slot order is the canonical build order, so round-tripping
     // reproduces the index bit-for-bit).
     let idx = &g.index;
-    let slot_count = idx.value_offsets.len().saturating_sub(1);
-    let mut val_syms = vec![Symbol(0); slot_count];
-    let mut val_tags = vec![0u8; slot_count];
-    let mut val_payloads = vec![0u64; slot_count];
+    let unkeyed = AttrValue::Int(0);
+    let mut slot_keys = vec![(Symbol(0), &unkeyed); idx.value_offsets.len().saturating_sub(1)];
     for (&sym, map) in &idx.value_slots {
         for (value, &slot) in map {
-            val_syms[slot as usize] = sym;
-            match value {
-                AttrValue::Int(i) => {
-                    val_tags[slot as usize] = TAG_INT;
-                    val_payloads[slot as usize] = *i as u64;
-                }
-                AttrValue::Str(s) => {
-                    val_tags[slot as usize] = TAG_STR;
-                    val_payloads[slot as usize] = *dict
-                        .get(s.as_str())
-                        .expect("indexed string value appears on some node");
-                }
-                // Vector values never enter the equality postings (see
-                // `AttrIndex`); a defensive tag keeps this arm panic-free.
-                AttrValue::Vec(_) => {
-                    val_tags[slot as usize] = TAG_VEC;
-                    val_payloads[slot as usize] = 0;
-                }
-            }
+            slot_keys[slot as usize] = (sym, value);
         }
     }
-    counts.value_slots = slot_count as u64;
-    counts.value_nodes = idx.value_nodes.len() as u64;
-    w.section(SectionKind::ValSyms, &val_syms)?;
-    w.section(SectionKind::ValTags, &val_tags)?;
-    w.section(SectionKind::ValPayloads, &val_payloads)?;
-    w.section(SectionKind::ValOffsets, &idx.value_offsets)?;
-    w.section(SectionKind::ValNodes, &idx.value_nodes)?;
+    let mut val_syms: Vec<Symbol> = Vec::with_capacity(slot_keys.len());
+    let mut val_values = ValueColumns::with_capacity(slot_keys.len());
+    for (sym, value) in slot_keys {
+        val_syms.push(sym);
+        match value {
+            AttrValue::Int(i) => val_values.push_int(*i),
+            AttrValue::Str(s) => val_values.push_str(
+                *dict
+                    .get(s.as_str())
+                    .expect("indexed string value appears on some node"),
+            ),
+            // Vector values never enter the equality postings (see
+            // `AttrIndex`); a defensive tag keeps this arm panic-free.
+            AttrValue::Vec(_) => val_values.push_vec(0),
+        }
+    }
 
     // Name postings.
-    let name_count = idx.name_offsets.len().saturating_sub(1);
-    let mut name_syms = vec![Symbol(0); name_count];
+    let mut name_syms = vec![Symbol(0); idx.name_offsets.len().saturating_sub(1)];
     for (&sym, &slot) in &idx.name_slots {
         name_syms[slot as usize] = sym;
     }
-    counts.name_slots = name_count as u64;
-    counts.name_nodes = idx.name_nodes.len() as u64;
-    w.section(SectionKind::NameSyms, &name_syms)?;
-    w.section(SectionKind::NameOffsets, &idx.name_offsets)?;
-    w.section(SectionKind::NameNodes, &idx.name_nodes)?;
 
     // Integer runs, in symbol order for determinism.
     let mut int_syms: Vec<Symbol> = idx.int_runs.keys().copied().collect();
     int_syms.sort_unstable();
-    let mut int_offsets: Vec<u32> = Vec::with_capacity(int_syms.len() + 1);
+    let mut int_offsets: Vec<u32> = vec![0];
     let mut int_values: Vec<i64> = Vec::new();
     let mut int_nodes: Vec<NodeId> = Vec::new();
-    int_offsets.push(0);
     for sym in &int_syms {
         let run = &idx.int_runs[sym];
         int_values.extend_from_slice(&run.values);
         int_nodes.extend_from_slice(&run.nodes);
-        int_offsets
-            .push(u32::try_from(int_values.len()).expect("int-run count overflows u32 offsets"));
+        push_end(&mut int_offsets, &int_values);
     }
-    counts.int_attrs = int_syms.len() as u64;
-    counts.int_pairs = int_values.len() as u64;
-    w.section(SectionKind::IntSyms, &int_syms)?;
-    w.section(SectionKind::IntOffsets, &int_offsets)?;
-    w.section(SectionKind::IntValues, &int_values)?;
-    w.section(SectionKind::IntNodes, &int_nodes)?;
 
     // Similarity tables, flattened CSR-style in catalog (symbol) order.  All
-    // offsets are in element units; table counts are derived from the TOC at
-    // load time, so `MetaCounts` is unchanged.
+    // offsets are in element units.
     let mut sim_syms: Vec<Symbol> = Vec::new();
     let mut sim_dims: Vec<u32> = Vec::new();
     let mut sim_node_offsets: Vec<u32> = vec![0];
@@ -939,53 +1122,54 @@ fn write_graph_sections(
         sim_pivot_data.extend_from_slice(&table.pivots);
         sim_dist_data.extend_from_slice(&table.dists);
         sim_sorted_head.extend_from_slice(&table.sorted_d0);
-        sim_norm_bounds.push(table.norm_min);
-        sim_norm_bounds.push(table.norm_max);
-        let grown = u32::try_from(sim_nodes.len()).expect("sim-table node count overflows u32");
-        sim_node_offsets.push(grown);
-        let grown = u32::try_from(sim_vec_data.len()).expect("sim-table vector data overflows u32");
-        sim_vec_offsets.push(grown);
-        let grown =
-            u32::try_from(sim_pivot_data.len()).expect("sim-table pivot data overflows u32");
-        sim_pivot_offsets.push(grown);
-        let grown =
-            u32::try_from(sim_dist_data.len()).expect("sim-table distance data overflows u32");
-        sim_dist_offsets.push(grown);
+        sim_norm_bounds.extend([table.norm_min, table.norm_max]);
+        push_end(&mut sim_node_offsets, &sim_nodes);
+        push_end(&mut sim_vec_offsets, &sim_vec_data);
+        push_end(&mut sim_pivot_offsets, &sim_pivot_data);
+        push_end(&mut sim_dist_offsets, &sim_dist_data);
     }
-    w.section(SectionKind::SimSyms, &sim_syms)?;
-    w.section(SectionKind::SimDims, &sim_dims)?;
-    w.section(SectionKind::SimNodeOffsets, &sim_node_offsets)?;
-    w.section(SectionKind::SimNodes, &sim_nodes)?;
-    w.section(SectionKind::SimVecOffsets, &sim_vec_offsets)?;
-    w.section(SectionKind::SimVecData, &sim_vec_data)?;
-    w.section(SectionKind::SimPivotOffsets, &sim_pivot_offsets)?;
-    w.section(SectionKind::SimPivotData, &sim_pivot_data)?;
-    w.section(SectionKind::SimDistOffsets, &sim_dist_offsets)?;
-    w.section(SectionKind::SimDistData, &sim_dist_data)?;
-    w.section(SectionKind::SimSortedHead, &sim_sorted_head)?;
-    w.section(SectionKind::SimNormBounds, &sim_norm_bounds)?;
-    Ok(())
-}
 
-/// Writes the condensation block of `c`, filling `counts` in.
-fn write_condensation_sections(
-    w: &mut SnapshotWriter,
-    c: &Condensation,
-    counts: &mut MetaCounts,
-) -> Result<(), SnapshotError> {
-    let (comp_of, members, cyclic, comp_out, comp_in, topo) = c.raw_parts();
-    counts.components = members.len() as u64;
-    counts.comp_edges = comp_out.target_count() as u64;
-    w.section(SectionKind::CompOf, comp_of)?;
-    w.section(SectionKind::Cyclic, cyclic)?;
-    w.section(SectionKind::MembersOffsets, members.offsets_raw())?;
-    w.section(SectionKind::Members, members.targets_raw())?;
-    w.section(SectionKind::CompOutOffsets, comp_out.offsets_raw())?;
-    w.section(SectionKind::CompOut, comp_out.targets_raw())?;
-    w.section(SectionKind::CompInOffsets, comp_in.offsets_raw())?;
-    w.section(SectionKind::CompIn, comp_in.targets_raw())?;
-    w.section(SectionKind::Topo, topo)?;
-    Ok(())
+    SnapshotColumns {
+        fwd_offsets: g.fwd.offsets_raw(),
+        fwd_targets: g.fwd.targets_raw(),
+        rev_offsets: g.rev.offsets_raw(),
+        rev_targets: g.rev.targets_raw(),
+        symbols: &symbols,
+        strings: &strings,
+        attr_offsets: &attr_offsets,
+        attr_names: &attr_names,
+        attr_tags: &attr_values.tags,
+        attr_payloads: &attr_values.payloads,
+        vec_offsets: &vec_offsets,
+        vec_data: &vec_data,
+        val_syms: &val_syms,
+        val_tags: &val_values.tags,
+        val_payloads: &val_values.payloads,
+        val_offsets: &idx.value_offsets,
+        val_nodes: &idx.value_nodes,
+        name_syms: &name_syms,
+        name_offsets: &idx.name_offsets,
+        name_nodes: &idx.name_nodes,
+        int_syms: &int_syms,
+        int_offsets: &int_offsets,
+        int_values: &int_values,
+        int_nodes: &int_nodes,
+        sim_syms: &sim_syms,
+        sim_dims: &sim_dims,
+        sim_node_offsets: &sim_node_offsets,
+        sim_nodes: &sim_nodes,
+        sim_vec_offsets: &sim_vec_offsets,
+        sim_vec_data: &sim_vec_data,
+        sim_pivot_offsets: &sim_pivot_offsets,
+        sim_pivot_data: &sim_pivot_data,
+        sim_dist_offsets: &sim_dist_offsets,
+        sim_dist_data: &sim_dist_data,
+        sim_sorted_head: &sim_sorted_head,
+        sim_norm_bounds: &sim_norm_bounds,
+        ..SnapshotColumns::default()
+    }
+    .with_condensation(c)
+    .write(path, epoch)
 }
 
 /// The `(device, inode)` identity of the file at `path`, when it exists.
@@ -1021,12 +1205,7 @@ impl GraphSnapshot {
                 path: path.to_path_buf(),
             });
         }
-        let mut w = SnapshotWriter::create(path, self.epoch())?;
-        let mut counts = MetaCounts::default();
-        write_graph_sections(&mut w, self.graph(), &mut counts)?;
-        write_condensation_sections(&mut w, self.condensation(), &mut counts)?;
-        w.meta(&counts)?;
-        w.finish()
+        write_graph(path, self.epoch(), self.graph(), self.condensation())
     }
 
     /// Loads a snapshot produced by [`GraphSnapshot::save`] (or the streamed
@@ -1081,107 +1260,149 @@ struct Loader {
     bytes: Arc<SnapshotBytes>,
     sections: HashMap<u32, RawSection>,
     counts: MetaCounts,
-    verify_all: bool,
 }
 
 impl Loader {
-    fn section(&self, kind: SectionKind) -> Result<&RawSection, SnapshotError> {
-        self.sections
-            .get(&(kind as u32))
-            .ok_or_else(|| malformed(format!("missing section {kind:?}")))
+    fn get(&self, kind: SectionKind) -> Option<&RawSection> {
+        self.sections.get(&(kind as u32))
     }
 
-    /// Whether the file carries this section at all (version-1 files lack
-    /// the vector and sim-table sections).
-    fn has(&self, kind: SectionKind) -> bool {
-        self.sections.contains_key(&(kind as u32))
+    fn window(&self, s: &RawSection) -> &[u8] {
+        &self.bytes.as_slice()[s.offset..s.offset + s.byte_len]
     }
 
-    fn section_bytes(&self, kind: SectionKind) -> Result<&[u8], SnapshotError> {
-        let s = self.section(kind)?;
-        Ok(&self.bytes.as_slice()[s.offset..s.offset + s.byte_len])
-    }
-
-    /// CRC-checks one section now (used for every materialized section and,
-    /// in verifying modes, for all of them).
-    fn check_crc(&self, kind: SectionKind) -> Result<(), SnapshotError> {
-        let s = self.section(kind)?;
-        let data = &self.bytes.as_slice()[s.offset..s.offset + s.byte_len];
-        if crc32(data) != s.crc {
-            return Err(SnapshotError::ChecksumMismatch {
-                section: kind.name(),
-            });
+    fn check_crc(&self, row: &Section, s: &RawSection) -> Result<(), SnapshotError> {
+        if crc32(self.window(s)) != s.crc {
+            return Err(SnapshotError::ChecksumMismatch { section: row.name });
         }
         Ok(())
     }
 
-    /// Validates the section's length against `count` elements of `T` and
-    /// wraps it as an [`IntRun`] borrowing the shared buffer (decoding into
-    /// an owned run on hosts that cannot reinterpret, e.g. big-endian).
-    fn run<T: SectionElem>(
-        &self,
-        kind: SectionKind,
-        count: u64,
-    ) -> Result<IntRun<T>, SnapshotError> {
-        let s = self.section(kind)?;
-        let count = usize::try_from(count).map_err(|_| malformed("count overflows usize"))?;
-        let expect = count
-            .checked_mul(T::WIDTH)
-            .ok_or_else(|| malformed("section length overflow"))?;
-        if s.byte_len != expect {
-            return Err(malformed(format!(
-                "section {kind:?} holds {} bytes, counts imply {expect}",
-                s.byte_len
-            )));
+    /// Reads the `Meta` block — the root of the length cross-checks, so it
+    /// is verified before anything else looks at a count.
+    fn read_meta(&self) -> Result<MetaCounts, SnapshotError> {
+        let row = SectionKind::Meta.row();
+        let meta = self
+            .get(row.kind)
+            .ok_or_else(|| malformed("missing section Meta"))?;
+        self.check_crc(row, meta)?;
+        if meta.byte_len != Count::WORDS * 8 {
+            return Err(malformed("Meta section has the wrong length"));
         }
-        if let Some(run) = IntRun::from_bytes(&self.bytes, s.offset, count) {
-            return Ok(run);
+        let words: Vec<u64> = decode_elems(self.window(meta));
+        let counts: MetaCounts = words.try_into().expect("length checked above");
+        // Every id and offset in the format is a `u32`.
+        if counts.iter().any(|&word| word > u32::MAX as u64) {
+            return Err(malformed("counts overflow u32 offsets"));
         }
-        // Portable decode path (big-endian hosts, or misaligned legacy
-        // files): never reinterprets, always copies.
-        Ok(decode_elems::<T>(&self.bytes.as_slice()[s.offset..s.offset + s.byte_len]).into())
+        Ok(counts)
     }
 
-    /// Like [`run`](Self::run) but with the element count derived from the
-    /// section's own byte length — used by the sections whose counts are not
-    /// part of [`MetaCounts`] (cross-checks happen against sibling offsets
-    /// runs instead).
-    fn run_sized<T: SectionElem>(&self, kind: SectionKind) -> Result<IntRun<T>, SnapshotError> {
-        let s = self.section(kind)?;
-        if !s.byte_len.is_multiple_of(T::WIDTH) {
-            return Err(malformed(format!(
-                "section {kind:?} holds {} bytes, not a multiple of {}",
-                s.byte_len,
-                T::WIDTH
-            )));
+    /// Whole elements in the section of `row` (for one the file does not
+    /// carry: in its canonical empty run).
+    fn entries(&self, row: &Section) -> u64 {
+        match (self.get(row.kind), row.elem) {
+            (Some(s), Elem::Ints(_, width)) => (s.byte_len / width) as u64,
+            (Some(s), Elem::StringTable) => s.byte_len as u64,
+            (None, _) => row.spans.is_some() as u64,
         }
-        self.run(kind, (s.byte_len / T::WIDTH) as u64)
     }
 
-    /// Loads a CSR whose runs were written by the snapshot writer, checking
-    /// the structural invariants the slice accessors rely on: `offsets[0] ==
-    /// 0`, `offsets[n] == target count`, and monotonicity.  The linear scan
-    /// runs in **every** load mode (it is O(n) over `u32`s, far cheaper than
-    /// a parse) so a corrupt offset under plain [`LoadMode::Mmap`] surfaces
-    /// as a typed error at load time, never as an out-of-bounds panic inside
-    /// [`Csr::neighbors`] at query time.
-    fn csr<T: SectionElem>(
-        &self,
-        offsets_kind: SectionKind,
-        targets_kind: SectionKind,
-        sources: u64,
-        targets: u64,
-    ) -> Result<Csr<T>, SnapshotError> {
-        let offsets: IntRun<u32> = self.run(offsets_kind, sources + 1)?;
-        let target_run: IntRun<T> = self.run(targets_kind, targets)?;
-        check_offsets_span(&offsets, targets, offsets_kind.name())?;
-        Ok(Csr::from_parts(offsets, target_run))
+    /// How many entries the table says the section of `row` holds in this
+    /// file.
+    fn declared_len(&self, row: &Section) -> Result<u64, SnapshotError> {
+        declared_len(row, &self.counts, |row| self.entries(row))
+    }
+
+    /// Everything that is checked before a run is handed out, one loop per
+    /// policy over the section table: checksums (every section in verifying
+    /// modes, the [`Check::EveryOpen`] class otherwise; `Meta`'s is already
+    /// done), byte lengths against the length rules, and the span scan of
+    /// every offsets run.  The last two take a section the file does not
+    /// carry as its canonical empty run, so whatever the decoder indexes one
+    /// run by another's length is there.
+    fn verify(&self, verify_all: bool) -> Result<(), SnapshotError> {
+        for row in TABLE {
+            let Some(s) = self.get(row.kind) else {
+                continue;
+            };
+            if (verify_all || row.check == Check::EveryOpen) && row.kind != SectionKind::Meta {
+                self.check_crc(row, s)?;
+            }
+        }
+        for row in TABLE {
+            let entries = self.declared_len(row)?;
+            let Some(s) = self.get(row.kind) else {
+                // Only an addition after version 1 may be left out, and only
+                // where the rule asks for exactly the empty run.
+                if row.since > 1 && entries == self.entries(row) {
+                    continue;
+                }
+                return Err(malformed(format!("missing section {}", row.name)));
+            };
+            let byte_len = s.byte_len as u64;
+            let fits = match row.elem {
+                Elem::Ints(_, width) => entries.checked_mul(width as u64) == Some(byte_len),
+                // At least the offsets; the text length is the parser's check.
+                Elem::StringTable => entries
+                    .checked_add(1)
+                    .and_then(|n| n.checked_mul(4))
+                    .is_some_and(|head| head <= byte_len),
+            };
+            if !fits {
+                return Err(malformed(format!(
+                    "section {} holds {byte_len} bytes, `{}` implies {entries} entries",
+                    row.name, row.len
+                )));
+            }
+        }
+        for row in TABLE {
+            if let Some(target) = row.spans {
+                let offsets = IntRun::<u32>::load(self, row)?;
+                check_offsets_span(&offsets, self.entries(target.row()), row.name)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// How a row's section becomes the run its consumer gets; its length has
+/// been checked against the table by [`Loader::verify`].
+trait Load: Sized {
+    fn load(l: &Loader, row: &Section) -> Result<Self, SnapshotError>;
+}
+
+impl<T: SectionElem> Load for IntRun<T> {
+    /// Borrows the shared buffer (decoding into an owned run on hosts that
+    /// cannot reinterpret, e.g. big-endian).  A section the file does not
+    /// carry reads as its canonical empty run.
+    fn load(l: &Loader, row: &Section) -> Result<Self, SnapshotError> {
+        let Some(s) = l.get(row.kind) else {
+            return Ok(vec![T::read_le(&[0; 8]); l.entries(row) as usize].into());
+        };
+        Ok(
+            IntRun::from_bytes(&l.bytes, s.offset, s.byte_len / T::WIDTH)
+                // Portable decode path (big-endian hosts, or misaligned legacy
+                // files): never reinterprets, always copies.
+                .unwrap_or_else(|| decode_elems::<T>(l.window(s)).into()),
+        )
+    }
+}
+
+impl Load for Vec<String> {
+    fn load(l: &Loader, row: &Section) -> Result<Self, SnapshotError> {
+        let bytes = l.get(row.kind).map_or(&[][..], |s| l.window(s));
+        parse_string_table(bytes, l.declared_len(row)? as usize, row.name)
     }
 }
 
 /// Validates an offsets run: leading `0`, final value equal to the target
 /// count, and monotone throughout — together these bound every `lo..hi`
-/// window an accessor will ever slice out of the target run.
+/// window an accessor will ever slice out of the target run.  The linear
+/// scan runs in **every** load mode (it is O(n) over `u32`s, far cheaper
+/// than a parse) so a corrupt offset under plain [`LoadMode::Mmap`]
+/// surfaces as a typed error at load time, never as an out-of-bounds panic
+/// inside [`Csr::neighbors`] at query time.
 fn check_offsets_span(
     offsets: &[u32],
     targets: u64,
@@ -1296,7 +1517,7 @@ fn load_from_bytes(
         {
             return Err(SnapshotError::Truncated { what: "section" });
         }
-        if SectionKind::from_u32(kind).is_none() {
+        if !TABLE.iter().any(|row| row.kind as u32 == kind) {
             continue; // forward compatibility: skip unknown sections
         }
         let prev = sections.insert(
@@ -1312,70 +1533,14 @@ fn load_from_bytes(
         }
     }
 
-    // Meta is the root of the count cross-checks: always verified.
-    let loader = Loader {
+    let mut loader = Loader {
         bytes: Arc::clone(&bytes),
         sections,
-        counts: MetaCounts::default(),
-        verify_all,
+        counts: [0; Count::WORDS],
     };
-    loader.check_crc(SectionKind::Meta)?;
-    let meta_words: Vec<u64> = {
-        let raw = loader.section_bytes(SectionKind::Meta)?;
-        if raw.len() != MetaCounts::FIELDS * 8 {
-            return Err(malformed("Meta section has the wrong length"));
-        }
-        decode_elems(raw)
-    };
-    let counts = MetaCounts::from_words(&meta_words).expect("length checked above");
-    let loader = Loader { counts, ..loader };
-
-    if loader.verify_all {
-        for &kind in SectionKind::ALL {
-            if loader.sections.contains_key(&(kind as u32)) {
-                loader.check_crc(kind)?;
-            }
-        }
-    } else {
-        // Sections that are decoded into owned structures right now are
-        // validated field by field; checksum them up front so decode errors
-        // on a bit-flipped file surface as ChecksumMismatch, not Malformed.
-        // The attribute columns are *not* here: like the big adjacency and
-        // posting runs they stay mapped (decoded lazily on first access),
-        // so reading them eagerly would defeat the O(page-fault) open.
-        for kind in [
-            SectionKind::Symbols,
-            SectionKind::Strings,
-            SectionKind::ValSyms,
-            SectionKind::ValTags,
-            SectionKind::ValPayloads,
-            SectionKind::NameSyms,
-            SectionKind::IntSyms,
-            SectionKind::IntOffsets,
-        ] {
-            loader.check_crc(kind)?;
-        }
-        // The vector/sim key and offsets sections are validated eagerly too;
-        // guard on presence — version-1 files do not carry them.  The flat
-        // data runs stay lazy like the posting arrays.
-        for kind in [
-            SectionKind::VecOffsets,
-            SectionKind::SimSyms,
-            SectionKind::SimDims,
-            SectionKind::SimNodeOffsets,
-            SectionKind::SimVecOffsets,
-            SectionKind::SimPivotOffsets,
-            SectionKind::SimDistOffsets,
-            SectionKind::SimNormBounds,
-        ] {
-            if loader.has(kind) {
-                loader.check_crc(kind)?;
-            }
-        }
-    }
-
-    let graph = decode_graph(&loader)?;
-    let condensation = decode_condensation(&loader)?;
+    loader.counts = loader.read_meta()?;
+    loader.verify(verify_all)?;
+    let (graph, condensation) = decode(Runs::load(&loader)?, verify_all)?;
     Ok(GraphSnapshot::from_raw_parts(
         epoch,
         Arc::new(graph),
@@ -1383,48 +1548,87 @@ fn load_from_bytes(
     ))
 }
 
-fn decode_graph(l: &Loader) -> Result<DataGraph, SnapshotError> {
-    let c = &l.counts;
-    let n = usize::try_from(c.nodes).map_err(|_| malformed("node count overflows usize"))?;
-    if c.nodes > u32::MAX as u64 || c.edges > u32::MAX as u64 || c.attrs > u32::MAX as u64 {
-        return Err(malformed("counts overflow u32 offsets"));
-    }
+/// Assembles the graph and its condensation from verified runs.  What is
+/// decoded here is what the open owns (symbol table, key dictionaries,
+/// per-table windows); every other run moves into its structure as is.
+fn decode(r: Runs, verify_all: bool) -> Result<(DataGraph, Condensation), SnapshotError> {
+    let nodes = r.comp_of.len();
 
     // Symbol table: rebuilt owned (the lookup map cannot be mapped).
-    let sym_count =
-        usize::try_from(c.symbols).map_err(|_| malformed("symbol count overflows usize"))?;
-    let names = parse_string_table(l.section_bytes(SectionKind::Symbols)?, sym_count, "Symbols")?;
     let mut symbols = SymbolTable::new();
-    for name in &names {
+    for name in &r.symbols {
         symbols.intern(name);
     }
-    if symbols.len() != sym_count {
+    let sym_count = symbols.len();
+    if sym_count != r.symbols.len() {
         return Err(malformed("Symbols: duplicate interned name"));
     }
+    let known = |sym: Symbol, what: &str| {
+        if sym.index() < sym_count {
+            Ok(sym)
+        } else {
+            Err(malformed(format!("{what} symbol out of range")))
+        }
+    };
 
-    // String dictionary for attribute values, shared between the lazy
-    // attribute columns and the index slot keys.
-    let str_count =
-        usize::try_from(c.strings).map_err(|_| malformed("string count overflows usize"))?;
-    let strings = Arc::new(parse_string_table(
-        l.section_bytes(SectionKind::Strings)?,
-        str_count,
-        "Strings",
-    )?);
+    // Value postings: per-slot keys are materialized into the two-level
+    // dictionary; offsets and node lists stay mapped.
+    let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
+    for (slot, &sym) in r.val_syms.iter().enumerate() {
+        let value = decode_value(r.val_tags[slot], r.val_payloads[slot], &r.strings)?;
+        let slots = value_slots.entry(known(sym, "value-slot")?).or_default();
+        if slots.insert(value, slot as u32).is_some() {
+            return Err(malformed("duplicate value-slot key"));
+        }
+    }
+    let mut name_slots: HashMap<Symbol, u32> = HashMap::with_capacity(r.name_syms.len());
+    for (slot, &sym) in r.name_syms.iter().enumerate() {
+        if name_slots
+            .insert(known(sym, "name-slot")?, slot as u32)
+            .is_some()
+        {
+            return Err(malformed("duplicate name-slot symbol"));
+        }
+    }
+    // Integer runs: the two flat halves stay mapped; each per-attribute run
+    // is a shared sub-window.
+    let mut int_runs: HashMap<Symbol, IntPairs> = HashMap::with_capacity(r.int_syms.len());
+    for (i, &sym) in r.int_syms.iter().enumerate() {
+        let span = r.int_offsets[i] as usize..r.int_offsets[i + 1] as usize;
+        let pairs = IntPairs {
+            values: r.int_values.slice(span.clone()),
+            nodes: r.int_nodes.slice(span),
+        };
+        if int_runs.insert(known(sym, "int-run")?, pairs).is_some() {
+            return Err(malformed("duplicate int-run symbol"));
+        }
+    }
 
-    // Adjacency: zero-copy CSR views.
-    let fwd: Csr<NodeId> = l.csr(
-        SectionKind::FwdOffsets,
-        SectionKind::FwdTargets,
-        c.nodes,
-        c.edges,
-    )?;
-    let rev: Csr<NodeId> = l.csr(
-        SectionKind::RevOffsets,
-        SectionKind::RevTargets,
-        c.nodes,
-        c.edges,
-    )?;
+    // Similarity tables: each is re-validated through
+    // `SimTable::from_parts`, so incoherent spans in a damaged file surface
+    // as `Malformed`, never a panic.
+    let mut tables: BTreeMap<Symbol, SimTable> = BTreeMap::new();
+    for (i, &sym) in r.sim_syms.iter().enumerate() {
+        let span = |offsets: &[u32]| offsets[i] as usize..offsets[i + 1] as usize;
+        let table_nodes = r.sim_nodes.slice(span(&r.sim_node_offsets));
+        if table_nodes.iter().any(|v| v.index() >= nodes) {
+            return Err(malformed("sim-table node id out of range"));
+        }
+        let table = SimTable::from_parts(
+            r.sim_dims[i],
+            table_nodes,
+            r.sim_vec_data.slice(span(&r.sim_vec_offsets)),
+            r.sim_pivot_data.slice(span(&r.sim_pivot_offsets)),
+            r.sim_dist_data.slice(span(&r.sim_dist_offsets)),
+            r.sim_sorted_head.slice(span(&r.sim_node_offsets)),
+            r.sim_norm_bounds[2 * i],
+            r.sim_norm_bounds[2 * i + 1],
+        )
+        .ok_or_else(|| malformed(format!("sim table {i} has incoherent spans")))?;
+        if tables.insert(known(sym, "sim-table")?, table).is_some() {
+            return Err(malformed("duplicate sim-table symbol"));
+        }
+    }
 
     // Attribute tuples: the four columns stay mapped and decode into owned
     // `Attribute`s only on first per-node access (see `AttrTuples`), so a
@@ -1432,132 +1636,65 @@ fn decode_graph(l: &Loader) -> Result<DataGraph, SnapshotError> {
     // even the page faults of these sections.  Verifying modes validate
     // every entry field by field up front — allocation-free — so a file
     // that passes a verified load can never decode wrongly later; plain
-    // mmap keeps only the O(1) span check and relies on the defensive
+    // mmap keeps only the span check and relies on the defensive
     // access-time decode.
-    let attr_offsets: IntRun<u32> = l.run(SectionKind::AttrOffsets, c.nodes + 1)?;
-    let attr_names: IntRun<Symbol> = l.run(SectionKind::AttrNames, c.attrs)?;
-    let attr_tags: IntRun<u8> = l.run(SectionKind::AttrTags, c.attrs)?;
-    let attr_payloads: IntRun<u64> = l.run(SectionKind::AttrPayloads, c.attrs)?;
-    check_offsets_span(&attr_offsets, c.attrs, "AttrOffsets")?;
-
-    // Vector-value dictionary (version 2; absent means empty).  The offsets
-    // run spans the data run, so every `lo..hi` window `VecDict::get` slices
-    // is in bounds after a successful open.
-    let vectors = if l.has(SectionKind::VecOffsets) {
-        let data: IntRun<f32> = l.run_sized(SectionKind::VecData)?;
-        let offsets: IntRun<u32> = l.run_sized(SectionKind::VecOffsets)?;
-        if offsets.is_empty() {
-            return Err(malformed("VecOffsets must hold at least one entry"));
-        }
-        check_offsets_span(&offsets, data.len() as u64, "VecOffsets")?;
-        Arc::new(VecDict { offsets, data })
-    } else {
-        Arc::new(VecDict::default())
+    let vectors = VecDict {
+        offsets: r.vec_offsets,
+        data: r.vec_data,
     };
-
-    if l.verify_all {
-        if attr_names.iter().any(|name| name.index() >= sym_count) {
+    if verify_all {
+        if r.attr_names.iter().any(|name| name.index() >= sym_count) {
             return Err(malformed("attribute name symbol out of range"));
         }
-        for i in 0..attr_tags.len() {
-            match attr_tags[i] {
-                TAG_INT => {}
-                TAG_STR => {
-                    let in_dict =
-                        usize::try_from(attr_payloads[i]).is_ok_and(|id| id < strings.len());
-                    if !in_dict {
-                        return Err(malformed("string payload out of dictionary range"));
-                    }
-                }
-                TAG_VEC => {
-                    let in_dict =
-                        usize::try_from(attr_payloads[i]).is_ok_and(|id| id < vectors.len());
-                    if !in_dict {
-                        return Err(malformed("vector payload out of dictionary range"));
-                    }
-                }
+        for (&tag, &payload) in r.attr_tags.iter().zip(r.attr_payloads.iter()) {
+            let dict_len = match tag {
+                TAG_INT => continue,
+                TAG_STR => r.strings.len(),
+                TAG_VEC => vectors.len(),
                 other => return Err(malformed(format!("unknown attribute value tag {other}"))),
+            };
+            if !usize::try_from(payload).is_ok_and(|id| id < dict_len) {
+                return Err(malformed("attribute payload out of dictionary range"));
             }
         }
     }
-    let attrs = AttrTuples::from_columns(
-        n,
-        AttrColumns {
-            offsets: attr_offsets,
-            names: attr_names,
-            tags: attr_tags,
-            payloads: attr_payloads,
-            strings: Arc::clone(&strings),
-            vectors,
-        },
-    );
 
-    let index = decode_index(l, sym_count, &strings)?;
-    let sims = decode_sims(l, sym_count, c.nodes)?;
-    Ok(DataGraph {
+    let graph = DataGraph {
         symbols,
-        fwd,
-        rev,
-        attrs,
-        index,
-        sims,
-        edge_count: c.edges as usize,
-    })
-}
-
-/// Reconstructs the similarity catalog from the flattened sim-table sections
-/// (version 2; a version-1 file yields an empty catalog).  Each table is
-/// re-validated through [`SimTable::from_parts`], so incoherent spans in a
-/// damaged file surface as [`SnapshotError::Malformed`], never a panic.
-fn decode_sims(l: &Loader, sym_count: usize, nodes: u64) -> Result<SimCatalog, SnapshotError> {
-    if !l.has(SectionKind::SimSyms) {
-        return Ok(SimCatalog::default());
-    }
-    let syms: IntRun<Symbol> = l.run_sized(SectionKind::SimSyms)?;
-    let t = syms.len();
-    let dims: IntRun<u32> = l.run(SectionKind::SimDims, t as u64)?;
-    let node_offsets: IntRun<u32> = l.run(SectionKind::SimNodeOffsets, t as u64 + 1)?;
-    let sim_nodes: IntRun<NodeId> = l.run_sized(SectionKind::SimNodes)?;
-    check_offsets_span(&node_offsets, sim_nodes.len() as u64, "SimNodeOffsets")?;
-    let vec_offsets: IntRun<u32> = l.run(SectionKind::SimVecOffsets, t as u64 + 1)?;
-    let vec_data: IntRun<f32> = l.run_sized(SectionKind::SimVecData)?;
-    check_offsets_span(&vec_offsets, vec_data.len() as u64, "SimVecOffsets")?;
-    let pivot_offsets: IntRun<u32> = l.run(SectionKind::SimPivotOffsets, t as u64 + 1)?;
-    let pivot_data: IntRun<f32> = l.run_sized(SectionKind::SimPivotData)?;
-    check_offsets_span(&pivot_offsets, pivot_data.len() as u64, "SimPivotOffsets")?;
-    let dist_offsets: IntRun<u32> = l.run(SectionKind::SimDistOffsets, t as u64 + 1)?;
-    let dist_data: IntRun<f32> = l.run_sized(SectionKind::SimDistData)?;
-    check_offsets_span(&dist_offsets, dist_data.len() as u64, "SimDistOffsets")?;
-    let sorted_head: IntRun<f32> = l.run(SectionKind::SimSortedHead, sim_nodes.len() as u64)?;
-    let norm_bounds: IntRun<f32> = l.run(SectionKind::SimNormBounds, 2 * t as u64)?;
-
-    let mut tables: BTreeMap<Symbol, SimTable> = BTreeMap::new();
-    for i in 0..t {
-        let sym = syms[i];
-        if sym.index() >= sym_count {
-            return Err(malformed("sim-table symbol out of range"));
-        }
-        let node_span = node_offsets[i] as usize..node_offsets[i + 1] as usize;
-        let nodes_run = sim_nodes.slice(node_span.clone());
-        if nodes_run.iter().any(|v| v.0 as u64 >= nodes) {
-            return Err(malformed("sim-table node id out of range"));
-        }
-        let table = SimTable::from_parts(
-            dims[i],
-            nodes_run,
-            vec_data.slice(vec_offsets[i] as usize..vec_offsets[i + 1] as usize),
-            pivot_data.slice(pivot_offsets[i] as usize..pivot_offsets[i + 1] as usize),
-            dist_data.slice(dist_offsets[i] as usize..dist_offsets[i + 1] as usize),
-            sorted_head.slice(node_span),
-            norm_bounds[2 * i],
-            norm_bounds[2 * i + 1],
-        )
-        .ok_or_else(|| malformed(format!("sim table {i} has incoherent spans")))?;
-        if tables.insert(sym, table).is_some() {
-            return Err(malformed("duplicate sim-table symbol"));
-        }
-    }
-    Ok(SimCatalog::from_tables(tables))
+        edge_count: r.fwd_targets.len(),
+        fwd: Csr::from_parts(r.fwd_offsets, r.fwd_targets),
+        rev: Csr::from_parts(r.rev_offsets, r.rev_targets),
+        attrs: AttrTuples::from_columns(
+            nodes,
+            AttrColumns {
+                offsets: r.attr_offsets,
+                names: r.attr_names,
+                tags: r.attr_tags,
+                payloads: r.attr_payloads,
+                strings: Arc::new(r.strings),
+                vectors: Arc::new(vectors),
+            },
+        ),
+        index: AttrIndex {
+            value_slots,
+            value_offsets: r.val_offsets,
+            value_nodes: r.val_nodes,
+            name_slots,
+            name_offsets: r.name_offsets,
+            name_nodes: r.name_nodes,
+            int_runs,
+        },
+        sims: SimCatalog::from_tables(tables),
+    };
+    let condensation = Condensation::from_parts(
+        r.comp_of,
+        Csr::from_parts(r.members_offsets, r.members),
+        r.cyclic,
+        Csr::from_parts(r.comp_out_offsets, r.comp_out),
+        Csr::from_parts(r.comp_in_offsets, r.comp_in),
+        r.topo,
+    );
+    Ok((graph, condensation))
 }
 
 fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, SnapshotError> {
@@ -1572,125 +1709,6 @@ fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, 
         }
         other => Err(malformed(format!("unknown attribute value tag {other}"))),
     }
-}
-
-fn decode_index(
-    l: &Loader,
-    sym_count: usize,
-    strings: &[String],
-) -> Result<AttrIndex, SnapshotError> {
-    let c = &l.counts;
-
-    // Value postings: per-slot keys are materialized into the two-level
-    // dictionary; offsets and node lists stay mapped.
-    let slot_count =
-        usize::try_from(c.value_slots).map_err(|_| malformed("slot count overflows usize"))?;
-    let val_syms: IntRun<Symbol> = l.run(SectionKind::ValSyms, c.value_slots)?;
-    let val_tags: IntRun<u8> = l.run(SectionKind::ValTags, c.value_slots)?;
-    let val_payloads: IntRun<u64> = l.run(SectionKind::ValPayloads, c.value_slots)?;
-    let value_offsets: IntRun<u32> = l.run(SectionKind::ValOffsets, c.value_slots + 1)?;
-    let value_nodes: IntRun<NodeId> = l.run(SectionKind::ValNodes, c.value_nodes)?;
-    check_offsets_span(&value_offsets, c.value_nodes, "ValOffsets")?;
-    let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
-    for slot in 0..slot_count {
-        let sym = val_syms[slot];
-        if sym.index() >= sym_count {
-            return Err(malformed("value-slot symbol out of range"));
-        }
-        let value = decode_value(val_tags[slot], val_payloads[slot], strings)?;
-        let prev = value_slots
-            .entry(sym)
-            .or_default()
-            .insert(value, slot as u32);
-        if prev.is_some() {
-            return Err(malformed("duplicate value-slot key"));
-        }
-    }
-
-    // Name postings.
-    let name_count =
-        usize::try_from(c.name_slots).map_err(|_| malformed("name count overflows usize"))?;
-    let name_syms: IntRun<Symbol> = l.run(SectionKind::NameSyms, c.name_slots)?;
-    let name_offsets: IntRun<u32> = l.run(SectionKind::NameOffsets, c.name_slots + 1)?;
-    let name_nodes: IntRun<NodeId> = l.run(SectionKind::NameNodes, c.name_nodes)?;
-    check_offsets_span(&name_offsets, c.name_nodes, "NameOffsets")?;
-    let mut name_slots: HashMap<Symbol, u32> = HashMap::with_capacity(name_count);
-    for slot in 0..name_count {
-        let sym = name_syms[slot];
-        if sym.index() >= sym_count {
-            return Err(malformed("name-slot symbol out of range"));
-        }
-        if name_slots.insert(sym, slot as u32).is_some() {
-            return Err(malformed("duplicate name-slot symbol"));
-        }
-    }
-
-    // Integer runs: the two flat halves stay mapped; each per-attribute run
-    // is a shared sub-window.
-    let int_count =
-        usize::try_from(c.int_attrs).map_err(|_| malformed("int-run count overflows usize"))?;
-    let int_syms: IntRun<Symbol> = l.run(SectionKind::IntSyms, c.int_attrs)?;
-    let int_offsets: IntRun<u32> = l.run(SectionKind::IntOffsets, c.int_attrs + 1)?;
-    let int_values: IntRun<i64> = l.run(SectionKind::IntValues, c.int_pairs)?;
-    let int_nodes: IntRun<NodeId> = l.run(SectionKind::IntNodes, c.int_pairs)?;
-    check_offsets_span(&int_offsets, c.int_pairs, "IntOffsets")?;
-    let mut int_runs: HashMap<Symbol, IntPairs> = HashMap::with_capacity(int_count);
-    for i in 0..int_count {
-        let sym = int_syms[i];
-        if sym.index() >= sym_count {
-            return Err(malformed("int-run symbol out of range"));
-        }
-        let lo = int_offsets[i] as usize;
-        let hi = int_offsets[i + 1] as usize;
-        let pairs = IntPairs {
-            values: int_values.slice(lo..hi),
-            nodes: int_nodes.slice(lo..hi),
-        };
-        if int_runs.insert(sym, pairs).is_some() {
-            return Err(malformed("duplicate int-run symbol"));
-        }
-    }
-
-    Ok(AttrIndex {
-        value_slots,
-        value_offsets,
-        value_nodes,
-        name_slots,
-        name_offsets,
-        name_nodes,
-        int_runs,
-    })
-}
-
-fn decode_condensation(l: &Loader) -> Result<Condensation, SnapshotError> {
-    let c = &l.counts;
-    if c.components > u32::MAX as u64 || c.comp_edges > u32::MAX as u64 {
-        return Err(malformed("condensation counts overflow u32 offsets"));
-    }
-    let comp_of: IntRun<CompId> = l.run(SectionKind::CompOf, c.nodes)?;
-    let cyclic: IntRun<u8> = l.run(SectionKind::Cyclic, c.components)?;
-    let members: Csr<NodeId> = l.csr(
-        SectionKind::MembersOffsets,
-        SectionKind::Members,
-        c.components,
-        c.nodes,
-    )?;
-    let comp_out: Csr<CompId> = l.csr(
-        SectionKind::CompOutOffsets,
-        SectionKind::CompOut,
-        c.components,
-        c.comp_edges,
-    )?;
-    let comp_in: Csr<CompId> = l.csr(
-        SectionKind::CompInOffsets,
-        SectionKind::CompIn,
-        c.components,
-        c.comp_edges,
-    )?;
-    let topo: IntRun<CompId> = l.run(SectionKind::Topo, c.components)?;
-    Ok(Condensation::from_parts(
-        comp_of, members, cyclic, comp_out, comp_in, topo,
-    ))
 }
 
 #[cfg(test)]
@@ -1717,6 +1735,32 @@ mod tests {
         let dir = std::env::temp_dir().join("gtpq-snap-unit");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn the_section_table_is_coherent() {
+        for (i, row) in TABLE.iter().enumerate() {
+            assert!(
+                TABLE[..i].iter().all(|r| r.kind as u32 != row.kind as u32),
+                "{}: duplicate on-disk id",
+                row.name
+            );
+            if row.spans.is_some() {
+                assert!(
+                    matches!(row.elem, Elem::Ints("u32", 4)),
+                    "{}: offsets runs are u32",
+                    row.name
+                );
+            }
+        }
+        // `SnapshotColumns::counts` can only fill a `Meta` word that some
+        // column's rule names bare.
+        for word in 0..Count::WORDS {
+            let defined = TABLE
+                .iter()
+                .any(|row| matches!(row.len, Len(Base::Meta(c), 1, 0) if c as usize == word));
+            assert!(defined, "no column defines Meta word {word}");
+        }
     }
 
     #[test]
@@ -1806,7 +1850,7 @@ mod tests {
         // remove its temp sibling.
         {
             let mut w = SnapshotWriter::create(&path, 7).unwrap();
-            w.section(SectionKind::FwdOffsets, &[0u32, 1]).unwrap();
+            w.section(SectionKind::FwdOffsets, &[0u8; 8]).unwrap();
             // dropped without finish()
         }
         assert_eq!(std::fs::read(&path).unwrap(), pristine);
@@ -1856,18 +1900,27 @@ mod tests {
         let _ = std::fs::remove_file(&other);
     }
 
-    /// Locates the file offset of `kind`'s section data by parsing the TOC
-    /// the way a reader would.
-    fn section_offset(bytes: &[u8], kind: SectionKind) -> usize {
+    /// The TOC as a reader sees it: `(entry position, kind id, section
+    /// offset, section byte length)` per section, in file order.
+    fn toc(bytes: &[u8]) -> Vec<(usize, u32, usize, usize)> {
         let section_count = read_u64(bytes, 16) as usize;
         let toc_offset = read_u64(bytes, 24) as usize;
-        for i in 0..section_count {
-            let at = toc_offset + i * TOC_ENTRY_LEN as usize;
-            if read_u32(bytes, at) == kind as u32 {
-                return read_u64(bytes, at + 8) as usize;
-            }
-        }
-        panic!("section {kind:?} not found");
+        (0..section_count)
+            .map(|i| toc_offset + i * TOC_ENTRY_LEN as usize)
+            .map(|at| {
+                let offset = read_u64(bytes, at + 8) as usize;
+                let len = read_u64(bytes, at + 16) as usize;
+                (at, read_u32(bytes, at), offset, len)
+            })
+            .collect()
+    }
+
+    /// The file offset of `kind`'s section data.
+    fn section_offset(bytes: &[u8], kind: SectionKind) -> usize {
+        let entry = toc(bytes).into_iter().find(|e| e.1 == kind as u32);
+        entry
+            .unwrap_or_else(|| panic!("section {kind:?} not found"))
+            .2
     }
 
     #[test]
@@ -1898,6 +1951,208 @@ mod tests {
         assert!(
             GraphSnapshot::open_mmap(&path).is_err(),
             "non-monotone ValOffsets accepted under plain mmap"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Rewrites every section CRC, the TOC CRC and the header CRC to match
+    /// the (patched) bytes, so the file is *hostile* — internally consistent,
+    /// every checksum green — rather than merely damaged.
+    fn restamp(bytes: &mut [u8]) {
+        let entries = toc(bytes);
+        for &(at, _, offset, len) in &entries {
+            let crc = crc32(&bytes[offset..offset + len]);
+            bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        }
+        let toc_start = read_u64(bytes, 24) as usize;
+        let toc_end = toc_start + entries.len() * TOC_ENTRY_LEN as usize;
+        let toc_crc = crc32(&bytes[toc_start..toc_end]);
+        bytes[48..52].copy_from_slice(&toc_crc.to_le_bytes());
+        let header_crc = crc32(&bytes[..52]);
+        bytes[52..56].copy_from_slice(&header_crc.to_le_bytes());
+    }
+
+    /// Ints, strings, a shared and an off-dimension vector, and a back edge.
+    fn hostile_base() -> GraphSnapshot {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..6).map(|_| b.add_node_with_label("doc")).collect();
+        for (i, &v) in nodes.iter().enumerate() {
+            b.set_attr(v, "year", AttrValue::int(1990 + i as i64));
+            b.set_attr(v, "name", AttrValue::str(&format!("n{}", i % 3)));
+            let emb = vec![i as f32 * 0.5, 1.0, -0.25 * (i / 2) as f32];
+            b.set_attr(v, "emb", AttrValue::Vec(emb));
+        }
+        b.set_attr(nodes[5], "emb", AttrValue::Vec(vec![0.0, 1.0, 0.0]));
+        b.set_attr(nodes[4], "emb", AttrValue::Vec(vec![2.0, 2.0]));
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        b.add_edge(nodes[3], nodes[1]);
+        GraphSnapshot::freeze(Arc::new(b.build()))
+    }
+
+    /// Touches every slice-served accessor of a loaded graph.
+    fn walk(snap: &GraphSnapshot) {
+        let g = snap.graph();
+        for v in g.nodes() {
+            let _ = g.children(v);
+            let _ = g.parents(v);
+            let _ = g.attributes(v);
+        }
+        let _ = g.nodes_with(LABEL_ATTR, &AttrValue::str("doc"));
+        let _ = g.nodes_with("year", &AttrValue::int(1991));
+        if let Some(table) = g.sim_table("emb") {
+            let probe = vec![0.5f32; table.dim()];
+            let _ = table.within_l2(&probe, 1.5, true);
+        }
+    }
+
+    #[test]
+    fn hostile_but_checksum_consistent_files_never_panic() {
+        let path = tmp("hostile.gtpq");
+        hostile_base().save(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let victim = tmp("hostile-victim.gtpq");
+        let modes = [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap];
+
+        // Every `Meta` word at the edges of the integer widths the loader
+        // converts between: a load may succeed or fail, never unwind.
+        let meta = section_offset(&good, SectionKind::Meta);
+        let edges = [
+            0,
+            1,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut unwound = Vec::new();
+        for word in 0..Count::WORDS {
+            for value in edges {
+                let mut bytes = good.clone();
+                bytes[meta + 8 * word..meta + 8 * word + 8].copy_from_slice(&value.to_le_bytes());
+                restamp(&mut bytes);
+                std::fs::write(&victim, &bytes).unwrap();
+                for mode in modes {
+                    let opened =
+                        std::panic::catch_unwind(|| GraphSnapshot::open(&victim, mode).map(|_| ()));
+                    match opened {
+                        Ok(Ok(())) => {}
+                        Ok(Err(e)) => drop(e.to_string()),
+                        Err(_) => unwound.push((word, value, mode)),
+                    }
+                }
+            }
+        }
+        assert!(
+            unwound.is_empty(),
+            "hostile Meta words panicked: {unwound:?}"
+        );
+
+        // Every section filled with one byte value: with the checksums
+        // re-stamped this reaches the field validation of the eagerly
+        // CRC'd sections, which a plain byte flip only ever sees as
+        // `ChecksumMismatch`.
+        for (_, _, offset, len) in toc(&good) {
+            for fill in [0x00u8, 0x01, 0x7F, 0x80, 0xFF] {
+                let mut bytes = good.clone();
+                bytes[offset..offset + len].fill(fill);
+                restamp(&mut bytes);
+                std::fs::write(&victim, &bytes).unwrap();
+                for mode in [LoadMode::Mmap, LoadMode::Heap] {
+                    let walked = std::panic::catch_unwind(|| {
+                        if let Ok(snap) = GraphSnapshot::open(&victim, mode) {
+                            walk(&snap);
+                        }
+                    });
+                    assert!(
+                        walked.is_ok(),
+                        "section at {offset} filled with {fill:#04x} panicked under {mode:?}"
+                    );
+                }
+            }
+        }
+
+        // One section added after version 1 hidden behind an id no reader
+        // knows, under either header version: what is left of its group
+        // must not be indexed by lengths the hidden run no longer backs.
+        for (at, kind, _, _) in toc(&good) {
+            if TABLE.iter().any(|r| r.kind as u32 == kind && r.since == 1) {
+                continue;
+            }
+            for version in 1..=FORMAT_VERSION {
+                let mut bytes = good.clone();
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
+                bytes[at..at + 4].copy_from_slice(&33u32.to_le_bytes());
+                restamp(&mut bytes);
+                std::fs::write(&victim, &bytes).unwrap();
+                for mode in modes {
+                    let walked = std::panic::catch_unwind(|| {
+                        GraphSnapshot::open(&victim, mode).map(|snap| walk(&snap))
+                    });
+                    assert!(
+                        matches!(walked, Ok(Err(SnapshotError::Malformed { .. }))),
+                        "kind {kind} hidden in a v{version} file under {mode:?}: {walked:?}"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&victim);
+    }
+
+    #[test]
+    fn sections_added_after_v1_are_optional_as_a_group() {
+        let path = tmp("optional.gtpq");
+        hostile_base().save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for (at, kind, _, _) in toc(&bytes) {
+            if TABLE.iter().any(|r| r.kind as u32 == kind && r.since > 1) {
+                bytes[at..at + 4].copy_from_slice(&33u32.to_le_bytes());
+            }
+        }
+        restamp(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        // Plain mmap decodes attributes lazily, so the vector payloads that
+        // now point past the empty dictionary degrade to skipped attributes;
+        // the verifying modes refuse them up front.
+        let loaded = GraphSnapshot::open_mmap(&path).unwrap();
+        walk(&loaded);
+        assert!(loaded.graph().sim_table("emb").is_none());
+        assert!(matches!(
+            GraphSnapshot::open_heap(&path),
+            Err(SnapshotError::Malformed { .. })
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_writer_refuses_columns_that_break_their_length_rules() {
+        let snap = sample_snapshot();
+        let (g, c) = (snap.graph(), snap.condensation());
+        let columns = SnapshotColumns {
+            fwd_offsets: g.fwd.offsets_raw(),
+            fwd_targets: g.fwd.targets_raw(),
+            ..SnapshotColumns::default()
+        };
+        let path = tmp("mis-sized.gtpq");
+        // `rev_targets` (empty) disagrees with `fwd_targets` on `Edges`, and
+        // without the condensation `Nodes` is 0 against four offsets.
+        for broken in [columns, columns.with_condensation(c)] {
+            assert!(matches!(
+                broken.write(&path, 0),
+                Err(SnapshotError::Malformed { .. })
+            ));
+            assert!(!path.exists());
+        }
+        // The canonical empty runs describe the empty graph.
+        SnapshotColumns::default().write(&path, 0).unwrap();
+        assert_eq!(
+            GraphSnapshot::open_heap(&path)
+                .unwrap()
+                .graph()
+                .node_count(),
+            0
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -73,7 +73,13 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// in `s`, so its maximum over the interval is at an endpoint.  The returned
 /// radius therefore lets a cosine predicate ride the L2 pivot filter without
 /// false negatives; survivors still need exact cosine verification.
+///
+/// Cosine never leaves `[-1, 1]`, so `t` is clamped to it: the radius stays
+/// conservative, and a threshold of `-∞` against a zero-norm query cannot
+/// multiply out to NaN (which `f32::max` would drop, collapsing the radius
+/// to 0).
 pub fn cosine_radius(q_norm: f32, t: f32, norm_min: f32, norm_max: f32) -> f32 {
+    let t = t.clamp(-1.0, 1.0);
     let f = |s: f32| s * s - 2.0 * s * q_norm * t + q_norm * q_norm;
     f(norm_min).max(f(norm_max)).max(0.0).sqrt()
 }

@@ -16,6 +16,7 @@
 //!
 //! The "Snapshot format" section gets the same treatment: the documented
 //! magic and format version must match the `snap` module's constants,
+//! the per-section table must be the one the code's section table renders,
 //! every `LoadMode` variant must be documented (recovered through an
 //! exhaustive match, so a new variant fails the build until this file —
 //! and the docs — learn about it), the cited test suites must exist, and
@@ -32,7 +33,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gtpq::graph::snap::{FORMAT_VERSION, MAGIC};
+use gtpq::graph::snap::{section_table_markdown, FORMAT_VERSION, MAGIC};
 use gtpq::graph::{GraphBuilder, GraphHandle, GraphSnapshot, LoadMode, MutationStats};
 use gtpq::reach::BackendKind;
 use gtpq::service::{QueryRequest, QueryService};
@@ -187,6 +188,15 @@ fn snapshot_section_tracks_the_format_constants_and_load_modes() {
         body.contains(&version),
         "the documented format version went stale: the section must say \
          \"{version}\" to match snap::FORMAT_VERSION"
+    );
+
+    // The per-section table is the code's own: a row added, renumbered or
+    // re-classed in `snap.rs` fails here until the document follows.
+    let table = section_table_markdown();
+    assert!(
+        body.contains(&table),
+        "the section table of the Snapshot format section went stale; \
+         replace it with:\n{table}"
     );
 
     // Exhaustive match: adding a `LoadMode` variant fails this build until

@@ -306,6 +306,9 @@ fn degenerate_l2_radii_agree_with_the_oracle() {
     let documents = g.sim_table("emb").expect("emb indexes").len();
     let engine = GteaEngine::new(&g);
     let center = vec![8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+    // (operator, query vector, threshold, the oracle's row count where the
+    // threshold alone decides it).
+    let mut cases: Vec<(CmpOp, Vec<f32>, f32, Option<usize>)> = Vec::new();
     for (radius, all) in [
         (f32::INFINITY, true),
         (f32::NAN, false),
@@ -313,25 +316,48 @@ fn degenerate_l2_radii_agree_with_the_oracle() {
         (f32::NEG_INFINITY, false),
     ] {
         for op in [CmpOp::Lt, CmpOp::Le] {
-            let mut b = GtpqBuilder::new(AttrPredicate::label("doc").and_sim(
-                "emb",
-                op,
-                center.clone(),
-                radius,
-            ));
-            let root = b.root_id();
-            b.mark_output(root);
-            let q = b.build().unwrap();
-            let expected = naive::evaluate(&q, &g);
-            assert_eq!(
-                expected.len(),
-                if all { documents } else { 0 },
-                "radius {radius} {op:?}: the oracle itself"
-            );
-            assert!(
-                engine.evaluate(&q).same_answer(&expected),
-                "radius {radius} {op:?}: engine diverges from the oracle"
-            );
+            let rows = if all { documents } else { 0 };
+            cases.push((op, center.clone(), radius, Some(rows)));
         }
+    }
+    // Cosine thresholds outside [-1, 1] and a zero-norm query (cosine 0 to
+    // everything): the conservative L2 radius must stay conservative.
+    for query in [vec![0.0; 8], center] {
+        for threshold in [
+            -2.0,
+            -1.0,
+            -0.5,
+            0.0,
+            1.0,
+            2.0,
+            f32::INFINITY,
+            f32::NAN,
+            f32::NEG_INFINITY,
+        ] {
+            let rows = match threshold {
+                t if t == f32::NEG_INFINITY => Some(documents),
+                t if t == f32::INFINITY || t.is_nan() => Some(0),
+                _ => None,
+            };
+            for op in [CmpOp::Gt, CmpOp::Ge] {
+                cases.push((op, query.clone(), threshold, rows));
+            }
+        }
+    }
+    for (op, query, threshold, rows) in cases {
+        let what = format!("{op:?} {threshold} around {query:?}");
+        let mut b =
+            GtpqBuilder::new(AttrPredicate::label("doc").and_sim("emb", op, query, threshold));
+        let root = b.root_id();
+        b.mark_output(root);
+        let q = b.build().unwrap();
+        let expected = naive::evaluate(&q, &g);
+        if let Some(rows) = rows {
+            assert_eq!(expected.len(), rows, "{what}: the oracle itself");
+        }
+        assert!(
+            engine.evaluate(&q).same_answer(&expected),
+            "{what}: engine diverges from the oracle"
+        );
     }
 }

@@ -261,6 +261,66 @@ fn checked_in_v1_fixture_opens_in_every_load_mode() {
     }
 }
 
+/// The graph behind `tests/fixtures/v2-tiny.gtpq`, built inline (not from
+/// `gtpq-datagen`, so generator changes cannot invalidate the fixture): int
+/// and string attributes, one vector value shared by two nodes, one
+/// off-dimension vector, and a cycle.
+fn tiny_v2_graph() -> DataGraph {
+    let mut b = GraphBuilder::new();
+    let p0 = b.add_node_with_label("paper");
+    let p1 = b.add_node_with_label("paper");
+    let a0 = b.add_node_with_label("author");
+    let a1 = b.add_node_with_label("author");
+    b.set_attr(p0, "year", AttrValue::int(2001));
+    b.set_attr(p1, "year", AttrValue::int(-7));
+    b.set_attr(a0, "name", AttrValue::str("knuth"));
+    b.set_attr(a1, "name", AttrValue::str("erdős"));
+    b.set_attr(p0, "emb", AttrValue::Vec(vec![0.0, 0.25, -0.5, 1.0]));
+    b.set_attr(p1, "emb", AttrValue::Vec(vec![0.0, 0.25, -0.5, 1.0]));
+    b.set_attr(a0, "emb", AttrValue::Vec(vec![1.0, 0.5, 0.25, -2.0]));
+    b.set_attr(a1, "emb", AttrValue::Vec(vec![3.0, -1.0]));
+    b.add_edge(p0, p1);
+    b.add_edge(p1, a0);
+    b.add_edge(a0, p0);
+    b.add_edge(p1, a1);
+    b.build()
+}
+
+#[test]
+fn checked_in_v2_fixture_is_what_save_writes_today() {
+    // Round trips cannot see a writer and a reader drifting together; a
+    // checked-in file can.  The fixture was written by the writer as it
+    // stood before the format became table-driven: a fresh save of the same
+    // graph must reproduce it byte for byte.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v2-tiny.gtpq");
+    let want = std::fs::read(fixture).expect("fixture is checked in");
+    assert_eq!(want[8], 2, "the fixture is a version-2 file");
+
+    let g = tiny_v2_graph();
+    assert!(!g.sim_catalog().is_empty() && !Condensation::new(&g).input_was_dag());
+    let path = temp_snapshot("v2-fixture", 0);
+    GraphSnapshot::freeze(Arc::new(g.clone()))
+        .save(&path)
+        .expect("save succeeds");
+    let got = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        got == want,
+        "save no longer writes the bytes of v2-tiny.gtpq"
+    );
+
+    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+        let snap = GraphSnapshot::open(fixture, mode)
+            .unwrap_or_else(|e| panic!("v2 fixture fails to open in {mode:?}: {e}"));
+        assert_eq!(*snap.graph().as_ref(), g, "{mode:?}");
+        assert_eq!(
+            *snap.condensation().as_ref(),
+            Condensation::new(&g),
+            "{mode:?}"
+        );
+    }
+}
+
 #[test]
 fn corrupted_snapshots_fail_typed_and_clean_flips_stay_identical() {
     let mut rng = StdRng::seed_from_u64(11);
