@@ -125,13 +125,16 @@ pub struct Execution {
 
 /// Evaluates GTPQs over one data graph.
 ///
-/// The engine is generic over its [`Reachability`] backend `R`; the default
-/// is the paper's 3-hop index, built once per graph when the engine is
-/// created.  Evaluation time reported by the benchmarks therefore excludes
-/// index construction, matching the paper's methodology.  Use
-/// [`with_backend`](Self::with_backend) to plug in another index (or a shared
-/// `Arc<dyn Reachability + Send + Sync>` — the query service does exactly
-/// that to reuse one index across concurrent queries).
+/// Under default [`GteaOptions`] every reachability question is answered on
+/// the SCC condensation `graph` carries ([`DataGraph::condensation`],
+/// computed once on first use), so evaluation needs no index.  The engine is
+/// still generic over a [`Reachability`] backend `R`, which the pairwise
+/// ablation arm ([`GteaOptions::without_contours`]) probes pair by pair; the
+/// default is the paper's 3-hop index, built when the engine is created, so
+/// evaluation time excludes index construction as in the paper's
+/// methodology.  Use [`with_backend`](Self::with_backend) to plug in another
+/// index (or a shared `Arc<dyn Reachability + Send + Sync>`, or one that
+/// builds itself on first probe, as the query service does).
 pub struct GteaEngine<'g, R: Reachability = ThreeHop> {
     graph: &'g DataGraph,
     index: R,
@@ -154,7 +157,7 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
     /// Builds the engine around an existing reachability backend.
     ///
     /// `index` must have been built for (the condensation of) `graph`;
-    /// answers are undefined otherwise.
+    /// the pairwise arm's answers are undefined otherwise.
     pub fn with_backend(graph: &'g DataGraph, index: R, options: GteaOptions) -> Self {
         Self {
             graph,
@@ -432,6 +435,13 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         span.field("est_rows", plan.matching_estimated_rows);
         span.field("nodes", matching.node_count);
         span.field("edges", matching.edge_count);
+        if ctl.tracer().is_enabled() && !matching.ad_passes.is_empty() {
+            let passes = matching.ad_passes.iter().map(|p| {
+                let (region, edges, words) = (p.region, p.edges_visited, p.row_words);
+                format!("{}:{region}/{edges}/{words}", p.child)
+            });
+            span.field("swept", passes.collect::<Vec<_>>().join(","));
+        }
         drop(span);
         stats.operators.push(OperatorStats {
             label: "MatchingGraph".to_owned(),
@@ -691,9 +701,10 @@ mod tests {
 
     #[test]
     fn mid_pipeline_abort_keeps_partial_stats() {
-        // A backend that cancels the request on its first reachability probe:
-        // candidate selection completes untouched, the downward prune round
-        // aborts mid-way — deterministically, without timing games.
+        // A backend that cancels the request on its first reachability probe,
+        // under the pairwise arm (the only one that probes): candidate
+        // selection completes untouched, the downward prune round aborts
+        // mid-way — deterministically, without timing games.
         struct CancelOnProbe {
             inner: ThreeHop,
             token: crate::exec::CancelToken,
@@ -710,11 +721,9 @@ mod tests {
                 "cancel-on-probe"
             }
             fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> gtpq_reach::Probe<'s> {
-                self.token.cancel();
                 self.inner.pred_probe(targets)
             }
             fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> gtpq_reach::Probe<'s> {
-                self.token.cancel();
                 self.inner.succ_probe(sources)
             }
         }
@@ -725,7 +734,7 @@ mod tests {
             inner: ThreeHop::new(&g),
             token: token.clone(),
         };
-        let engine = GteaEngine::with_backend(&g, index, GteaOptions::default());
+        let engine = GteaEngine::with_backend(&g, index, GteaOptions::without_contours());
         let plan = engine.plan(&q);
         let ctl = ExecCtl::unbounded().with_cancel(token);
         let err = engine
@@ -738,6 +747,37 @@ mod tests {
         // ...and the aborted prune round still recorded its elapsed time.
         assert!(err.stats.prune_down_time > std::time::Duration::ZERO);
         assert!(err.stats.total_time() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn the_matching_span_reports_each_ad_pass() {
+        // Unshrunk, the example's matching graph has three AD edges:
+        // u1 -> u2, u1 -> u3 and u3 -> u4.
+        let g = example_graph();
+        let q = example_query();
+        let engine = GteaEngine::with_options(&g, GteaOptions::without_shrinking());
+        let tracer = crate::Tracer::enabled();
+        let ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
+        let options = ExecOptions::unbounded().with_ctl(ctl);
+        engine.execute(&q, &engine.plan(&q), options).unwrap();
+        let trace = tracer.finish().unwrap();
+        let matching = trace.span("matching").unwrap();
+        let swept = matching.fields.iter().find(|(k, _)| *k == "swept");
+        let swept = &swept.expect("AD passes are reported").1;
+        // `child:region components/edges visited/row words` per pass.
+        let passes: Vec<(&str, Vec<u64>)> = swept
+            .split(',')
+            .map(|pass| {
+                let (child, cost) = pass.split_once(':').expect("child:cost");
+                (child, cost.split('/').map(|n| n.parse().unwrap()).collect())
+            })
+            .collect();
+        let children: Vec<&str> = passes.iter().map(|(child, _)| *child).collect();
+        assert_eq!(children, ["u1", "u2", "u3"], "{swept}");
+        for (_, cost) in &passes {
+            assert_eq!(cost.len(), 3, "{swept}");
+            assert!(cost.iter().all(|&n| n > 0), "{swept}");
+        }
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //!    [`prune::prune_upward`] removes candidates of the *prime subtree* that
 //!    are not reachable from any candidate of their parent.  Both rounds are
 //!    set-at-a-time, as the paper's contour merging (Procedure 2) intends:
-//!    one condensation sweep per (step, AD child) through the backend's
-//!    prepared set probe, then one bit test per candidate, instead of
-//!    pairwise reachability probes.
+//!    one sweep of the condensation the graph carries per (step, AD child),
+//!    then one bit test per candidate, instead of pairwise reachability
+//!    probes.
 //! 3. **Maximal matching graph** — matches of the *shrunk prime subtree* are
 //!    represented as a graph (each data node stored once, one edge per
 //!    matched query edge) rather than as tuples, the paper's key device for
-//!    keeping intermediate results small.
+//!    keeping intermediate results small.  All edges of one AD query edge
+//!    are built in one pass over the condensation as well.
 //! 4. **Result enumeration** — [`stream`] walks the matching graph on
 //!    demand: [`MatchStream`] yields distinct output tuples in `ResultSet`
 //!    order, so limits push down.  Each shrunk query node has a fixed column
@@ -38,6 +39,10 @@
 //!    their rows into a sorted, deduplicated run, built on first touch and
 //!    memoised per (node, parent candidate).  The constant columns of output
 //!    nodes that were shrunk away are written once.
+//!
+//! None of the steps asks a reachability *index* anything under default
+//! options; the engine's [`Reachability`](gtpq_reach::Reachability) backend
+//! serves the pairwise ablation arm ([`GteaOptions::without_contours`]).
 //!
 //! Intra-query threads ([`ExecOptions::threads`]) fan steps 1–3 out over
 //! morsels of their candidate lists; step 4 is one serial walk at every

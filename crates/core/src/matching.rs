@@ -26,15 +26,17 @@ use crate::stats::EvalStats;
 /// Edges are stored flat: a *branch* is the sorted list of data nodes one
 /// `(query node, candidate)` pair points to for one shrunk child, and all
 /// branches live back to back in one `targets` buffer delimited by
-/// `bounds`, in (query node, candidate position, child) order — so the
+/// `bounds`, in (query node, child, candidate position) order — so the
 /// enumerator addresses a branch by a plain index range.
 #[derive(Clone, Debug, Default)]
 pub struct MatchingGraph {
-    /// Per query node: the branch id of its first candidate's first child
+    /// Per query node: the branch id of its first child's first candidate
     /// (meaningful only for shrunk nodes that have shrunk children).
     first_branch: Vec<usize>,
     /// Per query node: its number of shrunk children.
     arity: Vec<usize>,
+    /// Per query node: its number of candidates, `|mat(u)|`.
+    candidates: Vec<usize>,
     /// Branch `b` is `targets[bounds[b]..bounds[b + 1]]`.
     bounds: Vec<usize>,
     targets: Vec<NodeId>,
@@ -42,113 +44,145 @@ pub struct MatchingGraph {
     pub node_count: usize,
     /// Number of edges in the graph.
     pub edge_count: usize,
+    /// What the set-at-a-time pass of each AD child did, in build order.
+    pub ad_passes: Vec<AdPass>,
+}
+
+/// The cost of building every branch of one AD child of the matching graph
+/// (see [`gtpq_reach::sweep::Branches`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AdPass {
+    /// The child query node whose incoming AD edge the pass answered.
+    pub child: QueryNodeId,
+    /// Condensation components given a bitset row.
+    pub region: usize,
+    /// Condensation edges visited (what the pass adds to `index_lookups`).
+    pub edges_visited: u64,
+    /// `u64` words of the row arena.
+    pub row_words: usize,
+    /// Branch entries the pass produced.
+    pub branch_entries: usize,
 }
 
 impl MatchingGraph {
     /// Builds the matching graph for the shrunk prime subtree.
     ///
-    /// `ctl` is polled once per `(query node, candidate)` pair; deadline
-    /// expiry or cancellation aborts with an [`Interrupt`].
-    /// `stats.matching_graph_time` (and the lookup / intermediate-size
-    /// rollups, over the partially built graph) are recorded either way.
+    /// The branches of a PC child are adjacency-list intersections, one per
+    /// parent candidate (split into morsels across `ctl.threads()`).  All
+    /// branches of an AD child come out of one
+    /// [`gtpq_reach::sweep::branches`] pass over `g`'s condensation, so
+    /// their cost is the region between the two candidate sets plus the
+    /// branch entries themselves, not `|mat(u)| · |mat(child)|` probes.
+    ///
+    /// `index` is not used: reachability is read off the condensation `g`
+    /// carries.  The parameter stays until the benchmark's replay of this
+    /// pipeline is retired (ROADMAP 1a).
+    ///
+    /// `ctl` is polled once per `(candidate, PC child)` pair and per
+    /// component an AD pass expands; deadline expiry or cancellation aborts
+    /// with an [`Interrupt`].  `stats.matching_graph_time` (and the lookup /
+    /// intermediate-size rollups, over the partially built graph) are
+    /// recorded either way.
     #[allow(clippy::too_many_arguments)] // the evaluation pipeline state is explicit
     pub fn build<R: Reachability + ?Sized>(
         q: &Gtpq,
         g: &DataGraph,
-        index: &R,
+        _index: &R,
         shrunk: &ShrunkPrime,
         mat: &[Vec<NodeId>],
         stats: &mut EvalStats,
         ctl: &ExecCtl,
     ) -> Result<Self, Interrupt> {
         let start = Instant::now();
-        let lookups_before = index.lookup_count();
         let mut graph = MatchingGraph {
             first_branch: vec![0; q.size()],
             arity: vec![0; q.size()],
+            candidates: vec![0; q.size()],
             bounds: vec![0],
             ..MatchingGraph::default()
         };
-        let result = graph.fill(q, g, index, shrunk, mat, stats, ctl);
-        stats.index_lookups += index.lookup_count().saturating_sub(lookups_before);
+        let result = graph.fill(q, g, shrunk, mat, stats, ctl);
         stats.intermediate_size += 2 * (graph.node_count + graph.edge_count) as u64;
         stats.matching_graph_time += start.elapsed();
         result.map(|()| graph)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the public entry point
-    fn fill<R: Reachability + ?Sized>(
+    fn fill(
         &mut self,
         q: &Gtpq,
         g: &DataGraph,
-        index: &R,
         shrunk: &ShrunkPrime,
         mat: &[Vec<NodeId>],
         stats: &mut EvalStats,
         ctl: &ExecCtl,
     ) -> Result<(), Interrupt> {
-        let graph = self;
         for &u in &shrunk.nodes {
-            graph.node_count += mat[u.index()].len();
-            let children = shrunk.children_of(u);
-            if children.is_empty() {
-                continue;
-            }
-            graph.first_branch[u.index()] = graph.bounds.len() - 1;
-            graph.arity[u.index()] = children.len();
-            // The per-candidate branch lists are independent of each other,
-            // so the candidate domain splits into morsels; outputs come back
-            // in input order and fold into the graph exactly as the serial
-            // loop would.  PC adjacency lookups ride the per-worker side
-            // counter; reachability-probe counts are picked up by the
-            // `lookup_count` delta in [`MatchingGraph::build`].
             let candidates = &mat[u.index()];
-            let per_candidate = |&v: &NodeId, lookups: &Cell<u64>| -> Vec<Vec<NodeId>> {
-                children
-                    .iter()
-                    .map(|&child| {
-                        let child_mat = &mat[child.index()];
-                        match q.incoming_edge(child) {
-                            // Adjacency lists and candidate sets are both
-                            // sorted by id.
-                            Some(EdgeKind::Child) => {
-                                lookups.set(lookups.get() + g.out_degree(v) as u64);
-                                intersect_sorted(g.children(v), child_mat)
-                            }
-                            _ => {
-                                let probe = index.source_probe(v);
-                                child_mat.iter().copied().filter(|&t| probe(t)).collect()
-                            }
+            self.node_count += candidates.len();
+            let children = shrunk.children_of(u);
+            self.first_branch[u.index()] = self.bounds.len() - 1;
+            self.arity[u.index()] = children.len();
+            self.candidates[u.index()] = candidates.len();
+            for &child in children {
+                let child_mat = &mat[child.index()];
+                let base = self.targets.len();
+                if q.incoming_edge(child) == Some(EdgeKind::Child) {
+                    // Adjacency lists and candidate sets are both sorted by
+                    // id.  The per-candidate intersections are independent,
+                    // so the candidate domain splits into morsels; outputs
+                    // come back in input order.
+                    let branch = |&v: &NodeId, lookups: &Cell<u64>| {
+                        lookups.set(lookups.get() + g.out_degree(v) as u64);
+                        intersect_sorted(g.children(v), child_mat)
+                    };
+                    let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
+                    let (branches, lookups) = if ctl.threads() > 1 && ranges.len() > 1 {
+                        let (branches, round) =
+                            morsel::parallel_map(candidates, &ranges, ctl, branch)?;
+                        morsel::fold_round(stats, &round);
+                        (branches, round.lookups)
+                    } else {
+                        let counter = Cell::new(0u64);
+                        let mut branches = Vec::with_capacity(candidates.len());
+                        for v in candidates {
+                            ctl.check_sampled()?;
+                            branches.push(branch(v, &counter));
                         }
-                    })
-                    .collect()
-            };
-            let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
-            let (all_lists, pc_lookups) = if ctl.threads() > 1 && ranges.len() > 1 {
-                let (all_lists, round) =
-                    morsel::parallel_map(candidates, &ranges, ctl, per_candidate)?;
-                morsel::fold_round(stats, &round);
-                (all_lists, round.lookups)
-            } else {
-                let counter = Cell::new(0u64);
-                let mut all_lists = Vec::with_capacity(candidates.len());
-                for v in candidates {
-                    ctl.check_sampled()?;
-                    all_lists.push(per_candidate(v, &counter));
+                        (branches, counter.get())
+                    };
+                    stats.index_lookups += lookups;
+                    for branch in &branches {
+                        self.targets.extend_from_slice(branch);
+                        self.bounds.push(self.targets.len());
+                    }
+                } else {
+                    let found = gtpq_reach::sweep::branches(
+                        g.condensation(),
+                        candidates,
+                        child_mat,
+                        || ctl.check_sampled(),
+                    )?;
+                    stats.index_lookups += found.edges_visited;
+                    self.ad_passes.push(AdPass {
+                        child,
+                        region: found.region,
+                        edges_visited: found.edges_visited,
+                        row_words: found.row_words,
+                        branch_entries: found.targets.len(),
+                    });
+                    self.targets.extend_from_slice(&found.targets);
+                    self.bounds
+                        .extend(found.bounds[1..].iter().map(|end| base + end));
                 }
-                (all_lists, counter.get())
-            };
-            stats.index_lookups += pc_lookups;
-            for branch in all_lists.iter().flatten() {
-                debug_assert!(
-                    branch.windows(2).all(|w| w[0] < w[1]),
-                    "branches must be strictly ascending"
-                );
-                graph.targets.extend_from_slice(branch);
-                graph.bounds.push(graph.targets.len());
+                self.edge_count = self.targets.len();
             }
-            graph.edge_count = graph.targets.len();
         }
+        debug_assert!(
+            self.bounds
+                .windows(2)
+                .all(|b| self.targets[b[0]..b[1]].windows(2).all(|w| w[0] < w[1])),
+            "branches must be strictly ascending"
+        );
         Ok(())
     }
 
@@ -167,9 +201,9 @@ impl MatchingGraph {
     /// matches of the `child`-th shrunk child under the candidate at
     /// position `pos` of `mat(u)`.
     pub(crate) fn branch(&self, u: QueryNodeId, pos: usize, child: usize) -> Range<usize> {
-        let arity = self.arity[u.index()];
-        debug_assert!(child < arity);
-        let b = self.first_branch[u.index()] + pos * arity + child;
+        let candidates = self.candidates[u.index()];
+        debug_assert!(child < self.arity[u.index()] && pos < candidates);
+        let b = self.first_branch[u.index()] + child * candidates + pos;
         self.bounds[b]..self.bounds[b + 1]
     }
 

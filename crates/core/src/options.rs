@@ -11,11 +11,12 @@ pub struct GteaOptions {
     /// candidates in the matching graph but still produces correct answers.
     pub upward_pruning: bool,
     /// Answer set reachability during pruning set-at-a-time — the role the
-    /// paper gives contour merging (Procedure 2) — through the backend's
-    /// prepared set probes, one condensation sweep per (prune step, AD
-    /// child).  When disabled, the engine calls the backend's point probe
+    /// paper gives contour merging (Procedure 2) — with one sweep of the
+    /// graph's condensation per (prune step, AD child), no index involved.
+    /// When disabled, the prune rounds call the backend's point probe
     /// `reaches` pairwise per candidate/target, as a traditional
-    /// structural-join algorithm would.
+    /// structural-join algorithm would: the one arm that reads the
+    /// reachability backend.
     pub use_contours: bool,
     /// Shrink the prime subtree by removing query nodes with a single
     /// remaining candidate (§4.3).  Disabling keeps the full prime subtree.

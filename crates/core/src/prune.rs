@@ -4,10 +4,11 @@ use std::fmt::Write as _;
 use std::ops::Range;
 use std::time::Instant;
 
-use gtpq_graph::{Condensation, DataGraph, NodeBitSet, NodeId};
+use gtpq_graph::{DataGraph, NodeBitSet, NodeId};
 use gtpq_logic::valuation::eval_with;
 use gtpq_query::{EdgeKind, Gtpq};
-use gtpq_reach::{Probe, Reachability};
+use gtpq_reach::sweep::{sweep, ComponentSet, Direction};
+use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
 use crate::morsel;
@@ -25,20 +26,13 @@ const SNAP_MIN_CANDIDATES: usize = 4096;
 /// rounds snap boundaries to the graph's SCC structure (candidate lists are
 /// sorted by node id, so one component's candidates are contiguous whenever
 /// node ids follow component layout) — one worker then owns each big
-/// component's run of candidates, keeping its probes and adjacency reads on
-/// one thread.  The condensation is built once and reused across
-/// the round's steps.
-fn prune_ranges(
-    g: &DataGraph,
-    candidates: &[NodeId],
-    ctl: &ExecCtl,
-    condensation: &mut Option<Condensation>,
-) -> Vec<Range<usize>> {
+/// component's run of candidates, keeping its adjacency reads on one thread.
+fn prune_ranges(g: &DataGraph, candidates: &[NodeId], ctl: &ExecCtl) -> Vec<Range<usize>> {
     let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
     if ctl.threads() <= 1 || candidates.len() < SNAP_MIN_CANDIDATES {
         return ranges;
     }
-    let cond = condensation.get_or_insert_with(|| Condensation::new(g));
+    let cond = g.condensation();
     morsel::snap_ranges(&ranges, |a, b| {
         cond.component_of(candidates[a]) == cond.component_of(candidates[b])
     })
@@ -52,9 +46,9 @@ enum ChildTest<'a> {
     /// PC child: some graph child of `v` is in the candidate bitset held in
     /// this slot of the step's bitset pool.
     Child(usize),
-    /// AD child, set-at-a-time: the backend's prepared predecessor probe
-    /// over the child's candidates.
-    Probe(Probe<'a>),
+    /// AD child, set-at-a-time: the components a backward condensation
+    /// sweep from the child's candidates marked.
+    Swept(ComponentSet),
     /// AD child, pairwise `reaches` against each of the child's candidates
     /// (`use_contours == false`, the ablation baseline).
     Pairwise(&'a [NodeId]),
@@ -92,12 +86,13 @@ pub fn initial_candidates(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec
 /// each child's variable from the reachability of `v` into the (already
 /// pruned) candidate set of the child, and `v` is kept only when the
 /// extended structural predicate `fext(u)` evaluates to true.  AD children
-/// are answered set-at-a-time through the backend's prepared predecessor
-/// probe — one condensation sweep per (step, AD child), then one bit test
-/// per candidate, so a step costs O(V + E + |mat(u)|) rather than
-/// O(|mat(u)| · |mat(child)|) probes; PC children are answered exactly
-/// through the adjacency lists.  One [`OperatorStats`] entry is recorded per
-/// step.
+/// are answered set-at-a-time — one backward [`sweep`] of `g`'s condensation
+/// per (step, AD child), then one bit test per candidate, so a step costs
+/// O(V + E + |mat(u)|) rather than O(|mat(u)| · |mat(child)|) probes; PC
+/// children are answered exactly through the adjacency lists.  `index` is
+/// read only by the pairwise ablation arm (`use_contours == false`), which
+/// calls [`Reachability::reaches`] per pair.  One [`OperatorStats`] entry is
+/// recorded per step.
 ///
 /// `ctl` is polled once per candidate; an expired deadline or a triggered
 /// cancellation aborts mid-round with an [`Interrupt`] (the candidate sets
@@ -144,9 +139,6 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
     // loop and reused across every internal query node (cleared in
     // O(touched), not re-allocated).
     let mut pc_pool: Vec<NodeBitSet> = Vec::new();
-    // SCC condensation for snapping morsel boundaries, built lazily for the
-    // first large parallel round and shared across steps.
-    let mut condensation: Option<Condensation> = None;
     for step in steps {
         let u = step.node;
         if u.index() >= q.size() || q.node(u).is_leaf() {
@@ -155,15 +147,14 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
         let span = ctl.tracer().span_with(|| format!("prune_down {u}"));
         let op_start = Instant::now();
         let fext = q.fext(u);
+        let cond = g.condensation();
 
         let candidates = std::mem::take(&mut mat[u.index()]);
         stats.input_nodes += candidates.len() as u64;
 
-        let ranges = prune_ranges(g, &candidates, ctl, &mut condensation);
-        // The span's `swept` field: per AD child, what preparing its set
-        // probe added to the backend's `lookup_count` — the condensation
-        // edges the sweep visited, which is all a boxed probe lets this
-        // module see.
+        let ranges = prune_ranges(g, &candidates, ctl);
+        // The span's `swept` field: per AD child, the condensation edges
+        // its sweep visited.
         let mut swept = String::new();
         let (candidates, adjacency_lookups) = {
             // Resolve every variable of `fext(u)` once per step: `tests[var]`
@@ -185,12 +176,11 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
                         ChildTest::Child(pc_used - 1)
                     }
                     _ if options.use_contours => {
-                        let before = index.lookup_count();
-                        let probe = index.pred_probe(&mat[c.index()]);
-                        let edges = index.lookup_count().saturating_sub(before);
+                        let found = sweep(cond, &mat[c.index()], Direction::Ancestors);
+                        stats.index_lookups += found.edges_visited;
                         let sep = if swept.is_empty() { "" } else { "," };
-                        let _ = write!(swept, "{sep}{c}:{edges}");
-                        ChildTest::Probe(probe)
+                        let _ = write!(swept, "{sep}{c}:{}", found.edges_visited);
+                        ChildTest::Swept(found.reached)
                     }
                     _ => ChildTest::Pairwise(&mat[c.index()]),
                 };
@@ -205,7 +195,7 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
                             lookups.set(lookups.get() + g.out_degree(v) as u64);
                             g.children(v).iter().any(|&c| pool[*slot].contains(c))
                         }
-                        ChildTest::Probe(probe) => probe(v),
+                        ChildTest::Swept(reached) => reached.contains(cond.component_of(v)),
                         ChildTest::Pairwise(targets) => {
                             targets.iter().any(|&t| index.reaches(v, t))
                         }
@@ -243,10 +233,10 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
 /// `PruneUpward` (Procedure 7): removes candidates of prime-subtree nodes that
 /// are not reachable from any candidate of their prime parent.
 ///
-/// Processes the prime subtree top-down; AD edges are answered through the
-/// backend's prepared successor probe (one forward condensation sweep from
-/// the parent's candidates per edge), PC edges exactly through the adjacency
-/// lists.  Recorded as one `PruneUp` operator
+/// Processes the prime subtree top-down; AD edges are answered by one forward
+/// [`sweep`] of `g`'s condensation from the parent's candidates per edge, PC
+/// edges exactly through the adjacency lists (`index` again serves the
+/// pairwise arm only).  Recorded as one `PruneUp` operator
 /// whose actual rows are the surviving prime-subtree candidates;
 /// `estimated_rows` is the plan's survivor estimate (0 for unplanned calls).
 /// As with [`prune_downward`], the round's rollups and `prune_up_time` are
@@ -293,13 +283,12 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
 ) -> Result<(), Interrupt> {
     // One parent-membership bitset reused across every prime edge.
     let mut parent_bits = NodeBitSet::new(g.node_count());
-    let mut condensation: Option<Condensation> = None;
     for &u in &prime.nodes {
         for &child in prime.children_of(u) {
             let span = ctl.tracer().span_with(|| format!("prune_up {child}"));
             let candidates = std::mem::take(&mut mat[child.index()]);
             stats.input_nodes += candidates.len() as u64;
-            let ranges = prune_ranges(g, &candidates, ctl, &mut condensation);
+            let ranges = prune_ranges(g, &candidates, ctl);
             let (kept, lookups) = match q.incoming_edge(child) {
                 Some(EdgeKind::Child) => {
                     parent_bits.clear();
@@ -311,10 +300,13 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                     })?
                 }
                 _ if options.use_contours => {
-                    let before = index.lookup_count();
-                    let probe = index.succ_probe(&mat[u.index()]);
-                    span.field("swept", index.lookup_count().saturating_sub(before));
-                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| probe(v))?
+                    let cond = g.condensation();
+                    let found = sweep(cond, &mat[u.index()], Direction::Descendants);
+                    stats.index_lookups += found.edges_visited;
+                    span.field("swept", found.edges_visited);
+                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| {
+                        found.reached.contains(cond.component_of(v))
+                    })?
                 }
                 _ => {
                     let parents = &mat[u.index()];

@@ -116,6 +116,7 @@ impl GraphBuilder {
             index,
             sims,
             edge_count,
+            condensation: std::sync::OnceLock::new(),
         }
     }
 }

@@ -1,8 +1,11 @@
 //! The immutable attributed data graph.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use crate::attr::{AttrValue, Attribute};
+use crate::condensation::Condensation;
 use crate::csr::Csr;
 use crate::index::AttrIndex;
 use crate::sim_index::{SimCatalog, SimTable};
@@ -42,7 +45,12 @@ impl std::fmt::Display for NodeId {
 /// `(attribute, value)` pair to its sorted posting list, which is how the
 /// engines select candidates without scanning all nodes (see
 /// [`nodes_with`](Self::nodes_with)).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The graph also carries its SCC [`Condensation`] — what every
+/// set-at-a-time reachability question is answered on (see
+/// [`condensation`](Self::condensation)).  It is derived data: equality
+/// ignores it, and a clone shares it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DataGraph {
     pub(crate) symbols: SymbolTable,
     /// Forward CSR: `fwd.neighbors(v)` = children of `v`, sorted.
@@ -53,9 +61,48 @@ pub struct DataGraph {
     pub(crate) index: AttrIndex,
     pub(crate) sims: SimCatalog,
     pub(crate) edge_count: usize,
+    /// The canonical condensation of `fwd`: empty until first asked for,
+    /// unless whoever assembled the graph already had it (an epoch commit
+    /// patches the previous epoch's, a snapshot file stores it).
+    #[serde(skip)]
+    pub(crate) condensation: OnceLock<Arc<Condensation>>,
+}
+
+impl PartialEq for DataGraph {
+    /// Compares what defines the graph; the condensation follows from it.
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that a new field has to be placed here.
+        let Self {
+            symbols,
+            fwd,
+            rev,
+            attrs,
+            index,
+            sims,
+            edge_count,
+            condensation: _,
+        } = self;
+        *symbols == other.symbols
+            && *fwd == other.fwd
+            && *rev == other.rev
+            && *attrs == other.attrs
+            && *index == other.index
+            && *sims == other.sims
+            && *edge_count == other.edge_count
+    }
 }
 
 impl DataGraph {
+    /// The SCC condensation of this graph, computed (one Tarjan pass) on
+    /// first use and shared afterwards.  Graphs published by
+    /// [`GraphHandle::commit`](crate::GraphHandle::commit) or decoded from a
+    /// `.gtpq` snapshot arrive with theirs installed, so nothing is
+    /// recomputed there.
+    pub fn condensation(&self) -> &Arc<Condensation> {
+        self.condensation
+            .get_or_init(|| Arc::new(Condensation::new(self)))
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -263,6 +310,22 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.out_degree(NodeId(0)), 2);
         assert_eq!(g.in_degree(NodeId(2)), 2);
+    }
+
+    #[test]
+    fn the_condensation_is_computed_once_shared_by_clones_and_ignored_by_equality() {
+        let g = sample();
+        let first = Arc::clone(g.condensation());
+        assert!(Arc::ptr_eq(&first, g.condensation()));
+        assert!(Arc::ptr_eq(&first, g.clone().condensation()));
+        assert!(Arc::ptr_eq(
+            &first,
+            crate::GraphSnapshot::freeze(Arc::new(g.clone())).condensation()
+        ));
+        // A twin that was never asked for its condensation is the same graph.
+        let twin = sample();
+        assert_eq!(g, twin);
+        assert_eq!(*first, Condensation::new(&twin));
     }
 
     #[test]

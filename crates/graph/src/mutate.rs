@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::attr::{AttrValue, Attribute};
@@ -31,46 +31,33 @@ use crate::index::AttrIndex;
 use crate::symbol::Symbol;
 use crate::LABEL_ATTR;
 
-/// One immutable epoch of a live graph: the compacted [`DataGraph`] plus its
-/// SCC condensation, pinned together under one epoch number.
+/// One immutable epoch of a live graph: the compacted [`DataGraph`] (which
+/// carries its SCC condensation) pinned under one epoch number.
 ///
-/// Snapshots are handed out as `Arc<GraphSnapshot>` — cloning is two
-/// refcounts, and the underlying arrays are shared with every other reader of
+/// Snapshots are handed out as `Arc<GraphSnapshot>` — cloning is one
+/// refcount, and the underlying arrays are shared with every other reader of
 /// the same epoch.
 #[derive(Clone, Debug)]
 pub struct GraphSnapshot {
     epoch: u64,
     graph: Arc<DataGraph>,
-    condensation: Arc<Condensation>,
 }
 
 impl GraphSnapshot {
-    /// Wraps an already-built immutable graph as epoch 0 (computing its
-    /// condensation once).  This is how static, never-mutated deployments
-    /// enter the snapshot world.
+    /// Wraps an already-built immutable graph as epoch 0, condensing it now
+    /// unless it already carries its condensation.  This is how static,
+    /// never-mutated deployments enter the snapshot world.
     pub fn freeze(graph: Arc<DataGraph>) -> Self {
-        let condensation = Arc::new(Condensation::new(&graph));
-        Self {
-            epoch: 0,
-            graph,
-            condensation,
-        }
+        Self::new(0, graph)
     }
 
-    /// Assembles a snapshot from parts that are already consistent — the
-    /// snapshot loader's entry point ([`crate::snap`]), where the stored
-    /// condensation makes re-running Tarjan unnecessary.  `condensation`
-    /// must be the canonical condensation of `graph`.
-    pub(crate) fn from_raw_parts(
-        epoch: u64,
-        graph: Arc<DataGraph>,
-        condensation: Arc<Condensation>,
-    ) -> Self {
-        Self {
-            epoch,
-            graph,
-            condensation,
-        }
+    /// Pins `graph` under `epoch`.  The condensation is forced here, so the
+    /// O(V + E) pass is paid by whoever publishes the epoch (a no-op for the
+    /// commit path and the snapshot loader, which install theirs) and never
+    /// by the first query that reads it.
+    pub(crate) fn new(epoch: u64, graph: Arc<DataGraph>) -> Self {
+        graph.condensation();
+        Self { epoch, graph }
     }
 
     /// The epoch this snapshot pins.
@@ -85,10 +72,11 @@ impl GraphSnapshot {
         &self.graph
     }
 
-    /// The maintained SCC condensation of this epoch's graph.
+    /// The maintained SCC condensation of this epoch's graph — the same
+    /// `Arc` as [`DataGraph::condensation`] of [`graph`](Self::graph).
     #[inline]
     pub fn condensation(&self) -> &Arc<Condensation> {
-        &self.condensation
+        self.graph.condensation()
     }
 }
 
@@ -240,13 +228,7 @@ impl GraphHandle {
                 }
             }
         }
-        let graph = Arc::new(graph);
-        let condensation = Arc::new(Condensation::new(&graph));
-        let snapshot = Arc::new(GraphSnapshot {
-            epoch,
-            graph,
-            condensation,
-        });
+        let snapshot = Arc::new(GraphSnapshot::new(epoch, Arc::new(graph)));
         Self {
             pending: Mutex::new(Pending {
                 ops,
@@ -552,22 +534,18 @@ impl GraphHandle {
             index,
             sims,
             edge_count,
+            // SCC condensation: patched from the base epoch's while every new
+            // edge goes forward in the topological order; otherwise left for
+            // `GraphSnapshot::new` to re-run Tarjan.
+            condensation: base
+                .condensation()
+                .apply_insertions(n_total, &added_edges)
+                .map_or_else(OnceLock::new, |c| Arc::new(c).into()),
         };
-
-        // SCC condensation: patch in place while every new edge goes forward
-        // in the topological order; re-run Tarjan otherwise.
-        let (condensation, cond_fast) =
-            match base.condensation().apply_insertions(n_total, &added_edges) {
-                Some(c) => (c, true),
-                None => (Condensation::new(&graph), false),
-            };
+        let cond_fast = graph.condensation.get().is_some();
 
         let epoch = base.epoch + 1;
-        let snapshot = Arc::new(GraphSnapshot {
-            epoch,
-            graph: Arc::new(graph),
-            condensation: Arc::new(condensation),
-        });
+        let snapshot = Arc::new(GraphSnapshot::new(epoch, Arc::new(graph)));
         *self.current.write().expect("snapshot lock poisoned") = snapshot.clone();
         self.epoch.store(epoch, Ordering::Release);
         pending.base_nodes = n_total;
@@ -635,6 +613,13 @@ mod tests {
 
         assert_eq!(**snap.graph(), oracle);
         assert_eq!(**snap.condensation(), Condensation::new(&oracle));
+        // The patched condensation rides on the published graph: the
+        // snapshot hands out that one `Arc`, nothing is condensed again.
+        assert_eq!(handle.stats().condensation_fast, 1);
+        assert!(Arc::ptr_eq(
+            snap.condensation(),
+            snap.graph().condensation()
+        ));
         assert_eq!(snap.epoch(), 1);
         assert_eq!(handle.epoch(), 1);
     }

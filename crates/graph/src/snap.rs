@@ -1540,18 +1540,15 @@ fn load_from_bytes(
     };
     loader.counts = loader.read_meta()?;
     loader.verify(verify_all)?;
-    let (graph, condensation) = decode(Runs::load(&loader)?, verify_all)?;
-    Ok(GraphSnapshot::from_raw_parts(
-        epoch,
-        Arc::new(graph),
-        Arc::new(condensation),
-    ))
+    let graph = decode(Runs::load(&loader)?, verify_all)?;
+    Ok(GraphSnapshot::new(epoch, Arc::new(graph)))
 }
 
-/// Assembles the graph and its condensation from verified runs.  What is
-/// decoded here is what the open owns (symbol table, key dictionaries,
-/// per-table windows); every other run moves into its structure as is.
-fn decode(r: Runs, verify_all: bool) -> Result<(DataGraph, Condensation), SnapshotError> {
+/// Assembles the graph, its stored condensation installed, from verified
+/// runs.  What is decoded here is what the open owns (symbol table, key
+/// dictionaries, per-table windows); every other run moves into its
+/// structure as is.
+fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
     let nodes = r.comp_of.len();
 
     // Symbol table: rebuilt owned (the lookup map cannot be mapped).
@@ -1659,7 +1656,15 @@ fn decode(r: Runs, verify_all: bool) -> Result<(DataGraph, Condensation), Snapsh
         }
     }
 
-    let graph = DataGraph {
+    let condensation = Condensation::from_parts(
+        r.comp_of,
+        Csr::from_parts(r.members_offsets, r.members),
+        r.cyclic,
+        Csr::from_parts(r.comp_out_offsets, r.comp_out),
+        Csr::from_parts(r.comp_in_offsets, r.comp_in),
+        r.topo,
+    );
+    Ok(DataGraph {
         symbols,
         edge_count: r.fwd_targets.len(),
         fwd: Csr::from_parts(r.fwd_offsets, r.fwd_targets),
@@ -1685,16 +1690,8 @@ fn decode(r: Runs, verify_all: bool) -> Result<(DataGraph, Condensation), Snapsh
             int_runs,
         },
         sims: SimCatalog::from_tables(tables),
-    };
-    let condensation = Condensation::from_parts(
-        r.comp_of,
-        Csr::from_parts(r.members_offsets, r.members),
-        r.cyclic,
-        Csr::from_parts(r.comp_out_offsets, r.comp_out),
-        Csr::from_parts(r.comp_in_offsets, r.comp_in),
-        r.topo,
-    );
-    Ok((graph, condensation))
+        condensation: Arc::new(condensation).into(),
+    })
 }
 
 fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, SnapshotError> {

@@ -53,8 +53,7 @@ pub struct ChainDecomposition {
 impl ChainDecomposition {
     /// Computes a chain cover of the condensation of `g`.
     pub fn new(g: &DataGraph) -> Self {
-        let condensation = Condensation::new(g);
-        Self::from_condensation(&condensation)
+        Self::from_condensation(g.condensation())
     }
 
     /// Computes a chain cover of an existing condensation.

@@ -27,7 +27,7 @@ pub struct TransitiveClosure {
 impl TransitiveClosure {
     /// Builds the closure for `g`.
     pub fn new(g: &DataGraph) -> Self {
-        Self::with_condensation(Condensation::new(g))
+        Self::with_condensation(Condensation::clone(g.condensation()))
     }
 
     /// Builds the closure on an already-computed condensation of the target

@@ -1,12 +1,20 @@
-//! Reachability indexes for GTPQ evaluation.
+//! Reachability for GTPQ evaluation: set-at-a-time kernels on the SCC
+//! condensation, and the pairwise indexes the paper compares.
 //!
-//! The paper's evaluation algorithm (GTEA) answers large numbers of
-//! ancestor-descendant (AD) checks through the *3-hop* reachability index and
-//! answers set-to-set checks set-at-a-time by merging index lists into
-//! *contours* (Procedure 2, `MergePredLists`).  The TwigStackD baseline needs an
-//! SSPI-style index, and the tests need an exact oracle.  This crate provides
-//! exactly those three behind the common [`Reachability`] trait, one per
-//! [`BackendKind`]:
+//! GTEA's filter stages ask ancestor-descendant (AD) questions about whole
+//! candidate sets, and this crate answers those on the condensation the
+//! graph carries ([`DataGraph::condensation`](gtpq_graph::DataGraph::condensation))
+//! without any index: [`sweep`](sweep::sweep) marks everything that reaches
+//! (or is reached from) a set — both prune rounds — and
+//! [`branches`](sweep::branches) lists, for every member of one set, what it
+//! reaches in another — the AD edges of the matching graph.  The engine's
+//! default path (`gtpq-core`) uses nothing else from here.
+//!
+//! The paper's evaluation also compares pairwise indexes: GTEA probes the
+//! *3-hop* index and merges its lists into *contours* (Procedure 2,
+//! `MergePredLists`), the TwigStackD baseline needs an SSPI-style index,
+//! and the tests need an exact oracle.  Those three sit behind the common
+//! [`Reachability`] trait, one per [`BackendKind`]:
 //!
 //! * [`TransitiveClosure`] — exact bitset oracle, O(V·V/64) memory,
 //! * [`ThreeHop`] — chain cover ([`ChainDecomposition`]) + `Lin`/`Lout` hop
@@ -21,20 +29,19 @@
 //!
 //! ## Pluggable backends
 //!
-//! The GTEA engine (`gtpq-core`) is generic over [`Reachability`], so any
-//! index here can drive evaluation.  Beyond the point probe
-//! [`reaches`](Reachability::reaches), the trait exposes three *prepared
-//! probes*.  The two set probes — [`pred_probe`](Reachability::pred_probe)
-//! and [`succ_probe`](Reachability::succ_probe), what both prune rounds run
-//! on — are answered set-at-a-time on every backend by one [`sweep`] of the
-//! condensation: O(components + edges reached) to prepare, then one bit test
-//! per candidate, whatever the index.  The backends differ in the point
-//! probe and in [`source_probe`](Reachability::source_probe) (one source,
-//! many targets — the matching graph), which defaults to pairwise `reaches`
-//! and which 3-hop answers from one complete-successor-list computation.  Use
-//! [`select_backend`] to pick a backend from graph statistics, or
-//! [`BackendKind::build_shared`] to name one explicitly; [`BackendKind::ALL`]
-//! is the one table of backends everything else is derived from.
+//! The GTEA engine is generic over [`Reachability`], and reads the backend
+//! in one place: its pairwise ablation arm calls the point probe
+//! [`reaches`](Reachability::reaches) per (candidate, member) pair, which is
+//! where the backends differ.  The trait's two set probes —
+//! [`pred_probe`](Reachability::pred_probe) and
+//! [`succ_probe`](Reachability::succ_probe) — are one [`sweep`](sweep::sweep)
+//! on every backend, and [`source_probe`](Reachability::source_probe) (one
+//! source, many targets; pairwise `reaches` by default, one
+//! complete-successor-list computation on 3-hop) has no caller in the
+//! engine any more.  Use [`select_backend`] to pick a backend from graph
+//! statistics, or [`BackendKind::build_shared`] to name one explicitly;
+//! [`BackendKind::ALL`] is the one table of backends everything else is
+//! derived from.
 
 #![warn(missing_docs)]
 
@@ -107,7 +114,8 @@ pub trait Reachability: Send + Sync {
     fn reset_lookups(&self) {}
 
     /// Prepares a probe answering "does `v` reach *some* member of
-    /// `targets`?" for many different `v` — the downward prune round.
+    /// `targets`?" for many different `v` — the question of the downward
+    /// prune round, which asks [`sweep::sweep`] directly.
     ///
     /// There is no pairwise default: a set probe must cost one pass over
     /// the set, not one `reaches` per (candidate, member) pair.  Every
@@ -119,13 +127,15 @@ pub trait Reachability: Send + Sync {
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does *some* member of `sources` reach
-    /// `v`?" for many different `v` — the upward prune round.  The forward
+    /// `v`?" for many different `v` — the upward round's question.  The forward
     /// twin of [`pred_probe`](Self::pred_probe), with the same cost and
     /// accounting.
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does `source` reach `v`?" for many
-    /// different `v` (one source, many targets — the matching-graph pattern).
+    /// different `v` (one source, many targets).  The matching graph used to
+    /// be built on it; [`sweep::branches`] replaced that, so it is library
+    /// API now.
     fn source_probe<'s>(&'s self, source: NodeId) -> Probe<'s> {
         Box::new(move |v| self.reaches(source, v))
     }

@@ -58,15 +58,14 @@ impl BackendKind {
 
     /// Builds this backend for `g` as a thread-shareable index.
     pub fn build_shared(self, g: &DataGraph) -> SharedIndex {
-        self.build_shared_with(g, &Condensation::new(g))
+        self.build_shared_with(g, g.condensation())
     }
 
     /// Like [`build_shared`](Self::build_shared) but reusing an
-    /// already-computed condensation of `g` — the live-graph service calls
-    /// this on epoch rotation with the incrementally maintained condensation,
-    /// skipping the Tarjan pass every backend would otherwise repeat.  All
-    /// three backends build from the condensation alone; `g` stays in the
-    /// signature for callers that pass the pair.
+    /// already-computed condensation of `g` (the one `g` carries, for every
+    /// caller in this workspace).  All three backends build from the
+    /// condensation alone; `g` stays in the signature for callers that pass
+    /// the pair.
     pub fn build_shared_with(self, _g: &DataGraph, cond: &Condensation) -> SharedIndex {
         match self {
             BackendKind::Closure => Arc::new(TransitiveClosure::with_condensation(cond.clone())),
@@ -108,10 +107,9 @@ pub struct GraphProfile {
 }
 
 impl GraphProfile {
-    /// Computes the profile of `g` (builds one transient condensation,
-    /// O(V + E)).
+    /// Computes the profile of `g` from the condensation it carries.
     pub fn compute(g: &DataGraph) -> Self {
-        Self::compute_with(g, &Condensation::new(g))
+        Self::compute_with(g, g.condensation())
     }
 
     /// Computes the profile of `g` reusing an existing condensation of it.
@@ -166,11 +164,12 @@ impl BackendKind {
     /// through hop-list merges; SSPI is interval-cheap on tree-like graphs
     /// but pays for surplus edges as density grows.
     ///
-    /// `probe` describes the point probe `reaches` and the one-source
-    /// `source_probe` only.  The set probes of the prune rounds
-    /// (`pred_probe` / `succ_probe`) are one condensation
-    /// [`sweep`](crate::sweep) on every backend and cost the same
-    /// everywhere, so they do not discriminate between backends.
+    /// `probe` describes the point probe `reaches`, which only the engine's
+    /// pairwise ablation arm calls.  Its default path sweeps the
+    /// condensation ([`sweep`](crate::sweep)) and costs the same whatever
+    /// backend exists, so the hints weigh a choice that no longer moves a
+    /// default-option query; they stay while the benchmark's replay mirrors
+    /// per-query selection.
     pub fn cost_hints(self, profile: &GraphProfile) -> BackendCostHints {
         let n = profile.condensation_size.max(1) as f64;
         let e = profile.edges.max(1) as f64;
@@ -193,7 +192,7 @@ const CLOSURE_MAX_COMPONENTS: usize = 4096;
 
 /// Picks a reachability backend for `g` from its statistics.
 pub fn select_backend(g: &DataGraph) -> BackendSelection {
-    select_backend_with(g, &Condensation::new(g))
+    select_backend_with(g, g.condensation())
 }
 
 /// Like [`select_backend`] but reusing an existing condensation of `g`.

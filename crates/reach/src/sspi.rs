@@ -80,7 +80,7 @@ pub struct Sspi {
 impl Sspi {
     /// Builds the index for `g`.
     pub fn new(g: &DataGraph) -> Self {
-        Self::with_condensation(Condensation::new(g))
+        Self::with_condensation(Condensation::clone(g.condensation()))
     }
 
     /// Builds the index on an already-computed condensation of the target

@@ -62,7 +62,7 @@ pub struct ThreeHop {
 impl ThreeHop {
     /// Builds the index for `g`.
     pub fn new(g: &DataGraph) -> Self {
-        Self::with_condensation(Condensation::new(g))
+        Self::with_condensation(Condensation::clone(g.condensation()))
     }
 
     /// Builds the index on an already-computed condensation of the target

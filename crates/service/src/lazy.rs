@@ -1,20 +1,24 @@
 //! Deferred construction of a pinned reachability backend.
 //!
-//! A service whose [`ServiceConfig::backend`](crate::ServiceConfig::backend)
-//! pins a backend does not need that backend *built* until a query actually
-//! probes reachability: index-served point lookups (the cold-start pattern —
-//! map a snapshot, answer one selective predicate) never ask a reachability
-//! question, so paying the O(V+E) backend construction before the first row
-//! would put the single largest start-up cost on a path that does not use it.
+//! GTEA evaluates on the SCC condensation the graph carries: both prune
+//! rounds and the matching graph's AD branches are condensation sweeps
+//! (`gtpq_reach::sweep`), so a request under default options never asks a
+//! reachability *index* anything.  Only the pairwise ablation arm
+//! (`GteaOptions::use_contours == false`) calls
+//! [`Reachability::reaches`].  A service whose
+//! [`ServiceConfig::backend`](crate::ServiceConfig::backend) pins a backend
+//! therefore does not build it per generation: an epoch commit costs the
+//! rotation plus ordinary cache misses, and a cold start never pays the
+//! O(V+E) construction.
 //!
 //! [`LazyIndex`] wraps the *decision* (which backend, over which snapshot)
-//! and defers the *work* to the first reachability probe via [`OnceLock`].
-//! The observational methods of [`Reachability`] answer without forcing the
-//! build — an unbuilt index has performed zero lookups, and its name is
-//! known from its [`BackendKind`] — so stats plumbing (`lookup_count` deltas
-//! around prune rounds, `backend_name` in the CLI prompt) stays free.  Only
-//! `reaches` and the prepared probes build, exactly once, even under
-//! concurrent first probes.
+//! and defers the *work* to the first probe via [`OnceLock`], counting it in
+//! `gtpq_reach_index_builds_total`.  The observational methods of
+//! [`Reachability`] answer without forcing the build — an unbuilt index has
+//! performed zero lookups, and its name is known from its [`BackendKind`] —
+//! so stats plumbing (`lookup_count` deltas around prune rounds,
+//! `backend_name` in the CLI prompt) stays free.  Only `reaches` and the
+//! prepared probes build, exactly once, even under concurrent first probes.
 //!
 //! Auto-selected backends are *not* wrapped: selection itself must profile
 //! the graph and the chosen index is part of the selection evidence, so the
@@ -25,29 +29,40 @@ use std::sync::{Arc, OnceLock};
 use gtpq_graph::{GraphSnapshot, NodeId};
 use gtpq_reach::{BackendKind, Probe, Reachability, SharedIndex};
 
+use crate::metrics::ServiceMetrics;
+
 /// A reachability backend that is chosen now and built on first probe.
 pub(crate) struct LazyIndex {
     kind: BackendKind,
     snapshot: Arc<GraphSnapshot>,
     built: OnceLock<SharedIndex>,
+    /// Where a forced build is counted.
+    metrics: Arc<ServiceMetrics>,
 }
 
 impl LazyIndex {
     /// Wraps `kind` over `snapshot` as a shareable index that will build
     /// itself on the first reachability probe.
-    pub(crate) fn shared(kind: BackendKind, snapshot: Arc<GraphSnapshot>) -> SharedIndex {
+    pub(crate) fn shared(
+        kind: BackendKind,
+        snapshot: Arc<GraphSnapshot>,
+        metrics: Arc<ServiceMetrics>,
+    ) -> SharedIndex {
         Arc::new(Self {
             kind,
             snapshot,
             built: OnceLock::new(),
+            metrics,
         })
     }
 
     /// The wrapped index, building it now if no probe has forced it yet.
     fn force(&self) -> &SharedIndex {
         self.built.get_or_init(|| {
-            self.kind
-                .build_shared_with(self.snapshot.graph(), self.snapshot.condensation())
+            self.metrics.record_index_build(|| {
+                self.kind
+                    .build_shared_with(self.snapshot.graph(), self.snapshot.condensation())
+            })
         })
     }
 
@@ -117,14 +132,18 @@ mod tests {
         Arc::new(GraphSnapshot::freeze(Arc::new(b.build())))
     }
 
+    fn lazy(kind: BackendKind, snapshot: &Arc<GraphSnapshot>) -> LazyIndex {
+        LazyIndex {
+            kind,
+            snapshot: Arc::clone(snapshot),
+            built: OnceLock::new(),
+            metrics: Arc::new(ServiceMetrics::new()),
+        }
+    }
+
     #[test]
     fn observational_methods_do_not_force_the_build() {
-        let snap = snapshot();
-        let lazy = LazyIndex {
-            kind: BackendKind::Sspi,
-            snapshot: Arc::clone(&snap),
-            built: OnceLock::new(),
-        };
+        let lazy = lazy(BackendKind::Sspi, &snapshot());
         assert_eq!(lazy.name(), "sspi");
         assert_eq!(lazy.lookup_count(), 0);
         lazy.reset_lookups();
@@ -132,36 +151,38 @@ mod tests {
     }
 
     #[test]
-    fn index_served_lookup_does_not_force_the_build_but_a_descendant_pattern_does() {
+    fn default_options_never_force_the_build_but_the_pairwise_arm_does() {
         let snap = snapshot();
-        let lazy = LazyIndex {
-            kind: BackendKind::ThreeHop,
-            snapshot: Arc::clone(&snap),
-            built: OnceLock::new(),
-        };
-        let engine = GteaEngine::with_backend(snap.graph(), &lazy, GteaOptions::default());
-
-        // The cold-start pattern: one selective predicate, no AD edge, so no
-        // reachability question is ever asked.
+        let lazy = lazy(BackendKind::ThreeHop, &snap);
         let point = gtpq_query::parse_query("[label = c]*").unwrap();
-        assert_eq!(engine.evaluate(&point).len(), 1);
-        assert!(!lazy.is_built(), "an index-served lookup built the index");
-        assert_eq!(lazy.lookup_count(), 0);
-
-        // A descendant pattern probes reachability, forcing the build.
         let path = gtpq_query::parse_query("a { //c* }").unwrap();
-        assert_eq!(engine.evaluate(&path).len(), 1);
+
+        // Neither the cold-start pattern (one selective predicate, no AD
+        // edge) nor a descendant pattern asks the index anything: AD edges
+        // are answered on the condensation the graph carries.
+        let engine = GteaEngine::with_backend(snap.graph(), &lazy, GteaOptions::default());
+        assert_eq!(engine.evaluate(&point).len(), 1);
+        let (rows, stats) = engine.evaluate_with_stats(&path);
+        assert_eq!(rows.len(), 1);
+        assert!(stats.index_lookups > 0, "the sweeps' edges are counted");
+        assert!(!lazy.is_built(), "a default-option query built the index");
+        assert_eq!(lazy.lookup_count(), 0);
+        assert_eq!(lazy.metrics.snapshot().index_builds, 0);
+
+        // The pairwise ablation arm probes `reaches`, forcing the build.
+        let pairwise =
+            GteaEngine::with_backend(snap.graph(), &lazy, GteaOptions::without_contours());
+        assert_eq!(pairwise.evaluate(&path), rows);
         assert!(lazy.is_built());
+        let m = lazy.metrics.snapshot();
+        assert_eq!(m.index_builds, 1);
+        assert!(m.index_build_time > std::time::Duration::ZERO);
     }
 
     #[test]
     fn first_probe_builds_once_and_answers_like_an_eager_build() {
         let snap = snapshot();
-        let lazy = LazyIndex {
-            kind: BackendKind::ThreeHop,
-            snapshot: Arc::clone(&snap),
-            built: OnceLock::new(),
-        };
+        let lazy = lazy(BackendKind::ThreeHop, &snap);
         let eager = BackendKind::ThreeHop.build_shared_with(snap.graph(), snap.condensation());
         let g = snap.graph();
         for u in g.nodes() {
@@ -170,6 +191,7 @@ mod tests {
             }
         }
         assert!(lazy.is_built());
+        assert_eq!(lazy.metrics.snapshot().index_builds, 1);
         assert_eq!(lazy.name(), eager.name());
         let probe = lazy.succ_probe(&[NodeId(0)]);
         assert!(probe(NodeId(2)));

@@ -11,10 +11,12 @@
 //!   deadlines push down into the engine's streaming enumerator, so a
 //!   limited request stops after its window instead of materializing the
 //!   answer,
-//! * owns a graph **snapshot** and **one shared reachability index** per
-//!   graph generation, either pinned via [`ServiceConfig::backend`] or
-//!   chosen by [`gtpq_reach::select_backend`] from the graph's statistics
-//!   (DAG-ness, density, condensation size),
+//! * owns a graph **snapshot** (the graph carries the SCC condensation all
+//!   default-option evaluation runs on) and **one shared reachability
+//!   backend** per graph generation for the pairwise arm, either pinned via
+//!   [`ServiceConfig::backend`] — then built only if probed — or chosen by
+//!   [`gtpq_reach::select_backend`] from the graph's statistics (DAG-ness,
+//!   density, condensation size),
 //! * serves **live graphs** — [`QueryService::live`] wraps a
 //!   `gtpq_graph::GraphHandle`, and every committed epoch rotates the
 //!   service's generation state: the result cache, plan cache and backend

@@ -222,7 +222,9 @@ counters! {
         "Data-node accesses across engine runs (`#input`, Fig. 10)."
         <- EveryRun |s| s.input_nodes;
     index_lookups: count, counter "gtpq_index_lookups_total",
-        "Reachability-index element lookups across engine runs (`#index`, Fig. 10); a set-probe sweep counts the condensation edges it visited, once per prepared probe."
+        "Reachability lookups across engine runs (`#index`, Fig. 10): the condensation edges each \
+         prune sweep and matching-graph pass visited, the adjacency entries PC edges read, and \
+         under the pairwise arm the index elements its point probes read."
         <- EveryRun |s| s.index_lookups;
     index_hits: count, counter "gtpq_index_hits_total",
         "Candidates served straight from the attribute inverted index."
@@ -269,6 +271,12 @@ counters! {
         "Commits the service rotated its generation state over to.";
     stale_evictions: count, counter "gtpq_stale_evictions_total",
         "Cached results and plans dropped because the graph mutated.";
+    index_builds: count, counter "gtpq_reach_index_builds_total",
+        "Reachability backends constructed: auto-selection's per generation, a per-query \
+         recommendation's first use, a pinned backend's first pairwise probe. Default-option \
+         requests evaluate on the condensation the graph carries and build none.";
+    index_build_time: nanos, counter "gtpq_reach_index_build_seconds_total",
+        "Time spent constructing those backends (a post-commit stall that is not a cache miss).";
   }
   derived {
     "gtpq_sim_filter_selectivity",
@@ -344,6 +352,18 @@ impl ServiceMetrics {
         self.recent_queries.record();
         self.counters.fold(stats, run);
         self.stage_hists.observe(stats);
+    }
+
+    /// Runs `build` — the construction of one reachability backend — and
+    /// records that it happened and what it cost.
+    pub(crate) fn record_index_build<T>(&self, build: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let built = build();
+        self.counters.index_builds.fetch_add(1, Relaxed);
+        self.counters
+            .index_build_time
+            .fetch_add(started.elapsed().as_nanos() as u64, Relaxed);
+        built
     }
 
     /// Sets the graph-epoch gauge without counting a rotation (used at
@@ -553,8 +573,8 @@ mod tests {
         m.record_latency(Duration::from_millis(2));
         let page = m.snapshot().render_prometheus();
         let families = families(&page);
-        // 29 stored rows + 5 derived gauges + 3 histogram families.
-        assert_eq!(families.len(), 37, "{families:?}");
+        // 31 stored rows + 5 derived gauges + 3 histogram families.
+        assert_eq!(families.len(), 39, "{families:?}");
         for (i, (family, kind)) in families.iter().enumerate() {
             assert!(valid_metric_name(family), "{family}");
             assert!(
@@ -577,7 +597,7 @@ mod tests {
         // of the same run — every stored row, so a new row has to say here
         // what feeds it.  An aborted run keeps its partial work but counts
         // under `aborted` / `aborted_eval_time`, never as a query or a miss.
-        let pinned: [(&str, f64, f64); 29] = [
+        let pinned: [(&str, f64, f64); 31] = [
             ("gtpq_queries_total", 1.0, 0.0),
             ("gtpq_cache_hits_total", 0.0, 0.0),
             ("gtpq_cache_misses_total", 1.0, 0.0),
@@ -607,6 +627,8 @@ mod tests {
             ("gtpq_graph_epoch", 0.0, 0.0),
             ("gtpq_epoch_rotations_total", 0.0, 0.0),
             ("gtpq_stale_evictions_total", 0.0, 0.0),
+            ("gtpq_reach_index_builds_total", 0.0, 0.0),
+            ("gtpq_reach_index_build_seconds_total", 0.0, 0.0),
         ];
         let (complete, aborted) = (ServiceMetrics::new(), ServiceMetrics::new());
         complete.record_miss(&busy_run());

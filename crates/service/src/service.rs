@@ -120,7 +120,7 @@ pub struct QueryService {
     config: ServiceConfig,
     cache: Mutex<ResultCache>,
     plans: Mutex<PlanCache>,
-    metrics: ServiceMetrics,
+    metrics: Arc<ServiceMetrics>,
     slowlog: SlowQueryLog,
 }
 
@@ -166,18 +166,23 @@ impl EpochState {
     /// snapshot pattern) never pay the O(V+E) construction.  Auto-selection
     /// stays eager — choosing a backend requires profiling the graph, and
     /// the built index is part of the selection evidence.
-    fn build(snapshot: Arc<GraphSnapshot>, config: &ServiceConfig) -> Self {
+    fn build(
+        snapshot: Arc<GraphSnapshot>,
+        config: &ServiceConfig,
+        metrics: &Arc<ServiceMetrics>,
+    ) -> Self {
         let g = snapshot.graph();
         let cond = snapshot.condensation();
         let (index, default_kind, selection, profile) = match config.backend {
             Some(kind) => (
-                LazyIndex::shared(kind, Arc::clone(&snapshot)),
+                LazyIndex::shared(kind, Arc::clone(&snapshot), Arc::clone(metrics)),
                 kind,
                 None,
                 GraphProfile::compute_with(g, cond),
             ),
             None => {
-                let (index, selection) = build_selected_with(g, cond);
+                let (index, selection) =
+                    metrics.record_index_build(|| build_selected_with(g, cond));
                 (index, selection.kind, Some(selection), selection.profile)
             }
         };
@@ -207,7 +212,12 @@ impl EpochState {
     /// potentially expensive construction.  Two threads racing on the same
     /// missing backend may both build it; the first insert wins and the
     /// loser's copy is dropped.
-    fn resolve_backend(&self, plan: &QueryPlan, config: &ServiceConfig) -> SharedIndex {
+    fn resolve_backend(
+        &self,
+        plan: &QueryPlan,
+        config: &ServiceConfig,
+        metrics: &ServiceMetrics,
+    ) -> SharedIndex {
         let per_query = config.per_query_backend && config.backend.is_none();
         let Some(kind) = plan.backend.kind.filter(|_| per_query) else {
             return Arc::clone(&self.index);
@@ -218,7 +228,9 @@ impl EpochState {
                 return Arc::clone(index);
             }
         }
-        let built = kind.build_shared_with(self.graph(), self.snapshot.condensation());
+        let built = metrics.record_index_build(|| {
+            kind.build_shared_with(self.graph(), self.snapshot.condensation())
+        });
         let mut backends = self.backends.lock().expect("backend catalog lock poisoned");
         Arc::clone(backends.entry(kind).or_insert(built))
     }
@@ -296,13 +308,13 @@ impl QueryService {
         snapshot: Arc<GraphSnapshot>,
         config: ServiceConfig,
     ) -> Self {
-        let state = Arc::new(EpochState::build(snapshot, &config));
+        let metrics = Arc::new(ServiceMetrics::new());
+        let state = Arc::new(EpochState::build(snapshot, &config, &metrics));
         let slow_capacity = if config.slow_query_threshold.is_some() {
             config.slow_log_capacity
         } else {
             0
         };
-        let metrics = ServiceMetrics::new();
         metrics.set_graph_epoch(state.epoch);
         // Align the cache generations with a handle that committed before
         // the service was built, so epoch-stamped inserts are accepted.
@@ -349,7 +361,7 @@ impl QueryService {
         if snapshot.epoch() == slot.epoch {
             return Arc::clone(&slot);
         }
-        let fresh = Arc::new(EpochState::build(snapshot, &self.config));
+        let fresh = Arc::new(EpochState::build(snapshot, &self.config, &self.metrics));
         let evicted = self
             .cache
             .lock()
@@ -542,7 +554,7 @@ impl QueryService {
         let plan_span = tracer.span("plan");
         let (plan, plan_time) = self.obtain_plan(q, canon.as_ref(), &state);
         drop(plan_span);
-        let index = state.resolve_backend(&plan, &self.config);
+        let index = state.resolve_backend(&plan, &self.config, &self.metrics);
         let mut ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
         if let Some(deadline) = deadline {
             ctl = ctl.with_deadline(deadline);

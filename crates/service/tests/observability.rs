@@ -1,12 +1,21 @@
 //! End-to-end observability tests at the service boundary: span-tree
 //! structure and timing, Chrome `trace_event` JSON round-tripping through
 //! the crate's own parser, Prometheus text well-formedness, slow-query-log
-//! capture and aborted-run accounting.
+//! capture, aborted-run accounting and the index-build counter across live
+//! commits.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gtpq_core::GteaOptions;
+use gtpq_datagen::{
+    apply_ops, fig11_gtpq, generate_xmark, update_stream, xmark_q1, xmark_q2, xmark_q3,
+    Fig11Predicate, UpdateStreamConfig, XmarkConfig,
+};
+use gtpq_graph::GraphHandle;
 use gtpq_query::fixtures::{example_graph, example_query};
+use gtpq_query::naive;
+use gtpq_reach::BackendKind;
 use gtpq_service::{QueryError, QueryRequest, QueryService, ServiceConfig, SlowOutcome};
 
 fn service() -> QueryService {
@@ -178,4 +187,68 @@ fn latency_and_ttfr_percentiles_surface_through_submit() {
     // The example query streams rows, so time-to-first-row was sampled.
     assert_eq!(m.ttfr.count, 4);
     assert!(m.ttfr_percentile(0.5) <= m.latency_percentile(0.999));
+}
+
+#[test]
+fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
+    // `xmark_live` in miniature: a pinned 3-hop, a live handle, and per
+    // cycle one 32-op epoch, its commit, then the workload's eleven read
+    // shapes (Q1-Q3, the conjunctive query, DIS1-3, NEG1-3, DIS_NEG1).
+    let base = generate_xmark(&XmarkConfig::with_scale(0.1));
+    let stream = UpdateStreamConfig {
+        seed: 42,
+        epochs: 5,
+        ops_per_epoch: 32,
+        ..UpdateStreamConfig::default()
+    };
+    let epochs = update_stream(&base, &stream);
+    let mut reads = vec![
+        xmark_q1(1),
+        xmark_q2(1, 2),
+        xmark_q3(1, 2, 3),
+        fig11_gtpq(Fig11Predicate::Conjunctive, 1, 2),
+    ];
+    let variants = Fig11Predicate::table4_suite().into_iter().take(7);
+    reads.extend(variants.map(|(_, variant)| fig11_gtpq(variant, 1, 2)));
+    assert_eq!(reads.len(), 11);
+
+    let pinned = |options| ServiceConfig {
+        backend: Some(BackendKind::ThreeHop),
+        options,
+        ..ServiceConfig::default()
+    };
+    let handle = Arc::new(GraphHandle::new(base));
+    let svc = QueryService::live_with_config(Arc::clone(&handle), pinned(GteaOptions::default()));
+    for (cycle, epoch) in epochs.iter().enumerate() {
+        apply_ops(&handle, epoch);
+        handle.commit();
+        // The oracle reads the committed graph from scratch: no index, no
+        // condensation, no state carried over from the previous epoch.
+        let graph = svc.graph();
+        for q in &reads {
+            let outcome = svc.submit(&QueryRequest::query(q.clone())).unwrap();
+            assert!(!outcome.from_cache, "a commit empties the result cache");
+            assert_eq!(
+                *outcome.rows,
+                naive::evaluate(q, &graph),
+                "cycle {cycle}: {q}"
+            );
+        }
+    }
+    let m = svc.metrics();
+    assert_eq!((m.epoch_rotations, m.cache_misses), (5, 55));
+    assert_eq!(m.index_builds, 0, "a default-option read built the index");
+    assert_eq!(m.index_build_time, Duration::ZERO);
+    assert!(m.index_lookups > 0, "the reads swept the condensation");
+
+    // The pairwise arm is what still builds it: once per generation.
+    let pairwise = QueryService::live_with_config(handle, pinned(GteaOptions::without_contours()));
+    for q in &reads[..2] {
+        pairwise.submit(&QueryRequest::query(q.clone())).unwrap();
+    }
+    let m = pairwise.metrics();
+    assert_eq!(m.index_builds, 1);
+    assert!(m.index_build_time > Duration::ZERO);
+    let page = m.render_prometheus();
+    assert!(page.contains("gtpq_reach_index_builds_total 1"), "{page}");
 }
