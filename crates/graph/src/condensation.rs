@@ -195,7 +195,9 @@ impl Condensation {
     /// then no SCCs merge, component numbering is stable, and the structures
     /// are patched with linear merges.  Any edge that would go backward may
     /// close a cycle, so the method returns `None` and the caller falls back
-    /// to a full re-condensation.  The result is bit-identical to
+    /// to a full re-condensation — as it does when the patched DAG does not
+    /// order at all, which only a base mapped unverified from a damaged
+    /// snapshot can cause.  The result is bit-identical to
     /// [`Condensation::new`] on the mutated graph.
     pub fn apply_insertions(
         &self,
@@ -270,7 +272,11 @@ impl Condensation {
         let mut comp_of = self.comp_of.to_vec();
         comp_of.extend((old_c..new_c).map(|c| CompId(c as u32)));
         let topo = kahn_topo(&comp_out, &comp_in);
-        debug_assert_eq!(topo.len(), new_c, "condensation DAG contains a cycle");
+        if topo.len() != new_c {
+            // The base's own DAG does not order: it was mapped unverified
+            // from a damaged file.  Re-condense from the adjacency.
+            return None;
+        }
 
         Some(Self {
             comp_of: comp_of.into(),
@@ -322,7 +328,13 @@ impl Condensation {
 
     /// Whether the original graph was already acyclic.
     pub fn input_was_dag(&self) -> bool {
-        !self.cyclic.iter().any(|&c| c != 0)
+        // Eight flags a comparison: on a mapped DAG this pass over one byte
+        // per component is all that building a service costs.
+        let mut words = self.cyclic.chunks_exact(8);
+        words
+            .by_ref()
+            .all(|w| u64::from_ne_bytes(w.try_into().expect("chunks of eight")) == 0)
+            && words.remainder().iter().all(|&c| c == 0)
     }
 
     /// Builds the condensation of a graph that is expected to be a DAG,
@@ -457,14 +469,19 @@ fn kahn_topo(comp_out: &Csr<CompId>, comp_in: &Csr<CompId>) -> Vec<CompId> {
     while let Some(Reverse(v)) = ready.pop() {
         topo.push(CompId(v));
         for &w in comp_out.neighbors(v as usize) {
-            indegree[w.index()] -= 1;
-            if indegree[w.index()] == 0 {
+            // Only a count that is still positive can reach zero: in- and
+            // out-edges mapped from a damaged file may disagree.
+            let Some(left) = indegree[w.index()].checked_sub(1) else {
+                continue;
+            };
+            indegree[w.index()] = left;
+            if left == 0 {
                 ready.push(Reverse(w.0));
             }
         }
     }
-    // A short order means the DAG claim was wrong; `identity_dag` turns that
-    // into `None`, the Tarjan-backed callers can never hit it.
+    // A short order means the DAG claim was wrong; `identity_dag` and
+    // `apply_insertions` turn that into `None`, `new` can never hit it.
     topo
 }
 
@@ -512,6 +529,72 @@ mod tests {
         assert!(c.is_cyclic(comp0));
         assert!(!c.is_cyclic(c.component_of(v[3])));
         assert!(!c.input_was_dag());
+    }
+
+    #[test]
+    fn input_was_dag_sees_a_flag_at_every_position() {
+        let with_flags = |cyclic: Vec<u8>| {
+            let n = cyclic.len();
+            let ids: Vec<CompId> = (0..n as u32).map(CompId).collect();
+            let no_edges = Csr::from_runs(n, (0..n).map(|_| [] as [CompId; 0]));
+            Condensation::from_parts(
+                ids.clone().into(),
+                Csr::from_runs(n, (0..n as u32).map(|v| [NodeId(v)])),
+                cyclic.into(),
+                no_edges.clone(),
+                no_edges,
+                ids.into(),
+            )
+        };
+        for n in 0..=25 {
+            assert!(with_flags(vec![0; n]).input_was_dag(), "{n} clear flags");
+            for at in 0..n {
+                let mut cyclic = vec![0; n];
+                cyclic[at] = 1;
+                assert!(!with_flags(cyclic).input_was_dag(), "flag {at} of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_base_whose_dag_does_not_order_is_recondensed_not_patched() {
+        // 0 -> 1 -> 2, read back with the out-edges of component 1 lost to a
+        // damaged offset: component 2 keeps an in-edge nothing discharges.
+        let mut b = GraphBuilder::new();
+        let v: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
+        b.add_edge(v[0], v[1]);
+        b.add_edge(v[1], v[2]);
+        let good = Condensation::new(&b.build());
+        let (comp_of, members, cyclic, comp_out, comp_in, topo) = good.raw_parts();
+        let damaged = Condensation::from_parts(
+            comp_of.to_vec().into(),
+            members.clone(),
+            cyclic.to_vec().into(),
+            Csr::from_parts(
+                vec![0u32, 1, 0, 2].into(),
+                comp_out.targets_raw().to_vec().into(),
+            ),
+            comp_in.clone(),
+            topo.to_vec().into(),
+        );
+        assert_eq!(damaged.successors(CompId(1)), &[]);
+        assert!(good.apply_insertions(4, &[(v[2], NodeId(3))]).is_some());
+        assert!(damaged.apply_insertions(4, &[(v[2], NodeId(3))]).is_none());
+        // The other way round — an in-edge lost, its out-edge still there —
+        // discharges a count that is already zero.
+        let damaged = Condensation::from_parts(
+            comp_of.to_vec().into(),
+            members.clone(),
+            cyclic.to_vec().into(),
+            comp_out.clone(),
+            Csr::from_parts(
+                vec![0u32, 0, 0, 2].into(),
+                comp_in.targets_raw().to_vec().into(),
+            ),
+            topo.to_vec().into(),
+        );
+        assert_eq!(damaged.predecessors(CompId(1)), &[]);
+        assert!(damaged.apply_insertions(4, &[(v[2], NodeId(3))]).is_none());
     }
 
     #[test]

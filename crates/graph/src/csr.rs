@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::run::{IntRun, RunElem};
+use crate::run::{window, IntRun, RunElem};
 
 /// CSR adjacency from dense `u32`-indexed sources to targets of type `T`.
 ///
@@ -20,7 +20,10 @@ use crate::run::{IntRun, RunElem};
 /// Both arrays are [`IntRun`]s: owned vectors for graphs built in memory,
 /// borrowed windows into the file mapping for graphs loaded from a `.gtpq`
 /// snapshot.  Every accessor goes through the slice view, so the two
-/// representations are indistinguishable to callers.
+/// representations are indistinguishable to callers — and through the total
+/// `run::window`, so an offsets pair that cannot be a run (a mapped file
+/// damaged in the middle of its offsets) reads as the empty run instead of
+/// panicking.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Csr<T: RunElem> {
     /// `offsets[v] .. offsets[v + 1]` delimits the neighbour run of `v`.
@@ -30,9 +33,10 @@ pub struct Csr<T: RunElem> {
 }
 
 impl<T: RunElem> Csr<T> {
-    /// Assembles a CSR from already-validated runs — the snapshot loader's
-    /// entry point ([`crate::snap`]); `offsets` must be monotone with a
-    /// leading `0` and a final value equal to `targets.len()`.
+    /// Assembles a CSR from loaded runs — the snapshot loader's entry point
+    /// ([`crate::snap`]).  `offsets` has a leading `0` and a final value equal
+    /// to `targets.len()`; it is monotone when a verifying load mode scanned
+    /// it, and the accessors do not rely on that.
     pub(crate) fn from_parts(offsets: IntRun<u32>, targets: IntRun<T>) -> Self {
         Self { offsets, targets }
     }
@@ -145,18 +149,17 @@ impl<T: RunElem + Ord> Csr<T> {
         self.len() == 0
     }
 
-    /// The sorted neighbour slice of source `v`.
+    /// The sorted neighbour slice of source `v` (empty for a `v` the CSR
+    /// does not have).
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[T] {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        &self.targets[lo..hi]
+        window(&self.offsets, v, &self.targets)
     }
 
-    /// Out-degree of source `v`.
+    /// Out-degree of source `v`: the length of [`neighbors`](Self::neighbors).
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
+        self.neighbors(v).len()
     }
 
     /// Total number of stored targets.
@@ -296,6 +299,30 @@ mod tests {
         assert_eq!(merged, full);
         assert_eq!(merged.neighbors(0), &[0, 1, 5, 9]);
         assert_eq!(merged.neighbors(3), &[2]);
+    }
+
+    #[test]
+    fn hostile_offsets_read_as_empty_runs() {
+        // What a plain-mmap open can hand over: the ends check out, the
+        // middle is decreasing (source 1) or runs past the targets (source 2).
+        let csr = Csr::from_parts(
+            vec![0u32, 3, 1, u32::MAX, 4].into(),
+            vec![10u32, 11, 12, 13].into(),
+        );
+        assert_eq!(csr.len(), 4);
+        assert_eq!(csr.neighbors(0), &[10, 11, 12]);
+        for v in [1, 2, 3, 4, usize::MAX] {
+            assert_eq!(csr.neighbors(v), &[] as &[u32], "source {v}");
+            assert_eq!(csr.degree(v), 0, "source {v}");
+            assert!(!csr.contains(v, 11));
+        }
+        assert_eq!(csr.degree(0), 3);
+        // The commit path merges over whatever the accessors serve.
+        let merged = csr.merge_additions(5, &[(1, 7), (4, 2)]);
+        assert_eq!(merged.neighbors(0), &[10, 11, 12]);
+        assert_eq!(merged.neighbors(1), &[7]);
+        assert_eq!(merged.neighbors(4), &[2]);
+        assert_eq!(merged.target_count(), 5);
     }
 
     #[test]

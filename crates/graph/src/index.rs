@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::attr::{AttrValue, Attribute};
 use crate::graph::NodeId;
-use crate::run::IntRun;
+use crate::run::{window, IntRun};
 use crate::symbol::Symbol;
 
 /// Canonical ordering key for attribute values: ints before strings, each
@@ -49,6 +49,9 @@ fn indexable_by_value(v: &AttrValue) -> bool {
 }
 
 /// Merges `base \ removed` with `added` (all sorted by node id) into `out`.
+/// `removed` is a subset of `base` whenever the tuples and the postings of
+/// the base graph agree; a base mapped unverified from a damaged file may
+/// break that, and the merge then drops what it can find — it must not panic.
 fn merge_posting(base: &[NodeId], removed: &[NodeId], added: &[NodeId], out: &mut Vec<NodeId>) {
     let mut ri = 0usize;
     let mut ai = 0usize;
@@ -64,7 +67,6 @@ fn merge_posting(base: &[NodeId], removed: &[NodeId], added: &[NodeId], out: &mu
         out.push(v);
     }
     out.extend_from_slice(&added[ai..]);
-    debug_assert_eq!(ri, removed.len(), "removed node missing from base posting");
 }
 
 /// One per-attribute integer run: the logical `(int value, node)` pairs
@@ -249,8 +251,9 @@ impl AttrIndex {
         }
         let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
         let mut value_offsets = Vec::with_capacity(slot_count + 1);
-        let mut value_nodes =
-            Vec::with_capacity(self.value_nodes.len() + added.len() - removed.len());
+        let mut value_nodes = Vec::with_capacity(
+            (self.value_nodes.len() + added.len()).saturating_sub(removed.len()),
+        );
         value_offsets.push(0);
         let mut bi = 0usize; // base slot cursor
         let mut ai = 0usize; // added cursor
@@ -269,10 +272,9 @@ impl AttrIndex {
             };
             let (sym, value, base_run): (Symbol, AttrValue, &[NodeId]) = if use_base {
                 let (sym, value) = base_keys[bi].take().expect("every slot has a key");
-                let lo = self.value_offsets[bi] as usize;
-                let hi = self.value_offsets[bi + 1] as usize;
+                let run = window(&self.value_offsets, bi, &self.value_nodes);
                 bi += 1;
-                (sym, value, &self.value_nodes[lo..hi])
+                (sym, value, run)
             } else {
                 let (sym, ref value, _) = added[ai];
                 (sym, value.clone(), &[])
@@ -296,7 +298,6 @@ impl AttrIndex {
             }
             // An emptied posting drops its key, exactly as a rebuild would.
         }
-        debug_assert_eq!(ri, removed.len(), "removed entry under an unknown key");
 
         // --- name postings: merge-only (upserts never remove a name).
         let name_count = self.name_offsets.len().saturating_sub(1);
@@ -321,10 +322,9 @@ impl AttrIndex {
             };
             let (sym, base_run): (Symbol, &[NodeId]) = if use_base {
                 let sym = base_names[bi].expect("every slot has a key");
-                let lo = self.name_offsets[bi] as usize;
-                let hi = self.name_offsets[bi + 1] as usize;
+                let run = window(&self.name_offsets, bi, &self.name_nodes);
                 bi += 1;
-                (sym, &self.name_nodes[lo..hi])
+                (sym, run)
             } else {
                 (from_added.expect("added stream is non-empty"), &[])
             };
@@ -365,7 +365,7 @@ impl AttrIndex {
             rem.sort_unstable();
             let mut add = int_added.remove(&sym).unwrap_or_default();
             add.sort_unstable();
-            let mut run = Vec::with_capacity(base.len() + add.len() - rem.len());
+            let mut run = Vec::with_capacity((base.len() + add.len()).saturating_sub(rem.len()));
             let mut rj = 0usize;
             let mut aj = 0usize;
             for pair in base.iter() {
@@ -380,7 +380,6 @@ impl AttrIndex {
                 run.push(pair);
             }
             run.extend_from_slice(&add[aj..]);
-            debug_assert_eq!(rj, rem.len(), "removed int pair missing from run");
             if !run.is_empty() {
                 int_runs.insert(sym, IntPairs::from_pairs(run));
             }
@@ -401,11 +400,7 @@ impl AttrIndex {
     /// never occurs).
     pub fn nodes_eq(&self, attr: Symbol, value: &AttrValue) -> &[NodeId] {
         match self.value_slots.get(&attr).and_then(|m| m.get(value)) {
-            Some(&slot) => {
-                let lo = self.value_offsets[slot as usize] as usize;
-                let hi = self.value_offsets[slot as usize + 1] as usize;
-                &self.value_nodes[lo..hi]
-            }
+            Some(&slot) => window(&self.value_offsets, slot as usize, &self.value_nodes),
             None => &[],
         }
     }
@@ -413,11 +408,7 @@ impl AttrIndex {
     /// Sorted posting list of nodes carrying attribute `attr` at all.
     pub fn nodes_with_name(&self, attr: Symbol) -> &[NodeId] {
         match self.name_slots.get(&attr) {
-            Some(&slot) => {
-                let lo = self.name_offsets[slot as usize] as usize;
-                let hi = self.name_offsets[slot as usize + 1] as usize;
-                &self.name_nodes[lo..hi]
-            }
+            Some(&slot) => window(&self.name_offsets, slot as usize, &self.name_nodes),
             None => &[],
         }
     }
@@ -556,6 +547,40 @@ mod tests {
         );
         assert_eq!(idx.count_int_range(year, 10, 5), 0);
         assert_eq!(idx.count_int_range(year, 3000, 4000), 0);
+    }
+
+    #[test]
+    fn hostile_offsets_read_as_empty_postings_and_still_merge() {
+        let (g, label, year) = sample();
+        let mut idx = g.attr_index().clone();
+        // What a plain-mmap open can hand over: both ends check out, the
+        // middle is decreasing, then past every posting.
+        let mut offsets = idx.value_offsets.to_vec();
+        offsets[1] = 4;
+        offsets[2] = 1;
+        offsets[3] = u32::MAX;
+        idx.value_offsets = offsets.into();
+        let mut offsets = idx.name_offsets.to_vec();
+        offsets[1] = u32::MAX;
+        idx.name_offsets = offsets.into();
+        for (&sym, values) in &idx.value_slots {
+            for (value, &slot) in values {
+                let posting = idx.nodes_eq(sym, value);
+                assert_eq!(posting.is_empty(), (1..4).contains(&slot), "slot {slot}");
+                assert_eq!(idx.count_eq(sym, value), posting.len());
+            }
+        }
+        assert_eq!(idx.nodes_with_name(label), &[]);
+        assert_eq!(idx.nodes_with_name(year), &[]);
+        // A commit merges over whatever the accessors serve, including
+        // removals the emptied postings no longer hold.
+        let merged = idx.merge_updates(
+            vec![(year, AttrValue::int(2005), NodeId(1))],
+            vec![(year, AttrValue::int(2006), NodeId(1))],
+            vec![(year, NodeId(3))],
+        );
+        assert_eq!(merged.nodes_eq(year, &AttrValue::int(2006)), &[NodeId(1)]);
+        assert_eq!(merged.nodes_with_name(year), &[NodeId(3)]);
     }
 
     #[test]

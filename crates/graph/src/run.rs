@@ -414,10 +414,31 @@ unsafe impl Send for MmapFile {}
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Sync for MmapFile {}
 
-/// IEEE CRC-32 (the zlib polynomial), table-driven.
+/// The window `targets[offsets[i] .. offsets[i + 1]]`, as every reader of an
+/// offsets run takes it.
+///
+/// Total by construction: a pair that cannot be a window — decreasing,
+/// running past the targets, or `i + 1` beyond the offsets — is the empty
+/// window, never a panic and never an overflowing subtraction.  A plain
+/// [`LoadMode::Mmap`](crate::snap::LoadMode::Mmap) open checks only the two
+/// ends of a mapped offsets run, so a damaged middle entry reaches this
+/// function; an honest run pays the two comparisons `&targets[lo..hi]` makes
+/// anyway.
+#[inline]
+pub(crate) fn window<'a, T>(offsets: &[u32], i: usize, targets: &'a [T]) -> &'a [T] {
+    let (Some(&lo), Some(&hi)) = (offsets.get(i), offsets.get(i.wrapping_add(1))) else {
+        return &[];
+    };
+    targets.get(lo as usize..hi as usize).unwrap_or(&[])
+}
+
+/// IEEE CRC-32 (the zlib polynomial), slicing-by-8: eight table lookups per
+/// eight input bytes instead of a serial lookup per byte.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
+    /// the CRC of byte `b` followed by `k` zero bytes.
+    const TABLES: [[u32; 256]; 8] = {
+        let mut tables = [[0u32; 256]; 8];
         let mut i = 0usize;
         while i < 256 {
             let mut c = i as u32;
@@ -430,14 +451,37 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
                 };
                 k += 1;
             }
-            table[i] = c;
+            tables[0][i] = c;
             i += 1;
         }
-        table
+        let mut k = 1usize;
+        while k < 8 {
+            let mut i = 0usize;
+            while i < 256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+                i += 1;
+            }
+            k += 1;
+        }
+        tables
     };
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -493,6 +537,78 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time loop `crc32` replaced, kept as its reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_bytewise_loop_at_every_length_and_alignment() {
+        // A fixed xorshift stream: no two windows below share their bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let storage: Vec<u64> = (0..40)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        let bytes = AlignedBytes::copy_from(
+            &storage
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect::<Vec<u8>>(),
+        );
+        let bytes = bytes.as_slice();
+        for start in 0..8 {
+            for len in 0..=257 {
+                let window = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(window),
+                    crc32_bytewise(window),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_is_total() {
+        let offsets = [0u32, 2, 5, 3, 9, 7];
+        let targets = [10u8, 11, 12, 13, 14, 15, 16];
+        let empty: &[u8] = &[];
+        // Honest pairs.
+        assert_eq!(window(&offsets, 0, &targets), &[10, 11]);
+        assert_eq!(window(&offsets, 1, &targets), &[12, 13, 14]);
+        // Decreasing, past the end of the targets, and both at once.
+        assert_eq!(window(&offsets, 2, &targets), empty);
+        assert_eq!(window(&offsets, 3, &targets), empty);
+        assert_eq!(window(&offsets, 4, &targets), empty);
+        assert_eq!(window(&[0, u32::MAX], 0, &targets), empty);
+        // An exact fit is a window, one past it is not.
+        assert_eq!(window(&[0, 3, 7], 1, &targets), &[13, 14, 15, 16]);
+        assert_eq!(window(&[0, 3, 8], 1, &targets), empty);
+        // `i + 1`, `i`, and `i + 1` as an integer out of range.
+        assert_eq!(window(&offsets, 5, &targets), empty);
+        assert_eq!(window(&offsets, 6, &targets), empty);
+        assert_eq!(window(&offsets, usize::MAX, &targets), empty);
+        // Empty and one-entry offsets index nothing.
+        assert_eq!(window(&[], 0, &targets), empty);
+        assert_eq!(window(&[0], 0, &targets), empty);
     }
 
     #[cfg(all(unix, target_pointer_width = "64"))]

@@ -52,22 +52,27 @@
 //! # Verification policy
 //!
 //! The header and TOC checksums, the section-table bounds, every length
-//! rule (cross-checked against the `Meta` section) and a linear
-//! monotonicity-and-span scan over **every** offsets run are verified on
-//! **every** load — the offsets scan is what lets the slice accessors
-//! (`Csr::neighbors` and friends) index without bounds branches: no corrupt
-//! offset can survive a successful open.  Sections the open decodes into
-//! owned structures are always CRC-checked and validated field by field.
-//! The big mapped runs (adjacency targets, posting nodes, condensation
-//! arrays, and the attribute tuple columns — decoded lazily, see
-//! [`crate::tuples::AttrTuples`]) are CRC-checked *and* field-validated by
+//! rule (cross-checked against the `Meta` section) and the two **ends** of
+//! every offsets run (leading `0`, last entry equal to the length of the run
+//! it spans) are verified on **every** load; all of that is independent of
+//! the node and edge count.  Sections the open decodes into owned structures
+//! are always CRC-checked and validated field by field, and the offsets runs
+//! among them ("every open" rows with a `spans` column) are scanned for
+//! monotonicity at every open too, because the decoder slices through them
+//! right there.  The big mapped runs (adjacency offsets and targets,
+//! posting offsets and nodes, condensation arrays, and the attribute tuple
+//! columns — decoded lazily, see [`crate::tuples::AttrTuples`]) are
+//! CRC-checked, scanned for monotone offsets *and* field-validated by
 //! [`LoadMode::Heap`] and [`LoadMode::MmapVerified`]; plain
-//! [`LoadMode::Mmap`] skips those passes to keep the open truly lazy — use
-//! a verifying mode for files you do not trust (under plain mmap, a
-//! malformed attribute entry degrades to a skipped attribute at access
-//! time, never a panic).  Loading never causes undefined behaviour in any
-//! mode: every mapped window is bounds- and alignment-checked before it is
-//! wrapped.
+//! [`LoadMode::Mmap`] skips those passes so that an open costs the pages it
+//! touches, not the pages the file has — use a verifying mode for files you
+//! do not trust.  What plain mmap gives instead is **total accessors**: every
+//! reader of a mapped offsets run goes through the total `run::window`, so a
+//! damaged middle offset serves the empty run for the affected node, and a
+//! malformed attribute entry degrades to a skipped attribute at access time
+//! — the data may be wrong, no accessor panics.  Loading never causes
+//! undefined behaviour in any mode: every mapped window is bounds- and
+//! alignment-checked before it is wrapped.
 //!
 //! # External modification hazard
 //!
@@ -113,7 +118,7 @@ use crate::csr::Csr;
 use crate::graph::{DataGraph, NodeId};
 use crate::index::{AttrIndex, IntPairs};
 use crate::mutate::GraphSnapshot;
-use crate::run::{crc32, AlignedBytes, IntRun, RunElem, SnapshotBytes};
+use crate::run::{AlignedBytes, IntRun, RunElem, SnapshotBytes};
 use crate::sim_index::{SimCatalog, SimTable};
 use crate::symbol::{Symbol, SymbolTable};
 use crate::tuples::{AttrColumns, AttrTuples, VecDict, TAG_INT, TAG_STR, TAG_VEC};
@@ -135,15 +140,21 @@ const MAX_SECTIONS: u64 = 4096;
 /// How to load a snapshot file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Zero-copy `mmap`; the big runs borrow the mapping and their checksums
-    /// are *not* verified (header, TOC, every offsets run and the
-    /// materialized sections always are).  Falls back to [`LoadMode::Heap`]
-    /// when mapping is unavailable.  The file must not be truncated or
-    /// rewritten in place by another process while the graph is alive (see
-    /// the [module docs](crate::snap#external-modification-hazard));
-    /// replacing it via rename — as [`GraphSnapshot::save`] does — is safe.
+    /// Zero-copy `mmap`; the big runs borrow the mapping and neither their
+    /// checksums nor the monotonicity of their offsets are verified (header,
+    /// TOC, the two ends of every offsets run and the materialized sections
+    /// always are), so the open is independent of the graph's size.  A file
+    /// damaged inside a big run still opens: its accessors stay panic-free
+    /// and serve an empty run or a skipped attribute where the damage is.
+    /// Falls back to [`LoadMode::Heap`] when mapping is unavailable.  The
+    /// file must not be truncated or rewritten in place by another process
+    /// while the graph is alive (see the
+    /// [module docs](crate::snap#external-modification-hazard)); replacing
+    /// it via rename — as [`GraphSnapshot::save`] does — is safe.
     Mmap,
-    /// Zero-copy `mmap` plus a full checksum pass over every section.
+    /// Zero-copy `mmap` plus a full checksum pass over every section, the
+    /// monotonicity scan of every offsets run and field validation of the
+    /// attribute columns.
     MmapVerified,
     /// Portable fallback: read the whole file into an aligned heap buffer and
     /// verify every checksum.  The runs still borrow the shared buffer, so
@@ -338,9 +349,12 @@ struct Section {
     name: &'static str,
     elem: Elem,
     len: Len,
-    /// The run this one is an offsets index into.  Accessors slice that run
-    /// through these offsets without bounds checks, so every open scans them
-    /// (leading 0, monotone, ending at the target's length).
+    /// The run this one is an offsets index into.  Every open checks its two
+    /// ends (leading 0, ending at the target's length); the monotonicity
+    /// scan in between runs at every open for an [`Check::EveryOpen`] row —
+    /// the decoder slices through it — and under the verifying modes for a
+    /// [`Check::Verifying`] row, whose readers go through the total
+    /// [`crate::run::window`] instead.
     spans: Option<SectionKind>,
     check: Check,
     /// First format version whose writers emit the section.  What version 1
@@ -1317,16 +1331,18 @@ impl Loader {
     /// Everything that is checked before a run is handed out, one loop per
     /// policy over the section table: checksums (every section in verifying
     /// modes, the [`Check::EveryOpen`] class otherwise; `Meta`'s is already
-    /// done), byte lengths against the length rules, and the span scan of
-    /// every offsets run.  The last two take a section the file does not
-    /// carry as its canonical empty run, so whatever the decoder indexes one
-    /// run by another's length is there.
+    /// done), byte lengths against the length rules, and the span check of
+    /// every offsets run (its ends always, its monotonicity by the same
+    /// class rule as the checksums).  The last two take a section the file
+    /// does not carry as its canonical empty run, so whatever the decoder
+    /// indexes one run by another's length is there.
     fn verify(&self, verify_all: bool) -> Result<(), SnapshotError> {
+        let in_full = |row: &Section| verify_all || row.check == Check::EveryOpen;
         for row in TABLE {
             let Some(s) = self.get(row.kind) else {
                 continue;
             };
-            if (verify_all || row.check == Check::EveryOpen) && row.kind != SectionKind::Meta {
+            if in_full(row) && row.kind != SectionKind::Meta {
                 self.check_crc(row, s)?;
             }
         }
@@ -1359,7 +1375,8 @@ impl Loader {
         for row in TABLE {
             if let Some(target) = row.spans {
                 let offsets = IntRun::<u32>::load(self, row)?;
-                check_offsets_span(&offsets, self.entries(target.row()), row.name)?;
+                let targets = self.entries(target.row());
+                check_offsets_span(&offsets, targets, row.name, in_full(row))?;
             }
         }
         Ok(())
@@ -1396,27 +1413,52 @@ impl Load for Vec<String> {
     }
 }
 
-/// Validates an offsets run: leading `0`, final value equal to the target
-/// count, and monotone throughout — together these bound every `lo..hi`
-/// window an accessor will ever slice out of the target run.  The linear
-/// scan runs in **every** load mode (it is O(n) over `u32`s, far cheaper
-/// than a parse) so a corrupt offset under plain [`LoadMode::Mmap`]
-/// surfaces as a typed error at load time, never as an out-of-bounds panic
-/// inside [`Csr::neighbors`] at query time.
+/// Validates an offsets run.  Its two ends — leading `0`, final value equal
+/// to the target count — are checked at every open (O(1), one page each).
+/// `scan` adds the linear monotonicity pass that, together with the ends,
+/// bounds every `lo..hi` window inside the target run: it is on for the runs
+/// the decoder slices at open and under the verifying load modes.  A mapped
+/// run that plain [`LoadMode::Mmap`] leaves unscanned is read through
+/// [`crate::run::window`] only, so a corrupt middle offset surfaces as an
+/// empty run at query time, never as a panic.
 fn check_offsets_span(
     offsets: &[u32],
     targets: u64,
     what: &'static str,
+    scan: bool,
 ) -> Result<(), SnapshotError> {
     let first = offsets.first().copied().unwrap_or(u32::MAX);
     let last = offsets.last().copied().unwrap_or(u32::MAX);
     if first != 0 || last as u64 != targets {
         return Err(malformed(format!("{what} does not span its target run")));
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed(format!("{what} is non-monotone")));
+    if scan {
+        examined(offsets.len());
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(malformed(format!("{what} is non-monotone")));
+        }
     }
     Ok(())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes checksummed plus offsets entries scanned by this thread's
+    /// loads: the part of an open's work that can grow with the graph.
+    static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts `n` more bytes or entries examined (tests only).
+#[inline]
+fn examined(_n: usize) {
+    #[cfg(test)]
+    EXAMINED.with(|total| total.set(total.get() + _n as u64));
+}
+
+/// [`crate::run::crc32`], counted.
+fn crc32(data: &[u8]) -> u32 {
+    examined(data.len());
+    crate::run::crc32(data)
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -1712,6 +1754,7 @@ fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, 
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::mutate::{GraphHandle, MutationConfig};
     use crate::LABEL_ATTR;
 
     fn sample_snapshot() -> GraphSnapshot {
@@ -1920,38 +1963,6 @@ mod tests {
             .2
     }
 
-    #[test]
-    fn corrupt_middle_offset_fails_typed_under_plain_mmap() {
-        let snap = sample_snapshot();
-        let path = tmp("bad-offsets.gtpq");
-        snap.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Stomp a middle FwdOffsets entry (plain Mmap never CRCs this run,
-        // so only the load-time monotonicity scan can catch it).
-        let at = section_offset(&good, SectionKind::FwdOffsets) + 4;
-        let mut bad = good.clone();
-        bad[at..at + 4].copy_from_slice(&0xFFFFu32.to_le_bytes());
-        std::fs::write(&path, &bad).unwrap();
-        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
-            assert!(
-                GraphSnapshot::open(&path, mode).is_err(),
-                "non-monotone FwdOffsets accepted under {mode:?}"
-            );
-        }
-
-        // Same for a posting offsets run consumed by index probes.
-        let at = section_offset(&good, SectionKind::ValOffsets) + 4;
-        let mut bad = good.clone();
-        bad[at..at + 4].copy_from_slice(&0xFFFFu32.to_le_bytes());
-        std::fs::write(&path, &bad).unwrap();
-        assert!(
-            GraphSnapshot::open_mmap(&path).is_err(),
-            "non-monotone ValOffsets accepted under plain mmap"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Rewrites every section CRC, the TOC CRC and the header CRC to match
     /// the (patched) bytes, so the file is *hostile* — internally consistent,
     /// every checksum green — rather than merely damaged.
@@ -1988,20 +1999,277 @@ mod tests {
         GraphSnapshot::freeze(Arc::new(b.build()))
     }
 
-    /// Touches every slice-served accessor of a loaded graph.
+    /// [`touch`], then one epoch committed over the loaded graph through both
+    /// the merging and the rebuilding arm of the mutation path, and `touch`
+    /// again on what that produced.  For files whose *offsets* are damaged:
+    /// a commit copies the content of the big runs, so it is only as sound
+    /// as they are.
     fn walk(snap: &GraphSnapshot) {
+        touch(snap);
+        let n = snap.graph().node_count() as u32;
+        for full_rebuild_ratio in [0.0, f64::MAX] {
+            let config = MutationConfig {
+                auto_commit_ops: None,
+                full_rebuild_ratio,
+            };
+            let handle = GraphHandle::from_snapshot(snap.clone(), config);
+            let fresh = handle.insert_node_with_label("doc");
+            for v in 0..n {
+                handle.set_attr(NodeId(v), "year", AttrValue::int(7));
+                handle.insert_edge(NodeId(v), fresh);
+            }
+            if n > 1 {
+                handle.insert_edge(NodeId(0), NodeId(n - 1));
+            }
+            touch(&handle.commit());
+        }
+    }
+
+    /// Touches every slice-served accessor of a loaded graph.
+    fn touch(snap: &GraphSnapshot) {
         let g = snap.graph();
         for v in g.nodes() {
-            let _ = g.children(v);
-            let _ = g.parents(v);
+            assert_eq!(g.children(v).len(), g.out_degree(v));
+            assert_eq!(g.parents(v).len(), g.in_degree(v));
             let _ = g.attributes(v);
         }
         let _ = g.nodes_with(LABEL_ATTR, &AttrValue::str("doc"));
         let _ = g.nodes_with("year", &AttrValue::int(1991));
+        let index = g.attr_index();
+        for (&sym, values) in &index.value_slots {
+            for value in values.keys() {
+                let _ = index.nodes_eq(sym, value);
+            }
+            let _ = index.nodes_with_name(sym);
+        }
         if let Some(table) = g.sim_table("emb") {
             let probe = vec![0.5f32; table.dim()];
             let _ = table.within_l2(&probe, 1.5, true);
         }
+        let cond = snap.condensation();
+        for c in (0..cond.component_count()).map(|c| CompId(c as u32)) {
+            let _ = cond.members(c);
+            let _ = cond.successors(c);
+            let _ = cond.predecessors(c);
+        }
+    }
+
+    /// The mapped offsets runs a plain-`Mmap` open does not scan.
+    fn unscanned_offsets_rows() -> Vec<&'static Section> {
+        let rows: Vec<_> = TABLE
+            .iter()
+            .filter(|row| row.spans.is_some() && row.check == Check::Verifying)
+            .collect();
+        assert_eq!(rows.len(), 8);
+        rows
+    }
+
+    /// The offsets run of `row` as `good` stores it.
+    fn stored_offsets(good: &[u8], row: &Section) -> Vec<u32> {
+        let (_, _, offset, len) = toc(good)
+            .into_iter()
+            .find(|e| e.1 == row.kind as u32)
+            .unwrap_or_else(|| panic!("section {} not found", row.name));
+        decode_elems(&good[offset..offset + len])
+    }
+
+    /// `good` with entry `index` of `row`'s offsets run set to `value`,
+    /// every checksum re-stamped.
+    fn stomp(good: &[u8], row: &Section, index: usize, value: u32) -> Vec<u8> {
+        let at = section_offset(good, row.kind) + 4 * index;
+        let mut bytes = good.to_vec();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        restamp(&mut bytes);
+        bytes
+    }
+
+    /// Every way to damage one *middle* entry of an unscanned offsets run
+    /// that the two end checks cannot see: `(row, index, value)` with the
+    /// value past every target (`0xFFFF_FFFF`) or in range but out of order.
+    fn middle_stomps(good: &[u8]) -> Vec<(&'static Section, usize, u32)> {
+        let mut stomps = Vec::new();
+        for row in unscanned_offsets_rows() {
+            let offsets = stored_offsets(good, row);
+            let last = *offsets.last().unwrap();
+            let mut in_range = 0;
+            for i in 1..offsets.len() - 1 {
+                stomps.push((row, i, u32::MAX));
+                if offsets[i - 1] > 0 {
+                    stomps.push((row, i, offsets[i - 1] - 1));
+                    in_range += 1;
+                }
+                if offsets[i + 1] < last {
+                    stomps.push((row, i, offsets[i + 1] + 1));
+                    in_range += 1;
+                }
+            }
+            assert!(in_range > 0, "{}: no in-range stomp", row.name);
+        }
+        stomps
+    }
+
+    /// How long each run behind `kind`'s offsets reads through the public
+    /// accessors of a loaded graph.
+    fn run_lens(snap: &GraphSnapshot, kind: SectionKind) -> Vec<usize> {
+        let g = snap.graph();
+        let cond = snap.condensation();
+        let comps = || (0..cond.component_count()).map(|c| CompId(c as u32));
+        match kind {
+            SectionKind::FwdOffsets => g.nodes().map(|v| g.out_degree(v)).collect(),
+            SectionKind::RevOffsets => g.nodes().map(|v| g.in_degree(v)).collect(),
+            SectionKind::AttrOffsets => g.nodes().map(|v| g.attributes(v).len()).collect(),
+            SectionKind::ValOffsets => {
+                let index = g.attr_index();
+                let mut lens = vec![0; index.value_offsets.len() - 1];
+                for (&sym, values) in &index.value_slots {
+                    for (value, &slot) in values {
+                        lens[slot as usize] = index.nodes_eq(sym, value).len();
+                    }
+                }
+                lens
+            }
+            SectionKind::NameOffsets => {
+                let index = g.attr_index();
+                let mut lens = vec![0; index.name_offsets.len() - 1];
+                for (&sym, &slot) in &index.name_slots {
+                    lens[slot as usize] = index.nodes_with_name(sym).len();
+                }
+                lens
+            }
+            SectionKind::MembersOffsets => comps().map(|c| cond.members(c).len()).collect(),
+            SectionKind::CompOutOffsets => comps().map(|c| cond.successors(c).len()).collect(),
+            SectionKind::CompInOffsets => comps().map(|c| cond.predecessors(c).len()).collect(),
+            other => panic!("{other:?} is not an unscanned offsets run"),
+        }
+    }
+
+    #[test]
+    fn a_corrupt_middle_offset_opens_under_plain_mmap_and_reads_as_an_empty_run() {
+        let path = tmp("bad-offsets.gtpq");
+        hostile_base().save(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let pristine = GraphSnapshot::open_heap(&path).unwrap();
+
+        for (row, index, value) in middle_stomps(&good) {
+            let case = format!("{}[{index}] = {value:#x}", row.name);
+            std::fs::write(&path, stomp(&good, row, index, value)).unwrap();
+
+            // Plain mmap opens it; the run on the wrong side of the damaged
+            // entry (both sides, when it points past every target) reads
+            // empty, every run away from it reads what the file holds, and
+            // no accessor — nor a commit over the mapped graph — panics.
+            let loaded = GraphSnapshot::open_mmap(&path)
+                .unwrap_or_else(|e| panic!("{case} refused under plain mmap: {e}"));
+            let offsets = stored_offsets(&good, row);
+            let lens = run_lens(&loaded, row.kind);
+            let want = run_lens(&pristine, row.kind);
+            for (run, (&got, &want)) in lens.iter().zip(&want).enumerate() {
+                if run + 1 == index {
+                    let reads_empty = value < offsets[index - 1] || value == u32::MAX;
+                    assert!(!reads_empty || got == 0, "{case}: run {run} reads {got}");
+                } else if run == index {
+                    let reads_empty = value > offsets[index + 1];
+                    assert!(!reads_empty || got == 0, "{case}: run {run} reads {got}");
+                } else {
+                    assert_eq!(got, want, "{case}: run {run}");
+                }
+            }
+            walk(&loaded);
+
+            // The verifying modes scan the run and name it.
+            for mode in [LoadMode::MmapVerified, LoadMode::Heap] {
+                match GraphSnapshot::open(&path, mode) {
+                    Err(SnapshotError::Malformed { what }) => assert_eq!(
+                        what,
+                        format!("{} is non-monotone", row.name),
+                        "{case} under {mode:?}"
+                    ),
+                    other => panic!("{case} under {mode:?}: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+
+        // A damaged *end* is a typed error in every mode.
+        for row in unscanned_offsets_rows() {
+            let offsets = stored_offsets(&good, row);
+            let last = offsets.len() - 1;
+            for (index, value) in [
+                (0, 1),
+                (0, u32::MAX),
+                (last, offsets[last] + 1),
+                (last, offsets[last].wrapping_sub(1)),
+            ] {
+                std::fs::write(&path, stomp(&good, row, index, value)).unwrap();
+                for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+                    match GraphSnapshot::open(&path, mode) {
+                        Err(SnapshotError::Malformed { what }) => assert_eq!(
+                            what,
+                            format!("{} does not span its target run", row.name),
+                            "{mode:?}"
+                        ),
+                        other => panic!(
+                            "{}[{index}] = {value:#x} under {mode:?}: {:?}",
+                            row.name,
+                            other.map(|_| ())
+                        ),
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A DAG of `n` nodes whose symbol, string and value-slot dictionaries
+    /// do not depend on `n` (from 35 nodes up).
+    fn dag_with_fixed_dictionaries(n: u32) -> GraphSnapshot {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| {
+                let v = b.add_node_with_label(&format!("l{}", i % 5));
+                b.set_attr(v, "year", AttrValue::int(1990 + (i % 7) as i64));
+                v
+            })
+            .collect();
+        for i in 0..nodes.len() {
+            for step in [1, 7] {
+                if let Some(&to) = nodes.get(i + step) {
+                    b.add_edge(nodes[i], to);
+                }
+            }
+        }
+        GraphSnapshot::freeze(Arc::new(b.build()))
+    }
+
+    #[test]
+    fn a_plain_mmap_open_examines_the_same_amount_whatever_the_graph_size() {
+        let path = tmp("open-work.gtpq");
+        let examined = |n: u32, mode: LoadMode| {
+            dag_with_fixed_dictionaries(n).save(&path).unwrap();
+            EXAMINED.with(|total| total.set(0));
+            let loaded = GraphSnapshot::open(&path, mode).unwrap();
+            assert_eq!(loaded.graph().node_count(), n as usize);
+            let mapped = loaded.graph().backing_file_id().is_some();
+            (EXAMINED.with(|total| total.get()), mapped)
+        };
+        let (small, mapped) = examined(1_000, LoadMode::Mmap);
+        if !mapped {
+            // Mapping unavailable: the heap fallback reads the file anyway.
+            let _ = std::fs::remove_file(&path);
+            return;
+        }
+        let (large, _) = examined(50_000, LoadMode::Mmap);
+        assert!(small > 0);
+        assert_eq!(
+            small, large,
+            "a plain-mmap open checksummed or scanned something node-sized"
+        );
+        let (small, _) = examined(1_000, LoadMode::MmapVerified);
+        let (large, _) = examined(50_000, LoadMode::MmapVerified);
+        assert!(
+            large > 40 * small,
+            "a verifying open reads the whole file: {small} vs {large}"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -2059,7 +2327,7 @@ mod tests {
                 for mode in [LoadMode::Mmap, LoadMode::Heap] {
                     let walked = std::panic::catch_unwind(|| {
                         if let Ok(snap) = GraphSnapshot::open(&victim, mode) {
-                            walk(&snap);
+                            touch(&snap);
                         }
                     });
                     assert!(
@@ -2067,6 +2335,25 @@ mod tests {
                         "section at {offset} filled with {fill:#04x} panicked under {mode:?}"
                     );
                 }
+            }
+        }
+
+        // One middle entry of an offsets run damaged in a way the end checks
+        // cannot see: plain mmap serves it, the verifying modes refuse it.
+        for (row, index, value) in middle_stomps(&good) {
+            std::fs::write(&victim, stomp(&good, row, index, value)).unwrap();
+            for mode in modes {
+                let walked = std::panic::catch_unwind(|| {
+                    GraphSnapshot::open(&victim, mode).map(|snap| walk(&snap))
+                });
+                assert!(
+                    matches!(
+                        walked,
+                        Ok(Ok(())) | Ok(Err(SnapshotError::Malformed { .. }))
+                    ),
+                    "{}[{index}] = {value:#x} under {mode:?}: {walked:?}",
+                    row.name
+                );
             }
         }
 
@@ -2085,7 +2372,7 @@ mod tests {
                 std::fs::write(&victim, &bytes).unwrap();
                 for mode in modes {
                     let walked = std::panic::catch_unwind(|| {
-                        GraphSnapshot::open(&victim, mode).map(|snap| walk(&snap))
+                        GraphSnapshot::open(&victim, mode).map(|snap| touch(&snap))
                     });
                     assert!(
                         matches!(walked, Ok(Err(SnapshotError::Malformed { .. }))),
@@ -2114,7 +2401,7 @@ mod tests {
         // now point past the empty dictionary degrade to skipped attributes;
         // the verifying modes refuse them up front.
         let loaded = GraphSnapshot::open_mmap(&path).unwrap();
-        walk(&loaded);
+        touch(&loaded);
         assert!(loaded.graph().sim_table("emb").is_none());
         assert!(matches!(
             GraphSnapshot::open_heap(&path),

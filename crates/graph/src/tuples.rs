@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::attr::{AttrValue, Attribute};
-use crate::run::IntRun;
+use crate::run::{window, IntRun};
 use crate::symbol::Symbol;
 
 /// Attribute value tag: the payload is the `i64` value itself.
@@ -45,15 +45,10 @@ impl VecDict {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// The floats of entry `id`; `None` when the id or its span is out of
-    /// range (defensive for plain-mmap loads of damaged files).
+    /// The floats of entry `id`; `None` when the id is out of range
+    /// (defensive for plain-mmap loads of damaged files).
     pub(crate) fn get(&self, id: usize) -> Option<&[f32]> {
-        let lo = *self.offsets.get(id)? as usize;
-        let hi = *self.offsets.get(id + 1)? as usize;
-        if lo > hi || hi > self.data.len() {
-            return None;
-        }
-        Some(&self.data[lo..hi])
+        (id < self.len()).then(|| window(&self.offsets, id, &self.data))
     }
 
     pub(crate) fn backing_file_id(&self) -> Option<(u64, u64)> {
@@ -84,26 +79,27 @@ impl AttrColumns {
     /// skipped rather than panicking.
     fn decode(&self) -> Vec<Vec<Attribute>> {
         let n = self.offsets.len().saturating_sub(1);
-        // Clamp every span to the shortest column so a corrupt offset (a
-        // mapped file damaged on disk after load) degrades to a truncated
-        // tuple — it can neither size a multi-GB allocation nor spin through
-        // billions of per-entry bounds checks below.
+        // Window every span into columns cut to the shortest one, so a
+        // corrupt offset (a mapped file damaged on disk) degrades to an empty
+        // tuple in all three alike — it can neither size a multi-GB
+        // allocation nor spin through billions of entries below.
         let entries = self
             .names
             .len()
             .min(self.tags.len())
             .min(self.payloads.len());
+        let (names, tags, payloads) = (
+            &self.names[..entries],
+            &self.tags[..entries],
+            &self.payloads[..entries],
+        );
         let mut out = Vec::with_capacity(n);
         for v in 0..n {
-            let lo = (self.offsets[v] as usize).min(entries);
-            let hi = (self.offsets[v + 1] as usize).clamp(lo, entries);
-            let mut tuple = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
-                let (Some(&name), Some(&tag), Some(&payload)) =
-                    (self.names.get(i), self.tags.get(i), self.payloads.get(i))
-                else {
-                    continue;
-                };
+            let names = window(&self.offsets, v, names);
+            let tags = window(&self.offsets, v, tags);
+            let payloads = window(&self.offsets, v, payloads);
+            let mut tuple = Vec::with_capacity(names.len());
+            for ((&name, &tag), &payload) in names.iter().zip(tags).zip(payloads) {
                 let value = match tag {
                     TAG_INT => AttrValue::Int(payload as i64),
                     TAG_STR => match usize::try_from(payload)
