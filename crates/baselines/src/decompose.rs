@@ -56,7 +56,7 @@ pub fn evaluate_gtpq_with(algo: &dyn TpqAlgorithm, q: &Gtpq) -> (ResultSet, Base
         sat[u.index()] = candidates
             .into_iter()
             .filter(|&v| {
-                eval_with(&fext, &|var| {
+                eval_with(&fext, &mut |var| {
                     memberships
                         .get(&QueryNodeId::from_var(var))
                         .is_some_and(|m| m.contains(&v))

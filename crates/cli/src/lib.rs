@@ -68,9 +68,6 @@ OPTIONS:
     --limit N         result rows to fetch (pushed into the engine: the
                       enumerator stops after N rows)  [default: 20]
     --timeout MS      per-query deadline in milliseconds [default: none]
-    --threads N       intra-query parallelism degree: one query fans out
-                      over up to N morsel workers; 1 = serial
-                                                    [default: machine cores]
     --slow-ms MS|off  slow-query-log threshold in milliseconds; `off`
                       disables the log                  [default: 100]
     --trace-out PATH  with --query: record a span trace of the query and
@@ -86,8 +83,6 @@ REPL COMMANDS:
     :stats [on|off]   toggle per-query statistics
     :limit N|none     result rows to fetch (real pushdown, not display trim)
     :timeout MS|off   per-query deadline in milliseconds
-    :threads N        intra-query parallelism degree (1 = serial); bare
-                      `:threads` prints the current degree
     :backend          backend in use (and why it was auto-selected)
     :metrics          service counters, latency/first-row percentiles,
                       recent rates (QPS, hit rate over the last 30s),
@@ -201,9 +196,6 @@ pub struct CliOptions {
     pub limit: usize,
     /// Per-query deadline in milliseconds; `None` = no deadline.
     pub timeout_ms: Option<u64>,
-    /// Intra-query parallelism degree; `None` = the service default (machine
-    /// cores), `Some(1)` forces serial runs.
-    pub threads: Option<usize>,
     /// Slow-query-log threshold override: outer `None` keeps the service
     /// default (100ms), `Some(None)` disables the log (`--slow-ms off`),
     /// `Some(Some(ms))` sets the threshold.
@@ -227,7 +219,6 @@ impl Default for CliOptions {
             show_stats: false,
             limit: 20,
             timeout_ms: None,
-            threads: None,
             slow_ms: None,
             trace_out: None,
             help: false,
@@ -281,15 +272,6 @@ impl CliOptions {
                             .map_err(|_| format!("invalid --timeout `{v}` (expected ms)"))?,
                     );
                 }
-                "--threads" => {
-                    let v = value_of("--threads")?;
-                    opts.threads = Some(
-                        v.parse()
-                            .ok()
-                            .filter(|n| *n > 0)
-                            .ok_or_else(|| format!("invalid --threads `{v}` (expected N > 0)"))?,
-                    );
-                }
                 "--slow-ms" => {
                     let v = value_of("--slow-ms")?;
                     opts.slow_ms = Some(match v.as_str() {
@@ -338,7 +320,6 @@ pub struct Session {
     show_stats: bool,
     limit: Option<usize>,
     timeout: Option<Duration>,
-    threads: Option<usize>,
     trace_on: bool,
     last_trace: Option<Trace>,
 }
@@ -379,7 +360,6 @@ impl Session {
             show_stats: opts.show_stats,
             limit: Some(opts.limit.max(1)),
             timeout: opts.timeout_ms.map(Duration::from_millis),
-            threads: opts.threads,
             trace_on: opts.trace_out.is_some(),
             last_trace: None,
         })
@@ -671,24 +651,6 @@ impl Session {
                     Err(_) => format!("expected `:timeout MS` or `:timeout off`, got `{rest}`"),
                 },
             },
-            "threads" => match rest {
-                "" => match self.threads {
-                    Some(1) => "threads 1 (serial)".to_owned(),
-                    Some(n) => format!("threads {n}"),
-                    None => "threads auto (service default: machine cores)".to_owned(),
-                },
-                _ => match rest.parse::<usize>() {
-                    Ok(1) => {
-                        self.threads = Some(1);
-                        "threads 1 (serial)".to_owned()
-                    }
-                    Ok(n) if n > 1 => {
-                        self.threads = Some(n);
-                        format!("threads {n}")
-                    }
-                    _ => format!("expected `:threads N` (N >= 1), got `{rest}`"),
-                },
-            },
             "trace" => match rest {
                 "" => match &self.last_trace {
                     Some(trace) => format!(
@@ -861,9 +823,6 @@ impl Session {
         }
         if let Some(budget) = self.timeout {
             request = request.with_deadline(budget);
-        }
-        if let Some(threads) = self.threads {
-            request = request.with_threads(threads);
         }
         if self.trace_on {
             request = request.with_trace();
@@ -1183,16 +1142,10 @@ mod tests {
         assert!(CliOptions::parse(["--what".into()]).is_err());
         assert!(CliOptions::parse(["--seed".into()]).is_err());
         assert!(CliOptions::parse(["--limit".into(), "0".into()]).is_err());
-        assert!(CliOptions::parse(["--threads".into(), "0".into()]).is_err());
-        assert!(CliOptions::parse(["--threads".into(), "many".into()]).is_err());
-    }
-
-    #[test]
-    fn threads_flag_parses() {
-        let opts = CliOptions::parse(["--threads", "4"].map(String::from)).unwrap();
-        assert_eq!(opts.threads, Some(4));
-        let opts = CliOptions::parse(Vec::new()).unwrap();
-        assert_eq!(opts.threads, None, "default defers to the service");
+        // Evaluation is serial: there is no degree to set.
+        let err = CliOptions::parse(["--threads".into(), "4".into()]).unwrap_err();
+        assert!(err.contains("unknown argument `--threads`"), "{err}");
+        assert!(!usage().contains("threads"));
     }
 
     #[test]

@@ -93,39 +93,6 @@ inproceedings { / [label = title]* where / [label = author, value = Alice] }
 }
 
 #[test]
-fn threads_command_and_flag_keep_answers_bit_identical() {
-    // The same broad query through a serial session (`--threads 1`) and a
-    // fanned-out one must render identically — parallel execution is an
-    // implementation detail, never a semantic one.
-    let query = "[label = paper3]* { where //auth7 }\n";
-    let run = |threads: &str| {
-        let opts = CliOptions::parse(
-            ["--dataset", "arxiv", "--scale", "0.4", "--threads", threads].map(String::from),
-        )
-        .unwrap();
-        let mut session = Session::new(&opts).unwrap();
-        let mut out = Vec::new();
-        repl(&mut session, query.as_bytes(), &mut out, false).unwrap();
-        String::from_utf8(out).unwrap()
-    };
-    let serial = run("1");
-    let parallel = run("8");
-    assert_eq!(serial, parallel);
-    assert!(serial.contains("rows"), "{serial}");
-
-    // The REPL command adjusts the degree mid-session and echoes it.
-    let mut session = arxiv_session();
-    let input = ":threads\n:threads 8\n:threads 1\n:threads nope\n:quit\n";
-    let mut out = Vec::new();
-    repl(&mut session, input.as_bytes(), &mut out, false).unwrap();
-    let out = String::from_utf8(out).unwrap();
-    assert!(out.contains("threads auto"), "{out}");
-    assert!(out.contains("threads 8"), "{out}");
-    assert!(out.contains("threads 1 (serial)"), "{out}");
-    assert!(out.contains("expected `:threads N`"), "{out}");
-}
-
-#[test]
 fn repl_reports_parse_errors_without_dying() {
     let opts = CliOptions::parse(["--scale", "0.2"].map(String::from)).unwrap();
     let mut session = Session::new(&opts).unwrap();

@@ -20,8 +20,8 @@ use crate::stream::{MatchStream, StreamSource};
 /// Row-window and control parameters of one [`GteaEngine::execute`] call.
 ///
 /// The default is the legacy behaviour: no limit, no offset, unbounded
-/// control, serial execution.
-#[derive(Clone, Debug)]
+/// control.
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Stop after this many rows have been *emitted* (post-offset).  `None`
     /// materializes the full answer.
@@ -31,25 +31,6 @@ pub struct ExecOptions {
     pub offset: usize,
     /// Deadline / cancellation control polled by every pipeline stage.
     pub ctl: ExecCtl,
-    /// Intra-query parallelism degree: candidate selection, both prune
-    /// rounds and matching-graph construction split their work into morsels
-    /// across up to this many worker threads; result enumeration is serial
-    /// at every degree.  `1` (the default) is fully serial.  The engine
-    /// applies it structurally whenever the input is splittable — cost-based
-    /// gating (is this query worth fanning out?) belongs to the caller, see
-    /// [`QueryPlan::recommended_threads`].
-    pub threads: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        Self {
-            limit: None,
-            offset: 0,
-            ctl: ExecCtl::default(),
-            threads: 1,
-        }
-    }
 }
 
 impl ExecOptions {
@@ -73,12 +54,6 @@ impl ExecOptions {
     /// Sets the execution control.
     pub fn with_ctl(mut self, ctl: ExecCtl) -> Self {
         self.ctl = ctl;
-        self
-    }
-
-    /// Sets the intra-query parallelism degree (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -240,13 +215,7 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         plan: &QueryPlan,
         options: ExecOptions,
     ) -> Result<Execution, Aborted> {
-        let ExecOptions {
-            limit,
-            offset,
-            ctl,
-            threads,
-        } = options;
-        let ctl = ctl.with_threads(threads);
+        let ExecOptions { limit, offset, ctl } = options;
         let tracer = ctl.tracer().clone();
         let mut stats = EvalStats::default();
         let source = match self.match_stream_inner(q, plan, &ctl, &mut stats) {

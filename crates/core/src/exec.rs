@@ -68,59 +68,20 @@ impl CancelToken {
 /// stage.
 ///
 /// Neither `Send` nor `Sync` (it keeps an interior poll counter and an
-/// `Rc`-shared [`Tracer`]); build one per evaluation and share the underlying
-/// [`CancelToken`] across threads instead.  Worker threads of a
-/// morsel-parallel stage rebuild their own controls from the `Send`
-/// ingredients via [`worker`](Self::worker).
+/// `Rc`-shared [`Tracer`]): an evaluation runs on one thread, so build one
+/// control per evaluation and share the underlying [`CancelToken`] with
+/// whichever thread may cancel it.
 ///
 /// The control also carries the request's tracer: every pipeline stage polls
 /// the control anyway, so riding the tracer along gives each stage span
 /// recording without widening any signature.  The default tracer is disabled
-/// and costs nothing.  It also carries the requested intra-query parallelism
-/// degree ([`threads`](Self::threads)), so every stage can decide whether to
-/// fan out without widening its signature either.
-#[derive(Clone, Debug)]
+/// and costs nothing.
+#[derive(Clone, Debug, Default)]
 pub struct ExecCtl {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    threads: usize,
     polls: Cell<u32>,
     tracer: Tracer,
-}
-
-impl Default for ExecCtl {
-    fn default() -> Self {
-        Self {
-            deadline: None,
-            cancel: None,
-            threads: 1,
-            polls: Cell::new(0),
-            tracer: Tracer::disabled(),
-        }
-    }
-}
-
-/// The `Send` ingredients of an [`ExecCtl`]: deadline and cancellation
-/// token, without the thread-local poll counter and tracer.  Worker threads
-/// of a parallel stage call [`ctl`](Self::ctl) to rebuild a control that
-/// honours the same deadline and cancellation as the parent.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerCtl {
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl WorkerCtl {
-    /// Builds a single-threaded control with the same deadline and
-    /// cancellation sources as the parent, a fresh poll counter and a
-    /// disabled tracer.
-    pub fn ctl(&self) -> ExecCtl {
-        ExecCtl {
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-            ..ExecCtl::default()
-        }
-    }
 }
 
 impl ExecCtl {
@@ -136,10 +97,13 @@ impl ExecCtl {
         self
     }
 
-    /// Adds a deadline `budget` from now.
+    /// Adds a deadline `budget` from now.  A budget that runs past the
+    /// clock's range (`Duration::MAX`, say) is no deadline at all.
     pub fn with_timeout(self, budget: Duration) -> Self {
-        let now = Instant::now();
-        self.with_deadline(now.checked_add(budget).unwrap_or(now))
+        match Instant::now().checked_add(budget) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
+        }
     }
 
     /// Adds a cancellation token (shared with the party that may cancel).
@@ -154,31 +118,9 @@ impl ExecCtl {
         self
     }
 
-    /// Sets the intra-query parallelism degree (clamped to at least 1).
-    /// Stages fan out over the worker pool only when this exceeds 1 *and*
-    /// their input is large enough to split.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The tracer the pipeline records spans through (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The intra-query parallelism degree (1 = serial, the default).
-    pub fn threads(&self) -> usize {
-        self.threads.max(1)
-    }
-
-    /// The `Send` ingredients of this control, for rebuilding per-worker
-    /// controls on other threads.
-    pub fn worker(&self) -> WorkerCtl {
-        WorkerCtl {
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-        }
     }
 
     /// Whether this control can never interrupt.
@@ -279,28 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn threads_degree_is_clamped_to_at_least_one() {
-        assert_eq!(ExecCtl::default().threads(), 1);
-        assert_eq!(ExecCtl::unbounded().with_threads(0).threads(), 1);
-        assert_eq!(ExecCtl::unbounded().with_threads(8).threads(), 8);
-    }
-
-    #[test]
-    fn worker_controls_share_deadline_and_cancellation() {
-        let token = CancelToken::new();
-        let parent = ExecCtl::unbounded()
-            .with_cancel(token.clone())
-            .with_timeout(Duration::from_secs(3600))
-            .with_threads(4);
-        let parts = parent.worker();
-        let handle = std::thread::spawn(move || {
-            let wctl = parts.ctl();
-            assert_eq!(wctl.threads(), 1);
-            assert_eq!(wctl.check(), Ok(()));
-            token.cancel();
-            assert_eq!(wctl.check(), Err(Interrupt::Cancelled));
-        });
-        handle.join().unwrap();
-        assert_eq!(parent.check(), Err(Interrupt::Cancelled));
+    fn a_budget_past_the_clock_s_range_is_no_deadline() {
+        let ctl = ExecCtl::unbounded().with_timeout(Duration::MAX);
+        assert!(ctl.is_unbounded());
+        assert_eq!(ctl.check(), Ok(()));
+        assert_eq!(ctl.check_sampled(), Ok(()));
     }
 }

@@ -44,9 +44,11 @@
 //! options; the engine's [`Reachability`](gtpq_reach::Reachability) backend
 //! serves the pairwise ablation arm ([`GteaOptions::without_contours`]).
 //!
-//! Intra-query threads ([`ExecOptions::threads`]) fan steps 1–3 out over
-//! morsels of their candidate lists; step 4 is one serial walk at every
-//! degree, so the answer, its order and the row counters never depend on it.
+//! Every step runs on the calling thread: the filter stages take tens to
+//! hundreds of microseconds per query, less than starting worker threads
+//! would cost ("No intra-query parallelism" in `docs/ARCHITECTURE.md`).
+//! Different requests run on different threads through the query service's
+//! batch pool.
 //!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs
@@ -60,7 +62,6 @@
 pub mod engine;
 pub mod exec;
 pub mod matching;
-pub(crate) mod morsel;
 pub mod options;
 pub mod plan;
 pub mod prime;
@@ -69,7 +70,7 @@ pub mod stats;
 pub mod stream;
 
 pub use engine::{Aborted, ExecOptions, Execution, GteaEngine};
-pub use exec::{CancelToken, ExecCtl, Interrupt, WorkerCtl};
+pub use exec::{CancelToken, ExecCtl, Interrupt};
 // Re-exported so `ExecCtl::with_tracer` callers need no direct `gtpq-obs`
 // dependency.
 pub use gtpq_obs::{Trace, Tracer};

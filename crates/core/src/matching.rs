@@ -8,16 +8,14 @@
 //! single edge, so the representation is at most quadratic even when the
 //! number of matches is exponential.
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::time::Instant;
 
-use gtpq_graph::{intersect_sorted, DataGraph, NodeId};
+use gtpq_graph::{intersect_sorted_into, DataGraph, NodeId};
 use gtpq_query::{EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
-use crate::morsel;
 use crate::prime::ShrunkPrime;
 use crate::stats::EvalStats;
 
@@ -68,9 +66,10 @@ impl MatchingGraph {
     /// Builds the matching graph for the shrunk prime subtree.
     ///
     /// The branches of a PC child are adjacency-list intersections, one per
-    /// parent candidate (split into morsels across `ctl.threads()`).  All
-    /// branches of an AD child come out of one
-    /// [`gtpq_reach::sweep::branches`] pass over `g`'s condensation, so
+    /// parent candidate, written straight into the flat target buffer (which
+    /// is reserved once per child, so the build allocates the same whatever
+    /// the number of candidates).  All branches of an AD child come out of
+    /// one [`gtpq_reach::sweep::branches`] pass over `g`'s condensation, so
     /// their cost is the region between the two candidate sets plus the
     /// branch entries themselves, not `|mat(u)| · |mat(child)|` probes.
     ///
@@ -128,31 +127,17 @@ impl MatchingGraph {
                 let base = self.targets.len();
                 if q.incoming_edge(child) == Some(EdgeKind::Child) {
                     // Adjacency lists and candidate sets are both sorted by
-                    // id.  The per-candidate intersections are independent,
-                    // so the candidate domain splits into morsels; outputs
-                    // come back in input order.
-                    let branch = |&v: &NodeId, lookups: &Cell<u64>| {
-                        lookups.set(lookups.get() + g.out_degree(v) as u64);
-                        intersect_sorted(g.children(v), child_mat)
-                    };
-                    let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
-                    let (branches, lookups) = if ctl.threads() > 1 && ranges.len() > 1 {
-                        let (branches, round) =
-                            morsel::parallel_map(candidates, &ranges, ctl, branch)?;
-                        morsel::fold_round(stats, &round);
-                        (branches, round.lookups)
-                    } else {
-                        let counter = Cell::new(0u64);
-                        let mut branches = Vec::with_capacity(candidates.len());
-                        for v in candidates {
-                            ctl.check_sampled()?;
-                            branches.push(branch(v, &counter));
-                        }
-                        (branches, counter.get())
-                    };
-                    stats.index_lookups += lookups;
-                    for branch in &branches {
-                        self.targets.extend_from_slice(branch);
+                    // id, and no branch outgrows either side.
+                    let most: usize = candidates
+                        .iter()
+                        .map(|&v| g.out_degree(v).min(child_mat.len()))
+                        .sum();
+                    self.targets.reserve(most);
+                    self.bounds.reserve(candidates.len());
+                    for &v in candidates {
+                        ctl.check_sampled()?;
+                        stats.index_lookups += g.out_degree(v) as u64;
+                        intersect_sorted_into(g.children(v), child_mat, &mut self.targets);
                         self.bounds.push(self.targets.len());
                     }
                 } else {

@@ -40,7 +40,6 @@ use gtpq_query::{CandidateSelection, EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::{select_backend_for_query, BackendKind, GraphProfile};
 
 use crate::exec::{ExecCtl, Interrupt};
-use crate::morsel;
 use crate::prime::PrimeSubtree;
 use crate::stats::{EvalStats, OperatorStats};
 
@@ -184,32 +183,6 @@ impl QueryPlan {
                 kind: None,
                 reason: "fixed pipeline (no planning)",
             },
-        }
-    }
-
-    /// The intra-query parallelism degree worth using for this plan:
-    /// `requested` workers when the estimated work is large enough to
-    /// amortize the fan-out, 1 (serial) otherwise.
-    ///
-    /// The weight is the same one behind the backend recommendation —
-    /// [`estimated_probes`](Self::estimated_probes), the predicted
-    /// reachability work of both prune rounds — plus the estimated matching
-    /// graph size: the stages that fan out.  The estimated result size does
-    /// not vote, because enumeration is serial at every degree.  A cheap
-    /// query (point lookups, guaranteed-empty postings) stays serial no
-    /// matter how many threads the caller offers: spawning workers and
-    /// dispatching morsels cost more than the work they would split.
-    pub fn recommended_threads(&self, requested: usize) -> usize {
-        /// Below this many estimated probes + matching-graph rows, fan-out
-        /// overhead wins.
-        const MIN_PARALLEL_WORK: u64 = 10_000;
-        let work = self
-            .estimated_probes
-            .saturating_add(self.matching_estimated_rows);
-        if work < MIN_PARALLEL_WORK {
-            1
-        } else {
-            requested.max(1)
         }
     }
 
@@ -600,20 +573,7 @@ fn execute_candidates_inner(
             AccessPath::FullScan => {
                 stats.input_nodes += g.node_count() as u64;
                 stats.scanned_nodes += g.node_count() as u64;
-                let nodes = if ctl.threads() > 1 {
-                    // The candidate domain of a full scan is the whole node
-                    // table, so it partitions trivially into fixed-size
-                    // morsels; the order-preserving filter keeps the output
-                    // identical to the serial `q.candidates` scan.
-                    let all: Vec<NodeId> = g.nodes().collect();
-                    let ranges = morsel::morsel_ranges(all.len(), ctl.threads());
-                    let (kept, _) = morsel::parallel_retain(all, &ranges, ctl, stats, |v, _| {
-                        q.matches_attr(g, v, u)
-                    })?;
-                    kept
-                } else {
-                    q.candidates(g, u)
-                };
+                let nodes = q.candidates(g, u);
                 stats.initial_candidates += nodes.len() as u64;
                 nodes
             }
@@ -745,47 +705,6 @@ mod tests {
         assert!(stats.operators.iter().any(|o| o.label == "PivotScan u0"));
         let est = plan.candidates[0].estimated_rows;
         assert!(est >= 8, "pivot estimate {est} must upper-bound the answer");
-    }
-
-    #[test]
-    fn recommended_threads_keeps_cheap_plans_serial() {
-        let g = example_graph();
-        let q = example_query();
-        // The fixed pipeline carries no estimates: always serial.
-        assert_eq!(QueryPlan::fixed_pipeline(&q).recommended_threads(8), 1);
-        // The running example is tiny — far below the fan-out threshold.
-        let mut plan = Planner::new(&g).plan(&q);
-        assert_eq!(plan.recommended_threads(8), 1);
-        // A huge answer over cheap filter stages stays serial too: the rows
-        // are enumerated by one thread whatever the degree.
-        plan.collect_estimated_rows = u64::MAX;
-        assert_eq!(plan.recommended_threads(8), 1);
-        // Inflate the estimated work: the requested degree passes through.
-        plan.estimated_probes = 1_000_000;
-        assert_eq!(plan.recommended_threads(8), 8);
-        assert_eq!(plan.recommended_threads(0), 1);
-    }
-
-    #[test]
-    fn full_scans_parallelize_without_changing_the_result() {
-        let g = example_graph();
-        let q = example_query();
-        let mut plan = Planner::new(&g).plan(&q);
-        for step in &mut plan.candidates {
-            step.access = AccessPath::FullScan;
-        }
-        let mut serial_stats = EvalStats::default();
-        let serial =
-            execute_candidates(&q, &g, &plan, &mut serial_stats, &ExecCtl::unbounded()).unwrap();
-        let mut par_stats = EvalStats::default();
-        let ctl = ExecCtl::unbounded().with_threads(4);
-        let parallel = execute_candidates(&q, &g, &plan, &mut par_stats, &ctl).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_stats.scanned_nodes, par_stats.scanned_nodes);
-        assert_eq!(
-            serial_stats.initial_candidates,
-            par_stats.initial_candidates
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The two-round pruning process (§4.2, Procedures 6 and 7).
 
 use std::fmt::Write as _;
-use std::ops::Range;
 use std::time::Instant;
 
 use gtpq_graph::{DataGraph, NodeBitSet, NodeId};
@@ -11,31 +10,26 @@ use gtpq_reach::sweep::{sweep, ComponentSet, Direction};
 use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
-use crate::morsel;
 use crate::options::GteaOptions;
 use crate::plan::PruneStep;
 use crate::prime::PrimeSubtree;
 use crate::stats::{EvalStats, OperatorStats};
 
-/// Candidate-set size from which parallel prune morsels are snapped to SCC
-/// condensation boundaries: below this, the snap's component lookups cost
-/// more than the locality they buy.
-const SNAP_MIN_CANDIDATES: usize = 4096;
-
-/// Morsel boundaries for one parallel prune round over `candidates`.  Large
-/// rounds snap boundaries to the graph's SCC structure (candidate lists are
-/// sorted by node id, so one component's candidates are contiguous whenever
-/// node ids follow component layout) — one worker then owns each big
-/// component's run of candidates, keeping its adjacency reads on one thread.
-fn prune_ranges(g: &DataGraph, candidates: &[NodeId], ctl: &ExecCtl) -> Vec<Range<usize>> {
-    let ranges = morsel::morsel_ranges(candidates.len(), ctl.threads());
-    if ctl.threads() <= 1 || candidates.len() < SNAP_MIN_CANDIDATES {
-        return ranges;
+/// The candidates `keep` accepts, in order, polling `ctl` once per
+/// candidate.
+fn retain_polled(
+    candidates: &[NodeId],
+    ctl: &ExecCtl,
+    mut keep: impl FnMut(NodeId) -> bool,
+) -> Result<Vec<NodeId>, Interrupt> {
+    let mut kept = Vec::with_capacity(candidates.len());
+    for &v in candidates {
+        ctl.check_sampled()?;
+        if keep(v) {
+            kept.push(v);
+        }
     }
-    let cond = g.condensation();
-    morsel::snap_ranges(&ranges, |a, b| {
-        cond.component_of(candidates[a]) == cond.component_of(candidates[b])
-    })
+    Ok(kept)
 }
 
 /// How one child's variable of `fext(u)` is answered for a candidate `v` of
@@ -152,11 +146,10 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
         let candidates = std::mem::take(&mut mat[u.index()]);
         stats.input_nodes += candidates.len() as u64;
 
-        let ranges = prune_ranges(g, &candidates, ctl);
         // The span's `swept` field: per AD child, the condensation edges
         // its sweep visited.
         let mut swept = String::new();
-        let (candidates, adjacency_lookups) = {
+        let candidates = {
             // Resolve every variable of `fext(u)` once per step: `tests[var]`
             // says how the child behind `var` is answered, so the
             // per-candidate work below is `eval_with` over table lookups.
@@ -186,25 +179,24 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
                 };
             }
             let pool: &[NodeBitSet] = &pc_pool;
-            let keep = |v: NodeId, lookups: &std::cell::Cell<u64>| {
-                eval_with(
-                    &fext,
-                    &|var| match tests.get(var.index()).unwrap_or(&ChildTest::Absent) {
+            let lookups = &mut stats.index_lookups;
+            retain_polled(&candidates, ctl, |v| {
+                eval_with(&fext, &mut |var| {
+                    let test = tests.get(var.index()).unwrap_or(&ChildTest::Absent);
+                    match test {
                         ChildTest::Absent => false,
                         ChildTest::Child(slot) => {
-                            lookups.set(lookups.get() + g.out_degree(v) as u64);
+                            *lookups += g.out_degree(v) as u64;
                             g.children(v).iter().any(|&c| pool[*slot].contains(c))
                         }
                         ChildTest::Swept(reached) => reached.contains(cond.component_of(v)),
                         ChildTest::Pairwise(targets) => {
                             targets.iter().any(|&t| index.reaches(v, t))
                         }
-                    },
-                )
-            };
-            morsel::parallel_retain(candidates, &ranges, ctl, stats, keep)?
+                    }
+                })
+            })?
         };
-        stats.index_lookups += adjacency_lookups;
         span.field("est_rows", step.estimated_rows);
         span.field("actual_rows", candidates.len());
         if !swept.is_empty() {
@@ -288,15 +280,14 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
             let span = ctl.tracer().span_with(|| format!("prune_up {child}"));
             let candidates = std::mem::take(&mut mat[child.index()]);
             stats.input_nodes += candidates.len() as u64;
-            let ranges = prune_ranges(g, &candidates, ctl);
-            let (kept, lookups) = match q.incoming_edge(child) {
+            let kept = match q.incoming_edge(child) {
                 Some(EdgeKind::Child) => {
                     parent_bits.clear();
                     parent_bits.extend_from_slice(&mat[u.index()]);
-                    let bits = &parent_bits;
-                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, lookups| {
-                        lookups.set(lookups.get() + g.in_degree(v) as u64);
-                        g.parents(v).iter().any(|&p| bits.contains(p))
+                    let lookups = &mut stats.index_lookups;
+                    retain_polled(&candidates, ctl, |v| {
+                        *lookups += g.in_degree(v) as u64;
+                        g.parents(v).iter().any(|&p| parent_bits.contains(p))
                     })?
                 }
                 _ if options.use_contours => {
@@ -304,20 +295,19 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                     let found = sweep(cond, &mat[u.index()], Direction::Descendants);
                     stats.index_lookups += found.edges_visited;
                     span.field("swept", found.edges_visited);
-                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| {
+                    retain_polled(&candidates, ctl, |v| {
                         found.reached.contains(cond.component_of(v))
                     })?
                 }
                 _ => {
                     let parents = &mat[u.index()];
-                    morsel::parallel_retain(candidates, &ranges, ctl, stats, |v, _| {
+                    retain_polled(&candidates, ctl, |v| {
                         parents.iter().any(|&s| index.reaches(s, v))
                     })?
                 }
             };
             span.field("actual_rows", kept.len());
             drop(span);
-            stats.index_lookups += lookups;
             mat[child.index()] = kept;
         }
     }

@@ -96,15 +96,6 @@ pub struct EvalStats {
     /// Time spent building the query plan (zero when a pre-built plan was
     /// executed via `evaluate_planned`).
     pub plan_time: Duration,
-    /// Largest number of worker threads any parallel stage of this
-    /// evaluation actually used (0 = the whole run stayed serial).
-    pub parallel_workers: u64,
-    /// Morsels dispatched to workers across all parallel stages.
-    pub morsels_dispatched: u64,
-    /// Total busy time summed over the workers of all parallel stages.  Can
-    /// exceed the wall-clock stage times; `worker_busy_time / stage time`
-    /// approximates the effective parallel speedup.
-    pub worker_busy_time: Duration,
     /// Per-operator estimated-vs-actual cardinalities and wall times, in
     /// execution order.
     pub operators: Vec<OperatorStats>,

@@ -3,7 +3,8 @@
 //! handed to the caller and nothing else, nothing is set up per (query node,
 //! candidate) before the first pull, and a product is never materialised —
 //! so a fall-back to per-row partials, up-front list trees or built products
-//! fails here without timing anything.
+//! fails here without timing anything.  The matching graph it walks is held
+//! to the same standard: its PC branches allocate nothing per candidate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,8 +15,8 @@ use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
 use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
 use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, StreamSource};
 use gtpq_datagen::{generate_arxiv, ArxivConfig};
-use gtpq_graph::{DataGraph, GraphBuilder};
-use gtpq_query::parse_query;
+use gtpq_graph::{DataGraph, GraphBuilder, NodeId};
+use gtpq_query::{parse_query, Gtpq};
 use gtpq_reach::Sspi;
 
 thread_local! {
@@ -56,24 +57,34 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, count_after - count, bytes_after - bytes)
 }
 
-/// Runs the pipeline up to the matching graph: what enumeration starts from,
-/// and how many candidates the query root kept.
-fn source(g: &DataGraph, text: &str) -> (Arc<StreamSource>, usize) {
-    let q = parse_query(text).expect("guard queries parse");
+/// Runs the pipeline through the matching graph: the candidate sets and
+/// shrunk prime subtree it was built from, the graph, and the allocations
+/// `MatchingGraph::build` alone made.
+fn build_matching(g: &DataGraph, q: &Gtpq) -> (Vec<Vec<NodeId>>, ShrunkPrime, MatchingGraph, u64) {
     let index = Sspi::new(g);
     let options = GteaOptions::default();
     let ctl = ExecCtl::unbounded();
     let mut stats = EvalStats::default();
-    let mut mat = initial_candidates(&q, g, &mut stats);
-    let steps = PruneStep::bottom_up(&q);
-    prune_downward(&q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
-    let prime = PrimeSubtree::new(&q);
+    let mut mat = initial_candidates(q, g, &mut stats);
+    let steps = PruneStep::bottom_up(q);
+    prune_downward(q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+    let prime = PrimeSubtree::new(q);
     prune_upward(
-        &q, g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,
+        q, g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,
     )
     .unwrap();
-    let shrunk = ShrunkPrime::new(&q, &prime, &mat, true);
-    let matching = MatchingGraph::build(&q, g, &index, &shrunk, &mat, &mut stats, &ctl).unwrap();
+    let shrunk = ShrunkPrime::new(q, &prime, &mat, true);
+    let (matching, allocations, _) = allocated_by(|| {
+        MatchingGraph::build(q, g, &index, &shrunk, &mat, &mut stats, &ctl).unwrap()
+    });
+    (mat, shrunk, matching, allocations)
+}
+
+/// Runs the pipeline up to the matching graph: what enumeration starts from,
+/// and how many candidates the query root kept.
+fn source(g: &DataGraph, text: &str) -> (Arc<StreamSource>, usize) {
+    let q = parse_query(text).expect("guard queries parse");
+    let (mat, shrunk, matching, _) = build_matching(g, &q);
     let root_candidates = mat[q.root().index()].len();
     (
         Arc::new(StreamSource::new(&q, shrunk, matching, mat)),
@@ -135,6 +146,20 @@ fn the_first_row_costs_the_same_whatever_the_number_of_root_candidates() {
         (allocations, bytes)
     };
     assert_eq!(first_row(50), first_row(200), "lists are created on touch");
+}
+
+#[test]
+fn pc_branches_allocate_the_same_whatever_the_number_of_parent_candidates() {
+    // Only PC edges: every branch is an adjacency intersection, written
+    // straight into the flat target buffer — no vector per candidate.
+    let q = parse_query("[label = r]* { /[label = x]* }").expect("guard queries parse");
+    let build = |roots: usize| {
+        let (mat, _, matching, allocations) = build_matching(&forest(roots, 2), &q);
+        assert_eq!(mat[q.root().index()].len(), roots);
+        assert_eq!(matching.edge_count, 2 * roots);
+        allocations
+    };
+    assert_eq!(build(100), build(1000), "branches are built in place");
 }
 
 #[test]

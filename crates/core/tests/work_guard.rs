@@ -271,24 +271,15 @@ fn random_tree_query(rng: &mut Rng) -> Gtpq {
     b.build().expect("generated queries are valid")
 }
 
-/// Evaluates `q` on `g` behind the [`Untouchable`] index at 1 and 2 threads
-/// and holds both to the naive evaluator; returns `index_lookups`.
+/// Evaluates `q` on `g` behind the [`Untouchable`] index and holds it to the
+/// naive evaluator; returns `index_lookups`.
 fn assert_index_free(g: &DataGraph, q: &Gtpq, tag: &str) -> u64 {
-    let expected = naive::evaluate(q, g);
     let engine = GteaEngine::with_backend(g, Untouchable, GteaOptions::default());
-    let plan = engine.plan(q);
-    let [serial, threaded] = [1, 2].map(|threads| {
-        let exec = engine
-            .execute(q, &plan, ExecOptions::unbounded().with_threads(threads))
-            .expect("unbounded execution cannot be interrupted");
-        assert_eq!(exec.results, expected, "{tag} at {threads} threads: {q}");
-        exec.stats.index_lookups
-    });
-    assert_eq!(
-        serial, threaded,
-        "{tag}: lookups depend on the thread count"
-    );
-    serial
+    let exec = engine
+        .execute(q, &engine.plan(q), ExecOptions::unbounded())
+        .expect("unbounded execution cannot be interrupted");
+    assert_eq!(exec.results, naive::evaluate(q, g), "{tag}: {q}");
+    exec.stats.index_lookups
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!
 //! Reads are snapshot isolated for free: committed graphs are never mutated,
 //! so a [`GraphSnapshot`] (an `Arc` pair pinning one epoch's graph and
-//! condensation) keeps serving a consistent view to in-flight match streams
-//! and morsel workers while writers race ahead.
+//! condensation) keeps serving a consistent view to in-flight requests and
+//! match streams while writers race ahead.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -72,7 +72,9 @@ impl Valuation {
 ///
 /// Convenience for callers that already have truth values in another
 /// structure (for example `val[p_u']` computed from reachability checks).
-pub fn eval_with<F: Fn(VarId) -> bool>(expr: &BoolExpr, lookup: &F) -> bool {
+/// `lookup` runs once per variable occurrence the short-circuiting
+/// evaluation reaches, so it may count the work behind each answer.
+pub fn eval_with<F: FnMut(VarId) -> bool>(expr: &BoolExpr, lookup: &mut F) -> bool {
     match expr {
         BoolExpr::True => true,
         BoolExpr::False => false,
@@ -125,7 +127,14 @@ mod tests {
     #[test]
     fn eval_with_closure() {
         let e = BoolExpr::or2(BoolExpr::var(1), BoolExpr::not(BoolExpr::var(2)));
-        assert!(eval_with(&e, &|v| v == VarId(1)));
-        assert!(!eval_with(&e, &|v| v == VarId(2)));
+        assert!(eval_with(&e, &mut |v| v == VarId(1)));
+        assert!(!eval_with(&e, &mut |v| v == VarId(2)));
+        // Short-circuiting: the second disjunct is never looked up.
+        let mut lookups = 0;
+        assert!(eval_with(&e, &mut |v| {
+            lookups += 1;
+            v == VarId(1)
+        }));
+        assert_eq!(lookups, 1);
     }
 }

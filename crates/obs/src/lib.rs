@@ -11,9 +11,8 @@
 //!   estimates/actuals as span fields; a finished [`Trace`] renders as an
 //!   indented tree or exports as Chrome `trace_event` JSON for
 //!   `about:tracing` / Perfetto.  Disabled tracers cost two branches per
-//!   span site.  A tracer stays on the request's thread: the workers of a
-//!   morsel-parallel stage run with a disabled tracer, and the stage span
-//!   opened around the fan-out covers their time.
+//!   span site.  A tracer stays on the request's thread, which runs every
+//!   stage of the request.
 //! * [`LogHistogram`] / [`HistogramSnapshot`] — lock-free log-bucketed
 //!   (HDR-style) histograms for latency percentiles (p50/p90/p99/p999) over
 //!   the full `u64` nanosecond range with ≤ 12.5% bucket error.

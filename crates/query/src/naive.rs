@@ -46,7 +46,7 @@ pub fn downward_matches(q: &Gtpq, g: &DataGraph) -> Vec<Vec<bool>> {
             // child/descendant v' of v downward-matches u'.
             let children_of_v = g.children(v);
             let descendants_of_v = descendants(g, v);
-            let value = eval_with(&fext, &|var| {
+            let value = eval_with(&fext, &mut |var| {
                 let child = QueryNodeId::from_var(var);
                 let candidates: &[NodeId] = match q.incoming_edge(child) {
                     Some(EdgeKind::Child) => children_of_v,

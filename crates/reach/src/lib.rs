@@ -69,10 +69,7 @@ pub use three_hop::ThreeHop;
 
 /// A prepared membership probe returned by the set-probe methods of
 /// [`Reachability`]: call it once per node to test against the prepared set.
-///
-/// Probes are `Send + Sync` so one prepared probe can serve every worker of
-/// a morsel-parallel prune round by reference.
-pub type Probe<'s> = Box<dyn Fn(NodeId) -> bool + Send + Sync + 's>;
+pub type Probe<'s> = Box<dyn Fn(NodeId) -> bool + 's>;
 
 /// A reachability index: answers whether there is a *non-empty* directed path
 /// from `u` to `v` (the ancestor-descendant relationship of the paper).
@@ -82,8 +79,8 @@ pub type Probe<'s> = Box<dyn Fn(NodeId) -> bool + Send + Sync + 's>;
 /// so experiments can compare space/time trade-offs.
 ///
 /// The trait requires `Send + Sync`: indexes are immutable after
-/// construction (lookup counters are atomics), and the engine's intra-query
-/// parallelism probes one index from several worker threads at once.
+/// construction (lookup counters are atomics), and the query service shares
+/// one index across the requests its batch workers evaluate at once.
 pub trait Reachability: Send + Sync {
     /// Whether `u` reaches `v` by a non-empty path.
     fn reaches(&self, u: NodeId, v: NodeId) -> bool;

@@ -256,12 +256,6 @@ counters! {
     eval_time: nanos, counter "gtpq_eval_seconds_total",
         "Engine evaluation time across cache misses (summed over queries, not wall clock)."
         <- Miss |s| s.total_time();
-    worker_busy_time: nanos, counter "gtpq_worker_busy_seconds_total",
-        "Busy time across intra-query morsel workers (sums over workers, so it can exceed \
-         `eval_time`; the ratio is the achieved fan-out)."
-        <- EveryRun |s| s.worker_busy_time;
-    morsels: count, counter "gtpq_morsels_total",
-        "Morsels dispatched to intra-query workers." <- EveryRun |s| s.morsels_dispatched;
     aborted_eval_time: nanos, counter "gtpq_aborted_eval_seconds_total",
         "Engine time spent in runs that were ultimately aborted (invisible in `eval_time`)."
         <- Aborted |s| s.total_time();
@@ -452,18 +446,6 @@ impl MetricsSnapshot {
         self.estimation_error_rows as f64 / self.actual_rows.max(1) as f64
     }
 
-    /// Average intra-query fan-out actually achieved: total morsel-worker
-    /// busy time over total engine time (complete and aborted runs).  `0.0`
-    /// when every run was serial; `≈ n` when runs kept `n` workers busy.
-    pub fn worker_utilization(&self) -> f64 {
-        let engine = self.eval_time + self.aborted_eval_time;
-        if engine.is_zero() {
-            0.0
-        } else {
-            self.worker_busy_time.as_secs_f64() / engine.as_secs_f64()
-        }
-    }
-
     /// Mean engine time per cache miss.
     pub fn mean_eval_time(&self) -> Duration {
         if self.cache_misses == 0 {
@@ -546,14 +528,12 @@ mod tests {
             sim_verified: 16,
             result_tuples: 17,
             enumerated_rows: 18,
-            morsels_dispatched: 19,
             candidate_time: Duration::from_millis(1),
             prune_down_time: Duration::from_millis(2),
             prune_up_time: Duration::from_millis(3),
             matching_graph_time: Duration::from_millis(4),
             enumerate_time: Duration::from_millis(5),
             plan_time: Duration::from_millis(6),
-            worker_busy_time: Duration::from_millis(8),
             time_to_first_row: Duration::from_micros(7),
             operators: vec![OperatorStats {
                 label: "IndexScan u0".into(),
@@ -573,8 +553,8 @@ mod tests {
         m.record_latency(Duration::from_millis(2));
         let page = m.snapshot().render_prometheus();
         let families = families(&page);
-        // 31 stored rows + 5 derived gauges + 3 histogram families.
-        assert_eq!(families.len(), 39, "{families:?}");
+        // 29 stored rows + 5 derived gauges + 3 histogram families.
+        assert_eq!(families.len(), 37, "{families:?}");
         for (i, (family, kind)) in families.iter().enumerate() {
             assert!(valid_metric_name(family), "{family}");
             assert!(
@@ -597,7 +577,7 @@ mod tests {
         // of the same run — every stored row, so a new row has to say here
         // what feeds it.  An aborted run keeps its partial work but counts
         // under `aborted` / `aborted_eval_time`, never as a query or a miss.
-        let pinned: [(&str, f64, f64); 31] = [
+        let pinned: [(&str, f64, f64); 29] = [
             ("gtpq_queries_total", 1.0, 0.0),
             ("gtpq_cache_hits_total", 0.0, 0.0),
             ("gtpq_cache_misses_total", 1.0, 0.0),
@@ -621,8 +601,6 @@ mod tests {
             ("gtpq_actual_rows_total", 20.0, 0.0),
             ("gtpq_estimation_error_rows_total", 10.0, 0.0),
             ("gtpq_eval_seconds_total", 0.021, 0.0),
-            ("gtpq_worker_busy_seconds_total", 0.008, 0.008),
-            ("gtpq_morsels_total", 19.0, 19.0),
             ("gtpq_aborted_eval_seconds_total", 0.0, 0.021),
             ("gtpq_graph_epoch", 0.0, 0.0),
             ("gtpq_epoch_rotations_total", 0.0, 0.0),
@@ -851,33 +829,6 @@ mod tests {
         assert_eq!(snap.ttfr.count, snap.cache_misses);
         let bucket_sum: u64 = snap.latency.nonzero_buckets().map(|(_, c)| c).sum();
         assert_eq!(bucket_sum, total);
-    }
-
-    #[test]
-    fn parallel_worker_metrics_roll_up() {
-        let m = ServiceMetrics::new();
-        m.record_miss(&EvalStats {
-            candidate_time: Duration::from_millis(10),
-            parallel_workers: 4,
-            worker_busy_time: Duration::from_millis(30),
-            morsels_dispatched: 12,
-            ..Default::default()
-        });
-        // Aborted runs fold their partial parallel work too.
-        m.record_aborted(&EvalStats {
-            worker_busy_time: Duration::from_millis(10),
-            morsels_dispatched: 3,
-            ..Default::default()
-        });
-        let snap = m.snapshot();
-        assert_eq!(snap.worker_busy_time, Duration::from_millis(40));
-        assert_eq!(snap.morsels, 15);
-        assert!(
-            snap.worker_utilization() > 1.0,
-            "busy time exceeds engine time"
-        );
-        let page = snap.render_prometheus();
-        assert!(page.contains("# TYPE gtpq_worker_busy_seconds_total counter"));
     }
 
     #[test]

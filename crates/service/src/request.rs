@@ -71,12 +71,6 @@ pub struct QueryRequest {
     /// Cooperative cancellation: trigger the token from any thread and the
     /// evaluation stops with [`QueryError::Cancelled`] at its next poll.
     pub cancel: Option<CancelToken>,
-    /// Intra-query parallelism degree for this request: `Some(1)` forces a
-    /// serial run, `Some(n)` offers `n` worker threads, `None` defers to the
-    /// service configuration.  Either way the planner's cost gate
-    /// ([`QueryPlan::recommended_threads`]) keeps cheap queries serial, and
-    /// results are bit-for-bit identical to a serial run at any degree.
-    pub threads: Option<usize>,
 }
 
 impl QueryRequest {
@@ -101,7 +95,6 @@ impl QueryRequest {
             want_trace: false,
             bypass_cache: false,
             cancel: None,
-            threads: None,
         }
     }
 
@@ -155,10 +148,9 @@ impl QueryRequest {
         self
     }
 
-    /// Set the intra-query parallelism degree (see
-    /// [`threads`](Self::threads)); `1` forces a serial run.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Returns the request unchanged: ignored, evaluation is serial; deleted
+    /// by the benchmark PR that retires `arxiv_enum_t2`.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -261,11 +253,8 @@ mod tests {
             .with_plan()
             .with_trace()
             .with_bypass_cache()
-            .with_cancel(CancelToken::new())
-            .with_threads(4);
+            .with_cancel(CancelToken::new());
         assert_eq!(req.limit, Some(7));
-        assert_eq!(req.threads, Some(4));
-        assert_eq!(QueryRequest::text("a1").with_threads(0).threads, Some(1));
         assert_eq!(req.offset, 3);
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
         assert!(req.want_stats && req.want_plan && req.bypass_cache);

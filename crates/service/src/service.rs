@@ -27,17 +27,12 @@ pub struct ServiceConfig {
     /// Reachability backend; `None` lets [`gtpq_reach::select_backend`] pick one from the
     /// graph's statistics.
     pub backend: Option<BackendKind>,
-    /// Worker threads used by [`QueryService::submit_batch`].  Defaults to
-    /// the machine's available parallelism.
+    /// Worker threads used by [`QueryService::submit_batch`]: different
+    /// requests run on different threads, each one evaluated serially on
+    /// its own.  Defaults to the machine's available parallelism.
     pub threads: usize,
-    /// Intra-query parallelism degree offered to every request that does not
-    /// set [`QueryRequest::threads`] itself: morsel-driven candidate
-    /// selection, pruning and matching-graph construction fan a single query
-    /// out over up to this many scoped worker threads; result enumeration is
-    /// serial at every degree.  `1` keeps all requests serial.  The planner's cost gate
-    /// ([`QueryPlan::recommended_threads`]) still drops cheap queries to a
-    /// serial run, and results are bit-for-bit identical at any degree.
-    /// Defaults to the machine's available parallelism.
+    /// Ignored, evaluation is serial; deleted by the benchmark PR that
+    /// retires `arxiv_enum_t2`.
     pub intra_query_threads: usize,
     /// Result-cache capacity in result sets; 0 disables caching.
     pub cache_capacity: usize,
@@ -65,9 +60,7 @@ impl Default for ServiceConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            intra_query_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            intra_query_threads: 1,
             cache_capacity: 256,
             plan_cache_capacity: 256,
             per_query_backend: true,
@@ -494,10 +487,11 @@ impl QueryService {
         // The deadline budget counts from the moment `submit` is called —
         // parsing, planning and lazy backend construction all spend it, so a
         // request cannot block past its budget in pre-execution stages and
-        // then still get a full budget of evaluation on top.
+        // then still get a full budget of evaluation on top.  A budget past
+        // the clock's range is no deadline at all.
         let deadline = request
             .deadline
-            .map(|budget| started.checked_add(budget).unwrap_or(started));
+            .and_then(|budget| started.checked_add(budget));
         let parsed: Cow<'_, Gtpq> = match &request.source {
             QuerySource::Query(q) => Cow::Borrowed(q),
             QuerySource::Text(text) => {
@@ -563,19 +557,10 @@ impl QueryService {
             ctl = ctl.with_cancel(token.clone());
         }
         let engine = GteaEngine::with_backend(state.graph(), index, self.config.options);
-        // The request's degree wins over the service default; either way the
-        // planner's cost gate keeps queries serial when the estimated work
-        // would not amortize the fan-out.
-        let requested = request
-            .threads
-            .unwrap_or(self.config.intra_query_threads)
-            .max(1);
-        let threads = plan.recommended_threads(requested);
         let options = ExecOptions {
             limit: request.limit,
             offset: request.offset,
             ctl,
-            threads,
         };
         let exec = match engine.execute(q, &plan, options) {
             Ok(exec) => exec,
@@ -937,6 +922,20 @@ mod tests {
         // The aborted run is accounted separately, with its latency sampled.
         assert_eq!(m.aborted, 1);
         assert_eq!(m.latency.count, 1);
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_s_range_is_no_deadline() {
+        let service = service_for_example();
+        let q = example_query();
+        let outcome = service
+            .submit(&QueryRequest::query(q.clone()).with_deadline(Duration::MAX))
+            .expect("an unreachable deadline never times out");
+        assert!(!outcome.from_cache, "the engine ran");
+        assert!(outcome
+            .rows
+            .same_answer(&naive::evaluate(&q, &service.graph())));
+        assert_eq!(service.metrics().timed_out, 0);
     }
 
     #[test]

@@ -138,14 +138,14 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
 }
 
 #[test]
-fn oversubscribed_batch_with_intra_query_parallelism_stays_exact() {
-    // Contention stress: 8 batch workers, each request asking for 8 morsel
-    // workers of its own — far more threads than cores.  Broad queries
-    // (any-label roots with wide descendant fans) push the parallel prune
-    // rounds and matching-graph build hard; the assertion is the strongest
-    // one available: every request returns *exactly* the rows a fully
-    // serial service returns, and the batch always joins (no deadlock, no
-    // panic in a worker).
+fn oversubscribed_batch_of_broad_queries_stays_exact() {
+    // Contention stress: 8 batch workers, more threads than cores, racing
+    // on one shared index and plan cache.  Broad queries (any-label
+    // children under wide descendant fans) make every request do real
+    // prune and matching work; the assertion is the strongest one
+    // available: every request returns *exactly* the rows a one-worker
+    // service returns, and the batch always joins (no deadlock, no panic in
+    // a worker).
     let graph = Arc::new(generate_xmark(&XmarkConfig::with_scale(0.15)));
     let mut queries = Vec::new();
     for label in ["item", "person", "bidder", "category"] {
@@ -163,43 +163,29 @@ fn oversubscribed_batch_with_intra_query_parallelism_stays_exact() {
         .take(queries.len() * 3)
         .cloned()
         .collect();
-    let build_requests = |threads: usize| -> Vec<QueryRequest> {
-        workload
-            .iter()
-            .map(|q| {
-                QueryRequest::query(q.clone())
-                    .with_threads(threads)
-                    .with_limit(25)
-                    .with_offset(3)
-            })
-            .collect()
+    let requests: Vec<QueryRequest> = workload
+        .iter()
+        .map(|q| QueryRequest::query(q.clone()).with_limit(25).with_offset(3))
+        .collect();
+    let service_with = |threads: usize| {
+        QueryService::with_config(
+            Arc::clone(&graph),
+            ServiceConfig {
+                threads,
+                cache_capacity: 0,
+                ..ServiceConfig::default()
+            },
+        )
     };
 
-    // Serial reference: one batch worker, intra-query parallelism off.
-    let sequential = QueryService::with_config(
-        Arc::clone(&graph),
-        ServiceConfig {
-            threads: 1,
-            intra_query_threads: 1,
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        },
-    );
-    let expected: Vec<_> = build_requests(1)
+    // Sequential reference: one batch worker.
+    let sequential = service_with(1);
+    let expected: Vec<_> = requests
         .iter()
         .map(|r| sequential.submit(r).expect("workload queries evaluate"))
         .collect();
 
-    let service = QueryService::with_config(
-        Arc::clone(&graph),
-        ServiceConfig {
-            threads: 8,
-            intra_query_threads: 8,
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        },
-    );
-    let batched = service.submit_batch(&build_requests(8));
+    let batched = service_with(8).submit_batch(&requests);
     assert_eq!(batched.len(), expected.len());
     for (i, (got, want)) in batched.iter().zip(&expected).enumerate() {
         let got = got.as_ref().expect("workload queries evaluate");

@@ -8,9 +8,9 @@
 //!
 //! * the pull-based [`MatchStream`]: rows pulled *after* a commit complete
 //!   the pinned snapshot's answer, not the new graph's,
-//! * the parallel executor (`threads = 8`) racing a free-running writer
-//!   thread: every execution against the pinned graph is bit-identical to
-//!   the pre-mutation answer,
+//! * the executor running in parallel with a free-running writer thread:
+//!   every execution against the pinned graph is bit-identical to the
+//!   pre-mutation answer,
 //! * the service: a request answers from the generation it pinned at
 //!   submission, a fresh submit after a commit sees the new epoch (no stale
 //!   cache hit), and `EvalStats::graph_epoch` reports which generation
@@ -133,20 +133,11 @@ fn parallel_execution_is_isolated_from_a_racing_writer() {
         let plan = engine.plan(&q);
         for _ in 0..10 {
             let exec = engine
-                .execute(
-                    &q,
-                    &plan,
-                    ExecOptions {
-                        limit: None,
-                        offset: 0,
-                        ctl: ExecCtl::unbounded(),
-                        threads: 8,
-                    },
-                )
+                .execute(&q, &plan, ExecOptions::unbounded())
                 .expect("unbounded execution cannot be interrupted");
             assert!(
                 exec.results.same_answer(&pinned),
-                "seed {seed}: parallel execution saw a torn or newer graph"
+                "seed {seed}: an execution racing the writer saw a torn or newer graph"
             );
         }
         writer.join().unwrap();

@@ -9,13 +9,18 @@
 //!   cyclic graphs, and on both the engine-pushdown path (cache disabled)
 //!   and the cache-slicing path (pre-warmed cache),
 //! * limit pushdown pulls exactly the window plus its look-ahead row
-//!   (`EvalStats::enumerated_rows = min(offset + limit + 1, |answer|)`),
+//!   (`EvalStats::enumerated_rows = min(offset + limit + 1, |answer|)`), and
+//!   the row counters (`enumerated_rows`, `result_tuples`,
+//!   `intermediate_size`) repeat exactly for the full run and every window,
 //! * the enumerator's order does not depend on the query's shape: depth-3
 //!   trees, non-output internal nodes and roots, outputs marked in any order
 //!   (child before parent, interleaved siblings), everything shrunk away and
 //!   several shrunk components all yield the naive evaluator's `ResultSet`
-//!   order, for every window and at 1, 2 and 3 intra-query threads (which
-//!   fan out the filter stages; enumeration is serial at every degree),
+//!   order, for every window,
+//! * a pre-cancelled token and an expired deadline abort with the typed
+//!   interrupt, through both `GteaEngine::execute` and `submit`, and a
+//!   cancel racing a run either completes with the exact answer or aborts
+//!   cleanly,
 //! * a cancellation from another thread interrupts a long enumeration —
 //!   walked or built — instead of letting it complete.
 //!
@@ -23,6 +28,7 @@
 //! vendored PRNG; every failure message carries the seed.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gtpq::prelude::*;
 use gtpq::query::naive;
@@ -203,6 +209,167 @@ fn submit_windows_match_materialized_order_under_every_backend() {
     }
 }
 
+/// What a run reports about its answer: rows pulled from the enumerator,
+/// rows emitted, and the size of the matching graph.
+fn row_counters(stats: &EvalStats) -> (u64, u64, u64) {
+    (
+        stats.enumerated_rows,
+        stats.result_tuples,
+        stats.intermediate_size,
+    )
+}
+
+#[test]
+fn row_counters_repeat_exactly_for_the_full_run_and_every_window() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = random_graph(&mut rng, 20, seed % 2 == 0);
+        let q = random_query(&mut rng);
+        for kind in BackendKind::ALL {
+            let engine =
+                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
+            let plan = engine.plan(&q);
+            let run = |limit: Option<usize>, offset: usize| {
+                let ctl = ExecCtl::unbounded();
+                let options = ExecOptions { limit, offset, ctl };
+                let exec = engine.execute(&q, &plan, options);
+                exec.expect("unbounded execution cannot be interrupted")
+            };
+            let full = run(None, 0);
+            let again = run(None, 0);
+            assert_eq!(again.results, full.results, "seed {seed}, {kind:?}");
+            assert_eq!(
+                row_counters(&again.stats),
+                row_counters(&full.stats),
+                "seed {seed}, {kind:?}: full-run counters moved"
+            );
+            // A window pulls itself plus its look-ahead row, emits its
+            // slice, and stands on the same matching graph as the full run.
+            let total = full.results.len();
+            for (offset, limit) in window_cases(total) {
+                let emitted = limit.min(total.saturating_sub(offset));
+                let expected = (
+                    (offset + limit + 1).min(total) as u64,
+                    emitted as u64,
+                    full.stats.intermediate_size,
+                );
+                for _ in 0..2 {
+                    assert_eq!(
+                        row_counters(&run(Some(limit), offset).stats),
+                        expected,
+                        "seed {seed}, {kind:?}: counters wrong for window ({offset}, {limit})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
+    let cancelled = || {
+        let token = CancelToken::new();
+        token.cancel();
+        token
+    };
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
+        let q = random_query(&mut rng);
+        for kind in BackendKind::ALL {
+            let engine =
+                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
+            let plan = engine.plan(&q);
+            let controls = [
+                (
+                    ExecCtl::unbounded().with_cancel(cancelled()),
+                    Interrupt::Cancelled,
+                ),
+                (
+                    ExecCtl::unbounded().with_deadline(Instant::now()),
+                    Interrupt::Timeout,
+                ),
+            ];
+            for (ctl, interrupt) in controls {
+                let aborted = engine
+                    .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
+                    .expect_err("the first poll interrupts");
+                assert_eq!(aborted.interrupt, interrupt, "seed {seed}, {kind:?}");
+                // The partial stats say no candidate was selected and no
+                // row pulled.
+                let stats = &aborted.stats;
+                assert!(stats.operators.is_empty(), "seed {seed}, {kind:?}");
+                assert_eq!(row_counters(stats), (0, 0, 0), "seed {seed}, {kind:?}");
+            }
+
+            let service = QueryService::with_config(
+                Arc::clone(&graph),
+                ServiceConfig {
+                    backend: Some(kind),
+                    cache_capacity: 0,
+                    ..ServiceConfig::default()
+                },
+            );
+            let request = QueryRequest::query(q.clone());
+            let err = service.submit(&request.clone().with_cancel(cancelled()));
+            assert_eq!(err.unwrap_err(), QueryError::Cancelled, "seed {seed}");
+            let err = service.submit(&request.with_deadline(Duration::ZERO));
+            assert!(
+                matches!(err, Err(QueryError::Timeout { .. })),
+                "seed {seed}, {kind:?}: {err:?}"
+            );
+            // Both runs fold into the metrics as aborted, neither as a miss.
+            let m = service.metrics();
+            assert_eq!(
+                (m.cancelled, m.timed_out, m.aborted, m.cache_misses),
+                (1, 1, 2, 0),
+                "seed {seed}, {kind:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = random_graph(&mut rng, 20, seed % 2 == 0);
+        let q = random_query(&mut rng);
+        for kind in BackendKind::ALL {
+            let engine =
+                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
+            let plan = engine.plan(&q);
+            let reference = engine
+                .execute(&q, &plan, ExecOptions::unbounded())
+                .expect("unbounded execution cannot be interrupted");
+            let token = CancelToken::new();
+            let racer = {
+                let token = token.clone();
+                std::thread::spawn(move || {
+                    // Seed-varied delay so the cancel lands in different
+                    // stages across the sweep.
+                    std::thread::sleep(Duration::from_micros(10 * (seed % 7)));
+                    token.cancel();
+                })
+            };
+            let ctl = ExecCtl::unbounded().with_cancel(token);
+            let raced = engine.execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl));
+            racer.join().expect("cancelling thread panicked");
+            match raced {
+                Ok(exec) => assert_eq!(
+                    exec.results, reference.results,
+                    "seed {seed}, {kind:?}: raced run completed with a wrong answer"
+                ),
+                Err(aborted) => assert_eq!(
+                    aborted.interrupt,
+                    Interrupt::Cancelled,
+                    "seed {seed}, {kind:?}"
+                ),
+            }
+        }
+    }
+}
+
 /// A dense random graph for multi-level joins: 8-12 nodes over two labels,
 /// every ordered pair an edge with probability 0.3 (forward pairs only when
 /// `dag_only`).
@@ -275,49 +442,38 @@ fn random_tree_query(rng: &mut StdRng) -> Gtpq {
 }
 
 /// Checks the engine's full answer and every window against the naive
-/// evaluator's `ResultSet` order, serially and at 2 and 3 intra-query
-/// threads.  Returns the answer size.
+/// evaluator's `ResultSet` order.  Returns the answer size.
 fn check_against_naive(graph: &DataGraph, q: &Gtpq, kind: BackendKind, tag: &str) -> usize {
     let oracle = naive::evaluate(q, graph);
     let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
     let engine = GteaEngine::with_backend(graph, kind.build_shared(graph), GteaOptions::default());
     let plan = engine.plan(q);
-    for threads in 1..=3usize {
-        let windows = window_cases(all.len())
-            .into_iter()
-            .map(|(offset, limit)| (offset, Some(limit)))
-            .chain([(0, None)]);
-        for (offset, limit) in windows {
-            let exec = engine
-                .execute(
-                    q,
-                    &plan,
-                    ExecOptions {
-                        limit,
-                        offset,
-                        ctl: ExecCtl::unbounded(),
-                        threads,
-                    },
-                )
-                .expect("unbounded execution cannot be interrupted");
-            let got: Vec<Vec<NodeId>> = exec.results.iter().cloned().collect();
-            let take = limit.unwrap_or(usize::MAX);
-            let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(take).cloned().collect();
-            assert_eq!(
-                got, expected,
-                "{tag}, {threads} threads: window ({offset}, {limit:?}) diverged from naive"
-            );
-            assert_eq!(
-                exec.truncated,
-                offset.saturating_add(take) < all.len(),
-                "{tag}, {threads} threads: truncation flag wrong for ({offset}, {limit:?})"
-            );
-            let pulled = limit.map_or(all.len(), |l| (offset + l + 1).min(all.len()));
-            assert_eq!(
-                exec.stats.enumerated_rows, pulled as u64,
-                "{tag}, {threads} threads: rows enumerated for window ({offset}, {limit:?})"
-            );
-        }
+    let windows = window_cases(all.len())
+        .into_iter()
+        .map(|(offset, limit)| (offset, Some(limit)))
+        .chain([(0, None)]);
+    for (offset, limit) in windows {
+        let ctl = ExecCtl::unbounded();
+        let exec = engine
+            .execute(q, &plan, ExecOptions { limit, offset, ctl })
+            .expect("unbounded execution cannot be interrupted");
+        let got: Vec<Vec<NodeId>> = exec.results.iter().cloned().collect();
+        let take = limit.unwrap_or(usize::MAX);
+        let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(take).cloned().collect();
+        assert_eq!(
+            got, expected,
+            "{tag}: window ({offset}, {limit:?}) diverged from naive"
+        );
+        assert_eq!(
+            exec.truncated,
+            offset.saturating_add(take) < all.len(),
+            "{tag}: truncation flag wrong for ({offset}, {limit:?})"
+        );
+        let pulled = limit.map_or(all.len(), |l| (offset + l + 1).min(all.len()));
+        assert_eq!(
+            exec.stats.enumerated_rows, pulled as u64,
+            "{tag}: rows enumerated for window ({offset}, {limit:?})"
+        );
     }
     all.len()
 }
