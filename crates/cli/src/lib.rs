@@ -1,9 +1,9 @@
 //! # gtpq-cli — interactive front end for the textual GTPQ query language
 //!
 //! The `gtpq-cli` binary loads one of the synthetic datasets
-//! (`gtpq-datagen`), builds a [`QueryService`] with a chosen (or
-//! auto-selected) reachability backend, and evaluates queries written in the
-//! textual query language (`docs/QUERY_LANGUAGE.md`) — either one-shot via
+//! (`gtpq-datagen`) or maps a saved snapshot, serves it through a live
+//! [`QueryService`], and evaluates queries written in the textual query
+//! language (`docs/QUERY_LANGUAGE.md`) — either one-shot via
 //! `--query`, or as a REPL reading from stdin:
 //!
 //! ```text
@@ -33,18 +33,10 @@ use gtpq_core::Trace;
 use gtpq_datagen::{apply_ops, update_stream, UpdateStreamConfig};
 use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot, MutationConfig};
 use gtpq_query::Gtpq;
-use gtpq_reach::BackendKind;
 use gtpq_service::{QueryError, QueryRequest, QueryService, ServiceConfig, SlowOutcome};
 
-/// Usage text printed by `--help`, `:help` and on argument errors.  The
-/// `--backend` choices are spliced in from [`BackendKind::ALL`].
-pub fn usage() -> String {
-    let mut backends = vec!["auto"];
-    backends.extend(BackendKind::ALL.map(BackendKind::as_str));
-    USAGE_TEMPLATE.replace("{backends}", &backends.join(" | "))
-}
-
-const USAGE_TEMPLATE: &str = "\
+/// Usage text printed by `--help`, `:help` and on argument errors.
+pub const USAGE: &str = "\
 gtpq-cli — evaluate textual GTPQ queries against a generated dataset
 
 USAGE:
@@ -58,7 +50,6 @@ OPTIONS:
                       similarity queries)
     --scale FACTOR    dataset size multiplier       [default: 1.0]
     --seed N          generator seed                [default: 42]
-    --backend NAME    {backends}   [default: auto]
     --snapshot PATH   serve a saved `.gtpq` binary snapshot instead of
                       generating a dataset: the file is mapped zero-copy, so
                       start-up costs page faults, not a text parse
@@ -77,13 +68,12 @@ OPTIONS:
 REPL COMMANDS:
     :help             command list
     :explain QUERY    parse a query, print its tree and the physical plan
-                      (chosen backend, per-operator row estimates)
+                      (access paths, prune order, per-operator row estimates)
     :explain analyze QUERY
                       run the query and append actual per-operator rows
     :stats [on|off]   toggle per-query statistics
     :limit N|none     result rows to fetch (real pushdown, not display trim)
     :timeout MS|off   per-query deadline in milliseconds
-    :backend          backend in use (and why it was auto-selected)
     :metrics          service counters, latency/first-row percentiles,
                       recent rates (QPS, hit rate over the last 30s),
                       graph epoch and stale-cache evictions
@@ -183,8 +173,6 @@ pub struct CliOptions {
     pub scale: f64,
     /// Generator seed.
     pub seed: u64,
-    /// Pinned reachability backend; `None` = auto-select from graph stats.
-    pub backend: Option<BackendKind>,
     /// Serve this `.gtpq` snapshot (mapped zero-copy) instead of generating
     /// `dataset`; `--dataset`/`--scale`/`--seed` are ignored when set.
     pub snapshot: Option<String>,
@@ -213,7 +201,6 @@ impl Default for CliOptions {
             dataset: Dataset::Dblp,
             scale: 1.0,
             seed: 42,
-            backend: None,
             snapshot: None,
             query: None,
             show_stats: false,
@@ -250,10 +237,6 @@ impl CliOptions {
                     let v = value_of("--seed")?;
                     opts.seed = v.parse().map_err(|_| format!("invalid --seed `{v}`"))?;
                 }
-                "--backend" => {
-                    let v = value_of("--backend")?;
-                    opts.backend = parse_backend(&v)?;
-                }
                 "--snapshot" => opts.snapshot = Some(value_of("--snapshot")?),
                 "--query" => opts.query = Some(value_of("--query")?),
                 "--stats" => opts.show_stats = true,
@@ -288,16 +271,6 @@ impl CliOptions {
         }
         Ok(opts)
     }
-}
-
-/// Parses a `--backend` argument; `auto` means auto-selection (`None`).
-pub fn parse_backend(s: &str) -> Result<Option<BackendKind>, String> {
-    if s == "auto" {
-        return Ok(None);
-    }
-    s.parse()
-        .map(Some)
-        .map_err(|e: String| format!("{e}; `auto` selects one from graph statistics"))
 }
 
 /// What the REPL should do after handling one input.
@@ -345,10 +318,7 @@ impl Session {
                 (Arc::new(handle), opts.dataset.name().to_owned())
             }
         };
-        let mut config = ServiceConfig {
-            backend: opts.backend,
-            ..ServiceConfig::default()
-        };
+        let mut config = ServiceConfig::default();
         if let Some(threshold) = opts.slow_ms {
             config.slow_query_threshold = threshold.map(Duration::from_millis);
         }
@@ -465,21 +435,14 @@ impl Session {
         )
     }
 
-    /// One line describing the loaded graph and backend, shown at REPL start.
+    /// One line describing the loaded graph, shown at REPL start.
     pub fn banner(&self) -> String {
         let g = self.service.graph();
-        let why = self
-            .service
-            .backend_selection()
-            .map(|s| format!(" (auto: {})", s.reason))
-            .unwrap_or_default();
         format!(
-            "dataset {} — {} nodes, {} edges; backend {}{}",
+            "dataset {} — {} nodes, {} edges",
             self.source,
             g.node_count(),
             g.edge_count(),
-            self.service.backend_name(),
-            why
         )
     }
 
@@ -503,19 +466,9 @@ impl Session {
         };
         let out = match word {
             "q" | "quit" | "exit" => return Outcome::Quit,
-            "help" => usage(),
-            "backend" => {
-                let why = self
-                    .service
-                    .backend_selection()
-                    .map(|s| format!(" (auto-selected: {})", s.reason))
-                    .unwrap_or_else(|| " (pinned)".to_owned());
-                format!("backend: {}{}", self.service.backend_name(), why)
-            }
+            "help" => USAGE.to_owned(),
             "metrics" => {
                 let m = self.service.metrics();
-                let mut backends = self.service.built_backends();
-                backends.sort_unstable();
                 format!(
                     "queries: {} ({} hits, {} misses, hit rate {:.0}%)\n\
                      requests: {} timed out, {} cancelled, {} truncated by limit\n\
@@ -524,7 +477,7 @@ impl Session {
                      planner: {:.3?} planning, {} plan hits / {} misses, \
                      estimation error {:.0}%\n\
                      index: {} hits, {} scanned nodes, {} lookups; \
-                     backends built: {}\n\
+                     index builds: {}\n\
                      enumerated rows: {} ({} emitted)\n\
                      cached result sets: {}, cached plans: {}\n\
                      latency: p50 {:.3?}, p90 {:.3?}, p99 {:.3?}, \
@@ -551,7 +504,7 @@ impl Session {
                     m.index_hits,
                     m.scanned_nodes,
                     m.index_lookups,
-                    backends.join(", "),
+                    m.index_builds,
                     m.enumerated_rows,
                     m.result_tuples,
                     self.service.cached_results(),
@@ -1083,8 +1036,6 @@ mod tests {
                 "0.5",
                 "--seed",
                 "7",
-                "--backend",
-                "closure",
                 "--stats",
                 "--limit",
                 "5",
@@ -1097,7 +1048,6 @@ mod tests {
         assert_eq!(opts.dataset, Dataset::Arxiv);
         assert_eq!(opts.scale, 0.5);
         assert_eq!(opts.seed, 7);
-        assert_eq!(opts.backend, Some(BackendKind::Closure));
         assert!(opts.show_stats);
         assert_eq!(opts.limit, 5);
         assert_eq!(opts.query.as_deref(), Some("a*"));
@@ -1120,32 +1070,20 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_follows_the_backend_table() {
-        assert_eq!(parse_backend("auto"), Ok(None));
-        for kind in BackendKind::ALL {
-            assert_eq!(parse_backend(kind.as_str()), Ok(Some(kind)));
-            assert!(
-                usage().contains(kind.as_str()),
-                "{kind:?} missing in --help"
-            );
-        }
-        let err = parse_backend("interval").unwrap_err();
-        assert!(err.contains("`interval`") && err.contains("auto"), "{err}");
-        assert!(!usage().contains("{backends}"));
-    }
-
-    #[test]
     fn options_reject_bad_input() {
         assert!(CliOptions::parse(["--dataset".into(), "nope".into()]).is_err());
         assert!(CliOptions::parse(["--scale".into(), "-1".into()]).is_err());
-        assert!(CliOptions::parse(["--backend".into(), "nope".into()]).is_err());
         assert!(CliOptions::parse(["--what".into()]).is_err());
         assert!(CliOptions::parse(["--seed".into()]).is_err());
         assert!(CliOptions::parse(["--limit".into(), "0".into()]).is_err());
         // Evaluation is serial: there is no degree to set.
         let err = CliOptions::parse(["--threads".into(), "4".into()]).unwrap_err();
         assert!(err.contains("unknown argument `--threads`"), "{err}");
-        assert!(!usage().contains("threads"));
+        assert!(!USAGE.contains("threads"));
+        // The service picks no reachability index: there is none to pin.
+        let err = CliOptions::parse(["--backend".into(), "3hop".into()]).unwrap_err();
+        assert!(err.contains("unknown argument `--backend`"), "{err}");
+        assert!(!USAGE.contains("backend"));
     }
 
     #[test]

@@ -3,18 +3,18 @@
 use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
 
-use gtpq_cli::{repl, run_once, usage, CliOptions, Session};
+use gtpq_cli::{repl, run_once, CliOptions, Session, USAGE};
 
 fn main() -> ExitCode {
     let opts = match CliOptions::parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(message) => {
-            eprintln!("error: {message}\n\n{}", usage());
+            eprintln!("error: {message}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
     if opts.help {
-        println!("{}", usage());
+        println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     let mut session = match Session::new(&opts) {

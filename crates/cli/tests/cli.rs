@@ -140,7 +140,7 @@ fn explain_shows_the_tree_and_plan_without_evaluating() {
     assert!(out.contains("4 nodes"), "{out}");
     assert!(out.contains("general (uses NOT)"), "{out}");
     assert!(out.contains("canonical:"), "{out}");
-    // The physical plan follows the tree: operators, backend, estimates.
+    // The physical plan follows the tree: operators and estimates.
     assert!(out.contains("QueryPlan"), "{out}");
     assert!(out.contains("IndexScan"), "{out}");
     assert!(out.contains("PruneDown"), "{out}");

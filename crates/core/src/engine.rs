@@ -158,8 +158,8 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
 
     /// Builds the cost-based plan the engine would execute for `q` (the
     /// planner orders prune work by estimated candidate-set size; it
-    /// recommends no backend switch because the engine's backend is fixed —
-    /// the query service plans with a graph profile to get one).
+    /// recommends no backend, because the engine's backend is fixed and
+    /// default-option evaluation never probes it).
     pub fn plan(&self, q: &Gtpq) -> QueryPlan {
         Planner::new(self.graph).plan(q)
     }
@@ -187,9 +187,8 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
     /// plan: candidate steps missing from the plan default to index scans
     /// and the downward-prune order is repaired to a valid children-first
     /// order.  Only performance (and the recorded estimates) can
-    /// differ.  The plan's backend recommendation is ignored here — the
-    /// engine probes whatever index it was built with; the query service
-    /// resolves recommendations against its shared-index catalog.
+    /// differ.  A backend recommendation in the plan is ignored — the
+    /// pairwise arm probes whatever index the engine was built with.
     pub fn evaluate_planned(&self, q: &Gtpq, plan: &QueryPlan) -> (ResultSet, EvalStats) {
         let exec = self
             .execute(q, plan, ExecOptions::unbounded())
@@ -571,6 +570,8 @@ mod tests {
         assert!(results.same_answer(&naive::evaluate(&q, &g)));
     }
 
+    /// Default options read no index (`tests/work_guard.rs`), so one run on
+    /// the paper's 3-hop covers every backend.
     #[test]
     fn engine_agrees_with_naive_for_every_reachability_backend() {
         let g = example_graph();
@@ -582,17 +583,9 @@ mod tests {
             qb.mark_output(root);
             qb.build().unwrap()
         }];
+        let engine = GteaEngine::new(&g);
         for q in &queries {
-            let expected = naive::evaluate(q, &g);
-            for kind in gtpq_reach::BackendKind::ALL {
-                let index = kind.build_shared(&g);
-                let engine = GteaEngine::with_backend(&g, index, GteaOptions::default());
-                let got = engine.evaluate(q);
-                assert!(
-                    got.same_answer(&expected),
-                    "backend {kind:?} disagrees with naive"
-                );
-            }
+            assert!(engine.evaluate(q).same_answer(&naive::evaluate(q, &g)));
         }
     }
 

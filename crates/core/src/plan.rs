@@ -22,12 +22,13 @@
 //!   Any requested order is repaired to a valid children-first order by
 //!   [`QueryPlan::normalized_prune_down`], which makes arbitrary plan
 //!   perturbations safe to execute.
-//! * **The reachability backend** is recommended per query: the planner
-//!   estimates the number of set-probe calls the prune rounds will issue and
-//!   weights each backend's [`cost hints`](BackendKind::cost_hints) by it
-//!   (pre-built indexes have their construction cost treated as sunk).  The
-//!   engine itself executes on whatever backend it holds; the query service
-//!   resolves the recommendation against its shared-index catalog.
+//! * **A reachability backend** is recommended per query only by a planner
+//!   handed a [`GraphProfile`] ([`Planner::with_profile`]): it estimates the
+//!   number of set-probe calls the prune rounds will issue and weights each
+//!   backend's [`cost hints`](BackendKind::cost_hints) by it (pre-built
+//!   indexes have their construction cost treated as sunk).  The engine and
+//!   the query service plan without one — default-option evaluation reads
+//!   no index — so only the benchmark's replay still asks.
 //!
 //! The executor records estimated-vs-actual cardinalities and per-operator
 //! wall times into [`EvalStats::operators`](crate::EvalStats), which both
@@ -241,7 +242,7 @@ impl QueryPlan {
     /// Renders the plan as an indented operator tree with estimates, e.g.
     ///
     /// ```text
-    /// QueryPlan (backend: closure — per-query: …; est. probes 42)
+    /// QueryPlan (est. probes 42)
     ///   IndexScan u1 [label = b1]      est 2 rows
     ///   …
     ///   PruneDown u0                   est 1 rows
@@ -249,6 +250,9 @@ impl QueryPlan {
     ///   MatchingGraph                  est 6 rows
     ///   Collect                        est 4 rows
     /// ```
+    ///
+    /// The header names the recommended backend only when the plan carries
+    /// one: `QueryPlan (backend: closure — per-query: …; est. probes 42)`.
     pub fn render(&self, q: &Gtpq) -> String {
         self.render_lines(q, None)
     }
@@ -264,14 +268,13 @@ impl QueryPlan {
     fn render_lines(&self, q: &Gtpq, stats: Option<&EvalStats>) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let backend = match self.backend.kind {
-            Some(kind) => kind.as_str(),
-            None => "engine default",
-        };
+        let backend = self.backend.kind.map_or(String::new(), |kind| {
+            format!("backend: {} — {}; ", kind.as_str(), self.backend.reason)
+        });
         let _ = writeln!(
             out,
-            "QueryPlan (backend: {backend} — {}; est. probes {})",
-            self.backend.reason, self.estimated_probes
+            "QueryPlan ({backend}est. probes {})",
+            self.estimated_probes
         );
         let actual = |label: &str| -> String {
             match stats.and_then(|s| s.operators.iter().find(|o| o.label == label)) {
@@ -752,6 +755,7 @@ mod tests {
             .plan(&q);
         assert!(plan.backend.kind.is_some());
         assert!(!plan.backend.reason.is_empty());
+        assert!(plan.render(&q).starts_with("QueryPlan (backend: "));
     }
 
     #[test]
@@ -786,7 +790,7 @@ mod tests {
         assert!(text.contains("PruneUp"));
         assert!(text.contains("MatchingGraph"));
         assert!(text.contains("Collect"));
-        assert!(text.contains("est. probes"));
+        assert!(text.starts_with("QueryPlan (est. probes "), "{text}");
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   plain interval labelling);
 //! * **everything else** → [`ThreeHop`]: the paper's index, the scalable
 //!   default.
+//!
+//! Nothing on the evaluation path calls the selectors: default options
+//! read no index, and the query service plans without a [`GraphProfile`].
+//! They stay as library API for the benchmark's replay.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -37,15 +41,15 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every backend, in a fixed order — what sweeps, the per-query planner
-    /// and the CLI's `--backend` help iterate over.
+    /// Every backend, in a fixed order — what sweeps and the per-query
+    /// planner iterate over.
     pub const ALL: [BackendKind; 3] = [
         BackendKind::Closure,
         BackendKind::ThreeHop,
         BackendKind::Sspi,
     ];
 
-    /// The canonical name of this backend: what `--backend` accepts, what
+    /// The canonical name of this backend: what
     /// [`Reachability::name`](crate::Reachability::name) of its index
     /// returns, and what [`FromStr`] parses back.
     pub fn as_str(self) -> &'static str {

@@ -278,8 +278,8 @@ impl PlanCache {
     }
 
     /// Drops every plan and advances the cache to graph generation `epoch`
-    /// (plans embed the old graph's cardinality estimates and backend
-    /// recommendation), returning how many entries were evicted.
+    /// (plans embed the old graph's cardinality estimates), returning how
+    /// many entries were evicted.
     pub fn invalidate(&mut self, epoch: u64) -> usize {
         let evicted = self.entries.len();
         self.entries.clear();

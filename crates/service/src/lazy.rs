@@ -1,28 +1,23 @@
-//! Deferred construction of a pinned reachability backend.
+//! Deferred construction of the pairwise arm's reachability backend.
 //!
 //! GTEA evaluates on the SCC condensation the graph carries: both prune
 //! rounds and the matching graph's AD branches are condensation sweeps
 //! (`gtpq_reach::sweep`), so a request under default options never asks a
 //! reachability *index* anything.  Only the pairwise ablation arm
 //! (`GteaOptions::use_contours == false`) calls
-//! [`Reachability::reaches`].  A service whose
-//! [`ServiceConfig::backend`](crate::ServiceConfig::backend) pins a backend
-//! therefore does not build it per generation: an epoch commit costs the
-//! rotation plus ordinary cache misses, and a cold start never pays the
-//! O(V+E) construction.
+//! [`Reachability::reaches`].  The service therefore never builds the
+//! index of [`ServiceConfig::backend`](crate::ServiceConfig::backend) per
+//! generation: an epoch commit costs the rotation plus ordinary cache
+//! misses, and a cold start never pays the O(V+E) construction.
 //!
 //! [`LazyIndex`] wraps the *decision* (which backend, over which snapshot)
 //! and defers the *work* to the first probe via [`OnceLock`], counting it in
 //! `gtpq_reach_index_builds_total`.  The observational methods of
 //! [`Reachability`] answer without forcing the build — an unbuilt index has
 //! performed zero lookups, and its name is known from its [`BackendKind`] —
-//! so stats plumbing (`lookup_count` deltas around prune rounds,
-//! `backend_name` in the CLI prompt) stays free.  Only `reaches` and the
-//! prepared probes build, exactly once, even under concurrent first probes.
-//!
-//! Auto-selected backends are *not* wrapped: selection itself must profile
-//! the graph and the chosen index is part of the selection evidence, so the
-//! service keeps building those eagerly at epoch rotation.
+//! so the stats plumbing (`lookup_count` deltas around prune rounds) stays
+//! free.  Only `reaches` and the prepared probes build, exactly once, even
+//! under concurrent first probes.
 
 use std::sync::{Arc, OnceLock};
 
@@ -41,13 +36,13 @@ pub(crate) struct LazyIndex {
 }
 
 impl LazyIndex {
-    /// Wraps `kind` over `snapshot` as a shareable index that will build
-    /// itself on the first reachability probe.
-    pub(crate) fn shared(
+    /// Wraps `kind` over `snapshot` as an index that will build itself on
+    /// the first reachability probe.
+    pub(crate) fn new(
         kind: BackendKind,
         snapshot: Arc<GraphSnapshot>,
         metrics: Arc<ServiceMetrics>,
-    ) -> SharedIndex {
+    ) -> Arc<Self> {
         Arc::new(Self {
             kind,
             snapshot,
@@ -66,8 +61,7 @@ impl LazyIndex {
         })
     }
 
-    /// Whether a probe has forced the build yet (test observability).
-    #[cfg(test)]
+    /// Whether a probe has forced the build yet.
     pub(crate) fn is_built(&self) -> bool {
         self.built.get().is_some()
     }

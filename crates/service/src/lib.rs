@@ -6,21 +6,20 @@
 //!
 //! * serves every query through **one request/outcome pair** —
 //!   [`QueryService::submit`] takes a [`QueryRequest`] (query tree or text,
-//!   row window, deadline, backend, stats/plan switches) and returns
-//!   `Result<`[`QueryOutcome`]`, `[`QueryError`]`>`; `limit`/`offset` and
-//!   deadlines push down into the engine's streaming enumerator, so a
-//!   limited request stops after its window instead of materializing the
-//!   answer,
-//! * owns a graph **snapshot** (the graph carries the SCC condensation all
-//!   default-option evaluation runs on) and **one shared reachability
-//!   backend** per graph generation for the pairwise arm, either pinned via
-//!   [`ServiceConfig::backend`] — then built only if probed — or chosen by
-//!   [`gtpq_reach::select_backend`] from the graph's statistics (DAG-ness,
-//!   density, condensation size),
+//!   row window, deadline, cancellation, stats/plan/trace switches) and
+//!   returns `Result<`[`QueryOutcome`]`, `[`QueryError`]`>`;
+//!   `limit`/`offset` and deadlines push down into the engine's streaming
+//!   enumerator, so a limited request stops after its window instead of
+//!   materializing the answer,
+//! * owns a graph **snapshot** per graph generation: the graph carries the
+//!   SCC condensation all default-option evaluation runs on, so no
+//!   reachability index is built for it.  The one index a generation has,
+//!   [`ServiceConfig::backend`] (3-hop by default), is built only if the
+//!   pairwise ablation arm probes it,
 //! * serves **live graphs** — [`QueryService::live`] wraps a
 //!   `gtpq_graph::GraphHandle`, and every committed epoch rotates the
-//!   service's generation state: the result cache, plan cache and backend
-//!   catalog are invalidated (counted as `stale_evictions`), the epoch is
+//!   service's generation state: the result and plan caches are
+//!   invalidated (counted as `stale_evictions`), the epoch is
 //!   exported as the `graph_epoch` gauge, and in-flight requests keep
 //!   answering from the snapshot they pinned at submission,
 //! * evaluates requests **concurrently** — all methods take `&self`, and

@@ -266,11 +266,11 @@ counters! {
     stale_evictions: count, counter "gtpq_stale_evictions_total",
         "Cached results and plans dropped because the graph mutated.";
     index_builds: count, counter "gtpq_reach_index_builds_total",
-        "Reachability backends constructed: auto-selection's per generation, a per-query \
-         recommendation's first use, a pinned backend's first pairwise probe. Default-option \
-         requests evaluate on the condensation the graph carries and build none.";
+        "Reachability indexes constructed: at most one per graph generation, on the pairwise \
+         arm's first probe. Default-option requests evaluate on the condensation the graph \
+         carries and build none.";
     index_build_time: nanos, counter "gtpq_reach_index_build_seconds_total",
-        "Time spent constructing those backends (a post-commit stall that is not a cache miss).";
+        "Time spent constructing those indexes (a stall that is not a cache miss).";
   }
   derived {
     "gtpq_sim_filter_selectivity",

@@ -191,9 +191,10 @@ fn latency_and_ttfr_percentiles_surface_through_submit() {
 
 #[test]
 fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
-    // `xmark_live` in miniature: a pinned 3-hop, a live handle, and per
-    // cycle one 32-op epoch, its commit, then the workload's eleven read
-    // shapes (Q1-Q3, the conjunctive query, DIS1-3, NEG1-3, DIS_NEG1).
+    // `xmark_live` in miniature: a live handle, and per cycle one 32-op
+    // epoch, its commit, then the workload's eleven read shapes (Q1-Q3, the
+    // conjunctive query, DIS1-3, NEG1-3, DIS_NEG1) — once unpinned, as the
+    // CLI serves `:ingest`, and once with 3-hop pinned.
     let base = generate_xmark(&XmarkConfig::with_scale(0.1));
     let stream = UpdateStreamConfig {
         seed: 42,
@@ -217,31 +218,44 @@ fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
         options,
         ..ServiceConfig::default()
     };
-    let handle = Arc::new(GraphHandle::new(base));
-    let svc = QueryService::live_with_config(Arc::clone(&handle), pinned(GteaOptions::default()));
-    for (cycle, epoch) in epochs.iter().enumerate() {
-        apply_ops(&handle, epoch);
-        handle.commit();
-        // The oracle reads the committed graph from scratch: no index, no
-        // condensation, no state carried over from the previous epoch.
-        let graph = svc.graph();
-        for q in &reads {
-            let outcome = svc.submit(&QueryRequest::query(q.clone())).unwrap();
-            assert!(!outcome.from_cache, "a commit empties the result cache");
-            assert_eq!(
-                *outcome.rows,
-                naive::evaluate(q, &graph),
-                "cycle {cycle}: {q}"
-            );
+    for (name, config) in [
+        ("unpinned", ServiceConfig::default()),
+        ("pinned", pinned(GteaOptions::default())),
+    ] {
+        let handle = Arc::new(GraphHandle::new(base.clone()));
+        let svc = QueryService::live_with_config(Arc::clone(&handle), config);
+        for (cycle, epoch) in epochs.iter().enumerate() {
+            apply_ops(&handle, epoch);
+            handle.commit();
+            // The oracle reads the committed graph from scratch: no index, no
+            // condensation, no state carried over from the previous epoch.
+            let graph = svc.graph();
+            for q in &reads {
+                let outcome = svc.submit(&QueryRequest::query(q.clone())).unwrap();
+                assert!(!outcome.from_cache, "a commit empties the result cache");
+                assert_eq!(
+                    *outcome.rows,
+                    naive::evaluate(q, &graph),
+                    "{name}, cycle {cycle}: {q}"
+                );
+            }
         }
+        let m = svc.metrics();
+        assert_eq!((m.epoch_rotations, m.cache_misses), (5, 55), "{name}");
+        assert_eq!(
+            m.index_builds, 0,
+            "{name}: construction, a rotation or a default-option read built an index"
+        );
+        assert_eq!(m.index_build_time, Duration::ZERO, "{name}");
+        assert!(
+            m.index_lookups > 0,
+            "{name}: the reads swept the condensation"
+        );
+        assert!(svc.built_backends().is_empty(), "{name}");
     }
-    let m = svc.metrics();
-    assert_eq!((m.epoch_rotations, m.cache_misses), (5, 55));
-    assert_eq!(m.index_builds, 0, "a default-option read built the index");
-    assert_eq!(m.index_build_time, Duration::ZERO);
-    assert!(m.index_lookups > 0, "the reads swept the condensation");
 
     // The pairwise arm is what still builds it: once per generation.
+    let handle = Arc::new(GraphHandle::new(base));
     let pairwise = QueryService::live_with_config(handle, pinned(GteaOptions::without_contours()));
     for q in &reads[..2] {
         pairwise.submit(&QueryRequest::query(q.clone())).unwrap();
@@ -249,6 +263,7 @@ fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
     let m = pairwise.metrics();
     assert_eq!(m.index_builds, 1);
     assert!(m.index_build_time > Duration::ZERO);
+    assert_eq!(pairwise.built_backends(), vec!["3hop"]);
     let page = m.render_prometheus();
     assert!(page.contains("gtpq_reach_index_builds_total 1"), "{page}");
 }

@@ -1,5 +1,5 @@
-//! The service layer: share one graph + reachability index across many
-//! queries, let the selector pick the backend, and watch the cache work.
+//! The service layer: share one graph across many queries, fan a batch out
+//! over the worker pool, and watch the cache work.
 //!
 //! Run with `cargo run --release --example query_service`.
 
@@ -16,15 +16,9 @@ fn main() {
         graph.edge_count()
     );
 
-    // The service profiles the graph and picks a reachability backend.
+    // Every request answers on the SCC condensation the graph carries: the
+    // service builds no reachability index for default-option queries.
     let service = QueryService::new(Arc::clone(&graph));
-    let selection = service.backend_selection().expect("auto-selected");
-    println!(
-        "backend: {} ({}); profile: {:?}",
-        service.backend_name(),
-        selection.reason,
-        selection.profile
-    );
 
     // A mixed workload: one of the paper's XMark queries plus random
     // patterns sampled from the graph itself.
@@ -68,4 +62,6 @@ fn main() {
     // At least the whole warm batch hits; equivalent random queries inside
     // the cold batch can add more.
     assert!(m.cache_hits >= queries.len() as u64);
+    assert_eq!(m.index_builds, 0, "no request needed a reachability index");
+    println!("index builds: {}", m.index_builds);
 }

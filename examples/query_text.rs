@@ -14,10 +14,9 @@ fn main() {
     let graph = Arc::new(generate_dblp(240, 42));
     let service = QueryService::new(Arc::clone(&graph));
     println!(
-        "DBLP-like graph: {} nodes, {} edges, backend {}",
+        "DBLP-like graph: {} nodes, {} edges",
         graph.node_count(),
-        graph.edge_count(),
-        service.backend_name()
+        graph.edge_count()
     );
 
     // Example 1 of the paper, written as text: papers with an Alice author

@@ -16,9 +16,8 @@
 //!   `Condensation`) is exact bit-identity.
 //! * **generator base** — the handle starts from a small XMark-like graph;
 //!   after each commit the maintained condensation must equal
-//!   `Condensation::new` of the committed graph, and all five reachability
-//!   backends must answer queries exactly like the naive semantic
-//!   evaluator on that graph.
+//!   `Condensation::new` of the committed graph, and the engine must answer
+//!   queries exactly like the naive semantic evaluator on that graph.
 //!
 //! The sweep varies `MutationConfig` so both the incremental fast paths
 //! (sorted-run merges, topological condensation insertion) and the
@@ -32,7 +31,6 @@ use gtpq::datagen::{
 use gtpq::graph::{Condensation, GraphHandle, MutationConfig, MutationStats};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::BackendKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,21 +83,19 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
     b.build().expect("generated queries are valid")
 }
 
-/// Every backend's answer on the committed snapshot must match the naive
-/// evaluator run against the oracle graph.
+/// The engine's answer on the committed snapshot must match the naive
+/// evaluator run against the oracle graph.  One run on the default 3-hop
+/// stands for every backend: default options answer on the maintained
+/// condensation and read no index.
 fn assert_backends_match_naive(ctx: &str, g: &DataGraph, oracle_graph: &DataGraph, q: &Gtpq) {
     let expected = naive::evaluate(q, oracle_graph);
-    for kind in BackendKind::ALL {
-        let index = kind.build_shared(g);
-        let engine = GteaEngine::with_backend(g, index, GteaOptions::default());
-        let got = engine.evaluate(q);
-        assert!(
-            got.same_answer(&expected),
-            "{ctx}: backend {kind:?} diverged from the rebuild oracle: got {:?} expected {:?}",
-            got.tuples,
-            expected.tuples
-        );
-    }
+    let got = GteaEngine::new(g).evaluate(q);
+    assert!(
+        got.same_answer(&expected),
+        "{ctx}: diverged from the rebuild oracle: got {:?} expected {:?}",
+        got.tuples,
+        expected.tuples
+    );
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //!   inclusive thresholds alike, and the planner's selectivity estimate
 //!   upper-bounds the filter's survivor count,
 //! * **engine agreement** — full `sim(...)` queries return the same answer
-//!   as the naive semantic oracle under all five reachability backends,
-//!   with the sim counters accounting for every indexed vector,
+//!   as the naive semantic oracle (the engine's default path reads no
+//!   reachability index, so one backend stands for all), with the sim
+//!   counters accounting for every indexed vector,
 //! * **degenerate radii** — an L2 radius of `+∞` (reachable only through
 //!   the builder; the parser rejects the literal) selects every indexed
 //!   vector on the index side exactly as the oracle's `d < ∞` does, and NaN
@@ -30,7 +31,6 @@ use gtpq::datagen::{generate_embed, EmbedConfig};
 use gtpq::graph::{GraphHandle, GraphSnapshot, SimTable};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::BackendKind;
 use gtpq::sim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -247,30 +247,19 @@ fn sim_queries_agree_with_the_oracle_across_backends_and_snapshots() {
             );
 
             let expected = naive::evaluate(&q, &g);
-            for kind in BackendKind::ALL {
-                let got =
-                    GteaEngine::with_backend(&g, kind.build_shared(&g), GteaOptions::default())
-                        .evaluate(&q);
-                assert!(
-                    got.same_answer(&expected),
-                    "seed {seed} {op:?} backend {kind:?}: engine diverges from the oracle"
-                );
-                let mapped_got = GteaEngine::with_backend(
-                    lg.as_ref(),
-                    kind.build_shared(lg.as_ref()),
-                    GteaOptions::default(),
-                )
-                .evaluate(&q);
-                assert!(
-                    mapped_got.same_answer(&expected),
-                    "seed {seed} {op:?} backend {kind:?}: answer moved after save + open_mmap"
-                );
-            }
+            let mapped_got = GteaEngine::new(lg).evaluate(&q);
+            assert!(
+                mapped_got.same_answer(&expected),
+                "seed {seed} {op:?}: answer moved after save + open_mmap"
+            );
 
             // The sim counters account for every indexed vector: each one is
             // either pruned by the pivot tests or exactly verified.
             let (res, stats) = GteaEngine::new(&g).evaluate_with_stats(&q);
-            assert!(res.same_answer(&expected), "seed {seed} {op:?}");
+            assert!(
+                res.same_answer(&expected),
+                "seed {seed} {op:?}: engine diverges from the oracle"
+            );
             assert_eq!(
                 stats.sim_pivot_filtered + stats.sim_verified,
                 table_len as u64,

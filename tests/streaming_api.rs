@@ -5,9 +5,9 @@
 //!   enumerator must produce rows in sorted order, or early termination
 //!   would return the wrong window,
 //! * an unlimited `submit` equals the engine's `evaluate` bit-for-bit,
-//! * both hold under every reachability backend, on random DAGs and random
-//!   cyclic graphs, and on both the engine-pushdown path (cache disabled)
-//!   and the cache-slicing path (pre-warmed cache),
+//! * both hold on random DAGs and random cyclic graphs, and on both the
+//!   engine-pushdown path (cache disabled) and the cache-slicing path
+//!   (pre-warmed cache),
 //! * limit pushdown pulls exactly the window plus its look-ahead row
 //!   (`EvalStats::enumerated_rows = min(offset + limit + 1, |answer|)`), and
 //!   the row counters (`enumerated_rows`, `result_tuples`,
@@ -25,7 +25,11 @@
 //!   walked or built — instead of letting it complete.
 //!
 //! Same harness as `property_based.rs`: a deterministic seed sweep over the
-//! vendored PRNG; every failure message carries the seed.
+//! vendored PRNG; every failure message carries the seed.  Every case runs
+//! once, on the engine's default 3-hop: default options answer on the
+//! condensation the graph carries and read no index
+//! (`crates/core/tests/work_guard.rs`), so another backend would re-run the
+//! same path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,7 +94,7 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
     b.build().expect("generated queries are valid")
 }
 
-/// The window cases exercised per (graph, query, backend): `(offset, limit)`.
+/// The window cases exercised per (graph, query): `(offset, limit)`.
 fn window_cases(total: usize) -> Vec<(usize, usize)> {
     vec![
         (0, 0),
@@ -103,14 +107,7 @@ fn window_cases(total: usize) -> Vec<(usize, usize)> {
     ]
 }
 
-fn check_windows(
-    service: &QueryService,
-    q: &Gtpq,
-    all: &[Vec<NodeId>],
-    seed: u64,
-    kind: BackendKind,
-    path: &str,
-) {
+fn check_windows(service: &QueryService, q: &Gtpq, all: &[Vec<NodeId>], seed: u64, path: &str) {
     for (offset, limit) in window_cases(all.len()) {
         let outcome = service
             .submit(
@@ -123,17 +120,13 @@ fn check_windows(
         let got: Vec<Vec<NodeId>> = outcome.rows.iter().cloned().collect();
         let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(limit).cloned().collect();
         assert_eq!(
-            got,
-            expected,
-            "seed {seed}, backend {}, {path}: window ({offset}, {limit}) diverged",
-            kind.as_str()
+            got, expected,
+            "seed {seed}, {path}: window ({offset}, {limit}) diverged"
         );
         let more_exist = offset.saturating_add(limit) < all.len();
         assert_eq!(
-            outcome.truncated,
-            more_exist,
-            "seed {seed}, backend {}, {path}: truncation flag wrong for ({offset}, {limit})",
-            kind.as_str()
+            outcome.truncated, more_exist,
+            "seed {seed}, {path}: truncation flag wrong for ({offset}, {limit})"
         );
         // Pushdown: the enumerator pulls the window plus its look-ahead
         // row, or the whole answer when that is shorter (engine path only;
@@ -143,8 +136,7 @@ fn check_windows(
             assert_eq!(
                 stats.enumerated_rows,
                 (offset + limit + 1).min(all.len()) as u64,
-                "seed {seed}, backend {}: rows enumerated for window ({offset}, {limit})",
-                kind.as_str()
+                "seed {seed}, {path}: rows enumerated for window ({offset}, {limit})"
             );
         }
     }
@@ -157,55 +149,41 @@ fn submit_windows_match_materialized_order_under_every_backend() {
         let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
         let q = random_query(&mut rng);
         let oracle = naive::evaluate(&q, &graph);
-        for kind in BackendKind::ALL {
-            // Reference: the engine's unlimited evaluation on this backend.
-            let engine =
-                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
-            let reference = engine.evaluate(&q);
-            assert!(
-                reference.same_answer(&oracle),
-                "seed {seed}, backend {}: engine diverged from naive",
-                kind.as_str()
-            );
-            let all: Vec<Vec<NodeId>> = reference.iter().cloned().collect();
+        // Reference: the engine's unlimited evaluation.
+        let reference = GteaEngine::new(&graph).evaluate(&q);
+        assert!(
+            reference.same_answer(&oracle),
+            "seed {seed}: engine diverged from naive"
+        );
+        let all: Vec<Vec<NodeId>> = reference.iter().cloned().collect();
 
-            // Engine-pushdown path: no result cache, windows stream out of
-            // the executor.
-            let pushdown = QueryService::with_config(
-                Arc::clone(&graph),
-                ServiceConfig {
-                    backend: Some(kind),
-                    cache_capacity: 0,
-                    ..ServiceConfig::default()
-                },
-            );
-            let unlimited = pushdown
-                .submit(&QueryRequest::query(q.clone()))
-                .expect("unlimited submit cannot fail");
-            assert_eq!(
-                *unlimited.rows,
-                reference,
-                "seed {seed}, backend {}: unlimited submit must equal evaluate bit-for-bit",
-                kind.as_str()
-            );
-            assert!(!unlimited.truncated);
-            check_windows(&pushdown, &q, &all, seed, kind, "pushdown");
+        // Engine-pushdown path: no result cache, windows stream out of the
+        // executor.
+        let pushdown = QueryService::with_config(
+            Arc::clone(&graph),
+            ServiceConfig {
+                cache_capacity: 0,
+                ..ServiceConfig::default()
+            },
+        );
+        let unlimited = pushdown
+            .submit(&QueryRequest::query(q.clone()))
+            .expect("unlimited submit cannot fail");
+        assert_eq!(
+            *unlimited.rows, reference,
+            "seed {seed}: unlimited submit must equal evaluate bit-for-bit"
+        );
+        assert!(!unlimited.truncated);
+        check_windows(&pushdown, &q, &all, seed, "pushdown");
 
-            // Cache-slicing path: a pre-warmed complete answer serves every
-            // window by slicing.
-            let cached = QueryService::with_config(
-                Arc::clone(&graph),
-                ServiceConfig {
-                    backend: Some(kind),
-                    ..ServiceConfig::default()
-                },
-            );
-            let warm = cached
-                .submit(&QueryRequest::query(q.clone()))
-                .expect("warm-up submit cannot fail");
-            assert_eq!(*warm.rows, reference);
-            check_windows(&cached, &q, &all, seed, kind, "cache-slice");
-        }
+        // Cache-slicing path: a pre-warmed complete answer serves every
+        // window by slicing.
+        let cached = QueryService::new(Arc::clone(&graph));
+        let warm = cached
+            .submit(&QueryRequest::query(q.clone()))
+            .expect("warm-up submit cannot fail");
+        assert_eq!(*warm.rows, reference);
+        check_windows(&cached, &q, &all, seed, "cache-slice");
     }
 }
 
@@ -225,41 +203,38 @@ fn row_counters_repeat_exactly_for_the_full_run_and_every_window() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 20, seed % 2 == 0);
         let q = random_query(&mut rng);
-        for kind in BackendKind::ALL {
-            let engine =
-                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
-            let plan = engine.plan(&q);
-            let run = |limit: Option<usize>, offset: usize| {
-                let ctl = ExecCtl::unbounded();
-                let options = ExecOptions { limit, offset, ctl };
-                let exec = engine.execute(&q, &plan, options);
-                exec.expect("unbounded execution cannot be interrupted")
-            };
-            let full = run(None, 0);
-            let again = run(None, 0);
-            assert_eq!(again.results, full.results, "seed {seed}, {kind:?}");
-            assert_eq!(
-                row_counters(&again.stats),
-                row_counters(&full.stats),
-                "seed {seed}, {kind:?}: full-run counters moved"
+        let engine = GteaEngine::new(&graph);
+        let plan = engine.plan(&q);
+        let run = |limit: Option<usize>, offset: usize| {
+            let ctl = ExecCtl::unbounded();
+            let options = ExecOptions { limit, offset, ctl };
+            let exec = engine.execute(&q, &plan, options);
+            exec.expect("unbounded execution cannot be interrupted")
+        };
+        let full = run(None, 0);
+        let again = run(None, 0);
+        assert_eq!(again.results, full.results, "seed {seed}");
+        assert_eq!(
+            row_counters(&again.stats),
+            row_counters(&full.stats),
+            "seed {seed}: full-run counters moved"
+        );
+        // A window pulls itself plus its look-ahead row, emits its slice,
+        // and stands on the same matching graph as the full run.
+        let total = full.results.len();
+        for (offset, limit) in window_cases(total) {
+            let emitted = limit.min(total.saturating_sub(offset));
+            let expected = (
+                (offset + limit + 1).min(total) as u64,
+                emitted as u64,
+                full.stats.intermediate_size,
             );
-            // A window pulls itself plus its look-ahead row, emits its
-            // slice, and stands on the same matching graph as the full run.
-            let total = full.results.len();
-            for (offset, limit) in window_cases(total) {
-                let emitted = limit.min(total.saturating_sub(offset));
-                let expected = (
-                    (offset + limit + 1).min(total) as u64,
-                    emitted as u64,
-                    full.stats.intermediate_size,
+            for _ in 0..2 {
+                assert_eq!(
+                    row_counters(&run(Some(limit), offset).stats),
+                    expected,
+                    "seed {seed}: counters wrong for window ({offset}, {limit})"
                 );
-                for _ in 0..2 {
-                    assert_eq!(
-                        row_counters(&run(Some(limit), offset).stats),
-                        expected,
-                        "seed {seed}, {kind:?}: counters wrong for window ({offset}, {limit})"
-                    );
-                }
             }
         }
     }
@@ -276,56 +251,52 @@ fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
         let q = random_query(&mut rng);
-        for kind in BackendKind::ALL {
-            let engine =
-                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
-            let plan = engine.plan(&q);
-            let controls = [
-                (
-                    ExecCtl::unbounded().with_cancel(cancelled()),
-                    Interrupt::Cancelled,
-                ),
-                (
-                    ExecCtl::unbounded().with_deadline(Instant::now()),
-                    Interrupt::Timeout,
-                ),
-            ];
-            for (ctl, interrupt) in controls {
-                let aborted = engine
-                    .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
-                    .expect_err("the first poll interrupts");
-                assert_eq!(aborted.interrupt, interrupt, "seed {seed}, {kind:?}");
-                // The partial stats say no candidate was selected and no
-                // row pulled.
-                let stats = &aborted.stats;
-                assert!(stats.operators.is_empty(), "seed {seed}, {kind:?}");
-                assert_eq!(row_counters(stats), (0, 0, 0), "seed {seed}, {kind:?}");
-            }
-
-            let service = QueryService::with_config(
-                Arc::clone(&graph),
-                ServiceConfig {
-                    backend: Some(kind),
-                    cache_capacity: 0,
-                    ..ServiceConfig::default()
-                },
-            );
-            let request = QueryRequest::query(q.clone());
-            let err = service.submit(&request.clone().with_cancel(cancelled()));
-            assert_eq!(err.unwrap_err(), QueryError::Cancelled, "seed {seed}");
-            let err = service.submit(&request.with_deadline(Duration::ZERO));
-            assert!(
-                matches!(err, Err(QueryError::Timeout { .. })),
-                "seed {seed}, {kind:?}: {err:?}"
-            );
-            // Both runs fold into the metrics as aborted, neither as a miss.
-            let m = service.metrics();
-            assert_eq!(
-                (m.cancelled, m.timed_out, m.aborted, m.cache_misses),
-                (1, 1, 2, 0),
-                "seed {seed}, {kind:?}"
-            );
+        let engine = GteaEngine::new(&graph);
+        let plan = engine.plan(&q);
+        let controls = [
+            (
+                ExecCtl::unbounded().with_cancel(cancelled()),
+                Interrupt::Cancelled,
+            ),
+            (
+                ExecCtl::unbounded().with_deadline(Instant::now()),
+                Interrupt::Timeout,
+            ),
+        ];
+        for (ctl, interrupt) in controls {
+            let aborted = engine
+                .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
+                .expect_err("the first poll interrupts");
+            assert_eq!(aborted.interrupt, interrupt, "seed {seed}");
+            // The partial stats say no candidate was selected and no row
+            // pulled.
+            let stats = &aborted.stats;
+            assert!(stats.operators.is_empty(), "seed {seed}");
+            assert_eq!(row_counters(stats), (0, 0, 0), "seed {seed}");
         }
+
+        let service = QueryService::with_config(
+            Arc::clone(&graph),
+            ServiceConfig {
+                cache_capacity: 0,
+                ..ServiceConfig::default()
+            },
+        );
+        let request = QueryRequest::query(q.clone());
+        let err = service.submit(&request.clone().with_cancel(cancelled()));
+        assert_eq!(err.unwrap_err(), QueryError::Cancelled, "seed {seed}");
+        let err = service.submit(&request.with_deadline(Duration::ZERO));
+        assert!(
+            matches!(err, Err(QueryError::Timeout { .. })),
+            "seed {seed}: {err:?}"
+        );
+        // Both runs fold into the metrics as aborted, neither as a miss.
+        let m = service.metrics();
+        assert_eq!(
+            (m.cancelled, m.timed_out, m.aborted, m.cache_misses),
+            (1, 1, 2, 0),
+            "seed {seed}"
+        );
     }
 }
 
@@ -335,37 +306,30 @@ fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 20, seed % 2 == 0);
         let q = random_query(&mut rng);
-        for kind in BackendKind::ALL {
-            let engine =
-                GteaEngine::with_backend(&graph, kind.build_shared(&graph), GteaOptions::default());
-            let plan = engine.plan(&q);
-            let reference = engine
-                .execute(&q, &plan, ExecOptions::unbounded())
-                .expect("unbounded execution cannot be interrupted");
-            let token = CancelToken::new();
-            let racer = {
-                let token = token.clone();
-                std::thread::spawn(move || {
-                    // Seed-varied delay so the cancel lands in different
-                    // stages across the sweep.
-                    std::thread::sleep(Duration::from_micros(10 * (seed % 7)));
-                    token.cancel();
-                })
-            };
-            let ctl = ExecCtl::unbounded().with_cancel(token);
-            let raced = engine.execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl));
-            racer.join().expect("cancelling thread panicked");
-            match raced {
-                Ok(exec) => assert_eq!(
-                    exec.results, reference.results,
-                    "seed {seed}, {kind:?}: raced run completed with a wrong answer"
-                ),
-                Err(aborted) => assert_eq!(
-                    aborted.interrupt,
-                    Interrupt::Cancelled,
-                    "seed {seed}, {kind:?}"
-                ),
-            }
+        let engine = GteaEngine::new(&graph);
+        let plan = engine.plan(&q);
+        let reference = engine
+            .execute(&q, &plan, ExecOptions::unbounded())
+            .expect("unbounded execution cannot be interrupted");
+        let token = CancelToken::new();
+        let racer = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                // Seed-varied delay so the cancel lands in different stages
+                // across the sweep.
+                std::thread::sleep(Duration::from_micros(10 * (seed % 7)));
+                token.cancel();
+            })
+        };
+        let ctl = ExecCtl::unbounded().with_cancel(token);
+        let raced = engine.execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl));
+        racer.join().expect("cancelling thread panicked");
+        match raced {
+            Ok(exec) => assert_eq!(
+                exec.results, reference.results,
+                "seed {seed}: raced run completed with a wrong answer"
+            ),
+            Err(aborted) => assert_eq!(aborted.interrupt, Interrupt::Cancelled, "seed {seed}"),
         }
     }
 }
@@ -443,10 +407,10 @@ fn random_tree_query(rng: &mut StdRng) -> Gtpq {
 
 /// Checks the engine's full answer and every window against the naive
 /// evaluator's `ResultSet` order.  Returns the answer size.
-fn check_against_naive(graph: &DataGraph, q: &Gtpq, kind: BackendKind, tag: &str) -> usize {
+fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
     let oracle = naive::evaluate(q, graph);
     let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
-    let engine = GteaEngine::with_backend(graph, kind.build_shared(graph), GteaOptions::default());
+    let engine = GteaEngine::new(graph);
     let plan = engine.plan(q);
     let windows = window_cases(all.len())
         .into_iter()
@@ -485,8 +449,7 @@ fn tree_queries_in_any_output_order_match_naive_order_for_every_window_and_parti
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = dense_graph(&mut rng, seed % 2 == 0);
         let q = random_tree_query(&mut rng);
-        let kind = BackendKind::ALL[seed as usize % BackendKind::ALL.len()];
-        let rows = check_against_naive(&graph, &q, kind, &format!("seed {seed}"));
+        let rows = check_against_naive(&graph, &q, &format!("seed {seed}"));
         answered += usize::from(rows > 1);
     }
     assert!(
@@ -548,7 +511,6 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
     let rows = check_against_naive(
         &single.build(),
         &fan_query(&["z", "r", "y"]),
-        BackendKind::Closure,
         "everything shrunk away",
     );
     assert_eq!(rows, 1);
@@ -567,7 +529,6 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
         let rows = check_against_naive(
             &split,
             &fan_query(outputs),
-            BackendKind::ThreeHop,
             &format!("two components, outputs {outputs:?}"),
         );
         assert_eq!(rows, expected);
@@ -584,7 +545,6 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
         let rows = check_against_naive(
             &whole,
             &fan_query(outputs),
-            BackendKind::Sspi,
             &format!("one component, outputs {outputs:?}"),
         );
         assert_eq!(rows, expected);
@@ -597,11 +557,7 @@ fn cancelling_from_another_thread_interrupts_a_long_enumeration() {
     // place, one poll per row), and as many rows collected into one sorted
     // run before the first row when it is not (polled inside the build).
     let graph = fan_graph(10, 150);
-    let engine = GteaEngine::with_backend(
-        &graph,
-        BackendKind::Closure.build_shared(&graph),
-        GteaOptions::default(),
-    );
+    let engine = GteaEngine::new(&graph);
     for outputs in [&["r", "x", "y"][..], &["x", "y"]] {
         let q = fan_query(outputs);
         let plan = engine.plan(&q);
