@@ -1,12 +1,14 @@
 //! Ablation of GTEA's design decisions (upward pruning, set-at-a-time vs
-//! pairwise AD pruning, prime-subtree shrinking) plus HGJoin+ vs HGJoin* — the graph-vs-tuple
-//! intermediate representation comparison.
+//! pairwise AD pruning on the paper's 3-hop index, prime-subtree shrinking)
+//! plus HGJoin+ vs HGJoin* — the graph-vs-tuple intermediate representation
+//! comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtpq_baselines::{HgJoin, TpqAlgorithm};
 use gtpq_bench::workloads::xmark_graph;
 use gtpq_core::{GteaEngine, GteaOptions};
 use gtpq_datagen::xmark_q3;
+use gtpq_reach::ThreeHop;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
@@ -15,13 +17,14 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(800));
     let g = xmark_graph(1.0);
     let q = xmark_q3(0, 3, 7);
+    let three_hop = ThreeHop::new(&g);
     for (name, options) in [
         ("full", GteaOptions::default()),
         ("no-upward-pruning", GteaOptions::without_upward_pruning()),
         ("pairwise-pruning", GteaOptions::without_contours()),
         ("no-shrinking", GteaOptions::without_shrinking()),
     ] {
-        let engine = GteaEngine::with_options(&g, options);
+        let engine = GteaEngine::with_backend(&g, &three_hop, options);
         group.bench_with_input(BenchmarkId::new("GTEA", name), &q, |b, q| {
             b.iter(|| engine.evaluate(q))
         });

@@ -18,6 +18,7 @@ use gtpq_datagen::{
 };
 use gtpq_graph::{DataGraph, GraphStats};
 use gtpq_query::Gtpq;
+use gtpq_reach::ThreeHop;
 
 use crate::workloads::{arxiv_graph, label_groups, xmark_graph, ARXIV_QUERY_SIZES, XMARK_SCALES};
 
@@ -462,25 +463,33 @@ fn fig12bcd(prefix: &str) -> Result<(), String> {
 }
 
 /// Ablation of GTEA's design decisions ("The evaluation pipeline" in
-/// `docs/ARCHITECTURE.md`): upward pruning,
-/// set-at-a-time vs pairwise AD pruning, prime-subtree shrinking.
+/// `docs/ARCHITECTURE.md`): upward pruning, set-at-a-time vs pairwise AD
+/// pruning (probing the paper's 3-hop index, built outside the timing),
+/// prime-subtree shrinking.  Every configuration must return the `full`
+/// row's answer.
 fn ablation() -> Result<(), String> {
     println!("== Ablation: GTEA design decisions on XMark scale 1.0, Q3 ==");
     let g = xmark_graph(1.0);
     let q = xmark_q3(0, 3, 7);
+    let three_hop = ThreeHop::new(&g);
     println!(
         "{:>24} {:>10} {:>14}",
         "configuration", "time(ms)", "#intermediate"
     );
+    let mut full = None;
     for (name, options) in [
         ("full", GteaOptions::default()),
         ("no upward pruning", GteaOptions::without_upward_pruning()),
         ("pairwise AD pruning", GteaOptions::without_contours()),
         ("no subtree shrinking", GteaOptions::without_shrinking()),
     ] {
-        let engine = GteaEngine::with_options(&g, options);
-        let ((_, stats), t) = timed(|| engine.evaluate_with_stats(&q));
+        let engine = GteaEngine::with_backend(&g, &three_hop, options);
+        let ((answer, stats), t) = timed(|| engine.evaluate_with_stats(&q));
         println!("{:>24} {:>10.2} {:>14}", name, t, stats.intermediate_size);
+        let full = full.get_or_insert(answer.clone());
+        if answer != *full {
+            return Err(format!("ablation `{name}` changed the answer"));
+        }
     }
     Ok(())
 }

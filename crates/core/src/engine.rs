@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use gtpq_graph::DataGraph;
 use gtpq_query::{Gtpq, ResultSet};
-use gtpq_reach::{Reachability, ThreeHop};
+use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
 use crate::matching::MatchingGraph;
@@ -102,38 +102,43 @@ pub struct Execution {
 ///
 /// Under default [`GteaOptions`] every reachability question is answered on
 /// the SCC condensation `graph` carries ([`DataGraph::condensation`],
-/// computed once on first use), so evaluation needs no index.  The engine is
-/// still generic over a [`Reachability`] backend `R`, which the pairwise
-/// ablation arm ([`GteaOptions::without_contours`]) probes pair by pair; the
-/// default is the paper's 3-hop index, built when the engine is created, so
-/// evaluation time excludes index construction as in the paper's
-/// methodology.  Use [`with_backend`](Self::with_backend) to plug in another
-/// index (or a shared `Arc<dyn Reachability + Send + Sync>`, or one that
-/// builds itself on first probe, as the query service does).
-pub struct GteaEngine<'g, R: Reachability = ThreeHop> {
+/// computed once on first use), so evaluation needs no index and the engine
+/// builds none.  The one reader of a [`Reachability`] is the pairwise
+/// ablation arm ([`GteaOptions::without_contours`]), which calls
+/// [`Reachability::reaches`] pair by pair.  [`new`](Self::new) and
+/// [`with_options`](Self::with_options) point it at the condensation itself,
+/// whose point probe is a whole sweep; a caller measuring that arm builds a
+/// real index (3-hop, the paper's, or SSPI) and passes it to
+/// [`with_backend`](Self::with_backend), so evaluation time excludes index
+/// construction as in the paper's methodology.
+pub struct GteaEngine<'g> {
     graph: &'g DataGraph,
-    index: R,
+    index: &'g dyn Reachability,
     options: GteaOptions,
 }
 
-impl<'g> GteaEngine<'g, ThreeHop> {
-    /// Builds the engine (and its 3-hop reachability index) for `graph`.
+impl<'g> GteaEngine<'g> {
+    /// Builds the engine for `graph`, with default options.
     pub fn new(graph: &'g DataGraph) -> Self {
         Self::with_options(graph, GteaOptions::default())
     }
 
-    /// Builds the engine with explicit options (used by the ablation benches).
+    /// Builds the engine with explicit options; the pairwise arm, if
+    /// `options` selects it, probes the graph's condensation.
     pub fn with_options(graph: &'g DataGraph, options: GteaOptions) -> Self {
-        Self::with_backend(graph, ThreeHop::new(graph), options)
+        Self::with_backend(graph, &**graph.condensation(), options)
     }
-}
 
-impl<'g, R: Reachability> GteaEngine<'g, R> {
-    /// Builds the engine around an existing reachability backend.
+    /// Builds the engine around an existing reachability backend, which
+    /// only the pairwise arm probes.
     ///
     /// `index` must have been built for (the condensation of) `graph`;
     /// the pairwise arm's answers are undefined otherwise.
-    pub fn with_backend(graph: &'g DataGraph, index: R, options: GteaOptions) -> Self {
+    pub fn with_backend(
+        graph: &'g DataGraph,
+        index: &'g dyn Reachability,
+        options: GteaOptions,
+    ) -> Self {
         Self {
             graph,
             index,
@@ -146,9 +151,9 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         self.graph
     }
 
-    /// The underlying reachability index.
-    pub fn index(&self) -> &R {
-        &self.index
+    /// The reachability backend the pairwise arm probes.
+    pub fn index(&self) -> &dyn Reachability {
+        self.index
     }
 
     /// The evaluation options.
@@ -158,8 +163,8 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
 
     /// Builds the cost-based plan the engine would execute for `q` (the
     /// planner orders prune work by estimated candidate-set size; it
-    /// recommends no backend, because the engine's backend is fixed and
-    /// default-option evaluation never probes it).
+    /// recommends no backend, because default-option evaluation probes
+    /// none).
     pub fn plan(&self, q: &Gtpq) -> QueryPlan {
         Planner::new(self.graph).plan(q)
     }
@@ -352,7 +357,7 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         prune_downward(
             q,
             g,
-            &self.index,
+            self.index,
             &self.options,
             &steps,
             &mut mat,
@@ -378,7 +383,7 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
             prune_upward(
                 q,
                 g,
-                &self.index,
+                self.index,
                 &self.options,
                 &prime,
                 plan.upward_estimated_rows,
@@ -396,10 +401,14 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
 
         // Step 3: shrunk prime subtree and its maximal matching graph.
         let span = ctl.tracer().span("matching");
-        let shrunk = ShrunkPrime::new(q, &prime, &mat, self.options.shrink_prime_subtree);
+        let shrunk = if self.options.upward_pruning {
+            ShrunkPrime::new(q, &prime, &mat, self.options.shrink_prime_subtree)
+        } else {
+            ShrunkPrime::unshrunk(q, &prime)
+        };
         stats.shrunk_subtree_size = shrunk.len() as u64;
         let matching_start = Instant::now();
-        let matching = MatchingGraph::build(q, g, &self.index, &shrunk, &mat, stats, ctl)?;
+        let matching = MatchingGraph::build(q, g, self.index, &shrunk, &mat, stats, ctl)?;
         span.field("est_rows", plan.matching_estimated_rows);
         span.field("nodes", matching.node_count);
         span.field("edges", matching.edge_count);
@@ -428,7 +437,8 @@ mod tests {
     use gtpq_graph::{GraphBuilder, NodeId};
     use gtpq_logic::BoolExpr;
     use gtpq_query::fixtures::{example_answer_pairs, example_graph, example_query};
-    use gtpq_query::{naive, AttrPredicate, EdgeKind, GtpqBuilder};
+    use gtpq_query::{naive, parse_query, AttrPredicate, EdgeKind, GtpqBuilder};
+    use gtpq_reach::ThreeHop;
 
     use super::*;
 
@@ -462,6 +472,38 @@ mod tests {
             let engine = GteaEngine::with_options(&g, options);
             let got = engine.evaluate(&q);
             assert!(got.same_answer(&expected), "options {options:?}");
+        }
+        let index = ThreeHop::new(&g);
+        let pairwise = GteaEngine::with_backend(&g, &index, GteaOptions::without_contours());
+        assert!(pairwise.evaluate(&q).same_answer(&expected));
+    }
+
+    #[test]
+    fn without_upward_pruning_an_output_below_the_root_keeps_its_ancestors() {
+        // c2 lies below an a and a b; c4 only below a b.  Without the
+        // upward round c4 survives as a candidate, so the matching graph
+        // must still walk down from the root to rule it out.
+        let mut gb = GraphBuilder::new();
+        let v: Vec<NodeId> = ["a", "b", "c", "b", "c"]
+            .iter()
+            .map(|label| gb.add_node_with_label(label))
+            .collect();
+        for (x, y) in [(0, 1), (1, 2), (3, 4)] {
+            gb.add_edge(v[x], v[y]);
+        }
+        let g = gb.build();
+        let q = parse_query("a { //b { //c* } }").unwrap();
+        let expected = naive::evaluate(&q, &g);
+        assert_eq!(expected.len(), 1);
+        for options in [
+            GteaOptions::without_upward_pruning(),
+            GteaOptions {
+                shrink_prime_subtree: false,
+                ..GteaOptions::without_upward_pruning()
+            },
+        ] {
+            let got = GteaEngine::with_options(&g, options).evaluate(&q);
+            assert_eq!(got, expected, "{options:?}");
         }
     }
 
@@ -696,7 +738,7 @@ mod tests {
             inner: ThreeHop::new(&g),
             token: token.clone(),
         };
-        let engine = GteaEngine::with_backend(&g, index, GteaOptions::without_contours());
+        let engine = GteaEngine::with_backend(&g, &index, GteaOptions::without_contours());
         let plan = engine.plan(&q);
         let ctl = ExecCtl::unbounded().with_cancel(token);
         let err = engine

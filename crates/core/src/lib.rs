@@ -7,8 +7,8 @@
 //! candidate counts), and the engine executes it.  [`GteaEngine::evaluate`]
 //! is exactly "build the default plan, execute it";
 //! [`GteaEngine::evaluate_planned`] executes an explicit plan, which the
-//! query service uses for plan caching and per-query backend selection and
-//! the tests use to prove that any plan returns the same answer.
+//! query service uses for plan caching and the tests use to prove that any
+//! plan returns the same answer.
 //!
 //! The executed pipeline evaluates a [`Gtpq`](gtpq_query::Gtpq) over a
 //! [`DataGraph`](gtpq_graph::DataGraph) in four steps:
@@ -41,8 +41,11 @@
 //!    nodes that were shrunk away are written once.
 //!
 //! None of the steps asks a reachability *index* anything under default
-//! options; the engine's [`Reachability`](gtpq_reach::Reachability) backend
-//! serves the pairwise ablation arm ([`GteaOptions::without_contours`]).
+//! options, and the engine builds none.  The pairwise ablation arm
+//! ([`GteaOptions::without_contours`]) probes a
+//! [`Reachability`](gtpq_reach::Reachability) pair by pair: the graph's
+//! condensation unless the caller passes an index to
+//! [`GteaEngine::with_backend`].
 //!
 //! Every step runs on the calling thread: the filter stages take tens to
 //! hundreds of microseconds per query, less than starting worker threads

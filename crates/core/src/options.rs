@@ -8,7 +8,10 @@
 #[derive(Clone, Copy, Debug)]
 pub struct GteaOptions {
     /// Run the upward pruning round (Procedure 7).  Disabling it leaves more
-    /// candidates in the matching graph but still produces correct answers.
+    /// candidates in the matching graph, and the matching graph must then
+    /// cover the whole prime subtree: the shrinking of §4.3 (see
+    /// [`shrink_prime_subtree`](Self::shrink_prime_subtree)) relies on
+    /// upward-pruned candidate sets, so it is skipped.
     pub upward_pruning: bool,
     /// Answer set reachability during pruning set-at-a-time — the role the
     /// paper gives contour merging (Procedure 2) — with one sweep of the
@@ -19,7 +22,8 @@ pub struct GteaOptions {
     /// reachability backend.
     pub use_contours: bool,
     /// Shrink the prime subtree by removing query nodes with a single
-    /// remaining candidate (§4.3).  Disabling keeps the full prime subtree.
+    /// remaining candidate (§4.3).  Disabling keeps those nodes.  Has no
+    /// effect without [`upward_pruning`](Self::upward_pruning).
     pub shrink_prime_subtree: bool,
 }
 

@@ -252,7 +252,7 @@ impl QueryPlan {
     /// ```
     ///
     /// The header names the recommended backend only when the plan carries
-    /// one: `QueryPlan (backend: closure — per-query: …; est. probes 42)`.
+    /// one: `QueryPlan (backend: 3hop — per-query: …; est. probes 42)`.
     pub fn render(&self, q: &Gtpq) -> String {
         self.render_lines(q, None)
     }

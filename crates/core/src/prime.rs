@@ -90,6 +90,8 @@ impl ShrunkPrime {
     /// Computes the shrunk prime subtree given the pruned candidate sets.
     ///
     /// `shrink` disables the single-candidate removal when false (ablation).
+    /// Both removals assume upward-pruned candidate sets; without the
+    /// upward round the engine keeps the whole prime subtree instead.
     pub fn new(q: &Gtpq, prime: &PrimeSubtree, mat: &[Vec<NodeId>], shrink: bool) -> Self {
         // Restrict to descendants of the LCA of all output nodes.
         let outputs = q.output_nodes();
@@ -148,6 +150,20 @@ impl ShrunkPrime {
             nodes: keep,
             children,
             constant_outputs,
+        }
+    }
+
+    /// The whole prime subtree, nothing removed: what the matching graph
+    /// must cover when the upward round did not run.  Both removals of
+    /// [`new`](Self::new) — the ancestors of the outputs' LCA, and nodes
+    /// with a single candidate — assume that every remaining candidate
+    /// extends upward to a match, which only upward pruning guarantees.
+    pub(crate) fn unshrunk(q: &Gtpq, prime: &PrimeSubtree) -> Self {
+        Self {
+            roots: vec![q.root()],
+            nodes: prime.nodes.clone(),
+            children: prime.children.clone(),
+            constant_outputs: Vec::new(),
         }
     }
 

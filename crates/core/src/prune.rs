@@ -316,9 +316,13 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use gtpq_graph::traversal::is_reachable;
+    use gtpq_graph::Condensation;
     use gtpq_query::fixtures::{example_graph, example_query};
     use gtpq_query::naive;
-    use gtpq_reach::{BackendKind, ThreeHop};
+    use gtpq_reach::{BackendKind, SharedIndex, ThreeHop};
 
     use super::*;
 
@@ -424,24 +428,61 @@ mod tests {
         (b.build(), q)
     }
 
+    /// Every backend of `BackendKind::ALL` built on `g`, then `g`'s bare
+    /// condensation: what the pairwise arm can probe.
+    fn backends(g: &DataGraph) -> Vec<SharedIndex> {
+        let mut indexes: Vec<SharedIndex> = BackendKind::ALL
+            .iter()
+            .map(|kind| kind.build_shared(g))
+            .collect();
+        indexes.push(Arc::new(Condensation::clone(g.condensation())));
+        indexes
+    }
+
     /// Candidate sets after the downward round (and the upward one when
-    /// `upward`), under `kind` with `options`.
+    /// `upward`), with `index` behind the pairwise arm.
     fn pruned(
         g: &DataGraph,
         q: &Gtpq,
-        kind: BackendKind,
+        index: &dyn Reachability,
         options: &GteaOptions,
         upward: bool,
     ) -> Vec<Vec<NodeId>> {
-        let index = kind.build_shared(g);
         let mut stats = EvalStats::default();
         let mut mat = initial_candidates(q, g, &mut stats);
         let ctl = ExecCtl::unbounded();
         let steps = PruneStep::bottom_up(q);
-        prune_downward(q, g, &index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+        prune_downward(q, g, index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
         if upward {
             let prime = PrimeSubtree::new(q);
-            prune_upward(q, g, &index, options, &prime, 0, &mut mat, &mut stats, &ctl).unwrap();
+            prune_upward(q, g, index, options, &prime, 0, &mut mat, &mut stats, &ctl).unwrap();
+        }
+        mat
+    }
+
+    /// The naive evaluator's downward table as candidate sets, then (when
+    /// `upward`) the upward round re-done by BFS: a prime child's candidate
+    /// survives when a surviving candidate of its prime parent reaches it
+    /// (is its graph parent, on a PC edge).
+    fn oracle(g: &DataGraph, q: &Gtpq, upward: bool) -> Vec<Vec<NodeId>> {
+        let table = naive::downward_matches(q, g);
+        let mut mat: Vec<Vec<NodeId>> = q
+            .node_ids()
+            .map(|u| g.nodes().filter(|&v| table[u.index()][v.index()]).collect())
+            .collect();
+        if upward {
+            let prime = PrimeSubtree::new(q);
+            for &u in &prime.nodes {
+                for &c in prime.children_of(u) {
+                    let parents = mat[u.index()].clone();
+                    mat[c.index()].retain(|&v| {
+                        parents.iter().any(|&p| match q.incoming_edge(c) {
+                            Some(EdgeKind::Child) => g.children(p).contains(&v),
+                            _ => is_reachable(g, p, v),
+                        })
+                    });
+                }
+            }
         }
         mat
     }
@@ -449,16 +490,12 @@ mod tests {
     #[test]
     fn downward_pruning_without_contours_gives_the_same_result() {
         for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
-            let table = naive::downward_matches(&q, &g);
-            for kind in BackendKind::ALL {
-                let swept = pruned(&g, &q, kind, &GteaOptions::default(), false);
-                let pairwise = pruned(&g, &q, kind, &GteaOptions::without_contours(), false);
-                assert_eq!(swept, pairwise, "{}", kind.as_str());
-                for u in q.node_ids() {
-                    let expected: Vec<NodeId> =
-                        g.nodes().filter(|&v| table[u.index()][v.index()]).collect();
-                    assert_eq!(swept[u.index()], expected, "{} at {u}", kind.as_str());
-                }
+            let expected = oracle(&g, &q, false);
+            for index in backends(&g) {
+                let swept = pruned(&g, &q, &*index, &GteaOptions::default(), false);
+                let pairwise = pruned(&g, &q, &*index, &GteaOptions::without_contours(), false);
+                assert_eq!(swept, expected, "{}", index.name());
+                assert_eq!(pairwise, expected, "{}", index.name());
             }
         }
     }
@@ -466,19 +503,19 @@ mod tests {
     #[test]
     fn upward_pruning_without_contours_gives_the_same_result() {
         for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
-            let reference = pruned(&g, &q, BackendKind::Closure, &GteaOptions::default(), true);
-            for kind in BackendKind::ALL {
-                let swept = pruned(&g, &q, kind, &GteaOptions::default(), true);
-                let pairwise = pruned(&g, &q, kind, &GteaOptions::without_contours(), true);
-                assert_eq!(swept, pairwise, "{}", kind.as_str());
-                assert_eq!(swept, reference, "{}", kind.as_str());
+            let expected = oracle(&g, &q, true);
+            for index in backends(&g) {
+                let swept = pruned(&g, &q, &*index, &GteaOptions::default(), true);
+                let pairwise = pruned(&g, &q, &*index, &GteaOptions::without_contours(), true);
+                assert_eq!(swept, expected, "{}", index.name());
+                assert_eq!(pairwise, expected, "{}", index.name());
             }
         }
         // On the cyclic fixture both rounds have work to do: b3 reaches a b
         // (itself, through its self-loop) and no d, so it dies downward —
         // and c6, which only b3 and a9 reach, dies upward.
         let (g, q) = cyclic_fixture();
-        let mat = pruned(&g, &q, BackendKind::Sspi, &GteaOptions::default(), true);
+        let mat = pruned(&g, &q, &**g.condensation(), &GteaOptions::default(), true);
         assert_eq!(mat[0], vec![NodeId(0)]);
         assert_eq!(mat[1], vec![NodeId(1)]);
         assert_eq!(mat[2], vec![NodeId(2)]);

@@ -154,7 +154,7 @@ fn matching_graph_costs_one_bounded_pass_per_ad_child() {
 }
 
 /// A reachability index nothing may ask anything: every probe, and the
-/// entry count (which forces a lazy build), panics.
+/// entry count, panics.
 struct Untouchable;
 
 impl Reachability for Untouchable {
@@ -274,7 +274,7 @@ fn random_tree_query(rng: &mut Rng) -> Gtpq {
 /// Evaluates `q` on `g` behind the [`Untouchable`] index and holds it to the
 /// naive evaluator; returns `index_lookups`.
 fn assert_index_free(g: &DataGraph, q: &Gtpq, tag: &str) -> u64 {
-    let engine = GteaEngine::with_backend(g, Untouchable, GteaOptions::default());
+    let engine = GteaEngine::with_backend(g, &Untouchable, GteaOptions::default());
     let exec = engine
         .execute(q, &engine.plan(q), ExecOptions::unbounded())
         .expect("unbounded execution cannot be interrupted");
@@ -319,7 +319,7 @@ fn default_options_answer_every_query_without_touching_the_index() {
 
     // The wrapper is live: the pairwise arm reaches it.
     let g = example_graph();
-    let pairwise = GteaEngine::with_backend(&g, Untouchable, GteaOptions::without_contours());
+    let pairwise = GteaEngine::with_backend(&g, &Untouchable, GteaOptions::without_contours());
     let reached = catch_unwind(AssertUnwindSafe(|| pairwise.evaluate(&example_query())));
     let message = *reached.unwrap_err().downcast::<String>().unwrap();
     assert!(message.starts_with("reaches("), "{message}");

@@ -1,6 +1,6 @@
 //! Strongly connected component condensation.
 //!
-//! Reachability indexes (3-hop, SSPI, closure) are defined on DAGs.  General
+//! Reachability indexes (3-hop, SSPI) and GTEA's set sweeps work on DAGs.  General
 //! data graphs are first condensed: every SCC collapses to a single component
 //! node, and reachability between original nodes is answered through the
 //! component DAG.  Two distinct nodes of the same SCC always reach each other;

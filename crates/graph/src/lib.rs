@@ -21,7 +21,8 @@
 //!   structures of the pruning hot path,
 //! * traversal helpers (BFS descendants/ancestors, naive reachability used as
 //!   a test oracle), and
-//! * simple statistics and a text serialization format used by the examples.
+//! * simple statistics, and a text serialization format (the cold-start
+//!   bench's text baseline and the round-trip tests read it).
 //!
 //! # Memory layout
 //!

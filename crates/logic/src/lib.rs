@@ -11,17 +11,16 @@
 //! * [`Valuation`] — truth assignments and evaluation,
 //! * [`transform`] — substitution, renaming, simplification, NNF, CNF,
 //! * [`sat`] — a DPLL SAT solver plus tautology / implication / equivalence
-//!   checks (and a brute-force reference used in tests),
-//! * [`parser`] — a tiny text syntax (`"p1 & (!p2 | p3)"`) used by examples
-//!   and the query DSL.
+//!   checks (and a brute-force reference used in tests).
+//!
+//! Formulas have no text syntax of their own: the query language parses
+//! them as part of a query (`gtpq_query::parse_query`).
 
 pub mod expr;
-pub mod parser;
 pub mod sat;
 pub mod transform;
 pub mod valuation;
 
 pub use expr::{BoolExpr, DisplayWith, VarId};
-pub use parser::{parse, ParseError};
 pub use sat::{brute_force_satisfiable, equivalent, implies, is_satisfiable, is_tautology};
 pub use valuation::Valuation;

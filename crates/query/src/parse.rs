@@ -687,8 +687,8 @@ impl Parser {
         }
     }
 
-    /// `formula = conj { "|" conj }` — same precedence ladder as
-    /// `gtpq_logic::parser`, with patterns as an extra kind of atom.
+    /// `formula = conj { "|" conj }`, with patterns as an extra kind of
+    /// atom.
     fn parse_formula(
         &mut self,
         node: QueryNodeId,

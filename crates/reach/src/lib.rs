@@ -12,25 +12,28 @@
 //!
 //! The paper's evaluation also compares pairwise indexes: GTEA probes the
 //! *3-hop* index and merges its lists into *contours* (Procedure 2,
-//! `MergePredLists`), the TwigStackD baseline needs an SSPI-style index,
-//! and the tests need an exact oracle.  Those three sit behind the common
-//! [`Reachability`] trait, one per [`BackendKind`]:
+//! `MergePredLists`), and the TwigStackD baseline needs an SSPI-style index.
+//! Those two sit behind the common [`Reachability`] trait, one per
+//! [`BackendKind`]:
 //!
-//! * [`TransitiveClosure`] — exact bitset oracle, O(V·V/64) memory,
 //! * [`ThreeHop`] — chain cover ([`ChainDecomposition`]) + `Lin`/`Lout` hop
 //!   lists, with contour merging ([`PredContour`] / [`SuccContour`]) as the
 //!   paper's Procedure 2 library API,
 //! * [`Sspi`] — spanning-tree intervals + surplus predecessor lists (on a
 //!   forest the surplus lists are empty and it *is* the interval labelling).
 //!
-//! All indexes are built on the SCC condensation so they accept arbitrary
+//! Both are built on the SCC condensation so they accept arbitrary
 //! directed graphs; the AD relationship of the paper ("non-empty path") is
-//! preserved: a node reaches itself only when it lies on a cycle.
+//! preserved: a node reaches itself only when it lies on a cycle.  The
+//! condensation itself implements [`Reachability`] too (in [`sweep`]), with
+//! no index behind it; the tests' exact oracle is the plain BFS of
+//! `gtpq_graph::traversal`.
 //!
 //! ## Pluggable backends
 //!
-//! The GTEA engine is generic over [`Reachability`], and reads the backend
-//! in one place: its pairwise ablation arm calls the point probe
+//! The GTEA engine holds a `&dyn Reachability` — the graph's condensation
+//! unless the caller passes an index — and reads it in one place: its
+//! pairwise ablation arm calls the point probe
 //! [`reaches`](Reachability::reaches) per (candidate, member) pair, which is
 //! where the backends differ.  The trait's two set probes —
 //! [`pred_probe`](Reachability::pred_probe) and
@@ -38,15 +41,13 @@
 //! on every backend, and [`source_probe`](Reachability::source_probe) (one
 //! source, many targets; pairwise `reaches` by default, one
 //! complete-successor-list computation on 3-hop) has no caller in the
-//! engine any more.  Use [`select_backend`] to pick a backend from graph
-//! statistics, or [`BackendKind::build_shared`] to name one explicitly;
+//! engine any more.  [`BackendKind::build_shared`] builds a named backend;
 //! [`BackendKind::ALL`] is the one table of backends everything else is
 //! derived from.
 
 #![warn(missing_docs)]
 
 pub mod chain;
-pub mod closure;
 pub mod contour;
 pub mod select;
 pub mod sspi;
@@ -58,7 +59,6 @@ use std::sync::Arc;
 use gtpq_graph::NodeId;
 
 pub use chain::{ChainDecomposition, ChainId, ChainPos};
-pub use closure::TransitiveClosure;
 pub use contour::{PredContour, SuccContour};
 pub use select::{
     build_selected_with, select_backend, select_backend_for_query, select_backend_with,
@@ -88,16 +88,16 @@ pub trait Reachability: Send + Sync {
     /// Number of entries stored by the index (used in space comparisons).
     fn index_entries(&self) -> usize;
 
-    /// Short name of the index; the three backends return their
+    /// Short name of the index; the two backends return their
     /// [`BackendKind::as_str`] spelling.
     fn name(&self) -> &'static str;
 
     /// Cumulative number of index elements looked up since construction (or
     /// the last [`reset_lookups`](Self::reset_lookups)) — the `#index`
     /// I/O-cost metric of Fig. 10.  Point probes count the hop-list or
-    /// surplus entries they read (none on the closure, whose point probe is
-    /// one bit test); a set-probe sweep counts the condensation edges it
-    /// visited.  Backends without instrumentation report 0.
+    /// surplus entries they read; a set-probe sweep counts the condensation
+    /// edges it visited.  Backends without instrumentation (the bare
+    /// condensation) report 0.
     ///
     /// The counter is a property of the (possibly shared) index, so callers
     /// wanting a per-stage figure should take start/end deltas rather than
@@ -116,11 +116,11 @@ pub trait Reachability: Send + Sync {
     ///
     /// There is no pairwise default: a set probe must cost one pass over
     /// the set, not one `reaches` per (candidate, member) pair.  Every
-    /// backend here answers with one backward condensation
-    /// [`sweep`] from `targets`, adding the condensation edges it visited
-    /// to [`lookup_count`](Self::lookup_count) once, at preparation; the
-    /// prepared probe is then `component_of(v)` plus one bit test and counts
-    /// nothing.  Wrappers forward to the index they wrap.
+    /// implementation here answers with one backward condensation
+    /// [`sweep`] from `targets`; an index adds the condensation edges it
+    /// visited to [`lookup_count`](Self::lookup_count) once, at preparation.
+    /// The prepared probe is then `component_of(v)` plus one bit test and
+    /// counts nothing.  Wrappers forward to the index they wrap.
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does *some* member of `sources` reach
@@ -180,5 +180,5 @@ impl<T: Reachability + ?Sized> Reachability for Arc<T> {
 }
 
 /// A reachability backend that can be shared across threads (what
-/// [`select_backend`] and the query service hand out).
+/// [`BackendKind::build_shared`] and the query service hand out).
 pub type SharedIndex = Arc<dyn Reachability + Send + Sync>;

@@ -10,8 +10,6 @@
 //! rules encoded here follow the paper's own measurements (§5.2) and the
 //! backends' asymptotics:
 //!
-//! * **small graph** → [`TransitiveClosure`]: exact bitset, fastest probes,
-//!   quadratic memory is irrelevant below a few thousand components;
 //! * **sparse, shallow, tree-like DAG** → [`Sspi`]: interval cover plus few
 //!   surplus edges (none at all on a forest, where it degenerates to the
 //!   plain interval labelling);
@@ -27,13 +25,11 @@ use std::sync::Arc;
 
 use gtpq_graph::{Condensation, DataGraph};
 
-use crate::{SharedIndex, Sspi, ThreeHop, TransitiveClosure};
+use crate::{SharedIndex, Sspi, ThreeHop};
 
 /// The reachability backends the service can run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Exact bitset transitive closure.
-    Closure,
     /// 3-hop chain cover + hop lists (the paper's index).
     ThreeHop,
     /// Spanning-tree intervals + surplus predecessor lists.
@@ -43,18 +39,13 @@ pub enum BackendKind {
 impl BackendKind {
     /// Every backend, in a fixed order — what sweeps and the per-query
     /// planner iterate over.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Closure,
-        BackendKind::ThreeHop,
-        BackendKind::Sspi,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::ThreeHop, BackendKind::Sspi];
 
     /// The canonical name of this backend: what
     /// [`Reachability::name`](crate::Reachability::name) of its index
     /// returns, and what [`FromStr`] parses back.
     pub fn as_str(self) -> &'static str {
         match self {
-            BackendKind::Closure => "closure",
             BackendKind::ThreeHop => "3hop",
             BackendKind::Sspi => "sspi",
         }
@@ -67,12 +58,11 @@ impl BackendKind {
 
     /// Like [`build_shared`](Self::build_shared) but reusing an
     /// already-computed condensation of `g` (the one `g` carries, for every
-    /// caller in this workspace).  All three backends build from the
+    /// caller in this workspace).  Both backends build from the
     /// condensation alone; `g` stays in the signature for callers that pass
     /// the pair.
     pub fn build_shared_with(self, _g: &DataGraph, cond: &Condensation) -> SharedIndex {
         match self {
-            BackendKind::Closure => Arc::new(TransitiveClosure::with_condensation(cond.clone())),
             BackendKind::ThreeHop => Arc::new(ThreeHop::with_condensation(cond.clone())),
             BackendKind::Sspi => Arc::new(Sspi::with_condensation(cond.clone())),
         }
@@ -163,10 +153,9 @@ impl BackendKind {
     /// Cost hints for this backend on a graph with the given profile.
     ///
     /// The constants encode the backends' asymptotics on the SCC condensation
-    /// (`n` components, `e` edges): the closure probes in O(1) but builds a
-    /// quadratic bitset; 3-hop builds near-linearithmically and probes
-    /// through hop-list merges; SSPI is interval-cheap on tree-like graphs
-    /// but pays for surplus edges as density grows.
+    /// (`n` components, `e` edges): 3-hop builds near-linearithmically and
+    /// probes through hop-list merges; SSPI is interval-cheap on tree-like
+    /// graphs but pays for surplus edges as density grows.
     ///
     /// `probe` describes the point probe `reaches`, which only the engine's
     /// pairwise ablation arm calls.  Its default path sweeps the
@@ -178,8 +167,6 @@ impl BackendKind {
         let n = profile.condensation_size.max(1) as f64;
         let e = profile.edges.max(1) as f64;
         let (build, probe) = match self {
-            // One bitset row per component: n²/64 words to fill.
-            BackendKind::Closure => (n * n / 64.0, 1.0),
             // Chain decomposition + hop lists: ~e·log n build, merged-list probes.
             BackendKind::ThreeHop => (e * n.log2().max(1.0), 8.0),
             // Spanning-tree intervals + surplus lists; probes degrade with
@@ -190,10 +177,6 @@ impl BackendKind {
     }
 }
 
-/// Components below which the quadratic bitset closure is unbeatable
-/// (4096² bits = 2 MiB of rows).
-const CLOSURE_MAX_COMPONENTS: usize = 4096;
-
 /// Picks a reachability backend for `g` from its statistics.
 pub fn select_backend(g: &DataGraph) -> BackendSelection {
     select_backend_with(g, g.condensation())
@@ -202,12 +185,7 @@ pub fn select_backend(g: &DataGraph) -> BackendSelection {
 /// Like [`select_backend`] but reusing an existing condensation of `g`.
 pub fn select_backend_with(g: &DataGraph, cond: &Condensation) -> BackendSelection {
     let profile = GraphProfile::compute_with(g, cond);
-    let (kind, reason) = if profile.condensation_size <= CLOSURE_MAX_COMPONENTS {
-        (
-            BackendKind::Closure,
-            "small condensation: exact bitset closure fits in cache",
-        )
-    } else if profile.is_dag && profile.density < 1.2 {
+    let (kind, reason) = if profile.is_dag && profile.density < 1.2 {
         (
             BackendKind::Sspi,
             "sparse tree-like DAG: interval cover + few surplus edges",
@@ -275,7 +253,6 @@ pub fn build_selected_with(g: &DataGraph, cond: &Condensation) -> (SharedIndex, 
 // Compile-time guarantee that every backend can be shared across threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TransitiveClosure>();
     assert_send_sync::<ThreeHop>();
     assert_send_sync::<Sspi>();
 };
@@ -315,36 +292,29 @@ mod tests {
     }
 
     #[test]
-    fn forests_select_closure_when_small_and_sspi_when_large() {
-        let small = forest(3);
-        let sel = select_backend(&small);
-        assert_eq!(sel.kind, BackendKind::Closure);
-        assert!(sel.profile.is_dag);
-
-        let large = forest(CLOSURE_MAX_COMPONENTS / 5 + 1);
-        let sel = select_backend(&large);
-        assert!(sel.profile.condensation_size > CLOSURE_MAX_COMPONENTS);
+    fn forests_select_sspi_and_answer_as_bfs_does() {
+        let g = forest(40);
+        let sel = select_backend(&g);
         assert_eq!(sel.kind, BackendKind::Sspi);
-
-        // Whichever of the two serves a forest, it answers as BFS does.
-        for kind in [BackendKind::Closure, BackendKind::Sspi] {
-            assert_matches_bfs(kind, &small);
+        assert!(sel.profile.is_dag);
+        for kind in BackendKind::ALL {
+            assert_matches_bfs(kind, &g);
         }
-        assert_matches_bfs(BackendKind::Sspi, &large);
     }
 
     #[test]
-    fn small_non_forest_selects_closure() {
+    fn cyclic_graphs_select_3hop() {
         let mut b = GraphBuilder::new();
         let v: Vec<_> = (0..6).map(|_| b.add_node()).collect();
-        // Diamond: in-degree 2 at the bottom, not a forest.
-        b.add_edge(v[0], v[1]);
-        b.add_edge(v[0], v[2]);
-        b.add_edge(v[1], v[3]);
-        b.add_edge(v[2], v[3]);
-        let sel = select_backend(&b.build());
-        assert_eq!(sel.kind, BackendKind::Closure);
-        assert!(sel.profile.is_dag);
+        // A three-cycle with a tail: sparse, but not a DAG.
+        for (x, y) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)] {
+            b.add_edge(v[x], v[y]);
+        }
+        let g = b.build();
+        let sel = select_backend(&g);
+        assert_eq!(sel.kind, BackendKind::ThreeHop);
+        assert!(!sel.profile.is_dag);
+        assert_matches_bfs(BackendKind::ThreeHop, &g);
     }
 
     #[test]
@@ -381,27 +351,21 @@ mod tests {
         };
         let sel = select_backend_for_query(&profile, 10, &[BackendKind::ThreeHop]);
         assert_eq!(sel.kind, BackendKind::ThreeHop);
-        // With a huge probe budget the O(1)-probe closure amortizes its
-        // quadratic build on a small condensation.
-        let small = GraphProfile {
-            condensation_size: 500,
-            nodes: 500,
-            edges: 1_000,
-            density: 2.0,
+        // With a huge probe budget on a tree-like graph, SSPI's cheaper
+        // probes amortize its build against the prebuilt 3-hop.
+        let tree_like = GraphProfile {
+            edges: 100_000,
+            density: 1.0,
             ..profile
         };
-        let sel = select_backend_for_query(&small, 1_000_000, &[BackendKind::ThreeHop]);
-        assert_eq!(sel.kind, BackendKind::Closure);
+        let sel = select_backend_for_query(&tree_like, 1_000_000, &[BackendKind::ThreeHop]);
+        assert_eq!(sel.kind, BackendKind::Sspi);
         assert!(!sel.reason.is_empty());
     }
 
     #[test]
     fn per_query_selection_stays_inside_the_backend_table() {
-        let shapes = [
-            forest(1),
-            forest(40),
-            forest(CLOSURE_MAX_COMPONENTS / 5 + 1),
-        ];
+        let shapes = [forest(1), forest(40), forest(1_000)];
         for g in &shapes {
             let profile = GraphProfile::compute(g);
             for probes in [0, 1, 1_000, u64::MAX] {

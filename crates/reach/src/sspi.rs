@@ -258,11 +258,21 @@ impl Reachability for Sspi {
     }
 
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
-        sweep::probe(&self.cond, &self.visits, targets, Direction::Ancestors)
+        sweep::probe(
+            &self.cond,
+            Some(&self.visits),
+            targets,
+            Direction::Ancestors,
+        )
     }
 
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> crate::Probe<'s> {
-        sweep::probe(&self.cond, &self.visits, sources, Direction::Descendants)
+        sweep::probe(
+            &self.cond,
+            Some(&self.visits),
+            sources,
+            Direction::Descendants,
+        )
     }
 }
 

@@ -20,19 +20,24 @@
 //! Both take the condensation, which the graph carries
 //! ([`DataGraph::condensation`](gtpq_graph::DataGraph::condensation)), so GTEA
 //! evaluates without any reachability index.  [`sweep`] is also *the*
-//! implementation of
-//! [`Reachability::pred_probe`](crate::Reachability::pred_probe) and
-//! [`Reachability::succ_probe`](crate::Reachability::succ_probe) on every
-//! backend of [`BackendKind::ALL`](crate::BackendKind::ALL): all three own
-//! the condensation they were built on, and none of their index structures
-//! beats a linear walk once the question is about a whole set.
+//! implementation of [`Reachability::pred_probe`] and
+//! [`Reachability::succ_probe`] on every backend of
+//! [`BackendKind::ALL`](crate::BackendKind::ALL): both own the condensation
+//! they were built on, and neither's index structures beat a linear walk
+//! once the question is about a whole set.
+//!
+//! The condensation is itself a [`Reachability`]: the engine probes it
+//! when the caller hands it no index.  Its set probes are the same sweeps,
+//! and its point probe [`reaches`](Reachability::reaches) is one forward
+//! sweep from `u` — correct, and as slow as that sounds, which only the
+//! pairwise ablation arm ever pays.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gtpq_graph::condensation::CompId;
 use gtpq_graph::{Condensation, NodeId};
 
-use crate::Probe;
+use crate::{Probe, Reachability};
 
 /// Dense bitset over the component ids of one condensation.
 #[derive(Clone, Debug, Default)]
@@ -60,12 +65,6 @@ impl ComponentSet {
     #[inline]
     pub(crate) fn get(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    pub(crate) fn union_with(&mut self, other: &ComponentSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
     }
 
     /// Whether component `c` is in the set.
@@ -360,23 +359,54 @@ fn branches_within<E>(
 }
 
 /// Sweeps from `nodes` and wraps the result as a prepared membership probe,
-/// charging the edges visited to the backend's lookup counter — once per
-/// prepared probe, never per test.
+/// charging the edges visited to the backend's lookup counter, if it has
+/// one — once per prepared probe, never per test.
 pub(crate) fn probe<'s>(
     cond: &'s Condensation,
-    lookups: &AtomicU64,
+    lookups: Option<&AtomicU64>,
     nodes: &[NodeId],
     direction: Direction,
 ) -> Probe<'s> {
     let swept = sweep(cond, nodes, direction);
-    lookups.fetch_add(swept.edges_visited, Ordering::Relaxed);
+    if let Some(lookups) = lookups {
+        lookups.fetch_add(swept.edges_visited, Ordering::Relaxed);
+    }
     let reached = swept.reached;
     Box::new(move |v| reached.contains(cond.component_of(v)))
 }
 
+/// Reachability read straight off the condensation, with no index: what
+/// the engine probes unless its caller passes one.  Nothing is counted —
+/// the prune rounds and the matching graph add their sweeps' edges to
+/// `#index` themselves.
+impl Reachability for Condensation {
+    fn reaches(&self, u: NodeId, v: NodeId) -> bool {
+        let swept = sweep(self, &[u], Direction::Descendants);
+        swept.reached.contains(self.component_of(v))
+    }
+
+    fn index_entries(&self) -> usize {
+        0
+    }
+
+    fn name(&self) -> &'static str {
+        "condensation"
+    }
+
+    fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> Probe<'s> {
+        probe(self, None, targets, Direction::Ancestors)
+    }
+
+    fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> Probe<'s> {
+        probe(self, None, sources, Direction::Descendants)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use gtpq_graph::traversal::{ancestors, descendants};
+    use std::sync::Arc;
+
+    use gtpq_graph::traversal::{ancestors, descendants, is_reachable};
     use gtpq_graph::{DataGraph, GraphBuilder};
 
     use super::*;
@@ -414,14 +444,32 @@ mod tests {
         build(n, &edges)
     }
 
-    /// Every backend built on `g`, with the condensation they share.
+    /// Every backend built on `g`, then the bare condensation they share.
     fn backends(g: &DataGraph) -> (Condensation, Vec<SharedIndex>) {
         let cond = Condensation::new(g);
-        let indexes = BackendKind::ALL
+        let mut indexes: Vec<SharedIndex> = BackendKind::ALL
             .iter()
             .map(|kind| kind.build_shared_with(g, &cond))
             .collect();
+        indexes.push(Arc::new(cond.clone()));
         (cond, indexes)
+    }
+
+    /// Checks `reaches` of every backend against BFS on every pair of `g`.
+    fn assert_point_probes_match_bfs(g: &DataGraph, indexes: &[SharedIndex]) {
+        for u in g.nodes() {
+            for v in g.nodes() {
+                let expected = is_reachable(g, u, v);
+                for index in indexes {
+                    assert_eq!(
+                        index.reaches(u, v),
+                        expected,
+                        "{}: {u} -> {v}",
+                        index.name()
+                    );
+                }
+            }
+        }
     }
 
     /// Checks both set probes of every backend over `set` against BFS, for
@@ -452,11 +500,15 @@ mod tests {
                     Direction::Descendants => index.succ_probe(set),
                 };
                 let prepared = index.lookup_count();
-                // The sweep's edges are charged once, when the probe is
-                // prepared...
+                // An index charges the sweep's edges once, when the probe is
+                // prepared (the bare condensation counts nothing)...
+                let charged = match index.name() {
+                    "condensation" => 0,
+                    _ => sweep(cond, set, direction).edges_visited,
+                };
                 assert_eq!(
                     prepared - before,
-                    sweep(cond, set, direction).edges_visited,
+                    charged,
                     "{} {direction:?} {set:?}",
                     index.name()
                 );
@@ -475,11 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn set_probes_match_bfs_on_random_cyclic_graphs() {
+    fn point_and_set_probes_match_bfs_on_random_cyclic_graphs() {
         for seed in 0..6u64 {
             let g = random_cyclic_graph(seed, 36, 48);
             let built = backends(&g);
             assert!(!built.0.input_was_dag(), "seed {seed}");
+            assert_point_probes_match_bfs(&g, &built.1);
             // Every singleton: a target inside a cyclic SCC is reached by
             // all its members, itself included; an acyclic one is not.
             for t in g.nodes() {
@@ -524,7 +577,19 @@ mod tests {
         assert!(empty.reached.is_empty());
         assert_eq!(empty.reached.len(), 0);
         assert_eq!(empty.edges_visited, 0);
-        assert_probes_match_bfs(&g, &backends(&g), &[]);
+        let built = backends(&g);
+        assert_probes_match_bfs(&g, &built, &[]);
+
+        // The point probes follow the same rule, the condensation's too.
+        assert_point_probes_match_bfs(&g, &built.1);
+        let cond: &dyn Reachability = &cond;
+        let reaches = |u: u32, v: u32| cond.reaches(NodeId(u), NodeId(v));
+        // A cycle member reaches itself and the rest of its cycle...
+        assert!(reaches(1, 1) && reaches(2, 0) && reaches(0, 4));
+        // ...an acyclic node does not reach itself, nor anything upstream.
+        assert!(!reaches(3, 3) && !reaches(4, 3) && !reaches(3, 0));
+        // An isolated node reaches nothing and nothing reaches it.
+        assert!(!reaches(5, 5) && !reaches(0, 5) && !reaches(5, 0));
     }
 
     #[test]

@@ -487,11 +487,21 @@ impl Reachability for ThreeHop {
     }
 
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
-        sweep::probe(&self.cond, &self.lookups, targets, Direction::Ancestors)
+        sweep::probe(
+            &self.cond,
+            Some(&self.lookups),
+            targets,
+            Direction::Ancestors,
+        )
     }
 
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> crate::Probe<'s> {
-        sweep::probe(&self.cond, &self.lookups, sources, Direction::Descendants)
+        sweep::probe(
+            &self.cond,
+            Some(&self.lookups),
+            sources,
+            Direction::Descendants,
+        )
     }
 
     /// One complete-successor-entry computation shared by all targets.

@@ -1,6 +1,6 @@
 //! # gtpq-service — a concurrent query service over the GTEA engine
 //!
-//! The evaluation crates answer one query at a time against one index; this
+//! The evaluation crates answer one query at a time against one graph; this
 //! crate is the multi-tenant front end the ROADMAP's production scenario
 //! needs.  A [`QueryService`]:
 //!
@@ -13,9 +13,9 @@
 //!   materializing the answer,
 //! * owns a graph **snapshot** per graph generation: the graph carries the
 //!   SCC condensation all default-option evaluation runs on, so no
-//!   reachability index is built for it.  The one index a generation has,
-//!   [`ServiceConfig::backend`] (3-hop by default), is built only if the
-//!   pairwise ablation arm probes it,
+//!   reachability index is built for it.  Only a service configured for the
+//!   pairwise ablation arm builds one per generation,
+//!   [`ServiceConfig::backend`] (3-hop by default),
 //! * serves **live graphs** — [`QueryService::live`] wraps a
 //!   `gtpq_graph::GraphHandle`, and every committed epoch rotates the
 //!   service's generation state: the result and plan caches are
@@ -67,7 +67,6 @@
 
 pub mod cache;
 pub mod canon;
-mod lazy;
 pub mod metrics;
 pub mod request;
 pub mod service;

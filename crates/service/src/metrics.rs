@@ -266,9 +266,9 @@ counters! {
     stale_evictions: count, counter "gtpq_stale_evictions_total",
         "Cached results and plans dropped because the graph mutated.";
     index_builds: count, counter "gtpq_reach_index_builds_total",
-        "Reachability indexes constructed: at most one per graph generation, on the pairwise \
-         arm's first probe. Default-option requests evaluate on the condensation the graph \
-         carries and build none.";
+        "Reachability indexes constructed: one per graph generation when the service runs the \
+         pairwise arm. Default-option services evaluate on the condensation the graph carries \
+         and build none.";
     index_build_time: nanos, counter "gtpq_reach_index_build_seconds_total",
         "Time spent constructing those indexes (a stall that is not a cache miss).";
   }

@@ -15,7 +15,6 @@ use gtpq_reach::{BackendKind, SharedIndex};
 
 use crate::cache::{PlanCache, ResultCache};
 use crate::canon::{canonicalize, CanonicalQuery};
-use crate::lazy::LazyIndex;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::request::{QueryError, QueryOutcome, QueryRequest, QuerySource};
 use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog};
@@ -25,9 +24,9 @@ use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog};
 pub struct ServiceConfig {
     /// The reachability index the pairwise ablation arm
     /// ([`GteaOptions::without_contours`]) probes; `None` means the paper's
-    /// 3-hop.  Built on its first probe per graph generation:
-    /// default-option requests evaluate on the condensation the graph
-    /// carries and never build it.
+    /// 3-hop.  Built once per graph generation, and only when
+    /// [`options`](Self::options) select that arm: default-option requests
+    /// evaluate on the condensation the graph carries.
     pub backend: Option<BackendKind>,
     /// Worker threads used by [`QueryService::submit_batch`]: different
     /// requests run on different threads, each one evaluated serially on
@@ -115,7 +114,7 @@ pub struct QueryService {
     config: ServiceConfig,
     cache: Mutex<ResultCache>,
     plans: Mutex<PlanCache>,
-    metrics: Arc<ServiceMetrics>,
+    metrics: ServiceMetrics,
     slowlog: SlowQueryLog,
 }
 
@@ -130,8 +129,8 @@ enum GraphSource {
     Live(Arc<GraphHandle>),
 }
 
-/// Everything bound to one graph generation: the pinned snapshot and the
-/// reachability index the pairwise arm probes on it.
+/// Everything bound to one graph generation: the pinned snapshot and, for
+/// the pairwise arm, the reachability index it probes on it.
 ///
 /// Dropping the service's reference on rotation does not free the state
 /// while requests still hold it — in-flight evaluations keep reading the
@@ -139,24 +138,29 @@ enum GraphSource {
 struct EpochState {
     epoch: u64,
     snapshot: Arc<GraphSnapshot>,
-    /// [`ServiceConfig::backend`] (3-hop when `None`) over `snapshot`,
-    /// built on its first probe.  Default-option requests evaluate on the
-    /// condensation the snapshot carries and never probe it; only the
-    /// pairwise arm ([`GteaOptions::without_contours`]) does.
-    index: Arc<LazyIndex>,
+    /// [`ServiceConfig::backend`] (3-hop when `None`) over `snapshot`, when
+    /// the configured options select the pairwise arm
+    /// ([`GteaOptions::without_contours`]); `None` otherwise, and every
+    /// request evaluates on the condensation the snapshot carries.
+    pairwise: Option<SharedIndex>,
 }
 
 impl EpochState {
     fn build(
         snapshot: Arc<GraphSnapshot>,
         config: &ServiceConfig,
-        metrics: &Arc<ServiceMetrics>,
+        metrics: &ServiceMetrics,
     ) -> Self {
-        let kind = config.backend.unwrap_or(BackendKind::ThreeHop);
+        let pairwise = (!config.options.use_contours).then(|| {
+            let kind = config.backend.unwrap_or(BackendKind::ThreeHop);
+            metrics.record_index_build(|| {
+                kind.build_shared_with(snapshot.graph(), snapshot.condensation())
+            })
+        });
         Self {
             epoch: snapshot.epoch(),
-            index: LazyIndex::new(kind, Arc::clone(&snapshot), Arc::clone(metrics)),
             snapshot,
+            pairwise,
         }
     }
 
@@ -238,7 +242,7 @@ impl QueryService {
         snapshot: Arc<GraphSnapshot>,
         config: ServiceConfig,
     ) -> Self {
-        let metrics = Arc::new(ServiceMetrics::new());
+        let metrics = ServiceMetrics::new();
         let state = Arc::new(EpochState::build(snapshot, &config, &metrics));
         let slow_capacity = if config.slow_query_threshold.is_some() {
             config.slow_log_capacity
@@ -410,10 +414,10 @@ impl QueryService {
         // cannot mix generations: this request answers for `state.epoch`.
         let state = self.current_state();
         // The deadline budget counts from the moment `submit` is called —
-        // parsing, planning and the pairwise arm's index build all spend
-        // it, so a request cannot block past its budget in pre-execution
-        // stages and then still get a full budget of evaluation on top.  A
-        // budget past the clock's range is no deadline at all.
+        // an epoch rotation, parsing and planning all spend it, so a request
+        // cannot block past its budget in pre-execution stages and then
+        // still get a full budget of evaluation on top.  A budget past the
+        // clock's range is no deadline at all.
         let deadline = request
             .deadline
             .and_then(|budget| started.checked_add(budget));
@@ -480,10 +484,10 @@ impl QueryService {
         if let Some(token) = &request.cancel {
             ctl = ctl.with_cancel(token.clone());
         }
-        // As a `SharedIndex`: an engine generic over `&LazyIndex` measured
-        // 3-5% slower on `xmark_gtpq`, though it never probes the index.
-        let index: SharedIndex = state.index.clone();
-        let engine = GteaEngine::with_backend(state.graph(), index, self.config.options);
+        let engine = match &state.pairwise {
+            Some(index) => GteaEngine::with_backend(state.graph(), &**index, self.config.options),
+            None => GteaEngine::with_options(state.graph(), self.config.options),
+        };
         let options = ExecOptions {
             limit: request.limit,
             offset: request.offset,
@@ -665,17 +669,12 @@ impl QueryService {
         self.plans.lock().expect("plan cache lock poisoned").len()
     }
 
-    /// The [`default_backend`](Self::default_backend)'s name once a
-    /// pairwise-arm probe has built it in the current epoch; empty
-    /// otherwise.  A commit starts the next epoch unbuilt — the old
-    /// generation's index describes the old graph.
+    /// The [`default_backend`](Self::default_backend)'s name when the
+    /// configured options select the pairwise arm, which builds it for
+    /// every graph generation; empty otherwise.
     pub fn built_backends(&self) -> Vec<&'static str> {
         let state = self.current_state();
-        if state.index.is_built() {
-            vec![self.default_backend().as_str()]
-        } else {
-            Vec::new()
-        }
+        state.pairwise.iter().map(|index| index.name()).collect()
     }
 
     /// The backend the pairwise arm probes: [`ServiceConfig::backend`], or
@@ -1192,6 +1191,8 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
+        // Built with the generation, before any request.
+        assert_eq!(service.metrics().index_builds, 1);
         let q = example_query();
         for _ in 0..2 {
             assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));

@@ -256,7 +256,8 @@ fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
 
     // The pairwise arm is what still builds it: once per generation.
     let handle = Arc::new(GraphHandle::new(base));
-    let pairwise = QueryService::live_with_config(handle, pinned(GteaOptions::without_contours()));
+    let config = pinned(GteaOptions::without_contours());
+    let pairwise = QueryService::live_with_config(Arc::clone(&handle), config);
     for q in &reads[..2] {
         pairwise.submit(&QueryRequest::query(q.clone())).unwrap();
     }
@@ -266,4 +267,10 @@ fn a_pinned_backend_is_never_built_for_default_option_reads_across_commits() {
     assert_eq!(pairwise.built_backends(), vec!["3hop"]);
     let page = m.render_prometheus();
     assert!(page.contains("gtpq_reach_index_builds_total 1"), "{page}");
+    apply_ops(&handle, &epochs[0]);
+    handle.commit();
+    let q = &reads[2];
+    let outcome = pairwise.submit(&QueryRequest::query(q.clone())).unwrap();
+    assert_eq!(*outcome.rows, naive::evaluate(q, &pairwise.graph()));
+    assert_eq!(pairwise.metrics().index_builds, 2, "one per generation");
 }

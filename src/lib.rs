@@ -4,8 +4,10 @@
 //! Graph-Structured Data"* (Zeng, Jiang, Zhuge; 2012): tree pattern queries
 //! whose structural constraints are full propositional formulas
 //! (AND / OR / NOT) evaluated over general directed, attributed graphs, plus
-//! the GTEA evaluation algorithm built on a 3-hop reachability index,
-//! two-round pruning and a graph representation of intermediate results.
+//! the GTEA evaluation algorithm: two-round pruning and a graph
+//! representation of intermediate results, with every reachability question
+//! answered by sweeping the graph's SCC condensation (the paper's 3-hop
+//! index remains for the pairwise ablation and the baselines).
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
@@ -14,14 +16,14 @@
 //! | [`graph`] | `gtpq-graph` | attributed data graphs, SCC condensation, traversal |
 //! | [`logic`] | `gtpq-logic` | propositional formulas, transforms, DPLL SAT |
 //! | [`query`] | `gtpq-query` | the GTPQ model, structural predicates, naive oracle |
-//! | [`reach`] | `gtpq-reach` | transitive closure, 3-hop, SSPI |
+//! | [`reach`] | `gtpq-reach` | condensation sweeps, 3-hop, SSPI |
 //! | [`sim`] | `gtpq-sim` | pivot-based vector-similarity filtering (block-and-verify) |
 //! | [`analysis`] | `gtpq-analysis` | satisfiability, containment, minimization |
 //! | [`engine`] | `gtpq-core` | the GTEA evaluation engine |
 //! | [`baselines`] | `gtpq-baselines` | TwigStack, Twig2Stack, TwigStackD, HGJoin, decompose-and-merge |
 //! | [`datagen`] | `gtpq-datagen` | XMark-like / arXiv-like / DBLP-like generators and query workloads |
 //! | [`obs`] | `gtpq-obs` | tracing spans, log-bucketed latency histograms, Prometheus text encoder |
-//! | [`service`] | `gtpq-service` | concurrent query service: shared index, result cache, metrics |
+//! | [`service`] | `gtpq-service` | concurrent query service: epoch snapshots, result cache, metrics |
 //!
 //! ## Quickstart
 //!

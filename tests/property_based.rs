@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants:
-//! * every reachability backend agrees with the BFS oracle (and therefore
-//!   with `TransitiveClosure`) on random DAGs and random cyclic graphs,
+//! * every reachability backend, and the bare condensation, agrees with the
+//!   BFS oracle on random DAGs and random cyclic graphs,
 //! * formula transformations preserve logical equivalence and DPLL agrees
 //!   with brute force,
 //! * GTEA agrees with the naive semantic evaluator on random graphs and
@@ -14,7 +14,7 @@ use gtpq::logic::transform::{simplify, to_cnf, to_nnf};
 use gtpq::logic::{brute_force_satisfiable, is_satisfiable, BoolExpr};
 use gtpq::prelude::*;
 use gtpq::query::naive;
-use gtpq::reach::{BackendKind, ThreeHop};
+use gtpq::reach::{BackendKind, SharedIndex, ThreeHop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,8 +57,18 @@ fn random_formula(rng: &mut StdRng, depth: u32) -> BoolExpr {
     }
 }
 
+/// Every backend of `BackendKind::ALL` built on `g`, then `g`'s bare
+/// condensation, which answers reachability with no index behind it.
+fn backends(g: &DataGraph) -> Vec<SharedIndex> {
+    let mut all: Vec<SharedIndex> = BackendKind::ALL.map(|kind| kind.build_shared(g)).into();
+    let cond = gtpq::graph::Condensation::clone(g.condensation());
+    all.push(std::sync::Arc::new(cond));
+    all
+}
+
 /// A random small query over the `l0..l3` label alphabet, either conjunctive
-/// or with one disjunctive / negated predicate pair at the root.
+/// or with one disjunctive / negated predicate pair at the root.  The root
+/// is an output unless a backbone child is and a coin says otherwise.
 fn random_query(rng: &mut StdRng) -> Gtpq {
     let root_label = rng.gen_range(0u8..4);
     let n_children = rng.gen_range(1..4usize);
@@ -66,6 +76,7 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
     let mut b = GtpqBuilder::new(AttrPredicate::label(&format!("l{root_label}")));
     let root = b.root_id();
     let mut predicate_vars = Vec::new();
+    let mut backbone_outputs = 0;
     for _ in 0..n_children {
         let edge = if rng.gen_bool(0.5) {
             EdgeKind::Child
@@ -79,6 +90,7 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
         } else {
             let c = b.backbone_child(root, edge, attr);
             b.mark_output(c);
+            backbone_outputs += 1;
         }
     }
     match (mode, predicate_vars.as_slice()) {
@@ -88,7 +100,9 @@ fn random_query(rng: &mut StdRng) -> Gtpq {
         (2, [a, bb]) => b.set_structural(root, BoolExpr::or2(a.clone(), bb.clone())),
         _ => {}
     }
-    b.mark_output(root);
+    if backbone_outputs == 0 || rng.gen_bool(0.5) {
+        b.mark_output(root);
+    }
     b.build().expect("generated queries are valid")
 }
 
@@ -100,16 +114,17 @@ fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
         // cycles, so both condensation regimes are covered.
         let dag_only = seed % 2 == 0;
         let g = random_graph(&mut rng, 24, dag_only);
-        let indexes = BackendKind::ALL.map(|k| (k, k.build_shared(&g)));
+        let indexes = backends(&g);
         for u in g.nodes() {
             for v in g.nodes() {
                 let expected = gtpq::graph::traversal::is_reachable(&g, u, v);
-                for (kind, index) in &indexes {
+                for index in &indexes {
                     assert_eq!(
                         index.reaches(u, v),
                         expected,
-                        "seed {seed} ({}): backend {kind:?} disagrees with oracle on {u} -> {v}",
+                        "seed {seed} ({}): backend {} disagrees with oracle on {u} -> {v}",
                         if dag_only { "dag" } else { "cyclic" },
+                        index.name(),
                     );
                 }
             }
@@ -126,7 +141,7 @@ fn prepared_probes_agree_with_pairwise_reachability() {
         if targets.is_empty() {
             continue;
         }
-        for (kind, index) in BackendKind::ALL.map(|k| (k, k.build_shared(&g))) {
+        for index in backends(&g) {
             let pred = index.pred_probe(&targets);
             let succ = index.succ_probe(&targets);
             for v in g.nodes() {
@@ -136,7 +151,8 @@ fn prepared_probes_agree_with_pairwise_reachability() {
                 assert_eq!(
                     pred(v),
                     reaches_any,
-                    "seed {seed}: {kind:?} pred_probe at {v}"
+                    "seed {seed}: {} pred_probe at {v}",
+                    index.name()
                 );
                 let reached_by_any = targets
                     .iter()
@@ -144,7 +160,8 @@ fn prepared_probes_agree_with_pairwise_reachability() {
                 assert_eq!(
                     succ(v),
                     reached_by_any,
-                    "seed {seed}: {kind:?} succ_probe at {v}"
+                    "seed {seed}: {} succ_probe at {v}",
+                    index.name()
                 );
             }
         }
@@ -300,13 +317,20 @@ fn gtea_agrees_with_the_naive_evaluator() {
         let g = random_graph(&mut rng, 18, false);
         let q = random_query(&mut rng);
         let expected = naive::evaluate(&q, &g);
-        for options in [GteaOptions::default(), GteaOptions::without_shrinking()] {
-            let engine = GteaEngine::with_options(&g, options);
+        let three_hop = ThreeHop::new(&g);
+        let engines = [
+            GteaEngine::new(&g),
+            GteaEngine::with_options(&g, GteaOptions::without_shrinking()),
+            GteaEngine::with_options(&g, GteaOptions::without_upward_pruning()),
+            GteaEngine::with_backend(&g, &three_hop, GteaOptions::without_contours()),
+        ];
+        for engine in &engines {
             let got = engine.evaluate(&q);
             assert!(
                 got.same_answer(&expected),
-                "seed {seed}, options {:?}: got {:?} expected {:?}",
-                options,
+                "seed {seed}, options {:?} on {}: got {:?} expected {:?}",
+                engine.options(),
+                engine.index().name(),
                 got.tuples,
                 expected.tuples
             );
