@@ -1,21 +1,19 @@
-//! Cold start to first query row: text parse vs zero-copy snapshot load.
+//! Cold start to first query row: zero-copy vs verified snapshot load.
 //!
 //! The scenario is a process that owns no graph yet and must answer one
 //! query: load an arXiv-tier dataset from disk, stand up a service and
-//! stream the first result row.  Three load paths compete:
+//! stream the first result row.  Two load paths compete:
 //!
-//! * `text_parse` — read the text serialization, parse it, intern symbols,
-//!   build the CSRs, the attribute index and the condensation (Tarjan),
 //! * `mmap` — map the `.gtpq` binary snapshot and serve every big run
 //!   straight from the mapping: start-up is O(page-fault),
 //! * `heap` — read the same snapshot into an aligned heap buffer with full
 //!   checksum verification (the portable fallback).
 //!
 //! A correctness pre-pass runs before any timing: the snapshot written by
-//! the streamed writer must load to exactly the graph the text file
-//! describes, and all three paths must return the same first row — a
+//! the streamed writer must load to exactly the graph the in-memory
+//! generator builds, and both paths must return the same first row — a
 //! benchmark over divergent answers measures nothing.  After timing, the
-//! bench reports the resident-set delta of one text load vs one mapped
+//! bench reports the resident-set delta of one mapped load vs one heap
 //! load (Linux only), making the "index pages stay on disk until touched"
 //! claim visible.
 //!
@@ -27,7 +25,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtpq_datagen::{generate_arxiv, write_arxiv_snapshot, ArxivConfig};
-use gtpq_graph::{io, GraphSnapshot};
+use gtpq_graph::GraphSnapshot;
 use gtpq_reach::BackendKind;
 use gtpq_service::{QueryRequest, QueryService, ServiceConfig};
 
@@ -41,26 +39,15 @@ fn first_row_request() -> QueryRequest {
 }
 
 /// Service configuration shared by every path: the backend is pinned to
-/// SSPI — the cheapest build at O(V+E) — so auto-selection cannot swamp
-/// the load-path difference.  A pinned backend is deferred until the first
-/// reachability probe, and the probe query never asks one: neither path
-/// pays an index construction before its first row.
+/// SSPI — the cheapest build at O(V+E).  The service builds it only for the
+/// pairwise arm (`GteaOptions::without_contours`), which these default
+/// options never take: neither path pays an index construction before its
+/// first row.
 fn service_config() -> ServiceConfig {
     ServiceConfig {
         backend: Some(BackendKind::Sspi),
         ..ServiceConfig::default()
     }
-}
-
-/// Cold start from the text serialization: parse + build + first row.
-fn first_row_from_text(path: &std::path::Path) -> usize {
-    let text = std::fs::read_to_string(path).expect("text file readable");
-    let graph = io::from_text(&text).expect("text file parses");
-    let service = QueryService::with_config(Arc::new(graph), service_config());
-    let outcome = service
-        .submit(&first_row_request())
-        .expect("probe query runs");
-    outcome.rows.len()
 }
 
 /// Cold start from the binary snapshot in the given mode.
@@ -85,36 +72,28 @@ fn resident_bytes() -> Option<u64> {
     Some(pages * 4096)
 }
 
-/// All three load paths must answer the probe identically, and the heap
-/// load (full verification) must reconstruct exactly the text-described
-/// graph.
-fn correctness_prepass(text_path: &std::path::Path, snap_path: &std::path::Path) {
-    let text = std::fs::read_to_string(text_path).expect("text file readable");
-    let parsed = io::from_text(&text).expect("text file parses");
+/// Both load paths must answer the probe identically, and the heap load
+/// (full verification) must reconstruct exactly the generated graph.
+fn correctness_prepass(config: &ArxivConfig, snap_path: &std::path::Path) {
     let loaded = GraphSnapshot::open_heap(snap_path).expect("snapshot loads verified");
     assert_eq!(
         *loaded.graph().as_ref(),
-        parsed,
-        "snapshot diverged from the text serialization"
+        generate_arxiv(config),
+        "snapshot diverged from the generated graph"
     );
     let request = first_row_request();
-    let from_text = QueryService::with_config(Arc::new(parsed), service_config())
-        .submit(&request)
-        .expect("text path answers");
-    for mmap in [true, false] {
-        let snapshot = if mmap {
-            GraphSnapshot::open_mmap(snap_path)
-        } else {
-            GraphSnapshot::open_heap(snap_path)
-        }
-        .expect("snapshot loads");
-        let outcome = QueryService::from_snapshot(Arc::new(snapshot), service_config())
+    let [mapped, heap] = [
+        GraphSnapshot::open_mmap(snap_path).expect("snapshot maps"),
+        loaded,
+    ]
+    .map(|snapshot| {
+        QueryService::from_snapshot(Arc::new(snapshot), service_config())
             .submit(&request)
-            .expect("snapshot path answers");
-        assert_eq!(outcome.rows.output, from_text.rows.output);
-        assert_eq!(outcome.rows.tuples, from_text.rows.tuples);
-        assert!(!outcome.rows.is_empty(), "probe query must match data");
-    }
+            .expect("snapshot path answers")
+    });
+    assert_eq!(mapped.rows.output, heap.rows.output);
+    assert_eq!(mapped.rows.tuples, heap.rows.tuples);
+    assert!(!mapped.rows.is_empty(), "probe query must match data");
 }
 
 fn bench(c: &mut Criterion) {
@@ -138,27 +117,18 @@ fn bench(c: &mut Criterion) {
 
     let dir = std::env::temp_dir();
     let snap_path = dir.join(format!("gtpq-cold-start-{}.gtpq", std::process::id()));
-    let text_path = dir.join(format!("gtpq-cold-start-{}.txt", std::process::id()));
 
     // The snapshot comes from the streamed writer (never materializes the
-    // graph); the text file needs the built graph once, then drops it.
+    // graph).
     let stats = write_arxiv_snapshot(&config, &snap_path).expect("streamed snapshot write");
-    {
-        let g = generate_arxiv(&config);
-        std::fs::write(&text_path, io::to_text(&g)).expect("text file written");
-    }
     let snap_bytes = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
-    let text_bytes = std::fs::metadata(&text_path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "cold_start/{tier}: {} nodes, {} edges; snapshot {snap_bytes} bytes, text {text_bytes} bytes",
+        "cold_start/{tier}: {} nodes, {} edges; snapshot {snap_bytes} bytes",
         stats.nodes, stats.edges
     );
 
-    correctness_prepass(&text_path, &snap_path);
+    correctness_prepass(&config, &snap_path);
 
-    group.bench_with_input(BenchmarkId::new("first_row", "text_parse"), &(), |b, ()| {
-        b.iter(|| first_row_from_text(&text_path))
-    });
     group.bench_with_input(BenchmarkId::new("first_row", "mmap"), &(), |b, ()| {
         b.iter(|| first_row_from_snapshot(&snap_path, true))
     });
@@ -172,18 +142,17 @@ fn bench(c: &mut Criterion) {
         let rows = first_row_from_snapshot(&snap_path, true);
         let after_mmap = resident_bytes().unwrap_or(before);
         assert_eq!(rows, 1);
-        let rows = first_row_from_text(&text_path);
-        let after_text = resident_bytes().unwrap_or(after_mmap);
+        let rows = first_row_from_snapshot(&snap_path, false);
+        let after_heap = resident_bytes().unwrap_or(after_mmap);
         assert_eq!(rows, 1);
         println!(
-            "cold_start/{tier}: rss delta mmap {} KiB, text parse {} KiB",
+            "cold_start/{tier}: rss delta mmap {} KiB, heap {} KiB",
             after_mmap.saturating_sub(before) / 1024,
-            after_text.saturating_sub(after_mmap) / 1024,
+            after_heap.saturating_sub(after_mmap) / 1024,
         );
     }
 
     std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&text_path).ok();
     group.finish();
 }
 

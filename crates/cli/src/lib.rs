@@ -52,7 +52,7 @@ OPTIONS:
     --seed N          generator seed                [default: 42]
     --snapshot PATH   serve a saved `.gtpq` binary snapshot instead of
                       generating a dataset: the file is mapped zero-copy, so
-                      start-up costs page faults, not a text parse
+                      start-up costs page faults, not a graph build
                       (write one with :save; --dataset/--scale are ignored)
     --query TEXT      one-shot query text (see docs/QUERY_LANGUAGE.md)
     --stats           print per-query evaluation statistics

@@ -84,17 +84,13 @@ mod tests {
     fn contains_the_expected_structure() {
         let g = generate_dblp(100, 1);
         assert!(!g
-            .nodes_with_attr("label", &AttrValue::str("inproceedings"))
+            .nodes_with("label", &AttrValue::str("inproceedings"))
             .is_empty());
         assert!(!g
-            .nodes_with_attr("label", &AttrValue::str("proceedings"))
+            .nodes_with("label", &AttrValue::str("proceedings"))
             .is_empty());
-        assert!(!g
-            .nodes_with_attr("value", &AttrValue::str("Alice"))
-            .is_empty());
-        assert!(!g
-            .nodes_with_attr("value", &AttrValue::str("Bob"))
-            .is_empty());
+        assert!(!g.nodes_with("value", &AttrValue::str("Alice")).is_empty());
+        assert!(!g.nodes_with("value", &AttrValue::str("Bob")).is_empty());
         // Proceedings are shared: some node has in-degree > 1 (dblp root + crossrefs).
         assert!(g.nodes().any(|v| g.in_degree(v) > 1));
     }

@@ -230,17 +230,12 @@ mod tests {
             "mailbox",
         ] {
             assert!(
-                !g.nodes_with_attr("label", &AttrValue::str(label))
-                    .is_empty(),
+                !g.nodes_with("label", &AttrValue::str(label)).is_empty(),
                 "missing element type {label}"
             );
         }
         // Grouped labels exist.
-        assert!(!g
-            .nodes_with_attr("label", &AttrValue::str("person0"))
-            .is_empty());
-        assert!(!g
-            .nodes_with_attr("label", &AttrValue::str("item0"))
-            .is_empty());
+        assert!(!g.nodes_with("label", &AttrValue::str("person0")).is_empty());
+        assert!(!g.nodes_with("label", &AttrValue::str("item0")).is_empty());
     }
 }

@@ -272,13 +272,6 @@ impl DataGraph {
         self.sims.get(self.symbols.get(name)?)
     }
 
-    /// Returns the nodes whose attribute `name` equals `value`, as an owned
-    /// vector (answered by the inverted index; kept for API compatibility —
-    /// prefer [`nodes_with`](Self::nodes_with) to avoid the allocation).
-    pub fn nodes_with_attr(&self, name: &str, value: &AttrValue) -> Vec<NodeId> {
-        self.nodes_with(name, value).to_vec()
-    }
-
     /// Total number of attribute entries across all nodes (O(1)).
     pub fn attribute_count(&self) -> usize {
         self.attrs.entry_count()
@@ -345,8 +338,8 @@ mod tests {
         );
         assert_eq!(g.attribute_value(NodeId(0), "missing"), None);
         assert_eq!(
-            g.nodes_with_attr(LABEL_ATTR, &AttrValue::str("B")),
-            vec![NodeId(1), NodeId(2)]
+            g.nodes_with(LABEL_ATTR, &AttrValue::str("B")),
+            &[NodeId(1), NodeId(2)]
         );
     }
 

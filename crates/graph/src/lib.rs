@@ -15,14 +15,16 @@
 //!   attribute upserts compact into immutable epochs with incrementally
 //!   maintained CSR/index/condensation, read through copy-on-write
 //!   [`GraphSnapshot`]s,
-//! * [`Condensation`] — Tarjan SCC condensation producing the DAG on which
-//!   reachability indexes are built (also CSR-packed),
+//! * the `.gtpq` snapshot format ([`GraphSnapshot::save`] /
+//!   [`GraphSnapshot::open_mmap`] / [`GraphSnapshot::open_heap`]) — the one
+//!   way a graph is persisted and reloaded,
+//! * [`Condensation`] — Tarjan SCC condensation producing the DAG that
+//!   query evaluation sweeps to answer reachability (also CSR-packed),
 //! * [`NodeBitSet`] and galloping sorted-slice intersection — the scratch
 //!   structures of the pruning hot path,
 //! * traversal helpers (BFS descendants/ancestors, naive reachability used as
 //!   a test oracle), and
-//! * simple statistics, and a text serialization format (the cold-start
-//!   bench's text baseline and the round-trip tests read it).
+//! * simple statistics.
 //!
 //! # Memory layout
 //!
@@ -51,7 +53,6 @@ pub mod condensation;
 pub mod csr;
 pub mod graph;
 pub mod index;
-pub mod io;
 pub mod mutate;
 pub mod run;
 pub mod sim_index;
@@ -67,7 +68,7 @@ pub use builder::GraphBuilder;
 pub use condensation::Condensation;
 pub use graph::{DataGraph, NodeId};
 pub use index::AttrIndex;
-pub use mutate::{GraphHandle, GraphSnapshot, MutationConfig, MutationStats, PendingOp};
+pub use mutate::{GraphHandle, GraphSnapshot, MutationConfig, MutationStats};
 pub use run::{IntRun, RunElem};
 pub use sim_index::{SimCatalog, SimMatches, SimTable};
 pub use snap::{LoadMode, SnapshotColumns, SnapshotError, ValueColumns};

@@ -82,8 +82,8 @@ impl GraphSnapshot {
 
 /// A staged mutation, recorded in operation order so a replay through
 /// [`GraphBuilder`](crate::GraphBuilder) interns symbols identically.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PendingOp {
+#[derive(Debug)]
+pub(crate) enum PendingOp {
     /// Append a fresh node (ids are dense, continuing the committed range).
     AddNode,
     /// Set (or overwrite) one attribute on a committed or staged node.
@@ -195,51 +195,7 @@ impl GraphHandle {
 
     /// Wraps `graph` with explicit mutation tuning.
     pub fn with_config(graph: DataGraph, config: MutationConfig) -> Self {
-        Self::restore(graph, 0, Vec::new(), config)
-    }
-
-    /// Reconstructs a handle from a serialized image: the compacted `graph`
-    /// at `epoch`, plus a still-pending delta overlay (see
-    /// [`crate::io::handle_to_text`]).
-    ///
-    /// # Panics
-    /// Panics when a pending operation references a node id that neither the
-    /// committed graph nor an earlier staged `AddNode` declares.
-    pub fn restore(
-        graph: DataGraph,
-        epoch: u64,
-        ops: Vec<PendingOp>,
-        config: MutationConfig,
-    ) -> Self {
-        let base_nodes = graph.node_count();
-        let mut staged_nodes = 0usize;
-        for op in &ops {
-            let bound = base_nodes + staged_nodes;
-            match op {
-                PendingOp::AddNode => staged_nodes += 1,
-                PendingOp::SetAttr { node, .. } => {
-                    assert!(node.index() < bound, "pending attr on unknown node {node}");
-                }
-                PendingOp::AddEdge { from, to } => {
-                    assert!(
-                        from.index() < bound && to.index() < bound,
-                        "pending edge endpoints must be existing nodes"
-                    );
-                }
-            }
-        }
-        let snapshot = Arc::new(GraphSnapshot::new(epoch, Arc::new(graph)));
-        Self {
-            pending: Mutex::new(Pending {
-                ops,
-                base_nodes,
-                staged_nodes,
-            }),
-            current: RwLock::new(snapshot),
-            epoch: AtomicU64::new(epoch),
-            config,
-            stats: Mutex::new(MutationStats::default()),
-        }
+        Self::from_snapshot(GraphSnapshot::new(0, Arc::new(graph)), config)
     }
 
     /// Wraps a loaded snapshot as a live graph *without* recomputing the
@@ -291,16 +247,6 @@ impl GraphHandle {
             .expect("pending lock poisoned")
             .ops
             .len()
-    }
-
-    /// A copy of the staged operations, in staging order (what
-    /// [`crate::io::handle_to_text`] serializes as the delta overlay).
-    pub fn pending_ops(&self) -> Vec<PendingOp> {
-        self.pending
-            .lock()
-            .expect("pending lock poisoned")
-            .ops
-            .clone()
     }
 
     /// Stages a fresh attribute-less node and returns its id (dense,

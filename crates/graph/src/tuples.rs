@@ -10,8 +10,8 @@
 //!
 //! The decoded form is cached in a [`OnceLock`], so after the first
 //! materialization every access is exactly the pre-lazy borrow.  Operations
-//! that need the whole table anyway (text serialization, snapshot writing,
-//! mutation commits, structural equality) transparently materialize it.
+//! that need the whole table anyway (snapshot writing, mutation commits,
+//! structural equality) transparently materialize it.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};

@@ -191,12 +191,6 @@ impl ThreeHop {
         self.cond.component_of(v)
     }
 
-    /// Chain position of a data node (through its component).
-    #[inline]
-    pub fn position_of(&self, v: NodeId) -> ChainPos {
-        self.chains.position(self.comp_of(v))
-    }
-
     /// Whether the component of `v` lies on a cycle.
     #[inline]
     pub fn is_cyclic(&self, v: NodeId) -> bool {

@@ -9,7 +9,7 @@ use gtpq_core::{
     Aborted, EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Interrupt, Planner,
     QueryPlan, Tracer,
 };
-use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot, SnapshotError};
+use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot};
 use gtpq_query::{Gtpq, ResultSet};
 use gtpq_reach::{BackendKind, SharedIndex};
 
@@ -216,25 +216,16 @@ impl QueryService {
     /// must condense the bare graph it is given).  The `Arc` may be shared:
     /// several services (or a service and a mutation handle) can serve from
     /// one immutable mapped snapshot without copying it.
+    ///
+    /// When the snapshot was opened with `GraphSnapshot::open_mmap`, the
+    /// file must not be truncated or rewritten in place by another process
+    /// while the service is alive (`SIGBUS`/torn reads — the mmap tradeoff;
+    /// see `gtpq_graph::snap`'s external-modification-hazard docs).  Atomic
+    /// replacement via rename, which `GraphSnapshot::save` always uses, is
+    /// safe.  Where in-place modification is possible, load with
+    /// `GraphSnapshot::open_heap`.
     pub fn from_snapshot(snapshot: Arc<GraphSnapshot>, config: ServiceConfig) -> Self {
         Self::from_source(GraphSource::Static, snapshot, config)
-    }
-
-    /// Opens a `.gtpq` snapshot with zero-copy mapping and serves queries
-    /// straight from the file pages — the O(page-fault) cold-start path.
-    ///
-    /// While the service is alive the file must not be truncated or
-    /// rewritten in place by another process (`SIGBUS`/torn reads — the
-    /// mmap tradeoff; see `gtpq_graph::snap`'s external-modification-hazard
-    /// docs).  Atomic replacement via rename, which `GraphSnapshot::save`
-    /// always uses, is safe.  Where in-place modification is possible, load
-    /// with `LoadMode::Heap` and use [`QueryService::from_snapshot`].
-    pub fn open_snapshot<P: AsRef<std::path::Path>>(
-        path: P,
-        config: ServiceConfig,
-    ) -> Result<Self, SnapshotError> {
-        let snapshot = Arc::new(GraphSnapshot::open_mmap(path)?);
-        Ok(Self::from_snapshot(snapshot, config))
     }
 
     fn from_source(

@@ -32,8 +32,9 @@ pub enum SlowOutcome {
 /// One slow-query record.
 #[derive(Clone, Debug)]
 pub struct SlowQueryEntry {
-    /// Canonical text of the query (spelling-independent, the result-cache
-    /// key), so repeats of one pattern are recognizable at a glance.
+    /// The query's `Display` rendering: re-parseable and human-readable.  It
+    /// is not the result-cache key, so two spellings of one pattern can log
+    /// as different text.
     pub query: String,
     /// End-to-end `submit` latency.
     pub latency: Duration,

@@ -8,6 +8,7 @@ use gtpq::datagen::{
     dblp_queries, fig11_gtpq, generate_arxiv, generate_dblp, generate_xmark, random_queries,
     xmark_q1, xmark_q2, ArxivConfig, Fig11Predicate, RandomQueryConfig, XmarkConfig,
 };
+use gtpq::graph::GraphSnapshot;
 use gtpq::prelude::*;
 use gtpq::query::naive;
 
@@ -113,8 +114,11 @@ fn evaluation_statistics_are_plausible() {
 #[test]
 fn graph_io_round_trips_generated_data() {
     let graph = generate_dblp(40, 9);
-    let text = gtpq::graph::io::to_text(&graph);
-    let parsed = gtpq::graph::io::from_text(&text).expect("round trip parses");
-    assert_eq!(parsed.node_count(), graph.node_count());
-    assert_eq!(parsed.edge_count(), graph.edge_count());
+    let path = std::env::temp_dir().join(format!("gtpq-e2e-dblp-{}.gtpq", std::process::id()));
+    GraphSnapshot::freeze(std::sync::Arc::new(graph.clone()))
+        .save(&path)
+        .expect("snapshot saves");
+    let loaded = GraphSnapshot::open_mmap(&path).expect("snapshot opens");
+    assert_eq!(*loaded.graph().as_ref(), graph);
+    std::fs::remove_file(&path).ok();
 }

@@ -3,15 +3,17 @@
 //! * `children`/`parents`/`has_edge`/degrees agree with a naive edge-list
 //!   model (the behaviour of the seed's `Vec<Vec<NodeId>>` representation)
 //!   on random graphs,
-//! * the graph round-trips through its serialization format with adjacency
-//!   and inverted index intact (the `serde` derives in the workspace are
-//!   no-op stand-ins, so the text format of `gtpq::graph::io` is the real
-//!   wire format), and
+//! * the graph round-trips through its `.gtpq` snapshot, heap-loaded and
+//!   mapped, with adjacency and inverted index intact, and the mapped copy
+//!   accepts a commit, and
 //! * the inverted index answers exactly like an attribute scan.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use gtpq::graph::{io, AttrValue, DataGraph, GraphBuilder, NodeId};
+use gtpq::graph::{
+    AttrValue, DataGraph, GraphBuilder, GraphHandle, GraphSnapshot, MutationConfig, NodeId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,31 +93,56 @@ fn serialization_round_trip_preserves_csr_and_inverted_index() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(1000 + seed);
         let (g, _, _) = random_graph(&mut rng);
-        let text = io::to_text(&g);
-        let g2 = io::from_text(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(g2.node_count(), g.node_count(), "seed {seed}");
-        assert_eq!(g2.edge_count(), g.edge_count(), "seed {seed}");
-        for v in g.nodes() {
-            assert_eq!(g2.children(v), g.children(v), "seed {seed}, children {v}");
-            assert_eq!(g2.parents(v), g.parents(v), "seed {seed}, parents {v}");
-            assert_eq!(g2.attributes(v).len(), g.attributes(v).len(), "seed {seed}");
+        let path =
+            std::env::temp_dir().join(format!("gtpq-storage-{}-{seed}.gtpq", std::process::id()));
+        GraphSnapshot::freeze(Arc::new(g.clone()))
+            .save(&path)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let heap = GraphSnapshot::open_heap(&path).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let mapped = GraphSnapshot::open_mmap(&path).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for loaded in [&heap, &mapped] {
+            let g2 = loaded.graph();
+            assert_eq!(g2.node_count(), g.node_count(), "seed {seed}");
+            assert_eq!(g2.edge_count(), g.edge_count(), "seed {seed}");
+            for v in g.nodes() {
+                assert_eq!(g2.children(v), g.children(v), "seed {seed}, children {v}");
+                assert_eq!(g2.parents(v), g.parents(v), "seed {seed}, parents {v}");
+                assert_eq!(g2.attributes(v).len(), g.attributes(v).len(), "seed {seed}");
+            }
+            // The loaded inverted index serves the same posting lists.
+            for label in 0u8..5 {
+                let value = AttrValue::str(&format!("l{label}"));
+                assert_eq!(
+                    g2.nodes_with("label", &value),
+                    g.nodes_with("label", &value),
+                    "seed {seed}, label posting l{label}"
+                );
+            }
+            for year in [1990i64, 2000, 2014] {
+                assert_eq!(
+                    g2.nodes_with_int_range("year", year, year + 7),
+                    g.nodes_with_int_range("year", year, year + 7),
+                    "seed {seed}, year range from {year}"
+                );
+            }
         }
-        // The rebuilt inverted index serves the same posting lists.
-        for label in 0u8..5 {
-            let value = AttrValue::str(&format!("l{label}"));
-            assert_eq!(
-                g2.nodes_with("label", &value),
-                g.nodes_with("label", &value),
-                "seed {seed}, label posting l{label}"
-            );
-        }
-        for year in [1990i64, 2000, 2014] {
-            assert_eq!(
-                g2.nodes_with_int_range("year", year, year + 7),
-                g.nodes_with_int_range("year", year, year + 7),
-                "seed {seed}, year range from {year}"
-            );
-        }
+
+        // A commit on the mapped graph copies on write and leaves the
+        // pinned epoch as loaded.
+        let (u, v) = (NodeId(g.node_count() as u32 - 1), NodeId(0));
+        let handle = GraphHandle::from_snapshot(mapped, MutationConfig::default());
+        let pinned = handle.snapshot();
+        handle.insert_edge(u, v);
+        handle.commit();
+        let fresh = handle.snapshot();
+        assert!(fresh.graph().has_edge(u, v), "seed {seed}");
+        assert_eq!(
+            fresh.graph().edge_count(),
+            g.edge_count() + usize::from(!g.has_edge(u, v)),
+            "seed {seed}"
+        );
+        assert_eq!(*pinned.graph().as_ref(), g, "seed {seed}");
+        std::fs::remove_file(&path).ok();
     }
 }
 
