@@ -1,6 +1,6 @@
-//! Mixed read/write workload over a live graph: epoch-commit latency
-//! (incremental maintenance vs forced full rebuild) and service throughput
-//! while a writer commits between read batches.
+//! Mixed read/write workload over a live graph: epoch-commit latency of the
+//! incremental maintenance path and service throughput while a writer
+//! commits between read batches.
 //!
 //! A correctness pre-pass runs before any timing: the mutated graph must
 //! answer queries exactly like the naive semantic evaluator, and the
@@ -15,7 +15,7 @@ use gtpq_datagen::{
     apply_ops, random_queries, update_stream, xmark_q1, xmark_q2, xmark_q3, RandomQueryConfig,
     UpdateOp, UpdateStreamConfig,
 };
-use gtpq_graph::{DataGraph, GraphHandle, MutationConfig};
+use gtpq_graph::{DataGraph, GraphHandle};
 use gtpq_query::{naive, Gtpq};
 use gtpq_service::{QueryRequest, QueryService, ServiceConfig};
 
@@ -80,28 +80,19 @@ fn bench(c: &mut Criterion) {
 
     correctness_prepass(&base, &epoch_ops, &queries);
 
-    // Commit latency: the incremental sorted-run merges vs forced full
-    // rebuilds of CSR / inverted index on the same 256-op epoch.  The gap
-    // is the payoff of the incremental maintenance path.
-    for (name, ratio) in [("incremental", 1e9), ("full_rebuild", 0.0)] {
-        group.bench_with_input(
-            BenchmarkId::new("epoch_commit", name),
-            &epoch_ops,
-            |b, ops| {
-                b.iter(|| {
-                    let handle = GraphHandle::with_config(
-                        base.clone(),
-                        MutationConfig {
-                            auto_commit_ops: None,
-                            full_rebuild_ratio: ratio,
-                        },
-                    );
-                    apply_ops(&handle, ops);
-                    handle.commit()
-                })
-            },
-        );
-    }
+    // Commit latency of one 256-op epoch: sorted-run merges into the CSR and
+    // the inverted index, plus the condensation patch or re-run.
+    group.bench_with_input(
+        BenchmarkId::new("epoch_commit", "incremental"),
+        &epoch_ops,
+        |b, ops| {
+            b.iter(|| {
+                let handle = GraphHandle::new(base.clone());
+                apply_ops(&handle, ops);
+                handle.commit()
+            })
+        },
+    );
 
     // Read-only reference over a live (but quiescent) service: the cost of
     // the generation bookkeeping alone, cache disabled so every request
@@ -122,8 +113,9 @@ fn bench(c: &mut Criterion) {
     );
 
     // The mixed case: every iteration commits one 32-op epoch, then a
-    // 4-thread batch of reads answers over the fresh generation (rotation,
-    // cache invalidation and backend rebuild included).
+    // 4-thread batch of reads answers over the fresh generation (rotation
+    // and cache invalidation included; the engine reads the commit's
+    // maintained condensation, so no reachability index is built).
     let write_epochs = update_stream(
         &base,
         &UpdateStreamConfig {

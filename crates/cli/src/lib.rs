@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use gtpq_core::Trace;
 use gtpq_datagen::{apply_ops, update_stream, UpdateStreamConfig};
-use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot, MutationConfig};
+use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot};
 use gtpq_query::Gtpq;
 use gtpq_service::{QueryError, QueryRequest, QueryService, ServiceConfig, SlowOutcome};
 
@@ -79,7 +79,7 @@ REPL COMMANDS:
                       graph epoch and stale-cache evictions
     :ingest [E] [N]   commit E epochs of N generated mutations each to the
                       live graph (defaults: 1 epoch of 32 ops); reports
-                      which incremental-maintenance paths the commits took
+                      how many commits patched the condensation
     :save PATH        write the current graph epoch as a `.gtpq` binary
                       snapshot (reload instantly with --snapshot PATH)
     :trace [on|off]   toggle per-query span tracing; bare `:trace` prints
@@ -310,7 +310,7 @@ impl Session {
                 // The mapped snapshot seeds a live handle: reads serve from
                 // the mapping, while `:ingest` commits copy-on-write epochs
                 // that never touch the file.
-                let handle = GraphHandle::from_snapshot(snapshot, MutationConfig::default());
+                let handle = GraphHandle::from_snapshot(snapshot);
                 (Arc::new(handle), format!("snapshot {path}"))
             }
             None => {
@@ -391,10 +391,10 @@ impl Session {
     }
 
     /// Applies `epochs` committed batches of `ops_per_epoch` generated
-    /// mutations to the live graph and reports what the incremental index
-    /// maintenance did.  The stream seed advances with the graph epoch, so
-    /// repeated `:ingest` calls produce different (but reproducible)
-    /// mutations.
+    /// mutations to the live graph and reports how many commits patched the
+    /// condensation and how many re-ran Tarjan.  The stream seed advances
+    /// with the graph epoch, so repeated `:ingest` calls produce different
+    /// (but reproducible) mutations.
     pub fn ingest(&self, epochs: usize, ops_per_epoch: usize) -> String {
         let before = self.handle.stats();
         let cfg = UpdateStreamConfig {
@@ -414,8 +414,7 @@ impl Session {
         let g = self.service.graph();
         format!(
             "ingested {} epoch{} of {} ops: +{} nodes, +{} edges, {} attr upserts\n\
-             maintenance: csr {} merged / {} rebuilt, index {} merged / {} rebuilt, \
-             condensation {} fast / {} re-run\n\
+             condensation: {} patched / {} re-run\n\
              graph now at epoch {}: {} nodes, {} edges",
             epochs,
             if epochs == 1 { "" } else { "s" },
@@ -423,10 +422,6 @@ impl Session {
             after.nodes_inserted - before.nodes_inserted,
             after.edges_inserted - before.edges_inserted,
             after.attrs_upserted - before.attrs_upserted,
-            after.csr_merges - before.csr_merges,
-            after.csr_rebuilds - before.csr_rebuilds,
-            after.index_merges - before.index_merges,
-            after.index_rebuilds - before.index_rebuilds,
             after.condensation_fast - before.condensation_fast,
             after.condensation_rebuilds - before.condensation_rebuilds,
             self.handle.epoch(),

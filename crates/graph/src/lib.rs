@@ -68,7 +68,7 @@ pub use builder::GraphBuilder;
 pub use condensation::Condensation;
 pub use graph::{DataGraph, NodeId};
 pub use index::AttrIndex;
-pub use mutate::{GraphHandle, GraphSnapshot, MutationConfig, MutationStats};
+pub use mutate::{GraphHandle, GraphSnapshot, MutationStats};
 pub use run::{IntRun, RunElem};
 pub use sim_index::{SimCatalog, SimMatches, SimTable};
 pub use snap::{LoadMode, SnapshotColumns, SnapshotError, ValueColumns};

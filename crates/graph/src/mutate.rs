@@ -3,15 +3,16 @@
 //! A [`GraphHandle`] stages inserts and attribute upserts (the *delta
 //! overlay*) and compacts them into a fresh, fully flat [`DataGraph`] at each
 //! [`commit`](GraphHandle::commit) — one epoch per commit.  Compaction is
-//! *incremental*: the CSR adjacency and the attribute inverted index are
-//! extended by linear sorted-run merges, and the SCC condensation is patched
-//! in place whenever every new edge goes forward in the topological order
-//! ([`Condensation::apply_insertions`]); a configurable threshold
-//! ([`MutationConfig::full_rebuild_ratio`]) falls back to a full re-sort /
-//! re-condense when the delta is large.  Either way the result is
-//! **bit-identical** to rebuilding the graph from scratch over the same
-//! logical operation sequence — the `mutation_oracle` test suite compares the
-//! two with `==` after every epoch.
+//! *incremental*: every commit extends the CSR adjacency and the attribute
+//! inverted index by linear sorted-run merges
+//! ([`Csr::merge_additions`](crate::csr::Csr::merge_additions),
+//! [`AttrIndex::merge_updates`](crate::AttrIndex::merge_updates)), whatever
+//! the size of the delta.  The SCC condensation is patched in place whenever
+//! every new edge goes forward in the topological order
+//! ([`Condensation::apply_insertions`]) and re-runs Tarjan otherwise.  The
+//! result is **bit-identical** to rebuilding the graph from scratch over the
+//! same logical operation sequence — the `mutation_oracle` test suite
+//! compares the two with `==` after every epoch.
 //!
 //! Reads are snapshot isolated for free: committed graphs are never mutated,
 //! so a [`GraphSnapshot`] (an `Arc` pair pinning one epoch's graph and
@@ -21,13 +22,10 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
 
 use crate::attr::{AttrValue, Attribute};
 use crate::condensation::Condensation;
-use crate::csr::Csr;
 use crate::graph::{DataGraph, NodeId};
-use crate::index::AttrIndex;
 use crate::symbol::Symbol;
 use crate::LABEL_ATTR;
 
@@ -104,31 +102,8 @@ pub(crate) enum PendingOp {
     },
 }
 
-/// Tuning knobs for the mutation path.
-#[derive(Clone, Copy, Debug)]
-pub struct MutationConfig {
-    /// When set, any staging call that brings the pending-operation count to
-    /// this threshold triggers an automatic commit — bounding how large the
-    /// delta overlay can grow between explicit epochs.
-    pub auto_commit_ops: Option<usize>,
-    /// Delta-size fraction above which commit abandons the incremental
-    /// sorted-run merges for a full rebuild of the affected structure: the
-    /// CSR re-sorts all pairs when `new edges > ratio * old edges`, the
-    /// inverted index rebuilds when `touched nodes > ratio * old nodes`.
-    pub full_rebuild_ratio: f64,
-}
-
-impl Default for MutationConfig {
-    fn default() -> Self {
-        Self {
-            auto_commit_ops: None,
-            full_rebuild_ratio: 0.25,
-        }
-    }
-}
-
-/// Counters describing the work the mutation path has done — which commits
-/// took the incremental fast paths and which fell back to full rebuilds.
+/// Counters describing the work the mutation path has done — how many
+/// commits patched the condensation and how many re-ran Tarjan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MutationStats {
     /// Committed epochs (commits with at least one staged operation).
@@ -139,20 +114,22 @@ pub struct MutationStats {
     pub edges_inserted: u64,
     /// `set_attr` operations committed.
     pub attrs_upserted: u64,
-    /// Commits that extended the CSR by linear sorted-run merge.
+    /// Commits that extended the CSR by linear sorted-run merge: every
+    /// commit does, so this equals [`epochs`](Self::epochs).
     pub csr_merges: u64,
-    /// Commits that re-sorted the full edge list (delta over threshold).
+    /// Always 0: no commit re-sorts the edge list.  Kept while a benchmark
+    /// metric (`graph.commit_rebuild_share`) still reads it.
     pub csr_rebuilds: u64,
-    /// Commits that merged the inverted index incrementally.
+    /// Commits that merged the inverted index incrementally: every commit
+    /// does, so this equals [`epochs`](Self::epochs).
     pub index_merges: u64,
-    /// Commits that rebuilt the inverted index from the node tuples.
+    /// Always 0: no commit rebuilds the inverted index.  Kept while a
+    /// benchmark metric (`graph.commit_rebuild_share`) still reads it.
     pub index_rebuilds: u64,
     /// Commits where the condensation took the topological fast path.
     pub condensation_fast: u64,
     /// Commits that re-ran Tarjan (an edge went backward in topo order).
     pub condensation_rebuilds: u64,
-    /// Wall-clock microseconds spent in the most recent commit.
-    pub last_commit_micros: u64,
 }
 
 struct Pending {
@@ -174,7 +151,6 @@ pub struct GraphHandle {
     pending: Mutex<Pending>,
     current: RwLock<Arc<GraphSnapshot>>,
     epoch: AtomicU64,
-    config: MutationConfig,
     stats: Mutex<MutationStats>,
 }
 
@@ -190,19 +166,14 @@ impl std::fmt::Debug for GraphHandle {
 impl GraphHandle {
     /// Wraps `graph` as the epoch-0 image of a live graph.
     pub fn new(graph: DataGraph) -> Self {
-        Self::with_config(graph, MutationConfig::default())
-    }
-
-    /// Wraps `graph` with explicit mutation tuning.
-    pub fn with_config(graph: DataGraph, config: MutationConfig) -> Self {
-        Self::from_snapshot(GraphSnapshot::new(0, Arc::new(graph)), config)
+        Self::from_snapshot(GraphSnapshot::new(0, Arc::new(graph)))
     }
 
     /// Wraps a loaded snapshot as a live graph *without* recomputing the
     /// condensation (the snapshot already pins the canonical one) — the
     /// `.gtpq` fast path.  Commits on the returned handle copy-on-write the
     /// mapped runs into owned storage; the backing file is never modified.
-    pub fn from_snapshot(snapshot: GraphSnapshot, config: MutationConfig) -> Self {
+    pub fn from_snapshot(snapshot: GraphSnapshot) -> Self {
         let epoch = snapshot.epoch();
         let base_nodes = snapshot.graph().node_count();
         Self {
@@ -213,7 +184,6 @@ impl GraphHandle {
             }),
             current: RwLock::new(Arc::new(snapshot)),
             epoch: AtomicU64::new(epoch),
-            config,
             stats: Mutex::new(MutationStats::default()),
         }
     }
@@ -230,11 +200,6 @@ impl GraphHandle {
         self.current.read().expect("snapshot lock poisoned").clone()
     }
 
-    /// The mutation tuning in effect.
-    pub fn config(&self) -> MutationConfig {
-        self.config
-    }
-
     /// Work counters accumulated across all commits.
     pub fn stats(&self) -> MutationStats {
         self.stats.lock().expect("stats lock poisoned").clone()
@@ -247,17 +212,6 @@ impl GraphHandle {
             .expect("pending lock poisoned")
             .ops
             .len()
-    }
-
-    /// Stages a fresh attribute-less node and returns its id (dense,
-    /// continuing the committed range).
-    pub fn insert_node(&self) -> NodeId {
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
-        let id = NodeId((pending.base_nodes + pending.staged_nodes) as u32);
-        pending.ops.push(PendingOp::AddNode);
-        pending.staged_nodes += 1;
-        self.maybe_auto_commit(pending);
-        id
     }
 
     /// Stages a node carrying only a `label` attribute.
@@ -281,7 +235,6 @@ impl GraphHandle {
                 value,
             });
         }
-        self.maybe_auto_commit(pending);
         id
     }
 
@@ -301,7 +254,6 @@ impl GraphHandle {
             name: name.to_owned(),
             value,
         });
-        self.maybe_auto_commit(pending);
     }
 
     /// Stages a directed edge.  Duplicates of existing edges are tolerated
@@ -318,16 +270,6 @@ impl GraphHandle {
             "edge endpoints must be existing nodes"
         );
         pending.ops.push(PendingOp::AddEdge { from: u, to: v });
-        self.maybe_auto_commit(pending);
-    }
-
-    fn maybe_auto_commit(&self, pending: std::sync::MutexGuard<'_, Pending>) {
-        if let Some(limit) = self.config.auto_commit_ops {
-            let mut pending = pending;
-            if pending.ops.len() >= limit {
-                self.commit_locked(&mut pending);
-            }
-        }
     }
 
     /// Compacts every staged operation into a new epoch and publishes it.
@@ -335,14 +277,9 @@ impl GraphHandle {
     /// the epoch number only advances when the graph actually changes.
     pub fn commit(&self) -> Arc<GraphSnapshot> {
         let mut pending = self.pending.lock().expect("pending lock poisoned");
-        self.commit_locked(&mut pending)
-    }
-
-    fn commit_locked(&self, pending: &mut Pending) -> Arc<GraphSnapshot> {
         if pending.ops.is_empty() {
             return self.snapshot();
         }
-        let started = Instant::now();
         let base = self.snapshot();
         let bg: &DataGraph = base.graph();
         let old_n = bg.node_count();
@@ -389,81 +326,52 @@ impl GraphHandle {
         let added_edges = raw_edges;
         let edge_count = bg.edge_count + added_edges.len();
 
-        // CSR adjacency: linear sorted-run merge of the delta, or a full
-        // re-sort once the delta crosses the compaction threshold.
-        let ratio = self.config.full_rebuild_ratio;
-        let csr_full = (added_edges.len() as f64) > ratio * (bg.edge_count.max(1) as f64);
-        let (fwd, rev) = if csr_full {
-            let mut fwd_pairs: Vec<(u32, NodeId)> = Vec::with_capacity(edge_count);
-            for u in bg.nodes() {
-                for &v in bg.children(u) {
-                    fwd_pairs.push((u.0, v));
-                }
-            }
-            fwd_pairs.extend(added_edges.iter().map(|&(u, v)| (u.0, v)));
-            fwd_pairs.sort_unstable();
-            let mut rev_pairs: Vec<(u32, NodeId)> =
-                fwd_pairs.iter().map(|&(u, v)| (v.0, NodeId(u))).collect();
-            rev_pairs.sort_unstable();
-            (
-                Csr::from_sorted_pairs(n_total, &fwd_pairs),
-                Csr::from_sorted_pairs(n_total, &rev_pairs),
-            )
-        } else {
-            let fwd_adds: Vec<(u32, NodeId)> = added_edges.iter().map(|&(u, v)| (u.0, v)).collect();
-            let mut rev_adds: Vec<(u32, NodeId)> = added_edges
-                .iter()
-                .map(|&(u, v)| (v.0, NodeId(u.0)))
-                .collect();
-            rev_adds.sort_unstable();
-            (
-                bg.fwd.merge_additions(n_total, &fwd_adds),
-                bg.rev.merge_additions(n_total, &rev_adds),
-            )
-        };
+        // CSR adjacency: linear sorted-run merge of the delta, both ways.
+        let fwd_adds: Vec<(u32, NodeId)> = added_edges.iter().map(|&(u, v)| (u.0, v)).collect();
+        let mut rev_adds: Vec<(u32, NodeId)> = added_edges
+            .iter()
+            .map(|&(u, v)| (v.0, NodeId(u.0)))
+            .collect();
+        rev_adds.sort_unstable();
+        let fwd = bg.fwd.merge_additions(n_total, &fwd_adds);
+        let rev = bg.rev.merge_additions(n_total, &rev_adds);
 
-        // Inverted index: sorted-run merge of the per-epoch posting deltas,
-        // or a rebuild when too many tuples changed.
-        let index_full = ((touched.len() + staged_nodes) as f64) > ratio * (old_n.max(1) as f64);
-        let index = if index_full {
-            AttrIndex::build(&attrs)
-        } else {
-            let mut removed: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
-            let mut added: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
-            let mut name_added: Vec<(Symbol, NodeId)> = Vec::new();
-            for &t in &touched {
-                let v = NodeId(t);
-                let old_tuple = &bg.attrs.tuples()[t as usize];
-                let new_tuple = &attrs[t as usize];
-                for a in old_tuple {
-                    if !new_tuple
-                        .iter()
-                        .any(|b| b.name == a.name && b.value == a.value)
-                    {
-                        removed.push((a.name, a.value.clone(), v));
-                    }
-                }
-                for b in new_tuple {
-                    if !old_tuple
-                        .iter()
-                        .any(|a| a.name == b.name && a.value == b.value)
-                    {
-                        added.push((b.name, b.value.clone(), v));
-                    }
-                    if !old_tuple.iter().any(|a| a.name == b.name) {
-                        name_added.push((b.name, v));
-                    }
+        // Inverted index: sorted-run merge of the per-epoch posting deltas.
+        let mut removed: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
+        let mut added: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
+        let mut name_added: Vec<(Symbol, NodeId)> = Vec::new();
+        for &t in &touched {
+            let v = NodeId(t);
+            let old_tuple = &bg.attrs.tuples()[t as usize];
+            let new_tuple = &attrs[t as usize];
+            for a in old_tuple {
+                if !new_tuple
+                    .iter()
+                    .any(|b| b.name == a.name && b.value == a.value)
+                {
+                    removed.push((a.name, a.value.clone(), v));
                 }
             }
-            for (i, tuple) in attrs.iter().enumerate().take(n_total).skip(old_n) {
-                let v = NodeId(i as u32);
-                for a in tuple {
-                    added.push((a.name, a.value.clone(), v));
-                    name_added.push((a.name, v));
+            for b in new_tuple {
+                if !old_tuple
+                    .iter()
+                    .any(|a| a.name == b.name && a.value == b.value)
+                {
+                    added.push((b.name, b.value.clone(), v));
+                }
+                if !old_tuple.iter().any(|a| a.name == b.name) {
+                    name_added.push((b.name, v));
                 }
             }
-            bg.index.merge_updates(removed, added, name_added)
-        };
+        }
+        for (i, tuple) in attrs.iter().enumerate().skip(old_n) {
+            let v = NodeId(i as u32);
+            for a in tuple {
+                added.push((a.name, a.value.clone(), v));
+                name_added.push((a.name, v));
+            }
+        }
+        let index = bg.index.merge_updates(removed, added, name_added);
 
         // The sim catalog rebuilds from the tuples every epoch: pivot
         // selection is global (farthest-point over all rows), so there is no
@@ -501,22 +409,13 @@ impl GraphHandle {
         stats.nodes_inserted += staged_nodes as u64;
         stats.edges_inserted += added_edges.len() as u64;
         stats.attrs_upserted += upserts;
-        if csr_full {
-            stats.csr_rebuilds += 1;
-        } else {
-            stats.csr_merges += 1;
-        }
-        if index_full {
-            stats.index_rebuilds += 1;
-        } else {
-            stats.index_merges += 1;
-        }
+        stats.csr_merges += 1;
+        stats.index_merges += 1;
         if cond_fast {
             stats.condensation_fast += 1;
         } else {
             stats.condensation_rebuilds += 1;
         }
-        stats.last_commit_micros = started.elapsed().as_micros() as u64;
         snapshot
     }
 }
@@ -527,14 +426,18 @@ mod tests {
 
     use super::*;
 
-    fn base() -> DataGraph {
+    fn base_builder() -> GraphBuilder {
         let mut b = GraphBuilder::new();
         let a = b.add_node_with_label("a");
         let c = b.add_node_with_label("b");
         let d = b.add_node_with_label("b");
         b.add_edge(a, c);
         b.add_edge(c, d);
-        b.build()
+        b
+    }
+
+    fn base() -> DataGraph {
+        base_builder().build()
     }
 
     #[test]
@@ -545,16 +448,11 @@ mod tests {
         handle.set_attr(NodeId(0), "year", AttrValue::int(2001));
         let snap = handle.commit();
 
-        let mut b = GraphBuilder::new();
-        let a = b.add_node_with_label("a");
-        let c = b.add_node_with_label("b");
-        let d = b.add_node_with_label("b");
-        b.add_edge(a, c);
-        b.add_edge(c, d);
+        let mut b = base_builder();
         let x2 = b.add_node();
         b.set_attr(x2, crate::LABEL_ATTR, AttrValue::str("c"));
-        b.add_edge(d, x2);
-        b.set_attr(a, "year", AttrValue::int(2001));
+        b.add_edge(NodeId(2), x2);
+        b.set_attr(NodeId(0), "year", AttrValue::int(2001));
         let oracle = b.build();
 
         assert_eq!(**snap.graph(), oracle);
@@ -616,32 +514,48 @@ mod tests {
     }
 
     #[test]
-    fn auto_commit_triggers_on_threshold() {
-        let config = MutationConfig {
-            auto_commit_ops: Some(2),
-            ..MutationConfig::default()
-        };
-        let handle = GraphHandle::with_config(base(), config);
-        handle.insert_node(); // 1 op
-        assert_eq!(handle.epoch(), 0);
-        handle.insert_node(); // 2 ops: auto-commit
-        assert_eq!(handle.epoch(), 1);
-        assert_eq!(handle.pending_op_count(), 0);
-        assert_eq!(handle.snapshot().graph().node_count(), 5);
-    }
+    fn a_delta_larger_than_its_base_merges_bit_identically() {
+        // 240 nodes and 486 edges onto a 3-node, 2-edge base, plus
+        // overwrites and new attributes on every base node: the delta
+        // dwarfs the graph it lands on, and the commit still merges.
+        let handle = GraphHandle::new(base());
+        let mut oracle = base_builder();
+        let n = 3 + 240;
+        for i in 0..240u32 {
+            let attrs = [
+                (LABEL_ATTR, AttrValue::str(&format!("n{}", i % 7))),
+                ("year", AttrValue::int(1990 + i64::from(i % 13))),
+            ];
+            let x = handle.insert_node_with_attrs(attrs.clone());
+            let y = oracle.add_node_with_attrs(attrs);
+            assert_eq!(x, y);
+        }
+        for u in 0..n {
+            for step in [1, 12] {
+                let (u, v) = (NodeId(u), NodeId((7 * u + step) % n));
+                handle.insert_edge(u, v);
+                oracle.add_edge(u, v);
+            }
+        }
+        for (v, name, value) in [
+            (0, LABEL_ATTR, AttrValue::str("z")),
+            (1, "year", AttrValue::int(1999)),
+            (2, LABEL_ATTR, AttrValue::str("a")),
+            (2, "year", AttrValue::int(2005)),
+        ] {
+            handle.set_attr(NodeId(v), name, value.clone());
+            oracle.set_attr(NodeId(v), name, value);
+        }
+        let snap = handle.commit();
+        let oracle = oracle.build();
 
-    #[test]
-    fn large_delta_takes_the_rebuild_paths() {
-        let config = MutationConfig {
-            full_rebuild_ratio: 0.0,
-            ..MutationConfig::default()
-        };
-        let handle = GraphHandle::with_config(base(), config);
-        let x = handle.insert_node_with_label("x");
-        handle.insert_edge(NodeId(0), x);
-        handle.commit();
+        assert_eq!(**snap.graph(), oracle);
+        assert_eq!(**snap.condensation(), Condensation::new(&oracle));
         let stats = handle.stats();
-        assert_eq!(stats.csr_rebuilds, 1);
-        assert_eq!(stats.index_rebuilds, 1);
+        assert_eq!(stats.nodes_inserted, 240);
+        assert!(stats.edges_inserted >= 400, "{stats:?}");
+        assert_eq!(stats.csr_merges, 1);
+        assert_eq!(stats.index_merges, 1);
+        assert_eq!(stats.csr_rebuilds + stats.index_rebuilds, 0);
     }
 }

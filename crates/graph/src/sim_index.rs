@@ -203,11 +203,6 @@ impl SimTable {
         Some(self.vector(i))
     }
 
-    /// The `(min, max)` vector norms across the table.
-    pub fn norm_bounds(&self) -> (f32, f32) {
-        (self.norm_min, self.norm_max)
-    }
-
     fn filter(&self) -> PivotFilter<'_> {
         PivotFilter::new(self.dim(), &self.pivots, &self.dists)
     }
@@ -409,8 +404,7 @@ mod tests {
         assert!(t.indexed_nodes().windows(2).all(|w| w[0] < w[1]));
         assert_eq!(t.vector_of(NodeId(3)), Some(&emb(3, 8)[..]));
         assert_eq!(t.vector_of(NodeId(99)), None);
-        let (lo, hi) = t.norm_bounds();
-        assert!(0.0 <= lo && lo <= hi);
+        assert!(0.0 <= t.norm_min && t.norm_min <= t.norm_max);
         assert_eq!(SimCatalog::build(&[]).len(), 0);
     }
 

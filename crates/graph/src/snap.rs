@@ -1754,7 +1754,7 @@ fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, 
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::mutate::{GraphHandle, MutationConfig};
+    use crate::mutate::GraphHandle;
     use crate::LABEL_ATTR;
 
     fn sample_snapshot() -> GraphSnapshot {
@@ -1999,30 +1999,23 @@ mod tests {
         GraphSnapshot::freeze(Arc::new(b.build()))
     }
 
-    /// [`touch`], then one epoch committed over the loaded graph through both
-    /// the merging and the rebuilding arm of the mutation path, and `touch`
-    /// again on what that produced.  For files whose *offsets* are damaged:
-    /// a commit copies the content of the big runs, so it is only as sound
-    /// as they are.
+    /// [`touch`], then one epoch committed over the loaded graph, which
+    /// merges into its CSR and index, and `touch` again on what that
+    /// produced.  For files whose *offsets* are damaged: a commit copies the
+    /// content of the big runs, so it is only as sound as they are.
     fn walk(snap: &GraphSnapshot) {
         touch(snap);
         let n = snap.graph().node_count() as u32;
-        for full_rebuild_ratio in [0.0, f64::MAX] {
-            let config = MutationConfig {
-                auto_commit_ops: None,
-                full_rebuild_ratio,
-            };
-            let handle = GraphHandle::from_snapshot(snap.clone(), config);
-            let fresh = handle.insert_node_with_label("doc");
-            for v in 0..n {
-                handle.set_attr(NodeId(v), "year", AttrValue::int(7));
-                handle.insert_edge(NodeId(v), fresh);
-            }
-            if n > 1 {
-                handle.insert_edge(NodeId(0), NodeId(n - 1));
-            }
-            touch(&handle.commit());
+        let handle = GraphHandle::from_snapshot(snap.clone());
+        let fresh = handle.insert_node_with_label("doc");
+        for v in 0..n {
+            handle.set_attr(NodeId(v), "year", AttrValue::int(7));
+            handle.insert_edge(NodeId(v), fresh);
         }
+        if n > 1 {
+            handle.insert_edge(NodeId(0), NodeId(n - 1));
+        }
+        touch(&handle.commit());
     }
 
     /// Touches every slice-served accessor of a loaded graph.

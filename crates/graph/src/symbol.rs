@@ -82,16 +82,6 @@ impl SymbolTable {
         self.names.is_empty()
     }
 
-    /// Rebuilds the lookup map after deserialization (the map is not serialized).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), Symbol(i as u32)))
-            .collect();
-    }
-
     /// Iterates over `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         self.names
@@ -123,16 +113,6 @@ mod tests {
         assert_eq!(t.resolve(b), "tag");
         assert_eq!(t.get("tag"), Some(b));
         assert_eq!(t.get("missing"), None);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut t = SymbolTable::new();
-        let a = t.intern("x");
-        t.lookup.clear();
-        assert_eq!(t.get("x"), None);
-        t.rebuild_lookup();
-        assert_eq!(t.get("x"), Some(a));
     }
 
     #[test]

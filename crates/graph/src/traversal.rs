@@ -105,11 +105,6 @@ pub fn topological_order(g: &DataGraph) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Whether the graph is a DAG.
-pub fn is_acyclic(g: &DataGraph) -> bool {
-    topological_order(g).is_some()
-}
-
 /// Depth of each node when the graph is interpreted as a forest rooted at the
 /// in-degree-zero nodes; nodes reachable through multiple paths get the depth
 /// of their first discovery (BFS).  Used only for dataset statistics.
@@ -180,7 +175,6 @@ mod tests {
         b.add_edge(c, a);
         let g = b.build();
         assert!(is_reachable(&g, a, a));
-        assert!(!is_acyclic(&g));
         assert!(topological_order(&g).is_none());
     }
 

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use crate::expr::{BoolExpr, VarId};
-use crate::transform::{to_cnf, Cnf, Literal};
+use crate::transform::{to_cnf, Literal};
 use crate::valuation::Valuation;
 
 /// Whether `expr` is satisfiable.
@@ -49,12 +49,6 @@ pub fn implies(a: &BoolExpr, b: &BoolExpr) -> bool {
 /// Whether `a` and `b` are logically equivalent.
 pub fn equivalent(a: &BoolExpr, b: &BoolExpr) -> bool {
     implies(a, b) && implies(b, a)
-}
-
-/// Whether the CNF is satisfiable (entry point when a caller already has CNF).
-pub fn cnf_satisfiable(cnf: &Cnf) -> bool {
-    let mut assignment = HashMap::new();
-    dpll(cnf.clauses.clone(), &mut assignment)
 }
 
 /// DPLL with unit propagation and pure-literal elimination.
@@ -248,12 +242,5 @@ mod tests {
         for f in formulas {
             assert_eq!(is_satisfiable(&f), brute_force_satisfiable(&f), "{f}");
         }
-    }
-
-    #[test]
-    fn cnf_satisfiable_entry_point() {
-        let e = BoolExpr::and2(BoolExpr::var(1), BoolExpr::not(BoolExpr::var(1)));
-        let cnf = to_cnf(&e);
-        assert!(!cnf_satisfiable(&cnf));
     }
 }

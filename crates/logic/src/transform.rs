@@ -190,12 +190,6 @@ impl Cnf {
     pub fn is_empty(&self) -> bool {
         self.clauses.is_empty()
     }
-
-    /// Total number of literal occurrences; the "size" of the CNF, used to
-    /// demonstrate the exponential OR-block blow-up of B-twig normalisation.
-    pub fn literal_count(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
-    }
 }
 
 /// Converts a formula to CNF by NNF + distribution.
@@ -366,7 +360,7 @@ mod tests {
             }))
         }));
         assert!(brute_force_equivalent(&e, &rebuilt));
-        assert!(cnf.literal_count() >= cnf.len());
+        assert!(cnf.clauses.iter().all(|clause| !clause.is_empty()));
     }
 
     #[test]

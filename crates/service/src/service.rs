@@ -17,7 +17,7 @@ use crate::cache::{PlanCache, ResultCache};
 use crate::canon::{canonicalize, CanonicalQuery};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::request::{QueryError, QueryOutcome, QueryRequest, QuerySource};
-use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog};
+use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog, SLOW_LOG_CAPACITY};
 
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -47,11 +47,9 @@ pub struct ServiceConfig {
     pub options: GteaOptions,
     /// Requests whose end-to-end latency reaches this threshold are recorded
     /// in the slow-query log (with their canonical text, outcome and the
-    /// executed plan's actuals); `None` disables the log.
+    /// executed plan's actuals), a ring of the latest
+    /// [`SLOW_LOG_CAPACITY`]; `None` disables the log.
     pub slow_query_threshold: Option<Duration>,
-    /// Capacity of the slow-query ring buffer; once full, the oldest entry
-    /// is evicted.
-    pub slow_log_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -67,7 +65,6 @@ impl Default for ServiceConfig {
             per_query_backend: true,
             options: GteaOptions::default(),
             slow_query_threshold: Some(Duration::from_millis(100)),
-            slow_log_capacity: 32,
         }
     }
 }
@@ -236,7 +233,7 @@ impl QueryService {
         let metrics = ServiceMetrics::new();
         let state = Arc::new(EpochState::build(snapshot, &config, &metrics));
         let slow_capacity = if config.slow_query_threshold.is_some() {
-            config.slow_log_capacity
+            SLOW_LOG_CAPACITY
         } else {
             0
         };

@@ -13,6 +13,10 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// How many slow queries a service keeps; once full, the oldest entry is
+/// evicted.
+pub const SLOW_LOG_CAPACITY: usize = 32;
+
 /// How a slow request ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SlowOutcome {

@@ -11,9 +11,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gtpq::graph::{
-    AttrValue, DataGraph, GraphBuilder, GraphHandle, GraphSnapshot, MutationConfig, NodeId,
-};
+use gtpq::graph::{AttrValue, DataGraph, GraphBuilder, GraphHandle, GraphSnapshot, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -130,7 +128,7 @@ fn serialization_round_trip_preserves_csr_and_inverted_index() {
         // A commit on the mapped graph copies on write and leaves the
         // pinned epoch as loaded.
         let (u, v) = (NodeId(g.node_count() as u32 - 1), NodeId(0));
-        let handle = GraphHandle::from_snapshot(mapped, MutationConfig::default());
+        let handle = GraphHandle::from_snapshot(mapped);
         let pinned = handle.snapshot();
         handle.insert_edge(u, v);
         handle.commit();

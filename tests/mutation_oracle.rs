@@ -13,39 +13,35 @@
 //!   a generated op stream; the oracle is a fresh `GraphBuilder` replaying
 //!   the same ops.  Because symbols are interned in first-appearance order
 //!   on both sides, `==` on `DataGraph` (and on a freshly condensed
-//!   `Condensation`) is exact bit-identity.
+//!   `Condensation`) is exact bit-identity.  Every commit merges into the
+//!   CSR and the inverted index, and the early epochs of a graph grown from
+//!   nothing add more than the graph already holds, so this flavour proves
+//!   the merge on deltas larger than their base.
 //! * **generator base** — the handle starts from a small XMark-like graph;
 //!   after each commit the maintained condensation must equal
 //!   `Condensation::new` of the committed graph, and the engine must answer
 //!   queries exactly like the naive semantic evaluator on that graph.
 //!
-//! The sweep varies `MutationConfig` so both the incremental fast paths
-//! (sorted-run merges, topological condensation insertion) and the
-//! threshold-triggered full rebuilds are exercised — asserted at the end
-//! via the aggregate `MutationStats`.
+//! Each seed's `MutationStats` must show one CSR merge and one index merge
+//! per epoch; across the sweep the condensation must both take its
+//! topological fast path and re-run Tarjan.
 
 use gtpq::datagen::{
     apply_ops, apply_ops_to_builder, generate_xmark, update_stream, xmark_q1, UpdateStreamConfig,
     XmarkConfig,
 };
-use gtpq::graph::{Condensation, GraphHandle, MutationConfig, MutationStats};
+use gtpq::graph::{Condensation, GraphHandle, MutationStats};
 use gtpq::prelude::*;
 use gtpq::query::naive;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Per-seed mutation config: sweep the rebuild threshold through
-/// always-rebuild (0.0), the default, and never-rebuild (huge), and turn
-/// auto-commit on for a quarter of the seeds so epoch boundaries move.
-fn mutation_config(seed: u64) -> MutationConfig {
-    MutationConfig {
-        auto_commit_ops: (seed % 4 == 3).then_some(11),
-        full_rebuild_ratio: match seed % 3 {
-            0 => 0.0,
-            1 => 1e9,
-            _ => 0.25,
-        },
-    }
+/// Every commit merged its CSR and its inverted index; none rebuilt them.
+fn assert_every_commit_merged(ctx: &str, stats: &MutationStats) {
+    assert_eq!(stats.csr_merges, stats.epochs, "{ctx}: {stats:?}");
+    assert_eq!(stats.index_merges, stats.epochs, "{ctx}: {stats:?}");
+    assert_eq!(stats.csr_rebuilds, 0, "{ctx}: {stats:?}");
+    assert_eq!(stats.index_rebuilds, 0, "{ctx}: {stats:?}");
 }
 
 /// A random small query over the update stream's fallback `a..d` label
@@ -100,7 +96,7 @@ fn assert_backends_match_naive(ctx: &str, g: &DataGraph, oracle_graph: &DataGrap
 
 #[test]
 fn incremental_maintenance_is_bit_identical_to_rebuild() {
-    let mut totals = MutationStats::default();
+    let (mut condensation_fast, mut condensation_rebuilds) = (0, 0);
     for seed in 0..16u64 {
         let stream_cfg = UpdateStreamConfig {
             seed,
@@ -112,7 +108,7 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
         let empty = GraphBuilder::new().build();
         let stream = update_stream(&empty, &stream_cfg);
 
-        let handle = GraphHandle::with_config(GraphBuilder::new().build(), mutation_config(seed));
+        let handle = GraphHandle::new(GraphBuilder::new().build());
         let mut all_ops = Vec::new();
         for (i, epoch) in stream.iter().enumerate() {
             apply_ops(&handle, epoch);
@@ -137,35 +133,19 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
             );
         }
         let stats = handle.stats();
-        totals.epochs += stats.epochs;
-        totals.csr_merges += stats.csr_merges;
-        totals.csr_rebuilds += stats.csr_rebuilds;
-        totals.index_merges += stats.index_merges;
-        totals.index_rebuilds += stats.index_rebuilds;
-        totals.condensation_fast += stats.condensation_fast;
-        totals.condensation_rebuilds += stats.condensation_rebuilds;
+        assert_eq!(stats.epochs as usize, stream.len(), "seed {seed}");
+        assert_every_commit_merged(&format!("seed {seed}"), &stats);
+        condensation_fast += stats.condensation_fast;
+        condensation_rebuilds += stats.condensation_rebuilds;
     }
-    // The config sweep must have pushed commits down BOTH maintenance paths
-    // of every structure — otherwise the oracle proved only half the code.
+    // The sweep must have pushed commits down both condensation paths —
+    // otherwise the oracle proved only half the code.
     assert!(
-        totals.csr_merges > 0,
-        "no commit took the CSR merge fast path"
-    );
-    assert!(totals.csr_rebuilds > 0, "no commit re-sorted the full CSR");
-    assert!(
-        totals.index_merges > 0,
-        "no commit merged the inverted index"
-    );
-    assert!(
-        totals.index_rebuilds > 0,
-        "no commit rebuilt the inverted index"
-    );
-    assert!(
-        totals.condensation_fast > 0,
+        condensation_fast > 0,
         "no commit took the topological condensation fast path"
     );
     assert!(
-        totals.condensation_rebuilds > 0,
+        condensation_rebuilds > 0,
         "no commit re-ran Tarjan on a backward edge"
     );
 }
@@ -183,7 +163,7 @@ fn all_backends_answer_like_the_rebuild_oracle_after_every_epoch() {
         let empty = GraphBuilder::new().build();
         let stream = update_stream(&empty, &stream_cfg);
 
-        let handle = GraphHandle::with_config(GraphBuilder::new().build(), mutation_config(seed));
+        let handle = GraphHandle::new(GraphBuilder::new().build());
         let mut all_ops = Vec::new();
         let mut qrng = StdRng::seed_from_u64(seed);
         for (i, epoch) in stream.iter().enumerate() {
@@ -206,6 +186,7 @@ fn all_backends_answer_like_the_rebuild_oracle_after_every_epoch() {
                 );
             }
         }
+        assert_every_commit_merged(&format!("seed {seed}"), &handle.stats());
     }
 }
 
@@ -226,7 +207,7 @@ fn generator_base_graphs_stay_consistent_under_mutation() {
         };
         let stream = update_stream(&base, &stream_cfg);
 
-        let handle = GraphHandle::with_config(base, mutation_config(seed));
+        let handle = GraphHandle::new(base);
         for (i, epoch) in stream.iter().enumerate() {
             apply_ops(&handle, epoch);
             handle.commit();
@@ -249,7 +230,8 @@ fn generator_base_graphs_stay_consistent_under_mutation() {
                 &q,
             );
         }
-        // Auto-commit (some seeds) splits stream epochs into several commits.
-        assert!(handle.stats().epochs as usize >= stream.len());
+        let stats = handle.stats();
+        assert_eq!(stats.epochs as usize, stream.len(), "xmark seed {seed}");
+        assert_every_commit_merged(&format!("xmark seed {seed}"), &stats);
     }
 }

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gtpq::graph::condensation::CompId;
-use gtpq::graph::{Condensation, GraphHandle, GraphSnapshot, LoadMode, MutationConfig, LABEL_ATTR};
+use gtpq::graph::{Condensation, GraphHandle, GraphSnapshot, LoadMode, LABEL_ATTR};
 use gtpq::prelude::*;
 use gtpq::query::{AttrPredicate, EdgeKind, Gtpq, GtpqBuilder};
 use rand::rngs::StdRng;
@@ -150,7 +150,7 @@ fn mutating_a_mapped_graph_never_touches_the_file() {
         let pristine = std::fs::read(&path).unwrap();
 
         let mapped = GraphSnapshot::open_mmap(&path).unwrap();
-        let handle = GraphHandle::from_snapshot(mapped, MutationConfig::default());
+        let handle = GraphHandle::from_snapshot(mapped);
         let pinned = handle.snapshot();
         let base_nodes = pinned.graph().node_count();
 
@@ -194,7 +194,6 @@ fn mapped_snapshots_serve_queries_while_the_handle_advances() {
 
     let handle = Arc::new(GraphHandle::from_snapshot(
         GraphSnapshot::open_mmap(&path).unwrap(),
-        MutationConfig::default(),
     ));
     let q = &query_battery()[0];
     let pinned = handle.snapshot();
