@@ -315,7 +315,7 @@ mod tests {
         // The paper finds HGJoin* pays off for queries with many results and
         // can be *worse* for highly selective ones, so no ordering between the
         // two counters is asserted here — the crossover itself is what the
-        // `ablation` bench measures.
+        // `experiments` binary's `fig9b` / `fig9c` rows show.
         let g = generate_xmark(&XmarkConfig::with_scale(0.2));
         let plus = HgJoin::tuple_based(&g);
         let star = HgJoin::graph_based(&g);

@@ -45,7 +45,7 @@ impl<'g> TwigStackD<'g> {
 
     /// The pre-filtering phase: a bottom-up and a top-down sweep over the
     /// candidate lists, using pairwise SSPI probes.
-    pub fn prefilter(&self, q: &Gtpq, mat: &mut [Vec<NodeId>], stats: &mut BaselineStats) {
+    fn prefilter(&self, q: &Gtpq, mat: &mut [Vec<NodeId>], stats: &mut BaselineStats) {
         let start = Instant::now();
         self.sspi.reset_visits();
         // Bottom-up: keep candidates that can reach a candidate of every child.

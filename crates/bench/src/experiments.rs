@@ -508,6 +508,7 @@ mod tests {
     fn small_experiments_run() {
         run_experiment("table1").unwrap();
         run_experiment("fig12a").unwrap();
+        run_experiment("fig12d").unwrap(); // asserts the baselines agree with GTEA
         run_experiment("ablation").unwrap();
     }
 }

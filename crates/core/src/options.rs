@@ -1,9 +1,9 @@
-//! Evaluation options (used by the ablation benchmarks).
+//! Evaluation options (used by the `experiments` binary's ablation).
 
 /// Tuning knobs of the GTEA engine.
 ///
 /// Defaults correspond to the algorithm exactly as described in the paper;
-/// the flags exist so the ablation benchmarks can quantify each design
+/// the flags exist so the `experiments` ablation can quantify each design
 /// decision ("The evaluation pipeline" in `docs/ARCHITECTURE.md`).
 #[derive(Clone, Copy, Debug)]
 pub struct GteaOptions {

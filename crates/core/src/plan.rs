@@ -31,8 +31,8 @@
 //!   no index — so only the benchmark's replay still asks.
 //!
 //! The executor records estimated-vs-actual cardinalities and per-operator
-//! wall times into [`EvalStats::operators`](crate::EvalStats), which both
-//! `:explain analyze` and the plan-quality benchmarks read back.
+//! wall times into [`EvalStats::operators`](crate::EvalStats), which
+//! `:explain analyze` reads back.
 
 use std::time::Instant;
 
@@ -164,7 +164,7 @@ impl QueryPlan {
     /// The seed's hard-wired pipeline as an explicit plan: index scans
     /// everywhere, prune order by query-node id (bottom-up), no backend
     /// recommendation, no estimates.  Used as the planner-less baseline by
-    /// the plan-quality benchmarks and tests.
+    /// the perturbed-plan property test and the plan-cache tests.
     pub fn fixed_pipeline(q: &Gtpq) -> Self {
         QueryPlan {
             candidates: q

@@ -579,10 +579,9 @@ fn sample_query(g: &DataGraph, config: &RandomQueryConfig, rng: &mut StdRng) -> 
 /// children (ones `fs` never mentions) come last.
 ///
 /// For such queries `parse(q.to_string()) == q` holds exactly, which is what
-/// the round-trip property test in `tests/query_text.rs` and the
-/// `text_parse` benchmark exercise.  Fully deterministic in `seed`;
-/// `max_nodes` bounds the query size (the result has at least one node and
-/// at least one output node).
+/// the round-trip property test in `tests/query_text.rs` exercises.  Fully
+/// deterministic in `seed`; `max_nodes` bounds the query size (the result
+/// has at least one node and at least one output node).
 pub fn random_text_query(seed: u64, max_nodes: usize) -> Gtpq {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut gen = TextQueryGen {

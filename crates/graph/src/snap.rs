@@ -1250,16 +1250,6 @@ impl GraphSnapshot {
     }
 }
 
-impl DataGraph {
-    /// Zero-copy open of just the graph from a `.gtpq` snapshot (the stored
-    /// condensation is dropped; prefer [`GraphSnapshot::open_mmap`] to keep
-    /// it and skip the Tarjan recomputation).
-    pub fn open_mmap<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let snap = GraphSnapshot::open_mmap(path)?;
-        Ok(snap.graph().as_ref().clone())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Loading
 // ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@
 //! members of `BackendKind::ALL`.
 //!
 //! In the other direction, every Markdown file a `//!` / `///` comment
-//! under `crates/` or `src/` sends the reader to must exist.
+//! under `crates/` or `src/` sends the reader to must exist, and so must
+//! every repository path that README.md, `docs/ARCHITECTURE.md` or
+//! `docs/OBSERVABILITY.md` cites in backticks.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -380,4 +382,47 @@ fn markdown_files_named_in_doc_comments_exist() {
         }
     }
     assert!(named >= 10, "only {named} references found: the scan broke");
+}
+
+/// Whether `path` names something under `root`; one `*` in its file name
+/// matches any run of characters (`BENCH_*.json`).
+fn resolves(root: &std::path::Path, path: &str) -> bool {
+    let (dir, name) = path.rsplit_once('/').expect("cited paths contain a `/`");
+    let Some((prefix, suffix)) = name.split_once('*') else {
+        return root.join(path).exists();
+    };
+    let entries = std::fs::read_dir(root.join(dir))
+        .into_iter()
+        .flatten()
+        .flatten();
+    entries
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .any(|n| n.len() >= name.len() - 1 && n.starts_with(prefix) && n.ends_with(suffix))
+}
+
+#[test]
+fn repo_paths_cited_in_the_docs_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut cited = 0;
+    for doc in ["README.md", "docs/ARCHITECTURE.md", "docs/OBSERVABILITY.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("docs are readable");
+        // A repo-rooted path: relative, with a directory part and the
+        // extension of a source, data, doc or snapshot file.
+        let paths = backticked_in(&text).into_iter().filter(|t| {
+            t.contains('/')
+                && !t.starts_with('/')
+                && !t.contains(char::is_whitespace)
+                && [".rs", ".json", ".md", ".gtpq"]
+                    .iter()
+                    .any(|e| t.ends_with(e))
+        });
+        for path in paths {
+            cited += 1;
+            assert!(
+                resolves(root, &path),
+                "{doc} cites `{path}`, which does not exist"
+            );
+        }
+    }
+    assert!(cited >= 20, "only {cited} paths found: the scan broke");
 }
