@@ -738,8 +738,10 @@ impl Session {
                 }
             }
         } else {
-            let plan = self.service.plan_for(q);
-            let _ = write!(out, "{}", plan.render(q));
+            let _ = match self.service.plan_for(q) {
+                Ok(plan) => write!(out, "{}", plan.render(q)),
+                Err(e) => write!(out, "{e}"),
+            };
         }
         out
     }

@@ -85,6 +85,15 @@ impl std::error::Error for Aborted {
     }
 }
 
+impl Aborted {
+    fn new(interrupt: Interrupt, stats: EvalStats) -> Self {
+        Self {
+            interrupt,
+            stats: Box::new(stats),
+        }
+    }
+}
+
 /// The outcome of one [`GteaEngine::execute`] call.
 #[derive(Clone, Debug)]
 pub struct Execution {
@@ -161,48 +170,39 @@ impl<'g> GteaEngine<'g> {
         &self.options
     }
 
-    /// Builds the cost-based plan the engine would execute for `q` (the
-    /// planner orders prune work by estimated candidate-set size; it
-    /// recommends no backend, because default-option evaluation probes
-    /// none).
-    pub fn plan(&self, q: &Gtpq) -> QueryPlan {
-        Planner::new(self.graph).plan(q)
-    }
-
     /// Evaluates `q`, returning only the answer.
     pub fn evaluate(&self, q: &Gtpq) -> ResultSet {
         self.evaluate_with_stats(q).0
     }
 
-    /// Evaluates `q`: builds the default cost-based plan, then executes it.
-    /// The returned statistics include planning time and per-operator
-    /// estimated-vs-actual cardinalities.
+    /// Evaluates `q`: builds the default cost-based plan
+    /// ([`Planner::plan`]), then executes it.  The returned statistics
+    /// include planning time and per-operator estimated-vs-actual
+    /// cardinalities.
     pub fn evaluate_with_stats(&self, q: &Gtpq) -> (ResultSet, EvalStats) {
         let plan_start = Instant::now();
-        let plan = self.plan(q);
+        let plan = Planner::new(self.graph).plan(q);
         let plan_time = plan_start.elapsed();
-        let (results, mut stats) = self.evaluate_planned(q, &plan);
+        let exec = self
+            .execute(q, &plan, ExecOptions::unbounded())
+            .expect("unbounded execution cannot be interrupted");
+        let mut stats = exec.stats;
         stats.plan_time = plan_time;
-        (results, stats)
+        (exec.results, stats)
     }
 
-    /// Executes an explicit physical plan for `q`.
+    /// Executes `plan` with a row window and an execution control: the
+    /// request-level entry point behind `QueryService::submit`.  It is
+    /// [`match_stream`](Self::match_stream) plus the loop that drains the
+    /// stream into a [`ResultSet`].
     ///
     /// The answer is identical to [`evaluate`](Self::evaluate) for *any*
     /// plan: candidate steps missing from the plan default to index scans
     /// and the downward-prune order is repaired to a valid children-first
-    /// order.  Only performance (and the recorded estimates) can
-    /// differ.  A backend recommendation in the plan is ignored — the
-    /// pairwise arm probes whatever index the engine was built with.
-    pub fn evaluate_planned(&self, q: &Gtpq, plan: &QueryPlan) -> (ResultSet, EvalStats) {
-        let exec = self
-            .execute(q, plan, ExecOptions::unbounded())
-            .expect("unbounded execution cannot be interrupted");
-        (exec.results, exec.stats)
-    }
-
-    /// Executes `plan` with a row window and an execution control: the
-    /// request-level entry point behind `QueryService::submit`.
+    /// order.  Only performance (and the recorded estimates) can differ.  A
+    /// backend recommendation in the plan is ignored — the pairwise arm
+    /// probes whatever index the engine was built with.  The statistics
+    /// exclude planning time: the caller owns it.
     ///
     /// `limit`/`offset` push down into result enumeration — the underlying
     /// [`MatchStream`] stops after `offset + limit` distinct rows (plus one
@@ -221,20 +221,10 @@ impl<'g> GteaEngine<'g> {
     ) -> Result<Execution, Aborted> {
         let ExecOptions { limit, offset, ctl } = options;
         let tracer = ctl.tracer().clone();
-        let mut stats = EvalStats::default();
-        let source = match self.match_stream_inner(q, plan, &ctl, &mut stats) {
-            Ok(source) => source,
-            Err(interrupt) => {
-                return Err(Aborted {
-                    interrupt,
-                    stats: Box::new(stats),
-                })
-            }
-        };
+        let (mut stream, mut stats) = self.match_stream(q, plan, ctl)?;
         let span = tracer.span("enumerate");
         let mut results = ResultSet::new(q.output_nodes().to_vec());
         let mut truncated = false;
-        let mut interrupted = None;
         // The Collect operator reports what the enumerator was asked to do:
         // under a limit it produces at most the window (plus the look-ahead
         // row), so the full-answer estimate is capped accordingly — a
@@ -244,33 +234,23 @@ impl<'g> GteaEngine<'g> {
         let collect_estimated = window_cap.map_or(plan.collect_estimated_rows, |cap| {
             plan.collect_estimated_rows.min(cap)
         });
-        let mut stream = match source {
-            Some(source) => MatchStream::from_source(source, ctl.clone()),
-            None => MatchStream::empty(q, ctl.clone()),
-        };
         let mut skipped = 0usize;
-        loop {
+        let interrupted = loop {
             match stream.next_row() {
-                Err(e) => {
-                    interrupted = Some(e);
-                    break;
-                }
-                Ok(None) => break,
+                Err(e) => break Some(e),
+                Ok(None) => break None,
+                Ok(Some(_)) if skipped < offset => skipped += 1,
                 Ok(Some(row)) => {
-                    if skipped < offset {
-                        skipped += 1;
-                        continue;
-                    }
                     if limit.is_some_and(|l| results.len() >= l) {
                         // The look-ahead row proves more rows exist past
                         // the window.
                         truncated = true;
-                        break;
+                        break None;
                     }
                     results.insert(row);
                 }
             }
-        }
+        };
         span.field("rows", stream.rows_enumerated());
         stats.enumerated_rows += stream.rows_enumerated();
         stats.enumerate_time += stream.enumerate_time();
@@ -284,10 +264,7 @@ impl<'g> GteaEngine<'g> {
         drop(span);
         stats.result_tuples = results.len() as u64;
         if let Some(interrupt) = interrupted {
-            return Err(Aborted {
-                interrupt,
-                stats: Box::new(stats),
-            });
+            return Err(Aborted::new(interrupt, stats));
         }
         Ok(Execution {
             results,
@@ -316,10 +293,7 @@ impl<'g> GteaEngine<'g> {
         match self.match_stream_inner(q, plan, &ctl, &mut stats) {
             Ok(Some(source)) => Ok((MatchStream::from_source(source, ctl), stats)),
             Ok(None) => Ok((MatchStream::empty(q, ctl), stats)),
-            Err(interrupt) => Err(Aborted {
-                interrupt,
-                stats: Box::new(stats),
-            }),
+            Err(interrupt) => Err(Aborted::new(interrupt, stats)),
         }
     }
 
@@ -637,31 +611,33 @@ mod tests {
         let q = example_query();
         let engine = GteaEngine::new(&g);
         let expected = engine.evaluate(&q);
+        let run = |plan: &QueryPlan| {
+            engine
+                .execute(&q, plan, ExecOptions::unbounded())
+                .expect("unbounded execution cannot be interrupted")
+        };
 
         // The default plan round-trips.
-        let plan = engine.plan(&q);
-        assert!(engine.evaluate_planned(&q, &plan).0.same_answer(&expected));
+        let plan = Planner::new(&g).plan(&q);
+        assert!(run(&plan).results.same_answer(&expected));
 
         // Shuffled prune order is repaired by the executor.
         let mut shuffled = plan.clone();
         shuffled.prune_down.reverse();
-        assert!(engine
-            .evaluate_planned(&q, &shuffled)
-            .0
-            .same_answer(&expected));
+        assert!(run(&shuffled).results.same_answer(&expected));
 
         // Forced full scans select identical candidates.
         let mut scans = plan.clone();
         for step in &mut scans.candidates {
             step.access = crate::plan::AccessPath::FullScan;
         }
-        let (results, stats) = engine.evaluate_planned(&q, &scans);
-        assert!(results.same_answer(&expected));
-        assert!(stats.scanned_nodes >= (q.size() * g.node_count()) as u64);
+        let exec = run(&scans);
+        assert!(exec.results.same_answer(&expected));
+        assert!(exec.stats.scanned_nodes >= (q.size() * g.node_count()) as u64);
 
         // The fixed seed pipeline agrees too.
         let fixed = QueryPlan::fixed_pipeline(&q);
-        assert!(engine.evaluate_planned(&q, &fixed).0.same_answer(&expected));
+        assert!(run(&fixed).results.same_answer(&expected));
     }
 
     #[test]
@@ -683,9 +659,10 @@ mod tests {
         for o in stats.operators.iter().filter(|o| o.label.contains("Scan")) {
             assert!(o.estimated_rows >= o.actual_rows, "{}", o.label);
         }
-        // evaluate_planned alone reports no plan time; evaluate does.
-        let (_, planned_stats) = engine.evaluate_planned(&q, &engine.plan(&q));
-        assert_eq!(planned_stats.plan_time, std::time::Duration::ZERO);
+        // execute alone reports no plan time; evaluate does.
+        let plan = Planner::new(&g).plan(&q);
+        let planned = engine.execute(&q, &plan, ExecOptions::unbounded()).unwrap();
+        assert_eq!(planned.stats.plan_time, std::time::Duration::ZERO);
     }
 
     #[test]
@@ -693,7 +670,7 @@ mod tests {
         let g = example_graph();
         let q = example_query();
         let engine = GteaEngine::new(&g);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&g).plan(&q);
         let ctl = ExecCtl::unbounded().with_timeout(std::time::Duration::ZERO);
         let err = engine
             .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
@@ -739,7 +716,7 @@ mod tests {
             token: token.clone(),
         };
         let engine = GteaEngine::with_backend(&g, &index, GteaOptions::without_contours());
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&g).plan(&q);
         let ctl = ExecCtl::unbounded().with_cancel(token);
         let err = engine
             .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
@@ -763,7 +740,9 @@ mod tests {
         let tracer = crate::Tracer::enabled();
         let ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
         let options = ExecOptions::unbounded().with_ctl(ctl);
-        engine.execute(&q, &engine.plan(&q), options).unwrap();
+        engine
+            .execute(&q, &Planner::new(&g).plan(&q), options)
+            .unwrap();
         let trace = tracer.finish().unwrap();
         let matching = trace.span("matching").unwrap();
         let swept = matching.fields.iter().find(|(k, _)| *k == "swept");
@@ -789,7 +768,7 @@ mod tests {
         let g = example_graph();
         let q = example_query();
         let engine = GteaEngine::new(&g);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&g).plan(&q);
         let tracer = crate::Tracer::enabled();
         let root = tracer.span("request");
         let ctl = ExecCtl::unbounded().with_tracer(tracer.clone());

@@ -5,10 +5,11 @@
 //! builds an explicit physical-operator plan ([`QueryPlan`]) from data-graph
 //! statistics (inverted-index posting lengths predict per-query-node
 //! candidate counts), and the engine executes it.  [`GteaEngine::evaluate`]
-//! is exactly "build the default plan, execute it";
-//! [`GteaEngine::evaluate_planned`] executes an explicit plan, which the
-//! query service uses for plan caching and the tests use to prove that any
-//! plan returns the same answer.
+//! is exactly "build the default plan ([`Planner::plan`]), execute it";
+//! [`GteaEngine::execute`] executes an explicit plan, which the query
+//! service uses for plan caching and the tests use to prove that any plan
+//! returns the same answer.  [`GteaEngine::match_stream`] stops before
+//! enumeration and hands back the [`MatchStream`] that `execute` drains.
 //!
 //! The executed pipeline evaluates a [`Gtpq`](gtpq_query::Gtpq) over a
 //! [`DataGraph`](gtpq_graph::DataGraph) in four steps:
@@ -50,8 +51,8 @@
 //! Every step runs on the calling thread: the filter stages take tens to
 //! hundreds of microseconds per query, less than starting worker threads
 //! would cost ("No intra-query parallelism" in `docs/ARCHITECTURE.md`).
-//! Different requests run on different threads through the query service's
-//! batch pool.
+//! Different requests run on whichever threads call the query service's
+//! `submit`.
 //!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs

@@ -94,7 +94,7 @@ pub struct EvalStats {
     /// (zero when the answer is empty) — the streaming latency headline.
     pub time_to_first_row: Duration,
     /// Time spent building the query plan (zero when a pre-built plan was
-    /// executed via `evaluate_planned`).
+    /// executed via `GteaEngine::execute`).
     pub plan_time: Duration,
     /// Per-operator estimated-vs-actual cardinalities and wall times, in
     /// execution order.

@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use gtpq_core::matching::MatchingGraph;
 use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
 use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
-use gtpq_core::{EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, PruneStep};
+use gtpq_core::{EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, PruneStep};
 use gtpq_datagen::{
     dblp_queries, fig11_gtpq, generate_arxiv, generate_dblp, generate_xmark, xmark_q1, xmark_q2,
     xmark_q3, ArxivConfig, Fig11Predicate, XmarkConfig,
@@ -276,7 +276,7 @@ fn random_tree_query(rng: &mut Rng) -> Gtpq {
 fn assert_index_free(g: &DataGraph, q: &Gtpq, tag: &str) -> u64 {
     let engine = GteaEngine::with_backend(g, &Untouchable, GteaOptions::default());
     let exec = engine
-        .execute(q, &engine.plan(q), ExecOptions::unbounded())
+        .execute(q, &Planner::new(g).plan(q), ExecOptions::unbounded())
         .expect("unbounded execution cannot be interrupted");
     assert_eq!(exec.results, naive::evaluate(q, g), "{tag}: {q}");
     exec.stats.index_lookups

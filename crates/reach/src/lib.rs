@@ -80,7 +80,7 @@ pub type Probe<'s> = Box<dyn Fn(NodeId) -> bool + 's>;
 ///
 /// The trait requires `Send + Sync`: indexes are immutable after
 /// construction (lookup counters are atomics), and the query service shares
-/// one index across the requests its batch workers evaluate at once.
+/// one index across the requests its callers' threads evaluate at once.
 pub trait Reachability: Send + Sync {
     /// Whether `u` reaches `v` by a non-empty path.
     fn reaches(&self, u: NodeId, v: NodeId) -> bool;

@@ -277,6 +277,11 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
+    /// The graph generation the cached plans were built against.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Drops every plan and advances the cache to graph generation `epoch`
     /// (plans embed the old graph's cardinality estimates), returning how
     /// many entries were evicted.

@@ -22,9 +22,10 @@
 //!   invalidated (counted as `stale_evictions`), the epoch is
 //!   exported as the `graph_epoch` gauge, and in-flight requests keep
 //!   answering from the snapshot they pinned at submission,
-//! * evaluates requests **concurrently** — all methods take `&self`, and
-//!   [`QueryService::submit_batch`] fans a batch out over a work-stealing
-//!   thread pool while preserving input order,
+//! * evaluates requests **concurrently** — all methods take `&self`, so any
+//!   number of threads can call [`QueryService::submit`] on one shared
+//!   service; a lock that a panicking request poisoned is recovered, not
+//!   propagated to the requests after it,
 //! * answers repeated queries from an **equivalence-aware LRU result cache**
 //!   ([`ResultCache`]): queries are keyed by a canonical form
 //!   ([`canonicalize`]) so syntactically different spellings of one pattern
@@ -60,8 +61,7 @@
 //! assert_eq!(first.rows.len(), 1);
 //! ```
 //!
-//! [`QueryService::submit`] and [`QueryService::submit_batch`] are the only
-//! evaluation entry points.
+//! [`QueryService::submit`] is the only evaluation entry point.
 
 #![warn(missing_docs)]
 
@@ -78,3 +78,18 @@ pub use metrics::{MetricsSnapshot, ServiceMetrics, StageHistograms, RECENT_WINDO
 pub use request::{QueryError, QueryOutcome, QueryRequest, QuerySource};
 pub use service::{QueryService, ServiceConfig};
 pub use slowlog::{SlowOutcome, SlowQueryEntry};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// The crate's one mutex policy: a lock whose holder panicked is recovered
+/// instead of turning every later request into a panic.  `repair` first
+/// restores what the panic may have left half-written, then the poison flag
+/// is cleared.
+fn lock<T, R>(mutex: &Mutex<T>, repair: impl FnOnce(&mut T) -> R) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        repair(&mut guard);
+        mutex.clear_poison();
+        guard
+    })
+}

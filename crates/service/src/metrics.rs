@@ -202,7 +202,6 @@ counters! {
     queries: count, counter "gtpq_queries_total", "Queries answered (cache hits + engine runs).";
     cache_hits: count, counter "gtpq_cache_hits_total", "Queries answered from the result cache.";
     cache_misses: count, counter "gtpq_cache_misses_total", "Queries that ran the engine.";
-    batches: count, counter "gtpq_batches_total", "`submit_batch` calls served." => record_batch;
     timed_out: count, counter "gtpq_timeouts_total",
         "Requests aborted because their deadline passed." => record_timeout;
     cancelled: count, counter "gtpq_cancelled_total",
@@ -553,8 +552,8 @@ mod tests {
         m.record_latency(Duration::from_millis(2));
         let page = m.snapshot().render_prometheus();
         let families = families(&page);
-        // 29 stored rows + 5 derived gauges + 3 histogram families.
-        assert_eq!(families.len(), 37, "{families:?}");
+        // 28 stored rows + 5 derived gauges + 3 histogram families.
+        assert_eq!(families.len(), 36, "{families:?}");
         for (i, (family, kind)) in families.iter().enumerate() {
             assert!(valid_metric_name(family), "{family}");
             assert!(
@@ -577,11 +576,10 @@ mod tests {
         // of the same run — every stored row, so a new row has to say here
         // what feeds it.  An aborted run keeps its partial work but counts
         // under `aborted` / `aborted_eval_time`, never as a query or a miss.
-        let pinned: [(&str, f64, f64); 29] = [
+        let pinned: [(&str, f64, f64); 28] = [
             ("gtpq_queries_total", 1.0, 0.0),
             ("gtpq_cache_hits_total", 0.0, 0.0),
             ("gtpq_cache_misses_total", 1.0, 0.0),
-            ("gtpq_batches_total", 0.0, 0.0),
             ("gtpq_timeouts_total", 0.0, 0.0),
             ("gtpq_cancelled_total", 0.0, 0.0),
             ("gtpq_aborted_runs_total", 0.0, 1.0),
@@ -654,12 +652,10 @@ mod tests {
         m.record_miss(&stats);
         m.record_miss(&stats);
         m.record_hit();
-        m.record_batch();
         let snap = m.snapshot();
         assert_eq!(snap.queries, 3);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 2);
-        assert_eq!(snap.batches, 1);
         assert_eq!(snap.result_tuples, 14);
         assert_eq!(snap.input_nodes, 22);
         assert_eq!(snap.index_hits, 18);

@@ -2,9 +2,8 @@
 //! `Result<`[`QueryOutcome`]`, `[`QueryError`]`>` out.
 //!
 //! This is the single public evaluation surface of the service:
-//! [`QueryService::submit`](crate::QueryService::submit) for one request,
-//! [`QueryService::submit_batch`](crate::QueryService::submit_batch) for
-//! many.  Build a request:
+//! [`QueryService::submit`](crate::QueryService::submit), called from as
+//! many threads as there are requests in flight.  Build a request:
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,8 +1,8 @@
-//! The concurrent query service.
+//! The concurrent query service.  [`QueryService::submit`] runs private
+//! steps in request order: pin, parse, prepare, lookup, plan, execute, record.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use gtpq_core::{
@@ -15,6 +15,7 @@ use gtpq_reach::{BackendKind, SharedIndex};
 
 use crate::cache::{PlanCache, ResultCache};
 use crate::canon::{canonicalize, CanonicalQuery};
+use crate::lock;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::request::{QueryError, QueryOutcome, QueryRequest, QuerySource};
 use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog, SLOW_LOG_CAPACITY};
@@ -28,9 +29,8 @@ pub struct ServiceConfig {
     /// [`options`](Self::options) select that arm: default-option requests
     /// evaluate on the condensation the graph carries.
     pub backend: Option<BackendKind>,
-    /// Worker threads used by [`QueryService::submit_batch`]: different
-    /// requests run on different threads, each one evaluated serially on
-    /// its own.  Defaults to the machine's available parallelism.
+    /// Ignored, every request runs on the thread that calls
+    /// [`QueryService::submit`]; deleted once the benchmark stops naming it.
     pub threads: usize,
     /// Ignored, evaluation is serial; deleted by the benchmark PR that
     /// retires `arxiv_enum_t2`.
@@ -56,9 +56,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             backend: None,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: 1,
             intra_query_threads: 1,
             cache_capacity: 256,
             plan_cache_capacity: 256,
@@ -72,11 +70,11 @@ impl Default for ServiceConfig {
 /// A thread-safe, multi-query front end over the GTEA engine.
 ///
 /// The service owns a graph snapshot, whose SCC condensation answers every
-/// reachability question of a default-option request, answers
-/// [`QueryRequest`]s through an equivalence-aware LRU result cache, and fans
-/// batches out over a thread pool.  All methods take `&self`: one service
-/// instance can be wrapped in an `Arc` and shared across any number of
-/// request threads.
+/// reachability question of a default-option request, and answers
+/// [`QueryRequest`]s through an equivalence-aware LRU result cache.  All
+/// methods take `&self`: one service instance can be shared (by reference or
+/// in an `Arc`) across any number of threads calling
+/// [`submit`](Self::submit).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -106,7 +104,9 @@ pub struct QueryService {
     /// The current graph generation.  Requests clone the `Arc` once and read
     /// everything — snapshot and index — through their pinned copy, so
     /// a concurrent epoch rotation never mixes generations inside one
-    /// evaluation.
+    /// evaluation.  A panic cannot leave the slot half-written (`rotate`
+    /// assigns it only once the new state is built), so a poisoned lock is
+    /// simply read through.
     state: RwLock<Arc<EpochState>>,
     config: ServiceConfig,
     cache: Mutex<ResultCache>,
@@ -167,18 +167,40 @@ impl EpochState {
     }
 }
 
-/// What `submit_inner` sets aside for a potential slow-query entry: the
-/// canonical query text and the executed plan rendered with actuals.  Filled
-/// only when the slow log is enabled.
-#[derive(Default)]
-struct SlowCapture {
-    query: Option<String>,
-    plan: Option<String>,
+/// A parsed query once the prepare step has checked and canonicalized it.
+struct Prepared<'q> {
+    query: Cow<'q, Gtpq>,
+    /// The cache key; `None` when both caches are disabled.
+    canon: Option<CanonicalQuery>,
+    /// The query's `Display` text for the slow-query log; `None` when the
+    /// log is off.
+    text: Option<String>,
+}
+
+/// A row window: sliced out of a cached complete answer, or emitted by a
+/// complete engine run.
+struct Answer {
+    rows: Arc<ResultSet>,
+    truncated: bool,
+    from_cache: bool,
+    /// The engine run's statistics; only the epoch on a cache hit.
+    stats: EvalStats,
+    plan: Option<Arc<QueryPlan>>,
+}
+
+/// What a prepared request hands to the record step.
+struct Served {
+    /// The rows, or the interrupted engine run.
+    result: Result<Answer, Aborted>,
+    /// [`Prepared::text`].
+    text: Option<String>,
+    /// The executed plan rendered with its actuals for the slow-query log;
+    /// `None` on a cache hit, or with the log off.
+    plan_text: Option<String>,
 }
 
 impl QueryService {
-    /// Builds a service with the default configuration (machine
-    /// parallelism, 256-entry caches).
+    /// Builds a service with the default configuration (256-entry caches).
     pub fn new(graph: Arc<DataGraph>) -> Self {
         Self::with_config(graph, ServiceConfig::default())
     }
@@ -255,11 +277,24 @@ impl QueryService {
         }
     }
 
+    /// The result cache, locked.  A lookup runs the equivalence test and
+    /// permutes rows under the lock, so a panic there can leave the cache
+    /// half-written: a poisoned one is recovered empty, at its own epoch.
+    fn result_cache(&self) -> MutexGuard<'_, ResultCache> {
+        lock(&self.cache, |cache| cache.invalidate(cache.epoch()))
+    }
+
+    /// The plan cache, locked; recovered like
+    /// [`result_cache`](Self::result_cache).
+    fn plan_cache(&self) -> MutexGuard<'_, PlanCache> {
+        lock(&self.plans, |plans| plans.invalidate(plans.epoch()))
+    }
+
     /// The current graph generation, rotating first if the live handle has
     /// committed since the last request.  The returned `Arc` pins the
     /// generation: hold it across an entire request.
     fn current_state(&self) -> Arc<EpochState> {
-        let state = Arc::clone(&self.state.read().expect("state lock poisoned"));
+        let state = Arc::clone(&self.state.read().unwrap_or_else(PoisonError::into_inner));
         let GraphSource::Live(handle) = &self.source else {
             return state;
         };
@@ -273,26 +308,18 @@ impl QueryService {
     /// whole [`EpochState`], and invalidates the result and plan caches (the
     /// evicted entries answered an older graph).
     ///
-    /// Double-checked under the write lock: concurrent requests racing on
+    /// Double-checked under the state lock: concurrent requests racing on
     /// the same commit rotate once, and a commit that lands mid-rotation is
     /// picked up by the next request.
     fn rotate(&self, handle: &Arc<GraphHandle>) -> Arc<EpochState> {
-        let mut slot = self.state.write().expect("state lock poisoned");
+        let mut slot = self.state.write().unwrap_or_else(PoisonError::into_inner);
         let snapshot = handle.snapshot();
         if snapshot.epoch() == slot.epoch {
             return Arc::clone(&slot);
         }
         let fresh = Arc::new(EpochState::build(snapshot, &self.config, &self.metrics));
-        let evicted = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .invalidate(fresh.epoch)
-            + self
-                .plans
-                .lock()
-                .expect("plan cache lock poisoned")
-                .invalidate(fresh.epoch);
+        let evicted =
+            self.result_cache().invalidate(fresh.epoch) + self.plan_cache().invalidate(fresh.epoch);
         self.metrics.record_rotation(fresh.epoch, evicted as u64);
         *slot = Arc::clone(&fresh);
         fresh
@@ -318,7 +345,9 @@ impl QueryService {
     /// Serves one [`QueryRequest`]: parse (if textual), check
     /// satisfiability, consult the result cache, then plan and execute with
     /// the request's row window, deadline and cancellation pushed down into
-    /// the engine.
+    /// the engine.  Call it from as many threads as you like: requests share
+    /// the caches and the pinned generation, and each runs serially on its
+    /// caller's thread.
     ///
     /// Caching never mixes windows: only *complete* answers (offset 0, not
     /// truncated) are written to the result cache, and any window can be
@@ -349,124 +378,133 @@ impl QueryService {
         } else {
             Tracer::disabled()
         };
-        let mut capture = SlowCapture::default();
-        let result = {
-            let _root = tracer.span("request");
-            self.submit_inner(request, started, &tracer, &mut capture)
-        };
-        let latency = started.elapsed();
-        self.metrics.record_latency(latency);
-        if let Some(threshold) = self.config.slow_query_threshold {
-            if latency >= threshold {
-                let outcome = match &result {
-                    Ok(o) => Some(SlowOutcome::Completed {
-                        rows: o.rows.len(),
-                        truncated: o.truncated,
-                    }),
-                    Err(QueryError::Timeout { .. }) => Some(SlowOutcome::TimedOut),
-                    Err(QueryError::Cancelled) => Some(SlowOutcome::Cancelled),
-                    // Parse errors and unsatisfiable queries never reach the
-                    // engine; a plan with actuals could not help anyway.
-                    Err(_) => None,
-                };
-                if let Some(outcome) = outcome {
-                    self.slowlog.push(
-                        capture.query.unwrap_or_default(),
-                        latency,
-                        outcome,
-                        capture.plan,
-                    );
-                }
+        let root = tracer.span("request");
+        // Pin the graph generation before anything else — in particular
+        // before the result-cache lookup, since pinning is what rotates the
+        // service (and invalidates the caches) after a commit.  Every step
+        // reads through `state`, so a commit landing mid-request cannot mix
+        // generations: this request answers for `state.epoch`.
+        let state = self.current_state();
+        let query = match &request.source {
+            QuerySource::Query(q) => Ok(Cow::Borrowed(q)),
+            QuerySource::Text(text) => {
+                let _span = tracer.span("parse");
+                gtpq_query::parse_query(text).map(Cow::Owned)
             }
+        };
+        let served = query.map_err(QueryError::from).and_then(|query| {
+            let prepared = self.prepare(query)?;
+            Ok(match self.lookup(request, &prepared, &state) {
+                Some(hit) => Served {
+                    result: Ok(hit),
+                    text: prepared.text,
+                    plan_text: None,
+                },
+                None => {
+                    let planned = {
+                        let _span = tracer.span("plan");
+                        self.plan(&prepared, &state)
+                    };
+                    self.execute(request, prepared, &state, planned, started, &tracer)
+                }
+            })
+        });
+        drop(root);
+        self.record(request, started.elapsed(), served, tracer)
+    }
+
+    /// Checks satisfiability, canonicalizes for the caches and renders the
+    /// slow-log text.
+    fn prepare<'q>(&self, query: Cow<'q, Gtpq>) -> Result<Prepared<'q>, QueryError> {
+        if !gtpq_analysis::is_satisfiable(&query) {
+            return Err(QueryError::Unsatisfiable);
         }
-        result.map(|mut outcome| {
-            outcome.trace = tracer.finish();
-            outcome
+        let canon = (self.config.cache_capacity > 0 || self.config.plan_cache_capacity > 0)
+            .then(|| canonicalize(&query));
+        // The Display form is the canonical textual rendering of the query —
+        // re-parseable and human-readable, unlike the cache key.
+        let text = self.config.slow_query_threshold.map(|_| query.to_string());
+        Ok(Prepared { query, canon, text })
+    }
+
+    /// Looks the request up in the result cache.  Entries always hold
+    /// complete answers, so the requested window is sliced out of a hit.
+    fn lookup(
+        &self,
+        request: &QueryRequest,
+        prepared: &Prepared<'_>,
+        state: &EpochState,
+    ) -> Option<Answer> {
+        if self.config.cache_capacity == 0 || request.bypass_cache {
+            return None;
+        }
+        let canon = prepared.canon.as_ref()?;
+        let full = self
+            .result_cache()
+            .lookup(state.epoch, canon, &prepared.query)?;
+        let (rows, truncated) = window(&full, request.offset, request.limit);
+        Some(Answer {
+            rows,
+            truncated,
+            from_cache: true,
+            stats: EvalStats {
+                graph_epoch: state.epoch,
+                ..EvalStats::default()
+            },
+            plan: request.want_plan.then(|| self.plan(prepared, state).0),
         })
     }
 
-    /// The body of [`submit`](Self::submit); the wrapper owns the clock, the
-    /// tracer's `request` root span, latency recording and slow-query
-    /// logging, so every early `return`/`?` exit in here is still observed.
-    fn submit_inner(
+    /// Looks the plan up in the plan cache, building and caching it on a
+    /// miss against the pinned generation.  Returns the plan and the time
+    /// spent planning (zero on a hit).
+    fn plan(&self, prepared: &Prepared<'_>, state: &EpochState) -> (Arc<QueryPlan>, Duration) {
+        let q: &Gtpq = &prepared.query;
+        if let Some(canon) = &prepared.canon {
+            let hit = self.plan_cache().lookup(state.epoch, &canon.key, q);
+            if let Some(plan) = hit {
+                self.metrics.record_plan_hit();
+                return (plan, Duration::ZERO);
+            }
+        }
+        let start = Instant::now();
+        let plan = Arc::new(Planner::new(state.graph()).plan(q));
+        let plan_time = start.elapsed();
+        self.metrics.record_plan_miss();
+        if let Some(canon) = &prepared.canon {
+            self.plan_cache().insert(
+                state.epoch,
+                &canon.key,
+                Arc::new(q.clone()),
+                Arc::clone(&plan),
+            );
+        }
+        (plan, plan_time)
+    }
+
+    /// Runs the engine with the request's row window, deadline and
+    /// cancellation pushed down, renders the executed plan for the slow log,
+    /// and writes a complete answer back to the result cache.
+    fn execute(
         &self,
         request: &QueryRequest,
+        prepared: Prepared<'_>,
+        state: &EpochState,
+        (plan, plan_time): (Arc<QueryPlan>, Duration),
         started: Instant,
         tracer: &Tracer,
-        capture: &mut SlowCapture,
-    ) -> Result<QueryOutcome, QueryError> {
-        // Pin the graph generation before anything else — in particular
-        // before the result-cache lookup, since pinning is what rotates the
-        // service (and invalidates the caches) after a commit.  Everything
-        // below reads through `state`, so a commit landing mid-request
-        // cannot mix generations: this request answers for `state.epoch`.
-        let state = self.current_state();
+    ) -> Served {
+        let q: &Gtpq = &prepared.query;
+        let mut ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
         // The deadline budget counts from the moment `submit` is called —
         // an epoch rotation, parsing and planning all spend it, so a request
         // cannot block past its budget in pre-execution stages and then
         // still get a full budget of evaluation on top.  A budget past the
         // clock's range is no deadline at all.
-        let deadline = request
+        if let Some(deadline) = request
             .deadline
-            .and_then(|budget| started.checked_add(budget));
-        let parsed: Cow<'_, Gtpq> = match &request.source {
-            QuerySource::Query(q) => Cow::Borrowed(q),
-            QuerySource::Text(text) => {
-                let _span = tracer.span("parse");
-                Cow::Owned(gtpq_query::parse_query(text)?)
-            }
-        };
-        let q: &Gtpq = &parsed;
-        if !gtpq_analysis::is_satisfiable(q) {
-            return Err(QueryError::Unsatisfiable);
-        }
-        let canon = (self.config.cache_capacity > 0 || self.config.plan_cache_capacity > 0)
-            .then(|| canonicalize(q));
-        if self.config.slow_query_threshold.is_some() {
-            // The Display form is the canonical textual rendering of the
-            // query — re-parseable and human-readable, unlike the cache key.
-            capture.query = Some(q.to_string());
-        }
-
-        // Result-cache lookup: entries always hold complete answers, so the
-        // requested window is sliced out of a hit.
-        if self.config.cache_capacity > 0 && !request.bypass_cache {
-            if let Some(canon) = &canon {
-                let hit =
-                    self.cache
-                        .lock()
-                        .expect("cache lock poisoned")
-                        .lookup(state.epoch, canon, q);
-                if let Some(full) = hit {
-                    self.metrics.record_hit();
-                    let (rows, truncated) = window(&full, request.offset, request.limit);
-                    if truncated {
-                        self.metrics.record_truncated();
-                    }
-                    let plan = request
-                        .want_plan
-                        .then(|| self.obtain_plan(q, Some(canon), &state).0);
-                    return Ok(QueryOutcome {
-                        rows,
-                        truncated,
-                        from_cache: true,
-                        stats: request.want_stats.then(|| EvalStats {
-                            graph_epoch: state.epoch,
-                            ..EvalStats::default()
-                        }),
-                        plan,
-                        trace: None, // the wrapper attaches the finished trace
-                    });
-                }
-            }
-        }
-
-        // Miss: plan, execute with pushdown.
-        let plan_span = tracer.span("plan");
-        let (plan, plan_time) = self.obtain_plan(q, canon.as_ref(), &state);
-        drop(plan_span);
-        let mut ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
-        if let Some(deadline) = deadline {
+            .and_then(|budget| started.checked_add(budget))
+        {
             ctl = ctl.with_deadline(deadline);
         }
         if let Some(token) = &request.cancel {
@@ -481,158 +519,118 @@ impl QueryService {
             offset: request.offset,
             ctl,
         };
-        let exec = match engine.execute(q, &plan, options) {
-            Ok(exec) => exec,
-            Err(Aborted {
-                interrupt,
-                mut stats,
-            }) => {
-                stats.graph_epoch = state.epoch;
-                // The run produced no answer, but its partial stage timings
-                // and I/O counters are still load — fold them.
-                self.metrics.record_aborted(&stats);
-                if self.config.slow_query_threshold.is_some() {
-                    capture.plan = Some(plan.render_with_actuals(q, &stats));
+        let mut result = engine.execute(q, &plan, options);
+        let stats = match &mut result {
+            Ok(exec) => {
+                exec.stats.plan_time = plan_time;
+                &mut exec.stats
+            }
+            Err(aborted) => &mut *aborted.stats,
+        };
+        stats.graph_epoch = state.epoch;
+        let plan_text = self
+            .config
+            .slow_query_threshold
+            .map(|_| plan.render_with_actuals(q, stats));
+        let result = result.map(|exec| {
+            let rows = Arc::new(exec.results);
+            // A windowed answer must never poison the full-result slot:
+            // cache only complete answers.
+            if self.config.cache_capacity > 0 && !exec.truncated && request.offset == 0 {
+                if let Some(canon) = &prepared.canon {
+                    // Stamped with the pinned epoch: if a commit rotated the
+                    // cache mid-request, this pre-write answer is dropped.
+                    let q = Arc::new(q.clone());
+                    self.result_cache()
+                        .insert(state.epoch, canon, q, Arc::clone(&rows));
                 }
-                return Err(match interrupt {
+            }
+            Answer {
+                rows,
+                truncated: exec.truncated,
+                from_cache: false,
+                stats: exec.stats,
+                plan: Some(plan),
+            }
+        });
+        Served {
+            result,
+            text: prepared.text,
+            plan_text,
+        }
+    }
+
+    /// Folds the request into the metrics and the slow-query log, and
+    /// builds its outcome.  Every exit of the earlier steps passes through
+    /// here, so each request is observed exactly once.
+    fn record(
+        &self,
+        request: &QueryRequest,
+        latency: Duration,
+        served: Result<Served, QueryError>,
+        tracer: Tracer,
+    ) -> Result<QueryOutcome, QueryError> {
+        self.metrics.record_latency(latency);
+        // Parse errors and unsatisfiable queries never reach the engine; a
+        // plan with actuals could not help, so the slow log skips them.
+        let Served {
+            result,
+            text,
+            plan_text,
+        } = served?;
+        let (answer, outcome) = match result {
+            Ok(answer) => {
+                if answer.from_cache {
+                    self.metrics.record_hit();
+                } else {
+                    self.metrics.record_miss(&answer.stats);
+                }
+                if answer.truncated {
+                    self.metrics.record_truncated();
+                }
+                let (rows, truncated) = (answer.rows.len(), answer.truncated);
+                (Ok(answer), SlowOutcome::Completed { rows, truncated })
+            }
+            // The run produced no answer, but its partial stage timings and
+            // I/O counters are still load — fold them.
+            Err(Aborted { interrupt, stats }) => {
+                self.metrics.record_aborted(&stats);
+                match interrupt {
                     Interrupt::Timeout => {
                         self.metrics.record_timeout();
-                        QueryError::Timeout {
-                            budget: request.deadline.unwrap_or_default(),
-                        }
+                        let budget = request.deadline.unwrap_or_default();
+                        (Err(QueryError::Timeout { budget }), SlowOutcome::TimedOut)
                     }
                     Interrupt::Cancelled => {
                         self.metrics.record_cancelled();
-                        QueryError::Cancelled
+                        (Err(QueryError::Cancelled), SlowOutcome::Cancelled)
                     }
-                });
+                }
             }
         };
-        let mut stats = exec.stats;
-        stats.plan_time = plan_time;
-        stats.graph_epoch = state.epoch;
-        if self.config.slow_query_threshold.is_some() {
-            capture.plan = Some(plan.render_with_actuals(q, &stats));
+        if matches!(self.config.slow_query_threshold, Some(threshold) if latency >= threshold) {
+            self.slowlog
+                .push(text.unwrap_or_default(), latency, outcome, plan_text);
         }
-        let rows = Arc::new(exec.results);
-
-        // A windowed answer must never poison the full-result slot: cache
-        // only complete answers.
-        if self.config.cache_capacity > 0 && !exec.truncated && request.offset == 0 {
-            if let Some(canon) = &canon {
-                // Stamped with the pinned epoch: if a commit rotated the
-                // cache mid-request, this pre-write answer is dropped.
-                self.cache.lock().expect("cache lock poisoned").insert(
-                    state.epoch,
-                    canon,
-                    Arc::new(q.clone()),
-                    Arc::clone(&rows),
-                );
-            }
-        }
-        self.metrics.record_miss(&stats);
-        if exec.truncated {
-            self.metrics.record_truncated();
-        }
-        Ok(QueryOutcome {
-            rows,
-            truncated: exec.truncated,
-            from_cache: false,
-            stats: request.want_stats.then_some(stats),
-            plan: request.want_plan.then_some(plan),
-            trace: None, // the wrapper attaches the finished trace
+        answer.map(|answer| QueryOutcome {
+            rows: answer.rows,
+            truncated: answer.truncated,
+            from_cache: answer.from_cache,
+            stats: request.want_stats.then_some(answer.stats),
+            plan: answer.plan.filter(|_| request.want_plan),
+            trace: tracer.finish(),
         })
     }
 
-    /// Serves a batch of requests across the worker pool, preserving input
-    /// order in the returned outcomes.
-    ///
-    /// Workers steal requests from a shared cursor, so skewed workloads
-    /// load-balance; outcomes are identical to submitting the batch
-    /// sequentially (the cache is shared, so duplicate queries within one
-    /// batch may be served from it).  Every request keeps its own stats, plan
-    /// and error.
-    pub fn submit_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryOutcome, QueryError>> {
-        self.metrics.record_batch();
-        let workers = self.config.threads.min(requests.len()).max(1);
-        if workers == 1 {
-            return requests.iter().map(|r| self.submit(r)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut answers: Vec<Option<Result<QueryOutcome, QueryError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let chunks = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= requests.len() {
-                                break;
-                            }
-                            local.push((i, self.submit(&requests[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, r) in chunks.into_iter().flatten() {
-            answers[i] = Some(r);
-        }
-        answers
-            .into_iter()
-            .map(|r| r.expect("every request was assigned to a worker"))
-            .collect()
-    }
-
     /// Plans (or recalls the cached plan for) `q` without evaluating it —
-    /// the physical plan `:explain` renders.  It lands in the plan cache,
-    /// pre-warming a later evaluation of the same pattern.
-    pub fn plan_for(&self, q: &Gtpq) -> Arc<QueryPlan> {
-        let canon = (self.config.plan_cache_capacity > 0).then(|| canonicalize(q));
+    /// the physical plan `:explain` renders: the pin, prepare and plan steps
+    /// of [`submit`](Self::submit), so an unsatisfiable `q` is rejected the
+    /// same way.  The plan lands in the plan cache, pre-warming a later
+    /// evaluation of the same pattern.
+    pub fn plan_for(&self, q: &Gtpq) -> Result<Arc<QueryPlan>, QueryError> {
         let state = self.current_state();
-        self.obtain_plan(q, canon.as_ref(), &state).0
-    }
-
-    /// Looks the plan up in the plan cache, building and caching it on a
-    /// miss against the pinned generation.  Returns the plan and the time
-    /// spent planning (zero on a hit).
-    fn obtain_plan(
-        &self,
-        q: &Gtpq,
-        canon: Option<&CanonicalQuery>,
-        state: &EpochState,
-    ) -> (Arc<QueryPlan>, Duration) {
-        if let Some(canon) = canon {
-            let hit = self.plans.lock().expect("plan cache lock poisoned").lookup(
-                state.epoch,
-                &canon.key,
-                q,
-            );
-            if let Some(plan) = hit {
-                self.metrics.record_plan_hit();
-                return (plan, Duration::ZERO);
-            }
-        }
-        let start = Instant::now();
-        let plan = Arc::new(Planner::new(state.graph()).plan(q));
-        let plan_time = start.elapsed();
-        self.metrics.record_plan_miss();
-        if let Some(canon) = canon {
-            self.plans.lock().expect("plan cache lock poisoned").insert(
-                state.epoch,
-                &canon.key,
-                Arc::new(q.clone()),
-                Arc::clone(&plan),
-            );
-        }
-        (plan, plan_time)
+        let prepared = self.prepare(Cow::Borrowed(q))?;
+        Ok(self.plan(&prepared, &state).0)
     }
 
     /// Point-in-time aggregate metrics (QPS, hit rate, stage rollups,
@@ -649,12 +647,12 @@ impl QueryService {
 
     /// Number of result sets currently cached.
     pub fn cached_results(&self) -> usize {
-        self.cache.lock().expect("cache lock poisoned").len()
+        self.result_cache().len()
     }
 
     /// Number of physical plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.plans.lock().expect("plan cache lock poisoned").len()
+        self.plan_cache().len()
     }
 
     /// The [`default_backend`](Self::default_backend)'s name when the
@@ -956,10 +954,8 @@ mod tests {
         let q = b.build().unwrap();
         let err = service.submit(&QueryRequest::query(q.clone())).unwrap_err();
         assert_eq!(err, QueryError::Unsatisfiable);
-        // In a batch the rejection stays per-request.
-        let batch = service.submit_batch(&[QueryRequest::query(q), QueryRequest::text("a1*")]);
-        assert!(matches!(batch[0], Err(QueryError::Unsatisfiable)));
-        assert!(batch[1].is_ok());
+        // `:explain` goes through the same prepare step.
+        assert_eq!(service.plan_for(&q).unwrap_err(), QueryError::Unsatisfiable);
     }
 
     #[test]
@@ -1000,47 +996,6 @@ mod tests {
         assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));
         assert!(service.built_backends().is_empty());
         assert_eq!(service.metrics().index_builds, 0);
-    }
-
-    #[test]
-    fn submit_batch_preserves_order_and_matches_sequential() {
-        let service = QueryService::with_config(
-            Arc::new(example_graph()),
-            ServiceConfig {
-                threads: 4,
-                cache_capacity: 0, // force every query through the engine
-                ..ServiceConfig::default()
-            },
-        );
-        let mut requests = Vec::new();
-        let mut queries = Vec::new();
-        for label in ["a1", "b1", "c1", "d1", "e1", "g1"] {
-            let mut b = GtpqBuilder::new(AttrPredicate::label(label));
-            let root = b.root_id();
-            b.mark_output(root);
-            queries.push(b.build().unwrap());
-            let mut b = GtpqBuilder::new(AttrPredicate::label("a1"));
-            let root = b.root_id();
-            let child = b.backbone_child(root, EdgeKind::Descendant, AttrPredicate::label(label));
-            b.mark_output(child);
-            queries.push(b.build().unwrap());
-        }
-        for q in &queries {
-            requests.push(QueryRequest::query(q.clone()).with_stats());
-        }
-        let batched = service.submit_batch(&requests);
-        assert_eq!(batched.len(), requests.len());
-        for (q, got) in queries.iter().zip(&batched) {
-            let outcome = got.as_ref().expect("satisfiable queries");
-            let expected = naive::evaluate(q, &service.graph());
-            assert!(outcome.rows.same_answer(&expected));
-            assert!(
-                outcome.stats.is_some(),
-                "per-request stats survive batching"
-            );
-        }
-        assert_eq!(service.metrics().batches, 1);
-        assert_eq!(service.metrics().queries, requests.len() as u64);
     }
 
     #[test]
@@ -1102,7 +1057,7 @@ mod tests {
     fn plan_for_exposes_the_physical_plan() {
         let service = service_for_example();
         let q = example_query();
-        let plan = service.plan_for(&q);
+        let plan = service.plan_for(&q).unwrap();
         assert_eq!(plan.candidates.len(), q.size());
         assert!(plan.backend.kind.is_none(), "the service recommends none");
         let rendered = plan.render(&q);
@@ -1191,9 +1146,27 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_fine() {
+    fn a_result_cache_poisoned_by_a_panic_is_recovered_empty() {
         let service = service_for_example();
-        assert!(service.submit_batch(&[]).is_empty());
+        let q = example_query();
+        let request = QueryRequest::query(q.clone());
+        service.submit(&request).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = service.cache.lock().unwrap();
+                    panic!("a request panics while it holds the result cache");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && service.cache.is_poisoned());
+        let recovered = service.submit(&request).unwrap();
+        assert!(recovered
+            .rows
+            .same_answer(&naive::evaluate(&q, &service.graph())));
+        assert!(!recovered.from_cache, "a recovered cache starts empty");
+        assert!(!service.cache.is_poisoned());
+        assert!(service.submit(&request).unwrap().from_cache);
     }
 
     #[test]

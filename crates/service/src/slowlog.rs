@@ -13,6 +13,8 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::lock;
+
 /// How many slow queries a service keeps; once full, the oldest entry is
 /// evicted.
 pub const SLOW_LOG_CAPACITY: usize = 32;
@@ -88,7 +90,7 @@ impl SlowQueryLog {
             plan,
             at: self.started.elapsed(),
         };
-        let mut entries = self.entries.lock().expect("slow log lock poisoned");
+        let mut entries = lock(&self.entries, |_| {});
         if entries.len() == self.capacity {
             entries.pop_front();
         }
@@ -97,12 +99,7 @@ impl SlowQueryLog {
 
     /// The retained entries, oldest first.
     pub(crate) fn entries(&self) -> Vec<SlowQueryEntry> {
-        self.entries
-            .lock()
-            .expect("slow log lock poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.entries, |_| {}).iter().cloned().collect()
     }
 }
 

@@ -1,5 +1,5 @@
-//! The service layer: share one graph across many queries, fan a batch out
-//! over the worker pool, and watch the cache work.
+//! The service layer: share one graph across many queries, serve them from
+//! several threads calling `submit` on one service, and watch the cache work.
 //!
 //! Run with `cargo run --release --example query_service`.
 
@@ -7,6 +7,22 @@ use std::sync::Arc;
 
 use gtpq::datagen::{generate_xmark, random_queries, xmark_q1, RandomQueryConfig, XmarkConfig};
 use gtpq::prelude::*;
+
+/// Submits every request from its own scoped thread, all sharing `service`;
+/// returns the total number of rows answered.  Each request keeps its own
+/// outcome (rows, truncation, stats) and runs serially on its thread.
+fn serve(service: &QueryService, requests: &[QueryRequest]) -> usize {
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = requests
+            .iter()
+            .map(|r| scope.spawn(move || service.submit(r).map_or(0, |o| o.len())))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("request thread panicked"))
+            .sum()
+    })
+}
 
 fn main() {
     let graph = Arc::new(generate_xmark(&XmarkConfig::with_scale(0.1)));
@@ -24,30 +40,25 @@ fn main() {
     // patterns sampled from the graph itself.
     let mut queries = vec![xmark_q1(0)];
     queries.extend(random_queries(&graph, &RandomQueryConfig::with_size(4)));
-
-    // Cold: every request runs the full GTEA pipeline, fanned out over the
-    // worker pool; each keeps its own outcome (rows, truncation, stats).
     let requests: Vec<QueryRequest> = queries
         .iter()
         .map(|q| QueryRequest::query(q.clone()))
         .collect();
-    let cold = service.submit_batch(&requests);
+
+    // Cold: every request runs the full GTEA pipeline.
+    let tuples = serve(&service, &requests);
     println!(
-        "cold batch: {} requests, {} total tuples",
-        requests.len(),
-        cold.iter()
-            .map(|r| r.as_ref().map(|o| o.len()).unwrap_or(0))
-            .sum::<usize>()
+        "cold pass: {} requests, one thread each, {tuples} total tuples",
+        requests.len()
     );
 
-    // Warm: the same batch is answered from the result cache.
-    service.submit_batch(&requests);
+    // Warm: the same requests are answered from the result cache.
+    serve(&service, &requests);
 
     let m = service.metrics();
     println!(
-        "metrics: {} queries in {} batches, hit rate {:.0}%, {:.0} q/s",
+        "metrics: {} queries, hit rate {:.0}%, {:.0} q/s",
         m.queries,
-        m.batches,
         100.0 * m.hit_rate(),
         m.qps()
     );
@@ -59,8 +70,8 @@ fn main() {
         m.stages.matching.sum_duration(),
         m.stages.enumerate.sum_duration()
     );
-    // At least the whole warm batch hits; equivalent random queries inside
-    // the cold batch can add more.
+    // At least the whole warm pass hits; equivalent random queries inside
+    // the cold pass can add more.
     assert!(m.cache_hits >= queries.len() as u64);
     assert_eq!(m.index_builds, 0, "no request needed a reachability index");
     println!("index builds: {}", m.index_builds);

@@ -31,6 +31,11 @@
 //! under `crates/` or `src/` sends the reader to must exist, and so must
 //! every repository path that README.md, `docs/ARCHITECTURE.md` or
 //! `docs/OBSERVABILITY.md` cites in backticks.
+//!
+//! The sentences naming the service's evaluation entry points, in
+//! `docs/ARCHITECTURE.md` and in the `gtpq_service` crate docs, must name
+//! exactly the `pub fn`s of `crates/service/src/service.rs` that take a
+//! `&QueryRequest`, read from the source.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -425,4 +430,40 @@ fn repo_paths_cited_in_the_docs_exist() {
         }
     }
     assert!(cited >= 20, "only {cited} paths found: the scan broke");
+}
+
+#[test]
+fn entry_point_sentences_name_exactly_the_pub_fns_taking_a_request() {
+    // A signature runs from `pub fn` to the body's opening brace.
+    let entry_points: BTreeSet<String> = include_str!("../crates/service/src/service.rs")
+        .split("pub fn ")
+        .skip(1)
+        .filter_map(|f| f.split('{').next())
+        .filter(|signature| signature.contains("&QueryRequest"))
+        .filter_map(|signature| signature.split('(').next())
+        .map(str::to_owned)
+        .collect();
+    assert!(entry_points.contains("submit"), "the scan broke");
+    let crate_docs: String = include_str!("../crates/service/src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//!"))
+        .map(|line| format!("{}\n", line.trim_start()))
+        .collect();
+    for text in [ARCHITECTURE_MD, &crate_docs] {
+        // The sentence starts after the previous full stop or blank line.
+        let at = text
+            .find("the only evaluation entry point")
+            .expect("the sentence");
+        let start = [". ", ".\n", "\n\n"]
+            .iter()
+            .filter_map(|end| text[..at].rfind(end).map(|i| i + end.len()))
+            .max()
+            .unwrap_or(0);
+        let sentence = &text[start..at];
+        let named: BTreeSet<String> = backticked_in(sentence)
+            .iter()
+            .filter_map(|name| name.rsplit("::").next().map(str::to_owned))
+            .collect();
+        assert_eq!(named, entry_points, "entry-point sentence: {sentence}");
+    }
 }

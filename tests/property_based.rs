@@ -352,7 +352,7 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
         let q = random_query(&mut rng);
         let baseline = GteaEngine::new(&g);
         let expected = baseline.evaluate(&q);
-        let plan = baseline.plan(&q);
+        let plan = Planner::new(&g).plan(&q);
 
         // Randomly shuffled prune order (repaired by the executor).
         let mut shuffled = plan.clone();
@@ -373,11 +373,14 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
             ("full-scan", &scans),
             ("fixed", &fixed),
         ] {
-            let got = baseline.evaluate_planned(&q, perturbed);
+            let got = baseline
+                .execute(&q, perturbed, ExecOptions::unbounded())
+                .expect("unbounded execution cannot be interrupted")
+                .results;
             assert!(
-                got.0.same_answer(&expected),
+                got.same_answer(&expected),
                 "seed {seed}: plan `{name}` changed the answer: got {:?} expected {:?}",
-                got.0.tuples,
+                got.tuples,
                 expected.tuples
             );
         }

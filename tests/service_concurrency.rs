@@ -1,6 +1,7 @@
 //! Concurrency tests for the query service: answers under concurrent load
 //! must be identical to single-threaded evaluation, and the cache-hit path
-//! must hand out the same result set as the cold path.
+//! must hand out the same result set as the cold path.  Concurrency is
+//! scoped threads calling `submit` on one shared service.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use gtpq::datagen::{random_queries, xmark_q1, xmark_q2, xmark_q3, RandomQueryCon
 use gtpq::prelude::*;
 use gtpq::query::fixtures::{example_graph, example_query};
 use gtpq::query::naive;
-use gtpq::service::QueryRequest;
+use gtpq::service::{QueryOutcome, QueryRequest};
 
 /// Submits one query through the request API and unwraps the rows.
 fn submit_rows(service: &QueryService, q: &Gtpq) -> Arc<ResultSet> {
@@ -17,6 +18,27 @@ fn submit_rows(service: &QueryService, q: &Gtpq) -> Arc<ResultSet> {
         .submit(&QueryRequest::query(q.clone()))
         .expect("workload queries are satisfiable")
         .rows
+}
+
+/// Serves `requests` from `threads` scoped threads calling `submit` on one
+/// shared service, each taking one contiguous share; the outcomes come back
+/// in request order.
+fn submit_on_threads(
+    service: &QueryService,
+    requests: &[QueryRequest],
+    threads: usize,
+) -> Vec<QueryOutcome> {
+    let submit = |r| service.submit(r).expect("workload queries evaluate");
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = requests
+            .chunks(requests.len().div_ceil(threads))
+            .map(|share| scope.spawn(move || share.iter().map(submit).collect::<Vec<_>>()))
+            .collect();
+        let joined = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"));
+        joined.flatten().collect()
+    })
 }
 
 /// A mixed workload over the running-example graph: the paper's example
@@ -92,11 +114,10 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
         "workload should mix fixed and random queries"
     );
 
-    // Sequential reference: a single-threaded, cache-less service.
+    // Sequential reference: a cache-less service on this thread.
     let sequential = QueryService::with_config(
         Arc::clone(&graph),
         ServiceConfig {
-            threads: 1,
             cache_capacity: 0,
             ..ServiceConfig::default()
         },
@@ -106,31 +127,24 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
         .map(|q| submit_rows(&sequential, q))
         .collect();
 
-    let service = QueryService::with_config(
-        Arc::clone(&graph),
-        ServiceConfig {
-            threads: 4,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::new(Arc::clone(&graph));
     let requests: Vec<QueryRequest> = queries
         .iter()
         .map(|q| QueryRequest::query(q.clone()))
         .collect();
-    let batched = service.submit_batch(&requests);
-    assert_eq!(batched.len(), expected.len());
-    for ((q, got), want) in queries.iter().zip(&batched).zip(&expected) {
-        let got = got.as_ref().expect("workload queries are satisfiable");
+    let cold = submit_on_threads(&service, &requests, 4);
+    assert_eq!(cold.len(), expected.len());
+    for ((q, got), want) in queries.iter().zip(&cold).zip(&expected) {
         assert!(
             got.rows.same_answer(want),
-            "batched answer diverged from sequential for {q:?}"
+            "concurrent answer diverged from sequential for {q:?}"
         );
     }
-    // Same batch again: answers unchanged, everything served from the cache.
+    // The same requests again: answers unchanged, everything served from
+    // the cache.
     let hits_before = service.metrics().cache_hits;
-    let warm = service.submit_batch(&requests);
+    let warm = submit_on_threads(&service, &requests, 4);
     for (got, want) in warm.iter().zip(&expected) {
-        let got = got.as_ref().expect("workload queries are satisfiable");
         assert!(got.rows.same_answer(want));
         assert!(got.from_cache);
     }
@@ -139,13 +153,12 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
 
 #[test]
 fn oversubscribed_batch_of_broad_queries_stays_exact() {
-    // Contention stress: 8 batch workers, more threads than cores, racing
-    // on one shared index and plan cache.  Broad queries (any-label
-    // children under wide descendant fans) make every request do real
-    // prune and matching work; the assertion is the strongest one
-    // available: every request returns *exactly* the rows a one-worker
-    // service returns, and the batch always joins (no deadlock, no panic in
-    // a worker).
+    // Contention stress: a thread per request, twelve threads racing on one
+    // shared plan cache.  Broad queries (any-label children under wide
+    // descendant fans) make every request do real prune and matching work;
+    // the assertion is the strongest one available: every request returns
+    // *exactly* the rows a one-thread service returns, and every worker
+    // joins (no deadlock, no panic in a worker).
     let graph = Arc::new(generate_xmark(&XmarkConfig::with_scale(0.15)));
     let mut queries = Vec::new();
     for label in ["item", "person", "bidder", "category"] {
@@ -167,31 +180,24 @@ fn oversubscribed_batch_of_broad_queries_stays_exact() {
         .iter()
         .map(|q| QueryRequest::query(q.clone()).with_limit(25).with_offset(3))
         .collect();
-    let service_with = |threads: usize| {
+    let cacheless = || {
         QueryService::with_config(
             Arc::clone(&graph),
             ServiceConfig {
-                threads,
                 cache_capacity: 0,
                 ..ServiceConfig::default()
             },
         )
     };
 
-    // Sequential reference: one batch worker.
-    let sequential = service_with(1);
-    let expected: Vec<_> = requests
-        .iter()
-        .map(|r| sequential.submit(r).expect("workload queries evaluate"))
-        .collect();
-
-    let batched = service_with(8).submit_batch(&requests);
-    assert_eq!(batched.len(), expected.len());
-    for (i, (got, want)) in batched.iter().zip(&expected).enumerate() {
-        let got = got.as_ref().expect("workload queries evaluate");
+    // Sequential reference: one thread.
+    let expected = submit_on_threads(&cacheless(), &requests, 1);
+    let oversubscribed = submit_on_threads(&cacheless(), &requests, requests.len());
+    assert_eq!(oversubscribed.len(), expected.len());
+    for (i, (got, want)) in oversubscribed.iter().zip(&expected).enumerate() {
         assert_eq!(
             got.rows.tuples, want.rows.tuples,
-            "request {i}: oversubscribed batch diverged from serial"
+            "request {i}: oversubscribed workers diverged from serial"
         );
         assert_eq!(got.truncated, want.truncated, "request {i}");
     }
@@ -202,7 +208,7 @@ fn one_writer_eight_readers_never_see_torn_or_stale_answers() {
     // A live service over `a0 → {b1, b2, b3}`; the writer commits EPOCHS
     // epochs, each appending one more `b` child of `a0`.  That makes the
     // oracle *per epoch* deterministic: at epoch `e` the query `a { //b* }`
-    // has exactly `3 + e` rows.  Eight readers hammer `submit_batch` the
+    // has exactly `3 + e` rows.  Eight reader threads hammer `submit` the
     // whole time; every outcome must be internally consistent — the row
     // count must match the generation the outcome claims to have answered
     // for (`EvalStats::graph_epoch`).  A torn read (rows from one epoch,
@@ -242,8 +248,7 @@ fn one_writer_eight_readers_never_see_torn_or_stale_answers() {
                 let mut last_epoch = 0u64;
                 let mut last_gauge = 0u64;
                 for round in 0..ROUNDS {
-                    let outcomes = service.submit_batch(&[full.clone(), limited.clone()]);
-                    let full_out = outcomes[0].as_ref().expect("query evaluates");
+                    let full_out = service.submit(&full).expect("query evaluates");
                     let e = full_out.stats.as_ref().unwrap().graph_epoch;
                     assert!(e <= EPOCHS, "reader {reader}: impossible epoch {e}");
                     assert_eq!(
@@ -252,20 +257,18 @@ fn one_writer_eight_readers_never_see_torn_or_stale_answers() {
                         "reader {reader} round {round}: rows disagree with the \
                          epoch the outcome claims (torn read or stale cache hit)"
                     );
-                    let limited_out = outcomes[1].as_ref().expect("query evaluates");
+                    let limited_out = service.submit(&limited).expect("query evaluates");
                     assert_eq!(limited_out.rows.len(), 2);
                     let limited_e = limited_out.stats.as_ref().unwrap().graph_epoch;
                     assert!(limited_e <= EPOCHS, "reader {reader}: impossible epoch");
 
-                    // Epochs a single reader observes never move backwards.
-                    // The two requests of one batch run on different workers
-                    // and pin in either order, so the order holds between
-                    // rounds: a batch returns before the next one starts.
+                    // Epochs a single reader observes never move backwards:
+                    // its requests pin one after the other.
                     assert!(
-                        e.min(limited_e) >= last_epoch,
+                        e >= last_epoch && limited_e >= e,
                         "reader {reader} round {round}: epoch went backwards"
                     );
-                    last_epoch = e.max(limited_e);
+                    last_epoch = limited_e;
 
                     // The exported gauge is monotone under the writer too.
                     let gauge = service.metrics().graph_epoch;

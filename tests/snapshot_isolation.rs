@@ -68,7 +68,7 @@ fn match_stream_completes_the_pinned_snapshot_answer_across_commits() {
     assert_eq!(pinned.len(), 3);
 
     let engine = GteaEngine::new(snap.graph());
-    let plan = engine.plan(&q);
+    let plan = Planner::new(snap.graph()).plan(&q);
     let (mut stream, _stats) = engine
         .match_stream(&q, &plan, ExecCtl::unbounded())
         .expect("unbounded stream cannot be interrupted");
@@ -130,7 +130,7 @@ fn parallel_execution_is_isolated_from_a_racing_writer() {
         // Race the writer: every execution pins the old snapshot's graph and
         // must reproduce the pre-mutation answer bit-for-bit.
         let engine = GteaEngine::new(snap.graph());
-        let plan = engine.plan(&q);
+        let plan = Planner::new(snap.graph()).plan(&q);
         for _ in 0..10 {
             let exec = engine
                 .execute(&q, &plan, ExecOptions::unbounded())

@@ -204,7 +204,7 @@ fn row_counters_repeat_exactly_for_the_full_run_and_every_window() {
         let graph = random_graph(&mut rng, 20, seed % 2 == 0);
         let q = random_query(&mut rng);
         let engine = GteaEngine::new(&graph);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&graph).plan(&q);
         let run = |limit: Option<usize>, offset: usize| {
             let ctl = ExecCtl::unbounded();
             let options = ExecOptions { limit, offset, ctl };
@@ -252,7 +252,7 @@ fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
         let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
         let q = random_query(&mut rng);
         let engine = GteaEngine::new(&graph);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&graph).plan(&q);
         let controls = [
             (
                 ExecCtl::unbounded().with_cancel(cancelled()),
@@ -307,7 +307,7 @@ fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
         let graph = random_graph(&mut rng, 20, seed % 2 == 0);
         let q = random_query(&mut rng);
         let engine = GteaEngine::new(&graph);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&graph).plan(&q);
         let reference = engine
             .execute(&q, &plan, ExecOptions::unbounded())
             .expect("unbounded execution cannot be interrupted");
@@ -411,7 +411,7 @@ fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
     let oracle = naive::evaluate(q, graph);
     let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
     let engine = GteaEngine::new(graph);
-    let plan = engine.plan(q);
+    let plan = Planner::new(graph).plan(q);
     let windows = window_cases(all.len())
         .into_iter()
         .map(|(offset, limit)| (offset, Some(limit)))
@@ -560,7 +560,7 @@ fn cancelling_from_another_thread_interrupts_a_long_enumeration() {
     let engine = GteaEngine::new(&graph);
     for outputs in [&["r", "x", "y"][..], &["x", "y"]] {
         let q = fan_query(outputs);
-        let plan = engine.plan(&q);
+        let plan = Planner::new(&graph).plan(&q);
         let token = CancelToken::new();
         let (mut stream, _) = engine
             .match_stream(&q, &plan, ExecCtl::unbounded().with_cancel(token.clone()))
