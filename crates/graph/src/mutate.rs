@@ -11,8 +11,9 @@
 //! every new edge goes forward in the topological order
 //! ([`Condensation::apply_insertions`]) and re-runs Tarjan otherwise.  The
 //! result is **bit-identical** to rebuilding the graph from scratch over the
-//! same logical operation sequence — the `mutation_oracle` test suite
-//! compares the two with `==` after every epoch.
+//! same logical operation sequence — the differential oracle
+//! (`tests/differential.rs`) compares the two with `==` after every epoch,
+//! on heap bases and on mapped snapshots alike.
 //!
 //! Reads are snapshot isolated for free: committed graphs are never mutated,
 //! so a [`GraphSnapshot`] (an `Arc` pair pinning one epoch's graph and
@@ -21,7 +22,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use crate::attr::{AttrValue, Attribute};
 use crate::condensation::Condensation;
@@ -147,6 +148,13 @@ struct Pending {
 /// single-file); [`snapshot`](Self::snapshot) never blocks behind a commit's
 /// heavy phase and readers always observe a fully-built epoch — there are no
 /// torn reads by construction, because epochs are immutable once published.
+///
+/// A panic never leaves the handle unusable.  The documented staging panics
+/// fire before anything is written, and a commit takes its staged operations
+/// before it merges them, so the locks are read through poisoning: a later
+/// call sees the state as of the last successful call.  A commit that panics
+/// drops the operations it had taken, and the published epoch stays as it
+/// was.
 pub struct GraphHandle {
     pending: Mutex<Pending>,
     current: RwLock<Arc<GraphSnapshot>>,
@@ -197,19 +205,25 @@ impl GraphHandle {
     /// Pins the current epoch: the returned snapshot keeps serving exactly
     /// this graph no matter how many commits land afterwards.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        self.current.read().expect("snapshot lock poisoned").clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Work counters accumulated across all commits.
     pub fn stats(&self) -> MutationStats {
-        self.stats.lock().expect("stats lock poisoned").clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Number of staged, not-yet-committed operations.
     pub fn pending_op_count(&self) -> usize {
         self.pending
             .lock()
-            .expect("pending lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .ops
             .len()
     }
@@ -224,7 +238,7 @@ impl GraphHandle {
     where
         I: IntoIterator<Item = (&'a str, AttrValue)>,
     {
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let id = NodeId((pending.base_nodes + pending.staged_nodes) as u32);
         pending.ops.push(PendingOp::AddNode);
         pending.staged_nodes += 1;
@@ -244,7 +258,7 @@ impl GraphHandle {
     /// # Panics
     /// Panics when `v` is neither committed nor staged.
     pub fn set_attr(&self, v: NodeId, name: &str, value: AttrValue) {
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(
             v.index() < pending.base_nodes + pending.staged_nodes,
             "set_attr on unknown node {v}"
@@ -263,7 +277,7 @@ impl GraphHandle {
     /// # Panics
     /// Panics when either endpoint is neither committed nor staged.
     pub fn insert_edge(&self, u: NodeId, v: NodeId) {
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let bound = pending.base_nodes + pending.staged_nodes;
         assert!(
             u.index() < bound && v.index() < bound,
@@ -274,9 +288,11 @@ impl GraphHandle {
 
     /// Compacts every staged operation into a new epoch and publishes it.
     /// With nothing staged this is a no-op returning the current snapshot —
-    /// the epoch number only advances when the graph actually changes.
+    /// the epoch number only advances when the graph actually changes.  If
+    /// the merge panics, the staged operations are dropped and the current
+    /// epoch is left in place.
     pub fn commit(&self) -> Arc<GraphSnapshot> {
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         if pending.ops.is_empty() {
             return self.snapshot();
         }
@@ -400,11 +416,11 @@ impl GraphHandle {
 
         let epoch = base.epoch + 1;
         let snapshot = Arc::new(GraphSnapshot::new(epoch, Arc::new(graph)));
-        *self.current.write().expect("snapshot lock poisoned") = snapshot.clone();
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot.clone();
         self.epoch.store(epoch, Ordering::Release);
         pending.base_nodes = n_total;
 
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         stats.epochs += 1;
         stats.nodes_inserted += staged_nodes as u64;
         stats.edges_inserted += added_edges.len() as u64;
@@ -511,6 +527,27 @@ mod tests {
         assert_eq!(stats.condensation_fast, 0);
         assert_eq!(snap.condensation().component_count(), 1);
         assert_eq!(**snap.condensation(), Condensation::new(snap.graph()));
+    }
+
+    #[test]
+    fn a_staging_panic_leaves_the_handle_usable() {
+        let handle = GraphHandle::new(base());
+        let x = handle.insert_node_with_label("c");
+        let bad = std::panic::catch_unwind(|| {
+            handle.set_attr(NodeId(9), "year", AttrValue::int(1));
+        });
+        assert!(bad.is_err(), "set_attr on an unknown node panics");
+        handle.insert_edge(NodeId(2), x);
+        assert_eq!(handle.pending_op_count(), 3);
+        let snap = handle.commit();
+
+        let mut b = base_builder();
+        let x2 = b.add_node_with_label("c");
+        b.add_edge(NodeId(2), x2);
+        let oracle = b.build();
+        assert_eq!(**snap.graph(), oracle);
+        assert_eq!(**snap.condensation(), Condensation::new(&oracle));
+        assert_eq!(handle.stats().epochs, 1);
     }
 
     #[test]

@@ -299,13 +299,15 @@ pub struct SimCatalog {
 impl SimCatalog {
     /// Builds a table for every attribute carrying non-empty vector values,
     /// over the modal dimensionality of that attribute (ties to the smaller
-    /// dim).  Deterministic in the tuples alone.
+    /// dim).  A vector with a non-finite component matches no `sim()`
+    /// comparison, so, like an off-dimension one, it is left out of the
+    /// table.  Deterministic in the tuples alone.
     pub fn build(attrs: &[Vec<Attribute>]) -> Self {
         let mut groups: BTreeMap<Symbol, Vec<(NodeId, &[f32])>> = BTreeMap::new();
         for (i, tuple) in attrs.iter().enumerate() {
             for attr in tuple {
                 if let AttrValue::Vec(v) = &attr.value {
-                    if !v.is_empty() {
+                    if !v.is_empty() && v.iter().all(|x| x.is_finite()) {
                         groups
                             .entry(attr.name)
                             .or_default()

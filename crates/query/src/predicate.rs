@@ -72,8 +72,9 @@ impl std::fmt::Display for AttrComparison {
 /// `<` / `<=` compare the **L2 distance** between the stored vector and
 /// `query` against `t` (a radius query); `>` / `>=` compare the **cosine
 /// similarity** (a nearness query).  `=` / `!=` are rejected by the parser
-/// and never match.  A node whose attribute is missing, non-vector, or of a
-/// different dimensionality than `query` does not match.
+/// and never match.  A node whose attribute is missing, non-vector, of a
+/// different dimensionality than `query`, or carries a non-finite component
+/// (NaN or ±∞) does not match.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimComparison {
     /// Attribute name.
@@ -96,7 +97,7 @@ impl SimComparison {
         let Some(x) = value.as_vec() else {
             return false;
         };
-        if x.len() != self.query.len() {
+        if x.len() != self.query.len() || !x.iter().all(|c| c.is_finite()) {
             return false;
         }
         match self.op {

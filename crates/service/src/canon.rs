@@ -109,11 +109,14 @@ fn canon_subtree(q: &Gtpq, u: QueryNodeId) -> (String, Vec<QueryNodeId>) {
 /// The cache treats equal keys as proof of equivalence, so this must never
 /// map two different predicates to one string.  `Display` is not injective
 /// (`Int(5)` and `Str("5")` both render `x = 5`, and unescaped names can
-/// smuggle in the key's own delimiters), so each comparison is rendered in
-/// its `Debug` form — type-tagged, with escaped strings.  The conjunction is
-/// sorted and deduplicated so conjunct order does not change the key.
+/// smuggle in the key's own delimiters), so each comparison and each `sim()`
+/// conjunct is rendered in its `Debug` form — type-tagged, with escaped
+/// strings and round-tripping floats.  The conjunction is sorted and
+/// deduplicated so conjunct order does not change the key.
 fn canon_attr(p: &gtpq_query::AttrPredicate) -> String {
-    let mut parts: Vec<String> = p.comparisons.iter().map(|c| format!("{c:?}")).collect();
+    let comparisons = p.comparisons.iter().map(|c| format!("{c:?}"));
+    let sims = p.sims.iter().map(|s| format!("{s:?}"));
+    let mut parts: Vec<String> = comparisons.chain(sims).collect();
     parts.sort_unstable();
     parts.dedup();
     parts.join(",")
@@ -224,6 +227,23 @@ mod tests {
             canonicalize(&build(gtpq_graph::AttrValue::Int(5))).key,
             canonicalize(&build(gtpq_graph::AttrValue::str("5"))).key
         );
+    }
+
+    #[test]
+    fn sim_conjuncts_are_part_of_the_key() {
+        // Two queries that differ only in a `sim()` conjunct must not share
+        // a key: the result cache would serve one query's rows to the other.
+        let build = |query: Vec<f32>, threshold: f32| {
+            let attr = AttrPredicate::any().and_sim("emb", gtpq_query::CmpOp::Lt, query, threshold);
+            let mut b = GtpqBuilder::new(attr);
+            let root = b.root_id();
+            b.mark_output(root);
+            canonicalize(&b.build().unwrap()).key
+        };
+        let key = build(vec![0.5, 1.0], 2.5);
+        assert_eq!(key, build(vec![0.5, 1.0], 2.5));
+        assert_ne!(key, build(vec![0.5, -1.0], 2.5));
+        assert_ne!(key, build(vec![0.5, 1.0], 4.5));
     }
 
     #[test]

@@ -3,43 +3,27 @@
 //!   BFS oracle on random DAGs and random cyclic graphs,
 //! * formula transformations preserve logical equivalence and DPLL agrees
 //!   with brute force,
-//! * GTEA agrees with the naive semantic evaluator on random graphs and
-//!   random (conjunctive and logical) queries.
+//! * index-backed candidate selection equals the full scan, and every
+//!   physical plan returns the default plan's answer.
 //!
-//! The harness is a deterministic seed sweep over the vendored `rand` PRNG
-//! (the build image has no network, so `proptest` is unavailable): every
-//! failure message carries the seed, which reproduces the case exactly.
+//! GTEA's agreement with the naive semantic evaluator is the differential
+//! oracle's (`tests/differential.rs`).  Graphs and queries come from the
+//! shared generators in `tests/common`.  The harness is a deterministic
+//! seed sweep over the vendored `rand` PRNG (the build image has no network,
+//! so `proptest` is unavailable): every failure message carries the seed,
+//! which reproduces the case exactly.
 
+mod common;
+
+use common::{random_graph, random_query};
 use gtpq::logic::transform::{simplify, to_cnf, to_nnf};
 use gtpq::logic::{brute_force_satisfiable, is_satisfiable, BoolExpr};
 use gtpq::prelude::*;
-use gtpq::query::naive;
 use gtpq::reach::{BackendKind, SharedIndex, ThreeHop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 48;
-
-/// A random directed graph: `n` nodes labelled from a 4-letter alphabet and
-/// up to `3n` random edges.  `dag_only` restricts edges to point from lower
-/// to higher node id, which guarantees acyclicity.
-fn random_graph(rng: &mut StdRng, max_nodes: usize, dag_only: bool) -> DataGraph {
-    let n = rng.gen_range(2..max_nodes);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..4))))
-        .collect();
-    for _ in 0..rng.gen_range(0..n * 3) {
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x == y {
-            continue;
-        }
-        let (x, y) = if dag_only && x > y { (y, x) } else { (x, y) };
-        b.add_edge(nodes[x], nodes[y]);
-    }
-    b.build()
-}
 
 /// A random propositional formula of bounded depth over 5 variables.
 fn random_formula(rng: &mut StdRng, depth: u32) -> BoolExpr {
@@ -66,46 +50,6 @@ fn backends(g: &DataGraph) -> Vec<SharedIndex> {
     all
 }
 
-/// A random small query over the `l0..l3` label alphabet, either conjunctive
-/// or with one disjunctive / negated predicate pair at the root.  The root
-/// is an output unless a backbone child is and a coin says otherwise.
-fn random_query(rng: &mut StdRng) -> Gtpq {
-    let root_label = rng.gen_range(0u8..4);
-    let n_children = rng.gen_range(1..4usize);
-    let mode = rng.gen_range(0u8..3);
-    let mut b = GtpqBuilder::new(AttrPredicate::label(&format!("l{root_label}")));
-    let root = b.root_id();
-    let mut predicate_vars = Vec::new();
-    let mut backbone_outputs = 0;
-    for _ in 0..n_children {
-        let edge = if rng.gen_bool(0.5) {
-            EdgeKind::Child
-        } else {
-            EdgeKind::Descendant
-        };
-        let attr = AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..4)));
-        if predicate_vars.len() < 2 && mode > 0 {
-            let p = b.predicate_child(root, edge, attr);
-            predicate_vars.push(BoolExpr::Var(p.var()));
-        } else {
-            let c = b.backbone_child(root, edge, attr);
-            b.mark_output(c);
-            backbone_outputs += 1;
-        }
-    }
-    match (mode, predicate_vars.as_slice()) {
-        (1, [a]) => b.set_structural(root, BoolExpr::not(a.clone())),
-        (1, [a, bb]) => b.set_structural(root, BoolExpr::or2(a.clone(), BoolExpr::not(bb.clone()))),
-        (2, [a]) => b.set_structural(root, a.clone()),
-        (2, [a, bb]) => b.set_structural(root, BoolExpr::or2(a.clone(), bb.clone())),
-        _ => {}
-    }
-    if backbone_outputs == 0 || rng.gen_bool(0.5) {
-        b.mark_output(root);
-    }
-    b.build().expect("generated queries are valid")
-}
-
 #[test]
 fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
     for seed in 0..CASES {
@@ -113,7 +57,7 @@ fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
         // Even seeds exercise guaranteed-acyclic graphs, odd seeds allow
         // cycles, so both condensation regimes are covered.
         let dag_only = seed % 2 == 0;
-        let g = random_graph(&mut rng, 24, dag_only);
+        let g = random_graph(&mut rng, 2..24, dag_only);
         let indexes = backends(&g);
         for u in g.nodes() {
             for v in g.nodes() {
@@ -136,7 +80,7 @@ fn all_backends_agree_with_the_oracle_on_dags_and_cyclic_graphs() {
 fn prepared_probes_agree_with_pairwise_reachability() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 20, seed % 2 == 0);
+        let g = random_graph(&mut rng, 2..20, seed % 2 == 0);
         let targets: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 == 0).collect();
         if targets.is_empty() {
             continue;
@@ -172,7 +116,7 @@ fn prepared_probes_agree_with_pairwise_reachability() {
 fn contour_queries_agree_with_pairwise_reachability() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 20, false);
+        let g = random_graph(&mut rng, 2..20, false);
         let index = ThreeHop::new(&g);
         let targets: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 == 0).collect();
         if targets.is_empty() {
@@ -264,16 +208,7 @@ fn random_predicate(rng: &mut StdRng) -> AttrPredicate {
 fn index_backed_candidates_equal_the_full_scan() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Richer graph: labels plus an integer attribute on most nodes.
-        let n = rng.gen_range(2..40usize);
-        let mut b = GraphBuilder::new();
-        for _ in 0..n {
-            let v = b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..4)));
-            if rng.gen_bool(0.8) {
-                b.set_attr(v, "year", AttrValue::int(rng.gen_range(1995..2010)));
-            }
-        }
-        let g = b.build();
+        let g = random_graph(&mut rng, 2..40, seed % 2 == 0);
 
         // Random queries whose nodes carry random predicates.
         let mut qb = GtpqBuilder::new(random_predicate(&mut rng));
@@ -310,34 +245,6 @@ fn index_backed_candidates_equal_the_full_scan() {
     }
 }
 
-#[test]
-fn gtea_agrees_with_the_naive_evaluator() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 18, false);
-        let q = random_query(&mut rng);
-        let expected = naive::evaluate(&q, &g);
-        let three_hop = ThreeHop::new(&g);
-        let engines = [
-            GteaEngine::new(&g),
-            GteaEngine::with_options(&g, GteaOptions::without_shrinking()),
-            GteaEngine::with_options(&g, GteaOptions::without_upward_pruning()),
-            GteaEngine::with_backend(&g, &three_hop, GteaOptions::without_contours()),
-        ];
-        for engine in &engines {
-            let got = engine.evaluate(&q);
-            assert!(
-                got.same_answer(&expected),
-                "seed {seed}, options {:?} on {}: got {:?} expected {:?}",
-                engine.options(),
-                engine.index().name(),
-                got.tuples,
-                expected.tuples
-            );
-        }
-    }
-}
-
 /// The tentpole equivalence property: executing *any* physical plan — the
 /// planner's default, a shuffled prune order, forced full scans, the upward
 /// round disabled, the seed's fixed pipeline — returns a `ResultSet`
@@ -348,7 +255,7 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
     use gtpq::engine::plan::AccessPath;
     for seed in 0..CASES / 2 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 16, seed % 2 == 0);
+        let g = random_graph(&mut rng, 2..16, seed % 2 == 0);
         let q = random_query(&mut rng);
         let baseline = GteaEngine::new(&g);
         let expected = baseline.evaluate(&q);
@@ -384,26 +291,5 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
                 expected.tuples
             );
         }
-    }
-}
-
-/// GTEA agrees with the naive evaluator on DAGs and cyclic graphs
-/// alternately.  Default options answer on the condensation and read no
-/// index (`crates/core/tests/work_guard.rs`), so one run on the default
-/// 3-hop stands for every backend.
-#[test]
-fn gtea_agrees_with_naive_under_every_backend() {
-    for seed in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 16, seed % 2 == 0);
-        let q = random_query(&mut rng);
-        let expected = naive::evaluate(&q, &g);
-        let got = GteaEngine::new(&g).evaluate(&q);
-        assert!(
-            got.same_answer(&expected),
-            "seed {seed}: disagrees with naive: got {:?} expected {:?}",
-            got.tuples,
-            expected.tuples
-        );
     }
 }

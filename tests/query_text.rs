@@ -5,6 +5,8 @@
 //!   dataset — the reference doc cannot rot,
 //! * the `parse(display(q)) == q` round-trip property over random
 //!   generated queries,
+//! * a character-level fuzz of those queries' texts: the parser never
+//!   panics, and whatever parses round-trips through `Display`,
 //! * parser failure modes assert exact error spans,
 //! * `QueryService::submit` of query text agrees with builder-constructed
 //!   evaluation.
@@ -17,6 +19,8 @@ use gtpq::datagen::{
 };
 use gtpq::prelude::*;
 use gtpq_datagen::random_text_query;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const QUERY_LANGUAGE_MD: &str = include_str!("../docs/QUERY_LANGUAGE.md");
 
@@ -124,6 +128,51 @@ fn parse_display_round_trips_over_random_queries() {
             "seed {seed} (pretty): `{pretty}`"
         );
     }
+}
+
+#[test]
+fn mutated_query_texts_never_panic_the_parser() {
+    // The characters the lexer gives a meaning to, plus one outside ASCII,
+    // which an error span must not cut in half.
+    const ALPHABET: &[char] = &[
+        'a', 'l', 'w', 's', '0', '7', '_', ' ', '\n', '#', '"', '\\', '*', '/', '{', '}', '[', ']',
+        '(', ')', ',', '&', '|', '!', '<', '>', '=', '-', '.', 'é',
+    ];
+    let mut parsed = 0;
+    for case in 0..20_000u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let q = random_text_query(case % 300, 2 + (case % 14) as usize);
+        let mut text: Vec<char> = q.to_string().chars().collect();
+        for _ in 0..rng.gen_range(1..4) {
+            let at = rng.gen_range(0..text.len() + 1);
+            let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            match rng.gen_range(0..3) {
+                0 if at < text.len() => {
+                    text.remove(at);
+                }
+                1 if at < text.len() => text[at] = c,
+                _ => text.insert(at, c),
+            }
+        }
+        let text: String = text.into_iter().collect();
+        // An error must render too: its span points into the mutated text.
+        let outcome = std::panic::catch_unwind(|| parse_query(&text).map_err(|e| e.render(&text)))
+            .unwrap_or_else(|_| panic!("case {case}: the parser panicked on `{text}`"));
+        let Ok(q) = outcome else { continue };
+        parsed += 1;
+        let printed = q.to_string();
+        let reparsed = parse_query(&printed).unwrap_or_else(|e| {
+            panic!(
+                "case {case}: `{text}` printed as `{printed}`, which fails:\n{}",
+                e.render(&printed)
+            )
+        });
+        assert_eq!(reparsed, q, "case {case}: `{text}` printed as `{printed}`");
+    }
+    assert!(
+        parsed > 1_000,
+        "only {parsed} mutants parsed: the fuzz lost its teeth"
+    );
 }
 
 #[test]

@@ -9,86 +9,35 @@
 //!   scan using the same `gtpq::sim` distance kernels, for strict and
 //!   inclusive thresholds alike, and the planner's selectivity estimate
 //!   upper-bounds the filter's survivor count,
-//! * **engine agreement** — full `sim(...)` queries return the same answer
-//!   as the naive semantic oracle (the engine's default path reads no
-//!   reachability index, so one backend stands for all), with the sim
-//!   counters accounting for every indexed vector,
-//! * **degenerate radii** — an L2 radius of `+∞` (reachable only through
-//!   the builder; the parser rejects the literal) selects every indexed
-//!   vector on the index side exactly as the oracle's `d < ∞` does, and NaN
-//!   or negative radii select nothing on both sides,
-//! * **snapshot round trips** — after `save` + `open_mmap` the mapped
-//!   (zero-copy) tables produce bit-identical [`SimMatches`] and the engine
-//!   answers do not move.
+//! * **degenerate radii and rows** — an L2 radius of `+∞` (reachable only
+//!   through the builder; the parser rejects the literal) selects every
+//!   indexed vector on the index side exactly as the oracle's `d < ∞` does,
+//!   NaN or negative radii select nothing on both sides, and a stored row
+//!   with a NaN or infinite component matches no comparison on either side.
+//!
+//! Full `sim(...)` queries against the naive oracle — across serving
+//! paths, with the sim counters accounting for every indexed vector, and
+//! through snapshot round trips — are the differential oracle's
+//! (`tests/differential.rs`).  The graphs here come from the shared
+//! generator in `tests/common`.
 //!
 //! [`SimTable::within_l2`]: gtpq::graph::SimTable::within_l2
 //! [`SimTable::above_cosine`]: gtpq::graph::SimTable::above_cosine
-//! [`SimMatches`]: gtpq::graph::SimMatches
 
-use std::path::PathBuf;
+mod common;
 
+use std::sync::Arc;
+
+use common::{emb_vector, random_graph, EMB_DIM};
 use gtpq::datagen::{generate_embed, EmbedConfig};
-use gtpq::graph::{GraphHandle, GraphSnapshot, SimTable};
+use gtpq::graph::{GraphHandle, SimTable, LABEL_ATTR};
 use gtpq::prelude::*;
 use gtpq::query::naive;
 use gtpq::sim;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const SEEDS: u64 = 24;
-
-/// A unique temp path per test-and-seed so parallel test binaries never
-/// collide; removed at the end of each case.
-fn temp_snapshot(tag: &str, seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("gtpq-sim-{tag}-{}-{seed}.gtpq", std::process::id()))
-}
-
-/// A random component quantized to eighths in `[-2, 2)`: exactly
-/// representable in f32 *and* in the textual query form, so display
-/// round-trips and brute-force comparisons are bit-exact by construction.
-fn coord(rng: &mut StdRng) -> f32 {
-    rng.gen_range(-16i64..16) as f32 / 8.0
-}
-
-fn qvec(rng: &mut StdRng, dim: usize) -> Vec<f32> {
-    (0..dim).map(|_| coord(rng)).collect()
-}
-
-/// A random attributed graph whose `emb` attribute indexes at dimensionality
-/// `dim`: the first 8 nodes always carry a dim-`dim` vector, later nodes
-/// carry one with probability 0.6, a few nodes carry an off-dimensionality
-/// vector (so the modal-dim rule is exercised — those rows never index),
-/// and labels alternate so the sim posting intersects a label posting
-/// non-trivially.  Odd seeds allow cycles.
-fn embedded_graph(rng: &mut StdRng, seed: u64) -> (DataGraph, usize) {
-    let dim = 3 + (seed % 5) as usize;
-    let n: usize = rng.gen_range(14..36);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_with_label(if i % 3 == 0 { "aux" } else { "doc" }))
-        .collect();
-    for (i, &v) in nodes.iter().enumerate() {
-        if i < 8 || rng.gen_bool(0.6) {
-            b.set_attr(v, "emb", AttrValue::Vec(qvec(rng, dim)));
-        } else if rng.gen_bool(0.3) {
-            b.set_attr(v, "emb", AttrValue::Vec(qvec(rng, dim + 2)));
-        }
-    }
-    for _ in 0..rng.gen_range(0..n * 2) {
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x == y {
-            continue;
-        }
-        let (x, y) = if seed.is_multiple_of(2) && x > y {
-            (y, x)
-        } else {
-            (x, y)
-        };
-        b.add_edge(nodes[x], nodes[y]);
-    }
-    (b.build(), dim)
-}
 
 /// The brute-force L2 posting over the table's own packed rows, using the
 /// same `gtpq::sim` kernel the verify path uses — any divergence from
@@ -117,11 +66,11 @@ fn brute_cosine(table: &SimTable, query: &[f32], t: f32, inclusive: bool) -> Vec
 fn pivot_filter_candidates_are_a_superset_of_the_exact_answer() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (g, dim) = embedded_graph(&mut rng, seed);
-        let table = g.sim_table("emb").expect("emb always indexes");
-        assert_eq!(table.dim(), dim, "seed {seed}: modal dimensionality");
+        let g = random_graph(&mut rng, 14..36, seed % 2 == 0);
+        let table = g.sim_table("emb").expect("emb indexes");
+        let dim = table.dim();
+        assert_eq!(dim, EMB_DIM, "seed {seed}: modal dimensionality");
         let n = table.len();
-        assert!(n >= 8, "seed {seed}: the first 8 nodes always carry dim-d");
 
         // Rebuild a filter over the table's own packed rows with an
         // independent pivot selection: completeness must hold for *any*
@@ -137,7 +86,7 @@ fn pivot_filter_candidates_are_a_superset_of_the_exact_answer() {
         assert_eq!(filter.len(), n);
 
         // Both a random probe and an exact data row (distance-0 edge case).
-        let probes = [qvec(&mut rng, dim), table.vector(0).to_vec()];
+        let probes = [emb_vector(&mut rng, dim), table.vector(0).to_vec()];
         for query in &probes {
             for radius in [0.25f32, 1.0, 2.5, 5.0] {
                 let res = filter.candidates_within(query, radius);
@@ -167,9 +116,9 @@ fn pivot_filter_candidates_are_a_superset_of_the_exact_answer() {
 fn verified_postings_are_bit_identical_to_brute_force() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (g, dim) = embedded_graph(&mut rng, seed);
-        let table = g.sim_table("emb").expect("emb always indexes");
-        let probes = [qvec(&mut rng, dim), table.vector(1).to_vec()];
+        let g = random_graph(&mut rng, 14..36, seed % 2 == 0);
+        let table = g.sim_table("emb").expect("emb indexes");
+        let probes = [emb_vector(&mut rng, table.dim()), table.vector(1).to_vec()];
         for query in &probes {
             for t in [0.25f32, 1.0, 2.5, 5.0] {
                 for inclusive in [false, true] {
@@ -207,91 +156,23 @@ fn verified_postings_are_bit_identical_to_brute_force() {
 }
 
 #[test]
-fn sim_queries_agree_with_the_oracle_across_backends_and_snapshots() {
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (g, dim) = embedded_graph(&mut rng, seed);
-        let table_len = g.sim_table("emb").expect("emb always indexes").len();
-        let query_vec = qvec(&mut rng, dim);
-
-        let path = temp_snapshot("roundtrip", seed);
-        GraphHandle::new(g.clone()).snapshot().save(&path).unwrap();
-        let mapped = GraphSnapshot::open_mmap(&path).unwrap();
-        let lg = mapped.graph();
-
-        // One query per predicate form: strict / inclusive L2 and cosine.
-        let forms = [
-            (CmpOp::Lt, 2.5f32),
-            (CmpOp::Le, 1.0),
-            (CmpOp::Gt, 0.375),
-            (CmpOp::Ge, -0.25),
-        ];
-        for (op, threshold) in forms {
-            let mut b = GtpqBuilder::new(AttrPredicate::label("doc").and_sim(
-                "emb",
-                op,
-                query_vec.clone(),
-                threshold,
-            ));
-            let root = b.root_id();
-            b.mark_output(root);
-            let q = b.build().unwrap();
-
-            // Quantized components print exactly, so the textual form
-            // round-trips to the same query.
-            let text = q.to_string();
-            assert_eq!(
-                text.parse::<Gtpq>().expect("canonical form parses"),
-                q,
-                "seed {seed} {op:?}: `{text}`"
-            );
-
-            let expected = naive::evaluate(&q, &g);
-            let mapped_got = GteaEngine::new(lg).evaluate(&q);
-            assert!(
-                mapped_got.same_answer(&expected),
-                "seed {seed} {op:?}: answer moved after save + open_mmap"
-            );
-
-            // The sim counters account for every indexed vector: each one is
-            // either pruned by the pivot tests or exactly verified.
-            let (res, stats) = GteaEngine::new(&g).evaluate_with_stats(&q);
-            assert!(
-                res.same_answer(&expected),
-                "seed {seed} {op:?}: engine diverges from the oracle"
-            );
-            assert_eq!(
-                stats.sim_pivot_filtered + stats.sim_verified,
-                table_len as u64,
-                "seed {seed} {op:?}: counter accounting"
-            );
-        }
-
-        // The mapped (zero-copy) table and the built (owned) table answer
-        // bit-identically — nodes, pruned and verified counts alike.
-        let built = g.sim_table("emb").unwrap();
-        let loaded = lg.sim_table("emb").expect("mapped graph keeps the table");
-        assert_eq!(loaded.len(), built.len(), "seed {seed}");
-        assert_eq!(
-            loaded.within_l2(&query_vec, 2.5, false),
-            built.within_l2(&query_vec, 2.5, false),
-            "seed {seed}: mapped l2 posting differs"
-        );
-        assert_eq!(
-            loaded.above_cosine(&query_vec, 0.375, true),
-            built.above_cosine(&query_vec, 0.375, true),
-            "seed {seed}: mapped cosine posting differs"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
 fn degenerate_l2_radii_agree_with_the_oracle() {
-    let g = generate_embed(&EmbedConfig {
+    let corpus = generate_embed(&EmbedConfig {
         dim: 8,
         ..Default::default()
     });
+    // Two documents' rows get a NaN and an infinite component: such a row
+    // matches no comparison, so neither the table nor the oracle counts it.
+    let docs = corpus
+        .nodes_with(LABEL_ATTR, &AttrValue::str("doc"))
+        .to_vec();
+    let handle = GraphHandle::new(corpus);
+    for (doc, bad) in docs.into_iter().zip([f32::NAN, f32::INFINITY]) {
+        let mut row = vec![0.5; 8];
+        row[3] = bad;
+        handle.set_attr(doc, "emb", AttrValue::Vec(row));
+    }
+    let g = Arc::clone(handle.commit().graph());
     let documents = g.sim_table("emb").expect("emb indexes").len();
     let engine = GteaEngine::new(&g);
     let center = vec![8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];

@@ -1,33 +1,30 @@
 //! Integration suite for the `.gtpq` binary snapshot format
 //! (`gtpq::graph::snap`):
 //!
-//! * **round-trip fidelity** — a deterministic seed sweep builds random
-//!   attributed graphs (labels, integer attributes, free-text attributes,
-//!   cycles on odd seeds), saves them, and reloads through every
-//!   [`LoadMode`]; the loaded graph must compare equal field-for-field,
-//!   the stored condensation must equal a fresh Tarjan run, and full query
-//!   evaluation must return identical answers (once, on the engine's
-//!   default 3-hop: default options read no index, so every backend runs
-//!   the same condensation path),
-//! * **copy-on-write commits** — mutating a graph served from a mapped
-//!   snapshot must never write through to the file, and pinned mapped
-//!   snapshots must keep reading the old epoch,
+//! * **checked-in fixtures** — a version-1 file keeps opening in every
+//!   [`LoadMode`], and a fresh save of the version-2 fixture's graph
+//!   reproduces its bytes,
 //! * **corruption robustness** — systematic single-byte flips and
 //!   truncations must surface as typed [`SnapshotError`]s (or load a graph
 //!   identical to the original when the flip only touched padding), never
 //!   as a panic or garbage data.
+//!
+//! Round trips through every load mode, commits on a mapped base that
+//! must not write through, and queries served from loaded graphs are the
+//! differential oracle's (`tests/differential.rs`).  The corrupted graphs
+//! come from the shared generator in `tests/common`.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use common::random_graph;
 use gtpq::graph::condensation::CompId;
 use gtpq::graph::{Condensation, GraphHandle, GraphSnapshot, LoadMode, LABEL_ATTR};
 use gtpq::prelude::*;
-use gtpq::query::{AttrPredicate, EdgeKind, Gtpq, GtpqBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-const SEEDS: u64 = 24;
+use rand::SeedableRng;
 
 /// A unique temp path per test-and-seed so parallel test binaries never
 /// collide; removed at the end of each case.
@@ -36,176 +33,6 @@ fn temp_snapshot(tag: &str, seed: u64) -> PathBuf {
         "gtpq-snap-{tag}-{}-{seed}.gtpq",
         std::process::id()
     ))
-}
-
-/// A random attributed graph exercising every serialized surface: labels
-/// from a 4-letter alphabet, an integer attribute on most nodes (negative
-/// values included, so the `i64` payload encoding is covered), a free-text
-/// attribute on some, an embedding-vector attribute on some (so the v2
-/// vector dictionary and the similarity catalog's pivot tables serialize
-/// non-trivially), and random edges (restricted to a DAG on request).
-fn random_graph(rng: &mut StdRng, max_nodes: usize, dag_only: bool) -> DataGraph {
-    let n = rng.gen_range(2..max_nodes);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..4))))
-        .collect();
-    for &v in &nodes {
-        if rng.gen_bool(0.8) {
-            b.set_attr(v, "year", AttrValue::int(rng.gen_range(-3i64..2010)));
-        }
-        if rng.gen_bool(0.3) {
-            b.set_attr(
-                v,
-                "note",
-                AttrValue::str(&format!("t{}", rng.gen_range(0u8..6))),
-            );
-        }
-        if rng.gen_bool(0.4) {
-            let dim = rng.gen_range(2usize..5);
-            let emb: Vec<f32> = (0..dim)
-                .map(|_| (rng.gen::<f64>() * 4.0 - 2.0) as f32)
-                .collect();
-            b.set_attr(v, "emb", AttrValue::Vec(emb));
-        }
-    }
-    for _ in 0..rng.gen_range(0..n * 3) {
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x == y {
-            continue;
-        }
-        let (x, y) = if dag_only && x > y { (y, x) } else { (x, y) };
-        b.add_edge(nodes[x], nodes[y]);
-    }
-    b.build()
-}
-
-/// A fixed two-pattern query battery touching label equality, descendant
-/// edges and integer range predicates.
-fn query_battery() -> Vec<Gtpq> {
-    let mut queries = Vec::new();
-    for root in ["l0", "l1"] {
-        let mut b = GtpqBuilder::new(AttrPredicate::label(root));
-        let r = b.root_id();
-        let c = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("l2"));
-        b.mark_output(r);
-        b.mark_output(c);
-        queries.push(b.build().expect("battery query is valid"));
-    }
-    let mut b = GtpqBuilder::new(AttrPredicate::any().and("year", CmpOp::Ge, AttrValue::int(1000)));
-    let r = b.root_id();
-    let c = b.backbone_child(r, EdgeKind::Child, AttrPredicate::any());
-    b.mark_output(r);
-    b.mark_output(c);
-    queries.push(b.build().expect("battery query is valid"));
-    queries
-}
-
-#[test]
-fn saved_graphs_reload_bit_identically_through_every_mode() {
-    let queries = query_battery();
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 28, seed % 2 == 0);
-        let handle = GraphHandle::new(g.clone());
-        let snap = handle.snapshot();
-        let path = temp_snapshot("roundtrip", seed);
-        snap.save(&path).expect("save succeeds");
-
-        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
-            let loaded = GraphSnapshot::open(&path, mode).expect("load succeeds");
-            assert_eq!(
-                *loaded.graph().as_ref(),
-                g,
-                "seed {seed}, mode {mode:?}: loaded graph differs"
-            );
-            assert_eq!(
-                *loaded.condensation().as_ref(),
-                Condensation::new(&g),
-                "seed {seed}, mode {mode:?}: stored condensation differs from Tarjan"
-            );
-            assert_eq!(loaded.epoch(), snap.epoch(), "seed {seed}, mode {mode:?}");
-
-            for (qi, q) in queries.iter().enumerate() {
-                let want = GteaEngine::new(&g).evaluate(q);
-                let got = GteaEngine::new(loaded.graph()).evaluate(q);
-                assert!(
-                    got.same_answer(&want),
-                    "seed {seed}, mode {mode:?}, query {qi}: answers diverge after reload"
-                );
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
-fn mutating_a_mapped_graph_never_touches_the_file() {
-    for seed in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 24, seed % 2 == 0);
-        let path = temp_snapshot("cow", seed);
-        GraphHandle::new(g.clone()).snapshot().save(&path).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-
-        let mapped = GraphSnapshot::open_mmap(&path).unwrap();
-        let handle = GraphHandle::from_snapshot(mapped);
-        let pinned = handle.snapshot();
-        let base_nodes = pinned.graph().node_count();
-
-        // Mutate through every op kind, enough rounds to force several
-        // commits on top of the mapped base.
-        let mut last = NodeId(0);
-        for round in 0..3 {
-            let v = handle.insert_node_with_label(&format!("new{round}"));
-            handle.set_attr(v, "year", AttrValue::int(3000 + round));
-            handle.set_attr(last, "note", AttrValue::str("rewritten"));
-            handle.insert_edge(last, v);
-            handle.commit();
-            last = v;
-        }
-
-        // The file on disk is byte-for-byte what the writer produced.
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            pristine,
-            "seed {seed}: commit wrote through to the snapshot file"
-        );
-        // The pinned mapped snapshot still reads the old epoch.
-        assert_eq!(pinned.graph().node_count(), base_nodes, "seed {seed}");
-        assert_eq!(*pinned.graph().as_ref(), g, "seed {seed}");
-        // The new epoch carries the mutations.
-        let fresh = handle.snapshot();
-        assert_eq!(fresh.graph().node_count(), base_nodes + 3, "seed {seed}");
-        // And a re-open of the untouched file round-trips the original.
-        let reopened = GraphSnapshot::open_heap(&path).unwrap();
-        assert_eq!(*reopened.graph().as_ref(), g, "seed {seed}");
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
-fn mapped_snapshots_serve_queries_while_the_handle_advances() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let g = random_graph(&mut rng, 20, false);
-    let path = temp_snapshot("serve", 7);
-    GraphHandle::new(g.clone()).snapshot().save(&path).unwrap();
-
-    let handle = Arc::new(GraphHandle::from_snapshot(
-        GraphSnapshot::open_mmap(&path).unwrap(),
-    ));
-    let q = &query_battery()[0];
-    let pinned = handle.snapshot();
-    let before = GteaEngine::new(pinned.graph().as_ref()).evaluate(q);
-    let root = handle.insert_node_with_label("l0");
-    let child = handle.insert_node_with_label("l2");
-    handle.insert_edge(root, child);
-    handle.commit();
-    let advanced = handle.snapshot();
-    let after = GteaEngine::new(advanced.graph().as_ref()).evaluate(q);
-    assert_eq!(after.tuples.len(), before.tuples.len() + 1);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -315,7 +142,7 @@ fn checked_in_v2_fixture_is_what_save_writes_today() {
 #[test]
 fn corrupted_snapshots_fail_typed_and_clean_flips_stay_identical() {
     let mut rng = StdRng::seed_from_u64(11);
-    let g = random_graph(&mut rng, 22, false);
+    let g = random_graph(&mut rng, 2..22, false);
     assert!(
         !g.sim_catalog().is_empty(),
         "the corruption sweep must run over a v2 file with vectors and \
@@ -390,7 +217,7 @@ fn plain_mmap_flips_load_typed_or_stay_panic_free_at_access_time() {
     // counts, any offsets run) or yields a graph whose every accessor is
     // memory-safe and panic-free, even though the data may be wrong.
     let mut rng = StdRng::seed_from_u64(17);
-    let g = random_graph(&mut rng, 22, false);
+    let g = random_graph(&mut rng, 2..22, false);
     assert!(
         !g.sim_catalog().is_empty(),
         "the mmap flip sweep must cover the vector and sim sections"

@@ -16,15 +16,18 @@
 //!   cache hit), and `EvalStats::graph_epoch` reports which generation
 //!   answered.
 
+mod common;
+
 use std::sync::Arc;
 use std::thread;
 
+use common::random_graph;
 use gtpq::datagen::{apply_ops, update_stream, UpdateStreamConfig};
 use gtpq::graph::GraphHandle;
 use gtpq::prelude::*;
 use gtpq::query::naive;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// `a0 → {b1, b2, b3}` — the query `a { //b* }` answers three rows.
 fn fanout_graph() -> DataGraph {
@@ -39,23 +42,6 @@ fn fanout_graph() -> DataGraph {
 
 fn fanout_query() -> Gtpq {
     parse_query("a { //b* }").expect("query parses")
-}
-
-/// A random labelled graph for the writer-race sweep.
-fn random_graph(rng: &mut StdRng, max_nodes: usize) -> DataGraph {
-    let n = rng.gen_range(6..max_nodes);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node_with_label(["a", "b", "c", "d"][rng.gen_range(0..4usize)]))
-        .collect();
-    for _ in 0..rng.gen_range(n..n * 3) {
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x != y {
-            b.add_edge(nodes[x], nodes[y]);
-        }
-    }
-    b.build()
 }
 
 #[test]
@@ -103,8 +89,8 @@ fn match_stream_completes_the_pinned_snapshot_answer_across_commits() {
 fn parallel_execution_is_isolated_from_a_racing_writer() {
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = random_graph(&mut rng, 16);
-        let q = fanout_query();
+        let base = random_graph(&mut rng, 6..16, seed % 2 == 0);
+        let q = parse_query("l0 { //l1* }").expect("query parses");
         let handle = Arc::new(GraphHandle::new(base));
 
         let snap = handle.snapshot();

@@ -1,22 +1,9 @@
 //! Property tests for the request/outcome API and its streaming executor:
 //!
-//! * `submit` with `limit = k, offset = j` returns **exactly** rows
-//!   `j..j + k` of the materialized `ResultSet` order — the streaming
-//!   enumerator must produce rows in sorted order, or early termination
-//!   would return the wrong window,
-//! * an unlimited `submit` equals the engine's `evaluate` bit-for-bit,
-//! * both hold on random DAGs and random cyclic graphs, and on both the
-//!   engine-pushdown path (cache disabled) and the cache-slicing path
-//!   (pre-warmed cache),
-//! * limit pushdown pulls exactly the window plus its look-ahead row
-//!   (`EvalStats::enumerated_rows = min(offset + limit + 1, |answer|)`), and
-//!   the row counters (`enumerated_rows`, `result_tuples`,
-//!   `intermediate_size`) repeat exactly for the full run and every window,
-//! * the enumerator's order does not depend on the query's shape: depth-3
-//!   trees, non-output internal nodes and roots, outputs marked in any order
-//!   (child before parent, interleaved siblings), everything shrunk away and
-//!   several shrunk components all yield the naive evaluator's `ResultSet`
-//!   order, for every window,
+//! * the enumerator's order does not depend on the query's shape:
+//!   everything shrunk away and several shrunk components yield the naive
+//!   evaluator's `ResultSet` order for every window, with limit pushdown
+//!   pulling exactly the window plus its look-ahead row,
 //! * a pre-cancelled token and an expired deadline abort with the typed
 //!   interrupt, through both `GteaEngine::execute` and `submit`, and a
 //!   cancel racing a run either completes with the exact answer or aborts
@@ -24,221 +11,25 @@
 //! * a cancellation from another thread interrupts a long enumeration —
 //!   walked or built — instead of letting it complete.
 //!
-//! Same harness as `property_based.rs`: a deterministic seed sweep over the
-//! vendored PRNG; every failure message carries the seed.  Every case runs
-//! once, on the engine's default 3-hop: default options answer on the
-//! condensation the graph carries and read no index
-//! (`crates/core/tests/work_guard.rs`), so another backend would re-run the
-//! same path.
+//! Windows over random graphs and queries — every backend arm, the
+//! pushdown and cache-slicing service paths, the row counters of the full
+//! run and every window, trees with outputs in any order — are the
+//! differential oracle's (`tests/differential.rs`).  The random cases here
+//! draw from the shared generators in `tests/common`; every failure message
+//! carries the seed.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{random_graph, random_query};
 use gtpq::prelude::*;
 use gtpq::query::naive;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const CASES: u64 = 24;
-
-/// A random directed graph: `n` nodes labelled from a 4-letter alphabet and
-/// up to `3n` random edges; even seeds are DAG-only.
-fn random_graph(rng: &mut StdRng, max_nodes: usize, dag_only: bool) -> DataGraph {
-    let n = rng.gen_range(3..max_nodes);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..4))))
-        .collect();
-    for _ in 0..rng.gen_range(0..n * 3) {
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x == y {
-            continue;
-        }
-        let (x, y) = if dag_only && x > y { (y, x) } else { (x, y) };
-        b.add_edge(nodes[x], nodes[y]);
-    }
-    b.build()
-}
-
-/// A random small query with one or two output nodes, optionally with a
-/// disjunctive or negated structural predicate at the root.
-fn random_query(rng: &mut StdRng) -> Gtpq {
-    let mut b = GtpqBuilder::new(AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..4))));
-    let root = b.root_id();
-    let mode = rng.gen_range(0u8..3);
-    let mut predicate_vars = Vec::new();
-    for _ in 0..rng.gen_range(1..4usize) {
-        let edge = if rng.gen_bool(0.5) {
-            EdgeKind::Child
-        } else {
-            EdgeKind::Descendant
-        };
-        let attr = AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..4)));
-        if predicate_vars.len() < 2 && mode > 0 {
-            let p = b.predicate_child(root, edge, attr);
-            predicate_vars.push(BoolExpr::Var(p.var()));
-        } else {
-            let c = b.backbone_child(root, edge, attr);
-            b.mark_output(c);
-        }
-    }
-    match (mode, predicate_vars.as_slice()) {
-        (1, [a]) => b.set_structural(root, BoolExpr::not(a.clone())),
-        (1, [a, bb]) => b.set_structural(root, BoolExpr::or2(a.clone(), BoolExpr::not(bb.clone()))),
-        (2, [a]) => b.set_structural(root, a.clone()),
-        (2, [a, bb]) => b.set_structural(root, BoolExpr::or2(a.clone(), bb.clone())),
-        _ => {}
-    }
-    b.mark_output(root);
-    b.build().expect("generated queries are valid")
-}
-
-/// The window cases exercised per (graph, query): `(offset, limit)`.
-fn window_cases(total: usize) -> Vec<(usize, usize)> {
-    vec![
-        (0, 0),
-        (0, 1),
-        (0, total),
-        (1, 2),
-        (total / 2, 3),
-        (total, 1),
-        (2, total + 5),
-    ]
-}
-
-fn check_windows(service: &QueryService, q: &Gtpq, all: &[Vec<NodeId>], seed: u64, path: &str) {
-    for (offset, limit) in window_cases(all.len()) {
-        let outcome = service
-            .submit(
-                &QueryRequest::query(q.clone())
-                    .with_limit(limit)
-                    .with_offset(offset)
-                    .with_stats(),
-            )
-            .expect("windowed submit cannot fail");
-        let got: Vec<Vec<NodeId>> = outcome.rows.iter().cloned().collect();
-        let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(limit).cloned().collect();
-        assert_eq!(
-            got, expected,
-            "seed {seed}, {path}: window ({offset}, {limit}) diverged"
-        );
-        let more_exist = offset.saturating_add(limit) < all.len();
-        assert_eq!(
-            outcome.truncated, more_exist,
-            "seed {seed}, {path}: truncation flag wrong for ({offset}, {limit})"
-        );
-        // Pushdown: the enumerator pulls the window plus its look-ahead
-        // row, or the whole answer when that is shorter (engine path only;
-        // cache hits report no stats).
-        if !outcome.from_cache {
-            let stats = outcome.stats.expect("requested stats");
-            assert_eq!(
-                stats.enumerated_rows,
-                (offset + limit + 1).min(all.len()) as u64,
-                "seed {seed}, {path}: rows enumerated for window ({offset}, {limit})"
-            );
-        }
-    }
-}
-
-#[test]
-fn submit_windows_match_materialized_order_under_every_backend() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
-        let q = random_query(&mut rng);
-        let oracle = naive::evaluate(&q, &graph);
-        // Reference: the engine's unlimited evaluation.
-        let reference = GteaEngine::new(&graph).evaluate(&q);
-        assert!(
-            reference.same_answer(&oracle),
-            "seed {seed}: engine diverged from naive"
-        );
-        let all: Vec<Vec<NodeId>> = reference.iter().cloned().collect();
-
-        // Engine-pushdown path: no result cache, windows stream out of the
-        // executor.
-        let pushdown = QueryService::with_config(
-            Arc::clone(&graph),
-            ServiceConfig {
-                cache_capacity: 0,
-                ..ServiceConfig::default()
-            },
-        );
-        let unlimited = pushdown
-            .submit(&QueryRequest::query(q.clone()))
-            .expect("unlimited submit cannot fail");
-        assert_eq!(
-            *unlimited.rows, reference,
-            "seed {seed}: unlimited submit must equal evaluate bit-for-bit"
-        );
-        assert!(!unlimited.truncated);
-        check_windows(&pushdown, &q, &all, seed, "pushdown");
-
-        // Cache-slicing path: a pre-warmed complete answer serves every
-        // window by slicing.
-        let cached = QueryService::new(Arc::clone(&graph));
-        let warm = cached
-            .submit(&QueryRequest::query(q.clone()))
-            .expect("warm-up submit cannot fail");
-        assert_eq!(*warm.rows, reference);
-        check_windows(&cached, &q, &all, seed, "cache-slice");
-    }
-}
-
-/// What a run reports about its answer: rows pulled from the enumerator,
-/// rows emitted, and the size of the matching graph.
-fn row_counters(stats: &EvalStats) -> (u64, u64, u64) {
-    (
-        stats.enumerated_rows,
-        stats.result_tuples,
-        stats.intermediate_size,
-    )
-}
-
-#[test]
-fn row_counters_repeat_exactly_for_the_full_run_and_every_window() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = random_graph(&mut rng, 20, seed % 2 == 0);
-        let q = random_query(&mut rng);
-        let engine = GteaEngine::new(&graph);
-        let plan = Planner::new(&graph).plan(&q);
-        let run = |limit: Option<usize>, offset: usize| {
-            let ctl = ExecCtl::unbounded();
-            let options = ExecOptions { limit, offset, ctl };
-            let exec = engine.execute(&q, &plan, options);
-            exec.expect("unbounded execution cannot be interrupted")
-        };
-        let full = run(None, 0);
-        let again = run(None, 0);
-        assert_eq!(again.results, full.results, "seed {seed}");
-        assert_eq!(
-            row_counters(&again.stats),
-            row_counters(&full.stats),
-            "seed {seed}: full-run counters moved"
-        );
-        // A window pulls itself plus its look-ahead row, emits its slice,
-        // and stands on the same matching graph as the full run.
-        let total = full.results.len();
-        for (offset, limit) in window_cases(total) {
-            let emitted = limit.min(total.saturating_sub(offset));
-            let expected = (
-                (offset + limit + 1).min(total) as u64,
-                emitted as u64,
-                full.stats.intermediate_size,
-            );
-            for _ in 0..2 {
-                assert_eq!(
-                    row_counters(&run(Some(limit), offset).stats),
-                    expected,
-                    "seed {seed}: counters wrong for window ({offset}, {limit})"
-                );
-            }
-        }
-    }
-}
 
 #[test]
 fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
@@ -249,7 +40,7 @@ fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
     };
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let graph = Arc::new(random_graph(&mut rng, 20, seed % 2 == 0));
+        let graph = Arc::new(random_graph(&mut rng, 3..20, seed % 2 == 0));
         let q = random_query(&mut rng);
         let engine = GteaEngine::new(&graph);
         let plan = Planner::new(&graph).plan(&q);
@@ -272,7 +63,16 @@ fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
             // pulled.
             let stats = &aborted.stats;
             assert!(stats.operators.is_empty(), "seed {seed}");
-            assert_eq!(row_counters(stats), (0, 0, 0), "seed {seed}");
+            let counters = (
+                stats.enumerated_rows,
+                stats.result_tuples,
+                stats.intermediate_size,
+            );
+            assert_eq!(counters, (0, 0, 0), "seed {seed}");
+        }
+        // The service rejects an unsatisfiable query before any run starts.
+        if !gtpq::analysis::is_satisfiable(&q) {
+            continue;
         }
 
         let service = QueryService::with_config(
@@ -304,7 +104,7 @@ fn cancelled_and_expired_runs_abort_typed_through_execute_and_submit() {
 fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let graph = random_graph(&mut rng, 20, seed % 2 == 0);
+        let graph = random_graph(&mut rng, 3..20, seed % 2 == 0);
         let q = random_query(&mut rng);
         let engine = GteaEngine::new(&graph);
         let plan = Planner::new(&graph).plan(&q);
@@ -334,77 +134,6 @@ fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
     }
 }
 
-/// A dense random graph for multi-level joins: 8-12 nodes over two labels,
-/// every ordered pair an edge with probability 0.3 (forward pairs only when
-/// `dag_only`).
-fn dense_graph(rng: &mut StdRng, dag_only: bool) -> DataGraph {
-    let n = rng.gen_range(8..13usize);
-    let mut b = GraphBuilder::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node_with_label(&format!("l{}", rng.gen_range(0u8..2))))
-        .collect();
-    for x in 0..n {
-        for y in 0..n {
-            if x != y && (x < y || !dag_only) && rng.gen_bool(0.3) {
-                b.add_edge(nodes[x], nodes[y]);
-            }
-        }
-    }
-    b.build()
-}
-
-/// A random backbone tree of depth up to 3 (at most six nodes) over two
-/// labels or the always-true predicate, optionally with a negated predicate child
-/// at the root.  Any non-empty subset of up to four backbone nodes is
-/// output — so internal nodes and the root may not be — and the outputs are
-/// marked in shuffled order, which is what decides the column layouts:
-/// parents after children, siblings' subtrees interleaved.
-fn random_tree_query(rng: &mut StdRng) -> Gtpq {
-    fn attr(rng: &mut StdRng) -> AttrPredicate {
-        if rng.gen_bool(0.25) {
-            AttrPredicate::any()
-        } else {
-            AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..2)))
-        }
-    }
-    fn edge(rng: &mut StdRng) -> EdgeKind {
-        if rng.gen_bool(0.3) {
-            EdgeKind::Child
-        } else {
-            EdgeKind::Descendant
-        }
-    }
-    let mut b = GtpqBuilder::new(attr(rng));
-    let root = b.root_id();
-    let mut backbone = vec![(root, 0usize)];
-    let mut next = 0;
-    while next < backbone.len() && backbone.len() < 6 {
-        let (u, depth) = backbone[next];
-        next += 1;
-        if depth == 3 {
-            continue;
-        }
-        let fanout = rng.gen_range(usize::from(u == root)..3);
-        for _ in 0..fanout.min(6 - backbone.len()) {
-            let c = b.backbone_child(u, edge(rng), attr(rng));
-            backbone.push((c, depth + 1));
-        }
-    }
-    if rng.gen_bool(0.2) {
-        let p = b.predicate_child(root, edge(rng), attr(rng));
-        b.set_structural(root, BoolExpr::not(BoolExpr::Var(p.var())));
-    }
-    let mut outputs: Vec<QueryNodeId> = backbone.iter().map(|&(u, _)| u).collect();
-    for i in (1..outputs.len()).rev() {
-        outputs.swap(i, rng.gen_range(0..=i));
-    }
-    outputs.truncate(rng.gen_range(1..=outputs.len().min(4)));
-    for u in outputs {
-        b.mark_output(u);
-    }
-    b.build().expect("generated queries are valid")
-}
-
 /// Checks the engine's full answer and every window against the naive
 /// evaluator's `ResultSet` order.  Returns the answer size.
 fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
@@ -412,11 +141,18 @@ fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
     let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
     let engine = GteaEngine::new(graph);
     let plan = Planner::new(graph).plan(q);
-    let windows = window_cases(all.len())
-        .into_iter()
-        .map(|(offset, limit)| (offset, Some(limit)))
-        .chain([(0, None)]);
-    for (offset, limit) in windows {
+    let total = all.len();
+    let windows = [
+        (0, 0),
+        (0, 1),
+        (0, total),
+        (1, 2),
+        (total / 2, 3),
+        (total, 1),
+        (2, total + 5),
+    ];
+    let windows = windows.map(|(offset, limit)| (offset, Some(limit)));
+    for (offset, limit) in windows.into_iter().chain([(0, None)]) {
         let ctl = ExecCtl::unbounded();
         let exec = engine
             .execute(q, &plan, ExecOptions { limit, offset, ctl })
@@ -440,22 +176,6 @@ fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
         );
     }
     all.len()
-}
-
-#[test]
-fn tree_queries_in_any_output_order_match_naive_order_for_every_window_and_partitioning() {
-    let mut answered = 0;
-    for seed in 0..2 * CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = dense_graph(&mut rng, seed % 2 == 0);
-        let q = random_tree_query(&mut rng);
-        let rows = check_against_naive(&graph, &q, &format!("seed {seed}"));
-        answered += usize::from(rows > 1);
-    }
-    assert!(
-        answered as u64 >= CASES,
-        "only {answered} generated queries had more than one answer: the sweep lost its teeth"
-    );
 }
 
 /// `fan` root nodes labelled `r`, each with an edge to each of `width`
