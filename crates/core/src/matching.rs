@@ -47,7 +47,7 @@ pub struct MatchingGraph {
 }
 
 /// The cost of building every branch of one AD child of the matching graph
-/// (see [`gtpq_reach::sweep::Branches`]).
+/// (see [`gtpq_graph::sweep::Branches`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdPass {
     /// The child query node whose incoming AD edge the pass answered.
@@ -69,7 +69,7 @@ impl MatchingGraph {
     /// parent candidate, written straight into the flat target buffer (which
     /// is reserved once per child, so the build allocates the same whatever
     /// the number of candidates).  All branches of an AD child come out of
-    /// one [`gtpq_reach::sweep::branches`] pass over `g`'s condensation, so
+    /// one [`gtpq_graph::sweep::branches`] pass over `g`'s condensation, so
     /// their cost is the region between the two candidate sets plus the
     /// branch entries themselves, not `|mat(u)| · |mat(child)|` probes.
     ///
@@ -141,7 +141,7 @@ impl MatchingGraph {
                         self.bounds.push(self.targets.len());
                     }
                 } else {
-                    let found = gtpq_reach::sweep::branches(
+                    let found = gtpq_graph::sweep::branches(
                         g.condensation(),
                         candidates,
                         child_mat,

@@ -3,10 +3,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gtpq_graph::sweep::{sweep, ComponentSet, Direction};
 use gtpq_graph::{DataGraph, NodeBitSet, NodeId};
 use gtpq_logic::valuation::eval_with;
 use gtpq_query::{EdgeKind, Gtpq};
-use gtpq_reach::sweep::{sweep, ComponentSet, Direction};
 use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};

@@ -9,103 +9,69 @@
 //! * [`dblp_queries`] — Q1–Q3 of Example 1 over the DBLP-like graph,
 //! * [`random_queries`] — the random query generator of §5.2: patterns are
 //!   sampled from the data graph itself so they always have matches.
+//!
+//! The paper's queries are query text (`docs/QUERY_LANGUAGE.md`) filled in
+//! with their label groups and parsed; only the random generator builds its
+//! queries node by node.
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_logic::BoolExpr;
-use gtpq_query::{AttrPredicate, CmpOp, EdgeKind, Gtpq, GtpqBuilder, NodeKind, QueryNodeId};
+use gtpq_query::{parse_query, AttrPredicate, EdgeKind, Gtpq, GtpqBuilder, QueryNodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `label = person<group>` predicate for XMark person nodes; groups of 10 or
-/// more act as a wildcard matching every person group.
-fn person_label(group: u32) -> AttrPredicate {
+/// Parses a filled-in workload template.  A template that does not parse is
+/// a bug in this module, reported with a caret diagnostic.
+fn parse_template(text: &str) -> Gtpq {
+    parse_query(text).unwrap_or_else(|e| panic!("bad workload template\n{}", e.render(text)))
+}
+
+/// The pattern of an XMark `person` or `item` node of label group `group`,
+/// such as `person3`.  Groups of 10 or more are a wildcard over every group:
+/// the label range from `person` up to `person~`.
+fn group_label(kind: &str, group: u32) -> String {
     if group >= 10 {
-        gtpq_query::fixtures::label_prefix("person")
+        format!("[label >= {kind}, label < \"{kind}~\"]")
     } else {
-        AttrPredicate::label(&format!("person{group}"))
+        format!("{kind}{group}")
     }
 }
 
-/// `label = item<group>` predicate for XMark item nodes; groups of 10 or more
-/// act as a wildcard matching every item group.
-fn item_label(group: u32) -> AttrPredicate {
-    if group >= 10 {
-        gtpq_query::fixtures::label_prefix("item")
-    } else {
-        AttrPredicate::label(&format!("item{group}"))
-    }
+/// Fig. 7(a)'s query with `more` appended to the root's children.
+fn fig7(person_group: u32, more: &str) -> Gtpq {
+    let person = group_label("person", person_group);
+    parse_template(&format!(
+        "open_auction* {{ /bidder* {{ /person_ref* {{ /{person}* \
+         {{ //education* /address* {{ /city* }} }} }} }} /current*{more} }}"
+    ))
+}
+
+/// Fig. 7(b)'s addition to Q1: an `item<group>` item reference with a
+/// location.
+fn item_ref(item_group: u32) -> String {
+    let item = group_label("item", item_group);
+    format!(" /item_ref* {{ /{item}* {{ /location* }} }}")
 }
 
 /// Fig. 7(a): auctions with a bidder by a `person<group>` person (with an
 /// education and a city) and a current price.  Conjunctive; every node is a
 /// backbone output node.
 pub fn xmark_q1(person_group: u32) -> Gtpq {
-    let mut b = GtpqBuilder::new(AttrPredicate::label("open_auction"));
-    let root = b.root_id();
-    let bidder = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("bidder"));
-    let person_ref = b.backbone_child(bidder, EdgeKind::Child, AttrPredicate::label("person_ref"));
-    let person = b.backbone_child(person_ref, EdgeKind::Child, person_label(person_group));
-    let _education = b.backbone_child(
-        person,
-        EdgeKind::Descendant,
-        AttrPredicate::label("education"),
-    );
-    let address = b.backbone_child(person, EdgeKind::Child, AttrPredicate::label("address"));
-    let _city = b.backbone_child(address, EdgeKind::Child, AttrPredicate::label("city"));
-    let _current = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("current"));
-    b.mark_all_backbone_output();
-    b.build().expect("Q1 is well formed")
+    fig7(person_group, "")
 }
 
 /// Fig. 7(b): Q1 plus an `item<group>` item reference with a location.
 pub fn xmark_q2(person_group: u32, item_group: u32) -> Gtpq {
-    let mut b = GtpqBuilder::new(AttrPredicate::label("open_auction"));
-    let root = b.root_id();
-    let bidder = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("bidder"));
-    let person_ref = b.backbone_child(bidder, EdgeKind::Child, AttrPredicate::label("person_ref"));
-    let person = b.backbone_child(person_ref, EdgeKind::Child, person_label(person_group));
-    let _education = b.backbone_child(
-        person,
-        EdgeKind::Descendant,
-        AttrPredicate::label("education"),
-    );
-    let address = b.backbone_child(person, EdgeKind::Child, AttrPredicate::label("address"));
-    let _city = b.backbone_child(address, EdgeKind::Child, AttrPredicate::label("city"));
-    let _current = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("current"));
-    let item_ref = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("item_ref"));
-    let item = b.backbone_child(item_ref, EdgeKind::Child, item_label(item_group));
-    let _location = b.backbone_child(item, EdgeKind::Child, AttrPredicate::label("location"));
-    b.mark_all_backbone_output();
-    b.build().expect("Q2 is well formed")
+    fig7(person_group, &item_ref(item_group))
 }
 
 /// Fig. 7(c): Q2 plus a seller person with a profile.
 pub fn xmark_q3(person_group: u32, item_group: u32, seller_group: u32) -> Gtpq {
-    let mut b = GtpqBuilder::new(AttrPredicate::label("open_auction"));
-    let root = b.root_id();
-    let bidder = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("bidder"));
-    let person_ref = b.backbone_child(bidder, EdgeKind::Child, AttrPredicate::label("person_ref"));
-    let person = b.backbone_child(person_ref, EdgeKind::Child, person_label(person_group));
-    let _education = b.backbone_child(
-        person,
-        EdgeKind::Descendant,
-        AttrPredicate::label("education"),
+    let seller = group_label("person", seller_group);
+    let more = format!(
+        "{} /seller* {{ /{seller}* {{ /profile* }} }}",
+        item_ref(item_group)
     );
-    let address = b.backbone_child(person, EdgeKind::Child, AttrPredicate::label("address"));
-    let _city = b.backbone_child(address, EdgeKind::Child, AttrPredicate::label("city"));
-    let _current = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("current"));
-    let item_ref = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("item_ref"));
-    let item = b.backbone_child(item_ref, EdgeKind::Child, item_label(item_group));
-    let _location = b.backbone_child(item, EdgeKind::Child, AttrPredicate::label("location"));
-    let seller = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("seller"));
-    let seller_person = b.backbone_child(seller, EdgeKind::Child, person_label(seller_group));
-    let _profile = b.backbone_child(
-        seller_person,
-        EdgeKind::Child,
-        AttrPredicate::label("profile"),
-    );
-    b.mark_all_backbone_output();
-    b.build().expect("Q3 is well formed")
+    fig7(person_group, &more)
 }
 
 /// The structural-predicate variants of Table 4 over the Fig. 11 structure.
@@ -153,329 +119,147 @@ impl Fig11Predicate {
             ("DIS_NEG4", DisNeg4),
         ]
     }
-
-    fn root_formula_mentions(self) -> (bool, bool, bool) {
-        // (bidder, seller, item) appearing in fs(open_auction)?
-        use Fig11Predicate::*;
-        match self {
-            Conjunctive | Neg1 => (false, false, false),
-            Dis1 | Dis2 | DisNeg1 | DisNeg2 | DisNeg3 => (true, true, false),
-            Dis3 | DisNeg4 => (true, true, true),
-            Neg2 => (true, false, false),
-            Neg3 => (true, true, false),
-        }
-    }
-
-    fn negates_education(self) -> bool {
-        use Fig11Predicate::*;
-        matches!(self, Neg1 | Neg2 | Neg3 | DisNeg1 | DisNeg3 | DisNeg4)
-    }
-
-    fn splits_item_children(self) -> bool {
-        matches!(self, Fig11Predicate::Dis2)
-    }
 }
 
+/// The backbone nodes of the Fig. 11 query below its root, by label; `person`
+/// names both the bidder's and the seller's person.
+const FIG11_BACKBONE: [&str; 8] = [
+    "bidder", "person", "address", "city", "item", "location", "seller", "profile",
+];
+
 /// Builds the Fig. 11 query with the structural predicates of `variant`
-/// (Table 4).  Branches mentioned in `fs(open_auction)` become predicate
+/// (Table 4).  Branches mentioned in `fs(open_auction)` are predicate
 /// subtrees; every remaining backbone node is an output node, as in the
-/// paper's Exp-2 setup.
+/// paper's Exp-2 setup.  Outside those branches, `fs(person)` tests
+/// `education` (negated where the variant says so) and `fs(item)` tests
+/// `mailbox`; the conjunctive variant leaves both unconstrained so the query
+/// keeps a healthy number of matches.
+///
+/// The benchmark sends these texts as its requests and pins checksums of
+/// their answers, so they must not change by a byte.  That keeps two odd
+/// spellings:
+///
+/// * a predicate child that its parent's formula does not mention is an
+///   inert `((x) | 1)` term.  Inside a predicate branch this makes
+///   `fs(bidder)`, `fs(seller)` and `fs(mailbox)` true, so those branches
+///   test only their root label;
+/// * the back-reference names of bidder, seller and item are `u1`, `u10`
+///   and `u6`.
 pub fn fig11_gtpq(variant: Fig11Predicate, person_group: u32, item_group: u32) -> Gtpq {
-    let (bidder_pred, seller_pred, item_pred) = variant.root_formula_mentions();
-    let education_pred = variant.negates_education();
-    let item_children_pred = variant.splits_item_children();
-
-    let mut b = GtpqBuilder::new(AttrPredicate::label("open_auction"));
-    let root = b.root_id();
-
-    // Bidder branch: bidder -> person -> {education, address -> city}.
-    let add_bidder =
-        |b: &mut GtpqBuilder, predicate: bool| -> (QueryNodeId, QueryNodeId, QueryNodeId) {
-            let add_child = |b: &mut GtpqBuilder, parent, edge, attr, pred: bool| {
-                if pred {
-                    b.predicate_child(parent, edge, attr)
-                } else {
-                    b.backbone_child(parent, edge, attr)
-                }
-            };
-            let bidder = add_child(
-                b,
-                root,
-                EdgeKind::Child,
-                AttrPredicate::label("bidder"),
-                predicate,
-            );
-            let person = add_child(
-                b,
-                bidder,
-                EdgeKind::Descendant,
-                person_label(person_group),
-                predicate,
-            );
-            let education = b.predicate_child(
-                person,
-                EdgeKind::Descendant,
-                AttrPredicate::label("education"),
-            );
-            // Education is always a predicate child; whether `fs(person)`
-            // negates it or keeps it conjunctive is decided by `person_fs`
-            // below.
-            let education_node = education;
-            let address = add_child(
-                b,
-                person,
-                EdgeKind::Child,
-                AttrPredicate::label("address"),
-                predicate,
-            );
-            let _city = add_child(
-                b,
-                address,
-                EdgeKind::Child,
-                AttrPredicate::label("city"),
-                predicate,
-            );
-            (bidder, person, education_node)
-        };
-    let (bidder, bidder_person, bidder_education) = add_bidder(&mut b, bidder_pred);
-
-    // Item branch: item -> {location, mailbox -> mail}.
-    let item = if item_pred {
-        b.predicate_child(root, EdgeKind::Descendant, item_label(item_group))
-    } else {
-        b.backbone_child(root, EdgeKind::Descendant, item_label(item_group))
-    };
-    let location = if item_pred || item_children_pred {
-        b.predicate_child(item, EdgeKind::Child, AttrPredicate::label("location"))
-    } else {
-        b.backbone_child(item, EdgeKind::Child, AttrPredicate::label("location"))
-    };
-    let mailbox = b.predicate_child(item, EdgeKind::Child, AttrPredicate::label("mailbox"));
-    let _mail = b.predicate_child(mailbox, EdgeKind::Child, AttrPredicate::label("mail"));
-    b.set_structural(mailbox, BoolExpr::True);
-
-    // Seller branch: seller -> person -> profile.
-    let seller = if seller_pred {
-        b.predicate_child(root, EdgeKind::Child, AttrPredicate::label("seller"))
-    } else {
-        b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("seller"))
-    };
-    let seller_person = if seller_pred {
-        b.predicate_child(seller, EdgeKind::Child, person_label(person_group))
-    } else {
-        b.backbone_child(seller, EdgeKind::Child, person_label(person_group))
-    };
-    let profile = if seller_pred {
-        b.predicate_child(
-            seller_person,
-            EdgeKind::Child,
-            AttrPredicate::label("profile"),
-        )
-    } else {
-        b.backbone_child(
-            seller_person,
-            EdgeKind::Child,
-            AttrPredicate::label("profile"),
-        )
-    };
-    let _ = profile;
-
-    // Structural predicates.
-    let vb = BoolExpr::Var(bidder.var());
-    let vs = BoolExpr::Var(seller.var());
-    let vi = BoolExpr::Var(item.var());
     use Fig11Predicate::*;
-    let root_fs = match variant {
-        Conjunctive | Neg1 => BoolExpr::True,
-        Dis1 | Dis2 => BoolExpr::or2(vb.clone(), vs.clone()),
-        Dis3 => BoolExpr::or([vb.clone(), vs.clone(), vi.clone()]),
-        Neg2 => BoolExpr::not(vb.clone()),
-        Neg3 => BoolExpr::and2(BoolExpr::not(vb.clone()), BoolExpr::not(vs.clone())),
-        DisNeg1 => BoolExpr::or2(BoolExpr::not(vb.clone()), vs.clone()),
-        DisNeg2 | DisNeg3 => BoolExpr::or2(
-            BoolExpr::and2(BoolExpr::not(vb.clone()), vs.clone()),
-            BoolExpr::and2(vb.clone(), BoolExpr::not(vs.clone())),
+    let person = group_label("person", person_group);
+    let item = group_label("item", item_group);
+    let education = match variant {
+        Dis1 | Dis2 | Dis3 | DisNeg2 => "(//education)",
+        _ => "!(//education)",
+    };
+    let mailbox = "(/mailbox { where ((/mail) | 1) })";
+    let bidder = |name: &str| {
+        format!(
+            "(/bidder{name} {{ where ((//{person} {{ where {education} & \
+             ((/address {{ where ((/city) | 1) }}) | 1) }}) | 1) }})"
+        )
+    };
+    let seller = |name: &str| {
+        format!("(/seller{name} {{ where ((/{person} {{ where ((/profile) | 1) }}) | 1) }})")
+    };
+    let item_branch =
+        |name: &str| format!("(//{item}{name} {{ where {mailbox} & ((/location) | 1) }})");
+    let backbone_item = format!("//{item}* {{ /location* where {mailbox} }}");
+    let backbone_seller = format!("/seller* {{ /{person}* {{ /profile* }} }}");
+    let body = match variant {
+        Conjunctive => return fig11_conjunctive(person_group, item_group, &FIG11_BACKBONE),
+        Dis1 => format!("{backbone_item} where {} | {}", bidder(""), seller("")),
+        Dis2 => format!(
+            "//{item}* {{ where {mailbox} | (/location) }} where {} | {}",
+            bidder(""),
+            seller("")
         ),
-        DisNeg4 => BoolExpr::or2(
-            BoolExpr::and([BoolExpr::not(vb.clone()), vs.clone(), vi.clone()]),
-            BoolExpr::and([
-                vb.clone(),
-                BoolExpr::not(vs.clone()),
-                BoolExpr::not(vi.clone()),
-            ]),
+        Dis3 => format!(
+            "where {} | {} | {}",
+            bidder(""),
+            seller(""),
+            item_branch("")
+        ),
+        Neg1 => format!(
+            "/bidder* {{ //{person}* {{ /address* {{ /city* }} where {education} }} }} \
+             {backbone_item} {backbone_seller}"
+        ),
+        Neg2 => format!("{backbone_item} {backbone_seller} where !{}", bidder("")),
+        Neg3 => format!("{backbone_item} where !{} & !{}", bidder(""), seller("")),
+        DisNeg1 => format!("{backbone_item} where !{} | {}", bidder(""), seller("")),
+        DisNeg2 | DisNeg3 => format!(
+            "{backbone_item} where !{} & {} | u1 & !u10",
+            bidder(" as u1"),
+            seller(" as u10")
+        ),
+        DisNeg4 => format!(
+            "where !{} & {} & {} | u1 & !u10 & !u6",
+            bidder(" as u1"),
+            seller(" as u10"),
+            item_branch(" as u6")
         ),
     };
-    // Only mention variables of children that are predicate nodes.
-    b.set_structural(root, root_fs);
+    parse_template(&format!("open_auction* {{ {body} }}"))
+}
 
-    // fs(person): negation of education where the variant requires it; for the
-    // other GTPQ variants the education child is a conjunctive filter, and the
-    // purely conjunctive (Table 3) variant leaves it unconstrained so the
-    // query keeps a healthy number of matches.
-    let person_fs = |education: QueryNodeId| {
-        if education_pred {
-            BoolExpr::not(BoolExpr::Var(education.var()))
-        } else if variant == Conjunctive {
-            BoolExpr::True
-        } else {
-            BoolExpr::Var(education.var())
-        }
-    };
-    b.set_structural(bidder_person, person_fs(bidder_education));
-
-    // fs(item) for DIS2: mailbox ∨ location; unconstrained for the conjunctive
-    // variant, a conjunctive mailbox filter otherwise.
-    if item_children_pred {
-        b.set_structural(
-            item,
-            BoolExpr::or2(BoolExpr::Var(mailbox.var()), BoolExpr::Var(location.var())),
-        );
-    } else if variant == Conjunctive {
-        b.set_structural(item, BoolExpr::True);
-    } else {
-        b.set_structural(item, BoolExpr::Var(mailbox.var()));
-    }
-
-    b.mark_all_backbone_output();
-    b.build().expect("Fig. 11 query is well formed")
+/// The conjunctive Fig. 11 query, with output marks on the root and on the
+/// [`FIG11_BACKBONE`] nodes named in `outputs`.
+fn fig11_conjunctive(person_group: u32, item_group: u32, outputs: &[&str]) -> Gtpq {
+    let person = group_label("person", person_group);
+    let item = group_label("item", item_group);
+    let o = |node: &str| if outputs.contains(&node) { "*" } else { "" };
+    parse_template(&format!(
+        "open_auction* {{ /bidder{} {{ //{person}{} {{ /address{} {{ /city{} }} \
+         where ((//education) | 1) }} }} //{item}{} {{ /location{} \
+         where ((/mailbox {{ where ((/mail) | 1) }}) | 1) }} \
+         /seller{} {{ /{person}{} {{ /profile{} }} }} }}",
+        o("bidder"),
+        o("person"),
+        o("address"),
+        o("city"),
+        o("item"),
+        o("location"),
+        o("seller"),
+        o("person"),
+        o("profile"),
+    ))
 }
 
 /// The Exp-1 (Table 3) variants: the conjunctive Fig. 11 query with the
 /// output-node sets Q4–Q8.  `which` must be in `4..=8`.
 pub fn fig11_output_variant(which: u32, person_group: u32, item_group: u32) -> Gtpq {
-    assert!((4..=8).contains(&which), "Table 3 defines Q4..Q8");
-    // Rebuild the conjunctive query but mark outputs selectively.  Node ids
-    // follow the construction order in `fig11_gtpq`.
-    let base = fig11_gtpq(Fig11Predicate::Conjunctive, person_group, item_group);
-    let find = |label: &str| -> Vec<QueryNodeId> {
-        base.node_ids()
-            .filter(|&u| {
-                base.node(u)
-                    .attr
-                    .comparisons
-                    .iter()
-                    .any(|c| c.value == gtpq_graph::AttrValue::str(label))
-            })
-            .collect()
+    let outputs: &[&str] = match which {
+        4 => &[],
+        5 => &["bidder", "seller"],
+        6 => &["bidder", "seller", "city", "profile"],
+        7 => &["item", "location"],
+        8 => &FIG11_BACKBONE,
+        _ => panic!("Table 3 defines Q4..Q8"),
     };
-    let mut outputs: Vec<QueryNodeId> = match which {
-        4 => vec![base.root()],
-        5 => {
-            let mut v = vec![base.root()];
-            v.extend(find("bidder"));
-            v.extend(find("seller"));
-            v
-        }
-        6 => {
-            let mut v = vec![base.root()];
-            v.extend(find("bidder"));
-            v.extend(find("seller"));
-            v.extend(find("city"));
-            v.extend(find("profile"));
-            v
-        }
-        7 => {
-            let mut v = vec![base.root()];
-            v.extend(find(&format!("item{item_group}")));
-            v.extend(find("location"));
-            v
-        }
-        _ => base.node_ids().filter(|&u| base.is_backbone(u)).collect(),
-    };
-    outputs.retain(|&u| base.is_backbone(u));
-    outputs.sort_unstable();
-    outputs.dedup();
-
-    // Rebuild with the same structure but the chosen outputs.
-    rebuild_with_outputs(&base, &outputs)
-}
-
-/// Clones a query, replacing its output-node set.
-fn rebuild_with_outputs(q: &Gtpq, outputs: &[QueryNodeId]) -> Gtpq {
-    let mut b = GtpqBuilder::new(q.node(q.root()).attr.clone());
-    // Node ids are preserved because children are added in id order.
-    for u in q.node_ids().skip(1) {
-        let node = q.node(u);
-        let parent = node.parent.expect("non-root nodes have parents");
-        let edge = node.incoming.expect("non-root nodes have incoming edges");
-        let id = if q.is_backbone(u) {
-            b.backbone_child(parent, edge, node.attr.clone())
-        } else {
-            b.predicate_child(parent, edge, node.attr.clone())
-        };
-        debug_assert_eq!(id, u);
-    }
-    for u in q.node_ids() {
-        b.set_structural(u, q.fs(u).clone());
-        if let Some(name) = &q.node(u).name {
-            b.set_name(u, name);
-        }
-    }
-    for &o in outputs {
-        b.mark_output(o);
-    }
-    b.build().expect("rebuilt query preserves validity")
+    fig11_conjunctive(person_group, item_group, outputs)
 }
 
 /// The three DBLP queries of Example 1: conjunction (papers by Alice *and*
 /// Bob), disjunction (Alice *or* Bob) and negation (Alice but *not* Bob), all
 /// restricted to proceedings published between 2000 and 2010.
 pub fn dblp_queries() -> Vec<(&'static str, Gtpq)> {
-    let build = |fs_builder: &dyn Fn(QueryNodeId, QueryNodeId) -> BoolExpr| -> Gtpq {
-        let mut b = GtpqBuilder::new(AttrPredicate::label("inproceedings"));
-        let root = b.root_id();
-        let alice = b.predicate_child(
-            root,
-            EdgeKind::Child,
-            AttrPredicate::label("author").and("value", CmpOp::Eq, "Alice".into()),
-        );
-        let bob = b.predicate_child(
-            root,
-            EdgeKind::Child,
-            AttrPredicate::label("author").and("value", CmpOp::Eq, "Bob".into()),
-        );
-        let title = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("title"));
-        let year = b.backbone_child(root, EdgeKind::Child, AttrPredicate::label("year"));
-        let proceedings = b.backbone_child(
-            root,
-            EdgeKind::Descendant,
-            AttrPredicate::label("proceedings"),
-        );
-        let conf_title =
-            b.backbone_child(proceedings, EdgeKind::Child, AttrPredicate::label("title"));
-        let conf_year = b.predicate_child(
-            proceedings,
-            EdgeKind::Child,
-            AttrPredicate::label("year")
-                .and("year", CmpOp::Ge, 2000.into())
-                .and("year", CmpOp::Le, 2010.into()),
-        );
-        b.set_structural(root, fs_builder(alice, bob));
-        b.set_structural(proceedings, BoolExpr::Var(conf_year.var()));
-        b.mark_output(title);
-        b.mark_output(year);
-        b.mark_output(conf_title);
-        b.build().expect("DBLP query is well formed")
-    };
-    vec![
-        (
-            "Q1",
-            build(&|a, bb| BoolExpr::and2(BoolExpr::Var(a.var()), BoolExpr::Var(bb.var()))),
-        ),
-        (
-            "Q2",
-            build(&|a, bb| BoolExpr::or2(BoolExpr::Var(a.var()), BoolExpr::Var(bb.var()))),
-        ),
-        (
-            "Q3",
-            build(&|a, bb| {
-                BoolExpr::and2(
-                    BoolExpr::Var(a.var()),
-                    BoolExpr::not(BoolExpr::Var(bb.var())),
-                )
-            }),
-        ),
+    let alice = "(/[label = author, value = Alice])";
+    let bob = "(/[label = author, value = Bob])";
+    [
+        ("Q1", format!("{alice} & {bob}")),
+        ("Q2", format!("{alice} | {bob}")),
+        ("Q3", format!("{alice} & !{bob}")),
     ]
+    .into_iter()
+    .map(|(name, fs)| {
+        let text = format!(
+            "inproceedings {{ /title* /year* //proceedings {{ /title* \
+             where (/[label = year, year >= 2000, year <= 2010]) }} where {fs} }}"
+        );
+        (name, parse_template(&text))
+    })
+    .collect()
 }
 
 /// Configuration of the random query generator (§5.2).
@@ -572,203 +356,6 @@ fn sample_query(g: &DataGraph, config: &RandomQueryConfig, rng: &mut StdRng) -> 
     b.build().ok()
 }
 
-/// Generates one random GTPQ in the *canonical textual form* of the query
-/// language (`gtpq_query::parse`): nodes are created in pre-order, each
-/// node's backbone children come before its predicate children, structural
-/// predicates mention their children in creation order, and orphan predicate
-/// children (ones `fs` never mentions) come last.
-///
-/// For such queries `parse(q.to_string()) == q` holds exactly, which is what
-/// the round-trip property test in `tests/query_text.rs` exercises.  Fully
-/// deterministic in `seed`; `max_nodes` bounds the query size (the result
-/// has at least one node and at least one output node).
-pub fn random_text_query(seed: u64, max_nodes: usize) -> Gtpq {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut gen = TextQueryGen {
-        rng: &mut rng,
-        budget: max_nodes.max(1) - 1,
-        names: 0,
-        builder: GtpqBuilder::new(AttrPredicate::label("seed")), // replaced below
-    };
-    let root_attr = gen.random_attr();
-    gen.builder = GtpqBuilder::new(root_attr);
-    let root = gen.builder.root_id();
-    gen.decorate(root, NodeKind::Backbone);
-    gen.populate(root, NodeKind::Backbone, 0);
-    let mut builder = gen.builder;
-    // `decorate` marks outputs in pre-order; fall back to the root so the
-    // query validates.
-    match builder.clone().build() {
-        Ok(q) => q,
-        Err(_) => {
-            builder.mark_output(root);
-            builder.build().expect("root output makes the query valid")
-        }
-    }
-}
-
-struct TextQueryGen<'r> {
-    rng: &'r mut StdRng,
-    budget: usize,
-    names: usize,
-    builder: GtpqBuilder,
-}
-
-impl TextQueryGen<'_> {
-    fn random_attr(&mut self) -> AttrPredicate {
-        const LABELS: [&str; 8] = [
-            "a",
-            "b",
-            "paper3",
-            "open_auction",
-            "person",
-            "item_ref",
-            "bidder",
-            "auth7",
-        ];
-        const ATTRS: [&str; 3] = ["year", "value", "price"];
-        const OPS: [CmpOp; 6] = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        match self.rng.gen_range(0..10u32) {
-            0 => AttrPredicate::any(),
-            1 => AttrPredicate::label("two words"), // non-identifier label
-            2..=6 => AttrPredicate::label(LABELS[self.rng.gen_range(0..LABELS.len())]),
-            _ => {
-                let mut p = AttrPredicate::any();
-                for _ in 0..self.rng.gen_range(1..=2u32) {
-                    let attr = ATTRS[self.rng.gen_range(0..ATTRS.len())];
-                    let op = OPS[self.rng.gen_range(0..OPS.len())];
-                    let value = if self.rng.gen_bool(0.6) {
-                        gtpq_graph::AttrValue::Int(self.rng.gen_range(-5..2020i64))
-                    } else {
-                        gtpq_graph::AttrValue::str(LABELS[self.rng.gen_range(0..LABELS.len())])
-                    };
-                    p = p.and(attr, op, value);
-                }
-                p
-            }
-        }
-    }
-
-    fn random_edge(&mut self) -> EdgeKind {
-        if self.rng.gen_bool(0.5) {
-            EdgeKind::Descendant
-        } else {
-            EdgeKind::Child
-        }
-    }
-
-    /// Names and output-marks a freshly created node (names feed the
-    /// formula back-references; output marks must happen in pre-order to
-    /// match the parser).  Returns the name, if one was assigned.
-    fn decorate(&mut self, u: QueryNodeId, kind: NodeKind) -> Option<String> {
-        let mut name = None;
-        if self.rng.gen_bool(0.15) {
-            let n = format!("n{}", self.names);
-            self.names += 1;
-            self.builder.set_name(u, &n);
-            name = Some(n);
-        }
-        if kind == NodeKind::Backbone && self.rng.gen_bool(0.4) {
-            self.builder.mark_output(u);
-        }
-        name
-    }
-
-    /// Creates the children of `u` in canonical order: backbone subtrees
-    /// first (depth-first), then the predicate children woven into a random
-    /// structural predicate, then possibly one orphan predicate child.
-    fn populate(&mut self, u: QueryNodeId, kind: NodeKind, depth: usize) {
-        if depth >= 4 {
-            return;
-        }
-        if kind == NodeKind::Backbone {
-            let n_backbone = self.rng.gen_range(0..=2u32);
-            for _ in 0..n_backbone {
-                if self.budget == 0 {
-                    break;
-                }
-                self.budget -= 1;
-                let edge = self.random_edge();
-                let attr = self.random_attr();
-                let child = self.builder.backbone_child(u, edge, attr);
-                self.decorate(child, NodeKind::Backbone);
-                self.populate(child, NodeKind::Backbone, depth + 1);
-            }
-        }
-        let n_pred = self.rng.gen_range(0..=2u32);
-        let mut leaves: Vec<(QueryNodeId, Option<String>)> = Vec::new();
-        for _ in 0..n_pred {
-            if self.budget == 0 {
-                break;
-            }
-            self.budget -= 1;
-            let edge = self.random_edge();
-            let attr = self.random_attr();
-            let child = self.builder.predicate_child(u, edge, attr);
-            let name = self.decorate(child, NodeKind::Predicate);
-            self.populate(child, NodeKind::Predicate, depth + 1);
-            leaves.push((child, name));
-        }
-        if !leaves.is_empty() {
-            // Named children may be referenced a second time (the parser's
-            // back-reference form); repeats must come after the first
-            // occurrence, so they are appended to the leaf sequence.
-            let mut vars: Vec<QueryNodeId> = leaves.iter().map(|(c, _)| *c).collect();
-            if let Some((c, Some(_))) = leaves.iter().find(|(_, n)| n.is_some()) {
-                if self.rng.gen_bool(0.2) {
-                    vars.push(*c);
-                }
-            }
-            let fs = self.random_formula(&vars);
-            self.builder.set_structural(u, fs);
-        }
-        // Occasionally add a predicate child the formula never mentions.
-        if self.budget > 0 && self.rng.gen_bool(0.1) {
-            self.budget -= 1;
-            let edge = self.random_edge();
-            let attr = self.random_attr();
-            let child = self.builder.predicate_child(u, edge, attr);
-            self.decorate(child, NodeKind::Predicate);
-            self.populate(child, NodeKind::Predicate, depth + 1);
-        }
-    }
-
-    /// A random formula whose leaves are exactly `vars`, in order (split
-    /// recursively, negate leaves occasionally).  Built through the folding
-    /// `BoolExpr` constructors so the AST is in the same flattened form the
-    /// parser produces.
-    fn random_formula(&mut self, vars: &[QueryNodeId]) -> BoolExpr {
-        match vars {
-            [] => BoolExpr::True,
-            [v] => {
-                let leaf = BoolExpr::Var(v.var());
-                if self.rng.gen_bool(0.25) {
-                    BoolExpr::not(leaf)
-                } else {
-                    leaf
-                }
-            }
-            _ => {
-                let split = self.rng.gen_range(1..vars.len());
-                let left = self.random_formula(&vars[..split]);
-                let right = self.random_formula(&vars[split..]);
-                if self.rng.gen_bool(0.5) {
-                    BoolExpr::and2(left, right)
-                } else {
-                    BoolExpr::or2(left, right)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use gtpq_core::GteaEngine;
@@ -780,17 +367,95 @@ mod tests {
 
     use super::*;
 
+    /// The paper's 22 templates at one (person, item, seller) label-group
+    /// triple: Q1–Q3, the Fig. 11 conjunctive query and its ten Table 4
+    /// variants, Table 3's Q4–Q8 and Example 1's three queries.
+    fn templates(p: u32, i: u32, s: u32) -> Vec<Gtpq> {
+        let mut all = vec![
+            xmark_q1(p),
+            xmark_q2(p, i),
+            xmark_q3(p, i, s),
+            fig11_gtpq(Fig11Predicate::Conjunctive, p, i),
+        ];
+        let table4 = Fig11Predicate::table4_suite().into_iter();
+        all.extend(table4.map(|(_, variant)| fig11_gtpq(variant, p, i)));
+        all.extend((4..=8).map(|which| fig11_output_variant(which, p, i)));
+        all.extend(dblp_queries().into_iter().map(|(_, q)| q));
+        all
+    }
+
+    /// `to_string()` of `templates` at label groups (3, 4, 5).
+    const PLAIN: [&str; 22] = [
+        r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* }"#,
+        r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* /item_ref* { /item4* { /location* } } }"#,
+        r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* /item_ref* { /item4* { /location* } } /seller* { /person5* { /profile* } } }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3* { /profile* } } }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //item4* { where (/mailbox { where ((/mail) | 1) }) | (/location) } where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) | (//item4 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where !(//education) } } //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /person3* { /profile* } } }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /person3* { /profile* } } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & !(/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
+        r#"open_auction* { where !(/bidder as u1 { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) & (//item4 as u6 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) | u1 & !u10 & !u6 }"#,
+        r#"open_auction* { /bidder { //person3 { /address { /city } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3 { /address { /city } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3 { /address { /city* } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3 { /profile* } } }"#,
+        r#"open_auction* { /bidder { //person3 { /address { /city } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3* { /profile* } } }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & (/[label = author, value = Bob]) }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) | (/[label = author, value = Bob]) }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & !(/[label = author, value = Bob]) }"#,
+    ];
+
+    /// `to_string()` of `templates` at label groups (12, 11, 10).
+    const WILDCARD: [&str; 22] = [
+        r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* }"#,
+        r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* /item_ref* { /[label >= item, label < "item~"]* { /location* } } }"#,
+        r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* /item_ref* { /[label >= item, label < "item~"]* { /location* } } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { where (/mailbox { where ((/mail) | 1) }) | (/location) } where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | (//[label >= item, label < "item~"] { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where !(//education) } } //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /[label >= person, label < "person~"]* { /profile* } } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & !(/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
+        r#"open_auction* { where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) & (//[label >= item, label < "item~"] as u6 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) | u1 & !u10 & !u6 }"#,
+        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"] { /profile* } } }"#,
+        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & (/[label = author, value = Bob]) }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) | (/[label = author, value = Bob]) }"#,
+        r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & !(/[label = author, value = Bob]) }"#,
+    ];
+
     #[test]
-    fn random_text_queries_round_trip_through_the_parser() {
-        for seed in 0..64 {
-            let q = random_text_query(seed, 12);
-            assert!(q.size() <= 12);
-            assert!(!q.output_nodes().is_empty());
-            let text = q.to_string();
-            let reparsed: Gtpq = text
-                .parse()
-                .unwrap_or_else(|e| panic!("seed {seed}: `{text}` failed to re-parse: {e}"));
-            assert_eq!(reparsed, q, "seed {seed}: `{text}`");
+    fn templates_print_their_pinned_texts() {
+        for (triple, expected) in [((3, 4, 5), PLAIN), ((12, 11, 10), WILDCARD)] {
+            let (p, i, s) = triple;
+            let printed: Vec<String> = templates(p, i, s).iter().map(Gtpq::to_string).collect();
+            assert_eq!(printed, expected, "{triple:?}");
+        }
+    }
+
+    #[test]
+    fn template_texts_parse_back_to_themselves_for_every_label_group() {
+        for p in 0..=12 {
+            for i in 0..=12 {
+                for q in templates(p, i, (p + i) % 13) {
+                    let text = q.to_string();
+                    let reparsed =
+                        parse_query(&text).unwrap_or_else(|e| panic!("{}", e.render(&text)));
+                    assert_eq!(reparsed.to_string(), text);
+                }
+            }
         }
     }
 

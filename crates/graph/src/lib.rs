@@ -19,7 +19,9 @@
 //!   [`GraphSnapshot::open_mmap`] / [`GraphSnapshot::open_heap`]) — the one
 //!   way a graph is persisted and reloaded,
 //! * [`Condensation`] — Tarjan SCC condensation producing the DAG that
-//!   query evaluation sweeps to answer reachability (also CSR-packed),
+//!   query evaluation sweeps to answer reachability (also CSR-packed), and
+//!   the set-at-a-time kernels that walk it ([`sweep`](sweep::sweep) and
+//!   [`branches`](sweep::branches)),
 //! * [`NodeBitSet`] and galloping sorted-slice intersection — the scratch
 //!   structures of the pruning hot path,
 //! * traversal helpers (BFS descendants/ancestors, naive reachability used as
@@ -58,6 +60,7 @@ pub mod run;
 pub mod sim_index;
 pub mod snap;
 pub mod stats;
+pub mod sweep;
 pub mod symbol;
 pub mod traversal;
 pub mod tuples;

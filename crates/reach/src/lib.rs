@@ -2,13 +2,14 @@
 //! condensation, and the pairwise indexes the paper compares.
 //!
 //! GTEA's filter stages ask ancestor-descendant (AD) questions about whole
-//! candidate sets, and this crate answers those on the condensation the
+//! candidate sets, and `gtpq-graph` answers those on the condensation the
 //! graph carries ([`DataGraph::condensation`](gtpq_graph::DataGraph::condensation))
 //! without any index: [`sweep`](sweep::sweep) marks everything that reaches
 //! (or is reached from) a set — both prune rounds — and
 //! [`branches`](sweep::branches) lists, for every member of one set, what it
-//! reaches in another — the AD edges of the matching graph.  The engine's
-//! default path (`gtpq-core`) uses nothing else from here.
+//! reaches in another — the AD edges of the matching graph.  This crate
+//! re-exports both kernels in [`sweep`]; the engine's default path
+//! (`gtpq-core`) uses nothing else from here.
 //!
 //! The paper's evaluation also compares pairwise indexes: GTEA probes the
 //! *3-hop* index and merges its lists into *contours* (Procedure 2,

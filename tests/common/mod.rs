@@ -1,7 +1,8 @@
 //! The seeded scenario generators every integration suite draws from: one
-//! graph generator, which emits its graph as `UpdateOp` epochs, and one
-//! query generator.  Both are deterministic in the caller's `StdRng`, so a
-//! failure message that names its seed reproduces the case exactly.
+//! graph generator, which emits its graph as `UpdateOp` epochs, one query
+//! generator over those graphs, and its text-form sibling for the parser's
+//! tests.  All are deterministic in the caller's `StdRng`, so a failure
+//! message that names its seed reproduces the case exactly.
 
 // Each suite compiles this module on its own and uses a subset of it.
 #![allow(dead_code)]
@@ -152,18 +153,21 @@ pub fn random_query(rng: &mut StdRng) -> Gtpq {
     }
 }
 
+/// Every comparison operator; `node_attr` draws from sub-ranges of it,
+/// `text_attr` from all of it.
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Le,
+    CmpOp::Ge,
+    CmpOp::Lt,
+    CmpOp::Gt,
+];
+
 /// A node pattern: any node, a label, or a label range or inequality (so
 /// half the nodes match on average), now and then narrowed by a `year` or
 /// `note` comparison.
 fn node_attr(rng: &mut StdRng) -> AttrPredicate {
-    const OPS: [CmpOp; 6] = [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Le,
-        CmpOp::Ge,
-        CmpOp::Lt,
-        CmpOp::Gt,
-    ];
     let label = AttrValue::str(&label(rng));
     let p = match rng.gen_range(0..8) {
         0..=2 => AttrPredicate::any(),
@@ -293,4 +297,160 @@ fn sim_query(rng: &mut StdRng) -> Gtpq {
         b.mark_output(c);
     }
     b.build().expect("generated queries are valid")
+}
+
+/// A random query whose printed text parses back to it exactly, for the
+/// parser's round-trip and fuzz tests.  It has at most `max_nodes` nodes
+/// (at least one an output), created in the text form's canonical order:
+/// pre-order, each node's backbone children before its predicate children,
+/// each formula mentioning its children in creation order, and now and then
+/// a predicate child no formula mentions, last.  Some nodes are named
+/// (`as n0`), and a formula may refer back to a named child.
+pub fn text_query(rng: &mut StdRng, max_nodes: usize) -> Gtpq {
+    let b = GtpqBuilder::new(text_attr(rng));
+    let mut gen = TextQuery {
+        rng,
+        budget: max_nodes.max(1) - 1,
+        names: 0,
+        b,
+    };
+    let root = gen.b.root_id();
+    gen.decorate(root, true);
+    gen.populate(root, true, 0);
+    let mut b = gen.b;
+    // `decorate` marks outputs at random; fall back to the root so the query
+    // validates.
+    match b.clone().build() {
+        Ok(q) => q,
+        Err(_) => {
+            b.mark_output(root);
+            b.build().expect("root output makes the query valid")
+        }
+    }
+}
+
+/// A [`node_attr`], or a pattern only the lexer cares about: a label that
+/// needs quoting, or a comparison of any operator against a negative or
+/// large int or a string.
+fn text_attr(rng: &mut StdRng) -> AttrPredicate {
+    match rng.gen_range(0..10) {
+        0 => AttrPredicate::label("two words"),
+        1 | 2 => {
+            let attr = ["year", "value", "price"][rng.gen_range(0..3usize)];
+            let value = if rng.gen_bool(0.6) {
+                AttrValue::int(rng.gen_range(-5..2020))
+            } else {
+                AttrValue::str(&label(rng))
+            };
+            AttrPredicate::any().and(attr, OPS[rng.gen_range(0..6usize)], value)
+        }
+        _ => node_attr(rng),
+    }
+}
+
+struct TextQuery<'r> {
+    rng: &'r mut StdRng,
+    budget: usize,
+    names: usize,
+    b: GtpqBuilder,
+}
+
+impl TextQuery<'_> {
+    /// Names and output-marks a freshly created node (names feed the
+    /// formula back-references; output marks must happen in pre-order to
+    /// match the parser).  Returns whether it was named.
+    fn decorate(&mut self, u: QueryNodeId, backbone: bool) -> bool {
+        let named = self.rng.gen_bool(0.15);
+        if named {
+            self.b.set_name(u, &format!("n{}", self.names));
+            self.names += 1;
+        }
+        if backbone && self.rng.gen_bool(0.4) {
+            self.b.mark_output(u);
+        }
+        named
+    }
+
+    /// Creates one child of `u` and its subtree, unless the node budget is
+    /// spent; returns the child and whether it was named.
+    fn child(
+        &mut self,
+        u: QueryNodeId,
+        backbone: bool,
+        depth: usize,
+    ) -> Option<(QueryNodeId, bool)> {
+        self.budget = self.budget.checked_sub(1)?;
+        let (edge, attr) = (edge(self.rng, 0.5), text_attr(self.rng));
+        let c = if backbone {
+            self.b.backbone_child(u, edge, attr)
+        } else {
+            self.b.predicate_child(u, edge, attr)
+        };
+        let named = self.decorate(c, backbone);
+        self.populate(c, backbone, depth + 1);
+        Some((c, named))
+    }
+
+    /// Creates the children of `u` in canonical order: backbone subtrees
+    /// first (depth-first), then the predicate children woven into a random
+    /// structural predicate, then possibly one orphan predicate child.
+    fn populate(&mut self, u: QueryNodeId, backbone: bool, depth: usize) {
+        if depth >= 4 {
+            return;
+        }
+        if backbone {
+            for _ in 0..self.rng.gen_range(0..=2u32) {
+                self.child(u, true, depth);
+            }
+        }
+        let mut leaves = Vec::new();
+        for _ in 0..self.rng.gen_range(0..=2u32) {
+            leaves.extend(self.child(u, false, depth));
+        }
+        if !leaves.is_empty() {
+            // A named child may be referenced a second time (the parser's
+            // back-reference form); a repeat must come after the first
+            // occurrence, so it is appended to the leaf sequence.
+            let mut vars: Vec<QueryNodeId> = leaves.iter().map(|(c, _)| *c).collect();
+            if let Some((c, _)) = leaves.iter().find(|(_, named)| *named) {
+                if self.rng.gen_bool(0.2) {
+                    vars.push(*c);
+                }
+            }
+            let fs = self.formula(&vars);
+            self.b.set_structural(u, fs);
+        }
+        // Now and then a predicate child the formula never mentions.
+        if self.rng.gen_bool(0.1) {
+            self.child(u, false, depth);
+        }
+    }
+
+    /// A random formula whose leaves are exactly `vars`, in order (split
+    /// recursively, negate leaves now and then).  Built through the folding
+    /// `BoolExpr` constructors, so the AST is in the flattened form the
+    /// parser produces.
+    fn formula(&mut self, vars: &[QueryNodeId]) -> BoolExpr {
+        match vars {
+            [] => BoolExpr::True,
+            [v] => {
+                let leaf = BoolExpr::Var(v.var());
+                if self.rng.gen_bool(0.25) {
+                    BoolExpr::not(leaf)
+                } else {
+                    leaf
+                }
+            }
+            _ => {
+                let split = self.rng.gen_range(1..vars.len());
+                let left = self.formula(&vars[..split]);
+                let right = self.formula(&vars[split..]);
+                if self.rng.gen_bool(0.5) {
+                    BoolExpr::and2(left, right)
+                } else {
+                    BoolExpr::or2(left, right)
+                }
+            }
+        }
+    }
 }

@@ -18,9 +18,11 @@ use gtpq::datagen::{
     XmarkConfig,
 };
 use gtpq::prelude::*;
-use gtpq_datagen::random_text_query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::text_query;
 
 const QUERY_LANGUAGE_MD: &str = include_str!("../docs/QUERY_LANGUAGE.md");
 
@@ -114,7 +116,7 @@ fn doc_dataset_examples_evaluate_nonempty() {
 fn parse_display_round_trips_over_random_queries() {
     for seed in 0..300u64 {
         let max_nodes = 2 + (seed % 14) as usize;
-        let q = random_text_query(seed, max_nodes);
+        let q = text_query(&mut StdRng::seed_from_u64(seed), max_nodes);
         let text = q.to_string();
         let reparsed: Gtpq = text
             .parse()
@@ -141,7 +143,10 @@ fn mutated_query_texts_never_panic_the_parser() {
     let mut parsed = 0;
     for case in 0..20_000u64 {
         let mut rng = StdRng::seed_from_u64(case);
-        let q = random_text_query(case % 300, 2 + (case % 14) as usize);
+        let q = text_query(
+            &mut StdRng::seed_from_u64(case % 300),
+            2 + (case % 14) as usize,
+        );
         let mut text: Vec<char> = q.to_string().chars().collect();
         for _ in 0..rng.gen_range(1..4) {
             let at = rng.gen_range(0..text.len() + 1);
