@@ -21,9 +21,16 @@
 //!    below their query node, including disjunction and negation), then
 //!    [`prune::prune_upward`] removes candidates of the *prime subtree* that
 //!    are not reachable from any candidate of their parent.  Both rounds are
-//!    set-at-a-time, as the paper's contour merging (Procedure 2) intends:
-//!    one sweep of the condensation the graph carries per (step, AD child),
-//!    then one bit test per candidate, instead of pairwise reachability
+//!    set-at-a-time, as the paper's contour merging (Procedure 2) intends.
+//!    A downward step reads only the children its formula `fext(u)`
+//!    mentions (none: the formula is a constant and decides every candidate
+//!    at once); each is resolved into one bit per candidate — an AD child
+//!    by one race between a sweep of the condensation the graph carries
+//!    from the child's candidates and a memoised search from the step's
+//!    own, costing at most about twice the cheaper of the two; a PC child
+//!    by marking its candidates' parents or scanning the step's candidates'
+//!    children, whichever reads fewer adjacency entries — and `fext(u)` is
+//!    then evaluated 64 candidates per word.  No pairwise reachability
 //!    probes.
 //! 3. **Maximal matching graph** — matches of the *shrunk prime subtree* are
 //!    represented as a graph (each data node stored once, one edge per
@@ -54,10 +61,8 @@
 //! Different requests run on whichever threads call the query service's
 //! `submit`.
 //!
-//! Parent-child (PC) query edges are supported with the strategy of §4.4:
-//! they are treated as AD edges during pruning unless their variable occurs
-//! under negation (those are checked exactly), and adjacency is enforced when
-//! the matching graph is built.
+//! Parent-child (PC) query edges are checked exactly through the adjacency
+//! lists, in both prune rounds and when the matching graph is built.
 //!
 //! [`EvalStats`] records the counters behind the paper's I/O-cost experiment
 //! (Fig. 10): data nodes accessed, index elements looked up, and the size of

@@ -3,10 +3,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use gtpq_graph::sweep::{sweep, ComponentSet, Direction};
+use gtpq_graph::sweep::{reaching, Direction};
 use gtpq_graph::{DataGraph, NodeBitSet, NodeId};
-use gtpq_logic::valuation::eval_with;
-use gtpq_query::{EdgeKind, Gtpq};
+use gtpq_logic::valuation::eval_words;
+use gtpq_query::{EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
@@ -15,37 +15,39 @@ use crate::plan::PruneStep;
 use crate::prime::PrimeSubtree;
 use crate::stats::{EvalStats, OperatorStats};
 
+/// Candidates per poll of `ctl`: one word of a step's bit columns.
+const WORD: usize = 64;
+
 /// The candidates `keep` accepts, in order, polling `ctl` once per
-/// candidate.
+/// [`WORD`] candidates.
 fn retain_polled(
     candidates: &[NodeId],
     ctl: &ExecCtl,
     mut keep: impl FnMut(NodeId) -> bool,
 ) -> Result<Vec<NodeId>, Interrupt> {
     let mut kept = Vec::with_capacity(candidates.len());
-    for &v in candidates {
-        ctl.check_sampled()?;
-        if keep(v) {
-            kept.push(v);
-        }
+    for chunk in candidates.chunks(WORD) {
+        ctl.check()?;
+        kept.extend(chunk.iter().copied().filter(|&v| keep(v)));
     }
     Ok(kept)
 }
 
-/// How one child's variable of `fext(u)` is answered for a candidate `v` of
-/// `u` during a downward step — resolved once per step, indexed by `VarId`.
-enum ChildTest<'a> {
-    /// The variable names no child of the step's node: never true.
-    Absent,
-    /// PC child: some graph child of `v` is in the candidate bitset held in
-    /// this slot of the step's bitset pool.
-    Child(usize),
-    /// AD child, set-at-a-time: the components a backward condensation
-    /// sweep from the child's candidates marked.
-    Swept(ComponentSet),
-    /// AD child, pairwise `reaches` against each of the child's candidates
-    /// (`use_contours == false`, the ablation baseline).
-    Pairwise(&'a [NodeId]),
+/// One child's variable of `fext(u)` over the step's candidates: bit `i % 64`
+/// of word `i / 64` says whether `test` holds for `candidates[i]`.  Polls
+/// `ctl` once per word.
+fn column(
+    candidates: &[NodeId],
+    ctl: &ExecCtl,
+    mut test: impl FnMut(NodeId) -> bool,
+) -> Result<Vec<u64>, Interrupt> {
+    let mut words = Vec::with_capacity(candidates.len().div_ceil(WORD));
+    for chunk in candidates.chunks(WORD) {
+        ctl.check()?;
+        let bits = chunk.iter().enumerate();
+        words.push(bits.fold(0u64, |w, (i, &v)| w | u64::from(test(v)) << i));
+    }
+    Ok(words)
 }
 
 /// Selects the initial candidate matching nodes `mat(u)` for every query node
@@ -79,18 +81,33 @@ pub fn initial_candidates(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec
 /// every internal node `u` and candidate `v`, a truth value is assigned to
 /// each child's variable from the reachability of `v` into the (already
 /// pruned) candidate set of the child, and `v` is kept only when the
-/// extended structural predicate `fext(u)` evaluates to true.  AD children
-/// are answered set-at-a-time — one backward [`sweep`] of `g`'s condensation
-/// per (step, AD child), then one bit test per candidate, so a step costs
-/// O(V + E + |mat(u)|) rather than O(|mat(u)| · |mat(child)|) probes; PC
-/// children are answered exactly through the adjacency lists.  `index` is
-/// read only by the pairwise ablation arm (`use_contours == false`), which
-/// calls [`Reachability::reaches`] per pair.  One [`OperatorStats`] entry is
-/// recorded per step.
+/// extended structural predicate `fext(u)` evaluates to true.
 ///
-/// `ctl` is polled once per candidate; an expired deadline or a triggered
-/// cancellation aborts mid-round with an [`Interrupt`] (the candidate sets
-/// are left in an unspecified but memory-safe state).  The round's rollups —
+/// A step resolves only the children whose variable occurs in `fext(u)`.
+/// With none, `fext(u)` is a constant (Table 4's `((x) | 1)` branches fold
+/// to `1`): the step keeps every candidate or none, reading nothing.  Each
+/// used child becomes one bit per candidate:
+///
+/// * an AD child by one [`reaching`] race of `g`'s condensation — a sweep
+///   back from the child's candidates against a memoised search forward
+///   from `mat(u)` — costing at most `2·min(sweep, search) + CHUNK` edges,
+///   each side at most the condensation's edges `E`;
+/// * a PC child exactly through the adjacency lists: the parents of the
+///   child's candidates are marked, unless scanning every candidate's
+///   children reads fewer entries — `min(Σ in-degree of mat(child),
+///   Σ out-degree of mat(u))`.
+///
+/// `fext(u)` is then evaluated 64 candidates at a time, so a step costs
+/// O(|mat(u)|) plus those reads, rather than O(|mat(u)| · |mat(child)|)
+/// probes.  `index` is read only by the pairwise ablation arm
+/// (`use_contours == false`), which calls [`Reachability::reaches`] per
+/// pair.  One [`OperatorStats`] entry is recorded per step, constant or
+/// not.
+///
+/// `ctl` is polled once per 64 candidates of each used child's bits; an
+/// expired deadline or a triggered cancellation aborts mid-round with an
+/// [`Interrupt`] (the candidate sets are left in an unspecified but
+/// memory-safe state).  The round's rollups —
 /// `candidates_after_downward`, the index-lookup delta and
 /// `prune_down_time` — are recorded even for aborted rounds, over whatever
 /// the candidate sets hold at the abort point.
@@ -129,10 +146,9 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
     stats: &mut EvalStats,
     ctl: &ExecCtl,
 ) -> Result<(), Interrupt> {
-    // Scratch bitsets for PC-child candidate membership, hoisted out of the
-    // loop and reused across every internal query node (cleared in
+    // Scratch node set for a PC child, reused across steps (cleared in
     // O(touched), not re-allocated).
-    let mut pc_pool: Vec<NodeBitSet> = Vec::new();
+    let mut marked = NodeBitSet::new(g.node_count());
     for step in steps {
         let u = step.node;
         if u.index() >= q.size() || q.node(u).is_leaf() {
@@ -146,56 +162,87 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
         let candidates = std::mem::take(&mut mat[u.index()]);
         stats.input_nodes += candidates.len() as u64;
 
-        // The span's `swept` field: per AD child, the condensation edges
-        // its sweep visited.
+        // Only the children `fext(u)` mentions are resolved; with none, the
+        // formula is a constant that decides every candidate alike.
+        let used: Vec<QueryNodeId> = q
+            .children(u)
+            .iter()
+            .copied()
+            .filter(|c| fext.contains_var(c.var()))
+            .collect();
+        // The span's `swept` field: per AD child, the side of the race that
+        // answered and the condensation edges both sides visited.
         let mut swept = String::new();
-        let candidates = {
-            // Resolve every variable of `fext(u)` once per step: `tests[var]`
-            // says how the child behind `var` is answered, so the
-            // per-candidate work below is `eval_with` over table lookups.
-            let mut tests: Vec<ChildTest<'_>> = Vec::new();
-            tests.resize_with(q.size(), || ChildTest::Absent);
-            let mut pc_used = 0usize;
-            for &c in q.children(u) {
-                tests[c.index()] = match q.incoming_edge(c) {
+        let candidates = if used.is_empty() {
+            let value = eval_words(&fext, &mut |_| 0) != 0;
+            span.field("formula", value);
+            if value {
+                candidates
+            } else {
+                Vec::new()
+            }
+        } else {
+            // `columns[var]` holds the variable's value for every candidate
+            // (empty, so false, for a variable naming no used child).
+            let mut columns: Vec<Vec<u64>> = vec![Vec::new(); q.size()];
+            for &c in &used {
+                let targets = &mat[c.index()];
+                columns[c.index()] = match q.incoming_edge(c) {
                     Some(EdgeKind::Child) => {
-                        if pc_used == pc_pool.len() {
-                            pc_pool.push(NodeBitSet::new(g.node_count()));
+                        marked.clear();
+                        // Mark the child's candidates' parents unless
+                        // scanning every candidate's children reads fewer
+                        // adjacency entries (the sum stops once it is not).
+                        let up: usize = targets.iter().map(|&t| g.in_degree(t)).sum();
+                        let mut down = 0;
+                        let scan = candidates.iter().all(|&v| {
+                            down += g.out_degree(v);
+                            down < up
+                        });
+                        if !scan {
+                            stats.index_lookups += up as u64;
+                            for &t in targets {
+                                marked.extend_from_slice(g.parents(t));
+                            }
+                            column(&candidates, ctl, |v| marked.contains(v))?
+                        } else {
+                            stats.index_lookups += down as u64;
+                            marked.extend_from_slice(targets);
+                            column(&candidates, ctl, |v| {
+                                g.children(v).iter().any(|&c| marked.contains(c))
+                            })?
                         }
-                        let bits = &mut pc_pool[pc_used];
-                        bits.clear();
-                        bits.extend_from_slice(&mat[c.index()]);
-                        pc_used += 1;
-                        ChildTest::Child(pc_used - 1)
                     }
                     _ if options.use_contours => {
-                        let found = sweep(cond, &mat[c.index()], Direction::Ancestors);
+                        let found = reaching(cond, &candidates, targets, Direction::Ancestors);
                         stats.index_lookups += found.edges_visited;
                         let sep = if swept.is_empty() { "" } else { "," };
-                        let _ = write!(swept, "{sep}{c}:{}", found.edges_visited);
-                        ChildTest::Swept(found.reached)
+                        let _ = write!(swept, "{sep}{c}:{}:{}", found.side, found.edges_visited);
+                        column(&candidates, ctl, |v| {
+                            found.reached.contains(cond.component_of(v))
+                        })?
                     }
-                    _ => ChildTest::Pairwise(&mat[c.index()]),
+                    _ => column(&candidates, ctl, |v| {
+                        targets.iter().any(|&t| index.reaches(v, t))
+                    })?,
                 };
             }
-            let pool: &[NodeBitSet] = &pc_pool;
-            let lookups = &mut stats.index_lookups;
-            retain_polled(&candidates, ctl, |v| {
-                eval_with(&fext, &mut |var| {
-                    let test = tests.get(var.index()).unwrap_or(&ChildTest::Absent);
-                    match test {
-                        ChildTest::Absent => false,
-                        ChildTest::Child(slot) => {
-                            *lookups += g.out_degree(v) as u64;
-                            g.children(v).iter().any(|&c| pool[*slot].contains(c))
-                        }
-                        ChildTest::Swept(reached) => reached.contains(cond.component_of(v)),
-                        ChildTest::Pairwise(targets) => {
-                            targets.iter().any(|&t| index.reaches(v, t))
-                        }
+            let mut kept = Vec::new();
+            for (w, chunk) in candidates.chunks(WORD).enumerate() {
+                let mut word = eval_words(&fext, &mut |var| {
+                    let words = columns.get(var.index());
+                    words.and_then(|words| words.get(w)).copied().unwrap_or(0)
+                });
+                while word != 0 {
+                    let i = word.trailing_zeros() as usize;
+                    if i >= chunk.len() {
+                        break;
                     }
-                })
-            })?
+                    kept.push(chunk[i]);
+                    word &= word - 1;
+                }
+            }
+            kept
         };
         span.field("est_rows", step.estimated_rows);
         span.field("actual_rows", candidates.len());
@@ -225,9 +272,10 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
 /// `PruneUpward` (Procedure 7): removes candidates of prime-subtree nodes that
 /// are not reachable from any candidate of their prime parent.
 ///
-/// Processes the prime subtree top-down; AD edges are answered by one forward
-/// [`sweep`] of `g`'s condensation from the parent's candidates per edge, PC
-/// edges exactly through the adjacency lists (`index` again serves the
+/// Processes the prime subtree top-down; each AD edge is answered by one
+/// [`reaching`] race of `g`'s condensation — a sweep forward from the
+/// parent's candidates against a memoised search back from the child's —
+/// PC edges exactly through the adjacency lists (`index` again serves the
 /// pairwise arm only).  Recorded as one `PruneUp` operator
 /// whose actual rows are the surviving prime-subtree candidates;
 /// `estimated_rows` is the plan's survivor estimate (0 for unplanned calls).
@@ -292,9 +340,10 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                 }
                 _ if options.use_contours => {
                     let cond = g.condensation();
-                    let found = sweep(cond, &mat[u.index()], Direction::Descendants);
+                    let found =
+                        reaching(cond, &candidates, &mat[u.index()], Direction::Descendants);
                     stats.index_lookups += found.edges_visited;
-                    span.field("swept", found.edges_visited);
+                    span.field("swept", format!("{}:{}", found.side, found.edges_visited));
                     retain_polled(&candidates, ctl, |v| {
                         found.reached.contains(cond.component_of(v))
                     })?
@@ -549,20 +598,26 @@ mod tests {
                 .1
                 .clone()
         };
-        // Downward spans name each AD child; u1 (b) has two, c and the
+        // Each entry is `[child:]side:edges`, the side being the one that
+        // answered.
+        let edges_of = |entry: &str| -> u64 {
+            let (rest, edges) = entry.rsplit_once(':').unwrap();
+            let side = rest.rsplit(':').next().unwrap();
+            assert!(["sweep", "search"].contains(&side), "{entry}");
+            edges.parse().unwrap()
+        };
+        // Downward spans name each AD child; u1 (b) has three, c and the
         // predicate b and d children.
         let down_u1 = swept_of("prune_down u1");
         assert_eq!(down_u1.split(',').count(), 3, "{down_u1}");
         assert!(down_u1.starts_with("u2:"), "{down_u1}");
         let mut total = 0u64;
         for name in ["prune_down u0", "prune_down u1"] {
-            for entry in swept_of(name).split(',') {
-                total += entry.split_once(':').unwrap().1.parse::<u64>().unwrap();
-            }
+            total += swept_of(name).split(',').map(edges_of).sum::<u64>();
         }
-        // Upward spans are per prime edge and carry the bare count.
+        // Upward spans are per prime edge and carry no child.
         for name in ["prune_up u1", "prune_up u2"] {
-            total += swept_of(name).parse::<u64>().unwrap();
+            total += edges_of(&swept_of(name));
         }
         assert!(total > 0);
         assert_eq!(total, stats.index_lookups);

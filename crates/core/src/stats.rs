@@ -36,10 +36,21 @@ pub struct EvalStats {
     /// Number of data-node accesses (`#input` in Fig. 10): candidates scanned
     /// during candidate selection and the two pruning rounds.
     pub input_nodes: u64,
-    /// Number of index elements looked up (`#index` in Fig. 10): hop-list or
-    /// surplus entries read by point probes, condensation edges visited by
-    /// the prune rounds' set-probe sweeps (once per prepared probe), plus
-    /// adjacency entries scanned for PC edges.
+    /// Number of index elements looked up (`#index` in Fig. 10), summed
+    /// over every source:
+    ///
+    /// * candidate selection: posting-list entries read
+    ///   (`plan::record_selection`);
+    /// * the prune rounds: condensation edges visited by each AD child's
+    ///   [`reaching`](gtpq_graph::sweep::reaching) race, both sides, and
+    ///   adjacency entries read for PC children (the marked parents or the
+    ///   scanned children of a downward step, the parents of an upward
+    ///   one);
+    /// * the matching graph: each AD pass's edges (its backward sweep, its
+    ///   region walk and its row ORs) and the adjacency entries read for PC
+    ///   children;
+    /// * the pairwise ablation arm only: hop-list or surplus entries the
+    ///   reachability index reads per point probe.
     pub index_lookups: u64,
     /// Size of the intermediate results (`#intermediate` in Fig. 10): twice the
     /// number of nodes plus edges of the maximal matching graph, following the

@@ -75,6 +75,38 @@ fn prune_rounds_sweep_once_per_ad_edge_on_xmark_under_sspi() {
 }
 
 #[test]
+fn a_child_under_or_true_costs_nothing() {
+    // `((x) | 1)` folds to `1`: the child stays in the query but no formula
+    // reads it, so neither round may resolve it.
+    let xmark = generate_xmark(&XmarkConfig::with_scale(0.2));
+    let mut cases = vec![(
+        xmark,
+        "open_auction* { /bidder { where ((//person3) | 1) } }",
+        "open_auction* { /bidder }",
+    )];
+    for seed in 0..8 {
+        let g = random_cyclic_graph(&mut Rng(seed));
+        cases.push((g, "l0* { /l1 { where ((//l2) | 1) } }", "l0* { /l1 }"));
+    }
+    let mut answered = 0;
+    for (g, inert, plain) in &cases {
+        let (inert, plain) = (parse_query(inert).unwrap(), parse_query(plain).unwrap());
+        let index = Sspi::new(g);
+        let options = GteaOptions::default();
+        assert_index_free(g, &inert, "inert branch");
+        let rows = GteaEngine::new(g).evaluate(&plain);
+        assert_eq!(GteaEngine::new(g).evaluate(&inert), rows, "{inert}");
+        answered += usize::from(!rows.is_empty());
+        assert_eq!(
+            prune_index_lookups(g, &inert, &index, &options),
+            prune_index_lookups(g, &plain, &index, &options),
+            "{inert} against {plain}"
+        );
+    }
+    assert!(answered >= 3, "only {answered} cases have rows");
+}
+
+#[test]
 fn matching_graph_costs_one_bounded_pass_per_ad_child() {
     // `arxiv_enum`'s year-window citation joins (AD edges between large
     // candidate sets) and the paper's Q3 (one AD edge among PC ones).

@@ -10,6 +10,12 @@
 //! O(components / 64 + edges actually reached).  Afterwards a membership test
 //! is `component_of(v)` plus one bit test.
 //!
+//! The prune rounds read only the members of one side, though: [`reaching`]
+//! races that sweep against a memoised search outwards from the members
+//! themselves, in turns of [`CHUNK`] edges, and takes whichever answer is
+//! complete first — at most about twice the cheaper side's edges, with no
+//! estimate of either.
+//!
 //! The matching graph (§4.3) asks the many-to-many version: for every
 //! candidate `v` of a query node, *which* candidates of an AD child does it
 //! reach.  [`branches`] answers that for all `v` in one pass too — a backward
@@ -20,6 +26,8 @@
 //! Both take the condensation the graph carries
 //! ([`DataGraph::condensation`](crate::DataGraph::condensation)), so GTEA
 //! evaluates without any reachability index.
+
+use std::fmt;
 
 use crate::condensation::CompId;
 use crate::{Condensation, NodeId};
@@ -78,15 +86,45 @@ pub enum Direction {
     Descendants,
 }
 
-/// The outcome of one [`sweep`].
+/// The outcome of one [`sweep`] or [`reaching`].
 #[derive(Clone, Debug)]
 pub struct Swept {
-    /// Every component with a non-empty path to (resp. from) a set member.
+    /// Every component with a non-empty path to (resp. from) a set member —
+    /// after [`reaching`], at least every such component of a `from` member,
+    /// and never one without such a path.
     pub reached: ComponentSet,
     /// Condensation edges the traversal looked at — its whole cost beyond
     /// the bitset allocation, and what a caller counting `#index` adds per
-    /// sweep.
+    /// sweep.  After [`reaching`], both sides' edges.
     pub edges_visited: u64,
+    /// Which traversal produced `reached`.
+    pub side: Side,
+}
+
+/// Which traversal answered: [`sweep`] always reports `Sweep`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The set sweep from the `to` members.
+    Sweep,
+    /// The memoised search from the `from` members.
+    Search,
+}
+
+impl fmt::Display for Side {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Side::Sweep => "sweep",
+            Side::Search => "search",
+        })
+    }
+}
+
+/// The adjacency list of `c` that a walk in `direction` follows.
+fn adjacent(cond: &Condensation, c: CompId, direction: Direction) -> &[CompId] {
+    match direction {
+        Direction::Ancestors => cond.predecessors(c),
+        Direction::Descendants => cond.successors(c),
+    }
 }
 
 /// Marks every component that reaches (`Ancestors`) or is reached from
@@ -99,37 +137,209 @@ pub struct Swept {
 /// marked only when the walk arrives at it from another member.  Duplicate
 /// members and an empty set are fine.
 pub fn sweep(cond: &Condensation, nodes: &[NodeId], direction: Direction) -> Swept {
-    let n = cond.component_count();
-    let mut reached = ComponentSet::new(n);
-    // Seeds and reached components, each expanded exactly once.
-    let mut queued = ComponentSet::new(n);
-    let mut stack: Vec<CompId> = Vec::new();
-    for &v in nodes {
-        let c = cond.component_of(v);
-        if queued.insert(c.index()) {
-            stack.push(c);
-            if cond.is_cyclic(c) {
-                reached.insert(c.index());
-            }
+    let mut walk = SetSweep::new(cond, nodes, direction);
+    walk.run(usize::MAX);
+    walk.finish(0)
+}
+
+/// Edges one side of [`reaching`] looks at per turn.
+pub const CHUNK: usize = 128;
+
+/// Marks which members of `from` reach (`Ancestors`) or are reached from
+/// (`Descendants`) some member of `to` by a *non-empty* path — the rule
+/// [`sweep`] documents — from whichever side is cheaper.
+///
+/// `direction` is the direction of `sweep(cond, to, direction)`, one side
+/// of the race.  The other is a depth-first search from each `from`
+/// member's component the opposite way, stopped at the first component
+/// holding a `to` member and memoised across members.  The two take turns
+/// of [`CHUNK`] edges, the sweep first, and the first to finish answers, so
+/// `edges_visited` (both sides together) is at most `2·min(sweep, search) +
+/// CHUNK`.  Either way `reached.contains(cond.component_of(v))` answers
+/// every `v` in `from` exactly; `side` names the winner.  Duplicates and
+/// empty sets are fine on both sides.
+pub fn reaching(
+    cond: &Condensation,
+    from: &[NodeId],
+    to: &[NodeId],
+    direction: Direction,
+) -> Swept {
+    let mut set = SetSweep::new(cond, to, direction);
+    let mut search = Search::new(cond, from, to, direction);
+    loop {
+        if set.run(CHUNK) {
+            return set.finish(search.edges_visited);
+        }
+        if search.run(CHUNK) {
+            return search.finish(set.edges_visited);
         }
     }
-    let mut edges_visited = 0u64;
-    while let Some(c) = stack.pop() {
-        let next = match direction {
-            Direction::Ancestors => cond.predecessors(c),
-            Direction::Descendants => cond.successors(c),
+}
+
+/// [`sweep`] as a walk that can pause after any edge.
+struct SetSweep<'c> {
+    cond: &'c Condensation,
+    direction: Direction,
+    reached: ComponentSet,
+    /// Seeds and reached components, each expanded exactly once.
+    queued: ComponentSet,
+    stack: Vec<CompId>,
+    /// The rest of the adjacency list being looked at.
+    next: &'c [CompId],
+    edges_visited: u64,
+}
+
+impl<'c> SetSweep<'c> {
+    fn new(cond: &'c Condensation, nodes: &[NodeId], direction: Direction) -> Self {
+        let n = cond.component_count();
+        let mut walk = Self {
+            cond,
+            direction,
+            reached: ComponentSet::new(n),
+            queued: ComponentSet::new(n),
+            stack: Vec::new(),
+            next: &[],
+            edges_visited: 0,
         };
-        edges_visited += next.len() as u64;
-        for &d in next {
-            reached.insert(d.index());
-            if queued.insert(d.index()) {
-                stack.push(d);
+        for &v in nodes {
+            let c = cond.component_of(v);
+            if walk.queued.insert(c.index()) {
+                walk.stack.push(c);
+                if cond.is_cyclic(c) {
+                    walk.reached.insert(c.index());
+                }
+            }
+        }
+        walk
+    }
+
+    /// Looks at up to `budget` more edges; whether the walk is complete.
+    fn run(&mut self, budget: usize) -> bool {
+        let mut left = budget;
+        loop {
+            if self.next.is_empty() {
+                let Some(c) = self.stack.pop() else {
+                    return true;
+                };
+                self.next = adjacent(self.cond, c, self.direction);
+                continue;
+            }
+            if left == 0 {
+                return false;
+            }
+            let (now, rest) = self.next.split_at(self.next.len().min(left));
+            for &d in now {
+                self.reached.insert(d.index());
+                if self.queued.insert(d.index()) {
+                    self.stack.push(d);
+                }
+            }
+            self.next = rest;
+            left -= now.len();
+            self.edges_visited += now.len() as u64;
+        }
+    }
+
+    fn finish(self, other_edges: u64) -> Swept {
+        Swept {
+            reached: self.reached,
+            edges_visited: self.edges_visited + other_edges,
+            side: Side::Sweep,
+        }
+    }
+}
+
+/// The `from` side of [`reaching`]: a depth-first search from each member's
+/// component away from the sweep's direction, cut short at the first
+/// component holding a `to` member.
+struct Search<'c> {
+    cond: &'c Condensation,
+    /// The way the search walks: against the sweep's direction.
+    direction: Direction,
+    /// Members whose search has not started yet.
+    from: &'c [NodeId],
+    /// Components holding a `to` member.
+    targets: ComponentSet,
+    /// Components the search has entered.  One entered, left and not in
+    /// `reached` has no non-empty path to a target — the memo.
+    seen: ComponentSet,
+    /// Components known to have a non-empty path to a target.
+    reached: ComponentSet,
+    /// The search path, each component with the rest of its adjacency list.
+    stack: Vec<(CompId, &'c [CompId])>,
+    edges_visited: u64,
+}
+
+impl<'c> Search<'c> {
+    fn new(cond: &'c Condensation, from: &'c [NodeId], to: &[NodeId], swept: Direction) -> Self {
+        let n = cond.component_count();
+        let mut targets = ComponentSet::new(n);
+        for &t in to {
+            targets.insert(cond.component_of(t).index());
+        }
+        Self {
+            cond,
+            direction: match swept {
+                Direction::Ancestors => Direction::Descendants,
+                Direction::Descendants => Direction::Ancestors,
+            },
+            from,
+            targets,
+            seen: ComponentSet::new(n),
+            reached: ComponentSet::new(n),
+            stack: Vec::new(),
+            edges_visited: 0,
+        }
+    }
+
+    /// Looks at up to `budget` more edges; whether every member is answered.
+    fn run(&mut self, budget: usize) -> bool {
+        let mut left = budget;
+        loop {
+            let Some(&(_, next)) = self.stack.last() else {
+                let Some((&v, rest)) = self.from.split_first() else {
+                    return true;
+                };
+                self.from = rest;
+                let c = self.cond.component_of(v);
+                if self.cond.is_cyclic(c) && self.targets.contains(c) {
+                    // A cycle through a target: the path need not leave `c`.
+                    self.reached.insert(c.index());
+                } else if self.seen.insert(c.index()) {
+                    self.stack.push((c, adjacent(self.cond, c, self.direction)));
+                }
+                continue;
+            };
+            let Some((&d, rest)) = next.split_first() else {
+                // Every path from the top of the stack is exhausted.
+                self.stack.pop();
+                continue;
+            };
+            if left == 0 {
+                return false;
+            }
+            left -= 1;
+            self.edges_visited += 1;
+            let top = self.stack.len() - 1;
+            self.stack[top].1 = rest;
+            if self.targets.contains(d) || self.reached.contains(d) {
+                // Each component on the path reaches the next, so all of
+                // them reach `d`'s target.
+                for (c, _) in self.stack.drain(..) {
+                    self.reached.insert(c.index());
+                }
+            } else if self.seen.insert(d.index()) {
+                self.stack.push((d, adjacent(self.cond, d, self.direction)));
             }
         }
     }
-    Swept {
-        reached,
-        edges_visited,
+
+    fn finish(self, other_edges: u64) -> Swept {
+        Swept {
+            reached: self.reached,
+            edges_visited: self.edges_visited + other_edges,
+            side: Side::Search,
+        }
     }
 }
 
@@ -346,7 +556,7 @@ fn branches_within<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::descendants;
+    use crate::traversal::{ancestors, descendants};
     use crate::{DataGraph, GraphBuilder};
 
     /// splitmix64: a seeded generator small enough to inline.
@@ -557,5 +767,107 @@ mod tests {
             }
         });
         assert_eq!(stopped.unwrap_err(), "stop");
+    }
+
+    #[test]
+    fn reaching_matches_bfs_from_either_side_within_twice_the_cheaper_one() {
+        // Small graphs, and larger ones where a side can cost many chunks.
+        let (mut wins, mut with_teeth) = ([0usize; 2], 0);
+        for seed in 0..8u64 {
+            let (n, m) = if seed % 2 == 0 {
+                (220, 260)
+            } else {
+                (2400, 3000)
+            };
+            let g = random_cyclic_graph(seed, n, m);
+            let cond = g.condensation();
+            assert!(!cond.input_was_dag(), "seed {seed}");
+            let on_cycle = g.nodes().find(|&v| cond.is_cyclic(cond.component_of(v)));
+            let off_cycle = g
+                .nodes()
+                .find(|&v| !cond.is_cyclic(cond.component_of(v)) && g.out_degree(v) > 0);
+            let (on_cycle, off_cycle) = (on_cycle.unwrap(), off_cycle.unwrap());
+            let self_loop = g.nodes().find(|&v| g.children(v).contains(&v));
+
+            let mut state = seed ^ 0x7ace;
+            let mut cases: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![
+                (Vec::new(), Vec::new()),
+                (random_set(&mut state, n, 9), Vec::new()),
+                (Vec::new(), random_set(&mut state, n, 9)),
+            ];
+            if n < 1000 {
+                // Every node on both sides (one BFS per node on the small
+                // graphs only).
+                cases.push((g.nodes().collect(), g.nodes().collect()));
+            }
+            for (n_from, n_to) in [(1, 1), (1, 150), (5, 40), (60, 7), (90, 150), (150, 1)] {
+                let from = random_set(&mut state, n, n_from);
+                let to = random_set(&mut state, n, n_to);
+                // Disjoint sides, then overlapping ones with the named nodes
+                // on both.
+                let disjoint = from.iter().filter(|v| !to.contains(v)).copied();
+                cases.push((disjoint.collect(), to.clone()));
+                let (mut from, mut to) = (from, to);
+                for extra in [Some(on_cycle), Some(off_cycle), self_loop]
+                    .into_iter()
+                    .flatten()
+                {
+                    from.push(extra);
+                    to.push(extra);
+                }
+                cases.push((from, to));
+            }
+
+            for (from, to) in &cases {
+                let mut in_to = vec![false; n as usize];
+                for t in to {
+                    in_to[t.index()] = true;
+                }
+                for direction in [Direction::Ancestors, Direction::Descendants] {
+                    let set_alone = sweep(cond, to, direction);
+                    let mut search = Search::new(cond, from, to, direction);
+                    assert!(search.run(usize::MAX));
+                    let search_alone = search.finish(0);
+                    let race = reaching(cond, from, to, direction);
+                    for &v in from {
+                        let beyond = match direction {
+                            Direction::Ancestors => descendants(&g, v),
+                            Direction::Descendants => ancestors(&g, v),
+                        };
+                        let expected = beyond.iter().any(|t| in_to[t.index()]);
+                        let c = cond.component_of(v);
+                        let tag = format!("seed {seed} {direction:?} {v} into {to:?}");
+                        assert_eq!(race.reached.contains(c), expected, "{tag}");
+                        assert_eq!(search_alone.reached.contains(c), expected, "{tag}");
+                    }
+                    // Whichever side answers, it marks no component that the
+                    // sweep's exact set lacks.
+                    for reached in [&race.reached, &search_alone.reached] {
+                        assert!(g.nodes().all(|v| {
+                            let c = cond.component_of(v);
+                            !reached.contains(c) || set_alone.reached.contains(c)
+                        }));
+                    }
+                    let (swept, searched) = (set_alone.edges_visited, search_alone.edges_visited);
+                    let bound = 2 * swept.min(searched) + 2 * CHUNK as u64;
+                    with_teeth += usize::from(swept.max(searched) > bound);
+                    assert!(
+                        race.edges_visited <= bound,
+                        "{} edges raced; alone {} swept, {} searched",
+                        race.edges_visited,
+                        swept,
+                        searched
+                    );
+                    wins[usize::from(race.side == Side::Search)] += 1;
+                }
+            }
+        }
+        // Both sides answer some of the cases, and in some the dearer side
+        // alone would break the bound.
+        assert!(wins.iter().all(|&n| n >= 16), "sweep/search wins {wins:?}");
+        assert!(
+            with_teeth >= 8,
+            "{with_teeth} cases where the bound has teeth"
+        );
     }
 }
