@@ -28,7 +28,7 @@ pub fn equivalent(q1: &Gtpq, q2: &Gtpq) -> bool {
 /// The search backtracks over *complete* mappings: the output and formula
 /// conditions are checked for every candidate assignment, so an unfortunate
 /// early image choice cannot mask an existing homomorphism.
-pub fn homomorphism_exists(from: &Gtpq, to: &Gtpq) -> bool {
+pub(crate) fn homomorphism_exists(from: &Gtpq, to: &Gtpq) -> bool {
     if from.output_nodes().len() != to.output_nodes().len() {
         return false;
     }

@@ -23,6 +23,6 @@ pub mod containment;
 pub mod minimize;
 pub mod satisfiability;
 
-pub use containment::{contained_in, equivalent, homomorphism_exists};
+pub use containment::{contained_in, equivalent};
 pub use minimize::minimize;
 pub use satisfiability::is_satisfiable;

@@ -45,7 +45,7 @@ pub use twigstack_d::TwigStackD;
 
 /// Per-query-node candidate restrictions handed to a baseline by the
 /// decompose-and-merge wrapper (`None` entries mean "no restriction").
-pub type Restrictions = Vec<Option<Vec<NodeId>>>;
+pub(crate) type Restrictions = Vec<Option<Vec<NodeId>>>;
 
 /// One match projection: a sorted `(query node, data node)` assignment.
 /// Shared by the enumeration phases of the baseline evaluators.

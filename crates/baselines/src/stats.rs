@@ -24,7 +24,7 @@ pub struct BaselineStats {
 
 impl BaselineStats {
     /// Merges counters from a subquery evaluation (used by decompose-and-merge).
-    pub fn absorb(&mut self, other: &BaselineStats) {
+    pub(crate) fn absorb(&mut self, other: &BaselineStats) {
         self.input_nodes += other.input_nodes;
         self.index_lookups += other.index_lookups;
         self.intermediate_results += other.intermediate_results;

@@ -8,9 +8,8 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!(
-            "usage: experiments <table1|table2|fig8a|fig8b|fig9a|fig9b|fig9c|fig9d|fig10|fig12a|fig12b|fig12c|fig12d|ablation|all> ..."
-        );
+        let ids = gtpq_bench::experiments::EXPERIMENTS.join("|");
+        eprintln!("usage: experiments <{ids}|all> ...");
         std::process::exit(2);
     }
     for id in &args {

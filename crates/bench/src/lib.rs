@@ -1,8 +1,10 @@
-//! Shared harness code for the experiment binary and the Criterion benches.
+//! The experiments harness: the paper's evaluation and three measurements of
+//! this implementation.
 //!
 //! Every table and figure of the paper's evaluation maps to one function in
 //! [`experiments`]; the `experiments` binary prints the corresponding rows.
-//! The three Criterion benches cover what `perfbench` does not measure yet.
+//! Its `sim`, `streaming` and `obs` experiments cover what `perfbench` does
+//! not measure.
 //! "Baselines, data, experiments" in `docs/ARCHITECTURE.md` is the index
 //! from paper artefact to the code here.
 

@@ -1,4 +1,4 @@
-//! Workload construction shared by the experiment binary and the benches.
+//! The datasets the experiments run on.
 //!
 //! Scales here are deliberately small (the generators scale the paper's
 //! datasets down ~50×, see "Substitutions" in `docs/ARCHITECTURE.md`) so the
@@ -9,30 +9,30 @@ use gtpq_datagen::{generate_arxiv, generate_xmark, ArxivConfig, XmarkConfig};
 use gtpq_graph::DataGraph;
 
 /// XMark scale factors used by the Table 1 / Fig. 8(a) sweep.
-pub const XMARK_SCALES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 4.0];
+pub(crate) const XMARK_SCALES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 4.0];
 
 /// Query sizes used by the arXiv experiments (Fig. 9).
-pub const ARXIV_QUERY_SIZES: [usize; 5] = [5, 7, 9, 11, 13];
+pub(crate) const ARXIV_QUERY_SIZES: [usize; 5] = [5, 7, 9, 11, 13];
 
 /// Generates the XMark-like graph for a paper scale factor, scaled down so the
 /// whole sweep stays laptop sized.
-pub fn xmark_graph(paper_scale: f64) -> DataGraph {
+pub(crate) fn xmark_graph(paper_scale: f64) -> DataGraph {
     generate_xmark(&XmarkConfig::with_scale(paper_scale * 0.2))
 }
 
 /// Generates the arXiv-like graph used by §5.2.
-pub fn arxiv_graph() -> DataGraph {
+pub(crate) fn arxiv_graph() -> DataGraph {
     generate_arxiv(&ArxivConfig::default())
 }
 
-/// A small arXiv-like graph for quick benches.
-pub fn arxiv_graph_small() -> DataGraph {
+/// A small arXiv-like graph, for the streaming experiment.
+pub(crate) fn arxiv_graph_small() -> DataGraph {
     generate_arxiv(&ArxivConfig::small())
 }
 
 /// Ten person/item label-group pairs, mirroring the paper's "ten random
 /// queries per type" methodology with a fixed, reproducible choice.
-pub fn label_groups() -> Vec<(u32, u32, u32)> {
+pub(crate) fn label_groups() -> Vec<(u32, u32, u32)> {
     (0..10).map(|i| (i, (i + 3) % 10, (i + 7) % 10)).collect()
 }
 

@@ -179,15 +179,15 @@ pub struct CliOptions {
     /// One-shot query; `None` starts the REPL.
     pub query: Option<String>,
     /// Whether to print per-query [`EvalStats`](gtpq_core::EvalStats).
-    pub show_stats: bool,
+    pub(crate) show_stats: bool,
     /// Result-row window pushed down into the engine per query.
     pub limit: usize,
     /// Per-query deadline in milliseconds; `None` = no deadline.
-    pub timeout_ms: Option<u64>,
+    pub(crate) timeout_ms: Option<u64>,
     /// Slow-query-log threshold override: outer `None` keeps the service
     /// default (100ms), `Some(None)` disables the log (`--slow-ms off`),
     /// `Some(Some(ms))` sets the threshold.
-    pub slow_ms: Option<Option<u64>>,
+    pub(crate) slow_ms: Option<Option<u64>>,
     /// With `--query`: trace the query and write Chrome `trace_event` JSON
     /// to this path.  Also turns tracing on for the session.
     pub trace_out: Option<String>,
@@ -341,7 +341,7 @@ impl Session {
     /// uncommitted mutations are not included.  The write is atomic (temp
     /// file + rename), and saving onto the file that backs a `--snapshot`
     /// session's own live mapping is refused with a diagnostic.
-    pub fn save_snapshot(&self, path: &str) -> Result<String, String> {
+    pub(crate) fn save_snapshot(&self, path: &str) -> Result<String, String> {
         let snapshot = self.handle.snapshot();
         snapshot
             .save(path)
@@ -395,7 +395,7 @@ impl Session {
     /// condensation and how many re-ran Tarjan.  The stream seed advances
     /// with the graph epoch, so repeated `:ingest` calls produce different
     /// (but reproducible) mutations.
-    pub fn ingest(&self, epochs: usize, ops_per_epoch: usize) -> String {
+    pub(crate) fn ingest(&self, epochs: usize, ops_per_epoch: usize) -> String {
         let before = self.handle.stats();
         let cfg = UpdateStreamConfig {
             seed: self.handle.epoch(),
@@ -763,7 +763,7 @@ impl Session {
     /// after `limit` rows instead of materializing the full answer and
     /// trimming at print time, and the session's timeout rides along as the
     /// request deadline.
-    pub fn try_query(&mut self, text: &str) -> Result<String, String> {
+    pub(crate) fn try_query(&mut self, text: &str) -> Result<String, String> {
         // Parse once up front: the request carries the parsed tree, and the
         // same `Gtpq` later renders the result table's column names.
         let q = text.parse::<Gtpq>().map_err(|e| e.render(text))?;
@@ -803,7 +803,7 @@ impl Session {
 /// node (headed by its display name), one row per result tuple.  The rows
 /// were already limited by the engine's pushdown; `truncated` marks that
 /// more rows exist past the fetched window.
-pub fn render_table(
+pub(crate) fn render_table(
     g: &DataGraph,
     q: &Gtpq,
     results: &gtpq_query::ResultSet,
@@ -867,7 +867,7 @@ pub fn render_table(
 }
 
 /// Renders per-query [`EvalStats`](gtpq_core::EvalStats) as two short lines.
-pub fn render_stats(stats: &gtpq_core::EvalStats) -> String {
+pub(crate) fn render_stats(stats: &gtpq_core::EvalStats) -> String {
     if stats.total_time() == std::time::Duration::ZERO && stats.initial_candidates == 0 {
         return "stats: served from the result cache".to_owned();
     }
@@ -898,7 +898,7 @@ pub fn render_stats(stats: &gtpq_core::EvalStats) -> String {
 /// own line counts as plain text here — the broken chunk still balances,
 /// gets dispatched, and the parser reports the error, instead of one bad
 /// quote silently swallowing every following line.
-pub fn delimiters_balanced(s: &str) -> bool {
+pub(crate) fn delimiters_balanced(s: &str) -> bool {
     let bytes = s.as_bytes();
     let mut depth = 0i64;
     let mut i = 0;

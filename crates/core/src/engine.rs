@@ -45,12 +45,6 @@ impl ExecOptions {
         self
     }
 
-    /// Sets the row offset.
-    pub fn with_offset(mut self, offset: usize) -> Self {
-        self.offset = offset;
-        self
-    }
-
     /// Sets the execution control.
     pub fn with_ctl(mut self, ctl: ExecCtl) -> Self {
         self.ctl = ctl;
@@ -671,7 +665,7 @@ mod tests {
         let q = example_query();
         let engine = GteaEngine::new(&g);
         let plan = Planner::new(&g).plan(&q);
-        let ctl = ExecCtl::unbounded().with_timeout(std::time::Duration::ZERO);
+        let ctl = ExecCtl::unbounded().with_deadline(std::time::Instant::now());
         let err = engine
             .execute(&q, &plan, ExecOptions::unbounded().with_ctl(ctl))
             .unwrap_err();

@@ -6,18 +6,18 @@
 //! has passed or its [`CancelToken`] was triggered.  The polls are designed
 //! to be cheap enough for inner loops: an unbounded control is two `Option`
 //! checks, and bounded controls read the wall clock only at operator
-//! boundaries plus every [`SAMPLE_EVERY`]-th inner-loop iteration.
+//! boundaries plus every `SAMPLE_EVERY`-th inner-loop iteration.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gtpq_obs::Tracer;
 
 /// Inner-loop polls between wall-clock reads in [`ExecCtl::check_sampled`].
-pub const SAMPLE_EVERY: u32 = 64;
+pub(crate) const SAMPLE_EVERY: u32 = 64;
 
 /// Why an evaluation stopped before producing its complete answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ impl CancelToken {
     }
 
     /// Whether the token has been triggered.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -97,15 +97,6 @@ impl ExecCtl {
         self
     }
 
-    /// Adds a deadline `budget` from now.  A budget that runs past the
-    /// clock's range (`Duration::MAX`, say) is no deadline at all.
-    pub fn with_timeout(self, budget: Duration) -> Self {
-        match Instant::now().checked_add(budget) {
-            Some(deadline) => self.with_deadline(deadline),
-            None => self,
-        }
-    }
-
     /// Adds a cancellation token (shared with the party that may cancel).
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -124,13 +115,13 @@ impl ExecCtl {
     }
 
     /// Whether this control can never interrupt.
-    pub fn is_unbounded(&self) -> bool {
+    pub(crate) fn is_unbounded(&self) -> bool {
         self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Full poll for operator boundaries: always checks the cancellation
     /// flag and, when a deadline is set, the wall clock.
-    pub fn check(&self) -> Result<(), Interrupt> {
+    pub(crate) fn check(&self) -> Result<(), Interrupt> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
                 return Err(Interrupt::Cancelled);
@@ -147,7 +138,7 @@ impl ExecCtl {
     /// Sampled poll for inner loops: the cancellation flag is checked on
     /// every call, the wall clock only every [`SAMPLE_EVERY`]-th call (and on
     /// the first, so a zero budget trips immediately).
-    pub fn check_sampled(&self) -> Result<(), Interrupt> {
+    pub(crate) fn check_sampled(&self) -> Result<(), Interrupt> {
         if self.is_unbounded() {
             return Ok(());
         }
@@ -168,6 +159,8 @@ impl ExecCtl {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -182,15 +175,15 @@ mod tests {
 
     #[test]
     fn zero_budget_times_out_on_the_first_poll() {
-        let ctl = ExecCtl::unbounded().with_timeout(Duration::ZERO);
+        let ctl = ExecCtl::unbounded().with_deadline(Instant::now());
         assert_eq!(ctl.check(), Err(Interrupt::Timeout));
-        let ctl = ExecCtl::unbounded().with_timeout(Duration::ZERO);
+        let ctl = ExecCtl::unbounded().with_deadline(Instant::now());
         assert_eq!(ctl.check_sampled(), Err(Interrupt::Timeout));
     }
 
     #[test]
     fn generous_budget_does_not_interrupt() {
-        let ctl = ExecCtl::unbounded().with_timeout(Duration::from_secs(3600));
+        let ctl = ExecCtl::unbounded().with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!ctl.is_unbounded());
         for _ in 0..2 * SAMPLE_EVERY {
             assert_eq!(ctl.check_sampled(), Ok(()));
@@ -202,7 +195,7 @@ mod tests {
         let token = CancelToken::new();
         let ctl = ExecCtl::unbounded()
             .with_cancel(token.clone())
-            .with_timeout(Duration::from_secs(3600));
+            .with_deadline(Instant::now() + Duration::from_secs(3600));
         assert_eq!(ctl.check(), Ok(()));
         assert!(!token.is_cancelled());
         token.cancel();
@@ -218,13 +211,5 @@ mod tests {
     fn interrupts_render_as_errors() {
         assert!(Interrupt::Timeout.to_string().contains("deadline"));
         assert!(Interrupt::Cancelled.to_string().contains("cancelled"));
-    }
-
-    #[test]
-    fn a_budget_past_the_clock_s_range_is_no_deadline() {
-        let ctl = ExecCtl::unbounded().with_timeout(Duration::MAX);
-        assert!(ctl.is_unbounded());
-        assert_eq!(ctl.check(), Ok(()));
-        assert_eq!(ctl.check_sampled(), Ok(()));
     }
 }

@@ -39,7 +39,7 @@ pub struct MatchingGraph {
     bounds: Vec<usize>,
     targets: Vec<NodeId>,
     /// Number of data-node occurrences in the graph.
-    pub node_count: usize,
+    pub(crate) node_count: usize,
     /// Number of edges in the graph.
     pub edge_count: usize,
     /// What the set-at-a-time pass of each AD child did, in build order.
@@ -178,7 +178,8 @@ impl MatchingGraph {
     /// Every branch is a subsequence of the child's (sorted) candidate set,
     /// so it is strictly ascending — the enumerator walks branches as sorted
     /// runs without re-sorting them.
-    pub fn branches_of(&self, u: QueryNodeId, pos: usize) -> impl Iterator<Item = &[NodeId]> {
+    #[cfg(test)]
+    fn branches_of(&self, u: QueryNodeId, pos: usize) -> impl Iterator<Item = &[NodeId]> {
         (0..self.arity[u.index()]).map(move |child| &self.targets[self.branch(u, pos, child)])
     }
 

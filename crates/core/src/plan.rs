@@ -150,12 +150,12 @@ pub struct QueryPlan {
     /// Estimated candidates surviving the upward round (over prime nodes).
     pub upward_estimated_rows: u64,
     /// Estimated size (nodes + edges) of the maximal matching graph.
-    pub matching_estimated_rows: u64,
+    pub(crate) matching_estimated_rows: u64,
     /// Estimated number of result tuples.
-    pub collect_estimated_rows: u64,
+    pub(crate) collect_estimated_rows: u64,
     /// Estimated number of reachability set-probe calls both prune rounds
     /// will issue — the weight behind the backend recommendation.
-    pub estimated_probes: u64,
+    pub(crate) estimated_probes: u64,
     /// The backend recommendation.
     pub backend: PlannedBackend,
 }
@@ -697,7 +697,7 @@ mod tests {
         // and the counters add up to the indexed vector count.
         assert!(stats.sim_verified >= 8);
         assert_eq!(stats.sim_verified + stats.sim_pivot_filtered, 16);
-        assert!(stats.sim_filter_selectivity() > 0.0);
+        assert!(stats.sim_pivot_filtered > 0);
         // `:explain analyze` gets an estimate-vs-actual row for the scan,
         // and the estimation-error rollup folds it in.
         let rendered = plan.render_with_actuals(&q, &stats);

@@ -16,7 +16,7 @@ pub struct PrimeSubtree {
     /// ids are always larger than their parent's).
     pub nodes: Vec<QueryNodeId>,
     /// Children of each member restricted to the prime subtree.
-    pub children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
+    pub(crate) children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
 }
 
 impl PrimeSubtree {
@@ -53,7 +53,7 @@ impl PrimeSubtree {
     }
 
     /// The prime-subtree children of `u`.
-    pub fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
+    pub(crate) fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
         self.children.get(&u).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -80,10 +80,10 @@ pub struct ShrunkPrime {
     /// Remaining nodes (ascending id order).
     pub nodes: Vec<QueryNodeId>,
     /// Children of each remaining node restricted to remaining nodes.
-    pub children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
+    pub(crate) children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
     /// Output nodes that were removed because they had exactly one candidate,
     /// together with that candidate.
-    pub constant_outputs: Vec<(QueryNodeId, NodeId)>,
+    pub(crate) constant_outputs: Vec<(QueryNodeId, NodeId)>,
 }
 
 impl ShrunkPrime {
@@ -168,7 +168,7 @@ impl ShrunkPrime {
     }
 
     /// The shrunk children of `u`.
-    pub fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
+    pub(crate) fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
         self.children.get(&u).map(Vec::as_slice).unwrap_or(&[])
     }
 

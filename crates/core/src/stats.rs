@@ -24,7 +24,7 @@ pub struct OperatorStats {
 
 impl OperatorStats {
     /// Relative cardinality estimation error `|est − actual| / max(actual, 1)`.
-    pub fn relative_error(&self) -> f64 {
+    pub(crate) fn relative_error(&self) -> f64 {
         let actual = self.actual_rows.max(1) as f64;
         (self.estimated_rows as f64 - self.actual_rows as f64).abs() / actual
     }
@@ -162,27 +162,10 @@ impl EvalStats {
             / self.operators.len() as f64
     }
 
-    /// Fraction of candidates removed by the two pruning rounds, over the
-    /// query nodes of the prime subtree (1.0 = everything pruned).
-    pub fn pruning_ratio(&self) -> f64 {
-        if self.initial_candidates == 0 {
-            return 0.0;
-        }
-        1.0 - self.candidates_after_downward as f64 / self.initial_candidates as f64
-    }
-
     /// Fraction of initial candidates served straight from the attribute
     /// inverted index (1.0 = no node scanned during candidate selection).
     pub fn index_serve_rate(&self) -> f64 {
         serve_rate(self.index_hits, self.scanned_nodes)
-    }
-
-    /// Fraction of sim-indexed vectors the pivot filter discarded without an
-    /// exact distance computation (0.0 when no `sim(...)` predicate ran).
-    /// The headline number for how much work the block-and-verify filter
-    /// saved over verifying every indexed vector.
-    pub fn sim_filter_selectivity(&self) -> f64 {
-        serve_rate(self.sim_pivot_filtered, self.sim_verified)
     }
 }
 
@@ -204,8 +187,6 @@ mod tests {
     #[test]
     fn derived_metrics() {
         let stats = EvalStats {
-            initial_candidates: 100,
-            candidates_after_downward: 25,
             prune_down_time: Duration::from_millis(3),
             prune_up_time: Duration::from_millis(2),
             enumerate_time: Duration::from_millis(5),
@@ -213,8 +194,6 @@ mod tests {
         };
         assert_eq!(stats.filtering_time(), Duration::from_millis(5));
         assert_eq!(stats.total_time(), Duration::from_millis(10));
-        assert!((stats.pruning_ratio() - 0.75).abs() < 1e-9);
-        assert_eq!(EvalStats::default().pruning_ratio(), 0.0);
     }
 
     #[test]
@@ -260,16 +239,5 @@ mod tests {
         };
         assert!((stats.index_serve_rate() - 0.75).abs() < 1e-9);
         assert_eq!(EvalStats::default().index_serve_rate(), 0.0);
-    }
-
-    #[test]
-    fn sim_filter_selectivity_splits_filtered_and_verified() {
-        let stats = EvalStats {
-            sim_pivot_filtered: 90,
-            sim_verified: 10,
-            ..Default::default()
-        };
-        assert!((stats.sim_filter_selectivity() - 0.9).abs() < 1e-9);
-        assert_eq!(EvalStats::default().sim_filter_selectivity(), 0.0);
     }
 }

@@ -160,11 +160,6 @@ impl StreamSource {
         }
     }
 
-    /// Number of output coordinates per row.
-    pub fn output_len(&self) -> usize {
-        self.output_len
-    }
-
     fn top(&self) -> usize {
         self.plan.len() - 1
     }
@@ -642,7 +637,7 @@ impl MatchStream {
 
     /// Wall time from the first [`next_row`](Self::next_row) call to the
     /// first produced row (zero until then).
-    pub fn time_to_first_row(&self) -> Duration {
+    pub(crate) fn time_to_first_row(&self) -> Duration {
         self.time_to_first_row
     }
 }

@@ -4,7 +4,7 @@
 //! The similarity access path (`gtpq-sim`) needs a workload whose ground
 //! truth is checkable *by construction*, not just by brute force: every
 //! document belongs to exactly one cluster, cluster centers are pairwise at
-//! least [`CENTER_SEPARATION`] apart in L2, and each member sits within
+//! least `CENTER_SEPARATION` apart in L2, and each member sits within
 //! `noise · √dim` of its center.  A radius query at a cluster center with
 //! any radius between those two bounds therefore retrieves *exactly* the
 //! cluster's members — perfect recall and precision are provable from the
@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 /// coordinate `c mod dim`, which is overridden to `8 · (⌊c / dim⌋ + 1)`.
 /// Two centers on the same axis differ by at least 8 there; two centers on
 /// different axes differ by at least `8 − 1 = 7` on either spike axis.
-pub const CENTER_SEPARATION: f32 = 7.0;
+pub(crate) const CENTER_SEPARATION: f32 = 7.0;
 
 /// Configuration of the embedded-text generator.
 #[derive(Clone, Copy, Debug)]
@@ -82,18 +82,16 @@ impl EmbedConfig {
     /// Upper bound on the L2 distance between a member and its cluster
     /// center: per-coordinate noise is at most `noise`, so the distance is
     /// at most `noise · √dim`.
-    pub fn member_radius(&self) -> f32 {
+    pub(crate) fn member_radius(&self) -> f32 {
         self.noise * (self.dim as f32).sqrt()
     }
 
     /// A radius with *provably* perfect recall and precision for a query at
-    /// a cluster center: strictly larger than [`member_radius`]
-    /// (every member retrieved) and strictly smaller than
-    /// [`CENTER_SEPARATION`] minus [`member_radius`] (no foreign member can
-    /// come close).  Generators whose parameters violate that window (huge
+    /// a cluster center: strictly larger than the member radius
+    /// `noise · √dim` (every member retrieved) and strictly smaller than
+    /// `CENTER_SEPARATION` minus that radius (no foreign member can come
+    /// close).  Generators whose parameters violate that window (huge
     /// `noise`) panic rather than silently losing the guarantee.
-    ///
-    /// [`member_radius`]: Self::member_radius
     pub fn recall_radius(&self) -> f32 {
         let r = self.member_radius() * 2.0 + 0.125;
         assert!(

@@ -6,7 +6,7 @@
 //! O(touched) [`clear`](NodeBitSet::clear) so one set (or a small pool) can be
 //! reused across every step of a query without re-zeroing the whole universe.
 //!
-//! [`intersect_sorted`] and [`intersect_many`] intersect the sorted,
+//! `intersect_sorted` and [`intersect_many`] intersect the sorted,
 //! de-duplicated posting lists of the attribute inverted index with a
 //! galloping (doubling) search, which is near-linear in the smallest list —
 //! the shape worst-case-optimal join layouts exploit.
@@ -34,17 +34,9 @@ impl NodeBitSet {
         }
     }
 
-    /// Grows the universe to at least `n` nodes.
-    pub fn grow(&mut self, n: usize) {
-        let need = n.div_ceil(64);
-        if need > self.words.len() {
-            self.words.resize(need, 0);
-        }
-    }
-
     /// Inserts `v`, returning whether it was newly inserted.
     #[inline]
-    pub fn insert(&mut self, v: NodeId) -> bool {
+    pub(crate) fn insert(&mut self, v: NodeId) -> bool {
         let word = v.index() / 64;
         let bit = 1u64 << (v.index() % 64);
         let w = &mut self.words[word];
@@ -126,7 +118,7 @@ pub fn intersect_sorted_into(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) 
 }
 
 /// Intersects two sorted, de-duplicated slices, returning the sorted result.
-pub fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
+pub(crate) fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     intersect_sorted_into(a, b, &mut out);
     out
@@ -182,14 +174,6 @@ mod tests {
         // Reuse after clear works.
         s.extend_from_slice(&ids(&[1, 2, 199]));
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn grow_extends_the_universe() {
-        let mut s = NodeBitSet::new(10);
-        s.grow(500);
-        s.insert(NodeId(499));
-        assert!(s.contains(NodeId(499)));
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Number of edges added so far (before de-duplication).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the graph: sorts and de-duplicates the edge list, packs it
     /// into forward and reverse CSR arrays, and builds the attribute inverted
     /// index.

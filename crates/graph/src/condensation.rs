@@ -9,7 +9,7 @@
 //! The representation is *canonical*: components are numbered by their
 //! smallest member node and the topological order is the deterministic Kahn
 //! order (smallest ready component first).  Canonical form is what makes the
-//! incremental path ([`Condensation::apply_insertions`]) bit-identical to a
+//! incremental path (`Condensation::apply_insertions`) bit-identical to a
 //! from-scratch [`Condensation::new`] of the mutated graph — the mutation
 //! oracle tests compare the two with `==`.
 
@@ -23,7 +23,7 @@ use crate::run::IntRun;
 /// Identifier of a strongly connected component in a [`Condensation`].
 ///
 /// `repr(transparent)` over the raw `u32` so component runs can live directly
-/// inside mapped snapshot sections (see [`crate::run::IntRun`]).
+/// inside mapped snapshot sections (see `IntRun`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct CompId(pub u32);
@@ -199,7 +199,7 @@ impl Condensation {
     /// order at all, which only a base mapped unverified from a damaged
     /// snapshot can cause.  The result is bit-identical to
     /// [`Condensation::new`] on the mutated graph.
-    pub fn apply_insertions(
+    pub(crate) fn apply_insertions(
         &self,
         new_node_count: usize,
         added_edges: &[(NodeId, NodeId)],

@@ -17,7 +17,7 @@ use crate::run::{window, IntRun, RunElem};
 /// `T = CompId` for the SCC condensation DAG, so reachability backends can
 /// borrow the very same slices during index construction.
 ///
-/// Both arrays are [`IntRun`]s: owned vectors for graphs built in memory,
+/// Both arrays are `IntRun`s: owned vectors for graphs built in memory,
 /// borrowed windows into the file mapping for graphs loaded from a `.gtpq`
 /// snapshot.  Every accessor goes through the slice view, so the two
 /// representations are indistinguishable to callers — and through the total
@@ -75,7 +75,7 @@ impl<T: RunElem + Ord> Csr<T> {
     ///
     /// Pairs are sorted and de-duplicated here, so callers can hand over the
     /// raw insertion-order edge list.  `n` is the number of source nodes.
-    pub fn from_pairs(n: usize, mut pairs: Vec<(u32, T)>) -> Self {
+    pub(crate) fn from_pairs(n: usize, mut pairs: Vec<(u32, T)>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
         Self::from_sorted_pairs(n, &pairs)
@@ -114,7 +114,7 @@ impl<T: RunElem + Ord> Csr<T> {
     /// Builds a CSR with `n` sources by flattening per-source runs produced in
     /// source order.  `runs` yields `(source, sorted run)`; sources must be
     /// visited in increasing order and every source exactly once.
-    pub fn from_runs<I, R>(n: usize, runs: I) -> Self
+    pub(crate) fn from_runs<I, R>(n: usize, runs: I) -> Self
     where
         I: IntoIterator<Item = R>,
         R: IntoIterator<Item = T>,
@@ -152,19 +152,19 @@ impl<T: RunElem + Ord> Csr<T> {
     /// The sorted neighbour slice of source `v` (empty for a `v` the CSR
     /// does not have).
     #[inline]
-    pub fn neighbors(&self, v: usize) -> &[T] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[T] {
         window(&self.offsets, v, &self.targets)
     }
 
-    /// Out-degree of source `v`: the length of [`neighbors`](Self::neighbors).
+    /// Out-degree of source `v`: the length of `neighbors`.
     #[inline]
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.neighbors(v).len()
     }
 
     /// Total number of stored targets.
     #[inline]
-    pub fn target_count(&self) -> usize {
+    pub(crate) fn target_count(&self) -> usize {
         self.targets.len()
     }
 
@@ -184,7 +184,7 @@ impl<T: RunElem + Ord> Csr<T> {
     /// # Panics
     /// Panics when `n` shrinks the CSR, when an addition's source is `>= n`,
     /// or when the merged target count overflows the `u32` offsets.
-    pub fn merge_additions(&self, n: usize, additions: &[(u32, T)]) -> Self {
+    pub(crate) fn merge_additions(&self, n: usize, additions: &[(u32, T)]) -> Self {
         assert!(n >= self.len(), "CSR merge cannot drop sources");
         debug_assert!(additions.windows(2).all(|w| w[0] < w[1]));
         assert!(
@@ -229,7 +229,7 @@ impl<T: RunElem + Ord> Csr<T> {
 
     /// Clones the CSR and appends one run per new source, in order.  The
     /// existing runs are untouched; each appended run must be sorted.
-    pub fn with_appended_runs<I, R>(&self, runs: I) -> Self
+    pub(crate) fn with_appended_runs<I, R>(&self, runs: I) -> Self
     where
         I: IntoIterator<Item = R>,
         R: IntoIterator<Item = T>,

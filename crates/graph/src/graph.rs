@@ -15,7 +15,7 @@ use crate::tuples::AttrTuples;
 /// Identifier of a node in a [`DataGraph`]. Dense, starting at zero.
 ///
 /// `repr(transparent)` over the raw `u32` so node-id runs can live directly
-/// inside mapped snapshot sections (see [`crate::run::IntRun`]).
+/// inside mapped snapshot sections (see `IntRun`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
@@ -166,7 +166,7 @@ impl DataGraph {
     ///
     /// On a snapshot-loaded graph the first per-node attribute access
     /// materializes the whole tuple table from the mapped columns (see
-    /// [`AttrTuples`]); index-served predicate evaluation never needs it.
+    /// `AttrTuples`); index-served predicate evaluation never needs it.
     #[inline]
     pub fn attributes(&self, v: NodeId) -> &[Attribute] {
         &self.attrs.tuples()[v.index()]
@@ -179,7 +179,7 @@ impl DataGraph {
     }
 
     /// Looks up the value of the attribute with interned name `name` on `v`.
-    pub fn attribute_value_sym(&self, v: NodeId, name: Symbol) -> Option<&AttrValue> {
+    pub(crate) fn attribute_value_sym(&self, v: NodeId, name: Symbol) -> Option<&AttrValue> {
         self.attrs.tuples()[v.index()]
             .iter()
             .find(|a| a.name == name)
@@ -189,11 +189,6 @@ impl DataGraph {
     /// The symbol table interning attribute names.
     pub fn symbols(&self) -> &SymbolTable {
         &self.symbols
-    }
-
-    /// Resolves an attribute-name symbol to its string.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        self.symbols.resolve(sym)
     }
 
     /// The attribute inverted index built alongside the graph.
@@ -273,7 +268,7 @@ impl DataGraph {
     }
 
     /// Total number of attribute entries across all nodes (O(1)).
-    pub fn attribute_count(&self) -> usize {
+    pub(crate) fn attribute_count(&self) -> usize {
         self.attrs.entry_count()
     }
 }

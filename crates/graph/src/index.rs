@@ -222,7 +222,7 @@ impl AttrIndex {
     /// entering the index; `name_added` lists nodes newly carrying an
     /// attribute name at all (upserts never remove a name).  Entries may
     /// arrive in any order — they are sorted into canonical key order here.
-    pub fn merge_updates(
+    pub(crate) fn merge_updates(
         &self,
         mut removed: Vec<(Symbol, AttrValue, NodeId)>,
         mut added: Vec<(Symbol, AttrValue, NodeId)>,
@@ -433,18 +433,18 @@ impl AttrIndex {
 
     /// Length of the `attr = value` posting list without materializing it
     /// (O(1); the cost-model input behind `IndexScan` row estimates).
-    pub fn count_eq(&self, attr: Symbol, value: &AttrValue) -> usize {
+    pub(crate) fn count_eq(&self, attr: Symbol, value: &AttrValue) -> usize {
         self.nodes_eq(attr, value).len()
     }
 
     /// Number of nodes carrying attribute `attr` at all (O(1)).
-    pub fn count_with_name(&self, attr: Symbol) -> usize {
+    pub(crate) fn count_with_name(&self, attr: Symbol) -> usize {
         self.nodes_with_name(attr).len()
     }
 
     /// Number of nodes whose integer-valued `attr` lies in `[lo, hi]`,
     /// computed by two binary searches without building the node list.
-    pub fn count_int_range(&self, attr: Symbol, lo: i64, hi: i64) -> usize {
+    pub(crate) fn count_int_range(&self, attr: Symbol, lo: i64, hi: i64) -> usize {
         if lo > hi {
             return 0;
         }
@@ -457,14 +457,14 @@ impl AttrIndex {
     }
 
     /// Total number of posting entries across every access path.
-    pub fn entry_count(&self) -> usize {
+    pub(crate) fn entry_count(&self) -> usize {
         self.value_nodes.len()
             + self.name_nodes.len()
             + self.int_runs.values().map(IntPairs::len).sum::<usize>()
     }
 
     /// Number of distinct values of attribute `attr` present in the graph.
-    pub fn distinct_values(&self, attr: Symbol) -> usize {
+    pub(crate) fn distinct_values(&self, attr: Symbol) -> usize {
         self.value_slots.get(&attr).map_or(0, HashMap::len)
     }
 }

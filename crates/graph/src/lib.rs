@@ -66,18 +66,17 @@ pub mod traversal;
 pub mod tuples;
 
 pub use attr::{AttrValue, Attribute};
-pub use bitset::{intersect_many, intersect_sorted, intersect_sorted_into, NodeBitSet};
+pub use bitset::{intersect_many, intersect_sorted_into, NodeBitSet};
 pub use builder::GraphBuilder;
 pub use condensation::Condensation;
 pub use graph::{DataGraph, NodeId};
 pub use index::AttrIndex;
 pub use mutate::{GraphHandle, GraphSnapshot, MutationStats};
-pub use run::{IntRun, RunElem};
+pub use run::RunElem;
 pub use sim_index::{SimCatalog, SimMatches, SimTable};
 pub use snap::{LoadMode, SnapshotColumns, SnapshotError, ValueColumns};
 pub use stats::GraphStats;
 pub use symbol::{Symbol, SymbolTable};
-pub use tuples::AttrTuples;
 
 /// Attribute name conventionally used for the single "label" of a node in the
 /// synthetic datasets (XMark tags, arXiv label groups, ...).

@@ -4,12 +4,10 @@
 //! overlay*) and compacts them into a fresh, fully flat [`DataGraph`] at each
 //! [`commit`](GraphHandle::commit) — one epoch per commit.  Compaction is
 //! *incremental*: every commit extends the CSR adjacency and the attribute
-//! inverted index by linear sorted-run merges
-//! ([`Csr::merge_additions`](crate::csr::Csr::merge_additions),
-//! [`AttrIndex::merge_updates`](crate::AttrIndex::merge_updates)), whatever
-//! the size of the delta.  The SCC condensation is patched in place whenever
+//! inverted index by linear sorted-run merges (`Csr::merge_additions`,
+//! `AttrIndex::merge_updates`), whatever the size of the delta.  The SCC condensation is patched in place whenever
 //! every new edge goes forward in the topological order
-//! ([`Condensation::apply_insertions`]) and re-runs Tarjan otherwise.  The
+//! (`Condensation::apply_insertions`) and re-runs Tarjan otherwise.  The
 //! result is **bit-identical** to rebuilding the graph from scratch over the
 //! same logical operation sequence — the differential oracle
 //! (`tests/differential.rs`) compares the two with `==` after every epoch,
@@ -220,7 +218,7 @@ impl GraphHandle {
     }
 
     /// Number of staged, not-yet-committed operations.
-    pub fn pending_op_count(&self) -> usize {
+    pub(crate) fn pending_op_count(&self) -> usize {
         self.pending
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -234,7 +232,7 @@ impl GraphHandle {
     }
 
     /// Stages a node with the given `(name, value)` attribute pairs.
-    pub fn insert_node_with_attrs<'a, I>(&self, attrs: I) -> NodeId
+    pub(crate) fn insert_node_with_attrs<'a, I>(&self, attrs: I) -> NodeId
     where
         I: IntoIterator<Item = (&'a str, AttrValue)>,
     {

@@ -1,7 +1,7 @@
 //! Owned-or-mapped integer run storage.
 //!
 //! Every large flat array in the storage layer — CSR offsets and targets,
-//! posting lists, condensation arrays — is an [`IntRun`]: either an owned
+//! posting lists, condensation arrays — is an `IntRun`: either an owned
 //! `Vec<T>` (graphs built in memory) or a borrowed window into a shared
 //! snapshot buffer (graphs loaded from a `.gtpq` file, see [`crate::snap`]).
 //! `IntRun` derefs to `&[T]`, so the bitset/galloping intersection paths and
@@ -26,7 +26,7 @@ use crate::graph::NodeId;
 use crate::symbol::Symbol;
 
 /// Marker for plain-old-data element types that may live inside a mapped
-/// [`IntRun`].
+/// `IntRun`.
 ///
 /// # Safety
 ///
@@ -60,7 +60,7 @@ unsafe impl RunElem for CompId {}
 /// did); cloning a mapped run bumps one refcount.  Equality, hashing and
 /// `Debug` all go through the slice view, so an owned run and a mapped run
 /// over the same values compare equal.
-pub struct IntRun<T: RunElem> {
+pub(crate) struct IntRun<T: RunElem> {
     repr: Repr<T>,
 }
 
@@ -85,7 +85,7 @@ impl<T: RunElem> IntRun<T> {
     }
 
     /// Wraps an owned vector.
-    pub fn from_vec(v: Vec<T>) -> Self {
+    pub(crate) fn from_vec(v: Vec<T>) -> Self {
         Self {
             repr: Repr::Owned(v),
         }
@@ -126,7 +126,7 @@ impl<T: RunElem> IntRun<T> {
 
     /// The run as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match &self.repr {
             Repr::Owned(v) => v.as_slice(),
             Repr::Mapped {
@@ -147,15 +147,15 @@ impl<T: RunElem> IntRun<T> {
 
     /// Whether the run borrows a snapshot buffer (as opposed to owning a
     /// heap vector).
-    #[inline]
-    pub fn is_mapped(&self) -> bool {
+    #[cfg(test)]
+    fn is_mapped(&self) -> bool {
         matches!(self.repr, Repr::Mapped { .. })
     }
 
     /// Copies the run into a fresh owned vector — the copy-on-write step
     /// every mutation path takes before building a successor epoch, so a
     /// commit on a mapped graph never writes through to the file.
-    pub fn to_vec(&self) -> Vec<T> {
+    pub(crate) fn to_vec(&self) -> Vec<T> {
         self.as_slice().to_vec()
     }
 
@@ -173,7 +173,7 @@ impl<T: RunElem> IntRun<T> {
     ///
     /// # Panics
     /// Panics when the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Self {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Self {
         assert!(range.start <= range.end && range.end <= self.len());
         match &self.repr {
             Repr::Owned(v) => Self::from_vec(v[range].to_vec()),

@@ -10,7 +10,7 @@
 //! searches turn those into the planner's candidate estimate), and the norm
 //! bounds that let cosine predicates ride the L2 filter.
 //!
-//! Every array is an [`IntRun`], so a snapshot-loaded catalog borrows the
+//! Every array is an `IntRun`, so a snapshot-loaded catalog borrows the
 //! mapped `.gtpq` sections zero-copy (see [`crate::snap`]); built graphs own
 //! plain vectors.  Construction is deterministic — seeded farthest-point
 //! pivot selection over node-ordered rows — which keeps the mutation path's
@@ -34,7 +34,7 @@ use crate::symbol::Symbol;
 /// Number of pivots per table (fewer when the table has fewer entries).
 /// Small enough that the per-entry block test is cheap next to a `dim ≥ 32`
 /// exact distance, large enough to prune aggressively.
-pub const DEFAULT_PIVOT_COUNT: usize = 8;
+pub(crate) const DEFAULT_PIVOT_COUNT: usize = 8;
 
 /// Seed for the farthest-point pivot selection; fixed so rebuilding a graph
 /// over the same tuples reproduces the same table bit for bit.
@@ -179,8 +179,8 @@ impl SimTable {
     }
 
     /// Number of pivots.
-    #[inline]
-    pub fn pivot_count(&self) -> usize {
+    #[cfg(test)]
+    fn pivot_count(&self) -> usize {
         self.pivots.len() / self.dim()
     }
 
@@ -195,12 +195,6 @@ impl SimTable {
     pub fn vector(&self, i: usize) -> &[f32] {
         let d = self.dim();
         &self.vecs[i * d..(i + 1) * d]
-    }
-
-    /// The packed vector of node `v`, when the table indexes it.
-    pub fn vector_of(&self, v: NodeId) -> Option<&[f32]> {
-        let i = self.nodes.binary_search(&v).ok()?;
-        Some(self.vector(i))
     }
 
     fn filter(&self) -> PivotFilter<'_> {
@@ -346,7 +340,7 @@ impl SimCatalog {
     }
 
     /// Iterates `(attr, table)` in attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &SimTable)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Symbol, &SimTable)> + '_ {
         self.tables.iter().map(|(&sym, t)| (sym, t))
     }
 
@@ -404,8 +398,8 @@ mod tests {
         assert_eq!(t.dim(), 8);
         assert_eq!(t.pivot_count(), DEFAULT_PIVOT_COUNT);
         assert!(t.indexed_nodes().windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(t.vector_of(NodeId(3)), Some(&emb(3, 8)[..]));
-        assert_eq!(t.vector_of(NodeId(99)), None);
+        assert_eq!(t.indexed_nodes()[3], NodeId(3));
+        assert_eq!(t.vector(3), &emb(3, 8)[..]);
         assert!(0.0 <= t.norm_min && t.norm_min <= t.norm_max);
         assert_eq!(SimCatalog::build(&[]).len(), 0);
     }

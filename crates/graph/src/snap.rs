@@ -4,7 +4,7 @@
 //! [`Condensation`] out as 64-byte-aligned little-endian *int runs* so a
 //! loader can reinterpret the file bytes in place: [`GraphSnapshot::open`]
 //! with [`LoadMode::Mmap`] maps the file read-only and rebuilds the graph as
-//! borrowed [`IntRun`] views over the mapping — cold
+//! borrowed `IntRun` views over the mapping — cold
 //! start is O(page faults) plus one linear decode of the (comparatively
 //! small) materialized sections, not O(parse).
 //!
@@ -61,7 +61,7 @@
 //! monotonicity at every open too, because the decoder slices through them
 //! right there.  The big mapped runs (adjacency offsets and targets,
 //! posting offsets and nodes, condensation arrays, and the attribute tuple
-//! columns — decoded lazily, see [`crate::tuples::AttrTuples`]) are
+//! columns — decoded lazily, see `AttrTuples`) are
 //! CRC-checked, scanned for monotone offsets *and* field-validated by
 //! [`LoadMode::Heap`] and [`LoadMode::MmapVerified`]; plain
 //! [`LoadMode::Mmap`] skips those passes so that an open costs the pages it
@@ -129,7 +129,7 @@ pub const MAGIC: [u8; 8] = *b"GTPQSNAP";
 /// similarity-table sections; readers accept versions `1..=FORMAT_VERSION`.
 pub const FORMAT_VERSION: u32 = 2;
 /// Section data alignment, in bytes.
-pub const SECTION_ALIGN: u64 = 64;
+pub(crate) const SECTION_ALIGN: u64 = 64;
 
 const HEADER_LEN: u64 = 64;
 const TOC_ENTRY_LEN: u64 = 32;
@@ -1009,7 +1009,7 @@ impl ValueColumns {
     }
 
     /// Appends the vector with dictionary id `id`.
-    pub fn push_vec(&mut self, id: usize) {
+    pub(crate) fn push_vec(&mut self, id: usize) {
         self.push(TAG_VEC, id as u64);
     }
 }

@@ -13,16 +13,16 @@ pub struct GraphStats {
     /// Number of distinct values of the `label` attribute.
     pub distinct_labels: usize,
     /// Maximum out-degree.
-    pub max_out_degree: usize,
+    pub(crate) max_out_degree: usize,
     /// Maximum in-degree.
-    pub max_in_degree: usize,
+    pub(crate) max_in_degree: usize,
     /// Average BFS depth from the source nodes (in-degree 0), if any node is
     /// reachable from a source.
-    pub avg_depth: f64,
+    pub(crate) avg_depth: f64,
     /// Maximum BFS depth from the source nodes.
     pub max_depth: usize,
     /// Approximate in-memory size in bytes (nodes, edges and attributes).
-    pub approx_bytes: usize,
+    pub(crate) approx_bytes: usize,
 }
 
 impl GraphStats {

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// An interned string. Cheap to copy and compare.
 ///
 /// `repr(transparent)` over the raw `u32` so symbol runs can live directly
-/// inside mapped snapshot sections (see [`crate::run::IntRun`]).
+/// inside mapped snapshot sections (see `IntRun`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[repr(transparent)]
 pub struct Symbol(pub u32);
@@ -49,7 +49,7 @@ impl SymbolTable {
     }
 
     /// Interns `name`, returning the existing symbol if already present.
-    pub fn intern(&mut self, name: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, name: &str) -> Symbol {
         if let Some(&sym) = self.lookup.get(name) {
             return sym;
         }
@@ -64,14 +64,6 @@ impl SymbolTable {
         self.lookup.get(name).copied()
     }
 
-    /// Resolves a symbol back to its string.
-    ///
-    /// # Panics
-    /// Panics if the symbol does not belong to this table.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
-    }
-
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -83,7 +75,7 @@ impl SymbolTable {
     }
 
     /// Iterates over `(Symbol, &str)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         self.names
             .iter()
             .enumerate()
@@ -105,12 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_round_trips() {
+    fn get_finds_interned_names() {
         let mut t = SymbolTable::new();
         let a = t.intern("year");
         let b = t.intern("tag");
-        assert_eq!(t.resolve(a), "year");
-        assert_eq!(t.resolve(b), "tag");
+        assert_eq!(t.get("year"), Some(a));
         assert_eq!(t.get("tag"), Some(b));
         assert_eq!(t.get("missing"), None);
     }

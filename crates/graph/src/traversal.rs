@@ -78,37 +78,10 @@ fn neighbourhood_closure(g: &DataGraph, start: NodeId, dir: Direction) -> Vec<No
     order
 }
 
-/// A topological order of the graph's nodes, if the graph is acyclic.
-///
-/// Returns `None` when the graph contains a cycle.
-pub fn topological_order(g: &DataGraph) -> Option<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut indegree: Vec<usize> = (0..n).map(|i| g.in_degree(NodeId(i as u32))).collect();
-    let mut queue: VecDeque<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|v| indegree[v.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &c in g.children(v) {
-            indegree[c.index()] -= 1;
-            if indegree[c.index()] == 0 {
-                queue.push_back(c);
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
-}
-
 /// Depth of each node when the graph is interpreted as a forest rooted at the
 /// in-degree-zero nodes; nodes reachable through multiple paths get the depth
 /// of their first discovery (BFS).  Used only for dataset statistics.
-pub fn bfs_depths(g: &DataGraph) -> Vec<Option<usize>> {
+pub(crate) fn bfs_depths(g: &DataGraph) -> Vec<Option<usize>> {
     let mut depth = vec![None; g.node_count()];
     let mut queue = VecDeque::new();
     for v in g.nodes() {
@@ -175,18 +148,6 @@ mod tests {
         b.add_edge(c, a);
         let g = b.build();
         assert!(is_reachable(&g, a, a));
-        assert!(topological_order(&g).is_none());
-    }
-
-    #[test]
-    fn topological_order_on_dag() {
-        let g = diamond();
-        let order = topological_order(&g).unwrap();
-        let pos: Vec<usize> = (0..4)
-            .map(|i| order.iter().position(|&v| v == NodeId(i)).unwrap())
-            .collect();
-        assert!(pos[0] < pos[1] && pos[0] < pos[2]);
-        assert!(pos[1] < pos[3] && pos[2] < pos[3]);
     }
 
     #[test]

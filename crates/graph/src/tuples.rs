@@ -134,7 +134,7 @@ impl AttrColumns {
 /// for mapped runs); equality and [`tuples`](Self::tuples) go through the
 /// materialized table, so an owned store and a lazy store over the same data
 /// compare equal.
-pub struct AttrTuples {
+pub(crate) struct AttrTuples {
     /// Node count, known without materializing.
     len: usize,
     /// The mapped columns; `None` for stores built from owned tuples.
@@ -158,14 +158,8 @@ impl AttrTuples {
         self.len
     }
 
-    /// Whether the graph has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Total attribute entries across all nodes (O(1), never materializes).
-    pub fn entry_count(&self) -> usize {
+    pub(crate) fn entry_count(&self) -> usize {
         match &self.columns {
             Some(c) => c.names.len(),
             None => self
@@ -181,7 +175,7 @@ impl AttrTuples {
     /// owned `Attribute`s and caches the result; later calls (and every call
     /// on a built graph) are a plain borrow.
     #[inline]
-    pub fn tuples(&self) -> &[Vec<Attribute>] {
+    pub(crate) fn tuples(&self) -> &[Vec<Attribute>] {
         self.tuples.get_or_init(|| {
             self.columns
                 .as_ref()
@@ -192,7 +186,7 @@ impl AttrTuples {
 
     /// An owned copy of every tuple — the copy-on-write step of the mutation
     /// commit path.
-    pub fn to_tuples_vec(&self) -> Vec<Vec<Attribute>> {
+    pub(crate) fn to_tuples_vec(&self) -> Vec<Vec<Attribute>> {
         self.tuples().to_vec()
     }
 
@@ -264,7 +258,6 @@ mod tests {
         ];
         let store: AttrTuples = raw.clone().into();
         assert_eq!(store.len(), 2);
-        assert!(!store.is_empty());
         assert_eq!(store.entry_count(), 1);
         assert_eq!(store.tuples(), &raw[..]);
         assert_eq!(store.to_tuples_vec(), raw);

@@ -8,10 +8,10 @@
 //! normalisation).  This crate provides all of that:
 //!
 //! * [`BoolExpr`] — the formula AST with smart constructors,
-//! * [`Valuation`] — truth assignments and evaluation,
+//! * [`valuation`] — formula evaluation under truth assignments,
 //! * [`transform`] — substitution, renaming, simplification, NNF, CNF,
-//! * [`sat`] — a DPLL SAT solver plus tautology / implication / equivalence
-//!   checks (and a brute-force reference used in tests).
+//! * [`sat`] — a DPLL SAT solver plus implication / equivalence checks
+//!   (and a brute-force reference used in tests).
 //!
 //! Formulas have no text syntax of their own: the query language parses
 //! them as part of a query (`gtpq_query::parse_query`).
@@ -22,5 +22,4 @@ pub mod transform;
 pub mod valuation;
 
 pub use expr::{BoolExpr, DisplayWith, VarId};
-pub use sat::{brute_force_satisfiable, equivalent, implies, is_satisfiable, is_tautology};
-pub use valuation::Valuation;
+pub use sat::{brute_force_satisfiable, equivalent, implies, is_satisfiable};

@@ -22,7 +22,7 @@ pub fn is_satisfiable(expr: &BoolExpr) -> bool {
 ///
 /// Only the variables occurring in `expr` are meaningful in the returned
 /// valuation; all others are false.
-pub fn satisfying_assignment(expr: &BoolExpr) -> Option<Valuation> {
+pub(crate) fn satisfying_assignment(expr: &BoolExpr) -> Option<Valuation> {
     let cnf = to_cnf(expr);
     let mut assignment: HashMap<VarId, bool> = HashMap::new();
     if dpll(cnf.clauses.clone(), &mut assignment) {
@@ -34,11 +34,6 @@ pub fn satisfying_assignment(expr: &BoolExpr) -> Option<Valuation> {
     } else {
         None
     }
-}
-
-/// Whether `expr` is a tautology.
-pub fn is_tautology(expr: &BoolExpr) -> bool {
-    !is_satisfiable(&BoolExpr::not(expr.clone()))
 }
 
 /// Whether `a → b` is a tautology.
@@ -207,10 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn tautology_and_implication() {
-        let taut = BoolExpr::or2(BoolExpr::var(1), BoolExpr::not(BoolExpr::var(1)));
-        assert!(is_tautology(&taut));
-        assert!(!is_tautology(&BoolExpr::var(1)));
+    fn implication_and_equivalence() {
         let a = BoolExpr::and2(BoolExpr::var(1), BoolExpr::var(2));
         let b = BoolExpr::var(1);
         assert!(implies(&a, &b));

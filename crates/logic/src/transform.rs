@@ -43,7 +43,7 @@ pub fn rename_vars(expr: &BoolExpr, map: &HashMap<VarId, VarId>) -> BoolExpr {
 /// Generic substitution: `lookup` returns the replacement formula for a
 /// variable, or `None` to keep it.  Rebuilds with the smart constructors so
 /// constants fold away.
-pub fn substitute<F>(expr: &BoolExpr, lookup: &F) -> BoolExpr
+pub(crate) fn substitute<F>(expr: &BoolExpr, lookup: &F) -> BoolExpr
 where
     F: Fn(VarId) -> Option<BoolExpr>,
 {
@@ -163,7 +163,7 @@ pub struct Literal {
 
 impl Literal {
     /// The complementary literal.
-    pub fn negated(self) -> Self {
+    pub(crate) fn negated(self) -> Self {
         Literal {
             var: self.var,
             positive: !self.positive,

@@ -9,7 +9,7 @@ use crate::expr::{BoolExpr, VarId};
 /// `false`, matching the paper's valuation `val[p] := 0` initialisation in
 /// `PruneDownward`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Valuation {
+pub(crate) struct Valuation {
     values: Vec<bool>,
 }
 
@@ -21,13 +21,8 @@ impl Valuation {
         }
     }
 
-    /// Creates a valuation from an explicit vector of truth values.
-    pub fn from_vec(values: Vec<bool>) -> Self {
-        Self { values }
-    }
-
     /// Sets variable `var` to `value`, growing the assignment if needed.
-    pub fn set(&mut self, var: VarId, value: bool) {
+    pub(crate) fn set(&mut self, var: VarId, value: bool) {
         if var.index() >= self.values.len() {
             self.values.resize(var.index() + 1, false);
         }
@@ -40,23 +35,8 @@ impl Valuation {
         self.values.get(var.index()).copied().unwrap_or(false)
     }
 
-    /// Resets every variable to false, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = false);
-    }
-
-    /// Number of variables with capacity in this valuation.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the valuation holds no variables.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Evaluates `expr` under this valuation.
-    pub fn eval(&self, expr: &BoolExpr) -> bool {
+    pub(crate) fn eval(&self, expr: &BoolExpr) -> bool {
         match expr {
             BoolExpr::True => true,
             BoolExpr::False => false,
@@ -160,14 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn set_grows_and_clear_resets() {
+    fn set_grows_the_assignment() {
         let mut v = Valuation::new(1);
         v.set(VarId(5), true);
         assert!(v.get(VarId(5)));
-        assert_eq!(v.len(), 6);
-        v.clear();
-        assert!(!v.get(VarId(5)));
-        assert!(!v.is_empty());
+        assert!(!v.get(VarId(4)));
     }
 
     #[test]

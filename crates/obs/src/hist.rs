@@ -1,9 +1,9 @@
 //! Lock-free log-bucketed latency histograms (HDR-style).
 //!
 //! Values are `u64`s (the service records nanoseconds) bucketed into a
-//! log-linear layout: [`SUB_BITS`] sub-buckets per power of two, giving a
+//! log-linear layout: `SUB_BITS` sub-buckets per power of two, giving a
 //! bounded relative error of `2^-SUB_BITS` (12.5%) per bucket across the
-//! whole `u64` range with a fixed [`BUCKETS`]-slot table.  Recording is one
+//! whole `u64` range with a fixed `BUCKETS`-slot table.  Recording is one
 //! relaxed `fetch_add` plus `fetch_min`/`fetch_max` — no locks, safe to
 //! hammer from any number of threads — and a [`HistogramSnapshot`] is a
 //! plain copy with percentile and cumulative-count queries.
@@ -13,14 +13,14 @@ use std::time::Duration;
 
 /// Sub-bucket resolution: each power of two is split into `2^SUB_BITS`
 /// linear sub-buckets.
-pub const SUB_BITS: u32 = 3;
+pub(crate) const SUB_BITS: u32 = 3;
 const SUB: usize = 1 << SUB_BITS; // 8
 
 /// Number of buckets covering the whole `u64` range.
-pub const BUCKETS: usize = (64 - SUB_BITS as usize) * SUB + SUB;
+pub(crate) const BUCKETS: usize = (64 - SUB_BITS as usize) * SUB + SUB;
 
 /// Bucket index of `v` (log-linear layout).
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
         return v as usize;
     }
@@ -31,7 +31,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Inclusive upper bound of bucket `index` — every value in the bucket is
 /// `<=` this bound, and the bound itself maps back into the bucket.
-pub fn bucket_bound(index: usize) -> u64 {
+pub(crate) fn bucket_bound(index: usize) -> u64 {
     if index < SUB {
         return index as u64;
     }
@@ -126,7 +126,7 @@ pub struct HistogramSnapshot {
     /// Total samples recorded.
     pub count: u64,
     /// Sum of all samples (saturating).
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest recorded sample (0 when empty).
     pub min: u64,
     /// Largest recorded sample (0 when empty).
@@ -158,24 +158,15 @@ impl HistogramSnapshot {
         Duration::from_nanos(self.percentile(q))
     }
 
-    /// [`sum`](Self::sum) as a `Duration` (for histograms fed by
+    /// The sum of the samples as a `Duration` (for histograms fed by
     /// [`LogHistogram::record_duration`]): the exact total time observed.
     pub fn sum_duration(&self) -> Duration {
         Duration::from_nanos(self.sum)
     }
 
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Number of samples recorded into buckets whose upper bound is
     /// `<= bound` — the Prometheus `le` counter, up to bucket resolution.
-    pub fn cumulative_le(&self, bound: u64) -> u64 {
+    pub(crate) fn cumulative_le(&self, bound: u64) -> u64 {
         self.counts
             .iter()
             .enumerate()
@@ -234,7 +225,6 @@ mod tests {
         let p99 = snap.percentile(0.99);
         assert!((980..=1000).contains(&p99), "p99 {p99}");
         assert_eq!(snap.percentile(1.0), 1000);
-        assert!((snap.mean() - 500.5).abs() < 1.0);
     }
 
     #[test]
@@ -242,7 +232,6 @@ mod tests {
         let snap = LogHistogram::new().snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.percentile(0.5), 0);
-        assert_eq!(snap.mean(), 0.0);
         assert_eq!(snap.min, 0);
         assert_eq!(snap.nonzero_buckets().count(), 0);
     }

@@ -34,7 +34,7 @@ pub mod prom;
 pub mod trace;
 pub mod window;
 
-pub use hist::{bucket_bound, bucket_index, HistogramSnapshot, LogHistogram, BUCKETS, SUB_BITS};
+pub use hist::{HistogramSnapshot, LogHistogram};
 pub use prom::{valid_metric_name, PromText, LATENCY_BOUNDS_SECONDS};
 pub use trace::{Span, SpanGuard, Trace, Tracer};
 pub use window::WindowedCounter;

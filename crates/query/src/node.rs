@@ -79,9 +79,9 @@ pub struct QueryNode {
     /// Parent node (None for the root).
     pub parent: Option<QueryNodeId>,
     /// Kind of the incoming edge from the parent (None for the root).
-    pub incoming: Option<EdgeKind>,
+    pub(crate) incoming: Option<EdgeKind>,
     /// Children, in insertion order.
-    pub children: Vec<QueryNodeId>,
+    pub(crate) children: Vec<QueryNodeId>,
     /// Optional human-readable name used for display and the query DSL.
     pub name: Option<String>,
 }

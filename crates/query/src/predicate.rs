@@ -22,7 +22,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Applies the operator to an ordering of `left` relative to `right`.
-    pub fn eval(self, ord: std::cmp::Ordering) -> bool {
+    pub(crate) fn eval(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Lt => ord == Less,
@@ -93,7 +93,7 @@ impl SimComparison {
     /// the exact semantics the pivot-filtered access path must reproduce
     /// bit for bit (same [`gtpq_sim::l2`] / [`gtpq_sim::cosine`] kernels as
     /// [`gtpq_graph::SimTable`]'s verification step).
-    pub fn matches_value(&self, value: &AttrValue) -> bool {
+    pub(crate) fn matches_value(&self, value: &AttrValue) -> bool {
         let Some(x) = value.as_vec() else {
             return false;
         };
@@ -146,7 +146,7 @@ impl std::fmt::Display for SimComparison {
 }
 
 /// The outcome of index-backed candidate selection
-/// ([`AttrPredicate::select_candidates`]).
+/// (`AttrPredicate::select_candidates`).
 #[derive(Clone, Debug)]
 pub struct CandidateSelection {
     /// The selected candidates, sorted by node id.
@@ -353,7 +353,7 @@ impl AttrPredicate {
     /// with [`matches`](Self::matches).  Only the wildcard predicate has no
     /// indexable comparison — it selects every node without touching any
     /// attribute data.
-    pub fn select_candidates(&self, g: &DataGraph) -> CandidateSelection {
+    pub(crate) fn select_candidates(&self, g: &DataGraph) -> CandidateSelection {
         if self.comparisons.is_empty() && self.sims.is_empty() {
             // Wildcard: every node matches and no attribute data is touched,
             // so the selection counts as served without scanning.
@@ -488,8 +488,8 @@ impl AttrPredicate {
     }
 
     /// Whether every comparison is answered exactly by the inverted index
-    /// (no `!=`, no string range): [`select_candidates`](Self::select_candidates)
-    /// would return `from_index = true` whenever this holds.
+    /// (no `!=`, no string range): candidate selection reports
+    /// `from_index = true` whenever this holds.
     pub fn is_fully_indexable(&self) -> bool {
         self.sims.is_empty()
             && self.comparisons.iter().all(|cmp| {
@@ -514,7 +514,7 @@ impl AttrPredicate {
     /// estimates `|V|` exactly.  Cost: O(comparisons · log) — this is the
     /// planner's selectivity oracle, so it must stay far cheaper than
     /// selection itself.
-    pub fn estimate_candidates(&self, g: &DataGraph) -> usize {
+    pub(crate) fn estimate_candidates(&self, g: &DataGraph) -> usize {
         let mut est = g.node_count();
         // Integer bounds merge per attribute exactly as in
         // `select_candidates`, so `year >= a AND year <= b` estimates the

@@ -63,7 +63,7 @@ impl Gtpq {
     }
 
     /// The backbone children of `u`.
-    pub fn backbone_children(&self, u: QueryNodeId) -> Vec<QueryNodeId> {
+    pub(crate) fn backbone_children(&self, u: QueryNodeId) -> Vec<QueryNodeId> {
         self.children(u)
             .iter()
             .copied()
@@ -72,7 +72,7 @@ impl Gtpq {
     }
 
     /// The predicate children of `u`.
-    pub fn predicate_children(&self, u: QueryNodeId) -> Vec<QueryNodeId> {
+    pub(crate) fn predicate_children(&self, u: QueryNodeId) -> Vec<QueryNodeId> {
         self.children(u)
             .iter()
             .copied()
@@ -180,7 +180,7 @@ impl Gtpq {
     }
 
     /// Whether data node `v` satisfies the attribute predicate of `u` (`v ∼ u`).
-    pub fn matches_attr(&self, g: &DataGraph, v: NodeId, u: QueryNodeId) -> bool {
+    pub(crate) fn matches_attr(&self, g: &DataGraph, v: NodeId, u: QueryNodeId) -> bool {
         self.nodes[u.index()].attr.matches(g, v)
     }
 
@@ -204,9 +204,7 @@ impl Gtpq {
     }
 
     /// Estimated candidate count of a query node, from inverted-index
-    /// posting lengths (see
-    /// [`AttrPredicate::estimate_candidates`](crate::AttrPredicate::estimate_candidates)).
-    /// An
+    /// posting lengths.  An
     /// upper bound on `|mat(u)|`; never touches node attribute data.
     pub fn estimate_candidates(&self, g: &DataGraph, u: QueryNodeId) -> usize {
         self.nodes[u.index()].attr.estimate_candidates(g)

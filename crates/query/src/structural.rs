@@ -28,10 +28,6 @@ use crate::query::Gtpq;
 /// Cached structural analysis of one query.
 #[derive(Clone, Debug)]
 pub struct StructuralAnalysis {
-    /// Whether each node is an independently-constraint node.
-    pub independently_constraint: Vec<bool>,
-    /// Transitive structural predicate `ftr(u)` of each node.
-    pub transitive: Vec<BoolExpr>,
     /// Complete structural predicate `fcs(u)` of each node.
     pub complete: Vec<BoolExpr>,
 }
@@ -45,21 +41,12 @@ impl StructuralAnalysis {
             .node_ids()
             .map(|u| complete_predicate(q, u, &independently_constraint, &transitive))
             .collect();
-        Self {
-            independently_constraint,
-            transitive,
-            complete,
-        }
+        Self { complete }
     }
 
     /// `fcs` of the root node.
     pub fn root_complete(&self) -> &BoolExpr {
         &self.complete[0]
-    }
-
-    /// Whether `u` is an independently-constraint node.
-    pub fn is_icn(&self, u: QueryNodeId) -> bool {
-        self.independently_constraint[u.index()]
     }
 }
 
@@ -122,13 +109,19 @@ pub fn transitive_predicates(q: &Gtpq, icn: &[bool]) -> Vec<BoolExpr> {
 ///
 /// Intuitively: any data node that can serve as an image of `u2`'s subtree can
 /// also serve as an image of `u1`'s subtree.
-pub fn similar(q: &Gtpq, u1: QueryNodeId, u2: QueryNodeId, icn: &[bool], ftr: &[BoolExpr]) -> bool {
+pub(crate) fn similar(
+    q: &Gtpq,
+    u1: QueryNodeId,
+    u2: QueryNodeId,
+    icn: &[bool],
+    ftr: &[BoolExpr],
+) -> bool {
     similar_with_mapping(q, u1, u2, icn, ftr).is_some()
 }
 
 /// Like [`similar`], also returning the descendant mapping used to align the
 /// two subtrees (from descendants of `u1` to descendants of `u2`).
-pub fn similar_with_mapping(
+pub(crate) fn similar_with_mapping(
     q: &Gtpq,
     u1: QueryNodeId,
     u2: QueryNodeId,
@@ -224,7 +217,12 @@ pub fn subsumed(
 /// attribute predicates are set to false, and for every pair of nodes `u1`,
 /// `u2` in two distinct subtrees of `u` with `u2 ⊴ u1`, the clause
 /// `¬p_{u1} ∨ (p_{u2} ∧ fext(u2))` is conjoined.
-pub fn complete_predicate(q: &Gtpq, u: QueryNodeId, icn: &[bool], ftr: &[BoolExpr]) -> BoolExpr {
+pub(crate) fn complete_predicate(
+    q: &Gtpq,
+    u: QueryNodeId,
+    icn: &[bool],
+    ftr: &[BoolExpr],
+) -> BoolExpr {
     let mut fcs = ftr[u.index()].clone();
     for d in q.descendants(u) {
         if !q.node(d).attr.is_satisfiable() {

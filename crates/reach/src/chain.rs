@@ -38,7 +38,7 @@ pub struct ChainPos {
     /// Chain containing the component.
     pub chain: ChainId,
     /// Sequence number (`sid`) on that chain.
-    pub sid: u32,
+    pub(crate) sid: u32,
 }
 
 /// A chain cover of a condensation DAG.
@@ -57,7 +57,7 @@ impl ChainDecomposition {
     }
 
     /// Computes a chain cover of an existing condensation.
-    pub fn from_condensation(cond: &Condensation) -> Self {
+    pub(crate) fn from_condensation(cond: &Condensation) -> Self {
         let n = cond.component_count();
         let mut chains: Vec<Vec<CompId>> = Vec::new();
         // Chain whose tail is this component (if the component is a tail).
@@ -106,7 +106,7 @@ impl ChainDecomposition {
     }
 
     /// Number of chains in the cover.
-    pub fn chain_count(&self) -> usize {
+    pub(crate) fn chain_count(&self) -> usize {
         self.chains.len()
     }
 
@@ -117,30 +117,13 @@ impl ChainDecomposition {
 
     /// Position of component `c`.
     #[inline]
-    pub fn position(&self, c: CompId) -> ChainPos {
+    pub(crate) fn position(&self, c: CompId) -> ChainPos {
         self.pos[c.index()]
-    }
-
-    /// Whether component `a` reaches component `b` purely through the chain
-    /// cover (`a ≤c b` with a strictly smaller sequence number).
-    #[inline]
-    pub fn chain_reaches(&self, a: CompId, b: CompId) -> bool {
-        let pa = self.pos[a.index()];
-        let pb = self.pos[b.index()];
-        pa.chain == pb.chain && pa.sid < pb.sid
     }
 
     /// The component at position `(chain, sid)`.
     pub fn at(&self, chain: ChainId, sid: u32) -> CompId {
         self.chains[chain.index()][sid as usize]
-    }
-
-    /// Iterates over all components with their positions.
-    pub fn iter_positions(&self) -> impl Iterator<Item = (CompId, ChainPos)> + '_ {
-        self.pos
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (CompId(i as u32), p))
     }
 }
 
@@ -176,7 +159,8 @@ mod tests {
             .sum();
         assert_eq!(total, cond.component_count());
         // Every component's recorded position matches the chain contents.
-        for (comp, pos) in cd.iter_positions() {
+        for comp in (0..total as u32).map(CompId) {
+            let pos = cd.position(comp);
             assert_eq!(cd.at(pos.chain, pos.sid), comp);
         }
     }
@@ -214,16 +198,6 @@ mod tests {
                         is_reachable(&g, ui, uj),
                         "chain member {ui} must reach later member {uj}"
                     );
-                }
-            }
-        }
-        // chain_reaches implies reachability.
-        for (a, _) in cd.iter_positions() {
-            for (bb, _) in cd.iter_positions() {
-                if cd.chain_reaches(a, bb) {
-                    let ua = cond.members(a)[0];
-                    let ub = cond.members(bb)[0];
-                    assert!(is_reachable(&g, ua, ub));
                 }
             }
         }

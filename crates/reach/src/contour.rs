@@ -34,17 +34,17 @@ pub struct PredContour {
 
 impl PredContour {
     /// Largest hop (exit-node) sequence number recorded for `chain`.
-    pub fn hop(&self, chain: ChainId) -> Option<u32> {
+    pub(crate) fn hop(&self, chain: ChainId) -> Option<u32> {
         self.hops.get(&chain).copied()
     }
 
     /// Largest member sequence number recorded for `chain`.
-    pub fn member(&self, chain: ChainId) -> Option<u32> {
+    pub(crate) fn member(&self, chain: ChainId) -> Option<u32> {
         self.members.get(&chain).copied()
     }
 
     /// Whether the member set contains a component lying on a cycle equal to `comp`.
-    pub fn has_cyclic_member(&self, comp: CompId) -> bool {
+    pub(crate) fn has_cyclic_member(&self, comp: CompId) -> bool {
         self.cyclic_members.contains(&comp)
     }
 
@@ -87,17 +87,17 @@ pub struct SuccContour {
 
 impl SuccContour {
     /// Smallest hop (entry-node) sequence number recorded for `chain`.
-    pub fn hop(&self, chain: ChainId) -> Option<u32> {
+    pub(crate) fn hop(&self, chain: ChainId) -> Option<u32> {
         self.hops.get(&chain).copied()
     }
 
     /// Smallest member sequence number recorded for `chain`.
-    pub fn member(&self, chain: ChainId) -> Option<u32> {
+    pub(crate) fn member(&self, chain: ChainId) -> Option<u32> {
         self.members.get(&chain).copied()
     }
 
     /// Whether the member set contains a component lying on a cycle equal to `comp`.
-    pub fn has_cyclic_member(&self, comp: CompId) -> bool {
+    pub(crate) fn has_cyclic_member(&self, comp: CompId) -> bool {
         self.cyclic_members.contains(&comp)
     }
 

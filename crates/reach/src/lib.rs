@@ -62,8 +62,8 @@ use gtpq_graph::NodeId;
 pub use chain::{ChainDecomposition, ChainId, ChainPos};
 pub use contour::{PredContour, SuccContour};
 pub use select::{
-    build_selected_with, select_backend, select_backend_for_query, select_backend_with,
-    BackendCostHints, BackendKind, BackendSelection, GraphProfile,
+    build_selected_with, select_backend, select_backend_for_query, BackendCostHints, BackendKind,
+    BackendSelection, GraphProfile,
 };
 pub use sspi::Sspi;
 pub use three_hop::ThreeHop;

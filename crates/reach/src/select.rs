@@ -93,11 +93,11 @@ pub struct GraphProfile {
     /// Number of edges.
     pub edges: usize,
     /// Edges per node.
-    pub density: f64,
+    pub(crate) density: f64,
     /// Whether the graph is already acyclic.
-    pub is_dag: bool,
+    pub(crate) is_dag: bool,
     /// Number of strongly connected components.
-    pub condensation_size: usize,
+    pub(crate) condensation_size: usize,
 }
 
 impl GraphProfile {
@@ -146,7 +146,7 @@ pub struct BackendCostHints {
     /// Estimated construction cost (0 marks an already-built backend).
     pub build: f64,
     /// Estimated cost per reachability probe.
-    pub probe: f64,
+    pub(crate) probe: f64,
 }
 
 impl BackendKind {
@@ -163,7 +163,7 @@ impl BackendKind {
     /// backend exists, so the hints weigh a choice that no longer moves a
     /// default-option query; they stay while the benchmark's replay mirrors
     /// per-query selection.
-    pub fn cost_hints(self, profile: &GraphProfile) -> BackendCostHints {
+    pub(crate) fn cost_hints(self, profile: &GraphProfile) -> BackendCostHints {
         let n = profile.condensation_size.max(1) as f64;
         let e = profile.edges.max(1) as f64;
         let (build, probe) = match self {
@@ -183,7 +183,7 @@ pub fn select_backend(g: &DataGraph) -> BackendSelection {
 }
 
 /// Like [`select_backend`] but reusing an existing condensation of `g`.
-pub fn select_backend_with(g: &DataGraph, cond: &Condensation) -> BackendSelection {
+pub(crate) fn select_backend_with(g: &DataGraph, cond: &Condensation) -> BackendSelection {
     let profile = GraphProfile::compute_with(g, cond);
     let (kind, reason) = if profile.is_dag && profile.density < 1.2 {
         (

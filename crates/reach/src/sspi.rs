@@ -85,7 +85,7 @@ impl Sspi {
 
     /// Builds the index on an already-computed condensation of the target
     /// graph (the epoch-rotation path of the live-graph service).
-    pub fn with_condensation(cond: Condensation) -> Self {
+    pub(crate) fn with_condensation(cond: Condensation) -> Self {
         let n = cond.component_count();
 
         // BFS spanning forest over the condensation, rooted at in-degree-0 comps.

@@ -67,7 +67,7 @@ impl ThreeHop {
 
     /// Builds the index on an already-computed condensation of the target
     /// graph (the epoch-rotation path of the live-graph service).
-    pub fn with_condensation(cond: Condensation) -> Self {
+    pub(crate) fn with_condensation(cond: Condensation) -> Self {
         let chains = ChainDecomposition::from_condensation(&cond);
         let n = cond.component_count();
 
@@ -180,31 +180,20 @@ impl ThreeHop {
         &self.cond
     }
 
-    /// The chain decomposition used by the index.
-    pub fn chains(&self) -> &ChainDecomposition {
-        &self.chains
-    }
-
     /// Component of a data node.
     #[inline]
-    pub fn comp_of(&self, v: NodeId) -> CompId {
+    pub(crate) fn comp_of(&self, v: NodeId) -> CompId {
         self.cond.component_of(v)
-    }
-
-    /// Whether the component of `v` lies on a cycle.
-    #[inline]
-    pub fn is_cyclic(&self, v: NodeId) -> bool {
-        self.cond.is_cyclic(self.comp_of(v))
     }
 
     /// Number of hop-list elements looked up since the last
     /// [`reset_lookups`](Self::reset_lookups).
-    pub fn lookup_count(&self) -> u64 {
+    pub(crate) fn lookup_count(&self) -> u64 {
         self.lookups.load(Ordering::Relaxed)
     }
 
     /// Resets the lookup counter.
-    pub fn reset_lookups(&self) {
+    pub(crate) fn reset_lookups(&self) {
         self.lookups.store(0, Ordering::Relaxed);
     }
 
@@ -415,7 +404,7 @@ impl ThreeHop {
     /// Precomputed view of a source node, used when a caller needs to test
     /// reachability from one node to many targets (maximal matching graph
     /// construction): the complete successor entries are computed once.
-    pub fn source_view(&self, u: NodeId) -> SourceView {
+    pub(crate) fn source_view(&self, u: NodeId) -> SourceView {
         let comp = self.comp_of(u);
         SourceView {
             comp,
@@ -426,7 +415,7 @@ impl ThreeHop {
     }
 
     /// Whether the source of `view` reaches `v` through a non-empty path.
-    pub fn view_reaches(&self, view: &SourceView, v: NodeId) -> bool {
+    pub(crate) fn view_reaches(&self, view: &SourceView, v: NodeId) -> bool {
         let comp = self.comp_of(v);
         if comp == view.comp {
             return view.cyclic || self.cond.members(comp).len() > 1;
@@ -441,13 +430,13 @@ impl ThreeHop {
     }
 
     /// Total number of hop-list entries (index size).
-    pub fn hop_entries(&self) -> usize {
+    pub(crate) fn hop_entries(&self) -> usize {
         self.lout.iter().map(Vec::len).sum::<usize>() + self.lin.iter().map(Vec::len).sum::<usize>()
     }
 }
 
 /// Precomputed complete-successor view of one source node.
-pub struct SourceView {
+pub(crate) struct SourceView {
     comp: CompId,
     pos: ChainPos,
     cyclic: bool,

@@ -49,7 +49,7 @@ impl CacheEntry {
 
 /// An LRU cache from canonicalized queries to shared result sets.
 ///
-/// The cache carries a *graph generation* ([`epoch`](Self::epoch)): every
+/// The cache carries a *graph generation* (its epoch): every
 /// entry it holds was computed against that generation of the data graph.
 /// [`invalidate`](Self::invalidate) drops everything and advances the
 /// generation when the graph mutates, and [`insert`](Self::insert) refuses
@@ -88,7 +88,7 @@ impl ResultCache {
     }
 
     /// The graph generation the cached answers belong to.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 

@@ -32,12 +32,12 @@ pub struct CanonicalQuery {
     /// queries that differ only in sibling order / formula spelling.  Output
     /// marks are *not* part of the skeleton so result tuples can be permuted
     /// between queries sharing it.
-    pub skeleton: String,
+    pub(crate) skeleton: String,
     /// Full cache key: skeleton plus output positions in coordinate order.
     pub key: String,
     /// For each output coordinate of the query, the position of its node in
     /// the canonical pre-order of the tree.
-    pub output_positions: Vec<usize>,
+    pub(crate) output_positions: Vec<usize>,
 }
 
 /// Computes the canonical form of `q`.

@@ -16,7 +16,7 @@
 //!   reachability index is built for it.  Only a service configured for the
 //!   pairwise ablation arm builds one per generation,
 //!   [`ServiceConfig::backend`] (3-hop by default),
-//! * serves **live graphs** — [`QueryService::live`] wraps a
+//! * serves **live graphs** — [`QueryService::live_with_config`] wraps a
 //!   `gtpq_graph::GraphHandle`, and every committed epoch rotates the
 //!   service's generation state: the result and plan caches are
 //!   invalidated (counted as `stale_evictions`), the epoch is
@@ -47,9 +47,9 @@
 //! ```
 //! use std::sync::Arc;
 //! use gtpq_query::fixtures::{example_graph, example_query};
-//! use gtpq_service::{QueryRequest, QueryService};
+//! use gtpq_service::{QueryRequest, QueryService, ServiceConfig};
 //!
-//! let service = QueryService::new(Arc::new(example_graph()));
+//! let service = QueryService::with_config(Arc::new(example_graph()), ServiceConfig::default());
 //! let request = QueryRequest::query(example_query());
 //! let cold = service.submit(&request).unwrap();
 //! let warm = service.submit(&request).unwrap(); // served from the cache
@@ -74,7 +74,7 @@ pub mod slowlog;
 
 pub use cache::ResultCache;
 pub use canon::{canonicalize, CanonicalQuery};
-pub use metrics::{MetricsSnapshot, ServiceMetrics, StageHistograms, RECENT_WINDOW};
+pub use metrics::{MetricsSnapshot, StageHistograms};
 pub use request::{QueryError, QueryOutcome, QueryRequest, QuerySource};
 pub use service::{QueryService, ServiceConfig};
 pub use slowlog::{SlowOutcome, SlowQueryEntry};

@@ -23,7 +23,7 @@ use gtpq_obs::{
 
 /// Trailing window of the `recent_*` rates (QPS and hit rate "right now"
 /// rather than since process start).
-pub const RECENT_WINDOW: Duration = Duration::from_secs(30);
+pub(crate) const RECENT_WINDOW: Duration = Duration::from_secs(30);
 
 /// Lock-free per-stage latency histograms (nanosecond samples).
 #[derive(Debug, Default)]
@@ -63,13 +63,13 @@ pub struct StageHistograms {
     /// Result enumeration.
     pub enumerate: HistogramSnapshot,
     /// Whole engine evaluation (planning included).
-    pub eval: HistogramSnapshot,
+    pub(crate) eval: HistogramSnapshot,
 }
 
 impl StageHistograms {
     /// `(stage name, histogram)` pairs in pipeline order — the iteration
     /// the Prometheus encoder and the CLI's `:metrics` share.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> {
         [
             ("candidates", &self.candidates),
             ("prune_down", &self.prune_down),
@@ -136,7 +136,7 @@ macro_rules! counters {
         #[derive(Clone, Debug, Default)]
         pub struct MetricsSnapshot {
             /// Time since the service was created.
-            pub uptime: Duration,
+            pub(crate) uptime: Duration,
             $(#[doc = $help] pub $id: counters!(@ty $unit),)*
             /// End-to-end `submit` latency histogram (every request: hits,
             /// misses, timeouts, cancellations).
@@ -150,9 +150,9 @@ macro_rules! counters {
             /// Window the `recent_*` figures cover.
             pub recent_window: Duration,
             /// Requests observed within the trailing window.
-            pub recent_queries: u64,
+            pub(crate) recent_queries: u64,
             /// Cache hits observed within the trailing window.
-            pub recent_hits: u64,
+            pub(crate) recent_hits: u64,
             /// Requests per second over the trailing window (young services
             /// divide by their age instead, so early rates are not
             /// under-reported).
@@ -285,7 +285,7 @@ counters! {
 
 /// Internal atomic counters of a [`QueryService`](crate::QueryService).
 #[derive(Debug)]
-pub struct ServiceMetrics {
+pub(crate) struct ServiceMetrics {
     started: Instant,
     counters: Counters,
     latency_hist: LogHistogram,
@@ -416,24 +416,11 @@ impl MetricsSnapshot {
         self.ttfr.percentile_duration(q)
     }
 
-    /// Fraction of initial candidates served straight from the inverted
-    /// index across all engine runs (0.0 when idle).
-    pub fn index_serve_rate(&self) -> f64 {
-        gtpq_core::stats::serve_rate(self.index_hits, self.scanned_nodes)
-    }
-
     /// Fraction of sim-indexed vectors the pivot filter discarded without an
     /// exact distance computation across engine runs (0.0 when no `sim(...)`
-    /// predicate ran) — same formula as
-    /// [`EvalStats::sim_filter_selectivity`](gtpq_core::EvalStats::sim_filter_selectivity).
-    pub fn sim_filter_selectivity(&self) -> f64 {
+    /// predicate ran).
+    pub(crate) fn sim_filter_selectivity(&self) -> f64 {
         gtpq_core::stats::serve_rate(self.sim_pivot_filtered, self.sim_verified)
-    }
-
-    /// Fraction of engine runs that reused a cached physical plan
-    /// (0.0 when no plans were requested).
-    pub fn plan_hit_rate(&self) -> f64 {
-        gtpq_core::stats::serve_rate(self.plan_cache_hits, self.plan_cache_misses)
     }
 
     /// Aggregate cardinality-estimation error of the cost model: the sum of
@@ -443,17 +430,6 @@ impl MetricsSnapshot {
     /// under-estimate).
     pub fn estimation_error(&self) -> f64 {
         self.estimation_error_rows as f64 / self.actual_rows.max(1) as f64
-    }
-
-    /// Mean engine time per cache miss.
-    pub fn mean_eval_time(&self) -> Duration {
-        if self.cache_misses == 0 {
-            Duration::ZERO
-        } else {
-            // Divide in u128 space: casting the u64 miss count to u32 would
-            // truncate (a count of exactly 2^32 becomes 0 and panics).
-            Duration::from_nanos((self.eval_time.as_nanos() / u128::from(self.cache_misses)) as u64)
-        }
     }
 
     /// Renders the snapshot as a Prometheus text-format (0.0.4) scrape page:
@@ -660,13 +636,11 @@ mod tests {
         assert_eq!(snap.input_nodes, 22);
         assert_eq!(snap.index_hits, 18);
         assert_eq!(snap.scanned_nodes, 6);
-        assert!((snap.index_serve_rate() - 0.75).abs() < 1e-9);
         assert_eq!(
             snap.stages.candidates.sum_duration(),
             Duration::from_millis(4)
         );
         assert_eq!(snap.eval_time, Duration::from_millis(10));
-        assert_eq!(snap.mean_eval_time(), Duration::from_millis(5));
         assert!((snap.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
         assert!(snap.qps() > 0.0);
         // The recent window saw all three requests, one of them a hit.
@@ -684,32 +658,11 @@ mod tests {
     fn idle_snapshot_has_zero_rates() {
         let snap = ServiceMetrics::new().snapshot();
         assert_eq!(snap.hit_rate(), 0.0);
-        assert_eq!(snap.index_serve_rate(), 0.0);
-        assert_eq!(snap.mean_eval_time(), Duration::ZERO);
-        assert_eq!(snap.plan_hit_rate(), 0.0);
         assert_eq!(snap.estimation_error(), 0.0);
         assert_eq!(snap.recent_hit_rate(), 0.0);
         assert_eq!(snap.recent_qps, 0.0);
         assert_eq!(snap.latency_percentile(0.99), Duration::ZERO);
         assert_eq!(snap.ttfr_percentile(0.5), Duration::ZERO);
-    }
-
-    #[test]
-    fn mean_eval_time_survives_huge_miss_counts() {
-        // The old `cache_misses as u32` cast truncated 2^32 to 0 and
-        // panicked on the division; u128 arithmetic must not.
-        let snap = MetricsSnapshot {
-            cache_misses: 1 << 32,
-            eval_time: Duration::from_secs(1 << 33),
-            ..Default::default()
-        };
-        assert_eq!(snap.mean_eval_time(), Duration::from_secs(2));
-        let uneven = MetricsSnapshot {
-            cache_misses: 3,
-            eval_time: Duration::from_nanos(10),
-            ..Default::default()
-        };
-        assert_eq!(uneven.mean_eval_time(), Duration::from_nanos(3));
     }
 
     #[test]
@@ -900,7 +853,6 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.plan_cache_hits, 2);
         assert_eq!(snap.plan_cache_misses, 1);
-        assert!((snap.plan_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(snap.plan_time, Duration::from_millis(2));
         assert_eq!(snap.estimated_rows, 16);
         assert_eq!(snap.actual_rows, 12);

@@ -8,9 +8,9 @@
 //! ```
 //! use std::sync::Arc;
 //! use gtpq_query::fixtures::example_graph;
-//! use gtpq_service::{QueryRequest, QueryService};
+//! use gtpq_service::{QueryRequest, QueryService, ServiceConfig};
 //!
-//! let service = QueryService::new(Arc::new(example_graph()));
+//! let service = QueryService::with_config(Arc::new(example_graph()), ServiceConfig::default());
 //! let outcome = service
 //!     .submit(&QueryRequest::text("a1 { //d1* }").with_limit(10))
 //!     .unwrap();
@@ -52,24 +52,20 @@ pub struct QueryRequest {
     pub limit: Option<usize>,
     /// Skip this many leading rows of the answer.
     pub offset: usize,
-    /// Time budget from the moment `submit` is called; overrunning it yields
-    /// [`QueryError::Timeout`].
-    pub deadline: Option<Duration>,
+    /// The time budget ([`with_deadline`](Self::with_deadline)).
+    pub(crate) deadline: Option<Duration>,
     /// Include per-stage [`EvalStats`] in the outcome.
-    pub want_stats: bool,
+    pub(crate) want_stats: bool,
     /// Include the executed physical plan in the outcome.
-    pub want_plan: bool,
+    pub(crate) want_plan: bool,
     /// Record a structured span trace of the request (parse, plan and every
     /// engine stage) into [`QueryOutcome::trace`].  Off by default: a
     /// disabled tracer costs two branches per span site.
-    pub want_trace: bool,
-    /// Skip the result-cache lookup, forcing the engine to run (the
-    /// machinery behind `:explain analyze`); complete answers are still
-    /// written back to the cache.
-    pub bypass_cache: bool,
-    /// Cooperative cancellation: trigger the token from any thread and the
-    /// evaluation stops with [`QueryError::Cancelled`] at its next poll.
-    pub cancel: Option<CancelToken>,
+    pub(crate) want_trace: bool,
+    /// [`with_bypass_cache`](Self::with_bypass_cache).
+    pub(crate) bypass_cache: bool,
+    /// The cancellation token ([`with_cancel`](Self::with_cancel)).
+    pub(crate) cancel: Option<CancelToken>,
 }
 
 impl QueryRequest {
@@ -109,7 +105,8 @@ impl QueryRequest {
         self
     }
 
-    /// Give the evaluation a time budget (see [`deadline`](Self::deadline)).
+    /// Give the evaluation a time budget from the moment `submit` is called;
+    /// overrunning it yields [`QueryError::Timeout`].
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -128,20 +125,22 @@ impl QueryRequest {
     }
 
     /// Ask for a structured span trace in the outcome (see
-    /// [`want_trace`](Self::want_trace)).
+    /// [`QueryOutcome::trace`]).
     pub fn with_trace(mut self) -> Self {
         self.want_trace = true;
         self
     }
 
-    /// Skip the result-cache lookup (see
-    /// [`bypass_cache`](Self::bypass_cache)).
+    /// Skip the result-cache lookup, forcing the engine to run (the
+    /// machinery behind `:explain analyze`); complete answers are still
+    /// written back to the cache.
     pub fn with_bypass_cache(mut self) -> Self {
         self.bypass_cache = true;
         self
     }
 
-    /// Attach a cancellation token (see [`cancel`](Self::cancel)).
+    /// Cooperative cancellation: trigger `token` from any thread and the
+    /// evaluation stops with [`QueryError::Cancelled`] at its next poll.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -167,14 +166,14 @@ pub struct QueryOutcome {
     /// Whether the rows were served from the result cache (the engine never
     /// ran; `stats`, if requested, is then empty).
     pub from_cache: bool,
-    /// Per-stage engine statistics, when the request set
-    /// [`want_stats`](QueryRequest::want_stats).
+    /// Per-stage engine statistics, when the request asked for them with
+    /// [`with_stats`](QueryRequest::with_stats).
     pub stats: Option<EvalStats>,
-    /// The executed physical plan, when the request set
-    /// [`want_plan`](QueryRequest::want_plan).
+    /// The executed physical plan, when the request asked for it with
+    /// [`with_plan`](QueryRequest::with_plan).
     pub plan: Option<Arc<QueryPlan>>,
-    /// The recorded span tree, when the request set
-    /// [`want_trace`](QueryRequest::want_trace).  Covers the whole `submit`
+    /// The recorded span tree, when the request asked for it with
+    /// [`with_trace`](QueryRequest::with_trace).  Covers the whole `submit`
     /// (a `request` root span with parse, plan and engine-stage children);
     /// export with [`Trace::to_chrome_json`] or render with
     /// [`Trace::render_tree`].
@@ -199,12 +198,12 @@ pub enum QueryError {
     /// The request's text does not parse; carries the span-annotated
     /// diagnostic.
     Parse(ParseError),
-    /// The evaluation overran [`QueryRequest::deadline`].
+    /// The evaluation overran its [`QueryRequest::with_deadline`] budget.
     Timeout {
         /// The budget that was exceeded.
         budget: Duration,
     },
-    /// The request's [`CancelToken`](QueryRequest::cancel) was triggered
+    /// The request's [`CancelToken`] ([`QueryRequest::with_cancel`]) was triggered
     /// mid-evaluation.
     Cancelled,
     /// The query is structurally unsatisfiable: no data graph whatsoever can

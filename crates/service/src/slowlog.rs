@@ -17,7 +17,7 @@ use crate::lock;
 
 /// How many slow queries a service keeps; once full, the oldest entry is
 /// evicted.
-pub const SLOW_LOG_CAPACITY: usize = 32;
+pub(crate) const SLOW_LOG_CAPACITY: usize = 32;
 
 /// How a slow request ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub struct SlowQueryEntry {
 
 /// Fixed-capacity ring of the most recent slow queries.
 #[derive(Debug)]
-pub struct SlowQueryLog {
+pub(crate) struct SlowQueryLog {
     started: Instant,
     capacity: usize,
     entries: Mutex<VecDeque<SlowQueryEntry>>,

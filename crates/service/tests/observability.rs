@@ -19,7 +19,7 @@ use gtpq_reach::BackendKind;
 use gtpq_service::{QueryError, QueryRequest, QueryService, ServiceConfig, SlowOutcome};
 
 fn service() -> QueryService {
-    QueryService::new(Arc::new(example_graph()))
+    QueryService::with_config(Arc::new(example_graph()), ServiceConfig::default())
 }
 
 #[test]

@@ -28,7 +28,7 @@
 ///
 /// # Panics
 /// Panics when the lengths differ.
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     let mut acc = 0.0f32;
     for (x, y) in a.iter().zip(b) {
@@ -44,7 +44,7 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Dot product of two equal-length vectors.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -202,16 +202,6 @@ impl<'a> PivotFilter<'a> {
         }
     }
 
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of pivots.
-    pub fn pivot_count(&self) -> usize {
-        self.k
-    }
-
     /// Number of entries covered by the distance table.
     pub fn len(&self) -> usize {
         self.dists.len().checked_div(self.k).unwrap_or(0)
@@ -227,7 +217,7 @@ impl<'a> PivotFilter<'a> {
     ///
     /// # Panics
     /// Panics when `query.len() != dim`.
-    pub fn query_pivot_dists(&self, query: &[f32]) -> Vec<f32> {
+    pub(crate) fn query_pivot_dists(&self, query: &[f32]) -> Vec<f32> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         (0..self.k)
             .map(|j| l2(query, &self.pivots[j * self.dim..(j + 1) * self.dim]))
@@ -235,11 +225,11 @@ impl<'a> PivotFilter<'a> {
     }
 
     /// Whether entry `i` survives every pivot test for a query whose pivot
-    /// distances are `qd` (from [`query_pivot_dists`](Self::query_pivot_dists)):
+    /// distances are `qd` (from `query_pivot_dists`):
     /// `|qd[j] − d(x_i, p_j)| ≤ radius` for all `j`, with early exit on the
     /// first violated pivot.
     #[inline]
-    pub fn survives(&self, i: usize, qd: &[f32], radius: f32) -> bool {
+    pub(crate) fn survives(&self, i: usize, qd: &[f32], radius: f32) -> bool {
         let row = &self.dists[i * self.k..(i + 1) * self.k];
         row.iter().zip(qd).all(|(d, q)| (d - q).abs() <= radius)
     }

@@ -34,7 +34,7 @@ fn main() {
 
     // Every request answers on the SCC condensation the graph carries: the
     // service builds no reachability index for default-option queries.
-    let service = QueryService::new(Arc::clone(&graph));
+    let service = QueryService::with_config(Arc::clone(&graph), ServiceConfig::default());
 
     // A mixed workload: one of the paper's XMark queries plus random
     // patterns sampled from the graph itself.

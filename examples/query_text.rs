@@ -12,7 +12,7 @@ use gtpq::prelude::*;
 
 fn main() {
     let graph = Arc::new(generate_dblp(240, 42));
-    let service = QueryService::new(Arc::clone(&graph));
+    let service = QueryService::with_config(Arc::clone(&graph), ServiceConfig::default());
     println!(
         "DBLP-like graph: {} nodes, {} edges",
         graph.node_count(),

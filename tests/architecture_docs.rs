@@ -43,7 +43,7 @@ use std::sync::Arc;
 use gtpq::graph::snap::{section_table_markdown, FORMAT_VERSION, MAGIC};
 use gtpq::graph::{GraphBuilder, GraphHandle, GraphSnapshot, LoadMode, MutationStats};
 use gtpq::reach::BackendKind;
-use gtpq::service::{QueryRequest, QueryService};
+use gtpq::service::{QueryRequest, QueryService, ServiceConfig};
 
 const ARCHITECTURE_MD: &str = include_str!("../docs/ARCHITECTURE.md");
 
@@ -142,7 +142,7 @@ fn promised_epoch_metric_families_appear_on_a_real_scrape_page() {
     let c = b.add_node_with_label("b");
     b.add_edge(a, c);
     let handle = Arc::new(GraphHandle::new(b.build()));
-    let service = QueryService::live(Arc::clone(&handle));
+    let service = QueryService::live_with_config(Arc::clone(&handle), ServiceConfig::default());
     let request = QueryRequest::text("a { //b* }");
     service.submit(&request).expect("query evaluates");
     handle.insert_node_with_label("b");
@@ -324,7 +324,7 @@ fn lifecycle_claims_hold_in_miniature() {
     assert_eq!(handle.snapshot().graph().node_count(), 3);
 
     // "A fresh submit sees the new epoch with no stale cache hit."
-    let service = QueryService::live(Arc::clone(&handle));
+    let service = QueryService::live_with_config(Arc::clone(&handle), ServiceConfig::default());
     let request = QueryRequest::text("a { //b* }").with_stats();
     let cold = service.submit(&request).unwrap();
     let warm = service.submit(&request).unwrap();
@@ -389,22 +389,6 @@ fn markdown_files_named_in_doc_comments_exist() {
     assert!(named >= 10, "only {named} references found: the scan broke");
 }
 
-/// Whether `path` names something under `root`; one `*` in its file name
-/// matches any run of characters (`BENCH_*.json`).
-fn resolves(root: &std::path::Path, path: &str) -> bool {
-    let (dir, name) = path.rsplit_once('/').expect("cited paths contain a `/`");
-    let Some((prefix, suffix)) = name.split_once('*') else {
-        return root.join(path).exists();
-    };
-    let entries = std::fs::read_dir(root.join(dir))
-        .into_iter()
-        .flatten()
-        .flatten();
-    entries
-        .map(|entry| entry.file_name().to_string_lossy().into_owned())
-        .any(|n| n.len() >= name.len() - 1 && n.starts_with(prefix) && n.ends_with(suffix))
-}
-
 #[test]
 fn repo_paths_cited_in_the_docs_exist() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -424,7 +408,7 @@ fn repo_paths_cited_in_the_docs_exist() {
         for path in paths {
             cited += 1;
             assert!(
-                resolves(root, &path),
+                root.join(&path).exists(),
                 "{doc} cites `{path}`, which does not exist"
             );
         }

@@ -114,7 +114,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
     ));
 
     let mut handle = Arc::new(GraphHandle::new(GraphBuilder::new().build()));
-    let mut live = QueryService::live(Arc::clone(&handle));
+    let mut live = QueryService::live_with_config(Arc::clone(&handle), ServiceConfig::default());
     let (mut commits, mut pristine) = (0, None);
     let mut ops: Vec<UpdateOp> = Vec::new();
     for (i, epoch) in epochs.iter().enumerate() {
@@ -148,7 +148,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
             );
             assert_eq!(loaded.epoch(), snap.epoch(), "{ctx}");
             handle = Arc::new(GraphHandle::from_snapshot(loaded));
-            live = QueryService::live(Arc::clone(&handle));
+            live = QueryService::live_with_config(Arc::clone(&handle), ServiceConfig::default());
             commits = 0;
             let bytes = std::fs::read(&path).expect("the snapshot was just written");
             pristine = Some((bytes, handle.snapshot(), rebuilt.clone()));
@@ -323,7 +323,7 @@ impl Sweep<'_> {
         }
 
         // A warmed cache serves every window by slicing the complete answer.
-        let warm = QueryService::new(Arc::clone(graph));
+        let warm = QueryService::with_config(Arc::clone(graph), ServiceConfig::default());
         let ctx = format!("{}, warm cache", self.ctx);
         for &window in windows {
             let request = QueryRequest::query(q.clone());

@@ -15,14 +15,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gtpq::datagen::generate_dblp;
-use gtpq::service::{QueryError, QueryRequest, QueryService};
+use gtpq::service::{QueryError, QueryRequest, QueryService, ServiceConfig};
 
 const OBSERVABILITY_MD: &str = include_str!("../docs/OBSERVABILITY.md");
 
 const QUERY: &str = "inproceedings { /title* where /[label = author, value = Alice] }";
 
 fn service() -> QueryService {
-    QueryService::new(Arc::new(generate_dblp(240, 42)))
+    QueryService::with_config(Arc::new(generate_dblp(240, 42)), ServiceConfig::default())
 }
 
 /// Metric families claimed by the doc's exposition table: every backticked

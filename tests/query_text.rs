@@ -97,7 +97,7 @@ fn doc_dataset_examples_evaluate_nonempty() {
             "embed" => generate_embed(&EmbedConfig::small()),
             _ => unreachable!(),
         });
-        let service = QueryService::new(graph);
+        let service = QueryService::with_config(graph, ServiceConfig::default());
         let results = match service.submit(&QueryRequest::text(block)) {
             Ok(outcome) => outcome.rows,
             Err(gtpq::service::QueryError::Parse(e)) => {
@@ -224,7 +224,7 @@ fn parser_failure_modes_carry_spans() {
 #[test]
 fn submitted_text_agrees_with_the_builder_everywhere() {
     let graph = Arc::new(generate_dblp(160, 7));
-    let service = QueryService::new(Arc::clone(&graph));
+    let service = QueryService::with_config(Arc::clone(&graph), ServiceConfig::default());
 
     // Disjunction + negation, built both ways.
     let text = "inproceedings* {

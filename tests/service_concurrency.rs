@@ -65,7 +65,10 @@ fn fixture_workload() -> Vec<Gtpq> {
 #[test]
 fn n_threads_of_mixed_queries_match_single_threaded_naive() {
     let graph = Arc::new(example_graph());
-    let service = Arc::new(QueryService::new(Arc::clone(&graph)));
+    let service = Arc::new(QueryService::with_config(
+        Arc::clone(&graph),
+        ServiceConfig::default(),
+    ));
     let queries = Arc::new(fixture_workload());
     let threads = 8;
     let answers: Vec<Vec<Arc<ResultSet>>> = std::thread::scope(|scope| {
@@ -127,7 +130,7 @@ fn batch_over_four_threads_matches_sequential_on_xmark() {
         .map(|q| submit_rows(&sequential, q))
         .collect();
 
-    let service = QueryService::new(Arc::clone(&graph));
+    let service = QueryService::with_config(Arc::clone(&graph), ServiceConfig::default());
     let requests: Vec<QueryRequest> = queries
         .iter()
         .map(|q| QueryRequest::query(q.clone()))
@@ -227,7 +230,10 @@ fn one_writer_eight_readers_never_see_torn_or_stale_answers() {
         b.add_edge(a, v);
     }
     let handle = Arc::new(GraphHandle::new(b.build()));
-    let service = Arc::new(QueryService::live(Arc::clone(&handle)));
+    let service = Arc::new(QueryService::live_with_config(
+        Arc::clone(&handle),
+        ServiceConfig::default(),
+    ));
 
     std::thread::scope(|scope| {
         let writer = {
@@ -293,7 +299,10 @@ fn one_writer_eight_readers_never_see_torn_or_stale_answers() {
 
 #[test]
 fn cache_hit_path_returns_the_same_result_set_as_cold() {
-    let service = Arc::new(QueryService::new(Arc::new(example_graph())));
+    let service = Arc::new(QueryService::with_config(
+        Arc::new(example_graph()),
+        ServiceConfig::default(),
+    ));
     let q = example_query();
     let cold = submit_rows(&service, &q);
     // Warm hits from many threads at once: all must be the very same set.

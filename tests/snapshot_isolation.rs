@@ -140,7 +140,7 @@ fn parallel_execution_is_isolated_from_a_racing_writer() {
 #[test]
 fn service_requests_pin_their_submission_epoch() {
     let handle = Arc::new(GraphHandle::new(fanout_graph()));
-    let service = QueryService::live(Arc::clone(&handle));
+    let service = QueryService::live_with_config(Arc::clone(&handle), ServiceConfig::default());
     let request = QueryRequest::text("a { //b* }").with_stats();
 
     let cold = service.submit(&request).unwrap();
