@@ -13,28 +13,31 @@
 //! full materialisation) and `obs` (the cost of tracing and of a metrics
 //! scrape).  Each first runs a correctness pre-pass that panics on a wrong
 //! answer, then prints its measured ratio beside the bar it must meet.
+//! A fourth, `frontend`, prints what the text functions every request runs
+//! before the result cache cost per XMark template.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gtpq_analysis::is_satisfiable;
 use gtpq_baselines::{evaluate_gtpq_with, HgJoin, TpqAlgorithm, Twig2Stack, TwigStack, TwigStackD};
 use gtpq_core::{ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, QueryPlan};
 use gtpq_datagen::{
     fig11_gtpq, fig11_output_variant, generate_embed, random_queries, xmark_q1, xmark_q2, xmark_q3,
-    EmbedConfig, Fig11Predicate, RandomQueryConfig,
+    xmark_templates, EmbedConfig, Fig11Predicate, RandomQueryConfig,
 };
 use gtpq_graph::{DataGraph, GraphStats, NodeId, SimTable};
 use gtpq_query::{parse_query, Gtpq};
 use gtpq_reach::ThreeHop;
-use gtpq_service::{QueryRequest, QueryService, ServiceConfig};
+use gtpq_service::{canonicalize, QueryRequest, QueryService, ServiceConfig};
 
 use crate::workloads::{
     arxiv_graph, arxiv_graph_small, label_groups, xmark_graph, ARXIV_QUERY_SIZES, XMARK_SCALES,
 };
 
 /// Every experiment id, in the order `all` runs them.
-pub const EXPERIMENTS: [&str; 17] = [
+pub const EXPERIMENTS: [&str; 18] = [
     "table1",
     "table2",
     "fig8a",
@@ -52,6 +55,7 @@ pub const EXPERIMENTS: [&str; 17] = [
     "sim",
     "streaming",
     "obs",
+    "frontend",
 ];
 
 /// Runs the experiment named `id` (one of [`EXPERIMENTS`], or "all"),
@@ -76,6 +80,7 @@ pub fn run_experiment(id: &str) -> Result<(), String> {
         "sim" => sim(),
         "streaming" => streaming(),
         "obs" => obs(),
+        "frontend" => frontend(FRONTEND_REPS),
         "all" => {
             for id in EXPERIMENTS {
                 run_experiment(id)?;
@@ -833,6 +838,53 @@ fn check_tracing(service: &QueryService, requests: &[QueryRequest]) {
     }
 }
 
+/// Calls per function and template that `frontend` takes the median of.
+const FRONTEND_REPS: usize = 2001;
+
+/// The text front end: per XMark template at label triple (3, 4, 5), the
+/// median µs of one call of each text function a request runs —
+/// `parse_query`, `is_satisfiable`, `canonicalize` and `Display` before the
+/// result cache, and `QueryPlan::render_with_actuals` over the stats of one
+/// engine run on XMark scale 0.1 — over `reps` calls.
+fn frontend(reps: usize) -> Result<(), String> {
+    println!("== Text front end: median us per call, 14 XMark templates at (3, 4, 5) ==");
+    let g = xmark_graph(0.5);
+    let engine = GteaEngine::new(&g);
+    println!(
+        "{:>9} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "template", "bytes", "parse", "sat", "canon", "display", "render"
+    );
+    let mut sums = [0.0; 5];
+    for (name, q) in xmark_templates(3, 4, 5) {
+        let text = q.to_string();
+        let plan = Planner::new(&g).plan(&q);
+        let stats = engine
+            .execute(&q, &plan, ExecOptions::unbounded())
+            .map_err(|_| format!("`{name}` was interrupted"))?
+            .stats;
+        let us = |f: &mut dyn FnMut() -> usize| median_ms(reps, f) * 1e3;
+        let row = [
+            us(&mut || parse_query(&text).map_or(0, |q| q.size())),
+            us(&mut || usize::from(is_satisfiable(&q))),
+            us(&mut || canonicalize(&q).key.len()),
+            us(&mut || q.to_string().len()),
+            us(&mut || plan.render_with_actuals(&q, &stats).len()),
+        ];
+        print!("{name:>9} {:>6}", text.len());
+        for (sum, value) in sums.iter_mut().zip(row) {
+            *sum += value;
+            print!(" {value:>8.2}");
+        }
+        println!();
+    }
+    print!("{:>9} {:>6}", "sum", "");
+    for sum in sums {
+        print!(" {sum:>8.2}");
+    }
+    println!();
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,6 +901,11 @@ mod tests {
         run_experiment("fig12a").unwrap();
         run_experiment("fig12d").unwrap(); // asserts the baselines agree with GTEA
         run_experiment("ablation").unwrap();
+    }
+
+    #[test]
+    fn frontend_runs_with_few_reps() {
+        frontend(2).unwrap();
     }
 
     #[test]

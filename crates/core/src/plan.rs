@@ -34,10 +34,10 @@
 //! wall times into [`EvalStats::operators`](crate::EvalStats), which
 //! `:explain analyze` reads back.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{CandidateSelection, EdgeKind, Gtpq, QueryNodeId};
+use gtpq_query::{AttrPredicate, CandidateSelection, EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::{select_backend_for_query, BackendKind, GraphProfile};
 
 use crate::exec::{ExecCtl, Interrupt};
@@ -265,65 +265,124 @@ impl QueryPlan {
         self.render_lines(q, Some(stats))
     }
 
+    /// Writes every line into one `String`: each label is formatted once,
+    /// into a reused buffer, to look its actuals up by.
     fn render_lines(&self, q: &Gtpq, stats: Option<&EvalStats>) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let backend = self.backend.kind.map_or(String::new(), |kind| {
-            format!("backend: {} — {}; ", kind.as_str(), self.backend.reason)
-        });
-        let _ = writeln!(
-            out,
-            "QueryPlan ({backend}est. probes {})",
-            self.estimated_probes
-        );
-        let actual = |label: &str| -> String {
-            match stats.and_then(|s| s.operators.iter().find(|o| o.label == label)) {
-                Some(o) => format!(" → actual {} rows in {:.3?}", o.actual_rows, o.time),
-                None => String::new(),
+        let mut out =
+            String::with_capacity(80 * (self.candidates.len() + 2 * self.prune_down.len() + 4));
+        out.push_str("QueryPlan (");
+        if let Some(kind) = self.backend.kind {
+            let _ = write!(
+                out,
+                "backend: {} — {}; ",
+                kind.as_str(),
+                self.backend.reason
+            );
+        }
+        let _ = writeln!(out, "est. probes {})", self.estimated_probes);
+        // `  <shown> <detail> est <n> rows[ → actual <m> rows in <t>]`: the
+        // shown label padded to 14 characters and the detail to 28 — or,
+        // with no detail, the label to 43 — and the actuals of the operator
+        // labelled `label` in the stats.
+        let line = |out: &mut String,
+                    shown: &str,
+                    label: &str,
+                    detail: Option<&AttrPredicate>,
+                    est: u64| {
+            out.push_str("  ");
+            let start = out.len();
+            out.push_str(shown);
+            if let Some(detail) = detail {
+                pad(out, start, 14);
+                out.push(' ');
+                let start = out.len();
+                out.push('[');
+                let _ = detail.write_to(out);
+                out.push(']');
+                pad(out, start, 28);
+            } else {
+                pad(out, start, 43);
+            }
+            let _ = write!(out, " est {est} rows");
+            if let Some(o) = stats.and_then(|s| s.operators.iter().find(|o| o.label == label)) {
+                let _ = write!(out, " → actual {} rows in ", o.actual_rows);
+                write_duration(out, o.time);
             }
         };
+        let mut label = String::new();
         for step in &self.candidates {
-            let label = format!("{} {}", step.access.name(), step.node);
-            let detail = format!("[{}]", q.node(step.node).attr);
-            let _ = writeln!(
-                out,
-                "  {label:<14} {detail:<28} est {} rows{}",
-                step.estimated_rows,
-                actual(&label),
-            );
+            label.clear();
+            let _ = write!(label, "{} {}", step.access.name(), step.node);
+            let attr = &q.node(step.node).attr;
+            line(&mut out, &label, &label, Some(attr), step.estimated_rows);
+            out.push('\n');
         }
         for step in self.normalized_prune_down(q) {
-            let label = format!("PruneDown {}", step.node);
-            let _ = writeln!(
-                out,
-                "  {label:<43} est {} rows{}",
-                step.estimated_rows,
-                actual(&label),
-            );
+            label.clear();
+            let _ = write!(label, "PruneDown {}", step.node);
+            line(&mut out, &label, &label, None, step.estimated_rows);
+            out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "  {:<43} est {} rows{}",
-            "PruneUp (prime subtree)",
-            self.upward_estimated_rows,
-            actual("PruneUp"),
-        );
-        let _ = writeln!(
-            out,
-            "  {:<43} est {} rows{}",
-            "MatchingGraph",
+        let up = "PruneUp (prime subtree)";
+        line(&mut out, up, "PruneUp", None, self.upward_estimated_rows);
+        out.push('\n');
+        let matching = "MatchingGraph";
+        line(
+            &mut out,
+            matching,
+            matching,
+            None,
             self.matching_estimated_rows,
-            actual("MatchingGraph"),
         );
-        let _ = write!(
-            out,
-            "  {:<43} est {} rows{}",
+        out.push('\n');
+        line(
+            &mut out,
             "Collect",
+            "Collect",
+            None,
             self.collect_estimated_rows,
-            actual("Collect"),
         );
         out
     }
+}
+
+/// Writes `d` as `{:.3?}` does — in s, ms, µs or ns, whichever is the
+/// largest unit it reaches, with three decimals rounded half to even —
+/// without the formatting machinery, which costs more than the rest of a
+/// line.
+fn write_duration(out: &mut String, d: Duration) {
+    use std::fmt::Write as _;
+    let nanos = d.subsec_nanos();
+    // The whole units, the remainder in nanoseconds, and nanoseconds per
+    // thousandth of the unit.
+    let (whole, rest, milli, unit) = if d.as_secs() > 0 {
+        (d.as_secs(), nanos, 1_000_000, "s")
+    } else if nanos >= 1_000_000 {
+        (u64::from(nanos / 1_000_000), nanos % 1_000_000, 1_000, "ms")
+    } else if nanos >= 1_000 {
+        (u64::from(nanos / 1_000), nanos % 1_000, 1, "µs")
+    } else {
+        (u64::from(nanos), 0, 1, "ns")
+    };
+    let mut thousandths = rest / milli;
+    let mut whole = u128::from(whole);
+    let (dropped, half) = (rest % milli, milli / 2);
+    if milli > 1 && (dropped > half || (dropped == half && thousandths % 2 == 1)) {
+        thousandths += 1;
+    }
+    if thousandths == 1000 {
+        thousandths = 0;
+        whole += 1;
+    }
+    let _ = write!(out, "{whole}.{thousandths:03}{unit}");
+}
+
+/// Pads what was written to `out` from byte `start` on with spaces to
+/// `width` characters, as `{:<width}` would.
+fn pad(out: &mut String, start: usize, width: usize) {
+    let written = out[start..].chars().count();
+    out.extend(std::iter::repeat_n(' ', width.saturating_sub(written)));
 }
 
 /// Builds [`QueryPlan`]s for one data graph.
@@ -805,5 +864,73 @@ mod tests {
             assert_eq!(mat[u.index()], q.candidates(&g, u));
         }
         assert_eq!(stats.operators.len(), q.size());
+    }
+
+    #[test]
+    fn render_with_actuals_pads_by_characters_and_reads_each_operators_actuals() {
+        let g = example_graph();
+        let text =
+            r#"a1* { //b1* //d1 { where !(//e1) } where (/c1) | (//[year >= 3, label != "ü"]) }"#;
+        let q: Gtpq = text.parse().unwrap();
+        let mut plan = Planner::new(&g).plan(&q);
+        let exec = crate::GteaEngine::new(&g).execute(&q, &plan, crate::ExecOptions::unbounded());
+        let mut stats = exec.unwrap().stats;
+        for (i, op) in stats.operators.iter_mut().enumerate() {
+            op.time = std::time::Duration::from_nanos(1_234_567 * i as u64 + 89);
+        }
+        stats.operators.retain(|o| o.label != "MatchingGraph");
+        plan.backend = PlannedBackend {
+            kind: Some(BackendKind::Sspi),
+            reason: "a reason",
+        };
+        // Padding counts characters, not bytes (`ü`), and only the
+        // operators the stats hold show actuals.
+        let expected = [
+            "QueryPlan (backend: sspi — a reason; est. probes 14)",
+            "  IndexScan u5   [year >= 3 & label != ü]     est 0 rows → actual 0 rows in 89.000ns",
+            "  IndexScan u1   [label = b1]                 est 2 rows → actual 2 rows in 1.235ms",
+            "  IndexScan u4   [label = c1]                 est 2 rows → actual 2 rows in 2.469ms",
+            "  IndexScan u0   [label = a1]                 est 3 rows → actual 3 rows in 3.704ms",
+            "  IndexScan u2   [label = d1]                 est 3 rows → actual 3 rows in 4.938ms",
+            "  IndexScan u3   [label = e1]                 est 3 rows → actual 3 rows in 6.173ms",
+            "  PruneDown u2                                est 1 rows → actual 0 rows in 7.407ms",
+            "  PruneDown u0                                est 1 rows",
+            "  PruneUp (prime subtree)                     est 3 rows",
+            "  MatchingGraph                               est 6 rows",
+            "  Collect                                     est 2 rows → actual 0 rows in 8.642ms",
+        ]
+        .join("\n");
+        assert_eq!(plan.render_with_actuals(&q, &stats), expected);
+    }
+
+    #[test]
+    fn durations_render_as_the_debug_format_does() {
+        let mut nanos: u64 = 0x9E37_79B9;
+        let mut cases = vec![
+            Duration::ZERO,
+            Duration::from_nanos(1),
+            Duration::from_nanos(999),
+            Duration::from_nanos(1_000),
+            Duration::from_nanos(999_999),
+            Duration::from_nanos(1_000_500),
+            Duration::from_nanos(999_999_500),
+            Duration::from_nanos(999_999_499),
+            Duration::new(1, 0),
+            Duration::new(59, 999_500_000),
+            Duration::new(u64::MAX, 999_999_999),
+        ];
+        for _ in 0..20_000 {
+            nanos ^= nanos << 13;
+            nanos ^= nanos >> 7;
+            nanos ^= nanos << 17;
+            cases.push(Duration::from_nanos(
+                nanos % 10u64.pow(1 + (nanos % 11) as u32),
+            ));
+        }
+        for d in cases {
+            let mut out = String::new();
+            write_duration(&mut out, d);
+            assert_eq!(out, format!("{d:.3?}"));
+        }
     }
 }

@@ -41,7 +41,7 @@ pub use dblp::generate_dblp;
 pub use embed::{generate_embed, EmbedConfig};
 pub use queries::{
     dblp_queries, fig11_gtpq, fig11_output_variant, random_queries, xmark_q1, xmark_q2, xmark_q3,
-    Fig11Predicate, RandomQueryConfig,
+    xmark_templates, Fig11Predicate, RandomQueryConfig,
 };
 pub use stream::{write_arxiv_snapshot, SnapshotStats};
 pub use updates::{apply_ops, apply_ops_to_builder, update_stream, UpdateOp, UpdateStreamConfig};

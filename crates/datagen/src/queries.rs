@@ -74,6 +74,26 @@ pub fn xmark_q3(person_group: u32, item_group: u32, seller_group: u32) -> Gtpq {
     fig7(person_group, &more)
 }
 
+/// The paper's 14 XMark templates for one (person, item, seller) label-group
+/// triple, named: Fig. 7's Q1–Q3, the Fig. 11 conjunctive query (`CONJ`)
+/// and the ten Table 4 variants, in that order.
+pub fn xmark_templates(
+    person_group: u32,
+    item_group: u32,
+    seller_group: u32,
+) -> Vec<(&'static str, Gtpq)> {
+    let (p, i) = (person_group, item_group);
+    let mut all = vec![
+        ("Q1", xmark_q1(p)),
+        ("Q2", xmark_q2(p, i)),
+        ("Q3", xmark_q3(p, i, seller_group)),
+        ("CONJ", fig11_gtpq(Fig11Predicate::Conjunctive, p, i)),
+    ];
+    let table4 = Fig11Predicate::table4_suite().into_iter();
+    all.extend(table4.map(|(name, variant)| (name, fig11_gtpq(variant, p, i))));
+    all
+}
+
 /// The structural-predicate variants of Table 4 over the Fig. 11 structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fig11Predicate {
@@ -371,14 +391,10 @@ mod tests {
     /// triple: Q1–Q3, the Fig. 11 conjunctive query and its ten Table 4
     /// variants, Table 3's Q4–Q8 and Example 1's three queries.
     fn templates(p: u32, i: u32, s: u32) -> Vec<Gtpq> {
-        let mut all = vec![
-            xmark_q1(p),
-            xmark_q2(p, i),
-            xmark_q3(p, i, s),
-            fig11_gtpq(Fig11Predicate::Conjunctive, p, i),
-        ];
-        let table4 = Fig11Predicate::table4_suite().into_iter();
-        all.extend(table4.map(|(_, variant)| fig11_gtpq(variant, p, i)));
+        let mut all: Vec<Gtpq> = xmark_templates(p, i, s)
+            .into_iter()
+            .map(|(_, q)| q)
+            .collect();
         all.extend((4..=8).map(|which| fig11_output_variant(which, p, i)));
         all.extend(dblp_queries().into_iter().map(|(_, q)| q));
         all

@@ -102,7 +102,7 @@ impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AttrValue::Int(i) => write!(f, "{i}"),
-            AttrValue::Str(s) => write!(f, "{s}"),
+            AttrValue::Str(s) => f.write_str(s),
             AttrValue::Vec(v) => {
                 write!(f, "[")?;
                 for (i, x) in v.iter().enumerate() {

@@ -22,4 +22,7 @@ pub mod transform;
 pub mod valuation;
 
 pub use expr::{BoolExpr, DisplayWith, VarId};
-pub use sat::{brute_force_satisfiable, equivalent, implies, is_satisfiable};
+pub use sat::{
+    brute_force_satisfiable, depends_on, equivalent, implies, is_satisfiable,
+    is_satisfiable_given_false,
+};

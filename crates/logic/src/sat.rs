@@ -10,12 +10,171 @@
 use std::collections::HashMap;
 
 use crate::expr::{BoolExpr, VarId};
-use crate::transform::{to_cnf, Literal};
-use crate::valuation::Valuation;
+use crate::transform::{substitute, substitute_const, to_cnf, Literal};
+use crate::valuation::{eval_with, eval_words, Valuation};
 
 /// Whether `expr` is satisfiable.
 pub fn is_satisfiable(expr: &BoolExpr) -> bool {
-    satisfying_assignment(expr).is_some()
+    is_satisfiable_given_false(expr, |_| false)
+}
+
+/// Whether `expr` is satisfiable once every variable `fixed` names is 0.
+///
+/// Decided from the formula's shape where that suffices, and by DPLL over
+/// its CNF otherwise:
+///
+/// * in a formula where no free variable occurs twice, the operands of
+///   every connective are independent, so whether each subformula can be 1
+///   and whether it can be 0 follow bottom-up;
+/// * a negation-free formula is monotone: satisfiable iff it holds with
+///   every free variable 1;
+/// * with at most six free variables, one 64-bit word evaluates all their
+///   assignments at once.
+pub fn is_satisfiable_given_false(expr: &BoolExpr, fixed: impl Fn(VarId) -> bool) -> bool {
+    let mut vars = SmallVars::default();
+    let shape = vars.scan(expr, &fixed);
+    if !shape.repeated && !vars.overflow {
+        return can_hold(expr, &fixed).0;
+    }
+    if !shape.negation {
+        return eval_with(expr, &mut |v| !fixed(v));
+    }
+    if !vars.overflow && vars.len <= WORD_VARS.len() {
+        let word = |v: VarId| if fixed(v) { 0 } else { WORD_VARS[vars.slot(v)] };
+        return eval_words(expr, &mut |v| word(v)) != 0;
+    }
+    let expr = substitute(expr, &|v| fixed(v).then_some(BoolExpr::False));
+    satisfying_assignment(&expr).is_some()
+}
+
+/// Whether some assignment of the other variables lets `var` change the
+/// value of `expr`.  Every variable of a read-once formula (constant-free,
+/// no variable twice) does; otherwise `expr[var/1] ⊕ expr[var/0]` is
+/// tested, over one truth-table word when at most six other variables
+/// occur.
+pub fn depends_on(expr: &BoolExpr, var: VarId) -> bool {
+    if !expr.contains_var(var) {
+        return false;
+    }
+    let mut vars = SmallVars::default();
+    let shape = vars.scan(expr, &|_| false);
+    if !shape.constant && !shape.repeated && !vars.overflow {
+        return true;
+    }
+    if !vars.overflow && vars.len <= WORD_VARS.len() + 1 {
+        let own = vars.slot(var);
+        let eval = |value: u64| {
+            eval_words(expr, &mut |v| match vars.slot(v) {
+                s if s == own => value,
+                s => WORD_VARS[s - usize::from(s > own)],
+            })
+        };
+        return eval(!0) != eval(0);
+    }
+    is_satisfiable(&BoolExpr::xor(
+        substitute_const(expr, var, true),
+        substitute_const(expr, var, false),
+    ))
+}
+
+/// Whether `e` can be 1 and whether it can be 0, with the `fixed` variables
+/// 0 and the others free; exact when no free variable occurs twice.
+fn can_hold(e: &BoolExpr, fixed: &impl Fn(VarId) -> bool) -> (bool, bool) {
+    match e {
+        BoolExpr::True => (true, false),
+        BoolExpr::False => (false, true),
+        BoolExpr::Var(v) => (!fixed(*v), true),
+        BoolExpr::Not(inner) => {
+            let (one, zero) = can_hold(inner, fixed);
+            (zero, one)
+        }
+        BoolExpr::And(items) => items.iter().fold((true, false), |(one, zero), item| {
+            let (i1, i0) = can_hold(item, fixed);
+            (one && i1, zero || i0)
+        }),
+        BoolExpr::Or(items) => items.iter().fold((false, true), |(one, zero), item| {
+            let (i1, i0) = can_hold(item, fixed);
+            (one || i1, zero && i0)
+        }),
+    }
+}
+
+/// Bit `i` of `WORD_VARS[j]` is bit `j` of `i`: the columns of a truth
+/// table over six variables, one assignment per bit of a `u64`.
+const WORD_VARS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// What [`SmallVars::scan`] found besides the free variables.
+#[derive(Default)]
+struct Shape {
+    /// A `1`, a `0` or a fixed variable occurs.
+    constant: bool,
+    /// Some free variable occurs more than once.
+    repeated: bool,
+    /// A negation occurs.
+    negation: bool,
+}
+
+/// The distinct variables of a small formula, without allocating; past
+/// [`SmallVars::CAP`] of them only `overflow` is kept.
+#[derive(Default)]
+struct SmallVars {
+    vars: [u32; SmallVars::CAP],
+    len: usize,
+    overflow: bool,
+}
+
+impl SmallVars {
+    const CAP: usize = 16;
+
+    /// Collects the variables of `e` that `fixed` leaves free.
+    fn scan(&mut self, e: &BoolExpr, fixed: &impl Fn(VarId) -> bool) -> Shape {
+        let mut shape = Shape::default();
+        self.walk(e, fixed, &mut shape);
+        shape
+    }
+
+    fn walk(&mut self, e: &BoolExpr, fixed: &impl Fn(VarId) -> bool, shape: &mut Shape) {
+        match e {
+            BoolExpr::True | BoolExpr::False => shape.constant = true,
+            BoolExpr::Var(v) if fixed(*v) => shape.constant = true,
+            BoolExpr::Var(v) => {
+                if self.vars[..self.len].contains(&v.0) {
+                    shape.repeated = true;
+                } else if self.len < Self::CAP {
+                    self.vars[self.len] = v.0;
+                    self.len += 1;
+                } else {
+                    self.overflow = true;
+                }
+            }
+            BoolExpr::Not(inner) => {
+                shape.negation = true;
+                self.walk(inner, fixed, shape);
+            }
+            BoolExpr::And(items) | BoolExpr::Or(items) => {
+                // An empty connective is a constant.
+                shape.constant |= items.is_empty();
+                for item in items {
+                    self.walk(item, fixed, shape);
+                }
+            }
+        }
+    }
+
+    /// The position of a scanned variable.
+    fn slot(&self, v: VarId) -> usize {
+        self.vars[..self.len]
+            .iter()
+            .position(|&x| x == v.0)
+            .expect("the variable was scanned")
+    }
 }
 
 /// Returns a satisfying assignment of `expr`, if one exists.
@@ -233,6 +392,64 @@ mod tests {
         ];
         for f in formulas {
             assert_eq!(is_satisfiable(&f), brute_force_satisfiable(&f), "{f}");
+        }
+    }
+
+    /// A random formula over `vars` variables, built with the raw variants
+    /// (so unfolded constants and nesting occur) or the folding ones.
+    fn random_formula(state: &mut u64, depth: u32, vars: u32, raw: bool) -> BoolExpr {
+        let mut next = |n: u64| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % n
+        };
+        if depth == 0 || next(4) == 0 {
+            return match next(8) {
+                0 => BoolExpr::True,
+                1 => BoolExpr::False,
+                _ => BoolExpr::var(next(u64::from(vars)) as u32),
+            };
+        }
+        let kind = next(3);
+        let arity = next(4) as usize + usize::from(kind == 0);
+        let items: Vec<BoolExpr> = (0..arity)
+            .map(|_| random_formula(state, depth - 1, vars, raw))
+            .collect();
+        match (kind, raw) {
+            (0, true) => BoolExpr::Not(Box::new(items.into_iter().next().expect("arity >= 1"))),
+            (0, false) => BoolExpr::not(items.into_iter().next().expect("arity >= 1")),
+            (1, true) => BoolExpr::And(items),
+            (1, false) => BoolExpr::and(items),
+            (_, true) => BoolExpr::Or(items),
+            (_, false) => BoolExpr::or(items),
+        }
+    }
+
+    #[test]
+    fn every_shape_shortcut_agrees_with_brute_force() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        for case in 0..4000 {
+            let vars = [3, 6, 7, 12, 20][case % 5];
+            let f = random_formula(&mut state, 4, vars, case % 2 == 0);
+            assert_eq!(is_satisfiable(&f), brute_force_satisfiable(&f), "{f:?}");
+            let fixed = |v: VarId| v.0 % 3 == 1;
+            let zeroed = substitute(&f, &|v| fixed(v).then_some(BoolExpr::False));
+            assert_eq!(
+                is_satisfiable_given_false(&f, fixed),
+                brute_force_satisfiable(&zeroed),
+                "{f:?} with every third variable 0"
+            );
+            let var = VarId(case as u32 % vars);
+            let flips = BoolExpr::xor(
+                substitute_const(&f, var, true),
+                substitute_const(&f, var, false),
+            );
+            assert_eq!(
+                depends_on(&f, var),
+                brute_force_satisfiable(&flips),
+                "{f:?} on {var}"
+            );
         }
     }
 }

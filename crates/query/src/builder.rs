@@ -1,6 +1,6 @@
 //! Builder and validation of GTPQs.
 
-use gtpq_logic::BoolExpr;
+use gtpq_logic::{BoolExpr, VarId};
 
 use crate::node::{EdgeKind, NodeKind, QueryNode, QueryNodeId};
 use crate::predicate::AttrPredicate;
@@ -181,23 +181,37 @@ impl GtpqBuilder {
         // Structural predicates mention only predicate children.
         for (i, node) in self.nodes.iter().enumerate() {
             let u = QueryNodeId(i as u32);
-            for var in node.structural.variables() {
-                let child = QueryNodeId::from_var(var);
-                let is_pred_child = child.index() < self.nodes.len()
+            let is_pred_child = |child: QueryNodeId| {
+                child.index() < self.nodes.len()
                     && self.nodes[child.index()].parent == Some(u)
-                    && self.nodes[child.index()].kind == NodeKind::Predicate;
-                if !is_pred_child {
-                    return Err(QueryError::ForeignVariable {
-                        node: u,
-                        var: child,
-                    });
-                }
+                    && self.nodes[child.index()].kind == NodeKind::Predicate
+            };
+            if let Some(var) = first_var_where(&node.structural, &mut |v| {
+                !is_pred_child(QueryNodeId::from_var(v))
+            }) {
+                return Err(QueryError::ForeignVariable {
+                    node: u,
+                    var: QueryNodeId::from_var(var),
+                });
             }
         }
         Ok(Gtpq {
             nodes: self.nodes,
             output: self.output,
         })
+    }
+}
+
+/// The smallest variable of `e` that `bad` holds for.
+fn first_var_where(e: &BoolExpr, bad: &mut impl FnMut(VarId) -> bool) -> Option<VarId> {
+    match e {
+        BoolExpr::True | BoolExpr::False => None,
+        BoolExpr::Var(v) => bad(*v).then_some(*v),
+        BoolExpr::Not(inner) => first_var_where(inner, bad),
+        BoolExpr::And(items) | BoolExpr::Or(items) => items
+            .iter()
+            .filter_map(|item| first_var_where(item, bad))
+            .min(),
     }
 }
 

@@ -39,7 +39,7 @@ pub fn downward_matches(q: &Gtpq, g: &DataGraph) -> Vec<Vec<bool>> {
                 continue;
             }
             if q.node(u).is_leaf() {
-                table[u.index()][v.index()] = true;
+                table[u.index()][v.index()] = !q.is_false_leaf(u);
                 continue;
             }
             // Truth assignment determined by v: for each child u', whether some

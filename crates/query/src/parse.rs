@@ -77,6 +77,7 @@
 //! case the printed text re-parses, and one `parse ∘ display` application
 //! reaches a fixed point.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
@@ -184,12 +185,15 @@ impl std::error::Error for ParseError {}
 // Tokenizer
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
-enum TokKind {
-    Ident(String),
+/// A token; identifiers and string literals borrow from the query text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum TokKind<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f32),
-    Str(String),
+    /// A string literal's text between its quotes, escapes still in it
+    /// (see [`unescape`]).
+    Str(&'a str),
     Slash,
     DSlash,
     LBrace,
@@ -212,7 +216,7 @@ enum TokKind {
     Eof,
 }
 
-impl TokKind {
+impl TokKind<'_> {
     fn describe(&self) -> String {
         match self {
             TokKind::Ident(s) => format!("identifier `{s}`"),
@@ -243,20 +247,21 @@ impl TokKind {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Tok {
-    kind: TokKind,
+#[derive(Clone, Copy, Debug)]
+struct Tok<'a> {
+    kind: TokKind<'a>,
     span: TextSpan,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Tok>, ParseError> {
+fn tokenize(input: &str) -> Result<Vec<Tok<'_>>, ParseError> {
     let bytes = input.as_bytes();
-    let mut toks = Vec::new();
+    // Query text runs at about one token per two to three bytes.
+    let mut toks = Vec::with_capacity(input.len() / 2 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let start = i;
         let b = bytes[i];
-        let simple = |kind: TokKind, len: usize| Tok {
+        let simple = |kind: TokKind<'static>, len: usize| Tok {
             kind,
             span: TextSpan::new(start, start + len),
         };
@@ -371,7 +376,7 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ParseError> {
                     j += 1;
                 }
                 toks.push(Tok {
-                    kind: TokKind::Ident(input[i..j].to_owned()),
+                    kind: TokKind::Ident(&input[i..j]),
                     span: TextSpan::new(i, j),
                 });
                 i = j;
@@ -395,21 +400,17 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ParseError> {
     Ok(toks)
 }
 
-fn lex_string(input: &str, start: usize) -> Result<(String, usize), ParseError> {
+/// Lexes the string literal opening at `start`: its text between the quotes,
+/// escapes still in it, and the offset past its closing quote.
+fn lex_string(input: &str, start: usize) -> Result<(&str, usize), ParseError> {
     let bytes = input.as_bytes();
-    let mut out = String::new();
     let mut i = start + 1; // past the opening quote
     while i < bytes.len() {
         match bytes[i] {
-            b'"' => return Ok((out, i + 1)),
+            b'"' => return Ok((&input[start + 1..i], i + 1)),
             b'\\' => {
-                let esc = bytes.get(i + 1).copied();
-                match esc {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
+                match bytes.get(i + 1) {
+                    Some(b'"' | b'\\' | b'n' | b't' | b'r') => {}
                     _ => {
                         return Err(ParseError::new(
                             TextSpan::new(i, (i + 2).min(input.len())),
@@ -425,14 +426,7 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), ParseError> 
                     "unterminated string literal",
                 ))
             }
-            _ => {
-                let ch = input[i..]
-                    .chars()
-                    .next()
-                    .expect("offset is a char boundary");
-                out.push(ch);
-                i += ch.len_utf8();
-            }
+            _ => i += 1,
         }
     }
     Err(ParseError::new(
@@ -441,7 +435,31 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), ParseError> 
     ))
 }
 
-fn lex_number(input: &str, start: usize) -> Result<(TokKind, usize), ParseError> {
+/// The value of a string literal's text as [`lex_string`] returned it: its
+/// escapes (already checked) resolved.  Borrowed when it has none.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next() {
+            Some('n') => '\n',
+            Some('t') => '\t',
+            Some('r') => '\r',
+            Some(other) => other,
+            None => unreachable!("the lexer checked every escape"),
+        });
+    }
+    Cow::Owned(out)
+}
+
+fn lex_number(input: &str, start: usize) -> Result<(TokKind<'static>, usize), ParseError> {
     let bytes = input.as_bytes();
     let mut i = start;
     if bytes[i] == b'-' {
@@ -513,23 +531,26 @@ pub fn parse_query(input: &str) -> Result<Gtpq, ParseError> {
     p.parse_root(input.len())
 }
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
     builder: Option<GtpqBuilder>,
 }
 
-/// A named predicate child visible to back-references inside one node's
-/// `where` formula.
-type NameScope = Vec<(String, QueryNodeId)>;
+/// The named predicate children visible to back-references inside one
+/// node's `where` formula.
+type NameScope<'a> = Vec<(&'a str, QueryNodeId)>;
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+/// A node's `as` name, with the name's span.
+type AsName<'a> = Option<(&'a str, TextSpan)>;
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos.min(self.toks.len() - 1)];
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -576,7 +597,7 @@ impl Parser {
         &mut self,
         parent: Option<(QueryNodeId, EdgeKind)>,
         kind: NodeKind,
-    ) -> Result<(QueryNodeId, Option<(String, TextSpan)>), ParseError> {
+    ) -> Result<(QueryNodeId, AsName<'a>), ParseError> {
         let attrs = self.parse_pattern()?;
         let id = match parent {
             None => {
@@ -589,7 +610,7 @@ impl Parser {
             },
         };
         let mut name = None;
-        if matches!(&self.peek().kind, TokKind::Ident(w) if w == "as") {
+        if matches!(self.peek().kind, TokKind::Ident("as")) {
             self.bump();
             let tok = self.bump();
             let TokKind::Ident(n) = tok.kind else {
@@ -598,13 +619,13 @@ impl Parser {
                     format!("expected a name after `as`, found {}", tok.kind.describe()),
                 ));
             };
-            if RESERVED.contains(&n.as_str()) {
+            if RESERVED.contains(&n) {
                 return Err(ParseError::new(
                     tok.span,
                     format!("`{n}` is a reserved word and cannot be used as a name"),
                 ));
             }
-            self.builder().set_name(id, &n);
+            self.builder().set_name(id, n);
             name = Some((n, tok.span));
         }
         if matches!(self.peek().kind, TokKind::Star) {
@@ -656,7 +677,7 @@ impl Parser {
                     let edge = self.parse_edge();
                     self.parse_node(Some((node, edge)), NodeKind::Backbone)?;
                 }
-                TokKind::Ident(w) if w == "where" => {
+                TokKind::Ident("where") => {
                     let tok = self.bump();
                     if where_seen {
                         return Err(ParseError::new(
@@ -692,9 +713,13 @@ impl Parser {
     fn parse_formula(
         &mut self,
         node: QueryNodeId,
-        scope: &mut NameScope,
+        scope: &mut NameScope<'a>,
     ) -> Result<BoolExpr, ParseError> {
-        let mut items = vec![self.parse_conj(node, scope)?];
+        let first = self.parse_conj(node, scope)?;
+        if !matches!(self.peek().kind, TokKind::Pipe) {
+            return Ok(first);
+        }
+        let mut items = vec![first];
         while matches!(self.peek().kind, TokKind::Pipe) {
             self.bump();
             items.push(self.parse_conj(node, scope)?);
@@ -705,9 +730,13 @@ impl Parser {
     fn parse_conj(
         &mut self,
         node: QueryNodeId,
-        scope: &mut NameScope,
+        scope: &mut NameScope<'a>,
     ) -> Result<BoolExpr, ParseError> {
-        let mut items = vec![self.parse_unary(node, scope)?];
+        let first = self.parse_unary(node, scope)?;
+        if !matches!(self.peek().kind, TokKind::Amp) {
+            return Ok(first);
+        }
+        let mut items = vec![first];
         while matches!(self.peek().kind, TokKind::Amp) {
             self.bump();
             items.push(self.parse_unary(node, scope)?);
@@ -718,7 +747,7 @@ impl Parser {
     fn parse_unary(
         &mut self,
         node: QueryNodeId,
-        scope: &mut NameScope,
+        scope: &mut NameScope<'a>,
     ) -> Result<BoolExpr, ParseError> {
         if matches!(self.peek().kind, TokKind::Bang) {
             self.bump();
@@ -730,7 +759,7 @@ impl Parser {
     fn parse_atom(
         &mut self,
         node: QueryNodeId,
-        scope: &mut NameScope,
+        scope: &mut NameScope<'a>,
     ) -> Result<BoolExpr, ParseError> {
         match &self.peek().kind {
             TokKind::LParen => {
@@ -753,11 +782,11 @@ impl Parser {
                 self.bump();
                 Ok(BoolExpr::False)
             }
-            TokKind::Ident(w) if w == "true" => {
+            TokKind::Ident("true") => {
                 self.bump();
                 Ok(BoolExpr::True)
             }
-            TokKind::Ident(w) if w == "false" => {
+            TokKind::Ident("false") => {
                 self.bump();
                 Ok(BoolExpr::False)
             }
@@ -765,7 +794,7 @@ impl Parser {
                 let edge = self.parse_edge();
                 let (child, name) = self.parse_node(Some((node, edge)), NodeKind::Predicate)?;
                 if let Some((n, span)) = name {
-                    if scope.iter().any(|(existing, _)| existing == &n) {
+                    if scope.iter().any(|&(existing, _)| existing == n) {
                         return Err(ParseError::new(
                             span,
                             format!("duplicate name `{n}` in this `where` formula"),
@@ -776,9 +805,9 @@ impl Parser {
                 Ok(BoolExpr::Var(child.var()))
             }
             TokKind::Ident(name) => {
-                let name = name.clone();
+                let name = *name;
                 let tok = self.bump();
-                match scope.iter().find(|(n, _)| n == &name) {
+                match scope.iter().find(|&&(n, _)| n == name) {
                     Some(&(_, child)) => Ok(BoolExpr::Var(child.var())),
                     None => Err(ParseError::new(
                         tok.span,
@@ -804,17 +833,17 @@ impl Parser {
                 Ok(AttrPredicate::any())
             }
             TokKind::Ident(label) => {
-                let label = label.clone();
-                if RESERVED.contains(&label.as_str()) {
+                let label = *label;
+                if RESERVED.contains(&label) {
                     return Err(self.error_here(format!(
                         "`{label}` is a reserved word; quote it as \"{label}\" to use it as a label"
                     )));
                 }
                 self.bump();
-                Ok(AttrPredicate::label(&label))
+                Ok(AttrPredicate::label(label))
             }
             TokKind::Str(label) => {
-                let label = label.clone();
+                let label = unescape(label);
                 self.bump();
                 Ok(AttrPredicate::label(&label))
             }
@@ -826,7 +855,7 @@ impl Parser {
                     loop {
                         // `sim(` starts a similarity conjunct; a bare `sim`
                         // followed by anything else is an attribute name.
-                        let is_sim = matches!(&self.peek().kind, TokKind::Ident(w) if w == "sim")
+                        let is_sim = matches!(self.peek().kind, TokKind::Ident("sim"))
                             && matches!(
                                 self.toks.get(self.pos + 1).map(|t| &t.kind),
                                 Some(TokKind::LParen)
@@ -870,7 +899,8 @@ impl Parser {
     fn parse_comparison(&mut self) -> Result<AttrComparison, ParseError> {
         let tok = self.bump();
         let attr = match tok.kind {
-            TokKind::Ident(s) | TokKind::Str(s) => s,
+            TokKind::Ident(s) => s.to_owned(),
+            TokKind::Str(s) => unescape(s).into_owned(),
             other => {
                 return Err(ParseError::new(
                     tok.span,
@@ -900,7 +930,8 @@ impl Parser {
         let tok = self.bump();
         let value = match tok.kind {
             TokKind::Int(i) => AttrValue::Int(i),
-            TokKind::Str(s) | TokKind::Ident(s) => AttrValue::Str(s),
+            TokKind::Ident(s) => AttrValue::Str(s.to_owned()),
+            TokKind::Str(s) => AttrValue::Str(unescape(s).into_owned()),
             // A decimal point is the one scalar value kind the data model
             // does not have; give it a dedicated message instead of the
             // generic one (floats belong inside `sim(...)`).
@@ -931,7 +962,8 @@ impl Parser {
         self.bump(); // `(`
         let tok = self.bump();
         let attr = match tok.kind {
-            TokKind::Ident(s) | TokKind::Str(s) => s,
+            TokKind::Ident(s) => s.to_owned(),
+            TokKind::Str(s) => unescape(s).into_owned(),
             other => {
                 return Err(ParseError::new(
                     tok.span,
@@ -1194,16 +1226,16 @@ fn write_node(
         f.write_str("*")?;
     }
 
-    let backbone: Vec<QueryNodeId> = q.backbone_children(u);
-    let predicates: Vec<QueryNodeId> = q.predicate_children(u);
     let fs = q.fs(u);
-    let orphans: Vec<QueryNodeId> = predicates
+    let backbone = || q.children(u).iter().copied().filter(|&c| q.is_backbone(c));
+    let orphans: Vec<QueryNodeId> = q
+        .children(u)
         .iter()
         .copied()
-        .filter(|c| !fs.contains_var(c.var()))
+        .filter(|&c| !q.is_backbone(c) && !fs.contains_var(c.var()))
         .collect();
     let has_where = *fs != BoolExpr::True || !orphans.is_empty();
-    if backbone.is_empty() && !has_where {
+    if backbone().next().is_none() && !has_where {
         return Ok(());
     }
 
@@ -1215,7 +1247,7 @@ fn write_node(
         }
     };
     f.write_str(" {")?;
-    for &c in &backbone {
+    for c in backbone() {
         open_clause(f)?;
         write!(
             f,
@@ -1247,6 +1279,12 @@ fn write_where(
     fs: &BoolExpr,
     orphans: &[QueryNodeId],
 ) -> fmt::Result {
+    // With no predicate child named and no variable repeated, every
+    // occurrence is a first one and every child prints without a name.
+    let named = |c: QueryNodeId| printable_name(q.node(c).name.as_deref()).is_some();
+    if !q.children(u).iter().any(|&c| !q.is_backbone(c) && named(c)) && !repeats_a_var(fs) {
+        return write_formula(f, q, u, fs, orphans, |_| None);
+    }
     let mut counts: HashMap<gtpq_logic::VarId, usize> = HashMap::new();
     count_vars(fs, &mut counts);
     // All `as` names of one `where` clause share a single parser scope, so
@@ -1279,11 +1317,28 @@ fn write_where(
         }
         emitted.insert(c, name);
     }
-    let seen = std::cell::RefCell::new(std::collections::HashSet::new());
+    write_formula(f, q, u, fs, orphans, |c| emitted[&c].as_deref())
+}
+
+/// Writes `fs(u)` with each variable's first occurrence expanded into its
+/// predicate child's pattern, printed with the name `name` gives it, and
+/// later occurrences as that name; then the `orphans`, as `((pattern) | 1)`
+/// terms.
+fn write_formula<'n>(
+    f: &mut fmt::Formatter<'_>,
+    q: &Gtpq,
+    u: QueryNodeId,
+    fs: &BoolExpr,
+    orphans: &[QueryNodeId],
+    name: impl Fn(QueryNodeId) -> Option<&'n str>,
+) -> fmt::Result {
+    // Allocates only once a variable is printed.
+    let seen = std::cell::RefCell::new(Vec::new());
     let rendered = fs.display_with(|v, f| {
         let c = QueryNodeId::from_var(v);
         debug_assert_eq!(q.parent(c), Some(u), "fs vars are predicate children");
-        if seen.borrow_mut().insert(v) {
+        if !seen.borrow().contains(&v) {
+            seen.borrow_mut().push(v);
             // First occurrence: the pattern itself, parenthesized so the
             // surrounding connectives never capture parts of the node.
             f.write_str("(")?;
@@ -1292,14 +1347,10 @@ fn write_where(
                 "{}",
                 q.incoming_edge(c).expect("child has an incoming edge")
             )?;
-            write_node(f, q, c, NameSpelling::Exactly(emitted[&c].as_deref()), None)?;
+            write_node(f, q, c, NameSpelling::Exactly(name(c)), None)?;
             f.write_str(")")
         } else {
-            f.write_str(
-                emitted[&c]
-                    .as_deref()
-                    .expect("repeated vars are always given a name"),
-            )
+            f.write_str(name(c).expect("repeated vars are always given a name"))
         }
     });
     let mut first = true;
@@ -1322,10 +1373,27 @@ fn write_where(
             "{}",
             q.incoming_edge(c).expect("child has an incoming edge")
         )?;
-        write_node(f, q, c, NameSpelling::Exactly(emitted[&c].as_deref()), None)?;
+        write_node(f, q, c, NameSpelling::Exactly(name(c)), None)?;
         f.write_str(") | 1)")?;
     }
     Ok(())
+}
+
+/// Whether some variable occurs twice in `e`.
+fn repeats_a_var(e: &BoolExpr) -> bool {
+    fn walk(e: &BoolExpr, seen: &mut Vec<gtpq_logic::VarId>) -> bool {
+        match e {
+            BoolExpr::True | BoolExpr::False => false,
+            BoolExpr::Var(v) if seen.contains(v) => true,
+            BoolExpr::Var(v) => {
+                seen.push(*v);
+                false
+            }
+            BoolExpr::Not(inner) => walk(inner, seen),
+            BoolExpr::And(items) | BoolExpr::Or(items) => items.iter().any(|i| walk(i, seen)),
+        }
+    }
+    walk(e, &mut Vec::new())
 }
 
 /// Collects the predicate children of a formula in the order their variables
@@ -1472,6 +1540,15 @@ mod tests {
         let child = q.backbone_children(q.root())[0];
         assert_eq!(q.node(child).attr, AttrPredicate::label("quo\"te\\"));
         assert_eq!(q.node(q.root()).attr, AttrPredicate::label("open auction"));
+        // Every escape, in a label, an attribute name and a value.
+        let q = parse(r#"["l\n\t\r\"\\ü" = "v\n", "a\tb" != x]*"#);
+        let expected = AttrPredicate::eq("l\n\t\r\"\\ü", AttrValue::str("v\n")).and(
+            "a\tb",
+            CmpOp::Ne,
+            "x".into(),
+        );
+        assert_eq!(q.node(q.root()).attr, expected);
+        assert_eq!(parse(&q.to_string()), q, "printed escapes parse back");
     }
 
     #[test]

@@ -60,9 +60,24 @@ pub struct AttrComparison {
     pub value: AttrValue,
 }
 
+impl AttrComparison {
+    /// Writes the `Display` form to any writer; into a `String` the pieces
+    /// are plain appends.
+    fn write_to<W: std::fmt::Write>(&self, w: &mut W) -> std::fmt::Result {
+        w.write_str(&self.attr)?;
+        w.write_str(" ")?;
+        write!(w, "{}", self.op)?;
+        w.write_str(" ")?;
+        match &self.value {
+            AttrValue::Str(s) => w.write_str(s),
+            value => write!(w, "{value}"),
+        }
+    }
+}
+
 impl std::fmt::Display for AttrComparison {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} {}", self.attr, self.op, self.value)
+        self.write_to(f)
     }
 }
 
@@ -147,7 +162,7 @@ impl std::fmt::Display for SimComparison {
 
 /// The outcome of index-backed candidate selection
 /// (`AttrPredicate::select_candidates`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CandidateSelection {
     /// The selected candidates, sorted by node id.
     pub nodes: Vec<NodeId>,
@@ -250,18 +265,20 @@ impl AttrPredicate {
             return false;
         }
         // Group comparisons by attribute and check that the implied interval /
-        // (in)equality constraints are consistent.
-        let mut attrs: Vec<&str> = self.comparisons.iter().map(|c| c.attr.as_str()).collect();
-        attrs.sort_unstable();
-        attrs.dedup();
-        for attr in attrs {
-            let cs: Vec<&AttrComparison> =
-                self.comparisons.iter().filter(|c| c.attr == attr).collect();
-            if !Self::attr_group_satisfiable(&cs) {
-                return false;
+        // (in)equality constraints are consistent.  A group is gathered at
+        // its first comparison; a lone one needs no gathering.
+        let comparisons = &self.comparisons;
+        comparisons.iter().enumerate().all(|(i, c)| {
+            let same = |d: &&AttrComparison| d.attr == c.attr;
+            if comparisons[..i].iter().any(|d| same(&d)) {
+                return true;
             }
-        }
-        true
+            if !comparisons[i + 1..].iter().any(|d| same(&d)) {
+                return Self::attr_group_satisfiable(&[c]);
+            }
+            let cs: Vec<&AttrComparison> = comparisons[i..].iter().filter(same).collect();
+            Self::attr_group_satisfiable(&cs)
+        })
     }
 
     fn attr_group_satisfiable(cs: &[&AttrComparison]) -> bool {
@@ -273,22 +290,16 @@ impl AttrPredicate {
         }
         if all_str {
             // Only handle equality-style reasoning for strings.
-            let eqs: Vec<&AttrValue> = cs
-                .iter()
-                .filter(|c| c.op == CmpOp::Eq)
-                .map(|c| &c.value)
-                .collect();
-            if eqs.windows(2).any(|w| w[0] != w[1]) {
-                return false;
-            }
-            if let Some(eq) = eqs.first() {
-                if cs.iter().any(|c| c.op == CmpOp::Ne && &c.value == *eq) {
+            let eqs = cs.iter().filter(|c| c.op == CmpOp::Eq).map(|c| &c.value);
+            if let Some(eq) = eqs.clone().next() {
+                if eqs.clone().any(|other| other != eq) {
                     return false;
                 }
-            }
-            // Range operators over strings: conservatively treat as satisfiable
-            // unless they directly contradict an equality.
-            if let Some(eq) = eqs.first() {
+                if cs.iter().any(|c| c.op == CmpOp::Ne && &c.value == eq) {
+                    return false;
+                }
+                // Range operators over strings: conservatively treat as
+                // satisfiable unless they directly contradict an equality.
                 for c in cs {
                     if let Some(ord) = eq.partial_cmp_same_kind(&c.value) {
                         if !c.op.eval(ord) {
@@ -619,27 +630,36 @@ fn merge_bound<'a>(bounds: &mut Vec<(&'a str, i128, i128)>, attr: &'a str, lo: i
     }
 }
 
-impl std::fmt::Display for AttrPredicate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl AttrPredicate {
+    /// Writes the `Display` form to any writer; into a `String` the pieces
+    /// are plain appends, which is what a plan rendering wants for each of
+    /// its lines.
+    pub fn write_to<W: std::fmt::Write>(&self, w: &mut W) -> std::fmt::Result {
         if self.comparisons.is_empty() && self.sims.is_empty() {
-            return f.write_str("*");
+            return w.write_str("*");
         }
         let mut first = true;
         for c in &self.comparisons {
             if !first {
-                f.write_str(" & ")?;
+                w.write_str(" & ")?;
             }
             first = false;
-            write!(f, "{c}")?;
+            c.write_to(w)?;
         }
         for s in &self.sims {
             if !first {
-                f.write_str(" & ")?;
+                w.write_str(" & ")?;
             }
             first = false;
-            write!(f, "{s}")?;
+            write!(w, "{s}")?;
         }
         Ok(())
+    }
+}
+
+impl std::fmt::Display for AttrPredicate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.write_to(f)
     }
 }
 

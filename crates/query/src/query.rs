@@ -1,6 +1,7 @@
 //! The GTPQ query tree.
 
 use gtpq_graph::{DataGraph, NodeId};
+use gtpq_logic::valuation::eval_with;
 use gtpq_logic::BoolExpr;
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +34,7 @@ impl Gtpq {
     /// Iterator over all query node ids in id order (which is a pre-order of
     /// the tree because the builder numbers nodes as they are added under
     /// their parent).
-    pub fn node_ids(&self) -> impl Iterator<Item = QueryNodeId> + '_ {
+    pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = QueryNodeId> + '_ {
         (0..self.nodes.len() as u32).map(QueryNodeId)
     }
 
@@ -72,6 +73,7 @@ impl Gtpq {
     }
 
     /// The predicate children of `u`.
+    #[cfg(test)]
     pub(crate) fn predicate_children(&self, u: QueryNodeId) -> Vec<QueryNodeId> {
         self.children(u)
             .iter()
@@ -184,12 +186,23 @@ impl Gtpq {
         self.nodes[u.index()].attr.matches(g, v)
     }
 
+    /// Whether `u` is a leaf whose formula is `0`.  A leaf's `fs` names no
+    /// variable, so it is a constant; at `0` no data node matches the leaf.
+    /// (An inner node's formula is evaluated per candidate by the prune
+    /// rounds, so only a leaf's needs deciding here.)
+    pub(crate) fn is_false_leaf(&self, u: QueryNodeId) -> bool {
+        self.node(u).is_leaf() && !eval_with(self.fs(u), &mut |_| false)
+    }
+
     /// The candidate matching nodes `mat(u) = {v | v ∼ u}` of a query node,
-    /// computed by a full node scan.
+    /// computed by a full node scan; none for a leaf whose formula is `0`.
     ///
     /// Kept as the oracle for the index-backed path and for benchmarking;
     /// the engines call [`candidates_indexed`](Self::candidates_indexed).
     pub fn candidates(&self, g: &DataGraph, u: QueryNodeId) -> Vec<NodeId> {
+        if self.is_false_leaf(u) {
+            return Vec::new();
+        }
         g.nodes().filter(|&v| self.matches_attr(g, v, u)).collect()
     }
 
@@ -200,6 +213,9 @@ impl Gtpq {
     /// Returns the same node set as [`candidates`](Self::candidates), sorted
     /// by id, plus selection statistics.
     pub fn candidates_indexed(&self, g: &DataGraph, u: QueryNodeId) -> CandidateSelection {
+        if self.is_false_leaf(u) {
+            return CandidateSelection::default();
+        }
         self.nodes[u.index()].attr.select_candidates(g)
     }
 

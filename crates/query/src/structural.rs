@@ -16,11 +16,20 @@
 //! The similarity (`⊳`) and subsumption (`⊴`) relations between query nodes
 //! are defined here as well; they feed both `fcs` and the
 //! containment/minimization algorithms in `gtpq-analysis`.
+//!
+//! A node whose own predicate `fs(u)` is unsatisfiable matches no data node,
+//! so its variable is 0 wherever it occurs: `ftr` substitutes 0 for it.
+//!
+//! [`StructuralAnalysis`] derives `fcs` for every node, which containment and
+//! minimization read.  Satisfiability (Theorem 1) reads only the root's:
+//! [`root_complete_satisfiable`] decides it, mostly without building it.
 
 use std::collections::HashMap;
 
 use gtpq_logic::transform::{rename_vars, substitute_const, substitute_map};
-use gtpq_logic::{implies, is_satisfiable, BoolExpr, VarId};
+use gtpq_logic::{
+    depends_on, implies, is_satisfiable, is_satisfiable_given_false, BoolExpr, VarId,
+};
 
 use crate::node::{EdgeKind, QueryNodeId};
 use crate::query::Gtpq;
@@ -59,23 +68,36 @@ impl StructuralAnalysis {
 /// constraint.  The extended predicate is used so backbone children (whose
 /// variables are implicit conjuncts) are ICNs whenever their own predicate is
 /// satisfiable, matching the paper's remark.
+///
+/// `p_u` and `fs(u)` share no variable, so the test splits into "`fs(u)` is
+/// satisfiable" and "`p_u` flips `fext(u')`".  `fext(u')` conjoins the
+/// backbone children's variables with `fs(u')`, which names none of them
+/// and is satisfiable (`u'` is an ICN): a backbone child always flips it,
+/// and a predicate child flips it iff it flips `fs(u')`
+/// ([`gtpq_logic::depends_on`]).
 pub fn independently_constraint_nodes(q: &Gtpq) -> Vec<bool> {
+    let dead = dead_nodes(q);
+    icn_nodes(q, &dead)
+}
+
+/// The nodes whose own predicate `fs(u)` is unsatisfiable: they match no
+/// data node.
+fn dead_nodes(q: &Gtpq) -> Vec<bool> {
+    q.node_ids().map(|u| !is_satisfiable(q.fs(u))).collect()
+}
+
+/// [`independently_constraint_nodes`] given [`dead_nodes`].
+fn icn_nodes(q: &Gtpq, dead: &[bool]) -> Vec<bool> {
     let mut icn = vec![false; q.size()];
-    for u in q.subtree(q.root()) {
-        let own_ok = is_satisfiable(q.fs(u));
-        match q.parent(u) {
-            None => icn[u.index()] = own_ok,
-            Some(parent) => {
-                if !icn[parent.index()] {
-                    continue;
-                }
-                let fext = q.fext(parent);
-                let flips = BoolExpr::xor(
-                    substitute_const(&fext, u.var(), true),
-                    substitute_const(&fext, u.var(), false),
-                );
-                icn[u.index()] = is_satisfiable(&BoolExpr::and2(flips, q.fs(u).clone())) && own_ok;
-            }
+    icn[0] = !dead[0];
+    // Ids number parents before their children.
+    for parent in q.node_ids() {
+        if !icn[parent.index()] {
+            continue;
+        }
+        let fs = q.fs(parent);
+        for &u in q.children(parent) {
+            icn[u.index()] = !dead[u.index()] && (q.is_backbone(u) || depends_on(fs, u.var()));
         }
     }
     icn
@@ -83,24 +105,42 @@ pub fn independently_constraint_nodes(q: &Gtpq) -> Vec<bool> {
 
 /// Computes the transitive structural predicate `ftr(u)` for every node, in a
 /// bottom-up sweep: in `fext(u)`, each variable of an independently-constraint
-/// child `u'` is replaced by `p_{u'} ∧ ftr(u')`.
+/// child `u'` is replaced by `p_{u'} ∧ ftr(u')`, and that of a child whose own
+/// predicate is unsatisfiable by 0.
 pub fn transitive_predicates(q: &Gtpq, icn: &[bool]) -> Vec<BoolExpr> {
+    transitive(q, icn, &dead_nodes(q), false)
+}
+
+/// [`transitive_predicates`] with `zero[c]` naming the children whose
+/// variable is 0; with `icn_only`, only the independently-constraint nodes'
+/// `ftr` (all the root's reads) is derived, the rest left `1`.
+fn transitive(q: &Gtpq, icn: &[bool], zero: &[bool], icn_only: bool) -> Vec<BoolExpr> {
     let mut ftr: Vec<BoolExpr> = vec![BoolExpr::True; q.size()];
+    let mut map: HashMap<VarId, BoolExpr> = HashMap::new();
     for u in q.bottom_up_order() {
-        if q.node(u).is_leaf() || !icn[u.index()] {
+        if icn_only && !icn[u.index()] {
+            continue;
+        }
+        if q.node(u).is_leaf() {
             ftr[u.index()] = q.fext(u);
             continue;
         }
-        let mut map: HashMap<VarId, BoolExpr> = HashMap::new();
-        for child in q.children(u) {
-            if icn[child.index()] {
+        map.clear();
+        for &child in q.children(u) {
+            if zero[child.index()] {
+                map.insert(child.var(), BoolExpr::False);
+            } else if icn[u.index()] && icn[child.index()] {
                 map.insert(
                     child.var(),
                     BoolExpr::and2(BoolExpr::Var(child.var()), ftr[child.index()].clone()),
                 );
             }
         }
-        ftr[u.index()] = substitute_map(&q.fext(u), &map);
+        ftr[u.index()] = if map.is_empty() {
+            q.fext(u)
+        } else {
+            substitute_map(&q.fext(u), &map)
+        };
     }
     ftr
 }
@@ -254,6 +294,91 @@ pub(crate) fn complete_predicate(
         }
     }
     fcs
+}
+
+/// Whether `fcs(root)` is satisfiable, the structural half of Theorem 1,
+/// without deriving `fcs` for any node but the root — nor, mostly, the
+/// root's either.
+///
+/// `ftr(root)` inlines `p_c ∧ ftr(c)` for each independently-constraint
+/// child `c`, recursively, and the inlined parts share no variable.  So,
+/// bottom-up, such a node's `ftr` can hold iff its `fext` can with 0 for
+/// each child that cannot match: one whose attribute predicate or own
+/// formula is unsatisfiable, or an ICN whose `ftr` cannot hold.  The other
+/// children's variables stay free.  Only when the root has sibling
+/// subsumption clauses is `fcs(root)` built and handed to the solver: `ftr`
+/// for the ICNs alone, with those children 0, conjoined with the clauses.
+pub fn root_complete_satisfiable(q: &Gtpq) -> bool {
+    let root = q.root();
+    let dead = dead_nodes(q);
+    if dead[root.index()] {
+        return false;
+    }
+    let icn = icn_nodes(q, &dead);
+    // The nodes below the root whose variable is 0 in `fcs(root)`.
+    let zero: Vec<bool> = q
+        .node_ids()
+        .map(|u| u != root && (dead[u.index()] || !q.node(u).attr.is_satisfiable()))
+        .collect();
+    let clauses = root_subsumptions(q, &icn, &dead);
+    if !clauses.is_empty() {
+        let ftr = transitive(q, &icn, &zero, true).swap_remove(root.index());
+        let clauses = clauses.into_iter().map(|(u1, u2)| {
+            BoolExpr::or2(
+                BoolExpr::not(BoolExpr::Var(u1.var())),
+                BoolExpr::and2(BoolExpr::Var(u2.var()), q.fext(u2)),
+            )
+        });
+        return is_satisfiable(&BoolExpr::and([ftr].into_iter().chain(clauses)));
+    }
+    let mut holds = vec![false; q.size()];
+    for u in q.node_ids().rev() {
+        if !icn[u.index()] {
+            continue;
+        }
+        let can_match = |c: QueryNodeId| !zero[c.index()] && (!icn[c.index()] || holds[c.index()]);
+        holds[u.index()] = q
+            .children(u)
+            .iter()
+            .all(|&c| !q.is_backbone(c) || can_match(c))
+            && is_satisfiable_given_false(q.fs(u), |v| !can_match(QueryNodeId::from_var(v)));
+    }
+    holds[root.index()]
+}
+
+/// The pairs `(u1, u2)` with `u2 ⊴ u1` in distinct subtrees of the root,
+/// each of which conjoins `¬p_{u1} ∨ (p_{u2} ∧ fext(u2))` to `fcs(root)`.
+///
+/// The lowest common ancestor of such a pair is the root, which `⊴` requires
+/// to be `u2`'s parent: only the root's children can be `u2`.  A pair goes
+/// on to the full similarity test only when `u2`'s attribute predicate is
+/// entailed by `u1`'s, the test's first condition.
+fn root_subsumptions(q: &Gtpq, icn: &[bool], dead: &[bool]) -> Vec<(QueryNodeId, QueryNodeId)> {
+    let root = q.root();
+    // `top[u]`: the child of the root whose subtree holds `u`.
+    let mut top = vec![root; q.size()];
+    for u in q.node_ids().skip(1) {
+        let parent = q.parent(u).expect("non-root");
+        top[u.index()] = if parent == root {
+            u
+        } else {
+            top[parent.index()]
+        };
+    }
+    let mut ftr: Option<Vec<BoolExpr>> = None;
+    let mut pairs = Vec::new();
+    for &u2 in q.children(root) {
+        for u1 in q.node_ids().skip(1) {
+            if top[u1.index()] == u2 || !q.node(u2).attr.entailed_by(&q.node(u1).attr) {
+                continue;
+            }
+            let ftr = ftr.get_or_insert_with(|| transitive(q, icn, dead, false));
+            if subsumed(q, u2, u1, icn, ftr) {
+                pairs.push((u1, u2));
+            }
+        }
+    }
+    pairs
 }
 
 #[cfg(test)]

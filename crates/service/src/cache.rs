@@ -127,7 +127,7 @@ impl ResultCache {
         }
         self.tick += 1;
         let tick = self.tick;
-        let bucket = self.buckets.get_mut(&canon.skeleton)?;
+        let bucket = self.buckets.get_mut(canon.skeleton())?;
         // Prefer the entry in this query's own orientation (equal key) —
         // including orientation entries stored by earlier permuted hits.
         if let Some(entry) = bucket.iter_mut().find(|e| e.key == canon.key) {
@@ -185,7 +185,7 @@ impl ResultCache {
             return;
         }
         self.tick += 1;
-        if let Some(bucket) = self.buckets.get_mut(&canon.skeleton) {
+        if let Some(bucket) = self.buckets.get_mut(canon.skeleton()) {
             if let Some(entry) = bucket.iter_mut().find(|e| e.key == canon.key) {
                 entry.last_used = self.tick;
                 return;
@@ -195,7 +195,7 @@ impl ResultCache {
             self.evict_lru();
         }
         self.buckets
-            .entry(canon.skeleton.clone())
+            .entry(canon.skeleton().to_owned())
             .or_default()
             .push(CacheEntry {
                 key: canon.key.clone(),
@@ -415,7 +415,7 @@ mod tests {
         let q2 = two_output_query(true);
         let c1 = canonicalize(&q1);
         let c2 = canonicalize(&q2);
-        assert_eq!(c1.skeleton, c2.skeleton);
+        assert_eq!(c1.skeleton(), c2.skeleton());
         // q1 tuples: (b-match, c-match).
         let mut results = ResultSet::new(q1.output_nodes().to_vec());
         results.insert(vec![NodeId(10), NodeId(20)]);

@@ -172,9 +172,6 @@ struct Prepared<'q> {
     query: Cow<'q, Gtpq>,
     /// The cache key; `None` when both caches are disabled.
     canon: Option<CanonicalQuery>,
-    /// The query's `Display` text for the slow-query log; `None` when the
-    /// log is off.
-    text: Option<String>,
 }
 
 /// A row window: sliced out of a cached complete answer, or emitted by a
@@ -188,15 +185,15 @@ struct Answer {
     plan: Option<Arc<QueryPlan>>,
 }
 
-/// What a prepared request hands to the record step.
-struct Served {
+/// What a prepared request hands to the record step, which renders the
+/// slow-query log's text from it only for a request that was slow.
+struct Served<'q> {
     /// The rows, or the interrupted engine run.
     result: Result<Answer, Aborted>,
-    /// [`Prepared::text`].
-    text: Option<String>,
-    /// The executed plan rendered with its actuals for the slow-query log;
-    /// `None` on a cache hit, or with the log off.
-    plan_text: Option<String>,
+    /// [`Prepared::query`].
+    query: Cow<'q, Gtpq>,
+    /// The plan the engine executed; `None` on a cache hit.
+    executed: Option<Arc<QueryPlan>>,
 }
 
 impl QueryService {
@@ -388,8 +385,8 @@ impl QueryService {
             Ok(match self.lookup(request, &prepared, &state) {
                 Some(hit) => Served {
                     result: Ok(hit),
-                    text: prepared.text,
-                    plan_text: None,
+                    query: prepared.query,
+                    executed: None,
                 },
                 None => {
                     let planned = {
@@ -404,18 +401,14 @@ impl QueryService {
         self.record(request, started.elapsed(), served, tracer)
     }
 
-    /// Checks satisfiability, canonicalizes for the caches and renders the
-    /// slow-log text.
+    /// Checks satisfiability and canonicalizes for the caches.
     fn prepare<'q>(&self, query: Cow<'q, Gtpq>) -> Result<Prepared<'q>, QueryError> {
         if !gtpq_analysis::is_satisfiable(&query) {
             return Err(QueryError::Unsatisfiable);
         }
         let canon = (self.config.cache_capacity > 0 || self.config.plan_cache_capacity > 0)
             .then(|| canonicalize(&query));
-        // The Display form is the canonical textual rendering of the query —
-        // re-parseable and human-readable, unlike the cache key.
-        let text = self.config.slow_query_threshold.map(|_| query.to_string());
-        Ok(Prepared { query, canon, text })
+        Ok(Prepared { query, canon })
     }
 
     /// Looks the request up in the result cache.  Entries always hold
@@ -474,17 +467,17 @@ impl QueryService {
     }
 
     /// Runs the engine with the request's row window, deadline and
-    /// cancellation pushed down, renders the executed plan for the slow log,
-    /// and writes a complete answer back to the result cache.
-    fn execute(
+    /// cancellation pushed down, and writes a complete answer back to the
+    /// result cache.
+    fn execute<'q>(
         &self,
         request: &QueryRequest,
-        prepared: Prepared<'_>,
+        prepared: Prepared<'q>,
         state: &EpochState,
         (plan, plan_time): (Arc<QueryPlan>, Duration),
         started: Instant,
         tracer: &Tracer,
-    ) -> Served {
+    ) -> Served<'q> {
         let q: &Gtpq = &prepared.query;
         let mut ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
         // The deadline budget counts from the moment `submit` is called —
@@ -519,10 +512,6 @@ impl QueryService {
             Err(aborted) => &mut *aborted.stats,
         };
         stats.graph_epoch = state.epoch;
-        let plan_text = self
-            .config
-            .slow_query_threshold
-            .map(|_| plan.render_with_actuals(q, stats));
         let result = result.map(|exec| {
             let rows = Arc::new(exec.results);
             // A windowed answer must never poison the full-result slot:
@@ -541,24 +530,27 @@ impl QueryService {
                 truncated: exec.truncated,
                 from_cache: false,
                 stats: exec.stats,
-                plan: Some(plan),
+                plan: Some(Arc::clone(&plan)),
             }
         });
         Served {
             result,
-            text: prepared.text,
-            plan_text,
+            query: prepared.query,
+            executed: Some(plan),
         }
     }
 
     /// Folds the request into the metrics and the slow-query log, and
     /// builds its outcome.  Every exit of the earlier steps passes through
-    /// here, so each request is observed exactly once.
+    /// here, so each request is observed exactly once.  A slow request's log
+    /// text — the query's `Display` form and the executed plan with its
+    /// actuals — is rendered here, after its latency was taken, and only for
+    /// a request that crossed the threshold.
     fn record(
         &self,
         request: &QueryRequest,
         latency: Duration,
-        served: Result<Served, QueryError>,
+        served: Result<Served<'_>, QueryError>,
         tracer: Tracer,
     ) -> Result<QueryOutcome, QueryError> {
         self.metrics.record_latency(latency);
@@ -566,10 +558,16 @@ impl QueryService {
         // plan with actuals could not help, so the slow log skips them.
         let Served {
             result,
-            text,
-            plan_text,
+            query,
+            executed,
         } = served?;
-        let (answer, outcome) = match result {
+        let slow =
+            matches!(self.config.slow_query_threshold, Some(threshold) if latency >= threshold);
+        let plan_text = |stats: &EvalStats| {
+            let plan = executed.as_ref().filter(|_| slow)?;
+            Some(plan.render_with_actuals(&query, stats))
+        };
+        let (answer, outcome, plan_text) = match result {
             Ok(answer) => {
                 if answer.from_cache {
                     self.metrics.record_hit();
@@ -580,28 +578,41 @@ impl QueryService {
                     self.metrics.record_truncated();
                 }
                 let (rows, truncated) = (answer.rows.len(), answer.truncated);
-                (Ok(answer), SlowOutcome::Completed { rows, truncated })
+                let plan_text = plan_text(&answer.stats);
+                (
+                    Ok(answer),
+                    SlowOutcome::Completed { rows, truncated },
+                    plan_text,
+                )
             }
             // The run produced no answer, but its partial stage timings and
             // I/O counters are still load — fold them.
             Err(Aborted { interrupt, stats }) => {
                 self.metrics.record_aborted(&stats);
+                let plan_text = plan_text(&stats);
                 match interrupt {
                     Interrupt::Timeout => {
                         self.metrics.record_timeout();
                         let budget = request.deadline.unwrap_or_default();
-                        (Err(QueryError::Timeout { budget }), SlowOutcome::TimedOut)
+                        let error = QueryError::Timeout { budget };
+                        (Err(error), SlowOutcome::TimedOut, plan_text)
                     }
                     Interrupt::Cancelled => {
                         self.metrics.record_cancelled();
-                        (Err(QueryError::Cancelled), SlowOutcome::Cancelled)
+                        (
+                            Err(QueryError::Cancelled),
+                            SlowOutcome::Cancelled,
+                            plan_text,
+                        )
                     }
                 }
             }
         };
-        if matches!(self.config.slow_query_threshold, Some(threshold) if latency >= threshold) {
+        if slow {
+            // The Display form is the canonical textual rendering of the
+            // query — re-parseable and human-readable, unlike the cache key.
             self.slowlog
-                .push(text.unwrap_or_default(), latency, outcome, plan_text);
+                .push(query.to_string(), latency, outcome, plan_text);
         }
         answer.map(|answer| QueryOutcome {
             rows: answer.rows,

@@ -27,18 +27,26 @@
 //! and keep its teeth: at least half of the answers must have more than one
 //! row.  The seed count is fixed, and every failure message names its seed
 //! and scenario.
+//!
+//! Satisfiability has an oracle of its own: the full structural analysis,
+//! which derives `fcs` for every node, must agree with `is_satisfiable`,
+//! which derives only the root's, and neither may reject a query the naive
+//! evaluator answers.  Queries whose formulas contradict themselves must
+//! match nothing on every path, minimized or not.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{graph_epochs, random_query, replay};
+use common::{graph_epochs, random_graph, random_query, replay, text_query};
+use gtpq::analysis::{is_satisfiable, minimize};
 use gtpq::datagen::{
     apply_ops, generate_xmark, update_stream, xmark_q1, UpdateOp, UpdateStreamConfig, XmarkConfig,
 };
 use gtpq::graph::{Condensation, GraphHandle, GraphSnapshot, LoadMode, MutationStats};
 use gtpq::prelude::*;
 use gtpq::query::naive;
+use gtpq::query::structural::StructuralAnalysis;
 use gtpq::reach::ThreeHop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -445,5 +453,113 @@ fn generator_base_graphs_stay_consistent_under_mutation() {
         let stats = handle.stats();
         assert_eq!(stats.epochs as usize, stream.len(), "xmark seed {seed}");
         assert_every_commit_merged(&format!("xmark seed {seed}"), &stats);
+    }
+}
+
+/// Theorem 1 over the full structural analysis: the root's attribute
+/// predicate and `fcs(root)`, with `fcs` derived for every node.
+fn full_analysis_satisfiable(q: &Gtpq) -> bool {
+    q.node(q.root()).attr.is_satisfiable()
+        && gtpq::logic::is_satisfiable(StructuralAnalysis::new(q).root_complete())
+}
+
+/// What goes in front of a `where` formula to make the mutants of
+/// `satisfiability_agrees_with_the_full_analysis_and_the_naive_evaluator`:
+/// constants, a predicate child that contradicts itself, and one whose own
+/// formula is `0`.
+const FORMULA_PREFIXES: [&str; 6] = [
+    "0 & ",
+    "0 | ",
+    "!1 | ",
+    "!(/l1) & ",
+    "(/l2 { where (//l0 as k) & !k }) | ",
+    "(//l3 { where 0 }) & ",
+];
+
+#[test]
+fn satisfiability_agrees_with_the_full_analysis_and_the_naive_evaluator() {
+    let (mut checked, mut unsatisfiable) = (0, 0);
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_graph(&mut rng, 8..24, seed.is_multiple_of(2));
+        let mut queries = vec![random_query(&mut rng), text_query(&mut rng, 10)];
+        let text = queries[1].to_string();
+        let wheres: Vec<usize> = text.match_indices("where ").map(|(at, _)| at + 6).collect();
+        if !wheres.is_empty() {
+            let at = wheres[rng.gen_range(0..wheres.len())];
+            let prefix = FORMULA_PREFIXES[rng.gen_range(0..FORMULA_PREFIXES.len())];
+            let mutant = format!("{}{prefix}{}", &text[..at], &text[at..]);
+            queries.extend(parse_query(&mutant).ok());
+        }
+        let prefix = FORMULA_PREFIXES[seed as usize % FORMULA_PREFIXES.len()];
+        let root_only = format!("l{}* {{ where {prefix}(//l1) }}", seed % 4);
+        queries.push(parse_query(&root_only).expect("prefixes parse at the root"));
+        for q in &queries {
+            let sat = is_satisfiable(q);
+            assert_eq!(sat, full_analysis_satisfiable(q), "seed {seed}: `{q}`");
+            if !sat {
+                unsatisfiable += 1;
+                assert!(
+                    naive::evaluate(q, &g).is_empty(),
+                    "seed {seed}: `{q}` has rows"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 1000, "only {checked} queries checked");
+    assert!(
+        unsatisfiable >= 150,
+        "only {unsatisfiable} unsatisfiable queries"
+    );
+}
+
+/// Queries no graph can match: a predicate child whose own formula
+/// contradicts itself, a root formula `0`, and a predicate leaf whose
+/// formula is `0`.  Each must have no rows from the naive evaluator, from
+/// every engine arm and from `submit` (which rejects it), and its minimized
+/// form must have none either.
+#[test]
+fn contradictory_formulas_match_nothing_on_any_path() {
+    let g = Arc::new(generate_xmark(&XmarkConfig::with_scale(0.1)));
+    let three_hop = ThreeHop::new(&g);
+    let engines = [
+        GteaEngine::new(&g),
+        GteaEngine::with_options(&g, GteaOptions::without_shrinking()),
+        GteaEngine::with_options(&g, GteaOptions::without_upward_pruning()),
+        GteaEngine::with_backend(&g, &three_hop, GteaOptions::without_contours()),
+    ];
+    let service = QueryService::with_config(Arc::clone(&g), ServiceConfig::default());
+    let control = parse_query("open_auction* { where (/bidder { where 1 }) }").unwrap();
+    assert!(
+        !naive::evaluate(&control, &g).is_empty(),
+        "the control query has rows"
+    );
+    for text in [
+        "open_auction* { where (/bidder { where (/personref as x) & !x }) }",
+        "open_auction* { where 0 }",
+        "open_auction* { where (/bidder { where 0 }) }",
+    ] {
+        let q = parse_query(text).unwrap();
+        assert!(!is_satisfiable(&q), "`{text}` is satisfiable");
+        assert!(
+            !full_analysis_satisfiable(&q),
+            "`{text}`: the full analysis"
+        );
+        let minimized = minimize(&q);
+        for (what, q) in [("query", &q), ("minimized", &minimized)] {
+            assert!(naive::evaluate(q, &g).is_empty(), "`{text}`, {what}: naive");
+            let plan = Planner::new(&g).plan(q);
+            for engine in &engines {
+                let exec = engine.execute(q, &plan, ExecOptions::unbounded()).unwrap();
+                let arm = format!("{:?} on {}", engine.options(), engine.index().name());
+                assert!(exec.results.is_empty(), "`{text}`, {what}: engine {arm}");
+            }
+        }
+        let outcome = service.submit(&QueryRequest::text(text));
+        assert!(
+            matches!(outcome, Err(QueryError::Unsatisfiable)),
+            "`{text}`: submit"
+        );
     }
 }
