@@ -53,6 +53,8 @@ impl GraphBuilder {
         I: IntoIterator<Item = (&'a str, AttrValue)>,
     {
         let id = self.add_node();
+        let attrs = attrs.into_iter();
+        self.attrs[id.index()].reserve_exact(attrs.size_hint().0);
         for (name, value) in attrs {
             self.set_attr(id, name, value);
         }
@@ -66,6 +68,10 @@ impl GraphBuilder {
         if let Some(existing) = attrs.iter_mut().find(|a| a.name == sym) {
             existing.value = value;
         } else {
+            // The graph keeps each tuple as built: grown one slot at a time,
+            // it holds no spare capacity (a plain `push` would leave three
+            // of four slots empty on a node with one attribute).
+            attrs.reserve_exact(1);
             attrs.push(Attribute::new(sym, value));
         }
     }

@@ -71,7 +71,11 @@ impl Condensation {
         let mut stack: Vec<NodeId> = Vec::new();
         let mut next_index = 0u32;
         let mut comp_of = vec![CompId(u32::MAX); n];
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        // Component `k` in Tarjan numbering is
+        // `popped[starts[k] as usize..starts[k + 1] as usize]`, sorted: one
+        // array for all of them, not one small allocation per component.
+        let mut popped: Vec<NodeId> = Vec::with_capacity(n);
+        let mut starts: Vec<u32> = vec![0];
 
         // Iterative Tarjan: (node, child cursor) call frames.
         let mut call_stack: Vec<(NodeId, usize)> = Vec::new();
@@ -107,32 +111,33 @@ impl Condensation {
                         lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[v.index()]);
                     }
                     if lowlink[v.index()] == index[v.index()] {
-                        let comp = CompId(members.len() as u32);
-                        let mut group = Vec::new();
+                        let comp = CompId((starts.len() - 1) as u32);
+                        let from = popped.len();
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w.index()] = false;
                             comp_of[w.index()] = comp;
-                            group.push(w);
+                            popped.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        group.sort_unstable();
-                        members.push(group);
+                        popped[from..].sort_unstable();
+                        starts.push(popped.len() as u32);
                     }
                 }
             }
         }
 
-        let c = members.len();
+        let c = starts.len() - 1;
+        let group = |k: u32| &popped[starts[k as usize] as usize..starts[k as usize + 1] as usize];
 
         // Canonical renumbering: order components by their smallest member
-        // (each run is sorted, so that is `group[0]`).  Tarjan numbering
+        // (each run is sorted, so that is `group(k)[0]`).  Tarjan numbering
         // depends on traversal order; the canonical form does not, which is
         // what lets the incremental path reproduce it exactly.
         let mut order: Vec<u32> = (0..c as u32).collect();
-        order.sort_unstable_by_key(|&ci| members[ci as usize][0]);
+        order.sort_unstable_by_key(|&ci| group(ci)[0]);
         let mut renumber = vec![0u32; c];
         for (new, &old) in order.iter().enumerate() {
             renumber[old as usize] = new as u32;
@@ -140,17 +145,14 @@ impl Condensation {
         for slot in comp_of.iter_mut() {
             *slot = CompId(renumber[slot.index()]);
         }
-        let members: Vec<Vec<NodeId>> = order
-            .iter()
-            .map(|&old| std::mem::take(&mut members[old as usize]))
-            .collect();
+        let members = Csr::from_runs(c, order.iter().map(|&old| group(old).iter().copied()));
 
         let mut cyclic = vec![0u8; c];
         let mut out_pairs: Vec<(u32, CompId)> = Vec::new();
         let mut in_pairs: Vec<(u32, CompId)> = Vec::new();
-        for (ci, group) in members.iter().enumerate() {
-            if group.len() > 1 {
-                cyclic[ci] = 1;
+        for (ci, flag) in cyclic.iter_mut().enumerate() {
+            if members.degree(ci) > 1 {
+                *flag = 1;
             }
         }
         for u in g.nodes() {
@@ -158,7 +160,7 @@ impl Condensation {
             for &v in g.children(u) {
                 let cv = comp_of[v.index()];
                 if cu == cv {
-                    if u == v || members[cu.index()].len() > 1 {
+                    if u == v || members.degree(cu.index()) > 1 {
                         cyclic[cu.index()] = 1;
                     }
                 } else {
@@ -171,7 +173,6 @@ impl Condensation {
         // edges collapse here.
         let comp_out = Csr::from_pairs(c, out_pairs);
         let comp_in = Csr::from_pairs(c, in_pairs);
-        let members = Csr::from_runs(c, members);
         let topo = kahn_topo(&comp_out, &comp_in);
         debug_assert_eq!(topo.len(), c, "condensation DAG contains a cycle");
 

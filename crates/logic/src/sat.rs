@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use crate::expr::{BoolExpr, VarId};
 use crate::transform::{substitute, substitute_const, to_cnf, Literal};
-use crate::valuation::{eval_with, eval_words, Valuation};
+use crate::valuation::{eval_words, Valuation};
 
 /// Whether `expr` is satisfiable.
 pub fn is_satisfiable(expr: &BoolExpr) -> bool {
@@ -20,25 +20,11 @@ pub fn is_satisfiable(expr: &BoolExpr) -> bool {
 
 /// Whether `expr` is satisfiable once every variable `fixed` names is 0.
 ///
-/// Decided from the formula's shape where that suffices, and by DPLL over
-/// its CNF otherwise:
-///
-/// * in a formula where no free variable occurs twice, the operands of
-///   every connective are independent, so whether each subformula can be 1
-///   and whether it can be 0 follow bottom-up;
-/// * a negation-free formula is monotone: satisfiable iff it holds with
-///   every free variable 1;
-/// * with at most six free variables, one 64-bit word evaluates all their
-///   assignments at once.
+/// With at most six free variables, one 64-bit word evaluates all their
+/// assignments at once; otherwise DPLL decides it over the CNF.
 pub fn is_satisfiable_given_false(expr: &BoolExpr, fixed: impl Fn(VarId) -> bool) -> bool {
     let mut vars = SmallVars::default();
-    let shape = vars.scan(expr, &fixed);
-    if !shape.repeated && !vars.overflow {
-        return can_hold(expr, &fixed).0;
-    }
-    if !shape.negation {
-        return eval_with(expr, &mut |v| !fixed(v));
-    }
+    vars.scan(expr, &fixed);
     if !vars.overflow && vars.len <= WORD_VARS.len() {
         let word = |v: VarId| if fixed(v) { 0 } else { WORD_VARS[vars.slot(v)] };
         return eval_words(expr, &mut |v| word(v)) != 0;
@@ -77,28 +63,6 @@ pub fn depends_on(expr: &BoolExpr, var: VarId) -> bool {
     ))
 }
 
-/// Whether `e` can be 1 and whether it can be 0, with the `fixed` variables
-/// 0 and the others free; exact when no free variable occurs twice.
-fn can_hold(e: &BoolExpr, fixed: &impl Fn(VarId) -> bool) -> (bool, bool) {
-    match e {
-        BoolExpr::True => (true, false),
-        BoolExpr::False => (false, true),
-        BoolExpr::Var(v) => (!fixed(*v), true),
-        BoolExpr::Not(inner) => {
-            let (one, zero) = can_hold(inner, fixed);
-            (zero, one)
-        }
-        BoolExpr::And(items) => items.iter().fold((true, false), |(one, zero), item| {
-            let (i1, i0) = can_hold(item, fixed);
-            (one && i1, zero || i0)
-        }),
-        BoolExpr::Or(items) => items.iter().fold((false, true), |(one, zero), item| {
-            let (i1, i0) = can_hold(item, fixed);
-            (one || i1, zero && i0)
-        }),
-    }
-}
-
 /// Bit `i` of `WORD_VARS[j]` is bit `j` of `i`: the columns of a truth
 /// table over six variables, one assignment per bit of a `u64`.
 const WORD_VARS: [u64; 6] = [
@@ -117,8 +81,6 @@ struct Shape {
     constant: bool,
     /// Some free variable occurs more than once.
     repeated: bool,
-    /// A negation occurs.
-    negation: bool,
 }
 
 /// The distinct variables of a small formula, without allocating; past
@@ -154,10 +116,7 @@ impl SmallVars {
                     self.overflow = true;
                 }
             }
-            BoolExpr::Not(inner) => {
-                shape.negation = true;
-                self.walk(inner, fixed, shape);
-            }
+            BoolExpr::Not(inner) => self.walk(inner, fixed, shape),
             BoolExpr::And(items) | BoolExpr::Or(items) => {
                 // An empty connective is a constant.
                 shape.constant |= items.is_empty();

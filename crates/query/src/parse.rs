@@ -78,7 +78,6 @@
 //! reaches a fixed point.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use gtpq_graph::AttrValue;
@@ -1279,45 +1278,39 @@ fn write_where(
     fs: &BoolExpr,
     orphans: &[QueryNodeId],
 ) -> fmt::Result {
-    // With no predicate child named and no variable repeated, every
-    // occurrence is a first one and every child prints without a name.
-    let named = |c: QueryNodeId| printable_name(q.node(c).name.as_deref()).is_some();
-    if !q.children(u).iter().any(|&c| !q.is_backbone(c) && named(c)) && !repeats_a_var(fs) {
-        return write_formula(f, q, u, fs, orphans, |_| None);
-    }
-    let mut counts: HashMap<gtpq_logic::VarId, usize> = HashMap::new();
-    count_vars(fs, &mut counts);
     // All `as` names of one `where` clause share a single parser scope, so
     // decide up front what each predicate child prints as — in render order
     // (fs first occurrences, then orphans), first come first served.  A name
     // already used by an earlier sibling is re-spelled (when a back-reference
     // needs it) or omitted (when it is only cosmetic), so the printed formula
-    // can never trip the parser's duplicate-name check.
-    let mut order: Vec<QueryNodeId> = Vec::new();
-    first_occurrences(fs, &mut order);
-    order.extend_from_slice(orphans);
-    let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut emitted: HashMap<QueryNodeId, Option<String>> = HashMap::new();
-    for &c in &order {
-        let own = printable_name(q.node(c).name.as_deref());
-        let needs_back_reference = counts.get(&c.var()).copied().unwrap_or(0) > 1;
-        let name = match own {
-            Some(n) if !used.contains(n) => Some(n.to_owned()),
-            _ if needs_back_reference => {
+    // can never trip the parser's duplicate-name check.  `names` pairs each
+    // child with what it prints as.
+    let mut names: Vec<(QueryNodeId, Option<Cow<'_, str>>)> = Vec::new();
+    first_occurrences(fs, &mut names);
+    names.extend(orphans.iter().map(|&c| (c, None)));
+    for i in 0..names.len() {
+        let c = names[i].0;
+        let used = |n: &str| names[..i].iter().any(|(_, e)| e.as_deref() == Some(n));
+        let name = match printable_name(q.node(c).name.as_deref()) {
+            Some(n) if !used(n) => Some(Cow::Borrowed(n)),
+            _ if occurrences(fs, c.var()) > 1 => {
                 let mut candidate = c.to_string();
-                while used.contains(&candidate) {
+                while used(&candidate) {
                     candidate.push('_');
                 }
-                Some(candidate)
+                Some(Cow::Owned(candidate))
             }
             _ => None,
         };
-        if let Some(n) = &name {
-            used.insert(n.clone());
-        }
-        emitted.insert(c, name);
+        names[i].1 = name;
     }
-    write_formula(f, q, u, fs, orphans, |c| emitted[&c].as_deref())
+    write_formula(f, q, u, fs, orphans, |c| {
+        let named = names.iter().find(|(o, _)| *o == c);
+        named
+            .expect("every predicate child is in render order")
+            .1
+            .as_deref()
+    })
 }
 
 /// Writes `fs(u)` with each variable's first occurrence expanded into its
@@ -1379,32 +1372,15 @@ fn write_formula<'n>(
     Ok(())
 }
 
-/// Whether some variable occurs twice in `e`.
-fn repeats_a_var(e: &BoolExpr) -> bool {
-    fn walk(e: &BoolExpr, seen: &mut Vec<gtpq_logic::VarId>) -> bool {
-        match e {
-            BoolExpr::True | BoolExpr::False => false,
-            BoolExpr::Var(v) if seen.contains(v) => true,
-            BoolExpr::Var(v) => {
-                seen.push(*v);
-                false
-            }
-            BoolExpr::Not(inner) => walk(inner, seen),
-            BoolExpr::And(items) | BoolExpr::Or(items) => items.iter().any(|i| walk(i, seen)),
-        }
-    }
-    walk(e, &mut Vec::new())
-}
-
 /// Collects the predicate children of a formula in the order their variables
 /// first occur left-to-right — the order `display_with` renders them in.
-fn first_occurrences(e: &BoolExpr, order: &mut Vec<QueryNodeId>) {
+fn first_occurrences<'n>(e: &BoolExpr, order: &mut Vec<(QueryNodeId, Option<Cow<'n, str>>)>) {
     match e {
         BoolExpr::True | BoolExpr::False => {}
         BoolExpr::Var(v) => {
             let c = QueryNodeId::from_var(*v);
-            if !order.contains(&c) {
-                order.push(c);
+            if !order.iter().any(|(o, _)| *o == c) {
+                order.push((c, None));
             }
         }
         BoolExpr::Not(inner) => first_occurrences(inner, order),
@@ -1416,15 +1392,14 @@ fn first_occurrences(e: &BoolExpr, order: &mut Vec<QueryNodeId>) {
     }
 }
 
-fn count_vars(e: &BoolExpr, counts: &mut HashMap<gtpq_logic::VarId, usize>) {
+/// How many times `var` occurs in `e`.
+fn occurrences(e: &BoolExpr, var: gtpq_logic::VarId) -> usize {
     match e {
-        BoolExpr::True | BoolExpr::False => {}
-        BoolExpr::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-        BoolExpr::Not(inner) => count_vars(inner, counts),
+        BoolExpr::True | BoolExpr::False => 0,
+        BoolExpr::Var(v) => usize::from(*v == var),
+        BoolExpr::Not(inner) => occurrences(inner, var),
         BoolExpr::And(items) | BoolExpr::Or(items) => {
-            for item in items {
-                count_vars(item, counts);
-            }
+            items.iter().map(|item| occurrences(item, var)).sum()
         }
     }
 }
