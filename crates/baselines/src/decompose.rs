@@ -75,7 +75,7 @@ pub fn evaluate_gtpq_with(algo: &dyn TpqAlgorithm, q: &Gtpq) -> (ResultSet, Base
     stats.absorb(&sub_stats);
 
     // Map the skeleton's output coordinates back to the original query nodes.
-    let mut results = ResultSet::new(q.output_nodes().to_vec());
+    let mut rows = Vec::new();
     let reverse: HashMap<QueryNodeId, QueryNodeId> =
         mapping.iter().map(|&(old, new)| (new, old)).collect();
     for tuple in skeleton_results.iter() {
@@ -83,9 +83,9 @@ pub fn evaluate_gtpq_with(algo: &dyn TpqAlgorithm, q: &Gtpq) -> (ResultSet, Base
         for (pos, new_node) in skeleton_results.output.iter().enumerate() {
             assignment.insert(reverse[new_node], tuple[pos]);
         }
-        let projected: Vec<NodeId> = q.output_nodes().iter().map(|u| assignment[u]).collect();
-        results.insert(projected);
+        rows.extend(q.output_nodes().iter().map(|u| assignment[u]));
     }
+    let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
     stats.total_time = start.elapsed();
     (results, stats)
 }

@@ -23,7 +23,9 @@ use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
 use gtpq_reach::{Reachability, ThreeHop};
 
 use crate::stats::BaselineStats;
-use crate::{restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm};
+use crate::{
+    push_projection, restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm,
+};
 
 /// Per-unit match graphs: root match → per-child candidate lists.
 type UnitGraphs = HashMap<QueryNodeId, HashMap<NodeId, Vec<Vec<NodeId>>>>;
@@ -152,7 +154,7 @@ impl TpqAlgorithm for HgJoin<'_> {
         let mat = restricted_candidates(q, self.graph, restrict, &mut stats);
         let internal: Vec<QueryNodeId> = q.internal_nodes();
 
-        let mut results = ResultSet::new(q.output_nodes().to_vec());
+        let mut rows = Vec::new();
         if self.graph_intermediates {
             // HGJoin*: per-unit match graphs joined implicitly at enumeration.
             let mut unit_graphs: UnitGraphs = HashMap::new();
@@ -162,7 +164,7 @@ impl TpqAlgorithm for HgJoin<'_> {
             let mut memo: AssignmentMemo = HashMap::new();
             for &v in &mat[q.root().index()] {
                 for assignment in enumerate_graph(q, &unit_graphs, q.root(), v, &mut memo).iter() {
-                    insert_projection(q, assignment, &mut results);
+                    push_projection(q, assignment, &mut rows);
                 }
             }
         } else {
@@ -209,32 +211,22 @@ impl TpqAlgorithm for HgJoin<'_> {
                 stats.intermediate_results += joined.len() as u64;
                 relations.insert(u, joined);
             }
-            if let Some(rows) = relations.get(&q.root()) {
-                for row in rows {
+            if let Some(joined) = relations.get(&q.root()) {
+                for row in joined {
                     let tuple: Option<Vec<NodeId>> = q
                         .output_nodes()
                         .iter()
                         .map(|u| row.get(u).copied())
                         .collect();
                     if let Some(tuple) = tuple {
-                        results.insert(tuple);
+                        rows.extend(tuple);
                     }
                 }
             }
         }
+        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
         stats.total_time = start.elapsed();
         (results, stats)
-    }
-}
-
-fn insert_projection(q: &Gtpq, assignment: &[(QueryNodeId, NodeId)], results: &mut ResultSet) {
-    let tuple: Option<Vec<NodeId>> = q
-        .output_nodes()
-        .iter()
-        .map(|u| assignment.iter().find(|(qu, _)| qu == u).map(|&(_, n)| n))
-        .collect();
-    if let Some(tuple) = tuple {
-        results.insert(tuple);
     }
 }
 

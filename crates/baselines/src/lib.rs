@@ -51,6 +51,22 @@ pub(crate) type Restrictions = Vec<Option<Vec<NodeId>>>;
 /// Shared by the enumeration phases of the baseline evaluators.
 pub(crate) type Assignment = Vec<(gtpq_query::QueryNodeId, NodeId)>;
 
+/// Appends the projection of `assignment` onto `q`'s output nodes to the
+/// flat row buffer `rows`; an assignment missing an output node adds nothing.
+pub(crate) fn push_projection(
+    q: &Gtpq,
+    assignment: &[(gtpq_query::QueryNodeId, NodeId)],
+    rows: &mut Vec<NodeId>,
+) {
+    let start = rows.len();
+    for u in q.output_nodes() {
+        match assignment.iter().find(|(qu, _)| qu == u) {
+            Some(&(_, v)) => rows.push(v),
+            None => return rows.truncate(start),
+        }
+    }
+}
+
 /// Shared, memoized projections per (query node, data node).
 pub(crate) type AssignmentMemo =
     std::collections::HashMap<(gtpq_query::QueryNodeId, NodeId), std::rc::Rc<Vec<Assignment>>>;

@@ -23,7 +23,9 @@ use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
 use gtpq_reach::{Reachability, ThreeHop};
 
 use crate::stats::BaselineStats;
-use crate::{restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm};
+use crate::{
+    push_projection, restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm,
+};
 
 /// Twig2Stack-style evaluator.
 pub struct Twig2Stack<'g> {
@@ -105,20 +107,14 @@ impl TpqAlgorithm for Twig2Stack<'_> {
         stats.intermediate_results += mat.iter().map(|m| m.len() as u64).sum::<u64>();
 
         // Enumerate results from the hierarchical link structure.
-        let mut results = ResultSet::new(q.output_nodes().to_vec());
+        let mut rows = Vec::new();
         let mut memo: AssignmentMemo = HashMap::new();
         for &v in &mat[q.root().index()] {
             for assignment in enumerate(q, &links, q.root(), v, &mut memo).iter() {
-                let tuple: Option<Vec<NodeId>> = q
-                    .output_nodes()
-                    .iter()
-                    .map(|u| assignment.iter().find(|(qu, _)| qu == u).map(|&(_, n)| n))
-                    .collect();
-                if let Some(tuple) = tuple {
-                    results.insert(tuple);
-                }
+                push_projection(q, assignment, &mut rows);
             }
         }
+        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
         stats.total_time = start.elapsed();
         (results, stats)
     }

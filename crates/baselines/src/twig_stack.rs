@@ -145,11 +145,11 @@ impl TpqAlgorithm for TwigStack<'_> {
             }
         }
 
-        let mut results = ResultSet::new(q.output_nodes().to_vec());
-        for assignment in joined {
-            let tuple: Vec<NodeId> = q.output_nodes().iter().map(|u| assignment[u]).collect();
-            results.insert(tuple);
-        }
+        let rows = joined
+            .iter()
+            .flat_map(|assignment| q.output_nodes().iter().map(|u| assignment[u]))
+            .collect();
+        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
         stats.total_time = start.elapsed();
         (results, stats)
     }

@@ -52,7 +52,7 @@ fn textual_query_matches_builder_query_on_arxiv() {
         .unwrap()
         .rows;
     assert_eq!(from_text.output, from_builder.output);
-    assert_eq!(from_text.tuples, from_builder.tuples);
+    assert_eq!(from_text, from_builder);
     assert!(!from_text.is_empty(), "query should match generated data");
 
     // The REPL path renders the same answer (count line agrees).

@@ -99,7 +99,9 @@ pub struct EvalStats {
     pub prune_up_time: Duration,
     /// Time spent building the maximal matching graph.
     pub matching_graph_time: Duration,
-    /// Time spent enumerating results.
+    /// Wall time from the enumerator's first pull to its last, including
+    /// the collector's copy of each row
+    /// ([`MatchStream::enumerate_time`](crate::MatchStream::enumerate_time)).
     pub enumerate_time: Duration,
     /// Wall time from the start of enumeration to the first produced row
     /// (zero when the answer is empty) — the streaming latency headline.

@@ -60,6 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gtpq_graph::NodeId;
+use gtpq_query::result::append_sorted_distinct;
 use gtpq_query::{Gtpq, QueryNodeId};
 
 use crate::exec::{ExecCtl, Interrupt};
@@ -464,30 +465,12 @@ impl Walk {
         let rows = match width {
             // A node with no output below it only says whether it matched.
             0 => collected.min(1),
-            1 => {
-                let column = &mut self.scratch[base..];
-                column.sort_unstable();
-                let mut last = None;
-                for &v in column.iter() {
-                    if last != Some(v) {
-                        self.arena.push(v);
-                        last = Some(v);
-                    }
-                }
-                self.arena.len() - start
-            }
-            _ => {
-                let rows = &self.scratch[base..];
-                let row = |i: usize| &rows[i * width..][..width];
-                self.order.clear();
-                self.order.extend(0..collected);
-                self.order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-                self.order.dedup_by(|a, b| row(*a) == row(*b));
-                for &i in &self.order {
-                    self.arena.extend_from_slice(row(i));
-                }
-                self.order.len()
-            }
+            _ => append_sorted_distinct(
+                &mut self.scratch[base..],
+                width,
+                &mut self.order,
+                &mut self.arena,
+            ),
         };
         self.scratch.truncate(base);
         debug_assert!(
@@ -525,7 +508,10 @@ pub struct MatchStream {
     state: State,
     ctl: ExecCtl,
     rows_enumerated: u64,
-    enumerate_time: Duration,
+    /// When the first pull began.
+    started: Option<Instant>,
+    /// First pull to the end of the answer or the interrupt, once reached.
+    finished: Option<Duration>,
     time_to_first_row: Duration,
     /// The previous row, for the ascending-order check of debug builds.
     #[cfg(debug_assertions)]
@@ -541,7 +527,8 @@ impl MatchStream {
             state: State::Fresh,
             ctl,
             rows_enumerated: 0,
-            enumerate_time: Duration::ZERO,
+            started: None,
+            finished: None,
             time_to_first_row: Duration::ZERO,
             #[cfg(debug_assertions)]
             previous: Vec::new(),
@@ -556,7 +543,8 @@ impl MatchStream {
             state: State::Done,
             ctl,
             rows_enumerated: 0,
-            enumerate_time: Duration::ZERO,
+            started: None,
+            finished: None,
             time_to_first_row: Duration::ZERO,
             #[cfg(debug_assertions)]
             previous: Vec::new(),
@@ -568,31 +556,29 @@ impl MatchStream {
     /// passes or the request is cancelled mid-enumeration (and on every
     /// call after that).
     ///
+    /// The tuple is lent from the stream's current row, so a pull allocates
+    /// nothing; copy it to keep it past the next pull.  A pull reads no
+    /// clock either: the stream reads it at the first pull, at the first
+    /// row and when the answer ends or the run is interrupted (see
+    /// [`enumerate_time`](Self::enumerate_time)).
+    ///
     /// When the stream's control carries an enabled tracer, each of the
     /// first `TRACED_PULLS` (16) pulls records a `pull N` span.
-    pub fn next_row(&mut self) -> Result<Option<Vec<NodeId>>, Interrupt> {
+    pub fn next_row(&mut self) -> Result<Option<&[NodeId]>, Interrupt> {
         let _span =
             (self.ctl.tracer().is_enabled() && self.rows_enumerated < TRACED_PULLS).then(|| {
                 let n = self.rows_enumerated;
                 self.ctl.tracer().span_with(|| format!("pull {n}"))
             });
-        let start = Instant::now();
-        let outcome = self.advance();
-        self.enumerate_time += start.elapsed();
-        if self.rows_enumerated == 1 && self.time_to_first_row == Duration::ZERO {
-            self.time_to_first_row = self.enumerate_time;
-        }
-        outcome
-    }
-
-    fn advance(&mut self) -> Result<Option<Vec<NodeId>>, Interrupt> {
         let (Some(src), ctl) = (self.source.as_deref(), &self.ctl) else {
             return Ok(None);
         };
         let stepped = match self.state {
-            State::Fresh => ctl
-                .check_sampled()
-                .and_then(|()| self.walk.open(src, ctl, src.top(), 0..1, 0)),
+            State::Fresh => {
+                self.started = Some(Instant::now());
+                ctl.check_sampled()
+                    .and_then(|()| self.walk.open(src, ctl, src.top(), 0..1, 0))
+            }
             State::Walking => ctl
                 .check_sampled()
                 .and_then(|()| self.walk.step(src, ctl, src.top())),
@@ -603,6 +589,9 @@ impl MatchStream {
             Ok(true) => {
                 self.state = State::Walking;
                 self.rows_enumerated += 1;
+                if self.rows_enumerated == 1 {
+                    self.time_to_first_row = self.enumerate_time();
+                }
                 #[cfg(debug_assertions)]
                 {
                     debug_assert!(
@@ -611,14 +600,16 @@ impl MatchStream {
                     );
                     self.previous.clone_from(&self.walk.row);
                 }
-                Ok(Some(self.walk.row.clone()))
+                Ok(Some(&self.walk.row))
             }
             Ok(false) => {
                 self.state = State::Done;
+                self.finished = Some(self.enumerate_time());
                 Ok(None)
             }
             Err(interrupt) => {
                 self.state = State::Failed(interrupt);
+                self.finished = Some(self.enumerate_time());
                 Err(interrupt)
             }
         }
@@ -630,13 +621,22 @@ impl MatchStream {
         self.rows_enumerated
     }
 
-    /// Wall time spent inside [`next_row`](Self::next_row) so far.
+    /// Wall time from the first [`next_row`](Self::next_row) call to the
+    /// pull that found the answer exhausted or was interrupted — or to now,
+    /// while the stream is still open.  It therefore includes whatever the
+    /// caller did between pulls, such as copying each row out; zero before
+    /// the first pull.
     pub fn enumerate_time(&self) -> Duration {
-        self.enumerate_time
+        match (self.finished, self.started) {
+            (Some(finished), _) => finished,
+            (None, Some(started)) => started.elapsed(),
+            (None, None) => Duration::ZERO,
+        }
     }
 
     /// Wall time from the first [`next_row`](Self::next_row) call to the
-    /// first produced row (zero until then).
+    /// first produced row, read once when that row is produced (zero until
+    /// then).
     pub(crate) fn time_to_first_row(&self) -> Duration {
         self.time_to_first_row
     }
@@ -692,7 +692,7 @@ mod tests {
         let mut stream = MatchStream::from_source(source, ExecCtl::unbounded());
         let mut rows = Vec::new();
         while let Some(row) = stream.next_row().unwrap() {
-            rows.push(row);
+            rows.push(row.to_vec());
         }
         let mut expected: Vec<Vec<NodeId>> = example_answer_pairs()
             .into_iter()

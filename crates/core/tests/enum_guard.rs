@@ -1,9 +1,10 @@
 //! Deterministic work guard for result enumeration: what `MatchStream`
-//! allocates is counted, not timed.  Walking a list in place costs the row
-//! handed to the caller and nothing else, nothing is set up per (query node,
-//! candidate) before the first pull, and a product is never materialised —
-//! so a fall-back to per-row partials, up-front list trees or built products
-//! fails here without timing anything.  The matching graph it walks is held
+//! allocates is counted, not timed.  Walking a list in place allocates
+//! nothing per row (the row is lent, and a `ResultSet` grows by doubling),
+//! nothing is set up per (query node, candidate) before the first pull, and
+//! a product is never materialised — so a fall-back to per-row copies or
+//! partials, up-front list trees or built products fails here without
+//! timing anything.  The matching graph it walks is held
 //! to the same standard: its PC branches allocate nothing per candidate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,7 +17,7 @@ use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
 use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, StreamSource};
 use gtpq_datagen::{generate_arxiv, ArxivConfig};
 use gtpq_graph::{DataGraph, GraphBuilder, NodeId};
-use gtpq_query::{parse_query, Gtpq};
+use gtpq_query::{parse_query, Gtpq, ResultSet};
 use gtpq_reach::Sspi;
 
 thread_local! {
@@ -99,22 +100,55 @@ fn pull(source: &Arc<StreamSource>, limit: usize) -> u64 {
     stream.rows_enumerated()
 }
 
+/// Two of `arxiv_enum`'s year-window citation joins: 12 125 and 2 102 rows
+/// on its graph.
+const WINDOW_1995: &str = "[year >= 1995, year <= 1997]* { //[year >= 1990]* }";
+const WINDOW_2002: &str = "[year >= 2002, year <= 2004]* { //[year >= 1997]* }";
+
 #[test]
-fn a_walked_join_allocates_the_caller_s_row_and_nothing_else() {
-    // One of `arxiv_enum`'s year-window citation joins, on its graph.
+fn a_walked_join_allocates_nothing_per_row() {
     let g = generate_arxiv(&ArxivConfig::small());
-    let (source, _) = source(&g, "[year >= 1995, year <= 1997]* { //[year >= 1990]* }");
-    let (rows, allocations, _) = allocated_by(|| pull(&source, usize::MAX));
-    assert!(
-        rows > 1000,
-        "only {rows} rows: not the enumeration-bound join"
+    let drain = |text: &str| {
+        let (source, _) = source(&g, text);
+        let (rows, allocations, _) = allocated_by(|| pull(&source, usize::MAX));
+        let (_, again, _) = allocated_by(|| pull(&source, usize::MAX));
+        assert_eq!(allocations, again, "the count repeats exactly");
+        (rows, allocations)
+    };
+    let (rows_1995, allocations_1995) = drain(WINDOW_1995);
+    let (rows_2002, allocations_2002) = drain(WINDOW_2002);
+    assert_eq!(
+        (rows_1995, rows_2002),
+        (12_125, 2_102),
+        "the windows' joins"
     );
+    assert_eq!(
+        allocations_1995, allocations_2002,
+        "{rows_1995} rows allocate as often as {rows_2002}"
+    );
+}
+
+#[test]
+fn draining_a_join_into_a_result_set_allocates_amortised_nothing_per_row() {
+    let g = generate_arxiv(&ArxivConfig::small());
+    let (source, _) = source(&g, WINDOW_1995);
+    let output = parse_query(WINDOW_1995)
+        .expect("guard queries parse")
+        .output_nodes()
+        .to_vec();
+    let (rows, allocations, _) = allocated_by(|| {
+        let mut stream = MatchStream::from_source(Arc::clone(&source), ExecCtl::unbounded());
+        let mut results = ResultSet::new(output);
+        while let Some(row) = stream.next_row().unwrap() {
+            results.insert(row);
+        }
+        results.len()
+    });
+    assert_eq!(rows, 12_125);
     assert!(
-        allocations <= 2 * rows,
+        allocations <= 64,
         "{allocations} allocations for {rows} rows"
     );
-    let (_, again, _) = allocated_by(|| pull(&source, usize::MAX));
-    assert_eq!(allocations, again, "the count repeats exactly");
 }
 
 /// `roots` nodes labelled `r`, each with edges to `width` nodes labelled `x`

@@ -66,7 +66,7 @@ pub fn downward_matches(q: &Gtpq, g: &DataGraph) -> Vec<Vec<bool>> {
 /// nodes top-down and projecting onto the output nodes.
 fn enumerate(q: &Gtpq, g: &DataGraph, sat: &[Vec<bool>]) -> ResultSet {
     let output = q.output_nodes().to_vec();
-    let mut results = ResultSet::new(output.clone());
+    let mut rows = Vec::new();
     let root = q.root();
     let mut memo: AssignmentMemo = HashMap::new();
     for v in g.nodes() {
@@ -74,20 +74,16 @@ fn enumerate(q: &Gtpq, g: &DataGraph, sat: &[Vec<bool>]) -> ResultSet {
             continue;
         }
         for assignment in subtree_assignments(q, g, sat, root, v, &mut memo) {
-            let tuple: Vec<NodeId> = output
-                .iter()
-                .map(|u| {
-                    assignment
-                        .iter()
-                        .find(|(qu, _)| qu == u)
-                        .map(|&(_, v)| v)
-                        .expect("output nodes are backbone nodes and always assigned")
-                })
-                .collect();
-            results.insert(tuple);
+            rows.extend(output.iter().map(|u| {
+                assignment
+                    .iter()
+                    .find(|(qu, _)| qu == u)
+                    .map(|&(_, v)| v)
+                    .expect("output nodes are backbone nodes and always assigned")
+            }));
         }
     }
-    results
+    ResultSet::from_rows(output, rows)
 }
 
 /// All distinct projections (restricted to output nodes) of matches of the
@@ -192,7 +188,7 @@ mod tests {
         let q = example_query();
         let answer = evaluate(&q, &g);
         let expected = example_answer_pairs();
-        assert_eq!(answer.len(), expected.len(), "answer: {:?}", answer.tuples);
+        assert_eq!(answer.len(), expected.len(), "answer: {answer:?}");
         for (a, b) in expected {
             assert!(
                 answer.contains(&[NodeId(a - 1), NodeId(b - 1)]),

@@ -1698,8 +1698,8 @@ mod tests {
         // Output *ids* are renumbered, but the text preserves the output
         // nodes' tree order, so the tuple sets must coincide coordinate-wise.
         assert_eq!(
-            naive::evaluate(&reparsed, &g).tuples,
-            naive::evaluate(&q, &g).tuples
+            naive::evaluate(&reparsed, &g).iter().collect::<Vec<_>>(),
+            naive::evaluate(&q, &g).iter().collect::<Vec<_>>()
         );
         // The canonical form is a fixed point of display ∘ parse.
         assert_eq!(parse(&reparsed.to_string()), reparsed);
@@ -1870,8 +1870,8 @@ mod tests {
         assert_eq!(q.size(), 10);
         let fixture = example_query();
         assert_eq!(
-            naive::evaluate(&q, &g).tuples,
-            naive::evaluate(&fixture, &g).tuples
+            naive::evaluate(&q, &g).iter().collect::<Vec<_>>(),
+            naive::evaluate(&fixture, &g).iter().collect::<Vec<_>>()
         );
     }
 }

@@ -369,11 +369,11 @@ fn permute_results(
                 .expect("position sets were checked equal")
         })
         .collect();
-    let mut out = ResultSet::new(q.output_nodes().to_vec());
-    for tuple in cached.iter() {
-        out.insert(perm.iter().map(|&j| tuple[j]).collect());
-    }
-    out
+    let rows = cached
+        .iter()
+        .flat_map(|tuple| perm.iter().map(|&j| tuple[j]))
+        .collect();
+    ResultSet::from_rows(q.output_nodes().to_vec(), rows)
 }
 
 #[cfg(test)]

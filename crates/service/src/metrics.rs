@@ -455,7 +455,7 @@ impl MetricsSnapshot {
         for (stage, snap) in self.stages.iter() {
             page.histogram_seconds(
                 "gtpq_stage_seconds",
-                "Per-stage engine latency.",
+                "Per-stage engine latency; `enumerate` is wall time from the first pull to the last, including the collector's copy of each row.",
                 &[("stage", stage)],
                 snap,
                 LATENCY_BOUNDS_SECONDS,

@@ -680,11 +680,7 @@ fn window(full: &Arc<ResultSet>, offset: usize, limit: Option<usize>) -> (Arc<Re
     if offset == 0 && end == total {
         return (Arc::clone(full), false);
     }
-    let mut out = ResultSet::new(full.output.clone());
-    for tuple in full.iter().skip(offset).take(end.saturating_sub(offset)) {
-        out.insert(tuple.clone());
-    }
-    (Arc::new(out), end < total)
+    (Arc::new(full.window(offset..end)), end < total)
 }
 
 // The whole point of the service: it can be shared across request threads.
@@ -750,7 +746,7 @@ mod tests {
         );
         let q = example_query();
         let full = submit_rows(&service, &q);
-        let all: Vec<_> = full.iter().cloned().collect();
+        let all: Vec<_> = full.iter().collect();
         assert!(all.len() >= 3, "example query has several rows");
         for (offset, limit) in [(0, 1), (1, 2), (0, all.len()), (2, 100), (all.len() + 1, 2)] {
             let outcome = service
@@ -761,7 +757,7 @@ mod tests {
                 )
                 .unwrap();
             let expected: Vec<_> = all.iter().skip(offset).take(limit).cloned().collect();
-            let got: Vec<_> = outcome.rows.iter().cloned().collect();
+            let got: Vec<_> = outcome.rows.iter().collect();
             assert_eq!(got, expected, "offset {offset} limit {limit}");
             let more_exist = offset + limit < all.len();
             assert_eq!(

@@ -54,7 +54,7 @@ fn main() {
 
     let engine = GteaEngine::new(&graph);
     let (answer, stats) = engine.evaluate_with_stats(&query);
-    println!("Answer tuples: {:?}", answer.tuples);
+    println!("Answer tuples: {:?}", answer.iter().collect::<Vec<_>>());
     println!(
         "Evaluated in {:?} ({} candidates pruned to {})",
         stats.total_time(),

@@ -215,7 +215,7 @@ fn slice(all: &[Vec<NodeId>], window: Window) -> (Vec<Vec<NodeId>>, bool, u64) {
 }
 
 fn rows(results: &ResultSet) -> Vec<Vec<NodeId>> {
-    results.iter().cloned().collect()
+    results.iter().map(<[NodeId]>::to_vec).collect()
 }
 
 /// What a run reports about its answer: rows pulled from the enumerator,
@@ -404,9 +404,7 @@ fn assert_backends_match_naive(ctx: &str, g: &DataGraph, oracle_graph: &DataGrap
     let got = GteaEngine::new(g).evaluate(q);
     assert!(
         got.same_answer(&expected),
-        "{ctx}: diverged from the rebuild oracle: got {:?} expected {:?}",
-        got.tuples,
-        expected.tuples
+        "{ctx}: diverged from the rebuild oracle: got {got:?} expected {expected:?}"
     );
 }
 

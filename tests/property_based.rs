@@ -286,9 +286,7 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
                 .results;
             assert!(
                 got.same_answer(&expected),
-                "seed {seed}: plan `{name}` changed the answer: got {:?} expected {:?}",
-                got.tuples,
-                expected.tuples
+                "seed {seed}: plan `{name}` changed the answer: got {got:?} expected {expected:?}"
             );
         }
     }

@@ -199,7 +199,7 @@ fn oversubscribed_batch_of_broad_queries_stays_exact() {
     assert_eq!(oversubscribed.len(), expected.len());
     for (i, (got, want)) in oversubscribed.iter().zip(&expected).enumerate() {
         assert_eq!(
-            got.rows.tuples, want.rows.tuples,
+            got.rows, want.rows,
             "request {i}: oversubscribed workers diverged from serial"
         );
         assert_eq!(got.truncated, want.truncated, "request {i}");

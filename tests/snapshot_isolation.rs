@@ -61,7 +61,13 @@ fn match_stream_completes_the_pinned_snapshot_answer_across_commits() {
 
     // Pull one row, then mutate and commit twice mid-enumeration.
     let mut rows = Vec::new();
-    rows.push(stream.next_row().unwrap().expect("three rows exist"));
+    rows.push(
+        stream
+            .next_row()
+            .unwrap()
+            .expect("three rows exist")
+            .to_vec(),
+    );
     for _ in 0..2 {
         let v = handle.insert_node_with_label("b");
         handle.insert_edge(NodeId(0), v);
@@ -70,7 +76,7 @@ fn match_stream_completes_the_pinned_snapshot_answer_across_commits() {
 
     // The rest of the stream is still the pinned snapshot's answer.
     while let Some(row) = stream.next_row().unwrap() {
-        rows.push(row);
+        rows.push(row.to_vec());
     }
     assert_eq!(rows.len(), 3, "stream leaked rows from a newer epoch");
     let mut streamed = ResultSet::new(pinned.output.clone());

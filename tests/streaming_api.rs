@@ -138,7 +138,7 @@ fn a_cancel_racing_a_run_completes_exactly_or_aborts_cleanly() {
 /// evaluator's `ResultSet` order.  Returns the answer size.
 fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
     let oracle = naive::evaluate(q, graph);
-    let all: Vec<Vec<NodeId>> = oracle.iter().cloned().collect();
+    let all: Vec<Vec<NodeId>> = oracle.iter().map(<[NodeId]>::to_vec).collect();
     let engine = GteaEngine::new(graph);
     let plan = Planner::new(graph).plan(q);
     let total = all.len();
@@ -157,7 +157,7 @@ fn check_against_naive(graph: &DataGraph, q: &Gtpq, tag: &str) -> usize {
         let exec = engine
             .execute(q, &plan, ExecOptions { limit, offset, ctl })
             .expect("unbounded execution cannot be interrupted");
-        let got: Vec<Vec<NodeId>> = exec.results.iter().cloned().collect();
+        let got: Vec<Vec<NodeId>> = exec.results.iter().map(<[NodeId]>::to_vec).collect();
         let take = limit.unwrap_or(usize::MAX);
         let expected: Vec<Vec<NodeId>> = all.iter().skip(offset).take(take).cloned().collect();
         assert_eq!(
@@ -296,7 +296,7 @@ fn cancelling_from_another_thread_interrupts_a_long_enumeration() {
         let outcome = loop {
             match stream.next_row() {
                 Ok(Some(_)) => {}
-                other => break other,
+                other => break other.map(|row| row.map(<[NodeId]>::to_vec)),
             }
         };
         canceller.join().expect("cancelling thread panicked");
