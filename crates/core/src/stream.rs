@@ -746,6 +746,26 @@ mod tests {
     }
 
     #[test]
+    fn enumerate_time_runs_from_the_first_pull_to_the_end() {
+        let (q, shrunk, matching, mat) = pruned_example();
+        let source = Arc::new(StreamSource::new(&q, shrunk, matching, mat));
+        let mut stream = MatchStream::from_source(source, ExecCtl::unbounded());
+        let pause = Duration::from_millis(20);
+        std::thread::sleep(pause);
+        assert_eq!(stream.enumerate_time(), Duration::ZERO, "no pull yet");
+        assert!(stream.next_row().unwrap().is_some());
+        std::thread::sleep(pause);
+        // An open stream reads the clock up to now: the caller's time
+        // between pulls counts.
+        assert!(stream.enumerate_time() >= pause);
+        assert!(stream.time_to_first_row() < pause);
+        while stream.next_row().unwrap().is_some() {}
+        let finished = stream.enumerate_time();
+        std::thread::sleep(pause);
+        assert_eq!(stream.enumerate_time(), finished, "stopped at the end");
+    }
+
+    #[test]
     fn stream_respects_cancellation() {
         let (q, shrunk, matching, mat) = pruned_example();
         let token = crate::exec::CancelToken::new();
