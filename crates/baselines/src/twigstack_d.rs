@@ -49,7 +49,7 @@ impl<'g> TwigStackD<'g> {
     /// candidate lists, using pairwise SSPI probes.
     fn prefilter(&self, q: &Gtpq, mat: &mut [Vec<NodeId>], stats: &mut BaselineStats) {
         let start = Instant::now();
-        self.sspi.reset_visits();
+        self.sspi.reset_lookups();
         // Bottom-up: keep candidates that can reach a candidate of every child.
         for u in q.bottom_up_order() {
             if q.node(u).is_leaf() {
@@ -86,7 +86,7 @@ impl<'g> TwigStackD<'g> {
                     .collect();
             }
         }
-        stats.index_lookups += self.sspi.visit_count();
+        stats.index_lookups += self.sspi.lookup_count();
         stats.filtering_time += start.elapsed();
     }
 }

@@ -517,7 +517,7 @@ fn ablation() -> Result<(), String> {
     for (name, options) in [
         ("full", GteaOptions::default()),
         ("no upward pruning", GteaOptions::without_upward_pruning()),
-        ("pairwise AD pruning", GteaOptions::without_contours()),
+        ("pairwise AD pruning", GteaOptions::pairwise()),
         ("no subtree shrinking", GteaOptions::without_shrinking()),
     ] {
         let engine = GteaEngine::with_backend(&g, &three_hop, options);

@@ -471,8 +471,7 @@ impl Session {
                      matching {:.3?}, enumerate {:.3?})\n\
                      planner: {:.3?} planning, {} plan hits / {} misses, \
                      estimation error {:.0}%\n\
-                     index: {} hits, {} scanned nodes, {} lookups; \
-                     index builds: {}\n\
+                     index: {} hits, {} scanned nodes, {} lookups\n\
                      enumerated rows: {} ({} emitted)\n\
                      cached result sets: {}, cached plans: {}\n\
                      latency: p50 {:.3?}, p90 {:.3?}, p99 {:.3?}, \
@@ -499,7 +498,6 @@ impl Session {
                     m.index_hits,
                     m.scanned_nodes,
                     m.index_lookups,
-                    m.index_builds,
                     m.enumerated_rows,
                     m.result_tuples,
                     self.service.cached_results(),

@@ -107,7 +107,7 @@ pub struct Execution {
 /// the SCC condensation `graph` carries ([`DataGraph::condensation`],
 /// computed once on first use), so evaluation needs no index and the engine
 /// builds none.  The one reader of a [`Reachability`] is the pairwise
-/// ablation arm ([`GteaOptions::without_contours`]), which calls
+/// ablation arm ([`GteaOptions::pairwise`]), which calls
 /// [`Reachability::reaches`] pair by pair.  [`new`](Self::new) and
 /// [`with_options`](Self::with_options) point it at the condensation itself,
 /// whose point probe is a whole sweep; a caller measuring that arm builds a
@@ -434,7 +434,7 @@ mod tests {
         for options in [
             GteaOptions::default(),
             GteaOptions::without_upward_pruning(),
-            GteaOptions::without_contours(),
+            GteaOptions::pairwise(),
             GteaOptions::without_shrinking(),
         ] {
             let engine = GteaEngine::with_options(&g, options);
@@ -442,7 +442,7 @@ mod tests {
             assert!(got.same_answer(&expected), "options {options:?}");
         }
         let index = ThreeHop::new(&g);
-        let pairwise = GteaEngine::with_backend(&g, &index, GteaOptions::without_contours());
+        let pairwise = GteaEngine::with_backend(&g, &index, GteaOptions::pairwise());
         assert!(pairwise.evaluate(&q).same_answer(&expected));
     }
 
@@ -709,7 +709,7 @@ mod tests {
             inner: ThreeHop::new(&g),
             token: token.clone(),
         };
-        let engine = GteaEngine::with_backend(&g, &index, GteaOptions::without_contours());
+        let engine = GteaEngine::with_backend(&g, &index, GteaOptions::pairwise());
         let plan = Planner::new(&g).plan(&q);
         let ctl = ExecCtl::unbounded().with_cancel(token);
         let err = engine

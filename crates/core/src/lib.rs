@@ -50,7 +50,7 @@
 //!
 //! None of the steps asks a reachability *index* anything under default
 //! options, and the engine builds none.  The pairwise ablation arm
-//! ([`GteaOptions::without_contours`]) probes a
+//! ([`GteaOptions::pairwise`]) probes a
 //! [`Reachability`](gtpq_reach::Reachability) pair by pair: the graph's
 //! condensation unless the caller passes an index to
 //! [`GteaEngine::with_backend`].

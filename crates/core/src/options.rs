@@ -13,14 +13,14 @@ pub struct GteaOptions {
     /// [`shrink_prime_subtree`](Self::shrink_prime_subtree)) relies on
     /// upward-pruned candidate sets, so it is skipped.
     pub upward_pruning: bool,
-    /// Answer set reachability during pruning set-at-a-time — the role the
-    /// paper gives contour merging (Procedure 2) — with one sweep of the
-    /// graph's condensation per (prune step, AD child), no index involved.
-    /// When disabled, the prune rounds call the backend's point probe
-    /// `reaches` pairwise per candidate/target, as a traditional
-    /// structural-join algorithm would: the one arm that reads the
-    /// reachability backend.
-    pub use_contours: bool,
+    /// Answer the prune rounds' AD questions pairwise: the backend's point
+    /// probe `reaches` per candidate/target, as a traditional
+    /// structural-join algorithm would — the one arm that reads the
+    /// reachability backend.  Off by default: each (prune step, AD child)
+    /// is then answered set-at-a-time — the role the paper gives contour
+    /// merging (Procedure 2) — by one race on the graph's condensation, no
+    /// index involved.
+    pub pairwise_ad: bool,
     /// Shrink the prime subtree by removing query nodes with a single
     /// remaining candidate (§4.3).  Disabling keeps those nodes.  Has no
     /// effect without [`upward_pruning`](Self::upward_pruning).
@@ -31,7 +31,7 @@ impl Default for GteaOptions {
     fn default() -> Self {
         Self {
             upward_pruning: true,
-            use_contours: true,
+            pairwise_ad: false,
             shrink_prime_subtree: true,
         }
     }
@@ -48,9 +48,9 @@ impl GteaOptions {
 
     /// The configuration used by the ablation that replaces set-at-a-time
     /// pruning with pairwise index probes.
-    pub fn without_contours() -> Self {
+    pub fn pairwise() -> Self {
         Self {
-            use_contours: false,
+            pairwise_ad: true,
             ..Self::default()
         }
     }
@@ -69,15 +69,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_enables_everything() {
+    fn default_is_the_paper_s_algorithm() {
         let o = GteaOptions::default();
-        assert!(o.upward_pruning && o.use_contours && o.shrink_prime_subtree);
+        assert!(o.upward_pruning && !o.pairwise_ad && o.shrink_prime_subtree);
     }
 
     #[test]
     fn ablation_constructors_flip_one_flag() {
         assert!(!GteaOptions::without_upward_pruning().upward_pruning);
-        assert!(!GteaOptions::without_contours().use_contours);
+        assert!(GteaOptions::pairwise().pairwise_ad);
         assert!(!GteaOptions::without_shrinking().shrink_prime_subtree);
     }
 }

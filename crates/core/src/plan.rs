@@ -807,7 +807,7 @@ mod tests {
         let q = example_query();
         let plan = Planner::new(&g).plan(&q);
         assert!(plan.backend.kind.is_none());
-        let profile = GraphProfile::compute(&g);
+        let profile = GraphProfile::compute_with(&g, g.condensation());
         let plan = Planner::new(&g)
             .with_profile(profile)
             .with_prebuilt(&[BackendKind::ThreeHop])

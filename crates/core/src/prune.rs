@@ -100,7 +100,7 @@ pub fn initial_candidates(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec
 /// `fext(u)` is then evaluated 64 candidates at a time, so a step costs
 /// O(|mat(u)|) plus those reads, rather than O(|mat(u)| · |mat(child)|)
 /// probes.  `index` is read only by the pairwise ablation arm
-/// (`use_contours == false`), which calls [`Reachability::reaches`] per
+/// ([`GteaOptions::pairwise_ad`]), which calls [`Reachability::reaches`] per
 /// pair.  One [`OperatorStats`] entry is recorded per step, constant or
 /// not.
 ///
@@ -213,7 +213,10 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
                             })?
                         }
                     }
-                    _ if options.use_contours => {
+                    _ if options.pairwise_ad => column(&candidates, ctl, |v| {
+                        targets.iter().any(|&t| index.reaches(v, t))
+                    })?,
+                    _ => {
                         let found = reaching(cond, &candidates, targets, Direction::Ancestors);
                         stats.index_lookups += found.edges_visited;
                         let sep = if swept.is_empty() { "" } else { "," };
@@ -222,9 +225,6 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
                             found.reached.contains(cond.component_of(v))
                         })?
                     }
-                    _ => column(&candidates, ctl, |v| {
-                        targets.iter().any(|&t| index.reaches(v, t))
-                    })?,
                 };
             }
             let mut kept = Vec::new();
@@ -338,7 +338,13 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                         g.parents(v).iter().any(|&p| parent_bits.contains(p))
                     })?
                 }
-                _ if options.use_contours => {
+                _ if options.pairwise_ad => {
+                    let parents = &mat[u.index()];
+                    retain_polled(&candidates, ctl, |v| {
+                        parents.iter().any(|&s| index.reaches(s, v))
+                    })?
+                }
+                _ => {
                     let cond = g.condensation();
                     let found =
                         reaching(cond, &candidates, &mat[u.index()], Direction::Descendants);
@@ -346,12 +352,6 @@ fn prune_upward_inner<R: Reachability + ?Sized>(
                     span.field("swept", format!("{}:{}", found.side, found.edges_visited));
                     retain_polled(&candidates, ctl, |v| {
                         found.reached.contains(cond.component_of(v))
-                    })?
-                }
-                _ => {
-                    let parents = &mat[u.index()];
-                    retain_polled(&candidates, ctl, |v| {
-                        parents.iter().any(|&s| index.reaches(s, v))
                     })?
                 }
             };
@@ -537,12 +537,12 @@ mod tests {
     }
 
     #[test]
-    fn downward_pruning_without_contours_gives_the_same_result() {
+    fn pairwise_downward_pruning_gives_the_same_result() {
         for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
             let expected = oracle(&g, &q, false);
             for index in backends(&g) {
                 let swept = pruned(&g, &q, &*index, &GteaOptions::default(), false);
-                let pairwise = pruned(&g, &q, &*index, &GteaOptions::without_contours(), false);
+                let pairwise = pruned(&g, &q, &*index, &GteaOptions::pairwise(), false);
                 assert_eq!(swept, expected, "{}", index.name());
                 assert_eq!(pairwise, expected, "{}", index.name());
             }
@@ -550,12 +550,12 @@ mod tests {
     }
 
     #[test]
-    fn upward_pruning_without_contours_gives_the_same_result() {
+    fn pairwise_upward_pruning_gives_the_same_result() {
         for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
             let expected = oracle(&g, &q, true);
             for index in backends(&g) {
                 let swept = pruned(&g, &q, &*index, &GteaOptions::default(), true);
-                let pairwise = pruned(&g, &q, &*index, &GteaOptions::without_contours(), true);
+                let pairwise = pruned(&g, &q, &*index, &GteaOptions::pairwise(), true);
                 assert_eq!(swept, expected, "{}", index.name());
                 assert_eq!(pairwise, expected, "{}", index.name());
             }

@@ -70,7 +70,7 @@ fn prune_rounds_sweep_once_per_ad_edge_on_xmark_under_sspi() {
         "the count repeats exactly"
     );
     // The bound has teeth: pairwise probing of the same query breaks it.
-    let pairwise = prune_index_lookups(&g, &q, &index, &GteaOptions::without_contours());
+    let pairwise = prune_index_lookups(&g, &q, &index, &GteaOptions::pairwise());
     assert!(pairwise > bound, "{pairwise} pairwise lookups <= {bound}");
 }
 
@@ -351,7 +351,7 @@ fn default_options_answer_every_query_without_touching_the_index() {
 
     // The wrapper is live: the pairwise arm reaches it.
     let g = example_graph();
-    let pairwise = GteaEngine::with_backend(&g, &Untouchable, GteaOptions::without_contours());
+    let pairwise = GteaEngine::with_backend(&g, &Untouchable, GteaOptions::pairwise());
     let reached = catch_unwind(AssertUnwindSafe(|| pairwise.evaluate(&example_query())));
     let message = *reached.unwrap_err().downcast::<String>().unwrap();
     assert!(message.starts_with("reaches("), "{message}");

@@ -14,7 +14,7 @@
 //! smaller cover only improves constants, not correctness.
 
 use gtpq_graph::condensation::CompId;
-use gtpq_graph::{Condensation, DataGraph};
+use gtpq_graph::Condensation;
 
 /// Identifier of a chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,11 +51,6 @@ pub struct ChainDecomposition {
 }
 
 impl ChainDecomposition {
-    /// Computes a chain cover of the condensation of `g`.
-    pub fn new(g: &DataGraph) -> Self {
-        Self::from_condensation(g.condensation())
-    }
-
     /// Computes a chain cover of an existing condensation.
     pub(crate) fn from_condensation(cond: &Condensation) -> Self {
         let n = cond.component_count();
@@ -120,11 +115,6 @@ impl ChainDecomposition {
     pub(crate) fn position(&self, c: CompId) -> ChainPos {
         self.pos[c.index()]
     }
-
-    /// The component at position `(chain, sid)`.
-    pub fn at(&self, chain: ChainId, sid: u32) -> CompId {
-        self.chains[chain.index()][sid as usize]
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +151,7 @@ mod tests {
         // Every component's recorded position matches the chain contents.
         for comp in (0..total as u32).map(CompId) {
             let pos = cd.position(comp);
-            assert_eq!(cd.at(pos.chain, pos.sid), comp);
+            assert_eq!(cd.chain(pos.chain)[pos.sid as usize], comp);
         }
     }
 
@@ -210,7 +200,7 @@ mod tests {
         for i in 0..4 {
             b.add_edge(v[i], v[i + 1]);
         }
-        let cd = ChainDecomposition::new(&b.build());
+        let cd = ChainDecomposition::from_condensation(&Condensation::new(&b.build()));
         assert_eq!(cd.chain_count(), 1);
         assert_eq!(cd.chain(ChainId(0)).len(), 5);
     }

@@ -1,34 +1,35 @@
-//! Reachability for GTPQ evaluation: set-at-a-time kernels on the SCC
-//! condensation, and the pairwise indexes the paper compares.
+//! Reachability for GTPQ evaluation: the pairwise indexes the paper
+//! compares, behind one trait.
 //!
 //! GTEA's filter stages ask ancestor-descendant (AD) questions about whole
 //! candidate sets, and `gtpq-graph` answers those on the condensation the
 //! graph carries ([`DataGraph::condensation`](gtpq_graph::DataGraph::condensation))
-//! without any index: [`sweep`](sweep::sweep) marks everything that reaches
-//! (or is reached from) a set — both prune rounds — and
-//! [`branches`](sweep::branches) lists, for every member of one set, what it
-//! reaches in another — the AD edges of the matching graph.  This crate
-//! re-exports both kernels in [`sweep`]; the engine's default path
-//! (`gtpq-core`) uses nothing else from here.
+//! without any index, through the kernels of [`gtpq_graph::sweep`]: `sweep`
+//! marks everything that reaches (or is reached from) a set — both prune
+//! rounds — and `branches` lists, for every member of one set, what it
+//! reaches in another — the AD edges of the matching graph.  The engine's
+//! default path (`gtpq-core`) uses nothing from this crate but the
+//! [`Reachability`] trait the condensation implements.
 //!
 //! The paper's evaluation also compares pairwise indexes: GTEA probes the
-//! *3-hop* index and merges its lists into *contours* (Procedure 2,
-//! `MergePredLists`), and the TwigStackD baseline needs an SSPI-style index.
+//! *3-hop* index, and the TwigStackD baseline needs an SSPI-style index.
 //! Those two sit behind the common [`Reachability`] trait, one per
 //! [`BackendKind`]:
 //!
-//! * [`ThreeHop`] — chain cover ([`ChainDecomposition`]) + `Lin`/`Lout` hop
-//!   lists, with contour merging ([`PredContour`] / [`SuccContour`]) as the
-//!   paper's Procedure 2 library API,
+//! * [`ThreeHop`] — chain cover + `Lin`/`Lout` hop lists,
 //! * [`Sspi`] — spanning-tree intervals + surplus predecessor lists (on a
 //!   forest the surplus lists are empty and it *is* the interval labelling).
 //!
 //! Both are built on the SCC condensation so they accept arbitrary
 //! directed graphs; the AD relationship of the paper ("non-empty path") is
 //! preserved: a node reaches itself only when it lies on a cycle.  The
-//! condensation itself implements [`Reachability`] too (in [`sweep`]), with
+//! condensation itself implements [`Reachability`] too (in `sweep.rs`), with
 //! no index behind it; the tests' exact oracle is the plain BFS of
 //! `gtpq_graph::traversal`.
+//!
+//! The paper's contour merging (Procedure 2, `MergePredLists` /
+//! `MergeSuccLists`, and Proposition 7) is not implemented: every set
+//! question is one condensation sweep, whichever backend exists.
 //!
 //! ## Pluggable backends
 //!
@@ -38,32 +39,28 @@
 //! [`reaches`](Reachability::reaches) per (candidate, member) pair, which is
 //! where the backends differ.  The trait's two set probes —
 //! [`pred_probe`](Reachability::pred_probe) and
-//! [`succ_probe`](Reachability::succ_probe) — are one [`sweep`](sweep::sweep)
-//! on every backend, and [`source_probe`](Reachability::source_probe) (one
-//! source, many targets; pairwise `reaches` by default, one
-//! complete-successor-list computation on 3-hop) has no caller in the
-//! engine any more.  [`BackendKind::build_shared`] builds a named backend;
+//! [`succ_probe`](Reachability::succ_probe) — are one sweep on every
+//! backend, and [`source_probe`](Reachability::source_probe) (one source,
+//! many targets) is pairwise `reaches` on every backend and has no caller in
+//! the engine.  [`BackendKind::build_shared`] builds a named backend;
 //! [`BackendKind::ALL`] is the one table of backends everything else is
 //! derived from.
 
 #![warn(missing_docs)]
 
-pub mod chain;
-pub mod contour;
+mod chain;
 pub mod select;
 pub mod sspi;
-pub mod sweep;
+mod sweep;
 pub mod three_hop;
 
 use std::sync::Arc;
 
 use gtpq_graph::NodeId;
 
-pub use chain::{ChainDecomposition, ChainId, ChainPos};
-pub use contour::{PredContour, SuccContour};
 pub use select::{
-    build_selected_with, select_backend, select_backend_for_query, BackendCostHints, BackendKind,
-    BackendSelection, GraphProfile,
+    build_selected_with, select_backend_for_query, BackendCostHints, BackendKind, BackendSelection,
+    GraphProfile,
 };
 pub use sspi::Sspi;
 pub use three_hop::ThreeHop;
@@ -113,12 +110,12 @@ pub trait Reachability: Send + Sync {
 
     /// Prepares a probe answering "does `v` reach *some* member of
     /// `targets`?" for many different `v` — the question of the downward
-    /// prune round, which asks [`sweep::sweep`] directly.
+    /// prune round, which asks the condensation's kernels directly.
     ///
     /// There is no pairwise default: a set probe must cost one pass over
     /// the set, not one `reaches` per (candidate, member) pair.  Every
     /// implementation here answers with one backward condensation
-    /// [`sweep`] from `targets`; an index adds the condensation edges it
+    /// sweep from `targets`; an index adds the condensation edges it
     /// visited to [`lookup_count`](Self::lookup_count) once, at preparation.
     /// The prepared probe is then `component_of(v)` plus one bit test and
     /// counts nothing.  Wrappers forward to the index they wrap.
@@ -131,9 +128,9 @@ pub trait Reachability: Send + Sync {
     fn succ_probe<'s>(&'s self, sources: &[NodeId]) -> Probe<'s>;
 
     /// Prepares a probe answering "does `source` reach `v`?" for many
-    /// different `v` (one source, many targets).  The matching graph used to
-    /// be built on it; [`sweep::branches`] replaced that, so it is library
-    /// API now.
+    /// different `v` (one source, many targets): pairwise
+    /// [`reaches`](Self::reaches) on every backend.  The matching graph
+    /// asks the condensation's `branches` kernel instead.
     fn source_probe<'s>(&'s self, source: NodeId) -> Probe<'s> {
         Box::new(move |v| self.reaches(source, v))
     }

@@ -101,12 +101,7 @@ pub struct GraphProfile {
 }
 
 impl GraphProfile {
-    /// Computes the profile of `g` from the condensation it carries.
-    pub fn compute(g: &DataGraph) -> Self {
-        Self::compute_with(g, g.condensation())
-    }
-
-    /// Computes the profile of `g` reusing an existing condensation of it.
+    /// Computes the profile of `g` from a condensation of it.
     pub fn compute_with(g: &DataGraph, cond: &Condensation) -> Self {
         let nodes = g.node_count();
         let edges = g.edge_count();
@@ -177,12 +172,8 @@ impl BackendKind {
     }
 }
 
-/// Picks a reachability backend for `g` from its statistics.
-pub fn select_backend(g: &DataGraph) -> BackendSelection {
-    select_backend_with(g, g.condensation())
-}
-
-/// Like [`select_backend`] but reusing an existing condensation of `g`.
+/// Picks a reachability backend for `g` from its statistics, given its
+/// condensation.
 pub(crate) fn select_backend_with(g: &DataGraph, cond: &Condensation) -> BackendSelection {
     let profile = GraphProfile::compute_with(g, cond);
     let (kind, reason) = if profile.is_dag && profile.density < 1.2 {
@@ -211,7 +202,7 @@ pub(crate) fn select_backend_with(g: &DataGraph, cond: &Condensation) -> Backend
 /// [`BackendCostHints::build`] up front.  With a small probe estimate the
 /// sunk-cost term dominates and the prebuilt backend wins; with a large one
 /// the planner will pay for a cheaper-probing index once and amortize it —
-/// exactly the [`select_backend`] trade-offs, but driven by the workload
+/// exactly the [`build_selected_with`] trade-offs, but driven by the workload
 /// instead of graph shape alone.
 pub fn select_backend_for_query(
     profile: &GraphProfile,
@@ -294,7 +285,7 @@ mod tests {
     #[test]
     fn forests_select_sspi_and_answer_as_bfs_does() {
         let g = forest(40);
-        let sel = select_backend(&g);
+        let sel = select_backend_with(&g, g.condensation());
         assert_eq!(sel.kind, BackendKind::Sspi);
         assert!(sel.profile.is_dag);
         for kind in BackendKind::ALL {
@@ -311,7 +302,7 @@ mod tests {
             b.add_edge(v[x], v[y]);
         }
         let g = b.build();
-        let sel = select_backend(&g);
+        let sel = select_backend_with(&g, g.condensation());
         assert_eq!(sel.kind, BackendKind::ThreeHop);
         assert!(!sel.profile.is_dag);
         assert_matches_bfs(BackendKind::ThreeHop, &g);
@@ -331,7 +322,8 @@ mod tests {
 
     #[test]
     fn cost_hints_are_positive() {
-        let profile = GraphProfile::compute(&forest(2));
+        let g = forest(2);
+        let profile = GraphProfile::compute_with(&g, g.condensation());
         for kind in BackendKind::ALL {
             let hints = kind.cost_hints(&profile);
             assert!(hints.build > 0.0 && hints.probe > 0.0, "{kind:?}");
@@ -367,7 +359,7 @@ mod tests {
     fn per_query_selection_stays_inside_the_backend_table() {
         let shapes = [forest(1), forest(40), forest(1_000)];
         for g in &shapes {
-            let profile = GraphProfile::compute(g);
+            let profile = GraphProfile::compute_with(g, g.condensation());
             for probes in [0, 1, 1_000, u64::MAX] {
                 for prebuilt in [&[][..], &BackendKind::ALL[..1], &BackendKind::ALL[..]] {
                     let sel = select_backend_for_query(&profile, probes, prebuilt);

@@ -15,9 +15,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use gtpq_graph::condensation::CompId;
+use gtpq_graph::sweep::Direction;
 use gtpq_graph::{Condensation, DataGraph, NodeId};
 
-use crate::sweep::{self, Direction};
+use crate::sweep;
 use crate::Reachability;
 
 /// Per-thread scratch of [`Sspi::comp_reaches`]: a visited marker per
@@ -214,21 +215,6 @@ impl Sspi {
             false
         })
     }
-
-    /// Number of surplus-predecessor entries visited since the last reset.
-    pub fn visit_count(&self) -> u64 {
-        self.visits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Resets the visit counter.
-    pub fn reset_visits(&self) {
-        self.visits.store(0, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The SCC condensation the index is built on.
-    pub fn condensation(&self) -> &Condensation {
-        &self.cond
-    }
 }
 
 impl Reachability for Sspi {
@@ -249,12 +235,13 @@ impl Reachability for Sspi {
         crate::BackendKind::Sspi.as_str()
     }
 
+    /// Surplus-predecessor entries visited since the last reset.
     fn lookup_count(&self) -> u64 {
-        self.visit_count()
+        self.visits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     fn reset_lookups(&self) {
-        self.reset_visits()
+        self.visits.store(0, std::sync::atomic::Ordering::Relaxed);
     }
 
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
@@ -348,9 +335,9 @@ mod tests {
     fn visit_counter() {
         let g = build(&[(0, 1), (2, 1), (1, 3), (0, 3)], 4);
         let idx = Sspi::new(&g);
-        idx.reset_visits();
+        idx.reset_lookups();
         let _ = idx.reaches(NodeId(2), NodeId(3));
-        assert!(idx.visit_count() <= 10);
+        assert!(idx.lookup_count() <= 10);
         assert_eq!(idx.name(), "sspi");
         assert!(idx.index_entries() >= 8);
     }

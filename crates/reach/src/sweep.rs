@@ -1,13 +1,12 @@
 //! The set-at-a-time kernels of [`gtpq_graph::sweep`] as the set probes of
 //! every backend.
 //!
-//! [`sweep`] is *the* implementation of [`Reachability::pred_probe`] and
+//! [`sweep`](gtpq_graph::sweep::sweep) is *the* implementation of [`Reachability::pred_probe`] and
 //! [`Reachability::succ_probe`] on every backend of
 //! [`BackendKind::ALL`](crate::BackendKind::ALL): both own the condensation
 //! they were built on, and neither's index structures beat a linear walk
 //! once the question is about a whole set.  The kernels live in
-//! `gtpq-graph`, beside the condensation they walk, and are re-exported
-//! here.
+//! `gtpq-graph`, beside the condensation they walk.
 //!
 //! The condensation is itself a [`Reachability`]: the engine probes it
 //! when the caller hands it no index.  Its set probes are the same sweeps,
@@ -17,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use gtpq_graph::sweep::{branches, sweep, Branches, ComponentSet, Direction, Swept};
+use gtpq_graph::sweep::{sweep, Direction};
 use gtpq_graph::{Condensation, NodeId};
 
 use crate::{Probe, Reachability};

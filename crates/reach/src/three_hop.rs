@@ -14,12 +14,12 @@
 //! The *complete successor list* `X_v` (resp. *complete predecessor list*
 //! `Y_v`) is recovered at query time by walking up (resp. down) `v`'s chain
 //! through the `next`/`prev` tracing pointers and merging the hop lists.
-//! The merged contours of Procedure 2 ([`ThreeHop::merge_pred_lists`] /
-//! [`ThreeHop::merge_succ_lists`]) and Proposition 7
-//! ([`ThreeHop::node_reaches_set`] / [`ThreeHop::set_reaches_node`]) are kept
-//! as the paper's set-to-set library API; the prepared probes of
-//! [`Reachability`] answer set questions with one condensation
-//! [`sweep`] instead, like every other backend.
+//! The point probe [`reaches`](Reachability::reaches) is where the index
+//! earns its keep; set questions go to one condensation
+//! [`sweep`](gtpq_graph::sweep::sweep), as on every other backend.  The
+//! paper's contour merging (Procedure 2, `MergePredLists` /
+//! `MergeSuccLists`) is not implemented: no evaluation path asks one node
+//! set about another through hop lists.
 //!
 //! Construction note: the original 3-hop paper compresses the hop lists
 //! further with a densest-subgraph heuristic over the chain-to-chain
@@ -32,11 +32,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gtpq_graph::condensation::CompId;
+use gtpq_graph::sweep::Direction;
 use gtpq_graph::{Condensation, DataGraph, NodeId};
 
 use crate::chain::{ChainDecomposition, ChainId, ChainPos};
-use crate::contour::{PredContour, SuccContour};
-use crate::sweep::{self, Direction};
+use crate::sweep;
 use crate::Reachability;
 
 /// A hop-list entry: a position on some chain.
@@ -175,28 +175,6 @@ impl ThreeHop {
         }
     }
 
-    /// The SCC condensation the index is built on.
-    pub fn condensation(&self) -> &Condensation {
-        &self.cond
-    }
-
-    /// Component of a data node.
-    #[inline]
-    pub(crate) fn comp_of(&self, v: NodeId) -> CompId {
-        self.cond.component_of(v)
-    }
-
-    /// Number of hop-list elements looked up since the last
-    /// [`reset_lookups`](Self::reset_lookups).
-    pub(crate) fn lookup_count(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Resets the lookup counter.
-    pub(crate) fn reset_lookups(&self) {
-        self.lookups.store(0, Ordering::Relaxed);
-    }
-
     fn count_lookup(&self, n: usize) {
         self.lookups.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -258,203 +236,21 @@ impl ThreeHop {
         }
         false
     }
-
-    /// Merges the complete predecessor lists of `nodes` into a predecessor
-    /// contour (Procedure 2, `MergePredLists`).
-    ///
-    /// Walks each member's chain downwards through the `prev` tracing
-    /// pointers; a per-chain `visited` watermark guarantees that no `Lin`
-    /// list is looked up twice even when members share chains.
-    pub fn merge_pred_lists(&self, nodes: &[NodeId]) -> PredContour {
-        let mut contour = PredContour::default();
-        // Largest sid already walked-from, per chain.
-        let mut visited: HashMap<ChainId, u32> = HashMap::new();
-        // De-duplicate components (several data nodes can share one).
-        let mut comps: Vec<CompId> = nodes.iter().map(|&v| self.comp_of(v)).collect();
-        comps.sort_unstable();
-        comps.dedup();
-        for &comp in &comps {
-            let pos = self.chains.position(comp);
-            contour.record_member(pos);
-            if self.cond.is_cyclic(comp) {
-                contour.cyclic_members.insert(comp);
-            }
-            let floor = visited.get(&pos.chain).copied();
-            if floor.is_some_and(|f| f >= pos.sid) {
-                continue;
-            }
-            // Walk down the chain collecting Lin lists until the watermark.
-            let mut cursor = Some(comp);
-            while let Some(c) = cursor {
-                let cpos = self.chains.position(c);
-                if floor.is_some_and(|f| cpos.sid <= f) {
-                    break;
-                }
-                let list = &self.lin[c.index()];
-                self.count_lookup(list.len());
-                for hop in list {
-                    contour.record_hop(*hop);
-                }
-                cursor = self.prev_ptr[c.index()];
-            }
-            visited
-                .entry(pos.chain)
-                .and_modify(|f| *f = (*f).max(pos.sid))
-                .or_insert(pos.sid);
-        }
-        contour
-    }
-
-    /// Merges the complete successor lists of `nodes` into a successor
-    /// contour (`MergeSuccLists`).
-    pub fn merge_succ_lists(&self, nodes: &[NodeId]) -> SuccContour {
-        let mut contour = SuccContour::default();
-        // Smallest sid already walked-from, per chain.
-        let mut visited: HashMap<ChainId, u32> = HashMap::new();
-        let mut comps: Vec<CompId> = nodes.iter().map(|&v| self.comp_of(v)).collect();
-        comps.sort_unstable();
-        comps.dedup();
-        for &comp in &comps {
-            let pos = self.chains.position(comp);
-            contour.record_member(pos);
-            if self.cond.is_cyclic(comp) {
-                contour.cyclic_members.insert(comp);
-            }
-            let ceiling = visited.get(&pos.chain).copied();
-            if ceiling.is_some_and(|c| c <= pos.sid) {
-                continue;
-            }
-            let mut cursor = Some(comp);
-            while let Some(c) = cursor {
-                let cpos = self.chains.position(c);
-                if ceiling.is_some_and(|ceil| cpos.sid >= ceil) {
-                    break;
-                }
-                let list = &self.lout[c.index()];
-                self.count_lookup(list.len());
-                for hop in list {
-                    contour.record_hop(*hop);
-                }
-                cursor = self.next_ptr[c.index()];
-            }
-            visited
-                .entry(pos.chain)
-                .and_modify(|c| *c = (*c).min(pos.sid))
-                .or_insert(pos.sid);
-        }
-        contour
-    }
-
-    /// Proposition 7, first half: whether `v` reaches at least one node of the
-    /// set summarized by `contour` through a non-empty path.
-    pub fn node_reaches_set(&self, v: NodeId, contour: &PredContour) -> bool {
-        let comp = self.comp_of(v);
-        let pos = self.chains.position(comp);
-        // A member strictly above v on its own chain.
-        if contour.member(pos.chain).is_some_and(|m| m > pos.sid) {
-            return true;
-        }
-        // An exit node at or above v on its own chain.
-        if contour.hop(pos.chain).is_some_and(|h| h >= pos.sid) {
-            return true;
-        }
-        // v lies on a cycle containing a member.
-        if contour.has_cyclic_member(comp) {
-            return true;
-        }
-        // Cross-chain: an entry of v that precedes a member or an exit node.
-        let x = self.complete_succ_entries(comp);
-        for (&chain, &sid) in &x {
-            if contour.member(chain).is_some_and(|m| m >= sid) {
-                return true;
-            }
-            if contour.hop(chain).is_some_and(|h| h >= sid) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Proposition 7, second half: whether at least one node of the set
-    /// summarized by `contour` reaches `v` through a non-empty path.
-    pub fn set_reaches_node(&self, contour: &SuccContour, v: NodeId) -> bool {
-        let comp = self.comp_of(v);
-        let pos = self.chains.position(comp);
-        if contour.member(pos.chain).is_some_and(|m| m < pos.sid) {
-            return true;
-        }
-        if contour.hop(pos.chain).is_some_and(|h| h <= pos.sid) {
-            return true;
-        }
-        if contour.has_cyclic_member(comp) {
-            return true;
-        }
-        let y = self.complete_pred_entries(comp);
-        for (&chain, &sid) in &y {
-            if contour.member(chain).is_some_and(|m| m <= sid) {
-                return true;
-            }
-            if contour.hop(chain).is_some_and(|h| h <= sid) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Precomputed view of a source node, used when a caller needs to test
-    /// reachability from one node to many targets (maximal matching graph
-    /// construction): the complete successor entries are computed once.
-    pub(crate) fn source_view(&self, u: NodeId) -> SourceView {
-        let comp = self.comp_of(u);
-        SourceView {
-            comp,
-            pos: self.chains.position(comp),
-            cyclic: self.cond.is_cyclic(comp),
-            entries: self.complete_succ_entries(comp),
-        }
-    }
-
-    /// Whether the source of `view` reaches `v` through a non-empty path.
-    pub(crate) fn view_reaches(&self, view: &SourceView, v: NodeId) -> bool {
-        let comp = self.comp_of(v);
-        if comp == view.comp {
-            return view.cyclic || self.cond.members(comp).len() > 1;
-        }
-        let pos = self.chains.position(comp);
-        if pos.chain == view.pos.chain {
-            return view.pos.sid < pos.sid;
-        }
-        view.entries
-            .get(&pos.chain)
-            .is_some_and(|&sid| sid <= pos.sid)
-    }
-
-    /// Total number of hop-list entries (index size).
-    pub(crate) fn hop_entries(&self) -> usize {
-        self.lout.iter().map(Vec::len).sum::<usize>() + self.lin.iter().map(Vec::len).sum::<usize>()
-    }
-}
-
-/// Precomputed complete-successor view of one source node.
-pub(crate) struct SourceView {
-    comp: CompId,
-    pos: ChainPos,
-    cyclic: bool,
-    entries: HashMap<ChainId, u32>,
 }
 
 impl Reachability for ThreeHop {
     fn reaches(&self, u: NodeId, v: NodeId) -> bool {
-        let cu = self.comp_of(u);
-        let cv = self.comp_of(v);
+        let cu = self.cond.component_of(u);
+        let cv = self.cond.component_of(v);
         if cu == cv {
             return u != v || self.cond.is_cyclic(cu);
         }
         self.comp_reaches(cu, cv)
     }
 
+    /// Total number of hop-list entries.
     fn index_entries(&self) -> usize {
-        self.hop_entries()
+        self.lout.iter().map(Vec::len).sum::<usize>() + self.lin.iter().map(Vec::len).sum::<usize>()
     }
 
     fn name(&self) -> &'static str {
@@ -462,11 +258,11 @@ impl Reachability for ThreeHop {
     }
 
     fn lookup_count(&self) -> u64 {
-        ThreeHop::lookup_count(self)
+        self.lookups.load(Ordering::Relaxed)
     }
 
     fn reset_lookups(&self) {
-        ThreeHop::reset_lookups(self)
+        self.lookups.store(0, Ordering::Relaxed);
     }
 
     fn pred_probe<'s>(&'s self, targets: &[NodeId]) -> crate::Probe<'s> {
@@ -485,12 +281,6 @@ impl Reachability for ThreeHop {
             sources,
             Direction::Descendants,
         )
-    }
-
-    /// One complete-successor-entry computation shared by all targets.
-    fn source_probe<'s>(&'s self, source: NodeId) -> crate::Probe<'s> {
-        let view = self.source_view(source);
-        Box::new(move |v| self.view_reaches(&view, v))
     }
 }
 
@@ -593,80 +383,18 @@ mod tests {
     }
 
     #[test]
-    fn contours_answer_set_reachability() {
-        let g = build(&[(0, 1), (1, 2), (3, 4), (4, 2), (2, 5), (5, 6), (3, 6)], 7);
-        let idx = ThreeHop::new(&g);
-        let targets = vec![NodeId(5), NodeId(6)];
-        let cp = idx.merge_pred_lists(&targets);
-        for u in g.nodes() {
-            let expected = targets.iter().any(|&t| is_reachable(&g, u, t));
-            assert_eq!(idx.node_reaches_set(u, &cp), expected, "node {u}");
-        }
-        let sources = vec![NodeId(0), NodeId(3)];
-        let cs = idx.merge_succ_lists(&sources);
-        for v in g.nodes() {
-            let expected = sources.iter().any(|&s| is_reachable(&g, s, v));
-            assert_eq!(idx.set_reaches_node(&cs, v), expected, "node {v}");
-        }
-    }
-
-    #[test]
-    fn contour_membership_does_not_imply_reachability() {
-        // 0 -> 1, 2 isolated. 2 is in the target set but nothing reaches it and
-        // it reaches nothing.
-        let g = build(&[(0, 1)], 3);
-        let idx = ThreeHop::new(&g);
-        let cp = idx.merge_pred_lists(&[NodeId(2)]);
-        assert!(!idx.node_reaches_set(NodeId(2), &cp));
-        assert!(!idx.node_reaches_set(NodeId(0), &cp));
-        let cs = idx.merge_succ_lists(&[NodeId(2)]);
-        assert!(!idx.set_reaches_node(&cs, NodeId(2)));
-    }
-
-    #[test]
-    fn cyclic_member_is_reported_reachable_from_itself() {
-        let g = build(&[(0, 1), (1, 0), (1, 2)], 3);
-        let idx = ThreeHop::new(&g);
-        let cp = idx.merge_pred_lists(&[NodeId(0)]);
-        // 0 lies on a cycle, so it reaches the set {0}.
-        assert!(idx.node_reaches_set(NodeId(0), &cp));
-        let cs = idx.merge_succ_lists(&[NodeId(0)]);
-        assert!(idx.set_reaches_node(&cs, NodeId(0)));
-    }
-
-    #[test]
-    fn source_view_matches_pairwise_reaches() {
-        let g = build(
-            &[
-                (0, 1),
-                (1, 2),
-                (3, 4),
-                (4, 2),
-                (2, 5),
-                (5, 6),
-                (3, 6),
-                (6, 3),
-            ],
-            8,
-        );
-        let idx = ThreeHop::new(&g);
-        for u in g.nodes() {
-            let view = idx.source_view(u);
-            for v in g.nodes() {
-                assert_eq!(idx.view_reaches(&view, v), idx.reaches(u, v), "{u} -> {v}");
-            }
-        }
-    }
-
-    #[test]
     fn lookup_counter_counts_and_resets() {
         let g = build(&[(0, 1), (1, 2), (3, 1), (2, 4)], 5);
         let idx = ThreeHop::new(&g);
         idx.reset_lookups();
-        let _ = idx.reaches(NodeId(0), NodeId(4));
-        let _ = idx.merge_pred_lists(&[NodeId(4), NodeId(2)]);
-        // Counter may be zero for purely chain-local queries, so only check reset.
+        // 0 and 3 both feed 1, so one of them sits on another chain than 4
+        // and its probe reads that node's `Lout` list.
+        assert!(idx.reaches(NodeId(0), NodeId(4)) && idx.reaches(NodeId(3), NodeId(4)));
+        assert!(idx.lookup_count() > 0);
         idx.reset_lookups();
+        assert_eq!(idx.lookup_count(), 0);
+        // A probe inside one component reads no hop list.
+        assert!(!idx.reaches(NodeId(2), NodeId(2)));
         assert_eq!(idx.lookup_count(), 0);
     }
 
@@ -674,7 +402,9 @@ mod tests {
     fn index_entries_reported() {
         let g = build(&[(0, 1), (2, 1), (1, 3), (3, 4), (2, 4)], 5);
         let idx = ThreeHop::new(&g);
-        assert_eq!(idx.index_entries(), idx.hop_entries());
+        // Two chains joined at node 1: one `Lout` entry into it, one `Lin`
+        // entry out of the other chain; every other hop is derivable.
+        assert_eq!(idx.index_entries(), 2);
         assert_eq!(idx.name(), "3hop");
     }
 }

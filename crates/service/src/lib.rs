@@ -12,10 +12,8 @@
 //!   enumerator, so a limited request stops after its window instead of
 //!   materializing the answer,
 //! * owns a graph **snapshot** per graph generation: the graph carries the
-//!   SCC condensation all default-option evaluation runs on, so no
-//!   reachability index is built for it.  Only a service configured for the
-//!   pairwise ablation arm builds one per generation,
-//!   [`ServiceConfig::backend`] (3-hop by default),
+//!   SCC condensation every evaluation runs on, the pairwise ablation arm's
+//!   included, so the service builds no reachability index,
 //! * serves **live graphs** — [`QueryService::live_with_config`] wraps a
 //!   `gtpq_graph::GraphHandle`, and every committed epoch rotates the
 //!   service's generation state: the result and plan caches are

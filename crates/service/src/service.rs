@@ -11,7 +11,7 @@ use gtpq_core::{
 };
 use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot};
 use gtpq_query::{Gtpq, ResultSet};
-use gtpq_reach::{BackendKind, SharedIndex};
+use gtpq_reach::BackendKind;
 
 use crate::cache::{PlanCache, ResultCache};
 use crate::canon::{canonicalize, CanonicalQuery};
@@ -23,11 +23,11 @@ use crate::slowlog::{SlowOutcome, SlowQueryEntry, SlowQueryLog, SLOW_LOG_CAPACIT
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// The reachability index the pairwise ablation arm
-    /// ([`GteaOptions::without_contours`]) probes; `None` means the paper's
-    /// 3-hop.  Built once per graph generation, and only when
-    /// [`options`](Self::options) select that arm: default-option requests
-    /// evaluate on the condensation the graph carries.
+    /// Ignored, the service builds no reachability index: every request,
+    /// the pairwise arm ([`GteaOptions::pairwise`]) included, evaluates on
+    /// the condensation the graph carries.  Reported back by
+    /// [`QueryService::default_backend`]; deleted once the benchmark stops
+    /// naming it.
     pub backend: Option<BackendKind>,
     /// Ignored, every request runs on the thread that calls
     /// [`QueryService::submit`]; deleted once the benchmark stops naming it.
@@ -40,8 +40,7 @@ pub struct ServiceConfig {
     /// Plan-cache capacity in physical plans; 0 disables plan caching.
     pub plan_cache_capacity: usize,
     /// Ignored, the service plans without a graph profile, so no plan
-    /// recommends a backend; deleted with `gtpq_reach::select_backend`
-    /// once the benchmark stops replaying it.
+    /// recommends a backend; deleted once the benchmark stops naming it.
     pub per_query_backend: bool,
     /// Engine options forwarded to every evaluation.
     pub options: GteaOptions,
@@ -102,12 +101,12 @@ impl Default for ServiceConfig {
 pub struct QueryService {
     source: GraphSource,
     /// The current graph generation.  Requests clone the `Arc` once and read
-    /// everything — snapshot and index — through their pinned copy, so
-    /// a concurrent epoch rotation never mixes generations inside one
-    /// evaluation.  A panic cannot leave the slot half-written (`rotate`
-    /// assigns it only once the new state is built), so a poisoned lock is
-    /// simply read through.
-    state: RwLock<Arc<EpochState>>,
+    /// everything through their pinned copy, so a concurrent epoch rotation
+    /// never mixes generations inside one evaluation; in-flight evaluations
+    /// keep the snapshot alive after a rotation drops the service's
+    /// reference.  A panic cannot leave the slot half-written (`rotate`
+    /// assigns it in one store), so a poisoned lock is simply read through.
+    state: RwLock<Arc<GraphSnapshot>>,
     config: ServiceConfig,
     cache: Mutex<ResultCache>,
     plans: Mutex<PlanCache>,
@@ -121,50 +120,9 @@ enum GraphSource {
     /// only generation the service will ever serve.
     Static,
     /// A live graph: every [`GraphHandle::commit`] publishes a new epoch,
-    /// and the service rotates its [`EpochState`] (invalidating both caches)
+    /// and the service rotates to its snapshot (invalidating both caches)
     /// before answering the next request.
     Live(Arc<GraphHandle>),
-}
-
-/// Everything bound to one graph generation: the pinned snapshot and, for
-/// the pairwise arm, the reachability index it probes on it.
-///
-/// Dropping the service's reference on rotation does not free the state
-/// while requests still hold it — in-flight evaluations keep reading the
-/// generation they started on.
-struct EpochState {
-    epoch: u64,
-    snapshot: Arc<GraphSnapshot>,
-    /// [`ServiceConfig::backend`] (3-hop when `None`) over `snapshot`, when
-    /// the configured options select the pairwise arm
-    /// ([`GteaOptions::without_contours`]); `None` otherwise, and every
-    /// request evaluates on the condensation the snapshot carries.
-    pairwise: Option<SharedIndex>,
-}
-
-impl EpochState {
-    fn build(
-        snapshot: Arc<GraphSnapshot>,
-        config: &ServiceConfig,
-        metrics: &ServiceMetrics,
-    ) -> Self {
-        let pairwise = (!config.options.use_contours).then(|| {
-            let kind = config.backend.unwrap_or(BackendKind::ThreeHop);
-            metrics.record_index_build(|| {
-                kind.build_shared_with(snapshot.graph(), snapshot.condensation())
-            })
-        });
-        Self {
-            epoch: snapshot.epoch(),
-            snapshot,
-            pairwise,
-        }
-    }
-
-    /// The data graph of this generation.
-    fn graph(&self) -> &Arc<DataGraph> {
-        self.snapshot.graph()
-    }
 }
 
 /// A parsed query once the prepare step has checked and canonicalized it.
@@ -241,22 +199,22 @@ impl QueryService {
         config: ServiceConfig,
     ) -> Self {
         let metrics = ServiceMetrics::new();
-        let state = Arc::new(EpochState::build(snapshot, &config, &metrics));
+        let epoch = snapshot.epoch();
         let slow_capacity = if config.slow_query_threshold.is_some() {
             SLOW_LOG_CAPACITY
         } else {
             0
         };
-        metrics.set_graph_epoch(state.epoch);
+        metrics.set_graph_epoch(epoch);
         // Align the cache generations with a handle that committed before
         // the service was built, so epoch-stamped inserts are accepted.
         let mut cache = ResultCache::new(config.cache_capacity);
-        cache.invalidate(state.epoch);
+        cache.invalidate(epoch);
         let mut plans = PlanCache::new(config.plan_cache_capacity);
-        plans.invalidate(state.epoch);
+        plans.invalidate(epoch);
         Self {
             source,
-            state: RwLock::new(state),
+            state: RwLock::new(snapshot),
             cache: Mutex::new(cache),
             plans: Mutex::new(plans),
             config,
@@ -278,37 +236,37 @@ impl QueryService {
         lock(&self.plans, |plans| plans.invalidate(plans.epoch()))
     }
 
-    /// The current graph generation, rotating first if the live handle has
-    /// committed since the last request.  The returned `Arc` pins the
-    /// generation: hold it across an entire request.
-    fn current_state(&self) -> Arc<EpochState> {
+    /// The current epoch's snapshot (graph + condensation, epoch-stamped),
+    /// rotating first if the live handle has committed since the last
+    /// request.  The returned `Arc` pins the generation: a request holds it
+    /// from start to end.
+    pub fn snapshot(&self) -> Arc<GraphSnapshot> {
         let state = Arc::clone(&self.state.read().unwrap_or_else(PoisonError::into_inner));
         let GraphSource::Live(handle) = &self.source else {
             return state;
         };
-        if handle.epoch() == state.epoch {
+        if handle.epoch() == state.epoch() {
             return state;
         }
         self.rotate(handle)
     }
 
-    /// Swings the service to the handle's latest snapshot by replacing the
-    /// whole [`EpochState`], and invalidates the result and plan caches (the
-    /// evicted entries answered an older graph).
+    /// Swings the service to the handle's latest snapshot, and invalidates
+    /// the result and plan caches (the evicted entries answered an older
+    /// graph).
     ///
     /// Double-checked under the state lock: concurrent requests racing on
     /// the same commit rotate once, and a commit that lands mid-rotation is
     /// picked up by the next request.
-    fn rotate(&self, handle: &Arc<GraphHandle>) -> Arc<EpochState> {
+    fn rotate(&self, handle: &Arc<GraphHandle>) -> Arc<GraphSnapshot> {
         let mut slot = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        let snapshot = handle.snapshot();
-        if snapshot.epoch() == slot.epoch {
+        let fresh = handle.snapshot();
+        let epoch = fresh.epoch();
+        if epoch == slot.epoch() {
             return Arc::clone(&slot);
         }
-        let fresh = Arc::new(EpochState::build(snapshot, &self.config, &self.metrics));
-        let evicted =
-            self.result_cache().invalidate(fresh.epoch) + self.plan_cache().invalidate(fresh.epoch);
-        self.metrics.record_rotation(fresh.epoch, evicted as u64);
+        let evicted = self.result_cache().invalidate(epoch) + self.plan_cache().invalidate(epoch);
+        self.metrics.record_rotation(epoch, evicted as u64);
         *slot = Arc::clone(&fresh);
         fresh
     }
@@ -316,18 +274,13 @@ impl QueryService {
     /// The data graph of the current epoch.  On a live service consecutive
     /// calls may return different generations; pin one by holding the `Arc`.
     pub fn graph(&self) -> Arc<DataGraph> {
-        Arc::clone(self.current_state().graph())
-    }
-
-    /// The current epoch's snapshot (graph + condensation, epoch-stamped).
-    pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        Arc::clone(&self.current_state().snapshot)
+        Arc::clone(self.snapshot().graph())
     }
 
     /// Epoch of the graph generation the next request will answer against
     /// (0 for a frozen graph or a live graph that never committed).
     pub fn graph_epoch(&self) -> u64 {
-        self.current_state().epoch
+        self.snapshot().epoch()
     }
 
     /// Serves one [`QueryRequest`]: parse (if textual), check
@@ -371,8 +324,8 @@ impl QueryService {
         // before the result-cache lookup, since pinning is what rotates the
         // service (and invalidates the caches) after a commit.  Every step
         // reads through `state`, so a commit landing mid-request cannot mix
-        // generations: this request answers for `state.epoch`.
-        let state = self.current_state();
+        // generations: this request answers for `state.epoch()`.
+        let state = self.snapshot();
         let query = match &request.source {
             QuerySource::Query(q) => Ok(Cow::Borrowed(q)),
             QuerySource::Text(text) => {
@@ -417,7 +370,7 @@ impl QueryService {
         &self,
         request: &QueryRequest,
         prepared: &Prepared<'_>,
-        state: &EpochState,
+        state: &GraphSnapshot,
     ) -> Option<Answer> {
         if self.config.cache_capacity == 0 || request.bypass_cache {
             return None;
@@ -425,14 +378,14 @@ impl QueryService {
         let canon = prepared.canon.as_ref()?;
         let full = self
             .result_cache()
-            .lookup(state.epoch, canon, &prepared.query)?;
+            .lookup(state.epoch(), canon, &prepared.query)?;
         let (rows, truncated) = window(&full, request.offset, request.limit);
         Some(Answer {
             rows,
             truncated,
             from_cache: true,
             stats: EvalStats {
-                graph_epoch: state.epoch,
+                graph_epoch: state.epoch(),
                 ..EvalStats::default()
             },
             plan: request.want_plan.then(|| self.plan(prepared, state).0),
@@ -442,10 +395,10 @@ impl QueryService {
     /// Looks the plan up in the plan cache, building and caching it on a
     /// miss against the pinned generation.  Returns the plan and the time
     /// spent planning (zero on a hit).
-    fn plan(&self, prepared: &Prepared<'_>, state: &EpochState) -> (Arc<QueryPlan>, Duration) {
+    fn plan(&self, prepared: &Prepared<'_>, state: &GraphSnapshot) -> (Arc<QueryPlan>, Duration) {
         let q: &Gtpq = &prepared.query;
         if let Some(canon) = &prepared.canon {
-            let hit = self.plan_cache().lookup(state.epoch, &canon.key, q);
+            let hit = self.plan_cache().lookup(state.epoch(), &canon.key, q);
             if let Some(plan) = hit {
                 self.metrics.record_plan_hit();
                 return (plan, Duration::ZERO);
@@ -457,7 +410,7 @@ impl QueryService {
         self.metrics.record_plan_miss();
         if let Some(canon) = &prepared.canon {
             self.plan_cache().insert(
-                state.epoch,
+                state.epoch(),
                 &canon.key,
                 Arc::new(q.clone()),
                 Arc::clone(&plan),
@@ -473,7 +426,7 @@ impl QueryService {
         &self,
         request: &QueryRequest,
         prepared: Prepared<'q>,
-        state: &EpochState,
+        state: &GraphSnapshot,
         (plan, plan_time): (Arc<QueryPlan>, Duration),
         started: Instant,
         tracer: &Tracer,
@@ -494,10 +447,7 @@ impl QueryService {
         if let Some(token) = &request.cancel {
             ctl = ctl.with_cancel(token.clone());
         }
-        let engine = match &state.pairwise {
-            Some(index) => GteaEngine::with_backend(state.graph(), &**index, self.config.options),
-            None => GteaEngine::with_options(state.graph(), self.config.options),
-        };
+        let engine = GteaEngine::with_options(state.graph(), self.config.options);
         let options = ExecOptions {
             limit: request.limit,
             offset: request.offset,
@@ -511,7 +461,7 @@ impl QueryService {
             }
             Err(aborted) => &mut *aborted.stats,
         };
-        stats.graph_epoch = state.epoch;
+        stats.graph_epoch = state.epoch();
         let result = result.map(|exec| {
             let rows = Arc::new(exec.results);
             // A windowed answer must never poison the full-result slot:
@@ -522,7 +472,7 @@ impl QueryService {
                     // cache mid-request, this pre-write answer is dropped.
                     let q = Arc::new(q.clone());
                     self.result_cache()
-                        .insert(state.epoch, canon, q, Arc::clone(&rows));
+                        .insert(state.epoch(), canon, q, Arc::clone(&rows));
                 }
             }
             Answer {
@@ -630,7 +580,7 @@ impl QueryService {
     /// same way.  The plan lands in the plan cache, pre-warming a later
     /// evaluation of the same pattern.
     pub fn plan_for(&self, q: &Gtpq) -> Result<Arc<QueryPlan>, QueryError> {
-        let state = self.current_state();
+        let state = self.snapshot();
         let prepared = self.prepare(Cow::Borrowed(q))?;
         Ok(self.plan(&prepared, &state).0)
     }
@@ -657,16 +607,15 @@ impl QueryService {
         self.plan_cache().len()
     }
 
-    /// The [`default_backend`](Self::default_backend)'s name when the
-    /// configured options select the pairwise arm, which builds it for
-    /// every graph generation; empty otherwise.
+    /// Always empty: the service builds no reachability index.  Kept,
+    /// like [`ServiceConfig::backend`], until the benchmark stops naming it.
     pub fn built_backends(&self) -> Vec<&'static str> {
-        let state = self.current_state();
-        state.pairwise.iter().map(|index| index.name()).collect()
+        Vec::new()
     }
 
-    /// The backend the pairwise arm probes: [`ServiceConfig::backend`], or
-    /// 3-hop when that is `None`.
+    /// [`ServiceConfig::backend`], or 3-hop when that is `None`: a name
+    /// only, since the service builds no index.  Kept until the benchmark
+    /// stops naming it.
     pub fn default_backend(&self) -> BackendKind {
         self.config.backend.unwrap_or(BackendKind::ThreeHop)
     }
@@ -970,30 +919,12 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_backend_is_not_built_for_default_option_requests() {
-        let service = QueryService::with_config(
-            Arc::new(example_graph()),
-            ServiceConfig {
-                backend: Some(BackendKind::Sspi),
-                ..ServiceConfig::default()
-            },
-        );
-        assert_eq!(service.default_backend(), BackendKind::Sspi);
-        let q = example_query();
-        assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));
-        assert!(service.built_backends().is_empty());
-        assert_eq!(service.metrics().index_builds, 0);
-    }
-
-    #[test]
     fn an_unpinned_service_builds_no_index_and_defaults_to_3hop() {
         let service = service_for_example();
         assert_eq!(service.default_backend(), BackendKind::ThreeHop);
-        assert_eq!(service.metrics().index_builds, 0, "construction built one");
         let q = example_query();
         assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));
         assert!(service.built_backends().is_empty());
-        assert_eq!(service.metrics().index_builds, 0);
     }
 
     #[test]
@@ -1117,29 +1048,25 @@ mod tests {
             .same_answer(&naive::evaluate(&q, &service.graph())));
         assert!(outcome.plan.expect("requested").backend.kind.is_none());
         assert!(service.built_backends().is_empty());
-        assert_eq!(service.metrics().index_builds, 0);
     }
 
     #[test]
-    fn the_pairwise_arm_builds_the_configured_backend_once_per_epoch() {
+    fn the_pairwise_arm_answers_on_the_condensation() {
         let service = QueryService::with_config(
             Arc::new(example_graph()),
             ServiceConfig {
                 backend: Some(BackendKind::Sspi),
-                options: GteaOptions::without_contours(),
+                options: GteaOptions::pairwise(),
                 cache_capacity: 0,
                 ..ServiceConfig::default()
             },
         );
-        // Built with the generation, before any request.
-        assert_eq!(service.metrics().index_builds, 1);
         let q = example_query();
         for _ in 0..2 {
             assert!(submit_rows(&service, &q).same_answer(&naive::evaluate(&q, &service.graph())));
         }
-        assert_eq!(service.built_backends(), vec!["sspi"]);
+        assert!(service.built_backends().is_empty());
         assert_eq!(service.default_backend(), BackendKind::Sspi);
-        assert_eq!(service.metrics().index_builds, 1);
     }
 
     #[test]

@@ -73,6 +73,4 @@ fn main() {
     // At least the whole warm pass hits; equivalent random queries inside
     // the cold pass can add more.
     assert!(m.cache_hits >= queries.len() as u64);
-    assert_eq!(m.index_builds, 0, "no request needed a reachability index");
-    println!("index builds: {}", m.index_builds);
 }

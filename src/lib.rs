@@ -81,6 +81,6 @@ pub mod prelude {
         parse_query, AttrPredicate, CmpOp, EdgeKind, Gtpq, GtpqBuilder, ParseError, QueryNodeId,
         ResultSet, TextSpan,
     };
-    pub use gtpq_reach::{select_backend, BackendKind, Reachability};
+    pub use gtpq_reach::{BackendKind, Reachability};
     pub use gtpq_service::{QueryError, QueryOutcome, QueryRequest, QueryService, ServiceConfig};
 }

@@ -274,7 +274,7 @@ impl Sweep<'_> {
             GteaEngine::new(g),
             GteaEngine::with_options(g, GteaOptions::without_shrinking()),
             GteaEngine::with_options(g, GteaOptions::without_upward_pruning()),
-            GteaEngine::with_backend(g, self.three_hop, GteaOptions::without_contours()),
+            GteaEngine::with_backend(g, self.three_hop, GteaOptions::pairwise()),
         ];
         for engine in &engines {
             let arm = format!("{:?} on {}", engine.options(), engine.index().name());
@@ -525,7 +525,7 @@ fn contradictory_formulas_match_nothing_on_any_path() {
         GteaEngine::new(&g),
         GteaEngine::with_options(&g, GteaOptions::without_shrinking()),
         GteaEngine::with_options(&g, GteaOptions::without_upward_pruning()),
-        GteaEngine::with_backend(&g, &three_hop, GteaOptions::without_contours()),
+        GteaEngine::with_backend(&g, &three_hop, GteaOptions::pairwise()),
     ];
     let service = QueryService::with_config(Arc::clone(&g), ServiceConfig::default());
     let control = parse_query("open_auction* { where (/bidder { where 1 }) }").unwrap();

@@ -19,7 +19,7 @@ use common::{random_graph, random_query};
 use gtpq::logic::transform::{simplify, to_cnf, to_nnf};
 use gtpq::logic::{brute_force_satisfiable, is_satisfiable, BoolExpr};
 use gtpq::prelude::*;
-use gtpq::reach::{BackendKind, SharedIndex, ThreeHop};
+use gtpq::reach::{BackendKind, SharedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,35 +108,6 @@ fn prepared_probes_agree_with_pairwise_reachability() {
                     index.name()
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn contour_queries_agree_with_pairwise_reachability() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng, 2..20, false);
-        let index = ThreeHop::new(&g);
-        let targets: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 == 0).collect();
-        if targets.is_empty() {
-            continue;
-        }
-        let cp = index.merge_pred_lists(&targets);
-        let cs = index.merge_succ_lists(&targets);
-        for v in g.nodes() {
-            let reaches_any = targets
-                .iter()
-                .any(|&t| gtpq::graph::traversal::is_reachable(&g, v, t));
-            assert_eq!(index.node_reaches_set(v, &cp), reaches_any, "seed {seed}");
-            let reached_by_any = targets
-                .iter()
-                .any(|&t| gtpq::graph::traversal::is_reachable(&g, t, v));
-            assert_eq!(
-                index.set_reaches_node(&cs, v),
-                reached_by_any,
-                "seed {seed}"
-            );
         }
     }
 }
