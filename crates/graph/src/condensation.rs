@@ -294,6 +294,11 @@ impl Condensation {
         self.members.len()
     }
 
+    /// Number of condensation DAG edges.
+    pub fn edge_count(&self) -> usize {
+        self.comp_out.target_count()
+    }
+
     /// The component containing node `v`.
     #[inline]
     pub fn component_of(&self, v: NodeId) -> CompId {

@@ -11,7 +11,10 @@
 //!   predicates (`<, <=, >, >=`) with two binary searches.
 //!
 //! All posting lists live in two flat arrays (offsets + nodes), mirroring the
-//! CSR adjacency layout; the dictionaries map interned keys to slots.  Posting
+//! CSR adjacency layout.  The value postings are keyed by three parallel
+//! columns in canonical `(attribute, value)` order, which a probe
+//! binary-searches — the same columns a snapshot stores, so a mapped graph
+//! serves them in place; the name postings are keyed by a small map.  Posting
 //! lists are sorted by node id, so conjunctive predicates intersect them with
 //! the galloping merge of [`crate::bitset`].
 
@@ -23,29 +26,163 @@ use crate::attr::{AttrValue, Attribute};
 use crate::graph::NodeId;
 use crate::run::{window, IntRun};
 use crate::symbol::Symbol;
+use crate::tuples::{StrDict, TAG_INT, TAG_STR};
 
-/// Canonical ordering key for attribute values: ints before strings, each
-/// sorted naturally.  Both the full build and the incremental merge assign
-/// posting slots in `(Symbol, value_key)` order, which is what makes the two
-/// paths produce bit-identical indexes.  Vector values never reach here —
-/// they are excluded from the equality postings (see [`indexable_by_value`])
-/// — but the key stays total for defensiveness.
-fn value_key(v: &AttrValue) -> (u8, i64, &str) {
-    match v {
-        AttrValue::Int(i) => (0, *i, ""),
-        AttrValue::Str(s) => (1, 0, s.as_str()),
-        AttrValue::Vec(_) => (2, 0, ""),
+/// A value-slot key, borrowed: ints before strings, each sorted naturally
+/// (strings byte-wise, which is `str`'s order).  Both the full build and the
+/// incremental merge assign posting slots in `(Symbol, SlotKey)` order, which
+/// is what makes the two paths produce identical indexes and what lets a
+/// probe binary-search the keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum SlotKey<'a> {
+    Int(i64),
+    Str(&'a [u8]),
+}
+
+impl<'a> SlotKey<'a> {
+    /// The key of `value`; `None` for a vector.  Embeddings stay out of the
+    /// per-`(attribute, value)` equality postings: no query compares vectors
+    /// with `=`, and similarity predicates go through the dedicated sim
+    /// tables ([`crate::sim_index`]) instead.  Nodes carrying a vector
+    /// attribute still enter the per-name postings — the fallback superset
+    /// the verify-everything path scans.
+    pub(crate) fn of(value: &'a AttrValue) -> Option<Self> {
+        match value {
+            AttrValue::Int(i) => Some(SlotKey::Int(*i)),
+            AttrValue::Str(s) => Some(SlotKey::Str(s.as_bytes())),
+            AttrValue::Vec(_) => None,
+        }
     }
 }
 
-/// Whether a value participates in the per-`(attribute, value)` equality
-/// postings.  Embeddings do not: no query compares vectors with `=`, and
-/// similarity predicates go through the dedicated sim tables
-/// ([`crate::sim_index`]) instead.  Nodes carrying a vector attribute still
-/// enter the per-name postings — the fallback superset the verify-everything
-/// path scans.
-fn indexable_by_value(v: &AttrValue) -> bool {
-    !matches!(v, AttrValue::Vec(_))
+/// The value-posting slot keys: the three columns a snapshot stores
+/// (`ValSyms`, `ValTags`, `ValPayloads`), owned or mapped, in ascending
+/// `(symbol, key)` order, and the string dictionary a string key's payload
+/// indexes (a loaded graph's is the file's `Strings` section, shared with the
+/// attribute columns).  Nothing is decoded or hashed: a probe
+/// binary-searches the columns in place.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SlotKeys {
+    pub(crate) syms: IntRun<Symbol>,
+    pub(crate) tags: IntRun<u8>,
+    pub(crate) payloads: IntRun<u64>,
+    pub(crate) strings: StrDict,
+}
+
+impl SlotKeys {
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.syms.len()
+    }
+
+    /// The key of slot `i`; `None` where no key can be read — an unknown tag
+    /// or a string id past the dictionary, which only a damaged file loaded
+    /// unverified holds.  Such a slot is never found by a probe.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> Option<SlotKey<'_>> {
+        match (*self.tags.get(i)?, *self.payloads.get(i)?) {
+            (TAG_INT, payload) => Some(SlotKey::Int(payload as i64)),
+            (TAG_STR, payload) => self.strings.bytes(payload).map(SlotKey::Str),
+            _ => None,
+        }
+    }
+
+    /// The slot keyed `(attr, key)`: one binary search over the three
+    /// columns that compares the symbol, then the tag, and a payload only
+    /// where both match — an int probe never reads the dictionary, a string
+    /// probe only within its attribute's strings.  Keys out of order (a
+    /// damaged file loaded unverified) make the search miss, never panic.
+    #[inline]
+    fn find(&self, attr: Symbol, key: SlotKey<'_>) -> Option<usize> {
+        let (syms, tags, payloads) = (&*self.syms, &*self.tags, &*self.payloads);
+        let (tag, int) = match key {
+            SlotKey::Int(i) => (TAG_INT, i),
+            SlotKey::Str(_) => (TAG_STR, 0),
+        };
+        // Whether slot `i` sorts after the probe; branch-free up to the
+        // string comparison.
+        let after = |i: usize| {
+            let (s, t, p) = (syms[i], tags[i], payloads[i]);
+            let here = s == attr && t == tag;
+            let value_after = match key {
+                SlotKey::Int(_) => (p as i64) > int,
+                SlotKey::Str(probe) => here && self.strings.bytes(p).is_none_or(|s| s > probe),
+            };
+            (s > attr) | ((s == attr) & ((t > tag) | (here & value_after)))
+        };
+        // `slice::binary_search_by`'s loop, over slot indices: `base` ends
+        // on the last slot not after the probe.
+        let mut size = syms.len().min(tags.len()).min(payloads.len());
+        let mut base = 0;
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            base = if after(mid) { base } else { mid };
+            size -= half;
+        }
+        let found = size == 1 && syms[base] == attr && tags[base] == tag;
+        let equal = found
+            && match key {
+                SlotKey::Int(_) => payloads[base] as i64 == int,
+                SlotKey::Str(probe) => self.strings.bytes(payloads[base]) == Some(probe),
+            };
+        equal.then_some(base)
+    }
+
+    /// Every slot's `(attr, value)`, in slot order; `None` where the key
+    /// cannot be read or its string is not UTF-8.
+    #[cfg(test)]
+    pub(crate) fn values(&self) -> impl Iterator<Item = Option<(Symbol, AttrValue)>> + '_ {
+        (0..self.len()).map(|i| {
+            let value = match self.key(i)? {
+                SlotKey::Int(v) => AttrValue::Int(v),
+                SlotKey::Str(s) => AttrValue::Str(String::from_utf8(s.to_vec()).ok()?),
+            };
+            Some((self.syms[i], value))
+        })
+    }
+}
+
+impl PartialEq for SlotKeys {
+    /// Equal when every slot holds the same key; the dictionaries behind the
+    /// string keys may differ (a built index owns its own, a loaded one
+    /// shares the file's).
+    fn eq(&self, other: &Self) -> bool {
+        self.syms == other.syms && (0..self.len()).all(|i| self.key(i) == other.key(i))
+    }
+}
+
+/// Slot keys appended in canonical order.
+#[derive(Default)]
+struct SlotKeysBuilder<'a> {
+    syms: Vec<Symbol>,
+    tags: Vec<u8>,
+    payloads: Vec<u64>,
+    strings: Vec<&'a [u8]>,
+}
+
+impl<'a> SlotKeysBuilder<'a> {
+    fn push(&mut self, sym: Symbol, key: SlotKey<'a>) {
+        let (tag, payload) = match key {
+            SlotKey::Int(i) => (TAG_INT, i as u64),
+            SlotKey::Str(s) => {
+                self.strings.push(s);
+                (TAG_STR, self.strings.len() as u64 - 1)
+            }
+        };
+        self.syms.push(sym);
+        self.tags.push(tag);
+        self.payloads.push(payload);
+    }
+
+    fn finish(self) -> SlotKeys {
+        SlotKeys {
+            syms: self.syms.into(),
+            tags: self.tags.into(),
+            payloads: self.payloads.into(),
+            strings: StrDict::from_strs(self.strings),
+        }
+    }
 }
 
 /// Merges `base \ removed` with `added` (all sorted by node id) into `out`.
@@ -109,10 +246,10 @@ impl IntPairs {
 /// [`GraphBuilder::build`](crate::GraphBuilder::build).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttrIndex {
-    /// attr → value → slot into the value posting arrays.  Two levels so an
-    /// equality probe borrows the caller's `&AttrValue` — no owned key, no
-    /// clone on the hot candidate-selection path.
-    pub(crate) value_slots: HashMap<Symbol, HashMap<AttrValue, u32>>,
+    /// One `(attr, value)` key per slot of the value posting arrays.  A
+    /// probe borrows the caller's `&AttrValue` — no owned key, no clone on
+    /// the hot candidate-selection path.
+    pub(crate) value_keys: SlotKeys,
     pub(crate) value_offsets: IntRun<u32>,
     pub(crate) value_nodes: IntRun<NodeId>,
     /// attr → slot into the name posting arrays.
@@ -130,6 +267,8 @@ impl AttrIndex {
         self.value_offsets
             .backing_file_id()
             .or_else(|| self.value_nodes.backing_file_id())
+            .or_else(|| self.value_keys.syms.backing_file_id())
+            .or_else(|| self.value_keys.strings.backing_file_id())
             .or_else(|| self.name_offsets.backing_file_id())
             .or_else(|| self.name_nodes.backing_file_id())
             .or_else(|| {
@@ -144,17 +283,14 @@ impl AttrIndex {
     /// Builds the index from the per-node attribute tuples (node order gives
     /// posting lists sorted by id for free).
     pub fn build(attrs: &[Vec<Attribute>]) -> Self {
-        let mut by_value: HashMap<(Symbol, AttrValue), Vec<NodeId>> = HashMap::new();
+        let mut by_value: HashMap<(Symbol, SlotKey<'_>), Vec<NodeId>> = HashMap::new();
         let mut by_name: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
         let mut int_runs: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
         for (i, tuple) in attrs.iter().enumerate() {
             let v = NodeId(i as u32);
             for attr in tuple {
-                if indexable_by_value(&attr.value) {
-                    by_value
-                        .entry((attr.name, attr.value.clone()))
-                        .or_default()
-                        .push(v);
+                if let Some(key) = SlotKey::of(&attr.value) {
+                    by_value.entry((attr.name, key)).or_default().push(v);
                 }
                 by_name.entry(attr.name).or_default().push(v);
                 if let AttrValue::Int(value) = attr.value {
@@ -170,21 +306,16 @@ impl AttrIndex {
             .map(|(sym, run)| (sym, IntPairs::from_pairs(run)))
             .collect();
 
-        let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
+        // One slot per distinct key, in canonical key order.
+        let mut by_value: Vec<_> = by_value.into_iter().collect();
+        by_value.sort_unstable_by_key(|&(key, _)| key);
+        let mut value_keys = SlotKeysBuilder::default();
         let mut value_offsets = Vec::with_capacity(by_value.len() + 1);
         let mut value_nodes = Vec::new();
         value_offsets.push(0);
-        // Deterministic slot order (see `value_key`) keeps rebuilt indexes
-        // comparable.
-        let mut value_keys: Vec<(Symbol, AttrValue)> = by_value.keys().cloned().collect();
-        value_keys.sort_unstable_by(|a, b| (a.0, value_key(&a.1)).cmp(&(b.0, value_key(&b.1))));
-        for (slot, (sym, value)) in value_keys.into_iter().enumerate() {
-            let nodes = &by_value[&(sym, value.clone())];
-            value_slots
-                .entry(sym)
-                .or_default()
-                .insert(value, slot as u32);
-            value_nodes.extend_from_slice(nodes);
+        for ((sym, key), nodes) in by_value {
+            value_keys.push(sym, key);
+            value_nodes.extend_from_slice(&nodes);
             value_offsets.push(value_nodes.len() as u32);
         }
 
@@ -202,7 +333,7 @@ impl AttrIndex {
         }
 
         Self {
-            value_slots,
+            value_keys: value_keys.finish(),
             value_offsets: value_offsets.into(),
             value_nodes: value_nodes.into(),
             name_slots,
@@ -224,33 +355,29 @@ impl AttrIndex {
     /// arrive in any order — they are sorted into canonical key order here.
     pub(crate) fn merge_updates(
         &self,
-        mut removed: Vec<(Symbol, AttrValue, NodeId)>,
-        mut added: Vec<(Symbol, AttrValue, NodeId)>,
+        removed: Vec<(Symbol, AttrValue, NodeId)>,
+        added: Vec<(Symbol, AttrValue, NodeId)>,
         mut name_added: Vec<(Symbol, NodeId)>,
     ) -> Self {
-        fn ord(sym: Symbol, value: &AttrValue) -> (Symbol, (u8, i64, &str)) {
-            (sym, value_key(value))
-        }
         // Vector values never enter the equality postings (see
-        // `indexable_by_value`), so their deltas only matter to the per-name
+        // `SlotKey::of`), so their deltas only matter to the per-name
         // postings, which `name_added` already carries.
-        removed.retain(|e| indexable_by_value(&e.1));
-        added.retain(|e| indexable_by_value(&e.1));
-        removed.sort_unstable_by(|a, b| (ord(a.0, &a.1), a.2).cmp(&(ord(b.0, &b.1), b.2)));
-        added.sort_unstable_by(|a, b| (ord(a.0, &a.1), a.2).cmp(&(ord(b.0, &b.1), b.2)));
+        fn keyed(entries: &[(Symbol, AttrValue, NodeId)]) -> Vec<(Symbol, SlotKey<'_>, NodeId)> {
+            let mut keyed: Vec<_> = entries
+                .iter()
+                .filter_map(|(sym, value, node)| Some((*sym, SlotKey::of(value)?, *node)))
+                .collect();
+            keyed.sort_unstable();
+            keyed
+        }
+        let (removed, added) = (keyed(&removed), keyed(&added));
         name_added.sort_unstable();
 
         // --- value postings: merge the base key stream (already in slot =
         // canonical order) with the added key stream, re-slotting on the fly.
-        let slot_count = self.value_offsets.len().saturating_sub(1);
-        let mut base_keys: Vec<Option<(Symbol, AttrValue)>> = vec![None; slot_count];
-        for (&sym, map) in &self.value_slots {
-            for (value, &slot) in map {
-                base_keys[slot as usize] = Some((sym, value.clone()));
-            }
-        }
-        let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
-        let mut value_offsets = Vec::with_capacity(slot_count + 1);
+        let base = &self.value_keys;
+        let mut value_keys = SlotKeysBuilder::default();
+        let mut value_offsets = Vec::with_capacity(base.len() + 1);
         let mut value_nodes = Vec::with_capacity(
             (self.value_nodes.len() + added.len()).saturating_sub(removed.len()),
         );
@@ -259,32 +386,34 @@ impl AttrIndex {
         let mut ai = 0usize; // added cursor
         let mut ri = 0usize; // removed cursor
         loop {
-            let from_base = base_keys.get(bi).map(|k| {
-                let (sym, value) = k.as_ref().expect("every slot has a key");
-                ord(*sym, value)
-            });
-            let from_added = added.get(ai).map(|(sym, value, _)| ord(*sym, value));
-            let use_base = match (from_base, from_added) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(b), Some(a)) => b <= a,
-            };
-            let (sym, value, base_run): (Symbol, AttrValue, &[NodeId]) = if use_base {
-                let (sym, value) = base_keys[bi].take().expect("every slot has a key");
-                let run = window(&self.value_offsets, bi, &self.value_nodes);
+            let from_base = base.syms.get(bi).copied().zip(base.key(bi));
+            if from_base.is_none() && bi < base.len() {
+                // A key no probe can find (a damaged file loaded unverified)
+                // takes its posting with it.
                 bi += 1;
-                (sym, value, run)
-            } else {
-                let (sym, ref value, _) = added[ai];
-                (sym, value.clone(), &[])
+                continue;
+            }
+            let from_added = added.get(ai).map(|e| (e.0, e.1));
+            let (sym, key, base_run) = match (from_base, from_added) {
+                (Some(b), a) if a.is_none_or(|a| b <= a) => {
+                    let run = window(&self.value_offsets, bi, &self.value_nodes);
+                    bi += 1;
+                    (b.0, b.1, run)
+                }
+                (_, Some(a)) => (a.0, a.1, &[][..]),
+                _ => break,
             };
+            // Removals of keys the base no longer holds are skipped, so one
+            // cannot hold up the removals after it.
+            while ri < removed.len() && (removed[ri].0, removed[ri].1) < (sym, key) {
+                ri += 1;
+            }
             let rstart = ri;
-            while ri < removed.len() && removed[ri].0 == sym && removed[ri].1 == value {
+            while ri < removed.len() && (removed[ri].0, removed[ri].1) == (sym, key) {
                 ri += 1;
             }
             let astart = ai;
-            while ai < added.len() && added[ai].0 == sym && added[ai].1 == value {
+            while ai < added.len() && (added[ai].0, added[ai].1) == (sym, key) {
                 ai += 1;
             }
             let removed_nodes: Vec<NodeId> = removed[rstart..ri].iter().map(|e| e.2).collect();
@@ -292,8 +421,7 @@ impl AttrIndex {
             let start = value_nodes.len();
             merge_posting(base_run, &removed_nodes, &added_nodes, &mut value_nodes);
             if value_nodes.len() > start {
-                let slot = value_offsets.len() as u32 - 1;
-                value_slots.entry(sym).or_default().insert(value, slot);
+                value_keys.push(sym, key);
                 value_offsets.push(value_nodes.len() as u32);
             }
             // An emptied posting drops its key, exactly as a rebuild would.
@@ -340,15 +468,15 @@ impl AttrIndex {
 
         // --- int runs: filter removed pairs out, merge added pairs in.
         let mut int_removed: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
-        for (sym, value, node) in &removed {
-            if let AttrValue::Int(i) = value {
-                int_removed.entry(*sym).or_default().push((*i, *node));
+        for &(sym, key, node) in &removed {
+            if let SlotKey::Int(i) = key {
+                int_removed.entry(sym).or_default().push((i, node));
             }
         }
         let mut int_added: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
-        for (sym, value, node) in &added {
-            if let AttrValue::Int(i) = value {
-                int_added.entry(*sym).or_default().push((*i, *node));
+        for &(sym, key, node) in &added {
+            if let SlotKey::Int(i) = key {
+                int_added.entry(sym).or_default().push((i, node));
             }
         }
         let mut int_runs: HashMap<Symbol, IntPairs> = HashMap::new();
@@ -386,7 +514,7 @@ impl AttrIndex {
         }
 
         Self {
-            value_slots,
+            value_keys: value_keys.finish(),
             value_offsets: value_offsets.into(),
             value_nodes: value_nodes.into(),
             name_slots,
@@ -397,10 +525,10 @@ impl AttrIndex {
     }
 
     /// Sorted posting list of nodes where `attr = value` (empty when the pair
-    /// never occurs).
+    /// never occurs): a binary search of the slot keys and a borrowed slice.
     pub fn nodes_eq(&self, attr: Symbol, value: &AttrValue) -> &[NodeId] {
-        match self.value_slots.get(&attr).and_then(|m| m.get(value)) {
-            Some(&slot) => window(&self.value_offsets, slot as usize, &self.value_nodes),
+        match SlotKey::of(value).and_then(|key| self.value_keys.find(attr, key)) {
+            Some(slot) => window(&self.value_offsets, slot, &self.value_nodes),
             None => &[],
         }
     }
@@ -432,7 +560,7 @@ impl AttrIndex {
     }
 
     /// Length of the `attr = value` posting list without materializing it
-    /// (O(1); the cost-model input behind `IndexScan` row estimates).
+    /// (O(log slots); the cost-model input behind `IndexScan` row estimates).
     pub(crate) fn count_eq(&self, attr: Symbol, value: &AttrValue) -> usize {
         self.nodes_eq(attr, value).len()
     }
@@ -465,7 +593,9 @@ impl AttrIndex {
 
     /// Number of distinct values of attribute `attr` present in the graph.
     pub(crate) fn distinct_values(&self, attr: Symbol) -> usize {
-        self.value_slots.get(&attr).map_or(0, HashMap::len)
+        let syms = &self.value_keys.syms;
+        let lo = syms.partition_point(|&s| s < attr);
+        syms[lo..].partition_point(|&s| s == attr)
     }
 }
 
@@ -558,12 +688,11 @@ mod tests {
         let mut offsets = idx.name_offsets.to_vec();
         offsets[1] = u32::MAX;
         idx.name_offsets = offsets.into();
-        for (&sym, values) in &idx.value_slots {
-            for (value, &slot) in values {
-                let posting = idx.nodes_eq(sym, value);
-                assert_eq!(posting.is_empty(), (1..4).contains(&slot), "slot {slot}");
-                assert_eq!(idx.count_eq(sym, value), posting.len());
-            }
+        for (slot, key) in idx.value_keys.values().enumerate() {
+            let (sym, value) = key.expect("an honest key");
+            let posting = idx.nodes_eq(sym, &value);
+            assert_eq!(posting.is_empty(), (1..4).contains(&slot), "slot {slot}");
+            assert_eq!(idx.count_eq(sym, &value), posting.len());
         }
         assert_eq!(idx.nodes_with_name(label), &[]);
         assert_eq!(idx.nodes_with_name(year), &[]);

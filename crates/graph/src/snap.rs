@@ -5,8 +5,9 @@
 //! loader can reinterpret the file bytes in place: [`GraphSnapshot::open`]
 //! with [`LoadMode::Mmap`] maps the file read-only and rebuilds the graph as
 //! borrowed `IntRun` views over the mapping — cold
-//! start is O(page faults) plus one linear decode of the (comparatively
-//! small) materialized sections, not O(parse).
+//! start is O(page faults) plus a decode of the few sections sized by the
+//! attribute-name count, not O(parse): even the string dictionary and the
+//! value-posting keys are served in place.
 //!
 //! # On-disk layout
 //!
@@ -59,18 +60,21 @@
 //! are always CRC-checked and validated field by field, and the offsets runs
 //! among them ("every open" rows with a `spans` column) are scanned for
 //! monotonicity at every open too, because the decoder slices through them
-//! right there.  The big mapped runs (adjacency offsets and targets,
-//! posting offsets and nodes, condensation arrays, and the attribute tuple
-//! columns — decoded lazily, see `AttrTuples`) are
+//! right there.  A string table is an offsets run over its own text: its
+//! ends are checked at every open, its monotonicity and UTF-8 by the same
+//! class rule.  The big mapped runs (adjacency offsets and targets, posting
+//! keys, offsets and nodes, the string dictionary, condensation arrays, and
+//! the attribute tuple columns — decoded lazily, see `AttrTuples`) are
 //! CRC-checked, scanned for monotone offsets *and* field-validated by
 //! [`LoadMode::Heap`] and [`LoadMode::MmapVerified`]; plain
 //! [`LoadMode::Mmap`] skips those passes so that an open costs the pages it
 //! touches, not the pages the file has — use a verifying mode for files you
 //! do not trust.  What plain mmap gives instead is **total accessors**: every
 //! reader of a mapped offsets run goes through the total `run::window`, so a
-//! damaged middle offset serves the empty run for the affected node, and a
-//! malformed attribute entry degrades to a skipped attribute at access time
-//! — the data may be wrong, no accessor panics.  Loading never causes
+//! damaged middle offset serves the empty run for the affected node, a
+//! damaged value-slot key misses its probe and reads as an empty posting,
+//! and a malformed attribute entry degrades to a skipped attribute at access
+//! time — the data may be wrong, no accessor panics.  Loading never causes
 //! undefined behaviour in any mode: every mapped window is bounds- and
 //! alignment-checked before it is wrapped.
 //!
@@ -116,12 +120,12 @@ use crate::attr::AttrValue;
 use crate::condensation::{CompId, Condensation};
 use crate::csr::Csr;
 use crate::graph::{DataGraph, NodeId};
-use crate::index::{AttrIndex, IntPairs};
+use crate::index::{AttrIndex, IntPairs, SlotKey, SlotKeys};
 use crate::mutate::GraphSnapshot;
 use crate::run::{AlignedBytes, IntRun, RunElem, SnapshotBytes};
 use crate::sim_index::{SimCatalog, SimTable};
 use crate::symbol::{Symbol, SymbolTable};
-use crate::tuples::{AttrColumns, AttrTuples, VecDict, TAG_INT, TAG_STR, TAG_VEC};
+use crate::tuples::{AttrColumns, AttrTuples, StrDict, VecDict, TAG_INT, TAG_STR, TAG_VEC};
 
 /// `GTPQSNAP`.
 pub const MAGIC: [u8; 8] = *b"GTPQSNAP";
@@ -143,9 +147,10 @@ pub enum LoadMode {
     /// Zero-copy `mmap`; the big runs borrow the mapping and neither their
     /// checksums nor the monotonicity of their offsets are verified (header,
     /// TOC, the two ends of every offsets run and the materialized sections
-    /// always are), so the open is independent of the graph's size.  A file
-    /// damaged inside a big run still opens: its accessors stay panic-free
-    /// and serve an empty run or a skipped attribute where the damage is.
+    /// always are), so the open is independent of the graph's size and of
+    /// its dictionaries' sizes.  A file damaged inside a big run still opens:
+    /// its accessors stay panic-free and serve an empty run, an empty posting
+    /// or a skipped attribute where the damage is.
     /// Falls back to [`LoadMode::Heap`] when mapping is unavailable.  The
     /// file must not be truncated or rewritten in place by another process
     /// while the graph is alive (see the
@@ -153,8 +158,9 @@ pub enum LoadMode {
     /// it via rename — as [`GraphSnapshot::save`] does — is safe.
     Mmap,
     /// Zero-copy `mmap` plus a full checksum pass over every section, the
-    /// monotonicity scan of every offsets run and field validation of the
-    /// attribute columns.
+    /// monotonicity scan of every offsets run and string table, and field
+    /// validation of the attribute columns, the value-slot keys (readable
+    /// and strictly ascending) and the string dictionary (UTF-8).
     MmapVerified,
     /// Portable fallback: read the whole file into an aligned heap buffer and
     /// verify every checksum.  The runs still borrow the shared buffer, so
@@ -408,7 +414,7 @@ macro_rules! elem {
     (desc $t:ty) => { Elem::Ints(stringify!($t), <$t as SectionElem>::WIDTH) };
     (column $lt:lifetime str) => { &$lt [&$lt str] };
     (column $lt:lifetime $t:ty) => { &$lt [$t] };
-    (run str) => { Vec<String> };
+    (run str) => { StrDict };
     (run $t:ty) => { IntRun<$t> };
 }
 
@@ -528,7 +534,7 @@ sections! {
     /// Attribute names, in symbol order.
     Symbols symbols = 6: str [Symbols] EveryOpen since 1;
     /// Distinct attribute string values, in first-use order.
-    Strings strings = 7: str [Strings] EveryOpen since 1;
+    Strings strings = 7: str [Strings] Verifying since 1;
     /// Per-node offsets into the three attribute-entry columns.
     AttrOffsets attr_offsets = 8: u32 [Nodes + 1] Verifying since 1, spans AttrNames;
     /// Attribute entries: name symbol.
@@ -542,11 +548,11 @@ sections! {
     /// Vector-value dictionary data, concatenated.
     VecData vec_data = 35: f32 [own] Verifying since 2;
     /// Value-posting slot keys: attribute symbol.
-    ValSyms val_syms = 12: Symbol [ValueSlots] EveryOpen since 1;
+    ValSyms val_syms = 12: Symbol [ValueSlots] Verifying since 1;
     /// Value-posting slot keys: value tag.
-    ValTags val_tags = 13: u8 [ValueSlots] EveryOpen since 1;
+    ValTags val_tags = 13: u8 [ValueSlots] Verifying since 1;
     /// Value-posting slot keys: value payload.
-    ValPayloads val_payloads = 14: u64 [ValueSlots] EveryOpen since 1;
+    ValPayloads val_payloads = 14: u64 [ValueSlots] Verifying since 1;
     /// Value-posting offsets, one list per slot.
     ValOffsets val_offsets = 15: u32 [ValueSlots + 1] Verifying since 1, spans ValNodes;
     /// Value-posting node lists, concatenated.
@@ -750,33 +756,6 @@ impl Column for &[&str] {
         out.extend_from_slice(&text);
         Cow::Owned(out)
     }
-}
-
-/// Parses a string-table section with exactly `count` entries.
-fn parse_string_table(
-    bytes: &[u8],
-    count: usize,
-    what: &'static str,
-) -> Result<Vec<String>, SnapshotError> {
-    let (head, text) = bytes
-        .split_at_checked(count.saturating_add(1).saturating_mul(4))
-        .ok_or_else(|| malformed(format!("{what}: offset table cut off")))?;
-    let offsets: Vec<u32> = decode_elems(head);
-    if offsets[0] != 0 || offsets[count] as usize != text.len() {
-        return Err(malformed(format!("{what}: offsets do not span the text")));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        if lo > hi || hi > text.len() {
-            return Err(malformed(format!("{what}: non-monotone offsets")));
-        }
-        let s = std::str::from_utf8(&text[lo..hi])
-            .map_err(|_| malformed(format!("{what}: invalid UTF-8")))?;
-        out.push(s.to_owned());
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1036,7 +1015,7 @@ fn write_graph(
     // dictionary and vector values into a parallel one (keyed by bit
     // pattern, so NaN payloads dedupe too); each attribute becomes
     // (name symbol, tag, payload).
-    let mut dict: HashMap<&str, usize> = HashMap::new();
+    let mut dict: HashMap<&[u8], usize> = HashMap::new();
     let mut strings: Vec<&str> = Vec::new();
     let mut vec_dict: HashMap<Vec<u32>, usize> = HashMap::new();
     let mut vec_offsets: Vec<u32> = vec![0];
@@ -1050,10 +1029,12 @@ fn write_graph(
             attr_names.push(a.name);
             match &a.value {
                 AttrValue::Int(i) => attr_values.push_int(*i),
-                AttrValue::Str(s) => attr_values.push_str(*dict.entry(s).or_insert_with(|| {
-                    strings.push(s);
-                    strings.len() - 1
-                })),
+                AttrValue::Str(s) => {
+                    attr_values.push_str(*dict.entry(s.as_bytes()).or_insert_with(|| {
+                        strings.push(s);
+                        strings.len() - 1
+                    }))
+                }
                 AttrValue::Vec(v) => {
                     let bits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
                     attr_values.push_vec(*vec_dict.entry(bits).or_insert_with(|| {
@@ -1067,31 +1048,21 @@ fn write_graph(
         push_end(&mut attr_offsets, &attr_names);
     }
 
-    // Value postings: invert the two-level dictionary into per-slot keys
-    // (slot order is the canonical build order, so round-tripping
-    // reproduces the index bit-for-bit).
+    // Value postings: the slot keys in slot order (the canonical build
+    // order, so round-tripping reproduces the index bit-for-bit), each string
+    // re-encoded as its id in the dictionary above.
     let idx = &g.index;
-    let unkeyed = AttrValue::Int(0);
-    let mut slot_keys = vec![(Symbol(0), &unkeyed); idx.value_offsets.len().saturating_sub(1)];
-    for (&sym, map) in &idx.value_slots {
-        for (value, &slot) in map {
-            slot_keys[slot as usize] = (sym, value);
-        }
-    }
-    let mut val_syms: Vec<Symbol> = Vec::with_capacity(slot_keys.len());
-    let mut val_values = ValueColumns::with_capacity(slot_keys.len());
-    for (sym, value) in slot_keys {
-        val_syms.push(sym);
-        match value {
-            AttrValue::Int(i) => val_values.push_int(*i),
-            AttrValue::Str(s) => val_values.push_str(
+    let keys = &idx.value_keys;
+    let mut val_values = ValueColumns::with_capacity(keys.len());
+    for slot in 0..keys.len() {
+        match keys.key(slot) {
+            Some(SlotKey::Int(v)) => val_values.push_int(v),
+            Some(SlotKey::Str(s)) => val_values.push_str(
                 *dict
-                    .get(s.as_str())
-                    .expect("indexed string value appears on some node"),
+                    .get(s)
+                    .ok_or_else(|| malformed("a value-slot key names no attribute value"))?,
             ),
-            // Vector values never enter the equality postings (see
-            // `AttrIndex`); a defensive tag keeps this arm panic-free.
-            AttrValue::Vec(_) => val_values.push_vec(0),
+            None => return Err(malformed("an unreadable value-slot key")),
         }
     }
 
@@ -1156,7 +1127,7 @@ fn write_graph(
         attr_payloads: &attr_values.payloads,
         vec_offsets: &vec_offsets,
         vec_data: &vec_data,
-        val_syms: &val_syms,
+        val_syms: &keys.syms,
         val_tags: &val_values.tags,
         val_payloads: &val_values.payloads,
         val_offsets: &idx.value_offsets,
@@ -1349,7 +1320,7 @@ impl Loader {
             let byte_len = s.byte_len as u64;
             let fits = match row.elem {
                 Elem::Ints(_, width) => entries.checked_mul(width as u64) == Some(byte_len),
-                // At least the offsets; the text length is the parser's check.
+                // At least the offsets; the text length is the span check's.
                 Elem::StringTable => entries
                     .checked_add(1)
                     .and_then(|n| n.checked_mul(4))
@@ -1367,6 +1338,23 @@ impl Loader {
                 let offsets = IntRun::<u32>::load(self, row)?;
                 let targets = self.entries(target.row());
                 check_offsets_span(&offsets, targets, row.name, in_full(row))?;
+            }
+            // A string table is an offsets run over its own text, and its
+            // entries must be text.
+            if let Elem::StringTable = row.elem {
+                let dict = StrDict::load(self, row)?;
+                check_offsets_span(
+                    &dict.offsets,
+                    dict.text.len() as u64,
+                    row.name,
+                    in_full(row),
+                )?;
+                if in_full(row) {
+                    examined(dict.text.len());
+                    if (0..dict.len() as u64).any(|id| dict.get(id).is_none()) {
+                        return Err(malformed(format!("{} is not UTF-8", row.name)));
+                    }
+                }
             }
         }
         Ok(())
@@ -1396,10 +1384,23 @@ impl<T: SectionElem> Load for IntRun<T> {
     }
 }
 
-impl Load for Vec<String> {
+impl Load for StrDict {
+    /// Borrows the offsets and the text of a string table in place, like an
+    /// [`IntRun`] pair; that the offsets cut the text is
+    /// [`Loader::verify`]'s check.
     fn load(l: &Loader, row: &Section) -> Result<Self, SnapshotError> {
-        let bytes = l.get(row.kind).map_or(&[][..], |s| l.window(s));
-        parse_string_table(bytes, l.declared_len(row)? as usize, row.name)
+        let Some(s) = l.get(row.kind) else {
+            return Ok(StrDict::from_strs([]));
+        };
+        // `verify` has held the offsets to fit in the section.
+        let (entries, window) = (l.declared_len(row)? as usize + 1, l.window(s));
+        let (head, text) = window.split_at(entries * 4);
+        Ok(StrDict {
+            offsets: IntRun::from_bytes(&l.bytes, s.offset, entries)
+                .unwrap_or_else(|| decode_elems::<u32>(head).into()),
+            text: IntRun::from_bytes(&l.bytes, s.offset + head.len(), text.len())
+                .unwrap_or_else(|| text.to_vec().into()),
+        })
     }
 }
 
@@ -1583,10 +1584,15 @@ fn load_from_bytes(
 fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
     let nodes = r.comp_of.len();
 
-    // Symbol table: rebuilt owned (the lookup map cannot be mapped).
+    // Symbol table: rebuilt owned (the lookup map cannot be mapped).  Every
+    // entry is text: the section is in the every-open class.
     let mut symbols = SymbolTable::new();
-    for name in &r.symbols {
-        symbols.intern(name);
+    for id in 0..r.symbols.len() as u64 {
+        symbols.intern(
+            r.symbols
+                .get(id)
+                .ok_or_else(|| malformed("Symbols is not UTF-8"))?,
+        );
     }
     let sym_count = symbols.len();
     if sym_count != r.symbols.len() {
@@ -1600,14 +1606,30 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
         }
     };
 
-    // Value postings: per-slot keys are materialized into the two-level
-    // dictionary; offsets and node lists stay mapped.
-    let mut value_slots: HashMap<Symbol, HashMap<AttrValue, u32>> = HashMap::new();
-    for (slot, &sym) in r.val_syms.iter().enumerate() {
-        let value = decode_value(r.val_tags[slot], r.val_payloads[slot], &r.strings)?;
-        let slots = value_slots.entry(known(sym, "value-slot")?).or_default();
-        if slots.insert(value, slot as u32).is_some() {
-            return Err(malformed("duplicate value-slot key"));
+    // Value postings: the slot keys, offsets and node lists all stay
+    // mapped, and a probe binary-searches the keys in place.  Verifying
+    // modes hold the keys to what the search needs — readable and strictly
+    // ascending; under plain mmap a damaged key only makes its probe miss.
+    let value_keys = SlotKeys {
+        syms: r.val_syms,
+        tags: r.val_tags,
+        payloads: r.val_payloads,
+        strings: r.strings.clone(),
+    };
+    if verify_all {
+        let mut prev = None;
+        for slot in 0..value_keys.len() {
+            let sym = known(value_keys.syms[slot], "value-slot")?;
+            let key = match value_keys.tags[slot] {
+                TAG_INT | TAG_STR => value_keys
+                    .key(slot)
+                    .ok_or_else(|| malformed("value-slot string id out of dictionary range"))?,
+                other => return Err(malformed(format!("unknown value-slot tag {other}"))),
+            };
+            if prev.is_some_and(|prev| prev >= (sym, key)) {
+                return Err(malformed("value-slot keys are not strictly ascending"));
+            }
+            prev = Some((sym, key));
         }
     }
     let mut name_slots: HashMap<Symbol, u32> = HashMap::with_capacity(r.name_syms.len());
@@ -1708,12 +1730,12 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
                 names: r.attr_names,
                 tags: r.attr_tags,
                 payloads: r.attr_payloads,
-                strings: Arc::new(r.strings),
+                strings: r.strings,
                 vectors: Arc::new(vectors),
             },
         ),
         index: AttrIndex {
-            value_slots,
+            value_keys,
             value_offsets: r.val_offsets,
             value_nodes: r.val_nodes,
             name_slots,
@@ -1724,20 +1746,6 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
         sims: SimCatalog::from_tables(tables),
         condensation: Arc::new(condensation).into(),
     })
-}
-
-fn decode_value(tag: u8, payload: u64, strings: &[String]) -> Result<AttrValue, SnapshotError> {
-    match tag {
-        TAG_INT => Ok(AttrValue::Int(payload as i64)),
-        TAG_STR => {
-            let id = usize::try_from(payload)
-                .ok()
-                .filter(|&id| id < strings.len())
-                .ok_or_else(|| malformed("string payload out of dictionary range"))?;
-            Ok(AttrValue::Str(strings[id].clone()))
-        }
-        other => Err(malformed(format!("unknown attribute value tag {other}"))),
-    }
 }
 
 #[cfg(test)]
@@ -1850,6 +1858,107 @@ mod tests {
                 Some(&AttrValue::Vec(vec![1.0, 2.0]))
             );
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Holds `nodes_eq`, `count_eq` and `distinct_values` of `g` to a linear
+    /// scan of its tuples, on every key present and on `absent` probes.
+    fn probes_agree_with_a_scan(g: &DataGraph, absent: &[(&str, AttrValue)], case: &str) {
+        let index = g.attr_index();
+        let present = g.nodes().flat_map(|v| {
+            g.attributes(v).iter().map(|a| {
+                let name = g.symbols().iter().find(|&(sym, _)| sym == a.name);
+                (name.expect("interned").1, a.value.clone())
+            })
+        });
+        let present: Vec<(&str, AttrValue)> = present.collect();
+        for (name, value) in present.iter().chain(absent) {
+            let sym = g.symbols().get(name).unwrap();
+            let indexed = !matches!(value, AttrValue::Vec(_));
+            let scan: Vec<NodeId> = g
+                .nodes()
+                .filter(|&v| indexed && g.attribute_value(v, name) == Some(value))
+                .collect();
+            assert_eq!(index.nodes_eq(sym, value), scan, "{case}: {name} = {value}");
+            assert_eq!(
+                index.count_eq(sym, value),
+                scan.len(),
+                "{case}: {name} = {value}"
+            );
+        }
+        for (sym, name) in g.symbols().iter() {
+            let values: std::collections::HashSet<&AttrValue> = present
+                .iter()
+                .filter(|(n, v)| *n == name && !matches!(v, AttrValue::Vec(_)))
+                .map(|(_, v)| v)
+                .collect();
+            assert_eq!(index.distinct_values(sym), values.len(), "{case}: {name}");
+        }
+    }
+
+    #[test]
+    fn equality_probes_agree_with_a_scan_of_the_tuples() {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..12)
+            .map(|i| b.add_node_with_label(["b", "d", "f"][i % 3]))
+            .collect();
+        for (i, &v) in nodes.iter().enumerate() {
+            b.set_attr(v, "year", AttrValue::int(10 * (i % 4) as i64 - 10));
+            // One attribute with ints and strings: ints come first in its
+            // slots.
+            let mixed = if i % 2 == 0 {
+                AttrValue::int(i as i64)
+            } else {
+                AttrValue::str(&format!("m{}", i % 5))
+            };
+            b.set_attr(v, "mixed", mixed);
+            b.set_attr(v, "emb", AttrValue::Vec(vec![i as f32, 1.0]));
+        }
+        let absent = [
+            (LABEL_ATTR, AttrValue::str("a")),
+            (LABEL_ATTR, AttrValue::str("c")),
+            (LABEL_ATTR, AttrValue::str("z")),
+            (LABEL_ATTR, AttrValue::str("")),
+            (LABEL_ATTR, AttrValue::int(5)),
+            ("year", AttrValue::int(-11)),
+            ("year", AttrValue::int(15)),
+            ("year", AttrValue::int(21)),
+            ("year", AttrValue::str("10")),
+            ("mixed", AttrValue::int(3)),
+            ("mixed", AttrValue::int(-1)),
+            ("mixed", AttrValue::int(100)),
+            ("mixed", AttrValue::str("m")),
+            ("mixed", AttrValue::str("m9")),
+            ("emb", AttrValue::Vec(vec![0.0, 1.0])),
+            ("emb", AttrValue::int(0)),
+        ];
+        let snap = GraphSnapshot::freeze(Arc::new(b.build()));
+        probes_agree_with_a_scan(snap.graph(), &absent, "heap build");
+
+        let path = tmp("probe-oracle.gtpq");
+        snap.save(&path).unwrap();
+        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+            let loaded = GraphSnapshot::open(&path, mode).unwrap();
+            probes_agree_with_a_scan(loaded.graph(), &absent, &format!("{mode:?}"));
+        }
+
+        // A commit over a mapped base: keys change, leave and arrive.
+        let handle = GraphHandle::from_snapshot(GraphSnapshot::open_mmap(&path).unwrap());
+        handle.set_attr(nodes[0], LABEL_ATTR, AttrValue::str("c"));
+        handle.set_attr(nodes[3], LABEL_ATTR, AttrValue::str("c"));
+        handle.set_attr(nodes[1], "mixed", AttrValue::int(3));
+        handle.set_attr(nodes[2], "year", AttrValue::str("ten"));
+        let fresh = handle.insert_node_with_label("a");
+        handle.set_attr(fresh, "mixed", AttrValue::str("m"));
+        let committed = handle.commit();
+        let absent = [
+            (LABEL_ATTR, AttrValue::str("e")),
+            (LABEL_ATTR, AttrValue::str("zz")),
+            ("year", AttrValue::str("nine")),
+            ("mixed", AttrValue::int(4)),
+            ("emb", AttrValue::Vec(vec![0.0, 1.0])),
+        ];
+        probes_agree_with_a_scan(committed.graph(), &absent, "commit over a mapped base");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2019,10 +2128,9 @@ mod tests {
         let _ = g.nodes_with(LABEL_ATTR, &AttrValue::str("doc"));
         let _ = g.nodes_with("year", &AttrValue::int(1991));
         let index = g.attr_index();
-        for (&sym, values) in &index.value_slots {
-            for value in values.keys() {
-                let _ = index.nodes_eq(sym, value);
-            }
+        for (sym, value) in index.value_keys.values().flatten() {
+            let _ = index.nodes_eq(sym, &value);
+            let _ = index.distinct_values(sym);
             let _ = index.nodes_with_name(sym);
         }
         if let Some(table) = g.sim_table("emb") {
@@ -2103,13 +2211,12 @@ mod tests {
             SectionKind::AttrOffsets => g.nodes().map(|v| g.attributes(v).len()).collect(),
             SectionKind::ValOffsets => {
                 let index = g.attr_index();
-                let mut lens = vec![0; index.value_offsets.len() - 1];
-                for (&sym, values) in &index.value_slots {
-                    for (value, &slot) in values {
-                        lens[slot as usize] = index.nodes_eq(sym, value).len();
-                    }
-                }
-                lens
+                let keys = index
+                    .value_keys
+                    .values()
+                    .map(|key| key.expect("an honest key"));
+                keys.map(|(sym, value)| index.nodes_eq(sym, &value).len())
+                    .collect()
             }
             SectionKind::NameOffsets => {
                 let index = g.attr_index();
@@ -2256,6 +2363,45 @@ mod tests {
     }
 
     #[test]
+    fn a_plain_mmap_open_examines_the_same_amount_whatever_the_dictionary_size() {
+        let path = tmp("open-dictionary.gtpq");
+        let examined = |labels: u32| {
+            let mut b = GraphBuilder::new();
+            let nodes: Vec<NodeId> = (0..5_000)
+                .map(|i| b.add_node_with_label(&format!("l{}", i % labels)))
+                .collect();
+            for w in nodes.windows(2) {
+                b.add_edge(w[0], w[1]);
+            }
+            GraphSnapshot::freeze(Arc::new(b.build()))
+                .save(&path)
+                .unwrap();
+            EXAMINED.with(|total| total.set(0));
+            let loaded = GraphSnapshot::open_mmap(&path).unwrap();
+            let g = loaded.graph();
+            let label = g.symbols().get(LABEL_ATTR).unwrap();
+            assert_eq!(g.attr_index().distinct_values(label), labels as usize);
+            (
+                EXAMINED.with(|total| total.get()),
+                g.backing_file_id().is_some(),
+            )
+        };
+        let (few, mapped) = examined(5);
+        if !mapped {
+            // Mapping unavailable: the heap fallback reads the file anyway.
+            let _ = std::fs::remove_file(&path);
+            return;
+        }
+        let (many, _) = examined(5_000);
+        assert!(few > 0);
+        assert_eq!(
+            few, many,
+            "a plain-mmap open checksummed or scanned a dictionary-sized section"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn hostile_but_checksum_consistent_files_never_panic() {
         let path = tmp("hostile.gtpq");
         hostile_base().save(&path).unwrap();
@@ -2338,6 +2484,93 @@ mod tests {
                     row.name
                 );
             }
+        }
+
+        // Damaged value-slot keys and string text: the verifying modes name
+        // the damage, plain mmap opens the file, the damaged key's probe
+        // reads as an empty posting and nothing panics.
+        let pristine = GraphSnapshot::open_heap(&path).unwrap();
+        let g = pristine.graph();
+        let sym = |name: &str| g.symbols().get(name).unwrap();
+        let (label, year, name) = (sym(LABEL_ATTR), sym("year"), sym("name"));
+        let keys: Vec<_> = g
+            .attr_index()
+            .value_keys
+            .values()
+            .map(Option::unwrap)
+            .collect();
+        assert_eq!(keys[0], (label, AttrValue::str("doc")));
+        assert_eq!(
+            keys[1..3],
+            [(year, AttrValue::int(1990)), (year, AttrValue::int(1991))]
+        );
+        assert_eq!(keys[8], (name, AttrValue::str("n1")));
+        let payload = |slot: usize| section_offset(&good, SectionKind::ValPayloads) + 8 * slot;
+        let tag = |slot: usize| section_offset(&good, SectionKind::ValTags) + slot;
+        let text = section_offset(&good, SectionKind::Strings)
+            + 4 * (g.attr_index().value_keys.strings.len() + 1);
+        let year_bytes = |y: i64| y.to_le_bytes().to_vec();
+        let unordered = "value-slot keys are not strictly ascending";
+        let cases = [
+            (
+                "keys out of order",
+                vec![
+                    (payload(1), year_bytes(1991)),
+                    (payload(2), year_bytes(1990)),
+                ],
+                unordered,
+                None,
+            ),
+            (
+                "a duplicated key",
+                vec![(payload(2), year_bytes(1990))],
+                unordered,
+                Some((year, AttrValue::int(1991))),
+            ),
+            (
+                "an out-of-range string id",
+                vec![(payload(8), 999u64.to_le_bytes().to_vec())],
+                "value-slot string id out of dictionary range",
+                Some((name, AttrValue::str("n1"))),
+            ),
+            (
+                "an unknown tag",
+                vec![(tag(8), vec![7])],
+                "unknown value-slot tag 7",
+                Some((name, AttrValue::str("n1"))),
+            ),
+            (
+                "invalid UTF-8 in Strings",
+                vec![(text, vec![0xFF])],
+                "Strings is not UTF-8",
+                Some((label, AttrValue::str("doc"))),
+            ),
+        ];
+        for (case, patches, what, missed) in cases {
+            let mut bytes = good.clone();
+            for (at, patch) in patches {
+                bytes[at..at + patch.len()].copy_from_slice(&patch);
+            }
+            restamp(&mut bytes);
+            std::fs::write(&victim, &bytes).unwrap();
+            for mode in [LoadMode::MmapVerified, LoadMode::Heap] {
+                match GraphSnapshot::open(&victim, mode) {
+                    Err(SnapshotError::Malformed { what: got }) => {
+                        assert_eq!(got, what, "{case} under {mode:?}")
+                    }
+                    other => panic!("{case} under {mode:?}: {:?}", other.map(|_| ())),
+                }
+            }
+            let loaded = GraphSnapshot::open_mmap(&victim)
+                .unwrap_or_else(|e| panic!("{case} refused under plain mmap: {e}"));
+            if let Some((sym, value)) = missed {
+                assert_eq!(
+                    loaded.graph().attr_index().nodes_eq(sym, &value),
+                    &[],
+                    "{case}"
+                );
+            }
+            walk(&loaded);
         }
 
         // One section added after version 1 hidden behind an id no reader

@@ -58,6 +58,60 @@ impl VecDict {
     }
 }
 
+/// A string dictionary in the snapshot's string-table shape: `entries + 1`
+/// offsets cutting one UTF-8 text, owned or mapped like [`VecDict`].  A
+/// loaded graph serves its attribute strings and value-slot keys from the
+/// file's `Strings` section in place; nothing is parsed into `String`s at
+/// open, and an entry is only read (and UTF-8-checked) when it is used.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct StrDict {
+    /// `entries + 1` byte offsets into `text`; empty means "no dictionary".
+    pub(crate) offsets: IntRun<u32>,
+    /// Concatenated UTF-8 text.
+    pub(crate) text: IntRun<u8>,
+}
+
+impl StrDict {
+    /// An owned dictionary of `strings`, in order.
+    pub(crate) fn from_strs<'a>(strings: impl IntoIterator<Item = &'a [u8]>) -> Self {
+        let mut offsets = vec![0u32];
+        let mut text = Vec::new();
+        for s in strings {
+            text.extend_from_slice(s);
+            offsets.push(u32::try_from(text.len()).expect("string dictionary under 4 GiB"));
+        }
+        Self {
+            offsets: offsets.into(),
+            text: text.into(),
+        }
+    }
+
+    /// Number of dictionary entries.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The bytes of entry `id`; `None` when the id is out of range
+    /// (defensive for plain-mmap loads of damaged files).
+    #[inline]
+    pub(crate) fn bytes(&self, id: u64) -> Option<&[u8]> {
+        let id = usize::try_from(id).ok().filter(|&id| id < self.len())?;
+        Some(window(&self.offsets, id, &self.text))
+    }
+
+    /// Entry `id` as text; `None` when the id is out of range or the entry
+    /// is not UTF-8.
+    pub(crate) fn get(&self, id: u64) -> Option<&str> {
+        std::str::from_utf8(self.bytes(id)?).ok()
+    }
+
+    pub(crate) fn backing_file_id(&self) -> Option<(u64, u64)> {
+        self.offsets
+            .backing_file_id()
+            .or_else(|| self.text.backing_file_id())
+    }
+}
+
 /// The columnar snapshot encoding of every node's attribute tuple:
 /// CSR-style offsets plus parallel name/tag/payload runs, and the shared
 /// string/vector dictionaries the payloads of string- and vector-valued
@@ -68,7 +122,7 @@ pub(crate) struct AttrColumns {
     pub(crate) names: IntRun<Symbol>,
     pub(crate) tags: IntRun<u8>,
     pub(crate) payloads: IntRun<u64>,
-    pub(crate) strings: Arc<Vec<String>>,
+    pub(crate) strings: StrDict,
     pub(crate) vectors: Arc<VecDict>,
 }
 
@@ -102,11 +156,8 @@ impl AttrColumns {
             for ((&name, &tag), &payload) in names.iter().zip(tags).zip(payloads) {
                 let value = match tag {
                     TAG_INT => AttrValue::Int(payload as i64),
-                    TAG_STR => match usize::try_from(payload)
-                        .ok()
-                        .and_then(|id| self.strings.get(id))
-                    {
-                        Some(s) => AttrValue::Str(s.clone()),
+                    TAG_STR => match self.strings.get(payload) {
+                        Some(s) => AttrValue::Str(s.to_owned()),
                         None => continue,
                     },
                     TAG_VEC => match usize::try_from(payload)
@@ -199,6 +250,7 @@ impl AttrTuples {
             .or_else(|| c.names.backing_file_id())
             .or_else(|| c.tags.backing_file_id())
             .or_else(|| c.payloads.backing_file_id())
+            .or_else(|| c.strings.backing_file_id())
             .or_else(|| c.vectors.backing_file_id())
     }
 }
@@ -276,7 +328,7 @@ mod tests {
             names: names.into(),
             tags: tags.into(),
             payloads: payloads.into(),
-            strings: Arc::new(strings.into_iter().map(str::to_owned).collect()),
+            strings: StrDict::from_strs(strings.into_iter().map(str::as_bytes)),
             vectors: Arc::new(VecDict::default()),
         }
     }

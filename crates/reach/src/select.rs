@@ -105,7 +105,11 @@ impl GraphProfile {
     pub fn compute_with(g: &DataGraph, cond: &Condensation) -> Self {
         let nodes = g.node_count();
         let edges = g.edge_count();
-        let is_dag = cond.input_was_dag();
+        // Read from counts, not from a pass over the cyclicity flags: a DAG
+        // condenses to one component per node and one DAG edge per edge, and
+        // a self-loop is the only edge a condensation of singletons drops.
+        let is_dag = cond.component_count() == nodes && cond.edge_count() == edges;
+        debug_assert_eq!(is_dag, cond.input_was_dag());
         Self {
             nodes,
             edges,
