@@ -9,7 +9,8 @@
 //!   attribute predicate and its *complete structural predicate* `fcs` are
 //!   satisfiable.  Union-conjunctive queries are always satisfiable when
 //!   their attribute predicates are; with negation the problem is
-//!   NP-complete, and we simply hand the formula to the DPLL solver.
+//!   NP-complete, and we hand the formula to `gtpq_logic`'s exact check
+//!   (truth-table words, split on one variable at a time past six).
 //! * **Containment / equivalence** (Theorems 3–4): `Q1 ⊑ Q2` iff there is a
 //!   homomorphism from `Q2` to `Q1`; the search enumerates candidate images
 //!   for the independently-constraint nodes (queries are small) and checks

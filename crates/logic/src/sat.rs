@@ -2,16 +2,16 @@
 //!
 //! The paper reduces GTPQ satisfiability, containment and minimization to
 //! propositional SAT / tautology checks (Theorems 1–6) and notes that query
-//! sizes are small in practice, so an exact solver is appropriate.  We use a
-//! DPLL solver with unit propagation and pure-literal elimination over the
-//! CNF produced by [`transform::to_cnf`](crate::transform::to_cnf); a
-//! brute-force truth-table check is kept as a cross-validation oracle.
-
-use std::collections::HashMap;
+//! sizes are small in practice, so an exact solver is appropriate.  One
+//! procedure decides every formula: at most six free variables are
+//! evaluated at once over one 64-bit truth-table word, and a larger formula
+//! is split on one free variable (Shannon expansion) until its branches are
+//! that small.  A brute-force truth-table check is kept as a
+//! cross-validation oracle.
 
 use crate::expr::{BoolExpr, VarId};
-use crate::transform::{substitute, substitute_const, to_cnf, Literal};
-use crate::valuation::{eval_words, Valuation};
+use crate::transform::{substitute, substitute_const};
+use crate::valuation::{eval_with, eval_words};
 
 /// Whether `expr` is satisfiable.
 pub fn is_satisfiable(expr: &BoolExpr) -> bool {
@@ -21,16 +21,41 @@ pub fn is_satisfiable(expr: &BoolExpr) -> bool {
 /// Whether `expr` is satisfiable once every variable `fixed` names is 0.
 ///
 /// With at most six free variables, one 64-bit word evaluates all their
-/// assignments at once; otherwise DPLL decides it over the CNF.
+/// assignments at once.  Otherwise the first free variable is set to 0 and
+/// then to 1, and each branch folds its constants and is decided the same
+/// way: time is exponential in the free variables past six at worst,
+/// memory one pending folded formula per split.  The pending branches live
+/// on a heap stack, so a split as deep as the formula has variables cannot
+/// overflow the thread's stack.
 pub fn is_satisfiable_given_false(expr: &BoolExpr, fixed: impl Fn(VarId) -> bool) -> bool {
-    let mut vars = SmallVars::default();
-    vars.scan(expr, &fixed);
-    if !vars.overflow && vars.len <= WORD_VARS.len() {
-        let word = |v: VarId| if fixed(v) { 0 } else { WORD_VARS[vars.slot(v)] };
-        return eval_words(expr, &mut |v| word(v)) != 0;
+    if let Ok(sat) = word_check(expr, &fixed) {
+        return sat;
     }
-    let expr = substitute(expr, &|v| fixed(v).then_some(BoolExpr::False));
-    satisfying_assignment(&expr).is_some()
+    let mut pending = vec![substitute(expr, &|v| fixed(v).then_some(BoolExpr::False))];
+    while let Some(branch) = pending.pop() {
+        match word_check(&branch, &|_| false) {
+            Ok(true) => return true,
+            Ok(false) => {}
+            Err(split) => {
+                pending.push(substitute_const(&branch, split, true));
+                pending.push(substitute_const(&branch, split, false));
+            }
+        }
+    }
+    false
+}
+
+/// Whether `expr` is satisfiable with every variable `fixed` names 0, over
+/// one truth-table word, when at most six variables are free; otherwise
+/// the first free variable, to split on.
+fn word_check(expr: &BoolExpr, fixed: &impl Fn(VarId) -> bool) -> Result<bool, VarId> {
+    let mut vars = SmallVars::default();
+    vars.scan(expr, fixed);
+    if vars.overflow || vars.len > WORD_VARS.len() {
+        return Err(VarId(vars.vars[0]));
+    }
+    let word = |v: VarId| if fixed(v) { 0 } else { WORD_VARS[vars.slot(v)] };
+    Ok(eval_words(expr, &mut |v| word(v)) != 0)
 }
 
 /// Whether some assignment of the other variables lets `var` change the
@@ -136,24 +161,6 @@ impl SmallVars {
     }
 }
 
-/// Returns a satisfying assignment of `expr`, if one exists.
-///
-/// Only the variables occurring in `expr` are meaningful in the returned
-/// valuation; all others are false.
-pub(crate) fn satisfying_assignment(expr: &BoolExpr) -> Option<Valuation> {
-    let cnf = to_cnf(expr);
-    let mut assignment: HashMap<VarId, bool> = HashMap::new();
-    if dpll(cnf.clauses.clone(), &mut assignment) {
-        let mut v = Valuation::new(0);
-        for (var, value) in assignment {
-            v.set(var, value);
-        }
-        Some(v)
-    } else {
-        None
-    }
-}
-
 /// Whether `a → b` is a tautology.
 pub fn implies(a: &BoolExpr, b: &BoolExpr) -> bool {
     !is_satisfiable(&BoolExpr::and2(a.clone(), BoolExpr::not(b.clone())))
@@ -164,112 +171,15 @@ pub fn equivalent(a: &BoolExpr, b: &BoolExpr) -> bool {
     implies(a, b) && implies(b, a)
 }
 
-/// DPLL with unit propagation and pure-literal elimination.
-fn dpll(mut clauses: Vec<Vec<Literal>>, assignment: &mut HashMap<VarId, bool>) -> bool {
-    loop {
-        if clauses.is_empty() {
-            return true;
-        }
-        if clauses.iter().any(Vec::is_empty) {
-            return false;
-        }
-        // Unit propagation.
-        if let Some(unit) = clauses.iter().find(|c| c.len() == 1).map(|c| c[0]) {
-            assignment.insert(unit.var, unit.positive);
-            clauses = assign(&clauses, unit);
-            continue;
-        }
-        // Pure literal elimination.
-        if let Some(pure) = find_pure_literal(&clauses) {
-            assignment.insert(pure.var, pure.positive);
-            clauses = assign(&clauses, pure);
-            continue;
-        }
-        break;
-    }
-
-    // Branch on the most frequent variable.
-    let var = most_frequent_var(&clauses).expect("non-empty clauses have variables");
-    for &value in &[true, false] {
-        let lit = Literal {
-            var,
-            positive: value,
-        };
-        let mut local = assignment.clone();
-        local.insert(var, value);
-        if dpll(assign(&clauses, lit), &mut local) {
-            *assignment = local;
-            return true;
-        }
-    }
-    false
-}
-
-/// Applies a literal assignment: satisfied clauses are dropped, the
-/// complementary literal is removed from the remaining clauses.
-fn assign(clauses: &[Vec<Literal>], lit: Literal) -> Vec<Vec<Literal>> {
-    let mut out = Vec::with_capacity(clauses.len());
-    for clause in clauses {
-        if clause.contains(&lit) {
-            continue;
-        }
-        let filtered: Vec<Literal> = clause
-            .iter()
-            .copied()
-            .filter(|l| *l != lit.negated())
-            .collect();
-        out.push(filtered);
-    }
-    out
-}
-
-fn find_pure_literal(clauses: &[Vec<Literal>]) -> Option<Literal> {
-    let mut polarity: HashMap<VarId, (bool, bool)> = HashMap::new();
-    for clause in clauses {
-        for lit in clause {
-            let entry = polarity.entry(lit.var).or_insert((false, false));
-            if lit.positive {
-                entry.0 = true;
-            } else {
-                entry.1 = true;
-            }
-        }
-    }
-    polarity
-        .into_iter()
-        .find(|(_, (pos, neg))| pos != neg)
-        .map(|(var, (pos, _))| Literal { var, positive: pos })
-}
-
-fn most_frequent_var(clauses: &[Vec<Literal>]) -> Option<VarId> {
-    let mut counts: HashMap<VarId, usize> = HashMap::new();
-    for clause in clauses {
-        for lit in clause {
-            *counts.entry(lit.var).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .max_by_key(|&(var, count)| (count, std::cmp::Reverse(var)))
-        .map(|(var, _)| var)
-}
-
 /// Brute-force satisfiability over all `2^n` assignments.
 ///
-/// Test oracle only; panics if the formula has more than 24 variables.
+/// Test oracle only; panics if the formula has more than 24 variables, and
+/// allocates one slot per variable id up to the largest.
 pub fn brute_force_satisfiable(expr: &BoolExpr) -> bool {
     let vars = expr.variables();
     assert!(vars.len() <= 24, "brute force limited to 24 variables");
-    let mut v = Valuation::new(0);
-    for mask in 0u32..(1u32 << vars.len()) {
-        for (i, &var) in vars.iter().enumerate() {
-            v.set(var, mask & (1 << i) != 0);
-        }
-        if v.eval(expr) {
-            return true;
-        }
-    }
-    vars.is_empty() && v.eval(expr)
+    let slot = slots(&vars);
+    (0u32..1 << vars.len()).any(|mask| eval_with(expr, &mut |v| mask >> slot[v.index()] & 1 == 1))
 }
 
 /// Brute-force logical equivalence (test oracle).
@@ -279,21 +189,27 @@ pub fn brute_force_equivalent(a: &BoolExpr, b: &BoolExpr) -> bool {
     vars.sort_unstable();
     vars.dedup();
     assert!(vars.len() <= 24, "brute force limited to 24 variables");
-    let mut v = Valuation::new(0);
-    for mask in 0u32..(1u32 << vars.len()) {
-        for (i, &var) in vars.iter().enumerate() {
-            v.set(var, mask & (1 << i) != 0);
-        }
-        if v.eval(a) != v.eval(b) {
-            return false;
-        }
+    let slot = slots(&vars);
+    (0u32..1 << vars.len()).all(|mask| {
+        let mut value = |v: VarId| mask >> slot[v.index()] & 1 == 1;
+        eval_with(a, &mut value) == eval_with(b, &mut value)
+    })
+}
+
+/// `slot[v]`: the position of `v` among the sorted `vars`, which is the
+/// bit of an assignment mask holding its value.
+fn slots(vars: &[VarId]) -> Vec<u32> {
+    let mut slot = vec![0; vars.last().map_or(0, |v| v.index() + 1)];
+    for (i, v) in (0..).zip(vars) {
+        slot[v.index()] = i;
     }
-    true
+    slot
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::to_nnf;
 
     #[test]
     fn simple_sat_and_unsat() {
@@ -309,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn satisfying_assignment_satisfies() {
-        let e = BoolExpr::and2(
-            BoolExpr::or2(BoolExpr::var(1), BoolExpr::var(2)),
-            BoolExpr::and2(BoolExpr::not(BoolExpr::var(1)), BoolExpr::var(3)),
-        );
-        let v = satisfying_assignment(&e).expect("satisfiable");
-        assert!(v.eval(&e));
-        assert!(satisfying_assignment(&BoolExpr::False).is_none());
-    }
-
-    #[test]
     fn implication_and_equivalence() {
         let a = BoolExpr::and2(BoolExpr::var(1), BoolExpr::var(2));
         let b = BoolExpr::var(1);
@@ -332,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn dpll_agrees_with_brute_force_on_fixed_formulas() {
+    fn fixed_formulas_agree_with_brute_force() {
         let formulas = vec![
             BoolExpr::and([
                 BoolExpr::or2(BoolExpr::var(0), BoolExpr::var(1)),
@@ -354,24 +259,26 @@ mod tests {
         }
     }
 
+    /// One xorshift step of `state`, reduced modulo `n`.
+    fn next(state: &mut u64, n: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % n
+    }
+
     /// A random formula over `vars` variables, built with the raw variants
     /// (so unfolded constants and nesting occur) or the folding ones.
     fn random_formula(state: &mut u64, depth: u32, vars: u32, raw: bool) -> BoolExpr {
-        let mut next = |n: u64| {
-            *state ^= *state << 13;
-            *state ^= *state >> 7;
-            *state ^= *state << 17;
-            *state % n
-        };
-        if depth == 0 || next(4) == 0 {
-            return match next(8) {
+        if depth == 0 || next(state, 4) == 0 {
+            return match next(state, 8) {
                 0 => BoolExpr::True,
                 1 => BoolExpr::False,
-                _ => BoolExpr::var(next(u64::from(vars)) as u32),
+                _ => BoolExpr::var(next(state, u64::from(vars)) as u32),
             };
         }
-        let kind = next(3);
-        let arity = next(4) as usize + usize::from(kind == 0);
+        let kind = next(state, 3);
+        let arity = next(state, 4) as usize + usize::from(kind == 0);
         let items: Vec<BoolExpr> = (0..arity)
             .map(|_| random_formula(state, depth - 1, vars, raw))
             .collect();
@@ -385,30 +292,116 @@ mod tests {
         }
     }
 
+    /// A random formula in which each of `0..vars` occurs, then a third as
+    /// many repeats.  Past [`SmallVars::CAP`] variables, the split starts
+    /// without knowing them all.
+    fn wide_formula(state: &mut u64, vars: u32) -> BoolExpr {
+        let repeats = (0..vars / 3).map(|_| next(state, u64::from(vars)) as u32);
+        let leaves: Vec<u32> = (0..vars).chain(repeats).collect();
+        join(state, &leaves)
+    }
+
+    /// `leaves` joined by `∧` / `∨` over random cuts, each part negated at
+    /// random.
+    fn join(state: &mut u64, leaves: &[u32]) -> BoolExpr {
+        let joined = match leaves {
+            [v] => BoolExpr::var(*v),
+            _ => {
+                let cut = 1 + next(state, leaves.len() as u64 - 1) as usize;
+                let (left, right) = (join(state, &leaves[..cut]), join(state, &leaves[cut..]));
+                match next(state, 2) {
+                    0 => BoolExpr::and2(left, right),
+                    _ => BoolExpr::or2(left, right),
+                }
+            }
+        };
+        match next(state, 3) {
+            0 => BoolExpr::not(joined),
+            _ => joined,
+        }
+    }
+
+    /// `is_satisfiable`, its fixed-variable form and `depends_on` on `f`,
+    /// each against brute force.
+    fn assert_agrees_with_brute_force(f: &BoolExpr, var: VarId) {
+        assert_eq!(is_satisfiable(f), brute_force_satisfiable(f), "{f:?}");
+        let fixed = |v: VarId| v.0 % 3 == 1;
+        let zeroed = substitute(f, &|v| fixed(v).then_some(BoolExpr::False));
+        assert_eq!(
+            is_satisfiable_given_false(f, fixed),
+            brute_force_satisfiable(&zeroed),
+            "{f:?} with every third variable 0"
+        );
+        let flips = BoolExpr::xor(
+            substitute_const(f, var, true),
+            substitute_const(f, var, false),
+        );
+        assert_eq!(
+            depends_on(f, var),
+            brute_force_satisfiable(&flips),
+            "{f:?} on {var}"
+        );
+    }
+
     #[test]
     fn every_shape_shortcut_agrees_with_brute_force() {
         let mut state = 0x9E37_79B9_7F4A_7C15;
         for case in 0..4000 {
             let vars = [3, 6, 7, 12, 20][case % 5];
             let f = random_formula(&mut state, 4, vars, case % 2 == 0);
-            assert_eq!(is_satisfiable(&f), brute_force_satisfiable(&f), "{f:?}");
-            let fixed = |v: VarId| v.0 % 3 == 1;
-            let zeroed = substitute(&f, &|v| fixed(v).then_some(BoolExpr::False));
+            assert_agrees_with_brute_force(&f, VarId(case as u32 % vars));
+        }
+        for vars in 17..=WIDEST {
+            let f = wide_formula(&mut state, vars);
+            assert!(f.variables().len() > SmallVars::CAP, "{f:?}");
+            assert_agrees_with_brute_force(&f, VarId(vars % 5));
+        }
+    }
+
+    /// The most variables a wide formula gets.  A true answer costs the
+    /// oracle all `2^n` assignments, seconds apiece past 20 variables
+    /// unoptimised, so only an optimised build goes up to 24.
+    const WIDEST: u32 = if cfg!(debug_assertions) { 20 } else { 24 };
+
+    /// `implies(f, g)` holds iff `f ≡ f ∧ g`, and `equivalent` is both
+    /// implications: checked on random pairs, on a formula and itself with
+    /// one variable set, and on a formula and its NNF.
+    #[test]
+    fn implication_and_equivalence_agree_with_brute_force() {
+        let mut state = 0x2545_F491_4F6C_DD1D;
+        let check = |f: &BoolExpr, g: &BoolExpr| {
+            let f_and_g = BoolExpr::and2(f.clone(), g.clone());
             assert_eq!(
-                is_satisfiable_given_false(&f, fixed),
-                brute_force_satisfiable(&zeroed),
-                "{f:?} with every third variable 0"
-            );
-            let var = VarId(case as u32 % vars);
-            let flips = BoolExpr::xor(
-                substitute_const(&f, var, true),
-                substitute_const(&f, var, false),
+                implies(f, g),
+                brute_force_equivalent(f, &f_and_g),
+                "{f:?} -> {g:?}"
             );
             assert_eq!(
-                depends_on(&f, var),
-                brute_force_satisfiable(&flips),
-                "{f:?} on {var}"
+                equivalent(f, g),
+                brute_force_equivalent(f, g),
+                "{f:?} == {g:?}"
             );
+        };
+        // The last two go past `SmallVars::CAP`; each true answer costs
+        // the oracle all `2^17` assignments.
+        for case in 0..1002 {
+            let raw = case % 2 == 0;
+            let (f, g, vars) = if case < 1000 {
+                let vars = [3, 6, 7, 12, 20][case as usize % 5];
+                let f = random_formula(&mut state, 4, vars, raw);
+                (f, random_formula(&mut state, 4, vars, raw), vars)
+            } else {
+                (
+                    wide_formula(&mut state, 17),
+                    wide_formula(&mut state, 17),
+                    17,
+                )
+            };
+            let set = substitute_const(&f, VarId(case % vars), raw);
+            check(&f, &g);
+            check(&f, &set);
+            check(&set, &f);
+            check(&f, &to_nnf(&f));
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Formula transformations: substitution, renaming, simplification, NNF, CNF.
+//! Formula transformations: substitution, renaming, simplification, NNF.
 //!
 //! These are the building blocks of the paper's §3 machinery:
 //! * `fs(u')[p_u/x]` — substituting a constant for a variable (independently
 //!   constraint node test, minimization algorithm lines 6, 11, 18),
 //! * `f[u1 ↦ u2]` — renaming variables (similarity and homomorphism checks),
+//!   and
 //! * substituting whole formulas for variables (transitive structural
-//!   predicates `ftr`), and
-//! * CNF conversion (used to quantify the B-twig OR-block blow-up).
+//!   predicates `ftr`).
 
 use std::collections::HashMap;
 
@@ -111,27 +111,10 @@ pub fn to_nnf(expr: &BoolExpr) -> BoolExpr {
 
 fn nnf_inner(expr: &BoolExpr, negated: bool) -> BoolExpr {
     match expr {
-        BoolExpr::True => {
-            if negated {
-                BoolExpr::False
-            } else {
-                BoolExpr::True
-            }
+        BoolExpr::True | BoolExpr::False | BoolExpr::Var(_) if negated => {
+            BoolExpr::not(expr.clone())
         }
-        BoolExpr::False => {
-            if negated {
-                BoolExpr::True
-            } else {
-                BoolExpr::False
-            }
-        }
-        BoolExpr::Var(v) => {
-            if negated {
-                BoolExpr::Not(Box::new(BoolExpr::Var(*v)))
-            } else {
-                BoolExpr::Var(*v)
-            }
-        }
+        BoolExpr::True | BoolExpr::False | BoolExpr::Var(_) => expr.clone(),
         BoolExpr::Not(e) => nnf_inner(e, !negated),
         BoolExpr::And(items) => {
             let converted = items.iter().map(|e| nnf_inner(e, negated));
@@ -148,112 +131,6 @@ fn nnf_inner(expr: &BoolExpr, negated: bool) -> BoolExpr {
             } else {
                 BoolExpr::or(converted)
             }
-        }
-    }
-}
-
-/// A literal: a variable or its negation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Literal {
-    /// The variable.
-    pub var: VarId,
-    /// `false` when the literal is the negation of the variable.
-    pub positive: bool,
-}
-
-impl Literal {
-    /// The complementary literal.
-    pub(crate) fn negated(self) -> Self {
-        Literal {
-            var: self.var,
-            positive: !self.positive,
-        }
-    }
-}
-
-/// A CNF formula: a conjunction of clauses, each a disjunction of literals.
-///
-/// `clauses` empty means `true`; an empty clause means `false`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Cnf {
-    /// The clauses.
-    pub clauses: Vec<Vec<Literal>>,
-}
-
-impl Cnf {
-    /// Number of clauses.
-    pub fn len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Whether there are no clauses (the formula `true`).
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-}
-
-/// Converts a formula to CNF by NNF + distribution.
-///
-/// Worst-case exponential, exactly like the OR-block construction the paper
-/// criticises; GTPQ evaluation never calls this, only the analysis of
-/// competing query representations does.
-pub fn to_cnf(expr: &BoolExpr) -> Cnf {
-    let nnf = to_nnf(&simplify(expr));
-    let clauses = cnf_clauses(&nnf);
-    let mut normalized: Vec<Vec<Literal>> = Vec::new();
-    'outer: for mut clause in clauses {
-        clause.sort_unstable();
-        clause.dedup();
-        // Drop tautological clauses containing p and !p.
-        for lit in &clause {
-            if clause.contains(&lit.negated()) {
-                continue 'outer;
-            }
-        }
-        if !normalized.contains(&clause) {
-            normalized.push(clause);
-        }
-    }
-    Cnf {
-        clauses: normalized,
-    }
-}
-
-fn cnf_clauses(expr: &BoolExpr) -> Vec<Vec<Literal>> {
-    match expr {
-        BoolExpr::True => vec![],
-        BoolExpr::False => vec![vec![]],
-        BoolExpr::Var(v) => vec![vec![Literal {
-            var: *v,
-            positive: true,
-        }]],
-        BoolExpr::Not(inner) => match **inner {
-            BoolExpr::Var(v) => vec![vec![Literal {
-                var: v,
-                positive: false,
-            }]],
-            _ => unreachable!("input must be in NNF"),
-        },
-        BoolExpr::And(items) => items.iter().flat_map(cnf_clauses).collect(),
-        BoolExpr::Or(items) => {
-            let mut result: Vec<Vec<Literal>> = vec![vec![]];
-            for item in items {
-                let item_clauses = cnf_clauses(item);
-                let mut next = Vec::with_capacity(result.len() * item_clauses.len().max(1));
-                for r in &result {
-                    for c in &item_clauses {
-                        let mut merged = r.clone();
-                        merged.extend_from_slice(c);
-                        next.push(merged);
-                    }
-                }
-                result = next;
-                if result.is_empty() {
-                    // One disjunct was `true`: the whole disjunction is true.
-                    return vec![];
-                }
-            }
-            result
         }
     }
 }
@@ -342,42 +219,5 @@ mod tests {
         let e = sample();
         assert!(brute_force_equivalent(&e, &simplify(&e)));
         assert!(brute_force_equivalent(&e, &to_nnf(&e)));
-    }
-
-    #[test]
-    fn cnf_is_equivalent_and_clausal() {
-        let e = sample();
-        let cnf = to_cnf(&e);
-        assert!(!cnf.is_empty());
-        // Rebuild a BoolExpr from the CNF and compare.
-        let rebuilt = BoolExpr::and(cnf.clauses.iter().map(|clause| {
-            BoolExpr::or(clause.iter().map(|lit| {
-                if lit.positive {
-                    BoolExpr::Var(lit.var)
-                } else {
-                    BoolExpr::not(BoolExpr::Var(lit.var))
-                }
-            }))
-        }));
-        assert!(brute_force_equivalent(&e, &rebuilt));
-        assert!(cnf.clauses.iter().all(|clause| !clause.is_empty()));
-    }
-
-    #[test]
-    fn cnf_of_constants() {
-        assert!(to_cnf(&BoolExpr::True).is_empty());
-        let f = to_cnf(&BoolExpr::False);
-        assert_eq!(f.clauses, vec![Vec::<Literal>::new()]);
-    }
-
-    #[test]
-    fn cnf_blowup_is_observable() {
-        // (a1 & b1) | (a2 & b2) | ... : CNF has 2^k clauses.
-        let k = 4;
-        let dnf = BoolExpr::or(
-            (0..k).map(|i| BoolExpr::and2(BoolExpr::var(2 * i), BoolExpr::var(2 * i + 1))),
-        );
-        let cnf = to_cnf(&dnf);
-        assert_eq!(cnf.len(), 1 << k);
     }
 }

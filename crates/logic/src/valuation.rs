@@ -1,52 +1,6 @@
-//! Truth assignments and formula evaluation.
+//! Formula evaluation under truth assignments.
 
 use crate::expr::{BoolExpr, VarId};
-
-/// A (possibly partial) truth assignment to propositional variables.
-///
-/// Variables are dense (they are query-node ids), so the assignment is a
-/// plain vector indexed by [`VarId`].  Unassigned variables evaluate as
-/// `false`, matching the paper's valuation `val[p] := 0` initialisation in
-/// `PruneDownward`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Valuation {
-    values: Vec<bool>,
-}
-
-impl Valuation {
-    /// Creates an all-false valuation able to hold `n` variables.
-    pub fn new(n: usize) -> Self {
-        Self {
-            values: vec![false; n],
-        }
-    }
-
-    /// Sets variable `var` to `value`, growing the assignment if needed.
-    pub(crate) fn set(&mut self, var: VarId, value: bool) {
-        if var.index() >= self.values.len() {
-            self.values.resize(var.index() + 1, false);
-        }
-        self.values[var.index()] = value;
-    }
-
-    /// The value of `var` (false when unassigned).
-    #[inline]
-    pub fn get(&self, var: VarId) -> bool {
-        self.values.get(var.index()).copied().unwrap_or(false)
-    }
-
-    /// Evaluates `expr` under this valuation.
-    pub(crate) fn eval(&self, expr: &BoolExpr) -> bool {
-        match expr {
-            BoolExpr::True => true,
-            BoolExpr::False => false,
-            BoolExpr::Var(v) => self.get(*v),
-            BoolExpr::Not(e) => !self.eval(e),
-            BoolExpr::And(items) => items.iter().all(|e| self.eval(e)),
-            BoolExpr::Or(items) => items.iter().any(|e| self.eval(e)),
-        }
-    }
-}
 
 /// Evaluates `expr` under the assignment given by `lookup`.
 ///
@@ -117,34 +71,17 @@ mod tests {
 
     #[test]
     fn eval_basic_connectives() {
-        let mut v = Valuation::new(3);
-        v.set(VarId(0), true);
-        v.set(VarId(2), true);
+        let mut value = |v: VarId| v == VarId(0) || v == VarId(2);
         let e = BoolExpr::and2(
             BoolExpr::var(0),
             BoolExpr::or2(BoolExpr::var(1), BoolExpr::var(2)),
         );
-        assert!(v.eval(&e));
+        assert!(eval_with(&e, &mut value));
         let e2 = BoolExpr::and2(BoolExpr::var(0), BoolExpr::var(1));
-        assert!(!v.eval(&e2));
-        assert!(v.eval(&BoolExpr::not(BoolExpr::var(1))));
-        assert!(v.eval(&BoolExpr::True));
-        assert!(!v.eval(&BoolExpr::False));
-    }
-
-    #[test]
-    fn unassigned_variables_default_to_false() {
-        let v = Valuation::new(0);
-        assert!(!v.get(VarId(7)));
-        assert!(!v.eval(&BoolExpr::var(7)));
-    }
-
-    #[test]
-    fn set_grows_the_assignment() {
-        let mut v = Valuation::new(1);
-        v.set(VarId(5), true);
-        assert!(v.get(VarId(5)));
-        assert!(!v.get(VarId(4)));
+        assert!(!eval_with(&e2, &mut value));
+        assert!(eval_with(&BoolExpr::not(BoolExpr::var(1)), &mut value));
+        assert!(eval_with(&BoolExpr::True, &mut value));
+        assert!(!eval_with(&BoolExpr::False, &mut value));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`graph`] | `gtpq-graph` | attributed data graphs, SCC condensation, traversal |
-//! | [`logic`] | `gtpq-logic` | propositional formulas, transforms, DPLL SAT |
+//! | [`logic`] | `gtpq-logic` | propositional formulas, transforms, truth-table SAT |
 //! | [`query`] | `gtpq-query` | the GTPQ model, structural predicates, naive oracle |
 //! | [`reach`] | `gtpq-reach` | condensation sweeps, 3-hop, SSPI |
 //! | [`sim`] | `gtpq-sim` | pivot-based vector-similarity filtering (block-and-verify) |

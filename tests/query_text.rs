@@ -9,9 +9,12 @@
 //!   panics, and whatever parses round-trips through `Display`,
 //! * parser failure modes assert exact error spans,
 //! * `QueryService::submit` of query text agrees with builder-constructed
-//!   evaluation.
+//!   evaluation,
+//! * a short text whose formula has no small clause form is checked for
+//!   satisfiability in milliseconds.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gtpq::datagen::{
     generate_arxiv, generate_dblp, generate_embed, generate_xmark, ArxivConfig, EmbedConfig,
@@ -275,4 +278,36 @@ fn submitted_text_agrees_with_the_builder_everywhere() {
     // And both agree with the naive semantic oracle.
     let expected = gtpq_query::naive::evaluate(&built, &graph);
     assert!(from_text.same_answer(&expected));
+}
+
+/// `r* { where (D) & (!(T0) | (T1) | … | (T6)) }`: `D` is `(/c0 as x0) |
+/// … | (/c7 as x7)`, and each `Ti` joins three clauses `(xa | !xb)` by `&`,
+/// with `a = n mod 8` and `b = (7n + 3) mod 8` over a running clause
+/// counter `n`.  Its formula distributes into a CNF too large to build,
+/// yet the satisfiability check `submit` runs right after parsing, before
+/// any deadline applies, must answer it in milliseconds.
+#[test]
+fn clause_heavy_text_is_checked_in_milliseconds() {
+    let declared: Vec<String> = (0..8).map(|i| format!("(/c{i} as x{i})")).collect();
+    let term = |t: usize| {
+        let clauses: Vec<String> = (3 * t..3 * t + 3)
+            .map(|n| format!("(x{} | !x{})", n % 8, (7 * n + 3) % 8))
+            .collect();
+        format!("({})", clauses.join(" & "))
+    };
+    let terms: Vec<String> = (1..7).map(term).collect();
+    let text = format!(
+        "r* {{ where ({}) & (!{} | {}) }}",
+        declared.join(" | "),
+        term(0),
+        terms.join(" | ")
+    );
+    assert_eq!(text.len(), 414, "{text}");
+    let service =
+        QueryService::with_config(Arc::new(generate_dblp(20, 3)), ServiceConfig::default());
+    let start = Instant::now();
+    let answer = service.submit(&QueryRequest::text(&text));
+    let took = start.elapsed();
+    assert!(answer.is_ok(), "{answer:?}");
+    assert!(took < Duration::from_secs(2), "{text} took {took:?}");
 }
