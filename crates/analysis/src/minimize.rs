@@ -11,11 +11,12 @@ use gtpq_query::{Gtpq, GtpqBuilder, QueryNodeId};
 
 /// Minimizes a GTPQ: returns an equivalent query with no more nodes.
 ///
-/// Following Algorithm 1, the pass removes (1) subtrees whose attribute
-/// predicate is unsatisfiable, (2) non-independently-constraint nodes,
-/// (3) subtrees whose complete structural predicate is unsatisfiable, and
+/// Following Algorithm 1, the pass removes predicate subtrees (1) whose
+/// attribute predicate is unsatisfiable, (2) of non-independently-constraint
+/// nodes, (3) whose complete structural predicate is unsatisfiable, and
 /// (4) subtrees that are subsumed by a similar sibling subtree whose variable
-/// is implied by the root's complete predicate.  Subtrees containing output
+/// is implied by the root's complete predicate, as long as the query left
+/// without them still implies it.  Subtrees containing output
 /// nodes are never removed (the paper relocates outputs onto isomorphic
 /// subtrees; we keep them in place, which can only make the result larger,
 /// never incorrect).
@@ -25,9 +26,14 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
 
     let protects_output = |q: &Gtpq, u: QueryNodeId| q.subtree(u).iter().any(|&d| q.is_output(d));
 
+    // Steps 1–3 remove predicate subtrees that can never match, setting
+    // their variable to 0.  A backbone node that can never match empties the
+    // answer instead (`fext` requires it), so it stays.
+    let removable = |u: QueryNodeId| !q.is_backbone(u);
+
     // Step 1: unsatisfiable attribute predicates.
     for u in q.node_ids().skip(1) {
-        if !q.node(u).attr.is_satisfiable() && !protects_output(q, u) {
+        if !q.node(u).attr.is_satisfiable() && removable(u) {
             remove_subtree(q, u, &mut removed, &mut fs, false);
         }
     }
@@ -35,7 +41,7 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
     // Step 2: non-independently-constraint nodes.
     let icn = independently_constraint_nodes(q);
     for u in q.node_ids().skip(1) {
-        if !icn[u.index()] && !removed[u.index()] && !protects_output(q, u) {
+        if !icn[u.index()] && !removed[u.index()] && removable(u) {
             remove_subtree(q, u, &mut removed, &mut fs, false);
         }
     }
@@ -43,7 +49,7 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
     // Step 3: unsatisfiable complete structural predicates.
     let analysis = StructuralAnalysis::new(q);
     for u in q.node_ids().skip(1) {
-        if removed[u.index()] || protects_output(q, u) {
+        if removed[u.index()] || !removable(u) {
             continue;
         }
         if !formula_sat(&analysis.complete[u.index()]) {
@@ -52,14 +58,15 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
     }
 
     // Step 4: subsumed sibling subtrees whose presence is already implied.
+    // A subsumed candidate matches wherever `u` does, so its variable may be
+    // set to 1 only while the query requires `u` without it: with `fs(root)
+    // = p1 | p2` over two equal children, `p1` is implied only through `p2`,
+    // and removing `p2` as 1 would leave `1`.  So each removal is tried on
+    // the current query and kept only when the result still implies `p_u`.
     let ftr = transitive_predicates(q, &icn);
-    let root_complete = analysis.root_complete();
+    let mut current = rebuild(q, &removed, &fs);
     for u in q.node_ids().skip(1) {
-        if removed[u.index()] {
-            continue;
-        }
-        let implied = implies(root_complete, &BoolExpr::Var(u.var()));
-        if !implied {
+        if removed[u.index()] || !requires(&current, u) {
             continue;
         }
         for candidate in q.node_ids().skip(1) {
@@ -67,12 +74,24 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
                 continue;
             }
             if subsumed(q, candidate, u, &icn, &ftr) {
-                remove_subtree(q, candidate, &mut removed, &mut fs, true);
+                let (mut trial_removed, mut trial_fs) = (removed.clone(), fs.clone());
+                remove_subtree(q, candidate, &mut trial_removed, &mut trial_fs, true);
+                let trial = rebuild(q, &trial_removed, &trial_fs);
+                if requires(&trial, u) {
+                    (removed, fs, current) = (trial_removed, trial_fs, trial);
+                }
             }
         }
     }
 
-    rebuild(q, &removed, &fs)
+    current.0
+}
+
+/// Whether the root's complete predicate of a rebuilt query implies the
+/// variable of `u` (a node of the original query, renamed by the rebuild).
+fn requires((query, mapping): &(Gtpq, HashMap<QueryNodeId, QueryNodeId>), u: QueryNodeId) -> bool {
+    let analysis = StructuralAnalysis::new(query);
+    implies(analysis.root_complete(), &BoolExpr::Var(mapping[&u].var()))
 }
 
 /// Marks the subtree rooted at `u` as removed and substitutes its variable in
@@ -94,8 +113,12 @@ fn remove_subtree(
 }
 
 /// Rebuilds a query from the surviving nodes, remapping structural-predicate
-/// variables to the new dense ids.
-fn rebuild(q: &Gtpq, removed: &[bool], fs: &[BoolExpr]) -> Gtpq {
+/// variables to the new dense ids; returns it with the id mapping.
+fn rebuild(
+    q: &Gtpq,
+    removed: &[bool],
+    fs: &[BoolExpr],
+) -> (Gtpq, HashMap<QueryNodeId, QueryNodeId>) {
     let mut b = GtpqBuilder::new(q.node(q.root()).attr.clone());
     let mut mapping: HashMap<QueryNodeId, QueryNodeId> = HashMap::new();
     mapping.insert(q.root(), b.root_id());
@@ -135,7 +158,7 @@ fn rebuild(q: &Gtpq, removed: &[bool], fs: &[BoolExpr]) -> Gtpq {
             b.mark_output(new);
         }
     }
-    b.build().expect("minimized query remains valid")
+    (b.build().expect("minimized query remains valid"), mapping)
 }
 
 #[cfg(test)]
@@ -178,6 +201,31 @@ mod tests {
         let m = minimize(&q);
         assert_eq!(m.size(), 2, "one duplicate predicate child must disappear");
         assert!(equivalent(&q, &m));
+    }
+
+    #[test]
+    fn a_disjunction_of_equal_siblings_keeps_requiring_them() {
+        // `p1 | p2` over two equal children: `p1` is implied only while `p2`
+        // is there to imply it, so removing `p2` as 1 would leave `1`, which
+        // answers every `[label >= l2]` node.
+        let q: Gtpq = "[label >= l2]* { where (/l2) | (/l2) }".parse().unwrap();
+        let m = minimize(&q);
+        assert_ne!(*m.fs(m.root()), BoolExpr::True, "{m}");
+        assert!(equivalent(&q, &m));
+        let g = example_graph();
+        assert_eq!(naive::evaluate(&m, &g), naive::evaluate(&q, &g));
+    }
+
+    #[test]
+    fn a_backbone_node_that_never_matches_stays() {
+        // `//b1` requires a child whose formula contradicts itself, so it
+        // matches nothing and neither does the query; without it the root
+        // alone would answer.
+        let q: Gtpq = "a1* { //b1 { where (/c1 as x) & !x } }".parse().unwrap();
+        let m = minimize(&q);
+        let g = example_graph();
+        assert!(naive::evaluate(&m, &g).is_empty(), "{m}");
+        assert!(!naive::evaluate(&"a1*".parse().unwrap(), &g).is_empty());
     }
 
     #[test]

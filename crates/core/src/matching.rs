@@ -205,9 +205,9 @@ mod tests {
     use gtpq_reach::ThreeHop;
 
     use crate::options::GteaOptions;
-    use crate::plan::PruneStep;
+    use crate::plan::{execute_candidates, PruneStep, QueryPlan};
     use crate::prime::{PrimeSubtree, ShrunkPrime};
-    use crate::prune::{initial_candidates, prune_downward, prune_upward};
+    use crate::prune::{prune_downward, prune_upward};
 
     use super::*;
 
@@ -218,7 +218,8 @@ mod tests {
         let index = ThreeHop::new(&g);
         let options = GteaOptions::default();
         let mut stats = EvalStats::default();
-        let mut mat = initial_candidates(&q, &g, &mut stats);
+        let plan = QueryPlan::fixed_pipeline(&q);
+        let mut mat = execute_candidates(&q, &g, &plan, &mut stats, &ExecCtl::unbounded()).unwrap();
         prune_downward(
             &q,
             &g,

@@ -37,28 +37,12 @@
 use std::time::{Duration, Instant};
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{AttrPredicate, CandidateSelection, EdgeKind, Gtpq, QueryNodeId};
+use gtpq_query::{AttrPredicate, EdgeKind, Gtpq, QueryNodeId};
 use gtpq_reach::{select_backend_for_query, BackendKind, GraphProfile};
 
 use crate::exec::{ExecCtl, Interrupt};
 use crate::prime::PrimeSubtree;
 use crate::stats::{EvalStats, OperatorStats};
-
-/// Folds one indexed candidate selection into the evaluation counters —
-/// shared by [`execute_candidates`] and
-/// [`prune::initial_candidates`](crate::prune::initial_candidates) so the
-/// two paths cannot drift in how they account index hits vs scanned nodes.
-pub(crate) fn record_selection(selection: &CandidateSelection, stats: &mut EvalStats) {
-    stats.initial_candidates += selection.nodes.len() as u64;
-    stats.input_nodes += selection.verified;
-    stats.scanned_nodes += selection.verified;
-    stats.index_lookups += selection.posting_entries;
-    stats.sim_pivot_filtered += selection.sim_pivot_filtered;
-    stats.sim_verified += selection.sim_verified;
-    if selection.from_index {
-        stats.index_hits += selection.nodes.len() as u64;
-    }
-}
 
 /// How one query node's initial candidates are selected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,12 +92,14 @@ pub struct PruneStep {
 }
 
 impl PruneStep {
-    /// The seed's prune order: every internal node, bottom-up by query-node
-    /// id, with no estimates.  The planner-less baseline order.
+    /// The seed's prune order: every read internal node (see
+    /// [`Gtpq::unread_nodes`]), bottom-up by query-node id, with no
+    /// estimates.  The planner-less baseline order.
     pub fn bottom_up(q: &Gtpq) -> Vec<PruneStep> {
+        let unread = q.unread_nodes();
         q.bottom_up_order()
             .into_iter()
-            .filter(|&u| !q.node(u).is_leaf())
+            .filter(|&u| !q.node(u).is_leaf() && !unread[u.index()])
             .map(|node| PruneStep {
                 node,
                 estimated_rows: 0,
@@ -136,9 +122,10 @@ pub struct PlannedBackend {
 /// executes, with per-operator cardinality estimates.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
-    /// Candidate selection, one step per query node, in execution order.
+    /// Candidate selection, one step per read query node (see
+    /// [`Gtpq::unread_nodes`]), in execution order.
     pub candidates: Vec<CandidateStep>,
-    /// Downward-prune steps over internal query nodes.  Executed in a
+    /// Downward-prune steps over read internal query nodes.  Executed in a
     /// children-first repair of this order (see
     /// [`normalized_prune_down`](Self::normalized_prune_down)).
     ///
@@ -161,14 +148,17 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The seed's hard-wired pipeline as an explicit plan: index scans
-    /// everywhere, prune order by query-node id (bottom-up), no backend
-    /// recommendation, no estimates.  Used as the planner-less baseline by
-    /// the perturbed-plan property test and the plan-cache tests.
+    /// The seed's hard-wired pipeline as an explicit plan: index scans for
+    /// every read node (see [`Gtpq::unread_nodes`]), prune order by
+    /// query-node id (bottom-up), no backend recommendation, no estimates.
+    /// Used as the planner-less baseline by the perturbed-plan property test,
+    /// the plan-cache tests and the prune rounds' unit tests.
     pub fn fixed_pipeline(q: &Gtpq) -> Self {
+        let unread = q.unread_nodes();
         QueryPlan {
             candidates: q
                 .node_ids()
+                .filter(|u| !unread[u.index()])
                 .map(|node| CandidateStep {
                     node,
                     access: AccessPath::IndexScan,
@@ -190,19 +180,24 @@ impl QueryPlan {
     /// Repairs [`prune_down`](Self::prune_down) into a valid execution order:
     /// children before parents (downward pruning is exact only bottom-up),
     /// honouring the plan's relative order among independent nodes, with any
-    /// internal nodes missing from the plan appended bottom-up.
+    /// read internal nodes missing from the plan appended bottom-up.  Unread
+    /// nodes ([`Gtpq::unread_nodes`]) get no step: no formula reads what
+    /// pruning them would decide.
     ///
     /// This is what makes arbitrary plan perturbations safe: a shuffled or
     /// truncated prune list still executes as *some* children-first order, so
     /// the answer cannot change — only the pruning efficiency can.
     pub fn normalized_prune_down(&self, q: &Gtpq) -> Vec<PruneStep> {
+        // An internal node is ready once its read internal children ran.
+        let mut done = q.unread_nodes();
         let internal: Vec<QueryNodeId> = q
             .bottom_up_order()
             .into_iter()
-            .filter(|&u| !q.node(u).is_leaf())
+            .filter(|&u| !q.node(u).is_leaf() && !done[u.index()])
             .collect();
-        // Requested sequence: first occurrence wins, unknown nodes dropped,
-        // missing internal nodes appended in bottom-up order (estimate 0).
+        // Requested sequence: first occurrence wins, unknown and unread
+        // nodes dropped, missing internal nodes appended in bottom-up order
+        // (estimate 0).
         let mut requested: Vec<PruneStep> = Vec::with_capacity(internal.len());
         for step in &self.prune_down {
             if internal.contains(&step.node) && !requested.iter().any(|s| s.node == step.node) {
@@ -222,7 +217,6 @@ impl QueryPlan {
         // the query is a tree (some leaf-most requested node is always
         // ready); O(n²) on query sizes that are tens of nodes at most.
         let mut order: Vec<PruneStep> = Vec::with_capacity(requested.len());
-        let mut done = vec![false; q.size()];
         while order.len() < requested.len() {
             let next = requested
                 .iter()
@@ -245,6 +239,7 @@ impl QueryPlan {
     /// QueryPlan (est. probes 42)
     ///   IndexScan u1 [label = b1]      est 2 rows
     ///   …
+    ///   Unread u6 u7
     ///   PruneDown u0                   est 1 rows
     ///   PruneUp (prime subtree)        est 3 rows
     ///   MatchingGraph                  est 6 rows
@@ -252,7 +247,9 @@ impl QueryPlan {
     /// ```
     ///
     /// The header names the recommended backend only when the plan carries
-    /// one: `QueryPlan (backend: 3hop — per-query: …; est. probes 42)`.
+    /// one: `QueryPlan (backend: 3hop — per-query: …; est. probes 42)`.  The
+    /// `Unread` line lists the nodes that got no step
+    /// ([`Gtpq::unread_nodes`]); it is left out when there are none.
     pub fn render(&self, q: &Gtpq) -> String {
         self.render_lines(q, None)
     }
@@ -316,6 +313,14 @@ impl QueryPlan {
             let _ = write!(label, "{} {}", step.access.name(), step.node);
             let attr = &q.node(step.node).attr;
             line(&mut out, &label, &label, Some(attr), step.estimated_rows);
+            out.push('\n');
+        }
+        let unread = q.unread_nodes();
+        if unread.contains(&true) {
+            out.push_str("  Unread");
+            for u in q.node_ids().filter(|u| unread[u.index()]) {
+                let _ = write!(out, " {u}");
+            }
             out.push('\n');
         }
         for step in self.normalized_prune_down(q) {
@@ -422,15 +427,26 @@ impl<'g> Planner<'g> {
         self
     }
 
-    /// Builds the cost-based plan for `q`.
+    /// Builds the cost-based plan for `q`.  Unread nodes
+    /// ([`Gtpq::unread_nodes`]) get no candidate step, no prune step and no
+    /// share of the probe estimate.
     pub fn plan(&self, q: &Gtpq) -> QueryPlan {
         let g = self.graph;
         let n = g.node_count() as u64;
+        let unread = q.unread_nodes();
+        let read = |u: &QueryNodeId| !unread[u.index()];
 
-        // Per-node candidate estimates from posting lengths.
+        // Per-node candidate estimates from posting lengths (0 for unread
+        // nodes, which select nothing).
         let est: Vec<u64> = q
             .node_ids()
-            .map(|u| q.estimate_candidates(g, u) as u64)
+            .map(|u| {
+                if read(&u) {
+                    q.estimate_candidates(g, u) as u64
+                } else {
+                    0
+                }
+            })
             .collect();
 
         // Access paths: index scans unless the predicate needs per-node
@@ -439,6 +455,7 @@ impl<'g> Planner<'g> {
         // near-full verification scan.
         let mut candidates: Vec<CandidateStep> = q
             .node_ids()
+            .filter(read)
             .map(|u| {
                 let attr = &q.node(u).attr;
                 let indexable = attr.is_fully_indexable();
@@ -465,21 +482,25 @@ impl<'g> Planner<'g> {
         // an upper bound) answers the whole query with one probe.
         candidates.sort_by_key(|s| s.estimated_rows);
 
-        // Crude post-prune survivor estimate: every child constraint roughly
-        // halves a candidate set, capped at 1/16th.  Deliberately simple —
-        // the executor records the actuals so the model can be judged.
+        // Crude post-prune survivor estimate: every read child's constraint
+        // roughly halves a candidate set, capped at 1/16th.  Deliberately
+        // simple — the executor records the actuals so the model can be
+        // judged.
+        let read_children = |u: QueryNodeId| q.children(u).iter().filter(|c| read(c));
         let est_out = |u: QueryNodeId| -> u64 {
-            let shift = q.children(u).len().min(4) as u32;
+            let shift = read_children(u).count().min(4) as u32;
             (est[u.index()] >> shift).max(1)
         };
 
         // Downward prune steps: children-first, cheapest candidate set first
         // among the ready nodes (normalized_prune_down preserves this order
         // because it is already a valid children-first order).
-        let mut internal: Vec<QueryNodeId> =
-            q.node_ids().filter(|&u| !q.node(u).is_leaf()).collect();
+        let mut internal: Vec<QueryNodeId> = q
+            .node_ids()
+            .filter(|u| !q.node(*u).is_leaf() && read(u))
+            .collect();
         let mut prune_down: Vec<PruneStep> = Vec::with_capacity(internal.len());
-        let mut done = vec![false; q.size()];
+        let mut done = unread.clone();
         while !internal.is_empty() {
             let ready = internal
                 .iter()
@@ -501,17 +522,12 @@ impl<'g> Planner<'g> {
         }
 
         // Probe estimate: downward issues one prepared-probe call per
-        // candidate of an internal node per AD child; upward one per
-        // candidate of each prime child reached through an AD edge.
+        // candidate of a read internal node per read AD child; upward one
+        // per candidate of each prime child reached through an AD edge.
         let prime = PrimeSubtree::new(q);
         let mut probes: u64 = 0;
-        for u in q.node_ids() {
-            if q.node(u).is_leaf() {
-                continue;
-            }
-            let ad_children = q
-                .children(u)
-                .iter()
+        for u in q.node_ids().filter(read) {
+            let ad_children = read_children(u)
                 .filter(|&&c| q.incoming_edge(c) != Some(EdgeKind::Child))
                 .count() as u64;
             probes = probes.saturating_add(est[u.index()].saturating_mul(ad_children));
@@ -570,9 +586,11 @@ impl<'g> Planner<'g> {
 /// orders steps by ascending estimate, so guaranteed-empty postings
 /// (estimate 0 — the estimate is an upper bound) bail out after one probe.
 ///
-/// Robust against hand-written plans: query nodes missing from the plan are
-/// appended as index scans, steps naming unknown nodes are ignored, and
-/// duplicate steps keep the first occurrence.
+/// Unread nodes ([`Gtpq::unread_nodes`]) select nothing: their sets stay
+/// empty, and no formula reads them.  Robust against hand-written plans:
+/// read query nodes missing from the plan are appended as index scans,
+/// steps naming unknown or unread nodes are ignored, and duplicate steps
+/// keep the first occurrence.
 ///
 /// `ctl` is polled at every step boundary; deadline expiry or cancellation
 /// aborts with an [`Interrupt`].  `stats.candidate_time` accumulates the
@@ -597,8 +615,9 @@ fn execute_candidates_inner(
     stats: &mut EvalStats,
     ctl: &ExecCtl,
 ) -> Result<Vec<Vec<NodeId>>, Interrupt> {
+    // Unread nodes count as seen: no step selects for them.
+    let mut seen = q.unread_nodes();
     let mut order: Vec<CandidateStep> = Vec::with_capacity(q.size());
-    let mut seen = vec![false; q.size()];
     for step in &plan.candidates {
         if step.node.index() < q.size() && !seen[step.node.index()] {
             seen[step.node.index()] = true;
@@ -625,21 +644,26 @@ fn execute_candidates_inner(
         let nodes = match step.access {
             // A pivot scan is the indexed selection with sim conjuncts in
             // the predicate: `select_candidates` routes them through the
-            // graph's pivot tables and reports the filter counters, which
-            // `record_selection` folds into the sim stats.
+            // graph's pivot tables and reports the filter counters.
             AccessPath::IndexScan | AccessPath::PivotScan => {
                 let selection = q.candidates_indexed(g, u);
-                record_selection(&selection, stats);
+                stats.input_nodes += selection.verified;
+                stats.scanned_nodes += selection.verified;
+                stats.index_lookups += selection.posting_entries;
+                stats.sim_pivot_filtered += selection.sim_pivot_filtered;
+                stats.sim_verified += selection.sim_verified;
+                if selection.from_index {
+                    stats.index_hits += selection.nodes.len() as u64;
+                }
                 selection.nodes
             }
             AccessPath::FullScan => {
                 stats.input_nodes += g.node_count() as u64;
                 stats.scanned_nodes += g.node_count() as u64;
-                let nodes = q.candidates(g, u);
-                stats.initial_candidates += nodes.len() as u64;
-                nodes
+                q.candidates(g, u)
             }
         };
+        stats.initial_candidates += nodes.len() as u64;
         span.field("est_rows", step.estimated_rows);
         span.field("actual_rows", nodes.len());
         drop(span);
@@ -799,6 +823,54 @@ mod tests {
             .normalized_prune_down(&q)
             .iter()
             .all(|s| s.node.index() < q.size()));
+    }
+
+    #[test]
+    fn unread_nodes_get_no_step_even_when_a_plan_names_them() {
+        let g = example_graph();
+        let q: Gtpq = "a1* { //b1* where ((//c1 { where (//e1) }) | 1) }"
+            .parse()
+            .unwrap();
+        let mut plan = Planner::new(&g).plan(&q);
+        let nodes = |steps: &[CandidateStep]| -> Vec<u32> {
+            let mut ids: Vec<u32> = steps.iter().map(|s| s.node.0).collect();
+            ids.sort();
+            ids
+        };
+        assert_eq!(nodes(&plan.candidates), [0, 1]);
+        assert!(plan.prune_down.iter().all(|s| s.node == q.root()));
+        let text = plan.render(&q);
+        assert!(text.contains("\n  Unread u2 u3\n  PruneDown u0 "), "{text}");
+
+        // A hand-written plan that names them is ignored for them.
+        for node in [QueryNodeId(2), QueryNodeId(3)] {
+            plan.candidates.push(CandidateStep {
+                node,
+                access: AccessPath::FullScan,
+                estimated_rows: 0,
+            });
+        }
+        plan.prune_down.insert(
+            0,
+            PruneStep {
+                node: QueryNodeId(2),
+                estimated_rows: 0,
+            },
+        );
+        let normalized = plan.normalized_prune_down(&q);
+        assert_eq!(
+            normalized.iter().map(|s| s.node).collect::<Vec<_>>(),
+            [q.root()]
+        );
+        let mut stats = EvalStats::default();
+        let mat = execute_candidates(&q, &g, &plan, &mut stats, &ExecCtl::unbounded()).unwrap();
+        assert!(mat[2].is_empty() && mat[3].is_empty());
+        assert_eq!(stats.operators.len(), 2);
+        let read: usize = [0, 1]
+            .map(|u| q.candidates(&g, QueryNodeId(u)).len())
+            .iter()
+            .sum();
+        assert_eq!(stats.initial_candidates, read as u64);
     }
 
     #[test]

@@ -50,29 +50,6 @@ fn column(
     Ok(words)
 }
 
-/// Selects the initial candidate matching nodes `mat(u)` for every query node
-/// through the graph's attribute inverted index.
-///
-/// Indexable predicates (equalities, integer ranges) are answered by
-/// posting-list intersection without touching any node; only non-indexable
-/// comparisons (`!=`, string ranges) verify an index-restricted superset per
-/// node.  `stats.input_nodes` counts exactly the nodes whose attribute tuples
-/// were read (the seed charged `|V|` once per query node, inflating the
-/// figure-level `#input` metric `|Q|`-fold); index-served candidates and
-/// scanned nodes are reported separately as `index_hits` / `scanned_nodes`,
-/// and posting entries read count towards `index_lookups`.
-pub fn initial_candidates(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
-    let start = Instant::now();
-    let mut mat: Vec<Vec<NodeId>> = vec![Vec::new(); q.size()];
-    for u in q.node_ids() {
-        let selection = q.candidates_indexed(g, u);
-        crate::plan::record_selection(&selection, stats);
-        mat[u.index()] = selection.nodes;
-    }
-    stats.candidate_time += start.elapsed();
-    mat
-}
-
 /// `PruneDownward` (Procedure 6): removes candidates that do not satisfy the
 /// downward structural constraints of their query node.
 ///
@@ -374,6 +351,14 @@ mod tests {
     use gtpq_reach::{BackendKind, SharedIndex, ThreeHop};
 
     use super::*;
+    use crate::plan::{execute_candidates, QueryPlan};
+
+    /// The fixed pipeline's candidate sets: every read node's, through the
+    /// index.
+    fn selected(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
+        let plan = QueryPlan::fixed_pipeline(q);
+        execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap()
+    }
 
     #[test]
     fn downward_pruning_matches_naive_downward_semantics() {
@@ -382,7 +367,7 @@ mod tests {
         let index = ThreeHop::new(&g);
         let options = GteaOptions::default();
         let mut stats = EvalStats::default();
-        let mut mat = initial_candidates(&q, &g, &mut stats);
+        let mut mat = selected(&q, &g, &mut stats);
         prune_downward(
             &q,
             &g,
@@ -394,12 +379,7 @@ mod tests {
             &ExecCtl::unbounded(),
         )
         .unwrap();
-        let table = naive::downward_matches(&q, &g);
-        for u in q.node_ids() {
-            let expected: Vec<NodeId> =
-                g.nodes().filter(|&v| table[u.index()][v.index()]).collect();
-            assert_eq!(mat[u.index()], expected, "mismatch at {u}");
-        }
+        assert_eq!(mat, oracle(&g, &q, false));
         assert!(stats.initial_candidates > 0);
         assert!(stats.candidates_after_downward <= stats.initial_candidates);
     }
@@ -409,7 +389,7 @@ mod tests {
         let g = example_graph();
         let q = example_query();
         let mut stats = EvalStats::default();
-        let mat = initial_candidates(&q, &g, &mut stats);
+        let mat = selected(&q, &g, &mut stats);
         // The seed charged |V| once per query node; the indexed path reads
         // posting lists instead, so `#input` stays below the |Q|·|V| blowup.
         assert!(
@@ -424,8 +404,9 @@ mod tests {
         // ranges, which verify an index-restricted superset).
         assert_eq!(stats.input_nodes, stats.scanned_nodes);
         assert!(stats.index_lookups > 0);
-        // The indexed selection equals the full scan.
-        for u in q.node_ids() {
+        // The indexed selection equals the full scan on every read node.
+        let unread = q.unread_nodes();
+        for u in q.node_ids().filter(|u| !unread[u.index()]) {
             assert_eq!(mat[u.index()], q.candidates(&g, u), "mismatch at {u}");
         }
 
@@ -440,7 +421,7 @@ mod tests {
         b.mark_output(child);
         let eq_query = b.build().unwrap();
         let mut eq_stats = EvalStats::default();
-        let eq_mat = initial_candidates(&eq_query, &g, &mut eq_stats);
+        let eq_mat = selected(&eq_query, &g, &mut eq_stats);
         assert_eq!(eq_stats.scanned_nodes, 0);
         assert_eq!(eq_stats.input_nodes, 0);
         assert_eq!(eq_stats.index_hits, eq_stats.initial_candidates);
@@ -448,6 +429,16 @@ mod tests {
         for u in eq_query.node_ids() {
             assert_eq!(eq_mat[u.index()], eq_query.candidates(&g, u));
         }
+
+        // An unread branch selects nothing and counts nothing.
+        let inert: Gtpq = "a1* { //b1* where ((//c1 { where (//e1) }) | 1) }"
+            .parse()
+            .unwrap();
+        let mut inert_stats = EvalStats::default();
+        let inert_mat = selected(&inert, &g, &mut inert_stats);
+        assert_eq!(inert.unread_nodes(), [false, false, true, true]);
+        assert!(inert_mat[2].is_empty() && inert_mat[3].is_empty());
+        assert_eq!(inert_stats.initial_candidates, eq_stats.initial_candidates);
     }
 
     /// A graph whose AD edges cross a two-node cycle (`b1 ⇄ c2`), a
@@ -477,6 +468,15 @@ mod tests {
         (b.build(), q)
     }
 
+    /// The cyclic fixture's graph under a query with an unread branch two
+    /// levels deep beside the read ones.
+    fn inert_fixture() -> (DataGraph, Gtpq) {
+        let (g, _) = cyclic_fixture();
+        let text = "a* { //b* { //c* where !(//b) | //d } \
+                    where ((//c { where (//d) & ((/b) | 1) }) | 1) & !(//d { where 0 }) }";
+        (g, gtpq_query::parse_query(text).unwrap())
+    }
+
     /// Every backend of `BackendKind::ALL` built on `g`, then `g`'s bare
     /// condensation: what the pairwise arm can probe.
     fn backends(g: &DataGraph) -> Vec<SharedIndex> {
@@ -498,7 +498,7 @@ mod tests {
         upward: bool,
     ) -> Vec<Vec<NodeId>> {
         let mut stats = EvalStats::default();
-        let mut mat = initial_candidates(q, g, &mut stats);
+        let mut mat = selected(q, g, &mut stats);
         let ctl = ExecCtl::unbounded();
         let steps = PruneStep::bottom_up(q);
         prune_downward(q, g, index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
@@ -509,15 +509,20 @@ mod tests {
         mat
     }
 
-    /// The naive evaluator's downward table as candidate sets, then (when
-    /// `upward`) the upward round re-done by BFS: a prime child's candidate
-    /// survives when a surviving candidate of its prime parent reaches it
-    /// (is its graph parent, on a PC edge).
+    /// The naive evaluator's downward table as candidate sets of the read
+    /// nodes (unread ones select nothing), then (when `upward`) the upward
+    /// round re-done by BFS: a prime child's candidate survives when a
+    /// surviving candidate of its prime parent reaches it (is its graph
+    /// parent, on a PC edge).
     fn oracle(g: &DataGraph, q: &Gtpq, upward: bool) -> Vec<Vec<NodeId>> {
         let table = naive::downward_matches(q, g);
+        let unread = q.unread_nodes();
         let mut mat: Vec<Vec<NodeId>> = q
             .node_ids()
-            .map(|u| g.nodes().filter(|&v| table[u.index()][v.index()]).collect())
+            .map(|u| {
+                let matches = |v: &NodeId| table[u.index()][v.index()] && !unread[u.index()];
+                g.nodes().filter(matches).collect()
+            })
             .collect();
         if upward {
             let prime = PrimeSubtree::new(q);
@@ -538,7 +543,11 @@ mod tests {
 
     #[test]
     fn pairwise_downward_pruning_gives_the_same_result() {
-        for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
+        for (g, q) in [
+            (example_graph(), example_query()),
+            cyclic_fixture(),
+            inert_fixture(),
+        ] {
             let expected = oracle(&g, &q, false);
             for index in backends(&g) {
                 let swept = pruned(&g, &q, &*index, &GteaOptions::default(), false);
@@ -551,7 +560,11 @@ mod tests {
 
     #[test]
     fn pairwise_upward_pruning_gives_the_same_result() {
-        for (g, q) in [(example_graph(), example_query()), cyclic_fixture()] {
+        for (g, q) in [
+            (example_graph(), example_query()),
+            cyclic_fixture(),
+            inert_fixture(),
+        ] {
             let expected = oracle(&g, &q, true);
             for index in backends(&g) {
                 let swept = pruned(&g, &q, &*index, &GteaOptions::default(), true);
@@ -578,7 +591,7 @@ mod tests {
         let index = BackendKind::Sspi.build_shared(&g);
         let tracer = crate::Tracer::enabled();
         let ctl = ExecCtl::unbounded().with_tracer(tracer.clone());
-        let mut mat = initial_candidates(&q, &g, &mut EvalStats::default());
+        let mut mat = selected(&q, &g, &mut EvalStats::default());
         let mut stats = EvalStats::default();
         let options = GteaOptions::default();
         let steps = PruneStep::bottom_up(&q);
@@ -630,7 +643,7 @@ mod tests {
         let index = ThreeHop::new(&g);
         let options = GteaOptions::default();
         let mut stats = EvalStats::default();
-        let mut mat = initial_candidates(&q, &g, &mut stats);
+        let mut mat = selected(&q, &g, &mut stats);
         prune_downward(
             &q,
             &g,

@@ -40,7 +40,7 @@ pub struct EvalStats {
     /// over every source:
     ///
     /// * candidate selection: posting-list entries read
-    ///   (`plan::record_selection`);
+    ///   (`plan::execute_candidates`);
     /// * the prune rounds: condensation edges visited by each AD child's
     ///   [`reaching`](gtpq_graph::sweep::reaching) race, both sides, and
     ///   adjacency entries read for PC children (the marked parents or the
@@ -56,7 +56,8 @@ pub struct EvalStats {
     /// number of nodes plus edges of the maximal matching graph, following the
     /// paper's accounting.
     pub intermediate_size: u64,
-    /// Total number of initial candidate matching nodes (Σ |mat(u)|).
+    /// Total number of initial candidate matching nodes (Σ |mat(u)| over
+    /// the read nodes: unread ones select none).
     pub initial_candidates: u64,
     /// Initial candidates served without per-node attribute checks
     /// (posting-list intersections, or trivially for wildcard predicates).

@@ -648,9 +648,9 @@ mod tests {
     use gtpq_reach::ThreeHop;
 
     use crate::options::GteaOptions;
-    use crate::plan::PruneStep;
+    use crate::plan::{execute_candidates, PruneStep, QueryPlan};
     use crate::prime::{PrimeSubtree, ShrunkPrime};
-    use crate::prune::{initial_candidates, prune_downward, prune_upward};
+    use crate::prune::{prune_downward, prune_upward};
     use crate::stats::EvalStats;
 
     use super::*;
@@ -662,7 +662,8 @@ mod tests {
         let options = GteaOptions::default();
         let ctl = ExecCtl::unbounded();
         let mut stats = EvalStats::default();
-        let mut mat = initial_candidates(&q, &g, &mut stats);
+        let plan = QueryPlan::fixed_pipeline(&q);
+        let mut mat = execute_candidates(&q, &g, &plan, &mut stats, &ctl).unwrap();
         prune_downward(
             &q,
             &g,

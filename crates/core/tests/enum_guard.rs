@@ -12,9 +12,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use gtpq_core::matching::MatchingGraph;
+use gtpq_core::plan::execute_candidates;
 use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
-use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
-use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, StreamSource};
+use gtpq_core::prune::{prune_downward, prune_upward};
+use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, QueryPlan, StreamSource};
 use gtpq_datagen::{generate_arxiv, ArxivConfig};
 use gtpq_graph::{DataGraph, GraphBuilder, NodeId};
 use gtpq_query::{parse_query, Gtpq, ResultSet};
@@ -66,7 +67,8 @@ fn build_matching(g: &DataGraph, q: &Gtpq) -> (Vec<Vec<NodeId>>, ShrunkPrime, Ma
     let options = GteaOptions::default();
     let ctl = ExecCtl::unbounded();
     let mut stats = EvalStats::default();
-    let mut mat = initial_candidates(q, g, &mut stats);
+    let plan = QueryPlan::fixed_pipeline(q);
+    let mut mat = execute_candidates(q, g, &plan, &mut stats, &ctl).unwrap();
     let steps = PruneStep::bottom_up(q);
     prune_downward(q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
     let prime = PrimeSubtree::new(q);

@@ -6,13 +6,17 @@
 //!   to pairwise probing fails here without timing anything.
 //! * Under default options no stage may ask a reachability index anything:
 //!   an index whose every probe panics answers like the naive evaluator.
+//! * A node no formula reads gets no candidate selection and no prune step.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gtpq_core::matching::MatchingGraph;
+use gtpq_core::plan::execute_candidates;
 use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
-use gtpq_core::prune::{initial_candidates, prune_downward, prune_upward};
-use gtpq_core::{EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, PruneStep};
+use gtpq_core::prune::{prune_downward, prune_upward};
+use gtpq_core::{
+    EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, PruneStep, QueryPlan,
+};
 use gtpq_datagen::{
     dblp_queries, fig11_gtpq, generate_arxiv, generate_dblp, generate_xmark, xmark_q1, xmark_q2,
     xmark_q3, ArxivConfig, Fig11Predicate, XmarkConfig,
@@ -30,10 +34,16 @@ fn condensation_edges(g: &DataGraph) -> usize {
     components.map(|&c| cond.successors(c).len()).sum()
 }
 
+/// The fixed pipeline's candidate sets of `q` on `g`.
+fn selected(g: &DataGraph, q: &Gtpq, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
+    let plan = QueryPlan::fixed_pipeline(q);
+    execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap()
+}
+
 /// `#index` of the two prune rounds of `q` on `g` (candidate selection's
 /// posting-list reads excluded).
 fn prune_index_lookups(g: &DataGraph, q: &Gtpq, index: &Sspi, options: &GteaOptions) -> u64 {
-    let mut mat = initial_candidates(q, g, &mut EvalStats::default());
+    let mut mat = selected(g, q, &mut EvalStats::default());
     let mut stats = EvalStats::default();
     let ctl = ExecCtl::unbounded();
     let steps = PruneStep::bottom_up(q);
@@ -107,6 +117,56 @@ fn a_child_under_or_true_costs_nothing() {
 }
 
 #[test]
+fn dis1_selects_and_prunes_only_the_nodes_its_formulas_read() {
+    // Table 4's DIS1: `bidder` and `seller` are read through the root's
+    // `|`, and each carries an inert `((…) | 1)` branch (`bidder`'s two
+    // levels deep); `item4`'s `mailbox` reads no `mail` either.
+    let g = generate_xmark(&XmarkConfig::with_scale(0.2));
+    let q = fig11_gtpq(Fig11Predicate::Dis1, 0, 1);
+    let unread = q.unread_nodes();
+    let unread_ids: Vec<u32> = q
+        .node_ids()
+        .filter(|u| unread[u.index()])
+        .map(|u| u.0)
+        .collect();
+    assert_eq!(unread_ids, [4, 6, 7, 8, 9, 11, 12], "{q}");
+
+    let plan = Planner::new(&g).plan(&q);
+    let scheduled = plan.candidates.iter().map(|s| s.node);
+    let pruned = plan.normalized_prune_down(&q).into_iter().map(|s| s.node);
+    for u in scheduled.chain(pruned) {
+        assert!(!unread[u.index()], "{u} is unread but has a step");
+    }
+    assert_eq!(plan.candidates.len(), q.size() - unread_ids.len());
+    // `bidder` (u5) is read and its formula folds to `1`: it keeps its step.
+    assert!(plan.prune_down.iter().any(|s| s.node.0 == 5));
+
+    let exec = GteaEngine::new(&g)
+        .execute(&q, &plan, ExecOptions::unbounded())
+        .expect("unbounded execution cannot be interrupted");
+    assert!(!exec.results.is_empty(), "{q} has rows");
+    assert_eq!(exec.results, naive::evaluate(&q, &g));
+    // `initial_candidates` counts the read nodes' candidates, no more.
+    let candidates = |read: bool| -> u64 {
+        let nodes = q.node_ids().filter(|u| unread[u.index()] != read);
+        nodes.map(|u| q.candidates(&g, u).len() as u64).sum()
+    };
+    assert_eq!(exec.stats.initial_candidates, candidates(true));
+    assert!(candidates(false) > 0, "the unread nodes would select rows");
+    for op in &exec.stats.operators {
+        let node = op
+            .label
+            .rsplit_once(" u")
+            .and_then(|(_, id)| id.parse::<usize>().ok());
+        assert!(
+            node.is_none_or(|u| !unread[u]),
+            "operator `{}` ran on an unread node",
+            op.label
+        );
+    }
+}
+
+#[test]
 fn matching_graph_costs_one_bounded_pass_per_ad_child() {
     // `arxiv_enum`'s year-window citation joins (AD edges between large
     // candidate sets) and the paper's Q3 (one AD edge among PC ones).
@@ -132,7 +192,7 @@ fn matching_graph_costs_one_bounded_pass_per_ad_child() {
         let cond_edges = condensation_edges(g) as u64;
         let build = || {
             let mut stats = EvalStats::default();
-            let mut mat = initial_candidates(&q, g, &mut stats);
+            let mut mat = selected(g, &q, &mut stats);
             let steps = PruneStep::bottom_up(&q);
             prune_downward(&q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
             let prime = PrimeSubtree::new(&q);

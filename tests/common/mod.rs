@@ -146,11 +146,41 @@ fn emb_row(rng: &mut StdRng) -> Vec<f32> {
 /// before predicate children), so a query whose outputs are marked in node
 /// order prints to text that parses back to it exactly.
 pub fn random_query(rng: &mut StdRng) -> Gtpq {
+    let b = random_query_builder(rng);
+    b.build().expect("generated queries are valid")
+}
+
+fn random_query_builder(rng: &mut StdRng) -> GtpqBuilder {
     match rng.gen_range(0..3) {
         0 => flat_query(rng),
         1 => tree_query(rng),
         _ => sim_query(rng),
     }
+}
+
+/// A [`random_query`] whose root also carries a predicate branch no formula
+/// reads: the root's formula does not name it, so its text is the inert
+/// `((pattern) | 1)` of Table 4.  The branch has an AD edge at its top, a
+/// chain of three predicate nodes each reading the next, and beside the
+/// chain a predicate leaf whose own formula is `0`:
+///
+/// ```text
+/// where … & ((//l { where (//l { where (/l) }) & !(/l { where 0 }) }) | 1)
+/// ```
+///
+/// The branch is the root's last child, so the text still parses back to
+/// the query when its outputs are marked in node order.
+pub fn inert_branch_query(rng: &mut StdRng) -> Gtpq {
+    let mut b = random_query_builder(rng);
+    let top = b.predicate_child(b.root_id(), EdgeKind::Descendant, label_attr(rng));
+    let middle = b.predicate_child(top, EdgeKind::Descendant, label_attr(rng));
+    let bottom = b.predicate_child(middle, edge(rng, 0.5), label_attr(rng));
+    let never = b.predicate_child(top, edge(rng, 0.5), label_attr(rng));
+    let var = |u: QueryNodeId| BoolExpr::Var(u.var());
+    b.set_structural(middle, var(bottom));
+    b.set_structural(never, BoolExpr::False);
+    b.set_structural(top, BoolExpr::and2(var(middle), BoolExpr::not(var(never))));
+    b.build().expect("generated queries are valid")
 }
 
 /// Every comparison operator; `node_attr` draws from sub-ranges of it,
@@ -198,7 +228,7 @@ fn edge(rng: &mut StdRng, child_share: f64) -> EdgeKind {
     }
 }
 
-fn flat_query(rng: &mut StdRng) -> Gtpq {
+fn flat_query(rng: &mut StdRng) -> GtpqBuilder {
     let mut b = GtpqBuilder::new(node_attr(rng));
     let root = b.root_id();
     let children = rng.gen_range(1..4usize);
@@ -228,10 +258,10 @@ fn flat_query(rng: &mut StdRng) -> Gtpq {
         _ => BoolExpr::True,
     };
     b.set_structural(root, fs);
-    b.build().expect("generated queries are valid")
+    b
 }
 
-fn tree_query(rng: &mut StdRng) -> Gtpq {
+fn tree_query(rng: &mut StdRng) -> GtpqBuilder {
     fn grow(
         b: &mut GtpqBuilder,
         rng: &mut StdRng,
@@ -269,10 +299,10 @@ fn tree_query(rng: &mut StdRng) -> Gtpq {
     for u in outputs {
         b.mark_output(u);
     }
-    b.build().expect("generated queries are valid")
+    b
 }
 
-fn sim_query(rng: &mut StdRng) -> Gtpq {
+fn sim_query(rng: &mut StdRng) -> GtpqBuilder {
     // Now and then a query vector of another dimensionality than the
     // indexed rows, which no table serves.
     let dim = EMB_DIM + 2 * usize::from(rng.gen_bool(0.1));
@@ -296,7 +326,7 @@ fn sim_query(rng: &mut StdRng) -> Gtpq {
         let c = b.backbone_child(root, edge(rng, 0.5), node_attr(rng));
         b.mark_output(c);
     }
-    b.build().expect("generated queries are valid")
+    b
 }
 
 /// A random query whose printed text parses back to it exactly, for the

@@ -7,16 +7,20 @@
 //! random `LoadMode` and commit the remaining epochs on the loaded base.
 //! After every commit the maintained graph and condensation must be `==` a
 //! `GraphBuilder` replay of every op so far and Tarjan on it, and each of
-//! the seed's `common::random_query`s, unwindowed and under two random
-//! `offset`/`limit` windows, must answer exactly the rebuild's
-//! `naive::evaluate` rows, in `ResultSet` order and with the right
-//! truncation flag, through
+//! the seed's `common::random_query`s, plus one `common::inert_branch_query`
+//! (a predicate branch no formula reads, which the engine must neither
+//! select nor prune), unwindowed and under two random `offset`/`limit`
+//! windows, must answer exactly the rebuild's `naive::evaluate` rows, in
+//! `ResultSet` order and with the right truncation flag, through
 //!
 //! * the engine: default options, `without_shrinking`,
 //!   `without_upward_pruning`, and the pairwise arm on a `ThreeHop`;
 //! * a service with the result cache off, sent the query as text;
 //! * a service whose cache was warmed with the complete answer;
 //! * a live service over the handle, across its epoch rotations.
+//!
+//! The naive evaluator must also answer each query's `minimize`d form (the
+//! paper's Algorithm 1) with the same rows, column for column.
 //!
 //! Every engine run must pull `min(offset + limit + 1, total)` rows on the
 //! full run's matching graph, and account in its sim counters for every
@@ -31,14 +35,14 @@
 //! Satisfiability has an oracle of its own: the full structural analysis,
 //! which derives `fcs` for every node, must agree with `is_satisfiable`,
 //! which derives only the root's, and neither may reject a query the naive
-//! evaluator answers.  Queries whose formulas contradict themselves must
+//! evaluator answers; the same queries' minimized forms must answer alike.  Queries whose formulas contradict themselves must
 //! match nothing on every path, minimized or not.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{graph_epochs, random_graph, random_query, replay, text_query};
+use common::{graph_epochs, inert_branch_query, random_graph, random_query, replay, text_query};
 use gtpq::analysis::{is_satisfiable, minimize};
 use gtpq::datagen::{
     apply_ops, generate_xmark, update_stream, xmark_q1, UpdateOp, UpdateStreamConfig, XmarkConfig,
@@ -52,7 +56,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 40;
-/// Queries per seed; each one is answered after every commit.
+/// Random queries per seed, besides the one with an inert branch; each one
+/// is answered after every commit.
 const QUERIES: usize = 4;
 const LOAD_MODES: [LoadMode; 3] = [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap];
 
@@ -101,13 +106,20 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
     let mut rng = StdRng::seed_from_u64(seed);
     let dag = seed.is_multiple_of(2);
     let epochs = graph_epochs(&mut rng, 6..24, dag);
-    let queries: Vec<Gtpq> = (0..QUERIES).map(|_| random_query(&mut rng)).collect();
+    let mut queries: Vec<Gtpq> = (0..QUERIES).map(|_| random_query(&mut rng)).collect();
     // The hop follows an epoch that is not the last, so that commits land
     // on the loaded base.
     let hop = (epochs.len() > 1 && rng.gen_bool(0.6)).then(|| {
         let after = rng.gen_range(0..epochs.len() - 1);
         (after, LOAD_MODES[rng.gen_range(0..LOAD_MODES.len())])
     });
+    let inert = inert_branch_query(&mut rng);
+    assert!(
+        inert.unread_nodes().iter().filter(|&&u| u).count() >= 4,
+        "seed {seed}: `{inert}` lost its unread branch"
+    );
+    queries.push(inert);
+    let minimized: Vec<Gtpq> = queries.iter().map(minimize).collect();
     let scenario = format!(
         "seed {seed} ({}, {} epochs, {})",
         if dag { "DAG" } else { "cyclic" },
@@ -164,7 +176,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
         }
         let served = handle.snapshot();
         let three_hop = ThreeHop::new(served.graph());
-        for q in &queries {
+        for (q, minimized) in queries.iter().zip(&minimized) {
             let sweep = Sweep {
                 ctx: format!("{ctx}, query `{q}`"),
                 served: &served,
@@ -172,7 +184,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
                 live: &live,
                 rebuilt: &rebuilt,
             };
-            sweep.check(&mut rng, q, coverage);
+            sweep.check(&mut rng, q, minimized, coverage);
         }
     }
     check_commit_stats(&scenario, &handle.stats(), commits, coverage);
@@ -238,10 +250,11 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    fn check(&self, rng: &mut StdRng, q: &Gtpq, coverage: &mut Coverage) {
+    fn check(&self, rng: &mut StdRng, q: &Gtpq, minimized: &Gtpq, coverage: &mut Coverage) {
         let all = rows(&naive::evaluate(q, self.rebuilt));
         coverage.answers += 1;
         coverage.multi_row_answers += usize::from(all.len() > 1);
+        assert_minimized_answers_alike(&self.ctx, q, minimized, self.rebuilt);
         // Either end of a window may run past the answer.
         let mut window = || {
             Some((
@@ -387,6 +400,27 @@ fn submit(
     Some(outcome)
 }
 
+/// The naive evaluator answers `minimized` (`minimize(q)`) with `q`'s rows.
+/// Minimization renumbers the nodes but keeps every output, marked in `q`'s
+/// order: column `i` of either answer is the image of `q`'s `i`-th output,
+/// whose pattern both queries carry.
+fn assert_minimized_answers_alike(ctx: &str, q: &Gtpq, minimized: &Gtpq, g: &DataGraph) {
+    let outputs = |q: &Gtpq| -> Vec<AttrPredicate> {
+        let nodes = q.output_nodes().iter();
+        nodes.map(|&u| q.node(u).attr.clone()).collect()
+    };
+    assert_eq!(
+        outputs(minimized),
+        outputs(q),
+        "{ctx}: `{minimized}` moved an output"
+    );
+    assert_eq!(
+        rows(&naive::evaluate(minimized, g)),
+        rows(&naive::evaluate(q, g)),
+        "{ctx}: the minimized `{minimized}` answers otherwise"
+    );
+}
+
 /// Every commit merged its CSR and its inverted index; none rebuilt them.
 fn assert_every_commit_merged(ctx: &str, stats: &MutationStats) {
     assert_eq!(stats.csr_merges, stats.epochs, "{ctx}: {stats:?}");
@@ -493,6 +527,7 @@ fn satisfiability_agrees_with_the_full_analysis_and_the_naive_evaluator() {
         let root_only = format!("l{}* {{ where {prefix}(//l1) }}", seed % 4);
         queries.push(parse_query(&root_only).expect("prefixes parse at the root"));
         for q in &queries {
+            assert_minimized_answers_alike(&format!("seed {seed}"), q, &minimize(q), &g);
             let sat = is_satisfiable(q);
             assert_eq!(sat, full_analysis_satisfiable(q), "seed {seed}: `{q}`");
             if !sat {
