@@ -61,8 +61,9 @@ fn column(
 /// extended structural predicate `fext(u)` evaluates to true.
 ///
 /// A step resolves only the children whose variable occurs in `fext(u)`.
-/// With none, `fext(u)` is a constant (Table 4's `((x) | 1)` branches fold
-/// to `1`): the step keeps every candidate or none, reading nothing.  Each
+/// With none, `fext(u)` is a constant (`fs(u) = 0` beside backbone
+/// children, or a hand-built node whose predicate children no formula
+/// reads): the step keeps every candidate or none, reading nothing.  Each
 /// used child becomes one bit per candidate:
 ///
 /// * an AD child by one [`reaching`] race of `g`'s condensation — a sweep
@@ -353,8 +354,7 @@ mod tests {
     use super::*;
     use crate::plan::{execute_candidates, QueryPlan};
 
-    /// The fixed pipeline's candidate sets: every read node's, through the
-    /// index.
+    /// The fixed pipeline's candidate sets: every node's, through the index.
     fn selected(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
         let plan = QueryPlan::fixed_pipeline(q);
         execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap()
@@ -404,9 +404,8 @@ mod tests {
         // ranges, which verify an index-restricted superset).
         assert_eq!(stats.input_nodes, stats.scanned_nodes);
         assert!(stats.index_lookups > 0);
-        // The indexed selection equals the full scan on every read node.
-        let unread = q.unread_nodes();
-        for u in q.node_ids().filter(|u| !unread[u.index()]) {
+        // The indexed selection equals the full scan.
+        for u in q.node_ids() {
             assert_eq!(mat[u.index()], q.candidates(&g, u), "mismatch at {u}");
         }
 
@@ -429,16 +428,6 @@ mod tests {
         for u in eq_query.node_ids() {
             assert_eq!(eq_mat[u.index()], eq_query.candidates(&g, u));
         }
-
-        // An unread branch selects nothing and counts nothing.
-        let inert: Gtpq = "a1* { //b1* where ((//c1 { where (//e1) }) | 1) }"
-            .parse()
-            .unwrap();
-        let mut inert_stats = EvalStats::default();
-        let inert_mat = selected(&inert, &g, &mut inert_stats);
-        assert_eq!(inert.unread_nodes(), [false, false, true, true]);
-        assert!(inert_mat[2].is_empty() && inert_mat[3].is_empty());
-        assert_eq!(inert_stats.initial_candidates, eq_stats.initial_candidates);
     }
 
     /// A graph whose AD edges cross a two-node cycle (`b1 ⇄ c2`), a
@@ -468,13 +457,20 @@ mod tests {
         (b.build(), q)
     }
 
-    /// The cyclic fixture's graph under a query with an unread branch two
-    /// levels deep beside the read ones.
+    /// The cyclic fixture's graph under a hand-built query with a predicate
+    /// branch no formula reads, two levels deep: `a* { //b* { //c* } }`
+    /// plus `//c` over `/b` under the root, whose formulas are `1`.
     fn inert_fixture() -> (DataGraph, Gtpq) {
         let (g, _) = cyclic_fixture();
-        let text = "a* { //b* { //c* where !(//b) | //d } \
-                    where ((//c { where (//d) & ((/b) | 1) }) | 1) & !(//d { where 0 }) }";
-        (g, gtpq_query::parse_query(text).unwrap())
+        let label = gtpq_query::AttrPredicate::label;
+        let mut b = gtpq_query::GtpqBuilder::new(label("a"));
+        let root = b.root_id();
+        let backbone = b.backbone_child(root, EdgeKind::Descendant, label("b"));
+        b.backbone_child(backbone, EdgeKind::Descendant, label("c"));
+        let orphan = b.predicate_child(root, EdgeKind::Descendant, label("c"));
+        b.predicate_child(orphan, EdgeKind::Child, label("b"));
+        b.mark_all_backbone_output();
+        (g, b.build().unwrap())
     }
 
     /// Every backend of `BackendKind::ALL` built on `g`, then `g`'s bare
@@ -509,20 +505,15 @@ mod tests {
         mat
     }
 
-    /// The naive evaluator's downward table as candidate sets of the read
-    /// nodes (unread ones select nothing), then (when `upward`) the upward
-    /// round re-done by BFS: a prime child's candidate survives when a
-    /// surviving candidate of its prime parent reaches it (is its graph
-    /// parent, on a PC edge).
+    /// The naive evaluator's downward table as candidate sets, then (when
+    /// `upward`) the upward round re-done by BFS: a prime child's candidate
+    /// survives when a surviving candidate of its prime parent reaches it
+    /// (is its graph parent, on a PC edge).
     fn oracle(g: &DataGraph, q: &Gtpq, upward: bool) -> Vec<Vec<NodeId>> {
         let table = naive::downward_matches(q, g);
-        let unread = q.unread_nodes();
         let mut mat: Vec<Vec<NodeId>> = q
             .node_ids()
-            .map(|u| {
-                let matches = |v: &NodeId| table[u.index()][v.index()] && !unread[u.index()];
-                g.nodes().filter(matches).collect()
-            })
+            .map(|u| g.nodes().filter(|&v| table[u.index()][v.index()]).collect())
             .collect();
         if upward {
             let prime = PrimeSubtree::new(q);

@@ -56,8 +56,7 @@ pub struct EvalStats {
     /// number of nodes plus edges of the maximal matching graph, following the
     /// paper's accounting.
     pub intermediate_size: u64,
-    /// Total number of initial candidate matching nodes (Σ |mat(u)| over
-    /// the read nodes: unread ones select none).
+    /// Total number of initial candidate matching nodes (Σ |mat(u)|).
     pub initial_candidates: u64,
     /// Initial candidates served without per-node attribute checks
     /// (posting-list intersections, or trivially for wildcard predicates).

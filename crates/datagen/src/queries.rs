@@ -155,14 +155,16 @@ const FIG11_BACKBONE: [&str; 8] = [
 /// `mailbox`; the conjunctive variant leaves both unconstrained so the query
 /// keeps a healthy number of matches.
 ///
-/// The benchmark sends these texts as its requests and pins checksums of
-/// their answers, so they must not change by a byte.  That keeps two odd
+/// The benchmark sends these queries' printed texts as its requests and
+/// pins checksums of their answers, so the template text keeps two odd
 /// spellings:
 ///
 /// * a predicate child that its parent's formula does not mention is an
 ///   inert `((x) | 1)` term.  Inside a predicate branch this makes
 ///   `fs(bidder)`, `fs(seller)` and `fs(mailbox)` true, so those branches
-///   test only their root label;
+///   test only their root label.  The parser drops such terms, so they are
+///   not in the printed text, and DIS_NEG2 and DIS_NEG3, which differ only
+///   inside one, print alike;
 /// * the back-reference names of bidder, seller and item are `u1`, `u10`
 ///   and `u6`.
 pub fn fig11_gtpq(variant: Fig11Predicate, person_group: u32, item_group: u32) -> Gtpq {
@@ -405,22 +407,22 @@ mod tests {
         r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* }"#,
         r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* /item_ref* { /item4* { /location* } } }"#,
         r#"open_auction* { /bidder* { /person_ref* { /person3* { //education* /address* { /city* } } } } /current* /item_ref* { /item4* { /location* } } /seller* { /person5* { /profile* } } }"#,
-        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3* { /profile* } } }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //item4* { where (/mailbox { where ((/mail) | 1) }) | (/location) } where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { where (/bidder { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) | (//item4 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) }"#,
-        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where !(//education) } } //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /person3* { /profile* } } }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /person3* { /profile* } } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & !(/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/person3 { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//person3 { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
-        r#"open_auction* { where !(/bidder as u1 { where ((//person3 { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/person3 { where ((/profile) | 1) }) | 1) }) & (//item4 as u6 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) | u1 & !u10 & !u6 }"#,
-        r#"open_auction* { /bidder { //person3 { /address { /city } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /person3 { /profile } } }"#,
-        r#"open_auction* { /bidder* { //person3 { /address { /city } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3 { /profile } } }"#,
-        r#"open_auction* { /bidder* { //person3 { /address { /city* } where ((//education) | 1) } } //item4 { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3 { /profile* } } }"#,
-        r#"open_auction* { /bidder { //person3 { /address { /city } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /person3 { /profile } } }"#,
-        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where ((//education) | 1) } } //item4* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /person3* { /profile* } } }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } } } //item4* { /location* } /seller* { /person3* { /profile* } } }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where (/bidder) | (/seller) }"#,
+        r#"open_auction* { //item4* { where (/mailbox) | (/location) } where (/bidder) | (/seller) }"#,
+        r#"open_auction* { where (/bidder) | (/seller) | (//item4 { where (/mailbox) }) }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } where !(//education) } } //item4* { /location* where (/mailbox) } /seller* { /person3* { /profile* } } }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } /seller* { /person3* { /profile* } } where !(/bidder) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder) & !(/seller) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder) | (/seller) }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { where !(/bidder as u1) & (/seller as u10) & (//item4 as u6 { where (/mailbox) }) | u1 & !u10 & !u6 }"#,
+        r#"open_auction* { /bidder { //person3 { /address { /city } } } //item4 { /location } /seller { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3 { /address { /city } } } //item4 { /location } /seller* { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3 { /address { /city* } } } //item4 { /location } /seller* { /person3 { /profile* } } }"#,
+        r#"open_auction* { /bidder { //person3 { /address { /city } } } //item4* { /location* } /seller { /person3 { /profile } } }"#,
+        r#"open_auction* { /bidder* { //person3* { /address* { /city* } } } //item4* { /location* } /seller* { /person3* { /profile* } } }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & (/[label = author, value = Bob]) }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) | (/[label = author, value = Bob]) }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & !(/[label = author, value = Bob]) }"#,
@@ -431,22 +433,22 @@ mod tests {
         r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* }"#,
         r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* /item_ref* { /[label >= item, label < "item~"]* { /location* } } }"#,
         r#"open_auction* { /bidder* { /person_ref* { /[label >= person, label < "person~"]* { //education* /address* { /city* } } } } /current* /item_ref* { /[label >= item, label < "item~"]* { /location* } } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
-        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { where (/mailbox { where ((/mail) | 1) }) | (/location) } where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { where (/bidder { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | (//[label >= item, label < "item~"] { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) }"#,
-        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where !(//education) } } //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } /seller* { /[label >= person, label < "person~"]* { /profile* } } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & !(/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) | (/seller { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where (//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox { where ((/mail) | 1) }) } where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) | u1 & !u10 }"#,
-        r#"open_auction* { where !(/bidder as u1 { where ((//[label >= person, label < "person~"] { where !(//education) & ((/address { where ((/city) | 1) }) | 1) }) | 1) }) & (/seller as u10 { where ((/[label >= person, label < "person~"] { where ((/profile) | 1) }) | 1) }) & (//[label >= item, label < "item~"] as u6 { where (/mailbox { where ((/mail) | 1) }) & ((/location) | 1) }) | u1 & !u10 & !u6 }"#,
-        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
-        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"] { /profile } } }"#,
-        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"] { /location where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"] { /profile* } } }"#,
-        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
-        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where ((//education) | 1) } } //[label >= item, label < "item~"]* { /location* where ((/mailbox { where ((/mail) | 1) }) | 1) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } } } //[label >= item, label < "item~"]* { /location* } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where (/bidder) | (/seller) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { where (/mailbox) | (/location) } where (/bidder) | (/seller) }"#,
+        r#"open_auction* { where (/bidder) | (/seller) | (//[label >= item, label < "item~"] { where (/mailbox) }) }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } where !(//education) } } //[label >= item, label < "item~"]* { /location* where (/mailbox) } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } /seller* { /[label >= person, label < "person~"]* { /profile* } } where !(/bidder) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder) & !(/seller) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder) | (/seller) }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { where !(/bidder as u1) & (/seller as u10) & (//[label >= item, label < "item~"] as u6 { where (/mailbox) }) | u1 & !u10 & !u6 }"#,
+        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } } } //[label >= item, label < "item~"] { /location } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city } } } //[label >= item, label < "item~"] { /location } /seller* { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city* } } } //[label >= item, label < "item~"] { /location } /seller* { /[label >= person, label < "person~"] { /profile* } } }"#,
+        r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } } } //[label >= item, label < "item~"]* { /location* } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
+        r#"open_auction* { /bidder* { //[label >= person, label < "person~"]* { /address* { /city* } } } //[label >= item, label < "item~"]* { /location* } /seller* { /[label >= person, label < "person~"]* { /profile* } } }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & (/[label = author, value = Bob]) }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) | (/[label = author, value = Bob]) }"#,
         r#"inproceedings { /title* /year* //proceedings { /title* where (/[label = year, year >= 2000, year <= 2010]) } where (/[label = author, value = Alice]) & !(/[label = author, value = Bob]) }"#,
@@ -510,10 +512,16 @@ mod tests {
         assert!(!dis.is_conjunctive());
         let neg = fig11_gtpq(Neg1, 0, 0);
         assert!(!neg.is_union_conjunctive());
+        // The parser keeps the nodes the formulas read: the inert
+        // `((x) | 1)` branches go.
+        let suite = Fig11Predicate::table4_suite();
+        let sizes: Vec<usize> = suite
+            .iter()
+            .map(|&(_, v)| fig11_gtpq(v, 1, 1).size())
+            .collect();
+        assert_eq!(sizes, [6, 6, 5, 12, 8, 6, 6, 6, 6, 5]);
         for (_, variant) in Fig11Predicate::table4_suite() {
-            let q = fig11_gtpq(variant, 1, 1);
-            assert!(q.size() >= 10, "Fig. 11 queries are non-trivial");
-            assert!(!q.output_nodes().is_empty());
+            assert!(!fig11_gtpq(variant, 1, 1).output_nodes().is_empty());
         }
     }
 

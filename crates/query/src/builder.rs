@@ -1,5 +1,8 @@
 //! Builder and validation of GTPQs.
 
+use std::collections::HashMap;
+
+use gtpq_logic::transform::rename_vars;
 use gtpq_logic::{BoolExpr, VarId};
 
 use crate::node::{EdgeKind, NodeKind, QueryNode, QueryNodeId};
@@ -131,6 +134,42 @@ impl GtpqBuilder {
     /// Sets the structural predicate `fs(u)` of a node.
     pub fn set_structural(&mut self, u: QueryNodeId, fs: BoolExpr) {
         self.nodes[u.index()].structural = fs;
+    }
+
+    /// Drops each predicate child of `u` that `fs(u)` does not read, with
+    /// its subtree, and renumbers the nodes after it densely.  No formula
+    /// reads what such a child matches, so the answer stays (Table 4's
+    /// `((x) | 1)` branches).  The parser calls this once `u`'s `where`
+    /// clause is folded: the clause's nodes are then the builder's last, and
+    /// none is an output, so no other id moves.
+    pub(crate) fn drop_unread_children(&mut self, u: QueryNodeId) {
+        let fs = &self.nodes[u.index()].structural;
+        let mut keep = vec![true; self.nodes.len()];
+        // Ids are a pre-order: a parent's fate is known before its children's.
+        for (i, node) in self.nodes.iter().enumerate().skip(u.index() + 1) {
+            let parent = node.parent.expect("a child has a parent");
+            let read =
+                parent != u || node.kind == NodeKind::Backbone || fs.contains_var(VarId(i as u32));
+            keep[i] = keep[parent.index()] && read;
+        }
+        if !keep.contains(&false) {
+            return;
+        }
+        let renumber: HashMap<VarId, VarId> = (0..keep.len())
+            .filter(|&i| keep[i])
+            .enumerate()
+            .map(|(new, old)| (VarId(old as u32), VarId(new as u32)))
+            .collect();
+        let new_id = |c: &QueryNodeId| QueryNodeId::from_var(renumber[&c.var()]);
+        let mut flags = keep.iter();
+        self.nodes
+            .retain(|_| *flags.next().expect("one flag per node"));
+        for node in &mut self.nodes[u.index()..] {
+            node.parent = node.parent.as_ref().map(new_id);
+            node.children.retain(|c| keep[c.index()]);
+            node.children.iter_mut().for_each(|c| *c = new_id(c));
+            node.structural = rename_vars(&node.structural, &renumber);
+        }
     }
 
     /// Sets a display name for a node.

@@ -64,18 +64,19 @@
 //! # Canonical form
 //!
 //! `parse(display(q)) == q` holds for every query the parser itself produces
-//! — node ids, names and output order included — with one corner-case
-//! exception: a `where` formula whose constant folding dropped a pattern
-//! (the `(pattern | 1)` orphan encoding) ahead of other patterns, which
-//! reorders those children on re-parse.  The round-trip property test in
-//! `tests/query_text.rs` checks the identity on random queries.  For
-//! queries built by hand through [`GtpqBuilder`] the printed text is always
-//! *semantically* faithful, but re-parsing may renumber nodes: the text
-//! lists each node's backbone children before its predicate children, so a
-//! builder insertion order that interleaves them comes back in canonical
-//! order (an equivalent query under `gtpq_analysis::equivalent`).  In every
-//! case the printed text re-parses, and one `parse ∘ display` application
-//! reaches a fixed point.
+//! — node ids, names and output order included.  The parser keeps only
+//! predicate children that their parent's folded formula reads: in
+//! `((pattern) | 1)` the `1` absorbs the pattern, so the pattern and its
+//! subtree are dropped, and the nodes after it renumbered.  The round-trip
+//! property test in `tests/query_text.rs` checks the identity on random
+//! queries.  For queries built by hand through [`GtpqBuilder`] the printed
+//! text is always *semantically* faithful, but re-parsing may renumber
+//! nodes: the text lists each node's backbone children before its predicate
+//! children, so a builder insertion order that interleaves them comes back
+//! in canonical order (an equivalent query under
+//! `gtpq_analysis::equivalent`), and a predicate child no formula reads is
+//! not printed at all.  In every case the printed text re-parses, and one
+//! `parse ∘ display` application reaches a fixed point.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -688,6 +689,9 @@ impl<'a> Parser<'a> {
                     let mut scope = NameScope::new();
                     let fs = self.parse_formula(node, &mut scope)?;
                     self.builder().set_structural(node, fs);
+                    // A child the folded formula does not read, as in
+                    // `((pattern) | 1)`, cannot change the answer: it goes.
+                    self.builder().drop_unread_children(node);
                 }
                 _ => {
                     return Err(self.error_here(format!(
@@ -1227,13 +1231,7 @@ fn write_node(
 
     let fs = q.fs(u);
     let backbone = || q.children(u).iter().copied().filter(|&c| q.is_backbone(c));
-    let orphans: Vec<QueryNodeId> = q
-        .children(u)
-        .iter()
-        .copied()
-        .filter(|&c| !q.is_backbone(c) && !fs.contains_var(c.var()))
-        .collect();
-    let has_where = *fs != BoolExpr::True || !orphans.is_empty();
+    let has_where = *fs != BoolExpr::True;
     if backbone().next().is_none() && !has_where {
         return Ok(());
     }
@@ -1258,7 +1256,7 @@ fn write_node(
     if has_where {
         open_clause(f)?;
         f.write_str("where ")?;
-        write_where(f, q, u, fs, &orphans)?;
+        write_where(f, q, u, fs)?;
     }
     match indent {
         Some(level) => write!(f, "\n{}}}", " ".repeat(level * INDENT)),
@@ -1268,26 +1266,19 @@ fn write_node(
 
 /// Writes the `where` formula of `u`: `fs` with every variable expanded into
 /// the pattern of its predicate child (first occurrence inline, later
-/// occurrences as a name back-reference), followed by `(pattern | 1)` terms
-/// for predicate children `fs` never mentions (semantically inert, but kept
-/// so the printed text reproduces the full tree).
-fn write_where(
-    f: &mut fmt::Formatter<'_>,
-    q: &Gtpq,
-    u: QueryNodeId,
-    fs: &BoolExpr,
-    orphans: &[QueryNodeId],
-) -> fmt::Result {
+/// occurrences as a name back-reference).  A predicate child `fs` never
+/// mentions (one built by hand: the parser drops them) is not printed; no
+/// formula reads it, so the text means the same query.
+fn write_where(f: &mut fmt::Formatter<'_>, q: &Gtpq, u: QueryNodeId, fs: &BoolExpr) -> fmt::Result {
     // All `as` names of one `where` clause share a single parser scope, so
     // decide up front what each predicate child prints as — in render order
-    // (fs first occurrences, then orphans), first come first served.  A name
+    // (fs first occurrences), first come first served.  A name
     // already used by an earlier sibling is re-spelled (when a back-reference
     // needs it) or omitted (when it is only cosmetic), so the printed formula
     // can never trip the parser's duplicate-name check.  `names` pairs each
     // child with what it prints as.
     let mut names: Vec<(QueryNodeId, Option<Cow<'_, str>>)> = Vec::new();
     first_occurrences(fs, &mut names);
-    names.extend(orphans.iter().map(|&c| (c, None)));
     for i in 0..names.len() {
         let c = names[i].0;
         let used = |n: &str| names[..i].iter().any(|(_, e)| e.as_deref() == Some(n));
@@ -1304,7 +1295,7 @@ fn write_where(
         };
         names[i].1 = name;
     }
-    write_formula(f, q, u, fs, orphans, |c| {
+    write_formula(f, q, u, fs, |c| {
         let named = names.iter().find(|(o, _)| *o == c);
         named
             .expect("every predicate child is in render order")
@@ -1315,14 +1306,12 @@ fn write_where(
 
 /// Writes `fs(u)` with each variable's first occurrence expanded into its
 /// predicate child's pattern, printed with the name `name` gives it, and
-/// later occurrences as that name; then the `orphans`, as `((pattern) | 1)`
-/// terms.
+/// later occurrences as that name.
 fn write_formula<'n>(
     f: &mut fmt::Formatter<'_>,
     q: &Gtpq,
     u: QueryNodeId,
     fs: &BoolExpr,
-    orphans: &[QueryNodeId],
     name: impl Fn(QueryNodeId) -> Option<&'n str>,
 ) -> fmt::Result {
     // Allocates only once a variable is printed.
@@ -1346,30 +1335,7 @@ fn write_formula<'n>(
             f.write_str(name(c).expect("repeated vars are always given a name"))
         }
     });
-    let mut first = true;
-    if *fs != BoolExpr::True {
-        if matches!(fs, BoolExpr::Or(_)) && !orphans.is_empty() {
-            write!(f, "({rendered})")?;
-        } else {
-            write!(f, "{rendered}")?;
-        }
-        first = false;
-    }
-    for &c in orphans {
-        if !first {
-            f.write_str(" & ")?;
-        }
-        first = false;
-        f.write_str("((")?;
-        write!(
-            f,
-            "{}",
-            q.incoming_edge(c).expect("child has an incoming edge")
-        )?;
-        write_node(f, q, c, NameSpelling::Exactly(name(c)), None)?;
-        f.write_str(") | 1)")?;
-    }
-    Ok(())
+    write!(f, "{rendered}")
 }
 
 /// Collects the predicate children of a formula in the order their variables
@@ -1706,16 +1672,58 @@ mod tests {
     }
 
     #[test]
-    fn orphan_predicate_children_survive_printing() {
-        let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
+    fn a_builder_orphan_is_dropped_by_print_and_parse() {
+        // `a1* { //d1* }` plus a predicate branch `//g1 { where (//e2) }`
+        // that no formula reads.
+        let mut b = GtpqBuilder::new(AttrPredicate::label("a1"));
         let root = b.root_id();
-        let _orphan = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("o"));
+        let d = b.backbone_child(root, EdgeKind::Descendant, AttrPredicate::label("d1"));
+        let orphan = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("g1"));
+        let below = b.predicate_child(orphan, EdgeKind::Descendant, AttrPredicate::label("e2"));
+        b.set_structural(orphan, BoolExpr::Var(below.var()));
         b.mark_output(root);
+        b.mark_output(d);
         let q = b.build().unwrap();
         let printed = q.to_string();
-        assert!(printed.contains("| 1"), "{printed}");
+        assert_eq!(printed, "a1* { //d1* }");
         let reparsed = parse(&printed);
-        assert_eq!(reparsed, q);
+        assert_eq!(reparsed.size(), 2);
+        let g = example_graph();
+        let rows = naive::evaluate(&q, &g);
+        assert!(!rows.is_empty());
+        assert_eq!(naive::evaluate(&reparsed, &g), rows);
+    }
+
+    #[test]
+    fn predicate_children_no_formula_reads_are_dropped() {
+        // Inert branches three levels deep, named ones among them: the rest
+        // is numbered densely and prints without them.
+        let q = parse(
+            "a* { /b* { where ((/c as x) | 1) & (/d { where ((/e { where (/f) }) | 1) & (/g) }) } \
+             where ((//h as y { where (/i) }) | 1) & !(//j as z { where ((/k) | 1) }) }",
+        );
+        assert_eq!(
+            q.to_string(),
+            "a* { /b* { where (/d { where (/g) }) } where !(//j as z) }"
+        );
+        let var = |u: u32| BoolExpr::Var(QueryNodeId(u).var());
+        assert_eq!(*q.fs(QueryNodeId(0)), BoolExpr::not(var(4)));
+        assert_eq!(*q.fs(QueryNodeId(1)), var(2));
+        assert_eq!(*q.fs(QueryNodeId(2)), var(3));
+        let parents: Vec<Option<u32>> = q.node_ids().map(|u| q.parent(u).map(|p| p.0)).collect();
+        assert_eq!(parents, [None, Some(0), Some(1), Some(2), Some(0)]);
+        assert_eq!(q.children(QueryNodeId(0)), [QueryNodeId(1), QueryNodeId(4)]);
+        assert_eq!(parse(&q.to_string()), q);
+
+        // A name the formula reads back keeps its child, even when its
+        // pattern sits under `| 1`.
+        let q = parse("a* { where ((/b as x) | 1) & ((/c as y) | 1) & x }");
+        assert_eq!(q.to_string(), "a* { where (/b as x) }");
+        let q = parse("a* { where ((/b as x) | 1) & !((/c as y) | 1) | x & !y }");
+        assert_eq!(q.to_string(), "a* { where (/b as x) & !(/c as y) }");
+        // A formula folded to a constant reads no child at all.
+        let q = parse("a* { /b* { where (/c) & 0 } where ((/d) | (/e)) | 1 }");
+        assert_eq!(q.to_string(), "a* { /b* { where 0 } }");
     }
 
     #[test]
@@ -1796,7 +1804,7 @@ mod tests {
         let reparsed = parse(&printed);
         assert_eq!(reparsed.size(), q.size(), "{printed}");
         assert_eq!(reparsed.fs(root).variables().len(), 2, "{printed}");
-        // A named orphan colliding with a formula name must also re-parse.
+        // A named orphan colliding with a formula name is not printed.
         let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
         let root = b.root_id();
         let p1 = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("b"));
@@ -1806,8 +1814,7 @@ mod tests {
         b.set_structural(root, BoolExpr::Var(p1.var()));
         b.mark_output(root);
         let q = b.build().unwrap();
-        let printed = q.to_string();
-        assert_eq!(parse(&printed).size(), q.size(), "{printed}");
+        assert_eq!(q.to_string(), "a* { where (//b as x) }");
     }
 
     #[test]

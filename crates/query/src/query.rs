@@ -169,26 +169,6 @@ impl Gtpq {
         order
     }
 
-    /// The nodes no structural predicate reads: `unread[u]` holds when `u`'s
-    /// parent is unread, or when `u` is a predicate child whose variable
-    /// does not occur in its parent's `fs` (Table 4's `((x) | 1)` branches
-    /// fold to `1`).  One pre-order pass over the formulas as stored.
-    ///
-    /// No formula can tell what an unread node's subtree matches, so the
-    /// answer does not depend on it (Theorem 6 removes such nodes); the
-    /// engine selects no candidates for it and prunes nothing there.  Only
-    /// predicate nodes can be unread, so an unread node is never an output.
-    pub fn unread_nodes(&self) -> Vec<bool> {
-        let mut unread = vec![false; self.size()];
-        // Ids are a pre-order: a parent's flag is set before its children's.
-        for u in self.node_ids().skip(1) {
-            let parent = self.parent(u).expect("only the root has no parent");
-            unread[u.index()] = unread[parent.index()]
-                || (!self.is_backbone(u) && !self.fs(parent).contains_var(u.var()));
-        }
-        unread
-    }
-
     /// Whether every structural predicate only uses conjunction
     /// (a *conjunctive GTPQ*, i.e. a traditional tree pattern query).
     pub fn is_conjunctive(&self) -> bool {
@@ -377,47 +357,6 @@ mod tests {
         assert!(pos(QueryNodeId(2)) < pos(QueryNodeId(0)));
         assert_eq!(q.descendants(QueryNodeId(6)).len(), 2);
         assert!(q.internal_nodes().contains(&QueryNodeId(6)));
-    }
-
-    #[test]
-    fn unread_nodes_are_the_subtrees_no_formula_reads() {
-        let unread = |text: &str| -> Vec<u32> {
-            let q: Gtpq = text.parse().unwrap();
-            let unread = q.unread_nodes();
-            for u in q.node_ids().filter(|&u| q.is_backbone(u)) {
-                assert!(!unread[u.index()], "{text}: backbone {u} unread");
-            }
-            q.node_ids()
-                .filter(|u| unread[u.index()])
-                .map(|u| u.0)
-                .collect()
-        };
-        // An inert branch two levels deep, beside a read AD child: the
-        // branch root, everything below it, and the inert `/city` inside
-        // it are unread; `//mail` is read by a read node.
-        assert_eq!(
-            unread(
-                "a* { /b* { //c* } where ((//p { where (//q) & ((/r { where (/s) }) | 1) }) | 1) \
-                 & (//m { where (//mail) }) }"
-            ),
-            [3, 4, 5, 6]
-        );
-        // A child whose own formula is `0` is read when its parent's formula
-        // names it; its children are not.
-        assert_eq!(unread("a* { where (/b { where 0 & (/c) }) }"), [2]);
-        // The constant parts fold away and leave `x & !y`: both children are
-        // read only through the named references.
-        assert_eq!(
-            unread("a* { where ((/b as x) | 1) & !((/c as y) | 1) | x & !y }"),
-            [] as [u32; 0]
-        );
-        // With every formula folded to a constant, every predicate child is
-        // unread and the backbone is not.
-        assert_eq!(
-            unread("a* { /b* { where ((/c) | 1) } where ((/d { where (/e) }) | 1) }"),
-            [2, 3, 4]
-        );
-        assert_eq!(unread(&figure2_query().to_string()), [] as [u32; 0]);
     }
 
     #[test]

@@ -159,19 +159,20 @@ fn random_query_builder(rng: &mut StdRng) -> GtpqBuilder {
 }
 
 /// A [`random_query`] whose root also carries a predicate branch no formula
-/// reads: the root's formula does not name it, so its text is the inert
-/// `((pattern) | 1)` of Table 4.  The branch has an AD edge at its top, a
-/// chain of three predicate nodes each reading the next, and beside the
-/// chain a predicate leaf whose own formula is `0`:
+/// reads (the root's formula does not name it), and that query without the
+/// branch, which is what its text parses to: the parser drops such
+/// branches, and the printer leaves them out.  The branch has an AD edge at
+/// its top, a chain of three predicate nodes each reading the next, and
+/// beside the chain a predicate leaf whose own formula is `0`:
 ///
 /// ```text
-/// where … & ((//l { where (//l { where (/l) }) & !(/l { where 0 }) }) | 1)
+/// //l { where (//l { where (/l) }) & !(/l { where 0 }) }
 /// ```
 ///
-/// The branch is the root's last child, so the text still parses back to
-/// the query when its outputs are marked in node order.
-pub fn inert_branch_query(rng: &mut StdRng) -> Gtpq {
+/// The branch is the root's last child, so no other node's id moves.
+pub fn inert_branch_query(rng: &mut StdRng) -> (Gtpq, Gtpq) {
     let mut b = random_query_builder(rng);
+    let plain = b.clone().build().expect("generated queries are valid");
     let top = b.predicate_child(b.root_id(), EdgeKind::Descendant, label_attr(rng));
     let middle = b.predicate_child(top, EdgeKind::Descendant, label_attr(rng));
     let bottom = b.predicate_child(middle, edge(rng, 0.5), label_attr(rng));
@@ -180,7 +181,7 @@ pub fn inert_branch_query(rng: &mut StdRng) -> Gtpq {
     b.set_structural(middle, var(bottom));
     b.set_structural(never, BoolExpr::False);
     b.set_structural(top, BoolExpr::and2(var(middle), BoolExpr::not(var(never))));
-    b.build().expect("generated queries are valid")
+    (b.build().expect("generated queries are valid"), plain)
 }
 
 /// Every comparison operator; `node_attr` draws from sub-ranges of it,
@@ -333,9 +334,8 @@ fn sim_query(rng: &mut StdRng) -> GtpqBuilder {
 /// parser's round-trip and fuzz tests.  It has at most `max_nodes` nodes
 /// (at least one an output), created in the text form's canonical order:
 /// pre-order, each node's backbone children before its predicate children,
-/// each formula mentioning its children in creation order, and now and then
-/// a predicate child no formula mentions, last.  Some nodes are named
-/// (`as n0`), and a formula may refer back to a named child.
+/// each formula mentioning its children in creation order.  Some nodes are
+/// named (`as n0`), and a formula may refer back to a named child.
 pub fn text_query(rng: &mut StdRng, max_nodes: usize) -> Gtpq {
     let b = GtpqBuilder::new(text_attr(rng));
     let mut gen = TextQuery {
@@ -423,7 +423,7 @@ impl TextQuery<'_> {
 
     /// Creates the children of `u` in canonical order: backbone subtrees
     /// first (depth-first), then the predicate children woven into a random
-    /// structural predicate, then possibly one orphan predicate child.
+    /// structural predicate.
     fn populate(&mut self, u: QueryNodeId, backbone: bool, depth: usize) {
         if depth >= 4 {
             return;
@@ -449,10 +449,6 @@ impl TextQuery<'_> {
             }
             let fs = self.formula(&vars);
             self.b.set_structural(u, fs);
-        }
-        // Now and then a predicate child the formula never mentions.
-        if self.rng.gen_bool(0.1) {
-            self.child(u, false, depth);
         }
     }
 

@@ -8,14 +8,16 @@
 //! After every commit the maintained graph and condensation must be `==` a
 //! `GraphBuilder` replay of every op so far and Tarjan on it, and each of
 //! the seed's `common::random_query`s, plus one `common::inert_branch_query`
-//! (a predicate branch no formula reads, which the engine must neither
-//! select nor prune), unwindowed and under two random `offset`/`limit`
+//! (a hand-built predicate branch no formula reads, which the engine
+//! evaluates like any other), unwindowed and under two random `offset`/`limit`
 //! windows, must answer exactly the rebuild's `naive::evaluate` rows, in
 //! `ResultSet` order and with the right truncation flag, through
 //!
 //! * the engine: default options, `without_shrinking`,
 //!   `without_upward_pruning`, and the pairwise arm on a `ThreeHop`;
-//! * a service with the result cache off, sent the query as text;
+//! * a service with the result cache off, sent the query as text (which
+//!   parses back to the query, less its inert branch, whenever the outputs
+//!   are marked in node order);
 //! * a service whose cache was warmed with the complete answer;
 //! * a live service over the handle, across its epoch rotations.
 //!
@@ -35,8 +37,9 @@
 //! Satisfiability has an oracle of its own: the full structural analysis,
 //! which derives `fcs` for every node, must agree with `is_satisfiable`,
 //! which derives only the root's, and neither may reject a query the naive
-//! evaluator answers; the same queries' minimized forms must answer alike.  Queries whose formulas contradict themselves must
-//! match nothing on every path, minimized or not.
+//! evaluator answers; the same queries' minimized forms must answer alike.
+//! Queries whose formulas contradict themselves must match nothing on every
+//! path, minimized or not.
 
 mod common;
 
@@ -113,12 +116,15 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
         let after = rng.gen_range(0..epochs.len() - 1);
         (after, LOAD_MODES[rng.gen_range(0..LOAD_MODES.len())])
     });
-    let inert = inert_branch_query(&mut rng);
-    assert!(
-        inert.unread_nodes().iter().filter(|&&u| u).count() >= 4,
-        "seed {seed}: `{inert}` lost its unread branch"
-    );
+    // What each query's text parses to: the query itself, less the inert
+    // branch, which the text leaves out.
+    let mut parsed = queries.clone();
+    let (inert, plain) = inert_branch_query(&mut rng);
+    let text = inert.to_string();
+    let size = parse_query(&text).expect("printed queries parse").size();
+    assert_eq!(size, inert.size() - 4, "seed {seed}: `{text}`");
     queries.push(inert);
+    parsed.push(plain);
     let minimized: Vec<Gtpq> = queries.iter().map(minimize).collect();
     let scenario = format!(
         "seed {seed} ({}, {} epochs, {})",
@@ -176,7 +182,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
         }
         let served = handle.snapshot();
         let three_hop = ThreeHop::new(served.graph());
-        for (q, minimized) in queries.iter().zip(&minimized) {
+        for ((q, parsed), minimized) in queries.iter().zip(&parsed).zip(&minimized) {
             let sweep = Sweep {
                 ctx: format!("{ctx}, query `{q}`"),
                 served: &served,
@@ -184,7 +190,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
                 live: &live,
                 rebuilt: &rebuilt,
             };
-            sweep.check(&mut rng, q, minimized, coverage);
+            sweep.check(&mut rng, q, parsed, minimized, coverage);
         }
     }
     check_commit_stats(&scenario, &handle.stats(), commits, coverage);
@@ -250,7 +256,16 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    fn check(&self, rng: &mut StdRng, q: &Gtpq, minimized: &Gtpq, coverage: &mut Coverage) {
+    /// Checks every serving path on `q`; `parsed` is what `q`'s text
+    /// parses to when its outputs are marked in node order.
+    fn check(
+        &self,
+        rng: &mut StdRng,
+        q: &Gtpq,
+        parsed: &Gtpq,
+        minimized: &Gtpq,
+        coverage: &mut Coverage,
+    ) {
         let all = rows(&naive::evaluate(q, self.rebuilt));
         coverage.answers += 1;
         coverage.multi_row_answers += usize::from(all.len() > 1);
@@ -264,7 +279,7 @@ impl Sweep<'_> {
         };
         let windows = [None, window(), window()];
         self.check_engines(q, &all, &windows);
-        self.check_services(q, &all, &windows);
+        self.check_services(q, parsed, &all, &windows);
     }
 
     fn check_engines(&self, q: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
@@ -317,19 +332,25 @@ impl Sweep<'_> {
         }
     }
 
-    fn check_services(&self, q: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
+    fn check_services(&self, q: &Gtpq, expected: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
         let graph = self.served.graph();
 
         // Cache off, sent as text.  A query whose outputs are marked in node
-        // order prints in canonical form and parses back to itself; the
+        // order prints in canonical form and parses back to itself, less
+        // any predicate branch no formula reads, with the same rows; the
         // others parse to an equivalent query with other output columns.
         let text = q.to_string();
         let parsed = parse_query(&text)
             .unwrap_or_else(|e| panic!("{}: printed text fails:\n{}", self.ctx, e.render(&text)));
-        if q.output_nodes().is_sorted() {
-            assert_eq!(parsed, *q, "{}: `{text}` parses to another query", self.ctx);
-        }
         let parsed_all = rows(&naive::evaluate(&parsed, self.rebuilt));
+        if q.output_nodes().is_sorted() {
+            assert_eq!(
+                parsed, *expected,
+                "{}: `{text}` parses to another query",
+                self.ctx
+            );
+            assert_eq!(parsed_all, all, "{}: `{text}` answers otherwise", self.ctx);
+        }
         let config = ServiceConfig {
             cache_capacity: 0,
             ..ServiceConfig::default()

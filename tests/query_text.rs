@@ -7,6 +7,9 @@
 //!   generated queries,
 //! * a character-level fuzz of those queries' texts: the parser never
 //!   panics, and whatever parses round-trips through `Display`,
+//! * every parsed query's predicate children are read by their parent's
+//!   formula: the parser drops the others, such as an inert `((p) | 1)`
+//!   term spliced into a random query's text,
 //! * parser failure modes assert exact error spans,
 //! * `QueryService::submit` of query text agrees with builder-constructed
 //!   evaluation,
@@ -117,6 +120,7 @@ fn doc_dataset_examples_evaluate_nonempty() {
 
 #[test]
 fn parse_display_round_trips_over_random_queries() {
+    let mut with_inert = 0;
     for seed in 0..300u64 {
         let max_nodes = 2 + (seed % 14) as usize;
         let q = text_query(&mut StdRng::seed_from_u64(seed), max_nodes);
@@ -125,6 +129,7 @@ fn parse_display_round_trips_over_random_queries() {
             .parse()
             .unwrap_or_else(|e: ParseError| panic!("seed {seed}: `{text}`:\n{}", e.render(&text)));
         assert_eq!(reparsed, q, "seed {seed}: `{text}`");
+        assert_every_predicate_child_is_read(&reparsed, &format!("seed {seed}"));
         // The pretty printer speaks the same language.
         let pretty = q.to_pretty_string();
         assert_eq!(
@@ -132,7 +137,21 @@ fn parse_display_round_trips_over_random_queries() {
             q,
             "seed {seed} (pretty): `{pretty}`"
         );
+        // An inert term in front of the first formula goes with its
+        // subtree, and the nodes after it are renumbered: the text still
+        // parses to `q`.
+        if let Some(at) = text.find("where ") {
+            let (head, tail) = text.split_at(at + "where ".len());
+            let inert = format!("{head}((//inert {{ where (/x) }}) | 1) & {tail}");
+            assert_eq!(
+                parse_query(&inert).as_ref(),
+                Ok(&q),
+                "seed {seed}: `{inert}`"
+            );
+            with_inert += 1;
+        }
     }
+    assert!(with_inert > 100, "only {with_inert} queries have a formula");
 }
 
 #[test]
@@ -168,6 +187,7 @@ fn mutated_query_texts_never_panic_the_parser() {
             .unwrap_or_else(|_| panic!("case {case}: the parser panicked on `{text}`"));
         let Ok(q) = outcome else { continue };
         parsed += 1;
+        assert_every_predicate_child_is_read(&q, &format!("case {case}: `{text}`"));
         let printed = q.to_string();
         let reparsed = parse_query(&printed).unwrap_or_else(|e| {
             panic!(
@@ -181,6 +201,15 @@ fn mutated_query_texts_never_panic_the_parser() {
         parsed > 1_000,
         "only {parsed} mutants parsed: the fuzz lost its teeth"
     );
+}
+
+/// Each predicate child's variable occurs in its parent's folded formula.
+fn assert_every_predicate_child_is_read(q: &Gtpq, ctx: &str) {
+    for u in q.node_ids().filter(|&u| !q.is_backbone(u)) {
+        let parent = q.parent(u).expect("a predicate node has a parent");
+        let read = q.fs(parent).contains_var(u.var());
+        assert!(read, "{ctx}: no formula of `{q}` reads {u}");
+    }
 }
 
 #[test]
