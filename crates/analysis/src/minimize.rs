@@ -102,10 +102,13 @@ pub fn minimize(q: &Gtpq) -> Gtpq {
 }
 
 /// Whether the root's complete predicate of a rebuilt query implies the
-/// variable of `u` (a node of the original query, renamed by the rebuild).
+/// variable of `u` (a node of the original query, renamed by the rebuild;
+/// one the rebuild left out is not required).
 fn requires((query, mapping): &(Gtpq, HashMap<QueryNodeId, QueryNodeId>), u: QueryNodeId) -> bool {
-    let analysis = StructuralAnalysis::new(query);
-    implies(analysis.root_complete(), &BoolExpr::Var(mapping[&u].var()))
+    mapping.get(&u).is_some_and(|new| {
+        let analysis = StructuralAnalysis::new(query);
+        implies(analysis.root_complete(), &BoolExpr::Var(new.var()))
+    })
 }
 
 /// Marks the subtree rooted at `u` as removed and substitutes its variable in
@@ -127,12 +130,27 @@ fn remove_subtree(
 }
 
 /// Rebuilds a query from the surviving nodes, remapping structural-predicate
-/// variables to the new dense ids; returns it with the id mapping.
+/// variables to the new dense ids; returns it with the id mapping.  A
+/// predicate child its parent's formula no longer reads is left out, as
+/// [`GtpqBuilder::build`] would drop it.
 fn rebuild(
     q: &Gtpq,
     removed: &[bool],
     fs: &[BoolExpr],
 ) -> (Gtpq, HashMap<QueryNodeId, QueryNodeId>) {
+    // Drop removed variables that were never substituted (defensive).
+    let fs: Vec<BoolExpr> = fs
+        .iter()
+        .map(|formula| {
+            let mut formula = formula.clone();
+            for var in formula.variables() {
+                if removed[QueryNodeId::from_var(var).index()] {
+                    formula = substitute_const(&formula, var, false);
+                }
+            }
+            formula
+        })
+        .collect();
     let mut b = GtpqBuilder::new(q.node(q.root()).attr.clone());
     let mut mapping: HashMap<QueryNodeId, QueryNodeId> = HashMap::new();
     mapping.insert(q.root(), b.root_id());
@@ -144,6 +162,9 @@ fn rebuild(
         let Some(&parent_new) = mapping.get(&parent_old) else {
             continue;
         };
+        if !q.is_backbone(u) && !fs[parent_old.index()].contains_var(u.var()) {
+            continue;
+        }
         let edge = q.incoming_edge(u).expect("non-root");
         let new = if q.is_backbone(u) {
             b.backbone_child(parent_new, edge, q.node(u).attr.clone())
@@ -157,15 +178,7 @@ fn rebuild(
     }
     let rename: HashMap<VarId, VarId> = mapping.iter().map(|(o, n)| (o.var(), n.var())).collect();
     for (old, new) in &mapping {
-        // Drop removed variables that were never substituted (defensive).
-        let mut formula = fs[old.index()].clone();
-        for var in formula.variables() {
-            let old_node = QueryNodeId::from_var(var);
-            if removed[old_node.index()] {
-                formula = substitute_const(&formula, var, false);
-            }
-        }
-        b.set_structural(*new, rename_vars(&formula, &rename));
+        b.set_structural(*new, rename_vars(&fs[old.index()], &rename));
     }
     for &o in q.output_nodes() {
         if let Some(&new) = mapping.get(&o) {
@@ -288,6 +301,15 @@ mod tests {
         let q = b.build().unwrap();
         let m = minimize(&q);
         assert_eq!(m.size(), 2);
+        assert!(equivalent(&q, &m));
+
+        // Setting `dead` to 0 leaves `b` unread, so the rebuild leaves it
+        // out, and the two equal `c` children still meet in step 4.
+        let q: Gtpq = "a* { where (/[year > 9, year < 1]) & (/b) | (/c) & (/c) }"
+            .parse()
+            .unwrap();
+        let m = minimize(&q);
+        assert_eq!(m.to_string(), "a* { where (/c) }");
         assert!(equivalent(&q, &m));
     }
 

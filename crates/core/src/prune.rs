@@ -62,8 +62,7 @@ fn column(
 ///
 /// A step resolves only the children whose variable occurs in `fext(u)`.
 /// With none, `fext(u)` is a constant (`fs(u) = 0` beside backbone
-/// children, or a hand-built node whose predicate children no formula
-/// reads): the step keeps every candidate or none, reading nothing.  Each
+/// children): the step keeps every candidate or none, reading nothing.  Each
 /// used child becomes one bit per candidate:
 ///
 /// * an AD child by one [`reaching`] race of `g`'s condensation — a sweep
@@ -457,20 +456,12 @@ mod tests {
         (b.build(), q)
     }
 
-    /// The cyclic fixture's graph under a hand-built query with a predicate
-    /// branch no formula reads, two levels deep: `a* { //b* { //c* } }`
-    /// plus `//c` over `/b` under the root, whose formulas are `1`.
-    fn inert_fixture() -> (DataGraph, Gtpq) {
+    /// The cyclic fixture's graph under a query whose root formula is the
+    /// constant `0` beside a backbone child: the root's step reads no child.
+    fn constant_fixture() -> (DataGraph, Gtpq) {
         let (g, _) = cyclic_fixture();
-        let label = gtpq_query::AttrPredicate::label;
-        let mut b = gtpq_query::GtpqBuilder::new(label("a"));
-        let root = b.root_id();
-        let backbone = b.backbone_child(root, EdgeKind::Descendant, label("b"));
-        b.backbone_child(backbone, EdgeKind::Descendant, label("c"));
-        let orphan = b.predicate_child(root, EdgeKind::Descendant, label("c"));
-        b.predicate_child(orphan, EdgeKind::Child, label("b"));
-        b.mark_all_backbone_output();
-        (g, b.build().unwrap())
+        let q = gtpq_query::parse_query("a* { //b* { //c* } where 0 }").unwrap();
+        (g, q)
     }
 
     /// Every backend of `BackendKind::ALL` built on `g`, then `g`'s bare
@@ -537,7 +528,7 @@ mod tests {
         for (g, q) in [
             (example_graph(), example_query()),
             cyclic_fixture(),
-            inert_fixture(),
+            constant_fixture(),
         ] {
             let expected = oracle(&g, &q, false);
             for index in backends(&g) {
@@ -554,7 +545,7 @@ mod tests {
         for (g, q) in [
             (example_graph(), example_query()),
             cyclic_fixture(),
-            inert_fixture(),
+            constant_fixture(),
         ] {
             let expected = oracle(&g, &q, true);
             for index in backends(&g) {

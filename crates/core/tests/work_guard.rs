@@ -6,7 +6,6 @@
 //!   to pairwise probing fails here without timing anything.
 //! * Under default options no stage may ask a reachability index anything:
 //!   an index whose every probe panics answers like the naive evaluator.
-//! * A hand-built predicate child no formula reads costs no prune work.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -82,43 +81,6 @@ fn prune_rounds_sweep_once_per_ad_edge_on_xmark_under_sspi() {
     // The bound has teeth: pairwise probing of the same query breaks it.
     let pairwise = prune_index_lookups(&g, &q, &index, &GteaOptions::pairwise());
     assert!(pairwise > bound, "{pairwise} pairwise lookups <= {bound}");
-}
-
-#[test]
-fn a_child_no_formula_reads_costs_nothing() {
-    // A predicate child its parent's formula does not name: only a query
-    // built by hand has one, as the parser drops them.  It prints as the
-    // plain query, and neither round may resolve it.
-    let orphan = |root: &str, child: &str, below: &str| {
-        let mut b = GtpqBuilder::new(AttrPredicate::label(root));
-        let c = b.backbone_child(b.root_id(), EdgeKind::Child, AttrPredicate::label(child));
-        b.predicate_child(c, EdgeKind::Descendant, AttrPredicate::label(below));
-        b.mark_output(b.root_id());
-        b.build().unwrap()
-    };
-    let xmark = generate_xmark(&XmarkConfig::with_scale(0.2));
-    let mut cases = vec![(xmark, orphan("open_auction", "bidder", "person3"))];
-    for seed in 0..8 {
-        let g = random_cyclic_graph(&mut Rng(seed));
-        cases.push((g, orphan("l0", "l1", "l2")));
-    }
-    let mut answered = 0;
-    for (g, inert) in &cases {
-        let plain = parse_query(&inert.to_string()).unwrap();
-        assert_eq!(plain.size(), inert.size() - 1, "{inert}");
-        let index = Sspi::new(g);
-        let options = GteaOptions::default();
-        assert_index_free(g, inert, "inert branch");
-        let rows = GteaEngine::new(g).evaluate(&plain);
-        assert_eq!(GteaEngine::new(g).evaluate(inert), rows, "{inert}");
-        answered += usize::from(!rows.is_empty());
-        assert_eq!(
-            prune_index_lookups(g, inert, &index, &options),
-            prune_index_lookups(g, &plain, &index, &options),
-            "{inert} against {plain}"
-        );
-    }
-    assert!(answered >= 3, "only {answered} cases have rows");
 }
 
 #[test]

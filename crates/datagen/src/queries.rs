@@ -162,9 +162,12 @@ const FIG11_BACKBONE: [&str; 8] = [
 /// * a predicate child that its parent's formula does not mention is an
 ///   inert `((x) | 1)` term.  Inside a predicate branch this makes
 ///   `fs(bidder)`, `fs(seller)` and `fs(mailbox)` true, so those branches
-///   test only their root label.  The parser drops such terms, so they are
-///   not in the printed text, and DIS_NEG2 and DIS_NEG3, which differ only
-///   inside one, print alike;
+///   test only their root label.  Building drops such terms, so they are
+///   not in the printed text;
+/// * DIS_NEG3's `fs(person) = ¬education` lies inside the bidder's inert
+///   branch and constrains nothing, so DIS_NEG3 asks what DIS_NEG2 asks.
+///   It writes the formula in conjunctive form, `(u1 | u10) & (!u1 |
+///   !u10)`, and stays a request and a cache entry of its own;
 /// * the back-reference names of bidder, seller and item are `u1`, `u10`
 ///   and `u6`.
 pub fn fig11_gtpq(variant: Fig11Predicate, person_group: u32, item_group: u32) -> Gtpq {
@@ -210,8 +213,13 @@ pub fn fig11_gtpq(variant: Fig11Predicate, person_group: u32, item_group: u32) -
         Neg2 => format!("{backbone_item} {backbone_seller} where !{}", bidder("")),
         Neg3 => format!("{backbone_item} where !{} & !{}", bidder(""), seller("")),
         DisNeg1 => format!("{backbone_item} where !{} | {}", bidder(""), seller("")),
-        DisNeg2 | DisNeg3 => format!(
+        DisNeg2 => format!(
             "{backbone_item} where !{} & {} | u1 & !u10",
+            bidder(" as u1"),
+            seller(" as u10")
+        ),
+        DisNeg3 => format!(
+            "{backbone_item} where ({} | {}) & (!u1 | !u10)",
             bidder(" as u1"),
             seller(" as u10")
         ),
@@ -416,7 +424,7 @@ mod tests {
         r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder) & !(/seller) }"#,
         r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder) | (/seller) }"#,
         r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
-        r#"open_auction* { //item4* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { //item4* { /location* where (/mailbox) } where ((/bidder as u1) | (/seller as u10)) & (!u1 | !u10) }"#,
         r#"open_auction* { where !(/bidder as u1) & (/seller as u10) & (//item4 as u6 { where (/mailbox) }) | u1 & !u10 & !u6 }"#,
         r#"open_auction* { /bidder { //person3 { /address { /city } } } //item4 { /location } /seller { /person3 { /profile } } }"#,
         r#"open_auction* { /bidder* { //person3 { /address { /city } } } //item4 { /location } /seller* { /person3 { /profile } } }"#,
@@ -442,7 +450,7 @@ mod tests {
         r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder) & !(/seller) }"#,
         r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder) | (/seller) }"#,
         r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
-        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where !(/bidder as u1) & (/seller as u10) | u1 & !u10 }"#,
+        r#"open_auction* { //[label >= item, label < "item~"]* { /location* where (/mailbox) } where ((/bidder as u1) | (/seller as u10)) & (!u1 | !u10) }"#,
         r#"open_auction* { where !(/bidder as u1) & (/seller as u10) & (//[label >= item, label < "item~"] as u6 { where (/mailbox) }) | u1 & !u10 & !u6 }"#,
         r#"open_auction* { /bidder { //[label >= person, label < "person~"] { /address { /city } } } //[label >= item, label < "item~"] { /location } /seller { /[label >= person, label < "person~"] { /profile } } }"#,
         r#"open_auction* { /bidder* { //[label >= person, label < "person~"] { /address { /city } } } //[label >= item, label < "item~"] { /location } /seller* { /[label >= person, label < "person~"] { /profile } } }"#,
@@ -512,9 +520,16 @@ mod tests {
         assert!(!dis.is_conjunctive());
         let neg = fig11_gtpq(Neg1, 0, 0);
         assert!(!neg.is_union_conjunctive());
-        // The parser keeps the nodes the formulas read: the inert
-        // `((x) | 1)` branches go.
+        // Building keeps the nodes the formulas read: the inert
+        // `((x) | 1)` branches go.  The ten variants print ten texts.
         let suite = Fig11Predicate::table4_suite();
+        let mut texts: Vec<String> = suite
+            .iter()
+            .map(|&(_, v)| fig11_gtpq(v, 1, 1).to_string())
+            .collect();
+        texts.sort();
+        texts.dedup();
+        assert_eq!(texts.len(), suite.len());
         let sizes: Vec<usize> = suite
             .iter()
             .map(|&(_, v)| fig11_gtpq(v, 1, 1).size())

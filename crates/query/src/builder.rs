@@ -136,42 +136,6 @@ impl GtpqBuilder {
         self.nodes[u.index()].structural = fs;
     }
 
-    /// Drops each predicate child of `u` that `fs(u)` does not read, with
-    /// its subtree, and renumbers the nodes after it densely.  No formula
-    /// reads what such a child matches, so the answer stays (Table 4's
-    /// `((x) | 1)` branches).  The parser calls this once `u`'s `where`
-    /// clause is folded: the clause's nodes are then the builder's last, and
-    /// none is an output, so no other id moves.
-    pub(crate) fn drop_unread_children(&mut self, u: QueryNodeId) {
-        let fs = &self.nodes[u.index()].structural;
-        let mut keep = vec![true; self.nodes.len()];
-        // Ids are a pre-order: a parent's fate is known before its children's.
-        for (i, node) in self.nodes.iter().enumerate().skip(u.index() + 1) {
-            let parent = node.parent.expect("a child has a parent");
-            let read =
-                parent != u || node.kind == NodeKind::Backbone || fs.contains_var(VarId(i as u32));
-            keep[i] = keep[parent.index()] && read;
-        }
-        if !keep.contains(&false) {
-            return;
-        }
-        let renumber: HashMap<VarId, VarId> = (0..keep.len())
-            .filter(|&i| keep[i])
-            .enumerate()
-            .map(|(new, old)| (VarId(old as u32), VarId(new as u32)))
-            .collect();
-        let new_id = |c: &QueryNodeId| QueryNodeId::from_var(renumber[&c.var()]);
-        let mut flags = keep.iter();
-        self.nodes
-            .retain(|_| *flags.next().expect("one flag per node"));
-        for node in &mut self.nodes[u.index()..] {
-            node.parent = node.parent.as_ref().map(new_id);
-            node.children.retain(|c| keep[c.index()]);
-            node.children.iter_mut().for_each(|c| *c = new_id(c));
-            node.structural = rename_vars(&node.structural, &renumber);
-        }
-    }
-
     /// Sets a display name for a node.
     pub fn set_name(&mut self, u: QueryNodeId, name: &str) {
         self.nodes[u.index()].name = Some(name.to_owned());
@@ -195,7 +159,13 @@ impl GtpqBuilder {
     }
 
     /// Validates and finalizes the query.
-    pub fn build(self) -> Result<Gtpq, QueryError> {
+    ///
+    /// A predicate child whose variable its parent's `fs` does not read is
+    /// dropped with its subtree, and the nodes after it are renumbered
+    /// densely (outputs included): no formula reads what it matches, so the
+    /// answer stays.  This is where Table 4's `((x) | 1)` branches go, and
+    /// no [`Gtpq`] carries such a child.
+    pub fn build(mut self) -> Result<Gtpq, QueryError> {
         // Edge restriction: predicate nodes only have predicate children.
         for (i, node) in self.nodes.iter().enumerate() {
             if node.kind == NodeKind::Backbone {
@@ -234,10 +204,44 @@ impl GtpqBuilder {
                 });
             }
         }
+        self.drop_unread_children();
         Ok(Gtpq {
             nodes: self.nodes,
             output: self.output,
         })
+    }
+
+    /// See [`GtpqBuilder::build`].  Ids are a pre-order, so one pass
+    /// decides each node after its parent.
+    fn drop_unread_children(&mut self) {
+        let mut keep = vec![true; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().skip(1) {
+            let parent = node.parent.expect("a child has a parent");
+            let read = node.kind == NodeKind::Backbone
+                || self.nodes[parent.index()]
+                    .structural
+                    .contains_var(VarId(i as u32));
+            keep[i] = keep[parent.index()] && read;
+        }
+        if !keep.contains(&false) {
+            return;
+        }
+        let renumber: HashMap<VarId, VarId> = (0..keep.len())
+            .filter(|&i| keep[i])
+            .enumerate()
+            .map(|(new, old)| (VarId(old as u32), VarId(new as u32)))
+            .collect();
+        let new_id = |c: &QueryNodeId| QueryNodeId::from_var(renumber[&c.var()]);
+        let mut flags = keep.iter();
+        self.nodes
+            .retain(|_| *flags.next().expect("one flag per node"));
+        for node in &mut self.nodes {
+            node.parent = node.parent.as_ref().map(new_id);
+            node.children.retain(|c| keep[c.index()]);
+            node.children.iter_mut().for_each(|c| *c = new_id(c));
+            node.structural = rename_vars(&node.structural, &renumber);
+        }
+        self.output.iter_mut().for_each(|o| *o = new_id(o));
     }
 }
 
@@ -318,6 +322,29 @@ mod tests {
             b.build().unwrap_err(),
             QueryError::ForeignVariable { .. }
         ));
+    }
+
+    #[test]
+    fn predicate_children_no_formula_reads_are_dropped() {
+        // `a { //b { where (//c) } //d* { where !(/e) } }`: no formula of
+        // the root reads `b`, so `b` and `c` go, and `d`, `e` become u1, u2.
+        let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
+        let root = b.root_id();
+        let orphan = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("b"));
+        let below = b.predicate_child(orphan, EdgeKind::Descendant, AttrPredicate::label("c"));
+        b.set_structural(orphan, BoolExpr::Var(below.var()));
+        let d = b.backbone_child(root, EdgeKind::Descendant, AttrPredicate::label("d"));
+        let e = b.predicate_child(d, EdgeKind::Child, AttrPredicate::label("e"));
+        b.set_structural(d, BoolExpr::not(BoolExpr::Var(e.var())));
+        b.mark_output(d);
+        let q = b.build().unwrap();
+        let (d, e) = (QueryNodeId(1), QueryNodeId(2));
+        assert_eq!(q.size(), 3);
+        assert_eq!(q.output_nodes(), [d]);
+        assert_eq!(q.children(root), [d]);
+        assert_eq!(q.parent(e), Some(d));
+        assert_eq!(*q.fs(d), BoolExpr::not(BoolExpr::Var(e.var())));
+        assert_eq!(q.to_string(), "a { //d* { where !(/e) } }");
     }
 
     #[test]

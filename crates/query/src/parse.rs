@@ -64,19 +64,17 @@
 //! # Canonical form
 //!
 //! `parse(display(q)) == q` holds for every query the parser itself produces
-//! — node ids, names and output order included.  The parser keeps only
-//! predicate children that their parent's folded formula reads: in
-//! `((pattern) | 1)` the `1` absorbs the pattern, so the pattern and its
-//! subtree are dropped, and the nodes after it renumbered.  The round-trip
+//! — node ids, names and output order included.  In `((pattern) | 1)` the
+//! `1` absorbs the pattern, so its formula does not read it, and
+//! [`GtpqBuilder::build`] drops it with its subtree.  The round-trip
 //! property test in `tests/query_text.rs` checks the identity on random
 //! queries.  For queries built by hand through [`GtpqBuilder`] the printed
-//! text is always *semantically* faithful, but re-parsing may renumber
-//! nodes: the text lists each node's backbone children before its predicate
-//! children, so a builder insertion order that interleaves them comes back
-//! in canonical order (an equivalent query under
-//! `gtpq_analysis::equivalent`), and a predicate child no formula reads is
-//! not printed at all.  In every case the printed text re-parses, and one
-//! `parse ∘ display` application reaches a fixed point.
+//! text is always faithful, but re-parsing may renumber nodes: the text
+//! lists each node's backbone children before its predicate children, so a
+//! builder insertion order that interleaves them comes back in canonical
+//! order (an equivalent query under `gtpq_analysis::equivalent`).  In every
+//! case the printed text re-parses, and one `parse ∘ display` application
+//! reaches a fixed point.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -689,9 +687,6 @@ impl<'a> Parser<'a> {
                     let mut scope = NameScope::new();
                     let fs = self.parse_formula(node, &mut scope)?;
                     self.builder().set_structural(node, fs);
-                    // A child the folded formula does not read, as in
-                    // `((pattern) | 1)`, cannot change the answer: it goes.
-                    self.builder().drop_unread_children(node);
                 }
                 _ => {
                     return Err(self.error_here(format!(
@@ -1266,9 +1261,7 @@ fn write_node(
 
 /// Writes the `where` formula of `u`: `fs` with every variable expanded into
 /// the pattern of its predicate child (first occurrence inline, later
-/// occurrences as a name back-reference).  A predicate child `fs` never
-/// mentions (one built by hand: the parser drops them) is not printed; no
-/// formula reads it, so the text means the same query.
+/// occurrences as a name back-reference).
 fn write_where(f: &mut fmt::Formatter<'_>, q: &Gtpq, u: QueryNodeId, fs: &BoolExpr) -> fmt::Result {
     // All `as` names of one `where` clause share a single parser scope, so
     // decide up front what each predicate child prints as — in render order
@@ -1672,29 +1665,6 @@ mod tests {
     }
 
     #[test]
-    fn a_builder_orphan_is_dropped_by_print_and_parse() {
-        // `a1* { //d1* }` plus a predicate branch `//g1 { where (//e2) }`
-        // that no formula reads.
-        let mut b = GtpqBuilder::new(AttrPredicate::label("a1"));
-        let root = b.root_id();
-        let d = b.backbone_child(root, EdgeKind::Descendant, AttrPredicate::label("d1"));
-        let orphan = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("g1"));
-        let below = b.predicate_child(orphan, EdgeKind::Descendant, AttrPredicate::label("e2"));
-        b.set_structural(orphan, BoolExpr::Var(below.var()));
-        b.mark_output(root);
-        b.mark_output(d);
-        let q = b.build().unwrap();
-        let printed = q.to_string();
-        assert_eq!(printed, "a1* { //d1* }");
-        let reparsed = parse(&printed);
-        assert_eq!(reparsed.size(), 2);
-        let g = example_graph();
-        let rows = naive::evaluate(&q, &g);
-        assert!(!rows.is_empty());
-        assert_eq!(naive::evaluate(&reparsed, &g), rows);
-    }
-
-    #[test]
     fn predicate_children_no_formula_reads_are_dropped() {
         // Inert branches three levels deep, named ones among them: the rest
         // is numbered densely and prints without them.
@@ -1804,17 +1774,6 @@ mod tests {
         let reparsed = parse(&printed);
         assert_eq!(reparsed.size(), q.size(), "{printed}");
         assert_eq!(reparsed.fs(root).variables().len(), 2, "{printed}");
-        // A named orphan colliding with a formula name is not printed.
-        let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
-        let root = b.root_id();
-        let p1 = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("b"));
-        let orphan = b.predicate_child(root, EdgeKind::Descendant, AttrPredicate::label("c"));
-        b.set_name(p1, "x");
-        b.set_name(orphan, "x");
-        b.set_structural(root, BoolExpr::Var(p1.var()));
-        b.mark_output(root);
-        let q = b.build().unwrap();
-        assert_eq!(q.to_string(), "a* { where (//b as x) }");
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::predicate::CandidateSelection;
 /// Construct through [`GtpqBuilder`](crate::GtpqBuilder), which enforces the
 /// structural restrictions of the definition (tree shape, predicate nodes may
 /// only have predicate children, output nodes are backbone nodes, structural
-/// predicates only mention predicate children).
+/// predicates only mention predicate children) and drops each predicate
+/// child that its parent's structural predicate does not read.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Gtpq {
     pub(crate) nodes: Vec<QueryNode>,

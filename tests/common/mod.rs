@@ -158,32 +158,6 @@ fn random_query_builder(rng: &mut StdRng) -> GtpqBuilder {
     }
 }
 
-/// A [`random_query`] whose root also carries a predicate branch no formula
-/// reads (the root's formula does not name it), and that query without the
-/// branch, which is what its text parses to: the parser drops such
-/// branches, and the printer leaves them out.  The branch has an AD edge at
-/// its top, a chain of three predicate nodes each reading the next, and
-/// beside the chain a predicate leaf whose own formula is `0`:
-///
-/// ```text
-/// //l { where (//l { where (/l) }) & !(/l { where 0 }) }
-/// ```
-///
-/// The branch is the root's last child, so no other node's id moves.
-pub fn inert_branch_query(rng: &mut StdRng) -> (Gtpq, Gtpq) {
-    let mut b = random_query_builder(rng);
-    let plain = b.clone().build().expect("generated queries are valid");
-    let top = b.predicate_child(b.root_id(), EdgeKind::Descendant, label_attr(rng));
-    let middle = b.predicate_child(top, EdgeKind::Descendant, label_attr(rng));
-    let bottom = b.predicate_child(middle, edge(rng, 0.5), label_attr(rng));
-    let never = b.predicate_child(top, edge(rng, 0.5), label_attr(rng));
-    let var = |u: QueryNodeId| BoolExpr::Var(u.var());
-    b.set_structural(middle, var(bottom));
-    b.set_structural(never, BoolExpr::False);
-    b.set_structural(top, BoolExpr::and2(var(middle), BoolExpr::not(var(never))));
-    (b.build().expect("generated queries are valid"), plain)
-}
-
 /// Every comparison operator; `node_attr` draws from sub-ranges of it,
 /// `text_attr` from all of it.
 const OPS: [CmpOp; 6] = [

@@ -7,17 +7,14 @@
 //! random `LoadMode` and commit the remaining epochs on the loaded base.
 //! After every commit the maintained graph and condensation must be `==` a
 //! `GraphBuilder` replay of every op so far and Tarjan on it, and each of
-//! the seed's `common::random_query`s, plus one `common::inert_branch_query`
-//! (a hand-built predicate branch no formula reads, which the engine
-//! evaluates like any other), unwindowed and under two random `offset`/`limit`
-//! windows, must answer exactly the rebuild's `naive::evaluate` rows, in
-//! `ResultSet` order and with the right truncation flag, through
+//! the seed's `common::random_query`s, unwindowed and under two random
+//! `offset`/`limit` windows, must answer exactly the rebuild's
+//! `naive::evaluate` rows, in `ResultSet` order and with the right
+//! truncation flag, through
 //!
 //! * the engine: default options, `without_shrinking`,
 //!   `without_upward_pruning`, and the pairwise arm on a `ThreeHop`;
-//! * a service with the result cache off, sent the query as text (which
-//!   parses back to the query, less its inert branch, whenever the outputs
-//!   are marked in node order);
+//! * a service with the result cache off, sent the query as text;
 //! * a service whose cache was warmed with the complete answer;
 //! * a live service over the handle, across its epoch rotations.
 //!
@@ -45,7 +42,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{graph_epochs, inert_branch_query, random_graph, random_query, replay, text_query};
+use common::{graph_epochs, random_graph, random_query, replay, text_query};
 use gtpq::analysis::{is_satisfiable, minimize};
 use gtpq::datagen::{
     apply_ops, generate_xmark, update_stream, xmark_q1, UpdateOp, UpdateStreamConfig, XmarkConfig,
@@ -59,8 +56,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 40;
-/// Random queries per seed, besides the one with an inert branch; each one
-/// is answered after every commit.
+/// Random queries per seed; each one is answered after every commit.
 const QUERIES: usize = 4;
 const LOAD_MODES: [LoadMode; 3] = [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap];
 
@@ -109,22 +105,13 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
     let mut rng = StdRng::seed_from_u64(seed);
     let dag = seed.is_multiple_of(2);
     let epochs = graph_epochs(&mut rng, 6..24, dag);
-    let mut queries: Vec<Gtpq> = (0..QUERIES).map(|_| random_query(&mut rng)).collect();
+    let queries: Vec<Gtpq> = (0..QUERIES).map(|_| random_query(&mut rng)).collect();
     // The hop follows an epoch that is not the last, so that commits land
     // on the loaded base.
     let hop = (epochs.len() > 1 && rng.gen_bool(0.6)).then(|| {
         let after = rng.gen_range(0..epochs.len() - 1);
         (after, LOAD_MODES[rng.gen_range(0..LOAD_MODES.len())])
     });
-    // What each query's text parses to: the query itself, less the inert
-    // branch, which the text leaves out.
-    let mut parsed = queries.clone();
-    let (inert, plain) = inert_branch_query(&mut rng);
-    let text = inert.to_string();
-    let size = parse_query(&text).expect("printed queries parse").size();
-    assert_eq!(size, inert.size() - 4, "seed {seed}: `{text}`");
-    queries.push(inert);
-    parsed.push(plain);
     let minimized: Vec<Gtpq> = queries.iter().map(minimize).collect();
     let scenario = format!(
         "seed {seed} ({}, {} epochs, {})",
@@ -182,7 +169,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
         }
         let served = handle.snapshot();
         let three_hop = ThreeHop::new(served.graph());
-        for ((q, parsed), minimized) in queries.iter().zip(&parsed).zip(&minimized) {
+        for (q, minimized) in queries.iter().zip(&minimized) {
             let sweep = Sweep {
                 ctx: format!("{ctx}, query `{q}`"),
                 served: &served,
@@ -190,7 +177,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
                 live: &live,
                 rebuilt: &rebuilt,
             };
-            sweep.check(&mut rng, q, parsed, minimized, coverage);
+            sweep.check(&mut rng, q, minimized, coverage);
         }
     }
     check_commit_stats(&scenario, &handle.stats(), commits, coverage);
@@ -256,16 +243,7 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    /// Checks every serving path on `q`; `parsed` is what `q`'s text
-    /// parses to when its outputs are marked in node order.
-    fn check(
-        &self,
-        rng: &mut StdRng,
-        q: &Gtpq,
-        parsed: &Gtpq,
-        minimized: &Gtpq,
-        coverage: &mut Coverage,
-    ) {
+    fn check(&self, rng: &mut StdRng, q: &Gtpq, minimized: &Gtpq, coverage: &mut Coverage) {
         let all = rows(&naive::evaluate(q, self.rebuilt));
         coverage.answers += 1;
         coverage.multi_row_answers += usize::from(all.len() > 1);
@@ -279,7 +257,7 @@ impl Sweep<'_> {
         };
         let windows = [None, window(), window()];
         self.check_engines(q, &all, &windows);
-        self.check_services(q, parsed, &all, &windows);
+        self.check_services(q, &all, &windows);
     }
 
     fn check_engines(&self, q: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
@@ -332,25 +310,19 @@ impl Sweep<'_> {
         }
     }
 
-    fn check_services(&self, q: &Gtpq, expected: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
+    fn check_services(&self, q: &Gtpq, all: &[Vec<NodeId>], windows: &[Window]) {
         let graph = self.served.graph();
 
         // Cache off, sent as text.  A query whose outputs are marked in node
-        // order prints in canonical form and parses back to itself, less
-        // any predicate branch no formula reads, with the same rows; the
+        // order prints in canonical form and parses back to itself; the
         // others parse to an equivalent query with other output columns.
         let text = q.to_string();
         let parsed = parse_query(&text)
             .unwrap_or_else(|e| panic!("{}: printed text fails:\n{}", self.ctx, e.render(&text)));
-        let parsed_all = rows(&naive::evaluate(&parsed, self.rebuilt));
         if q.output_nodes().is_sorted() {
-            assert_eq!(
-                parsed, *expected,
-                "{}: `{text}` parses to another query",
-                self.ctx
-            );
-            assert_eq!(parsed_all, all, "{}: `{text}` answers otherwise", self.ctx);
+            assert_eq!(parsed, *q, "{}: `{text}` parses to another query", self.ctx);
         }
+        let parsed_all = rows(&naive::evaluate(&parsed, self.rebuilt));
         let config = ServiceConfig {
             cache_capacity: 0,
             ..ServiceConfig::default()

@@ -8,7 +8,7 @@
 //! * a character-level fuzz of those queries' texts: the parser never
 //!   panics, and whatever parses round-trips through `Display`,
 //! * every parsed query's predicate children are read by their parent's
-//!   formula: the parser drops the others, such as an inert `((p) | 1)`
+//!   formula: building drops the others, such as an inert `((p) | 1)`
 //!   term spliced into a random query's text,
 //! * parser failure modes assert exact error spans,
 //! * `QueryService::submit` of query text agrees with builder-constructed
