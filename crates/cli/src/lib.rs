@@ -68,7 +68,7 @@ OPTIONS:
 REPL COMMANDS:
     :help             command list
     :explain QUERY    parse a query, print its tree and the physical plan
-                      (access paths, prune order, per-operator row estimates)
+                      (candidate steps, prune order, per-operator row estimates)
     :explain analyze QUERY
                       run the query and append actual per-operator rows
     :stats [on|off]   toggle per-query statistics

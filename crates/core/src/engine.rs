@@ -14,7 +14,7 @@ use crate::options::GteaOptions;
 use crate::plan::{execute_candidates, Planner, QueryPlan};
 use crate::prime::{PrimeSubtree, ShrunkPrime};
 use crate::prune::{prune_downward, prune_upward};
-use crate::stats::{EvalStats, OperatorStats};
+use crate::stats::EvalStats;
 use crate::stream::{MatchStream, StreamSource};
 
 /// Row-window and control parameters of one [`GteaEngine::execute`] call.
@@ -219,15 +219,6 @@ impl<'g> GteaEngine<'g> {
         let span = tracer.span("enumerate");
         let mut results = ResultSet::new(q.output_nodes().to_vec());
         let mut truncated = false;
-        // The Collect operator reports what the enumerator was asked to do:
-        // under a limit it produces at most the window (plus the look-ahead
-        // row), so the full-answer estimate is capped accordingly — a
-        // perfectly estimated plan must not read as an estimation error just
-        // because the request stopped early.
-        let window_cap = limit.map(|l| (offset.saturating_add(l).saturating_add(1)) as u64);
-        let collect_estimated = window_cap.map_or(plan.collect_estimated_rows, |cap| {
-            plan.collect_estimated_rows.min(cap)
-        });
         let mut skipped = 0usize;
         let interrupted = loop {
             match stream.next_row() {
@@ -249,12 +240,6 @@ impl<'g> GteaEngine<'g> {
         stats.enumerated_rows += stream.rows_enumerated();
         stats.enumerate_time += stream.enumerate_time();
         stats.time_to_first_row = stream.time_to_first_row();
-        stats.operators.push(OperatorStats {
-            label: "Collect".to_owned(),
-            estimated_rows: collect_estimated,
-            actual_rows: stream.rows_enumerated(),
-            time: stream.enumerate_time(),
-        });
         drop(span);
         stats.result_tuples = results.len() as u64;
         if let Some(interrupt) = interrupted {
@@ -304,7 +289,7 @@ impl<'g> GteaEngine<'g> {
     ) -> Result<Option<Arc<StreamSource>>, Interrupt> {
         let g = self.graph;
 
-        // Step 1: candidate selection along the plan's access paths.
+        // Step 1: candidate selection, in plan order.
         let span = ctl.tracer().span("candidates");
         let mut mat = execute_candidates(q, g, plan, stats, ctl)?;
         span.field("initial_candidates", stats.initial_candidates);
@@ -375,9 +360,7 @@ impl<'g> GteaEngine<'g> {
             ShrunkPrime::unshrunk(q, &prime)
         };
         stats.shrunk_subtree_size = shrunk.len() as u64;
-        let matching_start = Instant::now();
         let matching = MatchingGraph::build(q, g, self.index, &shrunk, &mat, stats, ctl)?;
-        span.field("est_rows", plan.matching_estimated_rows);
         span.field("nodes", matching.node_count);
         span.field("edges", matching.edge_count);
         if ctl.tracer().is_enabled() && !matching.ad_passes.is_empty() {
@@ -388,12 +371,6 @@ impl<'g> GteaEngine<'g> {
             span.field("swept", passes.collect::<Vec<_>>().join(","));
         }
         drop(span);
-        stats.operators.push(OperatorStats {
-            label: "MatchingGraph".to_owned(),
-            estimated_rows: plan.matching_estimated_rows,
-            actual_rows: (matching.node_count + matching.edge_count) as u64,
-            time: matching_start.elapsed(),
-        });
 
         // Step 4 is pulled by the caller: the source enumerates the answer.
         Ok(Some(Arc::new(StreamSource::new(q, shrunk, matching, mat))))
@@ -620,14 +597,10 @@ mod tests {
         shuffled.prune_down.reverse();
         assert!(run(&shuffled).results.same_answer(&expected));
 
-        // Forced full scans select identical candidates.
-        let mut scans = plan.clone();
-        for step in &mut scans.candidates {
-            step.access = crate::plan::AccessPath::FullScan;
-        }
-        let exec = run(&scans);
-        assert!(exec.results.same_answer(&expected));
-        assert!(exec.stats.scanned_nodes >= (q.size() * g.node_count()) as u64);
+        // Reversed candidate order selects identical candidates.
+        let mut reversed = plan.clone();
+        reversed.candidates.reverse();
+        assert!(run(&reversed).results.same_answer(&expected));
 
         // The fixed seed pipeline agrees too.
         let fixed = QueryPlan::fixed_pipeline(&q);
@@ -641,14 +614,13 @@ mod tests {
         let engine = GteaEngine::new(&g);
         let (_, stats) = engine.evaluate_with_stats(&q);
         // One operator per candidate step, per internal-node prune step,
-        // plus PruneUp, MatchingGraph and Collect.
+        // plus PruneUp: the operators the planner estimates.
         let internal = q.node_ids().filter(|&u| !q.node(u).is_leaf()).count();
-        assert_eq!(stats.operators.len(), q.size() + internal + 3);
+        assert_eq!(stats.operators.len(), q.size() + internal + 1);
         assert!(stats
             .operators
             .iter()
             .any(|o| o.label.starts_with("IndexScan")));
-        assert!(stats.operators.iter().any(|o| o.label == "Collect"));
         // Candidate estimates are upper bounds, so never below the actuals.
         for o in stats.operators.iter().filter(|o| o.label.contains("Scan")) {
             assert!(o.estimated_rows >= o.actual_rows, "{}", o.label);

@@ -3,8 +3,8 @@
 //!
 //! Evaluation is split into *planning* and *execution*: the [`plan`] module
 //! builds an explicit physical-operator plan ([`QueryPlan`]) from data-graph
-//! statistics (inverted-index posting lengths predict per-query-node
-//! candidate counts), and the engine executes it.  [`GteaEngine::evaluate`]
+//! statistics (the lengths of the index probes candidate selection makes
+//! predict per-query-node candidate counts), and the engine executes it.  [`GteaEngine::evaluate`]
 //! is exactly "build the default plan ([`Planner::plan`]), execute it";
 //! [`GteaEngine::execute`] executes an explicit plan, which the query
 //! service uses for plan caching and the tests use to prove that any plan
@@ -15,7 +15,7 @@
 //! [`DataGraph`](gtpq_graph::DataGraph) in four steps:
 //!
 //! 1. **Candidate selection** — `mat(u) = {v | v ∼ u}` for every query node,
-//!    each through the plan's access path (index scan or full scan).
+//!    each through the attribute inverted index and the pivot tables.
 //! 2. **Two-round pruning** — [`prune::prune_downward`] removes candidates
 //!    that violate *downward* structural constraints (the subtree pattern
 //!    below their query node, including disjunction and negation), then
@@ -84,6 +84,6 @@ pub use exec::{CancelToken, ExecCtl, Interrupt};
 // dependency.
 pub use gtpq_obs::{Trace, Tracer};
 pub use options::GteaOptions;
-pub use plan::{AccessPath, CandidateStep, Planner, PruneStep, QueryPlan};
+pub use plan::{CandidateStep, Planner, PruneStep, QueryPlan};
 pub use stats::{EvalStats, OperatorStats};
 pub use stream::{MatchStream, StreamSource};

@@ -5,14 +5,17 @@ use std::time::Duration;
 /// Estimated-vs-actual cardinality and wall time of one physical operator.
 ///
 /// Recorded by the plan executor for every candidate-selection step, every
-/// downward-prune step, the upward round, the matching-graph build and the
-/// collect phase, in execution order.  `estimated_rows` comes from the plan's
+/// downward-prune step and the upward round — the operators the planner
+/// estimates — in execution order.  `estimated_rows` comes from the plan's
 /// cost model, `actual_rows` is what the operator really produced — the pair
 /// is the feedback signal for judging (and later improving) the cost model.
+/// The matching graph and the enumeration have their own fields
+/// ([`EvalStats::intermediate_size`], [`EvalStats::enumerated_rows`] and
+/// their times).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OperatorStats {
-    /// Stable operator label (`IndexScan u0`, `PruneDown u2`, `PruneUp`,
-    /// `MatchingGraph`, `Collect`), matching the plan's rendering.
+    /// Stable operator label (`IndexScan u0`, `PivotScan u1`, `PruneDown u2`,
+    /// `PruneUp`), matching the plan's rendering.
     pub label: String,
     /// Rows the planner estimated this operator would produce.
     pub estimated_rows: u64,

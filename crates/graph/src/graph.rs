@@ -222,35 +222,6 @@ impl DataGraph {
         }
     }
 
-    /// Length of the `name = value` posting list (O(1), no materialization).
-    ///
-    /// This is the selectivity statistic the query planner feeds its cost
-    /// model: posting length ≈ number of candidates an `IndexScan` on that
-    /// comparison would produce.
-    pub fn posting_len(&self, name: &str, value: &AttrValue) -> usize {
-        match self.symbols.get(name) {
-            Some(sym) => self.index.count_eq(sym, value),
-            None => 0,
-        }
-    }
-
-    /// Number of nodes carrying attribute `name` at all (O(1)).
-    pub fn posting_len_attr_name(&self, name: &str) -> usize {
-        match self.symbols.get(name) {
-            Some(sym) => self.index.count_with_name(sym),
-            None => 0,
-        }
-    }
-
-    /// Number of nodes whose integer attribute `name` lies in `[lo, hi]`
-    /// (two binary searches, no materialization).
-    pub fn posting_len_int_range(&self, name: &str, lo: i64, hi: i64) -> usize {
-        match self.symbols.get(name) {
-            Some(sym) => self.index.count_int_range(sym, lo, hi),
-            None => 0,
-        }
-    }
-
     /// The similarity tables built alongside the graph (one per attribute
     /// carrying embedding values).
     #[inline]
@@ -350,25 +321,5 @@ mod tests {
         assert_eq!(g.nodes_with_attr_name(LABEL_ATTR).len(), 3);
         assert_eq!(g.nodes_with_attr_name("missing"), &[]);
         assert!(g.attr_index().entry_count() > 0);
-    }
-
-    #[test]
-    fn posting_lengths_match_posting_lists() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node_with_label("A");
-        b.set_attr(a, "year", AttrValue::int(2000));
-        let c = b.add_node_with_label("B");
-        b.set_attr(c, "year", AttrValue::int(2005));
-        let g = b.build();
-        assert_eq!(g.posting_len(LABEL_ATTR, &AttrValue::str("A")), 1);
-        assert_eq!(g.posting_len(LABEL_ATTR, &AttrValue::str("Z")), 0);
-        assert_eq!(g.posting_len("missing", &AttrValue::str("A")), 0);
-        assert_eq!(g.posting_len_attr_name("year"), 2);
-        assert_eq!(g.posting_len_attr_name("missing"), 0);
-        assert_eq!(
-            g.posting_len_int_range("year", 2000, 2004),
-            g.nodes_with_int_range("year", 2000, 2004).len()
-        );
-        assert_eq!(g.posting_len_int_range("missing", 0, 10), 0);
     }
 }

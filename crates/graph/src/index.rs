@@ -544,44 +544,30 @@ impl AttrIndex {
     /// Nodes whose integer-valued attribute `attr` lies in `[lo, hi]`
     /// (inclusive), sorted by id.
     pub fn nodes_int_range(&self, attr: Symbol, lo: i64, hi: i64) -> Vec<NodeId> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let Some(run) = self.int_runs.get(&attr) else {
-            return Vec::new();
-        };
-        // Pairs are sorted by `(value, node)`, so partitioning on the value
-        // half alone lands on the same boundaries.
-        let start = run.values.partition_point(|&v| v < lo);
-        let end = run.values.partition_point(|&v| v <= hi);
-        let mut nodes: Vec<NodeId> = run.nodes[start..end].to_vec();
+        let mut nodes = self.int_range(attr, lo, hi).to_vec();
         nodes.sort_unstable();
         nodes
     }
 
-    /// Length of the `attr = value` posting list without materializing it
-    /// (O(log slots); the cost-model input behind `IndexScan` row estimates).
-    pub(crate) fn count_eq(&self, attr: Symbol, value: &AttrValue) -> usize {
-        self.nodes_eq(attr, value).len()
-    }
-
-    /// Number of nodes carrying attribute `attr` at all (O(1)).
-    pub(crate) fn count_with_name(&self, attr: Symbol) -> usize {
-        self.nodes_with_name(attr).len()
-    }
-
     /// Number of nodes whose integer-valued `attr` lies in `[lo, hi]`,
     /// computed by two binary searches without building the node list.
-    pub(crate) fn count_int_range(&self, attr: Symbol, lo: i64, hi: i64) -> usize {
-        if lo > hi {
-            return 0;
+    pub fn count_int_range(&self, attr: Symbol, lo: i64, hi: i64) -> usize {
+        self.int_range(attr, lo, hi).len()
+    }
+
+    /// The nodes whose integer-valued `attr` lies in `[lo, hi]`, in value
+    /// order.
+    fn int_range(&self, attr: Symbol, lo: i64, hi: i64) -> &[NodeId] {
+        match self.int_runs.get(&attr) {
+            Some(run) if lo <= hi => {
+                // Pairs are sorted by `(value, node)`, so partitioning on the
+                // value half alone lands on the same boundaries.
+                let start = run.values.partition_point(|&v| v < lo);
+                let end = run.values.partition_point(|&v| v <= hi);
+                &run.nodes[start..end]
+            }
+            _ => &[],
         }
-        let Some(run) = self.int_runs.get(&attr) else {
-            return 0;
-        };
-        let start = run.values.partition_point(|&v| v < lo);
-        let end = run.values.partition_point(|&v| v <= hi);
-        end - start
     }
 
     /// Total number of posting entries across every access path.
@@ -660,12 +646,9 @@ mod tests {
     }
 
     #[test]
-    fn count_accessors_agree_with_posting_lengths() {
-        let (g, label, year) = sample();
+    fn range_counts_agree_with_range_postings() {
+        let (g, _, year) = sample();
         let idx = g.attr_index();
-        assert_eq!(idx.count_eq(label, &AttrValue::str("x")), 2);
-        assert_eq!(idx.count_eq(label, &AttrValue::str("zz")), 0);
-        assert_eq!(idx.count_with_name(year), 3);
         assert_eq!(
             idx.count_int_range(year, 2000, 2005),
             idx.nodes_int_range(year, 2000, 2005).len()
@@ -692,7 +675,6 @@ mod tests {
             let (sym, value) = key.expect("an honest key");
             let posting = idx.nodes_eq(sym, &value);
             assert_eq!(posting.is_empty(), (1..4).contains(&slot), "slot {slot}");
-            assert_eq!(idx.count_eq(sym, &value), posting.len());
         }
         assert_eq!(idx.nodes_with_name(label), &[]);
         assert_eq!(idx.nodes_with_name(year), &[]);

@@ -1,6 +1,14 @@
-//! Attribute predicates: conjunctions of `attribute op constant` comparisons.
+//! Attribute predicates: conjunctions of `attribute op constant` comparisons
+//! and `sim(...)` conjuncts.
+//!
+//! One private classification, `AttrPredicate::probes`, decides which
+//! index probes select a predicate's candidates: exact `=` postings, one
+//! merged integer range per attribute, the carriers of an attribute whose
+//! comparisons are verified per node, and pivot tables.  Candidate
+//! selection materialises those probes and its estimate reads their
+//! lengths, so the two cannot disagree on what the index answers.
 
-use gtpq_graph::{intersect_many, AttrValue, DataGraph, NodeId, Symbol};
+use gtpq_graph::{intersect_many, AttrValue, DataGraph, NodeId, SimTable, Symbol};
 use serde::{Deserialize, Serialize};
 
 /// The six comparison operators of the paper.
@@ -348,241 +356,120 @@ impl AttrPredicate {
         width > excluded
     }
 
-    /// Selects the candidate set `{v | v ∼ self}` through the graph's
-    /// attribute inverted index.
-    ///
-    /// Every comparison contributes a sorted node set:
-    /// * `=` probes the exact `(attr, value)` posting list,
-    /// * `<, <=, >, >=` over integers binary-search the per-attribute sorted
-    ///   value run,
-    /// * `!=` and string ranges fall back to the per-attribute-name posting
-    ///   list (every node carrying the attribute) and mark the selection for
-    ///   per-node verification.
-    ///
-    /// The sets are intersected with a galloping merge (smallest list first);
-    /// when any comparison was only approximated, the survivors are verified
-    /// with [`matches`](Self::matches).  Only the wildcard predicate has no
-    /// indexable comparison — it selects every node without touching any
-    /// attribute data.
-    pub(crate) fn select_candidates(&self, g: &DataGraph) -> CandidateSelection {
-        if self.comparisons.is_empty() && self.sims.is_empty() {
-            // Wildcard: every node matches and no attribute data is touched,
-            // so the selection counts as served without scanning.
-            return CandidateSelection {
-                nodes: g.nodes().collect(),
-                from_index: true,
-                verified: 0,
-                posting_entries: 0,
-                sim_pivot_filtered: 0,
-                sim_verified: 0,
-            };
-        }
+    /// The index probes that select `{v | v ∼ self}` in `g`: the one place
+    /// that decides which conjuncts the inverted index and the pivot tables
+    /// answer.  Postings come first, then one range per attribute whose
+    /// integer `<`, `<=`, `>`, `>=` bounds merge into it, then the `sim`
+    /// conjuncts; each probe resolves its attribute's symbol once.  The
+    /// wildcard lists no probe.
+    fn probes<'a>(&'a self, g: &'a DataGraph) -> impl Iterator<Item = Probe<'a>> + 'a {
         let index = g.attr_index();
-        let mut slices: Vec<&[NodeId]> = Vec::new();
-        // Integer range bounds merged per attribute, so `year >= a AND
-        // year <= b` costs one index probe of the final interval instead of
-        // two near-full runs.  i128 bounds avoid the ±1 overflow at the i64
-        // extremes.
-        let mut int_bounds: Vec<(Symbol, i128, i128)> = Vec::new();
-        let mut posting_entries = 0u64;
-        let mut needs_verify = false;
-        let tighten =
-            |sym: Symbol, lo: i128, hi: i128, bounds: &mut Vec<(Symbol, i128, i128)>| match bounds
-                .iter_mut()
-                .find(|(s, _, _)| *s == sym)
-            {
-                Some((_, blo, bhi)) => {
-                    *blo = (*blo).max(lo);
-                    *bhi = (*bhi).min(hi);
-                }
-                None => bounds.push((sym, lo, hi)),
-            };
-        for cmp in &self.comparisons {
-            let Some(sym) = g.symbols().get(&cmp.attr) else {
-                // The attribute never occurs in the graph: nothing matches.
-                return CandidateSelection {
-                    nodes: Vec::new(),
-                    from_index: true,
-                    verified: 0,
-                    posting_entries,
-                    sim_pivot_filtered: 0,
-                    sim_verified: 0,
-                };
-            };
-            match (cmp.op, &cmp.value) {
-                (CmpOp::Eq, value) => {
-                    let posting = index.nodes_eq(sym, value);
-                    posting_entries += posting.len() as u64;
-                    slices.push(posting);
-                }
-                (CmpOp::Lt, AttrValue::Int(v)) => {
-                    tighten(sym, i64::MIN as i128, *v as i128 - 1, &mut int_bounds)
-                }
-                (CmpOp::Le, AttrValue::Int(v)) => {
-                    tighten(sym, i64::MIN as i128, *v as i128, &mut int_bounds)
-                }
-                (CmpOp::Gt, AttrValue::Int(v)) => {
-                    tighten(sym, *v as i128 + 1, i64::MAX as i128, &mut int_bounds)
-                }
-                (CmpOp::Ge, AttrValue::Int(v)) => {
-                    tighten(sym, *v as i128, i64::MAX as i128, &mut int_bounds)
-                }
-                _ => {
-                    // `!=` or a range over strings: restrict to the nodes
-                    // carrying the attribute, verify the survivors per node.
-                    let posting = index.nodes_with_name(sym);
-                    posting_entries += posting.len() as u64;
-                    slices.push(posting);
-                    needs_verify = true;
-                }
-            }
-        }
-        let ranges: Vec<Vec<NodeId>> = int_bounds
+        let comparisons = &self.comparisons;
+        let postings = comparisons
             .iter()
-            .map(|&(sym, lo, hi)| {
-                if lo > hi {
-                    return Vec::new(); // contradictory bounds
-                }
-                let run = index.nodes_int_range(sym, lo as i64, hi as i64);
-                posting_entries += run.len() as u64;
-                run
+            .filter(|c| int_bounds(c).is_none())
+            .map(move |c| match g.symbols().get(&c.attr) {
+                None => Probe::Exact(&[]), // the graph never carries it
+                Some(sym) if c.op == CmpOp::Eq => Probe::Exact(index.nodes_eq(sym, &c.value)),
+                Some(sym) => Probe::Carriers(index.nodes_with_name(sym)),
+            });
+        let ranges = comparisons.iter().enumerate().filter_map(move |(i, c)| {
+            let bounded = |d: &AttrComparison| d.attr == c.attr && int_bounds(d).is_some();
+            if !bounded(c) || comparisons[..i].iter().any(bounded) {
+                return None;
+            }
+            let (lo, hi) = comparisons[i..]
+                .iter()
+                .filter(|d| d.attr == c.attr)
+                .filter_map(int_bounds)
+                .fold((i128::MIN, i128::MAX), |(lo, hi), (l, h)| {
+                    (lo.max(l), hi.min(h))
+                });
+            let sym = g.symbols().get(&c.attr);
+            Some(match (sym, i64::try_from(lo), i64::try_from(hi)) {
+                (Some(sym), Ok(lo), Ok(hi)) if lo <= hi => Probe::IntRange(sym, lo, hi),
+                _ => Probe::Exact(&[]), // an unknown attribute or contradictory bounds
             })
-            .collect();
-        slices.extend(ranges.iter().map(Vec::as_slice));
+        });
+        let sims = self.sims.iter().map(move |s| match g.sim_table(&s.attr) {
+            _ if matches!(s.op, CmpOp::Eq | CmpOp::Ne) => Probe::Exact(&[]), // never matches
+            Some(table) if table.dim() == s.query.len() => Probe::Pivot(s, table),
+            _ => Probe::Carriers(g.nodes_with_attr_name(&s.attr)),
+        });
+        postings.chain(ranges).chain(sims)
+    }
 
-        // Similarity conjuncts.  A table of the query's dimensionality
-        // answers exactly through the pivot filter (block-and-verify: the
-        // result needs no further per-node check).  With no table — or one
-        // of another dimensionality — restrict to the nodes carrying the
-        // attribute and verify the survivors per node.
-        let mut sim_pivot_filtered = 0u64;
-        let mut sim_verified = 0u64;
-        let mut sim_sets: Vec<Vec<NodeId>> = Vec::new();
-        for sim in &self.sims {
-            match g.sim_table(&sim.attr) {
-                Some(table) if table.dim() == sim.query.len() => {
-                    let m = match sim.op {
-                        CmpOp::Lt => table.within_l2(&sim.query, sim.threshold, false),
-                        CmpOp::Le => table.within_l2(&sim.query, sim.threshold, true),
-                        CmpOp::Gt => table.above_cosine(&sim.query, sim.threshold, false),
-                        CmpOp::Ge => table.above_cosine(&sim.query, sim.threshold, true),
-                        CmpOp::Eq | CmpOp::Ne => gtpq_graph::SimMatches::default(),
-                    };
-                    sim_pivot_filtered += m.pruned;
-                    sim_verified += m.verified;
-                    sim_sets.push(m.nodes);
+    /// Selects the candidate set `{v | v ∼ self}` by materialising and
+    /// intersecting the [`probes`](Self::probes) (a galloping merge,
+    /// smallest list first).  An empty posting ends the selection before
+    /// anything is materialised.  When a probe lists an attribute's
+    /// carriers, the survivors are verified with [`matches`](Self::matches).
+    /// The wildcard selects every node without touching any attribute data.
+    pub(crate) fn select_candidates(&self, g: &DataGraph) -> CandidateSelection {
+        let index = g.attr_index();
+        let mut sel = CandidateSelection {
+            from_index: true,
+            ..CandidateSelection::default()
+        };
+        let mut postings: Vec<&[NodeId]> = Vec::new();
+        let mut built: Vec<Vec<NodeId>> = Vec::new();
+        for probe in self.probes(g) {
+            match probe {
+                Probe::Exact([]) => return sel,
+                Probe::Exact(posting) => postings.push(posting),
+                Probe::Carriers(posting) => {
+                    sel.from_index = false;
+                    postings.push(posting);
                 }
-                _ => {
-                    let posting = g.nodes_with_attr_name(&sim.attr);
-                    posting_entries += posting.len() as u64;
-                    sim_sets.push(posting.to_vec());
-                    needs_verify = true;
+                Probe::IntRange(sym, lo, hi) => {
+                    let run = index.nodes_int_range(sym, lo, hi);
+                    sel.posting_entries += run.len() as u64;
+                    built.push(run);
+                }
+                Probe::Pivot(sim, table) => {
+                    let m = match sim.op {
+                        CmpOp::Lt | CmpOp::Le => {
+                            table.within_l2(&sim.query, sim.threshold, sim.op == CmpOp::Le)
+                        }
+                        _ => table.above_cosine(&sim.query, sim.threshold, sim.op == CmpOp::Ge),
+                    };
+                    sel.sim_pivot_filtered += m.pruned;
+                    sel.sim_verified += m.verified;
+                    built.push(m.nodes);
                 }
             }
         }
-        slices.extend(sim_sets.iter().map(Vec::as_slice));
-
-        let mut nodes = intersect_many(&slices, g.node_count());
-        let mut verified = 0u64;
-        if needs_verify {
-            verified = nodes.len() as u64;
-            nodes.retain(|&v| self.matches(g, v));
+        sel.posting_entries += postings.iter().map(|p| p.len() as u64).sum::<u64>();
+        postings.extend(built.iter().map(Vec::as_slice));
+        sel.nodes = intersect_many(&postings, g.node_count());
+        if !sel.from_index {
+            sel.verified = sel.nodes.len() as u64;
+            sel.nodes.retain(|&v| self.matches(g, v));
         }
-        CandidateSelection {
-            nodes,
-            from_index: !needs_verify,
-            verified,
-            posting_entries,
-            sim_pivot_filtered,
-            sim_verified,
-        }
+        sel
     }
 
-    /// Whether every comparison is answered exactly by the inverted index
-    /// (no `!=`, no string range): candidate selection reports
-    /// `from_index = true` whenever this holds.
-    pub fn is_fully_indexable(&self) -> bool {
-        self.sims.is_empty()
-            && self.comparisons.iter().all(|cmp| {
-                matches!(
-                    (cmp.op, &cmp.value),
-                    (CmpOp::Eq, _)
-                        | (CmpOp::Lt, AttrValue::Int(_))
-                        | (CmpOp::Le, AttrValue::Int(_))
-                        | (CmpOp::Gt, AttrValue::Int(_))
-                        | (CmpOp::Ge, AttrValue::Int(_))
-                )
-            })
-    }
-
-    /// Estimates `|{v | v ∼ self}|` from inverted-index posting lengths
-    /// without materializing any candidate set.
-    ///
-    /// Each comparison contributes an upper bound (exact posting length for
-    /// `=`, range-run count for integer ranges, name-posting length for `!=`
-    /// and string ranges); a conjunction can only shrink the set, so the
-    /// minimum over the contributions is itself an upper bound.  The wildcard
-    /// estimates `|V|` exactly.  Cost: O(comparisons · log) — this is the
-    /// planner's selectivity oracle, so it must stay far cheaper than
-    /// selection itself.
+    /// Estimates `|{v | v ∼ self}|` as the shortest of the
+    /// [`probes`](Self::probes)' lengths, without materialising any: a
+    /// conjunction only shrinks its sets, so this upper-bounds the
+    /// selection.  An integer range is counted with two binary searches and
+    /// a pivot table bounds its `sim` conjunct by the first-pivot distance
+    /// band.  The wildcard estimates `|V|` exactly.
     pub(crate) fn estimate_candidates(&self, g: &DataGraph) -> usize {
-        let mut est = g.node_count();
-        // Integer bounds merge per attribute exactly as in
-        // `select_candidates`, so `year >= a AND year <= b` estimates the
-        // final interval rather than two loose half-ranges.
-        let mut int_bounds: Vec<(&str, i128, i128)> = Vec::new();
-        for cmp in &self.comparisons {
-            let bound = match (cmp.op, &cmp.value) {
-                (CmpOp::Eq, value) => g.posting_len(&cmp.attr, value),
-                (CmpOp::Lt, AttrValue::Int(v)) => {
-                    merge_bound(&mut int_bounds, &cmp.attr, i64::MIN as i128, *v as i128 - 1);
-                    continue;
+        let index = g.attr_index();
+        self.probes(g)
+            .map(|probe| match probe {
+                Probe::Exact(posting) | Probe::Carriers(posting) => posting.len(),
+                Probe::IntRange(sym, lo, hi) => index.count_int_range(sym, lo, hi),
+                Probe::Pivot(sim, table) if matches!(sim.op, CmpOp::Lt | CmpOp::Le) => {
+                    table.estimate_within_l2(&sim.query, sim.threshold)
                 }
-                (CmpOp::Le, AttrValue::Int(v)) => {
-                    merge_bound(&mut int_bounds, &cmp.attr, i64::MIN as i128, *v as i128);
-                    continue;
-                }
-                (CmpOp::Gt, AttrValue::Int(v)) => {
-                    merge_bound(&mut int_bounds, &cmp.attr, *v as i128 + 1, i64::MAX as i128);
-                    continue;
-                }
-                (CmpOp::Ge, AttrValue::Int(v)) => {
-                    merge_bound(&mut int_bounds, &cmp.attr, *v as i128, i64::MAX as i128);
-                    continue;
-                }
-                _ => g.posting_len_attr_name(&cmp.attr),
-            };
-            est = est.min(bound);
-        }
-        for (attr, lo, hi) in int_bounds {
-            let bound = if lo > hi {
-                0
-            } else {
-                g.posting_len_int_range(attr, lo as i64, hi as i64)
-            };
-            est = est.min(bound);
-        }
-        for sim in &self.sims {
-            let bound = match g.sim_table(&sim.attr) {
-                // The pivot-table statistic: candidates must land in the
-                // first-pivot distance band `[d(q, p0) − r, d(q, p0) + r]`,
-                // counted with two binary searches over the sorted run.  It
-                // upper-bounds the filter's candidate set, which in turn
-                // upper-bounds the exact answer.
-                Some(table) if table.dim() == sim.query.len() => match sim.op {
-                    CmpOp::Lt | CmpOp::Le => table.estimate_within_l2(&sim.query, sim.threshold),
-                    CmpOp::Gt | CmpOp::Ge => table.estimate_above_cosine(&sim.query, sim.threshold),
-                    CmpOp::Eq | CmpOp::Ne => 0,
-                },
-                _ => g.posting_len_attr_name(&sim.attr),
-            };
-            est = est.min(bound);
-        }
-        est
+                Probe::Pivot(sim, table) => table.estimate_above_cosine(&sim.query, sim.threshold),
+            })
+            .fold(g.node_count(), usize::min)
     }
 
-    /// The paper's `u2 ⊢ u1` test: for every comparison `A op a1` of `self`
-    /// (playing `u1`) there is a comparison `A op a2` of `other` (playing
+    /// The paper's `u2 ⊢ u1` test: for every comparison `A op a1` of `self`    /// (playing `u1`) there is a comparison `A op a2` of `other` (playing
     /// `u2`) such that any node satisfying `other`'s comparison also satisfies
     /// this one (a2 ≤ a1 for `<`/`<=`, a2 ≥ a1 for `>`/`>=`, equal values for
     /// `=`/`!=`).
@@ -619,14 +506,37 @@ impl AttrPredicate {
     }
 }
 
-/// Tightens (or inserts) the merged integer interval for `attr`.
-fn merge_bound<'a>(bounds: &mut Vec<(&'a str, i128, i128)>, attr: &'a str, lo: i128, hi: i128) {
-    match bounds.iter_mut().find(|(a, _, _)| *a == attr) {
-        Some((_, blo, bhi)) => {
-            *blo = (*blo).max(lo);
-            *bhi = (*bhi).min(hi);
-        }
-        None => bounds.push((attr, lo, hi)),
+/// One index probe of candidate selection: a sorted node set the
+/// candidates are drawn from.
+enum Probe<'a> {
+    /// A posting list holding exactly the nodes that satisfy its conjuncts:
+    /// an `=` posting, or empty for an attribute the graph never carries,
+    /// contradictory integer bounds or a `sim` `=` / `!=`.
+    Exact(&'a [NodeId]),
+    /// An attribute's merged integer bounds `[lo, hi]`, answered from its
+    /// sorted value run.
+    IntRange(Symbol, i64, i64),
+    /// Every node carrying an attribute, for a `!=`, a string range or a
+    /// `sim` conjunct no pivot table of its dimensionality answers: the
+    /// selection is verified per node.
+    Carriers(&'a [NodeId]),
+    /// A `sim` conjunct answered by the pivot table of its dimensionality.
+    Pivot(&'a SimComparison, &'a SimTable),
+}
+
+/// The interval an integer `<`, `<=`, `>` or `>=` admits, in `i128` so
+/// that the ±1 cannot overflow at the `i64` extremes.
+fn int_bounds(c: &AttrComparison) -> Option<(i128, i128)> {
+    let AttrValue::Int(v) = c.value else {
+        return None;
+    };
+    let (v, min, max) = (i128::from(v), i128::from(i64::MIN), i128::from(i64::MAX));
+    match c.op {
+        CmpOp::Lt => Some((min, v - 1)),
+        CmpOp::Le => Some((min, v)),
+        CmpOp::Gt => Some((v + 1, max)),
+        CmpOp::Ge => Some((v, max)),
+        CmpOp::Eq | CmpOp::Ne => None,
     }
 }
 
@@ -776,12 +686,24 @@ mod tests {
         let sel = AttrPredicate::label("x").select_candidates(&g);
         assert!(sel.from_index);
         assert!(sel.posting_entries > 0);
+        // An integer range is answered by the sorted value run.
+        let sel = AttrPredicate::any()
+            .and("year", CmpOp::Ge, AttrValue::int(2000))
+            .select_candidates(&g);
+        assert!(sel.from_index);
+        assert_eq!(sel.nodes, vec![v]);
         // `!=` needs verification against the name posting list.
         let sel = AttrPredicate::any()
             .and("year", CmpOp::Ne, AttrValue::int(1))
             .select_candidates(&g);
         assert!(!sel.from_index);
         assert_eq!(sel.verified, 1);
+        assert_eq!(sel.nodes, vec![v]);
+        // So does a string range, even one every carrier satisfies.
+        let sel = AttrPredicate::any()
+            .and("label", CmpOp::Ge, AttrValue::str(""))
+            .select_candidates(&g);
+        assert!(!sel.from_index);
         assert_eq!(sel.nodes, vec![v]);
         // Wildcard: every node, no attribute data touched — counts as served
         // without scanning.
@@ -840,26 +762,11 @@ mod tests {
             assert!(est >= actual, "estimate {est} < actual {actual} for {p}");
             assert!(est <= g.node_count(), "estimate blew past |V| for {p}");
         }
-        // Fully-indexable estimates are exact (posting lengths are exact and
-        // the min over conjuncts only over-approximates multi-attribute
+        // Estimates from exact postings are exact (posting lengths are exact
+        // and the min over conjuncts only over-approximates multi-attribute
         // conjunctions).
         assert_eq!(AttrPredicate::label("a").estimate_candidates(&g), 3);
         assert_eq!(AttrPredicate::any().estimate_candidates(&g), 6);
-    }
-
-    #[test]
-    fn indexability_classification() {
-        assert!(AttrPredicate::any().is_fully_indexable());
-        assert!(AttrPredicate::label("x").is_fully_indexable());
-        assert!(AttrPredicate::any()
-            .and("year", CmpOp::Ge, AttrValue::int(2000))
-            .is_fully_indexable());
-        assert!(!AttrPredicate::any()
-            .and("year", CmpOp::Ne, AttrValue::int(2000))
-            .is_fully_indexable());
-        assert!(!AttrPredicate::any()
-            .and("label", CmpOp::Ge, AttrValue::str("b"))
-            .is_fully_indexable());
     }
 
     #[test]
@@ -951,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_satisfiability_and_indexability() {
+    fn sim_satisfiability() {
         let q = vec![1.0f32];
         assert!(!AttrPredicate::any()
             .and_sim("e", CmpOp::Lt, q.clone(), 0.0)
@@ -970,7 +877,6 @@ mod tests {
             .is_satisfiable());
         let ok = AttrPredicate::any().and_sim("e", CmpOp::Ge, q.clone(), 1.0);
         assert!(ok.is_satisfiable());
-        assert!(!ok.is_fully_indexable());
     }
 
     #[test]

@@ -220,9 +220,9 @@ impl Gtpq {
         self.nodes[u.index()].attr.select_candidates(g)
     }
 
-    /// Estimated candidate count of a query node, from inverted-index
-    /// posting lengths.  An
-    /// upper bound on `|mat(u)|`; never touches node attribute data.
+    /// Estimated candidate count of a query node, from the lengths of the
+    /// index probes [`candidates_indexed`](Self::candidates_indexed) makes.
+    /// An upper bound on `|mat(u)|`; never touches node attribute data.
     pub fn estimate_candidates(&self, g: &DataGraph, u: QueryNodeId) -> usize {
         self.nodes[u.index()].attr.estimate_candidates(g)
     }

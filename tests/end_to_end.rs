@@ -109,6 +109,12 @@ fn evaluation_statistics_are_plausible() {
     assert!(stats.initial_candidates >= stats.candidates_after_downward);
     assert!(stats.prime_subtree_size >= stats.shrunk_subtree_size);
     assert!(stats.total_time() >= stats.filtering_time());
+    // The estimation rollups read the planner's estimates only.  Fig. 7's
+    // Q1 has eight output nodes, and a product of their estimates once
+    // swamped the mean error.
+    let (_, stats) = engine.evaluate_with_stats(&xmark_q1(3));
+    let error = stats.estimation_error();
+    assert!(error < 100.0, "estimation error {error}");
 }
 
 #[test]

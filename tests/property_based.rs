@@ -135,11 +135,12 @@ fn formula_transformations_preserve_equivalence() {
     }
 }
 
-/// A random attribute predicate exercising every access path of the inverted
-/// index: equalities, integer ranges, `!=`, string ranges, conjunctions,
-/// unknown attributes and the wildcard.
+/// A random attribute predicate exercising every probe of the inverted
+/// index: equalities, integer ranges (contradictory ones too), `!=`, one-
+/// and two-sided string ranges, conjunctions, unknown attributes and the
+/// wildcard.
 fn random_predicate(rng: &mut StdRng) -> AttrPredicate {
-    let mut p = match rng.gen_range(0u8..6) {
+    let mut p = match rng.gen_range(0u8..8) {
         0 => AttrPredicate::any(),
         1 => AttrPredicate::label(&format!("l{}", rng.gen_range(0u8..4))),
         2 => {
@@ -152,6 +153,23 @@ fn random_predicate(rng: &mut StdRng) -> AttrPredicate {
             [CmpOp::Ge, CmpOp::Lt][rng.gen_range(0..2usize)],
             AttrValue::str(&format!("l{}", rng.gen_range(0u8..4))),
         ),
+        5 => {
+            let a = rng.gen_range(1995..2010);
+            AttrPredicate::any()
+                .and("year", CmpOp::Ge, AttrValue::int(a))
+                .and("year", CmpOp::Lt, AttrValue::int(rng.gen_range(1995..=a)))
+        }
+        6 => AttrPredicate::any()
+            .and(
+                "label",
+                CmpOp::Gt,
+                AttrValue::str(&format!("l{}", rng.gen_range(0u8..4))),
+            )
+            .and(
+                "label",
+                CmpOp::Le,
+                AttrValue::str(&format!("l{}", rng.gen_range(0u8..4))),
+            ),
         _ => AttrPredicate::eq("nowhere", AttrValue::int(1)),
     };
     if rng.gen_bool(0.4) {
@@ -186,6 +204,11 @@ fn index_backed_candidates_equal_the_full_scan() {
             if selection.from_index {
                 assert_eq!(selection.verified, 0, "seed {seed}");
             }
+            let est = q.estimate_candidates(&g, u);
+            assert!(
+                est >= selection.nodes.len(),
+                "seed {seed}: estimate {est} below the selection at {u}"
+            );
         }
 
         // And the engine-level candidate selection agrees too, up to the
@@ -210,13 +233,11 @@ fn index_backed_candidates_equal_the_full_scan() {
 }
 
 /// The tentpole equivalence property: executing *any* physical plan — the
-/// planner's default, a shuffled prune order, forced full scans, the upward
-/// round disabled, the seed's fixed pipeline — returns a `ResultSet`
-/// identical to the default `evaluate`.  Plans may only change performance,
-/// never answers.
+/// planner's default, a shuffled prune order, a reversed candidate order,
+/// the seed's fixed pipeline — returns a `ResultSet` identical to the
+/// default `evaluate`.  Plans may only change performance, never answers.
 #[test]
 fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
-    use gtpq::engine::plan::AccessPath;
     for seed in 0..CASES / 2 {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(&mut rng, 2..16, seed % 2 == 0);
@@ -230,18 +251,16 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
         for i in (1..shuffled.prune_down.len()).rev() {
             shuffled.prune_down.swap(i, rng.gen_range(0..=i));
         }
-        // Forced full scans on every query node.
-        let mut scans = plan.clone();
-        for step in &mut scans.candidates {
-            step.access = AccessPath::FullScan;
-        }
+        // Candidates selected in reverse plan order.
+        let mut reversed = plan.clone();
+        reversed.candidates.reverse();
         // The seed's fixed pipeline.
         let fixed = QueryPlan::fixed_pipeline(&q);
 
         for (name, perturbed) in [
             ("default", &plan),
             ("shuffled", &shuffled),
-            ("full-scan", &scans),
+            ("reversed", &reversed),
             ("fixed", &fixed),
         ] {
             let got = baseline
