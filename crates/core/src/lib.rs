@@ -84,6 +84,6 @@ pub use exec::{CancelToken, ExecCtl, Interrupt};
 // dependency.
 pub use gtpq_obs::{Trace, Tracer};
 pub use options::GteaOptions;
-pub use plan::{CandidateStep, Planner, PruneStep, QueryPlan};
-pub use stats::{EvalStats, OperatorStats};
+pub use plan::{Planner, QueryPlan};
+pub use stats::{EvalStats, Operator, OperatorStats};
 pub use stream::{MatchStream, StreamSource};

@@ -1,25 +1,26 @@
-//! Cost-based query planning: an explicit physical-operator plan IR plus the
-//! planner that builds one from data-graph statistics.
+//! Query planning: the decisions GTEA's pipeline leaves open, made from
+//! data-graph statistics.
 //!
-//! The seed engine ran one hard-wired pipeline (candidates → prune down →
-//! prune up → match → collect) with the candidate and prune work ordered by
-//! query-node id.  This module makes the pipeline an explicit, inspectable
-//! value — a [`QueryPlan`] — chosen per query by a [`Planner`]:
+//! The paper fixes the pipeline: candidate selection, downward pruning
+//! children first (Procedure 6), upward pruning (Procedure 7), the matching
+//! graph, then enumeration.  A [`QueryPlan`] therefore holds only the order
+//! of its candidate steps and of its downward-prune steps, and only
+//! [`Planner::plan`] makes one, so every plan is valid by construction:
 //!
-//! * **Candidate selection** becomes one operator per query node, ordered by
+//! * **Candidate selection** is one step per query node, ordered by
 //!   estimated candidate count.  Every step selects through the index
 //!   probes its predicate classifies into ([`Gtpq::candidates_indexed`]),
 //!   and its estimate is the shortest of those probes
 //!   ([`Gtpq::estimate_candidates`]).  The step is named `PivotScan` when
 //!   the predicate has `sim(...)` conjuncts, which the pivot tables answer,
-//!   and `IndexScan` otherwise.
-//! * **Downward pruning** is ordered by estimated candidate-set size instead
-//!   of query-node id: among the internal nodes whose (internal) children
-//!   have already been processed, the cheapest is pruned first, so small
-//!   candidate sets shrink their parents before the expensive nodes run.
-//!   Any requested order is repaired to a valid children-first order by
-//!   [`QueryPlan::normalized_prune_down`], which makes arbitrary plan
-//!   perturbations safe to execute.
+//!   and `IndexScan` otherwise.  These are the only estimates a plan
+//!   carries, because they are the only ones a decision reads: the
+//!   estimate is an upper bound, so a node estimated empty runs first and
+//!   answers a query with an empty backbone after one probe.
+//! * **Downward pruning** runs the internal nodes children first.  Among
+//!   the ready nodes the one with the fewest estimated candidates goes
+//!   first, so small candidate sets shrink their parents before the
+//!   expensive nodes run.
 //! * **A reachability backend** is recommended per query only by a planner
 //!   handed a [`GraphProfile`] ([`Planner::with_profile`]): it estimates the
 //!   number of set-probe calls the prune rounds will issue and weights each
@@ -28,12 +29,13 @@
 //!   the query service plan without one — default-option evaluation reads
 //!   no index — so only the benchmark's replay still asks.
 //!
-//! The executor records estimated-vs-actual cardinalities and per-operator
-//! wall times of the estimated operators into
-//! [`EvalStats::operators`](crate::EvalStats), which `:explain analyze`
-//! reads back beside the matching graph's and the enumeration's actuals.
-//! Those two stages carry no estimate: no decision reads one.
+//! The executor records each candidate step's estimated and actual rows and
+//! each downward-prune step's actual rows, with their wall times, into
+//! [`EvalStats::operators`](crate::EvalStats).  `:explain analyze` reads
+//! them back beside the upward round's, the matching graph's and the
+//! enumeration's actuals.
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
 use gtpq_graph::{DataGraph, NodeId};
@@ -42,39 +44,15 @@ use gtpq_reach::{select_backend_for_query, BackendKind, GraphProfile};
 
 use crate::exec::{ExecCtl, Interrupt};
 use crate::prime::PrimeSubtree;
-use crate::stats::{EvalStats, OperatorStats};
+use crate::stats::{EvalStats, Operator, OperatorStats};
 
-/// One candidate-selection operator.
+/// One candidate-selection step.
 #[derive(Clone, Debug)]
-pub struct CandidateStep {
+struct CandidateStep {
     /// The query node whose candidates this step selects.
-    pub node: QueryNodeId,
-    /// Estimated number of candidates produced.
-    pub estimated_rows: u64,
-}
-
-/// One downward-prune operator (an internal query node).
-#[derive(Clone, Copy, Debug)]
-pub struct PruneStep {
-    /// The internal query node whose candidate set this step prunes.
-    pub node: QueryNodeId,
-    /// Estimated number of candidates surviving the step.
-    pub estimated_rows: u64,
-}
-
-impl PruneStep {
-    /// The seed's prune order: every internal node, bottom-up by query-node
-    /// id, with no estimates.  The planner-less baseline order.
-    pub fn bottom_up(q: &Gtpq) -> Vec<PruneStep> {
-        q.bottom_up_order()
-            .into_iter()
-            .filter(|&u| !q.node(u).is_leaf())
-            .map(|node| PruneStep {
-                node,
-                estimated_rows: 0,
-            })
-            .collect()
-    }
+    node: QueryNodeId,
+    /// Upper bound on the candidates the step selects.
+    estimated_rows: u64,
 }
 
 /// The planner's reachability-backend recommendation.
@@ -87,208 +65,115 @@ pub struct PlannedBackend {
     pub reason: &'static str,
 }
 
-/// An explicit physical plan for one query: the operator pipeline the engine
-/// executes, with per-operator cardinality estimates.
+/// The plan for one query: what [`Planner::plan`] decided for it.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// Candidate selection, one step per query node, in execution order.
-    pub candidates: Vec<CandidateStep>,
-    /// Downward-prune steps over internal query nodes.  Executed in a
-    /// children-first repair of this order (see
-    /// [`normalized_prune_down`](Self::normalized_prune_down)).
+    candidates: Vec<CandidateStep>,
+    /// The internal query nodes in downward-prune order, children first.
     ///
     /// There is deliberately no switch for the upward round: it is
     /// load-bearing for correctness (the shrunk-prime Cartesian product
-    /// assumes upward-pruned candidate sets), so a plan may only carry its
-    /// estimate, not disable it.
-    pub prune_down: Vec<PruneStep>,
-    /// Estimated candidates surviving the upward round (over prime nodes).
+    /// assumes upward-pruned candidate sets).
+    prune_down: Vec<QueryNodeId>,
+    /// Always 0: a plan estimates no survivors.  Kept while the benchmark's
+    /// replay passes it to [`prune_upward`](crate::prune::prune_upward).
     pub upward_estimated_rows: u64,
     /// Estimated number of reachability set-probe calls both prune rounds
-    /// will issue — the weight behind the backend recommendation.
-    pub(crate) estimated_probes: u64,
+    /// will issue — the weight behind the backend recommendation, 0 when
+    /// the planner recommends none.
+    estimated_probes: u64,
     /// The backend recommendation.
     pub backend: PlannedBackend,
 }
 
 impl QueryPlan {
-    /// The seed's hard-wired pipeline as an explicit plan: candidate steps
-    /// by query-node id, prune order by query-node id (bottom-up), no backend
-    /// recommendation, no estimates.  Used as the planner-less baseline by
-    /// the perturbed-plan property test, the plan-cache tests and the prune
-    /// rounds' unit tests.
-    pub fn fixed_pipeline(q: &Gtpq) -> Self {
-        QueryPlan {
-            candidates: q
-                .node_ids()
-                .map(|node| CandidateStep {
-                    node,
-                    estimated_rows: 0,
-                })
-                .collect(),
-            prune_down: PruneStep::bottom_up(q),
-            upward_estimated_rows: 0,
-            estimated_probes: 0,
-            backend: PlannedBackend {
-                kind: None,
-                reason: "fixed pipeline (no planning)",
-            },
-        }
-    }
-
-    /// Repairs [`prune_down`](Self::prune_down) into a valid execution order:
-    /// children before parents (downward pruning is exact only bottom-up),
-    /// honouring the plan's relative order among independent nodes, with any
-    /// internal nodes missing from the plan appended bottom-up.
+    /// The downward-prune order: every internal node of `q`, the query the
+    /// plan was made for, children first.
     ///
-    /// This is what makes arbitrary plan perturbations safe: a shuffled or
-    /// truncated prune list still executes as *some* children-first order, so
-    /// the answer cannot change — only the pruning efficiency can.
-    pub fn normalized_prune_down(&self, q: &Gtpq) -> Vec<PruneStep> {
-        let internal: Vec<QueryNodeId> = q
-            .bottom_up_order()
-            .into_iter()
-            .filter(|&u| !q.node(u).is_leaf())
-            .collect();
-        // Requested sequence: first occurrence wins, unknown nodes dropped,
-        // missing internal nodes appended in bottom-up order (estimate 0).
-        let mut requested: Vec<PruneStep> = Vec::with_capacity(internal.len());
-        for step in &self.prune_down {
-            if internal.contains(&step.node) && !requested.iter().any(|s| s.node == step.node) {
-                requested.push(*step);
-            }
-        }
-        for &u in &internal {
-            if !requested.iter().any(|s| s.node == u) {
-                requested.push(PruneStep {
-                    node: u,
-                    estimated_rows: 0,
+    /// # Panics
+    ///
+    /// If the plan was made for another query: a prune order that is not
+    /// children first over `q` could reject a parent under a negated child.
+    pub fn normalized_prune_down(&self, q: &Gtpq) -> &[QueryNodeId] {
+        assert!(
+            {
+                let mut done = vec![false; q.size()];
+                let once_each_children_first = self.prune_down.iter().all(|&u| {
+                    let first = ready(q, &done, u) && !done[u.index()];
+                    done[u.index()] = true;
+                    first
                 });
-            }
-        }
-        // Greedy topological emit: repeatedly take the first requested step
-        // whose internal children have all been emitted.  Terminates because
-        // the query is a tree (some leaf-most requested node is always
-        // ready); O(n²) on query sizes that are tens of nodes at most.
-        let mut order: Vec<PruneStep> = Vec::with_capacity(requested.len());
-        let mut done = vec![false; q.size()];
-        while order.len() < requested.len() {
-            let next = requested
-                .iter()
-                .position(|s| {
-                    !done[s.node.index()]
-                        && q.children(s.node)
-                            .iter()
-                            .all(|&c| q.node(c).is_leaf() || done[c.index()])
-                })
-                .expect("a tree always has a ready internal node");
-            done[requested[next].node.index()] = true;
-            order.push(requested[next]);
-        }
-        order
+                once_each_children_first
+                    && q.node_ids().all(|u| q.node(u).is_leaf() || done[u.index()])
+            },
+            "the prune order must be children first over the plan's query"
+        );
+        &self.prune_down
     }
 
-    /// Renders the plan as an indented operator tree with estimates, e.g.
+    /// Renders the plan as an indented operator list, e.g.
     ///
     /// ```text
-    /// QueryPlan (est. probes 42)
-    ///   IndexScan u1 [label = b1]      est 2 rows
+    /// QueryPlan
+    ///   IndexScan u1   [label = b1]                 est 2 rows
     ///   …
-    ///   PruneDown u0                   est 1 rows
-    ///   PruneUp (prime subtree)        est 3 rows
+    ///   PruneDown u0
+    ///   PruneUp (prime subtree)
     ///   MatchingGraph
     ///   Collect
     /// ```
     ///
-    /// The matching graph and the enumeration carry no estimate: no
-    /// decision reads one.
-    ///
-    /// The header names the recommended backend only when the plan carries
-    /// one: `QueryPlan (backend: 3hop — per-query: …; est. probes 42)`.
+    /// Only the candidate steps carry an estimate.  The header names the
+    /// recommended backend and the probe estimate that weighed it only
+    /// when the plan carries one:
+    /// `QueryPlan (backend: 3hop — per-query: …; est. probes 42)`.
     pub fn render(&self, q: &Gtpq) -> String {
         self.render_lines(q, None)
     }
 
     /// Like [`render`](Self::render), but appends each operator's actual row
     /// count and time from an executed run's statistics: the recorded
-    /// operator stats, matched by label, and for `MatchingGraph` and
-    /// `Collect` the run's matching-graph size and enumerated rows.
+    /// operator stats, and for `PruneUp`, `MatchingGraph` and `Collect` the
+    /// run's upward survivors, matching-graph size and enumerated rows.
     /// Operators the run never reached (e.g. after an empty-candidate early
     /// exit) show no actuals.
     pub fn render_with_actuals(&self, q: &Gtpq, stats: &EvalStats) -> String {
         self.render_lines(q, Some(stats))
     }
 
-    /// Writes every line into one `String`: each label is formatted once,
-    /// into a reused buffer, to look its actuals up by.
+    /// Writes every line into one `String`.
     fn render_lines(&self, q: &Gtpq, stats: Option<&EvalStats>) -> String {
         use std::fmt::Write as _;
         let mut out =
-            String::with_capacity(80 * (self.candidates.len() + 2 * self.prune_down.len() + 4));
-        out.push_str("QueryPlan (");
+            String::with_capacity(80 * (self.candidates.len() + self.prune_down.len() + 4));
+        out.push_str("QueryPlan");
         if let Some(kind) = self.backend.kind {
+            let (reason, probes) = (self.backend.reason, self.estimated_probes);
             let _ = write!(
                 out,
-                "backend: {} — {}; ",
-                kind.as_str(),
-                self.backend.reason
+                " (backend: {} — {reason}; est. probes {probes})",
+                kind.as_str()
             );
         }
-        let _ = write!(out, "est. probes {})", self.estimated_probes);
-        // `  <shown> <detail> est <n> rows[ → actual <m> rows in <t>]`: the
-        // shown label padded to 14 characters and the detail to 28 — or,
-        // with no detail, the label to 43.  A line with no estimate pads
-        // only when actuals follow.
-        let line = |out: &mut String,
-                    shown: &str,
-                    detail: Option<&AttrPredicate>,
-                    est: Option<u64>,
-                    actual: Option<(u64, Duration)>| {
-            out.push_str("\n  ");
-            let start = out.len();
-            out.push_str(shown);
-            if let Some(detail) = detail {
-                pad(out, start, 14);
-                out.push(' ');
-                let start = out.len();
-                out.push('[');
-                let _ = detail.write_to(out);
-                out.push(']');
-                pad(out, start, 28);
-            } else if est.is_some() || actual.is_some() {
-                pad(out, start, 43);
-            }
-            if let Some(est) = est {
-                let _ = write!(out, " est {est} rows");
-            }
-            if let Some((rows, time)) = actual {
-                let arrow = if est.is_some() { " →" } else { "" };
-                let _ = write!(out, "{arrow} actual {rows} rows in ");
-                write_duration(out, time);
-            }
-        };
-        let recorded = |label: &str| {
-            let o = stats?.operators.iter().find(|o| o.label == label)?;
+        let recorded = |op: Operator| {
+            let o = stats?.operators.iter().find(|o| o.label == op)?;
             Some((o.actual_rows, o.time))
         };
-        let mut label = String::new();
         for step in &self.candidates {
-            label.clear();
-            let _ = write!(label, "{} {}", scan_name(q, step.node), step.node);
+            let op = scan(q, step.node);
             let attr = &q.node(step.node).attr;
-            let (est, actual) = (Some(step.estimated_rows), recorded(&label));
-            line(&mut out, &label, Some(attr), est, actual);
+            let est = Some(step.estimated_rows);
+            line(&mut out, op, Some(attr), est, recorded(op));
         }
-        for step in self.normalized_prune_down(q) {
-            label.clear();
-            let _ = write!(label, "PruneDown {}", step.node);
-            let (est, actual) = (Some(step.estimated_rows), recorded(&label));
-            line(&mut out, &label, None, est, actual);
+        for &u in self.normalized_prune_down(q) {
+            let op = Operator::PruneDown(u);
+            line(&mut out, op, None, None, recorded(op));
         }
-        let (est, actual) = (Some(self.upward_estimated_rows), recorded("PruneUp"));
-        line(&mut out, "PruneUp (prime subtree)", None, est, actual);
         // A stage that took no time never ran.
         let ran = |rows: u64, time: Duration| (time > Duration::ZERO).then_some((rows, time));
+        let upward = stats.and_then(|s| ran(s.candidates_after_upward, s.prune_up_time));
+        line(&mut out, "PruneUp (prime subtree)", None, None, upward);
         let matching = stats.and_then(|s| ran(s.intermediate_size / 2, s.matching_graph_time));
         line(&mut out, "MatchingGraph", None, None, matching);
         let collect = stats.and_then(|s| ran(s.enumerated_rows, s.enumerate_time));
@@ -297,14 +182,50 @@ impl QueryPlan {
     }
 }
 
-/// The operator name of `u`'s candidate step: `PivotScan` when its
-/// predicate has `sim(...)` conjuncts, which the pivot tables answer, and
-/// `IndexScan` otherwise.
-fn scan_name(q: &Gtpq, u: QueryNodeId) -> &'static str {
+/// Writes one operator line, `  <shown> <detail> est <n> rows[ → actual <m>
+/// rows in <t>]`: the shown label padded to 14 characters and the detail to
+/// 28 — or, with no detail, the label to 43.  A line with no estimate pads
+/// only when actuals follow.
+fn line(
+    out: &mut String,
+    shown: impl fmt::Display,
+    detail: Option<&AttrPredicate>,
+    est: Option<u64>,
+    actual: Option<(u64, Duration)>,
+) {
+    use std::fmt::Write as _;
+    out.push_str("\n  ");
+    let start = out.len();
+    let _ = write!(out, "{shown}");
+    if let Some(detail) = detail {
+        pad(out, start, 14);
+        out.push(' ');
+        let start = out.len();
+        out.push('[');
+        let _ = detail.write_to(out);
+        out.push(']');
+        pad(out, start, 28);
+    } else if est.is_some() || actual.is_some() {
+        pad(out, start, 43);
+    }
+    if let Some(est) = est {
+        let _ = write!(out, " est {est} rows");
+    }
+    if let Some((rows, time)) = actual {
+        let arrow = if est.is_some() { " →" } else { "" };
+        let _ = write!(out, "{arrow} actual {rows} rows in ");
+        write_duration(out, time);
+    }
+}
+
+/// The candidate step of `u`: a `PivotScan` when its predicate has
+/// `sim(...)` conjuncts, which the pivot tables answer, and an `IndexScan`
+/// otherwise.
+fn scan(q: &Gtpq, u: QueryNodeId) -> Operator {
     if q.node(u).attr.sims.is_empty() {
-        "IndexScan"
+        Operator::IndexScan(u)
     } else {
-        "PivotScan"
+        Operator::PivotScan(u)
     }
 }
 
@@ -383,7 +304,7 @@ impl<'g> Planner<'g> {
         self
     }
 
-    /// Builds the cost-based plan for `q`.
+    /// Builds the plan for `q`.
     pub fn plan(&self, q: &Gtpq) -> QueryPlan {
         let g = self.graph;
 
@@ -394,9 +315,9 @@ impl<'g> Planner<'g> {
             .collect();
         let mut candidates: Vec<CandidateStep> = q
             .node_ids()
-            .map(|u| CandidateStep {
-                node: u,
-                estimated_rows: est[u.index()],
+            .map(|node| CandidateStep {
+                node,
+                estimated_rows: est[node.index()],
             })
             .collect();
         // Cheapest selections first: the executor stops at the first empty
@@ -404,89 +325,85 @@ impl<'g> Planner<'g> {
         // an upper bound) answers the whole query with one probe.
         candidates.sort_by_key(|s| s.estimated_rows);
 
-        // Crude post-prune survivor estimate: every child constraint roughly
-        // halves a candidate set, capped at 1/16th.  Deliberately simple —
-        // the executor records the actuals so the model can be judged.
-        let est_out = |u: QueryNodeId| -> u64 {
-            let shift = q.children(u).len().min(4) as u32;
-            (est[u.index()] >> shift).max(1)
-        };
-
-        // Downward prune steps: children-first, cheapest candidate set first
-        // among the ready nodes (normalized_prune_down preserves this order
-        // because it is already a valid children-first order).
+        // Downward prune order: children first, the cheapest candidate set
+        // first among the ready nodes.
         let mut internal: Vec<QueryNodeId> =
             q.node_ids().filter(|&u| !q.node(u).is_leaf()).collect();
-        let mut prune_down: Vec<PruneStep> = Vec::with_capacity(internal.len());
+        let mut prune_down = Vec::with_capacity(internal.len());
         let mut done = vec![false; q.size()];
         while !internal.is_empty() {
-            let ready = internal
+            let next = internal
                 .iter()
                 .enumerate()
-                .filter(|(_, &u)| {
-                    q.children(u)
-                        .iter()
-                        .all(|&c| q.node(c).is_leaf() || done[c.index()])
-                })
+                .filter(|(_, &u)| ready(q, &done, u))
                 .min_by_key(|(_, &u)| est[u.index()])
                 .map(|(i, _)| i)
                 .expect("a tree always has a ready internal node");
-            let u = internal.swap_remove(ready);
+            let u = internal.swap_remove(next);
             done[u.index()] = true;
-            prune_down.push(PruneStep {
-                node: u,
-                estimated_rows: est_out(u),
-            });
+            prune_down.push(u);
         }
 
-        // Probe estimate: downward issues one prepared-probe call per
-        // candidate of an internal node per AD child; upward one per
-        // candidate of each prime child reached through an AD edge.
-        let prime = PrimeSubtree::new(q);
-        let mut probes: u64 = 0;
-        for u in q.node_ids() {
-            let ad_children = q
-                .children(u)
-                .iter()
-                .filter(|&&c| q.incoming_edge(c) != Some(EdgeKind::Child))
-                .count() as u64;
-            probes = probes.saturating_add(est[u.index()].saturating_mul(ad_children));
-        }
-        let mut upward_estimated_rows: u64 = 0;
-        for &u in &prime.nodes {
-            upward_estimated_rows = upward_estimated_rows.saturating_add(est_out(u));
-            for &c in prime.children_of(u) {
-                if q.incoming_edge(c) != Some(EdgeKind::Child) {
-                    probes = probes.saturating_add(est_out(c));
-                }
-            }
-        }
-
-        let backend = match &self.profile {
+        let (backend, probes) = match &self.profile {
             Some(profile) => {
+                let probes = estimated_probes(q, &est);
                 let sel = select_backend_for_query(profile, probes, &self.prebuilt);
-                PlannedBackend {
+                let backend = PlannedBackend {
                     kind: Some(sel.kind),
                     reason: sel.reason,
-                }
+                };
+                (backend, probes)
             }
-            None => PlannedBackend {
-                kind: None,
-                reason: "engine-default backend (no graph profile)",
-            },
+            None => {
+                let backend = PlannedBackend {
+                    kind: None,
+                    reason: "engine-default backend (no graph profile)",
+                };
+                (backend, 0)
+            }
         };
 
         QueryPlan {
             candidates,
             prune_down,
-            upward_estimated_rows,
+            upward_estimated_rows: 0,
             estimated_probes: probes,
             backend,
         }
     }
 }
 
-/// Executes the candidate-selection operators of `plan` in plan order,
+/// Whether every internal child of `u` is `done`, so that `u` may be pruned.
+fn ready(q: &Gtpq, done: &[bool], u: QueryNodeId) -> bool {
+    let mut children = q.children(u).iter();
+    children.all(|&c| q.node(c).is_leaf() || done[c.index()])
+}
+
+/// The number of reachability set-probe calls both prune rounds are
+/// estimated to issue, from the candidate estimates `est`: downward, one
+/// per candidate of a node per AD child; upward, one per surviving
+/// candidate of each prime child reached through an AD edge, where a
+/// child's survivors are its candidates halved per child of its own (at
+/// most four times, and at least one).  It weighs the backend
+/// recommendation and nothing else.
+fn estimated_probes(q: &Gtpq, est: &[u64]) -> u64 {
+    let ad = |c: &&QueryNodeId| q.incoming_edge(**c) != Some(EdgeKind::Child);
+    let mut probes: u64 = 0;
+    for u in q.node_ids() {
+        let ad_children = q.children(u).iter().filter(ad).count() as u64;
+        probes = probes.saturating_add(est[u.index()].saturating_mul(ad_children));
+    }
+    let prime = PrimeSubtree::new(q);
+    for &u in &prime.nodes {
+        for &c in prime.children_of(u).iter().filter(ad) {
+            let shift = q.children(c).len().min(4) as u32;
+            probes = probes.saturating_add((est[c.index()] >> shift).max(1));
+        }
+    }
+    probes
+}
+
+/// Executes the candidate-selection steps of `plan` in plan order,
 /// returning the initial `mat(u)` sets and recording one operator per step.
 ///
 /// Selection stops as soon as a *backbone* node selects zero candidates: a
@@ -496,13 +413,14 @@ impl<'g> Planner<'g> {
 /// orders steps by ascending estimate, so guaranteed-empty postings
 /// (estimate 0 — the estimate is an upper bound) bail out after one probe.
 ///
-/// Robust against hand-written plans: query nodes missing from the plan are
-/// appended, steps naming unknown nodes are ignored, and duplicate steps
-/// keep the first occurrence.
-///
 /// `ctl` is polled at every step boundary; deadline expiry or cancellation
 /// aborts with an [`Interrupt`].  `stats.candidate_time` accumulates the
 /// elapsed time either way, so aborted requests keep their partial figures.
+///
+/// # Panics
+///
+/// If `plan` does not hold one candidate step per node of `q`, i.e. it was
+/// made for another query.
 pub fn execute_candidates(
     q: &Gtpq,
     g: &DataGraph,
@@ -523,29 +441,17 @@ fn execute_candidates_inner(
     stats: &mut EvalStats,
     ctl: &ExecCtl,
 ) -> Result<Vec<Vec<NodeId>>, Interrupt> {
-    let mut order: Vec<CandidateStep> = Vec::with_capacity(q.size());
-    let mut seen = vec![false; q.size()];
-    for step in &plan.candidates {
-        if step.node.index() < q.size() && !seen[step.node.index()] {
-            seen[step.node.index()] = true;
-            order.push(step.clone());
-        }
-    }
-    for u in q.node_ids() {
-        if !seen[u.index()] {
-            order.push(CandidateStep {
-                node: u,
-                estimated_rows: 0,
-            });
-        }
-    }
+    assert_eq!(
+        plan.candidates.len(),
+        q.size(),
+        "the plan must be made for this query"
+    );
     let mut mat: Vec<Vec<NodeId>> = vec![Vec::new(); q.size()];
-    for step in &order {
+    for step in &plan.candidates {
         ctl.check()?;
         let u = step.node;
-        let span = ctl
-            .tracer()
-            .span_with(|| format!("{} {}", scan_name(q, u), u));
+        let op = scan(q, u);
+        let span = ctl.tracer().span_with(|| op.to_string());
         let op_start = Instant::now();
         let selection = q.candidates_indexed(g, u);
         stats.input_nodes += selection.verified;
@@ -562,8 +468,8 @@ fn execute_candidates_inner(
         span.field("actual_rows", nodes.len());
         drop(span);
         stats.operators.push(OperatorStats {
-            label: format!("{} {}", scan_name(q, u), u),
-            estimated_rows: step.estimated_rows,
+            label: op,
+            estimated_rows: Some(step.estimated_rows),
             actual_rows: nodes.len() as u64,
             time: op_start.elapsed(),
         });
@@ -590,9 +496,10 @@ mod tests {
         assert_eq!(plan.candidates.len(), q.size());
         // Every internal node appears exactly once.
         let internal: Vec<QueryNodeId> = q.node_ids().filter(|&u| !q.node(u).is_leaf()).collect();
-        assert_eq!(plan.prune_down.len(), internal.len());
+        let order = plan.normalized_prune_down(&q);
+        assert_eq!(order.len(), internal.len());
         // Children-first: every step's internal children precede it.
-        let pos = |u: QueryNodeId| plan.prune_down.iter().position(|s| s.node == u).unwrap();
+        let pos = |u: QueryNodeId| order.iter().position(|&s| s == u).unwrap();
         for &u in &internal {
             for &c in q.children(u) {
                 if !q.node(c).is_leaf() {
@@ -600,7 +507,8 @@ mod tests {
                 }
             }
         }
-        assert!(plan.estimated_probes > 0);
+        // Without a profile nothing weighs the probe estimate.
+        assert_eq!(plan.estimated_probes, 0);
     }
 
     #[test]
@@ -618,6 +526,19 @@ mod tests {
                 actual
             );
         }
+    }
+
+    #[test]
+    fn a_plan_for_another_query_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let g = example_graph();
+        let plan = Planner::new(&g).plan(&gtpq_query::parse_query("a* { //b { //c } }").unwrap());
+        let other = gtpq_query::parse_query("a* { //b //c { //d } }").unwrap();
+        assert!(catch_unwind(|| plan.normalized_prune_down(&other).to_vec()).is_err());
+        let mut stats = EvalStats::default();
+        let ctl = ExecCtl::unbounded();
+        let run = AssertUnwindSafe(|| execute_candidates(&other, &g, &plan, &mut stats, &ctl));
+        assert!(catch_unwind(run).is_err());
     }
 
     #[test]
@@ -658,41 +579,10 @@ mod tests {
             rendered.contains("PivotScan u0") && rendered.contains("actual 8 rows"),
             "{rendered}"
         );
-        assert!(stats.operators.iter().any(|o| o.label == "PivotScan u0"));
+        let scan = Operator::PivotScan(QueryNodeId(0));
+        assert!(stats.operators.iter().any(|o| o.label == scan));
         let est = plan.candidates[0].estimated_rows;
         assert!(est >= 8, "pivot estimate {est} must upper-bound the answer");
-    }
-
-    #[test]
-    fn normalization_repairs_shuffled_and_truncated_orders() {
-        let g = example_graph();
-        let q = example_query();
-        let mut plan = Planner::new(&g).plan(&q);
-        plan.prune_down.reverse();
-        let order = plan.normalized_prune_down(&q);
-        let pos = |u: QueryNodeId| order.iter().position(|s| s.node == u).unwrap();
-        for step in &order {
-            for &c in q.children(step.node) {
-                if !q.node(c).is_leaf() {
-                    assert!(pos(c) < pos(step.node));
-                }
-            }
-        }
-        // Truncated: missing internal nodes are appended.
-        plan.prune_down.truncate(1);
-        assert_eq!(
-            plan.normalized_prune_down(&q).len(),
-            q.node_ids().filter(|&u| !q.node(u).is_leaf()).count()
-        );
-        // Garbage steps are ignored.
-        plan.prune_down.push(PruneStep {
-            node: QueryNodeId(999),
-            estimated_rows: 1,
-        });
-        assert!(plan
-            .normalized_prune_down(&q)
-            .iter()
-            .all(|s| s.node.index() < q.size()));
     }
 
     #[test]
@@ -708,23 +598,11 @@ mod tests {
             .plan(&q);
         assert!(plan.backend.kind.is_some());
         assert!(!plan.backend.reason.is_empty());
-        assert!(plan.render(&q).starts_with("QueryPlan (backend: "));
-    }
-
-    #[test]
-    fn fixed_pipeline_mirrors_the_seed_shape() {
-        let g = example_graph();
-        let q = example_query();
-        let plan = QueryPlan::fixed_pipeline(&q);
-        assert!(plan.candidates.iter().map(|s| s.node).eq(q.node_ids()));
-        assert!(plan.backend.kind.is_none());
-        // Its prune order is already children-first, so normalization is a
-        // no-op reordering-wise.
-        let normalized = plan.normalized_prune_down(&q);
-        let ids: Vec<QueryNodeId> = plan.prune_down.iter().map(|s| s.node).collect();
-        let norm_ids: Vec<QueryNodeId> = normalized.iter().map(|s| s.node).collect();
-        assert_eq!(ids, norm_ids);
-        let _ = g;
+        assert!(plan.estimated_probes > 0);
+        let header = format!("; est. probes {})\n", plan.estimated_probes);
+        let text = plan.render(&q);
+        assert!(text.starts_with("QueryPlan (backend: "), "{text}");
+        assert!(text.contains(&header), "{text}");
     }
 
     #[test]
@@ -739,21 +617,10 @@ mod tests {
         assert!(text.contains("PruneUp"));
         assert!(text.contains("MatchingGraph"));
         assert!(text.contains("Collect"));
-        assert!(text.starts_with("QueryPlan (est. probes "), "{text}");
-    }
-
-    #[test]
-    fn execute_candidates_defaults_missing_steps_to_index_scans() {
-        let g = example_graph();
-        let q = example_query();
-        let mut plan = Planner::new(&g).plan(&q);
-        plan.candidates.clear();
-        let mut stats = EvalStats::default();
-        let mat = execute_candidates(&q, &g, &plan, &mut stats, &ExecCtl::unbounded()).unwrap();
-        for u in q.node_ids() {
-            assert_eq!(mat[u.index()], q.candidates(&g, u));
-        }
-        assert_eq!(stats.operators.len(), q.size());
+        assert!(text.starts_with("QueryPlan\n"), "{text}");
+        // Only the candidate steps carry an estimate.
+        let estimated = text.lines().filter(|l| l.contains(" est "));
+        assert!(estimated.eq(text.lines().filter(|l| l.contains("Scan u"))));
     }
 
     #[test]
@@ -762,15 +629,19 @@ mod tests {
         let text =
             r#"a1* { //b1* //d1 { where !(//e1) } where (/c1) | (//[year >= 3, label != "ü"]) }"#;
         let q: Gtpq = text.parse().unwrap();
-        let mut plan = Planner::new(&g).plan(&q);
+        let profile = GraphProfile::compute_with(&g, g.condensation());
+        let mut plan = Planner::new(&g).with_profile(profile).plan(&q);
         let exec = crate::GteaEngine::new(&g).execute(&q, &plan, crate::ExecOptions::unbounded());
         let mut stats = exec.unwrap().stats;
         for (i, op) in stats.operators.iter_mut().enumerate() {
             op.time = std::time::Duration::from_nanos(1_234_567 * i as u64 + 89);
         }
-        // The prune rounds empty the answer, so neither the matching graph
-        // nor the enumeration ran; give the latter a time to show.
+        // The downward round empties the answer, so neither the upward
+        // round, the matching graph nor the enumeration ran; give the first
+        // and the last a time to show.
+        assert_eq!(stats.prune_up_time, Duration::ZERO);
         assert_eq!(stats.matching_graph_time, Duration::ZERO);
+        (stats.candidates_after_upward, stats.prune_up_time) = (4, Duration::from_nanos(5_000));
         stats.enumerate_time = Duration::from_nanos(8_642_000);
         plan.backend = PlannedBackend {
             kind: Some(BackendKind::Sspi),
@@ -786,9 +657,9 @@ mod tests {
             "  IndexScan u0   [label = a1]                 est 3 rows → actual 3 rows in 3.704ms",
             "  IndexScan u2   [label = d1]                 est 3 rows → actual 3 rows in 4.938ms",
             "  IndexScan u3   [label = e1]                 est 3 rows → actual 3 rows in 6.173ms",
-            "  PruneDown u2                                est 1 rows → actual 0 rows in 7.407ms",
-            "  PruneDown u0                                est 1 rows",
-            "  PruneUp (prime subtree)                     est 3 rows",
+            "  PruneDown u2                                actual 0 rows in 7.407ms",
+            "  PruneDown u0",
+            "  PruneUp (prime subtree)                     actual 4 rows in 5.000µs",
             "  MatchingGraph",
             "  Collect                                     actual 0 rows in 8.642ms",
         ]

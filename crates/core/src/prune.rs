@@ -1,4 +1,10 @@
 //! The two-round pruning process (§4.2, Procedures 6 and 7).
+//!
+//! [`prune_downward`] runs the plan's children-first order of internal
+//! nodes and records each step's actual rows and time as one operator;
+//! [`prune_upward`] walks the prime subtree top-down and records its
+//! survivors in [`EvalStats::candidates_after_upward`].  Neither records an
+//! estimate: no decision reads one.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -11,9 +17,8 @@ use gtpq_reach::Reachability;
 
 use crate::exec::{ExecCtl, Interrupt};
 use crate::options::GteaOptions;
-use crate::plan::PruneStep;
 use crate::prime::PrimeSubtree;
-use crate::stats::{EvalStats, OperatorStats};
+use crate::stats::{EvalStats, Operator, OperatorStats};
 
 /// Candidates per poll of `ctl`: one word of a step's bit columns.
 const WORD: usize = 64;
@@ -54,7 +59,8 @@ fn column(
 /// downward structural constraints of their query node.
 ///
 /// Processes the internal query nodes in the order given by `steps` — the
-/// plan's (already normalized, children-first) downward-prune order; for
+/// plan's children-first downward-prune order
+/// ([`QueryPlan::normalized_prune_down`](crate::QueryPlan::normalized_prune_down)); for
 /// every internal node `u` and candidate `v`, a truth value is assigned to
 /// each child's variable from the reachability of `v` into the (already
 /// pruned) candidate set of the child, and `v` is kept only when the
@@ -78,8 +84,8 @@ fn column(
 /// O(|mat(u)|) plus those reads, rather than O(|mat(u)| · |mat(child)|)
 /// probes.  `index` is read only by the pairwise ablation arm
 /// ([`GteaOptions::pairwise_ad`]), which calls [`Reachability::reaches`] per
-/// pair.  One [`OperatorStats`] entry is recorded per step, constant or
-/// not.
+/// pair.  One [`OperatorStats`] entry, with its actual rows and no
+/// estimate, is recorded per step, constant or not.
 ///
 /// `ctl` is polled once per 64 candidates of each used child's bits; an
 /// expired deadline or a triggered cancellation aborts mid-round with an
@@ -94,7 +100,7 @@ pub fn prune_downward<R: Reachability + ?Sized>(
     g: &DataGraph,
     index: &R,
     options: &GteaOptions,
-    steps: &[PruneStep],
+    steps: &[QueryNodeId],
     mat: &mut [Vec<NodeId>],
     stats: &mut EvalStats,
     ctl: &ExecCtl,
@@ -118,7 +124,7 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
     g: &DataGraph,
     index: &R,
     options: &GteaOptions,
-    steps: &[PruneStep],
+    steps: &[QueryNodeId],
     mat: &mut [Vec<NodeId>],
     stats: &mut EvalStats,
     ctl: &ExecCtl,
@@ -126,11 +132,7 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
     // Scratch node set for a PC child, reused across steps (cleared in
     // O(touched), not re-allocated).
     let mut marked = NodeBitSet::new(g.node_count());
-    for step in steps {
-        let u = step.node;
-        if u.index() >= q.size() || q.node(u).is_leaf() {
-            continue;
-        }
+    for &u in steps {
         let span = ctl.tracer().span_with(|| format!("prune_down {u}"));
         let op_start = Instant::now();
         let fext = q.fext(u);
@@ -221,15 +223,14 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
             }
             kept
         };
-        span.field("est_rows", step.estimated_rows);
         span.field("actual_rows", candidates.len());
         if !swept.is_empty() {
             span.field("swept", &swept);
         }
         drop(span);
         stats.operators.push(OperatorStats {
-            label: format!("PruneDown {u}"),
-            estimated_rows: step.estimated_rows,
+            label: Operator::PruneDown(u),
+            estimated_rows: None,
             actual_rows: candidates.len() as u64,
             time: op_start.elapsed(),
         });
@@ -253,19 +254,19 @@ fn prune_downward_inner<R: Reachability + ?Sized>(
 /// [`reaching`] race of `g`'s condensation — a sweep forward from the
 /// parent's candidates against a memoised search back from the child's —
 /// PC edges exactly through the adjacency lists (`index` again serves the
-/// pairwise arm only).  Recorded as one `PruneUp` operator
-/// whose actual rows are the surviving prime-subtree candidates;
-/// `estimated_rows` is the plan's survivor estimate (0 for unplanned calls).
+/// pairwise arm only).  The surviving prime-subtree candidates are summed
+/// into `candidates_after_upward`; `_estimated_rows` is unread, kept while
+/// the benchmark's replay passes [`QueryPlan::upward_estimated_rows`](crate::QueryPlan::upward_estimated_rows).
 /// As with [`prune_downward`], the round's rollups and `prune_up_time` are
 /// recorded even when the round is aborted mid-way.
-#[allow(clippy::too_many_arguments)] // mirrors prune_downward plus the plan estimate
+#[allow(clippy::too_many_arguments)] // mirrors prune_downward plus the unread estimate
 pub fn prune_upward<R: Reachability + ?Sized>(
     q: &Gtpq,
     g: &DataGraph,
     index: &R,
     options: &GteaOptions,
     prime: &PrimeSubtree,
-    estimated_rows: u64,
+    _estimated_rows: u64,
     mat: &mut [Vec<NodeId>],
     stats: &mut EvalStats,
     ctl: &ExecCtl,
@@ -277,12 +278,6 @@ pub fn prune_upward<R: Reachability + ?Sized>(
         stats.candidates_after_upward += mat[u.index()].len() as u64;
     }
     stats.index_lookups += index.lookup_count().saturating_sub(lookups_before);
-    stats.operators.push(OperatorStats {
-        label: "PruneUp".to_owned(),
-        estimated_rows,
-        actual_rows: stats.candidates_after_upward,
-        time: start.elapsed(),
-    });
     stats.prune_up_time += start.elapsed();
     result
 }
@@ -351,12 +346,17 @@ mod tests {
     use gtpq_reach::{BackendKind, SharedIndex, ThreeHop};
 
     use super::*;
-    use crate::plan::{execute_candidates, QueryPlan};
+    use crate::plan::{execute_candidates, Planner};
 
-    /// The fixed pipeline's candidate sets: every node's, through the index.
+    /// The planned candidate sets: every node's, through the index.
     fn selected(q: &Gtpq, g: &DataGraph, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
-        let plan = QueryPlan::fixed_pipeline(q);
+        let plan = Planner::new(g).plan(q);
         execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap()
+    }
+
+    /// The planned downward-prune order.
+    fn prune_order(q: &Gtpq, g: &DataGraph) -> Vec<QueryNodeId> {
+        Planner::new(g).plan(q).normalized_prune_down(q).to_vec()
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
             &g,
             &index,
             &options,
-            &PruneStep::bottom_up(&q),
+            &prune_order(&q, &g),
             &mut mat,
             &mut stats,
             &ExecCtl::unbounded(),
@@ -487,7 +487,7 @@ mod tests {
         let mut stats = EvalStats::default();
         let mut mat = selected(q, g, &mut stats);
         let ctl = ExecCtl::unbounded();
-        let steps = PruneStep::bottom_up(q);
+        let steps = prune_order(q, g);
         prune_downward(q, g, index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
         if upward {
             let prime = PrimeSubtree::new(q);
@@ -576,7 +576,7 @@ mod tests {
         let mut mat = selected(&q, &g, &mut EvalStats::default());
         let mut stats = EvalStats::default();
         let options = GteaOptions::default();
-        let steps = PruneStep::bottom_up(&q);
+        let steps = prune_order(&q, &g);
         prune_downward(&q, &g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
         let prime = PrimeSubtree::new(&q);
         prune_upward(
@@ -631,7 +631,7 @@ mod tests {
             &g,
             &index,
             &options,
-            &PruneStep::bottom_up(&q),
+            &prune_order(&q, &g),
             &mut mat,
             &mut stats,
             &ExecCtl::unbounded(),

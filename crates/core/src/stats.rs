@@ -1,36 +1,55 @@
 //! Evaluation statistics (the paper's I/O-cost metrics, Appendix C.1).
 
+use std::fmt;
 use std::time::Duration;
 
-/// Estimated-vs-actual cardinality and wall time of one physical operator.
+use gtpq_query::QueryNodeId;
+
+/// A recorded operator: its kind and the query node it ran for.  Its
+/// `Display` is the label `:explain` prints (`IndexScan u0`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Operator {
+    /// Candidate selection through the inverted index.
+    IndexScan(QueryNodeId),
+    /// Candidate selection through the pivot tables (`sim(...)` conjuncts).
+    PivotScan(QueryNodeId),
+    /// One downward-prune step (Procedure 6).
+    PruneDown(QueryNodeId),
+}
+
+impl fmt::Display for Operator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (kind, u) = match *self {
+            Operator::IndexScan(u) => ("IndexScan ", u),
+            Operator::PivotScan(u) => ("PivotScan ", u),
+            Operator::PruneDown(u) => ("PruneDown ", u),
+        };
+        f.write_str(kind)?;
+        fmt::Display::fmt(&u, f)
+    }
+}
+
+/// Actual rows and wall time of one physical operator, beside the
+/// planner's estimate where it made one.
 ///
-/// Recorded by the plan executor for every candidate-selection step, every
-/// downward-prune step and the upward round — the operators the planner
-/// estimates — in execution order.  `estimated_rows` comes from the plan's
-/// cost model, `actual_rows` is what the operator really produced — the pair
-/// is the feedback signal for judging (and later improving) the cost model.
-/// The matching graph and the enumeration have their own fields
-/// ([`EvalStats::intermediate_size`], [`EvalStats::enumerated_rows`] and
-/// their times).
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Recorded for every candidate-selection step and every downward-prune
+/// step, in execution order.  Only candidate selection carries an estimate
+/// (the shortest probe of its predicate, an upper bound): it is the only
+/// one a planning decision reads.  The upward round, the matching graph and
+/// the enumeration have their own fields
+/// ([`EvalStats::candidates_after_upward`], [`EvalStats::intermediate_size`],
+/// [`EvalStats::enumerated_rows`] and their times).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OperatorStats {
-    /// Stable operator label (`IndexScan u0`, `PivotScan u1`, `PruneDown u2`,
-    /// `PruneUp`), matching the plan's rendering.
-    pub label: String,
-    /// Rows the planner estimated this operator would produce.
-    pub estimated_rows: u64,
+    /// The operator, matching the plan's rendering.
+    pub label: Operator,
+    /// Rows the planner estimated this operator would produce, if it
+    /// estimated any.
+    pub estimated_rows: Option<u64>,
     /// Rows the operator actually produced.
     pub actual_rows: u64,
     /// Wall time spent in the operator.
     pub time: Duration,
-}
-
-impl OperatorStats {
-    /// Relative cardinality estimation error `|est − actual| / max(actual, 1)`.
-    pub(crate) fn relative_error(&self) -> f64 {
-        let actual = self.actual_rows.max(1) as f64;
-        (self.estimated_rows as f64 - self.actual_rows as f64).abs() / actual
-    }
 }
 
 /// Counters and timings collected during one evaluation.
@@ -112,8 +131,8 @@ pub struct EvalStats {
     /// Time spent building the query plan (zero when a pre-built plan was
     /// executed via `GteaEngine::execute`).
     pub plan_time: Duration,
-    /// Per-operator estimated-vs-actual cardinalities and wall times, in
-    /// execution order.
+    /// Per-operator actual rows and wall times, beside the candidate
+    /// steps' estimates, in execution order.
     pub operators: Vec<OperatorStats>,
 }
 
@@ -134,37 +153,46 @@ impl EvalStats {
             + self.enumerate_time
     }
 
-    /// Sum of estimated rows across recorded operators.
+    /// The recorded operators that carry an estimate, as
+    /// `(estimated, actual)` rows.
+    fn estimated(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let ops = self.operators.iter();
+        ops.filter_map(|o| Some((o.estimated_rows?, o.actual_rows)))
+    }
+
+    /// Sum of estimated rows across the operators that carry an estimate.
     pub fn estimated_rows(&self) -> u64 {
-        self.operators.iter().map(|o| o.estimated_rows).sum()
+        self.estimated().map(|(est, _)| est).sum()
     }
 
-    /// Sum of actual rows across recorded operators.
+    /// Sum of actual rows across the operators that carry an estimate.
     pub fn actual_rows(&self) -> u64 {
-        self.operators.iter().map(|o| o.actual_rows).sum()
+        self.estimated().map(|(_, actual)| actual).sum()
     }
 
-    /// Sum of `|estimated − actual|` across recorded operators — the
-    /// cancellation-proof absolute error the service metrics aggregate
-    /// (an over-estimate cannot hide an under-estimate).
+    /// Sum of `|estimated − actual|` across the operators that carry an
+    /// estimate — the cancellation-proof absolute error the service metrics
+    /// aggregate (an over-estimate cannot hide an under-estimate).
     pub fn absolute_estimation_error(&self) -> u64 {
-        self.operators
-            .iter()
-            .map(|o| o.estimated_rows.abs_diff(o.actual_rows))
+        self.estimated()
+            .map(|(est, actual)| est.abs_diff(actual))
             .sum()
     }
 
-    /// Mean relative cardinality-estimation error over the recorded
-    /// operators (0.0 when none were recorded — e.g. on a cache hit).
+    /// Mean relative cardinality-estimation error `|est − actual| /
+    /// max(actual, 1)` over the operators that carry an estimate (0.0 when
+    /// none were recorded — e.g. on a cache hit).
     pub fn estimation_error(&self) -> f64 {
-        if self.operators.is_empty() {
-            return 0.0;
+        let (mut sum, mut n) = (0.0, 0);
+        for (est, actual) in self.estimated() {
+            sum += est.abs_diff(actual) as f64 / actual.max(1) as f64;
+            n += 1;
         }
-        self.operators
-            .iter()
-            .map(OperatorStats::relative_error)
-            .sum::<f64>()
-            / self.operators.len() as f64
+        if n == 0 {
+            0.0
+        } else {
+            sum / f64::from(n)
+        }
     }
 
     /// Fraction of initial candidates served straight from the attribute
@@ -203,36 +231,38 @@ mod tests {
 
     #[test]
     fn operator_rollups_and_estimation_error() {
+        let u0 = QueryNodeId(0);
+        let op = |label, estimated_rows, actual_rows| OperatorStats {
+            label,
+            estimated_rows,
+            actual_rows,
+            time: Duration::from_millis(1),
+        };
         let stats = EvalStats {
             operators: vec![
-                OperatorStats {
-                    label: "IndexScan u0".into(),
-                    estimated_rows: 10,
-                    actual_rows: 10,
-                    time: Duration::from_millis(1),
-                },
-                OperatorStats {
-                    label: "PruneDown u0".into(),
-                    estimated_rows: 6,
-                    actual_rows: 4,
-                    time: Duration::from_millis(2),
-                },
+                op(Operator::IndexScan(u0), Some(10), 10),
+                op(Operator::PivotScan(QueryNodeId(1)), Some(6), 4),
+                op(Operator::PruneDown(u0), None, 7),
             ],
             plan_time: Duration::from_millis(1),
             ..Default::default()
         };
+        // The unestimated prune step counts in none of the rollups.
         assert_eq!(stats.estimated_rows(), 16);
         assert_eq!(stats.actual_rows(), 14);
+        assert_eq!(stats.absolute_estimation_error(), 2);
         // Errors: 0.0 and 0.5 → mean 0.25.
         assert!((stats.estimation_error() - 0.25).abs() < 1e-9);
         assert_eq!(stats.total_time(), Duration::from_millis(1));
         assert_eq!(EvalStats::default().estimation_error(), 0.0);
         // actual = 0 divides by 1, not by zero.
-        let zero = OperatorStats {
-            estimated_rows: 3,
+        let zero = EvalStats {
+            operators: vec![op(Operator::IndexScan(u0), Some(3), 0)],
             ..Default::default()
         };
-        assert!((zero.relative_error() - 3.0).abs() < 1e-9);
+        assert!((zero.estimation_error() - 3.0).abs() < 1e-9);
+        assert_eq!(stats.operators[1].label.to_string(), "PivotScan u1");
+        assert_eq!(stats.operators[2].label.to_string(), "PruneDown u0");
     }
 
     #[test]

@@ -648,7 +648,7 @@ mod tests {
     use gtpq_reach::ThreeHop;
 
     use crate::options::GteaOptions;
-    use crate::plan::{execute_candidates, PruneStep, QueryPlan};
+    use crate::plan::{execute_candidates, Planner};
     use crate::prime::{PrimeSubtree, ShrunkPrime};
     use crate::prune::{prune_downward, prune_upward};
     use crate::stats::EvalStats;
@@ -662,14 +662,14 @@ mod tests {
         let options = GteaOptions::default();
         let ctl = ExecCtl::unbounded();
         let mut stats = EvalStats::default();
-        let plan = QueryPlan::fixed_pipeline(&q);
+        let plan = Planner::new(&g).plan(&q);
         let mut mat = execute_candidates(&q, &g, &plan, &mut stats, &ctl).unwrap();
         prune_downward(
             &q,
             &g,
             &index,
             &options,
-            &PruneStep::bottom_up(&q),
+            plan.normalized_prune_down(&q),
             &mut mat,
             &mut stats,
             &ctl,

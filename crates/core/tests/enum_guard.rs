@@ -15,7 +15,7 @@ use gtpq_core::matching::MatchingGraph;
 use gtpq_core::plan::execute_candidates;
 use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
 use gtpq_core::prune::{prune_downward, prune_upward};
-use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, PruneStep, QueryPlan, StreamSource};
+use gtpq_core::{EvalStats, ExecCtl, GteaOptions, MatchStream, Planner, StreamSource};
 use gtpq_datagen::{generate_arxiv, ArxivConfig};
 use gtpq_graph::{DataGraph, GraphBuilder, NodeId};
 use gtpq_query::{parse_query, Gtpq, ResultSet};
@@ -67,10 +67,10 @@ fn build_matching(g: &DataGraph, q: &Gtpq) -> (Vec<Vec<NodeId>>, ShrunkPrime, Ma
     let options = GteaOptions::default();
     let ctl = ExecCtl::unbounded();
     let mut stats = EvalStats::default();
-    let plan = QueryPlan::fixed_pipeline(q);
+    let plan = Planner::new(g).plan(q);
     let mut mat = execute_candidates(q, g, &plan, &mut stats, &ctl).unwrap();
-    let steps = PruneStep::bottom_up(q);
-    prune_downward(q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+    let steps = plan.normalized_prune_down(q);
+    prune_downward(q, g, &index, &options, steps, &mut mat, &mut stats, &ctl).unwrap();
     let prime = PrimeSubtree::new(q);
     prune_upward(
         q, g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,

@@ -13,9 +13,7 @@ use gtpq_core::matching::MatchingGraph;
 use gtpq_core::plan::execute_candidates;
 use gtpq_core::prime::{PrimeSubtree, ShrunkPrime};
 use gtpq_core::prune::{prune_downward, prune_upward};
-use gtpq_core::{
-    EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, PruneStep, QueryPlan,
-};
+use gtpq_core::{EvalStats, ExecCtl, ExecOptions, GteaEngine, GteaOptions, Planner, QueryPlan};
 use gtpq_datagen::{
     dblp_queries, fig11_gtpq, generate_arxiv, generate_dblp, generate_xmark, xmark_q1, xmark_q2,
     xmark_q3, ArxivConfig, Fig11Predicate, XmarkConfig,
@@ -33,20 +31,21 @@ fn condensation_edges(g: &DataGraph) -> usize {
     components.map(|&c| cond.successors(c).len()).sum()
 }
 
-/// The fixed pipeline's candidate sets of `q` on `g`.
-fn selected(g: &DataGraph, q: &Gtpq, stats: &mut EvalStats) -> Vec<Vec<NodeId>> {
-    let plan = QueryPlan::fixed_pipeline(q);
-    execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap()
+/// The plan of `q` on `g` and its candidate sets.
+fn selected(g: &DataGraph, q: &Gtpq, stats: &mut EvalStats) -> (QueryPlan, Vec<Vec<NodeId>>) {
+    let plan = Planner::new(g).plan(q);
+    let mat = execute_candidates(q, g, &plan, stats, &ExecCtl::unbounded()).unwrap();
+    (plan, mat)
 }
 
 /// `#index` of the two prune rounds of `q` on `g` (candidate selection's
 /// posting-list reads excluded).
 fn prune_index_lookups(g: &DataGraph, q: &Gtpq, index: &Sspi, options: &GteaOptions) -> u64 {
-    let mut mat = selected(g, q, &mut EvalStats::default());
+    let (plan, mut mat) = selected(g, q, &mut EvalStats::default());
     let mut stats = EvalStats::default();
     let ctl = ExecCtl::unbounded();
-    let steps = PruneStep::bottom_up(q);
-    prune_downward(q, g, index, options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+    let steps = plan.normalized_prune_down(q);
+    prune_downward(q, g, index, options, steps, &mut mat, &mut stats, &ctl).unwrap();
     let prime = PrimeSubtree::new(q);
     prune_upward(q, g, index, options, &prime, 0, &mut mat, &mut stats, &ctl).unwrap();
     stats.index_lookups
@@ -97,7 +96,7 @@ fn dis1_parses_to_the_nodes_its_formulas_read() {
         "open_auction* { //item1* { /location* where (/mailbox) } where (/bidder) | (/seller) }"
     );
     let plan = Planner::new(&g).plan(&q);
-    assert_eq!(plan.candidates.len(), q.size());
+    assert_eq!(plan.render(&q).matches("Scan u").count(), q.size());
     let exec = GteaEngine::new(&g)
         .execute(&q, &plan, ExecOptions::unbounded())
         .expect("unbounded execution cannot be interrupted");
@@ -133,9 +132,9 @@ fn matching_graph_costs_one_bounded_pass_per_ad_child() {
         let cond_edges = condensation_edges(g) as u64;
         let build = || {
             let mut stats = EvalStats::default();
-            let mut mat = selected(g, &q, &mut stats);
-            let steps = PruneStep::bottom_up(&q);
-            prune_downward(&q, g, &index, &options, &steps, &mut mat, &mut stats, &ctl).unwrap();
+            let (plan, mut mat) = selected(g, &q, &mut stats);
+            let steps = plan.normalized_prune_down(&q);
+            prune_downward(&q, g, &index, &options, steps, &mut mat, &mut stats, &ctl).unwrap();
             let prime = PrimeSubtree::new(&q);
             prune_upward(
                 &q, g, &index, &options, &prime, 0, &mut mat, &mut stats, &ctl,

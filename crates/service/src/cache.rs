@@ -378,12 +378,19 @@ fn permute_results(
 
 #[cfg(test)]
 mod tests {
+    use gtpq_core::Planner;
     use gtpq_graph::NodeId;
+    use gtpq_query::fixtures::example_graph;
     use gtpq_query::{AttrPredicate, EdgeKind, GtpqBuilder};
 
     use crate::canon::canonicalize;
 
     use super::*;
+
+    /// `q`'s plan on the running example's graph.
+    fn plan_of(q: &Gtpq) -> Arc<QueryPlan> {
+        Arc::new(Planner::new(&example_graph()).plan(q))
+    }
 
     fn two_output_query(swap: bool) -> Gtpq {
         let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
@@ -543,7 +550,7 @@ mod tests {
         assert!(cache.lookup(0, &canon, &q).is_none());
         assert!(cache.lookup(1, &canon, &q).is_some());
 
-        let plan = Arc::new(gtpq_core::QueryPlan::fixed_pipeline(&q));
+        let plan = plan_of(&q);
         let mut plans = PlanCache::new(4);
         plans.insert(0, "k", Arc::clone(&q), Arc::clone(&plan));
         assert_eq!(plans.invalidate(2), 1);
@@ -564,7 +571,7 @@ mod tests {
     #[test]
     fn plan_cache_is_lru_over_canonical_keys() {
         let q = Arc::new(two_output_query(false));
-        let plan = Arc::new(gtpq_core::QueryPlan::fixed_pipeline(&q));
+        let plan = plan_of(&q);
         let mut cache = PlanCache::new(2);
         assert!(cache.is_empty());
         cache.insert(0, "a", Arc::clone(&q), Arc::clone(&plan));
@@ -588,14 +595,14 @@ mod tests {
         let planned_for = Arc::new(two_output_query(false));
         let other = two_output_query(true);
         assert_ne!(*planned_for, other);
-        let plan = Arc::new(gtpq_core::QueryPlan::fixed_pipeline(&planned_for));
+        let plan = plan_of(&planned_for);
         let mut cache = PlanCache::new(4);
         cache.insert(0, "shared-key", Arc::clone(&planned_for), plan);
         assert!(cache.lookup(0, "shared-key", &planned_for).is_some());
         assert!(cache.lookup(0, "shared-key", &other).is_none());
         // Re-planning takes over the slot in place.
         let other = Arc::new(other);
-        let other_plan = Arc::new(gtpq_core::QueryPlan::fixed_pipeline(&other));
+        let other_plan = plan_of(&other);
         cache.insert(0, "shared-key", Arc::clone(&other), other_plan);
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup(0, "shared-key", &other).is_some());

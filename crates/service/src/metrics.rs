@@ -245,10 +245,11 @@ counters! {
         "Planning time across engine runs (zero for plan-cache hits)."
         <- Miss |s| s.plan_time;
     estimated_rows: count, counter "gtpq_estimated_rows_total",
-        "Sum of the planner's per-operator row estimates across engine runs."
+        "Sum of the candidate-selection operators' row estimates across engine runs."
         <- Miss |s| s.estimated_rows();
     actual_rows: count, counter "gtpq_actual_rows_total",
-        "Sum of the rows those operators actually produced." <- Miss |s| s.actual_rows();
+        "Sum of the rows those candidate-selection operators actually produced."
+        <- Miss |s| s.actual_rows();
     estimation_error_rows: count, counter "gtpq_estimation_error_rows_total",
         "Sum of per-operator absolute estimation errors (over- and under-estimates cannot cancel)."
         <- Miss |s| s.absolute_estimation_error();
@@ -449,8 +450,9 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use gtpq_core::OperatorStats;
+    use gtpq_core::{Operator, OperatorStats};
     use gtpq_obs::prom::valid_metric_name;
+    use gtpq_query::QueryNodeId;
 
     use super::*;
 
@@ -493,8 +495,8 @@ mod tests {
             plan_time: Duration::from_millis(6),
             time_to_first_row: Duration::from_micros(7),
             operators: vec![OperatorStats {
-                label: "IndexScan u0".into(),
-                estimated_rows: 30,
+                label: Operator::IndexScan(QueryNodeId(0)),
+                estimated_rows: Some(30),
                 actual_rows: 20,
                 time: Duration::from_millis(1),
             }],
@@ -815,14 +817,14 @@ mod tests {
             plan_time: Duration::from_millis(2),
             operators: vec![
                 OperatorStats {
-                    label: "IndexScan u0".into(),
-                    estimated_rows: 12,
+                    label: Operator::IndexScan(QueryNodeId(0)),
+                    estimated_rows: Some(12),
                     actual_rows: 8,
                     time: Duration::from_millis(1),
                 },
                 OperatorStats {
-                    label: "Collect".into(),
-                    estimated_rows: 4,
+                    label: Operator::PivotScan(QueryNodeId(1)),
+                    estimated_rows: Some(4),
                     actual_rows: 4,
                     time: Duration::from_millis(1),
                 },
@@ -842,14 +844,14 @@ mod tests {
         let canceling = EvalStats {
             operators: vec![
                 OperatorStats {
-                    label: "a".into(),
-                    estimated_rows: 100,
+                    label: Operator::IndexScan(QueryNodeId(0)),
+                    estimated_rows: Some(100),
                     actual_rows: 10,
                     time: Duration::ZERO,
                 },
                 OperatorStats {
-                    label: "b".into(),
-                    estimated_rows: 10,
+                    label: Operator::IndexScan(QueryNodeId(1)),
+                    estimated_rows: Some(10),
                     actual_rows: 100,
                     time: Duration::ZERO,
                 },

@@ -6,7 +6,8 @@ use gtpq::baselines::{
 };
 use gtpq::datagen::{
     dblp_queries, fig11_gtpq, generate_arxiv, generate_dblp, generate_xmark, random_queries,
-    xmark_q1, xmark_q2, ArxivConfig, Fig11Predicate, RandomQueryConfig, XmarkConfig,
+    xmark_q1, xmark_q2, xmark_templates, ArxivConfig, Fig11Predicate, RandomQueryConfig,
+    XmarkConfig,
 };
 use gtpq::graph::GraphSnapshot;
 use gtpq::prelude::*;
@@ -109,12 +110,19 @@ fn evaluation_statistics_are_plausible() {
     assert!(stats.initial_candidates >= stats.candidates_after_downward);
     assert!(stats.prime_subtree_size >= stats.shrunk_subtree_size);
     assert!(stats.total_time() >= stats.filtering_time());
-    // The estimation rollups read the planner's estimates only.  Fig. 7's
-    // Q1 has eight output nodes, and a product of their estimates once
-    // swamped the mean error.
+    // Only candidate selection carries an estimate, and it is an upper
+    // bound: no estimated operator of a paper template under-estimates.
+    for (name, q) in xmark_templates(3, 4, 5) {
+        let (_, stats) = engine.evaluate_with_stats(&q);
+        for op in &stats.operators {
+            let bounded = op.estimated_rows.is_none_or(|est| est >= op.actual_rows);
+            assert!(bounded, "{name} {}: {op:?}", op.label);
+        }
+    }
+    // The estimation rollups read the candidate steps only, and Fig. 7's
+    // Q1 makes eight label-equality scans, each estimated exactly.
     let (_, stats) = engine.evaluate_with_stats(&xmark_q1(3));
-    let error = stats.estimation_error();
-    assert!(error < 100.0, "estimation error {error}");
+    assert_eq!(stats.estimation_error(), 0.0);
 }
 
 #[test]
