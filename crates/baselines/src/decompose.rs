@@ -21,7 +21,7 @@ use gtpq_logic::valuation::eval_with;
 use gtpq_query::{AttrPredicate, Gtpq, GtpqBuilder, QueryNodeId, ResultSet};
 
 use crate::stats::BaselineStats;
-use crate::{Restrictions, TpqAlgorithm};
+use crate::{restricted_candidates, Restrictions, TpqAlgorithm};
 
 /// Evaluates a general GTPQ through the decompose-and-merge strategy on top
 /// of a conjunctive baseline algorithm.
@@ -30,15 +30,11 @@ pub fn evaluate_gtpq_with(algo: &dyn TpqAlgorithm, q: &Gtpq) -> (ResultSet, Base
     let g = algo.graph();
     let mut stats = BaselineStats::default();
 
-    // Downward satisfaction sets, bottom-up.  Candidate selection goes
-    // through the inverted index with the same `#input` accounting as
-    // `restricted_candidates`: only individually verified nodes count.
+    // Downward satisfaction sets, bottom-up.
+    let mut mat = restricted_candidates(q, g, None, &mut stats);
     let mut sat: Vec<HashSet<NodeId>> = vec![HashSet::new(); q.size()];
     for u in q.bottom_up_order() {
-        let selection = q.candidates_indexed(g, u);
-        stats.input_nodes += selection.verified;
-        stats.index_lookups += selection.posting_entries;
-        let candidates = selection.nodes;
+        let candidates = std::mem::take(&mut mat[u.index()]);
         if q.node(u).is_leaf() {
             sat[u.index()] = candidates.into_iter().collect();
             continue;
@@ -74,17 +70,9 @@ pub fn evaluate_gtpq_with(algo: &dyn TpqAlgorithm, q: &Gtpq) -> (ResultSet, Base
     let (skeleton_results, sub_stats) = algo.evaluate_restricted(&skeleton, Some(&restrictions));
     stats.absorb(&sub_stats);
 
-    // Map the skeleton's output coordinates back to the original query nodes.
-    let mut rows = Vec::new();
-    let reverse: HashMap<QueryNodeId, QueryNodeId> =
-        mapping.iter().map(|&(old, new)| (new, old)).collect();
-    for tuple in skeleton_results.iter() {
-        let mut assignment: HashMap<QueryNodeId, NodeId> = HashMap::new();
-        for (pos, new_node) in skeleton_results.output.iter().enumerate() {
-            assignment.insert(reverse[new_node], tuple[pos]);
-        }
-        rows.extend(q.output_nodes().iter().map(|u| assignment[u]));
-    }
+    // The skeleton marks its output nodes in `q`'s order, so its rows are
+    // `q`'s rows.
+    let rows = skeleton_results.iter().flatten().copied().collect();
     let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
     stats.total_time = start.elapsed();
     (results, stats)

@@ -15,20 +15,14 @@
 //! paper's HGJoin+/HGJoin* comparison isolates — is faithfully reproduced.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
-use gtpq_reach::{Reachability, ThreeHop};
+use gtpq_query::{Gtpq, QueryNodeId, ResultSet};
+use gtpq_reach::ThreeHop;
 
 use crate::stats::BaselineStats;
-use crate::{
-    push_projection, restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm,
-};
-
-/// Per-unit match graphs: root match → per-child candidate lists.
-type UnitGraphs = HashMap<QueryNodeId, HashMap<NodeId, Vec<Vec<NodeId>>>>;
+use crate::{expand, extend_tuples, link_all, restricted_candidates, Restrictions, TpqAlgorithm};
 
 /// HGJoin evaluator.
 pub struct HgJoin<'g> {
@@ -56,77 +50,65 @@ impl<'g> HgJoin<'g> {
         }
     }
 
-    fn edge_ok(&self, q: &Gtpq, child: QueryNodeId, v: NodeId, w: NodeId) -> bool {
-        match q.incoming_edge(child) {
-            Some(EdgeKind::Child) => self.graph.has_edge(v, w),
-            _ => self.index.reaches(v, w),
-        }
+    /// HGJoin*: each unit's matches as a graph, one child list per child of
+    /// every unit-root candidate with no empty list (no Cartesian
+    /// expansion), joined implicitly at enumeration.  The units read the
+    /// unpruned candidates.
+    fn join_graphs(&self, q: &Gtpq, mat: &[Vec<NodeId>], stats: &mut BaselineStats) -> ResultSet {
+        let mut units = link_all(self.graph, &self.index, q, mat, &mut stats.index_lookups);
+        units.retain(|_, lists| lists.iter().all(|l| !l.is_empty()));
+        stats.intermediate_results += units
+            .values()
+            .map(|lists| 1 + lists.iter().map(|l| l.len() as u64).sum::<u64>())
+            .sum::<u64>();
+        expand(q, &units, &mat[q.root().index()])
     }
 
-    /// Matches of one (parent; children) unit as explicit tuples
-    /// `(parent, child_1, ..., child_k)`.
-    fn unit_tuples(
-        &self,
-        q: &Gtpq,
-        u: QueryNodeId,
-        mat: &[Vec<NodeId>],
-        stats: &mut BaselineStats,
-    ) -> Vec<Vec<NodeId>> {
-        let children = q.children(u);
-        let mut tuples: Vec<Vec<NodeId>> = mat[u.index()].iter().map(|&v| vec![v]).collect();
-        for &child in children {
-            let mut next = Vec::new();
-            for tuple in &tuples {
-                let v = tuple[0];
-                for &w in &mat[child.index()] {
-                    stats.index_lookups += 1;
-                    if self.edge_ok(q, child, v, w) {
-                        let mut extended = tuple.clone();
-                        extended.push(w);
-                        next.push(extended);
+    /// HGJoin+: each unit's matches as explicit tuples
+    /// `(parent, child_1, ..., child_k)`, joined bottom-up with the
+    /// already-joined relations of its internal children on the shared
+    /// child column.
+    fn join_tuples(&self, q: &Gtpq, mat: &[Vec<NodeId>], stats: &mut BaselineStats) -> ResultSet {
+        let mut relations: HashMap<QueryNodeId, Vec<HashMap<QueryNodeId, NodeId>>> = HashMap::new();
+        for u in q.internal_nodes().into_iter().rev() {
+            let children = q.children(u);
+            let steps = children.iter().map(|&c| (0, c));
+            let tuples = extend_tuples(self.graph, &self.index, q, mat, u, steps, stats);
+            let mut joined: Vec<HashMap<QueryNodeId, NodeId>> = Vec::new();
+            for tuple in tuples {
+                let mut partials = vec![std::iter::once(u)
+                    .chain(children.iter().copied())
+                    .zip(tuple.iter().copied())
+                    .collect::<HashMap<_, _>>()];
+                for (&c, &w) in children.iter().zip(&tuple[1..]) {
+                    let Some(child_rel) = relations.get(&c) else {
+                        continue;
+                    };
+                    let mut next = Vec::new();
+                    for base in &partials {
+                        for row in child_rel.iter().filter(|row| row[&c] == w) {
+                            let mut merged = base.clone();
+                            merged.extend(row);
+                            next.push(merged);
+                        }
+                    }
+                    partials = next;
+                    if partials.is_empty() {
+                        break;
                     }
                 }
+                joined.extend(partials);
             }
-            tuples = next;
-            if tuples.is_empty() {
-                break;
-            }
+            stats.intermediate_results += joined.len() as u64;
+            relations.insert(u, joined);
         }
-        stats.intermediate_results += tuples.len() as u64;
-        tuples
-    }
-
-    /// Matches of one unit represented as a graph: per parent candidate, one
-    /// match list per child (no Cartesian expansion).
-    fn unit_graph(
-        &self,
-        q: &Gtpq,
-        u: QueryNodeId,
-        mat: &[Vec<NodeId>],
-        stats: &mut BaselineStats,
-    ) -> HashMap<NodeId, Vec<Vec<NodeId>>> {
-        let children = q.children(u);
-        let mut out = HashMap::new();
-        for &v in &mat[u.index()] {
-            let lists: Vec<Vec<NodeId>> = children
-                .iter()
-                .map(|&c| {
-                    mat[c.index()]
-                        .iter()
-                        .copied()
-                        .filter(|&w| {
-                            stats.index_lookups += 1;
-                            self.edge_ok(q, c, v, w)
-                        })
-                        .collect()
-                })
-                .collect();
-            if lists.iter().all(|l| !l.is_empty()) {
-                stats.intermediate_results += 1 + lists.iter().map(|l| l.len() as u64).sum::<u64>();
-                out.insert(v, lists);
-            }
-        }
-        out
+        let rows = relations
+            .get(&q.root())
+            .into_iter()
+            .flatten()
+            .flat_map(|row| q.output_nodes().iter().map(|u| row[u]))
+            .collect();
+        ResultSet::from_rows(q.output_nodes().to_vec(), rows)
     }
 }
 
@@ -152,129 +134,14 @@ impl TpqAlgorithm for HgJoin<'_> {
         let start = Instant::now();
         let mut stats = BaselineStats::default();
         let mat = restricted_candidates(q, self.graph, restrict, &mut stats);
-        let internal: Vec<QueryNodeId> = q.internal_nodes();
-
-        let mut rows = Vec::new();
-        if self.graph_intermediates {
-            // HGJoin*: per-unit match graphs joined implicitly at enumeration.
-            let mut unit_graphs: UnitGraphs = HashMap::new();
-            for &u in &internal {
-                unit_graphs.insert(u, self.unit_graph(q, u, &mat, &mut stats));
-            }
-            let mut memo: AssignmentMemo = HashMap::new();
-            for &v in &mat[q.root().index()] {
-                for assignment in enumerate_graph(q, &unit_graphs, q.root(), v, &mut memo).iter() {
-                    push_projection(q, assignment, &mut rows);
-                }
-            }
+        let results = if self.graph_intermediates {
+            self.join_graphs(q, &mat, &mut stats)
         } else {
-            // HGJoin+: join the unit relations bottom-up on their shared node.
-            let mut relations: HashMap<QueryNodeId, Vec<HashMap<QueryNodeId, NodeId>>> =
-                HashMap::new();
-            for &u in internal.iter().rev() {
-                let tuples = self.unit_tuples(q, u, &mat, &mut stats);
-                let children = q.children(u).to_vec();
-                // Join each unit tuple with the already-joined relations of its
-                // internal children on the shared child column.
-                let mut joined: Vec<HashMap<QueryNodeId, NodeId>> = Vec::new();
-                for tuple in tuples {
-                    let mut partials: Vec<HashMap<QueryNodeId, NodeId>> = vec![{
-                        let mut m = HashMap::new();
-                        m.insert(u, tuple[0]);
-                        for (i, &c) in children.iter().enumerate() {
-                            m.insert(c, tuple[i + 1]);
-                        }
-                        m
-                    }];
-                    for (i, &c) in children.iter().enumerate() {
-                        if let Some(child_rel) = relations.get(&c) {
-                            let mut next = Vec::new();
-                            for base in &partials {
-                                for row in child_rel {
-                                    if row[&c] == tuple[i + 1] {
-                                        let mut merged = base.clone();
-                                        for (k, &val) in row {
-                                            merged.insert(*k, val);
-                                        }
-                                        next.push(merged);
-                                    }
-                                }
-                            }
-                            partials = next;
-                            if partials.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                    joined.extend(partials);
-                }
-                stats.intermediate_results += joined.len() as u64;
-                relations.insert(u, joined);
-            }
-            if let Some(joined) = relations.get(&q.root()) {
-                for row in joined {
-                    let tuple: Option<Vec<NodeId>> = q
-                        .output_nodes()
-                        .iter()
-                        .map(|u| row.get(u).copied())
-                        .collect();
-                    if let Some(tuple) = tuple {
-                        rows.extend(tuple);
-                    }
-                }
-            }
-        }
-        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
+            self.join_tuples(q, &mat, &mut stats)
+        };
         stats.total_time = start.elapsed();
         (results, stats)
     }
-}
-
-fn enumerate_graph(
-    q: &Gtpq,
-    units: &UnitGraphs,
-    u: QueryNodeId,
-    v: NodeId,
-    memo: &mut AssignmentMemo,
-) -> Rc<Vec<Assignment>> {
-    if let Some(cached) = memo.get(&(u, v)) {
-        return Rc::clone(cached);
-    }
-    let own: Vec<(QueryNodeId, NodeId)> = if q.is_output(u) { vec![(u, v)] } else { vec![] };
-    let mut partials = vec![own];
-    if !q.node(u).is_leaf() {
-        match units.get(&u).and_then(|m| m.get(&v)) {
-            Some(lists) => {
-                for (ci, &child) in q.children(u).iter().enumerate() {
-                    let mut branch: Vec<Vec<(QueryNodeId, NodeId)>> = Vec::new();
-                    for &w in &lists[ci] {
-                        branch.extend(enumerate_graph(q, units, child, w, memo).iter().cloned());
-                    }
-                    branch.sort();
-                    branch.dedup();
-                    let mut next = Vec::with_capacity(partials.len() * branch.len());
-                    for base in &partials {
-                        for extra in &branch {
-                            let mut merged = base.clone();
-                            merged.extend_from_slice(extra);
-                            merged.sort();
-                            next.push(merged);
-                        }
-                    }
-                    partials = next;
-                    if partials.is_empty() {
-                        break;
-                    }
-                }
-            }
-            None => partials.clear(),
-        }
-    }
-    partials.sort();
-    partials.dedup();
-    let rc = Rc::new(partials);
-    memo.insert((u, v), Rc::clone(&rc));
-    rc
 }
 
 #[cfg(test)]

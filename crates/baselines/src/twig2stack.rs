@@ -14,18 +14,14 @@
 //! matching candidates of each child (pairwise reachability checks through
 //! the 3-hop index), and results are enumerated from the link structure.
 
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
-use gtpq_reach::{Reachability, ThreeHop};
+use gtpq_query::{Gtpq, ResultSet};
+use gtpq_reach::ThreeHop;
 
 use crate::stats::BaselineStats;
-use crate::{
-    push_projection, restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm,
-};
+use crate::{child_lists, expand, restricted_candidates, Links, Restrictions, TpqAlgorithm};
 
 /// Twig2Stack-style evaluator.
 pub struct Twig2Stack<'g> {
@@ -65,39 +61,31 @@ impl TpqAlgorithm for Twig2Stack<'_> {
         let mut stats = BaselineStats::default();
         let mut mat = restricted_candidates(q, self.graph, restrict, &mut stats);
 
-        // Bottom-up sweep: per candidate, link lists to matching child candidates.
-        let mut links: HashMap<(QueryNodeId, NodeId), Vec<Vec<NodeId>>> = HashMap::new();
+        // Bottom-up sweep: a candidate keeps its links only if every child
+        // list is non-empty, and its children past the first empty list are
+        // never probed.
+        let mut links = Links::new();
         for u in q.bottom_up_order() {
             if q.node(u).is_leaf() {
                 continue;
             }
-            let children = q.children(u).to_vec();
             let candidates = std::mem::take(&mut mat[u.index()]);
             stats.input_nodes += candidates.len() as u64;
             let mut kept = Vec::with_capacity(candidates.len());
             for v in candidates {
-                let mut lists: Vec<Vec<NodeId>> = Vec::with_capacity(children.len());
-                let mut ok = true;
-                for &child in &children {
-                    let matched: Vec<NodeId> = mat[child.index()]
-                        .iter()
-                        .copied()
-                        .filter(|&w| {
-                            stats.index_lookups += 1;
-                            match q.incoming_edge(child) {
-                                Some(EdgeKind::Child) => self.graph.has_edge(v, w),
-                                _ => self.index.reaches(v, w),
-                            }
-                        })
-                        .collect();
-                    if matched.is_empty() {
-                        ok = false;
-                        break;
-                    }
-                    stats.intermediate_results += matched.len() as u64;
-                    lists.push(matched);
-                }
-                if ok {
+                let lists: Vec<Vec<NodeId>> = child_lists(
+                    self.graph,
+                    &self.index,
+                    q,
+                    u,
+                    v,
+                    &mat,
+                    &mut stats.index_lookups,
+                )
+                .take_while(|list| !list.is_empty())
+                .collect();
+                stats.intermediate_results += lists.iter().map(|l| l.len() as u64).sum::<u64>();
+                if lists.len() == q.children(u).len() {
                     links.insert((u, v), lists);
                     kept.push(v);
                 }
@@ -106,65 +94,10 @@ impl TpqAlgorithm for Twig2Stack<'_> {
         }
         stats.intermediate_results += mat.iter().map(|m| m.len() as u64).sum::<u64>();
 
-        // Enumerate results from the hierarchical link structure.
-        let mut rows = Vec::new();
-        let mut memo: AssignmentMemo = HashMap::new();
-        for &v in &mat[q.root().index()] {
-            for assignment in enumerate(q, &links, q.root(), v, &mut memo).iter() {
-                push_projection(q, assignment, &mut rows);
-            }
-        }
-        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
+        let results = expand(q, &links, &mat[q.root().index()]);
         stats.total_time = start.elapsed();
         (results, stats)
     }
-}
-
-fn enumerate(
-    q: &Gtpq,
-    links: &HashMap<(QueryNodeId, NodeId), Vec<Vec<NodeId>>>,
-    u: QueryNodeId,
-    v: NodeId,
-    memo: &mut AssignmentMemo,
-) -> Rc<Vec<Assignment>> {
-    if let Some(cached) = memo.get(&(u, v)) {
-        return Rc::clone(cached);
-    }
-    let own: Vec<(QueryNodeId, NodeId)> = if q.is_output(u) { vec![(u, v)] } else { vec![] };
-    let mut partials = vec![own];
-    if !q.node(u).is_leaf() {
-        let children = q.children(u);
-        if let Some(lists) = links.get(&(u, v)) {
-            for (ci, &child) in children.iter().enumerate() {
-                let mut branch: Vec<Vec<(QueryNodeId, NodeId)>> = Vec::new();
-                for &w in &lists[ci] {
-                    branch.extend(enumerate(q, links, child, w, memo).iter().cloned());
-                }
-                branch.sort();
-                branch.dedup();
-                let mut next = Vec::with_capacity(partials.len() * branch.len());
-                for base in &partials {
-                    for extra in &branch {
-                        let mut merged = base.clone();
-                        merged.extend_from_slice(extra);
-                        merged.sort();
-                        next.push(merged);
-                    }
-                }
-                partials = next;
-                if partials.is_empty() {
-                    break;
-                }
-            }
-        } else {
-            partials.clear();
-        }
-    }
-    partials.sort();
-    partials.dedup();
-    let rc = Rc::new(partials);
-    memo.insert((u, v), Rc::clone(&rc));
-    rc
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
-use gtpq_reach::{Reachability, ThreeHop};
+use gtpq_query::{Gtpq, QueryNodeId, ResultSet};
+use gtpq_reach::ThreeHop;
 
 use crate::stats::BaselineStats;
-use crate::{restricted_candidates, Restrictions, TpqAlgorithm};
+use crate::{extend_tuples, restricted_candidates, Restrictions, TpqAlgorithm};
 
 /// TwigStack-style evaluator.
 pub struct TwigStack<'g> {
@@ -34,45 +34,6 @@ impl<'g> TwigStack<'g> {
             graph,
             index: ThreeHop::new(graph),
         }
-    }
-
-    /// Enumerates the path solutions of one root-to-leaf query path.
-    fn path_solutions(
-        &self,
-        q: &Gtpq,
-        path: &[QueryNodeId],
-        mat: &[Vec<NodeId>],
-        stats: &mut BaselineStats,
-    ) -> Vec<Vec<NodeId>> {
-        let mut solutions: Vec<Vec<NodeId>> =
-            mat[path[0].index()].iter().map(|&v| vec![v]).collect();
-        for window in path.windows(2) {
-            let (_parent, child) = (window[0], window[1]);
-            let child_candidates = &mat[child.index()];
-            let edge = q.incoming_edge(child);
-            let mut next = Vec::new();
-            for solution in &solutions {
-                let tail = *solution.last().expect("path solutions are non-empty");
-                for &w in child_candidates {
-                    stats.index_lookups += 1;
-                    let ok = match edge {
-                        Some(EdgeKind::Child) => self.graph.has_edge(tail, w),
-                        _ => self.index.reaches(tail, w),
-                    };
-                    if ok {
-                        let mut extended = solution.clone();
-                        extended.push(w);
-                        next.push(extended);
-                    }
-                }
-            }
-            solutions = next;
-            if solutions.is_empty() {
-                break;
-            }
-        }
-        stats.intermediate_results += solutions.len() as u64;
-        solutions
     }
 }
 
@@ -98,42 +59,26 @@ impl TpqAlgorithm for TwigStack<'_> {
         let mut stats = BaselineStats::default();
         let mat = restricted_candidates(q, self.graph, restrict, &mut stats);
 
-        // Root-to-leaf paths of the query tree.
-        let mut paths: Vec<Vec<QueryNodeId>> = Vec::new();
-        for u in q.node_ids() {
-            if q.node(u).is_leaf() {
-                let mut path = vec![u];
-                let mut cursor = q.parent(u);
-                while let Some(p) = cursor {
-                    path.push(p);
-                    cursor = q.parent(p);
-                }
-                path.reverse();
-                paths.push(path);
-            }
-        }
-
-        // Merge-join the per-path relations on shared query nodes.
+        // Materialize the solutions of each root-to-leaf path, extending
+        // every partial path from its tail, and merge-join them on shared
+        // query nodes.
         let mut joined: Vec<HashMap<QueryNodeId, NodeId>> = vec![HashMap::new()];
-        for path in &paths {
-            let solutions = self.path_solutions(q, path, &mat, &mut stats);
+        for leaf in q.node_ids().filter(|&u| q.node(u).is_leaf()) {
+            let mut path: Vec<QueryNodeId> =
+                std::iter::successors(Some(leaf), |&u| q.parent(u)).collect();
+            path.reverse();
+            let steps = path.windows(2).enumerate().map(|(i, w)| (i, w[1]));
+            let solutions =
+                extend_tuples(self.graph, &self.index, q, &mat, path[0], steps, &mut stats);
             let mut next: Vec<HashMap<QueryNodeId, NodeId>> = Vec::new();
             for base in &joined {
                 for solution in &solutions {
                     let mut merged = base.clone();
-                    let mut compatible = true;
-                    for (qnode, &v) in path.iter().zip(solution) {
-                        match merged.get(qnode) {
-                            Some(&existing) if existing != v => {
-                                compatible = false;
-                                break;
-                            }
-                            _ => {
-                                merged.insert(*qnode, v);
-                            }
-                        }
-                    }
-                    if compatible {
+                    if path
+                        .iter()
+                        .zip(solution)
+                        .all(|(&u, &v)| *merged.entry(u).or_insert(v) == v)
+                    {
                         next.push(merged);
                     }
                 }
@@ -160,7 +105,7 @@ mod tests {
     use gtpq_core::GteaEngine;
     use gtpq_datagen::{generate_xmark, xmark_q1, XmarkConfig};
     use gtpq_query::fixtures::{example_graph, example_query};
-    use gtpq_query::naive;
+    use gtpq_query::{naive, EdgeKind};
 
     use super::*;
 

@@ -10,23 +10,23 @@
 //! make it degrade on denser, deeper graphs (arXiv, Fig. 9) — both behaviours
 //! come out of this implementation because the same work is done.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{EdgeKind, Gtpq, QueryNodeId, ResultSet};
+use gtpq_query::{Gtpq, ResultSet};
 use gtpq_reach::{Reachability, Sspi};
 
 use crate::stats::BaselineStats;
-use crate::{
-    push_projection, restricted_candidates, Assignment, AssignmentMemo, Restrictions, TpqAlgorithm,
-};
+use crate::{edge_ok, expand, link_all, restricted_candidates, Restrictions, TpqAlgorithm};
 
 /// TwigStackD evaluator.
 pub struct TwigStackD<'g> {
     graph: &'g DataGraph,
-    sspi: Sspi,
+    /// Locked while an evaluation probes it: the SSPI's visit counter
+    /// belongs to the index, so concurrent evaluations take turns, and the
+    /// delta the pre-filter reads holds only its own visits.
+    sspi: Mutex<Sspi>,
 }
 
 impl<'g> TwigStackD<'g> {
@@ -34,37 +34,31 @@ impl<'g> TwigStackD<'g> {
     pub fn new(graph: &'g DataGraph) -> Self {
         Self {
             graph,
-            sspi: Sspi::new(graph),
-        }
-    }
-
-    fn edge_ok(&self, q: &Gtpq, child: QueryNodeId, v: NodeId, w: NodeId) -> bool {
-        match q.incoming_edge(child) {
-            Some(EdgeKind::Child) => self.graph.has_edge(v, w),
-            _ => self.sspi.reaches(v, w),
+            sspi: Mutex::new(Sspi::new(graph)),
         }
     }
 
     /// The pre-filtering phase: a bottom-up and a top-down sweep over the
-    /// candidate lists, using pairwise SSPI probes.
-    fn prefilter(&self, q: &Gtpq, mat: &mut [Vec<NodeId>], stats: &mut BaselineStats) {
+    /// candidate lists, using pairwise SSPI probes.  Besides one lookup per
+    /// probed pair, `#index` counts the surplus entries the probes visit.
+    fn prefilter(&self, sspi: &Sspi, q: &Gtpq, mat: &mut [Vec<NodeId>], stats: &mut BaselineStats) {
         let start = Instant::now();
-        self.sspi.reset_lookups();
+        let visits_before = sspi.lookup_count();
+        let edge = |c, v, w| edge_ok(self.graph, sspi, q, c, v, w);
         // Bottom-up: keep candidates that can reach a candidate of every child.
         for u in q.bottom_up_order() {
             if q.node(u).is_leaf() {
                 continue;
             }
-            let children = q.children(u).to_vec();
             let candidates = std::mem::take(&mut mat[u.index()]);
             stats.input_nodes += candidates.len() as u64;
             mat[u.index()] = candidates
                 .into_iter()
                 .filter(|&v| {
-                    children.iter().all(|&c| {
+                    q.children(u).iter().all(|&c| {
                         mat[c.index()].iter().any(|&w| {
                             stats.index_lookups += 1;
-                            self.edge_ok(q, c, v, w)
+                            edge(c, v, w)
                         })
                     })
                 })
@@ -80,13 +74,13 @@ impl<'g> TwigStackD<'g> {
                     .filter(|&w| {
                         mat[u.index()].iter().any(|&v| {
                             stats.index_lookups += 1;
-                            self.edge_ok(q, child, v, w)
+                            edge(child, v, w)
                         })
                     })
                     .collect();
             }
         }
-        stats.index_lookups += self.sspi.lookup_count();
+        stats.index_lookups += sspi.lookup_count() - visits_before;
         stats.filtering_time += start.elapsed();
     }
 }
@@ -112,96 +106,26 @@ impl TpqAlgorithm for TwigStackD<'_> {
         let start = Instant::now();
         let mut stats = BaselineStats::default();
         let mut mat = restricted_candidates(q, self.graph, restrict, &mut stats);
-        self.prefilter(q, &mut mat, &mut stats);
 
-        // Pool-based expansion: every surviving candidate goes into the pool of
-        // its query node together with links to compatible pool entries of the
-        // child nodes (this is where TwigStackD spends its time on dense data).
-        let mut pools: HashMap<(QueryNodeId, NodeId), Vec<Vec<NodeId>>> = HashMap::new();
-        for u in q.bottom_up_order() {
-            if q.node(u).is_leaf() {
-                continue;
-            }
-            let children = q.children(u).to_vec();
-            for &v in &mat[u.index()] {
-                let lists: Vec<Vec<NodeId>> = children
-                    .iter()
-                    .map(|&c| {
-                        mat[c.index()]
-                            .iter()
-                            .copied()
-                            .filter(|&w| {
-                                stats.index_lookups += 1;
-                                self.edge_ok(q, c, v, w)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                stats.intermediate_results += lists.iter().map(|l| l.len() as u64).sum::<u64>();
-                pools.insert((u, v), lists);
-            }
-        }
+        // Every surviving candidate goes into the pool of its query node,
+        // linked to the compatible pool entries of each child (this is where
+        // TwigStackD spends its time on dense data).
+        let pools = {
+            let sspi = self.sspi.lock().unwrap_or_else(|e| e.into_inner());
+            self.prefilter(&sspi, q, &mut mat, &mut stats);
+            link_all(self.graph, &*sspi, q, &mat, &mut stats.index_lookups)
+        };
+        stats.intermediate_results += pools
+            .values()
+            .flatten()
+            .map(|l| l.len() as u64)
+            .sum::<u64>();
         stats.intermediate_results += mat.iter().map(|m| m.len() as u64).sum::<u64>();
 
-        // Enumerate answers from the pools.
-        let mut rows = Vec::new();
-        let mut memo: AssignmentMemo = HashMap::new();
-        for &v in &mat[q.root().index()] {
-            for assignment in expand(q, &pools, q.root(), v, &mut memo).iter() {
-                push_projection(q, assignment, &mut rows);
-            }
-        }
-        let results = ResultSet::from_rows(q.output_nodes().to_vec(), rows);
+        let results = expand(q, &pools, &mat[q.root().index()]);
         stats.total_time = start.elapsed();
         (results, stats)
     }
-}
-
-fn expand(
-    q: &Gtpq,
-    pools: &HashMap<(QueryNodeId, NodeId), Vec<Vec<NodeId>>>,
-    u: QueryNodeId,
-    v: NodeId,
-    memo: &mut AssignmentMemo,
-) -> Rc<Vec<Assignment>> {
-    if let Some(cached) = memo.get(&(u, v)) {
-        return Rc::clone(cached);
-    }
-    let own: Vec<(QueryNodeId, NodeId)> = if q.is_output(u) { vec![(u, v)] } else { vec![] };
-    let mut partials = vec![own];
-    if !q.node(u).is_leaf() {
-        match pools.get(&(u, v)) {
-            Some(lists) => {
-                for (ci, &child) in q.children(u).iter().enumerate() {
-                    let mut branch: Vec<Vec<(QueryNodeId, NodeId)>> = Vec::new();
-                    for &w in &lists[ci] {
-                        branch.extend(expand(q, pools, child, w, memo).iter().cloned());
-                    }
-                    branch.sort();
-                    branch.dedup();
-                    let mut next = Vec::with_capacity(partials.len() * branch.len());
-                    for base in &partials {
-                        for extra in &branch {
-                            let mut merged = base.clone();
-                            merged.extend_from_slice(extra);
-                            merged.sort();
-                            next.push(merged);
-                        }
-                    }
-                    partials = next;
-                    if partials.is_empty() {
-                        break;
-                    }
-                }
-            }
-            None => partials.clear(),
-        }
-    }
-    partials.sort();
-    partials.dedup();
-    let rc = Rc::new(partials);
-    memo.insert((u, v), Rc::clone(&rc));
-    rc
 }
 
 #[cfg(test)]
@@ -242,6 +166,39 @@ mod tests {
         for q in &queries {
             assert!(twig.evaluate(q).0.same_answer(&engine.evaluate(q)));
         }
+    }
+
+    #[test]
+    fn concurrent_evaluations_report_their_own_counters() {
+        let g = generate_arxiv(&ArxivConfig::small());
+        let twig = TwigStackD::new(&g);
+        let queries = random_queries(
+            &g,
+            &RandomQueryConfig {
+                count: 3,
+                ..RandomQueryConfig::with_size(5)
+            },
+        );
+        let counters = |q| {
+            let stats = twig.evaluate(q).1;
+            (
+                stats.input_nodes,
+                stats.index_lookups,
+                stats.intermediate_results,
+            )
+        };
+        let alone: Vec<_> = queries.iter().map(counters).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..20 {
+                        for (q, want) in queries.iter().zip(&alone) {
+                            assert_eq!(counters(q), *want);
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gtpq_graph::DataGraph;
+use gtpq_graph::{DataGraph, NodeId};
 use gtpq_query::{Gtpq, ResultSet};
 use gtpq_reach::Reachability;
 
@@ -19,8 +19,8 @@ use crate::stream::{MatchStream, StreamSource};
 
 /// Row-window and control parameters of one [`GteaEngine::execute`] call.
 ///
-/// The default is the legacy behaviour: no limit, no offset, unbounded
-/// control.
+/// The default materializes the whole answer: no limit, no offset,
+/// unbounded control.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Stop after this many rows have been *emitted* (post-offset).  `None`
@@ -297,10 +297,7 @@ impl<'g> GteaEngine<'g> {
 
         // A backbone node with no candidates at all cannot gain any during
         // pruning: the answer is empty before any reachability work starts.
-        if q.node_ids()
-            .filter(|&u| q.is_backbone(u))
-            .any(|u| mat[u.index()].is_empty())
-        {
+        if starved_backbone(q, &mat) {
             return Ok(None);
         }
 
@@ -312,10 +309,7 @@ impl<'g> GteaEngine<'g> {
         drop(span);
 
         // Early exit: every backbone node needs at least one candidate.
-        if q.node_ids()
-            .filter(|&u| q.is_backbone(u))
-            .any(|u| mat[u.index()].is_empty())
-        {
+        if starved_backbone(q, &mat) {
             return Ok(None);
         }
 
@@ -365,6 +359,14 @@ impl<'g> GteaEngine<'g> {
         // Step 4 is pulled by the caller: the source enumerates the answer.
         Ok(Some(Arc::new(StreamSource::new(q, shrunk, matching, mat))))
     }
+}
+
+/// Whether some backbone node has no candidate left, which makes the answer
+/// empty.
+fn starved_backbone(q: &Gtpq, mat: &[Vec<NodeId>]) -> bool {
+    q.node_ids()
+        .filter(|&u| q.is_backbone(u))
+        .any(|u| mat[u.index()].is_empty())
 }
 
 #[cfg(test)]

@@ -85,8 +85,8 @@ pub struct ExecCtl {
 }
 
 impl ExecCtl {
-    /// A control that never interrupts — the default for the legacy
-    /// `evaluate*` entry points.
+    /// A control that never interrupts — the default, and what the
+    /// `evaluate*` entry points run under.
     pub fn unbounded() -> Self {
         Self::default()
     }

@@ -1,7 +1,5 @@
 //! Prime subtree and shrunk prime subtree (§4.2.3, §4.3).
 
-use std::collections::HashMap;
-
 use gtpq_graph::NodeId;
 use gtpq_query::{Gtpq, QueryNodeId};
 
@@ -15,8 +13,9 @@ pub struct PrimeSubtree {
     /// Member nodes, in ascending id order (which is top-down because child
     /// ids are always larger than their parent's).
     pub nodes: Vec<QueryNodeId>,
-    /// Children of each member restricted to the prime subtree.
-    pub(crate) children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
+    /// Children of each member restricted to the prime subtree, indexed by
+    /// query node id (empty for non-members).
+    pub(crate) children: Vec<Vec<QueryNodeId>>,
 }
 
 impl PrimeSubtree {
@@ -34,16 +33,14 @@ impl PrimeSubtree {
             }
         }
         let nodes: Vec<QueryNodeId> = q.node_ids().filter(|u| member[u.index()]).collect();
-        let mut children: HashMap<QueryNodeId, Vec<QueryNodeId>> = HashMap::new();
-        for &u in &nodes {
-            let kids: Vec<QueryNodeId> = q
-                .children(u)
-                .iter()
-                .copied()
-                .filter(|c| member[c.index()])
-                .collect();
-            children.insert(u, kids);
-        }
+        // A member's parent is a member, so a non-member keeps no children.
+        let children = q
+            .node_ids()
+            .map(|u| {
+                let kids = q.children(u).iter().copied();
+                kids.filter(|c| member[c.index()]).collect()
+            })
+            .collect();
         Self { nodes, children }
     }
 
@@ -54,7 +51,7 @@ impl PrimeSubtree {
 
     /// The prime-subtree children of `u`.
     pub(crate) fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
-        self.children.get(&u).map(Vec::as_slice).unwrap_or(&[])
+        &self.children[u.index()]
     }
 
     /// Number of member nodes.
@@ -79,8 +76,9 @@ pub struct ShrunkPrime {
     pub roots: Vec<QueryNodeId>,
     /// Remaining nodes (ascending id order).
     pub nodes: Vec<QueryNodeId>,
-    /// Children of each remaining node restricted to remaining nodes.
-    pub(crate) children: HashMap<QueryNodeId, Vec<QueryNodeId>>,
+    /// Children of each remaining node restricted to remaining nodes,
+    /// indexed by query node id (empty for removed nodes).
+    pub(crate) children: Vec<Vec<QueryNodeId>>,
     /// Output nodes that were removed because they had exactly one candidate,
     /// together with that candidate.
     pub(crate) constant_outputs: Vec<(QueryNodeId, NodeId)>,
@@ -131,16 +129,15 @@ impl ShrunkPrime {
             }
             s
         };
-        let mut children: HashMap<QueryNodeId, Vec<QueryNodeId>> = HashMap::new();
+        let mut children: Vec<Vec<QueryNodeId>> = vec![Vec::new(); q.size()];
         let mut roots: Vec<QueryNodeId> = Vec::new();
         for &u in &keep {
-            children.entry(u).or_default();
             let parent_kept = q
                 .parent(u)
                 .filter(|p| prime.contains(*p) && in_scope(*p))
                 .filter(|p| kept_set[p.index()]);
             match parent_kept {
-                Some(p) => children.entry(p).or_default().push(u),
+                Some(p) => children[p.index()].push(u),
                 None => roots.push(u),
             }
         }
@@ -169,7 +166,7 @@ impl ShrunkPrime {
 
     /// The shrunk children of `u`.
     pub(crate) fn children_of(&self, u: QueryNodeId) -> &[QueryNodeId] {
-        self.children.get(&u).map(Vec::as_slice).unwrap_or(&[])
+        &self.children[u.index()]
     }
 
     /// Number of remaining nodes.

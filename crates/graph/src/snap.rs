@@ -66,10 +66,9 @@
 //! keys, offsets and nodes, the string dictionary, condensation arrays, and
 //! the attribute tuple columns — decoded lazily, see `AttrTuples`) are
 //! CRC-checked, scanned for monotone offsets *and* field-validated by
-//! [`LoadMode::Heap`] and [`LoadMode::MmapVerified`]; plain
-//! [`LoadMode::Mmap`] skips those passes so that an open costs the pages it
-//! touches, not the pages the file has — use a verifying mode for files you
-//! do not trust.  What plain mmap gives instead is **total accessors**: every
+//! [`LoadMode::Heap`]; plain [`LoadMode::Mmap`] skips those passes so that
+//! an open costs the pages it touches, not the pages the file has — load
+//! files you do not trust with `Heap`.  What plain mmap gives instead is **total accessors**: every
 //! reader of a mapped offsets run goes through the total `run::window`, so a
 //! damaged middle offset serves the empty run for the affected node, a
 //! damaged value-slot key misses its probe and reads as an empty posting,
@@ -80,7 +79,7 @@
 //!
 //! # External modification hazard
 //!
-//! A mapped load ([`LoadMode::Mmap`] / [`LoadMode::MmapVerified`]) borrows
+//! A mapped load ([`LoadMode::Mmap`]) borrows
 //! the file's pages for the lifetime of the graph.  The mapping is private
 //! and read-only, but it cannot protect against **another process**
 //! truncating or rewriting the file in place while it is mapped: touching a
@@ -157,14 +156,13 @@ pub enum LoadMode {
     /// [module docs](crate::snap#external-modification-hazard)); replacing
     /// it via rename — as [`GraphSnapshot::save`] does — is safe.
     Mmap,
-    /// Zero-copy `mmap` plus a full checksum pass over every section, the
+    /// Portable and verifying: read the whole file into an aligned heap
+    /// buffer, then run a full checksum pass over every section, the
     /// monotonicity scan of every offsets run and string table, and field
     /// validation of the attribute columns, the value-slot keys (readable
-    /// and strictly ascending) and the string dictionary (UTF-8).
-    MmapVerified,
-    /// Portable fallback: read the whole file into an aligned heap buffer and
-    /// verify every checksum.  The runs still borrow the shared buffer, so
-    /// this path exercises the same code as the mapped one.
+    /// and strictly ascending) and the string dictionary (UTF-8).  The runs
+    /// still borrow the shared buffer, so this path exercises the same code
+    /// as the mapped one.
     Heap,
 }
 
@@ -343,8 +341,9 @@ enum Check {
     /// owned structure — so it is read anyway, and checksumming it first
     /// makes a bit-flipped file fail as `ChecksumMismatch`, not `Malformed`.
     EveryOpen,
-    /// Only by [`LoadMode::MmapVerified`] and [`LoadMode::Heap`]: the run
-    /// stays mapped and plain [`LoadMode::Mmap`] must not fault its pages in.
+    /// Only by [`LoadMode::Heap`] (and plain [`LoadMode::Mmap`]'s heap
+    /// fallback): the run stays mapped and a mapped open must not fault its
+    /// pages in.
     Verifying,
 }
 
@@ -358,7 +357,7 @@ struct Section {
     /// The run this one is an offsets index into.  Every open checks its two
     /// ends (leading 0, ending at the target's length); the monotonicity
     /// scan in between runs at every open for an [`Check::EveryOpen`] row —
-    /// the decoder slices through it — and under the verifying modes for a
+    /// the decoder slices through it — and in a verifying open for a
     /// [`Check::Verifying`] row, whose readers go through the total
     /// [`crate::run::window`] instead.
     spans: Option<SectionKind>,
@@ -1465,7 +1464,7 @@ fn load_snapshot(path: &Path, mode: LoadMode) -> Result<GraphSnapshot, SnapshotE
     let file_len = file.metadata()?.len();
     let bytes: Arc<SnapshotBytes> = match mode {
         LoadMode::Heap => Arc::new(read_to_heap(&mut file, file_len)?),
-        LoadMode::Mmap | LoadMode::MmapVerified => {
+        LoadMode::Mmap => {
             #[cfg(all(unix, target_pointer_width = "64"))]
             {
                 match crate::run::MmapFile::map(&file, file_len as usize) {
@@ -1481,7 +1480,7 @@ fn load_snapshot(path: &Path, mode: LoadMode) -> Result<GraphSnapshot, SnapshotE
     };
     let verify_all = match mode {
         LoadMode::Mmap => !bytes.is_mmap(), // heap fallback is read fully anyway
-        LoadMode::MmapVerified | LoadMode::Heap => true,
+        LoadMode::Heap => true,
     };
     load_from_bytes(bytes, verify_all)
 }
@@ -1806,7 +1805,7 @@ mod tests {
         let snap = sample_snapshot();
         let path = tmp("roundtrip.gtpq");
         snap.save(&path).unwrap();
-        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+        for mode in [LoadMode::Mmap, LoadMode::Heap] {
             let loaded = GraphSnapshot::open(&path, mode).unwrap();
             assert_eq!(loaded.epoch(), snap.epoch());
             assert_eq!(loaded.graph(), snap.graph());
@@ -1841,7 +1840,7 @@ mod tests {
 
         let path = tmp("vectors.gtpq");
         snap.save(&path).unwrap();
-        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+        for mode in [LoadMode::Mmap, LoadMode::Heap] {
             let loaded = GraphSnapshot::open(&path, mode).unwrap();
             assert_eq!(loaded.graph(), snap.graph(), "mode {mode:?}");
             let table = loaded.graph().sim_table("emb").unwrap();
@@ -1932,7 +1931,7 @@ mod tests {
 
         let path = tmp("probe-oracle.gtpq");
         snap.save(&path).unwrap();
-        for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+        for mode in [LoadMode::Mmap, LoadMode::Heap] {
             let loaded = GraphSnapshot::open(&path, mode).unwrap();
             probes_agree_with_a_scan(loaded.graph(), &absent, &format!("{mode:?}"));
         }
@@ -2261,16 +2260,14 @@ mod tests {
             }
             walk(&loaded);
 
-            // The verifying modes scan the run and name it.
-            for mode in [LoadMode::MmapVerified, LoadMode::Heap] {
-                match GraphSnapshot::open(&path, mode) {
-                    Err(SnapshotError::Malformed { what }) => assert_eq!(
-                        what,
-                        format!("{} is non-monotone", row.name),
-                        "{case} under {mode:?}"
-                    ),
-                    other => panic!("{case} under {mode:?}: {:?}", other.map(|_| ())),
-                }
+            // A verifying open scans the run and names it.
+            match GraphSnapshot::open_heap(&path) {
+                Err(SnapshotError::Malformed { what }) => assert_eq!(
+                    what,
+                    format!("{} is non-monotone", row.name),
+                    "{case} under Heap"
+                ),
+                other => panic!("{case} under Heap: {:?}", other.map(|_| ())),
             }
         }
 
@@ -2285,7 +2282,7 @@ mod tests {
                 (last, offsets[last].wrapping_sub(1)),
             ] {
                 std::fs::write(&path, stomp(&good, row, index, value)).unwrap();
-                for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+                for mode in [LoadMode::Mmap, LoadMode::Heap] {
                     match GraphSnapshot::open(&path, mode) {
                         Err(SnapshotError::Malformed { what }) => assert_eq!(
                             what,
@@ -2348,8 +2345,8 @@ mod tests {
             small, large,
             "a plain-mmap open checksummed or scanned something node-sized"
         );
-        let (small, _) = examined(1_000, LoadMode::MmapVerified);
-        let (large, _) = examined(50_000, LoadMode::MmapVerified);
+        let (small, _) = examined(1_000, LoadMode::Heap);
+        let (large, _) = examined(50_000, LoadMode::Heap);
         assert!(
             large > 40 * small,
             "a verifying open reads the whole file: {small} vs {large}"
@@ -2402,7 +2399,7 @@ mod tests {
         hostile_base().save(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
         let victim = tmp("hostile-victim.gtpq");
-        let modes = [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap];
+        let modes = [LoadMode::Mmap, LoadMode::Heap];
 
         // Every `Meta` word at the edges of the integer widths the loader
         // converts between: a load may succeed or fail, never unwind.
@@ -2463,7 +2460,7 @@ mod tests {
         }
 
         // One middle entry of an offsets run damaged in a way the end checks
-        // cannot see: plain mmap serves it, the verifying modes refuse it.
+        // cannot see: plain mmap serves it, a verifying open refuses it.
         for (row, index, value) in middle_stomps(&good) {
             std::fs::write(&victim, stomp(&good, row, index, value)).unwrap();
             for mode in modes {
@@ -2481,7 +2478,7 @@ mod tests {
             }
         }
 
-        // Damaged value-slot keys and string text: the verifying modes name
+        // Damaged value-slot keys and string text: a verifying open names
         // the damage, plain mmap opens the file, the damaged key's probe
         // reads as an empty posting and nothing panics.
         let pristine = GraphSnapshot::open_heap(&path).unwrap();
@@ -2548,13 +2545,11 @@ mod tests {
             }
             restamp(&mut bytes);
             std::fs::write(&victim, &bytes).unwrap();
-            for mode in [LoadMode::MmapVerified, LoadMode::Heap] {
-                match GraphSnapshot::open(&victim, mode) {
-                    Err(SnapshotError::Malformed { what: got }) => {
-                        assert_eq!(got, what, "{case} under {mode:?}")
-                    }
-                    other => panic!("{case} under {mode:?}: {:?}", other.map(|_| ())),
+            match GraphSnapshot::open_heap(&victim) {
+                Err(SnapshotError::Malformed { what: got }) => {
+                    assert_eq!(got, what, "{case} under Heap")
                 }
+                other => panic!("{case} under Heap: {:?}", other.map(|_| ())),
             }
             let loaded = GraphSnapshot::open_mmap(&victim)
                 .unwrap_or_else(|e| panic!("{case} refused under plain mmap: {e}"));
@@ -2610,7 +2605,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         // Plain mmap decodes attributes lazily, so the vector payloads that
         // now point past the empty dictionary degrade to skipped attributes;
-        // the verifying modes refuse them up front.
+        // a verifying open refuses them up front.
         let loaded = GraphSnapshot::open_mmap(&path).unwrap();
         touch(&loaded);
         assert!(loaded.graph().sim_table("emb").is_none());

@@ -211,11 +211,10 @@ fn snapshot_section_tracks_the_format_constants_and_load_modes() {
     fn name(mode: LoadMode) -> &'static str {
         match mode {
             LoadMode::Mmap => "Mmap",
-            LoadMode::MmapVerified => "MmapVerified",
             LoadMode::Heap => "Heap",
         }
     }
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         assert!(
             documented.contains(name(mode)),
             "LoadMode `{}` is not documented in the Snapshot format section",
@@ -288,7 +287,7 @@ fn snapshot_claims_hold_in_miniature() {
     assert_eq!(&bytes[..8], &MAGIC, "file does not start with the magic");
 
     // Every load mode reconstructs the same graph.
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         let loaded = GraphSnapshot::open(&path, mode).expect("snapshot loads");
         assert_eq!(*loaded.graph().as_ref(), *graph, "{mode:?} diverged");
     }
@@ -298,11 +297,11 @@ fn snapshot_claims_hold_in_miniature() {
     let mut broken = bytes.clone();
     broken[0] ^= 0xff;
     std::fs::write(&path, &broken).expect("corrupt file written");
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         assert!(GraphSnapshot::open(&path, mode).is_err(), "{mode:?}");
     }
     std::fs::write(&path, &bytes[..10]).expect("truncated file written");
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         assert!(GraphSnapshot::open(&path, mode).is_err(), "{mode:?}");
     }
     std::fs::remove_file(&path).ok();

@@ -58,7 +58,7 @@ use rand::{Rng, SeedableRng};
 const SEEDS: u64 = 40;
 /// Random queries per seed; each one is answered after every commit.
 const QUERIES: usize = 4;
-const LOAD_MODES: [LoadMode; 3] = [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap];
+const LOAD_MODES: [LoadMode; 2] = [LoadMode::Mmap, LoadMode::Heap];
 
 /// What the sweep has exercised, for the assertions that it kept its teeth.
 #[derive(Default)]

@@ -50,7 +50,7 @@ fn checked_in_v1_fixture_opens_in_every_load_mode() {
          never by re-saving (that would silently upgrade it to v2)"
     );
 
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         let snap = GraphSnapshot::open(path, mode)
             .unwrap_or_else(|e| panic!("v1 fixture fails to open in {mode:?}: {e}"));
         let g = snap.graph();
@@ -127,7 +127,7 @@ fn checked_in_v2_fixture_is_what_save_writes_today() {
         "save no longer writes the bytes of v2-tiny.gtpq"
     );
 
-    for mode in [LoadMode::Mmap, LoadMode::MmapVerified, LoadMode::Heap] {
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
         let snap = GraphSnapshot::open(fixture, mode)
             .unwrap_or_else(|e| panic!("v2 fixture fails to open in {mode:?}: {e}"));
         assert_eq!(*snap.graph().as_ref(), g, "{mode:?}");
