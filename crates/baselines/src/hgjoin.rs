@@ -70,7 +70,12 @@ impl<'g> HgJoin<'g> {
     /// child column.
     fn join_tuples(&self, q: &Gtpq, mat: &[Vec<NodeId>], stats: &mut BaselineStats) -> ResultSet {
         let mut relations: HashMap<QueryNodeId, Vec<HashMap<QueryNodeId, NodeId>>> = HashMap::new();
-        for u in q.internal_nodes().into_iter().rev() {
+        let mut units = q.internal_nodes();
+        if units.is_empty() {
+            // A one-node query: its root is its one unit, with no children.
+            units.push(q.root());
+        }
+        for u in units.into_iter().rev() {
             let children = q.children(u);
             let steps = children.iter().map(|&c| (0, c));
             let tuples = extend_tuples(self.graph, &self.index, q, mat, u, steps, stats);

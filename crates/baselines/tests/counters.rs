@@ -12,7 +12,9 @@ use gtpq_datagen::{
     fig11_gtpq, generate_arxiv, generate_xmark, random_queries, xmark_q1, xmark_q2, xmark_q3,
     ArxivConfig, Fig11Predicate, RandomQueryConfig, XmarkConfig,
 };
-use gtpq_query::{Gtpq, ResultSet};
+use gtpq_graph::DataGraph;
+use gtpq_query::fixtures::example_graph;
+use gtpq_query::{AttrPredicate, Gtpq, GtpqBuilder, ResultSet};
 
 /// `(input_nodes, index_lookups, intermediate_results, subqueries, rows)`.
 type Pin = (u64, u64, u64, u64, usize);
@@ -34,18 +36,23 @@ fn check(label: &str, actual: Pin, expected: Pin) -> bool {
     actual == expected
 }
 
+/// The five arms, in the order the pins below list them.
+fn all_arms(g: &DataGraph) -> [Box<dyn TpqAlgorithm + '_>; 5] {
+    [
+        Box::new(TwigStack::new(g)),
+        Box::new(Twig2Stack::new(g)),
+        Box::new(TwigStackD::new(g)),
+        Box::new(HgJoin::tuple_based(g)),
+        Box::new(HgJoin::graph_based(g)),
+    ]
+}
+
 #[test]
 fn every_arm_reports_its_pinned_counters() {
     let mut ok = true;
 
     let g = generate_xmark(&XmarkConfig::with_scale(0.1));
-    let arms: [(&str, Box<dyn TpqAlgorithm>); 5] = [
-        ("TwigStack", Box::new(TwigStack::new(&g))),
-        ("Twig2Stack", Box::new(Twig2Stack::new(&g))),
-        ("TwigStackD", Box::new(TwigStackD::new(&g))),
-        ("HGJoin+", Box::new(HgJoin::tuple_based(&g))),
-        ("HGJoin*", Box::new(HgJoin::graph_based(&g))),
-    ];
+    let arms = all_arms(&g);
     let xmark: [(&str, Gtpq); 3] = [
         ("Q1", xmark_q1(0)),
         ("Q2", xmark_q2(0, 0)),
@@ -79,8 +86,9 @@ fn every_arm_reports_its_pinned_counters() {
             (0, 112830, 1129, 0, 0),
         ],
     ];
-    for ((arm, algo), pins) in arms.iter().zip(&expected) {
+    for (algo, pins) in arms.iter().zip(&expected) {
         for ((query, q), &want) in xmark.iter().zip(pins) {
+            let arm = algo.name();
             ok &= check(&format!("{arm} {query}"), pin(algo.evaluate(q)), want);
         }
     }
@@ -125,4 +133,21 @@ fn every_arm_reports_its_pinned_counters() {
     }
 
     assert!(ok, "a baseline's counters moved (details above)");
+}
+
+/// A one-node query has no internal node, so no arm may rely on one: each
+/// answers the root's candidates, here every node of the running example.
+#[test]
+fn every_arm_answers_a_one_node_query() {
+    let g = example_graph();
+    let mut b = GtpqBuilder::new(AttrPredicate::any());
+    b.mark_output(b.root_id());
+    let q = b.build().expect("a one-node query");
+    let arms = all_arms(&g);
+    let every_node = arms[0].evaluate(&q).0;
+    assert_eq!(every_node.len(), 16);
+    for algo in &arms[1..] {
+        let (rows, _) = algo.evaluate(&q);
+        assert!(rows.same_answer(&every_node), "{}: {rows:?}", algo.name());
+    }
 }

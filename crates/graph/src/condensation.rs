@@ -267,9 +267,10 @@ impl Condensation {
 
         let comp_out = self.comp_out.merge_additions(new_c, &out_pairs);
         let comp_in = self.comp_in.merge_additions(new_c, &in_pairs);
-        let members = self
-            .members
-            .with_appended_runs((old_n..new_node_count).map(|v| [NodeId(v as u32)]));
+        let new_members: Vec<(u32, NodeId)> = (old_n..new_node_count)
+            .map(|v| ((old_c + v - old_n) as u32, NodeId(v as u32)))
+            .collect();
+        let members = self.members.merge_additions(new_c, &new_members);
         let mut comp_of = self.comp_of.to_vec();
         comp_of.extend((old_c..new_c).map(|c| CompId(c as u32)));
         let topo = kahn_topo(&comp_out, &comp_in);

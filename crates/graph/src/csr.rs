@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::run::{window, IntRun, RunElem};
+use crate::run::{merge_run, window, IntRun, RunElem};
 
 /// CSR adjacency from dense `u32`-indexed sources to targets of type `T`.
 ///
@@ -175,11 +175,11 @@ impl<T: RunElem + Ord> Csr<T> {
     }
 
     /// Builds a new CSR with `n >= self.len()` sources by merging sorted
-    /// `additions` into the existing runs — a single linear pass, no global
-    /// re-sort.  Additions must be sorted by `(source, target)` and free of
-    /// internal duplicates; targets already present in the base run are
-    /// skipped, so the result equals [`Csr::from_pairs`] over the union of
-    /// the old pairs and the additions.
+    /// `additions` into the existing runs — one [`merge_run`] per source, no
+    /// global re-sort.  Additions must be sorted by `(source, target)` and
+    /// free of internal duplicates; targets already present in the base run
+    /// are skipped, so the result equals [`Csr::from_pairs`] over the union
+    /// of the old pairs and the additions.
     ///
     /// # Panics
     /// Panics when `n` shrinks the CSR, when an addition's source is `>= n`,
@@ -187,66 +187,21 @@ impl<T: RunElem + Ord> Csr<T> {
     pub(crate) fn merge_additions(&self, n: usize, additions: &[(u32, T)]) -> Self {
         assert!(n >= self.len(), "CSR merge cannot drop sources");
         debug_assert!(additions.windows(2).all(|w| w[0] < w[1]));
-        assert!(
-            self.targets.len() + additions.len() <= u32::MAX as usize,
-            "CSR target count overflows u32 offsets"
-        );
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(self.targets.len() + additions.len());
+        let (mut rest, mut added) = (additions, Vec::new());
         offsets.push(0);
-        let mut cursor = 0usize;
         for v in 0..n {
-            let base: &[T] = if v < self.len() {
-                self.neighbors(v)
-            } else {
-                &[]
-            };
-            let mut bi = 0usize;
-            while cursor < additions.len() && additions[cursor].0 as usize == v {
-                let t = additions[cursor].1;
-                while bi < base.len() && base[bi] < t {
-                    targets.push(base[bi]);
-                    bi += 1;
-                }
-                if bi < base.len() && base[bi] == t {
-                    // Already present in the base run: the addition is a
-                    // duplicate edge and is dropped, exactly as `from_pairs`
-                    // de-duplication would.
-                } else {
-                    targets.push(t);
-                }
-                cursor += 1;
-            }
-            targets.extend_from_slice(&base[bi..]);
-            offsets.push(targets.len() as u32);
-        }
-        assert_eq!(cursor, additions.len(), "addition source out of range");
-        Self {
-            offsets: offsets.into(),
-            targets: targets.into(),
-        }
-    }
-
-    /// Clones the CSR and appends one run per new source, in order.  The
-    /// existing runs are untouched; each appended run must be sorted.
-    pub(crate) fn with_appended_runs<I, R>(&self, runs: I) -> Self
-    where
-        I: IntoIterator<Item = R>,
-        R: IntoIterator<Item = T>,
-    {
-        // `to_vec` is the copy-on-write step: when the base CSR is a mapped
-        // snapshot view, the new epoch gets fresh owned arrays and the file
-        // bytes are never written through.
-        let mut offsets = self.offsets.to_vec();
-        let mut targets = self.targets.to_vec();
-        for run in runs {
-            targets.extend(run);
-            assert!(
-                targets.len() <= u32::MAX as usize,
-                "CSR target count overflows u32 offsets"
+            let here = rest.iter().take_while(|a| a.0 as usize == v).count();
+            added.clear();
+            added.extend(rest[..here].iter().map(|a| a.1));
+            rest = &rest[here..];
+            merge_run(self.neighbors(v), &[], &added, &mut targets);
+            offsets.push(
+                u32::try_from(targets.len()).expect("CSR target count overflows u32 offsets"),
             );
-            offsets.push(targets.len() as u32);
         }
+        assert!(rest.is_empty(), "addition source out of range");
         Self {
             offsets: offsets.into(),
             targets: targets.into(),
@@ -326,11 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn with_appended_runs_keeps_existing() {
+    fn merge_additions_into_new_sources_keeps_existing() {
         let base = Csr::from_pairs(2, vec![(0u32, 3u32)]);
-        let grown = base.with_appended_runs(vec![vec![1u32], vec![]]);
+        let grown = base.merge_additions(4, &[(2, 1)]);
         assert_eq!(grown.len(), 4);
         assert_eq!(grown.neighbors(0), &[3]);
+        assert_eq!(grown.neighbors(1), &[] as &[u32]);
         assert_eq!(grown.neighbors(2), &[1]);
         assert_eq!(grown.neighbors(3), &[] as &[u32]);
     }

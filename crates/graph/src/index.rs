@@ -10,21 +10,23 @@
 //! * a per-attribute sorted `(int value, node)` run answering integer range
 //!   predicates (`<, <=, >, >=`) with two binary searches.
 //!
-//! All posting lists live in two flat arrays (offsets + nodes), mirroring the
-//! CSR adjacency layout.  The value postings are keyed by three parallel
-//! columns in canonical `(attribute, value)` order, which a probe
-//! binary-searches — the same columns a snapshot stores, so a mapped graph
-//! serves them in place; the name postings are keyed by a small map.  Posting
-//! lists are sorted by node id, so conjunctive predicates intersect them with
-//! the galloping merge of [`crate::bitset`].
+//! Every family is held in one layout, mirroring the CSR adjacency: an
+//! ascending key column (three parallel columns in canonical `(attribute,
+//! value)` order for the value postings, the attribute symbol for the other
+//! two), an offsets run and flat item runs.  A probe binary-searches the
+//! keys — the same columns a snapshot stores, so a mapped graph serves all
+//! three families in place — and a commit maintains all three with one
+//! keyed walk over `run::merge_run`.  Posting lists are sorted by
+//! node id, so conjunctive predicates intersect them with the galloping
+//! merge of [`crate::bitset`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use crate::attr::{AttrValue, Attribute};
 use crate::graph::NodeId;
-use crate::run::{window, IntRun};
+use crate::run::{merge_run, window, IntRun};
 use crate::symbol::Symbol;
 use crate::tuples::{StrDict, TAG_INT, TAG_STR};
 
@@ -70,6 +72,28 @@ pub(crate) struct SlotKeys {
 }
 
 impl SlotKeys {
+    /// The columns of `keys`, given in canonical order; the string keys
+    /// become a fresh dictionary, in key order.
+    fn from_keys(keys: &[(Symbol, SlotKey<'_>)]) -> Self {
+        let mut strings = Vec::new();
+        let (tags, payloads): (Vec<u8>, Vec<u64>) = keys
+            .iter()
+            .map(|&(_, key)| match key {
+                SlotKey::Int(i) => (TAG_INT, i as u64),
+                SlotKey::Str(s) => {
+                    strings.push(s);
+                    (TAG_STR, strings.len() as u64 - 1)
+                }
+            })
+            .unzip();
+        Self {
+            syms: keys.iter().map(|&(sym, _)| sym).collect::<Vec<_>>().into(),
+            tags: tags.into(),
+            payloads: payloads.into(),
+            strings: StrDict::from_strs(strings),
+        }
+    }
+
     /// Number of slots.
     pub(crate) fn len(&self) -> usize {
         self.syms.len()
@@ -152,98 +176,99 @@ impl PartialEq for SlotKeys {
     }
 }
 
-/// Slot keys appended in canonical order.
-#[derive(Default)]
-struct SlotKeysBuilder<'a> {
-    syms: Vec<Symbol>,
-    tags: Vec<u8>,
-    payloads: Vec<u64>,
-    strings: Vec<&'a [u8]>,
+/// One posting family in the layout a snapshot stores: ascending keys, an
+/// offsets run with one window per key, and the items of every key's run,
+/// concatenated.
+struct Postings<K, T> {
+    keys: Vec<K>,
+    offsets: Vec<u32>,
+    items: Vec<T>,
 }
 
-impl<'a> SlotKeysBuilder<'a> {
-    fn push(&mut self, sym: Symbol, key: SlotKey<'a>) {
-        let (tag, payload) = match key {
-            SlotKey::Int(i) => (TAG_INT, i as u64),
-            SlotKey::Str(s) => {
-                self.strings.push(s);
-                (TAG_STR, self.strings.len() as u64 - 1)
-            }
-        };
-        self.syms.push(sym);
-        self.tags.push(tag);
-        self.payloads.push(payload);
-    }
-
-    fn finish(self) -> SlotKeys {
-        SlotKeys {
-            syms: self.syms.into(),
-            tags: self.tags.into(),
-            payloads: self.payloads.into(),
-            strings: StrDict::from_strs(self.strings),
-        }
-    }
-}
-
-/// Merges `base \ removed` with `added` (all sorted by node id) into `out`.
-/// `removed` is a subset of `base` whenever the tuples and the postings of
-/// the base graph agree; a base mapped unverified from a damaged file may
-/// break that, and the merge then drops what it can find — it must not panic.
-fn merge_posting(base: &[NodeId], removed: &[NodeId], added: &[NodeId], out: &mut Vec<NodeId>) {
-    let mut ri = 0usize;
-    let mut ai = 0usize;
-    for &v in base {
-        if ri < removed.len() && removed[ri] == v {
-            ri += 1;
-            continue;
-        }
-        while ai < added.len() && added[ai] < v {
-            out.push(added[ai]);
-            ai += 1;
-        }
-        out.push(v);
-    }
-    out.extend_from_slice(&added[ai..]);
-}
-
-/// One per-attribute integer run: the logical `(int value, node)` pairs
-/// sorted by value then node, stored as two parallel flat arrays so both
-/// halves can live in mapped snapshot sections (Rust tuple layout is
-/// unspecified, parallel primitive runs are not).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct IntPairs {
-    pub(crate) values: IntRun<i64>,
-    pub(crate) nodes: IntRun<NodeId>,
-}
-
-impl IntPairs {
-    /// Splits sorted `(value, node)` pairs into the parallel representation.
-    pub(crate) fn from_pairs(pairs: Vec<(i64, NodeId)>) -> Self {
-        let mut values = Vec::with_capacity(pairs.len());
-        let mut nodes = Vec::with_capacity(pairs.len());
-        for (value, node) in pairs {
-            values.push(value);
-            nodes.push(node);
-        }
+impl<K: Copy + Ord, T: Copy + Ord> Postings<K, T> {
+    fn with_capacity(items: usize) -> Self {
         Self {
-            values: values.into(),
-            nodes: nodes.into(),
+            keys: Vec::new(),
+            offsets: vec![0],
+            items: Vec::with_capacity(items),
         }
     }
 
-    /// Number of pairs.
-    pub(crate) fn len(&self) -> usize {
-        self.values.len()
+    /// The family of `runs`, given in ascending key order.
+    fn from_runs(runs: impl IntoIterator<Item = (K, Vec<T>)>) -> Self {
+        let mut postings = Self::with_capacity(0);
+        for (key, run) in runs {
+            postings.items.extend_from_slice(&run);
+            postings.close(key);
+        }
+        postings
     }
 
-    /// Iterates the logical pairs in order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (i64, NodeId)> + '_ {
-        self.values.iter().copied().zip(self.nodes.iter().copied())
+    /// Files the items appended since the last key under `key`; an empty
+    /// run drops its key, as a rebuild would never create it.
+    fn close(&mut self, key: K) {
+        let end = self.items.len();
+        if end > self.offsets.last().map_or(0, |&o| o as usize) {
+            self.keys.push(key);
+            self.offsets
+                .push(u32::try_from(end).expect("posting run overflows u32 offsets"));
+        }
     }
+
+    /// Merges a base family — base key `i` owns `window(offsets, i, items)`
+    /// — with `(key, item)` removals and additions, both ascending: one
+    /// [`merge_run`] per key, in key order.  A base key that is `None` (one
+    /// no probe can read, in a damaged file loaded unverified) takes its run
+    /// with it, and removals of keys the base does not hold are skipped.
+    fn merge(
+        base_keys: impl IntoIterator<Item = Option<K>>,
+        offsets: &[u32],
+        items: &[T],
+        mut removed: &[(K, T)],
+        mut added: &[(K, T)],
+    ) -> Self {
+        let mut base = base_keys
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, key)| Some((key?, window(offsets, i, items))))
+            .peekable();
+        let mut out = Self::with_capacity(items.len() + added.len());
+        let (mut gone, mut new) = (Vec::new(), Vec::new());
+        loop {
+            let key = match (base.peek(), added.first()) {
+                (Some(&(b, _)), Some(&(a, _))) => b.min(a),
+                (Some(&(key, _)), None) | (None, Some(&(key, _))) => key,
+                (None, None) => break,
+            };
+            let run = base
+                .next_if(|&(b, _)| b == key)
+                .map_or(&[][..], |(_, run)| run);
+            take_key(&mut removed, key, &mut gone);
+            take_key(&mut added, key, &mut new);
+            merge_run(run, &gone, &new, &mut out.items);
+            out.close(key);
+        }
+        out
+    }
+}
+
+/// Moves the items keyed `key` off the front of `entries` (ascending) into
+/// `items`, dropping the entries keyed below it.
+fn take_key<K: Ord, T: Copy>(entries: &mut &[(K, T)], key: K, items: &mut Vec<T>) {
+    let below = entries.iter().take_while(|e| e.0 < key).count();
+    let at = entries[below..].iter().take_while(|e| e.0 == key).count();
+    items.clear();
+    items.extend(entries[below..below + at].iter().map(|e| e.1));
+    *entries = &entries[below + at..];
 }
 
 /// The inverted index over node attributes, built by
 /// [`GraphBuilder::build`](crate::GraphBuilder::build).
+///
+/// Each of the three posting families is held as a snapshot stores it
+/// (`snap.rs`'s `Val*`, `Name*` and `Int*` sections), owned or mapped: an
+/// ascending key column a probe binary-searches, an offsets run and flat
+/// item runs.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttrIndex {
     /// One `(attr, value)` key per slot of the value posting arrays.  A
@@ -252,12 +277,17 @@ pub struct AttrIndex {
     pub(crate) value_keys: SlotKeys,
     pub(crate) value_offsets: IntRun<u32>,
     pub(crate) value_nodes: IntRun<NodeId>,
-    /// attr → slot into the name posting arrays.
-    pub(crate) name_slots: HashMap<Symbol, u32>,
+    /// The attributes any node carries, ascending, one name posting each.
+    pub(crate) name_syms: IntRun<Symbol>,
     pub(crate) name_offsets: IntRun<u32>,
     pub(crate) name_nodes: IntRun<NodeId>,
-    /// attr → `(int value, node)` runs sorted by value then node.
-    pub(crate) int_runs: HashMap<Symbol, IntPairs>,
+    /// The attributes with an integer value, ascending, one run each of
+    /// the `(int value, node)` pairs sorted by value then node, held as
+    /// two parallel columns.
+    pub(crate) int_syms: IntRun<Symbol>,
+    pub(crate) int_offsets: IntRun<u32>,
+    pub(crate) int_values: IntRun<i64>,
+    pub(crate) int_nodes: IntRun<NodeId>,
 }
 
 impl AttrIndex {
@@ -271,21 +301,37 @@ impl AttrIndex {
             .or_else(|| self.value_keys.strings.backing_file_id())
             .or_else(|| self.name_offsets.backing_file_id())
             .or_else(|| self.name_nodes.backing_file_id())
-            .or_else(|| {
-                self.int_runs.values().find_map(|p| {
-                    p.values
-                        .backing_file_id()
-                        .or_else(|| p.nodes.backing_file_id())
-                })
-            })
+            .or_else(|| self.int_values.backing_file_id())
+            .or_else(|| self.int_nodes.backing_file_id())
+    }
+
+    /// Assembles the index from its three families.
+    fn from_postings(
+        values: Postings<(Symbol, SlotKey<'_>), NodeId>,
+        names: Postings<Symbol, NodeId>,
+        ints: Postings<Symbol, (i64, NodeId)>,
+    ) -> Self {
+        let (int_values, int_nodes): (Vec<i64>, Vec<NodeId>) = ints.items.into_iter().unzip();
+        Self {
+            value_keys: SlotKeys::from_keys(&values.keys),
+            value_offsets: values.offsets.into(),
+            value_nodes: values.items.into(),
+            name_syms: names.keys.into(),
+            name_offsets: names.offsets.into(),
+            name_nodes: names.items.into(),
+            int_syms: ints.keys.into(),
+            int_offsets: ints.offsets.into(),
+            int_values: int_values.into(),
+            int_nodes: int_nodes.into(),
+        }
     }
 
     /// Builds the index from the per-node attribute tuples (node order gives
     /// posting lists sorted by id for free).
     pub fn build(attrs: &[Vec<Attribute>]) -> Self {
         let mut by_value: HashMap<(Symbol, SlotKey<'_>), Vec<NodeId>> = HashMap::new();
-        let mut by_name: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
-        let mut int_runs: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
+        let mut by_name: BTreeMap<Symbol, Vec<NodeId>> = BTreeMap::new();
+        let mut by_int: BTreeMap<Symbol, Vec<(i64, NodeId)>> = BTreeMap::new();
         for (i, tuple) in attrs.iter().enumerate() {
             let v = NodeId(i as u32);
             for attr in tuple {
@@ -294,53 +340,21 @@ impl AttrIndex {
                 }
                 by_name.entry(attr.name).or_default().push(v);
                 if let AttrValue::Int(value) = attr.value {
-                    int_runs.entry(attr.name).or_default().push((value, v));
+                    by_int.entry(attr.name).or_default().push((value, v));
                 }
             }
         }
-        for run in int_runs.values_mut() {
-            run.sort_unstable();
-        }
-        let int_runs: HashMap<Symbol, IntPairs> = int_runs
-            .into_iter()
-            .map(|(sym, run)| (sym, IntPairs::from_pairs(run)))
-            .collect();
-
         // One slot per distinct key, in canonical key order.
         let mut by_value: Vec<_> = by_value.into_iter().collect();
         by_value.sort_unstable_by_key(|&(key, _)| key);
-        let mut value_keys = SlotKeysBuilder::default();
-        let mut value_offsets = Vec::with_capacity(by_value.len() + 1);
-        let mut value_nodes = Vec::new();
-        value_offsets.push(0);
-        for ((sym, key), nodes) in by_value {
-            value_keys.push(sym, key);
-            value_nodes.extend_from_slice(&nodes);
-            value_offsets.push(value_nodes.len() as u32);
+        for run in by_int.values_mut() {
+            run.sort_unstable();
         }
-
-        let mut name_slots = HashMap::with_capacity(by_name.len());
-        let mut name_offsets = Vec::with_capacity(by_name.len() + 1);
-        let mut name_nodes = Vec::new();
-        name_offsets.push(0);
-        let mut name_keys: Vec<Symbol> = by_name.keys().copied().collect();
-        name_keys.sort_unstable();
-        for key in name_keys {
-            let nodes = &by_name[&key];
-            name_slots.insert(key, name_slots.len() as u32);
-            name_nodes.extend_from_slice(nodes);
-            name_offsets.push(name_nodes.len() as u32);
-        }
-
-        Self {
-            value_keys: value_keys.finish(),
-            value_offsets: value_offsets.into(),
-            value_nodes: value_nodes.into(),
-            name_slots,
-            name_offsets: name_offsets.into(),
-            name_nodes: name_nodes.into(),
-            int_runs,
-        }
+        Self::from_postings(
+            Postings::from_runs(by_value),
+            Postings::from_runs(by_name),
+            Postings::from_runs(by_int),
+        )
     }
 
     /// Incrementally maintains the index across one mutation epoch by
@@ -359,169 +373,57 @@ impl AttrIndex {
         added: Vec<(Symbol, AttrValue, NodeId)>,
         mut name_added: Vec<(Symbol, NodeId)>,
     ) -> Self {
+        type Entry = (Symbol, AttrValue, NodeId);
+        fn sorted<'a, K: Ord, T: Ord>(
+            entries: &'a [Entry],
+            pick: fn(&'a Entry) -> Option<(K, T)>,
+        ) -> Vec<(K, T)> {
+            let mut picked: Vec<_> = entries.iter().filter_map(pick).collect();
+            picked.sort_unstable();
+            picked
+        }
         // Vector values never enter the equality postings (see
         // `SlotKey::of`), so their deltas only matter to the per-name
         // postings, which `name_added` already carries.
-        fn keyed(entries: &[(Symbol, AttrValue, NodeId)]) -> Vec<(Symbol, SlotKey<'_>, NodeId)> {
-            let mut keyed: Vec<_> = entries
-                .iter()
-                .filter_map(|(sym, value, node)| Some((*sym, SlotKey::of(value)?, *node)))
-                .collect();
-            keyed.sort_unstable();
-            keyed
+        fn slot((sym, value, node): &Entry) -> Option<((Symbol, SlotKey<'_>), NodeId)> {
+            Some(((*sym, SlotKey::of(value)?), *node))
         }
-        let (removed, added) = (keyed(&removed), keyed(&added));
+        let int = |(sym, value, node): &Entry| match value {
+            AttrValue::Int(i) => Some((*sym, (*i, *node))),
+            _ => None,
+        };
         name_added.sort_unstable();
 
-        // --- value postings: merge the base key stream (already in slot =
-        // canonical order) with the added key stream, re-slotting on the fly.
-        let base = &self.value_keys;
-        let mut value_keys = SlotKeysBuilder::default();
-        let mut value_offsets = Vec::with_capacity(base.len() + 1);
-        let mut value_nodes = Vec::with_capacity(
-            (self.value_nodes.len() + added.len()).saturating_sub(removed.len()),
-        );
-        value_offsets.push(0);
-        let mut bi = 0usize; // base slot cursor
-        let mut ai = 0usize; // added cursor
-        let mut ri = 0usize; // removed cursor
-        loop {
-            let from_base = base.syms.get(bi).copied().zip(base.key(bi));
-            if from_base.is_none() && bi < base.len() {
-                // A key no probe can find (a damaged file loaded unverified)
-                // takes its posting with it.
-                bi += 1;
-                continue;
-            }
-            let from_added = added.get(ai).map(|e| (e.0, e.1));
-            let (sym, key, base_run) = match (from_base, from_added) {
-                (Some(b), a) if a.is_none_or(|a| b <= a) => {
-                    let run = window(&self.value_offsets, bi, &self.value_nodes);
-                    bi += 1;
-                    (b.0, b.1, run)
-                }
-                (_, Some(a)) => (a.0, a.1, &[][..]),
-                _ => break,
-            };
-            // Removals of keys the base no longer holds are skipped, so one
-            // cannot hold up the removals after it.
-            while ri < removed.len() && (removed[ri].0, removed[ri].1) < (sym, key) {
-                ri += 1;
-            }
-            let rstart = ri;
-            while ri < removed.len() && (removed[ri].0, removed[ri].1) == (sym, key) {
-                ri += 1;
-            }
-            let astart = ai;
-            while ai < added.len() && (added[ai].0, added[ai].1) == (sym, key) {
-                ai += 1;
-            }
-            let removed_nodes: Vec<NodeId> = removed[rstart..ri].iter().map(|e| e.2).collect();
-            let added_nodes: Vec<NodeId> = added[astart..ai].iter().map(|e| e.2).collect();
-            let start = value_nodes.len();
-            merge_posting(base_run, &removed_nodes, &added_nodes, &mut value_nodes);
-            if value_nodes.len() > start {
-                value_keys.push(sym, key);
-                value_offsets.push(value_nodes.len() as u32);
-            }
-            // An emptied posting drops its key, exactly as a rebuild would.
-        }
-
-        // --- name postings: merge-only (upserts never remove a name).
-        let name_count = self.name_offsets.len().saturating_sub(1);
-        let mut base_names: Vec<Option<Symbol>> = vec![None; name_count];
-        for (&sym, &slot) in &self.name_slots {
-            base_names[slot as usize] = Some(sym);
-        }
-        let mut name_slots = HashMap::with_capacity(name_count);
-        let mut name_offsets = Vec::with_capacity(name_count + 1);
-        let mut name_nodes = Vec::with_capacity(self.name_nodes.len() + name_added.len());
-        name_offsets.push(0);
-        let mut bi = 0usize;
-        let mut ai = 0usize;
-        loop {
-            let from_base = base_names.get(bi).map(|k| k.expect("every slot has a key"));
-            let from_added = name_added.get(ai).map(|&(sym, _)| sym);
-            let use_base = match (from_base, from_added) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(b), Some(a)) => b <= a,
-            };
-            let (sym, base_run): (Symbol, &[NodeId]) = if use_base {
-                let sym = base_names[bi].expect("every slot has a key");
-                let run = window(&self.name_offsets, bi, &self.name_nodes);
-                bi += 1;
-                (sym, run)
-            } else {
-                (from_added.expect("added stream is non-empty"), &[])
-            };
-            let astart = ai;
-            while ai < name_added.len() && name_added[ai].0 == sym {
-                ai += 1;
-            }
-            let added_nodes: Vec<NodeId> = name_added[astart..ai].iter().map(|e| e.1).collect();
-            name_slots.insert(sym, name_slots.len() as u32);
-            merge_posting(base_run, &[], &added_nodes, &mut name_nodes);
-            name_offsets.push(name_nodes.len() as u32);
-        }
-
-        // --- int runs: filter removed pairs out, merge added pairs in.
-        let mut int_removed: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
-        for &(sym, key, node) in &removed {
-            if let SlotKey::Int(i) = key {
-                int_removed.entry(sym).or_default().push((i, node));
-            }
-        }
-        let mut int_added: HashMap<Symbol, Vec<(i64, NodeId)>> = HashMap::new();
-        for &(sym, key, node) in &added {
-            if let SlotKey::Int(i) = key {
-                int_added.entry(sym).or_default().push((i, node));
-            }
-        }
-        let mut int_runs: HashMap<Symbol, IntPairs> = HashMap::new();
-        let empty = IntPairs::default();
-        let syms: std::collections::BTreeSet<Symbol> = self
-            .int_runs
-            .keys()
-            .chain(int_added.keys())
+        let keys = &self.value_keys;
+        let base_ints: Vec<(i64, NodeId)> = self
+            .int_values
+            .iter()
             .copied()
+            .zip(self.int_nodes.iter().copied())
             .collect();
-        for sym in syms {
-            let base = self.int_runs.get(&sym).unwrap_or(&empty);
-            let mut rem = int_removed.remove(&sym).unwrap_or_default();
-            rem.sort_unstable();
-            let mut add = int_added.remove(&sym).unwrap_or_default();
-            add.sort_unstable();
-            let mut run = Vec::with_capacity((base.len() + add.len()).saturating_sub(rem.len()));
-            let mut rj = 0usize;
-            let mut aj = 0usize;
-            for pair in base.iter() {
-                if rj < rem.len() && rem[rj] == pair {
-                    rj += 1;
-                    continue;
-                }
-                while aj < add.len() && add[aj] < pair {
-                    run.push(add[aj]);
-                    aj += 1;
-                }
-                run.push(pair);
-            }
-            run.extend_from_slice(&add[aj..]);
-            if !run.is_empty() {
-                int_runs.insert(sym, IntPairs::from_pairs(run));
-            }
-        }
-
-        Self {
-            value_keys: value_keys.finish(),
-            value_offsets: value_offsets.into(),
-            value_nodes: value_nodes.into(),
-            name_slots,
-            name_offsets: name_offsets.into(),
-            name_nodes: name_nodes.into(),
-            int_runs,
-        }
+        Self::from_postings(
+            Postings::merge(
+                (0..keys.len()).map(|i| keys.syms.get(i).copied().zip(keys.key(i))),
+                &self.value_offsets,
+                &self.value_nodes,
+                &sorted(&removed, slot),
+                &sorted(&added, slot),
+            ),
+            Postings::merge(
+                self.name_syms.iter().copied().map(Some),
+                &self.name_offsets,
+                &self.name_nodes,
+                &[],
+                &name_added,
+            ),
+            Postings::merge(
+                self.int_syms.iter().copied().map(Some),
+                &self.int_offsets,
+                &base_ints,
+                &sorted(&removed, int),
+                &sorted(&added, int),
+            ),
+        )
     }
 
     /// Sorted posting list of nodes where `attr = value` (empty when the pair
@@ -535,9 +437,9 @@ impl AttrIndex {
 
     /// Sorted posting list of nodes carrying attribute `attr` at all.
     pub fn nodes_with_name(&self, attr: Symbol) -> &[NodeId] {
-        match self.name_slots.get(&attr) {
-            Some(&slot) => window(&self.name_offsets, slot as usize, &self.name_nodes),
-            None => &[],
+        match self.name_syms.binary_search(&attr) {
+            Ok(slot) => window(&self.name_offsets, slot, &self.name_nodes),
+            Err(_) => &[],
         }
     }
 
@@ -558,13 +460,15 @@ impl AttrIndex {
     /// The nodes whose integer-valued `attr` lies in `[lo, hi]`, in value
     /// order.
     fn int_range(&self, attr: Symbol, lo: i64, hi: i64) -> &[NodeId] {
-        match self.int_runs.get(&attr) {
-            Some(run) if lo <= hi => {
+        match self.int_syms.binary_search(&attr) {
+            Ok(slot) if lo <= hi => {
                 // Pairs are sorted by `(value, node)`, so partitioning on the
                 // value half alone lands on the same boundaries.
-                let start = run.values.partition_point(|&v| v < lo);
-                let end = run.values.partition_point(|&v| v <= hi);
-                &run.nodes[start..end]
+                let values = window(&self.int_offsets, slot, &self.int_values);
+                let nodes = window(&self.int_offsets, slot, &self.int_nodes);
+                let start = values.partition_point(|&v| v < lo);
+                let end = values.partition_point(|&v| v <= hi);
+                nodes.get(start..end).unwrap_or(&[])
             }
             _ => &[],
         }
@@ -572,9 +476,7 @@ impl AttrIndex {
 
     /// Total number of posting entries across every access path.
     pub(crate) fn entry_count(&self) -> usize {
-        self.value_nodes.len()
-            + self.name_nodes.len()
-            + self.int_runs.values().map(IntPairs::len).sum::<usize>()
+        self.value_nodes.len() + self.name_nodes.len() + self.int_nodes.len()
     }
 
     /// Number of distinct values of attribute `attr` present in the graph.

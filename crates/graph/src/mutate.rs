@@ -3,9 +3,11 @@
 //! A [`GraphHandle`] stages inserts and attribute upserts (the *delta
 //! overlay*) and compacts them into a fresh, fully flat [`DataGraph`] at each
 //! [`commit`](GraphHandle::commit) — one epoch per commit.  Compaction is
-//! *incremental*: every commit extends the CSR adjacency and the attribute
-//! inverted index by linear sorted-run merges (`Csr::merge_additions`,
-//! `AttrIndex::merge_updates`), whatever the size of the delta.  The SCC condensation is patched in place whenever
+//! *incremental*: every commit extends the CSR adjacency and the three
+//! posting families of the attribute inverted index with one sorted-run
+//! merge, `run::merge_run` (per source in `Csr::merge_additions`, per key
+//! in `AttrIndex::merge_updates`), whatever the size of the delta.  The SCC
+//! condensation is patched in place whenever
 //! every new edge goes forward in the topological order
 //! (`Condensation::apply_insertions`) and re-runs Tarjan otherwise.  The
 //! result is **bit-identical** to rebuilding the graph from scratch over the
@@ -354,35 +356,25 @@ impl GraphHandle {
         let mut removed: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
         let mut added: Vec<(Symbol, AttrValue, NodeId)> = Vec::new();
         let mut name_added: Vec<(Symbol, NodeId)> = Vec::new();
-        for &t in &touched {
+        // A new node's old tuple is empty.
+        for t in touched.into_iter().chain(old_n as u32..n_total as u32) {
             let v = NodeId(t);
-            let old_tuple = &bg.attrs.tuples()[t as usize];
+            let old_tuple = bg
+                .attrs
+                .tuples()
+                .get(t as usize)
+                .map_or(&[][..], Vec::as_slice);
             let new_tuple = &attrs[t as usize];
-            for a in old_tuple {
-                if !new_tuple
-                    .iter()
-                    .any(|b| b.name == a.name && b.value == a.value)
-                {
-                    removed.push((a.name, a.value.clone(), v));
-                }
+            for a in old_tuple.iter().filter(|a| !new_tuple.contains(a)) {
+                removed.push((a.name, a.value.clone(), v));
             }
             for b in new_tuple {
-                if !old_tuple
-                    .iter()
-                    .any(|a| a.name == b.name && a.value == b.value)
-                {
+                if !old_tuple.contains(b) {
                     added.push((b.name, b.value.clone(), v));
                 }
                 if !old_tuple.iter().any(|a| a.name == b.name) {
                     name_added.push((b.name, v));
                 }
-            }
-        }
-        for (i, tuple) in attrs.iter().enumerate().skip(old_n) {
-            let v = NodeId(i as u32);
-            for a in tuple {
-                added.push((a.name, a.value.clone(), v));
-                name_added.push((a.name, v));
             }
         }
         let index = bg.index.merge_updates(removed, added, name_added);
@@ -592,5 +584,47 @@ mod tests {
         assert_eq!(stats.csr_merges, 1);
         assert_eq!(stats.index_merges, 1);
         assert_eq!(stats.csr_rebuilds + stats.index_rebuilds, 0);
+    }
+
+    #[test]
+    fn a_commit_that_empties_postings_matches_a_replay() {
+        // Node 3 alone carries label `c`, and two nodes alone carry an
+        // integer `rank`.  One commit relabels node 3 and turns both ranks
+        // into strings: a value posting and a whole integer run empty out.
+        let setup = || {
+            let mut b = base_builder();
+            let c = b.add_node_with_label("c");
+            b.set_attr(NodeId(0), "rank", AttrValue::int(1));
+            b.set_attr(c, "rank", AttrValue::int(2));
+            b
+        };
+        let handle = GraphHandle::new(setup().build());
+        let mut oracle = setup();
+        for (v, name, value) in [
+            (3, LABEL_ATTR, AttrValue::str("b")),
+            (0, "rank", AttrValue::str("first")),
+            (3, "rank", AttrValue::str("second")),
+        ] {
+            handle.set_attr(NodeId(v), name, value.clone());
+            oracle.set_attr(NodeId(v), name, value);
+        }
+        let snap = handle.commit();
+        let oracle = oracle.build();
+
+        let g = snap.graph();
+        let index = g.attr_index();
+        assert_eq!(index, oracle.attr_index());
+        let label = g.symbols().get(LABEL_ATTR).unwrap();
+        let rank = g.symbols().get("rank").unwrap();
+        assert_eq!(index.nodes_eq(label, &AttrValue::str("c")), &[]);
+        assert_eq!(index.nodes_int_range(rank, i64::MIN, i64::MAX), []);
+        assert!(!index.int_syms.contains(&rank));
+        assert_eq!(index.nodes_with_name(rank), &[NodeId(0), NodeId(3)]);
+
+        let path = std::env::temp_dir().join("gtpq-mutate-emptied-postings.gtpq");
+        snap.save(&path).unwrap();
+        let loaded = GraphSnapshot::open_heap(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(**loaded.graph(), **g);
     }
 }

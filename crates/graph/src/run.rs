@@ -432,6 +432,46 @@ pub(crate) fn window<'a, T>(offsets: &[u32], i: usize, targets: &'a [T]) -> &'a 
     targets.get(lo as usize..hi as usize).unwrap_or(&[])
 }
 
+/// Appends `base \ removed ∪ added` to `out` — the one sorted-run merge
+/// every commit maintains its posting families and CSR adjacency with.
+///
+/// All three inputs ascend; an addition `base` already holds is written
+/// once, and a removal `base` does not hold is skipped.  The stretches of
+/// `base` between two changes are copied whole, so a run that changes in
+/// a few places costs a few binary searches and one copy.  A `base` out of
+/// order (a run mapped unverified from a damaged file) merges into some
+/// order, never a panic.
+pub(crate) fn merge_run<T: Copy + Ord>(
+    mut base: &[T],
+    mut removed: &[T],
+    mut added: &[T],
+    out: &mut Vec<T>,
+) {
+    out.reserve(base.len() + added.len());
+    loop {
+        let next = match (removed.first(), added.first()) {
+            (Some(&r), Some(&a)) => r.min(a),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => break,
+        };
+        let below = base.partition_point(|&x| x < next);
+        out.extend_from_slice(&base[..below]);
+        base = &base[below..];
+        let take = |run: &mut &[T]| {
+            let head = run.first() == Some(&next);
+            if head {
+                *run = &run[1..];
+            }
+            head
+        };
+        let (held, is_removed, is_added) = (take(&mut base), take(&mut removed), take(&mut added));
+        if is_added || (held && !is_removed) {
+            out.push(next);
+        }
+    }
+    out.extend_from_slice(base);
+}
+
 /// IEEE CRC-32 (the zlib polynomial), slicing-by-8: eight table lookups per
 /// eight input bytes instead of a serial lookup per byte.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
@@ -609,6 +649,29 @@ mod tests {
         // Empty and one-entry offsets index nothing.
         assert_eq!(window(&[], 0, &targets), empty);
         assert_eq!(window(&[0], 0, &targets), empty);
+    }
+
+    #[test]
+    fn merge_run_is_a_sorted_set_difference_and_union() {
+        let merged = |base: &[u32], removed: &[u32], added: &[u32]| {
+            let mut out = vec![99];
+            merge_run(base, removed, added, &mut out);
+            out
+        };
+        assert_eq!(merged(&[], &[], &[]), [99]);
+        assert_eq!(merged(&[1, 3, 5], &[], &[]), [99, 1, 3, 5]);
+        assert_eq!(merged(&[], &[2], &[4, 6]), [99, 4, 6]);
+        // Interleaved additions, one of them already held, and removals
+        // the base does and does not hold.
+        assert_eq!(
+            merged(&[1, 3, 5, 7, 9], &[0, 3, 8, 9], &[2, 5, 10]),
+            [99, 1, 2, 5, 7, 10]
+        );
+        // Emptied, and a value removed and added in one merge stays.
+        assert_eq!(merged(&[4, 6], &[4, 6], &[]), [99]);
+        assert_eq!(merged(&[4, 6], &[4], &[4]), [99, 4, 6]);
+        // A base out of order merges without a panic.
+        assert!(merged(&[5, 1, 3], &[1], &[2]).contains(&2));
     }
 
     #[cfg(all(unix, target_pointer_width = "64"))]

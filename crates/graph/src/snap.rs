@@ -56,9 +56,11 @@
 //! rule (cross-checked against the `Meta` section) and the two **ends** of
 //! every offsets run (leading `0`, last entry equal to the length of the run
 //! it spans) are verified on **every** load; all of that is independent of
-//! the node and edge count.  Sections the open decodes into owned structures
-//! are always CRC-checked and validated field by field, and the offsets runs
-//! among them ("every open" rows with a `spans` column) are scanned for
+//! the node and edge count.  Sections the open reads — decodes into owned
+//! structures, or holds in range and strictly ascending, as it does the
+//! name-posting and integer-run symbol columns a probe binary-searches in
+//! place — are always CRC-checked and validated field by field, and the
+//! offsets runs among them ("every open" rows with a `spans` column) are scanned for
 //! monotonicity at every open too, because the decoder slices through them
 //! right there.  A string table is an offsets run over its own text: its
 //! ends are checked at every open, its monotonicity and UTF-8 by the same
@@ -119,7 +121,7 @@ use crate::attr::AttrValue;
 use crate::condensation::{CompId, Condensation};
 use crate::csr::Csr;
 use crate::graph::{DataGraph, NodeId};
-use crate::index::{AttrIndex, IntPairs, SlotKey, SlotKeys};
+use crate::index::{AttrIndex, SlotKey, SlotKeys};
 use crate::mutate::GraphSnapshot;
 use crate::run::{AlignedBytes, IntRun, RunElem, SnapshotBytes};
 use crate::sim_index::{SimCatalog, SimTable};
@@ -337,9 +339,11 @@ impl std::fmt::Display for Len {
 /// When a section's checksum is verified.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Check {
-    /// At every open: the section is consumed at open — decoded into an
-    /// owned structure — so it is read anyway, and checksumming it first
-    /// makes a bit-flipped file fail as `ChecksumMismatch`, not `Malformed`.
+    /// At every open: the section is read at open — decoded into an owned
+    /// structure, or checked entry by entry where it stays mapped (the
+    /// name-posting and integer-run symbol columns) — so its pages are read
+    /// anyway, and checksumming it first makes a bit-flipped file fail as
+    /// `ChecksumMismatch`, not `Malformed`.
     EveryOpen,
     /// Only by [`LoadMode::Heap`] (and plain [`LoadMode::Mmap`]'s heap
     /// fallback): the run stays mapped and a mapped open must not fault its
@@ -1065,25 +1069,6 @@ fn write_graph(
         }
     }
 
-    // Name postings.
-    let mut name_syms = vec![Symbol(0); idx.name_offsets.len().saturating_sub(1)];
-    for (&sym, &slot) in &idx.name_slots {
-        name_syms[slot as usize] = sym;
-    }
-
-    // Integer runs, in symbol order for determinism.
-    let mut int_syms: Vec<Symbol> = idx.int_runs.keys().copied().collect();
-    int_syms.sort_unstable();
-    let mut int_offsets: Vec<u32> = vec![0];
-    let mut int_values: Vec<i64> = Vec::new();
-    let mut int_nodes: Vec<NodeId> = Vec::new();
-    for sym in &int_syms {
-        let run = &idx.int_runs[sym];
-        int_values.extend_from_slice(&run.values);
-        int_nodes.extend_from_slice(&run.nodes);
-        push_end(&mut int_offsets, &int_values);
-    }
-
     // Similarity tables, flattened CSR-style in catalog (symbol) order.  All
     // offsets are in element units.
     let mut sim_syms: Vec<Symbol> = Vec::new();
@@ -1131,13 +1116,13 @@ fn write_graph(
         val_payloads: &val_values.payloads,
         val_offsets: &idx.value_offsets,
         val_nodes: &idx.value_nodes,
-        name_syms: &name_syms,
+        name_syms: &idx.name_syms,
         name_offsets: &idx.name_offsets,
         name_nodes: &idx.name_nodes,
-        int_syms: &int_syms,
-        int_offsets: &int_offsets,
-        int_values: &int_values,
-        int_nodes: &int_nodes,
+        int_syms: &idx.int_syms,
+        int_offsets: &idx.int_offsets,
+        int_values: &idx.int_values,
+        int_nodes: &idx.int_nodes,
         sim_syms: &sim_syms,
         sim_dims: &sim_dims,
         sim_node_offsets: &sim_node_offsets,
@@ -1631,26 +1616,17 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
             prev = Some((sym, key));
         }
     }
-    let mut name_slots: HashMap<Symbol, u32> = HashMap::with_capacity(r.name_syms.len());
-    for (slot, &sym) in r.name_syms.iter().enumerate() {
-        if name_slots
-            .insert(known(sym, "name-slot")?, slot as u32)
-            .is_some()
-        {
-            return Err(malformed("duplicate name-slot symbol"));
+    // Name postings and integer runs: the symbol columns stay mapped too,
+    // and a probe binary-searches them, so every open holds them to what
+    // the search needs — in range and strictly ascending.
+    for (syms, what) in [(&r.name_syms, "name-slot"), (&r.int_syms, "int-run")] {
+        if let Some(&last) = syms.last() {
+            known(last, what)?;
         }
-    }
-    // Integer runs: the two flat halves stay mapped; each per-attribute run
-    // is a shared sub-window.
-    let mut int_runs: HashMap<Symbol, IntPairs> = HashMap::with_capacity(r.int_syms.len());
-    for (i, &sym) in r.int_syms.iter().enumerate() {
-        let span = r.int_offsets[i] as usize..r.int_offsets[i + 1] as usize;
-        let pairs = IntPairs {
-            values: r.int_values.slice(span.clone()),
-            nodes: r.int_nodes.slice(span),
-        };
-        if int_runs.insert(known(sym, "int-run")?, pairs).is_some() {
-            return Err(malformed("duplicate int-run symbol"));
+        if syms.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(malformed(format!(
+                "{what} symbols are not strictly ascending"
+            )));
         }
     }
 
@@ -1737,10 +1713,13 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
             value_keys,
             value_offsets: r.val_offsets,
             value_nodes: r.val_nodes,
-            name_slots,
+            name_syms: r.name_syms,
             name_offsets: r.name_offsets,
             name_nodes: r.name_nodes,
-            int_runs,
+            int_syms: r.int_syms,
+            int_offsets: r.int_offsets,
+            int_values: r.int_values,
+            int_nodes: r.int_nodes,
         },
         sims: SimCatalog::from_tables(tables),
         condensation: Arc::new(condensation).into(),
@@ -2073,7 +2052,8 @@ mod tests {
         bytes[52..56].copy_from_slice(&header_crc.to_le_bytes());
     }
 
-    /// Ints, strings, a shared and an off-dimension vector, and a back edge.
+    /// Ints of two attributes, strings, a shared and an off-dimension
+    /// vector, and a back edge.
     fn hostile_base() -> GraphSnapshot {
         let mut b = GraphBuilder::new();
         let nodes: Vec<NodeId> = (0..6).map(|_| b.add_node_with_label("doc")).collect();
@@ -2082,6 +2062,9 @@ mod tests {
             b.set_attr(v, "name", AttrValue::str(&format!("n{}", i % 3)));
             let emb = vec![i as f32 * 0.5, 1.0, -0.25 * (i / 2) as f32];
             b.set_attr(v, "emb", AttrValue::Vec(emb));
+            if i % 2 == 0 {
+                b.set_attr(v, "rank", AttrValue::int(i as i64));
+            }
         }
         b.set_attr(nodes[5], "emb", AttrValue::Vec(vec![0.0, 1.0, 0.0]));
         b.set_attr(nodes[4], "emb", AttrValue::Vec(vec![2.0, 2.0]));
@@ -2214,11 +2197,8 @@ mod tests {
             }
             SectionKind::NameOffsets => {
                 let index = g.attr_index();
-                let mut lens = vec![0; index.name_offsets.len() - 1];
-                for (&sym, &slot) in &index.name_slots {
-                    lens[slot as usize] = index.nodes_with_name(sym).len();
-                }
-                lens
+                let syms = index.name_syms.iter();
+                syms.map(|&sym| index.nodes_with_name(sym).len()).collect()
             }
             SectionKind::MembersOffsets => comps().map(|c| cond.members(c).len()).collect(),
             SectionKind::CompOutOffsets => comps().map(|c| cond.successors(c).len()).collect(),
@@ -2561,6 +2541,31 @@ mod tests {
                 );
             }
             walk(&loaded);
+        }
+
+        // Two name-posting or integer-run symbols swapped: every open
+        // binary-searches those columns, so every mode refuses the file.
+        for (kind, what) in [
+            (
+                SectionKind::NameSyms,
+                "name-slot symbols are not strictly ascending",
+            ),
+            (
+                SectionKind::IntSyms,
+                "int-run symbols are not strictly ascending",
+            ),
+        ] {
+            let at = section_offset(&good, kind);
+            let mut bytes = good.clone();
+            bytes[at..at + 8].rotate_left(4);
+            restamp(&mut bytes);
+            std::fs::write(&victim, &bytes).unwrap();
+            for mode in modes {
+                match GraphSnapshot::open(&victim, mode) {
+                    Err(SnapshotError::Malformed { what: got }) => assert_eq!(got, what),
+                    other => panic!("{kind:?} swapped, {mode:?}: {:?}", other.map(|_| ())),
+                }
+            }
         }
 
         // One section added after version 1 hidden behind an id no reader
