@@ -51,8 +51,17 @@
 //! know its first row before it has seen every candidate).  Products never
 //! materialise unless they interleave.
 //!
-//! Every candidate entered and every row collected into a run polls the
-//! stream's [`ExecCtl`], so deadlines and cancellation interrupt
+//! A pull first tries one cursor, the *tail*: the one the odometer would
+//! step first, found once per source by following each walked node's last
+//! factor that writes a column.  While the tail has a next row under the
+//! candidates above it — the next candidate of a walked leaf, the next row
+//! of a built run — the pull moves that cursor alone and rewrites only its
+//! columns; every other row of the answer descends the odometer from the
+//! top.  Nothing is read ahead, so `LIMIT` and the time to the first row
+//! pay for no rows they do not return.
+//!
+//! Every pull, every candidate entered and every row collected into a run
+//! polls the stream's [`ExecCtl`], so deadlines and cancellation interrupt
 //! enumeration — including a long run build — with a clean [`Interrupt`].
 
 use std::ops::Range;
@@ -120,6 +129,9 @@ pub struct StreamSource {
     /// Constant columns of shrunk-away output nodes.
     constants: Vec<(usize, NodeId)>,
     output_len: usize,
+    /// The plan node whose cursor the odometer steps first (see
+    /// [`tail_of`]).
+    tail: usize,
 }
 
 impl StreamSource {
@@ -152,18 +164,41 @@ impl StreamSource {
         // Every component plus the constants covers every output coordinate
         // exactly once, so a walked row is never short.
         debug_assert_eq!(plan[top].cols.len() + constants.len(), outputs.len());
+        let tail = tail_of(&plan, top);
         Self {
             matching,
             mat,
             plan,
             constants,
             output_len: outputs.len(),
+            tail,
         }
     }
 
     fn top(&self) -> usize {
         self.plan.len() - 1
     }
+}
+
+/// The cursor a step of `top` moves first: down from `top` through walked
+/// nodes, each time into the last factor that writes a column, to a built
+/// node or a walked node with no such factor.  Zero-width factors are
+/// skipped: they are built runs of at most one row, so they never step, and
+/// rewinding them writes nothing.
+fn tail_of(plan: &[PlanNode], top: usize) -> usize {
+    let mut n = top;
+    while plan[n].lazy {
+        match plan[n]
+            .factors
+            .iter()
+            .rev()
+            .find(|&&(f, _)| !plan[f].cols.is_empty())
+        {
+            Some(&(f, _)) => n = f,
+            None => break,
+        }
+    }
+    n
 }
 
 /// Plans the shrunk subtree rooted at `u`, children first; returns `u`'s
@@ -308,6 +343,33 @@ impl Walk {
         }
         self.load(src, n);
         Ok(true)
+    }
+
+    /// Moves to the next row.  When the tail cursor has a next row under the
+    /// candidates above it, only that cursor moves: a walked leaf writes its
+    /// next candidate, a built run loads its next row.  Otherwise the
+    /// odometer steps from the top.
+    fn advance(&mut self, src: &StreamSource, ctl: &ExecCtl) -> Result<bool, Interrupt> {
+        let node = &src.plan[src.tail];
+        let cursor = &mut self.cursors[src.tail];
+        if node.lazy {
+            if node.factors.is_empty() && cursor.at + 1 < cursor.hi {
+                cursor.at += 1;
+                let v = match node.kind {
+                    Kind::Root => src.mat[node.u.index()][cursor.at],
+                    _ => src.matching.targets()[cursor.at],
+                };
+                if let Some(c) = node.own {
+                    self.row[c] = v;
+                }
+                return Ok(true);
+            }
+        } else if cursor.at + 1 < cursor.run.rows {
+            cursor.at += 1;
+            self.load(src, src.tail);
+            return Ok(true);
+        }
+        self.step(src, ctl, src.top())
     }
 
     /// Moves `n`'s cursor to the next row of its list; `false` at the end.
@@ -556,10 +618,17 @@ impl MatchStream {
     /// passes or the request is cancelled mid-enumeration (and on every
     /// call after that).
     ///
+    /// A pull first tries the tail cursor, the one the odometer steps
+    /// first: when it has a next row under the candidates above it, only
+    /// that cursor moves and only its columns are rewritten; otherwise the
+    /// odometer steps from the top.
+    ///
     /// The tuple is lent from the stream's current row, so a pull allocates
-    /// nothing; copy it to keep it past the next pull.  A pull reads no
-    /// clock either: the stream reads it at the first pull, at the first
-    /// row and when the answer ends or the run is interrupted (see
+    /// nothing; copy it to keep it past the next pull.  Each pull polls the
+    /// control once before it moves a cursor; with a deadline set, the
+    /// control reads the clock on every 64th poll.  For its own timings the
+    /// stream reads the clock only at the first pull, at the first row and
+    /// when the answer ends or the run is interrupted (see
     /// [`enumerate_time`](Self::enumerate_time)).
     ///
     /// When the stream's control carries an enabled tracer, each of the
@@ -581,7 +650,7 @@ impl MatchStream {
             }
             State::Walking => ctl
                 .check_sampled()
-                .and_then(|()| self.walk.step(src, ctl, src.top())),
+                .and_then(|()| self.walk.advance(src, ctl)),
             State::Done => return Ok(None),
             State::Failed(interrupt) => return Err(interrupt),
         };
@@ -705,25 +774,34 @@ mod tests {
         assert!(stream.time_to_first_row() <= stream.enumerate_time());
     }
 
+    /// `r { a { a1 }, b }` (query nodes 0–3) with the `outputs` marked in
+    /// that order, planned over `candidates[u]` candidates per node (one
+    /// shrinks the node away) and an empty matching graph.
+    fn planned(outputs: &[usize], candidates: [u32; 4]) -> StreamSource {
+        use gtpq_query::{AttrPredicate, EdgeKind, GtpqBuilder};
+        let mut b = GtpqBuilder::new(AttrPredicate::label("r"));
+        let r = b.root_id();
+        let a = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("a"));
+        let a1 = b.backbone_child(a, EdgeKind::Descendant, AttrPredicate::label("a1"));
+        let bb = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("b"));
+        let nodes = [r, a, a1, bb];
+        for &o in outputs {
+            b.mark_output(nodes[o]);
+        }
+        let q = b.build().unwrap();
+        let mat: Vec<Vec<NodeId>> = candidates
+            .iter()
+            .map(|&n| (0..n).map(NodeId).collect())
+            .collect();
+        let shrunk = ShrunkPrime::new(&q, &PrimeSubtree::new(&q), &mat, true);
+        StreamSource::new(&q, shrunk, MatchingGraph::default(), mat)
+    }
+
     #[test]
     fn a_list_is_walked_in_place_exactly_when_its_own_column_leads_and_its_factors_chain() {
-        use gtpq_query::{AttrPredicate, EdgeKind, GtpqBuilder};
-        // r { a { a1 }, b }; two candidates keep a node in the shrunk tree.
-        let lazy_nodes = |outputs: &[usize], root_candidates: usize| -> Vec<bool> {
-            let mut b = GtpqBuilder::new(AttrPredicate::label("r"));
-            let r = b.root_id();
-            let a = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("a"));
-            let a1 = b.backbone_child(a, EdgeKind::Descendant, AttrPredicate::label("a1"));
-            let bb = b.backbone_child(r, EdgeKind::Descendant, AttrPredicate::label("b"));
-            let nodes = [r, a, a1, bb];
-            for &o in outputs {
-                b.mark_output(nodes[o]);
-            }
-            let q = b.build().unwrap();
-            let mut mat = vec![vec![NodeId(0), NodeId(1)]; q.size()];
-            mat[0].truncate(root_candidates);
-            let shrunk = ShrunkPrime::new(&q, &PrimeSubtree::new(&q), &mat, true);
-            let source = StreamSource::new(&q, shrunk, MatchingGraph::default(), mat);
+        // Two candidates keep a node in the shrunk tree.
+        let lazy_nodes = |outputs: &[usize], root_candidates: u32| -> Vec<bool> {
+            let source = planned(outputs, [root_candidates, 2, 2, 2]);
             // In query-node order, then the top level.
             let mut plan: Vec<&PlanNode> = source.plan.iter().collect();
             plan.sort_by_key(|n| (n.kind == Kind::Top, n.u));
@@ -744,6 +822,28 @@ mod tests {
         // The same order with a single-candidate root, which is shrunk away:
         // `a` and `b` are components, and the top level's factors interleave.
         assert_eq!(lazy_nodes(&[0, 1, 3, 2], 1), [true, true, true, false]);
+    }
+
+    #[test]
+    fn the_tail_is_the_cursor_the_odometer_steps_first() {
+        // The tail's kind, query node and walkedness, and whether it is the
+        // top level.
+        let tail = |outputs: &[usize], candidates: u32| {
+            let source = planned(outputs, [candidates; 4]);
+            let node = &source.plan[source.tail];
+            let top = source.tail == source.top();
+            (node.kind, node.u.index(), node.lazy, top)
+        };
+        // Marked in document order: the root's last factor `b` is a walked
+        // leaf.
+        assert_eq!(tail(&[0, 1, 2, 3], 2), (Kind::Inner, 3, true, false));
+        // A non-output root is built, so the walk stops at it.
+        assert_eq!(tail(&[2, 3], 2), (Kind::Root, 0, false, false));
+        // `b` is zero-width and sorts last: the tail is `a`'s leaf `a1`.
+        assert_eq!(tail(&[0, 1, 2], 2), (Kind::Inner, 2, true, false));
+        // Everything shrunk away: the tail is the top, whose range is `0..1`,
+        // so a pull never moves it alone.
+        assert_eq!(tail(&[0, 1, 2, 3], 1), (Kind::Top, 0, true, true));
     }
 
     #[test]

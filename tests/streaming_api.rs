@@ -9,7 +9,8 @@
 //!   cancel racing a run either completes with the exact answer or aborts
 //!   cleanly,
 //! * a cancellation from another thread interrupts a long enumeration —
-//!   walked or built — instead of letting it complete.
+//!   walked or built — instead of letting it complete, and so does a
+//!   deadline passing between two pulls.
 //!
 //! Windows over random graphs and queries — every backend arm, the
 //! pushdown and cache-slicing service paths, the row counters of the full
@@ -235,6 +236,14 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
     );
     assert_eq!(rows, 1);
 
+    // A one-node query: the one component's root is a walked leaf, so
+    // every row after the first moves that cursor alone.
+    let mut one = GtpqBuilder::new(AttrPredicate::label("r"));
+    one.mark_output(one.root_id());
+    let one = one.build().expect("a one-node query is valid");
+    let rows = check_against_naive(&fan_graph(3, 1), &one, "one node");
+    assert_eq!(rows, 3);
+
     // One root candidate: the root is shrunk away and `x` and `y` become
     // two components.  `y` marked first makes the top-level product walk
     // the components against their tree order; `x, y, z` interleaves their
@@ -257,8 +266,11 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
     // Three root candidates keep the tree whole; a non-output root and a
     // root marked last both have to merge equal rows of different roots.
     let whole = fan_graph(3, 3);
+    // `r, y` leaves `x { z }` zero-width, sorted after `y`: the walk skips
+    // it and moves `y` alone.
     for (outputs, expected) in [
         (&["x", "y"][..], 9),
+        (&["r", "y"], 9),
         (&["z", "y", "r"], 54),
         (&["r", "z", "y", "x"], 54),
     ] {
@@ -269,6 +281,40 @@ fn shrunk_away_and_multi_component_queries_match_naive_order() {
         );
         assert_eq!(rows, expected);
     }
+}
+
+/// Polls between two clock reads of a control with a deadline
+/// (`SAMPLE_EVERY` in `crates/core/src/exec.rs`).
+const SAMPLE_EVERY: usize = 64;
+
+#[test]
+fn a_deadline_passing_mid_enumeration_interrupts_it() {
+    // With `r` output the tail is the walked leaf `y`, so most pulls move
+    // that cursor alone and poll the control once.
+    let graph = fan_graph(10, 150);
+    let engine = GteaEngine::new(&graph);
+    let q = fan_query(&["r", "x", "y"]);
+    let plan = Planner::new(&graph).plan(&q);
+    let deadline = Instant::now() + Duration::from_millis(100);
+    let (mut stream, _) = engine
+        .match_stream(&q, &plan, ExecCtl::unbounded().with_deadline(deadline))
+        .expect("the pipeline runs before the deadline");
+    assert!(stream.next_row().expect("before the deadline").is_some());
+    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+    let outcome = (0..=SAMPLE_EVERY)
+        .map(|_| stream.next_row().map(|row| row.is_some()))
+        .find(|pulled| *pulled != Ok(true));
+    assert_eq!(
+        outcome,
+        Some(Err(Interrupt::Timeout)),
+        "{} rows pulled past the deadline",
+        stream.rows_enumerated()
+    );
+    assert_eq!(
+        stream.next_row(),
+        Err(Interrupt::Timeout),
+        "an interrupted stream stays interrupted"
+    );
 }
 
 #[test]
