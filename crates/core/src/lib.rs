@@ -24,14 +24,19 @@
 //!    set-at-a-time, as the paper's contour merging (Procedure 2) intends.
 //!    A downward step reads only the children its formula `fext(u)`
 //!    mentions (none: the formula is a constant and decides every candidate
-//!    at once); each is resolved into one bit per candidate — an AD child
-//!    by one race between a sweep of the condensation the graph carries
-//!    from the child's candidates and a memoised search from the step's
-//!    own, costing at most about twice the cheaper of the two; a PC child
-//!    by marking its candidates' parents or scanning the step's candidates'
-//!    children, whichever reads fewer adjacency entries — and `fext(u)` is
-//!    then evaluated 64 candidates per word.  No pairwise reachability
-//!    probes.
+//!    at once), backbone children first, and resolves each only for the
+//!    candidates `fext(u)` leaves undecided — evaluated 64 candidates per
+//!    word in three-valued logic over the children resolved so far — so it
+//!    stops as soon as every candidate is decided.  A child becomes one bit
+//!    per undecided candidate: an AD child by one race between a sweep of
+//!    the condensation the graph carries from the child's candidates and a
+//!    memoised search from the step's candidates, costing at most about
+//!    twice the cheaper of the two; a PC child through the adjacency lists,
+//!    from the side (marking the child's candidates' parents, or scanning
+//!    the undecided candidates' children against a bitset or a binary
+//!    search) that the two set sizes and the graph's mean degree say is
+//!    cheapest, chosen in O(1).  An upward PC edge marks from its smaller end.  No
+//!    pairwise reachability probes.
 //! 3. **Maximal matching graph** — matches of the *shrunk prime subtree* are
 //!    represented as a graph (each data node stored once, one edge per
 //!    matched query edge) rather than as tuples, the paper's key device for

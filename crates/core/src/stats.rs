@@ -65,9 +65,12 @@ pub struct EvalStats {
     ///   (`plan::execute_candidates`);
     /// * the prune rounds: condensation edges visited by each AD child's
     ///   [`reaching`](gtpq_graph::sweep::reaching) race, both sides, and
-    ///   adjacency entries read for PC children (the marked parents or the
-    ///   scanned children of a downward step, the parents of an upward
-    ///   one);
+    ///   the adjacency entries the chosen side reads for a PC child (the
+    ///   child's candidates' parents, or the undecided candidates'
+    ///   children, for a downward step; the surviving parents' children or
+    ///   the child's candidates' parents for an upward edge).  A child a
+    ///   step never resolves, because its formula was already decided,
+    ///   adds nothing;
     /// * the matching graph: each AD pass's edges (its backward sweep, its
     ///   region walk and its row ORs) and the adjacency entries read for PC
     ///   children;
