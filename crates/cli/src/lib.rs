@@ -79,7 +79,7 @@ REPL COMMANDS:
                       graph epoch and stale-cache evictions
     :ingest [E] [N]   commit E epochs of N generated mutations each to the
                       live graph (defaults: 1 epoch of 32 ops); reports
-                      how many commits patched the condensation
+                      what they inserted and the graph's new size
     :save PATH        write the current graph epoch as a `.gtpq` binary
                       snapshot (reload instantly with --snapshot PATH)
     :trace [on|off]   toggle per-query span tracing; bare `:trace` prints
@@ -391,8 +391,8 @@ impl Session {
     }
 
     /// Applies `epochs` committed batches of `ops_per_epoch` generated
-    /// mutations to the live graph and reports how many commits patched the
-    /// condensation and how many re-ran Tarjan.  The stream seed advances
+    /// mutations to the live graph and reports what they inserted and the
+    /// graph's new size.  The stream seed advances
     /// with the graph epoch, so repeated `:ingest` calls produce different
     /// (but reproducible) mutations.
     pub(crate) fn ingest(&self, epochs: usize, ops_per_epoch: usize) -> String {
@@ -414,19 +414,17 @@ impl Session {
         let g = self.service.graph();
         format!(
             "ingested {} epoch{} of {} ops: +{} nodes, +{} edges, {} attr upserts\n\
-             condensation: {} patched / {} re-run\n\
-             graph now at epoch {}: {} nodes, {} edges",
+             graph now at epoch {}: {} nodes, {} edges, {} strongly connected components",
             epochs,
             if epochs == 1 { "" } else { "s" },
             ops_per_epoch,
             after.nodes_inserted - before.nodes_inserted,
             after.edges_inserted - before.edges_inserted,
             after.attrs_upserted - before.attrs_upserted,
-            after.condensation_fast - before.condensation_fast,
-            after.condensation_rebuilds - before.condensation_rebuilds,
             self.handle.epoch(),
             g.node_count(),
             g.edge_count(),
+            g.condensation().component_count(),
         )
     }
 

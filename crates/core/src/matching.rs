@@ -74,8 +74,9 @@ impl MatchingGraph {
     /// branch entries themselves, not `|mat(u)| · |mat(child)|` probes.
     ///
     /// `index` is not used: reachability is read off the condensation `g`
-    /// carries.  The parameter stays until the benchmark's replay of this
-    /// pipeline is retired (ROADMAP 1a).
+    /// carries.  The parameter stays while the benchmark replays this
+    /// pipeline; ROADMAP 7(a) replaces that replay with spans, and item 8
+    /// then removes the parameter.
     ///
     /// `ctl` is polled once per `(candidate, PC child)` pair and per
     /// component an AD pass expands; deadline expiry or cancellation aborts

@@ -12,8 +12,8 @@
 //! applied, regardless of where epoch boundaries (commits) fall.  The
 //! [`UpdateStreamConfig::backward_edge_fraction`] knob orients a tunable
 //! share of edge inserts from the higher id to the lower one, which creates
-//! cycles against the insertion order and forces the condensation
-//! maintenance off its incremental fast path.
+//! cycles against the insertion order, so the condensation each commit
+//! re-derives sees strongly connected components form and merge.
 
 use gtpq_graph::{AttrValue, DataGraph, GraphBuilder, GraphHandle, NodeId, LABEL_ATTR, VALUE_ATTR};
 use rand::rngs::StdRng;
@@ -60,8 +60,7 @@ pub struct UpdateStreamConfig {
     /// (`1 − insert_node_fraction − set_attr_fraction`) inserts edges.
     pub set_attr_fraction: f64,
     /// Fraction of edge inserts oriented from the higher node id to the
-    /// lower one — against insertion order, so they can close cycles and
-    /// defeat the incremental condensation fast path.
+    /// lower one — against insertion order, so they can close cycles.
     pub backward_edge_fraction: f64,
 }
 

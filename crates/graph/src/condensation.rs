@@ -8,10 +8,10 @@
 //!
 //! The representation is *canonical*: components are numbered by their
 //! smallest member node and the topological order is the deterministic Kahn
-//! order (smallest ready component first).  Canonical form is what makes the
-//! incremental path (`Condensation::apply_insertions`) bit-identical to a
-//! from-scratch [`Condensation::new`] of the mutated graph — the mutation
-//! oracle tests compare the two with `==`.
+//! order (smallest ready component first).  Canonical form is what makes a
+//! snapshot's stored condensation and [`Condensation::identity_dag`]
+//! bit-identical to a from-scratch [`Condensation::new`] of the same graph —
+//! the snapshot and mutation oracle tests compare them with `==`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,27 +38,25 @@ impl CompId {
 
 /// The SCC condensation of a [`DataGraph`].
 ///
-/// Component membership and the condensation DAG are CSR-packed (flat offset
-/// plus target arrays, see [`Csr`]); [`successors`](Self::successors),
-/// [`predecessors`](Self::predecessors) and [`members`](Self::members) hand
-/// out borrowed slices that reachability backends read directly during index
-/// construction — no per-component heap lists, nothing to copy.
+/// The condensation DAG is CSR-packed (flat offset plus target arrays, see
+/// [`Csr`]); [`successors`](Self::successors) and
+/// [`predecessors`](Self::predecessors) hand out borrowed slices that
+/// reachability backends read directly during index construction — no
+/// per-component heap lists, nothing to copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Condensation {
     /// Component of each original node.
-    comp_of: IntRun<CompId>,
-    /// Members of each component, CSR-packed, each run sorted.
-    members: Csr<NodeId>,
+    pub(crate) comp_of: IntRun<CompId>,
     /// Whether the component contains a cycle (size > 1 or a self-loop),
     /// one byte per component (`0` / `1`) so the run can live in a mapped
     /// snapshot section.
-    cyclic: IntRun<u8>,
+    pub(crate) cyclic: IntRun<u8>,
     /// Sorted, de-duplicated adjacency between components (excluding self
     /// edges), CSR-packed.
-    comp_out: Csr<CompId>,
-    comp_in: Csr<CompId>,
+    pub(crate) comp_out: Csr<CompId>,
+    pub(crate) comp_in: Csr<CompId>,
     /// Components in topological order (sources first).
-    topo: IntRun<CompId>,
+    pub(crate) topo: IntRun<CompId>,
 }
 
 impl Condensation {
@@ -71,11 +69,10 @@ impl Condensation {
         let mut stack: Vec<NodeId> = Vec::new();
         let mut next_index = 0u32;
         let mut comp_of = vec![CompId(u32::MAX); n];
-        // Component `k` in Tarjan numbering is
-        // `popped[starts[k] as usize..starts[k + 1] as usize]`, sorted: one
-        // array for all of them, not one small allocation per component.
-        let mut popped: Vec<NodeId> = Vec::with_capacity(n);
-        let mut starts: Vec<u32> = vec![0];
+        // Per component in Tarjan numbering: its smallest member (the
+        // canonical sort key) and whether it has more than one member.
+        let mut smallest: Vec<NodeId> = Vec::new();
+        let mut cyclic: Vec<u8> = Vec::new();
 
         // Iterative Tarjan: (node, child cursor) call frames.
         let mut call_stack: Vec<(NodeId, usize)> = Vec::new();
@@ -111,33 +108,32 @@ impl Condensation {
                         lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[v.index()]);
                     }
                     if lowlink[v.index()] == index[v.index()] {
-                        let comp = CompId((starts.len() - 1) as u32);
-                        let from = popped.len();
+                        let comp = CompId(smallest.len() as u32);
+                        let (mut least, mut size) = (v, 0);
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w.index()] = false;
                             comp_of[w.index()] = comp;
-                            popped.push(w);
+                            least = least.min(w);
+                            size += 1;
                             if w == v {
                                 break;
                             }
                         }
-                        popped[from..].sort_unstable();
-                        starts.push(popped.len() as u32);
+                        smallest.push(least);
+                        cyclic.push(u8::from(size > 1));
                     }
                 }
             }
         }
 
-        let c = starts.len() - 1;
-        let group = |k: u32| &popped[starts[k as usize] as usize..starts[k as usize + 1] as usize];
-
-        // Canonical renumbering: order components by their smallest member
-        // (each run is sorted, so that is `group(k)[0]`).  Tarjan numbering
-        // depends on traversal order; the canonical form does not, which is
-        // what lets the incremental path reproduce it exactly.
+        // Canonical renumbering: order components by their smallest member.
+        // Tarjan numbering depends on traversal order; the canonical form
+        // does not, which is what makes every producer's condensation of a
+        // graph the same value.
+        let c = smallest.len();
         let mut order: Vec<u32> = (0..c as u32).collect();
-        order.sort_unstable_by_key(|&ci| group(ci)[0]);
+        order.sort_unstable_by_key(|&ci| smallest[ci as usize]);
         let mut renumber = vec![0u32; c];
         for (new, &old) in order.iter().enumerate() {
             renumber[old as usize] = new as u32;
@@ -145,22 +141,16 @@ impl Condensation {
         for slot in comp_of.iter_mut() {
             *slot = CompId(renumber[slot.index()]);
         }
-        let members = Csr::from_runs(c, order.iter().map(|&old| group(old).iter().copied()));
+        let mut cyclic: Vec<u8> = order.iter().map(|&old| cyclic[old as usize]).collect();
 
-        let mut cyclic = vec![0u8; c];
         let mut out_pairs: Vec<(u32, CompId)> = Vec::new();
         let mut in_pairs: Vec<(u32, CompId)> = Vec::new();
-        for (ci, flag) in cyclic.iter_mut().enumerate() {
-            if members.degree(ci) > 1 {
-                *flag = 1;
-            }
-        }
         for u in g.nodes() {
             let cu = comp_of[u.index()];
             for &v in g.children(u) {
                 let cv = comp_of[v.index()];
                 if cu == cv {
-                    if u == v || members.degree(cu.index()) > 1 {
+                    if u == v {
                         cyclic[cu.index()] = 1;
                     }
                 } else {
@@ -178,121 +168,16 @@ impl Condensation {
 
         Self {
             comp_of: comp_of.into(),
-            members,
             cyclic: cyclic.into(),
             comp_out,
             comp_in,
             topo: topo.into(),
         }
-    }
-
-    /// Incrementally extends the condensation after appending
-    /// `new_node_count - old node count` fresh nodes and the de-duplicated
-    /// edge set `added_edges` (sorted, and disjoint from the old edges).
-    ///
-    /// The fast path applies when every added inter-component edge goes
-    /// *forward* in the extended topological order (existing components in
-    /// their old order, new singleton components after them in node order):
-    /// then no SCCs merge, component numbering is stable, and the structures
-    /// are patched with linear merges.  Any edge that would go backward may
-    /// close a cycle, so the method returns `None` and the caller falls back
-    /// to a full re-condensation — as it does when the patched DAG does not
-    /// order at all, which only a base mapped unverified from a damaged
-    /// snapshot can cause.  The result is bit-identical to
-    /// [`Condensation::new`] on the mutated graph.
-    pub(crate) fn apply_insertions(
-        &self,
-        new_node_count: usize,
-        added_edges: &[(NodeId, NodeId)],
-    ) -> Option<Condensation> {
-        let old_n = self.comp_of.len();
-        let old_c = self.component_count();
-        debug_assert!(new_node_count >= old_n);
-        let added_nodes = new_node_count - old_n;
-        let new_c = old_c + added_nodes;
-
-        // Position of each existing component in the current topological
-        // order; new singleton components sit after all of them, in node-id
-        // order, so their position is simply their (new) component id.
-        let mut pos = vec![0u32; old_c];
-        for (i, &c) in self.topo.iter().enumerate() {
-            pos[c.index()] = i as u32;
-        }
-        let comp_of_node = |v: NodeId| -> CompId {
-            if v.index() < old_n {
-                self.comp_of[v.index()]
-            } else {
-                CompId((old_c + (v.index() - old_n)) as u32)
-            }
-        };
-        let ext_pos = |c: CompId| -> u32 {
-            if c.index() < old_c {
-                pos[c.index()]
-            } else {
-                c.0
-            }
-        };
-
-        // `to_vec` is the copy-on-write step: when the base condensation is
-        // a mapped snapshot view, the patched epoch gets fresh owned arrays.
-        let mut cyclic = self.cyclic.to_vec();
-        cyclic.resize(new_c, 0);
-        let mut out_pairs: Vec<(u32, CompId)> = Vec::new();
-        for &(u, v) in added_edges {
-            let cu = comp_of_node(u);
-            let cv = comp_of_node(v);
-            if cu == cv {
-                // Either a self-loop or an extra edge inside an existing
-                // multi-member (hence already cyclic) component.
-                if u == v {
-                    cyclic[cu.index()] = 1;
-                }
-                continue;
-            }
-            if ext_pos(cu) >= ext_pos(cv) {
-                return None; // may close a cycle: re-condense from scratch
-            }
-            if cu.index() < old_c && cv.index() < old_c && self.comp_out.contains(cu.index(), cv) {
-                continue; // parallel condensation edge, already stored
-            }
-            out_pairs.push((cu.0, cv));
-        }
-        out_pairs.sort_unstable();
-        out_pairs.dedup();
-        let mut in_pairs: Vec<(u32, CompId)> = out_pairs
-            .iter()
-            .map(|&(cu, cv)| (cv.0, CompId(cu)))
-            .collect();
-        in_pairs.sort_unstable();
-
-        let comp_out = self.comp_out.merge_additions(new_c, &out_pairs);
-        let comp_in = self.comp_in.merge_additions(new_c, &in_pairs);
-        let new_members: Vec<(u32, NodeId)> = (old_n..new_node_count)
-            .map(|v| ((old_c + v - old_n) as u32, NodeId(v as u32)))
-            .collect();
-        let members = self.members.merge_additions(new_c, &new_members);
-        let mut comp_of = self.comp_of.to_vec();
-        comp_of.extend((old_c..new_c).map(|c| CompId(c as u32)));
-        let topo = kahn_topo(&comp_out, &comp_in);
-        if topo.len() != new_c {
-            // The base's own DAG does not order: it was mapped unverified
-            // from a damaged file.  Re-condense from the adjacency.
-            return None;
-        }
-
-        Some(Self {
-            comp_of: comp_of.into(),
-            members,
-            cyclic: cyclic.into(),
-            comp_out,
-            comp_in,
-            topo: topo.into(),
-        })
     }
 
     /// Number of components.
     pub fn component_count(&self) -> usize {
-        self.members.len()
+        self.cyclic.len()
     }
 
     /// Number of condensation DAG edges.
@@ -304,11 +189,6 @@ impl Condensation {
     #[inline]
     pub fn component_of(&self, v: NodeId) -> CompId {
         self.comp_of[v.index()]
-    }
-
-    /// Original nodes belonging to component `c`.
-    pub fn members(&self, c: CompId) -> &[NodeId] {
-        self.members.neighbors(c.index())
     }
 
     /// Whether component `c` contains a cycle.
@@ -390,11 +270,9 @@ impl Condensation {
         if topo.len() != n {
             return None; // a cycle among distinct nodes: not a DAG
         }
-        let members = Csr::from_runs(n, (0..n).map(|v| [NodeId(v as u32)]));
         let comp_of: Vec<CompId> = (0..n).map(|v| CompId(v as u32)).collect();
         Some(Self {
             comp_of: comp_of.into(),
-            members,
             cyclic: cyclic.into(),
             comp_out,
             comp_in,
@@ -402,67 +280,22 @@ impl Condensation {
         })
     }
 
-    /// Assembles a condensation from already-validated snapshot runs (see
-    /// [`crate::snap`]).  Invariants (canonical numbering, topo order) are the
-    /// writer's responsibility; checksums guard the bytes in between.
-    #[allow(clippy::too_many_arguments)]
     /// The `(device, inode)` of the snapshot file any of the runs borrow,
     /// when this condensation is a mapped view (see [`crate::snap`]).
     pub(crate) fn backing_file_id(&self) -> Option<(u64, u64)> {
         self.comp_of
             .backing_file_id()
-            .or_else(|| self.members.backing_file_id())
             .or_else(|| self.cyclic.backing_file_id())
             .or_else(|| self.comp_out.backing_file_id())
             .or_else(|| self.comp_in.backing_file_id())
             .or_else(|| self.topo.backing_file_id())
     }
-
-    pub(crate) fn from_parts(
-        comp_of: IntRun<CompId>,
-        members: Csr<NodeId>,
-        cyclic: IntRun<u8>,
-        comp_out: Csr<CompId>,
-        comp_in: Csr<CompId>,
-        topo: IntRun<CompId>,
-    ) -> Self {
-        Self {
-            comp_of,
-            members,
-            cyclic,
-            comp_out,
-            comp_in,
-            topo,
-        }
-    }
-
-    /// Raw parts for the snapshot writer: `(comp_of, members, cyclic,
-    /// comp_out, comp_in, topo)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> (
-        &[CompId],
-        &Csr<NodeId>,
-        &[u8],
-        &Csr<CompId>,
-        &Csr<CompId>,
-        &[CompId],
-    ) {
-        (
-            &self.comp_of,
-            &self.members,
-            &self.cyclic,
-            &self.comp_out,
-            &self.comp_in,
-            &self.topo,
-        )
-    }
 }
 
 /// Deterministic Kahn topological order over the condensation DAG: among all
-/// ready components the smallest id is emitted first.  Both the full and the
-/// incremental construction paths use this, so equal DAGs give equal orders.
+/// ready components the smallest id is emitted first.  [`Condensation::new`]
+/// and [`Condensation::identity_dag`] both use this, so equal DAGs give equal
+/// orders.
 fn kahn_topo(comp_out: &Csr<CompId>, comp_in: &Csr<CompId>) -> Vec<CompId> {
     let c = comp_out.len();
     let mut indegree: Vec<u32> = (0..c).map(|v| comp_in.degree(v) as u32).collect();
@@ -476,8 +309,8 @@ fn kahn_topo(comp_out: &Csr<CompId>, comp_in: &Csr<CompId>) -> Vec<CompId> {
     while let Some(Reverse(v)) = ready.pop() {
         topo.push(CompId(v));
         for &w in comp_out.neighbors(v as usize) {
-            // Only a count that is still positive can reach zero: in- and
-            // out-edges mapped from a damaged file may disagree.
+            // Only a count that is still positive can reach zero: the
+            // CSRs handed to `identity_dag` may disagree with each other.
             let Some(left) = indegree[w.index()].checked_sub(1) else {
                 continue;
             };
@@ -487,8 +320,8 @@ fn kahn_topo(comp_out: &Csr<CompId>, comp_in: &Csr<CompId>) -> Vec<CompId> {
             }
         }
     }
-    // A short order means the DAG claim was wrong; `identity_dag` and
-    // `apply_insertions` turn that into `None`, `new` can never hit it.
+    // A short order means the DAG claim was wrong; `identity_dag` turns that
+    // into `None`, `new` can never hit it.
     topo
 }
 
@@ -543,15 +376,14 @@ mod tests {
         let with_flags = |cyclic: Vec<u8>| {
             let n = cyclic.len();
             let ids: Vec<CompId> = (0..n as u32).map(CompId).collect();
-            let no_edges = Csr::from_runs(n, (0..n).map(|_| [] as [CompId; 0]));
-            Condensation::from_parts(
-                ids.clone().into(),
-                Csr::from_runs(n, (0..n as u32).map(|v| [NodeId(v)])),
-                cyclic.into(),
-                no_edges.clone(),
-                no_edges,
-                ids.into(),
-            )
+            let no_edges = Csr::from_sorted_pairs(n, &[]);
+            Condensation {
+                comp_of: ids.clone().into(),
+                cyclic: cyclic.into(),
+                comp_out: no_edges.clone(),
+                comp_in: no_edges,
+                topo: ids.into(),
+            }
         };
         for n in 0..=25 {
             assert!(with_flags(vec![0; n]).input_was_dag(), "{n} clear flags");
@@ -561,47 +393,6 @@ mod tests {
                 assert!(!with_flags(cyclic).input_was_dag(), "flag {at} of {n}");
             }
         }
-    }
-
-    #[test]
-    fn a_base_whose_dag_does_not_order_is_recondensed_not_patched() {
-        // 0 -> 1 -> 2, read back with the out-edges of component 1 lost to a
-        // damaged offset: component 2 keeps an in-edge nothing discharges.
-        let mut b = GraphBuilder::new();
-        let v: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
-        b.add_edge(v[0], v[1]);
-        b.add_edge(v[1], v[2]);
-        let good = Condensation::new(&b.build());
-        let (comp_of, members, cyclic, comp_out, comp_in, topo) = good.raw_parts();
-        let damaged = Condensation::from_parts(
-            comp_of.to_vec().into(),
-            members.clone(),
-            cyclic.to_vec().into(),
-            Csr::from_parts(
-                vec![0u32, 1, 0, 2].into(),
-                comp_out.targets_raw().to_vec().into(),
-            ),
-            comp_in.clone(),
-            topo.to_vec().into(),
-        );
-        assert_eq!(damaged.successors(CompId(1)), &[]);
-        assert!(good.apply_insertions(4, &[(v[2], NodeId(3))]).is_some());
-        assert!(damaged.apply_insertions(4, &[(v[2], NodeId(3))]).is_none());
-        // The other way round — an in-edge lost, its out-edge still there —
-        // discharges a count that is already zero.
-        let damaged = Condensation::from_parts(
-            comp_of.to_vec().into(),
-            members.clone(),
-            cyclic.to_vec().into(),
-            comp_out.clone(),
-            Csr::from_parts(
-                vec![0u32, 0, 0, 2].into(),
-                comp_in.targets_raw().to_vec().into(),
-            ),
-            topo.to_vec().into(),
-        );
-        assert_eq!(damaged.predecessors(CompId(1)), &[]);
-        assert!(damaged.apply_insertions(4, &[(v[2], NodeId(3))]).is_none());
     }
 
     #[test]

@@ -111,32 +111,6 @@ impl<T: RunElem + Ord> Csr<T> {
         }
     }
 
-    /// Builds a CSR with `n` sources by flattening per-source runs produced in
-    /// source order.  `runs` yields `(source, sorted run)`; sources must be
-    /// visited in increasing order and every source exactly once.
-    pub(crate) fn from_runs<I, R>(n: usize, runs: I) -> Self
-    where
-        I: IntoIterator<Item = R>,
-        R: IntoIterator<Item = T>,
-    {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        offsets.push(0);
-        for run in runs {
-            targets.extend(run);
-            assert!(
-                targets.len() <= u32::MAX as usize,
-                "CSR target count overflows u32 offsets"
-            );
-            offsets.push(targets.len() as u32);
-        }
-        assert_eq!(offsets.len(), n + 1, "one run per source expected");
-        Self {
-            offsets: offsets.into(),
-            targets: targets.into(),
-        }
-    }
-
     /// Number of source nodes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -224,14 +198,6 @@ mod tests {
         assert_eq!(csr.target_count(), 3);
         assert!(csr.contains(0, 2));
         assert!(!csr.contains(2, 0));
-    }
-
-    #[test]
-    fn from_runs_flattens_in_order() {
-        let csr = Csr::from_runs(3, vec![vec![5u32, 7], vec![], vec![1]]);
-        assert_eq!(csr.neighbors(0), &[5, 7]);
-        assert_eq!(csr.neighbors(1), &[] as &[u32]);
-        assert_eq!(csr.neighbors(2), &[1]);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub struct DataGraph {
     pub(crate) sims: SimCatalog,
     pub(crate) edge_count: usize,
     /// The canonical condensation of `fwd`: empty until first asked for,
-    /// unless whoever assembled the graph already had it (an epoch commit
-    /// patches the previous epoch's, a snapshot file stores it).
+    /// unless whoever assembled the graph already had it (a snapshot file
+    /// stores it).
     #[serde(skip)]
     pub(crate) condensation: OnceLock<Arc<Condensation>>,
 }
@@ -95,9 +95,9 @@ impl PartialEq for DataGraph {
 impl DataGraph {
     /// The SCC condensation of this graph, computed (one Tarjan pass) on
     /// first use and shared afterwards.  Graphs published by
-    /// [`GraphHandle::commit`](crate::GraphHandle::commit) or decoded from a
-    /// `.gtpq` snapshot arrive with theirs installed, so nothing is
-    /// recomputed there.
+    /// [`GraphHandle::commit`](crate::GraphHandle::commit) arrive with theirs
+    /// computed, and graphs decoded from a `.gtpq` snapshot with the stored
+    /// one installed, so no query pays for it.
     pub fn condensation(&self) -> &Arc<Condensation> {
         self.condensation
             .get_or_init(|| Arc::new(Condensation::new(self)))

@@ -13,7 +13,7 @@
 //! * [`GraphBuilder`] — batch construction of a [`DataGraph`],
 //! * [`GraphHandle`] — the live-graph mutation path: staged inserts and
 //!   attribute upserts compact into immutable epochs with incrementally
-//!   maintained CSR/index/condensation, read through copy-on-write
+//!   merged CSR/index and a re-run condensation, read through copy-on-write
 //!   [`GraphSnapshot`]s,
 //! * the `.gtpq` snapshot format ([`GraphSnapshot::save`] /
 //!   [`GraphSnapshot::open_mmap`] / [`GraphSnapshot::open_heap`]) — the one

@@ -7,10 +7,9 @@
 //! posting families of the attribute inverted index with one sorted-run
 //! merge, `run::merge_run` (per source in `Csr::merge_additions`, per key
 //! in `AttrIndex::merge_updates`), whatever the size of the delta.  The SCC
-//! condensation is patched in place whenever
-//! every new edge goes forward in the topological order
-//! (`Condensation::apply_insertions`) and re-runs Tarjan otherwise.  The
-//! result is **bit-identical** to rebuilding the graph from scratch over the
+//! condensation is not patched: publishing the epoch re-runs Tarjan on the
+//! merged adjacency (`GraphSnapshot::new`).  The result is
+//! **bit-identical** to rebuilding the graph from scratch over the
 //! same logical operation sequence — the differential oracle
 //! (`tests/differential.rs`) compares the two with `==` after every epoch,
 //! on heap bases and on mapped snapshots alike.
@@ -51,9 +50,9 @@ impl GraphSnapshot {
     }
 
     /// Pins `graph` under `epoch`.  The condensation is forced here, so the
-    /// O(V + E) pass is paid by whoever publishes the epoch (a no-op for the
-    /// commit path and the snapshot loader, which install theirs) and never
-    /// by the first query that reads it.
+    /// O(V + E) pass is paid by whoever publishes the epoch (a commit; a
+    /// no-op for the snapshot loader, which installs the stored one) and
+    /// never by the first query that reads it.
     pub(crate) fn new(epoch: u64, graph: Arc<DataGraph>) -> Self {
         graph.condensation();
         Self { epoch, graph }
@@ -103,8 +102,7 @@ pub(crate) enum PendingOp {
     },
 }
 
-/// Counters describing the work the mutation path has done — how many
-/// commits patched the condensation and how many re-ran Tarjan.
+/// Counters describing the work the mutation path has done.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MutationStats {
     /// Committed epochs (commits with at least one staged operation).
@@ -127,9 +125,11 @@ pub struct MutationStats {
     /// Always 0: no commit rebuilds the inverted index.  Kept while a
     /// benchmark metric (`graph.commit_rebuild_share`) still reads it.
     pub index_rebuilds: u64,
-    /// Commits where the condensation took the topological fast path.
+    /// Always 0: no commit patches the condensation.  Kept while a
+    /// benchmark metric (`graph.commit_rebuild_share`) still reads it.
     pub condensation_fast: u64,
-    /// Commits that re-ran Tarjan (an edge went backward in topo order).
+    /// Commits that re-ran Tarjan on the merged adjacency: every commit
+    /// does, so this equals [`epochs`](Self::epochs).
     pub condensation_rebuilds: u64,
 }
 
@@ -394,15 +394,9 @@ impl GraphHandle {
             index,
             sims,
             edge_count,
-            // SCC condensation: patched from the base epoch's while every new
-            // edge goes forward in the topological order; otherwise left for
-            // `GraphSnapshot::new` to re-run Tarjan.
-            condensation: base
-                .condensation()
-                .apply_insertions(n_total, &added_edges)
-                .map_or_else(OnceLock::new, |c| Arc::new(c).into()),
+            // Left for `GraphSnapshot::new` to condense with Tarjan.
+            condensation: OnceLock::new(),
         };
-        let cond_fast = graph.condensation.get().is_some();
 
         let epoch = base.epoch + 1;
         let snapshot = Arc::new(GraphSnapshot::new(epoch, Arc::new(graph)));
@@ -417,11 +411,7 @@ impl GraphHandle {
         stats.attrs_upserted += upserts;
         stats.csr_merges += 1;
         stats.index_merges += 1;
-        if cond_fast {
-            stats.condensation_fast += 1;
-        } else {
-            stats.condensation_rebuilds += 1;
-        }
+        stats.condensation_rebuilds += 1;
         snapshot
     }
 }
@@ -463,9 +453,10 @@ mod tests {
 
         assert_eq!(**snap.graph(), oracle);
         assert_eq!(**snap.condensation(), Condensation::new(&oracle));
-        // The patched condensation rides on the published graph: the
-        // snapshot hands out that one `Arc`, nothing is condensed again.
-        assert_eq!(handle.stats().condensation_fast, 1);
+        // The condensation built when the epoch was published rides on the
+        // graph: the snapshot hands out that one `Arc`, nothing is condensed
+        // again.
+        assert_eq!(handle.stats().condensation_rebuilds, 1);
         assert!(Arc::ptr_eq(
             snap.condensation(),
             snap.graph().condensation()
@@ -508,13 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn backward_edge_falls_back_to_recondense() {
+    fn backward_edge_closes_a_cycle_in_the_new_condensation() {
         let handle = GraphHandle::new(base());
         handle.insert_edge(NodeId(2), NodeId(0)); // closes the 0->1->2 chain
         let snap = handle.commit();
         let stats = handle.stats();
-        assert_eq!(stats.condensation_rebuilds, 1);
-        assert_eq!(stats.condensation_fast, 0);
+        assert_eq!(stats.condensation_rebuilds, stats.epochs);
         assert_eq!(snap.condensation().component_count(), 1);
         assert_eq!(**snap.condensation(), Condensation::new(snap.graph()));
     }

@@ -152,13 +152,6 @@ impl<T: RunElem> IntRun<T> {
         matches!(self.repr, Repr::Mapped { .. })
     }
 
-    /// Copies the run into a fresh owned vector — the copy-on-write step
-    /// every mutation path takes before building a successor epoch, so a
-    /// commit on a mapped graph never writes through to the file.
-    pub(crate) fn to_vec(&self) -> Vec<T> {
-        self.as_slice().to_vec()
-    }
-
     /// The `(device, inode)` of the file a mapped run borrows, when known.
     /// `None` for owned runs and heap-fallback loads.
     pub(crate) fn backing_file_id(&self) -> Option<(u64, u64)> {

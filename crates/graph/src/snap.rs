@@ -24,7 +24,7 @@
 //! | offset | field | type |
 //! |--------|-------|------|
 //! | 0  | magic `GTPQSNAP` | `[u8; 8]` |
-//! | 8  | format version (= 2) | `u32` |
+//! | 8  | format version (= 3) | `u32` |
 //! | 12 | flags | `u32` |
 //! | 16 | section count | `u64` |
 //! | 24 | TOC byte offset | `u64` |
@@ -108,6 +108,11 @@
 //! (kinds 34–35) and the per-attribute similarity tables (kinds 36–47, see
 //! [`crate::sim_index`]).  Version-1 files remain loadable: their graphs
 //! simply carry no vector values and an empty sim catalog.
+//!
+//! Version 3 dropped the component member lists (kinds 26–27,
+//! `MembersOffsets` and `Members`), which no reader of a condensation used.
+//! Version-1 and version-2 files still carry them and still open: the
+//! loader skips the two kinds like any other it does not know.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -131,8 +136,9 @@ use crate::tuples::{AttrColumns, AttrTuples, StrDict, VecDict, TAG_INT, TAG_STR,
 /// `GTPQSNAP`.
 pub const MAGIC: [u8; 8] = *b"GTPQSNAP";
 /// Current format version.  Version 2 added vector attribute values and the
-/// similarity-table sections; readers accept versions `1..=FORMAT_VERSION`.
-pub const FORMAT_VERSION: u32 = 2;
+/// similarity-table sections, version 3 dropped the component member lists;
+/// readers accept versions `1..=FORMAT_VERSION`.
+pub const FORMAT_VERSION: u32 = 3;
 /// Section data alignment, in bytes.
 pub(crate) const SECTION_ALIGN: u64 = 64;
 
@@ -603,10 +609,6 @@ sections! {
     CompOf comp_of = 24: CompId [Nodes] Verifying since 1;
     /// Per-component cyclicity flags.
     Cyclic cyclic = 25: u8 [Components] Verifying since 1;
-    /// Component member offsets.
-    MembersOffsets members_offsets = 26: u32 [Components + 1] Verifying since 1, spans Members;
-    /// Component members, concatenated.
-    Members members = 27: NodeId [Nodes] Verifying since 1;
     /// Condensation DAG out-edge offsets.
     CompOutOffsets comp_out_offsets = 28: u32 [Components + 1] Verifying since 1, spans CompOut;
     /// Condensation DAG out-edges.
@@ -890,19 +892,16 @@ impl Drop for SnapshotWriter {
 }
 
 impl<'a> SnapshotColumns<'a> {
-    /// Borrows the nine condensation columns from `c`.
+    /// Borrows the seven condensation columns from `c`.
     pub fn with_condensation(self, c: &'a Condensation) -> Self {
-        let (comp_of, members, cyclic, comp_out, comp_in, topo) = c.raw_parts();
         Self {
-            comp_of,
-            cyclic,
-            members_offsets: members.offsets_raw(),
-            members: members.targets_raw(),
-            comp_out_offsets: comp_out.offsets_raw(),
-            comp_out: comp_out.targets_raw(),
-            comp_in_offsets: comp_in.offsets_raw(),
-            comp_in: comp_in.targets_raw(),
-            topo,
+            comp_of: &c.comp_of,
+            cyclic: &c.cyclic,
+            comp_out_offsets: c.comp_out.offsets_raw(),
+            comp_out: c.comp_out.targets_raw(),
+            comp_in_offsets: c.comp_in.offsets_raw(),
+            comp_in: c.comp_in.targets_raw(),
+            topo: &c.topo,
             ..self
         }
     }
@@ -1685,14 +1684,13 @@ fn decode(r: Runs, verify_all: bool) -> Result<DataGraph, SnapshotError> {
         }
     }
 
-    let condensation = Condensation::from_parts(
-        r.comp_of,
-        Csr::from_parts(r.members_offsets, r.members),
-        r.cyclic,
-        Csr::from_parts(r.comp_out_offsets, r.comp_out),
-        Csr::from_parts(r.comp_in_offsets, r.comp_in),
-        r.topo,
-    );
+    let condensation = Condensation {
+        comp_of: r.comp_of,
+        cyclic: r.cyclic,
+        comp_out: Csr::from_parts(r.comp_out_offsets, r.comp_out),
+        comp_in: Csr::from_parts(r.comp_in_offsets, r.comp_in),
+        topo: r.topo,
+    };
     Ok(DataGraph {
         symbols,
         edge_count: r.fwd_targets.len(),
@@ -2116,7 +2114,6 @@ mod tests {
         }
         let cond = snap.condensation();
         for c in (0..cond.component_count()).map(|c| CompId(c as u32)) {
-            let _ = cond.members(c);
             let _ = cond.successors(c);
             let _ = cond.predecessors(c);
         }
@@ -2128,7 +2125,7 @@ mod tests {
             .iter()
             .filter(|row| row.spans.is_some() && row.check == Check::Verifying)
             .collect();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 7);
         rows
     }
 
@@ -2200,7 +2197,6 @@ mod tests {
                 let syms = index.name_syms.iter();
                 syms.map(|&sym| index.nodes_with_name(sym).len()).collect()
             }
-            SectionKind::MembersOffsets => comps().map(|c| cond.members(c).len()).collect(),
             SectionKind::CompOutOffsets => comps().map(|c| cond.successors(c).len()).collect(),
             SectionKind::CompInOffsets => comps().map(|c| cond.predecessors(c).len()).collect(),
             other => panic!("{other:?} is not an unscanned offsets run"),

@@ -178,12 +178,13 @@ mod tests {
         let cond = Condensation::new(&g);
         let cd = ChainDecomposition::from_condensation(&cond);
         // Along every chain, earlier members reach all later members.
+        let member = |c| g.nodes().find(|&v| cond.component_of(v) == c).unwrap();
         for ci in 0..cd.chain_count() {
             let chain = cd.chain(ChainId(ci as u32));
             for i in 0..chain.len() {
                 for j in (i + 1)..chain.len() {
-                    let ui = cond.members(chain[i])[0];
-                    let uj = cond.members(chain[j])[0];
+                    let ui = member(chain[i]);
+                    let uj = member(chain[j]);
                     assert!(
                         is_reachable(&g, ui, uj),
                         "chain member {ui} must reach later member {uj}"

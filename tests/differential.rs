@@ -24,11 +24,10 @@
 //! Every engine run must pull `min(offset + limit + 1, total)` rows on the
 //! full run's matching graph, and account in its sim counters for every
 //! vector a table indexes.  Each handle must merge its CSR and inverted
-//! index once per commit; the file a handle was loaded from, and a snapshot
-//! pinned when it was loaded, must not change.  The sweep must take both
-//! condensation paths (patched and Tarjan re-run), hit every `LoadMode`,
-//! and keep its teeth: at least half of the answers must have more than one
-//! row.  The seed count is fixed, and every failure message names its seed
+//! index and re-run Tarjan once per commit; the file a handle was loaded
+//! from, and a snapshot pinned when it was loaded, must not change.  The
+//! sweep must hit every `LoadMode` and keep its teeth: at least half of the
+//! answers must have more than one row.  The seed count is fixed, and every failure message names its seed
 //! and scenario.
 //!
 //! Satisfiability has an oracle of its own: the full structural analysis,
@@ -63,8 +62,6 @@ const LOAD_MODES: [LoadMode; 2] = [LoadMode::Mmap, LoadMode::Heap];
 /// What the sweep has exercised, for the assertions that it kept its teeth.
 #[derive(Default)]
 struct Coverage {
-    condensation_fast: u64,
-    condensation_rebuilds: u64,
     load_modes: Vec<LoadMode>,
     answers: usize,
     multi_row_answers: usize,
@@ -76,14 +73,6 @@ fn every_serving_path_answers_like_the_naive_evaluator_on_a_rebuild() {
     for seed in 0..SEEDS {
         run_scenario(seed, &mut coverage);
     }
-    assert!(
-        coverage.condensation_fast > 0,
-        "no commit took the topological condensation fast path"
-    );
-    assert!(
-        coverage.condensation_rebuilds > 0,
-        "no commit re-ran Tarjan on a backward edge"
-    );
     for mode in LOAD_MODES {
         assert!(
             coverage.load_modes.contains(&mode),
@@ -149,7 +138,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
             "{ctx}: maintained condensation != Tarjan on the rebuild"
         );
         if let Some((_, mode)) = hop.filter(|&(after, _)| after == i) {
-            check_commit_stats(&ctx, &handle.stats(), commits, coverage);
+            check_commit_stats(&ctx, &handle.stats(), commits);
             snap.save(&path).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let loaded = GraphSnapshot::open(&path, mode)
                 .unwrap_or_else(|e| panic!("{ctx}: {mode:?} open failed: {e}"));
@@ -180,7 +169,7 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
             sweep.check(&mut rng, q, minimized, coverage);
         }
     }
-    check_commit_stats(&scenario, &handle.stats(), commits, coverage);
+    check_commit_stats(&scenario, &handle.stats(), commits);
     // The loaded file, and the snapshot pinned when it was loaded, are as
     // they were before the commits on top of them.
     if let Some((bytes, pinned, base)) = pristine {
@@ -199,12 +188,10 @@ fn run_scenario(seed: u64, coverage: &mut Coverage) {
 }
 
 /// One handle's counters: one commit per epoch, each merging its CSR and
-/// its inverted index.
-fn check_commit_stats(ctx: &str, stats: &MutationStats, commits: u64, coverage: &mut Coverage) {
+/// its inverted index and re-running Tarjan.
+fn check_commit_stats(ctx: &str, stats: &MutationStats, commits: u64) {
     assert_eq!(stats.epochs, commits, "{ctx}: {stats:?}");
     assert_every_commit_merged(ctx, stats);
-    coverage.condensation_fast += stats.condensation_fast;
-    coverage.condensation_rebuilds += stats.condensation_rebuilds;
 }
 
 /// An `(offset, limit)` window; `None` asks for the whole answer.
@@ -414,12 +401,18 @@ fn assert_minimized_answers_alike(ctx: &str, q: &Gtpq, minimized: &Gtpq, g: &Dat
     );
 }
 
-/// Every commit merged its CSR and its inverted index; none rebuilt them.
+/// Every commit merged its CSR and its inverted index and re-ran Tarjan;
+/// none rebuilt the CSR or the index, and none patched the condensation.
 fn assert_every_commit_merged(ctx: &str, stats: &MutationStats) {
     assert_eq!(stats.csr_merges, stats.epochs, "{ctx}: {stats:?}");
     assert_eq!(stats.index_merges, stats.epochs, "{ctx}: {stats:?}");
+    assert_eq!(
+        stats.condensation_rebuilds, stats.epochs,
+        "{ctx}: {stats:?}"
+    );
     assert_eq!(stats.csr_rebuilds, 0, "{ctx}: {stats:?}");
     assert_eq!(stats.index_rebuilds, 0, "{ctx}: {stats:?}");
+    assert_eq!(stats.condensation_fast, 0, "{ctx}: {stats:?}");
 }
 
 /// The engine's answer on the committed snapshot must match the naive

@@ -1,9 +1,9 @@
 //! Integration suite for the `.gtpq` binary snapshot format
 //! (`gtpq::graph::snap`):
 //!
-//! * **checked-in fixtures** — a version-1 file keeps opening in every
-//!   [`LoadMode`], and a fresh save of the version-2 fixture's graph
-//!   reproduces its bytes,
+//! * **checked-in fixtures** — version-1 and version-2 files keep opening
+//!   in every [`LoadMode`], and a fresh save of the version-3 fixture's
+//!   graph reproduces its bytes,
 //! * **corruption robustness** — systematic single-byte flips and
 //!   truncations must surface as typed [`SnapshotError`]s (or load a graph
 //!   identical to the original when the flip only touched padding), never
@@ -47,7 +47,7 @@ fn checked_in_v1_fixture_opens_in_every_load_mode() {
     assert_eq!(
         bytes[8], 1,
         "the fixture must stay a version-1 file; regenerate deliberately, \
-         never by re-saving (that would silently upgrade it to v2)"
+         never by re-saving (that would silently upgrade it to the current version)"
     );
 
     for mode in [LoadMode::Mmap, LoadMode::Heap] {
@@ -76,13 +76,18 @@ fn checked_in_v1_fixture_opens_in_every_load_mode() {
             "{mode:?}: a v1 file cannot carry sim tables"
         );
         assert!(g.sim_table("emb").is_none(), "{mode:?}");
+        assert_eq!(
+            *snap.condensation().as_ref(),
+            Condensation::new(g),
+            "{mode:?}"
+        );
     }
 }
 
-/// The graph behind `tests/fixtures/v2-tiny.gtpq`, built inline (not from
-/// `gtpq-datagen`, so generator changes cannot invalidate the fixture): int
-/// and string attributes, one vector value shared by two nodes, one
-/// off-dimension vector, and a cycle.
+/// The graph behind `tests/fixtures/v2-tiny.gtpq` and `v3-tiny.gtpq`, built
+/// inline (not from `gtpq-datagen`, so generator changes cannot invalidate
+/// the fixtures): int and string attributes, one vector value shared by two
+/// nodes, one off-dimension vector, and a cycle.
 fn tiny_v2_graph() -> DataGraph {
     let mut b = GraphBuilder::new();
     let p0 = b.add_node_with_label("paper");
@@ -104,32 +109,76 @@ fn tiny_v2_graph() -> DataGraph {
     b.build()
 }
 
+/// The section kinds a snapshot's TOC lists, in file order.
+fn section_kinds(bytes: &[u8]) -> Vec<u32> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (count, toc) = (word(16), word(24));
+    (0..count)
+        .map(|i| toc + 32 * i)
+        .map(|at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()))
+        .collect()
+}
+
 #[test]
-fn checked_in_v2_fixture_is_what_save_writes_today() {
-    // Round trips cannot see a writer and a reader drifting together; a
-    // checked-in file can.  The fixture was written by the writer as it
-    // stood before the format became table-driven: a fresh save of the same
-    // graph must reproduce it byte for byte.
+fn checked_in_v2_fixture_opens_in_every_load_mode() {
+    // `tests/fixtures/v2-tiny.gtpq` was written by the version-2 writer,
+    // which still stored each component's members (kinds 26 and 27).  The
+    // loader skips those kinds; the graph and its condensation must come
+    // back exactly.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v2-tiny.gtpq");
+    let bytes = std::fs::read(fixture).expect("fixture is checked in");
+    assert_eq!(bytes[8], 2, "the fixture is a version-2 file");
+    let kinds = section_kinds(&bytes);
+    assert!(kinds.contains(&26) && kinds.contains(&27), "{kinds:?}");
+
+    let g = tiny_v2_graph();
+    for mode in [LoadMode::Mmap, LoadMode::Heap] {
+        let snap = GraphSnapshot::open(fixture, mode)
+            .unwrap_or_else(|e| panic!("v2 fixture fails to open in {mode:?}: {e}"));
+        assert_eq!(*snap.graph().as_ref(), g, "{mode:?}");
+        assert_eq!(
+            *snap.condensation().as_ref(),
+            Condensation::new(&g),
+            "{mode:?}"
+        );
+    }
+}
+
+#[test]
+fn checked_in_v3_fixture_is_what_save_writes_today() {
+    // Round trips cannot see a writer and a reader drifting together; a
+    // checked-in file can.  A fresh save of the fixture's graph must
+    // reproduce it byte for byte.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-tiny.gtpq");
     let want = std::fs::read(fixture).expect("fixture is checked in");
-    assert_eq!(want[8], 2, "the fixture is a version-2 file");
+    assert_eq!(want[8], 3, "the fixture is a version-3 file");
 
     let g = tiny_v2_graph();
     assert!(!g.sim_catalog().is_empty() && !Condensation::new(&g).input_was_dag());
-    let path = temp_snapshot("v2-fixture", 0);
+    let path = temp_snapshot("v3-fixture", 0);
     GraphSnapshot::freeze(Arc::new(g.clone()))
         .save(&path)
         .expect("save succeeds");
     let got = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_eq!(
+        u32::from_le_bytes(got[8..12].try_into().unwrap()),
+        3,
+        "save writes version 3"
+    );
+    let kinds = section_kinds(&got);
+    assert!(
+        !kinds.contains(&26) && !kinds.contains(&27),
+        "save still writes the member sections: {kinds:?}"
+    );
     assert!(
         got == want,
-        "save no longer writes the bytes of v2-tiny.gtpq"
+        "save no longer writes the bytes of v3-tiny.gtpq"
     );
 
     for mode in [LoadMode::Mmap, LoadMode::Heap] {
         let snap = GraphSnapshot::open(fixture, mode)
-            .unwrap_or_else(|e| panic!("v2 fixture fails to open in {mode:?}: {e}"));
+            .unwrap_or_else(|e| panic!("v3 fixture fails to open in {mode:?}: {e}"));
         assert_eq!(*snap.graph().as_ref(), g, "{mode:?}");
         assert_eq!(
             *snap.condensation().as_ref(),
@@ -265,7 +314,6 @@ fn plain_mmap_flips_load_typed_or_stay_panic_free_at_access_time() {
         let cond = loaded.condensation();
         for c in 0..cond.component_count() {
             let c = CompId(c as u32);
-            let _ = cond.members(c);
             let _ = cond.successors(c);
             let _ = cond.predecessors(c);
         }
